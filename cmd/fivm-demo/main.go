@@ -203,7 +203,7 @@ func main() {
 		if err != nil {
 			fmt.Printf("regression unavailable: %v\n", err)
 		} else {
-			fmt.Printf("ridge over %d one-hot columns, %d BGD iterations, train RMSE %.3f\n",
+			fmt.Printf("ridge over %d one-hot columns, %d CG iterations, train RMSE %.3f\n",
 				sigma.Dim(), model.Iterations, model.TrainRMSE(sigma))
 			fmt.Printf("θ0 = %+.4f\n", model.Intercept)
 		}

@@ -2,8 +2,8 @@
 // it maintains the generalized COVAR matrix over the synthetic Retailer
 // 5-way join with mixed continuous/categorical features, and after every
 // bulk of updates re-converges a ridge linear regression predicting
-// inventoryunits by warm-started batch gradient descent — without ever
-// materializing the training dataset.
+// inventoryunits by warm-started conjugate gradient on the COVAR normal
+// equations — without ever materializing the training dataset.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("one-hot expanded feature space: %d columns over %d training tuples\n", sigma.Dim(), int(sigma.Count))
-	fmt.Printf("initial fit: %d BGD iterations, RMSE %.3f\n\n", model.Iterations, model.TrainRMSE(sigma))
+	fmt.Printf("initial fit: %d CG iterations, RMSE %.3f\n\n", model.Iterations, model.TrainRMSE(sigma))
 
 	stream, err := dataset.NewStream(db, dataset.StreamConfig{
 		Relation: "Inventory", Total: 30_000, DeleteRatio: 0.2, Seed: 11,

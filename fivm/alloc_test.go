@@ -11,8 +11,8 @@ import (
 // The alloc-regression tests pin the steady-state allocation cost of
 // the paper's headline maintenance path: one single-tuple delta applied
 // through ApplyDelta (delta prebuilt, as the serving pipeline does).
-// The ceilings are the values measured after the scratch-buffer rework
-// (see docs/PERF.md) plus ~25% headroom for Go-version noise — they are
+// The ceilings are the measured values (see docs/PERF.md) plus ~25%
+// headroom for Go-version noise — they are
 // regression tripwires, not targets. If an intentional change raises
 // them, update the constants alongside an explanatory commit, and keep
 // fivm-bench compare green (it enforces a 10% allocs/op budget on the
@@ -20,15 +20,24 @@ import (
 const (
 	// maxAllocsCovarSingle bounds allocs for one insert + one delete of
 	// a single tuple on the scalar-covar engine (degree 3, two-relation
-	// join). Measured 76 allocs for the pair (38 per update) on the
-	// indexed delta path (JoinProbeWith probes the persistent join-key
-	// indexes, so the per-call build-side index of the old scan path is
-	// gone); was 82 after the scratch-buffer rework, 230+ before it.
-	maxAllocsCovarSingle = 95
+	// join). Measured 60 allocs for the pair (30 per update) now that
+	// views own their payloads and commit in place (relation.MergeAll
+	// folds the delta into the stored slab instead of allocating a sum
+	// per merged key); was 76 with pure-Add commits, 82 before the
+	// indexed delta path, 230+ before the scratch-buffer rework.
+	maxAllocsCovarSingle = 75
 	// maxAllocsCountSingle bounds the same pair on the count engine.
-	// Measured 48 allocs for the pair (24 per update) on the indexed
-	// path (down from 54 on the build-and-scan path).
+	// Measured 48 allocs for the pair (24 per update); value payloads
+	// have nothing to own, so in-place commits leave it where the
+	// indexed path put it.
 	maxAllocsCountSingle = 60
+	// maxAllocsAnalysisSingle bounds the same pair on the analysis
+	// engine (relational-COVAR ring, one categorical and two continuous
+	// features): every payload is a compound of Go maps, so this is the
+	// pin that moves when a commit goes back to copying stored payloads.
+	// Measured 130 allocs for the pair with in-place commits, 250 with
+	// pure-Add commits.
+	maxAllocsAnalysisSingle = 160
 )
 
 func allocFixtureData() map[string][]value.Tuple {
@@ -104,5 +113,23 @@ func TestApplyDeltaAllocsCount(t *testing.T) {
 	t.Logf("count single-tuple insert+delete: %.0f allocs", got)
 	if got > maxAllocsCountSingle {
 		t.Errorf("count single-tuple ApplyDelta pair allocates %.0f, budget %d — the hot path regressed (see docs/PERF.md)", got, maxAllocsCountSingle)
+	}
+}
+
+func TestApplyDeltaAllocsAnalysis(t *testing.T) {
+	eng, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+		Relations: []fivm.RelationSpec{
+			{Name: "R", Attrs: []string{"A", "B"}},
+			{Name: "S", Attrs: []string{"A", "C", "D"}},
+		},
+		Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measureSingleTupleApply(t, eng.Engine)
+	t.Logf("analysis single-tuple insert+delete: %.0f allocs", got)
+	if got > maxAllocsAnalysisSingle {
+		t.Errorf("analysis single-tuple ApplyDelta pair allocates %.0f, budget %d — the hot path regressed (see docs/PERF.md)", got, maxAllocsAnalysisSingle)
 	}
 }

@@ -1,6 +1,9 @@
 package fivm_test
 
 import (
+	"encoding/json"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/fivm"
@@ -109,5 +112,83 @@ func TestFloatEnginePureConstantRejectedEarly(t *testing.T) {
 	}
 	if got := eng.Payload(); got != 2 {
 		t.Fatalf("SUM(1) = %v, want 2", got)
+	}
+}
+
+// modelJSON renders a published model the way GET /v1/model does (a
+// failure renders as its message, so it is compared like any body).
+func modelJSON(m fivm.Model) string {
+	j, err := m.ResultJSON()
+	if err == nil {
+		var b []byte
+		if b, err = json.Marshal(j); err == nil {
+			return string(b)
+		}
+	}
+	return "error: " + err.Error()
+}
+
+// TestPublishedModelsAreIsolated is the snapshot-isolation contract of
+// the serving layer, for all six kinds, now that views own their
+// payloads and commit in place: a published model — including one whose
+// rendering is lazy and shares payloads with the result through
+// relation.Map.Clone — must render, at any later time and from any
+// goroutine, exactly what an engine stopped at the publish point
+// renders. A reader renders the model while the writer applies further
+// batches (sequential and parallel commits), so `go test -race` also
+// proves no later commit writes a payload a published model can reach.
+func TestPublishedModelsAreIsolated(t *testing.T) {
+	for kind, cfg := range equivConfigs() {
+		for _, workers := range []int{1, 4} {
+			t.Run(string(kind)+map[int]string{1: "", 4: "/parallel"}[workers], func(t *testing.T) {
+				rnd := rand.New(rand.NewSource(17))
+				ups := equivStreamDomain(rnd, 3000, 12)
+				const cut = 1500
+				open := func() fivm.AnyEngine {
+					e, err := fivm.Open(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					forceParallel(t, e, workers)
+					// Several batches, so the result holds payloads the
+					// tree owns (not just first-insert aliases).
+					for i := 0; i < cut; i += 300 {
+						if err := e.Apply(ups[i : i+300]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return e
+				}
+				want := modelJSON(open().PublishModel(nil))
+
+				eng := open()
+				published := eng.PublishModel(nil)
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						if got := modelJSON(published); got != want {
+							t.Errorf("concurrent read %d of the published model:\n%s\nwant\n%s", i, got, want)
+							return
+						}
+					}
+				}()
+				prev := published
+				for i := cut; i < len(ups); i += 250 {
+					if err := eng.Apply(ups[i : i+250]); err != nil {
+						t.Fatal(err)
+					}
+					prev = eng.PublishModel(prev)
+				}
+				wg.Wait()
+				if got := modelJSON(published); got != want {
+					t.Fatalf("published model changed after later batches:\n%s\nwant\n%s", got, want)
+				}
+				if modelJSON(prev) == want {
+					t.Fatal("the engine did not move on; the test is vacuous")
+				}
+			})
+		}
 	}
 }

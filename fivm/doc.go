@@ -21,8 +21,11 @@
 // # Key invariants
 //
 //   - Views, deltas, and inputs are all keyed relations with ring
-//     payloads; payloads are immutable under ring operations, so
-//     engines, snapshots, and concurrent readers share them freely.
+//     payloads. A view owns the payloads it stores and maintenance
+//     updates them in place, so Payload/Result/Tree().Source hand out
+//     live references (read them before the next update, or use
+//     ClonePayload/CloneView); everything an engine publishes is a
+//     deep copy or a copy-on-write clone that no later update changes.
 //   - Result-access convention: Payload/Result never fail (the empty
 //     join yields the ring zero); typed accessors that derive
 //     structure from the payload (Covar, Sigma, Ridge, MI, a Model's

@@ -81,6 +81,9 @@ type Engine[V any] struct {
 	clone   func(V) V
 	info    m3.RingInfo
 	publish func(prev Model) Model
+	// merged is the last model MergePartials published, the warm start
+	// of the next merged publish.
+	merged Model
 }
 
 // EngineOptions configures NewEngine beyond the view tree itself. All
@@ -200,12 +203,14 @@ func (e *Engine[V]) ApplyBuilt(rel string, d Delta) error {
 // Payload returns the maintained compound aggregate of a query without
 // group-by. It never fails: the empty join yields the ring's zero (nil
 // for pointer-shaped rings) — see the Engine doc for the result-access
-// convention.
+// convention. The value is a live reference into engine state that the
+// next maintenance call may update in place; use ClonePayload to keep
+// one across updates.
 func (e *Engine[V]) Payload() V { return e.tree.ResultPayload() }
 
 // Result returns the maintained result relation, keyed by the query's
-// free variables. Callers must not mutate it; use CloneView for an
-// isolated copy.
+// free variables. Callers must not mutate it, and maintenance updates
+// its payloads in place; use CloneView for an isolated copy.
 func (e *Engine[V]) Result() *relation.Map[V] { return e.tree.Result() }
 
 // ClonePayload returns a deep copy of the maintained compound aggregate,
@@ -285,8 +290,10 @@ func (e *Engine[V]) WritePartial(w io.Writer) error {
 // result (bit-identically for exact rings). The engine's own maintained
 // state is untouched — the merged relation is swapped in only for the
 // duration of the publish — so a data-less "merger" engine built from
-// the cluster's configuration can serve merged reads repeatedly. Not
-// safe concurrently with maintenance or other MergePartials calls.
+// the cluster's configuration can serve merged reads repeatedly, each
+// publish warm-starting from the previous merged model (what a worker's
+// own publishes do from theirs). Not safe concurrently with maintenance
+// or other MergePartials calls.
 func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	if e.codec == nil {
 		return nil, fmt.Errorf("fivm: %s engine has no snapshot codec", e.kind)
@@ -301,7 +308,8 @@ func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	}
 	old := e.tree.SwapResult(merged)
 	defer e.tree.SwapResult(old)
-	return e.PublishModel(nil), nil
+	e.merged = e.PublishModel(e.merged)
+	return e.merged, nil
 }
 
 // PartitionKey returns the attribute positions relation rel's updates
@@ -349,10 +357,10 @@ func (m *ResultSummary) Predict(map[string]value.Value) (float64, error) {
 }
 
 // tableModel snapshots the result relation into a TableModel. The
-// publish-time cost is one shallow clone (payloads are immutable under
-// ring operations, so sharing them is a full snapshot); converting with
-// toFloat, sorting, and decoding keys is deferred to the first read of
-// the model.
+// publish-time cost is one shallow clone (relation.Map.Clone flags the
+// shared payloads copy-on-write, so that is a full snapshot);
+// converting with toFloat, sorting, and decoding keys is deferred to
+// the first read of the model.
 func tableModel[V any](e *Engine[V], toFloat func(V) float64) *TableModel {
 	frozen := e.tree.Result().Clone()
 	return &TableModel{

@@ -72,7 +72,7 @@ func ExampleAnalysis_Ridge() {
 		log.Fatal(err)
 	}
 	model, sigma, err := an.Ridge("y", nil, ml.RidgeConfig{
-		Lambda: 1e-9, LearningRate: 0.1, MaxIters: 20000, Tolerance: 1e-12, Normalize: true,
+		Lambda: 1e-9, MaxIters: 20000, Tolerance: 1e-12, Normalize: true,
 	})
 	if err != nil {
 		log.Fatal(err)

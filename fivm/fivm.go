@@ -245,7 +245,10 @@ func (a *Analysis) Ridge(label string, model *ml.RidgeModel, cfg ml.RidgeConfig)
 // RidgeFromPayload fits (or re-converges, when model is non-nil) a
 // ridge regression against any COVAR payload — Analysis.Ridge uses the
 // live payload; the serving layer uses immutable snapshot clones. The
-// passed model is mutated in place when its dimensions still match.
+// passed model is mutated in place. When the one-hot column set has
+// drifted since it was fit, surviving columns keep their weights and
+// only new ones start at zero (ml.RidgeModel.Remap), so the warm start
+// survives a category appearing or dying out.
 func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
 	sigma, err := ml.SigmaFromRelCovar(payload, feats)
 	if err != nil {
@@ -255,13 +258,11 @@ func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, 
 	if len(cols) != 1 {
 		return nil, nil, fmt.Errorf("fivm: label %s must be a single continuous column (got %d columns)", label, len(cols))
 	}
-	if model == nil || len(model.Weights) != sigma.Dim() {
-		// Category set drifted (columns appeared/disappeared): restart.
-		// A production system would remap surviving columns; restarting
-		// preserves correctness and matches the demo behaviour.
+	if model == nil {
 		model = ml.NewRidge(sigma, cols[0])
+	} else {
+		model.Remap(sigma, cols[0])
 	}
-	model.LabelCol = cols[0]
 	if err := model.Fit(sigma, cfg); err != nil {
 		return nil, nil, err
 	}

@@ -170,8 +170,9 @@ type TableRow struct {
 // aggregates; for the join engine the keys are result tuples and the
 // values their multiplicities.
 //
-// Publishing freezes only a shallow clone of the result (payloads are
-// immutable, so that is a full snapshot); sorting and decoding into
+// Publishing freezes only a shallow clone of the result (the clone's
+// payloads are flagged copy-on-write on both sides, so that is a full
+// snapshot); sorting and decoding into
 // rows happens lazily on the first Rows/Total/ResultJSON call, keeping
 // the serving writer's publish cost independent of rendering. The lazy
 // step is synchronized: concurrent readers are safe.

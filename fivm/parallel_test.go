@@ -1,7 +1,6 @@
 package fivm_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -220,16 +219,9 @@ func setWorkers(t *testing.T, e fivm.AnyEngine, workers int) {
 	s.SetParallelism(workers)
 }
 
-// TestParallelEquivalenceAllKinds is the correctness anchor of parallel
-// delta propagation: for every engine kind, engines at worker counts
-// {0 (untouched default), 1, 2, 4, 8} driven through the same
-// randomized mixed insert/delete stream must hold bit-identical views,
-// sources, results, index postings, and published models after every
-// batch. Batch sizes straddle view.DefaultParallelThreshold (128), so
-// each configured engine keeps crossing between the sequential and
-// parallel commit paths mid-stream.
-func TestParallelEquivalenceAllKinds(t *testing.T) {
-	configs := map[fivm.Kind]fivm.Config{
+// equivConfigs is one workload per engine kind over equivRelations.
+func equivConfigs() map[fivm.Kind]fivm.Config {
+	return map[fivm.Kind]fivm.Config{
 		fivm.KindCount: {
 			Relations: equivRelations(),
 			Query:     "SELECT B, SUM(1) FROM R NATURAL JOIN S NATURAL JOIN T GROUP BY B",
@@ -254,21 +246,40 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 				{Attr: "B", Categorical: true},
 				{Attr: "D"},
 			},
+			// A label makes every published model a warm-started ridge
+			// fit: iterative float math, deterministic given identical
+			// payloads and an identical previous model.
+			Label: "D",
 		},
 		fivm.KindJoin: {
 			Relations: equivRelations(),
 		},
 	}
+}
+
+// TestParallelEquivalenceAllKinds is the correctness anchor of the
+// commit path, parallel and in place: for every engine kind, engines at
+// worker counts {0 (untouched default), 1, 2, 4, 8} AND a reference
+// engine whose tree commits with the pure ring Add (no Scratch, no FMA:
+// the ownership rule cannot matter there) are driven through the same
+// randomized mixed insert/delete stream and must hold bit-identical
+// views, sources, results, index postings and published models after
+// every batch — then through a drain of every live tuple down to the
+// empty database and a reload. Batch sizes straddle
+// view.DefaultParallelThreshold (128), so each configured engine keeps
+// crossing between the sequential and parallel commit paths mid-stream.
+func TestParallelEquivalenceAllKinds(t *testing.T) {
 	// Workers 0 = engine exactly as Open returned it (the baseline the
 	// others must match); the rest route large batches through 1, 2, 4,
-	// or 8 commit workers at the default threshold.
-	workerCounts := []int{0, 1, 2, 4, 8}
+	// or 8 commit workers at the default threshold; -1 marks the
+	// pure-Add reference.
+	workerCounts := []int{0, 1, 2, 4, 8, -1}
 	// The cycle mixes batches well below and well above the 128-tuple
 	// threshold: a 1200-update batch leaves ~400 coalesced tuples per
 	// relation (domain 30 → 900-tuple space per relation clears it),
 	// while 90- and 64-update batches stay sequential on every engine.
 	batchSizes := []int{90, 1200, 130, 64, 700, 96, 400}
-	for kind, cfg := range configs {
+	for kind, cfg := range equivConfigs() {
 		t.Run(string(kind), func(t *testing.T) {
 			engines := make([]fivm.AnyEngine, len(workerCounts))
 			for i, w := range workerCounts {
@@ -281,12 +292,23 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 				}
 				if w > 0 {
 					setWorkers(t, e, w)
+				} else if w < 0 {
+					if err := fivm.CommitWithPureAdd(e); err != nil {
+						t.Fatal(err)
+					}
 				}
 				engines[i] = e
 			}
 
 			rnd := rand.New(rand.NewSource(99))
 			init := map[string][]value.Tuple{}
+			live := map[string]map[string]int{} // relation -> encoded tuple -> multiplicity
+			count := func(rel string, tp value.Tuple, mult int) {
+				if live[rel] == nil {
+					live[rel] = map[string]int{}
+				}
+				live[rel][tp.Encode()] += mult
+			}
 			for _, r := range equivRelations() {
 				for i := 0; i < 60; i++ {
 					tp := make(value.Tuple, len(r.Attrs))
@@ -294,6 +316,7 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 						tp[j] = value.Int(int64(rnd.Intn(30)))
 					}
 					init[r.Name] = append(init[r.Name], tp)
+					count(r.Name, tp, 1)
 				}
 			}
 			for _, e := range engines {
@@ -302,53 +325,79 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 				}
 			}
 
-			ups := equivStreamDomain(rnd, 2800, 30)
 			comparedIndexes := 0
-			start, bi := 0, 0
-			for start < len(ups) {
-				end := start + batchSizes[bi%len(batchSizes)]
-				bi++
-				if end > len(ups) {
-					end = len(ups)
-				}
-				for _, e := range engines {
-					if err := e.Apply(ups[start:end]); err != nil {
+			models := make([]fivm.Model, len(engines))
+			// step applies one batch everywhere and compares everything
+			// against engines[0], models included (each engine's publish
+			// warm-starts from its own previous model).
+			step := func(ctx string, batch []view.Update) {
+				t.Helper()
+				var base, baseModel string
+				var baseIx map[string]map[string]string
+				for i, e := range engines {
+					if err := e.Apply(batch); err != nil {
 						t.Fatal(err)
 					}
-				}
-				base := snapshotState(t, engines[0])
-				baseIx := snapshotIndexes(t, engines[0])
-				for i, e := range engines[1:] {
-					if got := snapshotState(t, e); got != base {
-						t.Fatalf("state diverged after batch ending at %d (workers %d):\nbaseline:\n%s\nvs:\n%s",
-							end, workerCounts[i+1], base, got)
+					models[i] = e.PublishModel(models[i])
+					model := modelJSON(models[i])
+					state, ix := snapshotState(t, e), snapshotIndexes(t, e)
+					if i == 0 {
+						base, baseIx, baseModel = state, ix, model
+						continue
 					}
-					comparedIndexes += compareIndexes(t, baseIx, snapshotIndexes(t, e),
-						fmt.Sprintf("batch ending at %d, workers %d", end, workerCounts[i+1]))
+					who := fmt.Sprintf("%s, workers %d", ctx, workerCounts[i])
+					if state != base {
+						t.Fatalf("state diverged (%s):\nbaseline:\n%s\nvs:\n%s", who, base, state)
+					}
+					if model != baseModel {
+						t.Fatalf("published models diverged (%s):\n%s\nvs\n%s", who, baseModel, model)
+					}
+					comparedIndexes += compareIndexes(t, baseIx, ix, who)
 				}
+			}
+
+			ups := equivStreamDomain(rnd, 2800, 30)
+			start, bi := 0, 0
+			for start < len(ups) {
+				end := min(start+batchSizes[bi%len(batchSizes)], len(ups))
+				bi++
+				for _, u := range ups[start:end] {
+					count(u.Rel, u.Tuple, u.Mult)
+				}
+				step(fmt.Sprintf("batch ending at %d", end), ups[start:end])
 				start = end
 			}
 			if comparedIndexes == 0 {
 				t.Fatal("no index postings were compared; the equivalence check is vacuous")
 			}
 
-			// Published models must agree too (the analysis ridge fit is
-			// iterative float math, deterministic given identical payloads).
-			bj, berr := engines[0].PublishModel(nil).ResultJSON()
-			for i, e := range engines[1:] {
-				ej, eerr := e.PublishModel(nil).ResultJSON()
-				if (berr == nil) != (eerr == nil) {
-					t.Fatalf("model render: baseline err %v, workers %d err %v", berr, workerCounts[i+1], eerr)
-				}
-				if berr != nil {
-					continue
-				}
-				bb, _ := json.Marshal(bj)
-				eb, _ := json.Marshal(ej)
-				if string(bb) != string(eb) {
-					t.Fatalf("published models diverged (workers %d):\n%s\nvs\n%s", workerCounts[i+1], bb, eb)
+			// Annihilation: delete every live tuple, so every view, source
+			// and the result drain to empty through whatever mix of owned
+			// and shared entries the stream left behind — and back.
+			var drain []view.Update
+			for _, r := range equivRelations() {
+				for enc, mult := range live[r.Name] {
+					if mult != 0 {
+						drain = append(drain, view.Update{Rel: r.Name, Tuple: value.MustDecodeTuple(enc), Mult: -mult})
+					}
 				}
 			}
+			step("drain", drain)
+			empty, err := fivm.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := snapshotState(t, engines[0]), snapshotState(t, empty); got != want {
+				t.Fatalf("drained engine is not empty:\n%s\nwant\n%s", got, want)
+			}
+			var reload []view.Update
+			for _, r := range equivRelations() {
+				for _, tp := range init[r.Name] {
+					reload = append(reload, view.Update{Rel: r.Name, Tuple: tp, Mult: 1})
+				}
+			}
+			step("reload", reload)
+			step("reload twice", reload)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 // Package ml implements the machine-learning applications the paper
 // demonstrates on top of maintained ring payloads: ridge linear
-// regression re-converged by batch gradient descent from a COVAR matrix,
+// regression re-converged from a COVAR matrix by warm-started conjugate
+// gradient on the normal equations the matrix determines,
 // pairwise mutual information from maintained count tables, Chow-Liu
 // trees, and MI-threshold model selection.
 package ml

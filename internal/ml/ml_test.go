@@ -43,7 +43,7 @@ func TestRidgeRecoversLinearModel(t *testing.T) {
 	}
 	sigma := buildSigmaFromRows(rows, []string{"x1", "x2", "y"})
 	model := NewRidge(sigma, 2)
-	cfg := RidgeConfig{Lambda: 1e-9, LearningRate: 0.1, MaxIters: 50_000, Tolerance: 1e-12, Normalize: true}
+	cfg := RidgeConfig{Lambda: 1e-9, MaxIters: 50_000, Tolerance: 1e-12, Normalize: true}
 	if err := model.Fit(sigma, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -71,40 +71,12 @@ func TestRidgeWithoutNormalization(t *testing.T) {
 	}
 	sigma := buildSigmaFromRows(rows, []string{"x", "y"})
 	model := NewRidge(sigma, 1)
-	cfg := RidgeConfig{Lambda: 1e-9, LearningRate: 0.2, MaxIters: 50_000, Tolerance: 1e-12}
+	cfg := RidgeConfig{Lambda: 1e-9, MaxIters: 50_000, Tolerance: 1e-12}
 	if err := model.Fit(sigma, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(model.Weights[0]-0.5) > 1e-3 || math.Abs(model.Intercept-1) > 1e-3 {
 		t.Errorf("θ = (%v, %v), want (1, 0.5)", model.Intercept, model.Weights[0])
-	}
-}
-
-func TestRidgeWarmStartFasterThanCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var rows [][]float64
-	for i := 0; i < 300; i++ {
-		x := rng.Float64() * 10
-		rows = append(rows, []float64{x, 2*x + 1 + rng.NormFloat64()*0.1})
-	}
-	sigma := buildSigmaFromRows(rows, []string{"x", "y"})
-	cfg := DefaultRidgeConfig()
-
-	cold := NewRidge(sigma, 1)
-	if err := cold.Fit(sigma, cfg); err != nil {
-		t.Fatal(err)
-	}
-	coldIters := cold.Iterations
-
-	// Perturb the data slightly and refit warm.
-	rows = append(rows, []float64{5, 11.1})
-	sigma2 := buildSigmaFromRows(rows, []string{"x", "y"})
-	warm := cold
-	if err := warm.Fit(sigma2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Iterations > coldIters {
-		t.Errorf("warm refit took %d iters, cold fit %d — warm start is not helping", warm.Iterations, coldIters)
 	}
 }
 

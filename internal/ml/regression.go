@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // RidgeModel is a ridge linear regression model over the expanded
@@ -13,68 +14,44 @@ type RidgeModel struct {
 	// Weights holds one θ per feature column (the label's column weight
 	// is unused and kept at zero).
 	Weights []float64
+	// Cols names the column each weight belongs to: the columns of the
+	// matrix last fit (shared with it, never written; nil before the
+	// first Fit), so Remap can carry weights across a change of the
+	// one-hot column set.
+	Cols []Column
 	// LabelCol is the column index of the label in the SigmaMatrix.
 	LabelCol int
-	// Iterations is the number of gradient steps the last Fit run took.
+	// Iterations is the number of conjugate-gradient steps the last Fit
+	// took (0 when the warm start already met the tolerance).
 	Iterations int
-	// Converged reports whether the gradient norm dropped below the
-	// tolerance before the iteration cap.
+	// Converged reports whether the residual's max-norm dropped below
+	// the tolerance before the iteration cap.
 	Converged bool
 }
 
-// RidgeConfig configures the batch-gradient-descent solver.
+// RidgeConfig configures the solver.
 type RidgeConfig struct {
 	// Lambda is the L2 regularization strength (applied to weights, not
 	// the intercept).
 	Lambda float64
-	// LearningRate is the initial step size; the solver backtracks when
-	// a step increases the objective.
-	LearningRate float64
-	// MaxIters caps gradient steps per Fit call.
+	// MaxIters caps conjugate-gradient steps per Fit call. In exact
+	// arithmetic the method needs at most one step per column, so this
+	// is a safety cap, not a tuning knob.
 	MaxIters int
-	// Tolerance stops iteration when the gradient's max-norm falls
-	// below it.
+	// Tolerance stops iteration when the max-norm of the residual — the
+	// gradient of the objective — falls below it.
 	Tolerance float64
 	// Normalize standardizes feature columns (zero mean, unit variance)
 	// inside the solver using only the sigma statistics, then maps the
-	// parameters back. This conditions gradient descent on raw-scale
-	// data; constant columns are left unscaled.
+	// parameters back, so Lambda penalizes every feature on one scale.
+	// Constant columns are left unscaled. Without it columns are only
+	// centred.
 	Normalize bool
 }
 
 // DefaultRidgeConfig returns a reasonable solver configuration.
 func DefaultRidgeConfig() RidgeConfig {
-	return RidgeConfig{Lambda: 1e-3, LearningRate: 0.1, MaxIters: 5000, Tolerance: 1e-8, Normalize: true}
-}
-
-// standardized derives the sigma statistics of the transformed features
-// x'_i = (x_i − μ_i)/σ_i from raw sigma statistics alone:
-//
-//	Σ'_ij = (Σ_ij − N μ_i μ_j) / (σ_i σ_j)
-//	s'_i  = 0
-//
-// The label column is standardized too, so the solver works on a
-// well-conditioned correlation-like matrix throughout.
-func standardized(m *SigmaMatrix) (*SigmaMatrix, []float64, []float64) {
-	n := m.Dim()
-	mu := make([]float64, n)
-	sigma := make([]float64, n)
-	for i := 0; i < n; i++ {
-		mu[i] = m.Sum[i] / m.Count
-		v := m.At(i, i)/m.Count - mu[i]*mu[i]
-		if v > 1e-12 {
-			sigma[i] = math.Sqrt(v)
-		} else {
-			sigma[i] = 1 // constant column: leave unscaled
-		}
-	}
-	out := &SigmaMatrix{n: n, Cols: m.Cols, Count: m.Count, Sum: make([]float64, n), Data: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[i*n+j] = (m.At(i, j) - m.Count*mu[i]*mu[j]) / (sigma[i] * sigma[j])
-		}
-	}
-	return out, mu, sigma
+	return RidgeConfig{Lambda: 1e-3, MaxIters: 5000, Tolerance: 1e-8, Normalize: true}
 }
 
 // Clone returns a deep copy of the model, so a warm-started refit can
@@ -94,161 +71,137 @@ func NewRidge(m *SigmaMatrix, labelCol int) *RidgeModel {
 	return &RidgeModel{Weights: make([]float64, m.Dim()), LabelCol: labelCol}
 }
 
-// Fit runs batch gradient descent on the least-squares objective
+// Remap re-indexes the model onto the columns of m, whose one-hot
+// column set may have drifted since the last fit (a category appeared
+// or died out): a surviving column, matched by Column.Label, keeps its
+// weight and a new one starts at zero, so the next Fit still resumes
+// from the previous optimum.
+func (r *RidgeModel) Remap(m *SigmaMatrix, labelCol int) {
+	r.LabelCol = labelCol
+	if slices.Equal(r.Cols, m.Cols) {
+		return
+	}
+	old := make(map[string]float64, len(r.Cols))
+	for i, c := range r.Cols {
+		old[c.Label()] = r.Weights[i]
+	}
+	r.Weights = make([]float64, m.Dim())
+	for i, c := range m.Cols {
+		r.Weights[i] = old[c.Label()]
+	}
+	r.Cols = m.Cols
+}
+
+// Fit minimizes the least-squares objective
 //
 //	J(θ) = 1/(2N) Σ (θ0 + θᵀx − y)² + λ/2 ‖θ‖²
 //
 // using only the COVAR statistics in m — the training data itself is
-// never materialized, which is the paper's central point: the gradient
+// never materialized, which is the paper's central point: the count,
+// the column sums s and the matrix Σ of SUM(x_i·x_j) determine the
+// centred (with Normalize: standardized) second moments
 //
-//	∇θ J = 1/N (Σθ + θ0·s − Σ_y) + λθ
+//	Σ'_ij = (Σ_ij − N μ_i μ_j) / (σ_i σ_j),   s'_i = 0
 //
-// needs only the count, the column sums s, and the matrix Σ of
-// SUM(x_i·x_j). Fit resumes from the model's current parameters, so
-// after a delta batch the solver re-converges from the previous optimum
-// (warm start), exactly like the demo's Regression tab.
+// and with zero sums the intercept drops out analytically, leaving the
+// symmetric positive-definite system
+//
+//	(Σ'/N + λI) θ' = Σ'_y/N
+//
+// over the feature columns, whose residual is −∇J. Fit builds it once
+// as a flat matrix and solves it by conjugate gradient, resuming from
+// the model's current parameters: after a delta batch the solver
+// re-converges from the previous optimum (warm start) in a handful of
+// steps, like the demo's Regression tab, and from any start in at most
+// one step per column up to rounding.
 func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
+	n, y := m.Dim(), r.LabelCol
 	if m.Count <= 0 {
 		return fmt.Errorf("ml: cannot fit on an empty training set")
 	}
-	if len(r.Weights) != m.Dim() {
-		return fmt.Errorf("ml: model has %d weights, matrix has %d columns", len(r.Weights), m.Dim())
+	if len(r.Weights) != n {
+		return fmt.Errorf("ml: model has %d weights, matrix has %d columns", len(r.Weights), n)
 	}
-	if cfg.Normalize {
-		sm, mu, sd := standardized(m)
-		y := r.LabelCol
-		if y < 0 || y >= m.Dim() {
-			return fmt.Errorf("ml: label column %d out of range", y)
-		}
-		// Map the warm-start parameters into standardized space:
-		// θ'_i = θ_i σ_i/σ_y, θ0' = (θ0 + Σθ_i μ_i − μ_y)/σ_y.
-		shift := r.Intercept - mu[y]
-		for i := range r.Weights {
-			if i == y {
-				continue
-			}
-			shift += r.Weights[i] * mu[i]
-			r.Weights[i] *= sd[i] / sd[y]
-		}
-		r.Intercept = shift / sd[y]
-		inner := cfg
-		inner.Normalize = false
-		err := r.Fit(sm, inner)
-		// Map back even on error so the model stays in raw space.
-		back := r.Intercept * sd[y]
-		for i := range r.Weights {
-			if i == y {
-				continue
-			}
-			r.Weights[i] *= sd[y] / sd[i]
-			back -= r.Weights[i] * mu[i]
-		}
-		r.Intercept = back + mu[y]
-		return err
-	}
-	n := m.Dim()
-	y := r.LabelCol
 	if y < 0 || y >= n {
 		return fmt.Errorf("ml: label column %d out of range", y)
 	}
-	invN := 1 / m.Count
-	lr := cfg.LearningRate
-	grad := make([]float64, n)
-	var gradIntercept float64
-
-	objective := func() float64 {
-		// J = 1/(2N) [ θᵀΣθ + 2θ0 θᵀs + N θ0² − 2θᵀΣ_y − 2θ0 s_y + Σ_yy ]
-		// + λ/2 ‖θ‖² ; constant Σ_yy included for proper backtracking.
-		var quad, lin float64
-		for i := 0; i < n; i++ {
-			if i == y {
-				continue
-			}
-			wi := r.Weights[i]
-			for j := 0; j < n; j++ {
-				if j == y {
-					continue
-				}
-				quad += wi * r.Weights[j] * m.At(i, j)
-			}
-			lin += wi * (r.Intercept*m.Sum[i] - m.At(i, y))
-		}
-		obj := 0.5*invN*(quad+m.At(y, y)) + invN*lin
-		obj += 0.5 * invN * (m.Count*r.Intercept*r.Intercept - 2*r.Intercept*m.Sum[y])
-		var reg float64
-		for i, w := range r.Weights {
-			if i != y {
-				reg += w * w
-			}
-		}
-		return obj + 0.5*cfg.Lambda*reg
-	}
-
-	computeGrad := func() float64 {
-		maxAbs := 0.0
-		for i := 0; i < n; i++ {
-			if i == y {
-				grad[i] = 0
-				continue
-			}
-			g := 0.0
-			for j := 0; j < n; j++ {
-				if j == y {
-					continue
-				}
-				g += m.At(i, j) * r.Weights[j]
-			}
-			g += r.Intercept*m.Sum[i] - m.At(i, y)
-			g = g*invN + cfg.Lambda*r.Weights[i]
-			grad[i] = g
-			if a := math.Abs(g); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		gi := r.Intercept*m.Count - m.Sum[y]
-		for j := 0; j < n; j++ {
-			if j != y {
-				gi += m.Sum[j] * r.Weights[j]
-			}
-		}
-		gradIntercept = gi * invN
-		if a := math.Abs(gradIntercept); a > maxAbs {
-			maxAbs = a
-		}
-		return maxAbs
-	}
-
-	r.Converged = false
-	r.Iterations = 0
-	prevObj := objective()
-	for it := 0; it < cfg.MaxIters; it++ {
-		r.Iterations = it + 1
-		if computeGrad() < cfg.Tolerance {
-			r.Converged = true
-			return nil
-		}
-		// Backtracking line search on the step size.
-		for {
-			for i := range r.Weights {
-				r.Weights[i] -= lr * grad[i]
-			}
-			r.Intercept -= lr * gradIntercept
-			obj := objective()
-			if obj <= prevObj || lr < 1e-15 {
-				if obj < prevObj {
-					lr *= 1.05 // gentle growth after successful steps
-				}
-				prevObj = obj
-				break
-			}
-			// Undo and halve.
-			for i := range r.Weights {
-				r.Weights[i] += lr * grad[i]
-			}
-			r.Intercept += lr * gradIntercept
-			lr /= 2
+	mu, sd := make([]float64, n), make([]float64, n)
+	for i := range mu {
+		mu[i] = m.Sum[i] / m.Count
+		sd[i] = 1
+		if v := m.Data[i*n+i]/m.Count - mu[i]*mu[i]; cfg.Normalize && v > 1e-12 {
+			sd[i] = math.Sqrt(v) // constant columns stay unscaled
 		}
 	}
+	// a is the system matrix, b its right-hand side, x the unknowns
+	// θ'_i = θ_i σ_i/σ_y. The label's row and column stay zero, which
+	// keeps x[y] at zero through every step.
+	a, b, x := make([]float64, n*n), make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		if i == y {
+			continue
+		}
+		row, src := a[i*n:(i+1)*n], m.Data[i*n:(i+1)*n]
+		for j := range row {
+			row[j] = (src[j]/m.Count - mu[i]*mu[j]) / (sd[i] * sd[j])
+		}
+		b[i], row[y] = row[y], 0
+		row[i] += cfg.Lambda
+		x[i] = r.Weights[i] * sd[i] / sd[y]
+	}
+	mulA := func(dst, v []float64) {
+		for i := range dst {
+			var s float64
+			for j, aij := range a[i*n : (i+1)*n] {
+				s += aij * v[j]
+			}
+			dst[i] = s
+		}
+	}
+	res, p, ap := make([]float64, n), make([]float64, n), make([]float64, n)
+	mulA(ap, x)
+	var rr float64
+	for i := range res {
+		res[i] = b[i] - ap[i]
+		rr += res[i] * res[i]
+	}
+	copy(p, res)
+	r.Converged, r.Iterations = false, 0
+	for {
+		var maxAbs float64
+		for _, v := range res {
+			maxAbs = math.Max(maxAbs, math.Abs(v))
+		}
+		if r.Converged = maxAbs < cfg.Tolerance; r.Converged || r.Iterations >= cfg.MaxIters {
+			break
+		}
+		mulA(ap, p)
+		var pap float64
+		for i := range p {
+			pap += p[i] * ap[i]
+		}
+		if pap <= 0 {
+			break // residual exhausted (or λ = 0 on a singular system): no direction left
+		}
+		r.Iterations++
+		alpha, prev := rr/pap, rr
+		rr = 0
+		for i := range x {
+			x[i] += alpha * p[i]
+			res[i] -= alpha * ap[i]
+			rr += res[i] * res[i]
+		}
+		for i := range p {
+			p[i] = res[i] + rr/prev*p[i]
+		}
+	}
+	// Back to raw space: θ_i = θ'_i σ_y/σ_i, θ0 = μ_y − Σ θ_i μ_i.
+	r.Intercept = mu[y]
+	for i := range x {
+		r.Weights[i] = x[i] * sd[y] / sd[i]
+		r.Intercept -= r.Weights[i] * mu[i]
+	}
+	r.Cols = m.Cols
 	return nil
 }
 

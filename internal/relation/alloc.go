@@ -76,7 +76,9 @@ func (m *Map[V]) newEntry(t value.Tuple, p V, shared bool) *entry[V] {
 	return m.arena.newEntry(t, p, shared)
 }
 
-// recycleEntry parks an entry m owns for reuse by a later insert.
-func (m *Map[V]) recycleEntry(e *entry[V]) {
+// drop retires an annihilated entry the caller has already deleted
+// from the primary map: out of every built index, into the arena.
+func (m *Map[V]) drop(e *entry[V]) {
+	m.indexRemove(e)
 	m.arena.recycle(e)
 }

@@ -11,7 +11,8 @@
 //     cancel, so relations stay compact under delete-heavy streams and
 //     two relations holding the same content are structurally equal.
 //   - Payloads are shared, never copied, on Clone and Partition —
-//     sound because ring operations treat payloads as immutable.
+//     sound because every entry that shares one is flagged and copies
+//     on write (see the ownership rules below).
 //   - A Map is not safe for concurrent mutation; concurrent reads
 //     (Join probes, Each) are fine, which parallel delta propagation
 //     relies on when workers join against shared sibling views.
@@ -25,25 +26,42 @@
 //
 // # Ownership and the allocation-lean hot path
 //
-// The merge hot path is engineered around three rules, documented here
+// The merge hot path is engineered around four rules, documented here
 // because they are the package's load-bearing ownership contract (see
 // also docs/PERF.md):
 //
-//   - STORED payloads are immutable. Merge and MergeAll combine with
-//     the pure ring Add and only ever REPLACE a stored payload, so
-//     payloads may be shared freely with clones, snapshots, and other
-//     relations. Entry structs, by contrast, are owned by their map:
-//     Clone and MergeAll allocate fresh ones. Ownership is what lets
-//     each map slab-allocate its entries from a per-map arena and
-//     recycle them on annihilation and Reset (alloc.go) — the only
-//     aliasing exception, PartitionInto slots, is tracked by a foreign
-//     flag that disables recycling there.
+//   - A relation OWNS what it stores. Merge and MergeAll — the commit
+//     step of view maintenance — fold a delta into a stored payload in
+//     place through the ring's optional Scratch extension, so a batch
+//     costs what its delta costs, not what the stored payloads weigh.
+//     A payload that may also be referenced from outside is an alias,
+//     and its entry is flagged shared: a payload inserted from the
+//     caller (a delta's, a cached ring constant such as ±1, anything
+//     given to Set), both sides of a Clone, and both sides of an
+//     unlifted Aggregate (input and output hold the same value). A
+//     flagged entry copies on write: its next hit takes one pure ring
+//     Add, whose fresh result the map owns from then on. Rings without
+//     Scratch (value payloads) always take the pure Add. What the
+//     addends point to is never written, zero payloads are never
+//     stored (so Add cannot hand an operand back), and results are
+//     bit-identical to the pure path (scratch_test.go here, the pure
+//     reference trees in view and fivm). Payloads read out of a map
+//     (Get, Each, a view's Result) are therefore live: read them
+//     before the next merge, or Clone for a stable snapshot.
+//   - Entry structs are owned by their map too: Clone and MergeAll
+//     allocate fresh ones. That is what lets each map slab-allocate
+//     its entries from a per-map arena and recycle them on
+//     annihilation and Reset (alloc.go) — the only aliasing exception,
+//     PartitionInto slots, is tracked by a foreign flag that disables
+//     recycling there. Slots are read-only inputs of propagation and
+//     never merge targets, so sharing the delta's entries (flags
+//     included) is sound.
 //   - Join and Aggregate OWN their output maps while building them and
-//     fold into freshly-created payloads in place via the ring's
-//     optional Scratch/FMA extensions. A payload stored from shared
-//     input (no-lift aggregation) is flagged and copy-on-writes
-//     through one pure Add on its first re-hit. The fused paths are
-//     bit-identical to the pure ones (scratch_test.go).
+//     fold into freshly-created payloads in place via Scratch/FMA —
+//     the same entry.add the commit path uses. Aggregate writes one
+//     thing outside its output: the shared flag of an input entry whose
+//     payload it stores unlifted; an input is aggregated by one
+//     goroutine at a time (delta partitions are entry-disjoint).
 //   - Keys encode into reused scratch buffers (Tuple.AppendEncode*);
 //     maps are probed with string(buf), which Go compiles without a
 //     copy, and the key string plus output tuple only materialize when
@@ -55,10 +73,10 @@
 // maintenance re-walks warm memory instead of reallocating it.
 //
 // Secondary indexes extend the contract without bending it: postings
-// hold the map's own entry pointers, so the immutable-payload rule
-// keeps them valid through in-place payload updates; only entry
-// insertion and annihilation touch them, on the same single-writer
-// paths that mutate the primary map. Indexes build lazily on first
+// hold the map's own entry pointers, which stay valid however the
+// payload behind them is updated; only entry insertion and
+// annihilation touch them, on the same single-writer paths that
+// mutate the primary map. Indexes build lazily on first
 // probe (a sync.Once makes that safe from concurrent reading workers)
 // and an index never probed costs nothing. See index.go and
 // docs/ARCHITECTURE.md.

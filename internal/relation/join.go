@@ -5,59 +5,6 @@ import (
 	"repro/internal/value"
 )
 
-// scratchOf returns the ring's optional in-place accumulation extension
-// (nil when the ring does not implement it). Join and Aggregate use it
-// on their OUTPUT maps only: every payload stored there is exclusively
-// owned (a fresh Mul result or an Own copy), so folding further addends
-// into it in place is unobservable — the fused path produces
-// bit-identical relations to the pure Add path, which the merge-contract
-// tests assert.
-func scratchOf[V any](r ring.Ring[V]) ring.Scratch[V] {
-	sc, _ := r.(ring.Scratch[V])
-	return sc
-}
-
-// fold adds payload p to the entry at key buf when one exists (using
-// the ring's Scratch extension when available) and reports whether the
-// caller must insert a new entry instead. It returns false for
-// absent-and-zero payloads, so key string and tuple materialize only
-// for entries actually stored.
-//
-// The in-place AddInto runs only on entries the map exclusively owns;
-// an entry whose payload still aliases outside state (entry.shared)
-// takes one pure Add, whose fresh result the map then owns — the lazy
-// form of copy-on-write that lets Aggregate store input payloads
-// without a defensive clone.
-func fold[V any](r ring.Ring[V], sc ring.Scratch[V], out *Map[V], buf []byte, p V) (insert bool) {
-	if r.IsZero(p) {
-		// Adding zero is a no-op; returning early also guarantees the
-		// pure-Add branch below runs on two non-zero operands, where
-		// every Scratch ring returns a fresh value (so clearing the
-		// shared flag afterwards is sound).
-		return false
-	}
-	if e, ok := out.data[string(buf)]; ok {
-		var s V
-		if sc != nil && !e.shared {
-			s = sc.AddInto(e.payload, p)
-		} else {
-			s = r.Add(e.payload, p)
-		}
-		if r.IsZero(s) {
-			// No index maintenance here: Join and Aggregate outputs are
-			// always freshly allocated, never indexed (indexes live on
-			// long-lived maps mutated through Merge/MergeAll/Set).
-			delete(out.data, string(buf))
-			out.recycleEntry(e)
-		} else {
-			e.payload = s
-			e.shared = false
-		}
-		return false
-	}
-	return !r.IsZero(p)
-}
-
 // joinOrient is the precomputed geometry of one build/probe orientation
 // of a join: the common-key projections of both sides and, per output
 // position, which side it reads and at which position — so keys and
@@ -167,27 +114,18 @@ func joinMatches[V any](out *Map[V], r ring.Ring[V], sc ring.Scratch[V], fma rin
 		if e, ok := out.data[string(obuf)]; ok {
 			// Duplicate output tuple: fold a×b into the owned
 			// accumulator without materializing the product when the
-			// ring supports it.
-			var s V
+			// ring supports it. out is a fresh, never-indexed map whose
+			// entries all hold products it owns.
+			var zero bool
 			if fma != nil && !e.shared {
-				s = fma.MulAddInto(e.payload, a, b)
-			} else {
-				p := r.Mul(a, b)
-				if r.IsZero(p) {
-					continue
-				}
-				if sc != nil && !e.shared {
-					s = sc.AddInto(e.payload, p)
-				} else {
-					s = r.Add(e.payload, p)
-				}
+				e.payload = fma.MulAddInto(e.payload, a, b)
+				zero = r.IsZero(e.payload)
+			} else if p := r.Mul(a, b); !r.IsZero(p) {
+				zero = e.add(r, sc, p)
 			}
-			if r.IsZero(s) {
+			if zero {
 				delete(out.data, string(obuf))
-				out.recycleEntry(e)
-			} else {
-				e.payload = s
-				e.shared = false
+				out.drop(e)
 			}
 			continue
 		}
@@ -412,15 +350,26 @@ func AggregateWith[V any](plan *AggPlan, r ring.Ring[V], m *Map[V], lift ring.Li
 			p = r.Mul(p, lift(e.tuple[plan.liftIdx]))
 			owned = true
 		}
+		if r.IsZero(p) {
+			continue
+		}
 		// Hot path: encode the projected key into the reused scratch
 		// buffer; the group tuple (and the key string) materialize only
 		// when the group is first seen.
 		kbuf = e.tuple.AppendEncodeProject(kbuf[:0], proj)
-		if fold(r, sc, out, kbuf, p) {
-			// A payload read straight from the input (no lift) stays
-			// shared: fold copy-on-writes it via one pure Add if the
-			// group is ever hit again.
+		if g, ok := out.data[string(kbuf)]; !ok {
+			// A payload stored straight from the input (no lift) is now
+			// referenced by both relations, so both entries are flagged
+			// and whichever side accumulates next copies on write. Only
+			// the flag of m's entry is written, and only by the one
+			// goroutine aggregating it (see the package doc).
+			if !owned {
+				e.shared = true
+			}
 			out.data[string(kbuf)] = out.newEntry(e.tuple.Project(proj), p, !owned)
+		} else if g.add(r, sc, p) {
+			delete(out.data, string(kbuf))
+			out.drop(g)
 		}
 	}
 	return out

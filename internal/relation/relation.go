@@ -18,9 +18,9 @@ import (
 // into a reused scratch buffer and indexing the map with string(buf),
 // which Go compiles without copying); re-assigning through the map
 // would re-materialize the key string on every merge. The entry structs
-// are owned by the map — Clone allocates fresh ones — while payloads
-// and tuples inside them stay shared and immutable (see the package doc
-// for the ownership contract).
+// are owned by the map — Clone allocates fresh ones. A stored payload is
+// owned too, and folded into in place, unless its entry is flagged
+// shared (see the package doc for the ownership contract).
 type Map[V any] struct {
 	schema value.Schema
 	data   map[string]*entry[V]
@@ -45,12 +45,36 @@ type Map[V any] struct {
 type entry[V any] struct {
 	tuple   value.Tuple
 	payload V
-	// shared marks a payload that aliases a value outside this map (an
-	// input relation, a cached ring constant): the fused accumulation
-	// paths of Join/Aggregate must not fold into it in place and fall
-	// back to one pure Add, whose fresh result clears the flag. Entries
-	// created outside those paths conservatively set it.
+	// shared marks a payload that may be referenced from outside this
+	// map (a delta it was inserted from, a cached ring constant, a
+	// clone, an unlifted aggregate of it): add must not fold into it in
+	// place and takes one pure Add, whose fresh result clears the flag.
 	shared bool
+}
+
+// add folds the non-zero payload p into the entry and reports whether
+// the sum annihilated (the caller then removes the entry). A payload
+// the map exclusively owns accumulates in place through the ring's
+// Scratch extension; a shared one, or any payload of a ring without
+// Scratch, is replaced by the pure sum — copy-on-write, after which the
+// map owns the fresh value. That relies on two invariants: maps store
+// no ring zero and p is non-zero, so Add cannot take an
+// operand-returning zero fast path and hand p itself back.
+func (e *entry[V]) add(r ring.Ring[V], sc ring.Scratch[V], p V) (zero bool) {
+	if sc != nil && !e.shared {
+		e.payload = sc.AddInto(e.payload, p)
+	} else {
+		e.payload = r.Add(e.payload, p)
+		e.shared = false
+	}
+	return r.IsZero(e.payload)
+}
+
+// scratchOf returns the ring's optional in-place accumulation extension
+// (nil when the ring does not implement it).
+func scratchOf[V any](r ring.Ring[V]) ring.Scratch[V] {
+	sc, _ := r.(ring.Scratch[V])
+	return sc
 }
 
 // New returns an empty relation over the given key schema.
@@ -103,7 +127,9 @@ func (m *Map[V]) GetOr(t value.Tuple, def V) V {
 }
 
 // Set stores payload p for tuple t, replacing any existing payload.
-// The tuple length must match the schema.
+// The tuple length must match the schema and p must not be the ring
+// zero (which relations never store). The caller may keep using p: the
+// entry is flagged shared.
 func (m *Map[V]) Set(t value.Tuple, p V) {
 	if len(t) != m.schema.Len() {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match schema %v", len(t), m.schema))
@@ -120,56 +146,50 @@ func (m *Map[V]) Set(t value.Tuple, p V) {
 }
 
 // Merge adds payload p to tuple t's payload under ring r, removing the
-// entry if the result is the ring zero. The addition is the pure ring
-// Add — stored payloads are never mutated in place, so they may be
-// shared with relation clones and published snapshots.
+// entry if the result is the ring zero. p is only read, and a newly
+// inserted entry is flagged shared, so the caller may pass the same
+// value (a cached ring constant) any number of times.
 func (m *Map[V]) Merge(r ring.Ring[V], t value.Tuple, p V) {
 	if len(t) != m.schema.Len() {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match schema %v", len(t), m.schema))
 	}
-	var arr [64]byte
-	buf := t.AppendEncode(arr[:0])
-	if e, ok := m.data[string(buf)]; ok {
-		s := r.Add(e.payload, p)
-		if r.IsZero(s) {
-			delete(m.data, string(buf))
-			m.indexRemove(e)
-			m.recycleEntry(e)
-		} else {
-			e.payload = s
-			e.shared = true
-		}
+	if r.IsZero(p) {
 		return
 	}
-	if !r.IsZero(p) {
-		e := m.newEntry(t, p, true)
+	var arr [64]byte
+	buf := t.AppendEncode(arr[:0])
+	if e, ok := m.data[string(buf)]; !ok {
+		e = m.newEntry(t, p, true)
 		m.data[string(buf)] = e
 		m.indexInsert(e)
+	} else if e.add(r, scratchOf(r), p) {
+		delete(m.data, string(buf))
+		m.drop(e)
 	}
 }
 
 // MergeAll merges every tuple of other into m under ring r. The schemas
-// must be equal. Like Merge it uses the pure ring Add; other's entries
-// are only read (m allocates its own entry structs on insert, so later
-// in-place updates of m never reach through to other).
+// must be equal. other's entries are only read: a key new to m gets
+// m's own entry struct holding other's payload, flagged shared; a key m
+// already stores accumulates through entry.add — in place once m owns
+// the payload. This is the commit step of view maintenance, so a batch
+// costs what its delta costs, not what the stored payloads weigh.
 func (m *Map[V]) MergeAll(r ring.Ring[V], other *Map[V]) {
 	if !m.schema.Equal(other.schema) {
 		panic(fmt.Sprintf("relation: MergeAll schema mismatch %v vs %v", m.schema, other.schema))
 	}
+	sc := scratchOf(r)
 	for k, e := range other.data {
-		if ex, ok := m.data[k]; ok {
-			s := r.Add(ex.payload, e.payload)
-			if r.IsZero(s) {
-				delete(m.data, k)
-				m.indexRemove(ex)
-				m.recycleEntry(ex)
-			} else {
-				ex.payload = s
-			}
-		} else if !r.IsZero(e.payload) {
+		if r.IsZero(e.payload) {
+			continue
+		}
+		if ex, ok := m.data[k]; !ok {
 			ne := m.newEntry(e.tuple, e.payload, true)
 			m.data[k] = ne
 			m.indexInsert(ne)
+		} else if ex.add(r, sc, e.payload) {
+			delete(m.data, k)
+			m.drop(ex)
 		}
 	}
 }
@@ -196,13 +216,17 @@ func (m *Map[V]) EachSorted(fn func(t value.Tuple, p V)) {
 	}
 }
 
-// Clone returns a copy with fresh entry structs; payloads are shared,
-// which is safe under the immutable-payload convention (stored payloads
-// are only ever replaced, never mutated). Secondary indexes are not
-// copied — re-register with AddIndex on the clone when needed.
+// Clone returns a copy with fresh entry structs. Payloads are shared
+// between the two maps, so both sides' entries are flagged: whichever
+// map is merged into next replaces its payload instead of mutating the
+// other's — a clone is a stable snapshot (published models rely on it).
+// Flagging writes m's entries, so Clone counts as a mutation under the
+// single-writer contract. Secondary indexes are not copied —
+// re-register with AddIndex on the clone when needed.
 func (m *Map[V]) Clone() *Map[V] {
 	out := &Map[V]{schema: m.schema, data: make(map[string]*entry[V], len(m.data))}
 	for k, e := range m.data {
+		e.shared = true
 		out.data[k] = out.newEntry(e.tuple, e.payload, true)
 	}
 	return out

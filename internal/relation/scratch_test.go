@@ -86,3 +86,136 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 		}
 	}
 }
+
+// covarOf builds a degree-1 payload (c, [s], [q]).
+func covarOf(r ring.CovarRing, c, s, q float64) *ring.Covar {
+	v := r.One()
+	v.C, v.S[0], v.Q[0] = c, s, q
+	return v
+}
+
+// TestMergeOwnsWhatItStores pins the ownership rule of the commit path:
+// a payload inserted from the caller stays the caller's (flagged
+// shared, replaced on the first hit), every later hit folds into the
+// map's own value in place, the addends are never written, and the
+// contents equal the pure-Add map's throughout — for Merge and MergeAll
+// alike.
+func TestMergeOwnsWhatItStores(t *testing.T) {
+	cr := ring.NewCovarRing(1)
+	pure := pureRing[*ring.Covar]{r: cr}
+	eq := func(a, b *ring.Covar) bool { return a.Equal(b) }
+	schema := value.NewSchema("A")
+	key := value.T(1)
+	one := covarOf(cr, 1, 2, 4) // stands for a cached constant such as view.Tree's ±1
+	oneCopy := one.Clone()
+
+	for name, merge := range map[string]func(m *Map[*ring.Covar], r ring.Ring[*ring.Covar], p *ring.Covar){
+		"Merge": func(m *Map[*ring.Covar], r ring.Ring[*ring.Covar], p *ring.Covar) { m.Merge(r, key, p) },
+		"MergeAll": func(m *Map[*ring.Covar], r ring.Ring[*ring.Covar], p *ring.Covar) {
+			d := New[*ring.Covar](schema)
+			d.Set(key, p)
+			m.MergeAll(r, d)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			owned, ref := New[*ring.Covar](schema), New[*ring.Covar](schema)
+			merge(owned, cr, one)
+			merge(ref, pure, one)
+			if got, _ := owned.Get(key); got != one {
+				t.Fatal("first insert did not store the caller's payload as is")
+			}
+			merge(owned, cr, one) // copy-on-write: the map now owns a fresh sum
+			merge(ref, pure, one)
+			mine, _ := owned.Get(key)
+			if mine == one {
+				t.Fatal("first hit folded into the caller's payload")
+			}
+			for i := 0; i < 5; i++ {
+				merge(owned, cr, one)
+				merge(ref, pure, one)
+				if got, _ := owned.Get(key); got != mine {
+					t.Fatalf("hit %d replaced a payload the map owns instead of folding in place", i+3)
+				}
+				if !owned.Equal(ref, eq) {
+					t.Fatalf("hit %d: in-place map %v differs from pure map %v", i+3, owned, ref)
+				}
+			}
+			if !one.Equal(oneCopy) {
+				t.Fatalf("the caller's payload was written: %v, want %v", one, oneCopy)
+			}
+			// Annihilate and come back: the recycled entry must not carry
+			// ownership of anything over.
+			neg := cr.Neg(covarOf(cr, 7, 14, 28))
+			merge(owned, cr, neg)
+			merge(ref, pure, neg)
+			if owned.Len() != 0 || ref.Len() != 0 {
+				t.Fatalf("annihilation left %d / %d entries", owned.Len(), ref.Len())
+			}
+			merge(owned, cr, one)
+			merge(owned, cr, one)
+			if !one.Equal(oneCopy) {
+				t.Fatal("re-inserting after annihilation wrote the caller's payload")
+			}
+		})
+	}
+}
+
+// TestCloneIsAStableSnapshot: Clone shares payloads, so it flags both
+// sides — merging into either map afterwards must leave the other's
+// payloads bit-identical (a published TableModel is such a clone).
+func TestCloneIsAStableSnapshot(t *testing.T) {
+	cr := ring.NewCovarRing(1)
+	schema := value.NewSchema("A")
+	m := New[*ring.Covar](schema)
+	for k := 0; k < 3; k++ {
+		m.Merge(cr, value.T(k), covarOf(cr, 1, 1, 1))
+		m.Merge(cr, value.T(k), covarOf(cr, 1, 2, 4)) // now owned by m
+	}
+	want := m.String()
+	delta := New[*ring.Covar](schema)
+	delta.Set(value.T(1), covarOf(cr, 5, 5, 5))
+
+	snap := m.Clone()
+	m.MergeAll(cr, delta)
+	m.MergeAll(cr, delta)
+	if got := snap.String(); got != want {
+		t.Fatalf("clone changed when its source was merged into:\n%s\nwant\n%s", got, want)
+	}
+	after := m.String()
+	snap.MergeAll(cr, delta)
+	snap.MergeAll(cr, delta)
+	if got := m.String(); got != after {
+		t.Fatalf("source changed when its clone was merged into:\n%s\nwant\n%s", got, after)
+	}
+}
+
+// TestUnliftedAggregateFlagsBothSides: a no-lift Aggregate stores its
+// input's payloads as they are. The input may be long-lived state that
+// owns them (a root view aggregated into the query result), so both
+// entries must copy on write, whichever is merged into first.
+func TestUnliftedAggregateFlagsBothSides(t *testing.T) {
+	cr := ring.NewCovarRing(1)
+	in := New[*ring.Covar](value.NewSchema("A", "B"))
+	for k := 0; k < 3; k++ {
+		in.Merge(cr, value.T(k, k), covarOf(cr, 1, 1, 1))
+		in.Merge(cr, value.T(k, k), covarOf(cr, 1, 2, 4)) // owned by in
+	}
+	out := Aggregate[*ring.Covar](cr, in, value.NewSchema("A"), "", nil)
+	wantOut := out.String()
+
+	dIn := New[*ring.Covar](in.Schema())
+	dIn.Set(value.T(1, 1), covarOf(cr, 3, 3, 3))
+	in.MergeAll(cr, dIn)
+	in.MergeAll(cr, dIn)
+	if got := out.String(); got != wantOut {
+		t.Fatalf("aggregate changed when its input was merged into:\n%s\nwant\n%s", got, wantOut)
+	}
+	wantIn := in.String()
+	dOut := New[*ring.Covar](out.Schema())
+	dOut.Set(value.T(2), covarOf(cr, 3, 3, 3))
+	out.MergeAll(cr, dOut)
+	out.MergeAll(cr, dOut)
+	if got := in.String(); got != wantIn {
+		t.Fatalf("input changed when its aggregate was merged into:\n%s\nwant\n%s", got, wantIn)
+	}
+}

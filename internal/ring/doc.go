@@ -24,10 +24,11 @@
 //
 // # Key invariants
 //
-//   - Payload values are immutable: Add, Mul, and Neg return fresh
-//     values (or shared immutable ones) and never modify their
-//     arguments. This is what lets views, published model snapshots,
-//     and concurrent delta-propagation workers share payloads freely.
+//   - The pure operations never modify their arguments: Add, Mul, and
+//     Neg return fresh values (or an operand itself, when the other is
+//     the zero), so they are safe to call concurrently on shared
+//     values. Mutation exists only behind the Scratch/FMA extensions
+//     below, on values their caller owns.
 //   - Add is associative and commutative, and values carry no hidden
 //     representation slack that could distinguish equal sums (e.g.
 //     RelVal stores no explicit zero coefficients). The maintenance
@@ -43,19 +44,23 @@
 //
 // # Scratch extensions and ownership
 //
-// Immutability makes the pure operations allocate: for pointer-shaped
-// payloads every Add builds a fresh value, which dominated the
-// maintenance hot path's allocation profile. The optional Scratch and
-// FMA interfaces are the sanctioned escape hatch: AddInto folds a value
+// The pure operations allocate: for pointer-shaped payloads every Add
+// builds a fresh value, which dominated the maintenance hot path's
+// allocation profile — and, when a commit adds a small delta to a large
+// stored payload, copies the large one. The optional Scratch and FMA
+// interfaces are the sanctioned escape hatch: AddInto folds a value
 // into an accumulator in place, MulAddInto fuses `acc += a × b`. The
 // ownership rule is strict — the accumulator must be EXCLUSIVELY OWNED
-// by the caller (created by Own, Mul, Neg, One, a lift, or a previous
-// in-place call; never read from a relation or view), the other
-// operands are only read, and the result must be bit-identical to the
-// pure composition. Rings implementing Scratch additionally guarantee
-// that Add returns a fresh value when both operands are non-zero, so
-// an accumulation loop that has done one pure Add owns the result.
-// relation.Join/Aggregate are the only callers; scratch_test.go pins
-// the equivalence contract for every implementing ring. See
-// docs/PERF.md for the full ownership story.
+// by the caller, the other operands are only read, and the result must
+// be bit-identical to the pure composition. Two kinds of callers own an
+// accumulator: relation.Join/Aggregate own the payloads of the output
+// they are building (created by Own, Mul, Neg, One, a lift, or a
+// previous in-place call), and a relation.Map owns the payloads it
+// stores unless their entry is flagged shared — that is how a view
+// commits a delta in place (relation.Map.MergeAll). Rings implementing
+// Scratch additionally guarantee that Add returns a fresh value when
+// both operands are non-zero, so one pure Add turns a shared payload
+// into an owned one (copy-on-write). scratch_test.go pins the
+// equivalence contract for every implementing ring. See docs/PERF.md
+// for the full ownership story.
 package ring

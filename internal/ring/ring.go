@@ -3,14 +3,14 @@ package ring
 import "repro/internal/value"
 
 // Ring defines sum and product over payload values of type V, with the
-// additive inverse needed to encode deletes. Implementations must treat
-// payload values as immutable: Add, Mul, and Neg return fresh values (or
-// shared immutable ones) and never modify their arguments in place.
-// Add must additionally be associative and commutative — the
-// maintenance core merges partial aggregates in arbitrary groupings,
-// including the per-partition merges of parallel delta propagation —
-// and because arguments are never mutated, ring operations are safe to
-// call concurrently on shared values.
+// additive inverse needed to encode deletes. Add, Mul, and Neg never
+// modify their arguments: they return fresh values (or an operand
+// itself when the other is the zero), so they are safe to call
+// concurrently on shared values; in-place accumulation lives behind
+// the optional Scratch and FMA extensions. Add must additionally be
+// associative and commutative — the maintenance core merges partial
+// aggregates in arbitrary groupings, including the per-partition merges
+// of parallel delta propagation.
 type Ring[V any] interface {
 	// Zero returns the additive identity.
 	Zero() V

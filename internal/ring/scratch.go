@@ -11,8 +11,11 @@ package ring
 //   - AddInto(acc, v) returns acc + v and MAY mutate and reuse acc.
 //     The caller must exclusively own acc: acc was produced by Own, by
 //     Mul/Neg/One/a lift (which always return fresh values), or by a
-//     previous AddInto in the same loop — never a value read from a
-//     relation, a view, or any other shared structure. v is only read.
+//     previous AddInto or a pure Add of two non-zero values by the same
+//     owner — never a value that anything else can still reach. A
+//     relation.Map owns the payloads it stores under exactly this rule
+//     (entries that alias outside state are flagged and excluded). v is
+//     only read.
 //   - Own(v) returns a value semantically equal to v that the caller
 //     exclusively owns (a deep copy for pointer-shaped values). It is
 //     how an accumulation loop seeds its accumulator from a shared

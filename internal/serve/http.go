@@ -285,6 +285,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"snapshot_age_seconds": time.Since(snap.At).Seconds(),
 		"apply_errors":         st.ApplyErrors,
 		"last_error":           st.LastError,
+		"ridge_unconverged":    st.RidgeUnconverged,
 		"view_updates":         st.View.Updates,
 		"view_delta_tuples":    st.View.DeltaTuples,
 		"shards":               s.Shards(),

@@ -44,6 +44,9 @@ type pipelineMetrics struct {
 	stageBuild   *obs.Histogram
 	stageApply   *obs.Histogram
 	stagePublish *obs.Histogram
+	// Conjugate-gradient steps of each published ridge refit (analysis
+	// engines with a label; other kinds never observe).
+	ridgeIters *obs.Histogram
 
 	httpLat   map[string]*obs.Histogram
 	httpCodes map[string]*[4]*obs.Counter
@@ -102,6 +105,9 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	reg.CounterFunc("fivm_apply_errors_total", "",
 		"Failed ApplyBuilt calls.",
 		func() uint64 { return snapStats().ApplyErrors })
+	reg.CounterFunc("fivm_ridge_unconverged_total", "",
+		"Published ridge fits that stopped at the solver's iteration cap (served with converged=false).",
+		func() uint64 { return snapStats().RidgeUnconverged })
 	reg.CounterFunc("fivm_snapshots_total", "",
 		"Published model snapshots.",
 		func() uint64 { return snapStats().Snapshots })
@@ -150,6 +156,10 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	m.stageBuild = reg.NewHistogram("fivm_stage_seconds", `stage="build"`, stageHelp, obs.LatencyBuckets())
 	m.stageApply = reg.NewHistogram("fivm_stage_seconds", `stage="apply"`, stageHelp, obs.LatencyBuckets())
 	m.stagePublish = reg.NewHistogram("fivm_stage_seconds", `stage="publish"`, stageHelp, obs.LatencyBuckets())
+
+	m.ridgeIters = reg.NewHistogram("fivm_ridge_iterations", "",
+		"Conjugate-gradient steps per published ridge refit.",
+		obs.ExpBuckets(1, 2, 14))
 
 	// HTTP surface, by route.
 	for _, rt := range httpRoutes {

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/fivm"
+	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/value"
 	"repro/internal/view"
@@ -205,6 +207,65 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestRidgeFitMetrics: every published ridge refit lands in the
+// fivm_ridge_iterations histogram, and one cut short by the solver's
+// iteration cap — served with converged=false — is counted in
+// fivm_ridge_unconverged_total (and /stats), so it no longer goes
+// unnoticed.
+func TestRidgeFitMetrics(t *testing.T) {
+	scrape := func(srv *Server) map[string]float64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := srv.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obs.ParseExposition(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+	srv := newTestServer(t) // default solver configuration
+	ingestWait(t, srv, seedUpdates(100, 10))
+	ingestWait(t, srv, seedUpdates(50, 10))
+	m := scrape(srv)
+	if fits := m["fivm_ridge_iterations_count"]; fits < 2 || fits > m["fivm_snapshots_total"] {
+		t.Errorf("fivm_ridge_iterations_count = %v with %v snapshots, want one observation per fit", fits, m["fivm_snapshots_total"])
+	}
+	if got := m["fivm_ridge_unconverged_total"]; got != 0 {
+		t.Errorf("fivm_ridge_unconverged_total = %v on a well-posed fit, want 0", got)
+	}
+
+	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}, {Name: "S", Attrs: []string{"B", "C"}}},
+		Features:  []fivm.FeatureSpec{{Attr: "A"}, {Attr: "B"}, {Attr: "C", Categorical: true}},
+		Label:     "B",
+		Ridge:     ml.RidgeConfig{Lambda: 1e-3, MaxIters: 1, Tolerance: 1e-14, Normalize: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := New(an, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { capped.Close() })
+	ingestWait(t, capped, seedUpdates(100, 10))
+	if got := scrape(capped)["fivm_ridge_unconverged_total"]; got == 0 {
+		t.Error("fivm_ridge_unconverged_total = 0 although every fit was capped at one step")
+	}
+	if got := capped.Stats().RidgeUnconverged; got == 0 {
+		t.Error("Stats().RidgeUnconverged = 0 although every fit was capped at one step")
+	}
+	body, err := capped.Snapshot().Model.ResultJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body.(map[string]any)["converged"] != false {
+		t.Errorf("capped model reports converged=%v", body.(map[string]any)["converged"])
+	}
+}
+
 // TestStatsAndHealthzEnriched asserts the staleness fields health
 // checks rely on: snapshot version and age, per-shard queues, and
 // shed/accepted counts — on both /stats and /healthz.
@@ -279,6 +340,7 @@ func TestPipelineInstrumentationAllocFree(t *testing.T) {
 		m.stageBuild.Observe(2e-4)
 		m.stageApply.Observe(3e-4)
 		m.stagePublish.Observe(4e-4)
+		m.ridgeIters.Observe(15)
 		srv.ingested.Add(1)
 		srv.shed.Add(1)
 	}); allocs != 0 {

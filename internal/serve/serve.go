@@ -191,6 +191,9 @@ type Stats struct {
 	// most recent message).
 	ApplyErrors uint64
 	LastError   string
+	// RidgeUnconverged counts published ridge fits that stopped at the
+	// solver's iteration cap (their model says converged=false).
+	RidgeUnconverged uint64
 	// Shed is the number of tuple updates rejected by admission
 	// control (OverloadError); like Ingested it is a live counter, not
 	// snapshot-consistent.
@@ -252,6 +255,7 @@ type Server struct {
 	nDeltaTuples uint64
 	nSnapshots   uint64
 	nApplyErrs   uint64
+	nUnconverged uint64
 	lastErr      string
 	dirty        bool
 

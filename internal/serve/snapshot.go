@@ -43,19 +43,27 @@ func (s *Server) publish() {
 	if p := s.snap.Load(); p != nil {
 		prev = p.Model
 	}
+	model := s.eng.PublishModel(prev)
+	if am, ok := model.(*fivm.AnalysisModel); ok && am.Model != nil {
+		s.met.ridgeIters.Observe(float64(am.Model.Iterations))
+		if !am.Model.Converged {
+			s.nUnconverged++
+		}
+	}
 	ms := &Snapshot{
 		Version: s.nSnapshots,
 		Kind:    s.eng.Kind(),
-		Model:   s.eng.PublishModel(prev),
+		Model:   model,
 		Stats: Stats{
-			Ingested:    s.ingested.Load(),
-			Applied:     s.nApplied,
-			Batches:     s.nBatches,
-			DeltaTuples: s.nDeltaTuples,
-			Snapshots:   s.nSnapshots,
-			ApplyErrors: s.nApplyErrs,
-			LastError:   s.lastErr,
-			View:        s.eng.Stats(),
+			Ingested:         s.ingested.Load(),
+			Applied:          s.nApplied,
+			Batches:          s.nBatches,
+			DeltaTuples:      s.nDeltaTuples,
+			Snapshots:        s.nSnapshots,
+			ApplyErrors:      s.nApplyErrs,
+			LastError:        s.lastErr,
+			RidgeUnconverged: s.nUnconverged,
+			View:             s.eng.Stats(),
 		},
 	}
 	ms.At = time.Now()

@@ -48,17 +48,23 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 		t.applyDeltaParallel(src, delta, path)
 		return nil
 	}
+	t.applyDeltaSequential(src, delta, path)
+	return nil
+}
+
+// applyDeltaSequential is the one-goroutine body of ApplyDelta:
+// propagate the whole delta, then commit it. The parallel path runs the
+// same two steps per partition.
+func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], path []*Node[V]) {
 	p := t.propagate(src, delta, path, t.propSteps[:0])
 	src.data.MergeAll(t.ring, delta)
-	t.stats.DeltaTuples += delta.Len()
-	t.commit(p, path)
+	t.stats.DeltaTuples += delta.Len() + t.commit(p, path)
 	// Recycle the steps buffer, dropping the references so the merged
 	// delta relations do not outlive the call pinned to the scratch.
 	for i := range p.steps {
 		p.steps[i] = nil
 	}
 	t.propSteps = p.steps[:0]
-	return nil
 }
 
 // ApplyUpdates groups tuple-level updates by relation and applies one
@@ -66,9 +72,10 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 // entry point used by the demo scenarios (e.g. bulks of 10K updates).
 //
 // The per-relation delta buffers are owned by the tree and recycled
-// across calls (Reset, not reallocated); the payloads they carry are
-// freshly built each batch, so views retaining them stay valid. This is
-// safe under the tree's existing single-writer contract.
+// across calls (Reset, not reallocated). Views that retained a buffer's
+// payload hold it flagged shared and the refill never mutates a payload
+// the buffer has handed out (Reset drops them), so they stay valid.
+// This is safe under the tree's existing single-writer contract.
 func (t *Tree[V]) ApplyUpdates(ups []Update) error {
 	order := t.updOrder[:0]
 	for _, u := range ups {
@@ -180,8 +187,9 @@ func scaledOne[V any](r ring.Ring[V], n int) V {
 }
 
 // payloadFor returns mult × 1 in the ring (negative for deletes). The
-// ±1 payloads of single-tuple updates come from the tree's shared cache
-// — stored payloads are immutable, so one value can back any number of
+// ±1 payloads of single-tuple updates come from the tree's shared cache:
+// relations flag an entry inserted from a caller's payload as shared and
+// never fold into it in place, so one value can back any number of
 // tuples.
 func (t *Tree[V]) payloadFor(mult int) V {
 	switch mult {

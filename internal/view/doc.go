@@ -28,10 +28,11 @@
 //
 // The last two invariants are what make the parallel path sound:
 // ApplyDelta on a tree configured with SetParallelism hash-partitions a
-// batch delta by the anchor node's join key, runs the read-only
-// propagation of every partition on its own goroutine, and merges the
-// per-partition delta views single-threaded — producing views identical
-// to the sequential path's.
+// batch delta by the anchor node's join key and runs one worker per
+// partition that propagates it read-only and then commits its delta
+// views under per-view merge locks — producing views identical to the
+// sequential path's, which is the same propagate-then-commit on one
+// goroutine.
 //
 // A Tree is not safe for concurrent use by multiple callers: the
 // parallelism is internal to one ApplyDelta call, and one goroutine at
@@ -46,8 +47,8 @@
 // scratch across calls (docs/PERF.md has the full story):
 //
 //   - Each source owns a delta buffer that ApplyUpdates Resets and
-//     refills per batch instead of allocating; the payloads put into
-//     it are freshly built, so views retaining them outlive the
+//     refills per batch instead of allocating; views that stored one
+//     of its payloads hold it flagged shared, so they outlive the
 //     buffer's recycling.
 //   - The sequential propagation-steps slice and the parallel path's
 //     partition slots are tree-owned and recycled; concurrent
@@ -64,10 +65,15 @@
 //     instead of scanning full views. Indexes build lazily on first
 //     probe and are maintained by the commit-phase merges; bulk loads
 //     re-register them after replacing the maps.
-//   - Values merged INTO views go through the pure ring Add — stored
-//     view payloads are immutable and may be shared with published
-//     snapshots; the in-place Scratch fast paths run only inside
-//     Join/Aggregate on values they created. Callers of ApplyDelta
-//     cede the delta's payloads to the tree: they must not mutate a
-//     delta after applying it (recycling its container is fine).
+//   - A view OWNS the payloads it stores: commit (relation.MergeAll)
+//     folds each delta into them in place, so a batch costs what its
+//     delta costs, not what the stored payloads weigh. Every payload
+//     that something else may still reference — inserted from a delta
+//     or the cached ±1, cloned, or stored unlifted by an aggregation —
+//     is flagged in its entry and copy-on-writes instead (the rule is
+//     relation's; see its package doc). Result, ResultPayload and
+//     Source therefore return LIVE references: read them before the
+//     next maintenance call or copy them. Callers of ApplyDelta cede
+//     the delta's payloads to the tree: they must not mutate a delta
+//     after applying it (recycling its container is fine).
 package view

@@ -29,9 +29,10 @@ const DefaultParallelThreshold = 128
 // Correctness rests on two properties: propagation only READS off-path
 // state (sibling views, other anchored relations) while commit only
 // WRITES path state — each view map mutating under its own merge lock,
-// which also covers its persistent indexes and entry arena — and the
-// ring addition used to merge is associative and commutative with
-// payloads treated as immutable (see ring.Ring). The final views are
+// which also covers its persistent indexes, entry arena and the payloads
+// it owns and folds into in place — and the ring addition used to merge
+// is associative and commutative, its addends only ever read (see
+// ring.Ring). The final views are
 // therefore the same as the sequential path's, independent of
 // partitioning and of commit interleaving — bit-identical whenever ring
 // addition is exact (integer rings, and float rings over integer-valued
@@ -132,36 +133,19 @@ func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node
 	return p
 }
 
-// commit merges one propagation into the tree: each step into its path
-// node's view and the result delta into the query result, counting the
-// merged tuples. Only commit (and the source merge in ApplyDelta)
-// writes tree state. This is the sequential form; concurrent partition
-// workers go through commitConcurrent.
-func (t *Tree[V]) commit(p propagation[V], path []*Node[V]) {
-	for i, d := range p.steps {
-		if d.Len() == 0 {
-			continue
-		}
-		path[i].view.MergeAll(t.ring, d)
-		t.stats.DeltaTuples += d.Len()
-	}
-	if p.dres != nil && p.dres.Len() > 0 {
-		t.result.MergeAll(t.ring, p.dres)
-		t.stats.DeltaTuples += p.dres.Len()
-	}
-}
-
-// commitConcurrent is commit for a parallel-path worker: each step
-// merges into its path node's view under the node's merge lock, the
-// result delta under the tree's result lock. The locks cover the whole
-// MergeAll, so a view's primary map, its built indexes, and its entry
-// arena mutate atomically with respect to the other workers; between
-// two merges of the same node the ring addition's associativity and
-// commutativity make the interleaving order irrelevant to the final
-// payloads (exactly whenever the ring is exact — the scope documented
-// on SetParallelism). The merged tuple count is returned instead of
-// added to t.stats, which stays single-writer.
-func (t *Tree[V]) commitConcurrent(p propagation[V], path []*Node[V]) int {
+// commit merges one propagation into the tree — each step into its path
+// node's view under the node's merge lock, the result delta into the
+// query result under the tree's result lock — and returns the number of
+// tuples merged (t.stats stays single-writer, so the caller adds it).
+// Only commit and the source merge write tree state, and MergeAll folds
+// into payloads a view owns IN PLACE, so the lock also covers the stored
+// payloads, besides the view's primary map, built indexes and entry
+// arena. The sequential path takes the same locks uncontended; between
+// two partition workers' merges of one node the ring addition's
+// associativity and commutativity make the interleaving irrelevant to
+// the final payloads (exactly whenever the ring is exact — the scope
+// documented on SetParallelism).
+func (t *Tree[V]) commit(p propagation[V], path []*Node[V]) int {
 	n := 0
 	for i, d := range p.steps {
 		if d.Len() == 0 {
@@ -187,7 +171,7 @@ func (t *Tree[V]) commitConcurrent(p propagation[V], path []*Node[V]) int {
 // propagate+commit worker per live partition. Each worker computes its
 // partition's delta views (reading only off-path state and writing
 // goroutine-local maps — no locks) and immediately merges them into the
-// path views under the per-node merge locks (commitConcurrent), so
+// path views under the per-node merge locks (commit), so
 // commit parallelizes along with propagate and no barrier serializes
 // the two phases: a worker whose partition propagated quickly commits
 // while slower partitions are still propagating. The source-relation
@@ -226,14 +210,7 @@ func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], pat
 		// Hash skew put every tuple in one partition (e.g. a per-key
 		// burst): a goroutine handoff would buy zero parallelism, so
 		// run the sequential body on the original delta.
-		p := t.propagate(src, delta, path, t.propSteps[:0])
-		src.data.MergeAll(t.ring, delta)
-		t.stats.DeltaTuples += delta.Len()
-		t.commit(p, path)
-		for i := range p.steps {
-			p.steps[i] = nil
-		}
-		t.propSteps = p.steps[:0]
+		t.applyDeltaSequential(src, delta, path)
 		for _, p := range parts {
 			p.Reset()
 		}
@@ -246,7 +223,7 @@ func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], pat
 		go func(part *relation.Map[V]) {
 			defer wg.Done()
 			p := t.propagate(src, part, path, nil)
-			tuples.Add(int64(t.commitConcurrent(p, path)))
+			tuples.Add(int64(t.commit(p, path)))
 		}(part)
 	}
 	src.data.MergeAll(t.ring, delta)

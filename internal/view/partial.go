@@ -133,7 +133,9 @@ func (t *Tree[V]) ReadPartial(r io.Reader, codec ring.Codec[V]) (*relation.Map[V
 		if err != nil {
 			return nil, err
 		}
-		m.Set(tp, p)
+		if !t.ring.IsZero(p) { // never stored; a crafted stream must not smuggle one in
+			m.Set(tp, p)
+		}
 	}
 	return m, nil
 }

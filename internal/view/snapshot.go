@@ -177,7 +177,9 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 			if err != nil {
 				return err
 			}
-			m.Set(tp, p)
+			if !t.ring.IsZero(p) { // never stored; a crafted stream must not smuggle one in
+				m.Set(tp, p)
+			}
 		}
 		loaded[name] = m
 	}

@@ -54,13 +54,13 @@ type Node[V any] struct {
 	resJoins []*relation.JoinPlan
 	resAgg   *relation.AggPlan
 
-	// mu serializes concurrent merges into this node's view (and the
-	// view's index maintenance and entry arena) during parallel commit.
-	// Partitions are key-disjoint at the anchor but can collide on
-	// group keys at upper path nodes, and a Go map tolerates no
-	// concurrent writers regardless — so commit workers take the
-	// node's lock for the duration of one MergeAll. Everything outside
-	// the parallel commit runs single-writer and never touches it.
+	// mu serializes merges into this node's view — its primary map,
+	// index maintenance, entry arena and the payloads it owns, which
+	// MergeAll folds into in place. Partitions are key-disjoint at the
+	// anchor but can collide on group keys at upper path nodes, and a Go
+	// map tolerates no concurrent writers regardless — so commit takes
+	// the node's lock for the duration of one MergeAll (uncontended on
+	// the sequential path).
 	mu sync.Mutex
 }
 
@@ -96,10 +96,10 @@ type source[V any] struct {
 	path []*Node[V]
 	// delta is the relation's reusable delta buffer: ApplyUpdates Resets
 	// and refills it each batch instead of allocating a fresh relation
-	// per call. Payloads put into it are always freshly built
-	// (payloadFor), so views and source data may freely retain them
-	// after the buffer itself is recycled. inBatch marks the buffer
-	// in-use while one ApplyUpdates call groups its updates.
+	// per call. Views and source data that stored one of its payloads
+	// hold it flagged shared, and Reset drops the buffer's references,
+	// so they keep it after the buffer itself is recycled. inBatch marks
+	// the buffer in-use while one ApplyUpdates call groups its updates.
 	delta   *relation.Map[V]
 	inBatch bool
 	// parts holds this relation's recycled partition slots for parallel
@@ -151,9 +151,8 @@ type Tree[V any] struct {
 
 	// one and negOne cache the ring's ±1, the payloads of single-tuple
 	// inserts and deletes. Sharing one value across many stored tuples
-	// is sound because stored payloads are immutable (relations add with
-	// the pure ring Add; the in-place Scratch paths only ever run on
-	// payloads they constructed fresh).
+	// is sound because a relation flags an entry inserted from a
+	// caller's payload as shared and replaces, never mutates, it.
 	one    V
 	negOne V
 }
@@ -372,7 +371,8 @@ func (t *Tree[V]) Roots() []*Node[V] { return t.roots }
 func (t *Tree[V]) Lift(v string) ring.Lift[V] { return t.lifts[v] }
 
 // Source returns the current contents of input relation name. Callers
-// must not mutate it.
+// must not mutate it, and its payloads are live: the next maintenance
+// call may fold into them in place.
 func (t *Tree[V]) Source(name string) (*relation.Map[V], bool) {
 	s, ok := t.sources[name]
 	if !ok {
@@ -393,12 +393,15 @@ func (t *Tree[V]) RelationNames() []string {
 
 // Result returns the maintained query result: a relation keyed by the
 // free (group-by) variables. For queries without group-by the key schema
-// is empty and the single payload is at the empty tuple.
+// is empty and the single payload is at the empty tuple. The tree owns
+// the stored payloads and the next maintenance call may fold into them
+// in place: read them before it, or take a relation.Map.Clone (a stable
+// snapshot) or a deep copy.
 func (t *Tree[V]) Result() *relation.Map[V] { return t.result }
 
 // ResultPayload returns the payload of the empty key, i.e. the full
 // aggregate of a query without group-by; it returns the ring zero when
-// the result is empty.
+// the result is empty. Like Result it is a live reference.
 func (t *Tree[V]) ResultPayload() V {
 	return t.result.GetOr(value.Tuple{}, t.ring.Zero())
 }

@@ -281,7 +281,7 @@ func runLoadgen(args []string) int {
 	url := fs.String("url", "http://localhost:8344", "base URL of the fivm-serve instance")
 	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
 	concurrency := fs.Int("concurrency", 8, "number of client goroutines")
-	writeRatio := fs.Float64("write-ratio", 0.5, "fraction of requests that are POST /update (rest are GET /model)")
+	writeRatio := fs.Float64("write-ratio", 0.5, "fraction of requests that are POST /v1/update (rest are GET /v1/model)")
 	batch := fs.Int("batch", 8, "tuples per write request")
 	seed := fs.Int64("seed", 1, "RNG seed for the generated tuple stream")
 	retries := fs.Int("retries", 0, "client retries per request (0 = a fault counts as an error; >0 = chaos mode, batch-ID dedup absorbs redeliveries)")

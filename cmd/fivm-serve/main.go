@@ -13,9 +13,6 @@
 //	GET  /v1/healthz   liveness + staleness
 //	GET  /metrics      Prometheus text exposition of the pipeline metrics
 //
-// The unversioned routes (/update, /model, ...) remain as deprecated
-// aliases and answer with a Deprecation header.
-//
 // The engine kind follows the workload definition (fivm.Open):
 //
 //	fivm-serve -db retailer -rows 10000                    # analysis preset
@@ -37,13 +34,6 @@
 // unbuffered, so any policy survives a process kill; always/interval
 // bound what a power loss can take. Pair one WAL directory with one
 // engine configuration (the snapshot codec tag rejects a mismatch).
-//
-// -state (deprecated; superseded by -wal) restores input relations from
-// a fivm snapshot file at startup and persists them periodically and on
-// shutdown. It cannot tell acknowledged updates from lost ones after a
-// crash — anything since the last persist is gone. Migrate by swapping
-// -state file.snap for -wal dir/; the first boot starts empty (or from
-// the preset load) and checkpoints into the WAL directory from then on.
 //
 // -workers enables parallel delta propagation: each applied batch is
 // hash-partitioned by join key and propagated across that many
@@ -83,13 +73,11 @@ func main() {
 	flag.StringVar(&o.Features, "features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)
 	flag.StringVar(&o.Attrs, "attrs", "", `covar aggregate attributes, e.g. "A,B,C"`)
 	flag.StringVar(&o.Label, "label", "", "ridge label attribute for analysis engines (preset default when -db is set; empty disables fitting)")
-	flag.StringVar(&o.WALDir, "wal", "", "durability directory: write-ahead log + checkpoints, recovered at startup (supersedes -state)")
+	flag.StringVar(&o.WALDir, "wal", "", "durability directory: write-ahead log + checkpoints, recovered at startup")
 	flag.StringVar(&o.FsyncPolicy, "fsync", string(wal.PolicyInterval), "WAL fsync policy: always|interval|off")
 	flag.DurationVar(&o.FsyncInterval, "fsync-interval", 100*time.Millisecond, "background WAL fsync period under -fsync interval")
 	flag.DurationVar(&o.CheckpointInterval, "checkpoint-interval", time.Minute, "incremental checkpoint period with -wal (<0 disables; a final checkpoint is still written on shutdown)")
 	flag.Int64Var(&o.SegmentBytes, "segment-bytes", 64<<20, "WAL segment rotation size")
-	flag.StringVar(&o.StatePath, "state", "", "deprecated (use -wal): snapshot file restored at startup if present, persisted on shutdown")
-	flag.DurationVar(&o.PersistInterval, "persist-interval", 0, "also persist -state periodically (0 disables)")
 	flag.IntVar(&o.MaxBatch, "max-batch", 8192, "max raw updates coalesced into one delta batch")
 	flag.IntVar(&o.ChannelCap, "chan-cap", 256, "per-relation ingest channel capacity")
 	flag.IntVar(&o.HighWatermark, "high-watermark", 0, "ingest queue depth at which /v1/update sheds with 429 (0 = chan-cap)")

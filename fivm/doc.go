@@ -52,6 +52,9 @@
 //     the index design). Indexes are engine-internal: they build
 //     lazily on first use and registration survives Init and
 //     ReadSnapshot, with no API surface to manage.
+//   - Bulk load is that same maintenance path: Init, InitWeighted and
+//     ReadSnapshot empty the engine and apply each relation as one
+//     delta. Stats counts updates, so it is unchanged by a load.
 //
 // A minimal session:
 //

@@ -46,7 +46,7 @@ type Model interface {
 	// of the maintained aggregate (see each model's documentation).
 	Count() float64
 	// ResultJSON renders the model for machine consumption (the serving
-	// layer's GET /model). It returns an error when there is no
+	// layer's GET /v1/model). It returns an error when there is no
 	// renderable result yet — e.g. ridge fitting failed or the join is
 	// empty for a matrix-valued result.
 	ResultJSON() (any, error)
@@ -128,7 +128,8 @@ func (e *Engine[V]) Kind() Kind { return e.kind }
 func (e *Engine[V]) Tree() *view.Tree[V] { return e.tree }
 
 // Init bulk-loads the initial database (payload One per tuple,
-// duplicates accumulate) and evaluates all views.
+// duplicates accumulate): previous contents are discarded and each
+// relation is applied as one delta against the empty tree.
 func (e *Engine[V]) Init(data map[string][]value.Tuple) error { return e.tree.Init(data) }
 
 // InitWeighted bulk-loads relations whose tuples carry explicit ring
@@ -261,9 +262,10 @@ func (e *Engine[V]) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot loads input relations from a snapshot written by
-// WriteSnapshot and re-evaluates every view. The receiving engine must
-// have the same relations, lifts, and variable order as the writer;
-// snapshots from a different engine kind are rejected by the codec tag.
+// WriteSnapshot, as one delta per relation like Init. The receiving
+// engine must have the same relations, lifts, and variable order as the
+// writer; snapshots from a different engine kind are rejected by the
+// codec tag.
 func (e *Engine[V]) ReadSnapshot(r io.Reader) error {
 	if e.codec == nil {
 		return fmt.Errorf("fivm: %s engine has no snapshot codec", e.kind)

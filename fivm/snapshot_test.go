@@ -3,6 +3,8 @@ package fivm_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -59,10 +61,9 @@ func jsonString(t *testing.T, v any) string {
 	return b.String()
 }
 
-// TestSnapshotRoundTripAllKinds covers the generic codec path for every
-// engine kind (Analysis has its own longer-standing test in fivm_test).
-func TestSnapshotRoundTripAllKinds(t *testing.T) {
-	cfgs := map[string]fivm.Config{
+// snapshotConfigs is one workload per engine kind over openRels.
+func snapshotConfigs() map[string]fivm.Config {
+	return map[string]fivm.Config{
 		"count":       {Relations: openRels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"},
 		"float":       {Relations: openRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: openRels(), Attrs: []string{"B", "D"}},
@@ -70,7 +71,12 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 		"join":        {Relations: openRels()},
 		"analysis":    {Relations: openRels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}, Label: "D"},
 	}
-	for name, cfg := range cfgs {
+}
+
+// TestSnapshotRoundTripAllKinds covers the generic codec path for every
+// engine kind (Analysis has its own longer-standing test in fivm_test).
+func TestSnapshotRoundTripAllKinds(t *testing.T) {
+	for name, cfg := range snapshotConfigs() {
 		t.Run(name, func(t *testing.T) {
 			eng, err := fivm.Open(cfg)
 			if err != nil {
@@ -87,6 +93,83 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			snapshotRoundTrip(t, eng, fresh)
+		})
+	}
+}
+
+// TestRecordedStreamsStillLoad pins the wire formats across the codec
+// rewrite: internal/view/testdata holds, per engine kind, one FIVMSNAP
+// version-2 snapshot and one FIVMPART partial written by the commit
+// before the relation body moved into one writeRelation/readRelation
+// pair (plus a version-1 snapshot, the same count body without the
+// codec tag). Each was taken from snapshotConfigs' engine after
+// Init(toyData()) and the three updates below, so loading it must land
+// on the state that history reaches here.
+func TestRecordedStreamsStillLoad(t *testing.T) {
+	const dir = "../internal/view/testdata/"
+	for name, cfg := range snapshotConfigs() {
+		t.Run(name, func(t *testing.T) {
+			open := func() fivm.AnyEngine {
+				e, err := fivm.Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			want := open()
+			if err := want.Init(toyData()); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Apply([]view.Update{
+				{Rel: "R", Tuple: value.T("a2", 11), Mult: 1},
+				{Rel: "S", Tuple: value.T("a1", 2, 3), Mult: -1},
+				{Rel: "S", Tuple: value.T("a2", 5, 7), Mult: 2},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			read := func(file string) []byte {
+				raw, err := os.ReadFile(dir + file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			snaps := []string{name + ".snap"}
+			if name == "count" {
+				snaps = append(snaps, "count-v1.snap")
+			}
+			for _, file := range snaps {
+				raw := read(file)
+				got := open()
+				if err := got.ReadSnapshot(bytes.NewReader(raw)); err != nil {
+					t.Fatalf("%s: %v", file, err)
+				}
+				if g, w := snapshotState(t, got), snapshotState(t, want); g != w {
+					t.Fatalf("%s loaded to\n%s\nwant\n%s", file, g, w)
+				}
+			}
+			// What is written today has the recorded streams' size (tuple
+			// order within a stream is unspecified, so bytes are compared
+			// by length and, above, by what they decode to).
+			var snap, part bytes.Buffer
+			if err := want.WriteSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WritePartial(&part); err != nil {
+				t.Fatal(err)
+			}
+			raw := read(name + ".part")
+			merged, err := open().MergePartials([]io.Reader{bytes.NewReader(raw)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := modelJSON(merged), modelJSON(want.PublishModel(nil)); g != w {
+				t.Fatalf("%s.part merged to %s, want %s", name, g, w)
+			}
+			if recorded := read(name + ".snap"); snap.Len() != len(recorded) || part.Len() != len(raw) {
+				t.Fatalf("recorded %d-byte snapshot and %d-byte partial, written today %d and %d",
+					len(recorded), len(raw), snap.Len(), part.Len())
+			}
 		})
 	}
 }
@@ -117,7 +200,7 @@ func TestSnapshotRejectsForeignEngineKind(t *testing.T) {
 }
 
 // Same kind, different degree (e.g. an operator restarts fivm-serve
-// with a changed -attrs list against an existing -state file) must also
+// with a changed -attrs list against an existing -wal directory) must also
 // fail fast on the codec tag — the wire format depends on the degree.
 func TestSnapshotRejectsDegreeMismatch(t *testing.T) {
 	wide, err := fivm.NewCovarEngine(openRels(), []string{"B", "C", "D"}, nil)

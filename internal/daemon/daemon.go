@@ -9,7 +9,6 @@ package daemon
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -62,10 +61,6 @@ type Options struct {
 	CheckpointInterval time.Duration
 	// SegmentBytes is the WAL segment rotation size.
 	SegmentBytes int64
-	// StatePath is the deprecated snapshot-file persistence mode.
-	StatePath string
-	// PersistInterval also persists StatePath periodically (0 disables).
-	PersistInterval time.Duration
 
 	// MaxBatch, ChannelCap, HighWatermark tune the ingestion pipeline
 	// (serve.Config).
@@ -113,9 +108,6 @@ func (o Options) Validate() error {
 	if _, _, err := o.EngineConfig(); err != nil {
 		return err
 	}
-	if o.WALDir != "" && o.StatePath != "" {
-		return errors.New("-state is deprecated and superseded by -wal; drop -state (the WAL directory carries checkpoints)")
-	}
 	// An invalid policy is a bad flag even without -wal: a typo must not
 	// silently pass and then bite when the directory is added later.
 	switch wal.Policy(o.FsyncPolicy) {
@@ -149,9 +141,6 @@ func Run(ctx context.Context, o Options) error {
 	if err != nil {
 		return err
 	}
-	if o.WALDir != "" && o.StatePath != "" {
-		return errors.New("-state is deprecated and superseded by -wal; drop -state (the WAL directory carries checkpoints)")
-	}
 	var w *wal.WAL
 	if o.WALDir != "" {
 		w, err = wal.Open(wal.Config{
@@ -164,40 +153,23 @@ func Run(ctx context.Context, o Options) error {
 			return err
 		}
 		defer w.Close()
-		// Preset bulk-load only on a cold start: once a checkpoint
-		// exists it already contains the loaded data (the boot
-		// checkpoint below guarantees one after the first start).
-		if w.Checkpoint() == nil && initData != nil {
-			if err := eng.Init(initData); err != nil {
-				return err
-			}
-			o.logf("loaded %d relations", len(initData))
+	}
+	// Preset bulk-load only on a cold start: once a checkpoint exists it
+	// already contains the loaded data (the boot checkpoint below
+	// guarantees one after the first start).
+	if initData != nil && (w == nil || w.Checkpoint() == nil) {
+		if err := eng.Init(initData); err != nil {
+			return err
 		}
+		o.logf("loaded %d relations", len(initData))
+	}
+	if w != nil {
 		info, err := serve.Recover(eng, w)
 		if err != nil {
 			return fmt.Errorf("recovering %s: %w", o.WALDir, err)
 		}
 		o.logf("recovered from %s: checkpoint seq=%d (%d updates), replayed %d batches (%d updates)",
 			o.WALDir, info.CheckpointSeq, info.CheckpointUpdates, info.ReplayedBatches, info.ReplayedUpdates)
-	} else if o.StatePath != "" {
-		o.logf("warning: -state is deprecated; use -wal for crash-safe durability")
-		if f, err := os.Open(o.StatePath); err == nil {
-			err = eng.ReadSnapshot(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("restoring %s: %w", o.StatePath, err)
-			}
-			o.logf("restored state from %s", o.StatePath)
-			initData = nil // the state file wins over the generated preset data
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	if initData != nil && o.WALDir == "" {
-		if err := eng.Init(initData); err != nil {
-			return err
-		}
-		o.logf("loaded %d relations", len(initData))
 	}
 
 	scfg := o.ServeConfig()
@@ -216,23 +188,6 @@ func Run(ctx context.Context, o Options) error {
 		if err := srv.Checkpoint(); err != nil {
 			return fmt.Errorf("boot checkpoint: %w", err)
 		}
-	}
-
-	if o.StatePath != "" && o.PersistInterval > 0 {
-		go func() {
-			t := time.NewTicker(o.PersistInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := persist(srv, o.StatePath); err != nil {
-						o.logf("persist: %v", err)
-					}
-				}
-			}
-		}()
 	}
 
 	ln, err := net.Listen("tcp", o.Addr)
@@ -263,33 +218,7 @@ func Run(ctx context.Context, o Options) error {
 	if err := srv.Close(); err != nil { // drains every accepted update; with a WAL, writes the final checkpoint
 		o.logf("server close: %v", err)
 	}
-	if o.StatePath != "" {
-		// All pipeline goroutines have stopped; write directly.
-		if err := writeState(eng, o.StatePath); err != nil {
-			o.logf("final persist: %v", err)
-		} else {
-			o.logf("state persisted to %s", o.StatePath)
-		}
-	}
 	st := srv.Stats()
 	o.logf("done: %d updates ingested, %d batches, %d snapshots", st.Ingested, st.Batches, st.Snapshots)
 	return nil
-}
-
-// persist writes the engine state via the writer goroutine.
-func persist(srv *serve.Server, path string) error {
-	var werr error
-	err := srv.Sync(func(eng serve.Maintainable) { werr = writeState(eng, path) })
-	if err != nil {
-		return err
-	}
-	return werr
-}
-
-// writeState persists a -state snapshot crash-atomically: the temp file
-// is fsynced before the rename and the directory after it, so a crash
-// anywhere in between leaves either the old complete file or the new
-// one, never a truncated or unlinked state.
-func writeState(eng serve.Maintainable, path string) error {
-	return wal.WriteFileAtomic(path, eng.WriteSnapshot)
 }

@@ -3,6 +3,7 @@ package perf
 import (
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,22 @@ func TestRunTinySuite(t *testing.T) {
 	}
 	if len(back.Results) != 1 || back.Results[0] != r || back.Commit != "deadbeef" {
 		t.Fatalf("JSON round-trip mismatch: %+v", back)
+	}
+}
+
+// TestServeIngestSurvivesSlowWriter: ServeIngest fires single-tuple
+// Ingest calls without waiting for them, so on one CPU the loop fills
+// the 256-slot queue long before the writer runs. The entry must ride
+// that out the way a client rides out a 429 and still report a result —
+// the CI perf job must not depend on the runner out-running the writer.
+func TestServeIngestSurvivesSlowWriter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rep, err := Run([]Bench{{Name: "ServeIngest", Fn: Named("ServeIngest")}}, Options{BenchTime: "5000x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Results[0]; r.UpdatesPerSec <= 0 || r.NsPerOp <= 0 {
+		t.Fatalf("ServeIngest reported %+v, want a non-zero result", r)
 	}
 }
 

@@ -6,6 +6,7 @@
 package perf
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -718,19 +719,41 @@ func reportLatencies(b *testing.B, lats []time.Duration) {
 
 // benchServeIngest measures write-path throughput through the full
 // pipeline (shard -> coalesce -> delta -> apply -> snapshot publish),
-// one update per Ingest call.
+// one update per Ingest call, fired without waiting for each other. A
+// box whose writer is slower than this loop fills the ingest queue and
+// gets shed; the loop then does what a client does on a 429 — waits for
+// its oldest outstanding request to be applied and retries.
 func benchServeIngest(b *testing.B) {
 	srv, ups := serveFixture(b, 5_000, 1)
 	defer srv.Close()
+	// done channels of accepted calls not yet seen applied, oldest first
+	var outstanding []<-chan struct{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := ups[i%len(ups)]
 		if i%(2*len(ups)) >= len(ups) {
 			u.Mult = -u.Mult // undo phase keeps state bounded
 		}
-		if _, err := srv.Ingest([]view.Update{u}); err != nil {
+		for len(outstanding) > 0 {
+			select {
+			case <-outstanding[0]:
+				outstanding = outstanding[1:]
+				continue
+			default:
+			}
+			break
+		}
+		done, err := srv.Ingest([]view.Update{u})
+		var shed *serve.OverloadError
+		for errors.As(err, &shed) && len(outstanding) > 0 {
+			<-outstanding[0]
+			outstanding = outstanding[1:]
+			done, err = srv.Ingest([]view.Update{u})
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
+		outstanding = append(outstanding, done)
 	}
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)

@@ -19,10 +19,12 @@
 //
 // Beyond storage, the package provides the relational algebra the view
 // tree is built from (hash Join, group-by Aggregate with lift
-// application), persistent secondary join-key indexes (AddIndex) with
-// the index-probing JoinProbeWith that makes delta-sized joins cost
-// O(|delta|) instead of O(|relation|), and Partition, the hash split by
-// join key that feeds parallel delta propagation.
+// application), persistent secondary join-key indexes (AddIndex), and
+// Partition, the hash split by join key that feeds parallel delta
+// propagation. There is one planned join, JoinProbeWith: it probes the
+// larger operand's index when it has one — delta-sized joins then cost
+// O(|delta|) instead of O(|relation|) — and otherwise builds and scans
+// (JoinWith), which is what a bulk load's relation-sized deltas get.
 //
 // # Ownership and the allocation-lean hot path
 //
@@ -30,15 +32,17 @@
 // because they are the package's load-bearing ownership contract (see
 // also docs/PERF.md):
 //
-//   - A relation OWNS what it stores. Merge and MergeAll — the commit
-//     step of view maintenance — fold a delta into a stored payload in
-//     place through the ring's optional Scratch extension, so a batch
-//     costs what its delta costs, not what the stored payloads weigh.
-//     A payload that may also be referenced from outside is an alias,
-//     and its entry is flagged shared: a payload inserted from the
-//     caller (a delta's, a cached ring constant such as ±1, anything
-//     given to Set), both sides of a Clone, and both sides of an
-//     unlifted Aggregate (input and output hold the same value). A
+//   - A relation OWNS what it stores. Merge, MergeAll and Absorb — the
+//     commit step of view maintenance — fold a delta into a stored
+//     payload in place through the ring's optional Scratch extension,
+//     so a batch costs what its delta costs, not what the stored
+//     payloads weigh. A payload that may also be referenced from
+//     outside is an alias, and its entry is flagged shared: a payload
+//     inserted from the caller (a delta's, a cached ring constant such
+//     as ±1, anything given to Set), both sides of a Clone, and both
+//     sides of an unlifted Aggregate (input and output hold the same
+//     value). Only Absorb, whose argument the caller gives up, takes
+//     over what that argument owned. A
 //     flagged entry copies on write: its next hit takes one pure ring
 //     Add, whose fresh result the map owns from then on. Rings without
 //     Scratch (value payloads) always take the pure Add. What the

@@ -96,9 +96,8 @@ type slot[V any] struct {
 // Registering a projection that is already registered is a no-op, so
 // declaring the same index from several join plans is safe.
 //
-// Indexes are a property of this map object: Clone and Negate return
-// unindexed copies, and callers that replace a map wholesale must
-// re-register (view.Tree does so after every bulk load).
+// Indexes are a property of this map object: they survive Reset, and
+// Clone and Negate return unindexed copies.
 func (m *Map[V]) AddIndex(proj []int) {
 	for _, p := range proj {
 		if p < 0 || p >= m.schema.Len() {

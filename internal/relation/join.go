@@ -46,7 +46,7 @@ func orientJoin(probe, build, out value.Schema) joinOrient {
 // build-side orientations (the smaller side is indexed at run time).
 // Deriving it per call costs a dozen allocations — noticeable on
 // single-tuple deltas — so the view tree plans each node's joins once
-// at build time and replays them with JoinWith.
+// at build time and replays them with JoinProbeWith.
 type JoinPlan struct {
 	out value.Schema
 	fwd joinOrient // build = right side, probe = left
@@ -83,9 +83,9 @@ func PlanJoin(left, right value.Schema) *JoinPlan {
 // ring product (left payload first, preserving any non-commutative key
 // orientation). The output schema is left's schema followed by right's
 // attributes not in left. Callers that join the same schemas repeatedly
-// should plan once with PlanJoin and use JoinWith.
+// should plan once with PlanJoin and use JoinProbeWith.
 func Join[V any](r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	return JoinWith(PlanJoin(left.schema, right.schema), r, left, right)
+	return JoinProbeWith(PlanJoin(left.schema, right.schema), r, left, right)
 }
 
 // joinMatches merges every (probe-entry × match) pair into out: the
@@ -148,30 +148,6 @@ func joinMatches[V any](out *Map[V], r ring.Ring[V], sc ring.Scratch[V], fma rin
 	return obuf
 }
 
-// JoinScratch recycles the transient build-side index JoinWithScratch
-// constructs, so a caller that joins in a loop (the view tree's bulk
-// refresh) does not rebuild and discard the map — and its postings
-// slices — on every call. Key strings still materialize per distinct
-// build key (Go map keys are owned by the map). Not safe for concurrent
-// use: every concurrent joiner needs its own scratch, which is why the
-// delta-propagation workers pass nil.
-type JoinScratch[V any] struct {
-	index map[string][]*entry[V]
-	free  [][]*entry[V]
-}
-
-// release returns every postings slice of the scratch index to the free
-// list, zeroing the entry pointers so retired slices pin nothing.
-func (s *JoinScratch[V]) release() {
-	for k, post := range s.index {
-		for i := range post {
-			post[i] = nil
-		}
-		s.free = append(s.free, post[:0])
-		delete(s.index, k)
-	}
-}
-
 // JoinWith is Join with a precomputed plan (which must have been built
 // from exactly left's and right's schemas).
 //
@@ -181,18 +157,10 @@ func (s *JoinScratch[V]) release() {
 // same machinery (a single empty-key index bucket). Probe keys, output
 // keys, and output tuples are built in reused scratch buffers and only
 // materialized on first insertion, so re-grouped output tuples cost no
-// allocations beyond the ring product. Callers with a persistent index
-// on one side should prefer JoinProbeWith, which skips the build phase
-// entirely; repeated full joins can recycle the build-side index
-// allocation through JoinWithScratch.
+// allocations beyond the ring product. It is what JoinProbeWith falls
+// back to when the larger operand carries no index, and the reference
+// the probe path is tested against; callers go through JoinProbeWith.
 func JoinWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	return JoinWithScratch(plan, r, left, right, nil)
-}
-
-// JoinWithScratch is JoinWith with an optional caller-owned scratch for
-// the transient build-side index (nil allocates per call, preserving
-// JoinWith's behavior).
-func JoinWithScratch[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V], jsc *JoinScratch[V]) *Map[V] {
 	out := New[V](plan.out)
 	if left.Len() == 0 || right.Len() == 0 {
 		return out
@@ -207,25 +175,11 @@ func JoinWithScratch[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V],
 		swapped = true
 	}
 
-	var index map[string][]*entry[V]
-	if jsc != nil {
-		if jsc.index == nil {
-			jsc.index = make(map[string][]*entry[V], build.Len())
-		}
-		index = jsc.index
-		defer jsc.release()
-	} else {
-		index = make(map[string][]*entry[V], build.Len())
-	}
+	index := make(map[string][]*entry[V], build.Len())
 	var kbuf []byte
 	for _, e := range build.data {
 		kbuf = e.tuple.AppendEncodeProject(kbuf[:0], o.buildCommon)
-		post := index[string(kbuf)]
-		if post == nil && jsc != nil && len(jsc.free) > 0 {
-			post = jsc.free[len(jsc.free)-1]
-			jsc.free = jsc.free[:len(jsc.free)-1]
-		}
-		index[string(kbuf)] = append(post, e)
+		index[string(kbuf)] = append(index[string(kbuf)], e)
 	}
 
 	sc := scratchOf(r)
@@ -242,19 +196,22 @@ func JoinWithScratch[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V],
 	return out
 }
 
-// JoinProbeWith is JoinWith when the larger side carries a persistent
-// index on the join's common key (AddIndex with the plan's
-// Left/RightIndexKey): it iterates only the smaller side — the delta,
-// in the maintenance paths — and looks matches up in the index, so the
-// cost is O(|small| + |matches|) instead of the build-and-scan join's
+// JoinProbeWith is the planned join every caller uses. When the larger
+// side carries a persistent index on the join's common key (AddIndex
+// with the plan's Left/RightIndexKey) it iterates only the smaller side
+// — the delta, in steady-state maintenance — and looks matches up in the
+// index: O(|small| + |matches|) instead of the build-and-scan join's
 // O(|large|). When the larger side has no matching index it falls back
-// to JoinWith. Both paths visit the same multiset of payload products
-// in the same left-first per-pair order, so results are bit-identical
-// whenever ring addition is exact (integer rings, float rings over
-// integer-valued data — the same scope as the parallel path's
-// guarantee, see view.Tree.SetParallelism): the two paths iterate
-// opposite sides, which can group an output key's float64 additions
-// differently in the last bits on inexact data.
+// to JoinWith — the bulk-load case, where the loaded relation is the
+// larger operand and, being a delta, carries none. The choice follows
+// from what the join observes, not from which entry point called it.
+// Both paths visit the same multiset of payload products in the same
+// left-first per-pair order, so results are bit-identical whenever ring
+// addition is exact (integer rings, float rings over integer-valued
+// data — the same scope as the parallel path's guarantee, see
+// view.Tree.SetParallelism): the two paths iterate opposite sides,
+// which can group an output key's float64 additions differently in the
+// last bits on inexact data.
 func JoinProbeWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
 	if left.Len() == 0 || right.Len() == 0 {
 		return New[V](plan.out)

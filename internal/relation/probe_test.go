@@ -285,45 +285,6 @@ func TestAddIndexRejectsBadPositions(t *testing.T) {
 	New[int64](value.NewSchema("A")).AddIndex([]int{3})
 }
 
-// TestJoinWithScratchReuse: the scratch-backed join is bit-identical to
-// the allocating one across repeated calls, and the scratch's recycled
-// postings do not leak entries between calls.
-func TestJoinWithScratchReuse(t *testing.T) {
-	z := ring.Ints{}
-	sAB := value.NewSchema("A", "B")
-	sBC := value.NewSchema("B", "C")
-	plan := PlanJoin(sAB, sBC)
-	var jsc JoinScratch[int64]
-	rnd := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 20; iter++ {
-		left, right := New[int64](sAB), New[int64](sBC)
-		for i := 0; i < rnd.Intn(30); i++ {
-			left.Merge(z, value.T(rnd.Intn(4), rnd.Intn(4)), int64(rnd.Intn(5)-2))
-		}
-		for i := 0; i < rnd.Intn(30); i++ {
-			right.Merge(z, value.T(rnd.Intn(4), rnd.Intn(4)), int64(rnd.Intn(5)-2))
-		}
-		want := JoinWith(plan, z, left, right)
-		got := JoinWithScratch(plan, z, left, right, &jsc)
-		if !got.Equal(want, func(a, b int64) bool { return a == b }) {
-			t.Fatalf("iter %d: scratch join diverged:\n%v\nvs\n%v", iter, got, want)
-		}
-		if len(jsc.index) != 0 {
-			t.Fatalf("iter %d: scratch index not released (%d keys)", iter, len(jsc.index))
-		}
-		for _, post := range jsc.free {
-			if len(post) != 0 {
-				t.Fatalf("iter %d: free-list slice not emptied", iter)
-			}
-			for _, e := range post[:cap(post)] {
-				if e != nil {
-					t.Fatalf("iter %d: retired postings slice pins an entry", iter)
-				}
-			}
-		}
-	}
-}
-
 // TestProbeAsymptotics is a coarse guard on the point of the index: the
 // work of a single-tuple probe against an indexed relation must not
 // scale with the relation's size. It counts probed matches indirectly

@@ -172,9 +172,17 @@ func (m *Map[V]) Merge(r ring.Ring[V], t value.Tuple, p V) {
 // must be equal. other's entries are only read: a key new to m gets
 // m's own entry struct holding other's payload, flagged shared; a key m
 // already stores accumulates through entry.add — in place once m owns
-// the payload. This is the commit step of view maintenance, so a batch
-// costs what its delta costs, not what the stored payloads weigh.
-func (m *Map[V]) MergeAll(r ring.Ring[V], other *Map[V]) {
+// the payload.
+func (m *Map[V]) MergeAll(r ring.Ring[V], other *Map[V]) { m.mergeAll(r, other, false) }
+
+// Absorb is MergeAll of a relation the caller gives up with the call —
+// the commit step of view maintenance, whose delta views are dropped
+// once merged. A key new to m keeps other's ownership flag rather than
+// being flagged shared, so m owns what other owned and the next delta
+// folds into it in place, from the first touch after a load on.
+func (m *Map[V]) Absorb(r ring.Ring[V], other *Map[V]) { m.mergeAll(r, other, true) }
+
+func (m *Map[V]) mergeAll(r ring.Ring[V], other *Map[V], ceded bool) {
 	if !m.schema.Equal(other.schema) {
 		panic(fmt.Sprintf("relation: MergeAll schema mismatch %v vs %v", m.schema, other.schema))
 	}
@@ -184,7 +192,9 @@ func (m *Map[V]) MergeAll(r ring.Ring[V], other *Map[V]) {
 			continue
 		}
 		if ex, ok := m.data[k]; !ok {
-			ne := m.newEntry(e.tuple, e.payload, true)
+			// Read other's flag only if ceded: an unceded delta's may be
+			// written meanwhile (Aggregate on a concurrent worker's partition).
+			ne := m.newEntry(e.tuple, e.payload, !ceded || e.shared)
 			m.data[k] = ne
 			m.indexInsert(ne)
 		} else if ex.add(r, sc, e.payload) {

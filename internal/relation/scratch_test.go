@@ -160,6 +160,50 @@ func TestMergeOwnsWhatItStores(t *testing.T) {
 	}
 }
 
+// TestAbsorbTakesOverWhatItsArgumentOwned: Absorb is the commit step,
+// whose delta views are dropped once merged. A payload the delta owned
+// (a fresh join product) becomes the map's at once — the very next hit
+// folds into it in place, no copy — while one the delta only aliased
+// (flagged shared) is still replaced, never written; contents equal the
+// pure-Add map's throughout.
+func TestAbsorbTakesOverWhatItsArgumentOwned(t *testing.T) {
+	cr := ring.NewCovarRing(1)
+	pure := pureRing[*ring.Covar]{r: cr}
+	eq := func(a, b *ring.Covar) bool { return a.Equal(b) }
+	schema := value.NewSchema("A")
+	ownedKey, aliasKey := value.T(1), value.T(2)
+	constant := covarOf(cr, 1, 2, 4)
+	constantCopy := constant.Clone()
+	delta := func() *Map[*ring.Covar] {
+		d := New[*ring.Covar](schema)
+		d.Merge(cr, ownedKey, covarOf(cr, 1, 1, 1))
+		d.Merge(cr, ownedKey, covarOf(cr, 1, 1, 1)) // the sum is d's own
+		d.Set(aliasKey, constant)                   // flagged shared
+		return d
+	}
+	m, ref := New[*ring.Covar](schema), New[*ring.Covar](schema)
+	first := delta()
+	taken, _ := first.Get(ownedKey)
+	m.Absorb(cr, first)
+	ref.MergeAll(pure, delta())
+	for i := 0; i < 3; i++ {
+		m.Absorb(cr, delta())
+		ref.MergeAll(pure, delta())
+		if got, _ := m.Get(ownedKey); got != taken {
+			t.Fatalf("hit %d copied a payload Absorb had taken over", i+1)
+		}
+		if got, _ := m.Get(aliasKey); got == constant {
+			t.Fatalf("hit %d folded into a payload the delta only aliased", i+1)
+		}
+		if !m.Equal(ref, eq) {
+			t.Fatalf("hit %d: absorbed map %v differs from pure map %v", i+1, m, ref)
+		}
+	}
+	if !constant.Equal(constantCopy) {
+		t.Fatalf("an aliased payload was written: %v, want %v", constant, constantCopy)
+	}
+}
+
 // TestCloneIsAStableSnapshot: Clone shares payloads, so it flags both
 // sides — merging into either map afterwards must leave the other's
 // payloads bit-identical (a published TableModel is such a clone).

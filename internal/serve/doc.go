@@ -89,7 +89,7 @@
 // *OverloadError without enqueueing anything — all-or-nothing, so a
 // multi-relation batch is never partially admitted — and the HTTP
 // layer maps that to 429 with a Retry-After header. Shed counts are
-// reported by Stats, /stats, /healthz, and /metrics. The check is
+// reported by Stats, /v1/stats, /v1/healthz, and /metrics. The check is
 // advisory under concurrency (two racing ingests may both pass and one
 // then block briefly on the channel send), which keeps the admission
 // path lock-free.

@@ -75,7 +75,7 @@ func (s *Server) walFail(err error) {
 }
 
 // CrashError reports the WAL failure that crashed the pipeline, nil
-// while healthy. /healthz surfaces it (and turns 503).
+// while healthy. /v1/healthz surfaces it (and turns 503).
 func (s *Server) CrashError() error {
 	select {
 	case <-s.crashed:
@@ -140,7 +140,7 @@ func (s *Server) finalCheckpoint() error {
 	return s.cfg.WAL.WriteCheckpoint(copyPositions(s.walPos), s.eng.WriteSnapshot)
 }
 
-// WALStatus is the durability section of /stats and /healthz.
+// WALStatus is the durability section of /v1/stats and /v1/healthz.
 type WALStatus struct {
 	Enabled bool `json:"enabled"`
 	// AppendedBatches and AppendedBytes count records logged by this

@@ -38,9 +38,7 @@ import (
 //
 // Every error response uses one envelope: {"error": "...", "code":
 // "...", "retry_after_ms": n} (retry_after_ms only on retryable
-// errors, mirroring the Retry-After header). The legacy unversioned
-// routes remain as deprecated aliases answering identically plus a
-// Deprecation header and a Link to the v1 successor.
+// errors, mirroring the Retry-After header).
 
 // Error codes of the v1 envelope. The code is the stable programmatic
 // discriminator; the error text is for humans and may change.
@@ -68,39 +66,25 @@ type ErrorEnvelope struct {
 //
 // Every route is instrumented with a latency histogram and
 // status-class counters (fivm_http_request_seconds,
-// fivm_http_requests_total); the v1 route and its legacy alias count as
-// distinct routes, so a dashboard shows alias traffic draining.
+// fivm_http_requests_total).
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
+	for _, rt := range []struct {
 		method, path string
 		h            http.HandlerFunc
 	}{
-		{"POST", "/update", s.handleUpdate},
-		{"GET", "/predict", s.handlePredict},
-		{"GET", "/model", s.handleModel},
-		{"GET", "/stats", s.handleStats},
-		{"GET", "/viewtree", s.handleViewTree},
-		{"GET", "/healthz", s.handleHealthz},
+		{"POST", "/v1/update", s.handleUpdate},
+		{"GET", "/v1/predict", s.handlePredict},
+		{"GET", "/v1/model", s.handleModel},
+		{"GET", "/v1/stats", s.handleStats},
+		{"GET", "/v1/viewtree", s.handleViewTree},
+		{"GET", "/v1/healthz", s.handleHealthz},
+		{"GET", "/v1/partial", s.handlePartial},
+		{"GET", "/metrics", s.handleMetrics},
+	} {
+		mux.HandleFunc(rt.method+" "+rt.path, s.instrument(rt.path, rt.h))
 	}
-	for _, rt := range routes {
-		mux.HandleFunc(rt.method+" /v1"+rt.path, s.instrument("/v1"+rt.path, rt.h))
-		mux.HandleFunc(rt.method+" "+rt.path, s.instrument(rt.path, deprecated("/v1"+rt.path, rt.h)))
-	}
-	mux.HandleFunc("GET /v1/partial", s.instrument("/v1/partial", s.handlePartial))
-	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
 	return mux
-}
-
-// deprecated wraps a legacy unversioned route: the same handler, plus a
-// Deprecation header (RFC 9745) and a Link to the v1 successor so
-// clients can migrate mechanically.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // statusRecorder captures the response code for the status-class

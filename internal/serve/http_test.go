@@ -38,7 +38,7 @@ func newHTTPServer(t *testing.T) (*Server, *httptest.Server) {
 
 func postUpdates(t *testing.T, ts *httptest.Server, body string) map[string]any {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/update?wait=1", "application/json", bytes.NewBufferString(body))
+	resp, err := http.Post(ts.URL+"/v1/update?wait=1", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func postUpdates(t *testing.T, ts *httptest.Server, body string) map[string]any 
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /update = %d: %v", resp.StatusCode, out)
+		t.Fatalf("POST /v1/update = %d: %v", resp.StatusCode, out)
 	}
 	return out
 }
@@ -80,9 +80,9 @@ func TestHTTPUpdateThenPredict(t *testing.T) {
 		t.Fatalf("update response = %v", out)
 	}
 
-	code, pred := getJSON(t, ts.URL+"/predict?X=5")
+	code, pred := getJSON(t, ts.URL+"/v1/predict?X=5")
 	if code != http.StatusOK {
-		t.Fatalf("GET /predict = %d: %v", code, pred)
+		t.Fatalf("GET /v1/predict = %d: %v", code, pred)
 	}
 	if got := pred["prediction"].(float64); got < 9 || got > 11 {
 		t.Fatalf("predict(X=5) = %v, want ≈10", got)
@@ -98,9 +98,9 @@ func TestHTTPUpdateThenPredict(t *testing.T) {
 		ups2 = append(ups2, fmt.Sprintf(`{"rel":"R","tuple":[%d,%d]}`, x, 2*x+100))
 	}
 	postUpdates(t, ts, `{"updates":[`+strings.Join(ups2, ",")+`]}`)
-	code, pred2 := getJSON(t, ts.URL+"/predict?X=5")
+	code, pred2 := getJSON(t, ts.URL+"/v1/predict?X=5")
 	if code != http.StatusOK {
-		t.Fatalf("GET /predict (2) = %d: %v", code, pred2)
+		t.Fatalf("GET /v1/predict (2) = %d: %v", code, pred2)
 	}
 	if pred2["version"].(float64) <= v1 {
 		t.Fatalf("version did not advance: %v -> %v", v1, pred2["version"])
@@ -125,37 +125,47 @@ func TestHTTPModelStatsViewTreeHealth(t *testing.T) {
 	_, ts := newHTTPServer(t)
 	postUpdates(t, ts, `{"updates":[{"rel":"R","tuple":[1,2]},{"rel":"R","tuple":[2,4]},{"rel":"R","tuple":[3,7]}]}`)
 
-	code, model := getJSON(t, ts.URL+"/model")
+	code, model := getJSON(t, ts.URL+"/v1/model")
 	if code != http.StatusOK {
-		t.Fatalf("GET /model = %d: %v", code, model)
+		t.Fatalf("GET /v1/model = %d: %v", code, model)
 	}
 	if model["label"] != "Y" || model["weights"] == nil {
 		t.Fatalf("model = %v", model)
 	}
 
-	code, stats := getJSON(t, ts.URL+"/stats")
+	code, stats := getJSON(t, ts.URL+"/v1/stats")
 	if code != http.StatusOK || stats["ingested"].(float64) != 3 {
-		t.Fatalf("GET /stats = %d: %v", code, stats)
+		t.Fatalf("GET /v1/stats = %d: %v", code, stats)
 	}
 
-	resp, err := http.Get(ts.URL + "/viewtree")
+	resp, err := http.Get(ts.URL + "/v1/viewtree")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /viewtree = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/viewtree = %d", resp.StatusCode)
 	}
 
-	code, health := getJSON(t, ts.URL+"/healthz")
+	code, health := getJSON(t, ts.URL+"/v1/healthz")
 	if code != http.StatusOK || health["ok"] != true {
-		t.Fatalf("GET /healthz = %d: %v", code, health)
+		t.Fatalf("GET /v1/healthz = %d: %v", code, health)
+	}
+
+	// The API lives under /v1 only: the unversioned aliases are gone.
+	resp, err = http.Get(ts.URL + "/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /model = %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestHTTPBadRequests(t *testing.T) {
 	_, ts := newHTTPServer(t)
-	resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewBufferString("{nope"))
+	resp, err := http.Post(ts.URL+"/v1/update", "application/json", bytes.NewBufferString("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +173,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body = %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/update", "application/json",
+	resp, err = http.Post(ts.URL+"/v1/update", "application/json",
 		bytes.NewBufferString(`{"updates":[{"rel":"Nope","tuple":[1,2]}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +182,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown relation = %d, want 400", resp.StatusCode)
 	}
-	code, _ := getJSON(t, ts.URL+"/predict") // missing features
+	code, _ := getJSON(t, ts.URL+"/v1/predict") // missing features
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("predict without features = %d, want 422", code)
 	}
@@ -222,9 +232,9 @@ func TestHTTPServeCountEngine(t *testing.T) {
 	})
 	postUpdates(t, ts, seedBody)
 
-	code, model := getJSON(t, ts.URL+"/model")
+	code, model := getJSON(t, ts.URL+"/v1/model")
 	if code != http.StatusOK {
-		t.Fatalf("GET /model = %d: %v", code, model)
+		t.Fatalf("GET /v1/model = %d: %v", code, model)
 	}
 	if model["kind"] != "count" {
 		t.Fatalf("kind = %v, want count", model["kind"])
@@ -238,14 +248,14 @@ func TestHTTPServeCountEngine(t *testing.T) {
 	}
 	// Deleting one group's S row erases its 3 joined tuples.
 	postUpdates(t, ts, `{"updates":[{"rel":"S","tuple":[0,10],"mult":-1}]}`)
-	_, model = getJSON(t, ts.URL+"/model")
+	_, model = getJSON(t, ts.URL+"/v1/model")
 	if model["total"].(float64) != 3 {
 		t.Fatalf("total after delete = %v, want 3", model["total"])
 	}
 	// Non-analysis engines refuse /predict with a clear error.
-	code, _ = getJSON(t, ts.URL+"/predict?A=1")
+	code, _ = getJSON(t, ts.URL+"/v1/predict?A=1")
 	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("GET /predict on count engine = %d, want 422", code)
+		t.Fatalf("GET /v1/predict on count engine = %d, want 422", code)
 	}
 }
 
@@ -256,9 +266,9 @@ func TestHTTPServeFloatEngine(t *testing.T) {
 	})
 	postUpdates(t, ts, seedBody)
 
-	code, model := getJSON(t, ts.URL+"/model")
+	code, model := getJSON(t, ts.URL+"/v1/model")
 	if code != http.StatusOK {
-		t.Fatalf("GET /model = %d: %v", code, model)
+		t.Fatalf("GET /v1/model = %d: %v", code, model)
 	}
 	if model["kind"] != "float" {
 		t.Fatalf("kind = %v, want float", model["kind"])
@@ -268,9 +278,9 @@ func TestHTTPServeFloatEngine(t *testing.T) {
 		t.Fatalf("total = %v, want 360", model["total"])
 	}
 
-	code, stats := getJSON(t, ts.URL+"/stats")
+	code, stats := getJSON(t, ts.URL+"/v1/stats")
 	if code != http.StatusOK || stats["ingested"].(float64) != 8 {
-		t.Fatalf("GET /stats = %d: %v", code, stats)
+		t.Fatalf("GET /v1/stats = %d: %v", code, stats)
 	}
 }
 
@@ -282,15 +292,15 @@ func TestHTTPServeCovarEngine(t *testing.T) {
 
 	// Before any data the COVAR result is empty: /model reports 503 per
 	// the unified empty-join convention.
-	code, _ := getJSON(t, ts.URL+"/model")
+	code, _ := getJSON(t, ts.URL+"/v1/model")
 	if code != http.StatusServiceUnavailable {
-		t.Fatalf("GET /model on empty covar = %d, want 503", code)
+		t.Fatalf("GET /v1/model on empty covar = %d, want 503", code)
 	}
 
 	postUpdates(t, ts, seedBody)
-	code, model := getJSON(t, ts.URL+"/model")
+	code, model := getJSON(t, ts.URL+"/v1/model")
 	if code != http.StatusOK {
-		t.Fatalf("GET /model = %d: %v", code, model)
+		t.Fatalf("GET /v1/model = %d: %v", code, model)
 	}
 	if model["kind"] != "covar" {
 		t.Fatalf("kind = %v, want covar", model["kind"])
@@ -310,9 +320,9 @@ func TestHTTPServeJoinEngine(t *testing.T) {
 		Kind:      fivm.KindJoin,
 	})
 	postUpdates(t, ts, seedBody)
-	code, model := getJSON(t, ts.URL+"/model")
+	code, model := getJSON(t, ts.URL+"/v1/model")
 	if code != http.StatusOK {
-		t.Fatalf("GET /model = %d: %v", code, model)
+		t.Fatalf("GET /v1/model = %d: %v", code, model)
 	}
 	if model["kind"] != "join" {
 		t.Fatalf("kind = %v, want join", model["kind"])

@@ -12,11 +12,8 @@ import (
 // latency histogram and per-status-class counters. Routes are a fixed
 // set so every series pre-registers at construction — recording stays
 // allocation-free.
-// The v1 routes and their deprecated unversioned aliases are distinct
-// entries, so dashboards can watch alias traffic drain to zero.
 var httpRoutes = []string{
-	"/v1/update", "/v1/predict", "/v1/model", "/v1/stats", "/v1/viewtree", "/v1/healthz", "/v1/partial",
-	"/update", "/predict", "/model", "/stats", "/viewtree", "/healthz", "/metrics",
+	"/v1/update", "/v1/predict", "/v1/model", "/v1/stats", "/v1/viewtree", "/v1/healthz", "/v1/partial", "/metrics",
 }
 
 // codeClasses label HTTP status counters; a response's class is

@@ -90,7 +90,7 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 	// queue, so retry until one is shed.
 	got429 := false
 	for time.Now().Before(deadline) {
-		resp, err := http.Post(ts.URL+"/update", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/update", "application/json",
 			bytes.NewBufferString(`{"updates":[{"rel":"R","tuple":[2,2]}]}`))
 		if err != nil {
 			t.Fatal(err)
@@ -104,11 +104,11 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 			break
 		}
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST /update under overload = %d, want 429 or 202", resp.StatusCode)
+			t.Fatalf("POST /v1/update under overload = %d, want 429 or 202", resp.StatusCode)
 		}
 	}
 	if !got429 {
-		t.Fatal("POST /update never returned 429 under a stalled writer")
+		t.Fatal("POST /v1/update never returned 429 under a stalled writer")
 	}
 	if got := srv.Stats().Shed; got == 0 {
 		t.Fatal("Stats().Shed = 0 after shedding")
@@ -150,7 +150,7 @@ func TestMetricsExposition(t *testing.T) {
 	ingestWait(t, srv, seedUpdates(100, 10))
 	ts := newTestHTTP(t, srv)
 
-	if _, err := http.Get(ts.URL + "/stats"); err != nil { // exercise a GET route counter
+	if _, err := http.Get(ts.URL + "/v1/stats"); err != nil { // exercise a GET route counter
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -198,12 +198,12 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics missing series %s", key)
 		}
 	}
-	// The scrape itself and the /stats GET must show up per route.
-	if got := samples[`fivm_http_requests_total{route="/stats",code="2xx"}`]; got != 1 {
-		t.Errorf("/stats request counter = %v, want 1", got)
+	// The scrape itself and the /v1/stats GET must show up per route.
+	if got := samples[`fivm_http_requests_total{route="/v1/stats",code="2xx"}`]; got != 1 {
+		t.Errorf("/v1/stats request counter = %v, want 1", got)
 	}
-	if _, ok := samples[`fivm_http_request_seconds_count{route="/update"}`]; !ok {
-		t.Error("/metrics missing the /update latency histogram")
+	if _, ok := samples[`fivm_http_request_seconds_count{route="/v1/update"}`]; !ok {
+		t.Error("/metrics missing the /v1/update latency histogram")
 	}
 }
 
@@ -274,13 +274,13 @@ func TestStatsAndHealthzEnriched(t *testing.T) {
 	ingestWait(t, srv, seedUpdates(20, 4))
 	ts := newTestHTTP(t, srv)
 
-	for _, path := range []string{"/stats", "/healthz"} {
+	for _, path := range []string{"/v1/stats", "/v1/healthz"} {
 		code, body := getJSON(t, ts.URL+path)
 		if code != http.StatusOK {
 			t.Fatalf("GET %s = %d: %v", path, code, body)
 		}
 		versionKey := "snapshot_version"
-		if path == "/healthz" {
+		if path == "/v1/healthz" {
 			versionKey = "version"
 		}
 		if v, ok := body[versionKey].(float64); !ok || v < 2 {

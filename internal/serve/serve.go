@@ -201,8 +201,8 @@ type Stats struct {
 	View view.Stats
 }
 
-// ShardStatus reports one relation's ingest queue for /stats and
-// /healthz: current depth, capacity, and the relation's tuple arity
+// ShardStatus reports one relation's ingest queue for /v1/stats and
+// /v1/healthz: current depth, capacity, and the relation's tuple arity
 // (which load generators use to synthesize valid updates).
 type ShardStatus struct {
 	Depth    int `json:"depth"`

@@ -23,7 +23,7 @@ type Snapshot struct {
 	// Server was created with.
 	Version uint64
 	// At is the publish time; time.Since(At) is the snapshot's age,
-	// the staleness signal /healthz and /metrics report.
+	// the staleness signal /v1/healthz and /metrics report.
 	At time.Time
 	// Kind is the hosted engine kind.
 	Kind fivm.Kind

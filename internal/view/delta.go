@@ -40,31 +40,38 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 		return fmt.Errorf("view: delta schema %v does not match %s schema %v", delta.Schema(), name, src.schema)
 	}
 	t.stats.Updates++
-	if delta.Len() == 0 {
-		return nil
-	}
-	path := src.path
-	if t.workers > 1 && delta.Len() >= t.minParallel {
-		t.applyDeltaParallel(src, delta, path)
-		return nil
-	}
-	t.applyDeltaSequential(src, delta, path)
+	t.stats.DeltaTuples += t.apply(src, delta)
 	return nil
+}
+
+// apply is ApplyDelta past validation and accounting, shared with the
+// bulk load: it picks the sequential or the parallel body from the
+// delta's size and returns the number of delta tuples merged.
+func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V]) int {
+	if delta.Len() == 0 {
+		return 0
+	}
+	if t.workers > 1 && delta.Len() >= t.minParallel {
+		return t.applyDeltaParallel(src, delta, src.path)
+	}
+	return t.applyDeltaSequential(src, delta, src.path)
 }
 
 // applyDeltaSequential is the one-goroutine body of ApplyDelta:
 // propagate the whole delta, then commit it. The parallel path runs the
-// same two steps per partition.
-func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], path []*Node[V]) {
+// same two steps per partition. Like commit it returns the tuples
+// merged.
+func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], path []*Node[V]) int {
 	p := t.propagate(src, delta, path, t.propSteps[:0])
 	src.data.MergeAll(t.ring, delta)
-	t.stats.DeltaTuples += delta.Len() + t.commit(p, path)
+	n := delta.Len() + t.commit(p, path)
 	// Recycle the steps buffer, dropping the references so the merged
 	// delta relations do not outlive the call pinned to the scratch.
 	for i := range p.steps {
 		p.steps[i] = nil
 	}
 	t.propSteps = p.steps[:0]
+	return n
 }
 
 // ApplyUpdates groups tuple-level updates by relation and applies one
@@ -128,45 +135,6 @@ func (t *Tree[V]) Delete(rel string, tuples ...value.Tuple) error {
 		ups[i] = Update{Rel: rel, Tuple: tp, Mult: -1}
 	}
 	return t.ApplyUpdates(ups)
-}
-
-// Coalesce merges updates that target the same relation and tuple by
-// summing their multiplicities — the paper's batch-update preprocessing:
-// an insert and a delete of the same tuple inside one batch cancel
-// before any view work happens. Updates that net to zero are dropped;
-// the first-appearance order of surviving (relation, tuple) pairs is
-// preserved. The input is not modified.
-//
-// No maintenance path needs it anymore: DeltaFor (and so the serving
-// pipeline's delta build) coalesces inherently by merging payloads
-// under the ring addition. It remains for callers that want to shrink
-// an update stream while it is still a []Update — e.g. before
-// transporting or logging one.
-func Coalesce(ups []Update) []Update {
-	type slot struct {
-		pos  int
-		mult int
-	}
-	merged := make(map[string]slot, len(ups))
-	out := make([]Update, 0, len(ups))
-	for _, u := range ups {
-		k := u.Rel + "\x00" + u.Tuple.Encode()
-		if s, ok := merged[k]; ok {
-			s.mult += u.Mult
-			merged[k] = s
-			out[s.pos].Mult = s.mult
-			continue
-		}
-		merged[k] = slot{pos: len(out), mult: u.Mult}
-		out = append(out, u)
-	}
-	compact := out[:0]
-	for _, u := range out {
-		if u.Mult != 0 {
-			compact = append(compact, u)
-		}
-	}
-	return compact
 }
 
 // scaledOne returns n × 1 (n ≥ 0) in the ring by binary doubling, so a

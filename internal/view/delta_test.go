@@ -8,36 +8,11 @@ import (
 	"repro/internal/vo"
 )
 
-func TestCoalesce(t *testing.T) {
-	ups := []Update{
-		{Rel: "R", Tuple: value.T(1, 2), Mult: 1},
-		{Rel: "S", Tuple: value.T(1, 2), Mult: 1}, // same tuple, other relation
-		{Rel: "R", Tuple: value.T(1, 2), Mult: 3},
-		{Rel: "R", Tuple: value.T(9, 9), Mult: 1},
-		{Rel: "R", Tuple: value.T(9, 9), Mult: -1}, // cancels
-		{Rel: "R", Tuple: value.T(1, 2), Mult: -2},
-	}
-	got := Coalesce(ups)
-	want := []Update{
-		{Rel: "R", Tuple: value.T(1, 2), Mult: 2},
-		{Rel: "S", Tuple: value.T(1, 2), Mult: 1},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Coalesce returned %d updates, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i].Rel != want[i].Rel || !got[i].Tuple.Equal(want[i].Tuple) || got[i].Mult != want[i].Mult {
-			t.Errorf("Coalesce[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if len(Coalesce(nil)) != 0 {
-		t.Error("Coalesce(nil) must be empty")
-	}
-}
-
-// TestCoalesceEquivalence: applying a coalesced batch must produce the
-// same tree state as applying the raw updates.
-func TestCoalesceEquivalence(t *testing.T) {
+// TestBatchCoalescesInDelta: updates of one tuple inside a batch merge
+// under the ring addition while the delta is built — an insert and a
+// delete of the same tuple cancel before any view work. The annihilating
+// pair builds an empty delta, and applying it changes nothing.
+func TestBatchCoalescesInDelta(t *testing.T) {
 	build := func() *Tree[int64] {
 		tr, err := New(Spec[int64]{
 			Ring:      ring.Ints{},
@@ -57,14 +32,37 @@ func TestCoalesceEquivalence(t *testing.T) {
 		{Rel: "R", Tuple: value.T(3, 3), Mult: -1},
 	}
 	raw, co := build(), build()
-	if err := raw.ApplyUpdates(ups); err != nil {
+	for i := range ups { // one update at a time: nothing coalesces
+		if err := raw.ApplyUpdates(ups[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := co.DeltaFor("R", ups)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := co.ApplyUpdates(Coalesce(ups)); err != nil {
+	if d.Len() != 2 {
+		t.Fatalf("delta holds %d tuples, want 2 (the (3,3) pair cancels): %v", d.Len(), d)
+	}
+	if err := co.ApplyDelta("R", d); err != nil {
 		t.Fatal(err)
 	}
-	if raw.ResultPayload() != co.ResultPayload() {
-		t.Fatalf("coalesced result %d != raw result %d", co.ResultPayload(), raw.ResultPayload())
+	if r, c := treeState(raw), treeState(co); r != c {
+		t.Fatalf("coalesced batch diverged from one-at-a-time:\n%s\nvs\n%s", c, r)
+	}
+	before := treeState(co)
+	empty, err := co.DeltaFor("R", ups[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Len() != 0 {
+		t.Fatalf("annihilating pair built a %d-tuple delta", empty.Len())
+	}
+	if err := co.ApplyDelta("R", empty); err != nil {
+		t.Fatal(err)
+	}
+	if after := treeState(co); after != before {
+		t.Fatalf("empty delta changed the tree:\n%s\nvs\n%s", after, before)
 	}
 }
 

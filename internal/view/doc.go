@@ -8,7 +8,11 @@
 // children followed by marginalizing the node's variable — multiplying
 // each tuple payload by the variable's lift function while summing it
 // away. Updates to a relation propagate along the leaf-to-root path
-// with delta processing against the materialized sibling views.
+// with delta processing against the materialized sibling views. That is
+// the package's one evaluation path: a bulk load (Init, InitWeighted,
+// ReadSnapshot) empties the tree in place and applies each loaded
+// relation as a delta, smallest first — the paper's definition of a
+// database as the empty one plus updates.
 //
 // # Key invariants
 //
@@ -63,9 +67,12 @@
 //     plan probes it on; delta propagation joins via
 //     relation.JoinProbeWith, touching O(|delta|) state per node
 //     instead of scanning full views. Indexes build lazily on first
-//     probe and are maintained by the commit-phase merges; bulk loads
-//     re-register them after replacing the maps.
-//   - A view OWNS the payloads it stores: commit (relation.MergeAll)
+//     probe and are maintained by the commit-phase merges; the maps
+//     live as long as the tree (a bulk load Resets them, which keeps
+//     registrations), so New registers once. A load's own deltas are
+//     the larger, unindexed operand of every join they meet, which
+//     JoinProbeWith answers by building and scanning.
+//   - A view OWNS the payloads it stores: commit (relation.Absorb)
 //     folds each delta into them in place, so a batch costs what its
 //     delta costs, not what the stored payloads weigh. Every payload
 //     that something else may still reference — inserted from a delta

@@ -5,53 +5,100 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/vo"
 )
 
+// eachMap visits every relation the tree maintains — views, sources and
+// the result — in a deterministic order.
+func eachMap[V any](tr *Tree[V], fn func(name string, m *relation.Map[V])) {
+	var walk func(n *Node[V])
+	walk = func(n *Node[V]) {
+		fn("view "+n.Var(), n.view)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	for _, r := range tr.roots {
+		walk(r)
+	}
+	for _, name := range tr.RelationNames() {
+		fn("source "+name, tr.sources[name].data)
+	}
+	fn("result", tr.result)
+}
+
 // TestIndexRegistration: building a tree registers join-key indexes on
-// every probed part (sibling views and anchored relations), and bulk
-// loads — which replace the underlying maps — re-register them.
+// every probed part (sibling views and anchored relations), and a bulk
+// load — which empties the maps in place and refills them through the
+// delta path — keeps every registration, discards the old contents, and
+// leaves the indexes earlier probes built consistent.
 func TestIndexRegistration(t *testing.T) {
-	tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels})
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Tree[int64] {
+		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	countIndexed := func() (views, sources int) {
-		var walk func(n *Node[int64])
-		walk = func(n *Node[int64]) {
-			if n.view.IndexCount() > 0 {
-				views++
-			}
-			for _, c := range n.children {
-				walk(c)
-			}
-		}
-		for _, r := range tr.roots {
-			walk(r)
-		}
-		for _, s := range tr.sources {
-			if s.data.IndexCount() > 0 {
-				sources++
-			}
-		}
-		return
-	}
-	v0, s0 := countIndexed()
-	if v0 == 0 && s0 == 0 {
+	tr := build()
+	registered := map[string]int{}
+	total := 0
+	eachMap(tr, func(name string, m *relation.Map[int64]) {
+		registered[name] = m.IndexCount()
+		total += m.IndexCount()
+	})
+	if total == 0 {
 		t.Fatal("tree construction registered no indexes")
 	}
-	// Init replaces every view and source map; the registrations must
-	// survive the swap.
-	if err := tr.Init(map[string][]value.Tuple{
-		"R": {value.T(1, 2)}, "S": {value.T(2, 3)}, "T": {value.T(3, 4)},
-	}); err != nil {
+	// Populate and probe: single-tuple updates of every relation build
+	// the indexes of their siblings.
+	rnd := rand.New(rand.NewSource(17))
+	for _, u := range randomStream(rnd, parallelRels, 300) {
+		if err := tr.ApplyUpdates([]Update{u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := 0
+	eachMap(tr, func(_ string, m *relation.Map[int64]) { built += len(m.IndexDumps()) })
+	if built == 0 {
+		t.Fatal("maintenance built no index; the reload below would prove nothing")
+	}
+	data := map[string][]value.Tuple{
+		"R": {value.T(1, 2), value.T(7, 2)}, "S": {value.T(2, 3)}, "T": {value.T(3, 4), value.T(3, 5), value.T(3, 5)},
+	}
+	if err := tr.Init(data); err != nil {
 		t.Fatal(err)
 	}
-	v1, s1 := countIndexed()
-	if v1 != v0 || s1 != s0 {
-		t.Fatalf("bulk load changed index coverage: views %d->%d, sources %d->%d", v0, v1, s0, s1)
+	fresh := build()
+	if err := fresh.Init(data); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := treeState(tr), treeState(fresh); got != want {
+			t.Fatalf("%s: reloaded tree differs from a fresh load:\n%s\nvs\n%s", when, got, want)
+		}
+		eachMap(tr, func(name string, m *relation.Map[int64]) {
+			if m.IndexCount() != registered[name] {
+				t.Fatalf("%s: %s has %d registered indexes, had %d", when, name, m.IndexCount(), registered[name])
+			}
+			if err := m.VerifyIndexes(); err != nil {
+				t.Fatalf("%s: %s: %v", when, name, err)
+			}
+		})
+	}
+	check("after Init")
+	for _, u := range []Update{{Rel: "S", Tuple: value.T(2, 3), Mult: -1}, {Rel: "R", Tuple: value.T(9, 2), Mult: 1}, {Rel: "S", Tuple: value.T(2, 3), Mult: 1}} {
+		if err := tr.ApplyUpdates([]Update{u}); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.ApplyUpdates([]Update{u}); err != nil {
+			t.Fatal(err)
+		}
+		check("after " + u.Rel + " update")
 	}
 }
 
@@ -136,9 +183,10 @@ func TestIndexConcurrentProbeReads(t *testing.T) {
 	}
 }
 
-// TestIndexedSnapshotRoundTrip: restoring a snapshot replaces the
-// source maps and re-derives the views; maintenance after the restore
-// must still run on consistent indexes.
+// TestIndexedSnapshotRoundTrip: restoring a snapshot reloads the
+// sources and re-derives the views — into a fresh tree and into a
+// populated, probed one alike; maintenance after the restore must still
+// run on consistent indexes.
 func TestIndexedSnapshotRoundTrip(t *testing.T) {
 	build := func() *Tree[int64] {
 		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels})
@@ -156,19 +204,36 @@ func TestIndexedSnapshotRoundTrip(t *testing.T) {
 	if err := a.WriteSnapshot(&buf, ring.IntCodec{}); err != nil {
 		t.Fatal(err)
 	}
-	b := build()
-	if err := b.ReadSnapshot(&buf, ring.IntCodec{}); err != nil {
-		t.Fatal(err)
+	b, c := build(), build()
+	for _, u := range randomStream(rand.New(rand.NewSource(6)), parallelRels, 200) {
+		if err := c.ApplyUpdates([]Update{u}); err != nil { // unrelated contents, built indexes
+			t.Fatal(err)
+		}
 	}
-	// Post-restore maintenance exercises the re-registered indexes.
+	for _, tr := range []*Tree[int64]{b, c} {
+		if err := tr.ReadSnapshot(bytes.NewReader(buf.Bytes()), ring.IntCodec{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(when string) {
+		t.Helper()
+		sa, sb, sc := treeState(a), treeState(b), treeState(c)
+		if sa != sb || sb != sc {
+			t.Fatalf("%s: original, fresh restore and restore over old contents differ:\n%s\nvs\n%s\nvs\n%s", when, sa, sb, sc)
+		}
+		eachMap(c, func(name string, m *relation.Map[int64]) {
+			if err := m.VerifyIndexes(); err != nil {
+				t.Fatalf("%s: %s: %v", when, name, err)
+			}
+		})
+	}
+	same("after restore")
+	// Post-restore maintenance exercises the surviving indexes.
 	more := randomStream(rnd, parallelRels, 200)
-	if err := a.ApplyUpdates(more); err != nil {
-		t.Fatal(err)
+	for _, tr := range []*Tree[int64]{a, b, c} {
+		if err := tr.ApplyUpdates(more); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.ApplyUpdates(more); err != nil {
-		t.Fatal(err)
-	}
-	if sa, sb := treeState(a), treeState(b); sa != sb {
-		t.Fatalf("post-restore maintenance diverged:\n%s\nvs\n%s", sa, sb)
-	}
+	same("after post-restore maintenance")
 }

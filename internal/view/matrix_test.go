@@ -81,8 +81,12 @@ func TestMatrixPayloadsOverPathJoin(t *testing.T) {
 	dm := randM()
 	d := relation.New[*ring.Matrix](rels[0].Schema)
 	d.Set(value.T(0, 0), dm)
+	loaded := e1.String()
 	if err := tr.ApplyDelta("E1", d); err != nil {
 		t.Fatal(err)
+	}
+	if got := e1.String(); got != loaded {
+		t.Fatalf("maintenance changed the relation InitWeighted was given:\n%s\nwas\n%s", got, loaded)
 	}
 	e1.Merge(r, value.T(0, 0), dm)
 	got = tr.ResultPayload()

@@ -126,9 +126,9 @@ func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node
 	// persistent indexes rather than scanning their views.
 	dres := d
 	root := path[len(path)-1]
-	t.eachResJoin(root, func(other *Node[V], plan *relation.JoinPlan) {
-		dres = relation.JoinProbeWith(plan, t.ring, dres, other.view)
-	})
+	for _, rj := range root.resJoins {
+		dres = relation.JoinProbeWith(rj.plan, t.ring, dres, rj.other.view)
+	}
 	p.dres = relation.AggregateWith(root.resAgg, t.ring, dres, nil)
 	return p
 }
@@ -137,7 +137,7 @@ func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node
 // node's view under the node's merge lock, the result delta into the
 // query result under the tree's result lock — and returns the number of
 // tuples merged (t.stats stays single-writer, so the caller adds it).
-// Only commit and the source merge write tree state, and MergeAll folds
+// Only commit and the source merge write tree state, and Absorb folds
 // into payloads a view owns IN PLACE, so the lock also covers the stored
 // payloads, besides the view's primary map, built indexes and entry
 // arena. The sequential path takes the same locks uncontended; between
@@ -153,13 +153,13 @@ func (t *Tree[V]) commit(p propagation[V], path []*Node[V]) int {
 		}
 		nd := path[i]
 		nd.mu.Lock()
-		nd.view.MergeAll(t.ring, d)
+		nd.view.Absorb(t.ring, d)
 		nd.mu.Unlock()
 		n += d.Len()
 	}
 	if p.dres != nil && p.dres.Len() > 0 {
 		t.resMu.Lock()
-		t.result.MergeAll(t.ring, p.dres)
+		t.result.Absorb(t.ring, p.dres)
 		t.resMu.Unlock()
 		n += p.dres.Len()
 	}
@@ -185,7 +185,7 @@ func (t *Tree[V]) commit(p propagation[V], path []*Node[V]) int {
 // only determine the ORDER of additions, which associativity and
 // commutativity make irrelevant (bit-identical for exact rings; see
 // SetParallelism for the inexact-float caveat).
-func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], path []*Node[V]) {
+func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], path []*Node[V]) int {
 	// The join key: the anchor's dependency set restricted to the
 	// relation's schema — the attributes through which this delta's
 	// effects flow upward. Tuples agreeing on it land in one partition,
@@ -210,11 +210,11 @@ func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], pat
 		// Hash skew put every tuple in one partition (e.g. a per-key
 		// burst): a goroutine handoff would buy zero parallelism, so
 		// run the sequential body on the original delta.
-		t.applyDeltaSequential(src, delta, path)
+		n := t.applyDeltaSequential(src, delta, path)
 		for _, p := range parts {
 			p.Reset()
 		}
-		return
+		return n
 	}
 	var tuples atomic.Int64
 	var wg sync.WaitGroup
@@ -228,11 +228,11 @@ func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], pat
 	}
 	src.data.MergeAll(t.ring, delta)
 	wg.Wait()
-	t.stats.DeltaTuples += delta.Len() + int(tuples.Load())
 	// Clear the recycled partition slots now rather than at next use:
 	// they share entries with the just-applied delta and would otherwise
 	// pin it in memory while the tree sits idle.
 	for _, p := range parts {
 		p.Reset()
 	}
+	return delta.Len() + int(tuples.Load())
 }

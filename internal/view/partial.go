@@ -7,15 +7,14 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/ring"
-	"repro/internal/value"
 )
 
 // Partial format — a shard's maintained result relation, serialized for
 // cross-shard ring-merging (the wire body of GET /v1/partial):
 //
-//	magic "FIVMPART" | version u8 | codec tag | attr count uvarint |
-//	attrs... | tuple count uvarint |
-//	per tuple: encoded key | payload (ring codec)
+//	magic "FIVMPART" | version u8 | codec tag | relation body
+//	(writeRelation: attr count | attrs... | tuple count |
+//	per tuple: encoded key | payload (ring codec))
 //
 // Unlike a snapshot (which persists input relations and recomputes the
 // views), a partial carries the RESULT relation: partials from shards
@@ -34,39 +33,9 @@ const (
 // codec for payloads. The tree is unchanged.
 func (t *Tree[V]) WritePartial(w io.Writer, codec ring.Codec[V]) error {
 	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, partialMagic); err != nil {
+	writeHeader(bw, partialMagic, partialVersion, codecTag(codec))
+	if err := writeRelation(bw, codec, t.result); err != nil {
 		return err
-	}
-	if err := bw.WriteByte(partialVersion); err != nil {
-		return err
-	}
-	if err := writeString(bw, codecTag(codec)); err != nil {
-		return err
-	}
-	attrs := t.result.Schema().Attrs()
-	if err := writeUvarint(bw, uint64(len(attrs))); err != nil {
-		return err
-	}
-	for _, a := range attrs {
-		if err := writeString(bw, a); err != nil {
-			return err
-		}
-	}
-	if err := writeUvarint(bw, uint64(t.result.Len())); err != nil {
-		return err
-	}
-	var encErr error
-	t.result.Each(func(tp value.Tuple, p V) {
-		if encErr != nil {
-			return
-		}
-		if encErr = writeString(bw, tp.Encode()); encErr != nil {
-			return
-		}
-		encErr = codec.Encode(bw, p)
-	})
-	if encErr != nil {
-		return encErr
 	}
 	return bw.Flush()
 }
@@ -77,65 +46,15 @@ func (t *Tree[V]) WritePartial(w io.Writer, codec ring.Codec[V]) error {
 // or mutate.
 func (t *Tree[V]) ReadPartial(r io.Reader, codec ring.Codec[V]) (*relation.Map[V], error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(partialMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("view: reading partial header: %w", err)
-	}
-	if string(magic) != partialMagic {
-		return nil, fmt.Errorf("view: not a F-IVM partial (magic %q)", magic)
-	}
-	ver, err := br.ReadByte()
+	ver, err := readHeader(br, partialMagic, "partial")
 	if err != nil {
 		return nil, err
 	}
 	if ver != partialVersion {
 		return nil, fmt.Errorf("view: unsupported partial version %d", ver)
 	}
-	tag, err := readString(br)
-	if err != nil {
+	if err := readTag(br, codec, "partial"); err != nil {
 		return nil, err
 	}
-	if want := codecTag(codec); tag != want {
-		return nil, fmt.Errorf("view: partial written with codec %s, merger uses %s", tag, want)
-	}
-	nAttrs, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]string, nAttrs)
-	for i := range attrs {
-		if attrs[i], err = readString(br); err != nil {
-			return nil, err
-		}
-	}
-	schema := value.NewSchema(attrs...)
-	if !schema.Equal(t.result.Schema()) {
-		return nil, fmt.Errorf("view: partial result schema %v, merger has %v", attrs, t.result.Schema().Attrs())
-	}
-	nTuples, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	m := relation.New[V](schema)
-	for i := uint64(0); i < nTuples; i++ {
-		key, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		tp, err := value.DecodeTuple(key)
-		if err != nil {
-			return nil, fmt.Errorf("view: partial tuple: %w", err)
-		}
-		if len(tp) != schema.Len() {
-			return nil, fmt.Errorf("view: partial tuple has %d attributes, schema has %d (corrupt partial?)", len(tp), schema.Len())
-		}
-		p, err := codec.Decode(br)
-		if err != nil {
-			return nil, err
-		}
-		if !t.ring.IsZero(p) { // never stored; a crafted stream must not smuggle one in
-			m.Set(tp, p)
-		}
-	}
-	return m, nil
+	return readRelation(br, t.ring, codec, t.result.Schema(), "partial result")
 }

@@ -2,6 +2,7 @@ package view
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -24,6 +25,9 @@ import (
 // Only the input relations are persisted; views are recomputed on
 // restore (they are pure functions of the sources), which keeps the
 // snapshot small and immune to view-layout changes across versions.
+//
+// The per-relation body (attr count onward) is shared with the partial
+// format: writeRelation / readRelation.
 
 const (
 	snapshotMagic   = "FIVMSNAP"
@@ -45,67 +49,26 @@ func codecTag[V any](codec ring.Codec[V]) string {
 // for payloads. The tree itself is unchanged.
 func (t *Tree[V]) WriteSnapshot(w io.Writer, codec ring.Codec[V]) error {
 	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, snapshotMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(snapshotVersion); err != nil {
-		return err
-	}
-	if err := writeString(bw, codecTag(codec)); err != nil {
-		return err
-	}
+	writeHeader(bw, snapshotMagic, snapshotVersion, codecTag(codec))
 	names := t.RelationNames()
-	if err := writeUvarint(bw, uint64(len(names))); err != nil {
-		return err
-	}
+	writeUvarint(bw, uint64(len(names)))
 	for _, name := range names {
-		src := t.sources[name]
-		if err := writeString(bw, name); err != nil {
+		writeString(bw, name)
+		if err := writeRelation(bw, codec, t.sources[name].data); err != nil {
 			return err
-		}
-		attrs := src.schema.Attrs()
-		if err := writeUvarint(bw, uint64(len(attrs))); err != nil {
-			return err
-		}
-		for _, a := range attrs {
-			if err := writeString(bw, a); err != nil {
-				return err
-			}
-		}
-		if err := writeUvarint(bw, uint64(src.data.Len())); err != nil {
-			return err
-		}
-		var encErr error
-		src.data.Each(func(tp value.Tuple, p V) {
-			if encErr != nil {
-				return
-			}
-			if encErr = writeString(bw, tp.Encode()); encErr != nil {
-				return
-			}
-			encErr = codec.Encode(bw, p)
-		})
-		if encErr != nil {
-			return encErr
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadSnapshot restores the tree's input relations from r and
-// re-evaluates every view bottom-up. The snapshot's relations must
-// match the tree's configuration (names and schemas); any previous
-// contents are discarded.
+// ReadSnapshot restores the tree's input relations from r and loads
+// them as one delta per relation against the emptied tree (see load).
+// The snapshot's relations must match the tree's configuration (names
+// and schemas); any previous contents are discarded, but only once the
+// whole stream has decoded — a bad snapshot leaves the tree untouched.
 func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("view: reading snapshot header: %w", err)
-	}
-	if string(magic) != snapshotMagic {
-		return fmt.Errorf("view: not a F-IVM snapshot (magic %q)", magic)
-	}
-	ver, err := br.ReadByte()
+	ver, err := readHeader(br, snapshotMagic, "snapshot")
 	if err != nil {
 		return err
 	}
@@ -113,24 +76,20 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 	case 1:
 		// Pre-tag format: no codec identification; trust the caller.
 	case snapshotVersion:
-		tag, err := readString(br)
-		if err != nil {
+		if err := readTag(br, codec, "snapshot"); err != nil {
 			return err
-		}
-		if want := codecTag(codec); tag != want {
-			return fmt.Errorf("view: snapshot written with codec %s, engine uses %s", tag, want)
 		}
 	default:
 		return fmt.Errorf("view: unsupported snapshot version %d", ver)
 	}
-	nRels, err := readUvarint(br)
+	nRels, err := binary.ReadUvarint(br)
 	if err != nil {
 		return err
 	}
 	if nRels != uint64(len(t.sources)) {
 		return fmt.Errorf("view: snapshot has %d relations, tree has %d", nRels, len(t.sources))
 	}
-	loaded := map[string]*relation.Map[V]{}
+	loaded := make(map[string]*relation.Map[V], nRels)
 	for i := uint64(0); i < nRels; i++ {
 		name, err := readString(br)
 		if err != nil {
@@ -140,105 +99,134 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 		if !ok {
 			return fmt.Errorf("view: snapshot relation %s not in tree", name)
 		}
-		nAttrs, err := readUvarint(br)
-		if err != nil {
+		if loaded[name], err = readRelation(br, t.ring, codec, src.schema, "snapshot relation "+name); err != nil {
 			return err
 		}
-		attrs := make([]string, nAttrs)
-		for j := range attrs {
-			if attrs[j], err = readString(br); err != nil {
-				return err
-			}
-		}
-		if !value.NewSchema(attrs...).Equal(src.schema) {
-			return fmt.Errorf("view: snapshot schema %v for %s, tree has %v", attrs, name, src.schema)
-		}
-		nTuples, err := readUvarint(br)
-		if err != nil {
-			return err
-		}
-		m := relation.New[V](src.schema)
-		for j := uint64(0); j < nTuples; j++ {
-			key, err := readString(br)
-			if err != nil {
-				return err
-			}
-			tp, err := value.DecodeTuple(key)
-			if err != nil {
-				return fmt.Errorf("view: snapshot tuple in %s: %w", name, err)
-			}
-			if len(tp) != src.schema.Len() {
-				// A desynced (corrupt) payload stream can still decode
-				// into a valid-looking tuple of the wrong arity; error
-				// out rather than panic in the relation layer.
-				return fmt.Errorf("view: snapshot tuple in %s has %d attributes, schema has %d (corrupt snapshot?)", name, len(tp), src.schema.Len())
-			}
-			p, err := codec.Decode(br)
-			if err != nil {
-				return err
-			}
-			if !t.ring.IsZero(p) { // never stored; a crafted stream must not smuggle one in
-				m.Set(tp, p)
-			}
-		}
-		loaded[name] = m
 	}
-	for name, m := range loaded {
-		t.sources[name].data = m
-	}
-	for _, root := range t.roots {
-		t.refresh(root)
-	}
-	t.recomputeResult()
-	t.registerIndexes()
+	t.load(loaded)
 	return nil
 }
 
-// The small binary helpers mirror ring's unexported ones; duplicated
-// here to keep the packages decoupled.
-
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [10]byte
-	n := 0
-	for v >= 0x80 {
-		buf[n] = byte(v) | 0x80
-		v >>= 7
-		n++
-	}
-	buf[n] = byte(v)
-	_, err := w.Write(buf[:n+1])
-	return err
+// writeHeader starts a snapshot or partial stream: magic | version u8 |
+// codec tag.
+func writeHeader(w *bufio.Writer, magic string, version byte, tag string) {
+	w.WriteString(magic)
+	w.WriteByte(version)
+	writeString(w, tag)
 }
 
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	var out uint64
-	var shift uint
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		out |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return out, nil
-		}
-		shift += 7
-		if shift > 63 {
-			return 0, fmt.Errorf("view: varint overflow")
-		}
+// readHeader consumes the magic and returns the version byte; what
+// names the format in errors.
+func readHeader(r *bufio.Reader, magic, what string) (byte, error) {
+	got := make([]byte, len(magic))
+	if _, err := io.ReadFull(r, got); err != nil {
+		return 0, fmt.Errorf("view: reading %s header: %w", what, err)
 	}
+	if string(got) != magic {
+		return 0, fmt.Errorf("view: not a F-IVM %s (magic %q)", what, got)
+	}
+	return r.ReadByte()
 }
 
-func writeString(w *bufio.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
+// readTag consumes the codec tag and rejects a stream another codec
+// wrote.
+func readTag[V any](r *bufio.Reader, codec ring.Codec[V], what string) error {
+	tag, err := readString(r)
+	if err != nil {
 		return err
 	}
-	_, err := w.WriteString(s)
+	if want := codecTag(codec); tag != want {
+		return fmt.Errorf("view: %s written with codec %s, this engine uses %s", what, tag, want)
+	}
+	return nil
+}
+
+// writeRelation writes one relation body:
+//
+//	attr count | attrs... | tuple count | per tuple: encoded key | payload
+func writeRelation[V any](w *bufio.Writer, codec ring.Codec[V], m *relation.Map[V]) error {
+	attrs := m.Schema().Attrs()
+	writeUvarint(w, uint64(len(attrs)))
+	for _, a := range attrs {
+		writeString(w, a)
+	}
+	writeUvarint(w, uint64(m.Len()))
+	var err error
+	m.Each(func(tp value.Tuple, p V) {
+		if err == nil {
+			writeString(w, tp.Encode())
+			err = codec.Encode(w, p)
+		}
+	})
 	return err
+}
+
+// readRelation decodes one relation body, which must be over schema
+// want; what names it in errors. A zero payload is dropped: relations
+// never store one, and a crafted stream must not smuggle one in.
+func readRelation[V any](r *bufio.Reader, rg ring.Ring[V], codec ring.Codec[V], want value.Schema, what string) (*relation.Map[V], error) {
+	nAttrs, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if nAttrs != uint64(want.Len()) {
+		return nil, fmt.Errorf("view: %s has %d attributes, want %v", what, nAttrs, want)
+	}
+	attrs := make([]string, nAttrs)
+	for i := range attrs {
+		if attrs[i], err = readString(r); err != nil {
+			return nil, err
+		}
+	}
+	if !value.NewSchema(attrs...).Equal(want) {
+		return nil, fmt.Errorf("view: %s has schema %v, want %v", what, attrs, want)
+	}
+	nTuples, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	m := relation.New[V](want)
+	for i := uint64(0); i < nTuples; i++ {
+		key, err := readString(r)
+		if err != nil {
+			return nil, err
+		}
+		tp, err := value.DecodeTuple(key)
+		if err != nil {
+			return nil, fmt.Errorf("view: %s tuple: %w", what, err)
+		}
+		if len(tp) != want.Len() {
+			// A desynced (corrupt) payload stream can still decode into a
+			// valid-looking tuple of the wrong arity; error out rather
+			// than panic in the relation layer.
+			return nil, fmt.Errorf("view: %s tuple has %d attributes, schema has %d (corrupt stream?)", what, len(tp), want.Len())
+		}
+		p, err := codec.Decode(r)
+		if err != nil {
+			return nil, err
+		}
+		if !rg.IsZero(p) {
+			m.Set(tp, p)
+		}
+	}
+	return m, nil
+}
+
+// Writes to a bufio.Writer need no per-call check: its first error is
+// sticky and Flush reports it.
+
+func writeUvarint(w *bufio.Writer, v uint64) {
+	var buf [binary.MaxVarintLen64]byte
+	w.Write(buf[:binary.PutUvarint(buf[:], v)])
+}
+
+func writeString(w *bufio.Writer, s string) {
+	writeUvarint(w, uint64(len(s)))
+	w.WriteString(s)
 }
 
 func readString(r *bufio.Reader) (string, error) {
-	n, err := readUvarint(r)
+	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
 	}

@@ -117,6 +117,14 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err := fresh().ReadSnapshot(bytes.NewReader(bad), ring.IntCodec{}); err == nil {
 		t.Error("bad version accepted")
 	}
+	// A crafted attribute count must error before anything is sized by
+	// it: header | tag | relation count | name | attr count.
+	at := 10 + int(buf.Bytes()[9]) + 1
+	at += 1 + int(buf.Bytes()[at])
+	bad = append(append([]byte(nil), buf.Bytes()[:at]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
+	if err := fresh().ReadSnapshot(bytes.NewReader(bad), ring.IntCodec{}); err == nil {
+		t.Error("2^63-attribute relation accepted")
+	}
 	// Truncation at every prefix must error, never panic.
 	for cut := 0; cut < buf.Len(); cut += 7 {
 		if err := fresh().ReadSnapshot(bytes.NewReader(buf.Bytes()[:cut]), ring.IntCodec{}); err == nil {

@@ -43,7 +43,7 @@ type Node[V any] struct {
 
 	// Evaluation plan, fixed at build time: the schema geometry of the
 	// node's part joins and its marginalizing aggregation, plus the
-	// resolved lift. Deriving these per evalNode call costs a dozen
+	// resolved lift. Deriving these per evaluation costs a dozen
 	// allocations — the dominant cost of single-tuple deltas.
 	joinPlans []*relation.JoinPlan
 	aggPlan   *relation.AggPlan
@@ -51,17 +51,24 @@ type Node[V any] struct {
 
 	// Root nodes additionally plan the result-level step of propagate:
 	// joining the other root views and projecting to the result schema.
-	resJoins []*relation.JoinPlan
+	resJoins []resJoin[V]
 	resAgg   *relation.AggPlan
 
 	// mu serializes merges into this node's view — its primary map,
 	// index maintenance, entry arena and the payloads it owns, which
-	// MergeAll folds into in place. Partitions are key-disjoint at the
+	// Absorb folds into in place. Partitions are key-disjoint at the
 	// anchor but can collide on group keys at upper path nodes, and a Go
 	// map tolerates no concurrent writers regardless — so commit takes
-	// the node's lock for the duration of one MergeAll (uncontended on
+	// the node's lock for the duration of one Absorb (uncontended on
 	// the sequential path).
 	mu sync.Mutex
+}
+
+// resJoin is one step of a root's result-level plan: join the
+// accumulated delta with another root's view.
+type resJoin[V any] struct {
+	other *Node[V]
+	plan  *relation.JoinPlan
 }
 
 // Var returns the variable this node marginalizes.
@@ -143,11 +150,6 @@ type Tree[V any] struct {
 	updOrder  []string
 	propSteps []*relation.Map[V]
 	liveParts []*relation.Map[V]
-	// joinScratch recycles the build-side index of the full-recompute
-	// joins (refresh). Only the single-threaded bulk path touches it;
-	// delta propagation probes the persistent view indexes instead and
-	// its parallel workers must not share mutable scratch.
-	joinScratch relation.JoinScratch[V]
 
 	// one and negOne cache the ring's ±1, the payloads of single-tuple
 	// inserts and deletes. Sharing one value across many stored tuples
@@ -229,64 +231,38 @@ func New[V any](spec Spec[V]) (*Tree[V], error) {
 	for _, s := range t.sources {
 		s.path = pathOf(s.anchor)
 	}
-	t.result = relation.New[V](t.resultSchema())
+	resSchema := value.NewSchema()
+	for _, r := range t.roots {
+		resSchema = resSchema.Union(r.keys)
+	}
+	t.result = relation.New[V](resSchema)
 	// Plan each root's result-level step (see propagate): join the other
-	// root views in t.roots order, then project to the result schema.
+	// root views in t.roots order, each probed on its registered index,
+	// then project to the result schema.
 	for _, root := range t.roots {
 		acc := root.keys
 		for _, r := range t.roots {
 			if r != root {
 				pl := relation.PlanJoin(acc, r.keys)
-				root.resJoins = append(root.resJoins, pl)
+				root.resJoins = append(root.resJoins, resJoin[V]{other: r, plan: pl})
+				r.view.AddIndex(pl.RightIndexKey())
 				acc = pl.Out()
 			}
 		}
-		root.resAgg = relation.PlanAggregate(acc, t.result.Schema(), "")
+		root.resAgg = relation.PlanAggregate(acc, resSchema, "")
 	}
-	t.registerIndexes()
 	return t, nil
 }
 
-// registerIndexes declares every persistent join-key index the delta
-// path probes (see JoinProbeWith): on each node's parts — children
+// registerIndexes declares the persistent join-key indexes the delta
+// path probes at n (see JoinProbeWith): on each of n's parts — children
 // views and anchored relations — the projection of the common key the
-// node's build-time join plans probe that part on, and on each root
-// view the keys of the result-level joins of the other roots. Bulk
-// loads replace the underlying maps wholesale, so Init, InitWeighted,
-// and ReadSnapshot re-run this after rebuilding. Registration is cheap:
-// an index materializes lazily on its first probe, so declaring every
-// possible probe direction costs nothing for the directions a workload
-// never updates.
-func (t *Tree[V]) registerIndexes() {
-	for _, root := range t.roots {
-		t.registerNodeIndexes(root)
-	}
-	for _, root := range t.roots {
-		t.eachResJoin(root, func(other *Node[V], plan *relation.JoinPlan) {
-			other.view.AddIndex(plan.RightIndexKey())
-		})
-	}
-}
-
-// eachResJoin pairs each of root's result-level join plans with the
-// other root it joins, in the t.roots order the plans were built in
-// (New). Both the index registration and the propagation replay
-// (propagate's result step) iterate through here, so the
-// plan↔probed-view pairing cannot silently drift between them.
-func (t *Tree[V]) eachResJoin(root *Node[V], fn func(other *Node[V], plan *relation.JoinPlan)) {
-	ji := 0
-	for _, r := range t.roots {
-		if r != root {
-			fn(r, root.resJoins[ji])
-			ji++
-		}
-	}
-}
-
-func (t *Tree[V]) registerNodeIndexes(n *Node[V]) {
-	for _, c := range n.children {
-		t.registerNodeIndexes(c)
-	}
+// node's join plans probe that part on. buildNode runs it once per
+// node: the maps live as long as the tree (a bulk load resets them in
+// place, which keeps registrations). Registration is cheap: an index
+// materializes lazily on its first probe, so a probe direction no
+// workload updates costs nothing.
+func (n *Node[V]) registerIndexes() {
 	if len(n.joinPlans) == 0 {
 		return // single-part node: the delta replaces the only part, nothing is probed
 	}
@@ -345,16 +321,9 @@ func (t *Tree[V]) buildNode(vn *vo.Node, parent *Node[V]) *Node[V] {
 			liftAttr = vn.Var
 		}
 		n.aggPlan = relation.PlanAggregate(acc, keys, liftAttr)
+		n.registerIndexes()
 	}
 	return n
-}
-
-func (t *Tree[V]) resultSchema() value.Schema {
-	s := value.NewSchema()
-	for _, r := range t.roots {
-		s = s.Union(r.keys)
-	}
-	return s
 }
 
 // Ring returns the tree's ring.
@@ -458,32 +427,17 @@ func (n *Node[V]) parts(exclude, repl *relation.Map[V]) []*relation.Map[V] {
 	return out
 }
 
-// evalNode computes the node's view contents from the given parts:
-// join them all, then marginalize the node's variable (unless free),
-// multiplying by its lift. The schema geometry comes from the node's
-// build-time plan; parts must follow the node's fixed order (a delta
-// substitutes a part of identical schema, so the plan stays valid).
-// This is the full-recompute form (bulk refresh): build-and-scan joins
-// with the tree-owned scratch, so it must stay single-threaded.
-func (t *Tree[V]) evalNode(n *Node[V], parts []*relation.Map[V]) *relation.Map[V] {
-	if len(parts) == 0 {
-		return relation.New[V](n.keys)
-	}
-	j := parts[0]
-	for i, p := range parts[1:] {
-		j = relation.JoinWithScratch(n.joinPlans[i], t.ring, j, p, &t.joinScratch)
-	}
-	return relation.AggregateWith(n.aggPlan, t.ring, j, n.liftFn)
-}
-
-// evalNodeDelta is evalNode for delta propagation: every join goes
-// through JoinProbeWith, so the delta-sized operand probes the
-// persistent join-key index of the full-size part instead of the part
-// being scanned — per-update maintenance work proportional to the
-// delta, not the database. Unindexed operands (the intermediate
-// accumulator when it ends up the larger side) fall back to the
-// build-and-scan join. Reads only the parts and immutable plans, never
-// the tree's shared scratch: safe for concurrent propagate workers.
+// evalNodeDelta computes the delta of node n's view from the given
+// parts — the node's operands in their fixed order, one substituted by
+// a delta of identical schema, so the build-time plan stays valid: join
+// them all, then marginalize the node's variable (unless free),
+// multiplying by its lift. Every join goes through JoinProbeWith, so a
+// delta-sized operand probes the persistent join-key index of the
+// full-size part instead of the part being scanned — work proportional
+// to the delta, not the database. An unindexed larger operand (the
+// intermediate accumulator, or the relation a bulk load is applying)
+// falls back to the build-and-scan join. Reads only the parts and
+// immutable plans: safe for concurrent propagate workers.
 //
 // Scope of the O(|delta|) bound: the left fold keeps the node's fixed
 // part order, so the bound holds when the delta substitutes one of the
@@ -507,41 +461,54 @@ func (t *Tree[V]) evalNodeDelta(n *Node[V], parts []*relation.Map[V]) *relation.
 	return relation.AggregateWith(n.aggPlan, t.ring, j, n.liftFn)
 }
 
-// refresh recomputes the subtree bottom-up from current sources; used by
-// bulk initialization.
-func (t *Tree[V]) refresh(n *Node[V]) {
-	for _, c := range n.children {
-		t.refresh(c)
+// load is the one bulk-load path (Init, InitWeighted, ReadSnapshot),
+// and it is the paper's definition of one: the empty database plus one
+// delta per relation. It empties every source, view and the result in
+// place — Reset keeps index registrations, and an index a probe already
+// built stays maintained — then runs each relation through the
+// maintenance path, smallest first: every join on that path sees the
+// relation being loaded as its larger operand, which as a delta carries
+// no index, so JoinProbeWith builds and scans rather than materializing
+// an index on a smaller sibling. data's relations must carry the
+// sources' schemas; they are only read, and the tree holds what it keeps
+// of them flagged shared, so later maintenance never changes the
+// caller's maps. Stats counts ApplyDelta calls, not loads.
+func (t *Tree[V]) load(data map[string]*relation.Map[V]) {
+	for _, s := range t.sources {
+		s.data.Reset()
+		for _, n := range s.path { // a view holds only what some path committed into it
+			n.view.Reset()
+		}
 	}
-	n.view = t.evalNode(n, n.parts(nil, nil))
-}
-
-// recomputeResult rebuilds the root result from the root views.
-func (t *Tree[V]) recomputeResult() {
-	res := t.roots[0].view
-	for _, r := range t.roots[1:] {
-		res = relation.Join(t.ring, res, r.view)
+	t.result.Reset()
+	names := make([]string, 0, len(data))
+	for name := range data {
+		names = append(names, name)
 	}
-	t.result = relation.Aggregate(t.ring, res, t.resultSchema(), "", nil)
+	sort.Slice(names, func(i, j int) bool {
+		if li, lj := data[names[i]].Len(), data[names[j]].Len(); li != lj {
+			return li < lj
+		}
+		return names[i] < names[j]
+	})
+	for _, name := range names {
+		t.apply(t.sources[name], data[name])
+	}
 }
 
 // Init bulk-loads the given tuples (payload One each, duplicates
-// accumulate) into the sources and evaluates every view bottom-up. Any
-// previous contents are discarded.
+// accumulate) as one delta per relation against the empty tree (see
+// load). Any previous contents are discarded.
 func (t *Tree[V]) Init(data map[string][]value.Tuple) error {
-	for name := range data {
-		if _, ok := t.sources[name]; !ok {
+	loaded := make(map[string]*relation.Map[V], len(data))
+	for name, tuples := range data {
+		s, ok := t.sources[name]
+		if !ok {
 			return fmt.Errorf("view: Init: unknown relation %s", name)
 		}
+		loaded[name] = relation.FromTuples(t.ring, s.schema, tuples)
 	}
-	for _, s := range t.sources {
-		s.data = relation.FromTuples(t.ring, s.schema, data[s.name])
-	}
-	for _, r := range t.roots {
-		t.refresh(r)
-	}
-	t.recomputeResult()
-	t.registerIndexes()
+	t.load(loaded)
 	return nil
 }
 
@@ -550,7 +517,7 @@ func (t *Tree[V]) Init(data map[string][]value.Tuple) error {
 // interpretations load data — e.g. matrix chain multiplication stores
 // matrix entries as the payloads of index tuples. Relations absent from
 // data start empty. Any previous contents are discarded; the given
-// relations are cloned, not aliased.
+// relations are read, not aliased (see load).
 func (t *Tree[V]) InitWeighted(data map[string]*relation.Map[V]) error {
 	for name, m := range data {
 		s, ok := t.sources[name]
@@ -561,17 +528,6 @@ func (t *Tree[V]) InitWeighted(data map[string]*relation.Map[V]) error {
 			return fmt.Errorf("view: InitWeighted: relation %s has schema %v, want %v", name, m.Schema(), s.schema)
 		}
 	}
-	for _, s := range t.sources {
-		if m, ok := data[s.name]; ok {
-			s.data = m.Clone()
-		} else {
-			s.data = relation.New[V](s.schema)
-		}
-	}
-	for _, r := range t.roots {
-		t.refresh(r)
-	}
-	t.recomputeResult()
-	t.registerIndexes()
+	t.load(data)
 	return nil
 }

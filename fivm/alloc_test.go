@@ -33,11 +33,12 @@ const (
 	maxAllocsCountSingle = 60
 	// maxAllocsAnalysisSingle bounds the same pair on the analysis
 	// engine (relational-COVAR ring, one categorical and two continuous
-	// features): every payload is a compound of Go maps, so this is the
-	// pin that moves when a commit goes back to copying stored payloads.
-	// Measured 130 allocs for the pair with in-place commits, 250 with
-	// pure-Add commits.
-	maxAllocsAnalysisSingle = 160
+	// features). A payload is a header plus one pointer-free coefficient
+	// slice, so a lift or product costs two allocations whatever the
+	// degree and an in-place commit none. Measured 60 allocs for the pair
+	// (the scalar covar engine's number); was 130 when every payload was
+	// a compound of Go maps, 250 with pure-Add commits on top of that.
+	maxAllocsAnalysisSingle = 75
 )
 
 func allocFixtureData() map[string][]value.Tuple {

@@ -50,6 +50,38 @@ func TestClonePayloadIsIsolated(t *testing.T) {
 	}
 }
 
+// A published AnalysisModel's payload is a copy of the coefficient
+// slice, not a window onto it: the commits that follow fold into the
+// live payload in place (known keys) or replace its slice (new keys),
+// and neither may show through the model.
+func TestPublishedAnalysisPayloadIsACopy(t *testing.T) {
+	an := cloneFixture(t)
+	// Two commits first, so the tree owns the result payload and folds
+	// into it in place (the first commit after a load copies on write).
+	for _, mult := range []int{1, -1} {
+		if err := an.Apply([]view.Update{{Rel: "R", Tuple: value.T(5, "x"), Mult: mult}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model := an.PublishModel(nil).(*fivm.AnalysisModel)
+	frozen, rendered := model.Payload.Clone(), model.Payload.String()
+	for _, ups := range [][]view.Update{
+		{{Rel: "R", Tuple: value.T(2, "x"), Mult: 1}},   // every key known: in place
+		{{Rel: "R", Tuple: value.T(9, "new"), Mult: 1}}, // a new category: one merge
+		{{Rel: "R", Tuple: value.T(2, "y"), Mult: -1}},  // category y cancels away
+	} {
+		if err := an.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		if !model.Payload.Equal(frozen) || model.Payload.String() != rendered {
+			t.Fatalf("published payload changed after %v:\n%v\nwant\n%s", ups, model.Payload, rendered)
+		}
+	}
+	if an.Payload().Equal(frozen) || model.Count() != 3 {
+		t.Fatalf("live count %v, model count %v: the engine should have moved on alone", an.Payload().CountScalar(), model.Count())
+	}
+}
+
 func TestCloneViewIsIsolated(t *testing.T) {
 	an := cloneFixture(t)
 	cv := an.CloneView()

@@ -77,6 +77,9 @@ func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
 		attrs = attrs.Union(rels[i].Schema)
 	}
 	m := len(cfg.Features)
+	if m > ring.MaxRelCovarDegree {
+		return nil, fmt.Errorf("fivm: %d features configured, the analysis ring holds at most %d", m, ring.MaxRelCovarDegree)
+	}
 	rg := ring.NewRelCovarRing(m)
 	lifts := make(map[string]ring.Lift[*ring.RelCovar], m)
 	feats := make([]ml.Feature, m)

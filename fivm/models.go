@@ -41,7 +41,7 @@ type AnalysisModel struct {
 func (m *AnalysisModel) Kind() Kind { return KindAnalysis }
 
 // Count returns the number of tuples in the maintained join (SUM(1)).
-func (m *AnalysisModel) Count() float64 { return m.Payload.Count().Scalar() }
+func (m *AnalysisModel) Count() float64 { return m.Payload.CountScalar() }
 
 // Predict evaluates the ridge model on the given feature values
 // (attribute name -> value). Continuous features coerce to float;
@@ -67,7 +67,7 @@ func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
 		}
 		if col.IsCat {
 			if w := m.BinWidths[col.Attr]; w > 0 {
-				v = value.Int(binFor(v.AsFloat(), w))
+				v = value.Int(ring.Bin(v.AsFloat(), w))
 			}
 			if v.Equal(col.Category) {
 				vec[i] = 1
@@ -144,16 +144,6 @@ func (m *AnalysisModel) SelectFeatures(label string, threshold float64) ([]ml.Ra
 		return nil, nil, err
 	}
 	return ml.SelectFeatures(mi, label, threshold)
-}
-
-// binFor mirrors ring.LiftBinned's discretization exactly, so Predict
-// inputs land in the same bins the payload was built with.
-func binFor(f, width float64) int64 {
-	bin := int64(f / width)
-	if f < 0 {
-		bin--
-	}
-	return bin
 }
 
 // TableRow is one row of a TableModel: the (decoded) key tuple and the

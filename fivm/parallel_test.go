@@ -472,3 +472,72 @@ func TestParallelEquivalenceCategorical(t *testing.T) {
 		t.Fatal("RelCovar payloads differ structurally")
 	}
 }
+
+// TestParallelLiftsOfUnseenCategories: propagate workers lifting
+// category values nobody has seen before intern them concurrently
+// (ring's category dictionary; run under -race). The parallel engine
+// must match a sequential one after every batch, and the ids must be
+// stable afterwards: a fresh engine fed the same stream later, when
+// every value is already known, arrives at an equal payload.
+func TestParallelLiftsOfUnseenCategories(t *testing.T) {
+	cfg := fivm.Config{
+		Relations: equivRelations(),
+		Features: []fivm.FeatureSpec{
+			{Attr: "A", Categorical: true},
+			{Attr: "C", Categorical: true},
+			{Attr: "D", Categorical: true},
+		},
+	}
+	open := func(workers int) *fivm.Analysis {
+		e, err := fivm.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 0 {
+			forceParallel(t, e, workers)
+		}
+		return e.(*fivm.Analysis)
+	}
+	seq, par := open(0), open(4)
+	var batches [][]view.Update
+	for b := 0; b < 4; b++ {
+		var ups []view.Update
+		for i := 0; i < 32; i++ {
+			// Join keys (B, C) stay dense so the three relations join;
+			// A and D carry a value unique to this test, batch and row.
+			fresh := fmt.Sprintf("unseen-%d-%d", b, i)
+			ups = append(ups,
+				view.Update{Rel: "R", Tuple: value.T(fresh, i%4), Mult: 1},
+				view.Update{Rel: "T", Tuple: value.T(i%3, "d-"+fresh), Mult: 1})
+			if b == 0 && i < 12 {
+				ups = append(ups, view.Update{Rel: "S", Tuple: value.T(i%4, i%3), Mult: 1})
+			}
+		}
+		batches = append(batches, ups)
+	}
+	for b, ups := range batches {
+		for _, e := range []*fivm.Analysis{seq, par} {
+			if err := e.Apply(ups); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !seq.Payload().Equal(par.Payload()) {
+			t.Fatalf("batch %d: parallel payload differs from sequential", b)
+		}
+		if s, p := snapshotState(t, seq), snapshotState(t, par); s != p {
+			t.Fatalf("batch %d: state diverged:\n%s\nvs\n%s", b, s, p)
+		}
+	}
+	if seq.Payload() == nil {
+		t.Fatal("the stream joined nothing")
+	}
+	late := open(4)
+	for _, ups := range batches {
+		if err := late.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !late.Payload().Equal(par.Payload()) {
+		t.Fatal("an engine fed the same stream later disagrees: category ids moved")
+	}
+}

@@ -109,101 +109,115 @@ func SigmaFromRelCovar(c *ring.RelCovar, feats []Feature) (*SigmaMatrix, error) 
 	if c == nil {
 		return nil, fmt.Errorf("ml: nil payload (empty join result)")
 	}
-	// Collect categories per categorical feature from the s vector.
-	catsOf := make(map[string][]value.Value)
-	for _, f := range feats {
-		if !f.Categorical {
-			continue
+	// featAt maps a ring index to the feature's position in feats.
+	featAt := make([]int, c.Degree())
+	for i := range featAt {
+		featAt[i] = -1
+	}
+	for a, f := range feats {
+		if f.Index < 0 || f.Index >= len(featAt) {
+			return nil, fmt.Errorf("ml: feature %s has index %d outside the degree-%d payload", f.Name, f.Index, len(featAt))
 		}
-		s := c.Sum(f.Index)
-		cats := make([]value.Value, 0, s.Len())
-		for k := range s {
-			tp := value.MustDecodeTuple(k)
-			if len(tp) != 1 {
-				return nil, fmt.Errorf("ml: s_%s holds tuple %v, want arity 1", f.Name, tp)
-			}
-			cats = append(cats, tp[0])
-		}
-		sort.Slice(cats, func(i, j int) bool { return cats[i].Compare(cats[j]) < 0 })
-		catsOf[f.Name] = cats
+		featAt[f.Index] = a
 	}
 
+	// Categories per categorical feature come from the s vector, which
+	// the payload stores ahead of Q.
+	type category struct {
+		id  ring.CatID
+		val value.Value
+	}
+	catsOf := make([][]category, len(feats))
+	var err error
+	c.Visit(func(i, j int, p1, _ ring.CatID, _ float64) bool {
+		if j >= 0 {
+			return false
+		}
+		if i < 0 || featAt[i] < 0 || !feats[featAt[i]].Categorical {
+			return true
+		}
+		a := featAt[i]
+		if p1 == 0 {
+			err = fmt.Errorf("ml: s_%s holds tuple (), want arity 1", feats[a].Name)
+			return false
+		}
+		catsOf[a] = append(catsOf[a], category{p1, value.MustDecodeTuple(ring.CategoryKey(p1))[0]})
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// colOf maps (feature position, category id) to the expanded column;
+	// a continuous feature's one column sits under id 0.
+	colKey := func(a int, id ring.CatID) uint64 { return uint64(a)<<32 | uint64(id) }
+	colOf := make(map[uint64]int)
 	var cols []Column
-	colIdx := map[string]int{} // "attr\x00encodedCat" -> column
-	for _, f := range feats {
-		if f.Categorical {
-			for _, cat := range catsOf[f.Name] {
-				colIdx[f.Name+"\x00"+value.Tuple{cat}.Encode()] = len(cols)
-				cols = append(cols, Column{Attr: f.Name, Category: cat, IsCat: true})
-			}
-		} else {
-			colIdx[f.Name+"\x00"] = len(cols)
+	for a, f := range feats {
+		if !f.Categorical {
+			colOf[colKey(a, 0)] = len(cols)
 			cols = append(cols, Column{Attr: f.Name})
+			continue
+		}
+		cs := catsOf[a]
+		sort.Slice(cs, func(x, y int) bool { return cs[x].val.Compare(cs[y].val) < 0 })
+		for _, ct := range cs {
+			colOf[colKey(a, ct.id)] = len(cols)
+			cols = append(cols, Column{Attr: f.Name, Category: ct.val, IsCat: true})
 		}
 	}
 	n := len(cols)
 	m := &SigmaMatrix{n: n, Cols: cols, Sum: make([]float64, n), Data: make([]float64, n*n)}
-	m.Count = c.Count().Scalar()
 
-	// Sums.
-	for _, f := range feats {
-		s := c.Sum(f.Index)
-		if f.Categorical {
-			for k, v := range s {
-				m.Sum[colIdx[f.Name+"\x00"+k]] = v
+	c.Visit(func(i, j int, p1, p2 ring.CatID, v float64) bool {
+		switch {
+		case i < 0:
+			m.Count = v
+		case j < 0:
+			// A continuous feature reads its scalar; any keyed
+			// coefficient in its slot finds no column.
+			if a := featAt[i]; a >= 0 {
+				if col, ok := colOf[colKey(a, p1)]; ok {
+					m.Sum[col] = v
+				}
 			}
-		} else {
-			m.Sum[colIdx[f.Name+"\x00"]] = s.Scalar()
-		}
-	}
-
-	// Products. Q entries for i <= j store tuple keys with the i-part
-	// first.
-	for a := 0; a < len(feats); a++ {
-		for b := a; b < len(feats); b++ {
-			fa, fb := feats[a], feats[b]
-			q := c.Prod(fa.Index, fb.Index)
-			if a == b && fa.Categorical {
-				// Diagonal of a categorical attribute: Q_XX = {x -> count},
-				// arity 1; off-category entries are zero (one-hot columns
-				// are orthogonal).
-				for k, v := range q {
-					ci := colIdx[fa.Name+"\x00"+k]
-					m.set(ci, ci, v)
-				}
-				continue
+		default:
+			a, b := featAt[i], featAt[j]
+			if a < 0 || b < 0 {
+				return true
 			}
-			// Orient: Prod(i,j) with i<=j by ring index.
-			swapped := fa.Index > fb.Index
-			for k, v := range q {
-				tp := value.MustDecodeTuple(k)
-				first, second := fa, fb
-				if swapped {
-					first, second = fb, fa
-				}
-				pos := 0
-				ci, cj := -1, -1
-				if first.Categorical {
-					ci = colIdx[first.Name+"\x00"+value.Tuple{tp[pos]}.Encode()]
-					pos++
-				} else {
-					ci = colIdx[first.Name+"\x00"]
-				}
-				if second.Categorical {
-					cj = colIdx[second.Name+"\x00"+value.Tuple{tp[pos]}.Encode()]
-					pos++
-				} else {
-					cj = colIdx[second.Name+"\x00"]
-				}
-				if pos != len(tp) {
-					return nil, fmt.Errorf("ml: Q_%s,%s tuple %v has unexpected arity", fa.Name, fb.Name, tp)
-				}
-				if swapped {
-					ci, cj = cj, ci
-				}
+			// Q_ij keys carry the i-part first, left-packed: the parts
+			// present are those of the categorical features, in order.
+			// The diagonal of a categorical attribute is Q_XX = {x ->
+			// count}: one part naming both columns (one-hot columns of
+			// distinct categories are orthogonal).
+			ida, idb := ring.CatID(0), ring.CatID(0)
+			rest := [2]ring.CatID{p1, p2}
+			if feats[a].Categorical {
+				ida, rest = rest[0], [2]ring.CatID{rest[1], 0}
+			}
+			if i == j {
+				idb = ida
+			} else if feats[b].Categorical {
+				idb, rest = rest[0], [2]ring.CatID{rest[1], 0}
+			}
+			if rest[0] != 0 || (ida == 0) == feats[a].Categorical || (idb == 0) == feats[b].Categorical {
+				err = fmt.Errorf("ml: Q_%s,%s key (%q, %q) has unexpected arity",
+					feats[a].Name, feats[b].Name, ring.CategoryKey(p1), ring.CategoryKey(p2))
+				return false
+			}
+			// A category the s vector does not list (its count cancelled
+			// while signed products remain) has no column to land in.
+			ci, okA := colOf[colKey(a, ida)]
+			cj, okB := colOf[colKey(b, idb)]
+			if okA && okB {
 				m.set(ci, cj, v)
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -156,3 +156,67 @@ func TestSigmaFromRelCovarNil(t *testing.T) {
 		t.Error("nil payload accepted")
 	}
 }
+
+// TestSigmaFromRelCovarFeatureOrder: feats may list the features in any
+// order and any subset; columns follow feats, values follow the ring
+// indexes.
+func TestSigmaFromRelCovarFeatureOrder(t *testing.T) {
+	r := ring.NewRelCovarRing(3)
+	total := r.Zero()
+	for _, rw := range []struct {
+		c    string
+		x, y float64
+	}{{"a", 1, 10}, {"b", 2, 20}, {"a", 3, 30}} {
+		p := r.Mul(r.Mul(r.LiftContinuous(0)(value.Float(rw.x)), r.LiftCategorical(1)(value.String(rw.c))), r.LiftContinuous(2)(value.Float(rw.y)))
+		total = r.Add(total, p)
+	}
+	m, err := SigmaFromRelCovar(total, []Feature{
+		{Name: "y", Index: 2},
+		{Name: "c", Categorical: true, Index: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Dim() != 3 || m.Cols[0].Attr != "y" || m.Cols[1].Label() != "c=a" || m.Cols[2].Label() != "c=b" {
+		t.Fatalf("columns = %+v", m.Cols)
+	}
+	if m.Sum[0] != 60 || m.Sum[1] != 2 || m.At(0, 1) != 40 || m.At(2, 0) != 20 || m.At(1, 1) != 2 || m.At(0, 0) != 1400 {
+		t.Errorf("sums %v, Q(y,c=a) %v, Q(c=b,y) %v, Q(c=a,c=a) %v, Q(y,y) %v",
+			m.Sum, m.At(0, 1), m.At(2, 0), m.At(1, 1), m.At(0, 0))
+	}
+}
+
+// TestSigmaFromRelCovarMistypedFeatures: a feature declared with the
+// wrong kind is reported, not read out of a wrong column.
+func TestSigmaFromRelCovarMistypedFeatures(t *testing.T) {
+	r := ring.NewRelCovarRing(2)
+	p := r.Mul(r.LiftCategorical(0)(value.String("u")), r.LiftContinuous(1)(value.Float(2)))
+	for name, feats := range map[string][]Feature{
+		"continuous declared categorical": {{Name: "p", Categorical: true, Index: 0}, {Name: "q", Categorical: true, Index: 1}},
+		"categorical declared continuous": {{Name: "p", Index: 0}, {Name: "q", Index: 1}},
+		"index outside the payload":       {{Name: "p", Categorical: true, Index: 2}},
+	} {
+		if m, err := SigmaFromRelCovar(p, feats); err == nil {
+			t.Errorf("%s: accepted, columns %+v", name, m.Cols)
+		}
+	}
+}
+
+// TestSigmaFromRelCovarCancelledCategory: after a delete cancels a
+// category's count while signed products of it remain, the category has
+// no column and its leftovers are left out.
+func TestSigmaFromRelCovarCancelledCategory(t *testing.T) {
+	r := ring.NewRelCovarRing(2)
+	row := func(c string, x float64) *ring.RelCovar {
+		return r.Mul(r.LiftCategorical(0)(value.String(c)), r.LiftContinuous(1)(value.Float(x)))
+	}
+	// +(u,1) -(u,3) +(v,2): s_c(u) cancels, Q_cx(u) = -2 remains.
+	total := r.Add(r.Add(row("u", 1), r.Neg(row("u", 3))), row("v", 2))
+	m, err := SigmaFromRelCovar(total, []Feature{{Name: "c", Categorical: true, Index: 0}, {Name: "x", Index: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Dim() != 2 || m.Cols[0].Label() != "c=v" || m.At(0, 1) != 2 || m.Count != 1 {
+		t.Errorf("columns %+v, Q(c=v,x) = %v, count %v", m.Cols, m.At(0, 1), m.Count)
+	}
+}

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+
+	"repro/internal/value"
 )
 
 // Codec serializes ring payloads for snapshots. Implementations must
@@ -69,18 +72,31 @@ func writeString(w io.Writer, s string) error {
 }
 
 func readString(r io.Reader) (string, error) {
+	buf, err := readBytes(r, nil)
+	return string(buf), err
+}
+
+// readBytes reads a length-prefixed string into buf's backing array,
+// growing it in bounded steps so a corrupt length allocates no more
+// than the stream really holds.
+func readBytes(r io.Reader, buf []byte) ([]byte, error) {
 	n, err := readUvarint(r)
 	if err != nil {
-		return "", err
+		return buf, err
 	}
 	if n > maxDecodeLen {
-		return "", fmt.Errorf("ring: string length %d exceeds limit", n)
+		return buf, fmt.Errorf("ring: string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	buf = buf[:0]
+	for rest := int(n); rest > 0; {
+		step := min(rest, 1<<16)
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return buf, err
+		}
+		rest -= step
 	}
-	return string(buf), nil
+	return buf, nil
 }
 
 // IntCodec serializes Z-ring payloads.
@@ -132,7 +148,8 @@ func (RelValCodec) Encode(w io.Writer, v RelVal) error {
 	return nil
 }
 
-// Decode reads a relational value; zero tuples decode to nil.
+// Decode reads a relational value. Zero coefficients are dropped — a
+// RelVal holds none — and a value left with no tuple decodes to nil.
 func (RelValCodec) Decode(r io.Reader) (RelVal, error) {
 	n, err := readUvarint(r)
 	if err != nil {
@@ -144,7 +161,7 @@ func (RelValCodec) Decode(r io.Reader) (RelVal, error) {
 	if n > maxDecodeLen {
 		return nil, fmt.Errorf("ring: relation size %d exceeds limit", n)
 	}
-	out := make(RelVal, n)
+	out := make(RelVal, min(n, 1024)) // a hint only: n is unverified input
 	for i := uint64(0); i < n; i++ {
 		k, err := readString(r)
 		if err != nil {
@@ -154,7 +171,12 @@ func (RelValCodec) Decode(r io.Reader) (RelVal, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[k] = c
+		if c != 0 {
+			out[k] = c
+		}
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
 }
@@ -302,7 +324,11 @@ type RelCovarCodec struct{ Ring RelCovarRing }
 // Tag names this codec configuration, including the degree.
 func (c RelCovarCodec) Tag() string { return fmt.Sprintf("ring.RelCovarCodec[m=%d]", c.Ring.m) }
 
-// Encode writes a presence flag and the relational components.
+// Encode writes a presence flag and then, slot by slot (c, s_0..s_m-1,
+// the packed upper triangle of Q), the coefficient count followed by
+// (concatenated tuple key, coefficient) pairs — the relational ring's
+// wire form of each component, whatever the in-memory layout. The whole
+// payload goes out in one Write.
 func (c RelCovarCodec) Encode(w io.Writer, v *RelCovar) error {
 	if v == nil {
 		return writeUvarint(w, 0)
@@ -310,27 +336,33 @@ func (c RelCovarCodec) Encode(w io.Writer, v *RelCovar) error {
 	if v.m != c.Ring.m {
 		return fmt.Errorf("ring: encoding degree-%d payload with degree-%d codec", v.m, c.Ring.m)
 	}
-	if err := writeUvarint(w, 1); err != nil {
-		return err
-	}
-	var rc RelValCodec
-	if err := rc.Encode(w, v.C); err != nil {
-		return err
-	}
-	for _, s := range v.S {
-		if err := rc.Encode(w, s); err != nil {
-			return err
+	names := cats.snapshot()
+	buf := binary.AppendUvarint(make([]byte, 0, 2+slotCount(v.m)+24*len(v.e)), 1)
+	rest := v.e
+	for slot := 0; slot < slotCount(v.m); slot++ {
+		n := 0
+		for n < len(rest) && rest[n].slot() == slot {
+			n++
 		}
-	}
-	for _, q := range v.Q {
-		if err := rc.Encode(w, q); err != nil {
-			return err
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for _, e := range rest[:n] {
+			k1, k2 := names[e.part1()], names[e.part2()]
+			buf = binary.AppendUvarint(buf, uint64(len(k1)+len(k2)))
+			buf = append(append(buf, k1...), k2...)
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.v))
 		}
+		rest = rest[n:]
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
-// Decode reads one payload (nil for the zero flag).
+// Decode reads one payload (nil for the zero flag). It keeps the ring's
+// invariants whatever the stream holds: zero coefficients are dropped
+// (a payload left with none decodes to nil), and a key the ring cannot
+// produce — a count key with any part, an s key of more than one, a Q
+// key of more than two, a key repeated within its slot, malformed
+// bytes — is an error.
 func (c RelCovarCodec) Decode(r io.Reader) (*RelCovar, error) {
 	flag, err := readUvarint(r)
 	if err != nil {
@@ -339,22 +371,71 @@ func (c RelCovarCodec) Decode(r io.Reader) (*RelCovar, error) {
 	if flag == 0 {
 		return nil, nil
 	}
-	out := c.Ring.One()
-	var rc RelValCodec
-	if out.C, err = rc.Decode(r); err != nil {
-		return nil, err
-	}
-	for i := range out.S {
-		if out.S[i], err = rc.Decode(r); err != nil {
+	m := c.Ring.m
+	var e []coef
+	var kbuf []byte
+	for slot := 0; slot < slotCount(m); slot++ {
+		n, err := readUvarint(r)
+		if err != nil {
 			return nil, err
 		}
-	}
-	for i := range out.Q {
-		if out.Q[i], err = rc.Decode(r); err != nil {
-			return nil, err
+		if n > maxDecodeLen {
+			return nil, fmt.Errorf("ring: relation size %d exceeds limit", n)
+		}
+		maxParts := 2
+		if slot == 0 {
+			maxParts = 0
+		} else if slot <= m {
+			maxParts = 1
+		}
+		for ; n > 0; n-- {
+			if kbuf, err = readBytes(r, kbuf); err != nil {
+				return nil, err
+			}
+			v, err := readFloat(r)
+			if err != nil {
+				return nil, err
+			}
+			p1, p2, err := internKey(kbuf, maxParts)
+			if err != nil {
+				return nil, fmt.Errorf("ring: slot %d of a degree-%d payload: %w", slot, m, err)
+			}
+			if v != 0 {
+				e = append(e, coef{packKey(slot, p1, p2), v})
+			}
 		}
 	}
-	return out, nil
+	slices.SortFunc(e, byKey)
+	for i := 1; i < len(e); i++ {
+		if e[i].key == e[i-1].key {
+			return nil, fmt.Errorf("ring: slot %d of a degree-%d payload repeats a key", e[i].slot(), m)
+		}
+	}
+	return c.Ring.wrap(e), nil
+}
+
+// internKey cuts a concatenated tuple key into its single-value parts
+// and returns their ids, left-packed as packKey expects. Nothing is
+// interned unless the whole key is well-formed.
+func internKey(key []byte, maxParts int) (p1, p2 CatID, err error) {
+	var cut [2]int
+	n := 0
+	for rest := key; len(rest) > 0; n++ {
+		if n == maxParts {
+			return 0, 0, fmt.Errorf("key has more than %d parts", maxParts)
+		}
+		if cut[n], err = value.EncodedValueLen(rest); err != nil {
+			return 0, 0, err
+		}
+		rest = rest[cut[n]:]
+	}
+	if n > 0 {
+		p1, err = cats.intern(key[:cut[0]])
+	}
+	if n > 1 && err == nil {
+		p2, err = cats.intern(key[cut[0]:])
+	}
+	return p1, p2, err
 }
 
 // BufferedEncode wraps enc in a bufio.Writer for callers doing many

@@ -15,7 +15,10 @@
 //     the compound aggregate (c, s, Q) for continuous attributes.
 //   - RelCovar: the degree-m matrix ring over relational values, the
 //     composition that supports one-hot-encoded categorical attributes
-//     and the mutual-information count tables.
+//     and the mutual-information count tables. Stored flat (see "The
+//     RelCovar layout" below); Relational and RelVal remain the scalar
+//     domain it is defined over, the join engine's payload, and what
+//     its Count/Sum/Prod accessors hand out.
 //   - RangedCovar: the COVAR ring with ranged payloads (the paper's
 //     Figure 2d), where each view carries only its own subtree's
 //     aggregate indexes.
@@ -41,6 +44,42 @@
 //
 // merge_test.go pins the first two invariants property-style for every
 // ring.
+//
+// # The RelCovar layout
+//
+// A RelCovar is one slice of {key uint64, v float64} coefficients,
+// sorted by key, with no zero coefficient; nil is its only zero. The
+// key packs a 16-bit slot (0 = c, 1+i = s_i, 1+m+tri(i,j) = Q_ij over
+// the packed upper triangle) above two 24-bit CatIDs, the ids of the
+// encoded category values forming the coefficient's tuple key. A
+// continuous attribute contributes no part (id 0) and the parts that
+// are present are left-packed, which mirrors string concatenation with
+// an empty key: packed keys are equal exactly when the concatenated
+// tuple keys of the relational ring are, so the layout changes no
+// result — relcovar_ref_test.go keeps the map-per-component formulas
+// and checks every operation against them.
+//
+// CatIDs come from one append-only dictionary, package-level by design
+// (catdict.go): payloads meet by key across engines, decoded shard
+// partials and references, so equal values must carry equal ids
+// process-wide. It interns under an RWMutex — lifts on parallel
+// propagate workers and codecs call it concurrently — grows by one
+// string per distinct category value ever lifted or decoded, never
+// shrinks or renumbers, and is full at 2^24 values: from then on
+// RelCovarCodec.Decode returns an error for an unseen value and a lift
+// panics (Lift has no error result). Degrees stop at
+// MaxRelCovarDegree, the slot bits' reach.
+//
+// Operations are merges of sorted runs: Mul scales both operands by the
+// other's count and merges them with the sorted s × s cross terms into
+// one allocation; AddInto folds in place, seeking by galloping search,
+// while every key of the addend is already present and nothing
+// cancels, then finishes with one exact-size merge; Add, Neg, Clone and
+// Equal are linear. The coefficients hold no pointers, so the garbage
+// collector never scans a payload. RelCovarCodec writes the relational
+// ring's wire form (per slot a count, then (tuple key, coefficient)
+// pairs), unchanged from the map layout, and on decode drops zero
+// coefficients and rejects keys the ring cannot produce.
 //
 // # Scratch extensions and ownership
 //

@@ -179,24 +179,9 @@ func (Relational) Neg(a RelVal) RelVal {
 // IsZero reports whether a is the empty relation.
 func (Relational) IsZero(a RelVal) bool { return len(a) == 0 }
 
-// relScale returns c*a without allocating when c == 1.
-func relScale(a RelVal, c float64) RelVal {
-	if c == 0 || len(a) == 0 {
-		return nil
-	}
-	if c == 1 {
-		return a
-	}
-	out := make(RelVal, len(a))
-	for k, v := range a {
-		out[k] = v * c
-	}
-	return out
-}
-
 // relAddInto accumulates src (scaled by c) into dst, returning dst
 // (allocating it if nil). It is the package-internal mutable fast path
-// used by RelCovar operations on freshly allocated accumulators.
+// behind Relational's Scratch/FMA extensions.
 func relAddInto(dst, src RelVal, c float64) RelVal {
 	if c == 0 || len(src) == 0 {
 		return dst

@@ -1,7 +1,10 @@
 package ring
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
@@ -9,44 +12,113 @@ import (
 
 // RelCovar is a value of the generalized degree-m matrix ring: the
 // compound aggregate (c, s, Q) whose entries are relational values
-// instead of scalars. Continuous attributes store 0-dimensional
-// relations ({() -> v}); categorical attributes store their one-hot
+// instead of scalars. Continuous attributes contribute 0-dimensional
+// relations ({() -> v}); categorical attributes contribute their one-hot
 // encoding compactly as {x -> 1} tensors, so Q_XY entries are 0-, 1-, or
 // 2-dimensional tensors exactly as color-coded in the paper's UI.
 //
-// Q is stored as its packed upper triangle, with tuple keys ordered
-// (X_i-part, X_j-part) for i <= j. A nil *RelCovar is the ring's zero;
-// nil RelVal entries are relational zeros.
+// All of it lives in one slice of coefficients sorted by a packed
+// 64-bit key (see coef): no maps, no strings, no pointers, so a payload
+// is two allocations whatever its degree and the garbage collector
+// never looks inside one. The slice holds no zero coefficient; a nil
+// *RelCovar is the ring's zero and the only representation of it the
+// ring operations produce.
 type RelCovar struct {
 	m int
-	C RelVal
-	S []RelVal // length m
-	Q []RelVal // packed upper triangle, length m*(m+1)/2
+	e []coef
 }
+
+// coef is one coefficient of a RelCovar. The key packs, from the top:
+//
+//	16 bits  slot: 0 = c, 1+i = s_i, 1+m+tri(i,j) = Q_ij (i <= j, the
+//	         packed upper triangle)
+//	24 bits  CatID of the first key part
+//	24 bits  CatID of the second key part
+//
+// A key part is the encoded category value an attribute contributes;
+// continuous attributes contribute none. Parts are left-packed — a Q_ij
+// coefficient with one part stores it first whichever of i and j it
+// came from — which is the id form of the relational ring's key
+// concatenation (the empty key concatenates to nothing), so two keys
+// are equal here exactly when their concatenated tuple keys are.
+// Sorting by key therefore sorts by slot, then by parts.
+type coef struct {
+	key uint64
+	v   float64
+}
+
+const (
+	slotShift = 2 * catBits
+	catMask   = 1<<catBits - 1
+	// MaxRelCovarDegree is the largest m whose 1+m+m(m+1)/2 slots fit
+	// the 16 slot bits.
+	MaxRelCovarDegree = 360
+)
+
+func packKey(slot int, p1, p2 CatID) uint64 {
+	if p1 == 0 {
+		p1, p2 = p2, 0
+	}
+	return uint64(slot)<<slotShift | uint64(p1)<<catBits | uint64(p2)
+}
+
+func (e coef) slot() int     { return int(e.key >> slotShift) }
+func (e coef) part1() CatID  { return CatID(e.key>>catBits) & catMask }
+func (e coef) part2() CatID  { return CatID(e.key) & catMask }
+func sSlot(i int) int        { return 1 + i }
+func qSlot(m, i, j int) int  { return 1 + m + triIndex(m, i, j) }
+func slotCount(m int) int    { return 1 + m + triLen(m) }
+func slotFloor(s int) uint64 { return uint64(s) << slotShift }
 
 // Degree returns the ring degree m.
 func (c *RelCovar) Degree() int { return c.m }
 
-// Count returns the count component (nil for the ring zero).
-func (c *RelCovar) Count() RelVal {
+// byKey orders coefficients for sorting.
+func byKey(p, q coef) int { return cmp.Compare(p.key, q.key) }
+
+// slotRange returns the coefficients of one slot.
+func (c *RelCovar) slotRange(slot int) []coef {
+	lo := seek(c.e, 0, slotFloor(slot))
+	return c.e[lo:seek(c.e, lo, slotFloor(slot+1))]
+}
+
+// relOf materializes one slot as the relational value it stands for.
+func (c *RelCovar) relOf(slot int) RelVal {
 	if c == nil {
 		return nil
 	}
-	return c.C
-}
-
-// Sum returns the i-th vector component.
-func (c *RelCovar) Sum(i int) RelVal {
-	if c == nil {
+	es := c.slotRange(slot)
+	if len(es) == 0 {
 		return nil
 	}
-	return c.S[i]
+	names := cats.snapshot()
+	out := make(RelVal, len(es))
+	for _, e := range es {
+		out[names[e.part1()]+names[e.part2()]] = e.v
+	}
+	return out
 }
 
-// Prod returns the (i, j) matrix component. For i > j it returns the
-// stored (j, i) entry, whose tuple keys are ordered with the j-part
-// first; callers that need attribute-labelled tuples should query with
-// i <= j.
+// CountScalar returns the count component as a number (0 for the ring
+// zero): SUM(1) over the join.
+func (c *RelCovar) CountScalar() float64 {
+	if c == nil || len(c.e) == 0 || c.e[0].key != 0 {
+		return 0
+	}
+	return c.e[0].v
+}
+
+// Count returns the count component as a relational value built on
+// demand (nil for the ring zero).
+func (c *RelCovar) Count() RelVal { return c.relOf(0) }
+
+// Sum returns the i-th vector component, built on demand.
+func (c *RelCovar) Sum(i int) RelVal { return c.relOf(sSlot(i)) }
+
+// Prod returns the (i, j) matrix component, built on demand. For i > j
+// it returns the stored (j, i) entry, whose tuple keys are ordered with
+// the j-part first; callers that need attribute-labelled tuples should
+// query with i <= j.
 func (c *RelCovar) Prod(i, j int) RelVal {
 	if c == nil {
 		return nil
@@ -54,46 +126,57 @@ func (c *RelCovar) Prod(i, j int) RelVal {
 	if i > j {
 		i, j = j, i
 	}
-	return c.Q[triIndex(c.m, i, j)]
+	return c.relOf(qSlot(c.m, i, j))
 }
 
-// Clone returns a deep copy of c: every relational entry is copied, so
-// the clone stays valid however the source's owner evolves afterwards.
-// Cloning nil (the ring zero) returns nil.
+// Visit calls fn for every coefficient, in key order, until fn returns
+// false, without materializing anything: (i, j) is (-1, -1) for the
+// count, (i, -1) for s_i and i <= j for Q_ij; p1 and p2 are the
+// left-packed key parts (0 for none; CategoryKey decodes one). It is how
+// a reader walks a whole payload — Count/Sum/Prod build a map per call.
+func (c *RelCovar) Visit(fn func(i, j int, p1, p2 CatID, v float64) bool) {
+	if c == nil {
+		return
+	}
+	slot, i, j := 0, -1, -1
+	for _, e := range c.e {
+		if s := e.slot(); s != slot {
+			slot = s
+			if s <= c.m {
+				i, j = s-1, -1
+			} else {
+				// Row i of the packed triangle holds m-i entries.
+				i, j = 0, s-1-c.m
+				for j >= c.m-i {
+					j -= c.m - i
+					i++
+				}
+				j += i
+			}
+		}
+		if !fn(i, j, e.part1(), e.part2(), e.v) {
+			return
+		}
+	}
+}
+
+// Clone returns a deep copy of c — one slice copy — so the clone stays
+// valid however the source's owner evolves afterwards. Cloning nil (the
+// ring zero) returns nil.
 func (c *RelCovar) Clone() *RelCovar {
 	if c == nil {
 		return nil
 	}
-	out := &RelCovar{m: c.m, C: c.C.Clone(), S: make([]RelVal, len(c.S)), Q: make([]RelVal, len(c.Q))}
-	for i, s := range c.S {
-		out.S[i] = s.Clone()
-	}
-	for i, q := range c.Q {
-		out.Q[i] = q.Clone()
-	}
-	return out
+	return &RelCovar{m: c.m, e: slices.Clone(c.e)}
 }
 
 // Equal reports element-wise equality of two values from the same ring.
 func (c *RelCovar) Equal(o *RelCovar) bool {
-	cz, oz := c == nil, o == nil
+	cz, oz := c == nil || len(c.e) == 0, o == nil || len(o.e) == 0
 	if cz || oz {
 		return cz == oz
 	}
-	if c.m != o.m || !c.C.Equal(o.C) {
-		return false
-	}
-	for i := range c.S {
-		if !c.S[i].Equal(o.S[i]) {
-			return false
-		}
-	}
-	for i := range c.Q {
-		if !c.Q[i].Equal(o.Q[i]) {
-			return false
-		}
-	}
-	return true
+	return c.m == o.m && slices.Equal(c.e, o.e)
 }
 
 // String renders the compound aggregate with relational entries.
@@ -102,12 +185,12 @@ func (c *RelCovar) String() string {
 		return "(0)"
 	}
 	var b strings.Builder
-	b.WriteString("(" + c.C.String() + ", [")
-	for i, s := range c.S {
+	b.WriteString("(" + c.Count().String() + ", [")
+	for i := 0; i < c.m; i++ {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(s.String())
+		b.WriteString(c.Sum(i).String())
 	}
 	b.WriteString("], [")
 	for i := 0; i < c.m; i++ {
@@ -131,10 +214,10 @@ func (c *RelCovar) String() string {
 type RelCovarRing struct{ m int }
 
 // NewRelCovarRing returns the generalized degree-m matrix ring. It
-// panics for m <= 0.
+// panics for m outside 1..MaxRelCovarDegree.
 func NewRelCovarRing(m int) RelCovarRing {
-	if m <= 0 {
-		panic("ring: RelCovarRing degree must be positive")
+	if m <= 0 || m > MaxRelCovarDegree {
+		panic(fmt.Sprintf("ring: RelCovarRing degree must be in 1..%d", MaxRelCovarDegree))
 	}
 	return RelCovarRing{m: m}
 }
@@ -148,10 +231,24 @@ func (r RelCovarRing) Zero() *RelCovar { return nil }
 // One returns ({() -> 1}, 0-vector, 0-matrix) where 0 is the empty
 // relation.
 func (r RelCovarRing) One() *RelCovar {
-	return &RelCovar{m: r.m, C: RelOne(), S: make([]RelVal, r.m), Q: make([]RelVal, triLen(r.m))}
+	return &RelCovar{m: r.m, e: []coef{{0, 1}}}
 }
 
-// Add returns the element-wise relational union.
+// wrap returns the value holding the coefficients e (nil for none),
+// trimmed to an exact-size backing array when e was built to an upper
+// bound that shared or cancelling keys did not reach.
+func (r RelCovarRing) wrap(e []coef) *RelCovar {
+	if len(e) == 0 {
+		return nil
+	}
+	if len(e) < cap(e) {
+		e = slices.Clone(e)
+	}
+	return &RelCovar{m: r.m, e: e}
+}
+
+// Add returns the element-wise relational union: one merge of the two
+// sorted operands.
 func (r RelCovarRing) Add(a, b *RelCovar) *RelCovar {
 	if a == nil {
 		return b
@@ -159,15 +256,41 @@ func (r RelCovarRing) Add(a, b *RelCovar) *RelCovar {
 	if b == nil {
 		return a
 	}
-	var rel Relational
-	out := &RelCovar{m: r.m, C: rel.Add(a.C, b.C), S: make([]RelVal, r.m), Q: make([]RelVal, triLen(r.m))}
-	for i := range out.S {
-		out.S[i] = rel.Add(a.S[i], b.S[i])
+	return r.wrap(addMerge(make([]coef, 0, len(a.e)+countMissing(a.e, b.e)), a.e, b.e))
+}
+
+// countMissing returns how many keys of b are not in a.
+func countMissing(a, b []coef) int {
+	n, i := 0, 0
+	for _, e := range b {
+		if i = seek(a, i, e.key); i == len(a) || a[i].key != e.key {
+			n++
+		}
 	}
-	for i := range out.Q {
-		out.Q[i] = rel.Add(a.Q[i], b.Q[i])
+	return n
+}
+
+// addMerge appends a + b to out, dropping coefficients that cancel.
+func addMerge(out, a, b []coef) []coef {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch ea, eb := a[i], b[j]; {
+		case ea.key < eb.key:
+			out = append(out, ea)
+			i++
+		case ea.key > eb.key:
+			out = append(out, eb)
+			j++
+		default:
+			if s := ea.v + eb.v; s != 0 {
+				out = append(out, coef{ea.key, s})
+			}
+			i++
+			j++
+		}
 	}
-	return out
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Mul returns the product with the degree-m matrix ring formulas, where
@@ -179,131 +302,193 @@ func (r RelCovarRing) Add(a, b *RelCovar) *RelCovar {
 //
 // Tuple keys inside Q_ij keep the X_i-part first; since the count
 // component always has schema ∅ (its only tuple is the empty one),
-// multiplying by c never perturbs key order.
+// multiplying by c never perturbs key order. On the flat layout that is
+// one three-way merge — a scaled by cb, b scaled by ca, and the sorted
+// s × s cross terms — into one allocation.
 func (r RelCovarRing) Mul(a, b *RelCovar) *RelCovar {
 	if a == nil || b == nil {
 		return nil
 	}
-	m := r.m
-	out := &RelCovar{m: m, S: make([]RelVal, m), Q: make([]RelVal, triLen(m))}
-	// The counts are 0-dimensional; use their scalars for cheap scaling.
-	ca, cb := a.C.Scalar(), b.C.Scalar()
-	out.C = RelVal{"": ca * cb}
-	if ca*cb == 0 {
-		out.C = nil
+	ca, ea := splitCount(a.e)
+	cb, eb := splitCount(b.e)
+	var xbuf [64]coef
+	x := r.crossTerms(xbuf[:0], sPrefix(ea, r.m), sPrefix(eb, r.m))
+	out := make([]coef, 0, 1+len(ea)+len(eb)+len(x))
+	if c := ca * cb; c != 0 {
+		out = append(out, coef{0, c})
 	}
-	for i := 0; i < m; i++ {
-		s := relAddInto(nil, a.S[i], cb)
-		s = relAddInto(s, b.S[i], ca)
-		out.S[i] = s
-	}
-	k := 0
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			q := relAddInto(nil, a.Q[k], cb)
-			q = relAddInto(q, b.Q[k], ca)
-			q = relMulInto(q, a.S[i], b.S[j], 1)
-			q = relMulInto(q, b.S[i], a.S[j], 1)
-			if len(q) == 0 {
-				q = nil
-			}
-			out.Q[k] = q
-			k++
-		}
-	}
-	return out
+	return r.wrap(mulMerge(out, ea, cb, eb, ca, x))
 }
 
-// Neg negates every relational coefficient.
+// splitCount separates the count scalar from the s and Q coefficients.
+func splitCount(e []coef) (float64, []coef) {
+	if len(e) > 0 && e[0].key == 0 {
+		return e[0].v, e[1:]
+	}
+	return 0, e
+}
+
+// sPrefix returns the s coefficients of e, which holds no count.
+func sPrefix(e []coef, m int) []coef { return e[:seek(e, 0, slotFloor(sSlot(m)))] }
+
+// crossTerms appends sa_i × sb_j + sb_i × sa_j for every slot to x,
+// sorted by key with equal keys combined. Pairing every s coefficient
+// of a with every one of b covers both terms: a pair (i, j) with i < j
+// is the first term of Q_ij, with i > j the second term of Q_ji, and
+// with i == j both terms of Q_ii (the two key orders).
+func (r RelCovarRing) crossTerms(x, sa, sb []coef) []coef {
+	m := r.m
+	sorted := true
+	var last uint64
+	push := func(k uint64, v float64) {
+		sorted = sorted && k > last
+		last = k
+		x = append(x, coef{k, v})
+	}
+	for _, ea := range sa {
+		i, ka := ea.slot()-1, ea.part1()
+		for _, eb := range sb {
+			j, kb := eb.slot()-1, eb.part1()
+			v := ea.v * eb.v
+			switch {
+			case v == 0:
+			case i < j:
+				push(packKey(qSlot(m, i, j), ka, kb), v)
+			case i > j:
+				push(packKey(qSlot(m, j, i), kb, ka), v)
+			default:
+				push(packKey(qSlot(m, i, i), ka, kb), v)
+				push(packKey(qSlot(m, i, i), kb, ka), v)
+			}
+		}
+	}
+	if sorted {
+		return x
+	}
+	slices.SortStableFunc(x, byKey)
+	n := 0
+	for _, e := range x {
+		if n > 0 && x[n-1].key == e.key {
+			x[n-1].v += e.v
+			continue
+		}
+		x[n] = e
+		n++
+	}
+	return x[:n]
+}
+
+// mulMerge appends sa·a + sb·b + x to out (all three sorted by key),
+// dropping coefficients that come out zero.
+func mulMerge(out, a []coef, sa float64, b []coef, sb float64, x []coef) []coef {
+	const end = math.MaxUint64 // above every real key: slots stop at 65340
+	head := func(e []coef, i int) uint64 {
+		if i == len(e) {
+			return end
+		}
+		return e[i].key
+	}
+	i, j, n := 0, 0, 0
+	ka, kb, kx := head(a, 0), head(b, 0), head(x, 0)
+	for {
+		k := min(ka, kb, kx)
+		if k == end {
+			return out
+		}
+		var s float64
+		if ka == k {
+			s = a[i].v * sa
+			i++
+			ka = head(a, i)
+		}
+		if kb == k {
+			s += b[j].v * sb
+			j++
+			kb = head(b, j)
+		}
+		if kx == k {
+			s += x[n].v
+			n++
+			kx = head(x, n)
+		}
+		if s != 0 {
+			out = append(out, coef{k, s})
+		}
+	}
+}
+
+// Neg negates every coefficient.
 func (r RelCovarRing) Neg(a *RelCovar) *RelCovar {
 	if a == nil {
 		return nil
 	}
-	var rel Relational
-	out := &RelCovar{m: r.m, C: rel.Neg(a.C), S: make([]RelVal, r.m), Q: make([]RelVal, triLen(r.m))}
-	for i := range out.S {
-		out.S[i] = rel.Neg(a.S[i])
+	out := make([]coef, len(a.e))
+	for i, e := range a.e {
+		out[i] = coef{e.key, -e.v}
 	}
-	for i := range out.Q {
-		out.Q[i] = rel.Neg(a.Q[i])
-	}
-	return out
+	return &RelCovar{m: r.m, e: out}
 }
 
-// IsZero reports whether every component is the empty relation.
-func (r RelCovarRing) IsZero(a *RelCovar) bool {
-	if a == nil {
-		return true
+// IsZero reports whether a holds no coefficient.
+func (r RelCovarRing) IsZero(a *RelCovar) bool { return a == nil || len(a.e) == 0 }
+
+// lifted returns g_X(x) for one attribute: count 1, s_idx = {key -> s},
+// Q_idx,idx = {key -> q}, with zero coefficients left out.
+func (r RelCovarRing) lifted(idx int, key CatID, s, q float64) *RelCovar {
+	e := make([]coef, 1, 3)
+	e[0] = coef{0, 1}
+	if s != 0 {
+		e = append(e, coef{packKey(sSlot(idx), key, 0), s})
 	}
-	if len(a.C) != 0 {
-		return false
+	if q != 0 {
+		e = append(e, coef{packKey(qSlot(r.m, idx, idx), key, 0), q})
 	}
-	for _, s := range a.S {
-		if len(s) != 0 {
-			return false
-		}
-	}
-	for _, q := range a.Q {
-		if len(q) != 0 {
-			return false
-		}
-	}
-	return true
+	return &RelCovar{m: r.m, e: e}
 }
 
 // LiftContinuous returns g_X for a continuous attribute at index idx:
-// s_idx = {() -> x}, Q_idx,idx = {() -> x²}.
+// s_idx = {() -> x}, Q_idx,idx = {() -> x²}. x == 0 lifts to One: a
+// zero coefficient smuggled through Add's empty-side fast paths would
+// break associativity up to representation, which parallel partition
+// merges rely on.
 func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
-	qi := triIndex(r.m, idx, idx)
 	return func(v value.Value) *RelCovar {
 		x := v.AsFloat()
-		c := r.One()
-		if x != 0 {
-			// x == 0 lifts to empty components: RelVals keep no explicit
-			// zero coefficients (a zero entry smuggled through Add's
-			// empty-side fast paths would break associativity up to
-			// representation, which parallel partition merges rely on).
-			c.S[idx] = RelVal{"": x}
-			c.Q[qi] = RelVal{"": x * x}
-		}
-		return c
+		return r.lifted(idx, 0, x, x*x)
 	}
 }
 
 // LiftCategorical returns g_X for a categorical attribute at index idx:
 // s_idx = {x -> 1}, Q_idx,idx = {x -> 1} — the compact one-hot encoding.
+// It panics once the category dictionary is full (see CatID).
 func (r RelCovarRing) LiftCategorical(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
-	qi := triIndex(r.m, idx, idx)
 	return func(v value.Value) *RelCovar {
-		key := value.Tuple{v}.Encode()
-		c := r.One()
-		c.S[idx] = RelVal{key: 1}
-		c.Q[qi] = RelVal{key: 1}
-		return c
+		var buf [32]byte
+		id, err := cats.intern(v.AppendEncode(buf[:0]))
+		if err != nil {
+			panic(err)
+		}
+		return r.lifted(idx, id, 1, 1)
 	}
 }
 
+// Bin returns the index of the equi-width bin [k·width, (k+1)·width)
+// that x falls into: floor(x / width), for either sign of x.
+func Bin(x, width float64) int64 { return int64(math.Floor(x / width)) }
+
 // LiftBinned returns g_X for a continuous attribute treated as
-// categorical by discretizing into equi-width bins of the given width;
-// mutual information over continuous attributes uses it.
+// categorical by discretizing into equi-width bins of the given width
+// (see Bin); mutual information over continuous attributes uses it.
 func (r RelCovarRing) LiftBinned(idx int, width float64) Lift[*RelCovar] {
 	r.checkIdx(idx)
 	if width <= 0 {
 		panic("ring: bin width must be positive")
 	}
-	qi := triIndex(r.m, idx, idx)
+	cat := r.LiftCategorical(idx)
 	return func(v value.Value) *RelCovar {
-		bin := int64(v.AsFloat() / width)
-		if v.AsFloat() < 0 {
-			bin--
-		}
-		key := value.Tuple{value.Int(bin)}.Encode()
-		c := r.One()
-		c.S[idx] = RelVal{key: 1}
-		c.Q[qi] = RelVal{key: 1}
-		return c
+		return cat(value.Int(Bin(v.AsFloat(), width)))
 	}
 }
 

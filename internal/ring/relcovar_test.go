@@ -165,7 +165,7 @@ func TestRelCovarLiftBinned(t *testing.T) {
 	for _, c := range []struct {
 		x    float64
 		want int64
-	}{{0, 0}, {9.9, 0}, {10, 1}, {25, 2}, {-0.1, -1}, {-10, -2}} {
+	}{{0, 0}, {9.9, 0}, {10, 1}, {25, 2}, {-0.1, -1}, {-10, -1}, {-10.5, -2}, {-20, -2}} {
 		p := g(value.Float(c.x))
 		if got := p.Sum(0).Get(value.T(c.want)); got != 1 {
 			t.Errorf("bin(%v): payload %v, want bin %d", c.x, p.Sum(0), c.want)
@@ -246,4 +246,32 @@ func TestRelCovarLiftIndexPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestRelCovarMaxDegree: the largest degree's last slot still packs
+// into the key's slot bits, and one more is refused.
+func TestRelCovarMaxDegree(t *testing.T) {
+	const m = MaxRelCovarDegree
+	r := NewRelCovarRing(m)
+	p := r.Mul(r.LiftCategorical(m-1)(value.String("last")), r.LiftContinuous(0)(value.Float(2)))
+	if got := p.Prod(0, m-1).Get(value.T("last")); got != 2 {
+		t.Errorf("Q_0,%d = %v, want {(last)->2}", m-1, p.Prod(0, m-1))
+	}
+	if got := p.Prod(m-1, m-1).Get(value.T("last")); got != 1 || p.Sum(m-1).Len() != 1 {
+		t.Errorf("Q_%d,%d = %v, s = %v", m-1, m-1, p.Prod(m-1, m-1), p.Sum(m-1))
+	}
+	var last [2]int
+	p.Visit(func(i, j int, _, _ CatID, _ float64) bool {
+		last = [2]int{i, j}
+		return true
+	})
+	if last != [2]int{m - 1, m - 1} {
+		t.Errorf("last visited component = %v, want (%d, %d)", last, m-1, m-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("degree above MaxRelCovarDegree accepted")
+		}
+	}()
+	NewRelCovarRing(m + 1)
 }

@@ -161,17 +161,8 @@ func TestRelValHelpers(t *testing.T) {
 	}
 }
 
-func TestRelScaleAndAddInto(t *testing.T) {
+func TestRelAddIntoAndMulInto(t *testing.T) {
 	a := RelVal{value.T(1).Encode(): 2}
-	if relScale(a, 0) != nil {
-		t.Error("scale by 0 must be nil")
-	}
-	if got := relScale(a, 1); got[value.T(1).Encode()] != 2 {
-		t.Error("scale by 1 changed value")
-	}
-	if got := relScale(a, 3); got.Get(value.T(1)) != 6 {
-		t.Error("scale by 3")
-	}
 	// relAddInto cancels to empty map but never returns wrong values.
 	dst := relAddInto(nil, a, 1)
 	dst = relAddInto(dst, a, -1)

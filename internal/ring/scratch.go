@@ -81,41 +81,14 @@ func (Relational) MulAddInto(acc, a, b RelVal) RelVal {
 }
 
 // MulAddInto implements FMA for the generalized matrix ring: the
-// RelCovar product formula accumulated into acc's relational entries.
+// product is one merge into a fresh slice, which then folds into acc
+// under AddInto's rules.
 func (r RelCovarRing) MulAddInto(acc, a, b *RelCovar) *RelCovar {
-	if a == nil || b == nil {
-		return acc
-	}
+	p := r.Mul(a, b)
 	if acc == nil {
-		return r.Mul(a, b)
+		return p
 	}
-	m := r.m
-	ca, cb := a.C.Scalar(), b.C.Scalar()
-	if p := ca * cb; p != 0 {
-		if acc.C == nil {
-			acc.C = RelVal{"": p}
-		} else if s := acc.C[""] + p; s == 0 {
-			delete(acc.C, "")
-		} else {
-			acc.C[""] = s
-		}
-	}
-	for i := 0; i < m; i++ {
-		s := relAddInto(acc.S[i], a.S[i], cb)
-		acc.S[i] = relAddInto(s, b.S[i], ca)
-	}
-	k := 0
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			q := relAddInto(acc.Q[k], a.Q[k], cb)
-			q = relAddInto(q, b.Q[k], ca)
-			q = relMulInto(q, a.S[i], b.S[j], 1)
-			q = relMulInto(q, b.S[i], a.S[j], 1)
-			acc.Q[k] = q
-			k++
-		}
-	}
-	return acc
+	return r.AddInto(acc, p)
 }
 
 // AddInto implements Scratch for the degree-m matrix ring: element-wise
@@ -156,8 +129,12 @@ func (Relational) AddInto(acc, v RelVal) RelVal {
 // Own implements Scratch: a deep copy of v.
 func (Relational) Own(v RelVal) RelVal { return v.Clone() }
 
-// AddInto implements Scratch for the generalized matrix ring:
-// element-wise relational accumulation into acc's entry maps.
+// AddInto implements Scratch for the generalized matrix ring. While
+// every key of v is already in acc and no sum cancels — the steady
+// state of a maintained view — the coefficients fold in place, seeking
+// through acc by galloping search, so a small delta costs its own size,
+// not the stored payload's. The first new key or cancellation switches
+// to one merge of the two tails into an exact-size slice.
 func (r RelCovarRing) AddInto(acc, v *RelCovar) *RelCovar {
 	if v == nil {
 		return acc
@@ -165,14 +142,51 @@ func (r RelCovarRing) AddInto(acc, v *RelCovar) *RelCovar {
 	if acc == nil {
 		return v.Clone()
 	}
-	acc.C = relAddInto(acc.C, v.C, 1)
-	for i := range acc.S {
-		acc.S[i] = relAddInto(acc.S[i], v.S[i], 1)
+	a, b := acc.e, v.e
+	i := 0
+	for len(b) > 0 {
+		i = seek(a, i, b[0].key)
+		if i == len(a) || a[i].key != b[0].key {
+			break
+		}
+		s := a[i].v + b[0].v
+		if s == 0 {
+			break
+		}
+		a[i].v = s
+		i++
+		b = b[1:]
 	}
-	for i := range acc.Q {
-		acc.Q[i] = relAddInto(acc.Q[i], v.Q[i], 1)
+	if len(b) == 0 {
+		return acc
 	}
+	out := make([]coef, i, len(a)+countMissing(a[i:], b))
+	copy(out, a[:i])
+	if out = addMerge(out, a[i:], b); len(out) == 0 {
+		return nil
+	}
+	acc.e = out
 	return acc
+}
+
+// seek returns the first index at or after i whose key is >= k, given
+// that every key before i is smaller: a galloping search, O(1) when the
+// answer is i itself and O(log distance) otherwise.
+func seek(e []coef, i int, k uint64) int {
+	step := 1
+	for p := i; p < len(e) && e[p].key < k; p = i + step - 1 {
+		i = p + 1
+		step <<= 1
+	}
+	hi := min(i+step-1, len(e))
+	for i < hi {
+		if mid := int(uint(i+hi) >> 1); e[mid].key < k {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return i
 }
 
 // Own implements Scratch: a deep copy of v.

@@ -216,6 +216,32 @@ func DecodeTuple(key string) (Tuple, error) {
 	return t, nil
 }
 
+// EncodedValueLen returns the length of the first value's encoding in
+// key, so a caller can cut a concatenated key into its per-value parts
+// without decoding them. It returns an error on an empty or malformed
+// prefix.
+func EncodedValueLen(key []byte) (int, error) {
+	if len(key) == 0 {
+		return 0, fmt.Errorf("value: empty key has no first value")
+	}
+	switch key[0] {
+	case tagNull:
+		return 1, nil
+	case tagInt, tagFloat:
+		if len(key) < 9 {
+			return 0, fmt.Errorf("value: truncated number in key")
+		}
+		return 9, nil
+	case tagString:
+		l, n := binary.Uvarint(key[1:])
+		if n <= 0 || uint64(len(key)-1-n) < l {
+			return 0, fmt.Errorf("value: truncated VARCHAR in key")
+		}
+		return 1 + n + int(l), nil
+	}
+	return 0, fmt.Errorf("value: unknown tag 0x%02x in key", key[0])
+}
+
 // MustDecodeTuple is DecodeTuple that panics on malformed input; for use
 // on keys that are known to be valid encodings (e.g. produced internally).
 func MustDecodeTuple(key string) Tuple {

@@ -194,3 +194,25 @@ func TestEncodeProjectEquivalence(t *testing.T) {
 		t.Errorf("empty projection = %q", got)
 	}
 }
+
+func TestEncodedValueLenCutsConcatenatedKeys(t *testing.T) {
+	tp := T(7, "héllo", 2.5, nil, "")
+	key := []byte(tp.Encode())
+	var parts Tuple
+	for len(key) > 0 {
+		n, err := EncodedValueLen(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, MustDecodeTuple(string(key[:n]))...)
+		key = key[n:]
+	}
+	if !parts.Equal(tp) {
+		t.Errorf("cut into %v, want %v", parts, tp)
+	}
+	for _, bad := range []string{"", "\x09", "\x01\x00", "\x02", "\x03", "\x03\x05ab"} {
+		if n, err := EncodedValueLen([]byte(bad)); err == nil {
+			t.Errorf("EncodedValueLen(%q) = %d, want an error", bad, n)
+		}
+	}
+}

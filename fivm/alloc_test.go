@@ -20,25 +20,21 @@ import (
 const (
 	// maxAllocsCovarSingle bounds allocs for one insert + one delete of
 	// a single tuple on the scalar-covar engine (degree 3, two-relation
-	// join). Measured 60 allocs for the pair (30 per update) now that
-	// views own their payloads and commit in place (relation.MergeAll
-	// folds the delta into the stored slab instead of allocating a sum
-	// per merged key); was 76 with pure-Add commits, 82 before the
-	// indexed delta path, 230+ before the scratch-buffer rework.
-	maxAllocsCovarSingle = 75
+	// join). Measured 16 for the pair: what is left are the ring values
+	// themselves (a lift, its product) and the first-seen group's tuple
+	// and key; every map, slab and table is a recycled step buffer.
+	// History: 230+ → 82 → 76 → 60 (in-place commits) → 16 (fused step).
+	maxAllocsCovarSingle = 20
 	// maxAllocsCountSingle bounds the same pair on the count engine.
-	// Measured 48 allocs for the pair (24 per update); value payloads
-	// have nothing to own, so in-place commits leave it where the
-	// indexed path put it.
-	maxAllocsCountSingle = 60
+	// Measured 4 (value payloads: only the group tuple and key remain).
+	// History: 48 (indexed path) → 4 (fused step, recycled buffers).
+	maxAllocsCountSingle = 5
 	// maxAllocsAnalysisSingle bounds the same pair on the analysis
 	// engine (relational-COVAR ring, one categorical and two continuous
-	// features). A payload is a header plus one pointer-free coefficient
-	// slice, so a lift or product costs two allocations whatever the
-	// degree and an in-place commit none. Measured 60 allocs for the pair
-	// (the scalar covar engine's number); was 130 when every payload was
-	// a compound of Go maps, 250 with pure-Add commits on top of that.
-	maxAllocsAnalysisSingle = 75
+	// features; a payload is a header plus one coefficient slice).
+	// Measured 16, the scalar covar engine's number. History: 250 → 130
+	// (map-of-maps payloads) → 60 (flat payloads) → 16 (fused step).
+	maxAllocsAnalysisSingle = 20
 )
 
 func allocFixtureData() map[string][]value.Tuple {

@@ -27,8 +27,11 @@ type ChowLiuTree struct {
 
 // ChowLiu builds the Chow-Liu tree from an MI matrix via Prim's
 // algorithm, rooting it at root (which must be an attribute of the
-// matrix). Edges come out in insertion (Prim) order; children of the
-// same parent are deterministic because ties break by attribute name.
+// matrix). Edges come out in insertion (Prim) order. Equal MI values
+// break by name — the next child is the name-smallest among the best,
+// its parent the name-smallest tree node achieving that MI — so with
+// MIFromRelCovar's order-independent sums the tree is a function of the
+// data.
 func ChowLiu(m *MIMatrix, root string) (*ChowLiuTree, error) {
 	ri := m.IndexOf(root)
 	if ri < 0 {
@@ -55,8 +58,11 @@ func ChowLiu(m *MIMatrix, root string) (*ChowLiuTree, error) {
 	attach := func(v int) {
 		inTree[v] = true
 		for i := 0; i < n; i++ {
-			if !inTree[i] && m.At(v, i) > bestMI[i] {
-				bestMI[i] = m.At(v, i)
+			if inTree[i] {
+				continue
+			}
+			if mi := m.At(v, i); mi > bestMI[i] || (mi == bestMI[i] && m.Attrs[v] < m.Attrs[bestVia[i]]) {
+				bestMI[i] = mi
 				bestVia[i] = v
 			}
 		}

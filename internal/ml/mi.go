@@ -13,13 +13,17 @@ import (
 // aggregates: cTotal = SUM(1), cx = SUM(1) GROUP BY X, cy = SUM(1)
 // GROUP BY Y, and cxy = SUM(1) GROUP BY (X, Y) with X-part-first keys —
 // exactly the components the RelCovar payload holds for a categorical
-// pair. The result uses natural logarithms (nats).
+// pair. The result uses natural logarithms (nats). Terms are summed in
+// sorted key order, so the value is a function of the counts alone, not
+// of map iteration order: equal inputs give bit-equal results, which
+// ChowLiu's tie-breaks rely on.
 func MutualInformation(cTotal float64, cx, cy, cxy ring.RelVal) float64 {
 	if cTotal <= 0 {
 		return 0
 	}
 	mi := 0.0
-	for kxy, nxy := range cxy {
+	for _, kxy := range sortedKeys(cxy) {
+		nxy := cxy[kxy]
 		if nxy <= 0 {
 			continue
 		}
@@ -42,13 +46,15 @@ func MutualInformation(cTotal float64, cx, cy, cxy ring.RelVal) float64 {
 }
 
 // SelfInformation computes the entropy H(X) = I(X, X) from the marginal
-// counts, used for the MI matrix diagonal.
+// counts, used for the MI matrix diagonal; summed in sorted key order
+// like MutualInformation.
 func SelfInformation(cTotal float64, cx ring.RelVal) float64 {
 	if cTotal <= 0 {
 		return 0
 	}
 	h := 0.0
-	for _, n := range cx {
+	for _, k := range sortedKeys(cx) {
+		n := cx[k]
 		if n <= 0 {
 			continue
 		}
@@ -59,6 +65,15 @@ func SelfInformation(cTotal float64, cx ring.RelVal) float64 {
 		h = 0
 	}
 	return h
+}
+
+func sortedKeys(v ring.RelVal) []string {
+	keys := make([]string, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // MIMatrix is the symmetric matrix of pairwise mutual information over a

@@ -289,3 +289,69 @@ func TestChowLiuDeterministicTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestChowLiuIsAFunctionOfTheData: a published tree must not depend on
+// Go's map iteration order. Y is a copy of X, so I(W,X) and I(W,Y), and
+// I(Z,X) and I(Z,Y), are mathematically equal; summed in sorted key
+// order they are bit-equal, the name tie-breaks fire, and the same
+// payload gives the same matrix bits and the same edges every time.
+func TestChowLiuIsAFunctionOfTheData(t *testing.T) {
+	r := ring.NewRelCovarRing(4)
+	rng := rand.New(rand.NewSource(9))
+	total := r.Zero()
+	for i := 0; i < 2000; i++ {
+		w := rng.Intn(5)
+		x := (w + rng.Intn(3)) % 5
+		z := (x + rng.Intn(4)) % 5
+		p := r.One()
+		for f, v := range []int{w, x, x, z} {
+			p = r.Mul(p, r.LiftCategorical(f)(value.Int(int64(v))))
+		}
+		total = r.Add(total, p)
+	}
+	feats := []Feature{
+		{Name: "W", Categorical: true, Index: 0},
+		{Name: "X", Categorical: true, Index: 1},
+		{Name: "Y", Categorical: true, Index: 2},
+		{Name: "Z", Categorical: true, Index: 3},
+	}
+	var wantBits []uint64
+	var wantEdges []ChowLiuEdge
+	for run := 0; run < 50; run++ {
+		m, err := MIFromRelCovar(total, feats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.At(0, 1) != m.At(0, 2) || m.At(3, 1) != m.At(3, 2) {
+			t.Fatalf("run %d: equal pairs differ: I(W,X)=%v I(W,Y)=%v I(Z,X)=%v I(Z,Y)=%v", run, m.At(0, 1), m.At(0, 2), m.At(3, 1), m.At(3, 2))
+		}
+		tree, err := ChowLiu(m, "W")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := make([]uint64, len(m.Data))
+		for i, v := range m.Data {
+			bits[i] = math.Float64bits(v)
+		}
+		if run == 0 {
+			wantBits, wantEdges = bits, tree.Edges
+			// W's best neighbours tie (X, Y): the name-smaller child goes
+			// first; Y then hangs off its copy, and Z's tie between the
+			// parents X and Y goes to X.
+			if got := tree.String(); got != "W\n  X\n    Y\n    Z\n" {
+				t.Fatalf("tree:\n%s", got)
+			}
+			continue
+		}
+		for i := range bits {
+			if bits[i] != wantBits[i] {
+				t.Fatalf("run %d: MI matrix entry %d is %x, was %x on run 0", run, i, bits[i], wantBits[i])
+			}
+		}
+		for i := range wantEdges {
+			if tree.Edges[i] != wantEdges[i] {
+				t.Fatalf("run %d: edges %v, were %v on run 0", run, tree.Edges, wantEdges)
+			}
+		}
+	}
+}

@@ -62,6 +62,41 @@ func TestArenaResetRecyclesOwnedEntries(t *testing.T) {
 	}
 }
 
+// TestResetLeavesOnlyClearedEntries: a Reset map is what the view tree
+// keeps between calls as a step buffer, so it must pin nothing of the
+// delta it held — the table is empty and every entry parked in the
+// arena, recycled or never used, references no tuple and no payload.
+func TestResetLeavesOnlyClearedEntries(t *testing.T) {
+	cr := ring.NewCovarRing(1)
+	plan := PlanJoin(s("A", "B"), s("B", "C"))
+	left, right := New[*ring.Covar](s("A", "B")), New[*ring.Covar](s("B", "C"))
+	for i := 0; i < 40; i++ {
+		left.Merge(cr, value.T(int64(i), int64(i%4)), cr.One())
+		right.Merge(cr, value.T(int64(i%4), int64(i)), cr.One())
+	}
+	buf := New[*ring.Covar](s("A"))
+	fused := plan.Then(PlanAggregate(plan.Out(), buf.schema, ""))
+	for round := 0; round < 2; round++ {
+		if Step(fused, cr, left, right, nil, buf).Len() != 40 {
+			t.Fatalf("round %d: step filled %d groups", round, buf.Len())
+		}
+		buf.Reset()
+		if buf.Len() != 0 || len(buf.arena.free) != 40 {
+			t.Fatalf("round %d: Reset left %d tuples, %d parked entries", round, buf.Len(), len(buf.arena.free))
+		}
+		for _, e := range buf.arena.free {
+			if e.tuple != nil || e.payload != nil || e.shared {
+				t.Fatalf("round %d: a recycled entry still references %v / %v", round, e.tuple, e.payload)
+			}
+		}
+		for i := range buf.arena.slab {
+			if e := &buf.arena.slab[i]; e.tuple != nil || e.payload != nil {
+				t.Fatalf("round %d: an unused slab entry references %v / %v", round, e.tuple, e.payload)
+			}
+		}
+	}
+}
+
 // TestArenaPartitionSlotsDoNotRecycleForeignEntries: a PartitionInto
 // destination aliases the source's entries, so resetting it must NOT
 // park them in the slot's own arena (that would hand the same entry out

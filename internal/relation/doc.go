@@ -21,10 +21,16 @@
 // tree is built from (hash Join, group-by Aggregate with lift
 // application), persistent secondary join-key indexes (AddIndex), and
 // Partition, the hash split by join key that feeds parallel delta
-// propagation. There is one planned join, JoinProbeWith: it probes the
-// larger operand's index when it has one — delta-sized joins then cost
-// O(|delta|) instead of O(|relation|) — and otherwise builds and scans
-// (JoinWith), which is what a bulk load's relation-sized deltas get.
+// propagation. There is one join kernel, Step: for every matching pair
+// it multiplies the payloads left-first, applies the plan's lift and
+// folds the product into the plan's group of the output — a join
+// (JoinProbeWith, every pair its own group) or, under a plan fused with
+// JoinPlan.Then, a join and the aggregation after it in one pass whose
+// intermediate is never built, which is how the view tree evaluates a
+// path node. It probes the larger operand's index when it has one —
+// delta-sized steps then cost O(|delta|) instead of O(|relation|) — and
+// otherwise builds and scans, which is what a bulk load's
+// relation-sized deltas get.
 //
 // # Ownership and the allocation-lean hot path
 //
@@ -60,21 +66,28 @@
 //     recycling there. Slots are read-only inputs of propagation and
 //     never merge targets, so sharing the delta's entries (flags
 //     included) is sound.
-//   - Join and Aggregate OWN their output maps while building them and
-//     fold into freshly-created payloads in place via Scratch/FMA —
-//     the same entry.add the commit path uses. Aggregate writes one
-//     thing outside its output: the shared flag of an input entry whose
-//     payload it stores unlifted; an input is aggregated by one
-//     goroutine at a time (delta partitions are entry-disjoint).
+//   - Step and Aggregate OWN their output maps while building them —
+//     empty on entry, whether freshly allocated or a caller's recycled
+//     buffer — and fold only into payloads they created there in this
+//     call, in place via Scratch/FMA (the same entry.add the commit
+//     path uses): a group's first product is a fresh Mul result, so
+//     nothing Step folds into is reachable from an operand. Aggregate
+//     writes one thing outside its output: the shared flag of an input
+//     entry whose payload it stores unlifted; an input is aggregated
+//     by one goroutine at a time (delta partitions are
+//     entry-disjoint).
 //   - Keys encode into reused scratch buffers (Tuple.AppendEncode*);
 //     maps are probed with string(buf), which Go compiles without a
 //     copy, and the key string plus output tuple only materialize when
 //     an entry is actually inserted.
 //
 // Scratch reuse: Reset clears a relation while keeping its allocated
-// capacity (per-engine delta buffers), and PartitionInto refills
-// caller-provided partition slots — both exist so steady-state
-// maintenance re-walks warm memory instead of reallocating it.
+// capacity (per-engine delta buffers, the view tree's per-node step
+// outputs), and PartitionInto refills caller-provided partition slots —
+// both exist so steady-state maintenance re-walks warm memory instead
+// of reallocating it. Capacity is also what a recycled map costs: Reset
+// and iteration are O(table), so an owner sizes what it keeps (NewSized)
+// to the work it expects, not to the largest it has seen.
 //
 // Secondary indexes extend the contract without bending it: postings
 // hold the map's own entry pointers, which stay valid however the

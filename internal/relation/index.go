@@ -16,7 +16,7 @@ import (
 //
 // Indexes build LAZILY: registration (AddIndex) records only the
 // projection, and the postings materialize on the first probe
-// (JoinProbeWith), after which every mutation maintains them. A
+// (Step), after which every mutation maintains them. A
 // registered index that no delta source ever probes therefore costs
 // nothing — neither build time nor maintenance nor memory — which
 // matters because the view tree registers indexes for every possible
@@ -28,7 +28,7 @@ import (
 // mutations of one map — primary entries, postings, and position table
 // together — under that map's merge lock (view.Node.mu).
 //
-// Indexes are what makes delta propagation O(|delta|): JoinProbeWith
+// Indexes are what makes delta propagation O(|delta|): Step
 // looks join matches up here instead of scanning the whole relation
 // (see the join-key registration in view.Tree).
 type index[V any] struct {
@@ -91,7 +91,7 @@ type slot[V any] struct {
 // AddIndex registers a persistent secondary index on the projection of
 // the key schema onto the positions proj (as produced by
 // Schema.Project). The index stays empty until the first probe
-// (JoinProbeWith) materializes it from the then-current contents; from
+// (Step) materializes it from the then-current contents; from
 // that point every mutation of the map maintains it incrementally.
 // Registering a projection that is already registered is a no-op, so
 // declaring the same index from several join plans is safe.
@@ -117,7 +117,7 @@ func (m *Map[V]) AddIndex(proj []int) {
 func (m *Map[V]) IndexCount() int { return len(m.indexes) }
 
 // indexOn returns the registered index whose projection equals proj,
-// or nil when none matches (the JoinProbeWith fallback trigger).
+// or nil when none matches (Step then builds and scans).
 func (m *Map[V]) indexOn(proj []int) *index[V] {
 	for _, ix := range m.indexes {
 		if slices.Equal(ix.proj, proj) {

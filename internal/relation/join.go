@@ -9,12 +9,15 @@ import (
 // of a join: the common-key projections of both sides and, per output
 // position, which side it reads and at which position — so keys and
 // tuples assemble straight from the two source tuples with no
-// intermediate Concat/Project allocations.
+// intermediate Concat/Project allocations. liftPos >= 0 names the
+// lifted attribute the same way (liftFromBuild, position).
 type joinOrient struct {
-	buildCommon []int
-	probeCommon []int
-	fromBuild   []bool
-	srcPos      []int
+	buildCommon   []int
+	probeCommon   []int
+	fromBuild     []bool
+	srcPos        []int
+	liftFromBuild bool
+	liftPos       int
 }
 
 func orientJoin(probe, build, out value.Schema) joinOrient {
@@ -29,6 +32,7 @@ func orientJoin(probe, build, out value.Schema) joinOrient {
 		probeCommon: probe.MustProject(common),
 		fromBuild:   make([]bool, len(reorder)),
 		srcPos:      make([]int, len(reorder)),
+		liftPos:     -1,
 	}
 	for i, j := range reorder {
 		if j < plen {
@@ -41,30 +45,52 @@ func orientJoin(probe, build, out value.Schema) joinOrient {
 	return o
 }
 
-// JoinPlan is the reusable schema geometry of a natural join: which
-// attributes are common, where output values come from, for both
-// build-side orientations (the smaller side is indexed at run time).
-// Deriving it per call costs a dozen allocations — noticeable on
-// single-tuple deltas — so the view tree plans each node's joins once
-// at build time and replays them with JoinProbeWith.
+// then composes the orientation with an aggregation of the join's
+// output: output position i reads what the join's position agg.proj[i]
+// read, and the lift attribute resolves to its source tuple likewise.
+func (o joinOrient) then(agg *AggPlan) joinOrient {
+	f := joinOrient{
+		buildCommon: o.buildCommon,
+		probeCommon: o.probeCommon,
+		fromBuild:   make([]bool, len(agg.proj)),
+		srcPos:      make([]int, len(agg.proj)),
+		liftPos:     -1,
+	}
+	for i, j := range agg.proj {
+		f.fromBuild[i], f.srcPos[i] = o.fromBuild[j], o.srcPos[j]
+	}
+	if agg.liftIdx >= 0 {
+		f.liftFromBuild, f.liftPos = o.fromBuild[agg.liftIdx], o.srcPos[agg.liftIdx]
+	}
+	return f
+}
+
+// JoinPlan is the reusable schema geometry of one Step: a natural join,
+// optionally fused with the aggregation that follows it (Then) — which
+// attributes are common and where each output value and the lifted
+// value come from, for both orientations (which side is iterated is
+// decided at run time). Deriving it per call costs a dozen allocations
+// — noticeable on single-tuple deltas — so the view tree plans each
+// node's steps once at build time and replays them.
 type JoinPlan struct {
 	out value.Schema
 	fwd joinOrient // build = right side, probe = left
 	rev joinOrient // build = left side, probe = right
 }
 
-// Out returns the join's output schema: left's schema followed by
-// right's attributes not in left.
+// Out returns the step's output schema: for a plain join left's schema
+// followed by right's attributes not in left, for a fused plan the
+// aggregation's group-by schema.
 func (p *JoinPlan) Out() value.Schema { return p.out }
 
 // LeftIndexKey returns the projection positions (into the left schema)
 // of the join's common key — the index the left side must carry for
-// JoinProbeWith to probe it when the right side is the small one.
+// Step to probe it when the right side is the small one.
 func (p *JoinPlan) LeftIndexKey() []int { return p.rev.buildCommon }
 
 // RightIndexKey is LeftIndexKey for the right side: the positions (into
-// the right schema) of the common key JoinProbeWith probes the right
-// side's index on.
+// the right schema) of the common key Step probes the right side's
+// index on.
 func (p *JoinPlan) RightIndexKey() []int { return p.fwd.buildCommon }
 
 // PlanJoin precomputes the join geometry for relations over the two
@@ -78,6 +104,14 @@ func PlanJoin(left, right value.Schema) *JoinPlan {
 	}
 }
 
+// Then returns the plan of this join fused with the aggregation agg of
+// its output (agg must have been planned from p.Out()): Step groups by
+// agg's schema and applies its lift pair by pair, and the join is never
+// materialized.
+func (p *JoinPlan) Then(agg *AggPlan) *JoinPlan {
+	return &JoinPlan{out: agg.out, fwd: p.fwd.then(agg), rev: p.rev.then(agg)}
+}
+
 // Join computes the natural join of left and right under ring r: tuples
 // agreeing on the common attributes combine, payloads multiply with the
 // ring product (left payload first, preserving any non-commutative key
@@ -88,164 +122,163 @@ func Join[V any](r ring.Ring[V], left, right *Map[V]) *Map[V] {
 	return JoinProbeWith(PlanJoin(left.schema, right.schema), r, left, right)
 }
 
-// joinMatches merges every (probe-entry × match) pair into out: the
-// shared inner loop of JoinWith and JoinProbeWith. Payloads multiply
-// left-first regardless of which side is iterated (swapped marks the
-// iterated side as the right one). obuf is the reused output-key
-// scratch, returned for the caller's next round.
-func joinMatches[V any](out *Map[V], r ring.Ring[V], sc ring.Scratch[V], fma ring.FMA[V],
-	o *joinOrient, swapped bool, pe *entry[V], matches []*entry[V], obuf []byte) []byte {
-	fromBuild, srcPos := o.fromBuild, o.srcPos
-	for _, be := range matches {
-		// Left payload first, preserving any non-commutative key
-		// orientation (the indexed side is left when swapped).
-		a, b := pe.payload, be.payload
-		if swapped {
-			a, b = be.payload, pe.payload
-		}
-		obuf = obuf[:0]
-		for i, fb := range fromBuild {
-			if fb {
-				obuf = be.tuple[srcPos[i]].AppendEncode(obuf)
-			} else {
-				obuf = pe.tuple[srcPos[i]].AppendEncode(obuf)
-			}
-		}
-		if e, ok := out.data[string(obuf)]; ok {
-			// Duplicate output tuple: fold a×b into the owned
-			// accumulator without materializing the product when the
-			// ring supports it. out is a fresh, never-indexed map whose
-			// entries all hold products it owns.
-			var zero bool
-			if fma != nil && !e.shared {
-				e.payload = fma.MulAddInto(e.payload, a, b)
-				zero = r.IsZero(e.payload)
-			} else if p := r.Mul(a, b); !r.IsZero(p) {
-				zero = e.add(r, sc, p)
-			}
-			if zero {
-				delete(out.data, string(obuf))
-				out.drop(e)
-			}
-			continue
-		}
-		p := r.Mul(a, b)
-		if r.IsZero(p) {
-			continue
-		}
-		// First hit for this output tuple: materialize it (the Mul
-		// result p is fresh, so the entry owns it already).
-		t := make(value.Tuple, len(fromBuild))
-		for i, fb := range fromBuild {
-			if fb {
-				t[i] = be.tuple[srcPos[i]]
-			} else {
-				t[i] = pe.tuple[srcPos[i]]
-			}
-		}
-		out.data[string(obuf)] = out.newEntry(t, p, false)
-	}
-	return obuf
+// JoinWith is the planned join forced onto the build-and-scan
+// orientation whatever indexes the operands carry: the reference the
+// index probe is tested against. Callers go through JoinProbeWith.
+func JoinWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
+	return step(plan, r, left, right, nil, nil, true)
 }
 
-// JoinWith is Join with a precomputed plan (which must have been built
-// from exactly left's and right's schemas).
+// JoinProbeWith is Step materializing a plain join (plan from PlanJoin)
+// into a fresh relation.
+func JoinProbeWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
+	return step(plan, r, left, right, nil, nil, false)
+}
+
+// Step is the one join kernel, the delta rule δV = ⊕_X (δV_child ⊗
+// V_sibling ⊗ g_X) as a single pass: for every matching pair of tuples
+// it multiplies the payloads left-first (whichever side is iterated —
+// the relational ring is not commutative), applies the plan's lift
+// (lift must be non-nil iff the plan names one), encodes the plan's
+// group key straight from the two source tuples and folds the product
+// into that group of out. Under a fused plan (JoinPlan.Then) that is a
+// join followed by an aggregation whose intermediate is never built;
+// under a plain plan every pair is its own group. Cartesian products
+// run through the same machinery (one empty-key bucket).
 //
-// The implementation is a classic hash join: it indexes the smaller side
-// on the common attributes and probes with the larger. A join with no
-// common attributes degenerates to the Cartesian product through the
-// same machinery (a single empty-key index bucket). Probe keys, output
-// keys, and output tuples are built in reused scratch buffers and only
-// materialized on first insertion, so re-grouped output tuples cost no
-// allocations beyond the ring product. It is what JoinProbeWith falls
-// back to when the larger operand carries no index, and the reference
-// the probe path is tested against; callers go through JoinProbeWith.
-func JoinWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	out := New[V](plan.out)
+// out must be empty and over plan.Out(); nil allocates a relation sized
+// for the iterated side. Step owns what it puts there: a group's first
+// product is a fresh Mul result, later ones fold into it in place
+// (FMA.MulAddInto when nothing is lifted, Mul + entry.add otherwise),
+// so nothing folded into is reachable from an operand, and the group's
+// tuple and key string materialize only on first sight.
+//
+// Orientation follows from what the join observes, not from the caller.
+// When the larger side carries a persistent index on the common key
+// (AddIndex with the plan's Left/RightIndexKey) Step iterates only the
+// smaller side — the delta, in steady-state maintenance — and looks
+// matches up there: O(|small| + |matches|). Otherwise it builds a
+// throwaway index on the smaller side and scans the larger, O(|large|)
+// — the bulk-load case, where the loaded relation is the larger operand
+// and, being a delta, carries none, so no index is materialized on a
+// smaller sibling. Both visit the same multiset of payload products in
+// the same left-first per-pair order, so results are bit-identical
+// whenever ring addition is exact (integer rings, float rings over
+// integer-valued data — the same scope as the parallel path's
+// guarantee, see view.Tree.SetParallelism); they iterate opposite
+// sides, which can group a key's float64 additions differently in the
+// last bits on inexact data.
+func Step[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {
+	return step(plan, r, left, right, lift, out, false)
+}
+
+// sides returns the operand step iterates, the one it looks matches up
+// in, and their geometry; swapped iterates the right operand.
+func sides[V any](plan *JoinPlan, left, right *Map[V], swapped bool) (iter, look *Map[V], o *joinOrient) {
+	if swapped {
+		return right, left, &plan.rev
+	}
+	return left, right, &plan.fwd
+}
+
+// step is Step; scan forces the build-and-scan orientation whatever
+// indexes the operands carry (JoinWith, the tests' reference).
+func step[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V], lift ring.Lift[V], out *Map[V], scan bool) *Map[V] {
 	if left.Len() == 0 || right.Len() == 0 {
+		if out == nil {
+			out = New[V](plan.out)
+		}
 		return out
 	}
-
-	build, probe := right, left
-	o := &plan.fwd
-	swapped := false
-	if left.Len() < right.Len() {
-		build, probe = left, right
-		o = &plan.rev
-		swapped = true
+	// Index probe: iterate the smaller side (left on a tie).
+	swapped := right.Len() < left.Len()
+	iter, look, o := sides(plan, left, right, swapped)
+	var karr, oarr [64]byte
+	kbuf, obuf := karr[:0], oarr[:0]
+	var idx *index[V]
+	var built map[string][]*entry[V]
+	if !scan {
+		idx = look.indexOn(o.buildCommon)
 	}
-
-	index := make(map[string][]*entry[V], build.Len())
-	var kbuf []byte
-	for _, e := range build.data {
-		kbuf = e.tuple.AppendEncodeProject(kbuf[:0], o.buildCommon)
-		index[string(kbuf)] = append(index[string(kbuf)], e)
+	if idx != nil {
+		idx.ensure(look) // first probe materializes a lazily registered index
+	} else {
+		// Build and scan: index the smaller side (right on a tie).
+		swapped = left.Len() < right.Len()
+		iter, look, o = sides(plan, left, right, swapped)
+		built = make(map[string][]*entry[V], look.Len())
+		for _, e := range look.data {
+			kbuf = e.tuple.AppendEncodeProject(kbuf[:0], o.buildCommon)
+			built[string(kbuf)] = append(built[string(kbuf)], e)
+		}
 	}
-
+	if out == nil {
+		out = NewSized[V](plan.out, iter.Len())
+	}
+	fromBuild, srcPos := o.fromBuild, o.srcPos
 	sc := scratchOf(r)
 	fma, _ := r.(ring.FMA[V])
-	var obuf []byte
-	for _, pe := range probe.data {
+	if lift != nil {
+		fma = nil
+	}
+	for _, pe := range iter.data {
 		kbuf = pe.tuple.AppendEncodeProject(kbuf[:0], o.probeCommon)
-		matches := index[string(kbuf)]
-		if len(matches) == 0 {
-			continue
+		var matches []*entry[V]
+		if idx != nil {
+			matches = idx.lookup(kbuf)
+		} else {
+			matches = built[string(kbuf)]
 		}
-		obuf = joinMatches(out, r, sc, fma, o, swapped, pe, matches, obuf)
-	}
-	return out
-}
-
-// JoinProbeWith is the planned join every caller uses. When the larger
-// side carries a persistent index on the join's common key (AddIndex
-// with the plan's Left/RightIndexKey) it iterates only the smaller side
-// — the delta, in steady-state maintenance — and looks matches up in the
-// index: O(|small| + |matches|) instead of the build-and-scan join's
-// O(|large|). When the larger side has no matching index it falls back
-// to JoinWith — the bulk-load case, where the loaded relation is the
-// larger operand and, being a delta, carries none. The choice follows
-// from what the join observes, not from which entry point called it.
-// Both paths visit the same multiset of payload products in the same
-// left-first per-pair order, so results are bit-identical whenever ring
-// addition is exact (integer rings, float rings over integer-valued
-// data — the same scope as the parallel path's guarantee, see
-// view.Tree.SetParallelism): the two paths iterate opposite sides,
-// which can group an output key's float64 additions differently in the
-// last bits on inexact data.
-func JoinProbeWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	if left.Len() == 0 || right.Len() == 0 {
-		return New[V](plan.out)
-	}
-	// Iterate the smaller side, probe the larger side's index. Note the
-	// iteration side is the OPPOSITE of JoinWith's (which indexes the
-	// smaller side and iterates the larger) — same matches and products,
-	// different accumulation grouping; see the doc comment's exact-ring
-	// scope for what that means on inexact float data.
-	outer, inner := left, right
-	o := &plan.fwd
-	swapped := false
-	if right.Len() < left.Len() {
-		outer, inner = right, left
-		o = &plan.rev
-		swapped = true
-	}
-	idx := inner.indexOn(o.buildCommon)
-	if idx == nil {
-		return JoinWith(plan, r, left, right)
-	}
-	idx.ensure(inner) // first probe materializes a lazily registered index
-	out := New[V](plan.out)
-	sc := scratchOf(r)
-	fma, _ := r.(ring.FMA[V])
-	var arr [64]byte
-	kbuf, obuf := arr[:0], []byte(nil)
-	for _, pe := range outer.data {
-		kbuf = pe.tuple.AppendEncodeProject(kbuf[:0], o.probeCommon)
-		matches := idx.lookup(kbuf)
-		if len(matches) == 0 {
-			continue
+		for _, be := range matches {
+			a, b := pe.payload, be.payload
+			if swapped {
+				a, b = b, a
+			}
+			obuf = obuf[:0]
+			for i, fb := range fromBuild {
+				if fb {
+					obuf = be.tuple[srcPos[i]].AppendEncode(obuf)
+				} else {
+					obuf = pe.tuple[srcPos[i]].AppendEncode(obuf)
+				}
+			}
+			g, seen := out.data[string(obuf)]
+			if seen && fma != nil && !g.shared {
+				g.payload = fma.MulAddInto(g.payload, a, b)
+				if r.IsZero(g.payload) {
+					delete(out.data, string(obuf))
+					out.drop(g)
+				}
+				continue
+			}
+			p := r.Mul(a, b)
+			if lift != nil {
+				lv := pe.tuple
+				if o.liftFromBuild {
+					lv = be.tuple
+				}
+				p = r.Mul(p, lift(lv[o.liftPos]))
+			}
+			if r.IsZero(p) {
+				continue
+			}
+			if seen {
+				if g.add(r, sc, p) {
+					delete(out.data, string(obuf))
+					out.drop(g)
+				}
+				continue
+			}
+			t := make(value.Tuple, len(fromBuild))
+			for i, fb := range fromBuild {
+				if fb {
+					t[i] = be.tuple[srcPos[i]]
+				} else {
+					t[i] = pe.tuple[srcPos[i]]
+				}
+			}
+			out.data[string(obuf)] = out.newEntry(t, p, false)
 		}
-		obuf = joinMatches(out, r, sc, fma, o, swapped, pe, matches, obuf)
 	}
 	return out
 }
@@ -288,17 +321,21 @@ func Aggregate[V any](r ring.Ring[V], m *Map[V], outSchema value.Schema, liftAtt
 	if lift == nil {
 		liftAttr = ""
 	}
-	return AggregateWith(PlanAggregate(m.schema, outSchema, liftAttr), r, m, lift)
+	return AggregateWith(PlanAggregate(m.schema, outSchema, liftAttr), r, m, lift, nil)
 }
 
 // AggregateWith is Aggregate with a precomputed plan (which must have
 // been built from exactly m's schema; lift must be non-nil iff the plan
-// named a lift attribute).
-func AggregateWith[V any](plan *AggPlan, r ring.Ring[V], m *Map[V], lift ring.Lift[V]) *Map[V] {
-	out := New[V](plan.out)
+// named a lift attribute) into out, which must be empty and over the
+// plan's schema; nil allocates a relation sized for m.
+func AggregateWith[V any](plan *AggPlan, r ring.Ring[V], m *Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {
+	if out == nil {
+		out = NewSized[V](plan.out, m.Len())
+	}
 	sc := scratchOf(r)
 	proj := plan.proj
-	var kbuf []byte
+	var arr [64]byte
+	kbuf := arr[:0]
 	for _, e := range m.data {
 		p := e.payload
 		owned := false

@@ -64,6 +64,99 @@ type probeRing[V any] struct {
 	// with structured products (ranged COVAR multiplies only adjacent
 	// attribute ranges) need side-specific payloads. nil means gen.
 	genRight func(rnd *rand.Rand) V
+	// lift is applied by the fused-step checks to an attribute of either
+	// operand; it must compose with a product of one gen and one
+	// genRight payload.
+	lift ring.Lift[V]
+}
+
+// naiveStep is the fused step's oracle, sharing no code with it: a
+// nested loop over both operands, the left-first product of every pair
+// agreeing on the common attributes, the lift, and a Merge per pair
+// into the group — pure ring operations only.
+func naiveStep[V any](r ring.Ring[V], left, right *Map[V], group value.Schema, liftAttr string, lift ring.Lift[V]) *Map[V] {
+	r = pureRing[V]{r}
+	joined := left.schema.Union(right.schema)
+	common := left.schema.Intersect(right.schema)
+	lc, rc := left.schema.MustProject(common), right.schema.MustProject(common)
+	extra := right.schema.MustProject(right.schema.Minus(left.schema))
+	proj := joined.MustProject(group)
+	out := New[V](group)
+	left.Each(func(lt value.Tuple, lp V) {
+		right.Each(func(rt value.Tuple, rp V) {
+			if !lt.Project(lc).Equal(rt.Project(rc)) {
+				return
+			}
+			jt := append(append(value.Tuple(nil), lt...), rt.Project(extra)...)
+			p := r.Mul(lp, rp)
+			if liftAttr != "" {
+				p = r.Mul(p, lift(jt[joined.Index(liftAttr)]))
+			}
+			out.Merge(r, jt.Project(proj), p)
+		})
+	})
+	return out
+}
+
+// checkFusedStep compares Step under every fused plan of the (A,B)⋈(B,C)
+// join — group keys from the left only, the right only, both, the
+// common attribute, none, all; the lift on either side, on the common
+// attribute, absent — against AggregateWith(JoinWith(...)) and the
+// naive oracle, bit for bit, in both orientations (as given: the index
+// probe; unindexed clones: build-and-scan) and into a recycled buffer.
+func checkFusedStep[V any](t *testing.T, pr probeRing[V], plan *JoinPlan, left, right *Map[V]) {
+	t.Helper()
+	r := pr.ring
+	eq := func(a, b V) bool { return reflect.DeepEqual(a, b) }
+	scanL, scanR := left.Clone(), right.Clone() // clones carry no index
+	joined := JoinWith(plan, r, left, right)
+	for _, group := range [][]string{{"A"}, {"C"}, {"A", "C"}, {"B"}, {}, {"A", "B", "C"}} {
+		for _, liftAttr := range []string{"", "A", "B", "C"} {
+			var lift ring.Lift[V]
+			if liftAttr != "" {
+				lift = pr.lift
+			}
+			gs := value.NewSchema(group...)
+			agg := PlanAggregate(plan.Out(), gs, liftAttr)
+			fused := plan.Then(agg)
+			want := AggregateWith(agg, r, joined, lift, nil)
+			if naive := naiveStep(r, left, right, gs, liftAttr, lift); !want.Equal(naive, eq) {
+				t.Fatalf("group %v lift %q: two-step reference diverged from the naive oracle\ntwo-step: %v\nnaive:    %v", group, liftAttr, want, naive)
+			}
+			for _, empty := range []*Map[V]{
+				Step(fused, r, New[V](left.schema), right, lift, nil),
+				Step(fused, r, left, New[V](right.schema), lift, nil),
+			} {
+				if empty.Len() != 0 || !empty.schema.Equal(gs) {
+					t.Fatalf("group %v lift %q: step with an empty operand produced %v", group, liftAttr, empty)
+				}
+			}
+			buf := New[V](gs)
+			for _, c := range []struct {
+				name        string
+				left, right *Map[V]
+				out         *Map[V]
+			}{
+				{"probe", left, right, nil},
+				{"scan", scanL, scanR, nil},
+				{"buffer", left, right, buf},
+				{"recycled buffer", scanL, scanR, buf},
+			} {
+				if c.out != nil {
+					c.out.Reset()
+				}
+				got := Step(fused, r, c.left, c.right, lift, c.out)
+				if !got.Equal(want, eq) {
+					t.Fatalf("group %v lift %q (%s): fused step diverged from AggregateWith(JoinWith)\nfused: %v\nwant:  %v", group, liftAttr, c.name, got, want)
+				}
+				got.Each(func(tp value.Tuple, p V) {
+					if r.IsZero(p) {
+						t.Fatalf("group %v lift %q (%s): stored a ring zero at %v", group, liftAttr, c.name, tp)
+					}
+				})
+			}
+		}
+	}
 }
 
 // runProbeEquivalence drives the property: for random indexed relations
@@ -137,7 +230,35 @@ func runProbeEquivalence[V any](t *testing.T, pr probeRing[V]) {
 		// with the live entries too.
 		checkIndexConsistency(t, left)
 		checkIndexConsistency(t, right)
+		if left.Len() != right.Len() {
+			small, ix := left, right.indexOn(plan.RightIndexKey())
+			if right.Len() < left.Len() {
+				small, ix = right, left.indexOn(plan.LeftIndexKey())
+			}
+			if small.Len() > 0 && !ix.built {
+				t.Fatalf("iter %d: the larger side's index was not probed", iter)
+			}
+		}
+		if iter%6 == 0 {
+			checkFusedStep(t, pr, plan, left, right)
+		}
 	}
+
+	// Groups that cancel to the ring zero are dropped: two left tuples
+	// with opposite payloads meet the same right tuples under group C.
+	left, right := New[V](sAB), New[V](sBC)
+	right.AddIndex(plan.RightIndexKey())
+	p := pr.gen(rnd)
+	left.Merge(r, value.T(1, 1), p)
+	left.Merge(r, value.T(2, 1), r.Neg(p))
+	for c := 0; c < 3; c++ {
+		right.Merge(r, value.T(1, c), genRight(rnd))
+	}
+	fused := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), ""))
+	if got := Step(fused, r, left, right, nil, nil); got.Len() != 0 {
+		t.Fatalf("cancelling groups survived the fused step: %v", got)
+	}
+	checkFusedStep(t, pr, plan, left, right)
 }
 
 // TestQuickProbeEquivalenceAllKinds runs the probe/scan equivalence
@@ -148,22 +269,22 @@ func TestQuickProbeEquivalenceAllKinds(t *testing.T) {
 	t.Run("ints", func(t *testing.T) {
 		runProbeEquivalence(t, probeRing[int64]{ring: ring.Ints{}, gen: func(rnd *rand.Rand) int64 {
 			return int64(rnd.Intn(9) - 4)
-		}})
+		}, lift: func(v value.Value) int64 { return v.Int() - 2 }})
 	})
 	t.Run("floats", func(t *testing.T) {
 		runProbeEquivalence(t, probeRing[float64]{ring: ring.Floats{}, gen: func(rnd *rand.Rand) float64 {
 			return float64(rnd.Intn(9) - 4)
-		}})
+		}, lift: func(v value.Value) float64 { return float64(v.Int()) - 2 }})
 	})
 	t.Run("covar", func(t *testing.T) {
-		r := ring.NewCovarRing(2)
-		runProbeEquivalence(t, probeRing[*ring.Covar]{ring: r, gen: func(rnd *rand.Rand) *ring.Covar {
-			p := r.Lift(rnd.Intn(2))(value.Int(int64(rnd.Intn(5) - 2)))
-			if rnd.Intn(2) == 0 {
-				return r.Neg(p)
-			}
-			return p
-		}})
+		runProbeEquivalence(t, covarProbeRing(ring.NewCovarRing(3)))
+	})
+	t.Run("covar-pure", func(t *testing.T) {
+		// The same ring behind a wrapper hiding Scratch and FMA: every
+		// fold of the kernel takes the pure Add.
+		pr := covarProbeRing(ring.NewCovarRing(3))
+		pr.ring = pureRing[*ring.Covar]{pr.ring}
+		runProbeEquivalence(t, pr)
 	})
 	t.Run("rangedcovar", func(t *testing.T) {
 		// Ranged payloads add only within one attribute range and
@@ -180,10 +301,10 @@ func TestQuickProbeEquivalenceAllKinds(t *testing.T) {
 				return p
 			}
 		}
-		runProbeEquivalence(t, probeRing[*ring.RangedCovar]{ring: r, gen: lifted(0), genRight: lifted(1)})
+		runProbeEquivalence(t, probeRing[*ring.RangedCovar]{ring: r, gen: lifted(0), genRight: lifted(1), lift: r.Lift(2)})
 	})
 	t.Run("relcovar", func(t *testing.T) {
-		r := ring.NewRelCovarRing(2)
+		r := ring.NewRelCovarRing(3)
 		lifts := []ring.Lift[*ring.RelCovar]{r.LiftContinuous(0), r.LiftCategorical(1)}
 		runProbeEquivalence(t, probeRing[*ring.RelCovar]{ring: r, gen: func(rnd *rand.Rand) *ring.RelCovar {
 			p := lifts[rnd.Intn(2)](value.Int(int64(rnd.Intn(4))))
@@ -191,14 +312,69 @@ func TestQuickProbeEquivalenceAllKinds(t *testing.T) {
 				return r.Neg(p)
 			}
 			return p
-		}})
+		}, lift: r.LiftCategorical(2)})
 	})
 	t.Run("relational", func(t *testing.T) {
 		r := ring.Relational{}
 		runProbeEquivalence(t, probeRing[ring.RelVal]{ring: r, gen: func(rnd *rand.Rand) ring.RelVal {
 			return ring.RelSingle(value.T(rnd.Intn(4)), float64(rnd.Intn(5)-2))
-		}})
+		}, lift: func(v value.Value) ring.RelVal { return ring.RelSingle(value.Tuple{v}, 1) }})
 	})
+}
+
+// covarProbeRing is the scalar COVAR kind of the equivalence property:
+// payloads lift attributes 0 and 1, the fused checks lift attribute 2.
+func covarProbeRing(r ring.CovarRing) probeRing[*ring.Covar] {
+	return probeRing[*ring.Covar]{ring: r, lift: r.Lift(2), gen: func(rnd *rand.Rand) *ring.Covar {
+		p := r.Lift(rnd.Intn(2))(value.Int(int64(rnd.Intn(5) - 2)))
+		if rnd.Intn(2) == 0 {
+			return r.Neg(p)
+		}
+		return p
+	}}
+}
+
+// TestStepKeepsRelationalKeyOrientation: the relational ring's product
+// concatenates keys, so a ⊗ b and b ⊗ a differ. Whichever side Step
+// iterates — the smaller one, so both sizes are tried, probing and
+// scanning — the payload is left ⊗ right (⊗ lift), and exchanging the
+// operands exchanges the key order.
+func TestStepKeepsRelationalKeyOrientation(t *testing.T) {
+	r := ring.Relational{}
+	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
+	lift := func(v value.Value) ring.RelVal { return ring.RelSingle(value.T("g"), 1) }
+	group := value.NewSchema("B")
+	for _, sizes := range [][2]int{{1, 3}, {3, 1}, {2, 2}} {
+		for _, indexed := range []bool{true, false} {
+			left, right := New[ring.RelVal](sAB), New[ring.RelVal](sBC)
+			for i := 0; i < sizes[0]; i++ {
+				left.Merge(r, value.T(i, 7), ring.RelSingle(value.T("l"), 1))
+			}
+			for i := 0; i < sizes[1]; i++ {
+				right.Merge(r, value.T(7, i), ring.RelSingle(value.T("r"), 1))
+			}
+			ab, ba := PlanJoin(sAB, sBC), PlanJoin(sBC, sAB)
+			if indexed {
+				left.AddIndex(ab.LeftIndexKey())
+				right.AddIndex(ab.RightIndexKey())
+			}
+			n := float64(sizes[0] * sizes[1])
+			for _, c := range []struct {
+				got  *Map[ring.RelVal]
+				want value.Tuple
+			}{
+				{Step(ab.Then(PlanAggregate(ab.Out(), group, "")), r, left, right, nil, nil), value.T("l", "r")},
+				{Step(ba.Then(PlanAggregate(ba.Out(), group, "")), r, right, left, nil, nil), value.T("r", "l")},
+				{Step(ab.Then(PlanAggregate(ab.Out(), group, "A")), r, left, right, lift, nil), value.T("l", "r", "g")},
+				{Step(ba.Then(PlanAggregate(ba.Out(), group, "C")), r, right, left, lift, nil), value.T("r", "l", "g")},
+			} {
+				got, _ := c.got.Get(value.T(7))
+				if want := ring.RelSingle(c.want, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("sizes %v indexed %v: payload %v, want %v", sizes, indexed, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestJoinProbeFallsBackWithoutIndex: an unindexed large side must

@@ -78,8 +78,11 @@ func scratchOf[V any](r ring.Ring[V]) ring.Scratch[V] {
 }
 
 // New returns an empty relation over the given key schema.
-func New[V any](schema value.Schema) *Map[V] {
-	return &Map[V]{schema: schema, data: make(map[string]*entry[V])}
+func New[V any](schema value.Schema) *Map[V] { return NewSized[V](schema, 0) }
+
+// NewSized is New with the table allocated for n tuples up front.
+func NewSized[V any](schema value.Schema, n int) *Map[V] {
+	return &Map[V]{schema: schema, data: make(map[string]*entry[V], n)}
 }
 
 // Schema returns the key schema.

@@ -71,6 +71,22 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 			t.Fatalf("fused aggregate differs from pure aggregate:\n%v\nvs\n%v", aggF, aggP)
 		}
 
+		// The fused step folds through FMA (unlifted) and AddInto (lifted);
+		// behind the wrapper every fold is a pure Add.
+		for _, liftAttr := range []string{"", "B"} {
+			plan := PlanJoin(left, right)
+			fusedPlan := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), liftAttr))
+			var lf ring.Lift[*ring.Covar]
+			if liftAttr != "" {
+				lf = lift
+			}
+			stepF := Step[*ring.Covar](fusedPlan, cr, l, r, lf, nil)
+			stepP := Step[*ring.Covar](fusedPlan, pure, l, r, lf, nil)
+			if !stepF.Equal(stepP, eq) {
+				t.Fatalf("fused step (lift %q) differs from the pure step:\n%v\nvs\n%v", liftAttr, stepF, stepP)
+			}
+		}
+
 		// No-lift aggregation exercises the shared-payload copy-on-write.
 		nlF := Aggregate[*ring.Covar](cr, fused, value.NewSchema("B"), "", nil)
 		nlP := Aggregate[*ring.Covar](pure, plain, value.NewSchema("B"), "", nil)
@@ -83,6 +99,58 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 		lAgain := Join[*ring.Covar](pure, l, r)
 		if !lAgain.Equal(plain, eq) {
 			t.Fatal("join inputs were mutated by a previous join")
+		}
+	}
+}
+
+// TestStepOwnsItsOutput pins ownership rule 1 for the fused step: every
+// group's first product is a fresh value the output owns (no entry is
+// flagged shared, no stored payload or backing array is an operand's),
+// and the in-place folds that follow — the kernel's own, and a commit's
+// after it — never reach an operand, One payloads included.
+func TestStepOwnsItsOutput(t *testing.T) {
+	cr := ring.NewCovarRing(2)
+	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
+	plan := PlanJoin(sAB, sBC)
+	rnd := rand.New(rand.NewSource(11))
+	left, right := randCovarRelation(rnd, cr, sAB, 12), randCovarRelation(rnd, cr, sBC, 12)
+	left.Set(value.T(9, 1), cr.One())
+	right.Set(value.T(1, 9), cr.One())
+	right.AddIndex(plan.RightIndexKey())
+	operands := map[*ring.Covar]*ring.Covar{}
+	arrays := map[*float64]bool{}
+	for _, m := range []*Map[*ring.Covar]{left, right} {
+		m.Each(func(_ value.Tuple, p *ring.Covar) {
+			operands[p] = p.Clone()
+			arrays[&p.S[0]] = true
+		})
+	}
+	for _, liftAttr := range []string{"", "A"} {
+		var lift ring.Lift[*ring.Covar]
+		if liftAttr != "" {
+			lift = cr.Lift(0)
+		}
+		fused := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), liftAttr))
+		out := Step[*ring.Covar](fused, cr, left, right, lift, nil)
+		if out.Len() == 0 || out.Len() >= left.Len()*right.Len() {
+			t.Fatalf("fixture groups nothing: %d groups", out.Len())
+		}
+		for _, e := range out.data {
+			if e.shared {
+				t.Fatalf("lift %q: group %v is flagged shared; its first product should be owned", liftAttr, e.tuple)
+			}
+			if operands[e.payload] != nil || arrays[&e.payload.S[0]] {
+				t.Fatalf("lift %q: group %v stores an operand's payload", liftAttr, e.tuple)
+			}
+		}
+		// A commit takes the groups over and folds into them in place.
+		view := New[*ring.Covar](out.schema)
+		view.Absorb(cr, out)
+		view.Absorb(cr, Step[*ring.Covar](fused, cr, left, right, lift, nil))
+		for p, was := range operands {
+			if !p.Equal(was) {
+				t.Fatalf("lift %q: an operand payload was written: %v, was %v", liftAttr, p, was)
+			}
 		}
 	}
 }

@@ -58,18 +58,20 @@ func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V]) int {
 }
 
 // applyDeltaSequential is the one-goroutine body of ApplyDelta:
-// propagate the whole delta, then commit it. The parallel path runs the
-// same two steps per partition. Like commit it returns the tuples
-// merged.
+// propagate the whole delta into the recycled step buffers, commit it,
+// release the buffers. The parallel path runs the first two steps per
+// partition. Like commit it returns the tuples merged.
 func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], path []*Node[V]) int {
-	p := t.propagate(src, delta, path, t.propSteps[:0])
+	p := t.propagate(src, delta, path, true)
 	src.data.MergeAll(t.ring, delta)
 	n := delta.Len() + t.commit(p, path)
-	// Recycle the steps buffer, dropping the references so the merged
-	// delta relations do not outlive the call pinned to the scratch.
+	// Empty the buffers and the steps scratch, so nothing of the merged
+	// delta outlives the call pinned to them.
 	for i := range p.steps {
+		path[i].buf.release()
 		p.steps[i] = nil
 	}
+	t.resBuf.release()
 	t.propSteps = p.steps[:0]
 	return n
 }

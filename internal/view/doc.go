@@ -54,24 +54,30 @@
 //     refills per batch instead of allocating; views that stored one
 //     of its payloads hold it flagged shared, so they outlive the
 //     buffer's recycling.
-//   - The sequential propagation-steps slice and the parallel path's
-//     partition slots are tree-owned and recycled; concurrent
-//     propagate workers never touch them (they get goroutine-local
-//     buffers).
-//   - Each node carries a build-time evaluation plan (join and
-//     aggregation schema geometry, resolved lift), so per-delta
-//     evaluation re-derives nothing.
+//   - The sequential propagation-steps slice, the step outputs it
+//     points at (one recycled delta buffer per path node and one for
+//     the result, see deltaBuf: filled by the step, absorbed by
+//     commit, emptied before ApplyDelta returns, sized by the delta
+//     they were made for and replaced when the next one is far from
+//     it) and the parallel path's partition slots are tree-owned and
+//     recycled; concurrent propagate workers never touch them (they
+//     get goroutine-local maps).
+//   - Each node carries a build-time evaluation plan (stepPlan: join
+//     and aggregation schema geometry, resolved lift), so per-delta
+//     evaluation re-derives nothing, and evaluates it as one fused
+//     relation.Step — probe, multiply, lift, group — that never
+//     materializes the join in front of the marginalization.
 //   - Every part a delta can be joined against (sibling views, other
 //     anchored relations, other roots' views) carries a registered
 //     join-key index on exactly the common-key projection the node's
 //     plan probes it on; delta propagation joins via
-//     relation.JoinProbeWith, touching O(|delta|) state per node
+//     relation.Step, touching O(|delta|) state per node
 //     instead of scanning full views. Indexes build lazily on first
 //     probe and are maintained by the commit-phase merges; the maps
 //     live as long as the tree (a bulk load Resets them, which keeps
 //     registrations), so New registers once. A load's own deltas are
 //     the larger, unindexed operand of every join they meet, which
-//     JoinProbeWith answers by building and scanning.
+//     Step answers by building and scanning.
 //   - A view OWNS the payloads it stores: commit (relation.Absorb)
 //     folds each delta into them in place, so a batch costs what its
 //     delta costs, not what the stored payloads weigh. Every payload

@@ -85,7 +85,7 @@ func TestLoadLeavesViewsOwningTheirPayloads(t *testing.T) {
 	loaded := map[slot]*ring.Covar{}
 	var walk func(n *Node[*ring.Covar])
 	walk = func(n *Node[*ring.Covar]) {
-		if n.liftFn != nil && n.parent != nil && len(n.parent.joinPlans) > 0 {
+		if n.step.lift != nil && n.parent != nil && len(n.parent.step.joins) > 0 {
 			n.view.Each(func(tp value.Tuple, p *ring.Covar) { loaded[slot{n.view, tp.Encode()}] = p })
 		}
 		for _, c := range n.children {

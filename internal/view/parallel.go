@@ -97,39 +97,47 @@ func pathOf[V any](n *Node[V]) []*Node[V] {
 // partition of a delta) WITHOUT mutating any tree state. At each node
 // the delta joins the materialized views of the node's other children
 // and the full contents of its other anchored relations — all off-path
-// state — and the node's variable is marginalized. Because every read
-// is off-path and every write is deferred to commit, propagate is safe
-// to run concurrently for partitions of the same delta.
+// state — and the node's variable is marginalized, one fused
+// relation.Step per node (stepPlan.eval). Because every read is
+// off-path and every write is deferred to commit, propagate is safe to
+// run concurrently for partitions of the same delta.
 //
-// steps is the (possibly nil) buffer the propagation appends its step
-// views to: the sequential caller passes the tree's recycled scratch,
-// concurrent partition workers pass nil for a goroutine-local slice.
-func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node[V], steps []*relation.Map[V]) propagation[V] {
-	if cap(steps) < len(path) {
-		steps = make([]*relation.Map[V], 0, len(path))
+// recycle selects where the step views go: the sequential caller
+// evaluates into the path nodes' and the tree's recycled buffers and
+// the tree's steps scratch (and releases them after its commit),
+// concurrent partition workers into goroutine-local maps.
+func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node[V], recycle bool) propagation[V] {
+	var p propagation[V]
+	if recycle {
+		p.steps = t.propSteps[:0]
 	}
-	p := propagation[V]{steps: steps}
-	d := t.evalNodeDelta(path[0], path[0].parts(src.data, delta))
-	for i := 0; ; i++ {
+	var arr [4]*relation.Map[V]
+	var out *relation.Map[V]
+	exclude, d := src.data, delta
+	for _, n := range path {
+		if recycle {
+			out = n.buf.take(n.keys, d.Len())
+		}
+		d = n.step.eval(t.ring, n.parts(arr[:0], exclude, d), out)
 		p.steps = append(p.steps, d)
 		if d.Len() == 0 {
 			return p // the delta cancelled out; nothing to propagate
 		}
-		if i+1 == len(path) {
-			break
-		}
-		d = t.evalNodeDelta(path[i+1], path[i+1].parts(path[i].view, d))
+		exclude = n.view
 	}
 	// d reached the root: join with the other root views (disconnected
 	// queries) and project to the result schema, replaying the root's
 	// build-time plan. Like the path steps this probes the other roots'
 	// persistent indexes rather than scanning their views.
-	dres := d
 	root := path[len(path)-1]
-	for _, rj := range root.resJoins {
-		dres = relation.JoinProbeWith(rj.plan, t.ring, dres, rj.other.view)
+	parts := append(arr[:0], d)
+	for _, o := range root.resOthers {
+		parts = append(parts, o.view)
 	}
-	p.dres = relation.AggregateWith(root.resAgg, t.ring, dres, nil)
+	if recycle {
+		out = t.resBuf.take(t.result.Schema(), d.Len())
+	}
+	p.dres = root.resStep.eval(t.ring, parts, out)
 	return p
 }
 
@@ -222,7 +230,7 @@ func (t *Tree[V]) applyDeltaParallel(src *source[V], delta *relation.Map[V], pat
 		wg.Add(1)
 		go func(part *relation.Map[V]) {
 			defer wg.Done()
-			p := t.propagate(src, part, path, nil)
+			p := t.propagate(src, part, path, false)
 			tuples.Add(int64(t.commit(p, path)))
 		}(part)
 	}

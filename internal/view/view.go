@@ -41,18 +41,19 @@ type Node[V any] struct {
 	free     bool         // whether vn.Var is a group-by variable
 	view     *relation.Map[V]
 
-	// Evaluation plan, fixed at build time: the schema geometry of the
-	// node's part joins and its marginalizing aggregation, plus the
-	// resolved lift. Deriving these per evaluation costs a dozen
-	// allocations — the dominant cost of single-tuple deltas.
-	joinPlans []*relation.JoinPlan
-	aggPlan   *relation.AggPlan
-	liftFn    ring.Lift[V]
+	// step is the node's evaluation plan, fixed at build time (deriving
+	// the schema geometry per evaluation costs a dozen allocations — the
+	// dominant cost of single-tuple deltas). Root nodes additionally plan
+	// the result-level step of propagate: the root's delta joined with
+	// the other roots' views (resOthers) and projected to the result
+	// schema.
+	step      stepPlan[V]
+	resStep   stepPlan[V]
+	resOthers []*Node[V]
 
-	// Root nodes additionally plan the result-level step of propagate:
-	// joining the other root views and projecting to the result schema.
-	resJoins []resJoin[V]
-	resAgg   *relation.AggPlan
+	// buf recycles the node's delta view across sequential ApplyDelta
+	// calls (see deltaBuf).
+	buf deltaBuf[V]
 
 	// mu serializes merges into this node's view — its primary map,
 	// index maintenance, entry arena and the payloads it owns, which
@@ -64,11 +65,121 @@ type Node[V any] struct {
 	mu sync.Mutex
 }
 
-// resJoin is one step of a root's result-level plan: join the
-// accumulated delta with another root's view.
-type resJoin[V any] struct {
-	other *Node[V]
-	plan  *relation.JoinPlan
+// stepPlan is the build-time plan of one propagation step over k
+// operands of fixed schemas: plain joins fold operands 0..k-2 left to
+// right and the last join runs fused with the marginalization (its plan
+// is the join's Then(agg)), so the join in front of an aggregation is
+// never materialized; agg alone serves a single operand.
+type stepPlan[V any] struct {
+	joins []*relation.JoinPlan
+	agg   *relation.AggPlan
+	lift  ring.Lift[V]
+}
+
+// planStep plans joining relations over schemas (at least one) and
+// aggregating onto out, lifting liftAttr when lift is non-nil and the
+// attribute survives into the join.
+func planStep[V any](schemas []value.Schema, out value.Schema, liftAttr string, lift ring.Lift[V]) stepPlan[V] {
+	var sp stepPlan[V]
+	acc := schemas[0]
+	for _, s := range schemas[1:] {
+		pl := relation.PlanJoin(acc, s)
+		sp.joins = append(sp.joins, pl)
+		acc = pl.Out()
+	}
+	if lift != nil && acc.Has(liftAttr) {
+		sp.lift = lift
+	} else {
+		liftAttr = ""
+	}
+	sp.agg = relation.PlanAggregate(acc, out, liftAttr)
+	if last := len(sp.joins) - 1; last >= 0 {
+		sp.joins[last] = sp.joins[last].Then(sp.agg)
+	}
+	return sp
+}
+
+// eval runs the step over parts — the planned operands in their fixed
+// order, one substituted by a delta of identical schema, so the
+// build-time plan stays valid — into out (empty, or nil for a fresh
+// relation). Every join goes through relation.Step, so a delta-sized
+// operand probes the persistent join-key index of the full-size part
+// instead of the part being scanned — work proportional to the delta,
+// not the database — and an unindexed larger operand (the intermediate
+// accumulator, or the relation a bulk load is applying) is built
+// against and scanned. Reads only the parts and immutable plans: safe
+// for concurrent propagate workers.
+//
+// Scope of the O(|delta|) bound: the left fold keeps the fixed part
+// order, so the bound holds when the delta substitutes one of the first
+// two parts — always true with at most two parts (the common shape:
+// every node of the Retailer evaluation tree joins at most two, so its
+// whole step is the one fused pass). With three or more parts and the
+// delta at position >= 2, the first join still combines two full parts
+// and costs what the pre-index path did. Reordering the fold
+// delta-first would fix that corner but reorder the ring products,
+// which the non-commutative relational ring forbids; it needs
+// per-position plans and a commutativity marker (ROADMAP).
+func (sp *stepPlan[V]) eval(r ring.Ring[V], parts []*relation.Map[V], out *relation.Map[V]) *relation.Map[V] {
+	last := len(sp.joins) - 1
+	if last < 0 {
+		return relation.AggregateWith(sp.agg, r, parts[0], sp.lift, out)
+	}
+	j := parts[0]
+	for i, pl := range sp.joins[:last] {
+		j = relation.JoinProbeWith(pl, r, j, parts[i+1])
+	}
+	return relation.Step(sp.joins[last], r, j, parts[last+1], sp.lift, out)
+}
+
+// deltaBuf is the recycled output relation of one propagation step on
+// the sequential path: each path node owns one for its delta view and
+// the tree one for the result delta. A step fills it, commit Absorbs it
+// and release empties it (entries back to its arena), so the next call
+// refills warm memory instead of allocating a table, a slab and a Map
+// per node. Parallel partition workers use goroutine-local maps.
+//
+// A buffer costs its capacity, not its fill — clearing and iterating a
+// Go map are O(table) — so size tracks what the table was made for: the
+// incoming delta's size (the allocation hint), which at an aggregating
+// node is far above the fill, raised to the fill where a join fans out.
+type deltaBuf[V any] struct {
+	m    *relation.Map[V]
+	size int
+}
+
+const (
+	// bufSlack is how far apart (as a factor, past a floor of bufSlack
+	// tuples) a buffer's size and the incoming delta's may be for the
+	// buffer to be refilled rather than replaced: a single-tuple delta
+	// must not clear a batch-sized table, nor a batch grow a tiny one.
+	bufSlack = 8
+	// bufKeep is the largest buffer kept between calls; anything bigger
+	// (a bulk load's) is dropped on release, so no load-sized table
+	// stays pinned while the tree sits idle.
+	bufKeep = 4096
+)
+
+// take returns the empty relation to evaluate a step into for an
+// incoming delta of n tuples.
+func (b *deltaBuf[V]) take(schema value.Schema, n int) *relation.Map[V] {
+	if b.m == nil || b.size > bufSlack*(n+bufSlack) || n > bufSlack*(b.size+bufSlack) {
+		b.m, b.size = relation.NewSized[V](schema, n), 0
+	}
+	b.size = max(b.size, n)
+	return b.m
+}
+
+// release empties the buffer once commit has absorbed it.
+func (b *deltaBuf[V]) release() {
+	if b.m == nil {
+		return
+	}
+	if b.size = max(b.size, b.m.Len()); b.size > bufKeep {
+		*b = deltaBuf[V]{}
+		return
+	}
+	b.m.Reset()
 }
 
 // Var returns the variable this node marginalizes.
@@ -129,6 +240,7 @@ type Tree[V any] struct {
 	lifts   map[string]ring.Lift[V]
 	free    value.Schema
 	result  *relation.Map[V]
+	resBuf  deltaBuf[V] // the result delta's recycled buffer
 	stats   Stats
 
 	// Parallel delta propagation (see SetParallelism). workers <= 1
@@ -238,24 +350,25 @@ func New[V any](spec Spec[V]) (*Tree[V], error) {
 	t.result = relation.New[V](resSchema)
 	// Plan each root's result-level step (see propagate): join the other
 	// root views in t.roots order, each probed on its registered index,
-	// then project to the result schema.
+	// and project to the result schema.
 	for _, root := range t.roots {
-		acc := root.keys
+		schemas := []value.Schema{root.keys}
 		for _, r := range t.roots {
 			if r != root {
-				pl := relation.PlanJoin(acc, r.keys)
-				root.resJoins = append(root.resJoins, resJoin[V]{other: r, plan: pl})
-				r.view.AddIndex(pl.RightIndexKey())
-				acc = pl.Out()
+				root.resOthers = append(root.resOthers, r)
+				schemas = append(schemas, r.keys)
 			}
 		}
-		root.resAgg = relation.PlanAggregate(acc, resSchema, "")
+		root.resStep = planStep[V](schemas, resSchema, "", nil)
+		for i, pl := range root.resStep.joins {
+			root.resOthers[i].view.AddIndex(pl.RightIndexKey())
+		}
 	}
 	return t, nil
 }
 
 // registerIndexes declares the persistent join-key indexes the delta
-// path probes at n (see JoinProbeWith): on each of n's parts — children
+// path probes at n (see relation.Step): on each of n's parts — children
 // views and anchored relations — the projection of the common key the
 // node's join plans probe that part on. buildNode runs it once per
 // node: the maps live as long as the tree (a bulk load resets them in
@@ -263,15 +376,16 @@ func New[V any](spec Spec[V]) (*Tree[V], error) {
 // materializes lazily on its first probe, so a probe direction no
 // workload updates costs nothing.
 func (n *Node[V]) registerIndexes() {
-	if len(n.joinPlans) == 0 {
+	joins := n.step.joins
+	if len(joins) == 0 {
 		return // single-part node: the delta replaces the only part, nothing is probed
 	}
-	parts := n.parts(nil, nil)
+	parts := n.parts(nil, nil, nil)
 	// The first join may probe either operand (whichever one the delta
 	// did not substitute); every later step accumulates the delta-sized
 	// relation on the left and probes the right part.
-	parts[0].AddIndex(n.joinPlans[0].LeftIndexKey())
-	for i, pl := range n.joinPlans {
+	parts[0].AddIndex(joins[0].LeftIndexKey())
+	for i, pl := range joins {
 		parts[i+1].AddIndex(pl.RightIndexKey())
 	}
 }
@@ -309,18 +423,7 @@ func (t *Tree[V]) buildNode(vn *vo.Node, parent *Node[V]) *Node[V] {
 		schemas = append(schemas, r.schema)
 	}
 	if len(schemas) > 0 {
-		acc := schemas[0]
-		for _, s := range schemas[1:] {
-			pl := relation.PlanJoin(acc, s)
-			n.joinPlans = append(n.joinPlans, pl)
-			acc = pl.Out()
-		}
-		liftAttr := ""
-		if lf, ok := t.lifts[vn.Var]; ok && acc.Has(vn.Var) {
-			n.liftFn = lf
-			liftAttr = vn.Var
-		}
-		n.aggPlan = relation.PlanAggregate(acc, keys, liftAttr)
+		n.step = planStep(schemas, keys, vn.Var, t.lifts[vn.Var])
 		n.registerIndexes()
 	}
 	return n
@@ -405,11 +508,10 @@ func (t *Tree[V]) SwapResult(m *relation.Map[V]) *relation.Map[V] {
 // Stats returns maintenance counters accumulated so far.
 func (t *Tree[V]) Stats() Stats { return t.stats }
 
-// parts returns the operand relations joined at node n: children views
-// then anchored relations, with exclude (a child view or source data)
-// replaced by repl when non-nil.
-func (n *Node[V]) parts(exclude, repl *relation.Map[V]) []*relation.Map[V] {
-	out := make([]*relation.Map[V], 0, len(n.children)+len(n.rels))
+// parts appends to out the operand relations joined at node n: children
+// views then anchored relations, with exclude (a child view or source
+// data) replaced by repl when non-nil.
+func (n *Node[V]) parts(out []*relation.Map[V], exclude, repl *relation.Map[V]) []*relation.Map[V] {
 	for _, c := range n.children {
 		if c.view == exclude {
 			out = append(out, repl)
@@ -427,40 +529,6 @@ func (n *Node[V]) parts(exclude, repl *relation.Map[V]) []*relation.Map[V] {
 	return out
 }
 
-// evalNodeDelta computes the delta of node n's view from the given
-// parts — the node's operands in their fixed order, one substituted by
-// a delta of identical schema, so the build-time plan stays valid: join
-// them all, then marginalize the node's variable (unless free),
-// multiplying by its lift. Every join goes through JoinProbeWith, so a
-// delta-sized operand probes the persistent join-key index of the
-// full-size part instead of the part being scanned — work proportional
-// to the delta, not the database. An unindexed larger operand (the
-// intermediate accumulator, or the relation a bulk load is applying)
-// falls back to the build-and-scan join. Reads only the parts and
-// immutable plans: safe for concurrent propagate workers.
-//
-// Scope of the O(|delta|) bound: the left fold keeps the node's fixed
-// part order, so the bound holds when the delta substitutes one of the
-// first two parts — always true for nodes with at most two parts (the
-// common shape: every node of the Retailer evaluation tree, for
-// instance, joins at most two parts). At a
-// node with three or more parts whose delta lands at position >= 2,
-// the first join still combines two full parts and costs what the
-// pre-index path did. Reordering the fold delta-first would fix that
-// corner but reorder the ring products, which the non-commutative
-// relational ring forbids; it needs per-position plans and a
-// commutativity marker.
-func (t *Tree[V]) evalNodeDelta(n *Node[V], parts []*relation.Map[V]) *relation.Map[V] {
-	if len(parts) == 0 {
-		return relation.New[V](n.keys)
-	}
-	j := parts[0]
-	for i, p := range parts[1:] {
-		j = relation.JoinProbeWith(n.joinPlans[i], t.ring, j, p)
-	}
-	return relation.AggregateWith(n.aggPlan, t.ring, j, n.liftFn)
-}
-
 // load is the one bulk-load path (Init, InitWeighted, ReadSnapshot),
 // and it is the paper's definition of one: the empty database plus one
 // delta per relation. It empties every source, view and the result in
@@ -468,8 +536,11 @@ func (t *Tree[V]) evalNodeDelta(n *Node[V], parts []*relation.Map[V]) *relation.
 // built stays maintained — then runs each relation through the
 // maintenance path, smallest first: every join on that path sees the
 // relation being loaded as its larger operand, which as a delta carries
-// no index, so JoinProbeWith builds and scans rather than materializing
-// an index on a smaller sibling. data's relations must carry the
+// no index, so relation.Step builds on the smaller sibling and scans
+// the load rather than materializing a persistent index on the sibling
+// (the choice lives in Step, made from what it observes). Steps of a
+// load evaluate into the nodes' delta buffers like any other; release
+// drops what is load-sized. data's relations must carry the
 // sources' schemas; they are only read, and the tree holds what it keeps
 // of them flagged shared, so later maintenance never changes the
 // caller's maps. Stats counts ApplyDelta calls, not loads.

@@ -1,4 +1,4 @@
-package perf
+package main
 
 import (
 	"net/http/httptest"

@@ -1,19 +1,15 @@
 // Command fivm-bench regenerates every evaluation artifact of the paper
-// (DESIGN.md §3): Figure 1's worked example (e1), the §1 throughput
-// claims (e2), the application tabs (e3–e6), the batch/aggregate sweeps
-// (e7), and the ablations (a1, a3). It also runs the machine-readable
-// performance suite (perf) and compares two result files, which is how
-// CI gates performance regressions (docs/PERF.md).
+// (docs/REPRODUCTION.md records one run): Figure 1's worked example
+// (e1), the §1 throughput claims (e2), the application tabs (e3–e6), the
+// batch/aggregate sweeps (e7), the Favorita database (e8), and the
+// ablations (a1–a4). It also drives HTTP load against a live server
+// (loadgen) and proxies one with injected network faults (chaos), which
+// is how CI smoke-tests the real binaries.
 //
 // Usage:
 //
 //	fivm-bench -exp e2 -scale demo
 //	fivm-bench -exp all -scale small
-//	fivm-bench -exp perf -json BENCH_dev.json [-bench regex] [-benchtime 100ms]
-//	fivm-bench compare [-max-rate-drop 0.15] [-max-alloc-growth 0.10] BENCH_baseline.json BENCH_dev.json
-//	fivm-bench scalingcheck [-max-growth 3] BENCH_dev.json
-//	fivm-bench parallelcheck [-min-speedup 2] [-json PARALLEL_dev.json] BENCH_dev.json
-//	fivm-bench clustercheck [-min-speedup 1.5] [-json CLUSTERCHECK_dev.json] BENCH_dev.json
 //	fivm-bench loadgen -url http://localhost:8344 -duration 10s -concurrency 8 -write-ratio 0.5 [-json LOADGEN.json]
 //	fivm-bench chaos -target 127.0.0.1:8351 [-listen 127.0.0.1:9351] [-seed 1] [-weights none=90,reset=5,blackhole=5] [-partition-every 5s] [-json CHAOS.json]
 package main
@@ -25,27 +21,13 @@ import (
 	"log"
 	"os"
 	"os/exec"
-	"regexp"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/perf"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		os.Exit(runCompare(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scalingcheck" {
-		os.Exit(runScalingCheck(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "parallelcheck" {
-		os.Exit(runParallelCheck(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "clustercheck" {
-		os.Exit(runClusterCheck(os.Args[2:]))
-	}
 	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
 		os.Exit(runLoadgen(os.Args[2:]))
 	}
@@ -53,16 +35,9 @@ func main() {
 		os.Exit(runChaos(os.Args[2:]))
 	}
 
-	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a2|a3|a4|all, or perf")
+	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a2|a3|a4|all")
 	scale := flag.String("scale", "small", "workload scale: small|demo")
-	jsonOut := flag.String("json", "", "perf: write machine-readable results to this file (e.g. BENCH_dev.json)")
-	benchFilter := flag.String("bench", "", "perf: only run suite benchmarks matching this regexp")
-	benchTime := flag.String("benchtime", "", "perf: per-benchmark measurement target (go test -benchtime syntax, e.g. 100ms or 10x)")
 	flag.Parse()
-
-	if *exp == "perf" {
-		os.Exit(runPerf(*jsonOut, *benchFilter, *benchTime))
-	}
 
 	var sc experiments.Scale
 	switch *scale {
@@ -96,186 +71,11 @@ func main() {
 	}
 }
 
-// runPerf executes the canonical benchmark suite (internal/perf) and
-// prints one line per benchmark; with -json it also writes the
-// machine-readable report that `fivm-bench compare` consumes.
-func runPerf(jsonOut, benchFilter, benchTime string) int {
-	var filter *regexp.Regexp
-	if benchFilter != "" {
-		var err error
-		if filter, err = regexp.Compile(benchFilter); err != nil {
-			fmt.Fprintf(os.Stderr, "fivm-bench: bad -bench regexp: %v\n", err)
-			return 2
-		}
-	}
-	rep, err := perf.Run(perf.Suite(), perf.Options{
-		Filter:    filter,
-		BenchTime: benchTime,
-		Commit:    gitCommit(),
-		Progress:  os.Stdout,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 1
-	}
-	if jsonOut != "" {
-		if err := rep.WriteJSON(jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %d results to %s\n", len(rep.Results), jsonOut)
-	}
-	return 0
-}
-
-// runCompare diffs two perf reports and exits non-zero when the current
-// one regresses beyond the thresholds — the CI gate.
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	th := perf.DefaultThresholds()
-	fs.Float64Var(&th.MaxRateDrop, "max-rate-drop", th.MaxRateDrop, "tolerated relative drop in updates/sec (ns/op growth where no rate metric exists)")
-	fs.Float64Var(&th.MaxAllocGrowth, "max-alloc-growth", th.MaxAllocGrowth, "tolerated relative growth in allocs/op")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: fivm-bench compare [flags] baseline.json current.json")
-		return 2
-	}
-	baseline, err := perf.ReadJSON(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 2
-	}
-	current, err := perf.ReadJSON(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 2
-	}
-	findings, ok := perf.Compare(baseline, current, th)
-	perf.WriteFindings(os.Stdout, findings, ok)
-	if !ok {
-		return 1
-	}
-	return 0
-}
-
-// runScalingCheck gates the O(|delta|) latency claim within a single
-// report: the UpdateLatencyScaling 100k-row ns/op must stay within a
-// bounded factor of the 1k-row ns/op. Being a single-run property it is
-// hardware-independent, so CI enforces it on every run regardless of
-// what machine the committed baseline came from (docs/PERF.md).
-func runScalingCheck(args []string) int {
-	fs := flag.NewFlagSet("scalingcheck", flag.ExitOnError)
-	maxGrowth := fs.Float64("max-growth", perf.DefaultMaxScalingGrowth, "tolerated 1k->100k ns/op growth factor")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fivm-bench scalingcheck [flags] report.json")
-		return 2
-	}
-	rep, err := perf.ReadJSON(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 2
-	}
-	findings, ok := perf.CheckScaling(rep, *maxGrowth)
-	perf.WriteFindings(os.Stdout, findings, ok)
-	if !ok {
-		return 1
-	}
-	return 0
-}
-
-// runParallelCheck gates the multi-worker speedup claim within a single
-// report (perf.CheckParallel): the 4-worker E2FIVM run must sustain at
-// least min-speedup times the 1-worker throughput of the same suite
-// invocation. Hardware-independent because both runs share the host; on
-// hosts with fewer than 4 CPUs the check reports a skip note and
-// passes. -json writes the findings machine-readably for CI artifacts.
-func runParallelCheck(args []string) int {
-	fs := flag.NewFlagSet("parallelcheck", flag.ExitOnError)
-	minSpeedup := fs.Float64("min-speedup", perf.DefaultMinParallelSpeedup, "required 4-worker / 1-worker throughput ratio")
-	jsonOut := fs.String("json", "", "write findings as JSON to this file")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fivm-bench parallelcheck [flags] report.json")
-		return 2
-	}
-	rep, err := perf.ReadJSON(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 2
-	}
-	findings, ok := perf.CheckParallel(rep, *minSpeedup)
-	perf.WriteFindings(os.Stdout, findings, ok)
-	if *jsonOut != "" {
-		out := struct {
-			GOMAXPROCS int            `json:"gomaxprocs"`
-			MinSpeedup float64        `json:"min_speedup"`
-			OK         bool           `json:"ok"`
-			Findings   []perf.Finding `json:"findings"`
-		}{rep.GOMAXPROCS, *minSpeedup, ok, findings}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fivm-bench: writing %s: %v\n", *jsonOut, err)
-			return 2
-		}
-	}
-	if !ok {
-		return 1
-	}
-	return 0
-}
-
-// runClusterCheck gates the sharded-serving speedup claim within a
-// single report (perf.CheckCluster): the 4-shard ClusterIngest run must
-// sustain at least min-speedup times the 1-shard throughput of the same
-// suite invocation. Like parallelcheck it is hardware-independent and
-// reports a skip note (and passes) on hosts with fewer than 4 CPUs.
-func runClusterCheck(args []string) int {
-	fs := flag.NewFlagSet("clustercheck", flag.ExitOnError)
-	minSpeedup := fs.Float64("min-speedup", perf.DefaultMinClusterSpeedup, "required 4-shard / 1-shard throughput ratio")
-	jsonOut := fs.String("json", "", "write findings as JSON to this file")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fivm-bench clustercheck [flags] report.json")
-		return 2
-	}
-	rep, err := perf.ReadJSON(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 2
-	}
-	findings, ok := perf.CheckCluster(rep, *minSpeedup)
-	perf.WriteFindings(os.Stdout, findings, ok)
-	if *jsonOut != "" {
-		out := struct {
-			GOMAXPROCS int            `json:"gomaxprocs"`
-			MinSpeedup float64        `json:"min_speedup"`
-			OK         bool           `json:"ok"`
-			Findings   []perf.Finding `json:"findings"`
-		}{rep.GOMAXPROCS, *minSpeedup, ok, findings}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fivm-bench: writing %s: %v\n", *jsonOut, err)
-			return 2
-		}
-	}
-	if !ok {
-		return 1
-	}
-	return 0
-}
-
 // runLoadgen drives mixed read/write HTTP traffic against a live
 // fivm-serve instance and reports throughput plus client-side latency
-// quantiles (internal/perf.RunLoadgen). The report always goes to
-// stdout; -json additionally writes it to a file, which is how the CI
-// serving smoke archives it next to BENCH_ci.json.
+// quantiles (RunLoadgen). The report always goes to stdout; -json
+// additionally writes it to a file, which is how the CI serving smoke
+// archives it.
 func runLoadgen(args []string) int {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	url := fs.String("url", "http://localhost:8344", "base URL of the fivm-serve instance")
@@ -288,7 +88,7 @@ func runLoadgen(args []string) int {
 	jsonOut := fs.String("json", "", "also write the JSON report to this file")
 	fs.Parse(args)
 
-	rep, err := perf.RunLoadgen(perf.LoadgenConfig{
+	rep, err := RunLoadgen(LoadgenConfig{
 		URL:         *url,
 		Duration:    *duration,
 		Concurrency: *concurrency,
@@ -314,15 +114,6 @@ func runLoadgen(args []string) int {
 		}
 	}
 	return 0
-}
-
-// gitCommit best-effort stamps reports with the working tree's commit.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 // runE1 replays Figure 1 by delegating to the quickstart example, which
@@ -406,17 +197,13 @@ func runE7(sc experiments.Scale) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		experiments.PrintThroughput(os.Stdout, []experiments.Throughput{r.Throughput})
-	}
+	experiments.PrintThroughput(os.Stdout, rows)
 	fmt.Println("\nE7b — aggregate-count sweep (degree m of the COVAR ring)")
 	rows, err = experiments.E7AggCount(sc, []int{2, 5, 10, 15, 19})
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		experiments.PrintThroughput(os.Stdout, []experiments.Throughput{r.Throughput})
-	}
+	experiments.PrintThroughput(os.Stdout, rows)
 	return nil
 }
 
@@ -468,8 +255,6 @@ func runA3(sc experiments.Scale) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		experiments.PrintThroughput(os.Stdout, []experiments.Throughput{r.Throughput})
-	}
+	experiments.PrintThroughput(os.Stdout, rows)
 	return nil
 }

@@ -10,13 +10,15 @@ import (
 
 // The alloc-regression tests pin the steady-state allocation cost of
 // the paper's headline maintenance path: one single-tuple delta applied
-// through ApplyDelta (delta prebuilt, as the serving pipeline does).
-// The ceilings are the measured values (see docs/PERF.md) plus ~25%
-// headroom for Go-version noise — they are
-// regression tripwires, not targets. If an intentional change raises
-// them, update the constants alongside an explanatory commit, and keep
-// fivm-bench compare green (it enforces a 10% allocs/op budget on the
-// full benchmark suite).
+// through ApplyDelta (delta prebuilt, as the serving pipeline does),
+// and one 1000-tuple batch through Apply on the Retailer join. The
+// single-tuple ceilings are the measured values (see docs/PERF.md) plus
+// ~25% headroom for Go-version noise, the batch ceilings plus ~10% —
+// one extra allocation per tuple per path node adds 13–15% there. They
+// are regression tripwires, not targets. Allocation counts are
+// deterministic, so unlike a throughput gate they need no matching
+// hardware. If an intentional change raises them, update the constants
+// alongside an explanatory commit.
 const (
 	// maxAllocsCovarSingle bounds allocs for one insert + one delete of
 	// a single tuple on the scalar-covar engine (degree 3, two-relation
@@ -35,6 +37,16 @@ const (
 	// Measured 16, the scalar covar engine's number. History: 250 → 130
 	// (map-of-maps payloads) → 60 (flat payloads) → 16 (fused step).
 	maxAllocsAnalysisSingle = 20
+
+	// maxAllocsCovarBatch bounds one batch of 1000 fresh Inventory
+	// inserts plus the batch deleting them again, through Apply, on the
+	// Retailer covar engine (5 000 rows, five attributes). Measured
+	// 22 848 (11.4 per update).
+	maxAllocsCovarBatch = 25_100
+	// maxAllocsAnalysisBatch bounds the same pair on the Retailer
+	// analysis engine (three continuous and four categorical features).
+	// Measured 26 575–26 582.
+	maxAllocsAnalysisBatch = 29_200
 )
 
 func allocFixtureData() map[string][]value.Tuple {
@@ -128,5 +140,66 @@ func TestApplyDeltaAllocsAnalysis(t *testing.T) {
 	t.Logf("analysis single-tuple insert+delete: %.0f allocs", got)
 	if got > maxAllocsAnalysisSingle {
 		t.Errorf("analysis single-tuple ApplyDelta pair allocates %.0f, budget %d — the hot path regressed (see docs/PERF.md)", got, maxAllocsAnalysisSingle)
+	}
+}
+
+// measureBatchApply bulk-loads eng with a 5 000-row Retailer database
+// and returns the allocations of applying 1000 fresh Inventory inserts
+// and then their deletion — a pair that leaves the engine's state as
+// it found it, so every run sees the same views.
+func measureBatchApply(t *testing.T, eng fivm.AnyEngine) float64 {
+	t.Helper()
+	db, _ := retailer(5_000, 0)
+	if err := eng.Init(db.TupleMap()); err != nil {
+		t.Fatal(err)
+	}
+	ins := inventoryStream(t, db, 1_000, 0)
+	del := make([]view.Update, len(ins))
+	for i, u := range ins {
+		del[i] = view.Update{Rel: u.Rel, Tuple: u.Tuple, Mult: -u.Mult}
+	}
+	apply := func() {
+		if err := eng.Apply(ins); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Apply(del); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply() // intern categories and size the recycled buffers
+	return testing.AllocsPerRun(5, apply)
+}
+
+func TestApplyBatchAllocsCovar(t *testing.T) {
+	_, rels := retailer(5_000, 0)
+	eng, err := fivm.Open(fivm.Config{Relations: rels, Attrs: retailerAttrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measureBatchApply(t, eng)
+	t.Logf("covar 1000-tuple insert+delete batches: %.0f allocs", got)
+	if got > maxAllocsCovarBatch {
+		t.Errorf("covar 1000-tuple batch pair allocates %.0f, budget %d — the batch path regressed (see docs/PERF.md)", got, maxAllocsCovarBatch)
+	}
+}
+
+func TestApplyBatchAllocsAnalysis(t *testing.T) {
+	_, rels := retailer(5_000, 0)
+	eng, err := fivm.Open(fivm.Config{Relations: rels, Features: []fivm.FeatureSpec{
+		{Attr: "inventoryunits"},
+		{Attr: "prize"},
+		{Attr: "avghhi"},
+		{Attr: "subcategory", Categorical: true},
+		{Attr: "category", Categorical: true},
+		{Attr: "categoryCluster", Categorical: true},
+		{Attr: "zip", Categorical: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measureBatchApply(t, eng)
+	t.Logf("analysis 1000-tuple insert+delete batches: %.0f allocs", got)
+	if got > maxAllocsAnalysisBatch {
+		t.Errorf("analysis 1000-tuple batch pair allocates %.0f, budget %d — the batch path regressed (see docs/PERF.md)", got, maxAllocsAnalysisBatch)
 	}
 }

@@ -48,7 +48,7 @@
 //     propagation probes persistent join-key indexes on the sibling
 //     views and co-anchored relations instead of scanning them, so
 //     single-tuple ApplyDelta latency stays ~flat as base relations
-//     grow (BenchmarkUpdateLatencyScaling; docs/ARCHITECTURE.md has
+//     grow (TestSingleTupleLatencyFlat; docs/ARCHITECTURE.md has
 //     the index design). Indexes are engine-internal: they build
 //     lazily on first use and registration survives Init and
 //     ReadSnapshot, with no API surface to manage.

@@ -3,7 +3,7 @@
 // The real datasets are proprietary (Retailer) or a Kaggle download
 // (Favorita); the generators reproduce their schemas, foreign-key
 // structure, key skew, and update patterns so that maintenance cost and
-// all application behaviour are preserved (see DESIGN.md,
+// all application behaviour are preserved (see docs/REPRODUCTION.md,
 // "Substitutions").
 package dataset
 

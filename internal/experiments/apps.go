@@ -171,10 +171,3 @@ func PrintAppResults(w io.Writer, rows []AppResult) {
 			r.AppDur.Round(time.Millisecond), r.Artifact)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

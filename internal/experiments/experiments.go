@@ -1,16 +1,19 @@
 // Package experiments hosts the runnable reproductions of every
-// evaluation artifact in the paper (see DESIGN.md §3): Figure 1's worked
-// example, the §1 throughput claims (E2), the application tabs of
-// Figure 2 (E3–E6), the batch-size/aggregate-count sweeps (E7), and the
-// design ablations (A1–A3). cmd/fivm-bench prints their tables;
-// bench_test.go wraps them in testing.B benchmarks.
+// evaluation artifact in the paper: the §1 throughput claims (E2), the
+// application tabs of Figure 2 (E3–E6), the batch-size/aggregate-count
+// sweeps (E7), the second demo database (E8), and the design ablations
+// (A1–A4). Figure 1's worked example (E1) is examples/quickstart.
+// cmd/fivm-bench prints their tables; docs/REPRODUCTION.md records one
+// run of `fivm-bench -exp all -scale small`.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"time"
+	"unicode/utf8"
 
 	"repro/fivm"
 	"repro/internal/baseline"
@@ -70,19 +73,25 @@ func (s retailerSetup) stream(total int, deleteRatio float64, seed int64) []view
 }
 
 // Throughput is one measured system row: updates/second, total time,
-// and per-batch latency percentiles.
+// heap allocations per update, and per-batch latency percentiles.
 type Throughput struct {
 	System    string
 	Updates   int
 	Elapsed   time.Duration
 	PerSecond float64
+	// AllocsPerUpdate is the runtime.MemStats.Mallocs delta across the
+	// timed loop, divided by the update count.
+	AllocsPerUpdate float64
 	// P50 and P99 are per-batch maintenance latency percentiles.
 	P50, P99 time.Duration
 	Note     string
 }
 
 func measure(system string, updates []view.Update, batch int, apply func([]view.Update) error) (Throughput, error) {
-	var lat []time.Duration
+	// Sized up front so the harness allocates nothing inside the loop.
+	lat := make([]time.Duration, 0, (len(updates)+batch-1)/batch)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for i := 0; i < len(updates); i += batch {
 		j := i + batch
@@ -96,14 +105,16 @@ func measure(system string, updates []view.Update, batch int, apply func([]view.
 		lat = append(lat, time.Since(b0))
 	}
 	el := time.Since(start)
+	runtime.ReadMemStats(&m1)
 	p50, p99 := percentiles(lat)
 	return Throughput{
-		System:    system,
-		Updates:   len(updates),
-		Elapsed:   el,
-		PerSecond: float64(len(updates)) / el.Seconds(),
-		P50:       p50,
-		P99:       p99,
+		System:          system,
+		Updates:         len(updates),
+		Elapsed:         el,
+		PerSecond:       float64(len(updates)) / el.Seconds(),
+		AllocsPerUpdate: float64(m1.Mallocs-m0.Mallocs) / float64(len(updates)),
+		P50:             p50,
+		P99:             p99,
 	}, nil
 }
 
@@ -226,13 +237,18 @@ func E2Compound(sc Scale, deleteRatio float64) (Throughput, int, error) {
 	return r, nAggs, nil
 }
 
-// PrintThroughput renders rows as the harness table.
+// PrintThroughput renders rows as one harness table, the system column
+// as wide as its longest name.
 func PrintThroughput(w io.Writer, rows []Throughput) {
-	fmt.Fprintf(w, "%-34s %10s %12s %14s %10s %10s  %s\n",
-		"system", "updates", "elapsed", "updates/sec", "batch-p50", "batch-p99", "note")
+	width := len("system")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-34s %10d %12s %14.0f %10s %10s  %s\n",
-			r.System, r.Updates, r.Elapsed.Round(time.Millisecond), r.PerSecond,
+		width = max(width, utf8.RuneCountInString(r.System))
+	}
+	fmt.Fprintf(w, "%-*s %10s %12s %14s %14s %10s %10s  %s\n", width,
+		"system", "updates", "elapsed", "updates/sec", "allocs/update", "batch-p50", "batch-p99", "note")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-*s %10d %12s %14.0f %14.1f %10s %10s  %s\n", width,
+			r.System, r.Updates, r.Elapsed.Round(time.Millisecond), r.PerSecond, r.AllocsPerUpdate,
 			r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), r.Note)
 	}
 }

@@ -21,6 +21,9 @@ func TestE2ProducesExpectedShape(t *testing.T) {
 		if r.PerSecond <= 0 {
 			t.Errorf("%s: non-positive rate", r.System)
 		}
+		if r.AllocsPerUpdate <= 0 {
+			t.Errorf("%s: allocs/update not measured", r.System)
+		}
 		byName[r.System] = r
 	}
 	fivmRow := rows[0]
@@ -99,9 +102,9 @@ func TestE7Sweeps(t *testing.T) {
 	}
 	// Larger batches must not be slower by an order of magnitude (they
 	// amortize); allow noise but catch inversions of the basic shape.
-	if rows[1].Throughput.PerSecond < rows[0].Throughput.PerSecond/10 {
+	if rows[1].PerSecond < rows[0].PerSecond/10 {
 		t.Errorf("batch=100 at %.0f/s vastly slower than batch=10 at %.0f/s",
-			rows[1].Throughput.PerSecond, rows[0].Throughput.PerSecond)
+			rows[1].PerSecond, rows[0].PerSecond)
 	}
 
 	aggRows, err := E7AggCount(tinyScale(), []int{2, 5})
@@ -139,8 +142,8 @@ func TestA1AndA3(t *testing.T) {
 		if len(a3) != 2 {
 			t.Fatalf("A3 rows = %d", len(a3))
 		}
-		r0 = max(r0, a3[0].Throughput.PerSecond)
-		r1 = max(r1, a3[1].Throughput.PerSecond)
+		r0 = max(r0, a3[0].PerSecond)
+		r1 = max(r1, a3[1].PerSecond)
 	}
 	// The paper's claim is that deletes cost no more than inserts
 	// (negative payloads through the same machinery), so the slow
@@ -159,9 +162,25 @@ func TestA1AndA3(t *testing.T) {
 
 func TestPrintHelpers(t *testing.T) {
 	var sb strings.Builder
-	PrintThroughput(&sb, []Throughput{{System: "x", Updates: 10, PerSecond: 5, Note: "n"}})
-	if !strings.Contains(sb.String(), "updates/sec") {
-		t.Error("PrintThroughput header missing")
+	long := "ranged payloads (RingCofactor<d,idx,cnt>) and then some"
+	PrintThroughput(&sb, []Throughput{
+		{System: "x", Updates: 10, PerSecond: 5, AllocsPerUpdate: 2.5, Note: "n"},
+		{System: long, Updates: 10, PerSecond: 5, Note: "n"},
+	})
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[0], "updates/sec") || !strings.Contains(lines[0], "allocs/update") {
+		t.Fatalf("PrintThroughput wants one header and two rows:\n%s", sb.String())
+	}
+	if !strings.Contains(lines[1], " 2.5 ") {
+		t.Errorf("allocs/update column missing: %q", lines[1])
+	}
+	// Every row's updates column ends where the header's does, however
+	// long a system name is.
+	col := strings.Index(lines[0], "updates ") + len("updates")
+	for _, l := range lines[1:] {
+		if len(l) < col || l[col-2:col] != "10" {
+			t.Errorf("misaligned row %q under header %q", l, lines[0])
+		}
 	}
 	sb.Reset()
 	PrintAppResults(&sb, []AppResult{{Bulk: 1, Updates: 10, Artifact: "a"}})

@@ -5,22 +5,15 @@ import (
 
 	"repro/fivm"
 	"repro/internal/query"
-	"repro/internal/ring"
 	"repro/internal/view"
 )
-
-// SweepRow is one (parameter, throughput) measurement.
-type SweepRow struct {
-	Param      string
-	Throughput Throughput
-}
 
 // E7BatchSize sweeps the update bulk size at fixed workload: larger
 // bulks amortize per-batch delta construction and view probing, the
 // effect behind the demo's 10K-update bulks.
-func E7BatchSize(sc Scale, sizes []int) ([]SweepRow, error) {
+func E7BatchSize(sc Scale, sizes []int) ([]Throughput, error) {
 	s := newRetailerSetup(sc, 1)
-	var rows []SweepRow
+	var rows []Throughput
 	for _, b := range sizes {
 		eng, err := fivm.NewCovarEngine(s.fspecs, s.aggAttrs, nil)
 		if err != nil {
@@ -34,7 +27,7 @@ func E7BatchSize(sc Scale, sizes []int) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SweepRow{Param: fmt.Sprintf("%d", b), Throughput: r})
+		rows = append(rows, r)
 	}
 	return rows, nil
 }
@@ -42,7 +35,7 @@ func E7BatchSize(sc Scale, sizes []int) ([]SweepRow, error) {
 // E7AggCount sweeps the number of aggregates in the compound payload
 // (degree m of the matrix ring): the per-update cost grows ~O(m²) while
 // a per-aggregate strategy would rerun the join m(m+3)/2+1 times.
-func E7AggCount(sc Scale, ms []int) ([]SweepRow, error) {
+func E7AggCount(sc Scale, ms []int) ([]Throughput, error) {
 	s := newRetailerSetup(sc, 1)
 	all := []string{"inventoryunits", "prize", "avghhi", "maxtemp", "medianage",
 		"population", "medianage2", "tot_area_sq_ft", "sell_area_sq_ft", "mintemp",
@@ -61,7 +54,7 @@ func E7AggCount(sc Scale, ms []int) ([]SweepRow, error) {
 			valid = append(valid, a)
 		}
 	}
-	var rows []SweepRow
+	var rows []Throughput
 	for _, m := range ms {
 		if m > len(valid) {
 			m = len(valid)
@@ -79,7 +72,7 @@ func E7AggCount(sc Scale, ms []int) ([]SweepRow, error) {
 			return nil, err
 		}
 		r.Note = fmt.Sprintf("%d scalar aggregates", 1+m+m*(m+1)/2)
-		rows = append(rows, SweepRow{Param: fmt.Sprintf("%d", m), Throughput: r})
+		rows = append(rows, r)
 	}
 	return rows, nil
 }
@@ -173,9 +166,9 @@ func A1Sharing(sc Scale, m int) ([]Throughput, error) {
 // A3Deletes sweeps the delete ratio: F-IVM treats deletes as negative
 // payloads, so throughput should stay in the same band regardless of
 // the ratio — unlike insert-only online learning systems.
-func A3Deletes(sc Scale, ratios []float64) ([]SweepRow, error) {
+func A3Deletes(sc Scale, ratios []float64) ([]Throughput, error) {
 	s := newRetailerSetup(sc, 1)
-	var rows []SweepRow
+	var rows []Throughput
 	for _, dr := range ratios {
 		eng, err := fivm.NewCovarEngine(s.fspecs, s.aggAttrs, nil)
 		if err != nil {
@@ -189,16 +182,9 @@ func A3Deletes(sc Scale, ratios []float64) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SweepRow{Param: fmt.Sprintf("%.2f", dr), Throughput: r})
+		rows = append(rows, r)
 	}
 	return rows, nil
-}
-
-// CovarAggsOfRing returns the scalar-aggregate count of a degree-m
-// compound payload, used in harness output.
-func CovarAggsOfRing(r ring.CovarRing) int {
-	m := r.Degree()
-	return 1 + m + m*(m+1)/2
 }
 
 // A2Factorization pits gradient maintenance (COVAR ring) against

@@ -465,7 +465,7 @@ func TestAddIndexRejectsBadPositions(t *testing.T) {
 // work of a single-tuple probe against an indexed relation must not
 // scale with the relation's size. It counts probed matches indirectly
 // by asserting equal results while sizing the big side up 100x; the
-// real latency guard lives in the perf suite's UpdateLatencyScaling.
+// real latency guard is fivm's TestSingleTupleLatencyFlat.
 func TestProbeAsymptotics(t *testing.T) {
 	z := ring.Ints{}
 	sAB := value.NewSchema("A", "B")

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/internal/daemon"
 	"repro/internal/dataset"
 	"repro/internal/ml"
 )
@@ -38,10 +39,9 @@ func main() {
 	flag.Parse()
 
 	var (
-		db          *dataset.Database
-		miFeatures  []fivm.FeatureSpec // all categorical/binned, for MI
-		covFeatures []fivm.FeatureSpec // continuous label + mixed, for COVAR
-		factRel     string
+		db         *dataset.Database
+		miFeatures []fivm.FeatureSpec // all categorical/binned, for MI
+		factRel    string
 	)
 	switch *dbName {
 	case "retailer":
@@ -67,15 +67,6 @@ func main() {
 			{Attr: "rain", Categorical: true},
 			{Attr: "snow", Categorical: true},
 		}
-		covFeatures = []fivm.FeatureSpec{
-			{Attr: "inventoryunits"},
-			{Attr: "prize"},
-			{Attr: "subcategory", Categorical: true},
-			{Attr: "category", Categorical: true},
-			{Attr: "categoryCluster", Categorical: true},
-			{Attr: "avghhi"},
-			{Attr: "maxtemp"},
-		}
 	case "favorita":
 		db = dataset.Favorita(dataset.DefaultFavoritaConfig())
 		factRel = "Sales"
@@ -98,15 +89,6 @@ func main() {
 			{Attr: "oilprice", BinWidth: 5},
 			{Attr: "holiday_type", Categorical: true},
 			{Attr: "transactions", BinWidth: 500},
-		}
-		covFeatures = []fivm.FeatureSpec{
-			{Attr: "unit_sales"},
-			{Attr: "family", Categorical: true},
-			{Attr: "perishable", Categorical: true},
-			{Attr: "stype", Categorical: true},
-			{Attr: "cluster", Categorical: true},
-			{Attr: "oilprice"},
-			{Attr: "transactions"},
 		}
 	default:
 		log.Fatalf("unknown database %q (retailer|favorita)", *dbName)
@@ -155,14 +137,17 @@ func main() {
 		fmt.Printf("  %-18s %s\n", f.Attr, kind)
 	}
 
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{Relations: rels, Features: miFeatures})
+	// The COVAR engine is fivm-serve's preset for the database, over the
+	// relations loaded here. Its label is dropped: the Regression tab
+	// fits ridge itself, and may be asked for a label the preset's
+	// features do not carry.
+	covCfg, _, err := daemon.BuildEngineConfig(*dbName, 0, false, "", "", "", "", "", *label)
 	if err != nil {
 		log.Fatal(err)
 	}
-	anCov, err := fivm.NewAnalysis(fivm.AnalysisConfig{Relations: rels, Features: covFeatures})
-	if err != nil {
-		log.Fatal(err)
-	}
+	covCfg.Relations, covCfg.Label = rels, ""
+	an := open(fivm.Config{Relations: rels, Features: miFeatures})
+	anCov := open(covCfg)
 	t0 := time.Now()
 	if err := an.Init(db.TupleMap()); err != nil {
 		log.Fatal(err)
@@ -236,6 +221,15 @@ func main() {
 			i+1, len(bulk), time.Since(t0).Round(time.Millisecond)))
 		showTabs()
 	}
+}
+
+// open builds the analysis engine cfg describes.
+func open(cfg fivm.Config) *fivm.Analysis {
+	eng, err := fivm.Open(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return eng.(*fivm.Analysis)
 }
 
 func banner(title string) {

@@ -12,7 +12,8 @@
 //
 // The whole workload runs through the unified fivm API: Open compiles
 // the query into a float-ring engine, and the generic core's
-// InitWeighted/ApplyDelta lifecycle does the rest.
+// InitWeighted/ApplyBuilt lifecycle does the rest: a weighted
+// *relation.Map is itself a Delta.
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 	fmt.Println("applying ΔA[0,0] += 1 incrementally:")
 	delta := relation.New[float64](value.NewSchema("I", "J"))
 	delta.Set(value.T(0, 0), 1)
-	if err := fe.ApplyDelta("MA", delta); err != nil {
+	if err := fe.ApplyBuilt("MA", delta); err != nil {
 		log.Fatal(err)
 	}
 	a.Merge(f, value.T(0, 0), 1)

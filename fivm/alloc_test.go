@@ -60,25 +60,25 @@ func allocFixtureData() map[string][]value.Tuple {
 // returns the allocations of applying the insert and the delete (the
 // pair leaves the engine state unchanged, so every iteration sees the
 // same view sizes).
-func measureSingleTupleApply[V any](t *testing.T, eng *fivm.Engine[V]) float64 {
+func measureSingleTupleApply(t *testing.T, eng fivm.AnyEngine) float64 {
 	t.Helper()
 	if err := eng.Init(allocFixtureData()); err != nil {
 		t.Fatal(err)
 	}
 	tup := value.T("a1", 1)
-	dIns, err := eng.DeltaFor("R", []view.Update{{Rel: "R", Tuple: tup, Mult: 1}})
+	dIns, err := eng.BuildDelta("R", []view.Update{{Rel: "R", Tuple: tup, Mult: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dDel, err := eng.DeltaFor("R", []view.Update{{Rel: "R", Tuple: tup, Mult: -1}})
+	dDel, err := eng.BuildDelta("R", []view.Update{{Rel: "R", Tuple: tup, Mult: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	apply := func() {
-		if err := eng.ApplyDelta("R", dIns); err != nil {
+		if err := eng.ApplyBuilt("R", dIns); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.ApplyDelta("R", dDel); err != nil {
+		if err := eng.ApplyBuilt("R", dDel); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,15 +87,8 @@ func measureSingleTupleApply[V any](t *testing.T, eng *fivm.Engine[V]) float64 {
 }
 
 func TestApplyDeltaAllocsCovar(t *testing.T) {
-	rels := []fivm.RelationSpec{
-		{Name: "R", Attrs: []string{"A", "B"}},
-		{Name: "S", Attrs: []string{"A", "C", "D"}},
-	}
-	eng, err := fivm.NewCovarEngine(rels, []string{"B", "C", "D"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := measureSingleTupleApply(t, eng.Engine)
+	eng := open[fivm.AnyEngine](t, fivm.Config{Relations: openRels(), Attrs: []string{"B", "C", "D"}})
+	got := measureSingleTupleApply(t, eng)
 	t.Logf("covar single-tuple insert+delete: %.0f allocs", got)
 	if got > maxAllocsCovarSingle {
 		t.Errorf("covar single-tuple ApplyDelta pair allocates %.0f, budget %d — the hot path regressed (see docs/PERF.md)", got, maxAllocsCovarSingle)
@@ -103,22 +96,8 @@ func TestApplyDeltaAllocsCovar(t *testing.T) {
 }
 
 func TestApplyDeltaAllocsCount(t *testing.T) {
-	cat := fivm.NewCatalog()
-	if err := cat.AddRelation("R", "A", "B"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.AddRelation("S", "A", "C", "D"); err != nil {
-		t.Fatal(err)
-	}
-	q, err := fivm.Parse(cat, "SELECT SUM(1) FROM R NATURAL JOIN S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fivm.NewCountEngine(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := measureSingleTupleApply(t, eng.Engine)
+	eng := open[fivm.AnyEngine](t, fivm.Config{Relations: openRels(), Query: "SELECT SUM(1) FROM R NATURAL JOIN S"})
+	got := measureSingleTupleApply(t, eng)
 	t.Logf("count single-tuple insert+delete: %.0f allocs", got)
 	if got > maxAllocsCountSingle {
 		t.Errorf("count single-tuple ApplyDelta pair allocates %.0f, budget %d — the hot path regressed (see docs/PERF.md)", got, maxAllocsCountSingle)
@@ -126,17 +105,11 @@ func TestApplyDeltaAllocsCount(t *testing.T) {
 }
 
 func TestApplyDeltaAllocsAnalysis(t *testing.T) {
-	eng, err := fivm.NewAnalysis(fivm.AnalysisConfig{
-		Relations: []fivm.RelationSpec{
-			{Name: "R", Attrs: []string{"A", "B"}},
-			{Name: "S", Attrs: []string{"A", "C", "D"}},
-		},
-		Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}},
+	eng := open[fivm.AnyEngine](t, fivm.Config{
+		Relations: openRels(),
+		Features:  []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := measureSingleTupleApply(t, eng.Engine)
+	got := measureSingleTupleApply(t, eng)
 	t.Logf("analysis single-tuple insert+delete: %.0f allocs", got)
 	if got > maxAllocsAnalysisSingle {
 		t.Errorf("analysis single-tuple ApplyDelta pair allocates %.0f, budget %d — the hot path regressed (see docs/PERF.md)", got, maxAllocsAnalysisSingle)

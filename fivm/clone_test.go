@@ -13,13 +13,10 @@ import (
 
 func cloneFixture(t *testing.T) *fivm.Analysis {
 	t.Helper()
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an := open[*fivm.Analysis](t, fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "A"}, {Attr: "B", Categorical: true}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := an.Init(map[string][]value.Tuple{
 		"R": {value.T(1, "x"), value.T(2, "y"), value.T(3, "x")},
 	}); err != nil {
@@ -96,20 +93,20 @@ func TestCloneViewIsIsolated(t *testing.T) {
 
 func TestDeltaForFacade(t *testing.T) {
 	an := cloneFixture(t)
-	d, err := an.DeltaFor("R", []view.Update{
+	d, err := an.BuildDelta("R", []view.Update{
 		{Rel: "R", Tuple: value.T(7, "q"), Mult: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := an.ApplyDelta("R", d); err != nil {
+	if err := an.ApplyBuilt("R", d); err != nil {
 		t.Fatal(err)
 	}
 	if got := an.Payload().Count().Scalar(); got != 5 {
 		t.Fatalf("count = %v, want 5", got)
 	}
-	if _, err := an.DeltaFor("Nope", nil); err == nil {
-		t.Fatal("DeltaFor must reject unknown relations")
+	if _, err := an.BuildDelta("Nope", nil); err == nil {
+		t.Fatal("BuildDelta must reject unknown relations")
 	}
 	if got := an.RelationNames(); len(got) != 1 || got[0] != "R" {
 		t.Fatalf("RelationNames = %v", got)
@@ -119,26 +116,14 @@ func TestDeltaForFacade(t *testing.T) {
 // The pure-constant aggregate must be rejected during validation, before
 // any view tree is built.
 func TestFloatEnginePureConstantRejectedEarly(t *testing.T) {
-	cat := fivm.NewCatalog()
-	if err := cat.AddRelation("S", "A", "D"); err != nil {
-		t.Fatal(err)
+	float := func(query string) fivm.Config {
+		return fivm.Config{Kind: fivm.KindFloat, Relations: []fivm.RelationSpec{{Name: "S", Attrs: []string{"A", "D"}}}, Query: query}
 	}
-	q, err := fivm.Parse(cat, "SELECT SUM(2) FROM S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fivm.NewFloatEngine(q, nil); err == nil {
+	if _, err := fivm.Open(float("SELECT SUM(2) FROM S")); err == nil {
 		t.Fatal("pure-constant aggregate SUM(2) accepted")
 	}
 	// SUM(1) stays valid as a float-ring count.
-	q1, err := fivm.Parse(cat, "SELECT SUM(1) FROM S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fivm.NewFloatEngine(q1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := open[*fivm.FloatEngine](t, float("SELECT SUM(1) FROM S"))
 	if err := eng.Init(map[string][]value.Tuple{"S": {value.T(1, 2), value.T(3, 4)}}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,19 +4,24 @@
 // workloads by swapping the payload ring and nothing else. The API is
 // shaped accordingly:
 //
-//   - Engine[V] is the generic core: a view tree over one ring plus the
-//     shared lifecycle (Init, InitWeighted, Apply, ApplyDelta, DeltaFor,
-//     CloneView, Stats, WriteSnapshot/ReadSnapshot, PublishModel,
-//     SetParallelism).
-//   - Six thin instantiations add typed accessors: Analysis
-//     (generalized COVAR / MI / ridge / Chow-Liu over mixed features),
-//     CountEngine and FloatEngine (SUM aggregates parsed from a small
-//     SQL subset), CovarEngine and RangedCovarEngine (scalar COVAR over
-//     continuous attributes), and JoinEngine (the join result itself).
-//   - Open(Config) is the one entry point that compiles either a SQL
-//     query or a declarative relations+features config into the right
-//     engine, returning the kind-independent AnyEngine surface the
-//     serving layer hosts.
+//   - Open(Config) is the only way to build an engine. It compiles
+//     either a SQL query or a declarative relations+features config
+//     into the right one through a single kinds table (which Config
+//     fields each kind consumes, and its builder), rejecting any set
+//     field the kind does not consume.
+//   - AnyEngine is the one kind-independent interface Open returns and
+//     the serving layer hosts. Updates enter through Apply (tuple-level
+//     updates) or BuildDelta + ApplyBuilt (a prebuilt delta).
+//   - Engine[V] is the generic core behind it: a view tree over one
+//     ring plus the shared lifecycle (Init, InitWeighted, Apply,
+//     BuildDelta/ApplyBuilt, CloneView, Stats, WriteSnapshot/
+//     ReadSnapshot, PublishModel, SetParallelism). Six thin
+//     instantiations add typed accessors, reached by type assertion:
+//     Analysis (generalized COVAR / MI / ridge / Chow-Liu over mixed
+//     features), CountEngine and FloatEngine (SUM aggregates parsed
+//     from a small SQL subset), CovarEngine and RangedCovarEngine
+//     (scalar COVAR over continuous attributes), and JoinEngine (the
+//     join result itself).
 //
 // # Key invariants
 //
@@ -31,23 +36,23 @@
 //     structure from the payload (Covar, Sigma, Ridge, MI, a Model's
 //     ResultJSON) return a descriptive error on the empty join.
 //   - An Engine is single-writer. Two deliberate exceptions support
-//     the serving layer: BuildDelta/DeltaFor read only immutable tree
+//     the serving layer: BuildDelta reads only immutable tree
 //     metadata and may run concurrently with maintenance, and every
 //     published Model is an isolated deep copy. Config.Workers enables
 //     hash-partitioned parallel delta propagation INSIDE one
-//     ApplyDelta call — the views it produces are identical to the
+//     ApplyBuilt call — the views it produces are identical to the
 //     sequential path's, and the single-writer contract is unchanged.
 //   - Maintenance scratch lives on the engine (its view tree): delta
 //     buffers, propagation-steps and partition slots, and cached ±1
-//     payloads are recycled across Apply/ApplyDelta calls under the
+//     payloads are recycled across Apply/ApplyBuilt calls under the
 //     single-writer contract, which is why the steady-state hot path
 //     allocates little (pinned by alloc_test.go; see docs/PERF.md). A
-//     delta passed to ApplyDelta/ApplyBuilt is ceded to the engine —
-//     callers must not mutate it afterwards.
+//     delta passed to ApplyBuilt is ceded to the engine — callers
+//     must not mutate it afterwards.
 //   - Per-update maintenance is O(|delta|), not O(database): delta
 //     propagation probes persistent join-key indexes on the sibling
 //     views and co-anchored relations instead of scanning them, so
-//     single-tuple ApplyDelta latency stays ~flat as base relations
+//     single-tuple ApplyBuilt latency stays ~flat as base relations
 //     grow (TestSingleTupleLatencyFlat; docs/ARCHITECTURE.md has
 //     the index design). Indexes are engine-internal: they build
 //     lazily on first use and registration survives Init and

@@ -23,13 +23,14 @@ const (
 	KindCovar       Kind = "covar"       // scalar COVAR over all-continuous attributes
 	KindRangedCovar Kind = "rangedcovar" // scalar COVAR with ranged payloads
 	KindJoin        Kind = "join"        // the join result itself, via the relational ring
-	KindCustom      Kind = "custom"      // caller-supplied ring via NewEngine
 )
 
 // Delta is an opaque prebuilt delta relation flowing between BuildDelta
-// and ApplyBuilt. Concretely it is the engine's *relation.Map[V]; the
-// interface lets a ring-agnostic serving layer carry it without knowing
-// V. Len reports the number of distinct delta tuples.
+// and ApplyBuilt. Concretely it is the engine's *relation.Map[V] — so a
+// caller holding an Engine[V] may also hand ApplyBuilt a relation it
+// weighted itself; the interface lets a ring-agnostic serving layer
+// carry it without knowing V. Len reports the number of distinct delta
+// tuples.
 type Delta interface{ Len() int }
 
 // Model is an immutable view of an engine's maintained result, published
@@ -58,9 +59,10 @@ type Model interface {
 // Engine is the generic core every F-IVM workload shares: a view tree
 // over one ring, plus the lifecycle around it — bulk load, incremental
 // maintenance, delta prebuilding, deep-cloned reads, snapshot
-// persistence, and model publishing. The six public engines (Analysis,
-// CountEngine, FloatEngine, CovarEngine, RangedCovarEngine, JoinEngine)
-// are thin instantiations that add ring-specific typed accessors.
+// persistence, and model publishing. Open builds it through one of six
+// thin instantiations (Analysis, CountEngine, FloatEngine, CovarEngine,
+// RangedCovarEngine, JoinEngine) that add ring-specific typed
+// accessors.
 //
 // Result-access convention (uniform across all engines): Payload and
 // Result never fail — an empty join yields the ring's zero (nil for
@@ -71,14 +73,16 @@ type Model interface {
 // return empty collections.
 //
 // An Engine is not safe for concurrent use, with two deliberate
-// exceptions that the serving layer builds on: BuildDelta/DeltaFor only
-// read immutable tree metadata and may run concurrently with
-// maintenance, and every published Model is an isolated deep copy.
+// exceptions that the serving layer builds on: BuildDelta only reads
+// immutable tree metadata and may run concurrently with maintenance,
+// and every published Model is an isolated deep copy.
 type Engine[V any] struct {
-	tree    *view.Tree[V]
-	kind    Kind
-	codec   ring.Codec[V]
-	clone   func(V) V
+	tree  *view.Tree[V]
+	kind  Kind
+	codec ring.Codec[V]
+	// clone deep-copies one payload for CloneView/ClonePayload.
+	clone func(V) V
+	// info names the ring for the M3/ViewTree renderings.
 	info    m3.RingInfo
 	publish func(prev Model) Model
 	// merged is the last model MergePartials published, the warm start
@@ -86,39 +90,13 @@ type Engine[V any] struct {
 	merged Model
 }
 
-// EngineOptions configures NewEngine beyond the view tree itself. All
-// fields are optional.
-type EngineOptions[V any] struct {
-	// Codec enables WriteSnapshot/ReadSnapshot; without one the
-	// snapshot methods fail.
-	Codec ring.Codec[V]
-	// Clone deep-copies one payload for CloneView/ClonePayload; nil
-	// means payloads are value types copied by assignment.
-	Clone func(V) V
-	// M3 names the ring for the M3/ViewTree renderings.
-	M3 m3.RingInfo
-	// Publish builds the published Model; nil engines publish a
-	// ResultSummary.
-	Publish func(prev Model) Model
-}
-
-// NewEngine wraps an already-built view tree in the generic lifecycle.
-// The public constructors use it internally; it is exported so custom
-// rings (e.g. the matrix ring) get the same lifecycle without a bespoke
-// engine type.
-func NewEngine[V any](kind Kind, tree *view.Tree[V], opts EngineOptions[V]) *Engine[V] {
-	if kind == "" {
-		kind = KindCustom
+// newEngine completes e's defaults: a nil clone means payloads are
+// value types copied by assignment.
+func newEngine[V any](e Engine[V]) *Engine[V] {
+	if e.clone == nil {
+		e.clone = func(v V) V { return v }
 	}
-	clone := opts.Clone
-	if clone == nil {
-		clone = func(v V) V { return v }
-	}
-	info := opts.M3
-	if info.Name == "" {
-		info.Name = fmt.Sprintf("%T", tree.Ring())
-	}
-	return &Engine[V]{tree: tree, kind: kind, codec: opts.Codec, clone: clone, info: info, publish: opts.Publish}
+	return &e
 }
 
 // Kind identifies the engine instantiation.
@@ -143,28 +121,6 @@ func (e *Engine[V]) InitWeighted(data map[string]*relation.Map[V]) error {
 // (Mult > 0 inserts, < 0 deletes).
 func (e *Engine[V]) Apply(ups []view.Update) error { return e.tree.ApplyUpdates(ups) }
 
-// Insert applies single-tuple inserts to rel.
-func (e *Engine[V]) Insert(rel string, tuples ...value.Tuple) error {
-	return e.tree.Insert(rel, tuples...)
-}
-
-// Delete applies single-tuple deletes to rel.
-func (e *Engine[V]) Delete(rel string, tuples ...value.Tuple) error {
-	return e.tree.Delete(rel, tuples...)
-}
-
-// ApplyDelta maintains the views under a prebuilt delta relation, in
-// time proportional to the delta: propagation probes the view tree's
-// persistent join-key indexes rather than scanning sibling views (see
-// docs/ARCHITECTURE.md). With SetParallelism configured, deltas above
-// the view layer's threshold propagate hash-partitioned across a
-// worker pool; the maintained views are the sequential path's
-// (bit-identical whenever ring addition is exact — see
-// view.Tree.SetParallelism for the float rounding caveat).
-func (e *Engine[V]) ApplyDelta(rel string, d *relation.Map[V]) error {
-	return e.tree.ApplyDelta(rel, d)
-}
-
 // SetParallelism configures parallel delta propagation: batches are
 // hash-partitioned by join key and propagated on `workers` goroutines
 // (see view.Tree.SetParallelism). workers <= 0 selects GOMAXPROCS;
@@ -176,23 +132,25 @@ func (e *Engine[V]) SetParallelism(workers int) {
 	e.tree.SetParallelism(workers, 0)
 }
 
-// DeltaFor builds a delta relation for rel from tuple-level updates; it
-// only reads immutable tree metadata, so it is safe to call concurrently
-// with maintenance — an ingestion layer prepares batch deltas off the
-// maintenance thread and applies them with ApplyDelta.
-func (e *Engine[V]) DeltaFor(rel string, ups []view.Update) (*relation.Map[V], error) {
-	return e.tree.DeltaFor(rel, ups)
-}
-
-// BuildDelta is DeltaFor behind the type-erased Delta, for ring-agnostic
-// callers like the serving layer. Safe to call concurrently with
-// maintenance.
+// BuildDelta builds a delta relation for rel from tuple-level updates,
+// behind the type-erased Delta for ring-agnostic callers like the
+// serving layer. It only reads immutable tree metadata, so an ingestion
+// layer may prepare batch deltas off the maintenance thread and apply
+// them with ApplyBuilt. An update for another relation or of the wrong
+// arity fails the whole call.
 func (e *Engine[V]) BuildDelta(rel string, ups []view.Update) (Delta, error) {
 	return e.tree.DeltaFor(rel, ups)
 }
 
-// ApplyBuilt applies a delta produced by BuildDelta of the same engine
-// configuration.
+// ApplyBuilt maintains the views under a prebuilt delta relation — one
+// from BuildDelta of the same engine configuration, or a
+// *relation.Map[V] over rel's schema — in time proportional to the
+// delta: propagation probes the view tree's persistent join-key indexes
+// rather than scanning sibling views (see docs/ARCHITECTURE.md). With
+// SetParallelism configured, deltas above the view layer's threshold
+// propagate hash-partitioned across a worker pool; the maintained views
+// are the sequential path's (bit-identical whenever ring addition is
+// exact — see view.Tree.SetParallelism for the float rounding caveat).
 func (e *Engine[V]) ApplyBuilt(rel string, d Delta) error {
 	m, ok := d.(*relation.Map[V])
 	if !ok {
@@ -255,9 +213,6 @@ func (e *Engine[V]) M3() string { return m3.Render(e.tree, e.info).String() }
 // tagged with the payload codec; pair it with an engine built from the
 // same configuration.
 func (e *Engine[V]) WriteSnapshot(w io.Writer) error {
-	if e.codec == nil {
-		return fmt.Errorf("fivm: %s engine has no snapshot codec", e.kind)
-	}
 	return e.tree.WriteSnapshot(w, e.codec)
 }
 
@@ -267,20 +222,13 @@ func (e *Engine[V]) WriteSnapshot(w io.Writer) error {
 // writer; snapshots from a different engine kind are rejected by the
 // codec tag.
 func (e *Engine[V]) ReadSnapshot(r io.Reader) error {
-	if e.codec == nil {
-		return fmt.Errorf("fivm: %s engine has no snapshot codec", e.kind)
-	}
 	return e.tree.ReadSnapshot(r, e.codec)
 }
 
 // WritePartial serializes the engine's maintained result relation — its
 // partial aggregate of the global query when the engine owns one shard
 // of the anchor relation — for cross-shard merging (see MergePartials).
-// Like snapshots it requires a payload codec.
 func (e *Engine[V]) WritePartial(w io.Writer) error {
-	if e.codec == nil {
-		return fmt.Errorf("fivm: %s engine has no snapshot codec", e.kind)
-	}
 	return e.tree.WritePartial(w, e.codec)
 }
 
@@ -297,9 +245,6 @@ func (e *Engine[V]) WritePartial(w io.Writer) error {
 // own publishes do from theirs). Not safe concurrently with maintenance
 // or other MergePartials calls.
 func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
-	if e.codec == nil {
-		return nil, fmt.Errorf("fivm: %s engine has no snapshot codec", e.kind)
-	}
 	merged := relation.New[V](e.tree.Result().Schema())
 	for i, p := range parts {
 		m, err := e.tree.ReadPartial(p, e.codec)
@@ -327,36 +272,7 @@ func (e *Engine[V]) PartitionKey(rel string) ([]int, bool) {
 // starting from prev (the previously published model, nil on the first
 // publish) where the engine supports it. It reads live engine state, so
 // a serving layer must call it from its single writer.
-func (e *Engine[V]) PublishModel(prev Model) Model {
-	if e.publish != nil {
-		return e.publish(prev)
-	}
-	return &ResultSummary{EngineKind: e.kind, Groups: e.tree.Result().Len()}
-}
-
-// ResultSummary is the Model published by engines without a richer
-// rendering hook (NewEngine with no Publish option): just the engine
-// kind and the number of result groups.
-type ResultSummary struct {
-	EngineKind Kind `json:"kind"`
-	Groups     int  `json:"groups"`
-}
-
-// Kind identifies the publishing engine.
-func (m *ResultSummary) Kind() Kind { return m.EngineKind }
-
-// Count returns the number of result groups.
-func (m *ResultSummary) Count() float64 { return float64(m.Groups) }
-
-// ResultJSON renders the summary.
-func (m *ResultSummary) ResultJSON() (any, error) {
-	return map[string]any{"groups": m.Groups}, nil
-}
-
-// Predict always fails: a custom engine publishes no predictor.
-func (m *ResultSummary) Predict(map[string]value.Value) (float64, error) {
-	return 0, fmt.Errorf("fivm: %s engine serves no predictive model", m.EngineKind)
-}
+func (e *Engine[V]) PublishModel(prev Model) Model { return e.publish(prev) }
 
 // tableModel snapshots the result relation into a TableModel. The
 // publish-time cost is one shallow clone (relation.Map.Clone flags the

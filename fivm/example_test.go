@@ -14,7 +14,7 @@ import (
 // over R(A,B) ⋈ S(A,C,D) — with categorical C, showing bulk load,
 // payload inspection, and incremental maintenance under a delete.
 func Example() {
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	eng, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{
 			{Name: "R", Attrs: []string{"A", "B"}},
 			{Name: "S", Attrs: []string{"A", "C", "D"}},
@@ -28,6 +28,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	an := eng.(*fivm.Analysis)
 	err = an.Init(map[string][]value.Tuple{
 		"R": {value.T("a1", 1), value.T("a2", 2)},
 		"S": {value.T("a1", 1, 1), value.T("a1", 2, 3), value.T("a2", 2, 2)},
@@ -56,13 +57,14 @@ func Example() {
 // ExampleAnalysis_Ridge fits a ridge regression from the maintained
 // COVAR matrix: the training set is never materialized.
 func ExampleAnalysis_Ridge() {
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	eng, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "T", Attrs: []string{"id", "x", "y"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "x"}, {Attr: "y"}},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	an := eng.(*fivm.Analysis)
 	// y = 2x exactly.
 	var rows []value.Tuple
 	for i := 0; i < 10; i++ {
@@ -82,28 +84,24 @@ func ExampleAnalysis_Ridge() {
 	// θ_x ≈ 2.000, RMSE ≈ 0.000
 }
 
-// ExampleNewCountEngine compiles a SQL-subset query into a Z-ring view
-// tree that maintains a grouped count.
-func ExampleNewCountEngine() {
-	cat := fivm.NewCatalog()
-	if err := cat.AddRelation("R", "A", "B"); err != nil {
-		log.Fatal(err)
-	}
-	q, err := fivm.Parse(cat, "SELECT A, SUM(1) FROM R GROUP BY A")
+// ExampleOpen compiles a SQL-subset query into a Z-ring view tree that
+// maintains a grouped count; the kind is inferred from SUM(1).
+func ExampleOpen() {
+	eng, err := fivm.Open(fivm.Config{
+		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}},
+		Query:     "SELECT A, SUM(1) FROM R GROUP BY A",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := fivm.NewCountEngine(q, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	err = eng.Init(map[string][]value.Tuple{
+	count := eng.(*fivm.CountEngine)
+	err = count.Init(map[string][]value.Tuple{
 		"R": {value.T("a1", 1), value.T("a1", 2), value.T("a2", 3)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Result().EachSorted(func(t value.Tuple, c int64) {
+	count.Result().EachSorted(func(t value.Tuple, c int64) {
 		fmt.Printf("%v -> %d\n", t, c)
 	})
 	// Output:

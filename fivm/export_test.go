@@ -46,6 +46,19 @@ func purify[V any](e *Engine[V]) error {
 	return nil
 }
 
+// KindFields reports, for every kind in Open's table, which of the
+// kind-specific Config fields it consumes.
+func KindFields() map[Kind]map[string]bool {
+	out := make(map[Kind]map[string]bool, len(kinds))
+	for k, spec := range kinds {
+		out[k] = make(map[string]bool, len(fieldNames))
+		for i, name := range fieldNames {
+			out[k][name] = spec.uses&(1<<i) != 0
+		}
+	}
+	return out
+}
+
 // CommitWithPureAdd turns a freshly opened engine into the reference
 // the ownership tests compare against: the same engine, committing
 // every delta with the pure ring Add instead of in place.

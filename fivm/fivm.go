@@ -7,9 +7,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/query"
 	"repro/internal/ring"
-	"repro/internal/value"
 	"repro/internal/view"
-	"repro/internal/vo"
 )
 
 // RelationSpec declares one input relation of the join.
@@ -31,22 +29,6 @@ type FeatureSpec struct {
 	BinWidth    float64
 }
 
-// AnalysisConfig configures an Analysis engine.
-type AnalysisConfig struct {
-	Relations []RelationSpec
-	Features  []FeatureSpec
-	// Order optionally supplies a hand-built variable order; when nil
-	// one is derived with the greedy heuristic.
-	Order *vo.Order
-	// Label optionally names the continuous feature the published
-	// AnalysisModel predicts (see PublishModel); empty disables ridge
-	// fitting in published models. Explicit Ridge calls are unaffected.
-	Label string
-	// Ridge configures the published model's solver; the zero value
-	// means ml.DefaultRidgeConfig().
-	Ridge ml.RidgeConfig
-}
-
 // Analysis maintains the generalized degree-m COVAR payload over the
 // natural join of the configured relations — the flagship instantiation
 // of Engine over the relational-COVAR ring. It is not safe for
@@ -61,75 +43,59 @@ type Analysis struct {
 	binWidths map[string]float64
 }
 
-// NewAnalysis builds the engine: degree-m ring (m = len(Features)),
+// newAnalysis builds the engine: degree-m ring (m = len(Features)),
 // per-feature lifts, variable order, and empty view tree.
-func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
-	if len(cfg.Features) == 0 {
-		return nil, fmt.Errorf("fivm: no features configured")
-	}
-	if len(cfg.Relations) == 0 {
-		return nil, fmt.Errorf("fivm: no relations configured")
-	}
-	rels := make([]vo.Rel, len(cfg.Relations))
-	attrs := value.NewSchema()
-	for i, r := range cfg.Relations {
-		rels[i] = vo.Rel{Name: r.Name, Schema: value.NewSchema(r.Attrs...)}
-		attrs = attrs.Union(rels[i].Schema)
-	}
+func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 	m := len(cfg.Features)
+	if m == 0 {
+		return nil, fmt.Errorf("fivm: %s engine needs Features", KindAnalysis)
+	}
 	if m > ring.MaxRelCovarDegree {
 		return nil, fmt.Errorf("fivm: %d features configured, the analysis ring holds at most %d", m, ring.MaxRelCovarDegree)
+	}
+	if cfg.Ridge != (ml.RidgeConfig{}) && cfg.Label == "" {
+		return nil, fmt.Errorf("fivm: Ridge is only consumed when the analysis engine fits a published model; set Label too")
+	}
+	names := make([]string, m)
+	for i, f := range cfg.Features {
+		names[i] = f.Attr
+	}
+	l, err := newLayout(cfg, names)
+	if err != nil {
+		return nil, err
 	}
 	rg := ring.NewRelCovarRing(m)
 	lifts := make(map[string]ring.Lift[*ring.RelCovar], m)
 	feats := make([]ml.Feature, m)
 	binWidths := make(map[string]float64)
-	labelOK := false
 	for i, f := range cfg.Features {
-		if !attrs.Has(f.Attr) {
-			return nil, fmt.Errorf("fivm: feature %s not in any relation", f.Attr)
-		}
-		if _, dup := lifts[f.Attr]; dup {
-			return nil, fmt.Errorf("fivm: feature %s listed twice", f.Attr)
-		}
 		switch {
 		case f.BinWidth > 0:
 			lifts[f.Attr] = rg.LiftBinned(i, f.BinWidth)
-			feats[i] = ml.Feature{Name: f.Attr, Categorical: true, Index: i}
 			binWidths[f.Attr] = f.BinWidth
 		case f.Categorical:
 			lifts[f.Attr] = rg.LiftCategorical(i)
-			feats[i] = ml.Feature{Name: f.Attr, Categorical: true, Index: i}
 		default:
 			lifts[f.Attr] = rg.LiftContinuous(i)
-			feats[i] = ml.Feature{Name: f.Attr, Categorical: false, Index: i}
 		}
-		if f.Attr == cfg.Label {
-			if feats[i].Categorical {
-				return nil, fmt.Errorf("fivm: label %s is categorical; ridge needs a continuous label", cfg.Label)
-			}
-			labelOK = true
+		feats[i] = ml.Feature{Name: f.Attr, Categorical: f.Categorical || f.BinWidth > 0, Index: i}
+	}
+	if cfg.Label != "" {
+		i, ok := l.index[cfg.Label]
+		if !ok {
+			return nil, fmt.Errorf("fivm: label %s is not a configured feature", cfg.Label)
+		}
+		if feats[i].Categorical {
+			return nil, fmt.Errorf("fivm: label %s is categorical; ridge needs a continuous label", cfg.Label)
 		}
 	}
-	if cfg.Label != "" && !labelOK {
-		return nil, fmt.Errorf("fivm: label %s is not a configured feature", cfg.Label)
-	}
-	tree, err := view.New(view.Spec[*ring.RelCovar]{
-		Ring:      rg,
-		Order:     cfg.Order,
-		Relations: rels,
-		Lifts:     lifts,
-	})
+	tree, err := view.New(view.Spec[*ring.RelCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
 	if err != nil {
 		return nil, err
 	}
 	ridgeCfg := cfg.Ridge
 	if ridgeCfg == (ml.RidgeConfig{}) {
 		ridgeCfg = ml.DefaultRidgeConfig()
-	}
-	idx := make(map[string]int, len(cfg.Features))
-	for i, f := range cfg.Features {
-		idx[f.Attr] = i
 	}
 	a := &Analysis{
 		ring:      rg,
@@ -139,19 +105,13 @@ func NewAnalysis(cfg AnalysisConfig) (*Analysis, error) {
 		ridgeCfg:  ridgeCfg,
 		binWidths: binWidths,
 	}
-	a.Engine = NewEngine(KindAnalysis, tree, EngineOptions[*ring.RelCovar]{
-		Codec: ring.RelCovarCodec{Ring: rg},
-		Clone: (*ring.RelCovar).Clone,
-		M3: m3.RingInfo{
-			Name: fmt.Sprintf("RingCofactor<double, %d>", m),
-			LiftIndexOf: func(v string) int {
-				if i, ok := idx[v]; ok {
-					return i
-				}
-				return -1
-			},
-		},
-		Publish: a.publishModel,
+	a.Engine = newEngine(Engine[*ring.RelCovar]{
+		kind:    KindAnalysis,
+		tree:    tree,
+		codec:   ring.RelCovarCodec{Ring: rg},
+		clone:   (*ring.RelCovar).Clone,
+		info:    m3.RingInfo{Name: fmt.Sprintf("RingCofactor<double, %d>", m), LiftIndexOf: l.liftIndexOf},
+		publish: a.publishModel,
 	})
 	return a, nil
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/view"
 )
 
-func toyConfig() fivm.AnalysisConfig {
-	return fivm.AnalysisConfig{
+func toyConfig() fivm.Config {
+	return fivm.Config{
 		Relations: []fivm.RelationSpec{
 			{Name: "R", Attrs: []string{"A", "B"}},
 			{Name: "S", Attrs: []string{"A", "C", "D"}},
@@ -26,6 +26,16 @@ func toyConfig() fivm.AnalysisConfig {
 	}
 }
 
+// open builds the engine cfg describes and asserts its concrete type.
+func open[E fivm.AnyEngine](t testing.TB, cfg fivm.Config) E {
+	t.Helper()
+	eng, err := fivm.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.(E)
+}
+
 func toyData() map[string][]value.Tuple {
 	return map[string][]value.Tuple{
 		"R": {value.T("a1", 1), value.T("a2", 2)},
@@ -34,10 +44,7 @@ func toyData() map[string][]value.Tuple {
 }
 
 func TestAnalysisEndToEnd(t *testing.T) {
-	an, err := fivm.NewAnalysis(toyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := open[*fivm.Analysis](t, toyConfig())
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +97,7 @@ func TestAnalysisEndToEnd(t *testing.T) {
 }
 
 func TestAnalysisRidge(t *testing.T) {
-	an, err := fivm.NewAnalysis(toyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := open[*fivm.Analysis](t, toyConfig())
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +129,7 @@ func TestAnalysisMIAndApps(t *testing.T) {
 		{Attr: "C", Categorical: true},
 		{Attr: "D", Categorical: true},
 	}
-	an, err := fivm.NewAnalysis(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := open[*fivm.Analysis](t, cfg)
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +162,7 @@ func TestAnalysisMIAndApps(t *testing.T) {
 }
 
 func TestAnalysisMIRejectsContinuous(t *testing.T) {
-	an, err := fivm.NewAnalysis(toyConfig()) // B and D continuous
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := open[*fivm.Analysis](t, toyConfig()) // B and D continuous
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -173,39 +171,37 @@ func TestAnalysisMIRejectsContinuous(t *testing.T) {
 	}
 }
 
-func TestAnalysisConfigErrors(t *testing.T) {
+func TestAnalysisOpenErrors(t *testing.T) {
 	base := toyConfig()
+	base.Kind = fivm.KindAnalysis
 
 	c := base
 	c.Features = nil
-	if _, err := fivm.NewAnalysis(c); err == nil {
+	if _, err := fivm.Open(c); err == nil {
 		t.Error("no features accepted")
 	}
 
 	c = base
 	c.Relations = nil
-	if _, err := fivm.NewAnalysis(c); err == nil {
+	if _, err := fivm.Open(c); err == nil {
 		t.Error("no relations accepted")
 	}
 
 	c = base
 	c.Features = []fivm.FeatureSpec{{Attr: "Z"}}
-	if _, err := fivm.NewAnalysis(c); err == nil {
+	if _, err := fivm.Open(c); err == nil {
 		t.Error("unknown feature accepted")
 	}
 
 	c = base
 	c.Features = []fivm.FeatureSpec{{Attr: "B"}, {Attr: "B"}}
-	if _, err := fivm.NewAnalysis(c); err == nil {
+	if _, err := fivm.Open(c); err == nil {
 		t.Error("duplicate feature accepted")
 	}
 }
 
 func TestAnalysisM3Rendering(t *testing.T) {
-	an, err := fivm.NewAnalysis(toyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := open[*fivm.Analysis](t, toyConfig())
 	vt := an.ViewTree()
 	if !strings.Contains(vt, "V@A[]") {
 		t.Errorf("ViewTree missing root:\n%s", vt)
@@ -219,21 +215,7 @@ func TestAnalysisM3Rendering(t *testing.T) {
 }
 
 func TestCountEngine(t *testing.T) {
-	cat := fivm.NewCatalog()
-	if err := cat.AddRelation("R", "A", "B"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.AddRelation("S", "A", "C", "D"); err != nil {
-		t.Fatal(err)
-	}
-	q, err := fivm.Parse(cat, "SELECT SUM(1) FROM R NATURAL JOIN S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fivm.NewCountEngine(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := open[*fivm.CountEngine](t, fivm.Config{Relations: openRels(), Query: "SELECT SUM(1) FROM R NATURAL JOIN S"})
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +224,7 @@ func TestCountEngine(t *testing.T) {
 	}
 
 	// Grouped count.
-	qg, err := fivm.Parse(cat, "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	engG, err := fivm.NewCountEngine(qg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engG := open[*fivm.CountEngine](t, fivm.Config{Relations: openRels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"})
 	if err := engG.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -258,28 +233,16 @@ func TestCountEngine(t *testing.T) {
 	}
 
 	// Rejections.
-	qb, _ := fivm.Parse(cat, "SELECT SUM(B) FROM R")
-	if _, err := fivm.NewCountEngine(qb, nil); err == nil {
+	if _, err := fivm.Open(fivm.Config{Kind: fivm.KindCount, Relations: openRels(), Query: "SELECT SUM(B) FROM R"}); err == nil {
 		t.Error("non-count query accepted by count engine")
 	}
 }
 
 func TestFloatEngine(t *testing.T) {
-	cat := fivm.NewCatalog()
-	if err := cat.AddRelation("R", "A", "B"); err != nil {
-		t.Fatal(err)
+	float := func(query string) fivm.Config {
+		return fivm.Config{Kind: fivm.KindFloat, Relations: openRels(), Query: query}
 	}
-	if err := cat.AddRelation("S", "A", "C", "D"); err != nil {
-		t.Fatal(err)
-	}
-	q, err := fivm.Parse(cat, "SELECT SUM(B * D) FROM R NATURAL JOIN S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := fivm.NewFloatEngine(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := open[*fivm.FloatEngine](t, float("SELECT SUM(B * D) FROM R NATURAL JOIN S"))
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +252,7 @@ func TestFloatEngine(t *testing.T) {
 	}
 
 	// sq() factor function.
-	q2, _ := fivm.Parse(cat, "SELECT SUM(sq(D)) FROM S")
-	eng2, err := fivm.NewFloatEngine(q2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng2 := open[*fivm.FloatEngine](t, float("SELECT SUM(sq(D)) FROM S"))
 	if err := eng2.Init(map[string][]value.Tuple{"S": toyData()["S"]}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +261,7 @@ func TestFloatEngine(t *testing.T) {
 	}
 
 	// Constant scaling folds into a lift.
-	q3, _ := fivm.Parse(cat, "SELECT SUM(2 * D) FROM S")
-	eng3, err := fivm.NewFloatEngine(q3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng3 := open[*fivm.FloatEngine](t, float("SELECT SUM(2 * D) FROM S"))
 	if err := eng3.Init(map[string][]value.Tuple{"S": toyData()["S"]}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,26 +270,20 @@ func TestFloatEngine(t *testing.T) {
 	}
 
 	// Duplicate attribute factors are rejected with guidance.
-	qd, _ := fivm.Parse(cat, "SELECT SUM(D * D) FROM S")
-	if _, err := fivm.NewFloatEngine(qd, nil); err == nil {
+	if _, err := fivm.Open(float("SELECT SUM(D * D) FROM S")); err == nil {
 		t.Error("SUM(D*D) accepted; must demand sq(D)")
 	}
 	// Unknown function.
-	qf, _ := fivm.Parse(cat, "SELECT SUM(cube(D)) FROM S")
-	if _, err := fivm.NewFloatEngine(qf, nil); err == nil {
+	if _, err := fivm.Open(float("SELECT SUM(cube(D)) FROM S")); err == nil {
 		t.Error("unknown factor function accepted")
 	}
 }
 
 func TestCovarEngineFacade(t *testing.T) {
-	rels := []fivm.RelationSpec{
-		{Name: "R", Attrs: []string{"A", "B"}},
-		{Name: "S", Attrs: []string{"A", "C", "D"}},
+	covar := func(attrs ...string) fivm.Config {
+		return fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: attrs}
 	}
-	eng, err := fivm.NewCovarEngine(rels, []string{"B", "D"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := open[*fivm.CovarEngine](t, covar("B", "D"))
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -346,22 +295,19 @@ func TestCovarEngineFacade(t *testing.T) {
 		t.Errorf("Q(B,D) = %v", p.Prod(0, 1))
 	}
 	// Errors.
-	if _, err := fivm.NewCovarEngine(rels, nil, nil); err == nil {
+	if _, err := fivm.Open(covar()); err == nil {
 		t.Error("empty aggregate set accepted")
 	}
-	if _, err := fivm.NewCovarEngine(rels, []string{"Z"}, nil); err == nil {
+	if _, err := fivm.Open(covar("Z")); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := fivm.NewCovarEngine(rels, []string{"B", "B"}, nil); err == nil {
+	if _, err := fivm.Open(covar("B", "B")); err == nil {
 		t.Error("duplicate attribute accepted")
 	}
 }
 
 func TestAnalysisSnapshotRoundTrip(t *testing.T) {
-	an, err := fivm.NewAnalysis(toyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := open[*fivm.Analysis](t, toyConfig())
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +319,7 @@ func TestAnalysisSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := fivm.NewAnalysis(toyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := open[*fivm.Analysis](t, toyConfig())
 	if err := restored.ReadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 package fivm
 
 import (
-	"fmt"
-
 	"repro/internal/m3"
+	"repro/internal/query"
 	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
@@ -30,22 +29,12 @@ type JoinEngine struct {
 	ResultAttrs []string
 }
 
-// NewJoinEngine builds a join-maintenance engine over the given
+// newJoinEngine builds a join-maintenance engine over the given
 // relations.
-func NewJoinEngine(rels []RelationSpec, order *vo.Order) (*JoinEngine, error) {
-	if len(rels) == 0 {
-		return nil, fmt.Errorf("fivm: no relations configured")
-	}
-	vrels := make([]vo.Rel, len(rels))
-	for i, r := range rels {
-		vrels[i] = vo.Rel{Name: r.Name, Schema: value.NewSchema(r.Attrs...)}
-	}
-	if order == nil {
-		var err error
-		order, err = vo.Build(vrels)
-		if err != nil {
-			return nil, err
-		}
+func newJoinEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
+	l, err := newLayout(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
 	var rg ring.Relational
 	lifts := map[string]ring.Lift[ring.RelVal]{}
@@ -59,30 +48,25 @@ func NewJoinEngine(rels []RelationSpec, order *vo.Order) (*JoinEngine, error) {
 			post(c)
 		}
 		attrs = append(attrs, n.Var)
-	}
-	for _, r := range order.Roots {
-		post(r)
-	}
-	for _, a := range attrs {
-		lifts[a] = func(v value.Value) ring.RelVal {
+		lifts[n.Var] = func(v value.Value) ring.RelVal {
 			return ring.RelVal{value.Tuple{v}.Encode(): 1}
 		}
 	}
-	tree, err := view.New(view.Spec[ring.RelVal]{
-		Ring:      rg,
-		Order:     order,
-		Relations: vrels,
-		Lifts:     lifts,
-	})
+	for _, r := range l.order.Roots {
+		post(r)
+	}
+	tree, err := view.New(view.Spec[ring.RelVal]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
 	if err != nil {
 		return nil, err
 	}
 	e := &JoinEngine{ResultAttrs: attrs}
-	e.Engine = NewEngine(KindJoin, tree, EngineOptions[ring.RelVal]{
-		Codec: ring.RelValCodec{},
-		Clone: ring.RelVal.Clone,
-		M3:    m3.RingInfo{Name: "relation"},
-		Publish: func(Model) Model {
+	e.Engine = newEngine(Engine[ring.RelVal]{
+		kind:  KindJoin,
+		tree:  tree,
+		codec: ring.RelValCodec{},
+		clone: ring.RelVal.Clone,
+		info:  m3.RingInfo{Name: "relation"},
+		publish: func(Model) Model {
 			frozen := e.Engine.ClonePayload()
 			return &TableModel{
 				EngineKind: KindJoin,

@@ -13,10 +13,7 @@ func TestJoinEngineMaintainsJoinResult(t *testing.T) {
 		{Name: "R", Attrs: []string{"A", "B"}},
 		{Name: "S", Attrs: []string{"A", "C", "D"}},
 	}
-	eng, err := fivm.NewJoinEngine(rels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := open[*fivm.JoinEngine](t, fivm.Config{Relations: rels})
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +45,7 @@ func TestJoinEngineMaintainsJoinResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh, err := fivm.NewJoinEngine(rels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := open[*fivm.JoinEngine](t, fivm.Config{Relations: rels})
 	data := toyData()
 	data["R"] = append(data["R"], value.T("a1", 1))
 	data["S"] = append(data["S"], value.T("a2", 9, 9))
@@ -89,10 +83,7 @@ func TestJoinEngineDeleteToEmpty(t *testing.T) {
 		{Name: "R", Attrs: []string{"A"}},
 		{Name: "S", Attrs: []string{"A"}},
 	}
-	eng, err := fivm.NewJoinEngine(rels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := open[*fivm.JoinEngine](t, fivm.Config{Relations: rels})
 	if err := eng.Init(map[string][]value.Tuple{
 		"R": {value.T(1)},
 		"S": {value.T(1)},
@@ -102,7 +93,7 @@ func TestJoinEngineDeleteToEmpty(t *testing.T) {
 	if eng.Size() != 1 {
 		t.Fatalf("size = %d", eng.Size())
 	}
-	if err := eng.Delete("R", value.T(1)); err != nil {
+	if err := eng.Apply([]view.Update{{Rel: "R", Tuple: value.T(1), Mult: -1}}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Size() != 0 {
@@ -111,7 +102,7 @@ func TestJoinEngineDeleteToEmpty(t *testing.T) {
 }
 
 func TestJoinEngineErrors(t *testing.T) {
-	if _, err := fivm.NewJoinEngine(nil, nil); err == nil {
+	if _, err := fivm.Open(fivm.Config{Kind: fivm.KindJoin}); err == nil {
 		t.Error("no relations accepted")
 	}
 }

@@ -3,6 +3,7 @@ package fivm
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 
 	"repro/internal/ml"
@@ -16,6 +17,13 @@ import (
 // generic Engine[V] lifecycle with the payload type erased. It is what
 // Open returns and what the serving layer hosts; type-assert to the
 // concrete engine (*Analysis, *CountEngine, ...) for typed accessors.
+//
+// Concurrency contract: BuildDelta is safe to call concurrently with
+// maintenance (it only reads immutable tree metadata), and every
+// published Model is an isolated deep copy. Everything else — Apply,
+// ApplyBuilt, PublishModel, Stats, the snapshot and partial methods —
+// must be called from a single writer goroutine (or before any
+// concurrent use starts).
 type AnyEngine interface {
 	// Kind identifies the engine instantiation.
 	Kind() Kind
@@ -23,12 +31,9 @@ type AnyEngine interface {
 	Init(data map[string][]value.Tuple) error
 	// Apply maintains the views under tuple-level updates.
 	Apply(ups []view.Update) error
-	// Insert applies single-tuple inserts to rel.
-	Insert(rel string, tuples ...value.Tuple) error
-	// Delete applies single-tuple deletes to rel.
-	Delete(rel string, tuples ...value.Tuple) error
-	// BuildDelta prebuilds a delta for rel; safe concurrently with
-	// maintenance.
+	// BuildDelta prebuilds a delta relation for rel from raw updates,
+	// merging same-tuple updates under the ring addition as it goes.
+	// Safe concurrently with maintenance.
 	BuildDelta(rel string, ups []view.Update) (Delta, error)
 	// ApplyBuilt applies a delta from BuildDelta.
 	ApplyBuilt(rel string, d Delta) error
@@ -36,7 +41,8 @@ type AnyEngine interface {
 	// selects GOMAXPROCS, 1 is sequential). Not safe concurrently with
 	// maintenance.
 	SetParallelism(workers int)
-	// PublishModel builds an immutable model of the current result.
+	// PublishModel builds an immutable model of the current result,
+	// warm-starting from the previously published one (nil at first).
 	PublishModel(prev Model) Model
 	// RelationNames returns the input relation names, sorted.
 	RelationNames() []string
@@ -75,15 +81,20 @@ type Config struct {
 	Query string
 	// Relations declares the input relations of the join.
 	Relations []RelationSpec
-	// Features configures an Analysis engine.
+	// Features configures an Analysis engine: the degree-m ring has one
+	// index per feature.
 	Features []FeatureSpec
 	// Attrs configures a (Ranged)CovarEngine's aggregate attributes.
 	Attrs []string
-	// Label and Ridge configure the Analysis' published model (see
-	// AnalysisConfig).
+	// Label optionally names the continuous feature the Analysis'
+	// published AnalysisModel predicts; empty disables ridge fitting in
+	// published models (explicit Analysis.Ridge calls are unaffected).
 	Label string
+	// Ridge configures the published model's solver; the zero value
+	// means ml.DefaultRidgeConfig().
 	Ridge ml.RidgeConfig
-	// Order optionally supplies a hand-built variable order.
+	// Order optionally supplies a hand-built variable order; when nil
+	// one is derived with the greedy heuristic.
 	Order *vo.Order
 	// Workers enables parallel delta propagation: update batches are
 	// hash-partitioned by join key and propagated concurrently, with
@@ -99,11 +110,68 @@ type Config struct {
 	Workers int
 }
 
-// Open is the single entry point of the package: it compiles cfg into
-// the right engine. Kind selects explicitly; when empty it is inferred —
-// a Query yields KindCount for SUM(1) and KindFloat otherwise, Features
+// fieldSet is a set of Config's kind-specific fields. Relations, Order
+// and Workers apply to every kind and are not in it.
+type fieldSet uint8
+
+const (
+	fieldQuery fieldSet = 1 << iota
+	fieldFeatures
+	fieldAttrs
+	fieldLabel
+	fieldRidge
+)
+
+// fieldNames names the fieldSet bits, lowest first.
+var fieldNames = [...]string{"Query", "Features", "Attrs", "Label", "Ridge"}
+
+// fields returns the kind-specific fields cfg sets.
+func (cfg Config) fields() fieldSet {
+	var s fieldSet
+	for i, set := range [...]bool{cfg.Query != "", len(cfg.Features) > 0, len(cfg.Attrs) > 0, cfg.Label != "", cfg.Ridge != (ml.RidgeConfig{})} {
+		if set {
+			s |= 1 << i
+		}
+	}
+	return s
+}
+
+// String joins the set's field names with "and".
+func (s fieldSet) String() string {
+	var names []string
+	for i, n := range fieldNames {
+		if s&(1<<i) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, " and ")
+}
+
+// kindSpec is one engine kind: the kind-specific Config fields its
+// builder consumes, and the builder. q is the parsed Query, nil when
+// none is set.
+type kindSpec struct {
+	uses  fieldSet
+	build func(cfg Config, q *query.Query) (AnyEngine, error)
+}
+
+// kinds is every engine Open can build. Adding a kind is adding an
+// entry.
+var kinds = map[Kind]kindSpec{
+	KindAnalysis:    {fieldFeatures | fieldLabel | fieldRidge, newAnalysis},
+	KindCount:       {fieldQuery, newCountEngine},
+	KindFloat:       {fieldQuery, newFloatEngine},
+	KindCovar:       {fieldAttrs, newCovarEngine},
+	KindRangedCovar: {fieldAttrs, newRangedCovarEngine},
+	KindJoin:        {0, newJoinEngine},
+}
+
+// Open is the only way to build an engine: it compiles cfg into the
+// right one. Kind selects explicitly; when empty it is inferred — a
+// Query yields KindCount for SUM(1) and KindFloat otherwise, Features
 // yield KindAnalysis, Attrs yield KindCovar, and bare Relations yield
-// KindJoin.
+// KindJoin. A set field the kind does not consume is an error, never
+// silently dropped.
 func Open(cfg Config) (AnyEngine, error) {
 	if len(cfg.Relations) == 0 {
 		return nil, fmt.Errorf("fivm: Open needs at least one relation")
@@ -111,18 +179,9 @@ func Open(cfg Config) (AnyEngine, error) {
 	// A workload is one of Query, Features, or Attrs; accepting several
 	// and resolving by precedence would silently build a different
 	// engine than one of the fields describes.
-	set := make([]string, 0, 3)
-	if cfg.Query != "" {
-		set = append(set, "Query")
-	}
-	if len(cfg.Features) > 0 {
-		set = append(set, "Features")
-	}
-	if len(cfg.Attrs) > 0 {
-		set = append(set, "Attrs")
-	}
-	if len(set) > 1 {
-		return nil, fmt.Errorf("fivm: ambiguous config: %s describe different engines; set at most one", strings.Join(set, " and "))
+	set := cfg.fields()
+	if w := set & (fieldQuery | fieldFeatures | fieldAttrs); bits.OnesCount8(uint8(w)) > 1 {
+		return nil, fmt.Errorf("fivm: ambiguous config: %s describe different engines; set at most one", w)
 	}
 	var q *query.Query
 	if cfg.Query != "" {
@@ -133,75 +192,33 @@ func Open(cfg Config) (AnyEngine, error) {
 			}
 		}
 		var err error
-		q, err = Parse(cat, cfg.Query)
-		if err != nil {
+		if q, err = Parse(cat, cfg.Query); err != nil {
 			return nil, err
 		}
 	}
 	kind := cfg.Kind
 	if kind == "" {
 		switch {
+		case q != nil && isCountQuery(q):
+			kind = KindCount
 		case q != nil:
-			if isCountQuery(q) {
-				kind = KindCount
-			} else {
-				kind = KindFloat
-			}
-		case len(cfg.Features) > 0:
+			kind = KindFloat
+		case set&fieldFeatures != 0:
 			kind = KindAnalysis
-		case len(cfg.Attrs) > 0:
+		case set&fieldAttrs != 0:
 			kind = KindCovar
 		default:
 			kind = KindJoin
 		}
 	}
-	if cfg.Label != "" && kind != KindAnalysis {
-		return nil, fmt.Errorf("fivm: Label is only meaningful for the analysis engine, not %s (it publishes no ridge model)", kind)
-	}
-	if cfg.Ridge != (ml.RidgeConfig{}) && cfg.Label == "" {
-		return nil, fmt.Errorf("fivm: Ridge is only consumed when an analysis engine fits a published model; set Label too")
-	}
-	// With an explicit Kind a stray workload field would be silently
-	// dropped; reject it like the ambiguity above.
-	if cfg.Query != "" && kind != KindCount && kind != KindFloat {
-		return nil, fmt.Errorf("fivm: Query is not consumed by the %s engine", kind)
-	}
-	if len(cfg.Features) > 0 && kind != KindAnalysis {
-		return nil, fmt.Errorf("fivm: Features are not consumed by the %s engine", kind)
-	}
-	if len(cfg.Attrs) > 0 && kind != KindCovar && kind != KindRangedCovar {
-		return nil, fmt.Errorf("fivm: Attrs are not consumed by the %s engine", kind)
-	}
-	var eng AnyEngine
-	var err error
-	switch kind {
-	case KindAnalysis:
-		eng, err = NewAnalysis(AnalysisConfig{
-			Relations: cfg.Relations,
-			Features:  cfg.Features,
-			Order:     cfg.Order,
-			Label:     cfg.Label,
-			Ridge:     cfg.Ridge,
-		})
-	case KindCount:
-		if q == nil {
-			return nil, fmt.Errorf("fivm: %s engine needs a Query", kind)
-		}
-		eng, err = NewCountEngine(q, cfg.Order)
-	case KindFloat:
-		if q == nil {
-			return nil, fmt.Errorf("fivm: %s engine needs a Query", kind)
-		}
-		eng, err = NewFloatEngine(q, cfg.Order)
-	case KindCovar:
-		eng, err = NewCovarEngine(cfg.Relations, cfg.Attrs, cfg.Order)
-	case KindRangedCovar:
-		eng, err = NewRangedCovarEngine(cfg.Relations, cfg.Attrs, cfg.Order)
-	case KindJoin:
-		eng, err = NewJoinEngine(cfg.Relations, cfg.Order)
-	default:
+	spec, ok := kinds[kind]
+	if !ok {
 		return nil, fmt.Errorf("fivm: unknown engine kind %q", kind)
 	}
+	if extra := set &^ spec.uses; extra != 0 {
+		return nil, fmt.Errorf("fivm: %s not consumed by the %s engine", extra, kind)
+	}
+	eng, err := spec.build(cfg, q)
 	if err != nil {
 		return nil, err
 	}
@@ -220,12 +237,46 @@ func isCountQuery(q *query.Query) bool {
 	return len(fs) == 1 && fs[0].IsConst && fs[0].Const == 1
 }
 
-// Compile-time checks: every engine provides the unified surface.
-var (
-	_ AnyEngine = (*Analysis)(nil)
-	_ AnyEngine = (*CountEngine)(nil)
-	_ AnyEngine = (*FloatEngine)(nil)
-	_ AnyEngine = (*CovarEngine)(nil)
-	_ AnyEngine = (*RangedCovarEngine)(nil)
-	_ AnyEngine = (*JoinEngine)(nil)
-)
+// layout is the preamble the builders over cfg.Relations share: the
+// view-layer relations, the variable order (cfg.Order, else the greedy
+// heuristic's), and each aggregate attribute's payload index.
+type layout struct {
+	rels  []vo.Rel
+	order *vo.Order
+	index map[string]int
+}
+
+// newLayout indexes aggs in the order given, checking that each occurs
+// in some relation and is listed once.
+func newLayout(cfg Config, aggs []string) (*layout, error) {
+	l := &layout{rels: make([]vo.Rel, len(cfg.Relations)), order: cfg.Order, index: make(map[string]int, len(aggs))}
+	attrs := value.NewSchema()
+	for i, r := range cfg.Relations {
+		l.rels[i] = vo.Rel{Name: r.Name, Schema: value.NewSchema(r.Attrs...)}
+		attrs = attrs.Union(l.rels[i].Schema)
+	}
+	for i, a := range aggs {
+		if !attrs.Has(a) {
+			return nil, fmt.Errorf("fivm: attribute %s not in any relation", a)
+		}
+		if _, dup := l.index[a]; dup {
+			return nil, fmt.Errorf("fivm: attribute %s listed twice", a)
+		}
+		l.index[a] = i
+	}
+	if l.order == nil {
+		var err error
+		if l.order, err = vo.Build(l.rels); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// liftIndexOf is the layout's m3.RingInfo.LiftIndexOf.
+func (l *layout) liftIndexOf(v string) int {
+	if i, ok := l.index[v]; ok {
+		return i
+	}
+	return -1
+}

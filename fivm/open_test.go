@@ -6,7 +6,6 @@ import (
 
 	"repro/fivm"
 	"repro/internal/ml"
-	"repro/internal/query"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -149,29 +148,80 @@ func TestApplyBuiltRejectsForeignDelta(t *testing.T) {
 	}
 }
 
-// The count and float constructors must reject GROUP BY attributes that
-// are missing from the joined schema with a clear message — a hand-built
-// query bypasses Parse's catalog validation, and without this check the
-// failure surfaces as a confusing view-layer error.
+// A GROUP BY attribute missing from the joined schema is rejected by
+// Parse against the catalog Open builds from Relations, for the count
+// and float kinds alike, before any view tree is built.
 func TestEnginesRejectUnknownGroupBy(t *testing.T) {
-	rels := []query.Relation{
-		{Name: "R", Schema: value.NewSchema("A", "B")},
+	for _, q := range []string{
+		"SELECT Z, SUM(1) FROM R GROUP BY Z",
+		"SELECT Z, SUM(B) FROM R GROUP BY Z",
+	} {
+		_, err := fivm.Open(fivm.Config{Relations: openRels(), Query: q})
+		if err == nil || !strings.Contains(err.Error(), "group-by attribute Z not in any joined relation") {
+			t.Fatalf("%s: err = %v, want Parse's GROUP BY validation failure", q, err)
+		}
 	}
-	qc := &query.Query{
-		Aggregates: []query.Aggregate{{Factors: []query.Factor{{IsConst: true, Const: 1}}}},
-		Relations:  rels,
-		GroupBy:    []string{"Z"},
+}
+
+// Open's contract, generated from its kinds table: every kind rejects
+// each kind-specific Config field it does not consume. A new kind needs
+// no new case here; a new field needs one setter.
+func TestOpenRejectsUnconsumedFields(t *testing.T) {
+	setters := map[string]func(*fivm.Config){
+		"Query":    func(c *fivm.Config) { c.Query = "SELECT SUM(1) FROM R NATURAL JOIN S" },
+		"Features": func(c *fivm.Config) { c.Features = []fivm.FeatureSpec{{Attr: "B"}} },
+		"Attrs":    func(c *fivm.Config) { c.Attrs = []string{"B"} },
+		"Label":    func(c *fivm.Config) { c.Label = "B" },
+		"Ridge":    func(c *fivm.Config) { c.Ridge = ml.RidgeConfig{Lambda: 0.5} },
 	}
-	if _, err := fivm.NewCountEngine(qc, nil); err == nil || !strings.Contains(err.Error(), "GROUP BY attribute Z") {
-		t.Fatalf("count engine: err = %v, want GROUP BY validation failure", err)
+	for kind, uses := range fivm.KindFields() {
+		for field, used := range uses {
+			set, ok := setters[field]
+			if !ok {
+				t.Fatalf("no setter for Config field %s", field)
+			}
+			if used {
+				continue
+			}
+			cfg := fivm.Config{Kind: kind, Relations: openRels()}
+			set(&cfg)
+			if _, err := fivm.Open(cfg); err == nil || !strings.Contains(err.Error(), field+" not consumed") {
+				t.Errorf("%s engine with %s: err = %v, want %q", kind, field, err, field+" not consumed")
+			}
+		}
 	}
-	qf := &query.Query{
-		Aggregates: []query.Aggregate{{Factors: []query.Factor{{Attr: "B"}}}},
-		Relations:  rels,
-		GroupBy:    []string{"Z"},
-	}
-	if _, err := fivm.NewFloatEngine(qf, nil); err == nil || !strings.Contains(err.Error(), "GROUP BY attribute Z") {
-		t.Fatalf("float engine: err = %v, want GROUP BY validation failure", err)
+}
+
+// A tuple of the wrong arity is an error naming the relation and both
+// arities, on every kind and every entry point — never a panic — and a
+// batch holding one applies nothing.
+func TestWrongArityIsAnError(t *testing.T) {
+	good, bad := value.T(1, 2), value.T(1, 2, 3) // R has two attributes
+	for kind, cfg := range equivConfigs() {
+		t.Run(string(kind), func(t *testing.T) {
+			eng := open[fivm.AnyEngine](t, cfg)
+			wantErr := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "relation R has 2 attributes") || !strings.Contains(err.Error(), "of 3") {
+					t.Fatalf("%s: err = %v, want R's arity 2 vs 3", what, err)
+				}
+			}
+			wantErr("Init", eng.Init(map[string][]value.Tuple{"R": {good, bad}}))
+			if err := eng.Init(map[string][]value.Tuple{"R": {good}, "S": {value.T(2, 3)}}); err != nil {
+				t.Fatal(err)
+			}
+			before := snapshotState(t, eng)
+			_, err := eng.BuildDelta("R", []view.Update{{Rel: "R", Tuple: good, Mult: 1}, {Rel: "R", Tuple: bad, Mult: 1}})
+			wantErr("BuildDelta", err)
+			wantErr("Apply", eng.Apply([]view.Update{
+				{Rel: "S", Tuple: value.T(2, 4), Mult: 1},
+				{Rel: "R", Tuple: good, Mult: 1},
+				{Rel: "R", Tuple: bad, Mult: 1},
+			}))
+			if after := snapshotState(t, eng); after != before || eng.Stats().Updates != 0 {
+				t.Fatalf("a rejected batch changed the engine (%d updates applied)", eng.Stats().Updates)
+			}
+		})
 	}
 }
 
@@ -179,20 +229,14 @@ func TestEnginesRejectUnknownGroupBy(t *testing.T) {
 // on the empty join); typed interpreters fail with a descriptive error.
 func TestEmptyJoinConvention(t *testing.T) {
 	rels := openRels()
-	cov, err := fivm.NewCovarEngine(rels, []string{"B", "D"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cov := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: []string{"B", "D"}})
 	if p := cov.Payload(); p != nil {
 		t.Fatalf("empty covar payload = %v, want nil (ring zero)", p)
 	}
 	if _, err := cov.Covar(); err == nil {
 		t.Fatal("Covar() on the empty join must fail")
 	}
-	ranged, err := fivm.NewRangedCovarEngine(rels, []string{"B", "D"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranged := open[*fivm.RangedCovarEngine](t, fivm.Config{Kind: fivm.KindRangedCovar, Relations: rels, Attrs: []string{"B", "D"}})
 	if p := ranged.Payload(); p != nil {
 		t.Fatalf("empty ranged payload = %v, want nil (ring zero)", p)
 	}
@@ -202,10 +246,7 @@ func TestEmptyJoinConvention(t *testing.T) {
 	if _, err := ranged.Sigma(); err == nil {
 		t.Fatal("ranged Sigma() on the empty join must fail")
 	}
-	join, err := fivm.NewJoinEngine(rels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	join := open[*fivm.JoinEngine](t, fivm.Config{Relations: rels})
 	if ts, ms := join.Tuples(); len(ts) != 0 || len(ms) != 0 {
 		t.Fatal("empty join must enumerate to empty slices")
 	}

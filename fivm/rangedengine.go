@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/m3"
 	"repro/internal/ml"
+	"repro/internal/query"
 	"repro/internal/ring"
-	"repro/internal/value"
 	"repro/internal/view"
 	"repro/internal/vo"
 )
@@ -27,84 +27,51 @@ type RangedCovarEngine struct {
 	Attrs []string
 }
 
-// NewRangedCovarEngine builds the engine over the continuous attributes
-// attrs of the joined relations.
-func NewRangedCovarEngine(rels []RelationSpec, attrs []string, order *vo.Order) (*RangedCovarEngine, error) {
-	if len(attrs) == 0 {
-		return nil, fmt.Errorf("fivm: no aggregate attributes")
+// newRangedCovarEngine builds the engine over the continuous attributes
+// cfg.Attrs of the joined relations.
+func newRangedCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
+	if len(cfg.Attrs) == 0 {
+		return nil, fmt.Errorf("fivm: %s engine needs Attrs", KindRangedCovar)
 	}
-	vrels := make([]vo.Rel, len(rels))
-	schema := value.NewSchema()
-	for i, r := range rels {
-		vrels[i] = vo.Rel{Name: r.Name, Schema: value.NewSchema(r.Attrs...)}
-		schema = schema.Union(vrels[i].Schema)
+	l, err := newLayout(cfg, cfg.Attrs)
+	if err != nil {
+		return nil, err
 	}
-	want := map[string]bool{}
-	for _, a := range attrs {
-		if !schema.Has(a) {
-			return nil, fmt.Errorf("fivm: aggregate attribute %s not in any relation", a)
-		}
-		if want[a] {
-			return nil, fmt.Errorf("fivm: attribute %s listed twice", a)
-		}
-		want[a] = true
-	}
-	if order == nil {
-		var err error
-		order, err = vo.Build(vrels)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Assign aggregate indexes in post-order of the variable order: the
-	// order in which the engine's products combine subtree payloads, so
-	// ranges always meet adjacently.
+	// Reassign aggregate indexes in post-order of the variable order:
+	// the order in which the engine's products combine subtree payloads,
+	// so ranges always meet adjacently.
 	var rg ring.RangedCovarRing
 	lifts := map[string]ring.Lift[*ring.RangedCovar]{}
 	var indexed []string
-	idx := map[string]int{}
 	var post func(n *vo.Node)
 	post = func(n *vo.Node) {
 		for _, c := range n.Children {
 			post(c)
 		}
-		if want[n.Var] {
+		if _, ok := l.index[n.Var]; ok {
+			l.index[n.Var] = len(indexed)
 			lifts[n.Var] = rg.Lift(len(indexed))
-			idx[n.Var] = len(indexed)
 			indexed = append(indexed, n.Var)
 		}
 	}
-	for _, r := range order.Roots {
+	for _, r := range l.order.Roots {
 		post(r)
 	}
-	if len(indexed) != len(attrs) {
-		return nil, fmt.Errorf("fivm: indexed %d of %d aggregate attributes; attribute missing from the order", len(indexed), len(attrs))
+	if len(indexed) != len(cfg.Attrs) {
+		return nil, fmt.Errorf("fivm: indexed %d of %d aggregate attributes; attribute missing from the order", len(indexed), len(cfg.Attrs))
 	}
-
-	tree, err := view.New(view.Spec[*ring.RangedCovar]{
-		Ring:      rg,
-		Order:     order,
-		Relations: vrels,
-		Lifts:     lifts,
-	})
+	tree, err := view.New(view.Spec[*ring.RangedCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
 	if err != nil {
 		return nil, err
 	}
 	e := &RangedCovarEngine{Ring: rg, Attrs: indexed}
-	e.Engine = NewEngine(KindRangedCovar, tree, EngineOptions[*ring.RangedCovar]{
-		Codec: ring.RangedCovarCodec{},
-		Clone: (*ring.RangedCovar).Clone,
-		M3: m3.RingInfo{
-			Name: "RingCofactor<double, idx, cnt>",
-			LiftIndexOf: func(v string) int {
-				if i, ok := idx[v]; ok {
-					return i
-				}
-				return -1
-			},
-		},
-		Publish: func(Model) Model {
+	e.Engine = newEngine(Engine[*ring.RangedCovar]{
+		kind:  KindRangedCovar,
+		tree:  tree,
+		codec: ring.RangedCovarCodec{},
+		clone: (*ring.RangedCovar).Clone,
+		info:  m3.RingInfo{Name: "RingCofactor<double, idx, cnt>", LiftIndexOf: l.liftIndexOf},
+		publish: func(Model) Model {
 			m := &CovarModel{EngineKind: KindRangedCovar, Attrs: e.Attrs}
 			p, err := e.Covar()
 			if err != nil {

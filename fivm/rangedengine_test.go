@@ -24,14 +24,8 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 	}
 	attrs := []string{"inventoryunits", "prize", "avghhi", "maxtemp"}
 
-	full, err := fivm.NewCovarEngine(rels, attrs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranged, err := fivm.NewRangedCovarEngine(rels, attrs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: attrs})
+	ranged := open[*fivm.RangedCovarEngine](t, fivm.Config{Kind: fivm.KindRangedCovar, Relations: rels, Attrs: attrs})
 	data := db.TupleMap()
 	if err := full.Init(data); err != nil {
 		t.Fatal(err)
@@ -112,14 +106,16 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 }
 
 func TestRangedEngineErrors(t *testing.T) {
-	rels := []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}}
-	if _, err := fivm.NewRangedCovarEngine(rels, nil, nil); err == nil {
+	ranged := func(attrs ...string) fivm.Config {
+		return fivm.Config{Kind: fivm.KindRangedCovar, Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}}, Attrs: attrs}
+	}
+	if _, err := fivm.Open(ranged()); err == nil {
 		t.Error("empty attrs accepted")
 	}
-	if _, err := fivm.NewRangedCovarEngine(rels, []string{"Z"}, nil); err == nil {
+	if _, err := fivm.Open(ranged("Z")); err == nil {
 		t.Error("unknown attr accepted")
 	}
-	if _, err := fivm.NewRangedCovarEngine(rels, []string{"B", "B"}, nil); err == nil {
+	if _, err := fivm.Open(ranged("B", "B")); err == nil {
 		t.Error("duplicate attr accepted")
 	}
 }

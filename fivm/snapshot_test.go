@@ -203,10 +203,7 @@ func TestSnapshotRejectsForeignEngineKind(t *testing.T) {
 // with a changed -attrs list against an existing -wal directory) must also
 // fail fast on the codec tag — the wire format depends on the degree.
 func TestSnapshotRejectsDegreeMismatch(t *testing.T) {
-	wide, err := fivm.NewCovarEngine(openRels(), []string{"B", "C", "D"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := open[fivm.AnyEngine](t, fivm.Config{Relations: openRels(), Attrs: []string{"B", "C", "D"}})
 	if err := wide.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -214,23 +211,17 @@ func TestSnapshotRejectsDegreeMismatch(t *testing.T) {
 	if err := wide.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := fivm.NewCovarEngine(openRels(), []string{"B", "D"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = narrow.ReadSnapshot(&buf)
+	narrow := open[fivm.AnyEngine](t, fivm.Config{Relations: openRels(), Attrs: []string{"B", "D"}})
+	err := narrow.ReadSnapshot(&buf)
 	if err == nil || !strings.Contains(err.Error(), "codec") {
 		t.Fatalf("restoring degree-3 snapshot into degree-2 engine: err = %v, want codec mismatch", err)
 	}
 
 	// The generalized ring takes the same guard.
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an := open[fivm.AnyEngine](t, fivm.Config{
 		Relations: openRels(),
 		Features:  []fivm.FeatureSpec{{Attr: "B"}, {Attr: "D"}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +229,10 @@ func TestSnapshotRejectsDegreeMismatch(t *testing.T) {
 	if err := an.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	an3, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an3 := open[fivm.AnyEngine](t, fivm.Config{
 		Relations: openRels(),
 		Features:  []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	err = an3.ReadSnapshot(&buf)
 	if err == nil || !strings.Contains(err.Error(), "codec") {
 		t.Fatalf("restoring 2-feature analysis snapshot into 3-feature engine: err = %v, want codec mismatch", err)

@@ -46,10 +46,11 @@ func approxEq(a, b float64) bool {
 func TestCovarEquivalenceAcrossStrategies(t *testing.T) {
 	db, bspecs, fspecs, aggAttrs := smallRetailer()
 
-	eng, err := fivm.NewCovarEngine(fspecs, aggAttrs, nil)
+	opened, err := fivm.Open(fivm.Config{Relations: fspecs, Attrs: aggAttrs})
 	if err != nil {
-		t.Fatalf("NewCovarEngine: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
+	eng := opened.(*fivm.CovarEngine)
 	flat, err := baseline.NewFlatIVM(bspecs, aggAttrs)
 	if err != nil {
 		t.Fatalf("NewFlatIVM: %v", err)
@@ -125,10 +126,11 @@ func TestCovarEquivalenceAcrossStrategies(t *testing.T) {
 func TestEquivalenceMultiRelationUpdates(t *testing.T) {
 	db, bspecs, fspecs, aggAttrs := smallRetailer()
 
-	eng, err := fivm.NewCovarEngine(fspecs, aggAttrs, nil)
+	opened, err := fivm.Open(fivm.Config{Relations: fspecs, Attrs: aggAttrs})
 	if err != nil {
-		t.Fatalf("NewCovarEngine: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
+	eng := opened.(*fivm.CovarEngine)
 	re, err := baseline.NewReeval(bspecs, aggAttrs)
 	if err != nil {
 		t.Fatalf("NewReeval: %v", err)

@@ -41,14 +41,11 @@ func retailerAnalysis(s retailerSetup, forMI bool) (*fivm.Analysis, error) {
 		cont("maxtemp", 5),
 		{Attr: "rain", Categorical: true},
 	}
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{Relations: s.fspecs, Features: features})
+	eng, err := openLoaded(fivm.Config{Features: features}, s.fspecs, s.db.TupleMap())
 	if err != nil {
 		return nil, err
 	}
-	if err := an.Init(s.db.TupleMap()); err != nil {
-		return nil, err
-	}
-	return an, nil
+	return eng.(*fivm.Analysis), nil
 }
 
 // E3ModelSelection reproduces Figure 2a: per bulk, maintain the MI count

@@ -18,6 +18,7 @@ import (
 	"repro/fivm"
 	"repro/internal/baseline"
 	"repro/internal/dataset"
+	"repro/internal/value"
 	"repro/internal/view"
 )
 
@@ -60,6 +61,19 @@ func newRetailerSetup(sc Scale, seed int64) retailerSetup {
 	}
 	s.aggAttrs = []string{"inventoryunits", "prize", "avghhi", "maxtemp", "medianage"}
 	return s
+}
+
+// openLoaded opens cfg over rels and bulk-loads data into the engine.
+func openLoaded(cfg fivm.Config, rels []fivm.RelationSpec, data map[string][]value.Tuple) (fivm.AnyEngine, error) {
+	cfg.Relations = rels
+	eng, err := fivm.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.Init(data); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }
 
 func (s retailerSetup) stream(total int, deleteRatio float64, seed int64) []view.Update {
@@ -151,11 +165,8 @@ func E2(sc Scale, deleteRatio float64) ([]Throughput, error) {
 	data := s.db.TupleMap()
 	var rows []Throughput
 
-	eng, err := fivm.NewCovarEngine(s.fspecs, s.aggAttrs, nil)
+	eng, err := openLoaded(fivm.Config{Attrs: s.aggAttrs}, s.fspecs, data)
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.Init(data); err != nil {
 		return nil, err
 	}
 	r, err := measure("F-IVM (COVAR ring)", ups, sc.BatchSize, eng.Apply)
@@ -216,13 +227,11 @@ func E2Compound(sc Scale, deleteRatio float64) (Throughput, int, error) {
 		{Attr: "categoryCluster", Categorical: true},
 		{Attr: "zip", Categorical: true},
 	}
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{Relations: s.fspecs, Features: features})
+	eng, err := openLoaded(fivm.Config{Features: features}, s.fspecs, s.db.TupleMap())
 	if err != nil {
 		return Throughput{}, 0, err
 	}
-	if err := an.Init(s.db.TupleMap()); err != nil {
-		return Throughput{}, 0, err
-	}
+	an := eng.(*fivm.Analysis)
 	sigma, err := an.Covar()
 	if err != nil {
 		return Throughput{}, 0, err

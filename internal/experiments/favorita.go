@@ -59,21 +59,16 @@ func E8Favorita(sc Scale) ([]Throughput, []AppResult, error) {
 		{Attr: "transactions"},
 	}
 
-	anMI, err := fivm.NewAnalysis(fivm.AnalysisConfig{Relations: s.fspecs, Features: miFeatures})
-	if err != nil {
-		return nil, nil, err
-	}
-	anCov, err := fivm.NewAnalysis(fivm.AnalysisConfig{Relations: s.fspecs, Features: covFeatures})
-	if err != nil {
-		return nil, nil, err
-	}
 	data := s.db.TupleMap()
-	if err := anMI.Init(data); err != nil {
+	engMI, err := openLoaded(fivm.Config{Features: miFeatures}, s.fspecs, data)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := anCov.Init(data); err != nil {
+	engCov, err := openLoaded(fivm.Config{Features: covFeatures}, s.fspecs, data)
+	if err != nil {
 		return nil, nil, err
 	}
+	anMI, anCov := engMI.(*fivm.Analysis), engCov.(*fivm.Analysis)
 
 	st, err := dataset.NewStream(s.db, dataset.StreamConfig{
 		Relation: "Sales", Total: sc.StreamLen, DeleteRatio: 0.25, Seed: 61,

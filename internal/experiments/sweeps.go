@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/fivm"
-	"repro/internal/query"
 	"repro/internal/view"
 )
 
@@ -15,11 +14,8 @@ func E7BatchSize(sc Scale, sizes []int) ([]Throughput, error) {
 	s := newRetailerSetup(sc, 1)
 	var rows []Throughput
 	for _, b := range sizes {
-		eng, err := fivm.NewCovarEngine(s.fspecs, s.aggAttrs, nil)
+		eng, err := openLoaded(fivm.Config{Attrs: s.aggAttrs}, s.fspecs, s.db.TupleMap())
 		if err != nil {
-			return nil, err
-		}
-		if err := eng.Init(s.db.TupleMap()); err != nil {
 			return nil, err
 		}
 		ups := s.stream(sc.StreamLen, 0.2, 5)
@@ -59,11 +55,8 @@ func E7AggCount(sc Scale, ms []int) ([]Throughput, error) {
 		if m > len(valid) {
 			m = len(valid)
 		}
-		eng, err := fivm.NewCovarEngine(s.fspecs, valid[:m], nil)
+		eng, err := openLoaded(fivm.Config{Attrs: valid[:m]}, s.fspecs, s.db.TupleMap())
 		if err != nil {
-			return nil, err
-		}
-		if err := eng.Init(s.db.TupleMap()); err != nil {
 			return nil, err
 		}
 		ups := s.stream(sc.StreamLen, 0.2, 6)
@@ -91,11 +84,8 @@ func A1Sharing(sc Scale, m int) ([]Throughput, error) {
 	ups := s.stream(sc.StreamLen, 0.2, 7)
 	var rows []Throughput
 
-	eng, err := fivm.NewCovarEngine(s.fspecs, attrs, nil)
+	eng, err := openLoaded(fivm.Config{Attrs: attrs}, s.fspecs, data)
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.Init(data); err != nil {
 		return nil, err
 	}
 	r, err := measure("compound COVAR ring (shared)", ups, sc.BatchSize, eng.Apply)
@@ -106,28 +96,16 @@ func A1Sharing(sc Scale, m int) ([]Throughput, error) {
 	r.Note = fmt.Sprintf("%d aggregates, one view tree", nAggs)
 	rows = append(rows, r)
 
-	// Unshared: one float-ring tree per aggregate.
-	cat := query.NewCatalog()
-	for _, rel := range s.db.Relations {
-		if err := cat.AddRelation(rel.Name, rel.Attrs...); err != nil {
-			return nil, err
-		}
-	}
+	// Unshared: one float-ring tree per aggregate (SUM(1) included:
+	// the kind is forced, not inferred as count).
 	relNames := "Inventory NATURAL JOIN Location NATURAL JOIN Census NATURAL JOIN Item NATURAL JOIN Weather"
 	var trees []*view.Tree[float64]
 	addTree := func(sel string) error {
-		q, err := query.Parse(cat, "SELECT "+sel+" FROM "+relNames)
+		fe, err := openLoaded(fivm.Config{Kind: fivm.KindFloat, Query: "SELECT " + sel + " FROM " + relNames}, s.fspecs, data)
 		if err != nil {
 			return err
 		}
-		fe, err := fivm.NewFloatEngine(q, nil)
-		if err != nil {
-			return err
-		}
-		if err := fe.Init(data); err != nil {
-			return err
-		}
-		trees = append(trees, fe.Tree())
+		trees = append(trees, fe.(*fivm.FloatEngine).Tree())
 		return nil
 	}
 	if err := addTree("SUM(1)"); err != nil {
@@ -170,11 +148,8 @@ func A3Deletes(sc Scale, ratios []float64) ([]Throughput, error) {
 	s := newRetailerSetup(sc, 1)
 	var rows []Throughput
 	for _, dr := range ratios {
-		eng, err := fivm.NewCovarEngine(s.fspecs, s.aggAttrs, nil)
+		eng, err := openLoaded(fivm.Config{Attrs: s.aggAttrs}, s.fspecs, s.db.TupleMap())
 		if err != nil {
-			return nil, err
-		}
-		if err := eng.Init(s.db.TupleMap()); err != nil {
 			return nil, err
 		}
 		ups := s.stream(sc.StreamLen, dr, 8)
@@ -199,11 +174,8 @@ func A2Factorization(sc Scale) ([]Throughput, error) {
 	ups := s.stream(sc.StreamLen, 0.2, 9)
 	var rows []Throughput
 
-	eng, err := fivm.NewCovarEngine(s.fspecs, s.aggAttrs, nil)
+	eng, err := openLoaded(fivm.Config{Attrs: s.aggAttrs}, s.fspecs, data)
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.Init(data); err != nil {
 		return nil, err
 	}
 	r, err := measure("gradient (COVAR payloads)", ups, sc.BatchSize, eng.Apply)
@@ -214,13 +186,11 @@ func A2Factorization(sc Scale) ([]Throughput, error) {
 	r.Note = fmt.Sprintf("%d aggregates, O(1)-size root payload", nAggs)
 	rows = append(rows, r)
 
-	je, err := fivm.NewJoinEngine(s.fspecs, nil)
+	eng, err = openLoaded(fivm.Config{}, s.fspecs, data)
 	if err != nil {
 		return nil, err
 	}
-	if err := je.Init(data); err != nil {
-		return nil, err
-	}
+	je := eng.(*fivm.JoinEngine)
 	r, err = measure("join result (relational payloads)", ups, sc.BatchSize, je.Apply)
 	if err != nil {
 		return nil, err
@@ -245,11 +215,8 @@ func A4RangedPayloads(sc Scale, m int) ([]Throughput, error) {
 	data := s.db.TupleMap()
 	var rows []Throughput
 
-	full, err := fivm.NewCovarEngine(s.fspecs, attrs, nil)
+	full, err := openLoaded(fivm.Config{Attrs: attrs}, s.fspecs, data)
 	if err != nil {
-		return nil, err
-	}
-	if err := full.Init(data); err != nil {
 		return nil, err
 	}
 	ups := s.stream(sc.StreamLen, 0.2, 10)
@@ -260,11 +227,8 @@ func A4RangedPayloads(sc Scale, m int) ([]Throughput, error) {
 	r.Note = fmt.Sprintf("every view carries degree %d", len(attrs))
 	rows = append(rows, r)
 
-	ranged, err := fivm.NewRangedCovarEngine(s.fspecs, attrs, nil)
+	ranged, err := openLoaded(fivm.Config{Kind: fivm.KindRangedCovar, Attrs: attrs}, s.fspecs, data)
 	if err != nil {
-		return nil, err
-	}
-	if err := ranged.Init(data); err != nil {
 		return nil, err
 	}
 	r, err = measure("ranged payloads (RingCofactor<d,idx,cnt>)", ups, sc.BatchSize, ranged.Apply)

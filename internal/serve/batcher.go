@@ -18,7 +18,7 @@ import (
 // delta relation is exactly what the maintenance core partitions for
 // parallel propagation, so a shard's batch flows shard -> delta ->
 // partitions with no intermediate re-grouping. Building deltas here
-// only touches immutable tree metadata (Maintainable.BuildDelta), so
+// only touches immutable tree metadata (fivm.AnyEngine.BuildDelta), so
 // batchers run concurrently with the writer.
 func (s *Server) runBatcher(sh *shard) {
 	defer s.batchers.Done()

@@ -38,10 +38,10 @@
 //     different relations may interleave, which cannot change the
 //     final state (delta application commutes across relations).
 //
-// The pipeline is engine-agnostic: it talks to the engine only through
-// the Maintainable interface, which the generic fivm.Engine implements
-// — so one daemon binary hosts count, float-SUM, COVAR, join-result,
-// and full analysis workloads alike.
+// The pipeline is engine-agnostic: it hosts whatever fivm.Open returns
+// through fivm.AnyEngine, relying only on that interface's concurrency
+// contract — so one daemon binary hosts count, float-SUM, COVAR,
+// join-result, and full analysis workloads alike.
 //
 // Steady-state ingestion is allocation-lean: each shard's batcher
 // reuses one per-flush update buffer (BuildDelta does not retain its

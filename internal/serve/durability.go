@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/fivm"
 	"repro/internal/view"
 	"repro/internal/wal"
 )
@@ -30,10 +31,11 @@ type RecoveryInfo struct {
 // pipeline's positions continue where recovery left off.
 //
 // Replay errors abort recovery: a log that names a relation the engine
-// does not know (schema drift against an old WAL directory) is a
-// configuration error, not corruption — torn and corrupt records were
-// already truncated away by wal.Open and never reach the engine.
-func Recover(eng Maintainable, w *wal.WAL) (RecoveryInfo, error) {
+// does not know, or carries tuples of another arity (schema drift
+// against an old WAL directory), is a configuration error, not
+// corruption — torn and corrupt records were already truncated away by
+// wal.Open and never reach the engine.
+func Recover(eng fivm.AnyEngine, w *wal.WAL) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	if cp := w.Checkpoint(); cp != nil {
 		r, err := cp.Open()
@@ -96,7 +98,7 @@ func (s *Server) Checkpoint() error {
 		return errors.New("serve: no WAL configured")
 	}
 	var cperr error
-	if err := s.Sync(func(m Maintainable) {
+	if err := s.Sync(func(m fivm.AnyEngine) {
 		cperr = w.WriteCheckpoint(copyPositions(s.walPos), m.WriteSnapshot)
 	}); err != nil {
 		return err

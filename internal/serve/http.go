@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/fivm"
 	"repro/internal/value"
 	"repro/internal/view"
 	"repro/internal/wal"
@@ -316,7 +317,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, _ *http.Request) {
 	var buf bytes.Buffer
 	var applied uint64
 	var werr error
-	err := s.Sync(func(m Maintainable) {
+	err := s.Sync(func(m fivm.AnyEngine) {
 		applied = s.nApplied
 		if s.cfg.WAL != nil {
 			applied = s.walPos.Applied

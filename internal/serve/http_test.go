@@ -16,7 +16,7 @@ import (
 // y = 2x training data yields an easily checkable model.
 func newHTTPServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"X", "Y"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "X"}, {Attr: "Y"}},
 		Label:     "Y",
@@ -189,8 +189,8 @@ func TestHTTPBadRequests(t *testing.T) {
 }
 
 // newEngineServer hosts an arbitrary engine kind behind the HTTP
-// handler — the decoupling the Maintainable interface buys: the same
-// pipeline serves count, float, COVAR, and join workloads.
+// handler — the decoupling fivm.AnyEngine buys: the same pipeline
+// serves count, float, COVAR, and join workloads.
 func newEngineServer(t *testing.T, cfg fivm.Config) (*Server, *httptest.Server) {
 	t.Helper()
 	eng, err := fivm.Open(cfg)

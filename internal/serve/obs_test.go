@@ -59,7 +59,7 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 	unblock := func() { unblockOnce.Do(func() { close(block) }) }
 	defer unblock()
 	syncEntered := make(chan struct{})
-	go srv.Sync(func(Maintainable) { close(syncEntered); <-block })
+	go srv.Sync(func(fivm.AnyEngine) { close(syncEntered); <-block })
 	<-syncEntered
 
 	// Fill the pipeline until admission control sheds. The batcher keeps
@@ -236,7 +236,7 @@ func TestRidgeFitMetrics(t *testing.T) {
 		t.Errorf("fivm_ridge_unconverged_total = %v on a well-posed fit, want 0", got)
 	}
 
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}, {Name: "S", Attrs: []string{"B", "C"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "A"}, {Attr: "B"}, {Attr: "C", Categorical: true}},
 		Label:     "B",

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"sync"
 	"sync/atomic"
@@ -13,46 +12,6 @@ import (
 	"repro/internal/view"
 	"repro/internal/wal"
 )
-
-// Maintainable is the engine contract the serving pipeline needs: delta
-// build and apply for the write path, model publishing for the read
-// path, and snapshot persistence hooks. fivm's generic Engine — and so
-// every engine fivm.Open returns — implements it.
-//
-// Contract: BuildDelta must be safe to call concurrently with
-// maintenance (it only reads immutable metadata); ApplyBuilt,
-// PublishModel, Stats, and the snapshot methods are only ever called
-// from the single writer goroutine (or before the pipeline starts).
-type Maintainable interface {
-	// Kind identifies the hosted engine kind.
-	Kind() fivm.Kind
-	// RelationNames returns the input relation names, sorted.
-	RelationNames() []string
-	// Arity returns the attribute count of input relation rel.
-	Arity(rel string) (int, bool)
-	// BuildDelta prebuilds a delta relation from raw updates, merging
-	// same-tuple updates under the ring addition as it goes.
-	BuildDelta(rel string, ups []view.Update) (fivm.Delta, error)
-	// ApplyBuilt applies a delta produced by BuildDelta.
-	ApplyBuilt(rel string, d fivm.Delta) error
-	// PublishModel builds an immutable model of the current result,
-	// warm-starting from the previously published one (nil at first).
-	PublishModel(prev fivm.Model) fivm.Model
-	// Stats exposes the engine's maintenance counters.
-	Stats() view.Stats
-	// ViewTree renders the maintained view tree.
-	ViewTree() string
-	// WriteSnapshot persists the engine's input relations.
-	WriteSnapshot(w io.Writer) error
-	// ReadSnapshot restores input relations and re-evaluates views.
-	ReadSnapshot(r io.Reader) error
-	// WritePartial serializes the maintained result relation for
-	// cross-shard merging (the body of GET /v1/partial).
-	WritePartial(w io.Writer) error
-}
-
-// Compile-time check: engines from fivm.Open satisfy Maintainable.
-var _ Maintainable = fivm.AnyEngine(nil)
 
 // ErrClosed is returned by Ingest and Sync after Close.
 var ErrClosed = errors.New("serve: server closed")
@@ -210,10 +169,10 @@ type ShardStatus struct {
 	Arity    int `json:"arity"`
 }
 
-// Server owns a Maintainable engine and runs the ingestion pipeline over
+// Server owns a fivm engine and runs the ingestion pipeline over
 // it. Create one with New; all methods are safe for concurrent use.
 type Server struct {
-	eng Maintainable
+	eng fivm.AnyEngine
 	cfg Config
 
 	mu     sync.RWMutex // closed vs. sends on shard/exec channels
@@ -305,14 +264,14 @@ type batch struct {
 }
 
 type execReq struct {
-	fn   func(Maintainable)
+	fn   func(fivm.AnyEngine)
 	done chan struct{}
 }
 
 // New wraps an engine (already Init-ed with any initial data) in a
 // Server and starts the pipeline. The Server takes ownership of the
 // engine: after New the caller must not touch it except through Sync.
-func New(eng Maintainable, cfg Config) (*Server, error) {
+func New(eng fivm.AnyEngine, cfg Config) (*Server, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("serve: nil engine")
 	}
@@ -468,7 +427,7 @@ func (s *Server) groupUpdates(ups []view.Update) (order []string, groups map[str
 // engine, between batches — the safe way to reach engine state the
 // snapshot does not carry (e.g. WriteSnapshot persistence). It blocks
 // until fn returns.
-func (s *Server) Sync(fn func(Maintainable)) error {
+func (s *Server) Sync(fn func(fivm.AnyEngine)) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()

@@ -15,7 +15,7 @@ import (
 // regardless of batch application order.
 func testAnalysis(t testing.TB) *fivm.Analysis {
 	t.Helper()
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{
 			{Name: "R", Attrs: []string{"A", "B"}},
 			{Name: "S", Attrs: []string{"B", "C"}},
@@ -30,7 +30,7 @@ func testAnalysis(t testing.TB) *fivm.Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an
+	return an.(*fivm.Analysis)
 }
 
 // seedUpdates returns n R-inserts joined 1:1 against k S rows.
@@ -178,7 +178,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if _, err := srv.Ingest(seedUpdates(1, 1)); err != ErrClosed {
 		t.Fatalf("Ingest after Close = %v, want ErrClosed", err)
 	}
-	if err := srv.Sync(func(Maintainable) {}); err != ErrClosed {
+	if err := srv.Sync(func(fivm.AnyEngine) {}); err != ErrClosed {
 		t.Fatalf("Sync after Close = %v, want ErrClosed", err)
 	}
 	if err := srv.Close(); err != nil {
@@ -190,7 +190,7 @@ func TestSyncRunsOnWriter(t *testing.T) {
 	srv := newTestServer(t)
 	ingestWait(t, srv, seedUpdates(10, 2))
 	var stats view.Stats
-	if err := srv.Sync(func(eng Maintainable) { stats = eng.Stats() }); err != nil {
+	if err := srv.Sync(func(eng fivm.AnyEngine) { stats = eng.Stats() }); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Updates == 0 {
@@ -202,16 +202,16 @@ func TestSyncRunsOnWriter(t *testing.T) {
 // construction. A categorical or unknown label must never reach the
 // pipeline.
 func TestAnalysisRejectsBadServingLabel(t *testing.T) {
-	cfg := fivm.AnalysisConfig{
+	cfg := fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "A"}, {Attr: "B", Categorical: true}},
 	}
 	cfg.Label = "B"
-	if _, err := fivm.NewAnalysis(cfg); err == nil {
+	if _, err := fivm.Open(cfg); err == nil {
 		t.Fatal("expected error for categorical label")
 	}
 	cfg.Label = "Z"
-	if _, err := fivm.NewAnalysis(cfg); err == nil {
+	if _, err := fivm.Open(cfg); err == nil {
 		t.Fatal("expected error for unknown label")
 	}
 }
@@ -234,7 +234,7 @@ func TestPredictValidation(t *testing.T) {
 // predict identically to any other value in that bin, and differently
 // from a value in another bin.
 func TestPredictBinsRawInputs(t *testing.T) {
-	an, err := fivm.NewAnalysis(fivm.AnalysisConfig{
+	an, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"X", "C"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "X"}, {Attr: "C", BinWidth: 10}},
 		Label:     "X",

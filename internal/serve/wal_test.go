@@ -50,7 +50,7 @@ func walRUpdate(i int) view.Update {
 
 // modelJSON renders an engine's published result deterministically for
 // bit-identical comparison (result iteration is sorted).
-func modelJSON(t *testing.T, eng Maintainable) string {
+func modelJSON(t *testing.T, eng fivm.AnyEngine) string {
 	t.Helper()
 	res, err := eng.PublishModel(nil).ResultJSON()
 	if err != nil {
@@ -173,7 +173,7 @@ func TestKillMidBatchRecoversAckedPrefix(t *testing.T) {
 			if _, err := srv.Ingest([]view.Update{walRUpdate(0)}); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("Ingest after crash = %v, want ErrCrashed", err)
 			}
-			if err := srv.Sync(func(Maintainable) {}); !errors.Is(err, ErrCrashed) {
+			if err := srv.Sync(func(fivm.AnyEngine) {}); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("Sync after crash = %v, want ErrCrashed", err)
 			}
 			if ws := srv.WALStatus(); !ws.Crashed || ws.CrashError == "" {
@@ -351,5 +351,39 @@ func TestWALAppendOnBatcherPathStaysCoalesced(t *testing.T) {
 	ws := srv.WALStatus()
 	if !ws.Enabled || ws.AppendedBatches == 0 || ws.AppliedUpdates != 72 {
 		t.Fatalf("WALStatus %+v, want appends recorded and applied_updates=72", ws)
+	}
+}
+
+// A WAL written when R had three attributes, replayed into an engine
+// where R has two, is the schema drift Recover's doc calls a
+// configuration error: it must come back as an error naming R and both
+// arities, not a panic inside the replay.
+func TestRecoverRejectsArityDrift(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Config{Dir: dir, Fsync: wal.PolicyOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := w.Shard("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Append([]view.Update{{Rel: "R", Tuple: value.T("a1", 1, 7), Mult: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	eng, err := fivm.Open(walEngineConfigs()["covar"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(eng, w2); err == nil || !strings.Contains(err.Error(), "relation R has 2 attributes") {
+		t.Fatalf("Recover = %v, want R's arity mismatch", err)
 	}
 }

@@ -131,7 +131,7 @@ func TestBuffersFollowTheDeltaNotTheLoad(t *testing.T) {
 	checkBuffersReleased(t, tr, "after Init")
 	const small = bufSlack * (1 + bufSlack) // what a single-tuple delta may refill
 	for i := 0; i < 3; i++ {
-		if err := tr.Insert("Inventory", starFacts(100_000+i, 1)...); err != nil {
+		if err := tr.ApplyUpdates(updatesOf("Inventory", starFacts(100_000+i, 1), 1)); err != nil {
 			t.Fatal(err)
 		}
 		checkBuffersReleased(t, tr, "after a single-tuple insert")
@@ -150,7 +150,7 @@ func TestBuffersFollowTheDeltaNotTheLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBuffersReleased(t, tr, "after a 50 000-tuple delta")
-	if err := tr.Insert("Inventory", starFacts(300_000, 1)...); err != nil {
+	if err := tr.ApplyUpdates(updatesOf("Inventory", starFacts(300_000, 1), 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := pathBufSizes(tr, "Inventory"); got > small {
@@ -168,7 +168,7 @@ func TestBuffersAreRecycled(t *testing.T) {
 	anchor := tr.sources["Inventory"].anchor
 	apply := func(s, n int) *relation.Map[int64] {
 		t.Helper()
-		if err := tr.Insert("Inventory", starFacts(s, n)...); err != nil {
+		if err := tr.ApplyUpdates(updatesOf("Inventory", starFacts(s, n), 1)); err != nil {
 			t.Fatal(err)
 		}
 		checkBuffersReleased(t, tr, "after an insert")

@@ -79,6 +79,8 @@ func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], p
 // ApplyUpdates groups tuple-level updates by relation and applies one
 // delta per relation, in first-appearance order. This is the bulk-update
 // entry point used by the demo scenarios (e.g. bulks of 10K updates).
+// It is all-or-nothing: an unknown relation or a wrong-arity tuple
+// anywhere in ups fails the call before any delta is applied.
 //
 // The per-relation delta buffers are owned by the tree and recycled
 // across calls (Reset, not reallocated). Views that retained a buffer's
@@ -88,13 +90,13 @@ func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], p
 func (t *Tree[V]) ApplyUpdates(ups []Update) error {
 	order := t.updOrder[:0]
 	for _, u := range ups {
-		src, ok := t.sources[u.Rel]
-		if !ok {
+		src, err := t.sourceFor(u)
+		if err != nil {
 			for _, name := range order {
 				t.sources[name].inBatch = false
 			}
 			t.updOrder = order[:0]
-			return fmt.Errorf("view: unknown relation %s", u.Rel)
+			return err
 		}
 		if !src.inBatch {
 			src.inBatch = true
@@ -119,24 +121,28 @@ func (t *Tree[V]) ApplyUpdates(ups []Update) error {
 	return err
 }
 
-// Insert is a convenience wrapper applying single-tuple inserts to one
-// relation.
-func (t *Tree[V]) Insert(rel string, tuples ...value.Tuple) error {
-	ups := make([]Update, len(tuples))
-	for i, tp := range tuples {
-		ups[i] = Update{Rel: rel, Tuple: tp, Mult: 1}
+// sourceFor returns the input relation update u targets, failing on an
+// unknown relation or a tuple of the wrong arity — a caller's error
+// (e.g. a WAL written under an older schema), not a reason to panic in
+// the relation layer.
+func (t *Tree[V]) sourceFor(u Update) (*source[V], error) {
+	src, ok := t.sources[u.Rel]
+	if !ok {
+		return nil, fmt.Errorf("view: unknown relation %s", u.Rel)
 	}
-	return t.ApplyUpdates(ups)
+	if err := src.checkArity(u.Tuple); err != nil {
+		return nil, err
+	}
+	return src, nil
 }
 
-// Delete is a convenience wrapper applying single-tuple deletes to one
-// relation.
-func (t *Tree[V]) Delete(rel string, tuples ...value.Tuple) error {
-	ups := make([]Update, len(tuples))
-	for i, tp := range tuples {
-		ups[i] = Update{Rel: rel, Tuple: tp, Mult: -1}
+// checkArity fails when tuple does not have the relation's attribute
+// count.
+func (s *source[V]) checkArity(tuple value.Tuple) error {
+	if len(tuple) != s.schema.Len() {
+		return fmt.Errorf("view: relation %s has %d attributes %v, got a tuple of %d", s.name, s.schema.Len(), s.schema, len(tuple))
 	}
-	return t.ApplyUpdates(ups)
+	return nil
 }
 
 // scaledOne returns n × 1 (n ≥ 0) in the ring by binary doubling, so a
@@ -175,7 +181,8 @@ func (t *Tree[V]) payloadFor(mult int) V {
 }
 
 // DeltaFor builds a delta relation for rel from (tuple, multiplicity)
-// pairs, for callers that want to drive ApplyDelta directly.
+// pairs, for callers that want to drive ApplyDelta directly. An update
+// for another relation or of the wrong arity fails the whole call.
 func (t *Tree[V]) DeltaFor(rel string, ups []Update) (*relation.Map[V], error) {
 	src, ok := t.sources[rel]
 	if !ok {
@@ -185,6 +192,9 @@ func (t *Tree[V]) DeltaFor(rel string, ups []Update) (*relation.Map[V], error) {
 	for _, u := range ups {
 		if u.Rel != rel {
 			return nil, fmt.Errorf("view: DeltaFor(%s) got update for %s", rel, u.Rel)
+		}
+		if err := src.checkArity(u.Tuple); err != nil {
+			return nil, err
 		}
 		d.Merge(t.ring, u.Tuple, t.payloadFor(u.Mult))
 	}

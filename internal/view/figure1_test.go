@@ -105,7 +105,7 @@ func TestFigure1CountUpdates(t *testing.T) {
 	}
 
 	// δR = {(a1, b1) → +1}: a1 has 2 matching S tuples, so Q grows by 2.
-	if err := tr.Insert("R", value.T("a1", 1)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", 1, value.T("a1", 1))); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	if got := tr.ResultPayload(); got != 5 {
@@ -113,7 +113,7 @@ func TestFigure1CountUpdates(t *testing.T) {
 	}
 
 	// Delete it again: back to 3.
-	if err := tr.Delete("R", value.T("a1", 1)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", -1, value.T("a1", 1))); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if got := tr.ResultPayload(); got != 3 {
@@ -121,7 +121,7 @@ func TestFigure1CountUpdates(t *testing.T) {
 	}
 
 	// Delete an S tuple: (a2, c2, d2) removes the only a2 join partner.
-	if err := tr.Delete("S", value.T("a2", 2, 2)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", -1, value.T("a2", 2, 2))); err != nil {
 		t.Fatalf("Delete S: %v", err)
 	}
 	if got := tr.ResultPayload(); got != 2 {
@@ -212,7 +212,7 @@ func TestFigure1CovarContinuousUpdates(t *testing.T) {
 	before := tr.ResultPayload()
 
 	// Insert (a1, b1): the join gains (B,C,D) tuples (1,1,1) and (1,2,3).
-	if err := tr.Insert("R", value.T("a1", 1)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", 1, value.T("a1", 1))); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	got := tr.ResultPayload()
@@ -227,7 +227,7 @@ func TestFigure1CovarContinuousUpdates(t *testing.T) {
 	}
 
 	// Delete it: payload returns exactly (ring values are integral here).
-	if err := tr.Delete("R", value.T("a1", 1)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", -1, value.T("a1", 1))); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if got := tr.ResultPayload(); !got.Equal(before) {
@@ -411,7 +411,7 @@ func TestFigure1MIUpdates(t *testing.T) {
 	if err := tr.Init(figure1Data()); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
-	if err := tr.Delete("S", value.T("a1", 2, 3)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", -1, value.T("a1", 2, 3))); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	got := tr.ResultPayload()
@@ -425,7 +425,7 @@ func TestFigure1MIUpdates(t *testing.T) {
 		t.Errorf("C_CD(c2,d3) after delete = %v, want gone", g)
 	}
 	// Re-insert restores the initial state exactly.
-	if err := tr.Insert("S", value.T("a1", 2, 3)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", 1, value.T("a1", 2, 3))); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	if c := tr.ResultPayload().Count().Scalar(); c != 3 {

@@ -21,7 +21,7 @@ func TestSnapshotRoundTripInts(t *testing.T) {
 	}
 	// Mutate past the initial load so the snapshot captures maintenance
 	// state too.
-	if err := tr.Insert("R", value.T("a3", 5)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", 1, value.T("a3", 5))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,10 +41,10 @@ func TestSnapshotRoundTripInts(t *testing.T) {
 		t.Errorf("restored result = %d, want %d", got, want)
 	}
 	// The restored tree keeps maintaining correctly.
-	if err := restored.Insert("S", value.T("a3", 1, 1)); err != nil {
+	if err := restored.ApplyUpdates(updates("S", 1, value.T("a3", 1, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert("S", value.T("a3", 1, 1)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", 1, value.T("a3", 1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if restored.ResultPayload() != tr.ResultPayload() {

@@ -577,6 +577,11 @@ func (t *Tree[V]) Init(data map[string][]value.Tuple) error {
 		if !ok {
 			return fmt.Errorf("view: Init: unknown relation %s", name)
 		}
+		for _, tp := range tuples {
+			if err := s.checkArity(tp); err != nil {
+				return err
+			}
+		}
 		loaded[name] = relation.FromTuples(t.ring, s.schema, tuples)
 	}
 	t.load(loaded)

@@ -28,6 +28,15 @@ func sumAll(m *relation.Map[int64]) int64 {
 	return total
 }
 
+// updates builds one update of rel per tuple, each with multiplicity mult.
+func updates(rel string, mult int, tuples ...value.Tuple) []view.Update {
+	ups := make([]view.Update, len(tuples))
+	for i, tp := range tuples {
+		ups[i] = view.Update{Rel: rel, Tuple: tp, Mult: mult}
+	}
+	return ups
+}
+
 // TestRandomEquivalence is the central engine property test: on random
 // three-relation databases with random mixed insert/delete streams, the
 // maintained count must equal brute-force recomputation after every
@@ -134,14 +143,14 @@ func TestGroupByMaintenance(t *testing.T) {
 		t.Errorf("count(a2) = %d, want 2", got)
 	}
 	// Delete one S tuple of a2: count(a2) drops to 1.
-	if err := tr.Delete("S", value.T("a2", 20)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", -1, value.T("a2", 20))); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := tr.Result().Get(value.T("a2")); got != 1 {
 		t.Errorf("count(a2) after delete = %d, want 1", got)
 	}
 	// Delete the last a2 tuples: the group disappears.
-	if err := tr.Delete("S", value.T("a2", 21)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", -1, value.T("a2", 21))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tr.Result().Get(value.T("a2")); ok {
@@ -211,14 +220,14 @@ func TestDisconnectedQuery(t *testing.T) {
 		t.Errorf("cartesian count = %d, want 6", got)
 	}
 	// Insert into R: count grows by |S|.
-	if err := tr.Insert("R", value.T(3)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", 1, value.T(3))); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.ResultPayload(); got != 9 {
 		t.Errorf("after insert = %d, want 9", got)
 	}
 	// Delete from S: count drops by |R|.
-	if err := tr.Delete("S", value.T(10)); err != nil {
+	if err := tr.ApplyUpdates(updates("S", -1, value.T(10))); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.ResultPayload(); got != 6 {
@@ -312,7 +321,7 @@ func TestStatsAccounting(t *testing.T) {
 	if tr.Stats().Updates != 0 {
 		t.Error("fresh tree has updates")
 	}
-	if err := tr.Insert("R", value.T(1)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", 1, value.T(1))); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.Stats()
@@ -427,7 +436,7 @@ func TestHandCraftedOrder(t *testing.T) {
 	if got := tr.ResultPayload(); got != 3 {
 		t.Errorf("count under hand-crafted order = %d, want 3", got)
 	}
-	if err := tr.Insert("R", value.T("a1", 1)); err != nil {
+	if err := tr.ApplyUpdates(updates("R", 1, value.T("a1", 1))); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.ResultPayload(); got != 5 {

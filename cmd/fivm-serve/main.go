@@ -67,7 +67,7 @@ func main() {
 	flag.StringVar(&o.DB, "db", "", "demo database preset: retailer|favorita (overrides -relations/-features)")
 	flag.IntVar(&o.Rows, "rows", 0, "fact-table rows for the preset database (0 = preset default)")
 	flag.BoolVar(&o.Load, "load", true, "bulk-load the generated preset database at startup")
-	flag.StringVar(&o.Engine, "engine", "", "engine kind: analysis|count|float|covar|rangedcovar|join (default: inferred from the other flags)")
+	flag.StringVar(&o.Engine, "engine", "", "engine kind: analysis|count|float|covar|join (default: inferred from the other flags)")
 	flag.StringVar(&o.Query, "query", "", `SQL-subset query for count/float engines, e.g. "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"`)
 	flag.StringVar(&o.Relations, "relations", "", `custom relations, e.g. "R:A,B;S:B,C"`)
 	flag.StringVar(&o.Features, "features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)

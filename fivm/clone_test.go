@@ -146,7 +146,7 @@ func modelJSON(m fivm.Model) string {
 }
 
 // TestPublishedModelsAreIsolated is the snapshot-isolation contract of
-// the serving layer, for all six kinds, now that views own their
+// the serving layer, for every kind, now that views own their
 // payloads and commit in place: a published model — including one whose
 // rendering is lazy and shares payloads with the result through
 // relation.Map.Clone — must render, at any later time and from any
@@ -155,9 +155,9 @@ func modelJSON(m fivm.Model) string {
 // batches (sequential and parallel commits), so `go test -race` also
 // proves no later commit writes a payload a published model can reach.
 func TestPublishedModelsAreIsolated(t *testing.T) {
-	for kind, cfg := range equivConfigs() {
+	for name, cfg := range equivConfigs() {
 		for _, workers := range []int{1, 4} {
-			t.Run(string(kind)+map[int]string{1: "", 4: "/parallel"}[workers], func(t *testing.T) {
+			t.Run(name+map[int]string{1: "", 4: "/parallel"}[workers], func(t *testing.T) {
 				rnd := rand.New(rand.NewSource(17))
 				ups := equivStreamDomain(rnd, 3000, 12)
 				const cut = 1500

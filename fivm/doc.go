@@ -15,13 +15,13 @@
 //   - Engine[V] is the generic core behind it: a view tree over one
 //     ring plus the shared lifecycle (Init, InitWeighted, Apply,
 //     BuildDelta/ApplyBuilt, CloneView, Stats, WriteSnapshot/
-//     ReadSnapshot, PublishModel, SetParallelism). Six thin
+//     ReadSnapshot, PublishModel, SetParallelism). Five thin
 //     instantiations add typed accessors, reached by type assertion:
 //     Analysis (generalized COVAR / MI / ridge / Chow-Liu over mixed
 //     features), CountEngine and FloatEngine (SUM aggregates parsed
-//     from a small SQL subset), CovarEngine and RangedCovarEngine
-//     (scalar COVAR over continuous attributes), and JoinEngine (the
-//     join result itself).
+//     from a small SQL subset), CovarEngine (scalar COVAR over
+//     continuous attributes, on the ranged payloads of the paper's
+//     Figure 2d), and JoinEngine (the join result itself).
 //
 // # Key invariants
 //

@@ -17,12 +17,11 @@ type Kind string
 
 // The engine kinds Open can build.
 const (
-	KindAnalysis    Kind = "analysis"    // generalized COVAR / MI over mixed features
-	KindCount       Kind = "count"       // SUM(1) over the Z ring
-	KindFloat       Kind = "float"       // one SUM aggregate over the float ring
-	KindCovar       Kind = "covar"       // scalar COVAR over all-continuous attributes
-	KindRangedCovar Kind = "rangedcovar" // scalar COVAR with ranged payloads
-	KindJoin        Kind = "join"        // the join result itself, via the relational ring
+	KindAnalysis Kind = "analysis" // generalized COVAR / MI over mixed features
+	KindCount    Kind = "count"    // SUM(1) over the Z ring
+	KindFloat    Kind = "float"    // one SUM aggregate over the float ring
+	KindCovar    Kind = "covar"    // scalar COVAR over all-continuous attributes, ranged payloads
+	KindJoin     Kind = "join"     // the join result itself, via the relational ring
 )
 
 // Delta is an opaque prebuilt delta relation flowing between BuildDelta
@@ -59,10 +58,9 @@ type Model interface {
 // Engine is the generic core every F-IVM workload shares: a view tree
 // over one ring, plus the lifecycle around it — bulk load, incremental
 // maintenance, delta prebuilding, deep-cloned reads, snapshot
-// persistence, and model publishing. Open builds it through one of six
+// persistence, and model publishing. Open builds it through one of five
 // thin instantiations (Analysis, CountEngine, FloatEngine, CovarEngine,
-// RangedCovarEngine, JoinEngine) that add ring-specific typed
-// accessors.
+// JoinEngine) that add ring-specific typed accessors.
 //
 // Result-access convention (uniform across all engines): Payload and
 // Result never fail — an empty join yields the ring's zero (nil for
@@ -80,6 +78,10 @@ type Engine[V any] struct {
 	tree  *view.Tree[V]
 	kind  Kind
 	codec ring.Codec[V]
+	// resultCodec reads and writes partials: result payloads, which a
+	// codec may check differently from the source payloads of a
+	// snapshot. nil means codec.
+	resultCodec ring.Codec[V]
 	// clone deep-copies one payload for CloneView/ClonePayload.
 	clone func(V) V
 	// info names the ring for the M3/ViewTree renderings.
@@ -90,9 +92,12 @@ type Engine[V any] struct {
 	merged Model
 }
 
-// newEngine completes e's defaults: a nil clone means payloads are
-// value types copied by assignment.
+// newEngine completes e's defaults: a nil resultCodec is codec, and a
+// nil clone means payloads are value types copied by assignment.
 func newEngine[V any](e Engine[V]) *Engine[V] {
+	if e.resultCodec == nil {
+		e.resultCodec = e.codec
+	}
 	if e.clone == nil {
 		e.clone = func(v V) V { return v }
 	}
@@ -229,7 +234,7 @@ func (e *Engine[V]) ReadSnapshot(r io.Reader) error {
 // partial aggregate of the global query when the engine owns one shard
 // of the anchor relation — for cross-shard merging (see MergePartials).
 func (e *Engine[V]) WritePartial(w io.Writer) error {
-	return e.tree.WritePartial(w, e.codec)
+	return e.tree.WritePartial(w, e.resultCodec)
 }
 
 // MergePartials ring-merges per-shard partial results (each written by
@@ -247,7 +252,7 @@ func (e *Engine[V]) WritePartial(w io.Writer) error {
 func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	merged := relation.New[V](e.tree.Result().Schema())
 	for i, p := range parts {
-		m, err := e.tree.ReadPartial(p, e.codec)
+		m, err := e.tree.ReadPartial(p, e.resultCodec)
 		if err != nil {
 			return nil, fmt.Errorf("fivm: partial %d: %w", i, err)
 		}

@@ -2,12 +2,16 @@ package fivm
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
 	"repro/internal/m3"
+	"repro/internal/ml"
 	"repro/internal/query"
 	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
+	"repro/internal/vo"
 )
 
 // CountEngine maintains a COUNT (SUM(1)) query over a natural join,
@@ -113,11 +117,20 @@ func newFloatEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 
 // CovarEngine maintains the scalar degree-m COVAR matrix over
 // all-continuous attributes — the cheaper sibling of Analysis for
-// workloads without categorical features.
+// workloads without categorical features — with the ranged payloads of
+// the paper's Figure 2d, `RingCofactor<double, idx, cnt>`: each view
+// carries aggregates only for the attributes of its own subtree, so
+// leaf views hold degree-1 payloads and only the root holds the full
+// degree. Lift indexes follow the variable order's post-order, the
+// order the tree's products combine subtree payloads, so ranges always
+// meet adjacently; Attrs, Covar, Sigma and the published CovarModel
+// read in the caller's attribute order through one permutation.
 type CovarEngine struct {
-	*Engine[*ring.Covar]
-	Ring  ring.CovarRing
+	*Engine[*ring.RangedCovar]
+	// Attrs are the aggregate attributes in the caller's order.
 	Attrs []string
+	// perm[i] is Attrs[i]'s lift index.
+	perm []int
 }
 
 // newCovarEngine builds a scalar COVAR engine over the given continuous
@@ -130,37 +143,146 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	rg := ring.NewCovarRing(len(cfg.Attrs))
-	lifts := make(map[string]ring.Lift[*ring.Covar], len(cfg.Attrs))
-	for a, i := range l.index {
-		lifts[a] = rg.Lift(i)
+	var rg ring.RangedCovarRing
+	lifts := make(map[string]ring.Lift[*ring.RangedCovar], len(cfg.Attrs))
+	perm := make([]int, len(cfg.Attrs))
+	var post func(n *vo.Node)
+	post = func(n *vo.Node) {
+		for _, c := range n.Children {
+			post(c)
+		}
+		if i, ok := l.index[n.Var]; ok {
+			perm[i] = len(lifts)
+			l.index[n.Var] = len(lifts)
+			lifts[n.Var] = rg.Lift(len(lifts))
+		}
 	}
-	tree, err := view.New(view.Spec[*ring.Covar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
+	for _, r := range l.order.Roots {
+		post(r)
+	}
+	if len(lifts) != len(cfg.Attrs) {
+		return nil, fmt.Errorf("fivm: indexed %d of %d aggregate attributes; attribute missing from the order", len(lifts), len(cfg.Attrs))
+	}
+	tree, err := view.New(view.Spec[*ring.RangedCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
 	if err != nil {
 		return nil, err
 	}
 	attrs := append([]string(nil), cfg.Attrs...)
-	e := &CovarEngine{Ring: rg, Attrs: attrs}
-	e.Engine = newEngine(Engine[*ring.Covar]{
-		kind:  KindCovar,
-		tree:  tree,
-		codec: ring.CovarCodec{Ring: rg},
-		clone: (*ring.Covar).Clone,
-		info:  m3.RingInfo{Name: fmt.Sprintf("RingCofactor<double, %d>", len(attrs)), LiftIndexOf: l.liftIndexOf},
+	e := &CovarEngine{Attrs: attrs, perm: perm}
+	codec := covarCodec{RangedCovarCodec: ring.RangedCovarCodec{Degree: len(attrs)}, perm: perm}
+	result := codec
+	result.result = true
+	e.Engine = newEngine(Engine[*ring.RangedCovar]{
+		kind:        KindCovar,
+		tree:        tree,
+		codec:       codec,
+		resultCodec: result,
+		clone:       (*ring.RangedCovar).Clone,
+		info:        m3.RingInfo{Name: "RingCofactor<double, idx, cnt>", LiftIndexOf: l.liftIndexOf},
 		publish: func(Model) Model {
-			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: e.Payload().Clone()}
+			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: e.Payload().Widen(perm)}
 		},
 	})
 	return e, nil
 }
 
-// Covar returns the compound aggregate, failing on the empty join per
-// the package's result-access convention. Use Payload for the raw
-// (possibly nil) value.
+// Covar returns the compound aggregate in Attrs order, a copy, failing
+// on the empty join per the package's result-access convention. Use
+// Payload for the raw ranged (possibly nil) value.
 func (e *CovarEngine) Covar() (*ring.Covar, error) {
 	p := e.Payload()
 	if p == nil {
 		return nil, fmt.Errorf("fivm: empty join result")
 	}
+	return p.Widen(e.perm), nil
+}
+
+// Sigma converts the payload into the solver's SigmaMatrix with columns
+// in Attrs order.
+func (e *CovarEngine) Sigma() (*ml.SigmaMatrix, error) {
+	p, err := e.Covar()
+	if err != nil {
+		return nil, err
+	}
+	feats := make([]ml.Feature, len(e.Attrs))
+	for i, a := range e.Attrs {
+		feats[i] = ml.Feature{Name: a, Index: i}
+	}
+	return ml.SigmaFromCovar(p, feats)
+}
+
+// covarCodec is the covar engine's payload codec: the ranged codec bound
+// to the engine's degree, which also checks where each payload belongs
+// — a source payload (snapshots) is a scalar, a result payload
+// (partials) covers exactly [0, m) — and reads the streams earlier
+// covar engines wrote (ForTag).
+type covarCodec struct {
+	ring.RangedCovarCodec
+	perm   []int
+	result bool
+}
+
+// Decode reads one payload and rejects one whose range does not belong
+// where the stream puts it: merged or loaded, it would panic in the
+// ring's range checks or widen to the wrong statistics.
+func (c covarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
+	p, err := c.RangedCovarCodec.Decode(r)
+	if err != nil || p == nil {
+		return p, err
+	}
+	want, what := 0, "source"
+	if c.result {
+		want, what = c.Degree, "partial result"
+	}
+	if p.Start != 0 || p.N != want {
+		return nil, fmt.Errorf("fivm: %s payload covers attribute range [%d,%d), this engine's is [0,%d)", what, p.Start, p.Start+p.N, want)
+	}
 	return p, nil
+}
+
+// legacyRangedTag is the header tag of streams the former rangedcovar
+// engine kind wrote: the codec's Go type name, from before the degree
+// was bound. The payload wire format is today's.
+const legacyRangedTag = "ring.RangedCovarCodec"
+
+// ForTag names the codec for a stream header's tag other than Tag's
+// (see view.Tree.ReadSnapshot), for the two formats covar streams had
+// before: the degree-free ranged tag, and the full-degree
+// ring.CovarCodec of the same degree, whose payloads are in the
+// caller's attribute order.
+func (c covarCodec) ForTag(tag string) (ring.Codec[*ring.RangedCovar], bool) {
+	full := ring.CovarCodec{Ring: ring.NewCovarRing(c.Degree)}
+	switch tag {
+	case legacyRangedTag:
+		return c, true
+	case full.Tag():
+		return fullCovarCodec{c, full}, true
+	}
+	return nil, false
+}
+
+// fullCovarCodec decodes full-degree payloads into ranged ones: a source
+// payload must be a scalar, a result payload is permuted into the lift
+// order. It is only ever read.
+type fullCovarCodec struct {
+	covarCodec
+	full ring.CovarCodec
+}
+
+// Decode reads one full-degree payload and converts it.
+func (c fullCovarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
+	p, err := c.full.Decode(r)
+	if err != nil || p == nil {
+		return nil, err
+	}
+	if c.result {
+		return ring.RangedFromCovar(p, c.perm), nil
+	}
+	nonzero := func(x float64) bool { return x != 0 }
+	if slices.ContainsFunc(p.S, nonzero) || slices.ContainsFunc(p.Q, nonzero) {
+		return nil, fmt.Errorf("fivm: source payload %v is not a scalar", p)
+	}
+	s := ring.RangedCovarRing{}.One()
+	s.C = p.C
+	return s, nil
 }

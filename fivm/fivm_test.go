@@ -280,29 +280,27 @@ func TestFloatEngine(t *testing.T) {
 }
 
 func TestCovarEngineFacade(t *testing.T) {
-	covar := func(attrs ...string) fivm.Config {
-		return fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: attrs}
-	}
-	eng := open[*fivm.CovarEngine](t, covar("B", "D"))
+	// D before B: the engine's lift order is the tree's post-order (B,
+	// then D), so the statistics it hands out are permuted back.
+	eng := open[*fivm.CovarEngine](t, fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: []string{"D", "B"}})
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
-	p := eng.Payload()
-	if p.Count() != 3 || p.Sum(0) != 4 || p.Sum(1) != 6 {
+	p, err := eng.Covar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Count() != 3 || p.Sum(0) != 6 || p.Sum(1) != 4 {
 		t.Errorf("payload = %v", p)
 	}
-	if math.Abs(p.Prod(0, 1)-8) > 1e-12 {
-		t.Errorf("Q(B,D) = %v", p.Prod(0, 1))
+	if math.Abs(p.Prod(1, 0)-8) > 1e-12 {
+		t.Errorf("Q(B,D) = %v", p.Prod(1, 0))
 	}
-	// Errors.
-	if _, err := fivm.Open(covar()); err == nil {
-		t.Error("empty aggregate set accepted")
+	if got := eng.Payload(); got.Sum(0) != 4 || got.Sum(1) != 6 {
+		t.Errorf("ranged payload = %v, want B's sum at lift index 0", got)
 	}
-	if _, err := fivm.Open(covar("Z")); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-	if _, err := fivm.Open(covar("B", "B")); err == nil {
-		t.Error("duplicate attribute accepted")
+	if !strings.Contains(eng.M3(), "RingCofactor<double, idx, cnt>") {
+		t.Errorf("M3 does not name the ranged ring:\n%s", eng.M3())
 	}
 }
 

@@ -24,8 +24,8 @@ func TestLoadIsADelta(t *testing.T) {
 			data[rel.Name] = append(data[rel.Name], value.T(rnd.Intn(12), rnd.Intn(12)))
 		}
 	}
-	for kind, cfg := range equivConfigs() {
-		t.Run(string(kind), func(t *testing.T) {
+	for name, cfg := range equivConfigs() {
+		t.Run(name, func(t *testing.T) {
 			open := func() fivm.AnyEngine {
 				e, err := fivm.Open(cfg)
 				if err != nil {

@@ -222,18 +222,16 @@ func (m *TableModel) Predict(map[string]value.Value) (float64, error) {
 	return 0, fmt.Errorf("fivm: %s engine serves no predictive model", m.EngineKind)
 }
 
-// CovarModel is the Model published by the scalar COVAR engines: the
+// CovarModel is the Model published by the scalar COVAR engine: the
 // degree-m compound aggregate (count, sums, products) over the named
 // continuous attributes.
 type CovarModel struct {
 	EngineKind Kind
 	// Attrs maps aggregate index -> attribute name.
 	Attrs []string
-	// Payload is a deep clone of the compound aggregate; nil when the
-	// join is empty.
+	// Payload is a copy of the compound aggregate in Attrs order; nil
+	// when the join is empty.
 	Payload *ring.Covar
-	// Err carries a widening failure (ranged engines only).
-	Err string
 }
 
 // Kind identifies the publishing engine.
@@ -246,9 +244,6 @@ func (m *CovarModel) Count() float64 { return m.Payload.Count() }
 // of the product matrix. It fails on the empty join, following the
 // package's result-access convention.
 func (m *CovarModel) ResultJSON() (any, error) {
-	if m.Err != "" {
-		return nil, errors.New(m.Err)
-	}
 	if m.Payload == nil {
 		return nil, errors.New("empty join result")
 	}

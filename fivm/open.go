@@ -84,7 +84,7 @@ type Config struct {
 	// Features configures an Analysis engine: the degree-m ring has one
 	// index per feature.
 	Features []FeatureSpec
-	// Attrs configures a (Ranged)CovarEngine's aggregate attributes.
+	// Attrs configures a CovarEngine's aggregate attributes.
 	Attrs []string
 	// Label optionally names the continuous feature the Analysis'
 	// published AnalysisModel predicts; empty disables ridge fitting in
@@ -158,12 +158,11 @@ type kindSpec struct {
 // kinds is every engine Open can build. Adding a kind is adding an
 // entry.
 var kinds = map[Kind]kindSpec{
-	KindAnalysis:    {fieldFeatures | fieldLabel | fieldRidge, newAnalysis},
-	KindCount:       {fieldQuery, newCountEngine},
-	KindFloat:       {fieldQuery, newFloatEngine},
-	KindCovar:       {fieldAttrs, newCovarEngine},
-	KindRangedCovar: {fieldAttrs, newRangedCovarEngine},
-	KindJoin:        {0, newJoinEngine},
+	KindAnalysis: {fieldFeatures | fieldLabel | fieldRidge, newAnalysis},
+	KindCount:    {fieldQuery, newCountEngine},
+	KindFloat:    {fieldQuery, newFloatEngine},
+	KindCovar:    {fieldAttrs, newCovarEngine},
+	KindJoin:     {0, newJoinEngine},
 }
 
 // Open is the only way to build an engine: it compiles cfg into the

@@ -30,7 +30,7 @@ func TestOpenKindInference(t *testing.T) {
 		{"analysis from features", fivm.Config{Relations: openRels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}}}, fivm.KindAnalysis},
 		{"covar from attrs", fivm.Config{Relations: openRels(), Attrs: []string{"B", "D"}}, fivm.KindCovar},
 		{"join from bare relations", fivm.Config{Relations: openRels()}, fivm.KindJoin},
-		{"ranged forced by kind", fivm.Config{Kind: fivm.KindRangedCovar, Relations: openRels(), Attrs: []string{"B", "D"}}, fivm.KindRangedCovar},
+		{"covar forced by kind", fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: []string{"D", "B"}}, fivm.KindCovar},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -197,8 +197,8 @@ func TestOpenRejectsUnconsumedFields(t *testing.T) {
 // batch holding one applies nothing.
 func TestWrongArityIsAnError(t *testing.T) {
 	good, bad := value.T(1, 2), value.T(1, 2, 3) // R has two attributes
-	for kind, cfg := range equivConfigs() {
-		t.Run(string(kind), func(t *testing.T) {
+	for name, cfg := range equivConfigs() {
+		t.Run(name, func(t *testing.T) {
 			eng := open[fivm.AnyEngine](t, cfg)
 			wantErr := func(what string, err error) {
 				t.Helper()
@@ -236,15 +236,8 @@ func TestEmptyJoinConvention(t *testing.T) {
 	if _, err := cov.Covar(); err == nil {
 		t.Fatal("Covar() on the empty join must fail")
 	}
-	ranged := open[*fivm.RangedCovarEngine](t, fivm.Config{Kind: fivm.KindRangedCovar, Relations: rels, Attrs: []string{"B", "D"}})
-	if p := ranged.Payload(); p != nil {
-		t.Fatalf("empty ranged payload = %v, want nil (ring zero)", p)
-	}
-	if _, err := ranged.Covar(); err == nil {
-		t.Fatal("ranged Covar() on the empty join must fail")
-	}
-	if _, err := ranged.Sigma(); err == nil {
-		t.Fatal("ranged Sigma() on the empty join must fail")
+	if _, err := cov.Sigma(); err == nil {
+		t.Fatal("Sigma() on the empty join must fail")
 	}
 	join := open[*fivm.JoinEngine](t, fivm.Config{Relations: rels})
 	if ts, ms := join.Tuples(); len(ts) != 0 || len(ms) != 0 {

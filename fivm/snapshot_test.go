@@ -61,13 +61,16 @@ func jsonString(t *testing.T, v any) string {
 	return b.String()
 }
 
-// snapshotConfigs is one workload per engine kind over openRels.
+// snapshotConfigs is one workload per engine kind over openRels, the
+// covar kind twice: its attributes in the order its ranged payloads are
+// laid out in (the tree's post-order, which the former rangedcovar kind
+// published) and reversed.
 func snapshotConfigs() map[string]fivm.Config {
 	return map[string]fivm.Config{
 		"count":       {Relations: openRels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"},
 		"float":       {Relations: openRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: openRels(), Attrs: []string{"B", "D"}},
-		"rangedcovar": {Kind: fivm.KindRangedCovar, Relations: openRels(), Attrs: []string{"B", "D"}},
+		"rangedcovar": {Relations: openRels(), Attrs: []string{"D", "B"}},
 		"join":        {Relations: openRels()},
 		"analysis":    {Relations: openRels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}, Label: "D"},
 	}
@@ -97,16 +100,32 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestRecordedStreamsStillLoad pins the wire formats across the codec
-// rewrite: internal/view/testdata holds, per engine kind, one FIVMSNAP
-// version-2 snapshot and one FIVMPART partial written by the commit
-// before the relation body moved into one writeRelation/readRelation
-// pair (plus a version-1 snapshot, the same count body without the
-// codec tag). Each was taken from snapshotConfigs' engine after
-// Init(toyData()) and the three updates below, so loading it must land
-// on the state that history reaches here.
+// TestRecordedStreamsStillLoad pins the wire formats: internal/view/
+// testdata holds, per engine kind, one FIVMSNAP version-2 snapshot and
+// one FIVMPART partial in today's format, each taken from
+// snapshotConfigs' engine after Init(toyData()) and the three updates
+// below, so loading it must land on the state that history reaches
+// here — and beside them the older formats the same configuration must
+// still load:
+//   - count-v1.snap, the count body without the codec tag;
+//   - covar.*, written by the covar engine of full-degree payloads
+//     (ring.CovarCodec[m=2], attributes in the caller's order B, D),
+//     which the covar configuration loads;
+//   - rangedcovar.*, written by the former rangedcovar kind (the
+//     degree-free ring.RangedCovarCodec tag, payloads laid out in the
+//     tree's post-order), which both covar configurations load.
+//
+// Today's covar streams are covar-ranged.*, shared by both
+// configurations: ranged payloads are laid out in the lift order
+// whatever order Attrs lists.
 func TestRecordedStreamsStillLoad(t *testing.T) {
 	const dir = "../internal/view/testdata/"
+	current := map[string]string{"covar": "covar-ranged", "rangedcovar": "covar-ranged"}
+	older := map[string][]string{
+		"count":       {"count-v1.snap"},
+		"covar":       {"covar.snap", "covar.part", "rangedcovar.snap", "rangedcovar.part"},
+		"rangedcovar": {"rangedcovar.snap", "rangedcovar.part"},
+	}
 	for name, cfg := range snapshotConfigs() {
 		t.Run(name, func(t *testing.T) {
 			open := func() fivm.AnyEngine {
@@ -134,12 +153,22 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 				}
 				return raw
 			}
-			snaps := []string{name + ".snap"}
-			if name == "count" {
-				snaps = append(snaps, "count-v1.snap")
+			base, ok := current[name]
+			if !ok {
+				base = name
 			}
-			for _, file := range snaps {
+			for _, file := range append([]string{base + ".snap", base + ".part"}, older[name]...) {
 				raw := read(file)
+				if strings.HasSuffix(file, ".part") {
+					merged, err := open().MergePartials([]io.Reader{bytes.NewReader(raw)})
+					if err != nil {
+						t.Fatalf("%s: %v", file, err)
+					}
+					if g, w := modelJSON(merged), modelJSON(want.PublishModel(nil)); g != w {
+						t.Fatalf("%s merged to %s, want %s", file, g, w)
+					}
+					continue
+				}
 				got := open()
 				if err := got.ReadSnapshot(bytes.NewReader(raw)); err != nil {
 					t.Fatalf("%s: %v", file, err)
@@ -148,9 +177,10 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 					t.Fatalf("%s loaded to\n%s\nwant\n%s", file, g, w)
 				}
 			}
-			// What is written today has the recorded streams' size (tuple
-			// order within a stream is unspecified, so bytes are compared
-			// by length and, above, by what they decode to).
+			// What is written today has the size of the streams recorded in
+			// today's format (tuple order within a stream is unspecified, so
+			// bytes are compared by length and, above, by what they decode
+			// to).
 			var snap, part bytes.Buffer
 			if err := want.WriteSnapshot(&snap); err != nil {
 				t.Fatal(err)
@@ -158,17 +188,9 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 			if err := want.WritePartial(&part); err != nil {
 				t.Fatal(err)
 			}
-			raw := read(name + ".part")
-			merged, err := open().MergePartials([]io.Reader{bytes.NewReader(raw)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g, w := modelJSON(merged), modelJSON(want.PublishModel(nil)); g != w {
-				t.Fatalf("%s.part merged to %s, want %s", name, g, w)
-			}
-			if recorded := read(name + ".snap"); snap.Len() != len(recorded) || part.Len() != len(raw) {
+			if rs, rp := read(base+".snap"), read(base+".part"); snap.Len() != len(rs) || part.Len() != len(rp) {
 				t.Fatalf("recorded %d-byte snapshot and %d-byte partial, written today %d and %d",
-					len(recorded), len(raw), snap.Len(), part.Len())
+					len(rs), len(rp), snap.Len(), part.Len())
 			}
 		})
 	}

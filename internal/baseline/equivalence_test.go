@@ -73,7 +73,7 @@ func TestCovarEquivalenceAcrossStrategies(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		p := eng.Payload()
+		p, _ := eng.Covar() // nil on the empty join
 		q := re.Payload()
 		if p == nil || q == nil {
 			if flat.Count() != 0 {
@@ -159,7 +159,11 @@ func TestEquivalenceMultiRelationUpdates(t *testing.T) {
 		if err := re.Apply(bulk); err != nil {
 			t.Fatalf("reeval Apply: %v", err)
 		}
-		p, q := eng.Payload(), re.Payload()
+		p, err := eng.Covar()
+		if err != nil {
+			t.Fatalf("bulk ending %d: %v", j, err)
+		}
+		q := re.Payload()
 		pc, qc := p.Count(), q.Count()
 		if !approxEq(pc, qc) {
 			t.Fatalf("bulk ending %d: count fivm=%v reeval=%v", j, pc, qc)

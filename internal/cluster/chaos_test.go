@@ -98,10 +98,11 @@ func mustAck(t *testing.T, cli *client.Client, id string, ups []client.Update) *
 // 2-shard cluster whose router↔worker links inject seeded faults —
 // added latency, mid-request resets, blackholes, truncated responses,
 // and one full partition of shard 0 mid-stream — with the writer
-// retrying every batch under a fixed ID until acked. For all six
-// engine kinds the final merged model must be bit-identical to a clean
-// single engine fed the same stream once: retries re-deliver, the
-// dedup layer makes redelivery the ring identity.
+// retrying every batch under a fixed ID until acked. For every
+// configuration of engineConfigs the final merged model must be
+// bit-identical to a clean single engine fed the same stream once:
+// retries re-deliver, the dedup layer makes redelivery the ring
+// identity.
 func TestClusterChaosEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run takes seconds per engine kind")

@@ -25,13 +25,16 @@ func testRels() []fivm.RelationSpec {
 	}
 }
 
-// engineConfigs covers all six engine kinds over the shared schema.
+// engineConfigs covers all five engine kinds over the shared schema,
+// the covar kind twice: its attributes in the order its ranged payloads
+// are laid out in (the tree's post-order), and reversed, so the merged
+// model's permutation back to the caller's order is exercised too.
 func engineConfigs() map[string]fivm.Config {
 	return map[string]fivm.Config{
 		"count":       {Relations: testRels(), Query: "SELECT B, SUM(1) FROM R NATURAL JOIN S GROUP BY B"},
 		"float":       {Relations: testRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: testRels(), Attrs: []string{"B", "D"}},
-		"rangedcovar": {Kind: fivm.KindRangedCovar, Relations: testRels(), Attrs: []string{"B", "D"}},
+		"rangedcovar": {Relations: testRels(), Attrs: []string{"D", "B"}},
 		"join":        {Relations: testRels()},
 		"analysis": {Relations: testRels(), Label: "B",
 			Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}},
@@ -156,8 +159,8 @@ func resultJSONBytes(t *testing.T, m fivm.Model) []byte {
 }
 
 // TestClusterEquivalence drives the same update stream through 1-, 2-,
-// and 4-shard clusters and through a single in-process engine, for all
-// six engine kinds, and requires the ring-merged cluster model to be
+// and 4-shard clusters and through a single in-process engine, for every
+// configuration of engineConfigs, and requires the ring-merged cluster model to be
 // bit-identical (as rendered JSON) to the single engine's. This is the
 // paper's distributivity argument made executable: partials over
 // disjoint anchor partitions sum to the monolithic result exactly.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/fivm"
+	"repro/internal/ring"
 	"repro/internal/view"
+	"repro/internal/vo"
 )
 
 // E7BatchSize sweeps the update bulk size at fixed workload: larger
@@ -202,7 +204,10 @@ func A2Factorization(sc Scale) ([]Throughput, error) {
 
 // A4RangedPayloads isolates the RingCofactor<double, idx, cnt>
 // optimization of Figure 2d: full degree-m payloads in every view
-// versus ranged payloads that carry only each subtree's aggregates.
+// versus ranged payloads that carry only each subtree's aggregates. The
+// covar engine runs the ranged ring; the full-degree row is a view tree
+// over ring.CovarRing, the reference ring no engine kind serves, built
+// over the same relations, greedy variable order and lifts.
 func A4RangedPayloads(sc Scale, m int) ([]Throughput, error) {
 	s := newRetailerSetup(sc, 1)
 	attrs := []string{"inventoryunits", "prize", "avghhi", "maxtemp", "medianage",
@@ -215,19 +220,31 @@ func A4RangedPayloads(sc Scale, m int) ([]Throughput, error) {
 	data := s.db.TupleMap()
 	var rows []Throughput
 
-	full, err := openLoaded(fivm.Config{Attrs: attrs}, s.fspecs, data)
+	cr := ring.NewCovarRing(len(attrs))
+	lifts := make(map[string]ring.Lift[*ring.Covar], len(attrs))
+	for i, a := range attrs {
+		lifts[a] = cr.Lift(i)
+	}
+	rels := make([]vo.Rel, len(s.db.Relations))
+	for i, r := range s.db.Relations {
+		rels[i] = vo.Rel{Name: r.Name, Schema: r.Schema()}
+	}
+	full, err := view.New(view.Spec[*ring.Covar]{Ring: cr, Relations: rels, Lifts: lifts})
 	if err != nil {
 		return nil, err
 	}
+	if err := full.Init(data); err != nil {
+		return nil, err
+	}
 	ups := s.stream(sc.StreamLen, 0.2, 10)
-	r, err := measure("full-degree payloads everywhere", ups, sc.BatchSize, full.Apply)
+	r, err := measure("full-degree payloads everywhere", ups, sc.BatchSize, full.ApplyUpdates)
 	if err != nil {
 		return nil, err
 	}
 	r.Note = fmt.Sprintf("every view carries degree %d", len(attrs))
 	rows = append(rows, r)
 
-	ranged, err := openLoaded(fivm.Config{Kind: fivm.KindRangedCovar, Attrs: attrs}, s.fspecs, data)
+	ranged, err := openLoaded(fivm.Config{Attrs: attrs}, s.fspecs, data)
 	if err != nil {
 		return nil, err
 	}

@@ -262,9 +262,11 @@ func runProbeEquivalence[V any](t *testing.T, pr probeRing[V]) {
 }
 
 // TestQuickProbeEquivalenceAllKinds runs the probe/scan equivalence
-// property over the six ring kinds the engines instantiate: Z counts,
-// float sums, scalar COVAR, ranged COVAR, the mixed-feature RelCovar,
-// and the (non-commutative) relational ring.
+// property over the ring kinds the engines instantiate — Z counts, float
+// sums, ranged COVAR, the mixed-feature RelCovar, and the
+// (non-commutative) relational ring — plus the full-degree COVAR ring
+// the ranged one is checked against, each COVAR ring also behind a
+// wrapper hiding its in-place extensions.
 func TestQuickProbeEquivalenceAllKinds(t *testing.T) {
 	t.Run("ints", func(t *testing.T) {
 		runProbeEquivalence(t, probeRing[int64]{ring: ring.Ints{}, gen: func(rnd *rand.Rand) int64 {
@@ -287,21 +289,14 @@ func TestQuickProbeEquivalenceAllKinds(t *testing.T) {
 		runProbeEquivalence(t, pr)
 	})
 	t.Run("rangedcovar", func(t *testing.T) {
-		// Ranged payloads add only within one attribute range and
-		// multiply only across adjacent ranges (the view-tree product
-		// structure), so the left side lifts attribute 0 and the right
-		// side attribute 1.
-		r := ring.RangedCovarRing{}
-		lifted := func(idx int) func(rnd *rand.Rand) *ring.RangedCovar {
-			return func(rnd *rand.Rand) *ring.RangedCovar {
-				p := r.Lift(idx)(value.Int(int64(rnd.Intn(5) - 2)))
-				if rnd.Intn(2) == 0 {
-					return r.Neg(p)
-				}
-				return p
-			}
-		}
-		runProbeEquivalence(t, probeRing[*ring.RangedCovar]{ring: r, gen: lifted(0), genRight: lifted(1), lift: r.Lift(2)})
+		runProbeEquivalence(t, rangedProbeRing())
+	})
+	t.Run("rangedcovar-pure", func(t *testing.T) {
+		// The ranged ring behind the wrapper hiding Scratch and FMA: the
+		// fused kernel's in-place folds against the pure Add/Mul path.
+		pr := rangedProbeRing()
+		pr.ring = pureRing[*ring.RangedCovar]{pr.ring}
+		runProbeEquivalence(t, pr)
 	})
 	t.Run("relcovar", func(t *testing.T) {
 		r := ring.NewRelCovarRing(3)
@@ -332,6 +327,25 @@ func covarProbeRing(r ring.CovarRing) probeRing[*ring.Covar] {
 		}
 		return p
 	}}
+}
+
+// rangedProbeRing is the ranged COVAR kind of the equivalence property.
+// Ranged payloads add only within one attribute range and multiply
+// only across adjacent ranges (the view-tree product structure), so
+// the left side lifts attribute 0, the right side attribute 1, and the
+// fused checks attribute 2.
+func rangedProbeRing() probeRing[*ring.RangedCovar] {
+	var r ring.RangedCovarRing
+	lifted := func(idx int) func(rnd *rand.Rand) *ring.RangedCovar {
+		return func(rnd *rand.Rand) *ring.RangedCovar {
+			p := r.Lift(idx)(value.Int(int64(rnd.Intn(5) - 2)))
+			if rnd.Intn(2) == 0 {
+				return r.Neg(p)
+			}
+			return p
+		}
+	}
+	return probeRing[*ring.RangedCovar]{ring: r, gen: lifted(0), genRight: lifted(1), lift: r.Lift(2)}
 }
 
 // TestStepKeepsRelationalKeyOrientation: the relational ring's product

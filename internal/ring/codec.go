@@ -243,14 +243,22 @@ func (c CovarCodec) Decode(r io.Reader) (*Covar, error) {
 	return out, nil
 }
 
-// RangedCovarCodec serializes ranged degree-m payloads. Ranges are
-// self-describing, so the codec needs no ring binding.
-type RangedCovarCodec struct{}
+// RangedCovarCodec serializes ranged payloads of a degree-Degree ring.
+// Ranges are self-describing, and every one must lie within [0, Degree):
+// the degree bounds what a decode allocates, and Tag exposes it so a
+// stream of another degree fails at the header.
+type RangedCovarCodec struct{ Degree int }
+
+// Tag names this codec configuration, including the degree.
+func (c RangedCovarCodec) Tag() string { return fmt.Sprintf("ring.RangedCovarCodec[m=%d]", c.Degree) }
 
 // Encode writes a presence flag, the range, and the flat components.
-func (RangedCovarCodec) Encode(w io.Writer, v *RangedCovar) error {
+func (c RangedCovarCodec) Encode(w io.Writer, v *RangedCovar) error {
 	if v == nil {
 		return writeUvarint(w, 0)
+	}
+	if v.Start < 0 || v.Start+v.N > c.Degree {
+		return fmt.Errorf("ring: encoding range [%d,%d) with degree-%d codec", v.Start, v.Start+v.N, c.Degree)
 	}
 	if err := writeUvarint(w, 1); err != nil {
 		return err
@@ -264,21 +272,19 @@ func (RangedCovarCodec) Encode(w io.Writer, v *RangedCovar) error {
 	if err := writeFloat(w, v.C); err != nil {
 		return err
 	}
-	for _, s := range v.S {
-		if err := writeFloat(w, s); err != nil {
-			return err
-		}
-	}
-	for _, q := range v.Q {
-		if err := writeFloat(w, q); err != nil {
+	for _, x := range v.v {
+		if err := writeFloat(w, x); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Decode reads one payload (nil for the zero flag).
-func (RangedCovarCodec) Decode(r io.Reader) (*RangedCovar, error) {
+// Decode reads one payload (nil for the zero flag). A range reaching
+// past the degree is an error before anything is allocated, so a
+// corrupt or foreign stream can neither overflow int nor drive the
+// quadratic Q allocation.
+func (c RangedCovarCodec) Decode(r io.Reader) (*RangedCovar, error) {
 	flag, err := readUvarint(r)
 	if err != nil {
 		return nil, err
@@ -294,23 +300,15 @@ func (RangedCovarCodec) Decode(r io.Reader) (*RangedCovar, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Real degrees are the query's aggregate count — tens at most. A
-	// loose bound here would still let a corrupt snapshot drive the
-	// quadratic Q allocation (n*(n+1)/2 floats) to terabytes.
-	if n > 1<<10 {
-		return nil, fmt.Errorf("ring: ranged payload degree %d exceeds limit", n)
+	if m := uint64(c.Degree); start > m || n > m-start {
+		return nil, fmt.Errorf("ring: ranged payload of %d attributes from index %d exceeds degree %d", n, start, m)
 	}
-	out := &RangedCovar{Start: int(start), N: int(n), S: make([]float64, n), Q: make([]float64, n*(n+1)/2)}
+	out := newRanged(int(start), int(n))
 	if out.C, err = readFloat(r); err != nil {
 		return nil, err
 	}
-	for i := range out.S {
-		if out.S[i], err = readFloat(r); err != nil {
-			return nil, err
-		}
-	}
-	for i := range out.Q {
-		if out.Q[i], err = readFloat(r); err != nil {
+	for i := range out.v {
+		if out.v[i], err = readFloat(r); err != nil {
 			return nil, err
 		}
 	}

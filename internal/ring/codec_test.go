@@ -2,8 +2,12 @@ package ring
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -145,17 +149,11 @@ func TestBufferedEncode(t *testing.T) {
 }
 
 func TestRangedCovarCodec(t *testing.T) {
-	var c RangedCovarCodec
+	c := RangedCovarCodec{Degree: 6}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 50; i++ {
 		n := rng.Intn(4)
-		v := &RangedCovar{Start: rng.Intn(3), N: n, C: rng.NormFloat64(), S: make([]float64, n), Q: make([]float64, n*(n+1)/2)}
-		for j := range v.S {
-			v.S[j] = rng.NormFloat64()
-		}
-		for j := range v.Q {
-			v.Q[j] = rng.NormFloat64()
-		}
+		v := randRanged(rng, rng.Intn(3), n, true)
 		got := roundTrip[*RangedCovar](t, c, v)
 		if !got.Equal(v) {
 			t.Errorf("roundtrip(%v) = %v", v, got)
@@ -164,6 +162,113 @@ func TestRangedCovarCodec(t *testing.T) {
 	if got := roundTrip[*RangedCovar](t, c, nil); got != nil {
 		t.Errorf("nil decoded to %v", got)
 	}
+}
+
+// TestRangedCovarCodecBoundToDegree: the codec is bound to a degree. A
+// payload reaching past it is refused on encode and on decode — where
+// the range arrives as unverified varints, so a start that overflows
+// int or a width that would size Q quadratically fails before any
+// allocation — and the degree is in the tag, so a stream of another
+// degree fails at the header.
+func TestRangedCovarCodecBoundToDegree(t *testing.T) {
+	var r RangedCovarRing
+	wide := r.Mul(r.Mul(r.Lift(0)(value.Float(1)), r.Lift(1)(value.Float(2))), r.Lift(2)(value.Float(3)))
+	var buf bytes.Buffer
+	if err := (RangedCovarCodec{Degree: 3}).Encode(&buf, wide); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (RangedCovarCodec{Degree: 2}).Decode(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "exceeds degree 2") {
+		t.Errorf("a [0,3) payload decoded by a degree-2 codec: err = %v", err)
+	}
+	if err := (RangedCovarCodec{Degree: 2}).Encode(io.Discard, wide); err == nil {
+		t.Error("a [0,3) payload encoded by a degree-2 codec")
+	}
+	for _, head := range [][]byte{
+		binary.AppendUvarint(binary.AppendUvarint([]byte{1}, math.MaxUint64), 1), // start overflows int
+		binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 1<<62), 1<<62),      // start+n overflows
+		binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 0), 1<<40),          // Q of 2^79 floats
+		binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 2), 2),              // [2,4) past degree 3
+	} {
+		if v, err := (RangedCovarCodec{Degree: 3}).Decode(bytes.NewReader(head)); err == nil || !strings.Contains(err.Error(), "exceeds degree") {
+			t.Errorf("header %x decoded to (%v, %v)", head, v, err)
+		}
+	}
+	if a, b := (RangedCovarCodec{Degree: 2}).Tag(), (RangedCovarCodec{Degree: 3}).Tag(); a == b {
+		t.Errorf("degrees 2 and 3 share the tag %s", a)
+	}
+}
+
+// FuzzRangedCovarDecode: decoding arbitrary bytes never panics, never
+// allocates beyond what a payload of the codec's degree needs, accepts
+// only ranges within the degree, and encode/decode of an accepted value
+// is the identity.
+func FuzzRangedCovarDecode(f *testing.F) {
+	const m = 6
+	codec := RangedCovarCodec{Degree: m}
+	rnd := rand.New(rand.NewSource(6))
+	for _, rng := range [][2]int{{0, 0}, {0, 1}, {2, 3}, {0, m}, {5, 1}} {
+		var buf bytes.Buffer
+		if err := codec.Encode(&buf, randRanged(rnd, rng[0], rng[1], true)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{0})
+	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 3), 4))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, math.MaxUint64), 0))
+	// A degree-m payload is one struct and one array of m+m(m+1)/2
+	// floats; the slack covers the readers' small buffers. The heap
+	// counter is process-wide and the fuzzing engine allocates beside
+	// the target, so the bound holds the least of three decodes.
+	const budget = 8*(m+m*(m+1)/2) + 512
+	var ms runtime.MemStats
+	allocated := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			r := bytes.NewReader(data)
+			before := allocated()
+			codec.Decode(r)
+			least = min(least, allocated()-before)
+		}
+		if least > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), least, budget)
+		}
+		v, err := codec.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if v != nil && (v.Start < 0 || v.N < 0 || v.Start+v.N > m || len(v.v) != v.N+triLen(v.N)) {
+			t.Fatalf("accepted range [%d,%d) with %d floats at degree %d", v.Start, v.Start+v.N, len(v.v), m)
+		}
+		var buf bytes.Buffer
+		if err := codec.Encode(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		back, err := codec.Decode(&buf)
+		if err != nil || !sameBits(back, v) {
+			t.Fatalf("decode(encode(x)) = (%v, %v), want %v", back, err, v)
+		}
+	})
+}
+
+// sameBits is Equal on the bit patterns, so NaN payloads round-trip too.
+func sameBits(a, b *RangedCovar) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Start != b.Start || a.N != b.N || math.Float64bits(a.C) != math.Float64bits(b.C) {
+		return false
+	}
+	for i, x := range a.v {
+		if math.Float64bits(x) != math.Float64bits(b.v[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCovarClone(t *testing.T) {

@@ -12,16 +12,19 @@
 //     schema-concatenating join as ×. Used as the scalar domain of the
 //     generalized degree-m ring.
 //   - Covar: the degree-m matrix ring over float64 scalars, carrying
-//     the compound aggregate (c, s, Q) for continuous attributes.
+//     the compound aggregate (c, s, Q) for continuous attributes. It is
+//     the full-degree reference the ranged ring is tested against, and
+//     the result type a covar engine hands out.
 //   - RelCovar: the degree-m matrix ring over relational values, the
 //     composition that supports one-hot-encoded categorical attributes
 //     and the mutual-information count tables. Stored flat (see "The
 //     RelCovar layout" below); Relational and RelVal remain the scalar
 //     domain it is defined over, the join engine's payload, and what
 //     its Count/Sum/Prod accessors hand out.
-//   - RangedCovar: the COVAR ring with ranged payloads (the paper's
-//     Figure 2d), where each view carries only its own subtree's
-//     aggregate indexes.
+//   - RangedCovar: the COVAR ring with ranged payloads, the paper's
+//     Figure 2d `RingCofactor<double, idx, cnt>` and the covar engine's
+//     ring: each view carries only its own subtree's aggregate indexes
+//     (see "Ranged payloads" below).
 //   - Matrix: dense matrices, demonstrating a non-commutative ring
 //     (matrix chain products) on the same machinery.
 //
@@ -80,6 +83,25 @@
 // ring's wire form (per slot a count, then (tuple key, coefficient)
 // pairs), unchanged from the map layout, and on decode drops zero
 // coefficients and rejects keys the ring cannot produce.
+//
+// # Ranged payloads
+//
+// A RangedCovar covers the contiguous lift-index range [Start,
+// Start+N): a lift is degree 1, a product of adjacent ranges covers
+// their union, and a scalar (N = 0) multiplies anything. Sums need
+// equal ranges and products adjacent ones; a violation is an
+// index-assignment bug and panics, which is why the covar engine
+// assigns lift indexes in its variable order's post-order, the order
+// its products combine subtrees in. Widen reads a payload through a
+// permutation as a full Covar; RangedFromCovar is its inverse. s and Q
+// share one backing array, so a payload is two allocations (a scalar
+// one) and every kernel is a pass over that array: Mul writes each
+// operand's triangle scaled by the other's count plus the one s×s cross
+// block, row by row of the packed result; MulAddInto (FMA) adds the
+// same terms in place, each rounded to float64 first, so it is
+// bit-identical to the pure composition; AddInto, Neg and Clone are
+// single loops. RangedCovarCodec is bound to a degree: a range past it
+// is refused on encode and, before anything is allocated, on decode.
 //
 // # Scratch extensions and ownership
 //

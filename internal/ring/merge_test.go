@@ -137,15 +137,7 @@ func TestMergeContractRangedCovar(t *testing.T) {
 		if rnd.Intn(5) == 0 {
 			return nil
 		}
-		c := &RangedCovar{Start: 1, N: 2, C: float64(rnd.Intn(7) - 3),
-			S: make([]float64, 2), Q: make([]float64, triLen(2))}
-		for i := range c.S {
-			c.S[i] = float64(rnd.Intn(7) - 3)
-		}
-		for i := range c.Q {
-			c.Q[i] = float64(rnd.Intn(7) - 3)
-		}
-		return c
+		return randRanged(rnd, 1, 2, false)
 	}
 	checkMergeContract[*RangedCovar](t, "RangedCovar", r, gen, (*RangedCovar).Clone, (*RangedCovar).Equal, false)
 }

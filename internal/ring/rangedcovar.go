@@ -16,19 +16,33 @@ import (
 // root — a large constant-factor win over carrying the full degree
 // everywhere.
 //
-// Products require the operand ranges to be adjacent (the engine
+// Products require the operand ranges to be adjacent (the covar engine
 // guarantees this by assigning lift indexes in the view tree's
 // structural order); sums require identical ranges. Violations panic:
 // they are index-assignment bugs, not data errors.
 //
 // A nil *RangedCovar is the ring's zero. One() covers the empty range
-// with scalar 1.
+// with scalar 1. Start and N are read-only: every ring operation sizes
+// the payload's backing array from them.
 type RangedCovar struct {
 	Start int
 	N     int
 	C     float64
-	S     []float64 // length N
-	Q     []float64 // packed upper triangle, length N*(N+1)/2
+	// v is the payload's one backing array: s (N entries), then the
+	// packed upper triangle of Q (N(N+1)/2 entries). nil when N is 0.
+	v []float64
+}
+
+// newRanged returns a zero payload over [start, start+n) whose s and Q
+// share one backing array: payload construction is the maintenance hot
+// path's dominant allocator, and one array turns three allocations
+// (struct, s, Q) into two — one for a scalar.
+func newRanged(start, n int) *RangedCovar {
+	c := &RangedCovar{Start: start, N: n}
+	if n > 0 {
+		c.v = make([]float64, n+triLen(n))
+	}
+	return c
 }
 
 // Clone returns a deep copy of c; cloning nil (the ring zero) returns
@@ -37,9 +51,9 @@ func (c *RangedCovar) Clone() *RangedCovar {
 	if c == nil {
 		return nil
 	}
-	out := &RangedCovar{Start: c.Start, N: c.N, C: c.C, S: make([]float64, len(c.S)), Q: make([]float64, len(c.Q))}
-	copy(out.S, c.S)
-	copy(out.Q, c.Q)
+	out := newRanged(c.Start, c.N)
+	out.C = c.C
+	copy(out.v, c.v)
 	return out
 }
 
@@ -58,7 +72,7 @@ func (c *RangedCovar) Sum(g int) float64 {
 	if c == nil || g < c.Start || g >= c.Start+c.N {
 		return 0
 	}
-	return c.S[g-c.Start]
+	return c.v[g-c.Start]
 }
 
 // Prod returns SUM(X_g * X_h) for global indexes g, h within the range
@@ -73,7 +87,7 @@ func (c *RangedCovar) Prod(g, h int) float64 {
 	if g < c.Start || h >= c.Start+c.N {
 		return 0
 	}
-	return c.Q[triIndex(c.N, g-c.Start, h-c.Start)]
+	return c.v[c.N+triIndex(c.N, g-c.Start, h-c.Start)]
 }
 
 // Equal reports element-wise equality including the range.
@@ -85,13 +99,8 @@ func (c *RangedCovar) Equal(o *RangedCovar) bool {
 	if c.Start != o.Start || c.N != o.N || c.C != o.C {
 		return false
 	}
-	for i := range c.S {
-		if c.S[i] != o.S[i] {
-			return false
-		}
-	}
-	for i := range c.Q {
-		if c.Q[i] != o.Q[i] {
+	for i, x := range c.v {
+		if x != o.v[i] {
 			return false
 		}
 	}
@@ -105,13 +114,14 @@ func (c *RangedCovar) String() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "<%d,%d>(%v, [", c.Start, c.N, value.Float(c.C))
-	for i, s := range c.S {
+	for i, s := range c.v[:c.N] {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
 		b.WriteString(value.Float(s).String())
 	}
 	b.WriteString("], [")
+	k := c.N
 	for i := 0; i < c.N; i++ {
 		if i > 0 {
 			b.WriteString("; ")
@@ -120,30 +130,57 @@ func (c *RangedCovar) String() string {
 			if j > i {
 				b.WriteByte(' ')
 			}
-			b.WriteString(value.Float(c.Q[triIndex(c.N, i, j)]).String())
+			b.WriteString(value.Float(c.v[k]).String())
+			k++
 		}
 	}
 	b.WriteString("])")
 	return b.String()
 }
 
-// ToCovar widens the payload to a full degree-total Covar (the form the
-// ml package consumes); total must cover the payload's range.
-func (c *RangedCovar) ToCovar(total int) (*Covar, error) {
+// Widen returns the payload as a full Covar of degree len(perm) whose
+// attribute i is this payload's global index perm[i] — how the covar
+// engine hands out its root payload, maintained in the view tree's
+// structural order, in its caller's attribute order. Indexes outside
+// the payload's range read 0. It is one pass with a Clone's two
+// allocations; widening nil (the ring zero) returns nil.
+func (c *RangedCovar) Widen(perm []int) *Covar {
 	if c == nil {
-		return nil, nil
+		return nil
 	}
-	if c.Start+c.N > total {
-		return nil, fmt.Errorf("ring: range [%d,%d) exceeds total degree %d", c.Start, c.Start+c.N, total)
-	}
-	out := &Covar{m: total, C: c.C, S: make([]float64, total), Q: make([]float64, triLen(total))}
-	copy(out.S[c.Start:], c.S)
-	for i := 0; i < c.N; i++ {
-		for j := i; j < c.N; j++ {
-			out.Q[triIndex(total, c.Start+i, c.Start+j)] = c.Q[triIndex(c.N, i, j)]
+	out := newCovar(len(perm))
+	out.C = c.C
+	k := 0
+	for i, g := range perm {
+		out.S[i] = c.Sum(g)
+		for _, h := range perm[i:] {
+			out.Q[k] = c.Prod(g, h)
+			k++
 		}
 	}
-	return out, nil
+	return out
+}
+
+// RangedFromCovar is Widen's inverse: the payload over [0, len(perm))
+// whose global index perm[i] carries c's attribute i. perm must be a
+// permutation of 0..c.Degree()-1. Converting nil returns nil.
+func RangedFromCovar(c *Covar, perm []int) *RangedCovar {
+	if c == nil {
+		return nil
+	}
+	m := len(perm)
+	out := newRanged(0, m)
+	out.C = c.C
+	s, q := out.v[:m], out.v[m:]
+	k := 0
+	for i, g := range perm {
+		s[g] = c.S[i]
+		for _, h := range perm[i:] {
+			q[triIndex(m, min(g, h), max(g, h))] = c.Q[k]
+			k++
+		}
+	}
+	return out
 }
 
 // RangedCovarRing is the ranged degree-m matrix ring. The ring itself is
@@ -156,6 +193,15 @@ func (RangedCovarRing) Zero() *RangedCovar { return nil }
 // One returns the scalar 1 over the empty range.
 func (RangedCovarRing) One() *RangedCovar { return &RangedCovar{C: 1} }
 
+// sameRange panics unless a covers [start, start+n): adding payloads of
+// different ranges is an index-assignment bug, never a data error.
+func sameRange(a *RangedCovar, start, n int) {
+	if a.Start != start || a.N != n {
+		panic(fmt.Sprintf("ring: adding ranged payloads [%d,%d) and [%d,%d)",
+			a.Start, a.Start+a.N, start, start+n))
+	}
+}
+
 // Add returns the element-wise sum; the ranges must match.
 func (RangedCovarRing) Add(a, b *RangedCovar) *RangedCovar {
 	if a == nil {
@@ -164,22 +210,33 @@ func (RangedCovarRing) Add(a, b *RangedCovar) *RangedCovar {
 	if b == nil {
 		return a
 	}
-	if a.Start != b.Start || a.N != b.N {
-		// Adding a pure scalar (N=0) is allowed regardless of the other
-		// range only when the scalar is a true zero-extension; in the
-		// view engine this never happens, so reject loudly.
-		panic(fmt.Sprintf("ring: adding ranged payloads [%d,%d) and [%d,%d)",
-			a.Start, a.Start+a.N, b.Start, b.Start+b.N))
-	}
-	out := &RangedCovar{Start: a.Start, N: a.N, C: a.C + b.C,
-		S: make([]float64, a.N), Q: make([]float64, triLen(a.N))}
-	for i := range out.S {
-		out.S[i] = a.S[i] + b.S[i]
-	}
-	for i := range out.Q {
-		out.Q[i] = a.Q[i] + b.Q[i]
+	sameRange(a, b.Start, b.N)
+	out := newRanged(a.Start, a.N)
+	out.C = a.C + b.C
+	for i, x := range a.v {
+		out.v[i] = x + b.v[i]
 	}
 	return out
+}
+
+// adjacent orders the operands of a product by range — lo's range ends
+// where hi's begins, either may be empty — and returns the range of the
+// product and the scale of each operand's own blocks, the other's
+// count. It panics on ranges that do not meet.
+func adjacent(a, b *RangedCovar) (lo, hi *RangedCovar, start int, loScale, hiScale float64) {
+	lo, hi, loScale, hiScale = a, b, b.C, a.C
+	if b.N > 0 && (a.N == 0 || b.Start < a.Start) {
+		lo, hi, loScale, hiScale = b, a, a.C, b.C
+	}
+	if lo.N > 0 && hi.N > 0 && lo.Start+lo.N != hi.Start {
+		panic(fmt.Sprintf("ring: multiplying non-adjacent ranges [%d,%d) and [%d,%d)",
+			lo.Start, lo.Start+lo.N, hi.Start, hi.Start+hi.N))
+	}
+	start = lo.Start
+	if lo.N == 0 {
+		start = hi.Start
+	}
+	return lo, hi, start, loScale, hiScale
 }
 
 // Mul returns the product over the union range. The operand ranges must
@@ -188,51 +245,42 @@ func (RangedCovarRing) Add(a, b *RangedCovar) *RangedCovar {
 //	c = ca·cb
 //	s = [cb·sa | ca·sb]            (in index order)
 //	Q = [cb·Qa | sa sbᵀ | ca·Qb]   (lo×lo, lo×hi, hi×hi blocks)
+//
+// written in one pass over the packed result: row i < |lo| of Q is lo's
+// row i scaled, then s_lo[i]·s_hi; the rows below are hi's triangle
+// scaled, contiguous.
 func (RangedCovarRing) Mul(a, b *RangedCovar) *RangedCovar {
 	if a == nil || b == nil {
 		return nil
 	}
-	lo, hi := a, b
-	loScale, hiScale := b.C, a.C // scale of lo's own blocks is the other's count
-	if b.N > 0 && (a.N == 0 || b.Start < a.Start) {
-		lo, hi = b, a
-		loScale, hiScale = a.C, b.C
+	lo, hi, start, loScale, hiScale := adjacent(a, b)
+	n := lo.N
+	out := newRanged(start, n+hi.N)
+	out.C = a.C * b.C
+	s, q := out.v[:out.N], out.v[out.N:]
+	ls, lq := lo.v[:n], lo.v[n:]
+	hs, hq := hi.v[:hi.N], hi.v[hi.N:]
+	for i, x := range ls {
+		s[i] = loScale * x
 	}
-	if lo.N > 0 && hi.N > 0 && lo.Start+lo.N != hi.Start {
-		panic(fmt.Sprintf("ring: multiplying non-adjacent ranges [%d,%d) and [%d,%d)",
-			lo.Start, lo.Start+lo.N, hi.Start, hi.Start+hi.N))
+	for j, x := range hs {
+		s[n+j] = hiScale * x
 	}
-	start := lo.Start
-	if lo.N == 0 {
-		start = hi.Start
-	}
-	n := lo.N + hi.N
-	out := &RangedCovar{Start: start, N: n, C: a.C * b.C,
-		S: make([]float64, n), Q: make([]float64, triLen(n))}
-	for i := 0; i < lo.N; i++ {
-		out.S[i] = loScale * lo.S[i]
-	}
-	for i := 0; i < hi.N; i++ {
-		out.S[lo.N+i] = hiScale * hi.S[i]
-	}
-	// lo×lo block.
-	for i := 0; i < lo.N; i++ {
-		for j := i; j < lo.N; j++ {
-			out.Q[triIndex(n, i, j)] = loScale * lo.Q[triIndex(lo.N, i, j)]
+	k, p := 0, 0
+	for i, x := range ls {
+		for _, y := range lq[p : p+n-i] {
+			q[k] = loScale * y
+			k++
+		}
+		p += n - i
+		for _, y := range hs {
+			q[k] = x * y
+			k++
 		}
 	}
-	// hi×hi block.
-	for i := 0; i < hi.N; i++ {
-		for j := i; j < hi.N; j++ {
-			out.Q[triIndex(n, lo.N+i, lo.N+j)] = hiScale * hi.Q[triIndex(hi.N, i, j)]
-		}
-	}
-	// Cross block: s_lo s_hiᵀ (the symmetric term lands in the same
-	// packed cell).
-	for i := 0; i < lo.N; i++ {
-		for j := 0; j < hi.N; j++ {
-			out.Q[triIndex(n, i, lo.N+j)] = lo.S[i] * hi.S[j]
-		}
+	for _, y := range hq {
+		q[k] = hiScale * y
+		k++
 	}
 	return out
 }
@@ -242,13 +290,10 @@ func (RangedCovarRing) Neg(a *RangedCovar) *RangedCovar {
 	if a == nil {
 		return nil
 	}
-	out := &RangedCovar{Start: a.Start, N: a.N, C: -a.C,
-		S: make([]float64, a.N), Q: make([]float64, triLen(a.N))}
-	for i := range out.S {
-		out.S[i] = -a.S[i]
-	}
-	for i := range out.Q {
-		out.Q[i] = -a.Q[i]
+	out := newRanged(a.Start, a.N)
+	out.C = -a.C
+	for i, x := range a.v {
+		out.v[i] = -x
 	}
 	return out
 }
@@ -261,13 +306,8 @@ func (RangedCovarRing) IsZero(a *RangedCovar) bool {
 	if a.C != 0 {
 		return false
 	}
-	for _, v := range a.S {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range a.Q {
-		if v != 0 {
+	for _, x := range a.v {
+		if x != 0 {
 			return false
 		}
 	}
@@ -282,6 +322,9 @@ func (RangedCovarRing) Lift(idx int) Lift[*RangedCovar] {
 	}
 	return func(v value.Value) *RangedCovar {
 		x := v.AsFloat()
-		return &RangedCovar{Start: idx, N: 1, C: 1, S: []float64{x}, Q: []float64{x * x}}
+		c := newRanged(idx, 1)
+		c.C = 1
+		c.v[0], c.v[1] = x, x*x
+		return c
 	}
 }

@@ -37,11 +37,7 @@ func TestRangedMatchesFullOnChain(t *testing.T) {
 		if tf == nil || tr == nil {
 			continue
 		}
-		widened, err := tr.ToCovar(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !widened.Equal(tf) {
+		if widened := tr.Widen([]int{0, 1, 2, 3}); !widened.Equal(tf) {
 			t.Fatalf("iter %d:\nranged  %v\nfull    %v", iter, widened, tf)
 		}
 	}
@@ -126,9 +122,8 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 	if !nilP.Equal(nil) {
 		t.Error("nil Equal")
 	}
-	w, err := nilP.ToCovar(3)
-	if err != nil || w != nil {
-		t.Error("nil ToCovar")
+	if nilP.Widen([]int{0, 1}) != nil || RangedFromCovar(nil, []int{0, 1}) != nil {
+		t.Error("nil Widen")
 	}
 	if !r.IsZero(nil) {
 		t.Error("nil not zero")
@@ -146,11 +141,44 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 	if p.Sum(0) != 0 || p.Prod(0, 2) != 0 || p.Sum(2) != 3 {
 		t.Error("global-index reads wrong")
 	}
-	if _, err := p.ToCovar(2); err == nil {
-		t.Error("ToCovar with insufficient degree accepted")
-	}
 	if s := p.String(); s == "" {
 		t.Error("empty String")
+	}
+}
+
+// TestRangedWiden: Widen reads the payload through a permutation into
+// caller order — sums, both triangles of Q, and 0 outside the range —
+// and RangedFromCovar inverts it exactly.
+func TestRangedWiden(t *testing.T) {
+	var r RangedCovarRing
+	rng := rand.New(rand.NewSource(4))
+	p := r.One()
+	for i := 0; i < 3; i++ {
+		p = r.Mul(p, r.Lift(i)(value.Float(rng.NormFloat64())))
+	}
+	p = r.Add(p, r.Mul(r.Mul(r.Lift(0)(value.Float(2)), r.Lift(1)(value.Float(-3))), r.Lift(2)(value.Float(5))))
+	perm := []int{2, 0, 1}
+	w := p.Widen(perm)
+	if w.Degree() != 3 || w.Count() != p.Count() {
+		t.Fatalf("widened %v from %v", w, p)
+	}
+	for i, g := range perm {
+		if w.Sum(i) != p.Sum(g) {
+			t.Errorf("Sum(%d) = %v, want ranged Sum(%d) = %v", i, w.Sum(i), g, p.Sum(g))
+		}
+		for j, h := range perm {
+			if w.Prod(i, j) != p.Prod(g, h) {
+				t.Errorf("Prod(%d,%d) = %v, want ranged Prod(%d,%d) = %v", i, j, w.Prod(i, j), g, h, p.Prod(g, h))
+			}
+		}
+	}
+	if back := RangedFromCovar(w, perm); !back.Equal(p) {
+		t.Errorf("RangedFromCovar(Widen(p)) = %v, want %v", back, p)
+	}
+	// A payload narrower than perm widens with zeros outside its range.
+	leaf := r.Lift(1)(value.Float(4))
+	if w := leaf.Widen(perm); w.Sum(2) != 4 || w.Prod(2, 2) != 16 || w.Sum(0) != 0 || w.Prod(0, 2) != 0 || w.Count() != 1 {
+		t.Errorf("leaf widened to %v", w)
 	}
 }
 

@@ -192,9 +192,54 @@ func seek(e []coef, i int, k uint64) int {
 // Own implements Scratch: a deep copy of v.
 func (r RelCovarRing) Own(v *RelCovar) *RelCovar { return v.Clone() }
 
-// AddInto implements Scratch for the ranged matrix ring. Like Add it
-// requires identical ranges (a range mismatch is an index-assignment
-// bug and panics there).
+// MulAddInto implements FMA for the ranged matrix ring: Mul's blocks
+// accumulated in place into acc's backing array, so a fused join folds
+// `acc += a × b` without building the product. Every term is rounded to
+// float64 before it is added (the explicit conversions forbid fusing
+// the multiply into the add), so the result is bit-identical to
+// Add(acc, Mul(a, b)). acc must cover the product's range.
+func (r RangedCovarRing) MulAddInto(acc, a, b *RangedCovar) *RangedCovar {
+	if a == nil || b == nil {
+		return acc
+	}
+	if acc == nil {
+		return r.Mul(a, b)
+	}
+	lo, hi, start, loScale, hiScale := adjacent(a, b)
+	n := lo.N
+	sameRange(acc, start, n+hi.N)
+	acc.C += float64(a.C * b.C)
+	s, q := acc.v[:acc.N], acc.v[acc.N:]
+	ls, lq := lo.v[:n], lo.v[n:]
+	hs, hq := hi.v[:hi.N], hi.v[hi.N:]
+	for i, x := range ls {
+		s[i] += float64(loScale * x)
+	}
+	for j, x := range hs {
+		s[n+j] += float64(hiScale * x)
+	}
+	k, p := 0, 0
+	for i, x := range ls {
+		for _, y := range lq[p : p+n-i] {
+			q[k] += float64(loScale * y)
+			k++
+		}
+		p += n - i
+		for _, y := range hs {
+			q[k] += float64(x * y)
+			k++
+		}
+	}
+	for _, y := range hq {
+		q[k] += float64(hiScale * y)
+		k++
+	}
+	return acc
+}
+
+// AddInto implements Scratch for the ranged matrix ring: one
+// element-wise pass over the backing array into acc's. Like Add it
+// requires identical ranges.
 func (r RangedCovarRing) AddInto(acc, v *RangedCovar) *RangedCovar {
 	if v == nil {
 		return acc
@@ -202,15 +247,10 @@ func (r RangedCovarRing) AddInto(acc, v *RangedCovar) *RangedCovar {
 	if acc == nil {
 		return v.Clone()
 	}
-	if acc.Start != v.Start || acc.N != v.N {
-		return r.Add(acc, v) // panics with Add's range-mismatch message
-	}
+	sameRange(acc, v.Start, v.N)
 	acc.C += v.C
-	for i := range acc.S {
-		acc.S[i] += v.S[i]
-	}
-	for i := range acc.Q {
-		acc.Q[i] += v.Q[i]
+	for i, x := range v.v {
+		acc.v[i] += x
 	}
 	return acc
 }

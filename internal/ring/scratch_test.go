@@ -15,7 +15,12 @@ import (
 // views bit-identical whichever path ran. These property tests pin the
 // contract for every ring implementing the extensions.
 
-func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(rnd *rand.Rand) V, clone func(V) V, eq func(a, b V) bool) {
+// checkScratchContract draws the operands of each round from gen, or,
+// for the FMA half, from fmaGen when it is non-nil: a ring whose sums
+// and products constrain their operands differently (ranged payloads
+// add within one range and multiply adjacent ones) supplies a
+// generator of a, b, c fit for c + a×b.
+func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(rnd *rand.Rand) V, fmaGen func(rnd *rand.Rand) (a, b, c V), clone func(V) V, eq func(a, b V) bool) {
 	t.Helper()
 	sc, ok := r.(Scratch[V])
 	if !ok {
@@ -53,6 +58,10 @@ func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(
 		}
 
 		if hasFMA {
+			if fmaGen != nil {
+				a, b, c = fmaGen(rnd)
+				ac, bc, cc = clone(a), clone(b), clone(c)
+			}
 			got := fma.MulAddInto(sc.Own(c), a, b)
 			want := r.Add(cc, r.Mul(a, b))
 			if !eq(got, want) {
@@ -85,7 +94,7 @@ func TestScratchContractCovar(t *testing.T) {
 		}
 		return c
 	}
-	checkScratchContract[*Covar](t, "Covar", r, gen, (*Covar).Clone, (*Covar).Equal)
+	checkScratchContract[*Covar](t, "Covar", r, gen, nil, (*Covar).Clone, (*Covar).Equal)
 }
 
 func TestScratchContractRelational(t *testing.T) {
@@ -104,7 +113,7 @@ func TestScratchContractRelational(t *testing.T) {
 		}
 		return out
 	}
-	checkScratchContract[RelVal](t, "Relational", Relational{}, gen, RelVal.Clone, RelVal.Equal)
+	checkScratchContract[RelVal](t, "Relational", Relational{}, gen, nil, RelVal.Clone, RelVal.Equal)
 }
 
 func TestScratchContractRelCovar(t *testing.T) {
@@ -123,27 +132,47 @@ func TestScratchContractRelCovar(t *testing.T) {
 		}
 		return v
 	}
-	checkScratchContract[*RelCovar](t, "RelCovar", r, gen, (*RelCovar).Clone, (*RelCovar).Equal)
+	checkScratchContract[*RelCovar](t, "RelCovar", r, gen, nil, (*RelCovar).Clone, (*RelCovar).Equal)
 }
 
 func TestScratchContractRangedCovar(t *testing.T) {
 	var r RangedCovarRing
-	// Same-range values only: AddInto inherits Add's same-range
-	// contract (see TestMergeContractRangedCovar). RangedCovarRing does
-	// not implement FMA, so only the Scratch half runs.
+	// AddInto inherits Add's same-range contract (see
+	// TestMergeContractRangedCovar); the fused products take adjacent
+	// ranges in either operand order, a scalar on either side, and an
+	// accumulator over their union — real-valued, so a term rounded
+	// differently from Add(c, Mul(a, b)) would show.
 	gen := func(rnd *rand.Rand) *RangedCovar {
 		if rnd.Intn(5) == 0 {
 			return nil
 		}
-		c := &RangedCovar{Start: 1, N: 2, C: float64(rnd.Intn(7) - 3),
-			S: make([]float64, 2), Q: make([]float64, 3)}
-		for i := range c.S {
-			c.S[i] = float64(rnd.Intn(7) - 3)
-		}
-		for i := range c.Q {
-			c.Q[i] = float64(rnd.Intn(7) - 3)
-		}
-		return c
+		return randRanged(rnd, 1, 2, false)
 	}
-	checkScratchContract[*RangedCovar](t, "RangedCovar", r, gen, (*RangedCovar).Clone, (*RangedCovar).Equal)
+	fmaGen := func(rnd *rand.Rand) (a, b, c *RangedCovar) {
+		split := rnd.Intn(4) // a covers [0, split), b [split, 3)
+		a, b = randRanged(rnd, 0, split, true), randRanged(rnd, split, 3-split, true)
+		if rnd.Intn(2) == 0 {
+			a, b = b, a
+		}
+		if rnd.Intn(5) > 0 {
+			c = randRanged(rnd, 0, 3, true)
+		}
+		return a, b, c
+	}
+	checkScratchContract[*RangedCovar](t, "RangedCovar", r, gen, fmaGen, (*RangedCovar).Clone, (*RangedCovar).Equal)
+}
+
+// randRanged draws a payload over [start, start+n): small integers, so
+// sums are exact, or normal reals.
+func randRanged(rnd *rand.Rand, start, n int, real bool) *RangedCovar {
+	draw := func() float64 { return float64(rnd.Intn(7) - 3) }
+	if real {
+		draw = rnd.NormFloat64
+	}
+	c := newRanged(start, n)
+	c.C = draw()
+	for i := range c.v {
+		c.v[i] = draw()
+	}
+	return c
 }

@@ -16,9 +16,11 @@ import (
 	"repro/internal/wal"
 )
 
-// walEngineConfigs spans all six ring kinds over the same two-relation
-// schema R(A,B) ⋈ S(A,C,D), so one kill-and-recover harness proves the
-// recovery invariant for every payload type.
+// walEngineConfigs spans all five engine kinds over the same
+// two-relation schema R(A,B) ⋈ S(A,C,D), so one kill-and-recover
+// harness proves the recovery invariant for every payload type; the
+// covar kind runs twice, its attributes in its payloads' layout order
+// and reversed.
 func walEngineConfigs() map[string]fivm.Config {
 	rels := func() []fivm.RelationSpec {
 		return []fivm.RelationSpec{
@@ -30,7 +32,7 @@ func walEngineConfigs() map[string]fivm.Config {
 		"count":       {Relations: rels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"},
 		"float":       {Relations: rels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: rels(), Attrs: []string{"B", "D"}},
-		"rangedcovar": {Kind: fivm.KindRangedCovar, Relations: rels(), Attrs: []string{"B", "D"}},
+		"rangedcovar": {Relations: rels(), Attrs: []string{"D", "B"}},
 		"join":        {Relations: rels()},
 		"analysis":    {Relations: rels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}, Label: "D"},
 	}
@@ -106,7 +108,7 @@ func tornOpenSegment(rel string, budget *atomic.Int64) func(string) (wal.WriteFi
 }
 
 // TestKillMidBatchRecoversAckedPrefix is the durability subsystem's
-// core proof, run under -race for all six ring kinds: the writer is
+// core proof, run under -race for every engine kind: the writer is
 // killed mid-batch by a fault injected at the WAL file layer (a write
 // that lands partially and fails, exactly what SIGKILL during a page
 // write leaves behind), and the recovered engine must be bit-identical

@@ -53,7 +53,7 @@ func (t *Tree[V]) ReadPartial(r io.Reader, codec ring.Codec[V]) (*relation.Map[V
 	if ver != partialVersion {
 		return nil, fmt.Errorf("view: unsupported partial version %d", ver)
 	}
-	if err := readTag(br, codec, "partial"); err != nil {
+	if codec, err = readTag(br, codec, "partial"); err != nil {
 		return nil, err
 	}
 	return readRelation(br, t.ring, codec, t.result.Schema(), "partial result")

@@ -37,7 +37,9 @@ const (
 // codecTag names the payload codec for the snapshot header. Codecs
 // whose wire format depends on parameters (e.g. the ring degree) expose
 // a Tag method so two configurations of the same codec type do not
-// collide; the Go type name covers the rest.
+// collide; the Go type name covers the rest. A codec that still reads
+// streams an earlier format wrote under another tag exposes
+// ForTag(tag) (ring.Codec[V], bool), which readTag consults.
 func codecTag[V any](codec ring.Codec[V]) string {
 	if t, ok := any(codec).(interface{ Tag() string }); ok {
 		return t.Tag()
@@ -76,7 +78,7 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 	case 1:
 		// Pre-tag format: no codec identification; trust the caller.
 	case snapshotVersion:
-		if err := readTag(br, codec, "snapshot"); err != nil {
+		if codec, err = readTag(br, codec, "snapshot"); err != nil {
 			return err
 		}
 	default:
@@ -128,17 +130,27 @@ func readHeader(r *bufio.Reader, magic, what string) (byte, error) {
 	return r.ReadByte()
 }
 
-// readTag consumes the codec tag and rejects a stream another codec
-// wrote.
-func readTag[V any](r *bufio.Reader, codec ring.Codec[V], what string) error {
+// readTag consumes the codec tag and returns the codec that decodes the
+// stream: codec itself, or — for a tag of an earlier wire format —
+// the one codec's ForTag names. A stream any other codec wrote is
+// rejected.
+func readTag[V any](r *bufio.Reader, codec ring.Codec[V], what string) (ring.Codec[V], error) {
 	tag, err := readString(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if want := codecTag(codec); tag != want {
-		return fmt.Errorf("view: %s written with codec %s, this engine uses %s", what, tag, want)
+	want := codecTag(codec)
+	if tag == want {
+		return codec, nil
 	}
-	return nil
+	if tr, ok := codec.(interface {
+		ForTag(string) (ring.Codec[V], bool)
+	}); ok {
+		if c, ok := tr.ForTag(tag); ok {
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("view: %s written with codec %s, this engine uses %s", what, tag, want)
 }
 
 // writeRelation writes one relation body:

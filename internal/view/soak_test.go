@@ -9,6 +9,7 @@ package view_test
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -166,23 +167,18 @@ func TestSoakThreeRingsLongStream(t *testing.T) {
 			if cp.Count() != float64(want) {
 				t.Fatalf("step %d: covar count %v, naive %d", step, cp.Count(), want)
 			}
-			rp, err := ranged.ResultPayload().ToCovar(3)
-			if err != nil {
-				t.Fatal(err)
+			// Cross-ring agreement: the ranged payload, widened from its
+			// structural order into covar's fixed one.
+			perm := make([]int, 0, 3)
+			for _, a := range []string{"B", "D", "E"} {
+				perm = append(perm, slices.Index(rangedOrder, a))
 			}
+			rp := ranged.ResultPayload().Widen(perm)
 			if rp.Count() != float64(want) {
 				t.Fatalf("step %d: ranged count %v, naive %d", step, rp.Count(), want)
 			}
-			// Cross-ring agreement on a quadratic statistic: ranged
-			// index of each attribute vs covar's fixed order.
-			rIdx := map[string]int{}
-			for i, a := range rangedOrder {
-				rIdx[a] = i
-			}
-			for fi, a := range []string{"B", "D", "E"} {
-				if cp.Sum(fi) != rp.Sum(rIdx[a]) {
-					t.Fatalf("step %d: SUM(%s) covar %v vs ranged %v", step, a, cp.Sum(fi), rp.Sum(rIdx[a]))
-				}
+			if !rp.Equal(cp) {
+				t.Fatalf("step %d: covar %v vs ranged %v", step, cp, rp)
 			}
 		}
 	}

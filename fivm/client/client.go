@@ -235,10 +235,18 @@ func (c *Client) NextBatchID() string {
 // An empty batchID sends an unidentified — non-idempotent, never
 // retried on 503 or transport failure — request.
 func (c *Client) UpdateWithID(ctx context.Context, batchID string, ups []Update, wait bool) (*UpdateAck, error) {
-	body, err := json.Marshal(map[string]any{"updates": ups})
+	body, err := appendUpdates(nil, ups)
 	if err != nil {
 		return nil, err
 	}
+	return c.UpdateBody(ctx, batchID, body, wait)
+}
+
+// UpdateBody is UpdateWithID over a body that is already encoded: the
+// cluster router forwards the update objects a client sent this way,
+// without decoding them into Updates and encoding them again. Every
+// retry resends body as it is.
+func (c *Client) UpdateBody(ctx context.Context, batchID string, body []byte, wait bool) (*UpdateAck, error) {
 	path := "/v1/update"
 	if wait {
 		path += "?wait=1"

@@ -62,21 +62,29 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		batchID = rt.mintBatchID()
 	}
-	raws, ups, err := serve.DecodeUpdates(r.Body)
+	raws, ups, err := serve.DecodeRequest(r)
 	if err != nil {
 		rt.writeErrors.Inc()
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, err)
 		return
 	}
 	// Owners: the owning shard for anchor updates, -1 (broadcast) for
-	// the rest. Unknown relations fail the whole batch up front — no
-	// shard has been touched yet, so rejecting is free.
+	// the rest. Unknown relations and wrong arities fail the whole batch
+	// up front — no shard has been touched yet, so rejecting is free,
+	// and the shard map hashes only tuples of the anchor's arity.
 	owners := make([]int, len(ups))
 	for i, u := range ups {
-		if _, ok := rt.arity[u.Rel]; !ok {
+		n, ok := rt.arity[u.Rel]
+		if !ok {
 			rt.writeErrors.Inc()
 			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
 				fmt.Errorf("updates[%d]: unknown relation %s (cluster serves %v)", i, u.Rel, rt.merger.RelationNames()))
+			return
+		}
+		if len(u.Tuple) != n {
+			rt.writeErrors.Inc()
+			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
+				fmt.Errorf("updates[%d]: relation %s wants %d attributes, tuple has %d", i, u.Rel, n, len(u.Tuple)))
 			return
 		}
 		if u.Rel == rt.smap.Anchor() {

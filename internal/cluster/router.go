@@ -19,7 +19,6 @@ import (
 	"repro/fivm"
 	"repro/fivm/client"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // Config builds a Router.
@@ -276,24 +275,48 @@ func (sh *shardRef) observeStats(ctx context.Context) {
 	sh.applied.Store(app)
 }
 
+// subBatch is one shard's share of a client batch: its POST
+// /v1/update body, built once so every retry resends identical bytes,
+// and the number of updates in it.
+type subBatch struct {
+	body []byte
+	n    int
+}
+
 // subBatches partitions one decoded client batch into per-shard
 // sub-batches: anchor updates go to their owning shard (owners[i] >= 0),
 // every other relation's updates broadcast to all shards (owners[i] <
-// 0). Forwarding the raw wire updates keeps numbers lossless
-// (json.Number round-trips verbatim).
-func (rt *Router) subBatches(raws []serve.UpdateJSON, owners []int) [][]client.Update {
-	groups := make([][]client.Update, len(rt.shards))
-	for i, u := range raws {
-		cu := client.Update{Rel: u.Rel, Tuple: u.Tuple, Mult: u.Mult}
-		if owners[i] >= 0 {
-			groups[owners[i]] = append(groups[owners[i]], cu)
+// 0). raws are the client's update objects as it wrote them; a
+// sub-batch body is {"updates":[ + its objects, in order, joined by
+// commas + ]}, so the shard decodes exactly what the client sent and
+// nothing is re-encoded.
+func (rt *Router) subBatches(raws [][]byte, owners []int) []subBatch {
+	out := make([]subBatch, len(rt.shards))
+	add := func(s int, raw []byte) {
+		sb := &out[s]
+		if sb.n == 0 {
+			sb.body = append(sb.body, `{"updates":[`...)
 		} else {
-			for s := range groups {
-				groups[s] = append(groups[s], cu)
-			}
+			sb.body = append(sb.body, ',')
+		}
+		sb.body = append(sb.body, raw...)
+		sb.n++
+	}
+	for i, raw := range raws {
+		if owners[i] >= 0 {
+			add(owners[i], raw)
+			continue
+		}
+		for s := range out {
+			add(s, raw)
 		}
 	}
-	return groups
+	for s := range out {
+		if out[s].n > 0 {
+			out[s].body = append(out[s].body, "]}"...)
+		}
+	}
+	return out
 }
 
 // shardError classifies one shard's write failure for the aggregate
@@ -317,16 +340,16 @@ type shardError struct {
 // advance on per-shard success even when the batch fails elsewhere:
 // those updates ARE durably applied, so subsequent merged reads must
 // cover them.
-func (rt *Router) fanOutWrite(ctx context.Context, batchID string, groups [][]client.Update) (perShard map[string]int, deduped int, failed []shardError) {
+func (rt *Router) fanOutWrite(ctx context.Context, batchID string, groups []subBatch) (perShard map[string]int, deduped int, failed []shardError) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	perShard = make(map[string]int)
 	for i, g := range groups {
-		if len(g) == 0 {
+		if g.n == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(sh *shardRef, g []client.Update) {
+		go func(sh *shardRef, g subBatch) {
 			defer wg.Done()
 			res := rt.writeShard(ctx, sh, batchID, g)
 			mu.Lock()
@@ -336,7 +359,7 @@ func (rt *Router) fanOutWrite(ctx context.Context, batchID string, groups [][]cl
 				return
 			}
 			deduped += res.deduped
-			perShard[fmt.Sprintf("%d", sh.id)] = len(g)
+			perShard[fmt.Sprintf("%d", sh.id)] = g.n
 		}(rt.shards[i], g)
 	}
 	wg.Wait()
@@ -360,7 +383,7 @@ type writeShardResult struct {
 // out, gated by the shard's circuit breaker. 429s are never retried
 // here — backpressure must reach the writing client, which owns the
 // end-to-end retry policy — and other 4xx/5xx rejections are terminal.
-func (rt *Router) writeShard(ctx context.Context, sh *shardRef, batchID string, g []client.Update) writeShardResult {
+func (rt *Router) writeShard(ctx context.Context, sh *shardRef, batchID string, g subBatch) writeShardResult {
 	res := writeShardResult{shardError: shardError{id: sh.id}}
 	budget := rt.cfg.RetryBudget
 	if budget < 0 {
@@ -385,11 +408,11 @@ func (rt *Router) writeShard(ctx context.Context, sh *shardRef, batchID string, 
 			return res
 		}
 		res.attempts++
-		ack, err := sh.cli.UpdateWithID(ctx, batchID, g, true)
+		ack, err := sh.cli.UpdateBody(ctx, batchID, g.body, true)
 		if err == nil {
 			sh.brk.onSuccess()
 			sh.up.Store(true)
-			fresh := len(g) - ack.Deduped
+			fresh := g.n - ack.Deduped
 			if fresh < 0 {
 				fresh = 0
 			}

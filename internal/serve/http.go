@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/fivm"
 	"repro/internal/value"
-	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -118,51 +116,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// UpdateJSON is the wire form of one tuple update in a POST /v1/update
-// body. Mult defaults to 1 (insert) when omitted; negative deletes.
-type UpdateJSON struct {
-	Rel   string `json:"rel"`
-	Tuple []any  `json:"tuple"`
-	Mult  *int   `json:"mult,omitempty"`
-}
-
-type updateRequest struct {
-	Updates []UpdateJSON `json:"updates"`
-}
-
-// DecodeUpdates parses a v1 update request body, returning both the
-// raw wire updates (numbers preserved as json.Number, so re-encoding a
-// sub-batch is lossless) and their typed form. Exported for the cluster
-// router, which decodes once, partitions by join key, and forwards
-// per-shard sub-batches.
-func DecodeUpdates(r io.Reader) ([]UpdateJSON, []view.Update, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	var req updateRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("decoding body: %w", err)
-	}
-	ups := make([]view.Update, 0, len(req.Updates))
-	for i, u := range req.Updates {
-		tuple := make(value.Tuple, len(u.Tuple))
-		for j, f := range u.Tuple {
-			v, err := ValueFromJSON(f)
-			if err != nil {
-				return nil, nil, fmt.Errorf("updates[%d].tuple[%d]: %w", i, j, err)
-			}
-			tuple[j] = v
-		}
-		mult := 1
-		if u.Mult != nil {
-			mult = *u.Mult
-		}
-		ups = append(ups, view.Update{Rel: u.Rel, Tuple: tuple, Mult: mult})
-	}
-	return req.Updates, ups, nil
-}
-
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	_, ups, err := DecodeUpdates(r.Body)
+	_, ups, err := DecodeRequest(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
@@ -349,29 +304,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleViewTree(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, s.ViewTree())
-}
-
-// ValueFromJSON converts a decoded JSON scalar (with json.Number
-// preserved) to a typed value. Exported for programmatic clients of the
-// wire protocol (the cluster router).
-func ValueFromJSON(v any) (value.Value, error) {
-	switch x := v.(type) {
-	case nil:
-		return value.Null(), nil
-	case json.Number:
-		if i, err := strconv.ParseInt(string(x), 10, 64); err == nil {
-			return value.Int(i), nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return value.Value{}, fmt.Errorf("bad number %q", x)
-		}
-		return value.Float(f), nil
-	case string:
-		return value.String(x), nil
-	default:
-		return value.Value{}, fmt.Errorf("unsupported JSON value %v (want number, string, or null)", v)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, body any) {

@@ -66,7 +66,6 @@ func main() {
 	features := flag.String("features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)
 	attrs := flag.String("attrs", "", `covar aggregate attributes, e.g. "A,B,C"`)
 	label := flag.String("label", "", "ridge label attribute for analysis engines")
-	workers := flag.Int("workers", 0, "per-worker parallel delta-propagation workers (forwarded in -spawn mode)")
 	walDir := flag.String("wal", "", "-spawn mode: durability root; worker i logs under DIR/shard-i")
 	fsyncPolicy := flag.String("fsync", string(wal.PolicyInterval), "-spawn mode: worker WAL fsync policy: always|interval|off")
 	highWatermark := flag.Int("high-watermark", 0, "-spawn mode: worker ingest shed watermark (0 = channel capacity)")
@@ -93,7 +92,6 @@ func main() {
 		Features:           *features,
 		Attrs:              *attrs,
 		Label:              *label,
-		Workers:            *workers,
 		WALDir:             *walDir,
 		FsyncPolicy:        *fsyncPolicy,
 		FsyncInterval:      100 * time.Millisecond,
@@ -203,7 +201,7 @@ func spawnWorkers(n, portBase int, walDir string) (urls []string, children []*ex
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "engine", "query", "relations", "features", "attrs", "label",
-			"workers", "fsync", "high-watermark", "dedup-cap", "checkpoint-interval":
+			"fsync", "high-watermark", "dedup-cap", "checkpoint-interval":
 			common = append(common, "-"+f.Name, f.Value.String())
 		}
 	})

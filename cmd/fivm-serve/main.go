@@ -35,11 +35,6 @@
 // bound what a power loss can take. Pair one WAL directory with one
 // engine configuration (the snapshot codec tag rejects a mismatch).
 //
-// -workers enables parallel delta propagation: each applied batch is
-// hash-partitioned by join key and propagated across that many
-// goroutines (-1 selects GOMAXPROCS), producing views identical to the
-// sequential path's.
-//
 // All configuration is validated before any data is generated or
 // loaded: a bad flag combination prints one error to stderr and exits
 // with status 2. The daemon itself lives in internal/daemon;
@@ -82,7 +77,6 @@ func main() {
 	flag.IntVar(&o.ChannelCap, "chan-cap", 256, "per-relation ingest channel capacity")
 	flag.IntVar(&o.HighWatermark, "high-watermark", 0, "ingest queue depth at which /v1/update sheds with 429 (0 = chan-cap)")
 	flag.IntVar(&o.DedupCap, "dedup-cap", 0, "idempotency dedup table capacity in recently seen batch groups (0 = 8192)")
-	flag.IntVar(&o.Workers, "workers", 0, "parallel delta-propagation workers (0 sequential, -1 = GOMAXPROCS, n >= 2 = n workers)")
 	flag.BoolVar(&o.Trace, "trace", false, "log one structured line per batch and per snapshot publish")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()

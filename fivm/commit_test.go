@@ -138,26 +138,6 @@ func compareIndexes(t *testing.T, base, other map[string]map[string]string, ctx 
 	return n
 }
 
-// forceParallel drops the view layer's batch-size threshold to 1 so the
-// test's modest batches exercise the parallel path.
-func forceParallel(t *testing.T, e fivm.AnyEngine, workers int) {
-	t.Helper()
-	switch x := e.(type) {
-	case *fivm.Analysis:
-		x.Tree().SetParallelism(workers, 1)
-	case *fivm.CountEngine:
-		x.Tree().SetParallelism(workers, 1)
-	case *fivm.FloatEngine:
-		x.Tree().SetParallelism(workers, 1)
-	case *fivm.CovarEngine:
-		x.Tree().SetParallelism(workers, 1)
-	case *fivm.JoinEngine:
-		x.Tree().SetParallelism(workers, 1)
-	default:
-		t.Fatalf("unknown engine type %T", e)
-	}
-}
-
 func equivRelations() []fivm.RelationSpec {
 	return []fivm.RelationSpec{
 		{Name: "R", Attrs: []string{"A", "B"}},
@@ -166,14 +146,12 @@ func equivRelations() []fivm.RelationSpec {
 	}
 }
 
-// equivStreamDomain builds a mixed insert/delete stream over the
-// relations with integer values in [0, domain) (so every float sum is
-// exact and "identical" means bit-identical). Deletes target live
-// tuples, so payloads cancel to zero mid-stream. The domain bounds the
-// distinct-tuple space: tests that must push coalesced per-relation
-// deltas past DefaultParallelThreshold need a domain whose tuple space
-// clears it (domain² distinct tuples per relation).
-func equivStreamDomain(rnd *rand.Rand, n, domain int) []view.Update {
+// equivStream builds a mixed insert/delete stream over the relations
+// with integer values in [0, domain) (so every float sum is exact and
+// "identical" means bit-identical). Deletes target live tuples, so
+// payloads cancel to zero mid-stream. The domain bounds the
+// distinct-tuple space (domain² distinct tuples per relation).
+func equivStream(rnd *rand.Rand, n, domain int) []view.Update {
 	rels := equivRelations()
 	live := map[string][]value.Tuple{}
 	var ups []view.Update
@@ -193,24 +171,6 @@ func equivStreamDomain(rnd *rand.Rand, n, domain int) []view.Update {
 		live[r.Name] = append(live[r.Name], tp)
 	}
 	return ups
-}
-
-// equivStream is equivStreamDomain over the dense 5-value domain most
-// equivalence tests use.
-func equivStream(rnd *rand.Rand, n int) []view.Update {
-	return equivStreamDomain(rnd, n, 5)
-}
-
-// setWorkers configures worker count with the DEFAULT batch-size
-// threshold (view.DefaultParallelThreshold), unlike forceParallel,
-// so small batches stay sequential and only large ones fan out.
-func setWorkers(t *testing.T, e fivm.AnyEngine, workers int) {
-	t.Helper()
-	s, ok := e.(interface{ SetParallelism(int) })
-	if !ok {
-		t.Fatalf("engine %T does not expose SetParallelism", e)
-	}
-	s.SetParallelism(workers)
 }
 
 // equivConfigs is one workload per engine kind over equivRelations,
@@ -255,27 +215,17 @@ func equivConfigs() map[string]fivm.Config {
 	}
 }
 
-// TestParallelEquivalenceAllKinds is the correctness anchor of the
-// commit path, parallel and in place: for every engine kind, engines at
-// worker counts {0 (untouched default), 1, 2, 4, 8} AND a reference
-// engine whose tree commits with the pure ring Add (no Scratch, no FMA:
-// the ownership rule cannot matter there) are driven through the same
-// randomized mixed insert/delete stream and must hold bit-identical
-// views, sources, results, index postings and published models after
-// every batch — then through a drain of every live tuple down to the
-// empty database and a reload. Batch sizes straddle
-// view.DefaultParallelThreshold (128), so each configured engine keeps
-// crossing between the sequential and parallel commit paths mid-stream.
-func TestParallelEquivalenceAllKinds(t *testing.T) {
-	// Workers 0 = engine exactly as Open returned it (the baseline the
-	// others must match); the rest route large batches through 1, 2, 4,
-	// or 8 commit workers at the default threshold; -1 marks the
-	// pure-Add reference.
-	workerCounts := []int{0, 1, 2, 4, 8, -1}
-	// The cycle mixes batches well below and well above the 128-tuple
-	// threshold: a 1200-update batch leaves ~400 coalesced tuples per
-	// relation (domain 30 → 900-tuple space per relation clears it),
-	// while 90- and 64-update batches stay sequential on every engine.
+// TestCommitEquivalenceAllKinds is the correctness anchor of the
+// in-place commit: for every engine kind, the engine exactly as Open
+// returns it and a reference engine whose tree commits with the pure
+// ring Add (no Scratch, no FMA: the ownership rule cannot matter there)
+// are driven through the same randomized mixed insert/delete stream and
+// must hold bit-identical views, sources, results, index postings and
+// published models after every batch — then through a drain of every
+// live tuple down to the empty database and a reload.
+func TestCommitEquivalenceAllKinds(t *testing.T) {
+	// The cycle mixes small batches with ones that leave ~400 coalesced
+	// tuples per relation (domain 30 → a 900-tuple space per relation).
 	batchSizes := []int{90, 1200, 130, 64, 700, 96, 400}
 	for name, cfg := range equivConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -283,8 +233,8 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 			if kind == "" {
 				kind = fivm.Kind(name)
 			}
-			engines := make([]fivm.AnyEngine, len(workerCounts))
-			for i, w := range workerCounts {
+			engines := make([]fivm.AnyEngine, 2) // the default, then the pure-Add reference
+			for i := range engines {
 				e, err := fivm.Open(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -292,14 +242,10 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 				if got := e.Kind(); got != kind {
 					t.Fatalf("Open built a %s engine, want %s", got, kind)
 				}
-				if w > 0 {
-					setWorkers(t, e, w)
-				} else if w < 0 {
-					if err := fivm.CommitWithPureAdd(e); err != nil {
-						t.Fatal(err)
-					}
-				}
 				engines[i] = e
+			}
+			if err := fivm.CommitWithPureAdd(engines[1]); err != nil {
+				t.Fatal(err)
 			}
 
 			rnd := rand.New(rand.NewSource(99))
@@ -329,36 +275,31 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 
 			comparedIndexes := 0
 			models := make([]fivm.Model, len(engines))
-			// step applies one batch everywhere and compares everything
-			// against engines[0], models included (each engine's publish
+			// step applies one batch to both engines and compares
+			// everything, models included (each engine's publish
 			// warm-starts from its own previous model).
 			step := func(ctx string, batch []view.Update) {
 				t.Helper()
-				var base, baseModel string
-				var baseIx map[string]map[string]string
+				var states, rendered [2]string
+				var ixs [2]map[string]map[string]string
 				for i, e := range engines {
 					if err := e.Apply(batch); err != nil {
 						t.Fatal(err)
 					}
 					models[i] = e.PublishModel(models[i])
-					model := modelJSON(models[i])
-					state, ix := snapshotState(t, e), snapshotIndexes(t, e)
-					if i == 0 {
-						base, baseIx, baseModel = state, ix, model
-						continue
-					}
-					who := fmt.Sprintf("%s, workers %d", ctx, workerCounts[i])
-					if state != base {
-						t.Fatalf("state diverged (%s):\nbaseline:\n%s\nvs:\n%s", who, base, state)
-					}
-					if model != baseModel {
-						t.Fatalf("published models diverged (%s):\n%s\nvs\n%s", who, baseModel, model)
-					}
-					comparedIndexes += compareIndexes(t, baseIx, ix, who)
+					rendered[i] = modelJSON(models[i])
+					states[i], ixs[i] = snapshotState(t, e), snapshotIndexes(t, e)
 				}
+				if states[0] != states[1] {
+					t.Fatalf("state diverged from the pure-Add reference (%s):\nin place:\n%s\npure:\n%s", ctx, states[0], states[1])
+				}
+				if rendered[0] != rendered[1] {
+					t.Fatalf("published models diverged from the pure-Add reference (%s):\n%s\nvs\n%s", ctx, rendered[0], rendered[1])
+				}
+				comparedIndexes += compareIndexes(t, ixs[0], ixs[1], ctx)
 			}
 
-			ups := equivStreamDomain(rnd, 2800, 30)
+			ups := equivStream(rnd, 2800, 30)
 			start, bi := 0, 0
 			for start < len(ups) {
 				end := min(start+batchSizes[bi%len(batchSizes)], len(ups))
@@ -404,84 +345,11 @@ func TestParallelEquivalenceAllKinds(t *testing.T) {
 	}
 }
 
-// TestOpenWorkers: Config.Workers wires through Open into the view
-// tree; 0 leaves the sequential default.
-func TestOpenWorkers(t *testing.T) {
-	mk := func(workers int) *fivm.CountEngine {
-		eng, err := fivm.Open(fivm.Config{
-			Relations: equivRelations(),
-			Query:     "SELECT SUM(1) FROM R NATURAL JOIN S NATURAL JOIN T",
-			Workers:   workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng.(*fivm.CountEngine)
-	}
-	if w, _ := mk(0).Tree().Parallelism(); w != 1 {
-		t.Fatalf("Workers 0: tree has %d workers, want sequential", w)
-	}
-	if w, _ := mk(4).Tree().Parallelism(); w != 4 {
-		t.Fatalf("Workers 4: tree has %d workers", w)
-	}
-	if w, _ := mk(-1).Tree().Parallelism(); w < 1 {
-		t.Fatalf("Workers -1 (GOMAXPROCS): tree has %d workers", w)
-	}
-	// SetParallelism(1) restores the sequential path on a live engine.
-	e := mk(8)
-	e.SetParallelism(1)
-	if w, _ := e.Tree().Parallelism(); w != 1 {
-		t.Fatalf("SetParallelism(1): tree has %d workers", w)
-	}
-}
-
-// TestParallelEquivalenceCategorical drives the relational-ring payloads
-// (categorical one-hot tensors) through the parallel path with a larger
-// worker count than GOMAXPROCS, checking the pool degrades gracefully.
-func TestParallelEquivalenceCategorical(t *testing.T) {
-	cfg := fivm.Config{
-		Relations: equivRelations(),
-		Features: []fivm.FeatureSpec{
-			{Attr: "A", Categorical: true},
-			{Attr: "C", Categorical: true},
-			{Attr: "D", BinWidth: 2},
-		},
-	}
-	seq, err := fivm.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := fivm.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forceParallel(t, par, 16)
-	rnd := rand.New(rand.NewSource(3))
-	ups := equivStream(rnd, 400)
-	if err := seq.Apply(ups); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Apply(ups); err != nil {
-		t.Fatal(err)
-	}
-	if s, p := snapshotState(t, seq), snapshotState(t, par); s != p {
-		t.Fatalf("categorical state diverged:\n%s\nvs\n%s", s, p)
-	}
-	// The relational payloads must still compare equal structurally.
-	sp := seq.(*fivm.Analysis).Payload()
-	pp := par.(*fivm.Analysis).Payload()
-	if !sp.Equal(pp) {
-		t.Fatal("RelCovar payloads differ structurally")
-	}
-}
-
-// TestParallelLiftsOfUnseenCategories: propagate workers lifting
-// category values nobody has seen before intern them concurrently
-// (ring's category dictionary; run under -race). The parallel engine
-// must match a sequential one after every batch, and the ids must be
-// stable afterwards: a fresh engine fed the same stream later, when
+// TestLiftsOfUnseenCategories: lifting category values nobody has seen
+// before interns them in ring's category dictionary, and the ids must
+// be stable afterwards: a fresh engine fed the same stream later, when
 // every value is already known, arrives at an equal payload.
-func TestParallelLiftsOfUnseenCategories(t *testing.T) {
+func TestLiftsOfUnseenCategories(t *testing.T) {
 	cfg := fivm.Config{
 		Relations: equivRelations(),
 		Features: []fivm.FeatureSpec{
@@ -490,17 +358,13 @@ func TestParallelLiftsOfUnseenCategories(t *testing.T) {
 			{Attr: "D", Categorical: true},
 		},
 	}
-	open := func(workers int) *fivm.Analysis {
+	open := func() *fivm.Analysis {
 		e, err := fivm.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if workers > 0 {
-			forceParallel(t, e, workers)
-		}
 		return e.(*fivm.Analysis)
 	}
-	seq, par := open(0), open(4)
 	var batches [][]view.Update
 	for b := 0; b < 4; b++ {
 		var ups []view.Update
@@ -517,29 +381,18 @@ func TestParallelLiftsOfUnseenCategories(t *testing.T) {
 		}
 		batches = append(batches, ups)
 	}
-	for b, ups := range batches {
-		for _, e := range []*fivm.Analysis{seq, par} {
+	first, late := open(), open()
+	for _, e := range []*fivm.Analysis{first, late} {
+		for _, ups := range batches {
 			if err := e.Apply(ups); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !seq.Payload().Equal(par.Payload()) {
-			t.Fatalf("batch %d: parallel payload differs from sequential", b)
-		}
-		if s, p := snapshotState(t, seq), snapshotState(t, par); s != p {
-			t.Fatalf("batch %d: state diverged:\n%s\nvs\n%s", b, s, p)
-		}
 	}
-	if seq.Payload() == nil {
+	if first.Payload() == nil {
 		t.Fatal("the stream joined nothing")
 	}
-	late := open(4)
-	for _, ups := range batches {
-		if err := late.Apply(ups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !late.Payload().Equal(par.Payload()) {
+	if !late.Payload().Equal(first.Payload()) {
 		t.Fatal("an engine fed the same stream later disagrees: category ids moved")
 	}
 }

@@ -15,7 +15,7 @@
 //   - Engine[V] is the generic core behind it: a view tree over one
 //     ring plus the shared lifecycle (Init, InitWeighted, Apply,
 //     BuildDelta/ApplyBuilt, CloneView, Stats, WriteSnapshot/
-//     ReadSnapshot, PublishModel, SetParallelism). Five thin
+//     ReadSnapshot, PublishModel). Five thin
 //     instantiations add typed accessors, reached by type assertion:
 //     Analysis (generalized COVAR / MI / ridge / Chow-Liu over mixed
 //     features), CountEngine and FloatEngine (SUM aggregates parsed
@@ -35,15 +35,13 @@
 //     join yields the ring zero); typed accessors that derive
 //     structure from the payload (Covar, Sigma, Ridge, MI, a Model's
 //     ResultJSON) return a descriptive error on the empty join.
-//   - An Engine is single-writer. Two deliberate exceptions support
-//     the serving layer: BuildDelta reads only immutable tree
-//     metadata and may run concurrently with maintenance, and every
-//     published Model is an isolated deep copy. Config.Workers enables
-//     hash-partitioned parallel delta propagation INSIDE one
-//     ApplyBuilt call — the views it produces are identical to the
-//     sequential path's, and the single-writer contract is unchanged.
+//   - An Engine is single-writer, and maintenance starts no goroutines
+//     of its own: more cores serve more shards (internal/cluster). Two
+//     deliberate exceptions support the serving layer: BuildDelta
+//     reads only immutable tree metadata and may run concurrently with
+//     maintenance, and every published Model is an isolated deep copy.
 //   - Maintenance scratch lives on the engine (its view tree): delta
-//     buffers, propagation-steps and partition slots, and cached ±1
+//     buffers, propagation steps, and cached ±1
 //     payloads are recycled across Apply/ApplyBuilt calls under the
 //     single-writer contract, which is why the steady-state hot path
 //     allocates little (pinned by alloc_test.go; see docs/PERF.md). A

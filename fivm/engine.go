@@ -126,17 +126,6 @@ func (e *Engine[V]) InitWeighted(data map[string]*relation.Map[V]) error {
 // (Mult > 0 inserts, < 0 deletes).
 func (e *Engine[V]) Apply(ups []view.Update) error { return e.tree.ApplyUpdates(ups) }
 
-// SetParallelism configures parallel delta propagation: batches are
-// hash-partitioned by join key and propagated on `workers` goroutines
-// (see view.Tree.SetParallelism). workers <= 0 selects GOMAXPROCS;
-// workers == 1 restores the sequential path. Small deltas (below
-// view.DefaultParallelThreshold tuples) stay sequential either way.
-// The engine remains single-writer: do not call this concurrently with
-// maintenance.
-func (e *Engine[V]) SetParallelism(workers int) {
-	e.tree.SetParallelism(workers, 0)
-}
-
 // BuildDelta builds a delta relation for rel from tuple-level updates,
 // behind the type-erased Delta for ring-agnostic callers like the
 // serving layer. It only reads immutable tree metadata, so an ingestion
@@ -151,11 +140,7 @@ func (e *Engine[V]) BuildDelta(rel string, ups []view.Update) (Delta, error) {
 // from BuildDelta of the same engine configuration, or a
 // *relation.Map[V] over rel's schema — in time proportional to the
 // delta: propagation probes the view tree's persistent join-key indexes
-// rather than scanning sibling views (see docs/ARCHITECTURE.md). With
-// SetParallelism configured, deltas above the view layer's threshold
-// propagate hash-partitioned across a worker pool; the maintained views
-// are the sequential path's (bit-identical whenever ring addition is
-// exact — see view.Tree.SetParallelism for the float rounding caveat).
+// rather than scanning sibling views (see docs/ARCHITECTURE.md).
 func (e *Engine[V]) ApplyBuilt(rel string, d Delta) error {
 	m, ok := d.(*relation.Map[V])
 	if !ok {
@@ -264,11 +249,11 @@ func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	return e.merged, nil
 }
 
-// PartitionKey returns the attribute positions relation rel's updates
-// hash-partition on — the join key the engine's internal parallelism
-// uses, exported so a cluster shard map routes updates identically
-// (owner = relation.HashTuple(tuple, keyIdx, nil) % shards). ok is
-// false when rel is not an input relation.
+// PartitionKey returns the attribute positions a cluster shard map
+// routes relation rel's updates by — rel's join key, so tuples that
+// join the same way land on one shard (owner =
+// cluster.HashTuple(tuple, keyIdx, nil) % shards). ok is false when rel
+// is not an input relation.
 func (e *Engine[V]) PartitionKey(rel string) ([]int, bool) {
 	return e.tree.PartitionKey(rel)
 }

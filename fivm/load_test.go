@@ -12,8 +12,7 @@ import (
 // TestLoadIsADelta pins the bulk load to the maintenance path it is
 // defined by: for every engine kind, Init(data) must leave exactly the
 // state a fresh engine reaches when handed the same relations as one
-// Apply per relation — whichever order they arrive in, and whether the
-// load's deltas run sequentially or partitioned — with consistent
+// Apply per relation — whichever order they arrive in — with consistent
 // indexes, equal published models, and maintenance counters that still
 // read zero (a load is not an update).
 func TestLoadIsADelta(t *testing.T) {
@@ -52,27 +51,22 @@ func TestLoadIsADelta(t *testing.T) {
 			if got := snapshotState(t, desc); got != want {
 				t.Fatalf("descending per-relation deltas differ from ascending:\n%s\nvs\n%s", got, want)
 			}
-			for _, workers := range []int{0, 4} {
-				e := open()
-				if workers > 0 {
-					forceParallel(t, e, workers)
-				}
-				if err := e.Init(data); err != nil {
-					t.Fatal(err)
-				}
-				if got := snapshotState(t, e); got != want {
-					t.Fatalf("workers=%d: Init differs from one Apply per relation:\n%s\nvs\n%s", workers, got, want)
-				}
-				if st := e.Stats(); st != (view.Stats{}) {
-					t.Fatalf("workers=%d: Stats after Init = %+v, want zero", workers, st)
-				}
-				if got := modelJSON(e.PublishModel(nil)); got != wantModel {
-					t.Fatalf("workers=%d: published model %s, want %s", workers, got, wantModel)
-				}
-				// snapshotIndexes runs VerifyIndexes on every map; the
-				// postings built on both sides must agree too.
-				compareIndexes(t, snapshotIndexes(t, asc), snapshotIndexes(t, e), "Init vs Apply")
+			e := open()
+			if err := e.Init(data); err != nil {
+				t.Fatal(err)
 			}
+			if got := snapshotState(t, e); got != want {
+				t.Fatalf("Init differs from one Apply per relation:\n%s\nvs\n%s", got, want)
+			}
+			if st := e.Stats(); st != (view.Stats{}) {
+				t.Fatalf("Stats after Init = %+v, want zero", st)
+			}
+			if got := modelJSON(e.PublishModel(nil)); got != wantModel {
+				t.Fatalf("published model %s, want %s", got, wantModel)
+			}
+			// snapshotIndexes runs VerifyIndexes on every map; the
+			// postings built on both sides must agree too.
+			compareIndexes(t, snapshotIndexes(t, asc), snapshotIndexes(t, e), "Init vs Apply")
 			snapshotIndexes(t, desc)
 		})
 	}

@@ -37,10 +37,6 @@ type AnyEngine interface {
 	BuildDelta(rel string, ups []view.Update) (Delta, error)
 	// ApplyBuilt applies a delta from BuildDelta.
 	ApplyBuilt(rel string, d Delta) error
-	// SetParallelism configures parallel delta propagation (workers <= 0
-	// selects GOMAXPROCS, 1 is sequential). Not safe concurrently with
-	// maintenance.
-	SetParallelism(workers int)
 	// PublishModel builds an immutable model of the current result,
 	// warm-starting from the previously published one (nil at first).
 	PublishModel(prev Model) Model
@@ -64,8 +60,8 @@ type AnyEngine interface {
 	// MergePartials publishes a Model ring-merged from per-shard
 	// partials written by WritePartial.
 	MergePartials(parts []io.Reader) (Model, error)
-	// PartitionKey returns the join-key positions rel's updates
-	// hash-partition on (see Engine.PartitionKey).
+	// PartitionKey returns the join-key positions a cluster shard map
+	// routes rel's updates by (see Engine.PartitionKey).
 	PartitionKey(rel string) ([]int, bool)
 }
 
@@ -96,22 +92,10 @@ type Config struct {
 	// Order optionally supplies a hand-built variable order; when nil
 	// one is derived with the greedy heuristic.
 	Order *vo.Order
-	// Workers enables parallel delta propagation: update batches are
-	// hash-partitioned by join key and propagated concurrently, with
-	// the per-partition delta views merged by the ring addition —
-	// producing the sequential path's views (bit-identical whenever
-	// ring addition is exact; see view.Tree.SetParallelism). 0 keeps
-	// the default sequential path, a negative value selects
-	// runtime.GOMAXPROCS(0), and n >= 2 runs n workers. (Note the
-	// zero-value asymmetry with Engine.SetParallelism, where 0 also
-	// selects GOMAXPROCS: a zero Config field must not silently turn
-	// on parallelism.) Batches below the view layer's threshold stay
-	// sequential.
-	Workers int
 }
 
-// fieldSet is a set of Config's kind-specific fields. Relations, Order
-// and Workers apply to every kind and are not in it.
+// fieldSet is a set of Config's kind-specific fields. Relations and
+// Order apply to every kind and are not in it.
 type fieldSet uint8
 
 const (
@@ -220,9 +204,6 @@ func Open(cfg Config) (AnyEngine, error) {
 	eng, err := spec.build(cfg, q)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Workers != 0 {
-		eng.SetParallelism(cfg.Workers)
 	}
 	return eng, nil
 }

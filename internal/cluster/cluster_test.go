@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -247,11 +248,53 @@ func TestClusterReadThroughHTTP(t *testing.T) {
 	}
 }
 
-// TestShardMapMatchesEnginePartition locks the shard map to the
-// engine-internal partition function: every anchor tuple's owner must
-// be stable and within range, and distributing a few hundred tuples
-// must touch every shard (FNV-1a spreads small int domains).
-func TestShardMapMatchesEnginePartition(t *testing.T) {
+// TestShardMapOwners pins the shard hash across commits: a shard's WAL
+// holds exactly the anchor tuples that hashed to it, so a changed hash
+// would silently break "shard i holds the tuples hashing to i" on every
+// recovered cluster. The table was recorded before the hash moved into
+// this package and must never change. Beyond it, every owner must be
+// stable and within range, a few hundred tuples must touch every shard
+// (FNV-1a spreads small int domains), and tuples agreeing on the
+// engine's join key must co-locate.
+func TestShardMapOwners(t *testing.T) {
+	for _, c := range []struct {
+		tup      value.Tuple
+		key      []int
+		of2, of4 int
+	}{
+		{value.T(0, 1), []int{0}, 0, 0},
+		{value.T(1, 1), []int{0}, 1, 3},
+		{value.T(2, 1), []int{0}, 0, 2},
+		{value.T(7, 1), []int{0}, 1, 1},
+		{value.T(42, 1), []int{0}, 0, 2},
+		{value.T(1000003, 1), []int{0}, 0, 2},
+		{value.T(-1, 1), []int{0}, 0, 0},
+		{value.T(-42, 1), []int{0}, 1, 3},
+		{value.T(int64(math.MinInt64), 1), []int{0}, 0, 0},
+		{value.T(int64(math.MaxInt64), 1), []int{0}, 0, 0},
+		{value.T(0.5, 1), []int{0}, 0, 2},
+		{value.T(-2.25, 1), []int{0}, 1, 3},
+		{value.T(3.0, 1), []int{0}, 1, 1},
+		{value.T(1e-9, 1), []int{0}, 0, 0},
+		{value.T("", 1), []int{0}, 0, 2},
+		{value.T("a", 1), []int{0}, 0, 0},
+		{value.T("store-17", 1), []int{0}, 0, 2},
+		{value.T("zürich", 1), []int{0}, 0, 2},
+		{value.T(5, 9), []int{1}, 1, 3},
+		{value.T(3, 4, 99), []int{0, 1}, 0, 0},
+		{value.T(4, 3, 99), []int{0, 1}, 0, 2},
+		{value.T("x", -7, 0.5), []int{0, 1}, 0, 0},
+		{value.T("x", -7, 0.5), []int{1, 0}, 0, 2},
+		{value.T(3, 4), []int{}, 0, 0},
+		{value.T("x", 2.5, -1), nil, 0, 2},
+	} {
+		got2 := cluster.NewShardMap(2, "R", c.key).Owner(c.tup)
+		got4 := cluster.NewShardMap(4, "R", c.key).Owner(c.tup)
+		if got2 != c.of2 || got4 != c.of4 {
+			t.Errorf("%v on key %v: owners %d of 2, %d of 4; recorded %d, %d", c.tup, c.key, got2, got4, c.of2, c.of4)
+		}
+	}
+
 	eng, err := fivm.Open(engineConfigs()["count"])
 	if err != nil {
 		t.Fatal(err)

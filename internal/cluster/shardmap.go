@@ -1,5 +1,5 @@
 // Package cluster is the multi-node serving layer: a shard map that
-// partitions the anchor relation by the engine's own join-key hash, and
+// partitions the anchor relation by a hash of the engine's join key, and
 // a stateless router that fans v1 API writes out to fivm-serve workers
 // and ring-merges their partial results on reads.
 //
@@ -24,17 +24,13 @@
 // every subsequent merged read.
 package cluster
 
-import (
-	"repro/internal/relation"
-	"repro/internal/value"
-)
+import "repro/internal/value"
 
-// ShardMap assigns anchor-relation tuples to shards using the SAME
-// partition function the engine applies internally
-// (relation.Map.Partition): FNV-1a over the tuple's encoded join-key
-// projection, modulo the shard count. An update's owning shard is
-// therefore computed identically to the engine's in-process
-// partitioning.
+// ShardMap assigns anchor-relation tuples to shards: FNV-1a over the
+// tuple's encoded join-key projection (HashTuple), modulo the shard
+// count. A shard's WAL holds exactly the anchor tuples that hashed to
+// it, so the hash is part of every durable cluster's state and must
+// never change (TestShardMapOwners pins it).
 type ShardMap struct {
 	shards int
 	anchor string
@@ -59,6 +55,35 @@ func (m *ShardMap) Anchor() string { return m.anchor }
 
 // Owner returns the shard owning an anchor-relation tuple.
 func (m *ShardMap) Owner(t value.Tuple) int {
-	h, _ := relation.HashTuple(t, m.keyIdx, nil)
+	h, _ := HashTuple(t, m.keyIdx, nil)
 	return int(h % uint64(m.shards))
+}
+
+// HashTuple returns the shard hash of t: FNV-1a over the tuple's
+// encoded projection onto keyIdx, or over the full encoded tuple when
+// keyIdx is empty. buf is optional scratch; the possibly-grown buffer is
+// returned for reuse.
+func HashTuple(t value.Tuple, keyIdx []int, buf []byte) (uint64, []byte) {
+	if len(keyIdx) == 0 {
+		buf = t.AppendEncode(buf[:0])
+	} else {
+		buf = t.AppendEncodeProject(buf[:0], keyIdx)
+	}
+	return fnv1a(buf), buf
+}
+
+// fnv1a hashes b with the 64-bit FNV-1a function. Inlined rather than
+// importing hash/fnv to keep the per-tuple routing cost at zero
+// allocations.
+func fnv1a(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= prime64
+	}
+	return h
 }

@@ -31,10 +31,10 @@ func raceEnabled() bool {
 	return false
 }
 
-// ratioGate and speedupSkip are copies of the verdicts in
-// fivm/scaling_test.go: num/den must lie in [lo, hi], and a side that
-// measured nothing fails; an n-way speedup is not measured below n
-// usable CPUs or under the race detector.
+// ratioGate is a copy of the verdict in fivm/scaling_test.go: num/den
+// must lie in [lo, hi], and a side that measured nothing fails.
+// speedupSkip: an n-way speedup is not measured below n usable CPUs or
+// under the race detector.
 func ratioGate(num, den time.Duration, lo, hi float64) (float64, error) {
 	if num <= 0 || den <= 0 {
 		return 0, fmt.Errorf("nothing measured (%v / %v)", num, den)
@@ -97,11 +97,11 @@ func wireTuple(t value.Tuple) []any {
 // least 1.5× as fast as through the same router in front of 1. Every
 // worker holds the broadcast dimension relations and an empty anchor,
 // so each update lands on exactly one shard and the two runs pay the
-// same HTTP and routing overhead per batch. The floor sits below the
-// parallel-commit test's 2× because every batch also pays the router's
-// decode/re-encode and one round trip per shard; what it catches is a
-// return to sequential fan-out or a shard map collapsing onto one
-// shard. It needs 4 CPUs and skips below that, and under -race.
+// same HTTP and routing overhead per batch. The floor allows for the
+// router's decode/re-encode and one round trip per shard that every
+// batch pays; what it catches is a return to sequential fan-out or a
+// shard map collapsing onto one shard. It needs 4 CPUs and skips below
+// that, and under -race.
 func TestClusterIngestSpeedup(t *testing.T) {
 	const (
 		shards     = 4

@@ -70,8 +70,6 @@ type Options struct {
 	// DedupCap bounds the idempotency dedup table (serve.Config.DedupCap;
 	// 0 = default).
 	DedupCap int
-	// Workers enables parallel delta propagation (-1 = GOMAXPROCS).
-	Workers int
 	// Trace logs one structured line per batch and snapshot publish.
 	Trace bool
 
@@ -121,12 +119,7 @@ func (o Options) Validate() error {
 // EngineConfig resolves the engine configuration and initial bulk-load
 // data from the options (see BuildEngineConfig).
 func (o Options) EngineConfig() (fivm.Config, map[string][]value.Tuple, error) {
-	cfg, data, err := BuildEngineConfig(o.DB, o.Rows, o.Load, o.Engine, o.Query, o.Relations, o.Features, o.Attrs, o.Label)
-	if err != nil {
-		return cfg, nil, err
-	}
-	cfg.Workers = o.Workers
-	return cfg, data, nil
+	return BuildEngineConfig(o.DB, o.Rows, o.Load, o.Engine, o.Query, o.Relations, o.Features, o.Attrs, o.Label)
 }
 
 // Run opens the engine, recovers durability state, and serves HTTP on

@@ -171,7 +171,8 @@ func TestMetricOpsAllocFree(t *testing.T) {
 
 // TestConcurrentMetricWrites hammers every metric kind from many
 // goroutines while a scraper renders — the -race contract for metric
-// writes during parallel propagation. Counter totals must be exact.
+// writes from batchers, the writer and HTTP handlers at once. Counter
+// totals must be exact.
 func TestConcurrentMetricWrites(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("c_total", "", "c")

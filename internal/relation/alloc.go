@@ -25,9 +25,8 @@ const (
 // NOT recycled: recycle only drops the entry's references to them, so
 // payload values shared with snapshots and clones are untouched.
 //
-// The arena is owned by its Map and inherits the map's write contract:
-// mutation is single-writer (under the per-map commit lock on the
-// parallel path), so the arena needs no synchronization of its own.
+// The arena is owned by its Map and inherits the map's single-writer
+// contract, so it needs no synchronization of its own.
 type arena[V any] struct {
 	slab []entry[V] // tail of the current chunk; entries are sliced off the front
 	free []*entry[V]

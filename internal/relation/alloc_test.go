@@ -97,47 +97,6 @@ func TestResetLeavesOnlyClearedEntries(t *testing.T) {
 	}
 }
 
-// TestArenaPartitionSlotsDoNotRecycleForeignEntries: a PartitionInto
-// destination aliases the source's entries, so resetting it must NOT
-// park them in the slot's own arena (that would hand the same entry out
-// from two maps).
-func TestArenaPartitionSlotsDoNotRecycleForeignEntries(t *testing.T) {
-	z := ring.Ints{}
-	m := New[int64](s("A", "B"))
-	for i := 0; i < 32; i++ {
-		m.Merge(z, value.T(int64(i), int64(i%4)), 1)
-	}
-	slots := make([]*Map[int64], 4)
-	parts := m.PartitionInto(slots, []int{0})
-	for _, p := range parts {
-		if !p.foreign {
-			t.Fatal("partition slot not marked foreign")
-		}
-	}
-	// Reset every slot (as the maintenance loop does after commit): no
-	// foreign entry may land in a slot arena, and the source must be
-	// untouched.
-	for _, p := range parts {
-		p.Reset()
-		if len(p.arena.free) != 0 {
-			t.Fatal("foreign map recycled entries it does not own")
-		}
-	}
-	if m.Len() != 32 {
-		t.Fatal("source map damaged by partition slot Reset")
-	}
-	for i := 0; i < 32; i++ {
-		if got, ok := m.Get(value.T(int64(i), int64(i%4))); !ok || got != 1 {
-			t.Fatalf("source entry %d corrupted after slot Reset: %d, %v", i, got, ok)
-		}
-	}
-	// The n==1 fast path aliases too.
-	one := m.PartitionInto(make([]*Map[int64], 1), []int{0})
-	if !one[0].foreign {
-		t.Fatal("single-slot partition not marked foreign")
-	}
-}
-
 // TestArenaIndexConsistencyUnderChurn hammers an indexed map with
 // inserts and annihilations (exercising postings recycling) and
 // verifies the index against the primary contents throughout.

@@ -10,18 +10,17 @@
 //     Merge, MergeAll, Join, and Aggregate all drop entries that
 //     cancel, so relations stay compact under delete-heavy streams and
 //     two relations holding the same content are structurally equal.
-//   - Payloads are shared, never copied, on Clone and Partition —
-//     sound because every entry that shares one is flagged and copies
-//     on write (see the ownership rules below).
-//   - A Map is not safe for concurrent mutation; concurrent reads
-//     (Join probes, Each) are fine, which parallel delta propagation
-//     relies on when workers join against shared sibling views.
+//   - Payloads are shared, never copied, on Clone — sound because every
+//     entry that shares one is flagged and copies on write (see the
+//     ownership rules below).
+//   - A Map is not safe for concurrent mutation; concurrent plain reads
+//     (Get, Each) are fine. A join probe is not a plain read: it builds
+//     the probed index on first use, so it belongs to the map's writer.
 //
 // Beyond storage, the package provides the relational algebra the view
 // tree is built from (hash Join, group-by Aggregate with lift
-// application), persistent secondary join-key indexes (AddIndex), and
-// Partition, the hash split by join key that feeds parallel delta
-// propagation. There is one join kernel, Step: for every matching pair
+// application) and persistent secondary join-key indexes (AddIndex).
+// There is one join kernel, Step: for every matching pair
 // it multiplies the payloads left-first, applies the plan's lift and
 // folds the product into the plan's group of the output — a join
 // (JoinProbeWith, every pair its own group) or, under a plan fused with
@@ -61,11 +60,7 @@
 //   - Entry structs are owned by their map too: Clone and MergeAll
 //     allocate fresh ones. That is what lets each map slab-allocate
 //     its entries from a per-map arena and recycle them on
-//     annihilation and Reset (alloc.go) — the only aliasing exception,
-//     PartitionInto slots, is tracked by a foreign flag that disables
-//     recycling there. Slots are read-only inputs of propagation and
-//     never merge targets, so sharing the delta's entries (flags
-//     included) is sound.
+//     annihilation and Reset (alloc.go).
 //   - Step and Aggregate OWN their output maps while building them —
 //     empty on entry, whether freshly allocated or a caller's recycled
 //     buffer — and fold only into payloads they created there in this
@@ -73,9 +68,7 @@
 //     path uses): a group's first product is a fresh Mul result, so
 //     nothing Step folds into is reachable from an operand. Aggregate
 //     writes one thing outside its output: the shared flag of an input
-//     entry whose payload it stores unlifted; an input is aggregated
-//     by one goroutine at a time (delta partitions are
-//     entry-disjoint).
+//     entry whose payload it stores unlifted.
 //   - Keys encode into reused scratch buffers (Tuple.AppendEncode*);
 //     maps are probed with string(buf), which Go compiles without a
 //     copy, and the key string plus output tuple only materialize when
@@ -83,8 +76,7 @@
 //
 // Scratch reuse: Reset clears a relation while keeping its allocated
 // capacity (per-engine delta buffers, the view tree's per-node step
-// outputs), and PartitionInto refills caller-provided partition slots —
-// both exist so steady-state maintenance re-walks warm memory instead
+// outputs), so steady-state maintenance re-walks warm memory instead
 // of reallocating it. Capacity is also what a recycled map costs: Reset
 // and iteration are O(table), so an owner sizes what it keeps (NewSized)
 // to the work it expects, not to the largest it has seen.
@@ -94,7 +86,6 @@
 // payload behind them is updated; only entry insertion and
 // annihilation touch them, on the same single-writer paths that
 // mutate the primary map. Indexes build lazily on first
-// probe (a sync.Once makes that safe from concurrent reading workers)
-// and an index never probed costs nothing. See index.go and
+// probe and an index never probed costs nothing. See index.go and
 // docs/ARCHITECTURE.md.
 package relation

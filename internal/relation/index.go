@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // index is one persistent secondary index over a Map: the map's live
@@ -20,25 +19,17 @@ import (
 // registered index that no delta source ever probes therefore costs
 // nothing — neither build time nor maintenance nor memory — which
 // matters because the view tree registers indexes for every possible
-// delta direction while most workloads update few relations. The first
-// probe may run on a concurrent propagate worker, so the build is
-// guarded by a sync.Once; mutation and probing are never concurrent:
-// propagation probes only OFF-path maps while commit mutates only
-// ON-path ones, and concurrent commit workers serialize their
-// mutations of one map — primary entries, postings, and position table
-// together — under that map's merge lock (view.Node.mu).
+// delta direction while most workloads update few relations. Building,
+// probing and maintaining an index all happen on the map's single
+// writer, like every other mutation of it.
 //
 // Indexes are what makes delta propagation O(|delta|): Step
 // looks join matches up here instead of scanning the whole relation
 // (see the join-key registration in view.Tree).
 type index[V any] struct {
 	proj []int
-	once sync.Once
-	// built flips true inside once. Mutators read it to skip unbuilt
-	// indexes; a build always happens on a map that is off-path for the
-	// delta being applied (probes read only off-path state), so it is
-	// ordered before any later mutation by the end of that ApplyDelta
-	// call (wg.Wait in the parallel path, program order otherwise).
+	// built flips true on the first probe; mutators skip unbuilt
+	// indexes.
 	built bool
 	data  map[string]*postings[V]
 	// pos maps each indexed entry to its postings list and slot, so
@@ -128,20 +119,18 @@ func (m *Map[V]) indexOn(proj []int) *index[V] {
 }
 
 // ensure materializes the index from m's current contents on first use.
-// Safe for concurrent probers (the Once serializes the build and blocks
-// late arrivals until it completes); must not race with mutation, which
-// the Map's single-writer contract rules out.
 func (ix *index[V]) ensure(m *Map[V]) {
-	ix.once.Do(func() {
-		ix.data = make(map[string]*postings[V], len(m.data))
-		ix.pos = make(map[*entry[V]]slot[V], len(m.data))
-		var kbuf []byte
-		for _, e := range m.data {
-			kbuf = e.tuple.AppendEncodeProject(kbuf[:0], ix.proj)
-			ix.add(kbuf, e)
-		}
-		ix.built = true
-	})
+	if ix.built {
+		return
+	}
+	ix.data = make(map[string]*postings[V], len(m.data))
+	ix.pos = make(map[*entry[V]]slot[V], len(m.data))
+	var kbuf []byte
+	for _, e := range m.data {
+		kbuf = e.tuple.AppendEncodeProject(kbuf[:0], ix.proj)
+		ix.add(kbuf, e)
+	}
+	ix.built = true
 }
 
 // add appends entry e to the bucket of the encoded projected key and
@@ -159,10 +148,7 @@ func (ix *index[V]) add(key []byte, e *entry[V]) {
 }
 
 // lookup returns the postings for the encoded projected key, nil when
-// the key is unoccupied. Read-only: safe to call concurrently with
-// other readers (parallel propagate workers probe sibling-view indexes
-// concurrently), but not with mutation — the Map's usual single-writer
-// contract.
+// the key is unoccupied.
 func (ix *index[V]) lookup(key []byte) []*entry[V] {
 	if p, ok := ix.data[string(key)]; ok {
 		return p.entries

@@ -164,8 +164,7 @@ func JoinProbeWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *
 // smaller sibling. Both visit the same multiset of payload products in
 // the same left-first per-pair order, so results are bit-identical
 // whenever ring addition is exact (integer rings, float rings over
-// integer-valued data — the same scope as the parallel path's
-// guarantee, see view.Tree.SetParallelism); they iterate opposite
+// integer-valued data); they iterate opposite
 // sides, which can group a key's float64 additions differently in the
 // last bits on inexact data.
 func Step[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {

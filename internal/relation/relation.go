@@ -33,13 +33,6 @@ type Map[V any] struct {
 	// arena slab-allocates this map's entry structs and recycles
 	// annihilated ones (see alloc.go).
 	arena arena[V]
-	// foreign marks a map that holds entry structs owned by ANOTHER map
-	// (a PartitionInto destination slot aliases the source's entries).
-	// Reset on a foreign map only clears the container — recycling
-	// someone else's entries into this map's arena would hand the same
-	// entry out twice. The flag is sticky: once a map has aliased
-	// foreign entries it never recycles on Reset again.
-	foreign bool
 }
 
 type entry[V any] struct {
@@ -92,21 +85,14 @@ func (m *Map[V]) Schema() value.Schema { return m.schema }
 func (m *Map[V]) Len() int { return len(m.data) }
 
 // Reset removes every tuple while keeping the schema and the map's
-// allocated capacity, so scratch relations (per-engine delta buffers,
-// partition slots) can be refilled without reallocating. Payloads
-// handed out earlier (e.g. merged into another relation) are
-// unaffected, but the entry STRUCTS of a map that owns them are
-// recycled into the map's arena for the refill — so a map must not be
-// Reset while partitions of it are still in use (PartitionInto slots
-// alias the source's entries; the maintenance loop clears its slots
-// before the delta buffer is ever Reset). Foreign maps — partition
-// slots themselves — only clear the container. Registered indexes stay
-// registered and are emptied alongside the data.
+// allocated capacity, so scratch relations (per-engine delta buffers)
+// can be refilled without reallocating. Payloads handed out earlier
+// (e.g. merged into another relation) are unaffected, but the entry
+// STRUCTS are recycled into the map's arena for the refill. Registered
+// indexes stay registered and are emptied alongside the data.
 func (m *Map[V]) Reset() {
-	if !m.foreign {
-		for _, e := range m.data {
-			m.arena.recycle(e)
-		}
+	for _, e := range m.data {
+		m.arena.recycle(e)
 	}
 	clear(m.data)
 	m.resetIndexes()
@@ -195,8 +181,6 @@ func (m *Map[V]) mergeAll(r ring.Ring[V], other *Map[V], ceded bool) {
 			continue
 		}
 		if ex, ok := m.data[k]; !ok {
-			// Read other's flag only if ceded: an unceded delta's may be
-			// written meanwhile (Aggregate on a concurrent worker's partition).
 			ne := m.newEntry(e.tuple, e.payload, !ceded || e.shared)
 			m.data[k] = ne
 			m.indexInsert(ne)
@@ -254,6 +238,19 @@ func (m *Map[V]) Negate(r ring.Ring[V]) *Map[V] {
 		out.data[k] = out.newEntry(e.tuple, r.Neg(e.payload), true)
 	}
 	return out
+}
+
+// PartitionKey returns the positions of the attributes of key that occur
+// in m's schema — the projection a shard map hashes when it routes a
+// relation by a join key that may only partially overlap its schema.
+func (m *Map[V]) PartitionKey(key value.Schema) []int {
+	idx := make([]int, 0, key.Len())
+	for _, a := range key.Attrs() {
+		if j := m.schema.Index(a); j >= 0 {
+			idx = append(idx, j)
+		}
+	}
+	return idx
 }
 
 // Equal reports whether two relations over equal schemas hold the same

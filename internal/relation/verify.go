@@ -11,8 +11,7 @@ import (
 // entries grouped by their projected key, the O(1)-removal position
 // table must mirror the postings, and no empty bucket may linger. It is
 // a test/debug facility (O(entries × indexes)): the equivalence suites
-// call it after maintenance — in particular after concurrent
-// parallel-commit maintenance — to prove the indexes stayed consistent.
+// call it after maintenance to prove the indexes stayed consistent.
 // Unbuilt indexes are skipped (they have no state to check).
 func (m *Map[V]) VerifyIndexes() error {
 	for _, ix := range m.indexes {

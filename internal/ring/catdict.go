@@ -20,9 +20,9 @@ var errCatsExhausted = errors.New("ring: category dictionary is full (2^24 disti
 
 // catTable is the append-only intern table behind CatID: it assigns
 // ids in first-seen order and never forgets or renumbers one, so a
-// packed key stays valid for the life of the process. Lifts running on
-// parallel propagate workers, codecs and readers share it; lookups of
-// known values take the read lock only.
+// packed key stays valid for the life of the process. Codecs and
+// readers on other goroutines share it with the writer's lifts; lookups
+// of known values take the read lock only.
 type catTable struct {
 	mu    sync.RWMutex
 	ids   map[string]CatID

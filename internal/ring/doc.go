@@ -39,9 +39,8 @@
 //     representation slack that could distinguish equal sums (e.g.
 //     RelVal stores no explicit zero coefficients). The maintenance
 //     core merges partial aggregates in whatever grouping is
-//     convenient — including the per-partition merges of parallel
-//     delta propagation — and relies on every grouping producing the
-//     same value.
+//     convenient — including the per-shard partials a cluster router
+//     merges — and relies on every grouping producing the same value.
 //   - The ring zero is never stored in relations: IsZero gates every
 //     merge, keeping views compact under cancellation.
 //
@@ -65,8 +64,8 @@
 // CatIDs come from one append-only dictionary, package-level by design
 // (catdict.go): payloads meet by key across engines, decoded shard
 // partials and references, so equal values must carry equal ids
-// process-wide. It interns under an RWMutex — lifts on parallel
-// propagate workers and codecs call it concurrently — grows by one
+// process-wide. It interns under an RWMutex — codecs and readers share
+// it with the maintenance writer's lifts — grows by one
 // string per distinct category value ever lifted or decoded, never
 // shrinks or renumbers, and is full at 2^24 values: from then on
 // RelCovarCodec.Decode returns an error for an unseen value and a lift

@@ -7,12 +7,11 @@ import (
 	"repro/internal/value"
 )
 
-// The parallel delta propagation in internal/view merges per-partition
-// delta views with the ring addition, from multiple goroutines' outputs
-// in arbitrary partition order, while workers concurrently read shared
-// sibling payloads. That is only sound if every ring's Add is
-// associative and commutative and no ring operation mutates its
-// arguments. These property tests pin that contract for each ring; data
+// A cluster router (internal/cluster) merges the per-shard partial
+// results with the ring addition, in whatever order the shards answer,
+// and the view tree folds deltas into views in map-iteration order.
+// That is only sound if every ring's Add is associative and
+// commutative and no ring operation mutates its arguments. These property tests pin that contract for each ring; data
 // is integer-valued so float sums are exact and associativity holds
 // bit-for-bit, matching what the equivalence tests in view and fivm
 // rely on.

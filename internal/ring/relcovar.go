@@ -449,7 +449,7 @@ func (r RelCovarRing) lifted(idx int, key CatID, s, q float64) *RelCovar {
 // LiftContinuous returns g_X for a continuous attribute at index idx:
 // s_idx = {() -> x}, Q_idx,idx = {() -> x²}. x == 0 lifts to One: a
 // zero coefficient smuggled through Add's empty-side fast paths would
-// break associativity up to representation, which parallel partition
+// break associativity up to representation, which cross-shard partial
 // merges rely on.
 func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)

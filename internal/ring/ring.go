@@ -9,8 +9,8 @@ import "repro/internal/value"
 // concurrently on shared values; in-place accumulation lives behind
 // the optional Scratch and FMA extensions. Add must additionally be
 // associative and commutative — the maintenance core merges partial
-// aggregates in arbitrary groupings, including the per-partition merges
-// of parallel delta propagation.
+// aggregates in arbitrary groupings, including a cluster router's merge
+// of per-shard partials.
 type Ring[V any] interface {
 	// Zero returns the additive identity.
 	Zero() V

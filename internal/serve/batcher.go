@@ -14,12 +14,10 @@ import (
 // feed the delta build directly: BuildDelta merges same-tuple updates
 // under the ring addition as it goes (an insert and a delete of one
 // tuple cancel before any view work), so a separate view.Coalesce pass
-// over the batch would only coalesce the same data twice. The resulting
-// delta relation is exactly what the maintenance core partitions for
-// parallel propagation, so a shard's batch flows shard -> delta ->
-// partitions with no intermediate re-grouping. Building deltas here
-// only touches immutable tree metadata (fivm.AnyEngine.BuildDelta), so
-// batchers run concurrently with the writer.
+// over the batch would only coalesce the same data twice. Building
+// deltas here only touches immutable tree metadata
+// (fivm.AnyEngine.BuildDelta), so batchers run concurrently with the
+// writer.
 func (s *Server) runBatcher(sh *shard) {
 	defer s.batchers.Done()
 	for msg := range sh.ch {

@@ -18,11 +18,9 @@
 //   - A single writer goroutine applies delta batches to the engine
 //     and after each applied round publishes an immutable Snapshot (a
 //     deep fivm.Model clone + counters) through an atomic.Pointer.
-//     When the engine is configured with delta-propagation workers
-//     (fivm.Config.Workers), each applied batch is hash-partitioned by
-//     join key and propagated in parallel inside that single ApplyBuilt
-//     call — the pipeline stays single-writer; the parallelism lives
-//     below it.
+//     ApplyBuilt runs on that goroutine alone; more cores serve more
+//     shards behind a cluster router (internal/cluster), not one
+//     engine.
 //
 // Readers call Snapshot and work against that immutable value: Model
 // reads, Predict, and Stats never take a lock, never block behind

@@ -203,48 +203,42 @@ func updatesOf(rel string, tuples []value.Tuple, mult int) []Update {
 
 // TestRecycledBuffersMatchFreshMaps: alternating 500-tuple Inventory
 // deltas (inserts, later deletes of them) and two-tuple Weather replaces
-// on the shared upper nodes leave a recycling tree — sequential, and
-// partitioned four ways, where single-partition deltas fall back to the
-// buffers — bit-identical after every call to a tree whose buffers are
-// thrown away before each call, so every step fills a fresh map.
+// on the shared upper nodes leave a recycling tree bit-identical after
+// every call to a tree whose buffers are thrown away before each call,
+// so every step fills a fresh map.
 func TestRecycledBuffersMatchFreshMaps(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		recycled, fresh := starCovarTree(t), starCovarTree(t)
-		if parallel {
-			recycled.SetParallelism(4, 1)
+	recycled, fresh := starCovarTree(t), starCovarTree(t)
+	for _, tr := range []*Tree[*ring.Covar]{recycled, fresh} {
+		if err := tr.Init(starDims()); err != nil {
+			t.Fatal(err)
 		}
+	}
+	rnd := rand.New(rand.NewSource(5))
+	weather := starDims()["Weather"]
+	step := func(ctx string, ups []Update) {
+		t.Helper()
+		eachBuf(fresh, func(_ string, b *deltaBuf[*ring.Covar]) { *b = deltaBuf[*ring.Covar]{} })
 		for _, tr := range []*Tree[*ring.Covar]{recycled, fresh} {
-			if err := tr.Init(starDims()); err != nil {
+			if err := tr.ApplyUpdates(ups); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rnd := rand.New(rand.NewSource(5))
-		weather := starDims()["Weather"]
-		step := func(ctx string, ups []Update) {
-			t.Helper()
-			eachBuf(fresh, func(_ string, b *deltaBuf[*ring.Covar]) { *b = deltaBuf[*ring.Covar]{} })
-			for _, tr := range []*Tree[*ring.Covar]{recycled, fresh} {
-				if err := tr.ApplyUpdates(ups); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkBuffersReleased(t, recycled, ctx)
-			if got, want := treeState(recycled), treeState(fresh); got != want {
-				t.Fatalf("%s (parallel %v): the recycling tree diverged\nrecycled:\n%s\nfresh maps:\n%s", ctx, parallel, got, want)
-			}
+		checkBuffersReleased(t, recycled, ctx)
+		if got, want := treeState(recycled), treeState(fresh); got != want {
+			t.Fatalf("%s: the recycling tree diverged\nrecycled:\n%s\nfresh maps:\n%s", ctx, got, want)
 		}
-		for round := 0; round < 8; round++ {
-			step("inventory insert", updatesOf("Inventory", starFacts(round*500, 500), 1))
-			w := rnd.Intn(len(weather))
-			next := value.T(weather[w][0], weather[w][1], rnd.Intn(20))
-			step("weather replace", []Update{{Rel: "Weather", Tuple: weather[w], Mult: -1}, {Rel: "Weather", Tuple: next, Mult: 1}})
-			weather[w] = next
-			if round%2 == 1 {
-				step("inventory delete", updatesOf("Inventory", starFacts((round-1)*500, 500), -1))
-			}
-		}
-		verifyTreeIndexes(t, recycled, "recycled")
 	}
+	for round := 0; round < 8; round++ {
+		step("inventory insert", updatesOf("Inventory", starFacts(round*500, 500), 1))
+		w := rnd.Intn(len(weather))
+		next := value.T(weather[w][0], weather[w][1], rnd.Intn(20))
+		step("weather replace", []Update{{Rel: "Weather", Tuple: weather[w], Mult: -1}, {Rel: "Weather", Tuple: next, Mult: 1}})
+		weather[w] = next
+		if round%2 == 1 {
+			step("inventory delete", updatesOf("Inventory", starFacts((round-1)*500, 500), -1))
+		}
+	}
+	verifyTreeIndexes(t, recycled, "recycled")
 }
 
 // BenchmarkApplySingleAfterBulk is the per-call floor: single-tuple

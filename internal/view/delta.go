@@ -26,11 +26,7 @@ type Update struct {
 //
 // The work splits into a read-only propagation (compute the delta view
 // at every path node — see propagate) and a commit (merge those deltas
-// into the views with the ring addition). When SetParallelism has
-// enabled workers and the delta is large enough, both run
-// hash-partitioned across goroutines — each worker propagates its
-// partition and commits it under per-view merge locks; the resulting
-// views are identical either way.
+// into the views with the ring addition).
 func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 	src, ok := t.sources[name]
 	if !ok {
@@ -45,24 +41,15 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 }
 
 // apply is ApplyDelta past validation and accounting, shared with the
-// bulk load: it picks the sequential or the parallel body from the
-// delta's size and returns the number of delta tuples merged.
+// bulk load: propagate the delta into the recycled step buffers, merge
+// it into its source, commit the steps, release the buffers. It returns
+// the number of delta tuples merged.
 func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V]) int {
 	if delta.Len() == 0 {
 		return 0
 	}
-	if t.workers > 1 && delta.Len() >= t.minParallel {
-		return t.applyDeltaParallel(src, delta, src.path)
-	}
-	return t.applyDeltaSequential(src, delta, src.path)
-}
-
-// applyDeltaSequential is the one-goroutine body of ApplyDelta:
-// propagate the whole delta into the recycled step buffers, commit it,
-// release the buffers. The parallel path runs the first two steps per
-// partition. Like commit it returns the tuples merged.
-func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], path []*Node[V]) int {
-	p := t.propagate(src, delta, path, true)
+	path := src.path
+	p := t.propagate(src, delta, path)
 	src.data.MergeAll(t.ring, delta)
 	n := delta.Len() + t.commit(p, path)
 	// Empty the buffers and the steps scratch, so nothing of the merged
@@ -73,6 +60,79 @@ func (t *Tree[V]) applyDeltaSequential(src *source[V], delta *relation.Map[V], p
 	}
 	t.resBuf.release()
 	t.propSteps = p.steps[:0]
+	return n
+}
+
+// propagation is the read-only half of one delta application: the delta
+// view computed at every node of the leaf-to-root path, plus the delta
+// of the query result.
+type propagation[V any] struct {
+	// steps[i] is the delta view for path[i]; the slice stops early when
+	// a delta cancels to empty (nothing further can change upward).
+	steps []*relation.Map[V]
+	// dres is the result-level delta (nil when the propagation died out
+	// before reaching the root).
+	dres *relation.Map[V]
+}
+
+// pathOf returns the leaf-to-root node path starting at anchor n.
+func pathOf[V any](n *Node[V]) []*Node[V] {
+	var out []*Node[V]
+	for ; n != nil; n = n.parent {
+		out = append(out, n)
+	}
+	return out
+}
+
+// propagate computes the delta views along path WITHOUT changing any
+// view's contents: at each node the delta joins the materialized views
+// of the node's other children and the full contents of its other
+// anchored relations — all off-path state — and the node's variable is
+// marginalized, one fused relation.Step per node (stepPlan.eval). The
+// steps evaluate into the path nodes' and the tree's recycled buffers
+// and the tree's steps scratch, which apply releases after its commit.
+func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node[V]) propagation[V] {
+	p := propagation[V]{steps: t.propSteps[:0]}
+	var arr [4]*relation.Map[V]
+	exclude, d := src.data, delta
+	for _, n := range path {
+		d = n.step.eval(t.ring, n.parts(arr[:0], exclude, d), n.buf.take(n.keys, d.Len()))
+		p.steps = append(p.steps, d)
+		if d.Len() == 0 {
+			return p // the delta cancelled out; nothing to propagate
+		}
+		exclude = n.view
+	}
+	// d reached the root: join with the other root views (disconnected
+	// queries) and project to the result schema, replaying the root's
+	// build-time plan. Like the path steps this probes the other roots'
+	// persistent indexes rather than scanning their views.
+	root := path[len(path)-1]
+	parts := append(arr[:0], d)
+	for _, o := range root.resOthers {
+		parts = append(parts, o.view)
+	}
+	p.dres = root.resStep.eval(t.ring, parts, t.resBuf.take(t.result.Schema(), d.Len()))
+	return p
+}
+
+// commit merges one propagation into the tree — each step into its path
+// node's view, the result delta into the query result — and returns the
+// number of tuples merged (the caller adds it to t.stats). Absorb folds
+// into payloads a view owns IN PLACE.
+func (t *Tree[V]) commit(p propagation[V], path []*Node[V]) int {
+	n := 0
+	for i, d := range p.steps {
+		if d.Len() == 0 {
+			continue
+		}
+		path[i].view.Absorb(t.ring, d)
+		n += d.Len()
+	}
+	if p.dres != nil && p.dres.Len() > 0 {
+		t.result.Absorb(t.ring, p.dres)
+		n += p.dres.Len()
+	}
 	return n
 }
 

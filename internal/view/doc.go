@@ -30,20 +30,15 @@
 //     (additive), and view merges use the ring's associative and
 //     commutative addition.
 //
-// The last two invariants are what make the parallel path sound:
-// ApplyDelta on a tree configured with SetParallelism hash-partitions a
-// batch delta by the anchor node's join key and runs one worker per
-// partition that propagates it read-only and then commits its delta
-// views under per-view merge locks — producing views identical to the
-// sequential path's, which is the same propagate-then-commit on one
-// goroutine.
+// Every ApplyDelta runs one body: propagate the delta read-only along
+// its path, then commit the delta views into the path's views.
 //
-// A Tree is not safe for concurrent use by multiple callers: the
-// parallelism is internal to one ApplyDelta call, and one goroutine at
-// a time may drive maintenance. DeltaFor is the exception — it reads
-// only immutable tree metadata and may run concurrently with
-// maintenance, which the serving layer exploits to prebuild deltas off
-// the writer thread.
+// A Tree is not safe for concurrent use: one goroutine at a time drives
+// maintenance, and nothing inside it starts another. More cores serve
+// more shards (internal/cluster), not one tree. DeltaFor is the
+// exception — it reads only immutable tree metadata and may run
+// concurrently with maintenance, which the serving layer exploits to
+// prebuild deltas off the writer thread.
 //
 // # Maintenance scratch and ownership
 //
@@ -54,14 +49,12 @@
 //     refills per batch instead of allocating; views that stored one
 //     of its payloads hold it flagged shared, so they outlive the
 //     buffer's recycling.
-//   - The sequential propagation-steps slice, the step outputs it
-//     points at (one recycled delta buffer per path node and one for
-//     the result, see deltaBuf: filled by the step, absorbed by
-//     commit, emptied before ApplyDelta returns, sized by the delta
-//     they were made for and replaced when the next one is far from
-//     it) and the parallel path's partition slots are tree-owned and
-//     recycled; concurrent propagate workers never touch them (they
-//     get goroutine-local maps).
+//   - The propagation-steps slice and the step outputs it points at
+//     (one recycled delta buffer per path node and one for the result,
+//     see deltaBuf: filled by the step, absorbed by commit, emptied
+//     before ApplyDelta returns, sized by the delta they were made for
+//     and replaced when the next one is far from it) are tree-owned and
+//     recycled.
 //   - Each node carries a build-time evaluation plan (stepPlan: join
 //     and aggregation schema geometry, resolved lift), so per-delta
 //     evaluation re-derives nothing, and evaluates it as one fused

@@ -1,20 +1,85 @@
 package view
 
-// Property-style checks of the commit path. The hand-picked equivalence
-// tests in parallel_test.go pin specific worker counts and streams; here
-// the same invariant — parallel, sequential and pure-Add commits produce
-// bit-identical trees after every batch — is checked across a fuzzed
-// parameter space, and an annihilation round-trip property exercises the
-// O(1) index-removal path until every batch's postings are gone again.
+// Property-style checks of the commit path: the in-place commit and one
+// over the pure ring Add must produce bit-identical trees after every
+// batch across a fuzzed parameter space, and an annihilation round-trip
+// property exercises the O(1) index-removal path until every batch's
+// postings are gone again. The stream helpers and the chain schema here
+// are shared by the package's other tests.
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
 	"repro/internal/value"
+	"repro/internal/vo"
 )
+
+// chainRels is the three-relation chain join R(A,B) ⋈ S(B,C) ⋈ T(C,D).
+var chainRels = []vo.Rel{
+	{Name: "R", Schema: value.NewSchema("A", "B")},
+	{Name: "S", Schema: value.NewSchema("B", "C")},
+	{Name: "T", Schema: value.NewSchema("C", "D")},
+}
+
+// treeState renders every view of the tree plus the sources and result
+// deterministically (sorted tuples, canonical payload rendering), so two
+// trees can be compared for bit-identical state.
+func treeState[V any](t *Tree[V]) string {
+	var b strings.Builder
+	var walk func(n *Node[V])
+	walk = func(n *Node[V]) {
+		fmt.Fprintf(&b, "view %s = %s\n", n.Var(), n.View())
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range t.Roots() {
+		walk(r)
+	}
+	for _, name := range t.RelationNames() {
+		src, _ := t.Source(name)
+		fmt.Fprintf(&b, "source %s = %s\n", name, src)
+	}
+	fmt.Fprintf(&b, "result = %s\n", t.Result())
+	return b.String()
+}
+
+// biasedStream produces n mixed insert/delete updates over the given
+// relations with small integer values, deleting only live tuples (with
+// probability delBias per step) so payloads genuinely cancel to zero
+// mid-stream. High biases make annihilation — and with it the O(1)
+// index-removal path — the dominant operation.
+func biasedStream(rnd *rand.Rand, rels []vo.Rel, n int, delBias float64) []Update {
+	live := make(map[string][]value.Tuple, len(rels))
+	ups := make([]Update, 0, n)
+	for len(ups) < n {
+		r := rels[rnd.Intn(len(rels))]
+		if l := live[r.Name]; len(l) > 0 && rnd.Float64() < delBias {
+			i := rnd.Intn(len(l))
+			ups = append(ups, Update{Rel: r.Name, Tuple: l[i], Mult: -1})
+			live[r.Name] = append(l[:i], l[i+1:]...)
+			continue
+		}
+		tp := make(value.Tuple, r.Schema.Len())
+		for i := range tp {
+			tp[i] = value.Int(int64(rnd.Intn(6)))
+		}
+		ups = append(ups, Update{Rel: r.Name, Tuple: tp, Mult: 1})
+		live[r.Name] = append(live[r.Name], tp)
+	}
+	return ups
+}
+
+// randomStream is biasedStream at the moderate delete bias most
+// equivalence tests use.
+func randomStream(rnd *rand.Rand, rels []vo.Rel, n int) []Update {
+	return biasedStream(rnd, rels, n, 0.35)
+}
 
 // verifyTreeIndexes asserts every secondary index of every map in the
 // tree (views, sources, result) exactly mirrors its primary contents.
@@ -42,10 +107,6 @@ func verifyTreeIndexes[V any](t *testing.T, tr *Tree[V], ctx string) {
 	check("result", tr.Result())
 }
 
-func groupByTree(t testing.TB) *Tree[int64] {
-	return mustTree(t, Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels, Free: []string{"B"}})
-}
-
 func mustTree[V any](t testing.TB, spec Spec[V]) *Tree[V] {
 	tr, err := New(spec)
 	if err != nil {
@@ -59,20 +120,18 @@ func mustTree[V any](t testing.TB, spec Spec[V]) *Tree[V] {
 // ownership rule can matter to its result.
 type pureRing[V any] struct{ ring.Ring[V] }
 
-// commitEquivalence drives three trees of one spec — sequential,
-// parallel (w workers), and sequential over the pure ring — through the
-// same stream in batches of b and requires bit-identical state and
-// consistent indexes after every batch.
-func commitEquivalence[V any](t *testing.T, seed int64, w, b int, bias float64, build func(wrap func(ring.Ring[V]) ring.Ring[V]) *Tree[V]) {
-	same := func(r ring.Ring[V]) ring.Ring[V] { return r }
-	seq, par := build(same), build(same)
+// commitEquivalence drives two trees of one spec — one committing in
+// place, one over the pure ring — through the same stream in batches of
+// b and requires bit-identical state and consistent indexes after every
+// batch.
+func commitEquivalence[V any](t *testing.T, seed int64, b int, bias float64, build func(wrap func(ring.Ring[V]) ring.Ring[V]) *Tree[V]) {
+	inPlace := build(func(r ring.Ring[V]) ring.Ring[V] { return r })
 	pure := build(func(r ring.Ring[V]) ring.Ring[V] { return pureRing[V]{r} })
-	par.SetParallelism(w, 1)
-	trees := map[string]*Tree[V]{"sequential": seq, "parallel": par, "pure": pure}
+	trees := map[string]*Tree[V]{"in-place": inPlace, "pure": pure}
 
 	rnd := rand.New(rand.NewSource(seed))
 	init := map[string][]value.Tuple{}
-	for _, r := range parallelRels {
+	for _, r := range chainRels {
 		for i := 0; i < 20; i++ {
 			init[r.Name] = append(init[r.Name], value.T(rnd.Intn(6), rnd.Intn(6)))
 		}
@@ -82,7 +141,7 @@ func commitEquivalence[V any](t *testing.T, seed int64, w, b int, bias float64, 
 			t.Fatal(err)
 		}
 	}
-	ups := biasedStream(rnd, parallelRels, 350, bias)
+	ups := biasedStream(rnd, chainRels, 350, bias)
 	for i := 0; i < len(ups); i += b {
 		end := min(i+b, len(ups))
 		for name, tr := range trees {
@@ -91,32 +150,26 @@ func commitEquivalence[V any](t *testing.T, seed int64, w, b int, bias float64, 
 			}
 			verifyTreeIndexes(t, tr, name)
 		}
-		want := treeState(pure)
-		for name, tr := range trees {
-			if got := treeState(tr); got != want {
-				t.Fatalf("%s diverged from pure after batch ending at %d (workers=%d batch=%d bias=%.2f):\n%s\npure:\n%s",
-					name, end, w, b, bias, got, want)
-			}
+		if got, want := treeState(inPlace), treeState(pure); got != want {
+			t.Fatalf("in-place diverged from pure after batch ending at %d (batch=%d bias=%.2f):\n%s\npure:\n%s",
+				end, b, bias, got, want)
 		}
 	}
 }
 
-// FuzzParallelCommitEquivalence is the seeded property check behind the
-// hand-picked equivalence tests: for ANY (seed, worker count, batch
-// size, delete bias) and every payload shape, the parallel and the
-// in-place sequential commit must produce trees bit-identical to one
-// committed with the pure ring Add after every batch, with every built
-// index consistent. The inputs are four plain scalars, so a failing
-// case replays deterministically and the fuzzer shrinks it to a minimal
-// corpus entry.
-func FuzzParallelCommitEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(60), uint8(35))
-	f.Add(int64(7), uint8(2), uint8(9), uint8(60))
+// FuzzCommitEquivalence is the seeded property check of the in-place
+// commit: for ANY (seed, batch size, delete bias) and every payload
+// shape, the tree must stay bit-identical to one committed with the
+// pure ring Add after every batch, with every built index consistent.
+// The inputs are plain scalars, so a failing case replays
+// deterministically and the fuzzer shrinks it to a minimal corpus entry.
+func FuzzCommitEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(35))
+	f.Add(int64(7), uint8(9), uint8(60))
 	// Annihilation-heavy: ~90% of steps delete a live tuple, so most of
 	// the stream drains postings through the O(1) removal path.
-	f.Add(int64(42), uint8(8), uint8(180), uint8(90))
-	f.Fuzz(func(t *testing.T, seed int64, workers, batch, delBias uint8) {
-		w := int(workers)%8 + 1
+	f.Add(int64(42), uint8(180), uint8(90))
+	f.Fuzz(func(t *testing.T, seed int64, batch, delBias uint8) {
 		b := int(batch)%200 + 1
 		// Cap the bias below 1 so streams always make progress.
 		bias := float64(int(delBias)%96) / 100
@@ -126,59 +179,47 @@ func FuzzParallelCommitEquivalence(f *testing.F) {
 		// implement Scratch, so their views commit in place.
 		cr, rc := ring.NewCovarRing(3), ring.NewRelCovarRing(3)
 		t.Run("ints", func(t *testing.T) {
-			commitEquivalence(t, seed, w, b, bias, func(wrap func(ring.Ring[int64]) ring.Ring[int64]) *Tree[int64] {
-				return mustTree(t, Spec[int64]{Ring: wrap(ring.Ints{}), Relations: parallelRels, Free: []string{"B"}})
+			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[int64]) ring.Ring[int64]) *Tree[int64] {
+				return mustTree(t, Spec[int64]{Ring: wrap(ring.Ints{}), Relations: chainRels, Free: []string{"B"}})
 			})
 		})
 		t.Run("covar", func(t *testing.T) {
-			commitEquivalence(t, seed, w, b, bias, func(wrap func(ring.Ring[*ring.Covar]) ring.Ring[*ring.Covar]) *Tree[*ring.Covar] {
-				return mustTree(t, Spec[*ring.Covar]{Ring: wrap(cr), Relations: parallelRels,
+			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[*ring.Covar]) ring.Ring[*ring.Covar]) *Tree[*ring.Covar] {
+				return mustTree(t, Spec[*ring.Covar]{Ring: wrap(cr), Relations: chainRels,
 					Lifts: map[string]ring.Lift[*ring.Covar]{"B": cr.Lift(0), "C": cr.Lift(1), "D": cr.Lift(2)}})
 			})
 		})
 		t.Run("relcovar", func(t *testing.T) {
-			commitEquivalence(t, seed, w, b, bias, func(wrap func(ring.Ring[*ring.RelCovar]) ring.Ring[*ring.RelCovar]) *Tree[*ring.RelCovar] {
-				return mustTree(t, Spec[*ring.RelCovar]{Ring: wrap(rc), Relations: parallelRels, Free: []string{"C"},
+			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[*ring.RelCovar]) ring.Ring[*ring.RelCovar]) *Tree[*ring.RelCovar] {
+				return mustTree(t, Spec[*ring.RelCovar]{Ring: wrap(rc), Relations: chainRels, Free: []string{"C"},
 					Lifts: map[string]ring.Lift[*ring.RelCovar]{"A": rc.LiftContinuous(0), "B": rc.LiftCategorical(1), "D": rc.LiftContinuous(2)}})
 			})
 		})
 	})
 }
 
-// TestParallelAnnihilationRoundTrip: applying a random insert batch and
-// then its exact negation through the parallel path must restore every
-// view, source, and index bucket to the pre-batch state — each round
-// drives one full build-up/tear-down of postings through the O(1)
-// removal path. A sequential twin is compared after every half-round.
-func TestParallelAnnihilationRoundTrip(t *testing.T) {
-	seq, par := groupByTree(t), groupByTree(t)
-	par.SetParallelism(4, 1)
-	if err := seq.Init(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Init(nil); err != nil {
+// TestAnnihilationRoundTrip: applying a random insert batch and then its
+// exact negation must restore every view, source, and index bucket to
+// the pre-batch state — each round drives one full build-up/tear-down
+// of postings through the O(1) removal path.
+func TestAnnihilationRoundTrip(t *testing.T) {
+	tr := mustTree(t, Spec[int64]{Ring: ring.Ints{}, Relations: chainRels, Free: []string{"B"}})
+	if err := tr.Init(nil); err != nil {
 		t.Fatal(err)
 	}
 
 	rnd := rand.New(rand.NewSource(11))
 	// Warm-up populates the sources and forces the lazy index builds via
 	// real deltas, so the rounds below mutate BUILT indexes.
-	warm := biasedStream(rnd, parallelRels, 200, 0.3)
-	if err := seq.ApplyUpdates(warm); err != nil {
+	if err := tr.ApplyUpdates(biasedStream(rnd, chainRels, 200, 0.3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.ApplyUpdates(warm); err != nil {
-		t.Fatal(err)
-	}
-	if s, p := treeState(seq), treeState(par); s != p {
-		t.Fatalf("warm-up diverged:\n%s\nvs\n%s", s, p)
-	}
-	base := treeState(par)
+	base := treeState(tr)
 
 	for round := 0; round < 15; round++ {
 		ins := make([]Update, 0, 180)
 		for i := 0; i < 180; i++ {
-			r := parallelRels[rnd.Intn(len(parallelRels))]
+			r := chainRels[rnd.Intn(len(chainRels))]
 			ins = append(ins, Update{Rel: r.Name, Tuple: value.T(rnd.Intn(7), rnd.Intn(7)), Mult: 1})
 		}
 		neg := make([]Update, len(ins))
@@ -186,19 +227,12 @@ func TestParallelAnnihilationRoundTrip(t *testing.T) {
 			neg[len(ins)-1-i] = Update{Rel: u.Rel, Tuple: u.Tuple, Mult: -1}
 		}
 		for _, half := range [][]Update{ins, neg} {
-			if err := seq.ApplyUpdates(half); err != nil {
+			if err := tr.ApplyUpdates(half); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.ApplyUpdates(half); err != nil {
-				t.Fatal(err)
-			}
-			if s, p := treeState(seq), treeState(par); s != p {
-				t.Fatalf("round %d diverged:\nsequential:\n%s\nparallel:\n%s", round, s, p)
-			}
-			verifyTreeIndexes(t, seq, "sequential")
-			verifyTreeIndexes(t, par, "parallel")
+			verifyTreeIndexes(t, tr, fmt.Sprintf("round %d", round))
 		}
-		if got := treeState(par); got != base {
+		if got := treeState(tr); got != base {
 			t.Fatalf("round %d: negation did not restore the pre-batch state:\nwant:\n%s\ngot:\n%s", round, base, got)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/ring"
 	"repro/internal/value"
-	"repro/internal/vo"
 )
 
 // eachMap visits every relation the tree maintains — views, sources and
@@ -37,7 +36,7 @@ func eachMap[V any](tr *Tree[V], fn func(name string, m *relation.Map[V])) {
 // leaves the indexes earlier probes built consistent.
 func TestIndexRegistration(t *testing.T) {
 	build := func() *Tree[int64] {
-		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels})
+		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: chainRels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +55,7 @@ func TestIndexRegistration(t *testing.T) {
 	// Populate and probe: single-tuple updates of every relation build
 	// the indexes of their siblings.
 	rnd := rand.New(rand.NewSource(17))
-	for _, u := range randomStream(rnd, parallelRels, 300) {
+	for _, u := range randomStream(rnd, chainRels, 300) {
 		if err := tr.ApplyUpdates([]Update{u}); err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +108,7 @@ func TestIndexRegistration(t *testing.T) {
 // the live entries.
 func TestIndexedDeltaMatchesRecompute(t *testing.T) {
 	build := func() *Tree[int64] {
-		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels, Free: []string{"B"}})
+		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: chainRels, Free: []string{"B"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +117,7 @@ func TestIndexedDeltaMatchesRecompute(t *testing.T) {
 	inc := build()
 	rnd := rand.New(rand.NewSource(11))
 	live := map[string][]value.Tuple{}
-	ups := randomStream(rnd, parallelRels, 500)
+	ups := randomStream(rnd, chainRels, 500)
 	for i, u := range ups {
 		if err := inc.ApplyUpdates(ups[i : i+1]); err != nil {
 			t.Fatal(err)
@@ -147,49 +146,13 @@ func TestIndexedDeltaMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrentProbeReads drives large batches through the
-// parallel path, where every propagate worker concurrently probes the
-// shared sibling-view and source-relation indexes. Run under -race (CI
-// does) this asserts index reads are safe during parallel propagation;
-// the state checks double as an indexed-vs-sequential equivalence
-// guard.
-func TestIndexConcurrentProbeReads(t *testing.T) {
-	rels := []vo.Rel{
-		{Name: "R", Schema: value.NewSchema("A", "B")},
-		{Name: "S", Schema: value.NewSchema("B", "C")},
-		{Name: "T", Schema: value.NewSchema("C", "D")},
-	}
-	seq, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: rels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: rels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.SetParallelism(4, 1)
-	rnd := rand.New(rand.NewSource(23))
-	for round := 0; round < 6; round++ {
-		ups := randomStream(rnd, rels, 400)
-		if err := seq.ApplyUpdates(ups); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.ApplyUpdates(ups); err != nil {
-			t.Fatal(err)
-		}
-		if s, p := treeState(seq), treeState(par); s != p {
-			t.Fatalf("round %d: parallel indexed propagation diverged:\n%s\nvs\n%s", round, s, p)
-		}
-	}
-}
-
 // TestIndexedSnapshotRoundTrip: restoring a snapshot reloads the
 // sources and re-derives the views — into a fresh tree and into a
 // populated, probed one alike; maintenance after the restore must still
 // run on consistent indexes.
 func TestIndexedSnapshotRoundTrip(t *testing.T) {
 	build := func() *Tree[int64] {
-		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: parallelRels})
+		tr, err := New(Spec[int64]{Ring: ring.Ints{}, Relations: chainRels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +160,7 @@ func TestIndexedSnapshotRoundTrip(t *testing.T) {
 	}
 	a := build()
 	rnd := rand.New(rand.NewSource(5))
-	if err := a.ApplyUpdates(randomStream(rnd, parallelRels, 200)); err != nil {
+	if err := a.ApplyUpdates(randomStream(rnd, chainRels, 200)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -205,7 +168,7 @@ func TestIndexedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, c := build(), build()
-	for _, u := range randomStream(rand.New(rand.NewSource(6)), parallelRels, 200) {
+	for _, u := range randomStream(rand.New(rand.NewSource(6)), chainRels, 200) {
 		if err := c.ApplyUpdates([]Update{u}); err != nil { // unrelated contents, built indexes
 			t.Fatal(err)
 		}
@@ -229,7 +192,7 @@ func TestIndexedSnapshotRoundTrip(t *testing.T) {
 	}
 	same("after restore")
 	// Post-restore maintenance exercises the surviving indexes.
-	more := randomStream(rnd, parallelRels, 200)
+	more := randomStream(rnd, chainRels, 200)
 	for _, tr := range []*Tree[int64]{a, b, c} {
 		if err := tr.ApplyUpdates(more); err != nil {
 			t.Fatal(err)

@@ -17,11 +17,11 @@ import (
 // change the caller's map.
 func TestInitWeightedReadsCallerMaps(t *testing.T) {
 	cr := ring.NewCovarRing(3)
-	spec := Spec[*ring.Covar]{Ring: cr, Relations: parallelRels,
+	spec := Spec[*ring.Covar]{Ring: cr, Relations: chainRels,
 		Lifts: map[string]ring.Lift[*ring.Covar]{"B": cr.Lift(0), "C": cr.Lift(1), "D": cr.Lift(2)}}
 	data := map[string]*relation.Map[*ring.Covar]{}
 	var ups []Update
-	for i, rel := range parallelRels {
+	for i, rel := range chainRels {
 		m := relation.New[*ring.Covar](rel.Schema)
 		for j := 0; j < 4+i; j++ {
 			tp := value.T(j%3, (j+i)%3)
@@ -42,7 +42,7 @@ func TestInitWeightedReadsCallerMaps(t *testing.T) {
 	}
 	// The same contents reached by plain deltas of private copies.
 	ref := mustTree(t, spec)
-	for _, rel := range parallelRels {
+	for _, rel := range chainRels {
 		if err := ref.ApplyDelta(rel.Name, data[rel.Name].Negate(cr).Negate(cr)); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestInitWeightedReadsCallerMaps(t *testing.T) {
 // bulk load copy the stored payload.
 func TestLoadLeavesViewsOwningTheirPayloads(t *testing.T) {
 	cr := ring.NewCovarRing(3)
-	tr := mustTree(t, Spec[*ring.Covar]{Ring: cr, Relations: parallelRels,
+	tr := mustTree(t, Spec[*ring.Covar]{Ring: cr, Relations: chainRels,
 		Lifts: map[string]ring.Lift[*ring.Covar]{"B": cr.Lift(0), "C": cr.Lift(1), "D": cr.Lift(2)}})
 	if err := tr.Init(map[string][]value.Tuple{
 		"R": {value.T(1, 1), value.T(2, 1)}, "S": {value.T(1, 1)}, "T": {value.T(1, 1)},

@@ -2,13 +2,11 @@ package view_test
 
 // Long-running randomized soak test: a 4-relation cyclic-ish schema,
 // three rings maintained side by side over thousands of random updates
-// applied in batches through the parallel commit path (worker count
-// derived from GOMAXPROCS, not hardcoded), each checkpoint
-// cross-checked against recomputation. Run with -short to skip.
+// applied in batches, each checkpoint cross-checked against
+// recomputation. Run with -short to skip.
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -86,18 +84,6 @@ func TestSoakThreeRingsLongStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Route the batches through the parallel commit path at a worker
-	// count matched to the host (minimum 2 so a 1-CPU runner still
-	// exercises concurrent commits), with the threshold dropped so the
-	// modest soak batches fan out.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	count.SetParallelism(workers, 1)
-	covar.SetParallelism(workers, 1)
-	ranged.SetParallelism(workers, 1)
-
 	shadow := map[string]*relation.Map[int64]{}
 	for _, r := range rels {
 		shadow[r.Name] = relation.New[int64](r.Schema)
@@ -114,9 +100,8 @@ func TestSoakThreeRingsLongStream(t *testing.T) {
 		return total
 	}
 
-	// Updates accumulate into batches (applied through the parallel
-	// path) and always flush before a checkpoint, so every cross-check
-	// sees the full prefix of the stream.
+	// Updates accumulate into batches and always flush before a
+	// checkpoint, so every cross-check sees the full prefix of the stream.
 	const steps = 4000
 	const soakBatch = 48
 	var pending []view.Update

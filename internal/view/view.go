@@ -3,7 +3,6 @@ package view
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
@@ -51,18 +50,9 @@ type Node[V any] struct {
 	resStep   stepPlan[V]
 	resOthers []*Node[V]
 
-	// buf recycles the node's delta view across sequential ApplyDelta
-	// calls (see deltaBuf).
+	// buf recycles the node's delta view across ApplyDelta calls (see
+	// deltaBuf).
 	buf deltaBuf[V]
-
-	// mu serializes merges into this node's view — its primary map,
-	// index maintenance, entry arena and the payloads it owns, which
-	// Absorb folds into in place. Partitions are key-disjoint at the
-	// anchor but can collide on group keys at upper path nodes, and a Go
-	// map tolerates no concurrent writers regardless — so commit takes
-	// the node's lock for the duration of one Absorb (uncontended on
-	// the sequential path).
-	mu sync.Mutex
 }
 
 // stepPlan is the build-time plan of one propagation step over k
@@ -107,8 +97,7 @@ func planStep[V any](schemas []value.Schema, out value.Schema, liftAttr string, 
 // instead of the part being scanned — work proportional to the delta,
 // not the database — and an unindexed larger operand (the intermediate
 // accumulator, or the relation a bulk load is applying) is built
-// against and scanned. Reads only the parts and immutable plans: safe
-// for concurrent propagate workers.
+// against and scanned.
 //
 // Scope of the O(|delta|) bound: the left fold keeps the fixed part
 // order, so the bound holds when the delta substitutes one of the first
@@ -132,12 +121,11 @@ func (sp *stepPlan[V]) eval(r ring.Ring[V], parts []*relation.Map[V], out *relat
 	return relation.Step(sp.joins[last], r, j, parts[last+1], sp.lift, out)
 }
 
-// deltaBuf is the recycled output relation of one propagation step on
-// the sequential path: each path node owns one for its delta view and
-// the tree one for the result delta. A step fills it, commit Absorbs it
-// and release empties it (entries back to its arena), so the next call
-// refills warm memory instead of allocating a table, a slab and a Map
-// per node. Parallel partition workers use goroutine-local maps.
+// deltaBuf is the recycled output relation of one propagation step:
+// each path node owns one for its delta view and the tree one for the
+// result delta. A step fills it, commit Absorbs it and release empties
+// it (entries back to its arena), so the next call refills warm memory
+// instead of allocating a table, a slab and a Map per node.
 //
 // A buffer costs its capacity, not its fill — clearing and iterating a
 // Go map are O(table) — so size tracks what the table was made for: the
@@ -220,18 +208,10 @@ type source[V any] struct {
 	// the buffer in-use while one ApplyUpdates call groups its updates.
 	delta   *relation.Map[V]
 	inBatch bool
-	// parts holds this relation's recycled partition slots for parallel
-	// delta propagation (per source, since slots are schema-bound). The
-	// containers are reused; their contents are cleared after each
-	// commit so a partitioned delta is not pinned in memory between
-	// batches.
-	parts []*relation.Map[V]
 }
 
 // Tree is a materialized view tree. It is not safe for concurrent use:
-// callers must serialize all mutating calls. SetParallelism enables
-// internal hash-partitioned parallelism WITHIN one ApplyDelta call; that
-// does not change the external contract.
+// callers must serialize all mutating calls.
 type Tree[V any] struct {
 	ring    ring.Ring[V]
 	order   *vo.Order
@@ -243,25 +223,11 @@ type Tree[V any] struct {
 	resBuf  deltaBuf[V] // the result delta's recycled buffer
 	stats   Stats
 
-	// Parallel delta propagation (see SetParallelism). workers <= 1
-	// keeps every ApplyDelta on the sequential path.
-	workers     int
-	minParallel int
-	// resMu is the result map's merge lock, the counterpart of Node.mu
-	// for the root-level result deltas of concurrent commit workers.
-	resMu sync.Mutex
-
 	// Maintenance scratch, reused across calls under the tree's
 	// single-writer contract (see the package doc): the relation order
-	// buffer of ApplyUpdates, the sequential path's propagation-steps
-	// buffer, and the parallel path's live-partition list (the
-	// partition slots themselves live on each source, being
-	// schema-bound). None of it is touched by concurrent propagate
-	// workers, which only read off-path state and write goroutine-local
-	// maps.
+	// buffer of ApplyUpdates and the propagation-steps buffer.
 	updOrder  []string
 	propSteps []*relation.Map[V]
-	liveParts []*relation.Map[V]
 
 	// one and negOne cache the ring's ±1, the payloads of single-tuple
 	// inserts and deletes. Sharing one value across many stored tuples
@@ -275,11 +241,8 @@ type Tree[V any] struct {
 type Stats struct {
 	// Updates is the number of ApplyDelta calls.
 	Updates int
-	// DeltaTuples is the total number of delta tuples merged into views.
-	// It measures work done, not information content: the parallel path
-	// sums per-partition delta sizes, which can exceed the sequential
-	// count at upper tree nodes when partitions hit the same group — so
-	// compare DeltaTuples across runs only at equal worker counts.
+	// DeltaTuples is the total number of delta tuples merged into
+	// sources, views and the result: a function of the update stream.
 	DeltaTuples int
 }
 
@@ -478,14 +441,13 @@ func (t *Tree[V]) ResultPayload() V {
 	return t.result.GetOr(value.Tuple{}, t.ring.Zero())
 }
 
-// PartitionKey returns the attribute positions relation rel's deltas
-// hash-partition on: the relation's anchor dependency set restricted to
-// its schema, the join key through which the relation's effects flow
-// upward. It is exactly the key applyDeltaParallel uses, exported so an
-// out-of-process shard map (internal/cluster) routes rel's updates to
-// the same partition the in-process partitioner would. An empty key
-// (relation fully marginalized at its anchor) means partitioning hashes
-// the full tuple; ok is false when rel is not an input relation.
+// PartitionKey returns the attribute positions a shard map
+// (internal/cluster) routes relation rel's updates by: the relation's
+// anchor dependency set restricted to its schema, the join key through
+// which the relation's effects flow upward, so tuples agreeing on it
+// land on one shard. An empty key (relation fully marginalized at its
+// anchor) means the shard map hashes the full tuple; ok is false when
+// rel is not an input relation.
 func (t *Tree[V]) PartitionKey(rel string) (keyIdx []int, ok bool) {
 	src, found := t.sources[rel]
 	if !found {

@@ -328,6 +328,20 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Updates != 1 || st.DeltaTuples == 0 {
 		t.Errorf("stats = %+v", st)
 	}
+	// DeltaTuples is a function of the stream, whatever the batch size:
+	// 200 distinct R tuples merge 200 source tuples, one group into the
+	// view at A (keyed by nothing) and one into the result.
+	before := st.DeltaTuples
+	var batch []view.Update
+	for a := 100; a < 300; a++ {
+		batch = append(batch, updates("R", 1, value.T(a))...)
+	}
+	if err := tr.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
+	if st = tr.Stats(); st.Updates != 2 || st.DeltaTuples-before != 202 {
+		t.Errorf("a 200-tuple batch: stats = %+v, want 2 updates and %d + 202 delta tuples", st, before)
+	}
 }
 
 func TestSourceAccessors(t *testing.T) {

@@ -13,8 +13,8 @@
 //   - A node's Keys (its dependency set) are the ancestor variables
 //     that co-occur with variables of its subtree in some relation —
 //     the group-by schema of the node's view, and the join key through
-//     which deltas from the subtree flow upward (parallel delta
-//     propagation partitions batches by it).
+//     which deltas from the subtree flow upward (a cluster shard map
+//     routes a relation's updates by it).
 //   - Disconnected queries yield a forest; the root views combine by
 //     Cartesian product at the top.
 //

@@ -2,6 +2,7 @@ package fivm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -17,34 +18,25 @@ import (
 	"repro/internal/vo"
 )
 
-// fullCovarTree is the reference the covar engine is checked against:
-// a view tree over ring.CovarRing, the full-degree ring, lifting attrs
-// at their caller-order indexes over the same relations and greedy
-// variable order.
-func fullCovarTree(t *testing.T, rels []fivm.RelationSpec, attrs []string) *view.Tree[*ring.Covar] {
+// analysisRef is the reference the covar engine is checked against: an
+// analysis engine over the same relations with attrs as continuous
+// features. Its relational COVAR ring (RelCovar) shares no kernel with
+// the covar engine's ranged one.
+func analysisRef(t *testing.T, rels []fivm.RelationSpec, attrs []string) *fivm.Analysis {
 	t.Helper()
-	cr := ring.NewCovarRing(len(attrs))
-	lifts := make(map[string]ring.Lift[*ring.Covar], len(attrs))
+	feats := make([]fivm.FeatureSpec, len(attrs))
 	for i, a := range attrs {
-		lifts[a] = cr.Lift(i)
+		feats[i] = fivm.FeatureSpec{Attr: a}
 	}
-	vrels := make([]vo.Rel, len(rels))
-	for i, r := range rels {
-		vrels[i] = vo.Rel{Name: r.Name, Schema: value.NewSchema(r.Attrs...)}
-	}
-	tree, err := view.New(view.Spec[*ring.Covar]{Ring: cr, Relations: vrels, Lifts: lifts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
+	return open[*fivm.Analysis](t, fivm.Config{Relations: rels, Features: feats})
 }
 
 // sameCovar fails unless every statistic the covar engine hands out in
-// its caller's order equals the reference tree's within a relative
+// its caller's order equals the reference engine's within a relative
 // 1e-9.
-func sameCovar(t *testing.T, when string, eng *fivm.CovarEngine, ref *view.Tree[*ring.Covar]) {
+func sameCovar(t *testing.T, when string, eng *fivm.CovarEngine, ref *fivm.Analysis) {
 	t.Helper()
-	want := ref.ResultPayload()
+	want := ref.Payload()
 	got, err := eng.Covar()
 	if want == nil || err != nil {
 		if want != nil || err == nil {
@@ -55,16 +47,16 @@ func sameCovar(t *testing.T, when string, eng *fivm.CovarEngine, ref *view.Tree[
 	near := func(a, b float64) bool {
 		return a == b || math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 	}
-	if !near(got.Count(), want.Count()) {
-		t.Fatalf("%s: count %v, reference %v", when, got.Count(), want.Count())
+	if !near(got.Count(), want.CountScalar()) {
+		t.Fatalf("%s: count %v, reference %v", when, got.Count(), want.CountScalar())
 	}
 	for i, a := range eng.Attrs {
-		if !near(got.Sum(i), want.Sum(i)) {
-			t.Fatalf("%s: SUM(%s) %v, reference %v", when, a, got.Sum(i), want.Sum(i))
+		if w := want.Sum(i).Scalar(); !near(got.Sum(i), w) {
+			t.Fatalf("%s: SUM(%s) %v, reference %v", when, a, got.Sum(i), w)
 		}
 		for j := i; j < len(eng.Attrs); j++ {
-			if !near(got.Prod(i, j), want.Prod(i, j)) {
-				t.Fatalf("%s: SUM(%s*%s) %v, reference %v", when, a, eng.Attrs[j], got.Prod(i, j), want.Prod(i, j))
+			if w := want.Prod(i, j).Scalar(); !near(got.Prod(i, j), w) {
+				t.Fatalf("%s: SUM(%s*%s) %v, reference %v", when, a, eng.Attrs[j], got.Prod(i, j), w)
 			}
 		}
 	}
@@ -80,8 +72,9 @@ func relationSpecs(db *dataset.Database) []fivm.RelationSpec {
 
 // TestRangedEngineMatchesFullEngine maintains the Retailer COVAR
 // statistics with the covar engine's ranged payloads and with the
-// full-degree reference ring over an update stream; every aggregate
-// must agree, in the caller's attribute order, at every batch boundary.
+// analysis engine's full-degree relational ones over an update stream;
+// every aggregate must agree, in the caller's attribute order, at every
+// batch boundary.
 func TestRangedEngineMatchesFullEngine(t *testing.T) {
 	db := dataset.Retailer(dataset.RetailerConfig{
 		Locations: 8, Dates: 15, Items: 30, InventoryRows: 400, Zips: 6, Seed: 77,
@@ -89,7 +82,7 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 	rels := relationSpecs(db)
 	attrs := []string{"inventoryunits", "prize", "avghhi", "maxtemp"}
 	eng := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: attrs})
-	ref := fullCovarTree(t, rels, attrs)
+	ref := analysisRef(t, rels, attrs)
 	data := db.TupleMap()
 	if err := eng.Init(data); err != nil {
 		t.Fatal(err)
@@ -112,7 +105,7 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 		if err := eng.Apply(bulk); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.ApplyUpdates(bulk); err != nil {
+		if err := ref.Apply(bulk); err != nil {
 			t.Fatal(err)
 		}
 		sameCovar(t, "after bulk", eng, ref)
@@ -138,13 +131,13 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 // a row: the shape in which a lift-index assignment that is not the
 // tree's post-order would break adjacency. A tenth of every relation is
 // held back from the load and applied tuple by tuple, relations
-// interleaved, against the full-degree reference.
+// interleaved, against the analysis engine's full-degree payloads.
 func TestCovarFavoritaMatchesFullDegree(t *testing.T) {
 	db := dataset.Favorita(dataset.FavoritaConfig{Stores: 4, Items: 20, Dates: 15, SalesRows: 300, Seed: 5})
 	rels := relationSpecs(db)
 	attrs := []string{"transactions", "unit_sales", "oilprice"}
 	eng := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: attrs})
-	ref := fullCovarTree(t, rels, attrs)
+	ref := analysisRef(t, rels, attrs)
 	wide := 0
 	var walk func(n *view.Node[*ring.RangedCovar])
 	walk = func(n *view.Node[*ring.RangedCovar]) {
@@ -184,7 +177,7 @@ func TestCovarFavoritaMatchesFullDegree(t *testing.T) {
 			if err := eng.Apply(up); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.ApplyUpdates(up); err != nil {
+			if err := ref.Apply(up); err != nil {
 				t.Fatal(err)
 			}
 			sameCovar(t, fmt.Sprintf("after %s tuple %d", r.Name, i), eng, ref)
@@ -220,6 +213,36 @@ func snapshotOf[V any](t *testing.T, r ring.Ring[V], codec ring.Codec[V], p V) [
 	return buf.Bytes()
 }
 
+// fullDegreeCodec writes ranged payloads in the format covar engines
+// wrote before their payloads were ranged: tagged with the degree, each
+// payload a presence flag, then c, s and the packed upper triangle of Q
+// over the full degree. Only ring.DecodeFullCovar still reads it.
+type fullDegreeCodec struct{ ring.RangedCovarCodec }
+
+func (c fullDegreeCodec) Tag() string { return fmt.Sprintf("ring.CovarCodec[m=%d]", c.Degree) }
+
+func (c fullDegreeCodec) Encode(w io.Writer, v *ring.RangedCovar) error {
+	if v == nil {
+		_, err := w.Write([]byte{0})
+		return err
+	}
+	vals := []float64{v.C}
+	for i := 0; i < c.Degree; i++ {
+		vals = append(vals, v.Sum(i))
+	}
+	for i := 0; i < c.Degree; i++ {
+		for j := i; j < c.Degree; j++ {
+			vals = append(vals, v.Prod(i, j))
+		}
+	}
+	buf := []byte{1}
+	for _, x := range vals {
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
 // TestRangedEngineErrors: the covar engine rejects a misconfiguration
 // at Open, and a snapshot whose source payloads are not scalars — in
 // today's ranged format and in the full-degree one earlier covar
@@ -240,7 +263,6 @@ func TestRangedEngineErrors(t *testing.T) {
 	}
 
 	var rr ring.RangedCovarRing
-	cr := ring.NewCovarRing(2)
 	for _, c := range []struct {
 		name, want string
 		snap       []byte
@@ -248,7 +270,7 @@ func TestRangedEngineErrors(t *testing.T) {
 		{"ranged", "source payload covers attribute range [1,2)",
 			snapshotOf(t, rr, ring.RangedCovarCodec{Degree: 2}, rr.Lift(1)(value.Int(3)))},
 		{"full-degree", "not a scalar",
-			snapshotOf(t, cr, ring.CovarCodec{Ring: cr}, cr.Lift(0)(value.Int(3)))},
+			snapshotOf(t, rr, fullDegreeCodec{ring.RangedCovarCodec{Degree: 2}}, rr.Lift(0)(value.Int(3)))},
 	} {
 		eng := open[*fivm.CovarEngine](t, covar("B", "D"))
 		if err := eng.ReadSnapshot(bytes.NewReader(c.snap)); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -3,7 +3,6 @@ package fivm
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/m3"
 	"repro/internal/ml"
@@ -245,44 +244,40 @@ func (c covarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
 // was bound. The payload wire format is today's.
 const legacyRangedTag = "ring.RangedCovarCodec"
 
+// legacyFullTag is the header tag of streams covar engines wrote before
+// their payloads were ranged: full-degree payloads in the caller's
+// attribute order, which ring.DecodeFullCovar reads.
+const legacyFullTag = "ring.CovarCodec[m=%d]"
+
 // ForTag names the codec for a stream header's tag other than Tag's
 // (see view.Tree.ReadSnapshot), for the two formats covar streams had
-// before: the degree-free ranged tag, and the full-degree
-// ring.CovarCodec of the same degree, whose payloads are in the
-// caller's attribute order.
+// before: the degree-free ranged tag, and the full-degree one of the
+// same degree.
 func (c covarCodec) ForTag(tag string) (ring.Codec[*ring.RangedCovar], bool) {
-	full := ring.CovarCodec{Ring: ring.NewCovarRing(c.Degree)}
 	switch tag {
 	case legacyRangedTag:
 		return c, true
-	case full.Tag():
-		return fullCovarCodec{c, full}, true
+	case fmt.Sprintf(legacyFullTag, c.Degree):
+		return fullCovarCodec{c}, true
 	}
 	return nil, false
 }
 
-// fullCovarCodec decodes full-degree payloads into ranged ones: a source
-// payload must be a scalar, a result payload is permuted into the lift
-// order. It is only ever read.
-type fullCovarCodec struct {
-	covarCodec
-	full ring.CovarCodec
-}
+// fullCovarCodec decodes full-degree payloads into ranged ones, through
+// the lift-order permutation: a result payload as it is, a source
+// payload only if it is a scalar. It is only ever read.
+type fullCovarCodec struct{ covarCodec }
 
-// Decode reads one full-degree payload and converts it.
+// Decode reads one full-degree payload.
 func (c fullCovarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
-	p, err := c.full.Decode(r)
-	if err != nil || p == nil {
-		return nil, err
+	p, err := ring.DecodeFullCovar(r, c.perm)
+	if err != nil || p == nil || c.result {
+		return p, err
 	}
-	if c.result {
-		return ring.RangedFromCovar(p, c.perm), nil
+	stats := *p
+	stats.C = 0
+	if !(ring.RangedCovarRing{}).IsZero(&stats) {
+		return nil, fmt.Errorf("fivm: source payload %v is not a scalar", p.Widen(c.perm))
 	}
-	nonzero := func(x float64) bool { return x != 0 }
-	if slices.ContainsFunc(p.S, nonzero) || slices.ContainsFunc(p.Q, nonzero) {
-		return nil, fmt.Errorf("fivm: source payload %v is not a scalar", p)
-	}
-	s := ring.RangedCovarRing{}.One()
-	s.C = p.C
-	return s, nil
+	return &ring.RangedCovar{C: p.C}, nil
 }

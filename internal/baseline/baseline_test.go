@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -125,5 +126,74 @@ func TestReevalDuplicateTuples(t *testing.T) {
 	}
 	if got := re.Payload().Count(); got != 2 {
 		t.Errorf("count with duplicate base tuple = %v, want 2", got)
+	}
+}
+
+// TestRefusedBatchChangesNothing: a batch either baseline refuses — an
+// unknown relation after a valid update, the delete of a tuple the
+// relation does not hold, a tuple of the wrong arity — is refused
+// whole: nothing of it applies, and later batches run on the state
+// before it.
+func TestRefusedBatchChangesNothing(t *testing.T) {
+	type stats interface {
+		Count() float64
+		Sum(i int) float64
+		Prod(i, j int) float64
+	}
+	render := func(s stats) string {
+		return fmt.Sprint(s.Count(), s.Sum(0), s.Sum(1), s.Prod(0, 0), s.Prod(0, 1), s.Prod(1, 1))
+	}
+	data := map[string][]value.Tuple{"R": {value.T("a1", 1)}, "S": {value.T("a1", 10)}}
+	baselines := map[string]func(t *testing.T) (apply func([]view.Update) error, state func() string){
+		"FlatIVM": func(t *testing.T) (func([]view.Update) error, func() string) {
+			f, err := baseline.NewFlatIVM(twoRelSpecs(), []string{"B", "C"})
+			if err == nil {
+				err = f.Init(data)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f.Apply, func() string { return render(f) }
+		},
+		"Reeval": func(t *testing.T) (func([]view.Update) error, func() string) {
+			re, err := baseline.NewReeval(twoRelSpecs(), []string{"B", "C"})
+			if err == nil {
+				err = re.Init(data)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return re.Apply, func() string { return render(re.Payload()) }
+		},
+	}
+	valid := view.Update{Rel: "R", Tuple: value.T("a1", 5), Mult: 1}
+	for _, c := range []struct {
+		name  string
+		batch []view.Update
+	}{
+		{"unknown relation", []view.Update{valid, {Rel: "Z", Tuple: value.T(1), Mult: 1}}},
+		{"delete of an absent tuple", []view.Update{valid, {Rel: "R", Tuple: value.T("ghost", 1), Mult: -1}}},
+		{"short tuple", []view.Update{valid, {Rel: "R", Tuple: value.T("a1"), Mult: 1}}},
+	} {
+		for name, open := range baselines {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				apply, state := open(t)
+				before := state()
+				if err := apply(c.batch); err == nil {
+					t.Fatal("batch accepted")
+				}
+				for i := 0; i < 2; i++ {
+					if got := state(); got != before {
+						t.Fatalf("state %s after the refused batch, was %s", got, before)
+					}
+					if err := apply(nil); err != nil {
+						t.Fatalf("an empty batch after the refused one: %v", err)
+					}
+				}
+				if err := apply([]view.Update{valid}); err != nil || state() == before {
+					t.Fatalf("the valid update alone: err %v, state %s", err, state())
+				}
+			})
+		}
 	}
 }

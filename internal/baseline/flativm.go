@@ -36,6 +36,7 @@ type RelSpec struct {
 // no-sharing strategy F-IVM's compound ring replaces.
 type FlatIVM struct {
 	rels     []RelSpec
+	schemas  map[string]value.Schema
 	data     map[string]*relation.Map[int64]
 	join     *relation.Map[int64]
 	joinIdx  []int // positions of aggAttrs in the join schema
@@ -51,6 +52,7 @@ type FlatIVM struct {
 func NewFlatIVM(rels []RelSpec, aggAttrs []string) (*FlatIVM, error) {
 	f := &FlatIVM{
 		rels:     rels,
+		schemas:  make(map[string]value.Schema, len(rels)),
 		data:     make(map[string]*relation.Map[int64], len(rels)),
 		aggAttrs: aggAttrs,
 		sums:     make([]float64, len(aggAttrs)),
@@ -61,6 +63,7 @@ func NewFlatIVM(rels []RelSpec, aggAttrs []string) (*FlatIVM, error) {
 		if _, dup := f.data[r.Name]; dup {
 			return nil, fmt.Errorf("baseline: duplicate relation %s", r.Name)
 		}
+		f.schemas[r.Name] = r.Schema
 		f.data[r.Name] = relation.New[int64](r.Schema)
 		full = full.Union(r.Schema)
 	}
@@ -165,19 +168,23 @@ func (f *FlatIVM) accumulate(t value.Tuple, mult int64) {
 }
 
 // Apply maintains the join and aggregates under a batch of updates,
-// one delta per touched relation.
+// one delta per touched relation. A batch it refuses (see checkBatch)
+// changes nothing.
 func (f *FlatIVM) Apply(ups []view.Update) error {
+	err := checkBatch(ups, f.schemas, func(rel string, t value.Tuple) int {
+		m, _ := f.data[rel].Get(t)
+		return int(m)
+	})
+	if err != nil {
+		return err
+	}
 	var z ring.Ints
 	byRel := map[string]*relation.Map[int64]{}
 	var order []string
 	for _, u := range ups {
 		d, ok := byRel[u.Rel]
 		if !ok {
-			src, ok := f.data[u.Rel]
-			if !ok {
-				return fmt.Errorf("baseline: unknown relation %s", u.Rel)
-			}
-			d = relation.New[int64](src.Schema())
+			d = relation.New[int64](f.schemas[u.Rel])
 			byRel[u.Rel] = d
 			order = append(order, u.Rel)
 		}
@@ -228,4 +235,31 @@ func (f *FlatIVM) AggAttrs() []string {
 	copy(out, f.aggAttrs)
 	sort.Strings(out)
 	return out
+}
+
+// checkBatch refuses a batch before anything applies it: every update
+// must name a known relation with a tuple of its arity, and no tuple's
+// multiplicity — mult's current one plus the batch's net change — may
+// end below zero.
+func checkBatch(ups []view.Update, schemas map[string]value.Schema, mult func(rel string, t value.Tuple) int) error {
+	type key struct{ rel, tuple string }
+	keys := make([]key, len(ups))
+	net := make(map[key]int, len(ups))
+	for i, u := range ups {
+		s, ok := schemas[u.Rel]
+		if !ok {
+			return fmt.Errorf("baseline: unknown relation %s", u.Rel)
+		}
+		if len(u.Tuple) != s.Len() {
+			return fmt.Errorf("baseline: tuple %v does not match relation %s%v", u.Tuple, u.Rel, s)
+		}
+		keys[i] = key{u.Rel, u.Tuple.Encode()}
+		net[keys[i]] += u.Mult
+	}
+	for i, u := range ups {
+		if n := mult(u.Rel, u.Tuple) + net[keys[i]]; n < 0 {
+			return fmt.Errorf("baseline: the batch leaves tuple %v of relation %s with multiplicity %d", u.Tuple, u.Rel, n)
+		}
+	}
+	return nil
 }

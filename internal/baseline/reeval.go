@@ -3,30 +3,25 @@ package baseline
 import (
 	"fmt"
 
+	"repro/fivm"
 	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
-	"repro/internal/vo"
 )
 
 // Reeval recomputes the COVAR compound aggregate from scratch after
 // every update batch: it keeps the base data as multisets and, on each
-// Apply, rebuilds a fresh factorized evaluation. Even with factorized
-// (view-tree) evaluation per batch, paying the full computation each
-// time loses to incremental maintenance once batches are small relative
-// to the database — the shape E2 demonstrates.
+// Apply, bulk-loads them into a freshly opened covar engine. Even with
+// factorized (view-tree) evaluation per batch, paying the full
+// computation each time loses to incremental maintenance once batches
+// are small relative to the database — the shape E2 demonstrates.
 type Reeval struct {
-	rels     []RelSpec
-	aggAttrs []string
-	ring     ring.CovarRing
-	lifts    map[string]ring.Lift[*ring.Covar]
-
+	cfg     fivm.Config
+	schemas map[string]value.Schema
 	// data holds the current multiset per relation: encoded tuple ->
 	// (tuple, multiplicity).
-	data map[string]map[string]weighted
-
+	data    map[string]map[string]weighted
 	payload *ring.Covar
-	dirty   bool
 }
 
 type weighted struct {
@@ -38,25 +33,20 @@ type weighted struct {
 // and continuous aggregate attributes.
 func NewReeval(rels []RelSpec, aggAttrs []string) (*Reeval, error) {
 	r := &Reeval{
-		rels:     rels,
-		aggAttrs: aggAttrs,
-		ring:     ring.NewCovarRing(len(aggAttrs)),
-		lifts:    map[string]ring.Lift[*ring.Covar]{},
-		data:     map[string]map[string]weighted{},
+		cfg:     fivm.Config{Relations: make([]fivm.RelationSpec, len(rels)), Attrs: aggAttrs},
+		schemas: make(map[string]value.Schema, len(rels)),
+		data:    make(map[string]map[string]weighted, len(rels)),
 	}
-	full := value.NewSchema()
-	for _, rel := range rels {
-		if _, dup := r.data[rel.Name]; dup {
+	for i, rel := range rels {
+		if _, dup := r.schemas[rel.Name]; dup {
 			return nil, fmt.Errorf("baseline: duplicate relation %s", rel.Name)
 		}
+		r.schemas[rel.Name] = rel.Schema
 		r.data[rel.Name] = map[string]weighted{}
-		full = full.Union(rel.Schema)
+		r.cfg.Relations[i] = fivm.RelationSpec{Name: rel.Name, Attrs: rel.Schema.Attrs()}
 	}
-	for i, a := range aggAttrs {
-		if !full.Has(a) {
-			return nil, fmt.Errorf("baseline: aggregate attribute %s not in join schema", a)
-		}
-		r.lifts[a] = r.ring.Lift(i)
+	if _, err := fivm.Open(r.cfg); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	return r, nil
 }
@@ -68,81 +58,60 @@ func (r *Reeval) Init(data map[string][]value.Tuple) error {
 			return fmt.Errorf("baseline: unknown relation %s", name)
 		}
 	}
-	for _, rel := range r.rels {
+	for name := range r.data {
 		m := map[string]weighted{}
-		for _, t := range data[rel.Name] {
+		for _, t := range data[name] {
 			k := t.Encode()
-			w := m[k]
-			w.tuple = t
-			w.mult++
-			m[k] = w
+			m[k] = weighted{tuple: t, mult: m[k].mult + 1}
 		}
-		r.data[rel.Name] = m
+		r.data[name] = m
 	}
-	r.dirty = true
 	return r.recompute()
 }
 
 // Apply merges the updates into the base multisets and recomputes the
-// payload from scratch.
+// payload from scratch. A batch it refuses (see checkBatch) changes
+// nothing.
 func (r *Reeval) Apply(ups []view.Update) error {
-	for _, u := range ups {
-		m, ok := r.data[u.Rel]
-		if !ok {
-			return fmt.Errorf("baseline: unknown relation %s", u.Rel)
-		}
-		k := u.Tuple.Encode()
-		w := m[k]
-		w.tuple = u.Tuple
-		w.mult += u.Mult
-		if w.mult == 0 {
-			delete(m, k)
-		} else {
-			m[k] = w
-		}
-	}
-	r.dirty = true
-	return r.recompute()
-}
-
-// recompute rebuilds a fresh view tree over the current data and
-// evaluates it bottom-up.
-func (r *Reeval) recompute() error {
-	if !r.dirty {
-		return nil
-	}
-	vrels := make([]vo.Rel, len(r.rels))
-	for i, rel := range r.rels {
-		vrels[i] = vo.Rel{Name: rel.Name, Schema: rel.Schema}
-	}
-	tree, err := view.New(view.Spec[*ring.Covar]{
-		Ring:      r.ring,
-		Relations: vrels,
-		Lifts:     r.lifts,
-	})
+	err := checkBatch(ups, r.schemas, func(rel string, t value.Tuple) int { return r.data[rel][t.Encode()].mult })
 	if err != nil {
 		return err
 	}
-	full := map[string][]value.Tuple{}
+	for _, u := range ups {
+		m := r.data[u.Rel]
+		k := u.Tuple.Encode()
+		if w := m[k].mult + u.Mult; w == 0 {
+			delete(m, k)
+		} else {
+			m[k] = weighted{tuple: u.Tuple, mult: w}
+		}
+	}
+	return r.recompute()
+}
+
+// recompute opens a fresh covar engine and bulk-loads the current data.
+func (r *Reeval) recompute() error {
+	eng, err := fivm.Open(r.cfg)
+	if err != nil {
+		return err
+	}
+	full := make(map[string][]value.Tuple, len(r.data))
 	for name, m := range r.data {
 		var ts []value.Tuple
 		for _, w := range m {
-			if w.mult < 0 {
-				return fmt.Errorf("baseline: relation %s holds tuple %v with negative multiplicity %d", name, w.tuple, w.mult)
-			}
 			for i := 0; i < w.mult; i++ {
 				ts = append(ts, w.tuple)
 			}
 		}
 		full[name] = ts
 	}
-	if err := tree.Init(full); err != nil {
+	if err := eng.Init(full); err != nil {
 		return err
 	}
-	r.payload = tree.ResultPayload()
-	r.dirty = false
+	r.payload, _ = eng.(*fivm.CovarEngine).Covar() // nil on the empty join
 	return nil
 }
 
-// Payload returns the last recomputed compound aggregate.
+// Payload returns the last recomputed compound aggregate, in the
+// aggregate attributes' order; nil when the join is empty.
 func (r *Reeval) Payload() *ring.Covar { return r.payload }

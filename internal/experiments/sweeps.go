@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/fivm"
-	"repro/internal/ring"
 	"repro/internal/view"
-	"repro/internal/vo"
 )
 
 // E7BatchSize sweeps the update bulk size at fixed workload: larger
@@ -198,61 +196,6 @@ func A2Factorization(sc Scale) ([]Throughput, error) {
 		return nil, err
 	}
 	r.Note = fmt.Sprintf("root lists %d join tuples", je.Size())
-	rows = append(rows, r)
-	return rows, nil
-}
-
-// A4RangedPayloads isolates the RingCofactor<double, idx, cnt>
-// optimization of Figure 2d: full degree-m payloads in every view
-// versus ranged payloads that carry only each subtree's aggregates. The
-// covar engine runs the ranged ring; the full-degree row is a view tree
-// over ring.CovarRing, the reference ring no engine kind serves, built
-// over the same relations, greedy variable order and lifts.
-func A4RangedPayloads(sc Scale, m int) ([]Throughput, error) {
-	s := newRetailerSetup(sc, 1)
-	attrs := []string{"inventoryunits", "prize", "avghhi", "maxtemp", "medianage",
-		"population", "tot_area_sq_ft", "sell_area_sq_ft", "mintemp", "meanwind",
-		"houseunits", "families", "households", "males", "females",
-		"white", "black", "asian", "hispanic", "occupiedhouseunits"}
-	if m < len(attrs) {
-		attrs = attrs[:m]
-	}
-	data := s.db.TupleMap()
-	var rows []Throughput
-
-	cr := ring.NewCovarRing(len(attrs))
-	lifts := make(map[string]ring.Lift[*ring.Covar], len(attrs))
-	for i, a := range attrs {
-		lifts[a] = cr.Lift(i)
-	}
-	rels := make([]vo.Rel, len(s.db.Relations))
-	for i, r := range s.db.Relations {
-		rels[i] = vo.Rel{Name: r.Name, Schema: r.Schema()}
-	}
-	full, err := view.New(view.Spec[*ring.Covar]{Ring: cr, Relations: rels, Lifts: lifts})
-	if err != nil {
-		return nil, err
-	}
-	if err := full.Init(data); err != nil {
-		return nil, err
-	}
-	ups := s.stream(sc.StreamLen, 0.2, 10)
-	r, err := measure("full-degree payloads everywhere", ups, sc.BatchSize, full.ApplyUpdates)
-	if err != nil {
-		return nil, err
-	}
-	r.Note = fmt.Sprintf("every view carries degree %d", len(attrs))
-	rows = append(rows, r)
-
-	ranged, err := openLoaded(fivm.Config{Attrs: attrs}, s.fspecs, data)
-	if err != nil {
-		return nil, err
-	}
-	r, err = measure("ranged payloads (RingCofactor<d,idx,cnt>)", ups, sc.BatchSize, ranged.Apply)
-	if err != nil {
-		return nil, err
-	}
-	r.Note = "views carry only their subtree's aggregates"
 	rows = append(rows, r)
 	return rows, nil
 }

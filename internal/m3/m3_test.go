@@ -11,17 +11,21 @@ import (
 	"repro/internal/vo"
 )
 
-func toyTree(t *testing.T) *view.Tree[*ring.Covar] {
+// toyTree is Figure 1's tree over the covar engine's ring. Its greedy
+// order puts B and C under A and D under C, so the post-order lift
+// indexes, under which every product meets adjacent ranges, are B 0,
+// D 1, C 2.
+func toyTree(t *testing.T) *view.Tree[*ring.RangedCovar] {
 	t.Helper()
 	rels := []vo.Rel{
 		{Name: "R", Schema: value.NewSchema("A", "B")},
 		{Name: "S", Schema: value.NewSchema("A", "C", "D")},
 	}
-	r := ring.NewCovarRing(3)
-	tr, err := view.New(view.Spec[*ring.Covar]{
+	var r ring.RangedCovarRing
+	tr, err := view.New(view.Spec[*ring.RangedCovar]{
 		Ring: r, Relations: rels,
-		Lifts: map[string]ring.Lift[*ring.Covar]{
-			"B": r.Lift(0), "C": r.Lift(1), "D": r.Lift(2),
+		Lifts: map[string]ring.Lift[*ring.RangedCovar]{
+			"B": r.Lift(0), "D": r.Lift(1), "C": r.Lift(2),
 		},
 	})
 	if err != nil {
@@ -38,9 +42,9 @@ func TestRenderDeclarations(t *testing.T) {
 			switch v {
 			case "B":
 				return 0
-			case "C":
-				return 1
 			case "D":
+				return 1
+			case "C":
 				return 2
 			}
 			return -1

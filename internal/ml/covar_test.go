@@ -8,7 +8,7 @@ import (
 )
 
 func TestSigmaFromCovar(t *testing.T) {
-	r := ring.NewCovarRing(2)
+	var r ring.RangedCovarRing
 	total := r.Zero()
 	rows := [][]float64{{1, 10}, {2, 20}, {3, 30}}
 	for _, row := range rows {
@@ -16,7 +16,7 @@ func TestSigmaFromCovar(t *testing.T) {
 		total = r.Add(total, p)
 	}
 	feats := []Feature{{Name: "x", Index: 0}, {Name: "y", Index: 1}}
-	m, err := SigmaFromCovar(total, feats)
+	m, err := SigmaFromCovar(total.Widen([]int{0, 1}), feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestSigmaFromCovar(t *testing.T) {
 }
 
 func TestSigmaFromCovarRejectsCategorical(t *testing.T) {
-	r := ring.NewCovarRing(1)
-	if _, err := SigmaFromCovar(r.One(), []Feature{{Name: "c", Categorical: true, Index: 0}}); err == nil {
+	one := ring.RangedCovarRing{}.One().Widen([]int{0})
+	if _, err := SigmaFromCovar(one, []Feature{{Name: "c", Categorical: true, Index: 0}}); err == nil {
 		t.Error("categorical feature accepted by scalar extraction")
 	}
 }

@@ -67,14 +67,14 @@ func TestArenaResetRecyclesOwnedEntries(t *testing.T) {
 // delta it held — the table is empty and every entry parked in the
 // arena, recycled or never used, references no tuple and no payload.
 func TestResetLeavesOnlyClearedEntries(t *testing.T) {
-	cr := ring.NewCovarRing(1)
+	var cr ring.RangedCovarRing
 	plan := PlanJoin(s("A", "B"), s("B", "C"))
-	left, right := New[*ring.Covar](s("A", "B")), New[*ring.Covar](s("B", "C"))
+	left, right := New[*ring.RangedCovar](s("A", "B")), New[*ring.RangedCovar](s("B", "C"))
 	for i := 0; i < 40; i++ {
 		left.Merge(cr, value.T(int64(i), int64(i%4)), cr.One())
 		right.Merge(cr, value.T(int64(i%4), int64(i)), cr.One())
 	}
-	buf := New[*ring.Covar](s("A"))
+	buf := New[*ring.RangedCovar](s("A"))
 	fused := plan.Then(PlanAggregate(plan.Out(), buf.schema, ""))
 	for round := 0; round < 2; round++ {
 		if Step(fused, cr, left, right, nil, buf).Len() != 40 {

@@ -11,7 +11,7 @@ import (
 // (A, B) against a 100 000-tuple sibling over (B, C), one match per
 // delta tuple, marginalizing B into 100 groups of A — into a recycled
 // output, as the view tree runs it.
-func benchStep[V any](b *testing.B, r ring.Ring[V], payload func(i int) V, lift ring.Lift[V], indexed bool) {
+func benchStep[V any](b *testing.B, r ring.Ring[V], deltaPayload, siblingPayload func(i int) V, lift ring.Lift[V], indexed bool) {
 	const deltaN, siblingN, groups = 1000, 100_000, 100
 	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
 	join := PlanJoin(sAB, sBC)
@@ -26,10 +26,10 @@ func benchStep[V any](b *testing.B, r ring.Ring[V], payload func(i int) V, lift 
 		sibling.AddIndex(plan.RightIndexKey())
 	}
 	for i := 0; i < siblingN; i++ {
-		sibling.Merge(r, value.T(i, i%7), payload(i))
+		sibling.Merge(r, value.T(i, i%7), siblingPayload(i))
 	}
 	for i := 0; i < deltaN; i++ {
-		delta.Merge(r, value.T(i%groups, (i*97)%siblingN), payload(i))
+		delta.Merge(r, value.T(i%groups, (i*97)%siblingN), deltaPayload(i))
 	}
 	out := NewSized[V](plan.Out(), deltaN)
 	Step(plan, r, delta, sibling, lift, out) // the first probe builds the lazy index
@@ -49,15 +49,21 @@ func benchStepKinds(b *testing.B, lifted, indexed bool) {
 		if lifted {
 			lift = func(v value.Value) int64 { return v.Int() + 1 }
 		}
-		benchStep[int64](b, ring.Ints{}, func(i int) int64 { return int64(i%5 + 1) }, lift, indexed)
+		payload := func(i int) int64 { return int64(i%5 + 1) }
+		benchStep[int64](b, ring.Ints{}, payload, payload, lift, indexed)
 	})
 	b.Run("covar", func(b *testing.B) {
-		cr := ring.NewCovarRing(6)
-		var lift ring.Lift[*ring.Covar]
+		// The delta lifts attribute 0, the sibling 1, the step 2: the
+		// adjacent ranges of a covar view tree.
+		var cr ring.RangedCovarRing
+		var lift ring.Lift[*ring.RangedCovar]
 		if lifted {
 			lift = cr.Lift(2)
 		}
-		benchStep[*ring.Covar](b, cr, func(i int) *ring.Covar { return cr.Lift(i % 2)(value.Int(int64(i%5 + 1))) }, lift, indexed)
+		payload := func(idx int) func(i int) *ring.RangedCovar {
+			return func(i int) *ring.RangedCovar { return cr.Lift(idx)(value.Int(int64(i%5 + 1))) }
+		}
+		benchStep[*ring.RangedCovar](b, cr, payload(0), payload(1), lift, indexed)
 	})
 }
 

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ring"
@@ -22,24 +23,41 @@ func (p pureRing[V]) Mul(a, b V) V    { return p.r.Mul(a, b) }
 func (p pureRing[V]) Neg(a V) V       { return p.r.Neg(a) }
 func (p pureRing[V]) IsZero(a V) bool { return p.r.IsZero(a) }
 
-func randCovarRelation(rnd *rand.Rand, r ring.CovarRing, schema value.Schema, n int) *Map[*ring.Covar] {
-	m := New[*ring.Covar](schema)
+// randRanged draws a payload of the covar engine's ring over [start,
+// start+n) with small integer statistics, so float sums are exact: a
+// lifted row of random values times a random nonzero count. n = 0
+// draws a scalar.
+func randRanged(rnd *rand.Rand, start, n int) *ring.RangedCovar {
+	var r ring.RangedCovarRing
+	p := r.One()
+	p.C = float64(rnd.Intn(3) + 1)
+	if rnd.Intn(2) == 0 {
+		p.C = -p.C
+	}
+	for i := start; i < start+n; i++ {
+		p = r.Mul(p, r.Lift(i)(value.Int(int64(rnd.Intn(7)-3))))
+	}
+	return p
+}
+
+// randRangedRelation fills n random tuples of schema with payloads over
+// [start, start+width).
+func randRangedRelation(rnd *rand.Rand, schema value.Schema, n, start, width int) *Map[*ring.RangedCovar] {
+	m := New[*ring.RangedCovar](schema)
 	for i := 0; i < n; i++ {
 		t := make(value.Tuple, schema.Len())
 		for j := range t {
 			t[j] = value.Int(int64(rnd.Intn(4)))
 		}
-		c := r.One()
-		c.C = float64(rnd.Intn(7) - 3)
-		for k := range c.S {
-			c.S[k] = float64(rnd.Intn(7) - 3)
-		}
-		for k := range c.Q {
-			c.Q[k] = float64(rnd.Intn(7) - 3)
-		}
-		m.Merge(r, t, c)
+		m.Merge(ring.RangedCovarRing{}, t, randRanged(rnd, start, width))
 	}
 	return m
+}
+
+// backing returns the address of p's backing array, 0 for a scalar,
+// which has none: two payloads sharing storage share it.
+func backing(p *ring.RangedCovar) uintptr {
+	return reflect.ValueOf(p).Elem().FieldByName("v").Pointer()
 }
 
 // TestJoinAggregateFusedMatchesPure joins and aggregates random
@@ -48,25 +66,27 @@ func randCovarRelation(rnd *rand.Rand, r ring.CovarRing, schema value.Schema, n 
 // keeps float sums exact, so even the float components must match
 // exactly.
 func TestJoinAggregateFusedMatchesPure(t *testing.T) {
-	cr := ring.NewCovarRing(3)
-	pure := pureRing[*ring.Covar]{r: cr}
+	var cr ring.RangedCovarRing
+	pure := pureRing[*ring.RangedCovar]{r: cr}
 	left := value.NewSchema("A", "B")
 	right := value.NewSchema("A", "C")
-	eq := func(a, b *ring.Covar) bool { return a.Equal(b) }
+	eq := (*ring.RangedCovar).Equal
 	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
-		l := randCovarRelation(rnd, cr, left, 2+rnd.Intn(20))
-		r := randCovarRelation(rnd, cr, right, 2+rnd.Intn(20))
+		// Ranges as a view tree multiplies them: the left payloads cover
+		// [0,2), the right ones [2,3), and the lift index 3.
+		l := randRangedRelation(rnd, left, 2+rnd.Intn(20), 0, 2)
+		r := randRangedRelation(rnd, right, 2+rnd.Intn(20), 2, 1)
 
-		fused := Join[*ring.Covar](cr, l, r)
-		plain := Join[*ring.Covar](pure, l, r)
+		fused := Join[*ring.RangedCovar](cr, l, r)
+		plain := Join[*ring.RangedCovar](pure, l, r)
 		if !fused.Equal(plain, eq) {
 			t.Fatalf("fused join differs from pure join:\n%v\nvs\n%v", fused, plain)
 		}
 
-		lift := cr.Lift(0)
-		aggF := Aggregate[*ring.Covar](cr, fused, value.NewSchema("A"), "B", lift)
-		aggP := Aggregate[*ring.Covar](pure, plain, value.NewSchema("A"), "B", lift)
+		lift := cr.Lift(3)
+		aggF := Aggregate[*ring.RangedCovar](cr, fused, value.NewSchema("A"), "B", lift)
+		aggP := Aggregate[*ring.RangedCovar](pure, plain, value.NewSchema("A"), "B", lift)
 		if !aggF.Equal(aggP, eq) {
 			t.Fatalf("fused aggregate differs from pure aggregate:\n%v\nvs\n%v", aggF, aggP)
 		}
@@ -76,27 +96,27 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 		for _, liftAttr := range []string{"", "B"} {
 			plan := PlanJoin(left, right)
 			fusedPlan := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), liftAttr))
-			var lf ring.Lift[*ring.Covar]
+			var lf ring.Lift[*ring.RangedCovar]
 			if liftAttr != "" {
 				lf = lift
 			}
-			stepF := Step[*ring.Covar](fusedPlan, cr, l, r, lf, nil)
-			stepP := Step[*ring.Covar](fusedPlan, pure, l, r, lf, nil)
+			stepF := Step[*ring.RangedCovar](fusedPlan, cr, l, r, lf, nil)
+			stepP := Step[*ring.RangedCovar](fusedPlan, pure, l, r, lf, nil)
 			if !stepF.Equal(stepP, eq) {
 				t.Fatalf("fused step (lift %q) differs from the pure step:\n%v\nvs\n%v", liftAttr, stepF, stepP)
 			}
 		}
 
 		// No-lift aggregation exercises the shared-payload copy-on-write.
-		nlF := Aggregate[*ring.Covar](cr, fused, value.NewSchema("B"), "", nil)
-		nlP := Aggregate[*ring.Covar](pure, plain, value.NewSchema("B"), "", nil)
+		nlF := Aggregate[*ring.RangedCovar](cr, fused, value.NewSchema("B"), "", nil)
+		nlP := Aggregate[*ring.RangedCovar](pure, plain, value.NewSchema("B"), "", nil)
 		if !nlF.Equal(nlP, eq) {
 			t.Fatalf("fused no-lift aggregate differs from pure:\n%v\nvs\n%v", nlF, nlP)
 		}
 
 		// The inputs must come out untouched by either path (the fused
 		// accumulation may only ever mutate values it created).
-		lAgain := Join[*ring.Covar](pure, l, r)
+		lAgain := Join[*ring.RangedCovar](pure, l, r)
 		if !lAgain.Equal(plain, eq) {
 			t.Fatal("join inputs were mutated by a previous join")
 		}
@@ -107,31 +127,37 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 // group's first product is a fresh value the output owns (no entry is
 // flagged shared, no stored payload or backing array is an operand's),
 // and the in-place folds that follow — the kernel's own, and a commit's
-// after it — never reach an operand, One payloads included.
+// after it — never reach an operand, One payloads included. The left
+// payloads cover [0,1) and the right ones are scalars, so every group
+// adds products of one range; each One sits where it meets only
+// payloads of its own group's range.
 func TestStepOwnsItsOutput(t *testing.T) {
-	cr := ring.NewCovarRing(2)
+	var cr ring.RangedCovarRing
 	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
 	plan := PlanJoin(sAB, sBC)
 	rnd := rand.New(rand.NewSource(11))
-	left, right := randCovarRelation(rnd, cr, sAB, 12), randCovarRelation(rnd, cr, sBC, 12)
-	left.Set(value.T(9, 1), cr.One())
-	right.Set(value.T(1, 9), cr.One())
+	left, right := randRangedRelation(rnd, sAB, 12, 0, 1), randRangedRelation(rnd, sBC, 12, 0, 0)
+	left.Set(value.T(9, 5), cr.One())  // × right's One: group C=8
+	right.Set(value.T(5, 8), cr.One()) //
+	right.Set(value.T(1, 9), cr.One()) // × left's B=1 payloads: group C=9
 	right.AddIndex(plan.RightIndexKey())
-	operands := map[*ring.Covar]*ring.Covar{}
-	arrays := map[*float64]bool{}
-	for _, m := range []*Map[*ring.Covar]{left, right} {
-		m.Each(func(_ value.Tuple, p *ring.Covar) {
+	operands := map[*ring.RangedCovar]*ring.RangedCovar{}
+	arrays := map[uintptr]bool{}
+	for _, m := range []*Map[*ring.RangedCovar]{left, right} {
+		m.Each(func(_ value.Tuple, p *ring.RangedCovar) {
 			operands[p] = p.Clone()
-			arrays[&p.S[0]] = true
+			if a := backing(p); a != 0 {
+				arrays[a] = true
+			}
 		})
 	}
 	for _, liftAttr := range []string{"", "A"} {
-		var lift ring.Lift[*ring.Covar]
+		var lift ring.Lift[*ring.RangedCovar]
 		if liftAttr != "" {
-			lift = cr.Lift(0)
+			lift = cr.Lift(1)
 		}
 		fused := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), liftAttr))
-		out := Step[*ring.Covar](fused, cr, left, right, lift, nil)
+		out := Step[*ring.RangedCovar](fused, cr, left, right, lift, nil)
 		if out.Len() == 0 || out.Len() >= left.Len()*right.Len() {
 			t.Fatalf("fixture groups nothing: %d groups", out.Len())
 		}
@@ -139,14 +165,14 @@ func TestStepOwnsItsOutput(t *testing.T) {
 			if e.shared {
 				t.Fatalf("lift %q: group %v is flagged shared; its first product should be owned", liftAttr, e.tuple)
 			}
-			if operands[e.payload] != nil || arrays[&e.payload.S[0]] {
+			if operands[e.payload] != nil || arrays[backing(e.payload)] {
 				t.Fatalf("lift %q: group %v stores an operand's payload", liftAttr, e.tuple)
 			}
 		}
 		// A commit takes the groups over and folds into them in place.
-		view := New[*ring.Covar](out.schema)
+		view := New[*ring.RangedCovar](out.schema)
 		view.Absorb(cr, out)
-		view.Absorb(cr, Step[*ring.Covar](fused, cr, left, right, lift, nil))
+		view.Absorb(cr, Step[*ring.RangedCovar](fused, cr, left, right, lift, nil))
 		for p, was := range operands {
 			if !p.Equal(was) {
 				t.Fatalf("lift %q: an operand payload was written: %v, was %v", liftAttr, p, was)
@@ -155,11 +181,13 @@ func TestStepOwnsItsOutput(t *testing.T) {
 	}
 }
 
-// covarOf builds a degree-1 payload (c, [s], [q]).
-func covarOf(r ring.CovarRing, c, s, q float64) *ring.Covar {
-	v := r.One()
-	v.C, v.S[0], v.Q[0] = c, s, q
-	return v
+// covarOf builds the payload (c, [c·x], [c·x²]) over [0,1): c rows of
+// the value x.
+func covarOf(c, x float64) *ring.RangedCovar {
+	var r ring.RangedCovarRing
+	p := r.One()
+	p.C = c
+	return r.Mul(p, r.Lift(0)(value.Float(x)))
 }
 
 // TestMergeOwnsWhatItStores pins the ownership rule of the commit path:
@@ -169,24 +197,26 @@ func covarOf(r ring.CovarRing, c, s, q float64) *ring.Covar {
 // contents equal the pure-Add map's throughout — for Merge and MergeAll
 // alike.
 func TestMergeOwnsWhatItStores(t *testing.T) {
-	cr := ring.NewCovarRing(1)
-	pure := pureRing[*ring.Covar]{r: cr}
-	eq := func(a, b *ring.Covar) bool { return a.Equal(b) }
+	var cr ring.RangedCovarRing
+	pure := pureRing[*ring.RangedCovar]{r: cr}
+	eq := (*ring.RangedCovar).Equal
 	schema := value.NewSchema("A")
 	key := value.T(1)
-	one := covarOf(cr, 1, 2, 4) // stands for a cached constant such as view.Tree's ±1
+	one := covarOf(1, 2) // stands for a cached constant such as view.Tree's ±1
 	oneCopy := one.Clone()
 
-	for name, merge := range map[string]func(m *Map[*ring.Covar], r ring.Ring[*ring.Covar], p *ring.Covar){
-		"Merge": func(m *Map[*ring.Covar], r ring.Ring[*ring.Covar], p *ring.Covar) { m.Merge(r, key, p) },
-		"MergeAll": func(m *Map[*ring.Covar], r ring.Ring[*ring.Covar], p *ring.Covar) {
-			d := New[*ring.Covar](schema)
+	for name, merge := range map[string]func(m *Map[*ring.RangedCovar], r ring.Ring[*ring.RangedCovar], p *ring.RangedCovar){
+		"Merge": func(m *Map[*ring.RangedCovar], r ring.Ring[*ring.RangedCovar], p *ring.RangedCovar) {
+			m.Merge(r, key, p)
+		},
+		"MergeAll": func(m *Map[*ring.RangedCovar], r ring.Ring[*ring.RangedCovar], p *ring.RangedCovar) {
+			d := New[*ring.RangedCovar](schema)
 			d.Set(key, p)
 			m.MergeAll(r, d)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			owned, ref := New[*ring.Covar](schema), New[*ring.Covar](schema)
+			owned, ref := New[*ring.RangedCovar](schema), New[*ring.RangedCovar](schema)
 			merge(owned, cr, one)
 			merge(ref, pure, one)
 			if got, _ := owned.Get(key); got != one {
@@ -213,7 +243,7 @@ func TestMergeOwnsWhatItStores(t *testing.T) {
 			}
 			// Annihilate and come back: the recycled entry must not carry
 			// ownership of anything over.
-			neg := cr.Neg(covarOf(cr, 7, 14, 28))
+			neg := cr.Neg(covarOf(7, 2))
 			merge(owned, cr, neg)
 			merge(ref, pure, neg)
 			if owned.Len() != 0 || ref.Len() != 0 {
@@ -235,21 +265,21 @@ func TestMergeOwnsWhatItStores(t *testing.T) {
 // (flagged shared) is still replaced, never written; contents equal the
 // pure-Add map's throughout.
 func TestAbsorbTakesOverWhatItsArgumentOwned(t *testing.T) {
-	cr := ring.NewCovarRing(1)
-	pure := pureRing[*ring.Covar]{r: cr}
-	eq := func(a, b *ring.Covar) bool { return a.Equal(b) }
+	var cr ring.RangedCovarRing
+	pure := pureRing[*ring.RangedCovar]{r: cr}
+	eq := (*ring.RangedCovar).Equal
 	schema := value.NewSchema("A")
 	ownedKey, aliasKey := value.T(1), value.T(2)
-	constant := covarOf(cr, 1, 2, 4)
+	constant := covarOf(1, 2)
 	constantCopy := constant.Clone()
-	delta := func() *Map[*ring.Covar] {
-		d := New[*ring.Covar](schema)
-		d.Merge(cr, ownedKey, covarOf(cr, 1, 1, 1))
-		d.Merge(cr, ownedKey, covarOf(cr, 1, 1, 1)) // the sum is d's own
-		d.Set(aliasKey, constant)                   // flagged shared
+	delta := func() *Map[*ring.RangedCovar] {
+		d := New[*ring.RangedCovar](schema)
+		d.Merge(cr, ownedKey, covarOf(1, 1))
+		d.Merge(cr, ownedKey, covarOf(1, 1)) // the sum is d's own
+		d.Set(aliasKey, constant)            // flagged shared
 		return d
 	}
-	m, ref := New[*ring.Covar](schema), New[*ring.Covar](schema)
+	m, ref := New[*ring.RangedCovar](schema), New[*ring.RangedCovar](schema)
 	first := delta()
 	taken, _ := first.Get(ownedKey)
 	m.Absorb(cr, first)
@@ -276,16 +306,16 @@ func TestAbsorbTakesOverWhatItsArgumentOwned(t *testing.T) {
 // sides — merging into either map afterwards must leave the other's
 // payloads bit-identical (a published TableModel is such a clone).
 func TestCloneIsAStableSnapshot(t *testing.T) {
-	cr := ring.NewCovarRing(1)
+	var cr ring.RangedCovarRing
 	schema := value.NewSchema("A")
-	m := New[*ring.Covar](schema)
+	m := New[*ring.RangedCovar](schema)
 	for k := 0; k < 3; k++ {
-		m.Merge(cr, value.T(k), covarOf(cr, 1, 1, 1))
-		m.Merge(cr, value.T(k), covarOf(cr, 1, 2, 4)) // now owned by m
+		m.Merge(cr, value.T(k), covarOf(1, 1))
+		m.Merge(cr, value.T(k), covarOf(1, 2)) // now owned by m
 	}
 	want := m.String()
-	delta := New[*ring.Covar](schema)
-	delta.Set(value.T(1), covarOf(cr, 5, 5, 5))
+	delta := New[*ring.RangedCovar](schema)
+	delta.Set(value.T(1), covarOf(5, 1))
 
 	snap := m.Clone()
 	m.MergeAll(cr, delta)
@@ -306,25 +336,25 @@ func TestCloneIsAStableSnapshot(t *testing.T) {
 // owns them (a root view aggregated into the query result), so both
 // entries must copy on write, whichever is merged into first.
 func TestUnliftedAggregateFlagsBothSides(t *testing.T) {
-	cr := ring.NewCovarRing(1)
-	in := New[*ring.Covar](value.NewSchema("A", "B"))
+	var cr ring.RangedCovarRing
+	in := New[*ring.RangedCovar](value.NewSchema("A", "B"))
 	for k := 0; k < 3; k++ {
-		in.Merge(cr, value.T(k, k), covarOf(cr, 1, 1, 1))
-		in.Merge(cr, value.T(k, k), covarOf(cr, 1, 2, 4)) // owned by in
+		in.Merge(cr, value.T(k, k), covarOf(1, 1))
+		in.Merge(cr, value.T(k, k), covarOf(1, 2)) // owned by in
 	}
-	out := Aggregate[*ring.Covar](cr, in, value.NewSchema("A"), "", nil)
+	out := Aggregate[*ring.RangedCovar](cr, in, value.NewSchema("A"), "", nil)
 	wantOut := out.String()
 
-	dIn := New[*ring.Covar](in.Schema())
-	dIn.Set(value.T(1, 1), covarOf(cr, 3, 3, 3))
+	dIn := New[*ring.RangedCovar](in.Schema())
+	dIn.Set(value.T(1, 1), covarOf(3, 1))
 	in.MergeAll(cr, dIn)
 	in.MergeAll(cr, dIn)
 	if got := out.String(); got != wantOut {
 		t.Fatalf("aggregate changed when its input was merged into:\n%s\nwant\n%s", got, wantOut)
 	}
 	wantIn := in.String()
-	dOut := New[*ring.Covar](out.Schema())
-	dOut.Set(value.T(2), covarOf(cr, 3, 3, 3))
+	dOut := New[*ring.RangedCovar](out.Schema())
+	dOut.Set(value.T(2), covarOf(3, 1))
 	out.MergeAll(cr, dOut)
 	out.MergeAll(cr, dOut)
 	if got := in.String(); got != wantIn {

@@ -181,63 +181,35 @@ func (RelValCodec) Decode(r io.Reader) (RelVal, error) {
 	return out, nil
 }
 
-// CovarCodec serializes degree-m matrix-ring payloads. The codec is
-// bound to a ring; the wire format depends on the degree, which Tag
-// exposes so snapshot headers can reject a mismatched configuration
-// before misparsing payload bytes.
-type CovarCodec struct{ Ring CovarRing }
-
-// Tag names this codec configuration, including the degree.
-func (c CovarCodec) Tag() string { return fmt.Sprintf("ring.CovarCodec[m=%d]", c.Ring.m) }
-
-// Encode writes a presence flag, the degree, and the flat components.
-func (c CovarCodec) Encode(w io.Writer, v *Covar) error {
-	if v == nil {
-		return writeUvarint(w, 0)
-	}
-	if v.m != c.Ring.m {
-		return fmt.Errorf("ring: encoding degree-%d payload with degree-%d codec", v.m, c.Ring.m)
-	}
-	if err := writeUvarint(w, 1); err != nil {
-		return err
-	}
-	if err := writeFloat(w, v.C); err != nil {
-		return err
-	}
-	for _, s := range v.S {
-		if err := writeFloat(w, s); err != nil {
-			return err
-		}
-	}
-	for _, q := range v.Q {
-		if err := writeFloat(w, q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decode reads one payload (nil for the zero flag).
-func (c CovarCodec) Decode(r io.Reader) (*Covar, error) {
+// DecodeFullCovar reads one payload of the full-degree stream format
+// covar engines wrote before their payloads were ranged, under the tag
+// "ring.CovarCodec[m=N]": a presence flag (zero decodes to nil), then
+// c, the N sums and the packed upper triangle of Q, attributes in the
+// writer's order. It writes them straight into a payload over [0, N)
+// whose global index perm[i] carries attribute i, where N = len(perm)
+// and perm is a permutation of 0..N-1. Only the degree sizes what it
+// allocates; the stream sizes nothing.
+func DecodeFullCovar(r io.Reader, perm []int) (*RangedCovar, error) {
 	flag, err := readUvarint(r)
-	if err != nil {
+	if err != nil || flag == 0 {
 		return nil, err
 	}
-	if flag == 0 {
-		return nil, nil
-	}
-	out := c.Ring.One()
+	m := len(perm)
+	out := newRanged(0, m)
 	if out.C, err = readFloat(r); err != nil {
 		return nil, err
 	}
-	for i := range out.S {
-		if out.S[i], err = readFloat(r); err != nil {
+	s, q := out.v[:m], out.v[m:]
+	for _, g := range perm {
+		if s[g], err = readFloat(r); err != nil {
 			return nil, err
 		}
 	}
-	for i := range out.Q {
-		if out.Q[i], err = readFloat(r); err != nil {
-			return nil, err
+	for i, g := range perm {
+		for _, h := range perm[i:] {
+			if q[triIndex(m, min(g, h), max(g, h))], err = readFloat(r); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -315,8 +287,8 @@ func (c RangedCovarCodec) Decode(r io.Reader) (*RangedCovar, error) {
 	return out, nil
 }
 
-// RelCovarCodec serializes generalized degree-m payloads. Like
-// CovarCodec its wire format depends on the degree, exposed via Tag.
+// RelCovarCodec serializes generalized degree-m payloads. Its wire
+// format depends on the degree, exposed via Tag.
 type RelCovarCodec struct{ Ring RelCovarRing }
 
 // Tag names this codec configuration, including the degree.

@@ -67,29 +67,35 @@ func TestRelValCodec(t *testing.T) {
 	}
 }
 
+// TestCovarCodec: DecodeFullCovar reads the full-degree stream format
+// back exactly, through the identity and through a permutation. A
+// payload of a smaller degree runs out of bytes; one of a larger degree
+// is the stream header's to refuse, as the tag names the degree.
 func TestCovarCodec(t *testing.T) {
-	r := NewCovarRing(3)
-	c := CovarCodec{Ring: r}
 	gen := randCovar(3)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		v := gen(rng)
-		got := roundTrip[*Covar](t, c, v)
-		if v == nil {
-			if got != nil {
-				t.Errorf("nil decoded to %v", got)
+		for _, perm := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+			var buf bytes.Buffer
+			if err := encodeFullCovar(&buf, v); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if !got.Equal(v) {
-			t.Errorf("roundtrip(%v) = %v", v, got)
+			got, err := DecodeFullCovar(&buf, perm)
+			if err != nil || buf.Len() != 0 {
+				t.Fatalf("decode: %v, %d bytes left", err, buf.Len())
+			}
+			if back := got.Widen(perm); !back.Equal(v) {
+				t.Errorf("roundtrip(%v) through %v = %v", v, perm, back)
+			}
 		}
 	}
-	// Degree mismatch is rejected at encode time.
-	other := NewCovarRing(2).One()
 	var buf bytes.Buffer
-	if err := c.Encode(&buf, other); err == nil {
-		t.Error("cross-degree encode accepted")
+	if err := encodeFullCovar(&buf, NewCovarRing(2).One()); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := DecodeFullCovar(&buf, []int{0, 1, 2}); err == nil {
+		t.Errorf("a degree-2 payload decoded at degree 3 to %v", v)
 	}
 }
 
@@ -119,15 +125,14 @@ func TestRelCovarCodec(t *testing.T) {
 }
 
 func TestCodecTruncation(t *testing.T) {
-	r := NewCovarRing(2)
-	v := r.One()
+	v := NewCovarRing(2).One()
 	v.S[0] = 5
 	var buf bytes.Buffer
-	if err := (CovarCodec{Ring: r}).Encode(&buf, v); err != nil {
+	if err := encodeFullCovar(&buf, v); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < buf.Len(); cut++ {
-		if _, err := (CovarCodec{Ring: r}).Decode(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, err := DecodeFullCovar(bytes.NewReader(buf.Bytes()[:cut]), []int{1, 0}); err == nil {
 			t.Errorf("truncated payload (%d bytes) decoded", cut)
 		}
 	}
@@ -198,13 +203,16 @@ func TestRangedCovarCodecBoundToDegree(t *testing.T) {
 	}
 }
 
-// FuzzRangedCovarDecode: decoding arbitrary bytes never panics, never
-// allocates beyond what a payload of the codec's degree needs, accepts
-// only ranges within the degree, and encode/decode of an accepted value
-// is the identity.
+// FuzzRangedCovarDecode: decoding arbitrary bytes — with the ranged
+// codec, and with DecodeFullCovar, the reader of the full-degree format
+// of earlier covar streams — never panics, never allocates beyond what
+// a payload of the degree needs, accepts only ranges within the degree,
+// and re-encoding an accepted value decodes to the same bits (the full
+// degree through a test-side encoder of its widened payload).
 func FuzzRangedCovarDecode(f *testing.F) {
 	const m = 6
 	codec := RangedCovarCodec{Degree: m}
+	perm := []int{3, 0, 5, 1, 4, 2}
 	rnd := rand.New(rand.NewSource(6))
 	for _, rng := range [][2]int{{0, 0}, {0, 1}, {2, 3}, {0, m}, {5, 1}} {
 		var buf bytes.Buffer
@@ -213,9 +221,27 @@ func FuzzRangedCovarDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	gen := randCovar(m)
+	for i := 0; i < 3; i++ {
+		var buf bytes.Buffer
+		if err := encodeFullCovar(&buf, gen(rnd)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Add([]byte{0})
 	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 3), 4))
 	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, math.MaxUint64), 0))
+	decoders := []struct {
+		name   string
+		decode func(io.Reader) (*RangedCovar, error)
+		encode func(io.Writer, *RangedCovar) error
+	}{
+		{"ranged", codec.Decode, codec.Encode},
+		{"full-degree",
+			func(r io.Reader) (*RangedCovar, error) { return DecodeFullCovar(r, perm) },
+			func(w io.Writer, v *RangedCovar) error { return encodeFullCovar(w, v.Widen(perm)) }},
+	}
 	// A degree-m payload is one struct and one array of m+m(m+1)/2
 	// floats; the slack covers the readers' small buffers. The heap
 	// counter is process-wide and the fuzzing engine allocates beside
@@ -227,30 +253,32 @@ func FuzzRangedCovarDecode(f *testing.F) {
 		return ms.TotalAlloc
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		least := uint64(math.MaxUint64)
-		for i := 0; i < 3; i++ {
-			r := bytes.NewReader(data)
-			before := allocated()
-			codec.Decode(r)
-			least = min(least, allocated()-before)
-		}
-		if least > budget {
-			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), least, budget)
-		}
-		v, err := codec.Decode(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if v != nil && (v.Start < 0 || v.N < 0 || v.Start+v.N > m || len(v.v) != v.N+triLen(v.N)) {
-			t.Fatalf("accepted range [%d,%d) with %d floats at degree %d", v.Start, v.Start+v.N, len(v.v), m)
-		}
-		var buf bytes.Buffer
-		if err := codec.Encode(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-		back, err := codec.Decode(&buf)
-		if err != nil || !sameBits(back, v) {
-			t.Fatalf("decode(encode(x)) = (%v, %v), want %v", back, err, v)
+		for _, d := range decoders {
+			least := uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				r := bytes.NewReader(data)
+				before := allocated()
+				d.decode(r)
+				least = min(least, allocated()-before)
+			}
+			if least > budget {
+				t.Fatalf("%s: decoding %d bytes allocated %d bytes, budget %d", d.name, len(data), least, budget)
+			}
+			v, err := d.decode(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			if v != nil && (v.Start < 0 || v.N < 0 || v.Start+v.N > m || len(v.v) != v.N+triLen(v.N)) {
+				t.Fatalf("%s: accepted range [%d,%d) with %d floats at degree %d", d.name, v.Start, v.Start+v.N, len(v.v), m)
+			}
+			var buf bytes.Buffer
+			if err := d.encode(&buf, v); err != nil {
+				t.Fatal(err)
+			}
+			back, err := d.decode(&buf)
+			if err != nil || !sameBits(back, v) {
+				t.Fatalf("%s: decode(encode(x)) = (%v, %v), want %v", d.name, back, err, v)
+			}
 		}
 	})
 }

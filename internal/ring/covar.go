@@ -7,13 +7,14 @@ import (
 	"repro/internal/value"
 )
 
-// Covar is a value of the degree-m matrix ring over float64: the
-// compound aggregate (c, s, Q) where c is the count SUM(1), s is the
-// m-vector of SUM(X_i), and Q is the symmetric m×m matrix of
-// SUM(X_i * X_j). Q is stored as its packed upper triangle.
+// Covar is the dense degree-m compound aggregate (c, s, Q) where c is
+// the count SUM(1), s is the m-vector of SUM(X_i), and Q is the
+// symmetric m×m matrix of SUM(X_i * X_j), stored as its packed upper
+// triangle. It is the result type of the covar engine, whose ring is
+// RangedCovar: RangedCovar.Widen reads a payload into one, and
+// ml.SigmaFromCovar reads it.
 //
-// A nil *Covar is the ring's zero. Covar values are immutable by
-// convention: ring operations allocate fresh results.
+// A nil *Covar reads as zero.
 type Covar struct {
 	m int
 	C float64
@@ -25,10 +26,8 @@ type Covar struct {
 func triLen(m int) int { return m * (m + 1) / 2 }
 
 // newCovar returns a zero-valued degree-m Covar whose S and Q share one
-// backing array: Covar construction is the maintenance hot path's
-// dominant allocator, and the shared backing turns three allocations
-// (struct, S, Q) into two. S is capacity-capped so an append could
-// never silently spill into Q.
+// backing array, two allocations instead of three. S is
+// capacity-capped so an append could never silently spill into Q.
 func newCovar(m int) *Covar {
 	buf := make([]float64, m+triLen(m))
 	return &Covar{m: m, S: buf[:m:m], Q: buf[m:]}
@@ -38,13 +37,10 @@ func newCovar(m int) *Covar {
 // i <= j.
 func triIndex(m, i, j int) int { return i*m - i*(i-1)/2 + (j - i) }
 
-// Degree returns the ring degree m.
+// Degree returns m.
 func (c *Covar) Degree() int { return c.m }
 
-// Clone returns a deep copy of c; cloning nil (the ring zero) returns
-// nil. Payloads are immutable under ring operations, but a clone lets a
-// snapshot publisher hand the value to concurrent readers without any
-// aliasing question.
+// Clone returns a deep copy of c; cloning nil returns nil.
 func (c *Covar) Clone() *Covar {
 	if c == nil {
 		return nil
@@ -84,8 +80,8 @@ func (c *Covar) Prod(i, j int) float64 {
 	return c.Q[triIndex(c.m, i, j)]
 }
 
-// Equal reports element-wise equality (nil equals an all-zero value of
-// any degree only if both are nil; callers compare within one ring).
+// Equal reports element-wise equality, degree included; nil equals
+// only nil.
 func (c *Covar) Equal(o *Covar) bool {
 	switch {
 	case c == nil && o == nil:
@@ -136,131 +132,4 @@ func (c *Covar) String() string {
 	}
 	b.WriteString("])")
 	return b.String()
-}
-
-// CovarRing is the degree-m matrix ring over float64 scalars.
-type CovarRing struct{ m int }
-
-// NewCovarRing returns the degree-m matrix ring. It panics for m <= 0.
-func NewCovarRing(m int) CovarRing {
-	if m <= 0 {
-		panic("ring: CovarRing degree must be positive")
-	}
-	return CovarRing{m: m}
-}
-
-// Degree returns m.
-func (r CovarRing) Degree() int { return r.m }
-
-// Zero returns nil, the additive identity.
-func (r CovarRing) Zero() *Covar { return nil }
-
-// One returns (1, 0, 0), the multiplicative identity.
-func (r CovarRing) One() *Covar {
-	out := newCovar(r.m)
-	out.C = 1
-	return out
-}
-
-// Add returns the element-wise sum. Either argument may be nil.
-func (r CovarRing) Add(a, b *Covar) *Covar {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := newCovar(r.m)
-	out.C = a.C + b.C
-	for i := range out.S {
-		out.S[i] = a.S[i] + b.S[i]
-	}
-	for i := range out.Q {
-		out.Q[i] = a.Q[i] + b.Q[i]
-	}
-	return out
-}
-
-// Mul returns the degree-m matrix ring product:
-//
-//	c = ca*cb
-//	s = cb*sa + ca*sb
-//	Q = cb*Qa + ca*Qb + sa sbᵀ + sb saᵀ
-func (r CovarRing) Mul(a, b *Covar) *Covar {
-	if a == nil || b == nil {
-		return nil
-	}
-	m := r.m
-	out := newCovar(m)
-	out.C = a.C * b.C
-	for i := 0; i < m; i++ {
-		out.S[i] = b.C*a.S[i] + a.C*b.S[i]
-	}
-	k := 0
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			out.Q[k] = b.C*a.Q[k] + a.C*b.Q[k] + a.S[i]*b.S[j] + b.S[i]*a.S[j]
-			k++
-		}
-	}
-	return out
-}
-
-// Neg returns the element-wise negation.
-func (r CovarRing) Neg(a *Covar) *Covar {
-	if a == nil {
-		return nil
-	}
-	out := newCovar(r.m)
-	out.C = -a.C
-	for i := range out.S {
-		out.S[i] = -a.S[i]
-	}
-	for i := range out.Q {
-		out.Q[i] = -a.Q[i]
-	}
-	return out
-}
-
-// IsZero reports whether a is nil or element-wise zero.
-func (r CovarRing) IsZero(a *Covar) bool {
-	if a == nil {
-		return true
-	}
-	if a.C != 0 {
-		return false
-	}
-	for _, v := range a.S {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range a.Q {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Lift returns the lift g_X for the continuous attribute at index idx:
-// g_X(x) = (1, s, Q) with s_idx = x and Q_idx,idx = x².
-func (r CovarRing) Lift(idx int) Lift[*Covar] {
-	if idx < 0 || idx >= r.m {
-		panic(fmt.Sprintf("ring: lift index %d out of range for degree %d", idx, r.m))
-	}
-	qi := triIndex(r.m, idx, idx)
-	return func(v value.Value) *Covar {
-		x := v.AsFloat()
-		c := r.One()
-		c.S[idx] = x
-		c.Q[qi] = x * x
-		return c
-	}
-}
-
-// LiftOne returns the lift g(x) = 1, for join attributes that contribute
-// no aggregate of their own.
-func (r CovarRing) LiftOne() Lift[*Covar] {
-	return func(value.Value) *Covar { return r.One() }
 }

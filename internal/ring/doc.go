@@ -11,10 +11,11 @@
 //   - Relational: relations as values, with union as + and a
 //     schema-concatenating join as ×. Used as the scalar domain of the
 //     generalized degree-m ring.
-//   - Covar: the degree-m matrix ring over float64 scalars, carrying
-//     the compound aggregate (c, s, Q) for continuous attributes. It is
-//     the full-degree reference the ranged ring is tested against, and
-//     the result type a covar engine hands out.
+//   - Covar: not a ring but the dense compound aggregate (c, s, Q) of m
+//     continuous attributes, the result type a covar engine hands out
+//     and ml.SigmaFromCovar reads. The full-degree ring over it
+//     survives only in covar_test.go, as the reference the ranged and
+//     relational rings are checked against.
 //   - RelCovar: the degree-m matrix ring over relational values, the
 //     composition that supports one-hot-encoded categorical attributes
 //     and the mutual-information count tables. Stored flat (see "The
@@ -92,7 +93,8 @@
 // index-assignment bug and panics, which is why the covar engine
 // assigns lift indexes in its variable order's post-order, the order
 // its products combine subtrees in. Widen reads a payload through a
-// permutation as a full Covar; RangedFromCovar is its inverse. s and Q
+// permutation as a full Covar; DecodeFullCovar reads the full-degree
+// stream format earlier covar engines wrote the other way. s and Q
 // share one backing array, so a payload is two allocations (a scalar
 // one) and every kernel is a pass over that array: Mul writes each
 // operand's triangle scaled by the other's count plus the one s×s cross

@@ -161,28 +161,6 @@ func (c *RangedCovar) Widen(perm []int) *Covar {
 	return out
 }
 
-// RangedFromCovar is Widen's inverse: the payload over [0, len(perm))
-// whose global index perm[i] carries c's attribute i. perm must be a
-// permutation of 0..c.Degree()-1. Converting nil returns nil.
-func RangedFromCovar(c *Covar, perm []int) *RangedCovar {
-	if c == nil {
-		return nil
-	}
-	m := len(perm)
-	out := newRanged(0, m)
-	out.C = c.C
-	s, q := out.v[:m], out.v[m:]
-	k := 0
-	for i, g := range perm {
-		s[g] = c.S[i]
-		for _, h := range perm[i:] {
-			q[triIndex(m, min(g, h), max(g, h))] = c.Q[k]
-			k++
-		}
-	}
-	return out
-}
-
 // RangedCovarRing is the ranged degree-m matrix ring. The ring itself is
 // degree-free: each payload carries its own range.
 type RangedCovarRing struct{}

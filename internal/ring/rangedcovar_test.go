@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 	if !nilP.Equal(nil) {
 		t.Error("nil Equal")
 	}
-	if nilP.Widen([]int{0, 1}) != nil || RangedFromCovar(nil, []int{0, 1}) != nil {
+	if nilP.Widen([]int{0, 1}) != nil {
 		t.Error("nil Widen")
 	}
 	if !r.IsZero(nil) {
@@ -148,7 +149,8 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 
 // TestRangedWiden: Widen reads the payload through a permutation into
 // caller order — sums, both triangles of Q, and 0 outside the range —
-// and RangedFromCovar inverts it exactly.
+// and DecodeFullCovar, reading the widened payload's full-degree
+// encoding through the same permutation, inverts it exactly.
 func TestRangedWiden(t *testing.T) {
 	var r RangedCovarRing
 	rng := rand.New(rand.NewSource(4))
@@ -172,8 +174,12 @@ func TestRangedWiden(t *testing.T) {
 			}
 		}
 	}
-	if back := RangedFromCovar(w, perm); !back.Equal(p) {
-		t.Errorf("RangedFromCovar(Widen(p)) = %v, want %v", back, p)
+	var buf bytes.Buffer
+	if err := encodeFullCovar(&buf, w); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := DecodeFullCovar(&buf, perm); err != nil || !back.Equal(p) {
+		t.Errorf("DecodeFullCovar(encoded Widen(p)) = (%v, %v), want %v", back, err, p)
 	}
 	// A payload narrower than perm widens with zeros outside its range.
 	leaf := r.Lift(1)(value.Float(4))

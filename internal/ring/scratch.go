@@ -47,30 +47,6 @@ type FMA[V any] interface {
 	MulAddInto(acc, a, b V) V
 }
 
-// MulAddInto implements FMA for the degree-m matrix ring: the product
-// formula accumulated element-wise into acc's backing array.
-func (r CovarRing) MulAddInto(acc, a, b *Covar) *Covar {
-	if a == nil || b == nil {
-		return acc
-	}
-	if acc == nil {
-		return r.Mul(a, b)
-	}
-	m := r.m
-	acc.C += a.C * b.C
-	for i := 0; i < m; i++ {
-		acc.S[i] += b.C*a.S[i] + a.C*b.S[i]
-	}
-	k := 0
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			acc.Q[k] += b.C*a.Q[k] + a.C*b.Q[k] + a.S[i]*b.S[j] + b.S[i]*a.S[j]
-			k++
-		}
-	}
-	return acc
-}
-
 // MulAddInto implements FMA for the relational ring via the package's
 // mutable join-accumulate helper.
 func (Relational) MulAddInto(acc, a, b RelVal) RelVal {
@@ -90,28 +66,6 @@ func (r RelCovarRing) MulAddInto(acc, a, b *RelCovar) *RelCovar {
 	}
 	return r.AddInto(acc, p)
 }
-
-// AddInto implements Scratch for the degree-m matrix ring: element-wise
-// in-place addition into acc's backing array.
-func (r CovarRing) AddInto(acc, v *Covar) *Covar {
-	if v == nil {
-		return acc
-	}
-	if acc == nil {
-		return v.Clone()
-	}
-	acc.C += v.C
-	for i := range acc.S {
-		acc.S[i] += v.S[i]
-	}
-	for i := range acc.Q {
-		acc.Q[i] += v.Q[i]
-	}
-	return acc
-}
-
-// Own implements Scratch: a deep copy of v.
-func (r CovarRing) Own(v *Covar) *Covar { return v.Clone() }
 
 // AddInto implements Scratch for the relational ring: coefficients of v
 // are summed into acc's map. Entries that cancel are dropped, keeping

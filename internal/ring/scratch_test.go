@@ -78,25 +78,6 @@ func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(
 	}
 }
 
-func TestScratchContractCovar(t *testing.T) {
-	r := NewCovarRing(3)
-	gen := func(rnd *rand.Rand) *Covar {
-		if rnd.Intn(5) == 0 {
-			return nil
-		}
-		c := r.One()
-		c.C = float64(rnd.Intn(7) - 3)
-		for i := range c.S {
-			c.S[i] = float64(rnd.Intn(7) - 3)
-		}
-		for i := range c.Q {
-			c.Q[i] = float64(rnd.Intn(7) - 3)
-		}
-		return c
-	}
-	checkScratchContract[*Covar](t, "Covar", r, gen, nil, (*Covar).Clone, (*Covar).Equal)
-}
-
 func TestScratchContractRelational(t *testing.T) {
 	gen := func(rnd *rand.Rand) RelVal {
 		n := rnd.Intn(4)

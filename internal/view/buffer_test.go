@@ -38,10 +38,11 @@ func starTree[V any](t testing.TB, r ring.Ring[V], lifts map[string]ring.Lift[V]
 	return tr
 }
 
-func starCovarTree(t testing.TB) *Tree[*ring.Covar] {
-	cr := ring.NewCovarRing(3)
-	return starTree[*ring.Covar](t, cr, map[string]ring.Lift[*ring.Covar]{
-		"units": cr.Lift(0), "maxtemp": cr.Lift(1), "prize": cr.Lift(2)})
+// starCovarTree is the star over the covar engine's ring, lifts at the
+// post-order indexes of the greedy order starTree builds.
+func starCovarTree(t testing.TB) *Tree[*ring.RangedCovar] {
+	_, lifts, _ := PostOrderLifts(t, starRels, "units", "maxtemp", "prize")
+	return starTree[*ring.RangedCovar](t, ring.RangedCovarRing{}, lifts)
 }
 
 func starDims() map[string][]value.Tuple {
@@ -208,7 +209,7 @@ func updatesOf(rel string, tuples []value.Tuple, mult int) []Update {
 // so every step fills a fresh map.
 func TestRecycledBuffersMatchFreshMaps(t *testing.T) {
 	recycled, fresh := starCovarTree(t), starCovarTree(t)
-	for _, tr := range []*Tree[*ring.Covar]{recycled, fresh} {
+	for _, tr := range []*Tree[*ring.RangedCovar]{recycled, fresh} {
 		if err := tr.Init(starDims()); err != nil {
 			t.Fatal(err)
 		}
@@ -217,8 +218,8 @@ func TestRecycledBuffersMatchFreshMaps(t *testing.T) {
 	weather := starDims()["Weather"]
 	step := func(ctx string, ups []Update) {
 		t.Helper()
-		eachBuf(fresh, func(_ string, b *deltaBuf[*ring.Covar]) { *b = deltaBuf[*ring.Covar]{} })
-		for _, tr := range []*Tree[*ring.Covar]{recycled, fresh} {
+		eachBuf(fresh, func(_ string, b *deltaBuf[*ring.RangedCovar]) { *b = deltaBuf[*ring.RangedCovar]{} })
+		for _, tr := range []*Tree[*ring.RangedCovar]{recycled, fresh} {
 			if err := tr.ApplyUpdates(ups); err != nil {
 				t.Fatal(err)
 			}

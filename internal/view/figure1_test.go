@@ -130,12 +130,34 @@ func TestFigure1CountUpdates(t *testing.T) {
 }
 
 // covarIdx fixes the aggregate indexing B=0, C=1, D=2 used by all COVAR
-// scenarios below.
+// scenarios below: the relational ring lifts at these indexes, and the
+// covar engine's ranged ring, which lifts in the tree's post-order,
+// widens its result into them.
 const (
 	idxB = 0
 	idxC = 1
 	idxD = 2
 )
+
+// figure1CovarTree is the figure's tree over the covar engine's ring,
+// and the permutation that reads its result in B, C, D order.
+func figure1CovarTree(t *testing.T) (*view.Tree[*ring.RangedCovar], []int) {
+	t.Helper()
+	ord, lifts, perm := view.PostOrderLifts(t, figure1Rels(), "B", "C", "D")
+	tr, err := view.New(view.Spec[*ring.RangedCovar]{
+		Ring:      ring.RangedCovarRing{},
+		Order:     ord,
+		Relations: figure1Rels(),
+		Lifts:     lifts,
+	})
+	if err != nil {
+		t.Fatalf("view.New: %v", err)
+	}
+	if err := tr.Init(figure1Data()); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	return tr, perm
+}
 
 // TestFigure1CovarContinuous checks the COVAR scenario with continuous
 // B, C, D (payload column "COVAR (cont. B,C,D)"): with b_i = c_i = d_i
@@ -149,24 +171,8 @@ const (
 // matching the numbers printed inside the figure's root payload
 // (6 7 8 / 9 11 / 14 with the vector 4 5 6 and count 3).
 func TestFigure1CovarContinuous(t *testing.T) {
-	r := ring.NewCovarRing(3)
-	tr, err := view.New(view.Spec[*ring.Covar]{
-		Ring:      r,
-		Order:     figure1Order(t),
-		Relations: figure1Rels(),
-		Lifts: map[string]ring.Lift[*ring.Covar]{
-			"B": r.Lift(idxB),
-			"C": r.Lift(idxC),
-			"D": r.Lift(idxD),
-		},
-	})
-	if err != nil {
-		t.Fatalf("view.New: %v", err)
-	}
-	if err := tr.Init(figure1Data()); err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	got := tr.ResultPayload()
+	tr, perm := figure1CovarTree(t)
+	got := tr.ResultPayload().Widen(perm)
 	if got == nil {
 		t.Fatal("nil COVAR result")
 	}
@@ -189,33 +195,17 @@ func TestFigure1CovarContinuous(t *testing.T) {
 }
 
 // TestFigure1CovarContinuousUpdates replays the figure's δR maintenance
-// under the degree-3 ring: δR = {(a1,b1)}, whose δQ contribution is the
-// product gB(b1) ⊗ VS(a1).
+// under the covar engine's ring: δR = {(a1,b1)}, whose δQ contribution
+// is the product gB(b1) ⊗ VS(a1).
 func TestFigure1CovarContinuousUpdates(t *testing.T) {
-	r := ring.NewCovarRing(3)
-	tr, err := view.New(view.Spec[*ring.Covar]{
-		Ring:      r,
-		Order:     figure1Order(t),
-		Relations: figure1Rels(),
-		Lifts: map[string]ring.Lift[*ring.Covar]{
-			"B": r.Lift(idxB),
-			"C": r.Lift(idxC),
-			"D": r.Lift(idxD),
-		},
-	})
-	if err != nil {
-		t.Fatalf("view.New: %v", err)
-	}
-	if err := tr.Init(figure1Data()); err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	before := tr.ResultPayload()
+	tr, perm := figure1CovarTree(t)
+	before := tr.ResultPayload().Widen(perm)
 
 	// Insert (a1, b1): the join gains (B,C,D) tuples (1,1,1) and (1,2,3).
 	if err := tr.ApplyUpdates(updates("R", 1, value.T("a1", 1))); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	got := tr.ResultPayload()
+	got := tr.ResultPayload().Widen(perm)
 	if w := before.Count() + 2; got.Count() != w {
 		t.Errorf("count after insert = %v, want %v", got.Count(), w)
 	}
@@ -230,7 +220,7 @@ func TestFigure1CovarContinuousUpdates(t *testing.T) {
 	if err := tr.ApplyUpdates(updates("R", -1, value.T("a1", 1))); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if got := tr.ResultPayload(); !got.Equal(before) {
+	if got := tr.ResultPayload().Widen(perm); !got.Equal(before) {
 		t.Errorf("after delete: result %v, want %v", got, before)
 	}
 }

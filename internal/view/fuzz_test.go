@@ -10,6 +10,7 @@ package view
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,6 +25,40 @@ var chainRels = []vo.Rel{
 	{Name: "R", Schema: value.NewSchema("A", "B")},
 	{Name: "S", Schema: value.NewSchema("B", "C")},
 	{Name: "T", Schema: value.NewSchema("C", "D")},
+}
+
+// PostOrderLifts builds rels' greedy variable order and lifts attrs
+// with the covar engine's ranged ring at the indexes that engine
+// assigns: the order's post-order, in which every product of the tree
+// meets adjacent ranges. perm[i] is attrs[i]'s lift index, so
+// Widen(perm) reads a payload in attrs order. Exported for the view_test
+// package.
+func PostOrderLifts(t testing.TB, rels []vo.Rel, attrs ...string) (*vo.Order, map[string]ring.Lift[*ring.RangedCovar], []int) {
+	t.Helper()
+	ord, err := vo.Build(rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r ring.RangedCovarRing
+	lifts := make(map[string]ring.Lift[*ring.RangedCovar], len(attrs))
+	perm := make([]int, len(attrs))
+	var post func(n *vo.Node)
+	post = func(n *vo.Node) {
+		for _, c := range n.Children {
+			post(c)
+		}
+		if i := slices.Index(attrs, n.Var); i >= 0 {
+			perm[i] = len(lifts)
+			lifts[n.Var] = r.Lift(len(lifts))
+		}
+	}
+	for _, root := range ord.Roots {
+		post(root)
+	}
+	if len(lifts) != len(attrs) {
+		t.Fatalf("attributes %v are not all in the order", attrs)
+	}
+	return ord, lifts, perm
 }
 
 // treeState renders every view of the tree plus the sources and result
@@ -174,19 +209,20 @@ func FuzzCommitEquivalence(f *testing.F) {
 		// Cap the bias below 1 so streams always make progress.
 		bias := float64(int(delBias)%96) / 100
 		// One tree per payload shape: value-typed (Z with a group-by),
-		// the flat float slab (COVAR) and the map-of-maps compound
+		// the ranged float slab (COVAR) and the sorted coefficient slice
 		// (relational COVAR with a categorical lift). The last two
 		// implement Scratch, so their views commit in place.
-		cr, rc := ring.NewCovarRing(3), ring.NewRelCovarRing(3)
+		var cr ring.RangedCovarRing
+		rc := ring.NewRelCovarRing(3)
+		ord, lifts, _ := PostOrderLifts(t, chainRels, "B", "C", "D")
 		t.Run("ints", func(t *testing.T) {
 			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[int64]) ring.Ring[int64]) *Tree[int64] {
 				return mustTree(t, Spec[int64]{Ring: wrap(ring.Ints{}), Relations: chainRels, Free: []string{"B"}})
 			})
 		})
 		t.Run("covar", func(t *testing.T) {
-			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[*ring.Covar]) ring.Ring[*ring.Covar]) *Tree[*ring.Covar] {
-				return mustTree(t, Spec[*ring.Covar]{Ring: wrap(cr), Relations: chainRels,
-					Lifts: map[string]ring.Lift[*ring.Covar]{"B": cr.Lift(0), "C": cr.Lift(1), "D": cr.Lift(2)}})
+			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[*ring.RangedCovar]) ring.Ring[*ring.RangedCovar]) *Tree[*ring.RangedCovar] {
+				return mustTree(t, Spec[*ring.RangedCovar]{Ring: wrap(cr), Order: ord, Relations: chainRels, Lifts: lifts})
 			})
 		})
 		t.Run("relcovar", func(t *testing.T) {

@@ -16,13 +16,13 @@ import (
 // hit the loaded keys: a tree that folded into a loaded payload would
 // change the caller's map.
 func TestInitWeightedReadsCallerMaps(t *testing.T) {
-	cr := ring.NewCovarRing(3)
-	spec := Spec[*ring.Covar]{Ring: cr, Relations: chainRels,
-		Lifts: map[string]ring.Lift[*ring.Covar]{"B": cr.Lift(0), "C": cr.Lift(1), "D": cr.Lift(2)}}
-	data := map[string]*relation.Map[*ring.Covar]{}
+	var cr ring.RangedCovarRing
+	ord, lifts, _ := PostOrderLifts(t, chainRels, "B", "C", "D")
+	spec := Spec[*ring.RangedCovar]{Ring: cr, Order: ord, Relations: chainRels, Lifts: lifts}
+	data := map[string]*relation.Map[*ring.RangedCovar]{}
 	var ups []Update
 	for i, rel := range chainRels {
-		m := relation.New[*ring.Covar](rel.Schema)
+		m := relation.New[*ring.RangedCovar](rel.Schema)
 		for j := 0; j < 4+i; j++ {
 			tp := value.T(j%3, (j+i)%3)
 			m.Merge(cr, tp, cr.One())
@@ -70,23 +70,22 @@ func TestInitWeightedReadsCallerMaps(t *testing.T) {
 // Flagging them shared instead would make every first touch after a
 // bulk load copy the stored payload.
 func TestLoadLeavesViewsOwningTheirPayloads(t *testing.T) {
-	cr := ring.NewCovarRing(3)
-	tr := mustTree(t, Spec[*ring.Covar]{Ring: cr, Relations: chainRels,
-		Lifts: map[string]ring.Lift[*ring.Covar]{"B": cr.Lift(0), "C": cr.Lift(1), "D": cr.Lift(2)}})
+	ord, lifts, _ := PostOrderLifts(t, chainRels, "B", "C", "D")
+	tr := mustTree(t, Spec[*ring.RangedCovar]{Ring: ring.RangedCovarRing{}, Order: ord, Relations: chainRels, Lifts: lifts})
 	if err := tr.Init(map[string][]value.Tuple{
 		"R": {value.T(1, 1), value.T(2, 1)}, "S": {value.T(1, 1)}, "T": {value.T(1, 1)},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	type slot struct {
-		view *relation.Map[*ring.Covar]
+		view *relation.Map[*ring.RangedCovar]
 		key  string
 	}
-	loaded := map[slot]*ring.Covar{}
-	var walk func(n *Node[*ring.Covar])
-	walk = func(n *Node[*ring.Covar]) {
+	loaded := map[slot]*ring.RangedCovar{}
+	var walk func(n *Node[*ring.RangedCovar])
+	walk = func(n *Node[*ring.RangedCovar]) {
 		if n.step.lift != nil && n.parent != nil && len(n.parent.step.joins) > 0 {
-			n.view.Each(func(tp value.Tuple, p *ring.Covar) { loaded[slot{n.view, tp.Encode()}] = p })
+			n.view.Each(func(tp value.Tuple, p *ring.RangedCovar) { loaded[slot{n.view, tp.Encode()}] = p })
 		}
 		for _, c := range n.children {
 			walk(c)

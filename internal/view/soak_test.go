@@ -7,7 +7,6 @@ package view_test
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -28,47 +27,28 @@ func TestSoakThreeRingsLongStream(t *testing.T) {
 		{Name: "U", Schema: value.NewSchema("B", "E")},
 	}
 	z := ring.Ints{}
-	cr := ring.NewCovarRing(3)
-	var rr ring.RangedCovarRing
+	rc := ring.NewRelCovarRing(3)
 
 	count, err := view.New(view.Spec[int64]{Ring: z, Relations: rels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// COVAR over B, D, E: attributes from three different relations.
-	covar, err := view.New(view.Spec[*ring.Covar]{
-		Ring: cr, Relations: rels,
-		Lifts: map[string]ring.Lift[*ring.Covar]{
-			"B": cr.Lift(0), "D": cr.Lift(1), "E": cr.Lift(2),
-		},
+	// COVAR over B, D, E, attributes from three different relations: the
+	// covar engine's ranged ring at its post-order lift indexes, and the
+	// analysis engine's relational ring, all three continuous, at B=0,
+	// D=1, E=2.
+	ord, lifts, perm := view.PostOrderLifts(t, rels, "B", "D", "E")
+	ranged, err := view.New(view.Spec[*ring.RangedCovar]{
+		Ring: ring.RangedCovarRing{}, Order: ord, Relations: rels, Lifts: lifts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ranged engine needs indexes in the structural order of the shared
-	// greedy VO; derive it the same way the facade does.
-	ord, err := vo.Build(rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAttr := map[string]bool{"B": true, "D": true, "E": true}
-	rangedLifts := map[string]ring.Lift[*ring.RangedCovar]{}
-	var rangedOrder []string
-	var post func(n *vo.Node)
-	post = func(n *vo.Node) {
-		for _, c := range n.Children {
-			post(c)
-		}
-		if wantAttr[n.Var] {
-			rangedLifts[n.Var] = rr.Lift(len(rangedOrder))
-			rangedOrder = append(rangedOrder, n.Var)
-		}
-	}
-	for _, root := range ord.Roots {
-		post(root)
-	}
-	ranged, err := view.New(view.Spec[*ring.RangedCovar]{
-		Ring: rr, Order: ord, Relations: rels, Lifts: rangedLifts,
+	covar, err := view.New(view.Spec[*ring.RelCovar]{
+		Ring: rc, Relations: rels,
+		Lifts: map[string]ring.Lift[*ring.RelCovar]{
+			"B": rc.LiftContinuous(0), "D": rc.LiftContinuous(1), "E": rc.LiftContinuous(2),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,22 +128,21 @@ func TestSoakThreeRingsLongStream(t *testing.T) {
 			if got := count.ResultPayload(); got != want {
 				t.Fatalf("step %d: count %d, naive %d", step, got, want)
 			}
-			cp := covar.ResultPayload()
-			if cp.Count() != float64(want) {
-				t.Fatalf("step %d: covar count %v, naive %d", step, cp.Count(), want)
-			}
-			// Cross-ring agreement: the ranged payload, widened from its
-			// structural order into covar's fixed one.
-			perm := make([]int, 0, 3)
-			for _, a := range []string{"B", "D", "E"} {
-				perm = append(perm, slices.Index(rangedOrder, a))
-			}
 			rp := ranged.ResultPayload().Widen(perm)
 			if rp.Count() != float64(want) {
 				t.Fatalf("step %d: ranged count %v, naive %d", step, rp.Count(), want)
 			}
-			if !rp.Equal(cp) {
-				t.Fatalf("step %d: covar %v vs ranged %v", step, cp, rp)
+			// Cross-ring agreement on every statistic.
+			cp := covar.ResultPayload()
+			same := cp.CountScalar() == rp.Count()
+			for i := 0; i < 3; i++ {
+				same = same && cp.Sum(i).Scalar() == rp.Sum(i)
+				for j := i; j < 3; j++ {
+					same = same && cp.Prod(i, j).Scalar() == rp.Prod(i, j)
+				}
+			}
+			if !same {
+				t.Fatalf("step %d: relational covar %v vs ranged %v", step, cp, rp)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/fivm"
+	"repro/internal/daemon"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -57,6 +58,16 @@ const (
 	// analysis engine (three continuous and four categorical features).
 	// Measured 26 575–26 582.
 	maxAllocsAnalysisBatch = 29_200
+
+	// maxAllocsPublishAnalysis and maxBytesPublishAnalysis bound one
+	// PublishModel on the Retailer preset's analysis engine (5 000 rows,
+	// label inventoryunits): the payload clone, Σ and the warm-started
+	// ridge refit, which the serving writer runs before a batch's
+	// waiters are released. Measured 221 allocs and 517 384 bytes with
+	// the dense Σ (its matrix and Fit's system matrix, n×n each), 240
+	// allocs and 165 400 bytes with the sparse one. Budget: measured + 10%.
+	maxAllocsPublishAnalysis = 264
+	maxBytesPublishAnalysis  = 181_940
 )
 
 func allocFixtureData() map[string][]value.Tuple {
@@ -151,16 +162,24 @@ func measureBatchApply(t *testing.T, eng fivm.AnyEngine) (allocs, bytesPerUpdate
 			t.Fatal(err)
 		}
 	}
-	apply() // intern categories and size the recycled buffers
+	allocs, bytes := allocsPerRun(5, apply)
+	return allocs, bytes / float64(len(ins)+len(del))
+}
+
+// allocsPerRun returns the allocations and bytes one call of f
+// allocates, averaged over runs calls after one warm-up call (which
+// interns categories and sizes recycled buffers). Like
+// testing.AllocsPerRun it measures at GOMAXPROCS 1.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	f()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 5
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
-		apply()
+		f()
 	}
 	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / runs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(len(ins)+len(del))
+	return float64(m1.Mallocs-m0.Mallocs) / float64(runs), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 func TestApplyBatchAllocsCovar(t *testing.T) {
@@ -197,5 +216,31 @@ func TestApplyBatchAllocsAnalysis(t *testing.T) {
 	t.Logf("analysis 1000-tuple insert+delete batches: %.0f allocs, %.0f bytes/update", got, bytes)
 	if got > maxAllocsAnalysisBatch {
 		t.Errorf("analysis 1000-tuple batch pair allocates %.0f, budget %d — the batch path regressed (see docs/PERF.md)", got, maxAllocsAnalysisBatch)
+	}
+}
+
+func TestPublishAllocsAnalysis(t *testing.T) {
+	cfg, data, err := daemon.BuildEngineConfig("retailer", 5_000, true, "", "", "", "", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fivm.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Init(data); err != nil {
+		t.Fatal(err)
+	}
+	prev := eng.PublishModel(nil)
+	if m := prev.(*fivm.AnalysisModel); m.Model == nil {
+		t.Fatalf("no model: %s", m.FitErr)
+	}
+	allocs, bytes := allocsPerRun(20, func() { eng.PublishModel(prev) })
+	t.Logf("analysis publish (Retailer preset, 5 000 rows): %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > maxAllocsPublishAnalysis {
+		t.Errorf("analysis publish allocates %.0f, budget %d — the publish path regressed (see docs/PERF.md)", allocs, maxAllocsPublishAnalysis)
+	}
+	if bytes > maxBytesPublishAnalysis {
+		t.Errorf("analysis publish allocates %.0f bytes, budget %d — the publish path regressed (see docs/PERF.md)", bytes, maxBytesPublishAnalysis)
 	}
 }

@@ -166,8 +166,8 @@ func (a *Analysis) FeatureSpecs() []FeatureSpec {
 	return append([]FeatureSpec(nil), a.specs...)
 }
 
-// Covar converts the payload to a dense one-hot-expanded SigmaMatrix
-// for the regression solver.
+// Covar converts the payload to the one-hot-expanded SigmaMatrix for
+// the regression solver.
 func (a *Analysis) Covar() (*ml.SigmaMatrix, error) {
 	return ml.SigmaFromRelCovar(a.Payload(), a.feats)
 }

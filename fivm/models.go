@@ -111,8 +111,8 @@ func (m *AnalysisModel) ResultJSON() (any, error) {
 	}, nil
 }
 
-// Covar converts the model payload to a dense sigma matrix (the one fit
-// at publish time when available).
+// Covar converts the model payload to its sigma matrix (the one fit at
+// publish time when available).
 func (m *AnalysisModel) Covar() (*ml.SigmaMatrix, error) {
 	if m.Sigma != nil {
 		return m.Sigma, nil

@@ -14,19 +14,30 @@ import (
 // to test the solver in isolation.
 func buildSigmaFromRows(rows [][]float64, names []string) *SigmaMatrix {
 	n := len(names)
-	m := &SigmaMatrix{n: n, Cols: make([]Column, n), Sum: make([]float64, n), Data: make([]float64, n*n)}
+	m := &SigmaMatrix{Cols: make([]Column, n), Sum: make([]float64, n)}
 	for i, nm := range names {
 		m.Cols[i] = Column{Attr: nm}
 	}
 	m.Count = float64(len(rows))
+	data := make([]float64, n*n)
 	for _, r := range rows {
 		for i := 0; i < n; i++ {
 			m.Sum[i] += r[i]
 			for j := 0; j < n; j++ {
-				m.Data[i*n+j] += r[i] * r[j]
+				data[i*n+j] += r[i] * r[j]
 			}
 		}
 	}
+	// Dense rows: every entry is stored, zeros included.
+	var upper []sigmaEntry
+	rowLen := make([]int, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			upper = append(upper, sigmaEntry{int32(i), int32(j), data[i*n+j]})
+		}
+		rowLen[i] = n
+	}
+	m.scatter(upper, rowLen)
 	return m
 }
 
@@ -83,7 +94,7 @@ func TestRidgeWithoutNormalization(t *testing.T) {
 func TestRidgeErrors(t *testing.T) {
 	sigma := buildSigmaFromRows([][]float64{{1, 2}}, []string{"x", "y"})
 	m := NewRidge(sigma, 1)
-	empty := &SigmaMatrix{n: 2, Count: 0, Sum: make([]float64, 2), Data: make([]float64, 4)}
+	empty := buildSigmaFromRows(nil, []string{"x", "y"})
 	if err := m.Fit(empty, DefaultRidgeConfig()); err == nil {
 		t.Error("fit on empty training set accepted")
 	}

@@ -108,12 +108,13 @@ func (r *RidgeModel) Remap(m *SigmaMatrix, labelCol int) {
 //
 //	(Σ'/N + λI) θ' = Σ'_y/N
 //
-// over the feature columns, whose residual is −∇J. Fit builds it once
-// as a flat matrix and solves it by conjugate gradient, resuming from
-// the model's current parameters: after a delta batch the solver
-// re-converges from the previous optimum (warm start) in a handful of
-// steps, like the demo's Regression tab, and from any start in at most
-// one step per column up to rounding.
+// over the feature columns, whose residual is −∇J. Fit solves it by
+// conjugate gradient without forming it (with D = diag(σ) and the label
+// masked, a step's D⁻¹(Σ/N)D⁻¹v − D⁻¹μ(μᵀD⁻¹v) + λv is one pass over Σ's
+// entries), resuming from the model's current parameters: after a delta
+// batch it re-converges from the previous optimum (warm start) in a
+// handful of steps, like the demo's Regression tab, and from any start
+// in at most one step per column up to rounding.
 func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
 	n, y := m.Dim(), r.LabelCol
 	if m.Count <= 0 {
@@ -125,40 +126,39 @@ func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
 	if y < 0 || y >= n {
 		return fmt.Errorf("ml: label column %d out of range", y)
 	}
-	mu, sd := make([]float64, n), make([]float64, n)
+	vs := make([]float64, 8*n)
+	mu, sd, u, b := vs[:n], vs[n:2*n], vs[2*n:3*n], vs[3*n:4*n]
+	x, res, p, ap := vs[4*n:5*n], vs[5*n:6*n], vs[6*n:7*n], vs[7*n:]
 	for i := range mu {
 		mu[i] = m.Sum[i] / m.Count
 		sd[i] = 1
-		if v := m.Data[i*n+i]/m.Count - mu[i]*mu[i]; cfg.Normalize && v > 1e-12 {
+		if v := m.At(i, i)/m.Count - mu[i]*mu[i]; cfg.Normalize && v > 1e-12 {
 			sd[i] = math.Sqrt(v) // constant columns stay unscaled
 		}
 	}
-	// a is the system matrix, b its right-hand side, x the unknowns
-	// θ'_i = θ_i σ_i/σ_y. The label's row and column stay zero, which
-	// keeps x[y] at zero through every step.
-	a, b, x := make([]float64, n*n), make([]float64, n), make([]float64, n)
-	for i := 0; i < n; i++ {
-		if i == y {
-			continue
-		}
-		row, src := a[i*n:(i+1)*n], m.Data[i*n:(i+1)*n]
-		for j := range row {
-			row[j] = (src[j]/m.Count - mu[i]*mu[j]) / (sd[i] * sd[j])
-		}
-		b[i], row[y] = row[y], 0
-		row[i] += cfg.Lambda
+	// b is the right-hand side, x the unknowns θ'_i = θ_i σ_i/σ_y. Entry
+	// y of b, x, and so of every residual and direction, stays zero.
+	for i := range b {
+		b[i] = (m.At(i, y)/m.Count - mu[i]*mu[y]) / (sd[i] * sd[y])
 		x[i] = r.Weights[i] * sd[i] / sd[y]
 	}
+	b[y], x[y] = 0, 0
 	mulA := func(dst, v []float64) {
-		for i := range dst {
-			var s float64
-			for j, aij := range a[i*n : (i+1)*n] {
-				s += aij * v[j]
-			}
-			dst[i] = s
+		var dot float64
+		for i := range u {
+			u[i] = v[i] / sd[i]
+			dot += mu[i] * u[i]
 		}
+		for i := range dst {
+			cols, vals := m.row(i)
+			var s float64
+			for k, j := range cols {
+				s += vals[k] * u[j]
+			}
+			dst[i] = (s/m.Count-mu[i]*dot)/sd[i] + cfg.Lambda*v[i]
+		}
+		dst[y] = 0
 	}
-	res, p, ap := make([]float64, n), make([]float64, n), make([]float64, n)
 	mulA(ap, x)
 	var rr float64
 	for i := range res {
@@ -218,29 +218,27 @@ func (r *RidgeModel) Predict(x []float64) float64 {
 }
 
 // TrainRMSE computes the root-mean-squared training error from the
-// sigma statistics alone:
+// sigma statistics alone, in one pass over Σ's stored entries:
 //
 //	MSE = 1/N (θᵀΣθ + 2θ0 θᵀs + Nθ0² − 2θᵀΣ_y − 2θ0 s_y + Σ_yy)
 func (r *RidgeModel) TrainRMSE(m *SigmaMatrix) float64 {
-	n := m.Dim()
 	y := r.LabelCol
 	var quad, lin float64
-	for i := 0; i < n; i++ {
+	for i := 0; i < m.Dim(); i++ {
 		if i == y {
 			continue
 		}
-		wi := r.Weights[i]
-		for j := 0; j < n; j++ {
-			if j == y {
-				continue
+		wi, siy := r.Weights[i], 0.0
+		cols, vals := m.row(i)
+		for k, j := range cols {
+			if int(j) == y {
+				siy = vals[k]
+			} else {
+				quad += wi * r.Weights[j] * vals[k]
 			}
-			quad += wi * r.Weights[j] * m.At(i, j)
 		}
-		lin += wi * (r.Intercept*m.Sum[i] - m.At(i, y))
+		lin += wi * (r.Intercept*m.Sum[i] - siy)
 	}
 	mse := (quad + 2*lin + m.Count*r.Intercept*r.Intercept - 2*r.Intercept*m.Sum[y] + m.At(y, y)) / m.Count
-	if mse < 0 {
-		mse = 0 // numeric noise near a perfect fit
-	}
-	return math.Sqrt(mse)
+	return math.Sqrt(max(mse, 0)) // numeric noise near a perfect fit can go below 0
 }

@@ -73,6 +73,15 @@ func slotFloor(s int) uint64 { return uint64(s) << slotShift }
 // Degree returns the ring degree m.
 func (c *RelCovar) Degree() int { return c.m }
 
+// Len returns the number of stored coefficients (0 for the ring zero):
+// how many times Visit calls its function.
+func (c *RelCovar) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.e)
+}
+
 // byKey orders coefficients for sorting.
 func byKey(p, q coef) int { return cmp.Compare(p.key, q.key) }
 

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,25 +37,37 @@ type dedupEntry struct {
 	done     <-chan struct{} // closed once applied + published (may arrive pre-closed from recovery)
 }
 
+// ErrBatchExpired refuses an identified batch group that has no dedup
+// entry while its sequence number is at or below the highest one its
+// origin has had evicted: it may be a late retry of a group already
+// applied, and applying it again would double it.
+var ErrBatchExpired = errors.New("serve: batch ID is older than the dedup window")
+
 // dedupTable is the bounded recently-applied-batch memory behind
 // exactly-once ingest. Entries evict FIFO once cap is exceeded,
 // skipping in-flight entries (their done has not closed) so an entry
 // can never disappear between enqueue and ack. The capacity bounds the
-// retry window: a duplicate arriving after its entry was evicted
-// re-applies, so retry policies must give up long before cap batches of
-// newer traffic have passed (see docs/ARCHITECTURE.md).
+// retry window: an eviction raises its origin's high-water sequence
+// number, and a delivery older than that window is refused with
+// ErrBatchExpired instead of applied (see docs/API.md).
 type dedupTable struct {
 	mu   sync.Mutex
 	cap  int
 	m    map[dedupKey]*dedupEntry
 	fifo []*dedupEntry // insertion order; evicted from the front
+	// evicted holds each origin's highest evicted Seq.
+	evicted map[[16]byte]uint64
 
 	hits atomic.Uint64 // duplicate updates answered from the table
 }
 
 func newDedupTable(capacity int) *dedupTable {
-	return &dedupTable{cap: capacity, m: make(map[dedupKey]*dedupEntry, capacity/4)}
+	return &dedupTable{cap: capacity, m: make(map[dedupKey]*dedupEntry, capacity/4), evicted: make(map[[16]byte]uint64)}
 }
+
+// expired reports whether id is at or below its origin's evicted
+// high-water mark. Caller holds mu.
+func (t *dedupTable) expired(id wal.BatchID) bool { return id.Seq <= t.evicted[id.Origin] }
 
 // get returns the entry for key, or nil. Caller holds mu.
 func (t *dedupTable) get(key dedupKey) *dedupEntry { return t.m[key] }
@@ -70,6 +84,9 @@ func (t *dedupTable) put(e *dedupEntry) {
 		select {
 		case <-old.done:
 			delete(t.m, old.key) // completed: safe to forget
+			if id := old.key.id; id.Seq > t.evicted[id.Origin] {
+				t.evicted[id.Origin] = id.Seq
+			}
 		default:
 			t.fifo = append(t.fifo, old) // in-flight: rotate to the back
 		}
@@ -94,7 +111,9 @@ var closedChan = func() chan struct{} {
 
 // seedRecovered loads the batch refs WAL replay found into the table as
 // completed entries, so a router retrying a batch the crashed process
-// had already logged gets a dedup hit instead of a double-apply.
+// had already logged gets a dedup hit instead of a double-apply. It
+// inserts through put, so refs beyond the capacity evict and raise
+// their origins' high-water marks as live traffic would.
 func (t *dedupTable) seedRecovered(refs []wal.RecoveredRef) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -161,6 +180,11 @@ func (s *Server) IngestBatch(id wal.BatchID, ups []view.Update) (done <-chan str
 			waits = append(waits, e.done)
 			deduped += len(groups[rel])
 			continue
+		}
+		if t.expired(id) {
+			t.mu.Unlock()
+			s.mu.RUnlock()
+			return nil, 0, fmt.Errorf("%w: %v (relation %s)", ErrBatchExpired, id, rel)
 		}
 		fresh = append(fresh, rel)
 		freshUps += len(groups[rel])

@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +166,73 @@ func TestDedupSurvivesKillRecovery(t *testing.T) {
 	}
 	if got, want := modelJSON(t, eng2), modelJSON(t, clean); got != want {
 		t.Errorf("recovered+replayed model diverges from exactly-once application:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestEvictedRetryIsRefused: with room for two groups, three newer
+// batches evict the first one's entry, and its late retry must be
+// refused with 409 batch_id_expired instead of applied a second time.
+// WAL recovery seeds the table through the same eviction.
+func TestEvictedRetryIsRefused(t *testing.T) {
+	eng, err := fivm.Open(walEngineConfigs()["count"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Config{DedupCap: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(srv))
+	defer srv.Close()
+	defer ts.Close()
+	seeded, err := srv.Ingest(walSSeeds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitClosed(t, seeded, "S seeds")
+	post := func(seq uint64) (int, map[string]any) {
+		t.Helper()
+		req, err := http.NewRequest("POST", ts.URL+"/v1/update?wait=1",
+			strings.NewReader(`{"updates":[{"rel":"R","tuple":["a1",7]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(BatchIDHeader, testBatchID(seq).String())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	for seq := uint64(1); seq <= 4; seq++ {
+		if code, out := post(seq); code != http.StatusAccepted {
+			t.Fatalf("batch %d: %d %v", seq, code, out)
+		}
+	}
+	model, ingested := modelJSON(t, eng), srv.Stats().Ingested
+	if code, out := post(1); code != http.StatusConflict || out["code"] != CodeBatchExpired {
+		t.Errorf("late retry of batch 1: %d %v, want 409 %s", code, out, CodeBatchExpired)
+	}
+	if got := modelJSON(t, eng); got != model || srv.Stats().Ingested != ingested {
+		t.Errorf("late retry changed the model:\n got %s\nwas %s", got, model)
+	}
+	if code, out := post(4); code != http.StatusAccepted || out["deduped"] != 1.0 {
+		t.Errorf("retry of batch 4, still in the table: %d %v, want a dedup hit", code, out)
+	}
+
+	tab := newDedupTable(2)
+	var refs []wal.RecoveredRef
+	for seq := uint64(1); seq <= 3; seq++ {
+		refs = append(refs, wal.RecoveredRef{Rel: "R", BatchRef: wal.BatchRef{ID: testBatchID(seq), Updates: 1}})
+	}
+	tab.seedRecovered(refs)
+	if !tab.expired(testBatchID(1)) || tab.expired(testBatchID(2)) {
+		t.Errorf("recovered table: batch 1 expired=%v, batch 2 expired=%v; want true, false",
+			tab.expired(testBatchID(1)), tab.expired(testBatchID(2)))
 	}
 }

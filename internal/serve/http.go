@@ -42,13 +42,14 @@ import (
 // Error codes of the v1 envelope. The code is the stable programmatic
 // discriminator; the error text is for humans and may change.
 const (
-	CodeBadRequest     = "bad_request"     // 400: malformed body or values
-	CodeTimeout        = "timeout"         // 408: ?wait=1 outlived the request context
-	CodeOverloaded     = "overloaded"      // 429: admission control shed the batch
-	CodeUnprocessable  = "unprocessable"   // 422: the engine cannot answer (e.g. no predictor)
-	CodeUnavailable    = "unavailable"     // 503: closed, crashed, or no result yet
-	CodeNotImplemented = "not_implemented" // 501: engine lacks the capability (e.g. no codec)
-	CodeInternal       = "internal"        // 500: unexpected failure
+	CodeBadRequest     = "bad_request"      // 400: malformed body or values
+	CodeTimeout        = "timeout"          // 408: ?wait=1 outlived the request context
+	CodeOverloaded     = "overloaded"       // 429: admission control shed the batch
+	CodeBatchExpired   = "batch_id_expired" // 409: an identified batch older than the dedup window
+	CodeUnprocessable  = "unprocessable"    // 422: the engine cannot answer (e.g. no predictor)
+	CodeUnavailable    = "unavailable"      // 503: closed, crashed, or no result yet
+	CodeNotImplemented = "not_implemented"  // 501: engine lacks the capability (e.g. no codec)
+	CodeInternal       = "internal"         // 500: unexpected failure
 )
 
 // ErrorEnvelope is the uniform v1 error body.
@@ -142,6 +143,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			writeRetryErr(w, http.StatusTooManyRequests, CodeOverloaded, err, time.Second)
 		case errors.Is(err, ErrClosed) || errors.Is(err, ErrCrashed):
 			writeErr(w, http.StatusServiceUnavailable, CodeUnavailable, err)
+		case errors.Is(err, ErrBatchExpired):
+			writeErr(w, http.StatusConflict, CodeBatchExpired, err)
 		default:
 			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		}

@@ -71,8 +71,8 @@ type Config struct {
 	// DedupCap bounds the idempotency dedup table: how many recently
 	// seen (batch ID, relation) groups IngestBatch remembers for
 	// duplicate suppression (default 8192). The bound is the retry
-	// window — a duplicate older than the newest DedupCap groups
-	// re-applies.
+	// window — a duplicate older than the newest DedupCap groups is
+	// refused with ErrBatchExpired (409 batch_id_expired).
 	DedupCap int
 	// CheckpointInterval is how often the pipeline writes an incremental
 	// checkpoint when a WAL is configured (default 1m; negative disables

@@ -9,6 +9,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -128,6 +129,9 @@ func (v Value) Equal(o Value) bool {
 // Compare orders two values: NULL < INT/DOUBLE (numeric order, cross-kind
 // by numeric value) < VARCHAR. It returns -1, 0, or +1.
 func (v Value) Compare(o Value) int {
+	if v.kind == KindInt && o.kind == KindInt {
+		return cmp.Compare(v.i, o.i) // what the numeric branch decides, without the float round trip
+	}
 	vr, or := v.rank(), o.rank()
 	if vr != or {
 		if vr < or {

@@ -45,19 +45,22 @@ const (
 	// maxAllocsCovarBatch bounds one batch of 1000 fresh Inventory
 	// inserts plus the batch deleting them again, through Apply, on the
 	// Retailer covar engine (5 000 rows, five attributes). Measured
-	// 21 848 (10.9 per update; 22 848 before payloads were ranged, their
-	// s and Q one array). Budget: measured + 10%.
-	maxAllocsCovarBatch = 24_100
+	// 20 850 (10.4 per update) now that Inventory keeps no tuple map;
+	// 21 848 when it did, 22 848 before payloads were ranged, their s and
+	// Q one array. Budget: measured + 10%.
+	maxAllocsCovarBatch = 22_940
 	// maxBytesCovarBatch bounds the bytes that batch pair allocates per
 	// update: what GC pressure on the serving writer scales with, which
 	// allocation counts miss — ranged payloads halved it (1 031 → 520)
-	// while the count moved 4%. Measured 520 on go1.24; go1.22 is
-	// unverified (its maps size differently). Budget: measured + 10%.
-	maxBytesCovarBatch = 572
+	// while the count moved 4%. Measured 496 on go1.24 (520 while
+	// Inventory kept a tuple map); go1.22 is unverified (its maps size
+	// differently). Budget: measured + 10%.
+	maxBytesCovarBatch = 546
 	// maxAllocsAnalysisBatch bounds the same pair on the Retailer
 	// analysis engine (three continuous and four categorical features).
-	// Measured 26 575–26 582.
-	maxAllocsAnalysisBatch = 29_200
+	// Measured 25 580 (26 575–26 582 while Inventory kept a tuple map).
+	// Budget: measured + 10%.
+	maxAllocsAnalysisBatch = 28_140
 
 	// maxAllocsPublishAnalysis and maxBytesPublishAnalysis bound one
 	// PublishModel on the Retailer preset's analysis engine (5 000 rows,

@@ -12,7 +12,7 @@ import (
 	"repro/internal/view"
 )
 
-// engineState renders every view, source, and the result of an engine's
+// engineState renders every view, stored source, and the result of an engine's
 // tree deterministically: sorted tuples, canonical payload rendering.
 // Two engines with bit-identical maintained state render identically.
 func engineState[V any](e *fivm.Engine[V]) string {
@@ -29,8 +29,9 @@ func engineState[V any](e *fivm.Engine[V]) string {
 		walk(r)
 	}
 	for _, name := range tr.RelationNames() {
-		src, _ := tr.Source(name)
-		fmt.Fprintf(&b, "source %s = %s\n", name, src)
+		if src, ok := tr.Source(name); ok {
+			fmt.Fprintf(&b, "source %s = %s\n", name, src)
+		}
 	}
 	fmt.Fprintf(&b, "result = %s\n", e.Result())
 	return b.String()
@@ -86,8 +87,9 @@ func indexStates[V any](t *testing.T, e *fivm.Engine[V]) map[string]map[string]s
 		walk(fmt.Sprintf("root%d", i), r)
 	}
 	for _, name := range tr.RelationNames() {
-		src, _ := tr.Source(name)
-		check("source "+name, src)
+		if src, ok := tr.Source(name); ok {
+			check("source "+name, src)
+		}
 	}
 	check("result", tr.Result())
 	return out

@@ -189,8 +189,8 @@ func TestCovarFavoritaMatchesFullDegree(t *testing.T) {
 }
 
 // snapshotOf writes the snapshot of a tree over r whose relation R holds
-// one tuple weighted p: a stream the covar engine's own codec never
-// writes, unless its source payloads were other than scalars.
+// one tuple weighted p. R is its anchor's only operand, so the stream
+// carries R's anchor view: p at key a1.
 func snapshotOf[V any](t *testing.T, r ring.Ring[V], codec ring.Codec[V], p V) []byte {
 	t.Helper()
 	rels := []vo.Rel{
@@ -243,11 +243,44 @@ func (c fullDegreeCodec) Encode(w io.Writer, v *ring.RangedCovar) error {
 	return err
 }
 
+// v2SnapshotOf writes, in snapshot version 2 (every relation as its
+// tuples, no form byte), the stream snapshotOf's tree wrote before R was
+// stored as its anchor view: R holds a1,1 weighted p, S is empty.
+func v2SnapshotOf[V any](t *testing.T, codec ring.Codec[V], p V) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	str := func(s string) {
+		b.Write(binary.AppendUvarint(nil, uint64(len(s))))
+		b.WriteString(s)
+	}
+	b.WriteString("FIVMSNAP\x02")
+	str(codec.(interface{ Tag() string }).Tag())
+	b.WriteByte(2)
+	str("R")
+	b.WriteByte(2)
+	str("A")
+	str("B")
+	b.WriteByte(1)
+	str(value.T("a1", 1).Encode())
+	if err := codec.Encode(&b, p); err != nil {
+		t.Fatal(err)
+	}
+	str("S")
+	b.WriteByte(3)
+	str("A")
+	str("C")
+	str("D")
+	b.WriteByte(0)
+	return b.Bytes()
+}
+
 // TestRangedEngineErrors: the covar engine rejects a misconfiguration
-// at Open, and a snapshot whose source payloads are not scalars — in
+// at Open, and on restore a snapshot whose payloads do not cover the
+// range where they load — a source payload that is not a scalar, in
 // today's ranged format and in the full-degree one earlier covar
-// engines wrote — on restore, instead of panicking on a range mismatch
-// while the load propagates.
+// engines wrote, and an anchor view payload outside its anchor's lift
+// range — instead of panicking on a range mismatch while the load
+// propagates.
 func TestRangedEngineErrors(t *testing.T) {
 	covar := func(attrs ...string) fivm.Config {
 		return fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: attrs}
@@ -267,14 +300,26 @@ func TestRangedEngineErrors(t *testing.T) {
 		name, want string
 		snap       []byte
 	}{
-		{"ranged", "source payload covers attribute range [1,2)",
+		{"v2 ranged", "source payload covers attribute range [1,2)",
+			v2SnapshotOf(t, ring.RangedCovarCodec{Degree: 2}, rr.Lift(1)(value.Int(3)))},
+		{"v2 full-degree", "not a scalar",
+			v2SnapshotOf(t, fullDegreeCodec{ring.RangedCovarCodec{Degree: 2}}, rr.Lift(0)(value.Int(3)))},
+		{"v3 anchor view", "anchor view of R payload covers attribute range [1,2), this engine's is [0,1)",
 			snapshotOf(t, rr, ring.RangedCovarCodec{Degree: 2}, rr.Lift(1)(value.Int(3)))},
-		{"full-degree", "not a scalar",
-			snapshotOf(t, rr, fullDegreeCodec{ring.RangedCovarCodec{Degree: 2}}, rr.Lift(0)(value.Int(3)))},
 	} {
 		eng := open[*fivm.CovarEngine](t, covar("B", "D"))
 		if err := eng.ReadSnapshot(bytes.NewReader(c.snap)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s snapshot with a non-scalar source: err = %v, want %q", c.name, err, c.want)
+			t.Errorf("%s snapshot with a payload of the wrong range: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// Each stream loads into a covar engine once its payload has the
+	// range the engine expects there.
+	for name, snap := range map[string][]byte{
+		"v2 scalar":      v2SnapshotOf(t, ring.RangedCovarCodec{Degree: 2}, rr.One()),
+		"v3 anchor view": snapshotOf(t, rr, ring.RangedCovarCodec{Degree: 2}, rr.Lift(0)(value.Int(3))),
+	} {
+		if err := open[*fivm.CovarEngine](t, covar("B", "D")).ReadSnapshot(bytes.NewReader(snap)); err != nil {
+			t.Errorf("%s snapshot: %v", name, err)
 		}
 	}
 }

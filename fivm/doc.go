@@ -58,6 +58,10 @@
 //   - Bulk load is that same maintenance path: Init, InitWeighted and
 //     ReadSnapshot empty the engine and apply each relation as one
 //     delta. Stats counts updates, so it is unchanged by a load.
+//   - An engine keeps only state some update reads: a relation that is
+//     its anchor node's only operand (every Retailer and Favorita
+//     relation) keeps no tuple map, and Tree().Source reports false for
+//     it. Its anchor view is its state, and snapshots carry that view.
 //
 // A minimal session:
 //

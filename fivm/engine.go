@@ -182,11 +182,8 @@ func (e *Engine[V]) RelationNames() []string { return e.tree.RelationNames() }
 
 // Arity returns the attribute count of input relation rel.
 func (e *Engine[V]) Arity(rel string) (int, bool) {
-	src, ok := e.tree.Source(rel)
-	if !ok {
-		return 0, false
-	}
-	return src.Schema().Len(), true
+	s, ok := e.tree.Schema(rel)
+	return s.Len(), ok
 }
 
 // Stats exposes maintenance counters.
@@ -198,19 +195,22 @@ func (e *Engine[V]) ViewTree() string { return m3.Render(e.tree, e.info).TreeDra
 // M3 renders the per-view M3 maintenance code.
 func (e *Engine[V]) M3() string { return m3.Render(e.tree, e.info).String() }
 
-// WriteSnapshot persists the engine's input relations (views are derived
-// state, recomputed on restore). The snapshot is self-contained binary,
-// tagged with the payload codec; pair it with an engine built from the
-// same configuration.
+// WriteSnapshot persists what the engine keeps of each input relation:
+// its tuples, or — for a relation that is its anchor node's only
+// operand — its anchor view. The other views are derived state,
+// recomputed on restore. The snapshot is self-contained binary, tagged
+// with the payload codec; pair it with an engine built from the same
+// configuration.
 func (e *Engine[V]) WriteSnapshot(w io.Writer) error {
 	return e.tree.WriteSnapshot(w, e.codec)
 }
 
-// ReadSnapshot loads input relations from a snapshot written by
-// WriteSnapshot, as one delta per relation like Init. The receiving
-// engine must have the same relations, lifts, and variable order as the
-// writer; snapshots from a different engine kind are rejected by the
-// codec tag.
+// ReadSnapshot loads a snapshot written by WriteSnapshot, as one delta
+// per relation like Init: tuples enter at their anchor, an anchor view
+// above it. The receiving engine must have the same relations, lifts,
+// and variable order as the writer; snapshots from a different engine
+// kind are rejected by the codec tag, and version-1 and -2 snapshots
+// (every relation as tuples) still load.
 func (e *Engine[V]) ReadSnapshot(r io.Reader) error {
 	return e.tree.ReadSnapshot(r, e.codec)
 }

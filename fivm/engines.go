@@ -145,8 +145,10 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	var rg ring.RangedCovarRing
 	lifts := make(map[string]ring.Lift[*ring.RangedCovar], len(cfg.Attrs))
 	perm := make([]int, len(cfg.Attrs))
+	anchors := make(map[string]liftRange, len(l.rels))
 	var post func(n *vo.Node)
 	post = func(n *vo.Node) {
+		lo := len(lifts)
 		for _, c := range n.Children {
 			post(c)
 		}
@@ -154,6 +156,13 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 			perm[i] = len(lifts)
 			l.index[n.Var] = len(lifts)
 			lifts[n.Var] = rg.Lift(len(lifts))
+		}
+		r := liftRange{lo, len(lifts) - lo}
+		if r.n == 0 {
+			r.start = 0 // a payload of no lifted attribute is a scalar, One's range
+		}
+		for _, rel := range n.Rels {
+			anchors[rel.Name] = r
 		}
 	}
 	for _, r := range l.order.Roots {
@@ -168,9 +177,9 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	}
 	attrs := append([]string(nil), cfg.Attrs...)
 	e := &CovarEngine{Attrs: attrs, perm: perm}
-	codec := covarCodec{RangedCovarCodec: ring.RangedCovarCodec{Degree: len(attrs)}, perm: perm}
+	codec := covarCodec{RangedCovarCodec: ring.RangedCovarCodec{Degree: len(attrs)}, perm: perm, anchors: anchors, what: "source"}
 	result := codec
-	result.result = true
+	result.want, result.what = liftRange{0, len(attrs)}, "partial result"
 	e.Engine = newEngine(Engine[*ring.RangedCovar]{
 		kind:        KindCovar,
 		tree:        tree,
@@ -212,13 +221,29 @@ func (e *CovarEngine) Sigma() (*ml.SigmaMatrix, error) {
 
 // covarCodec is the covar engine's payload codec: the ranged codec bound
 // to the engine's degree, which also checks where each payload belongs
-// — a source payload (snapshots) is a scalar, a result payload
-// (partials) covers exactly [0, m) — and reads the streams earlier
-// covar engines wrote (ForTag).
+// — a source payload (snapshots) is a scalar, an anchor view's
+// (snapshots, ForAnchor) covers its anchor subtree's lift range, a
+// result payload (partials) covers exactly [0, m) — and reads the
+// streams earlier covar engines wrote (ForTag).
 type covarCodec struct {
 	ring.RangedCovarCodec
-	perm   []int
-	result bool
+	perm []int
+	// anchors is each relation's anchor subtree lift range.
+	anchors map[string]liftRange
+	// want is the range every payload decoded must cover; what names
+	// those payloads in errors.
+	want liftRange
+	what string
+}
+
+// liftRange is the lift index range [start, start+n) a payload covers.
+type liftRange struct{ start, n int }
+
+// ForAnchor returns the codec of relation rel's anchor view payloads
+// (see view.Tree.ReadSnapshot).
+func (c covarCodec) ForAnchor(rel string) ring.Codec[*ring.RangedCovar] {
+	c.want, c.what = c.anchors[rel], "anchor view of "+rel
+	return c
 }
 
 // Decode reads one payload and rejects one whose range does not belong
@@ -229,12 +254,8 @@ func (c covarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
 	if err != nil || p == nil {
 		return p, err
 	}
-	want, what := 0, "source"
-	if c.result {
-		want, what = c.Degree, "partial result"
-	}
-	if p.Start != 0 || p.N != want {
-		return nil, fmt.Errorf("fivm: %s payload covers attribute range [%d,%d), this engine's is [0,%d)", what, p.Start, p.Start+p.N, want)
+	if w := c.want; p.Start != w.start || p.N != w.n {
+		return nil, fmt.Errorf("fivm: %s payload covers attribute range [%d,%d), this engine's is [%d,%d)", c.what, p.Start, p.Start+p.N, w.start, w.start+w.n)
 	}
 	return p, nil
 }
@@ -271,7 +292,7 @@ type fullCovarCodec struct{ covarCodec }
 // Decode reads one full-degree payload.
 func (c fullCovarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
 	p, err := ring.DecodeFullCovar(r, c.perm)
-	if err != nil || p == nil || c.result {
+	if err != nil || p == nil || c.want.n > 0 {
 		return p, err
 	}
 	stats := *p

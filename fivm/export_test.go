@@ -21,8 +21,8 @@ func purify[V any](e *Engine[V]) error {
 	old := e.tree
 	var rels []vo.Rel
 	for _, name := range old.RelationNames() {
-		src, _ := old.Source(name)
-		rels = append(rels, vo.Rel{Name: name, Schema: src.Schema()})
+		schema, _ := old.Schema(name)
+		rels = append(rels, vo.Rel{Name: name, Schema: schema})
 	}
 	lifts := map[string]ring.Lift[V]{}
 	for _, root := range old.Order().Roots {

@@ -50,9 +50,10 @@ type AnyEngine interface {
 	ViewTree() string
 	// M3 renders the per-view maintenance code.
 	M3() string
-	// WriteSnapshot persists the input relations.
+	// WriteSnapshot persists what the engine keeps of each input
+	// relation: its tuples or its anchor view.
 	WriteSnapshot(w io.Writer) error
-	// ReadSnapshot restores input relations and re-evaluates views.
+	// ReadSnapshot restores that state and re-evaluates the other views.
 	ReadSnapshot(r io.Reader) error
 	// WritePartial serializes the maintained result relation for
 	// cross-shard merging.

@@ -101,12 +101,14 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 }
 
 // TestRecordedStreamsStillLoad pins the wire formats: internal/view/
-// testdata holds, per engine kind, one FIVMSNAP version-2 snapshot and
-// one FIVMPART partial in today's format, each taken from
-// snapshotConfigs' engine after Init(toyData()) and the three updates
-// below, so loading it must land on the state that history reaches
-// here — and beside them the older formats the same configuration must
-// still load:
+// testdata holds, per engine kind, one FIVMSNAP version-3 snapshot
+// (<kind>-v3.snap: each relation's tuples or, where that is all the
+// tree keeps of it, its anchor view) and one FIVMPART partial in today's
+// format, each taken from snapshotConfigs' engine after Init(toyData())
+// and the three updates below, so loading it must land on the state that
+// history reaches here — and beside them the older formats the same
+// configuration must still load:
+//   - <kind>.snap, version 2: every relation as its tuples;
 //   - count-v1.snap, the count body without the codec tag;
 //   - covar.*, written by the covar engine of full-degree payloads
 //     (ring.CovarCodec[m=2], attributes in the caller's order B, D),
@@ -157,7 +159,7 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 			if !ok {
 				base = name
 			}
-			for _, file := range append([]string{base + ".snap", base + ".part"}, older[name]...) {
+			for _, file := range append([]string{base + "-v3.snap", base + ".part", base + ".snap"}, older[name]...) {
 				raw := read(file)
 				if strings.HasSuffix(file, ".part") {
 					merged, err := open().MergePartials([]io.Reader{bytes.NewReader(raw)})
@@ -188,7 +190,7 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 			if err := want.WritePartial(&part); err != nil {
 				t.Fatal(err)
 			}
-			if rs, rp := read(base+".snap"), read(base+".part"); snap.Len() != len(rs) || part.Len() != len(rp) {
+			if rs, rp := read(base+"-v3.snap"), read(base+".part"); snap.Len() != len(rs) || part.Len() != len(rp) {
 				t.Fatalf("recorded %d-byte snapshot and %d-byte partial, written today %d and %d",
 					len(rs), len(rp), snap.Len(), part.Len())
 			}

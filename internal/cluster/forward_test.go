@@ -19,12 +19,14 @@ import (
 
 // recordingWorker stands in for a shard: it records every update body
 // and batch ID it receives and acks it, after answering the first
-// fail503 requests with 503.
+// fail503 requests with 503 — or, when expired, refuses every request
+// with 409 batch_id_expired.
 type recordingWorker struct {
 	mu      sync.Mutex
 	bodies  []string
 	ids     []string
 	fail503 int
+	expired bool
 }
 
 func (rw *recordingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -43,6 +45,10 @@ func (rw *recordingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw.mu.Unlock()
 	if fail {
 		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, errors.New("restarting"))
+		return
+	}
+	if rw.expired {
+		serve.WriteError(w, http.StatusConflict, serve.CodeBatchExpired, serve.ErrBatchExpired)
 		return
 	}
 	serve.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": 1, "applied": true})
@@ -162,6 +168,29 @@ func TestRouterRetryResendsIdenticalBytes(t *testing.T) {
 	}
 	if b1, _ := w1.seen(); len(b1) != 1 {
 		t.Errorf("shard 1 saw %d requests, want 1 (its broadcast share, never retried)", len(b1))
+	}
+}
+
+// TestRouterPassesOnExpiredBatch: when every failing shard refuses the
+// sub-batch as older than its dedup window (409 batch_id_expired), the
+// router answers 409 with that code, not its generic 503 envelope — a
+// client must not retry a terminal refusal.
+func TestRouterPassesOnExpiredBatch(t *testing.T) {
+	w0, w1 := &recordingWorker{expired: true}, &recordingWorker{expired: true}
+	rt, url := startRecordingRouter(t, w0, w1)
+	k := ownedKeys(t, rt.Map())
+	resp, err := http.Post(url+"/v1/update", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"updates":[{"rel":"R","tuple":[%d,1]},{"rel":"R","tuple":[%d,2]}]}`, k[0], k[1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), `"code":"`+serve.CodeBatchExpired+`"`) {
+		t.Errorf("router answered %d %s, want 409 %s", resp.StatusCode, body, serve.CodeBatchExpired)
+	}
+	if b0, _ := w0.seen(); len(b0) != 1 {
+		t.Errorf("shard 0 saw %d requests, want 1 (a 409 is never retried)", len(b0))
 	}
 }
 

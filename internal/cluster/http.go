@@ -97,7 +97,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if len(failed) > 0 {
 		rt.writeErrors.Inc()
 		ids := make([]int, len(failed))
-		allOverloaded := true
+		allOverloaded, allExpired := true, true
 		retries := make([]shardRetryDetail, len(failed))
 		for i, f := range failed {
 			ids[i] = f.id
@@ -105,8 +105,12 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 				Shard: f.id, Attempts: f.attempts, Exhausted: f.exhausted, Error: f.err.Error(),
 			}
 			var ae *client.APIError
-			if !errors.As(f.err, &ae) || ae.Status != http.StatusTooManyRequests {
+			isAPI := errors.As(f.err, &ae)
+			if !isAPI || ae.Status != http.StatusTooManyRequests {
 				allOverloaded = false
+			}
+			if !isAPI || ae.Status != http.StatusConflict || ae.Code != serve.CodeBatchExpired {
+				allExpired = false
 			}
 		}
 		err := fmt.Errorf("cluster: %d of %d touched shards failed to ack (shards %v, first: %w); sub-batches acked by other shards are applied and will be visible", len(failed), countTouched(perShard, failed), ids, failed[0].err)
@@ -114,6 +118,12 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// Pure backpressure: every failing shard shed its sub-batch
 			// before enqueueing, so the client should simply retry.
 			serve.WriteRetryError(w, http.StatusTooManyRequests, serve.CodeOverloaded, err, time.Second)
+			return
+		}
+		if allExpired {
+			// Every failing shard refused a retry older than its dedup
+			// window: terminal, and the client must learn it as such.
+			serve.WriteError(w, http.StatusConflict, serve.CodeBatchExpired, err)
 			return
 		}
 		// The standard envelope plus per-shard retry detail: how many

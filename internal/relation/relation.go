@@ -240,19 +240,6 @@ func (m *Map[V]) Negate(r ring.Ring[V]) *Map[V] {
 	return out
 }
 
-// PartitionKey returns the positions of the attributes of key that occur
-// in m's schema — the projection a shard map hashes when it routes a
-// relation by a join key that may only partially overlap its schema.
-func (m *Map[V]) PartitionKey(key value.Schema) []int {
-	idx := make([]int, 0, key.Len())
-	for _, a := range key.Attrs() {
-		if j := m.schema.Index(a); j >= 0 {
-			idx = append(idx, j)
-		}
-	}
-	return idx
-}
-
 // Equal reports whether two relations over equal schemas hold the same
 // tuples with payloads equal under eq.
 func (m *Map[V]) Equal(other *Map[V], eq func(a, b V) bool) bool {

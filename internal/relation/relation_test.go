@@ -178,17 +178,3 @@ func TestFromTuplesBagSemantics(t *testing.T) {
 		t.Errorf("single multiplicity = %d", got)
 	}
 }
-
-// TestPartitionKeyIgnoresForeignAttrs: PartitionKey drops key attributes
-// absent from the schema instead of failing, and a key the schema does
-// not meet at all projects onto nothing (a shard map then hashes the
-// full tuple).
-func TestPartitionKeyIgnoresForeignAttrs(t *testing.T) {
-	m := New[int64](s("A", "B"))
-	if idx := m.PartitionKey(s("B", "Z")); len(idx) != 1 || idx[0] != 1 {
-		t.Fatalf("PartitionKey([B, Z]) = %v, want [1]", idx)
-	}
-	if idx := m.PartitionKey(s("Z")); len(idx) != 0 {
-		t.Fatalf("PartitionKey([Z]) = %v, want []", idx)
-	}
-}

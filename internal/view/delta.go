@@ -36,21 +36,30 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 		return fmt.Errorf("view: delta schema %v does not match %s schema %v", delta.Schema(), name, src.schema)
 	}
 	t.stats.Updates++
-	t.stats.DeltaTuples += t.apply(src, delta)
+	t.stats.DeltaTuples += t.apply(src, delta, false)
 	return nil
 }
 
 // apply is ApplyDelta past validation and accounting, shared with the
 // bulk load: propagate the delta into the recycled step buffers, merge
-// it into its source, commit the steps, release the buffers. It returns
-// the number of delta tuples merged.
-func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V]) int {
+// it into its source when the source is stored, commit the steps,
+// release the buffers. A delta of src's anchor view (view set: a
+// snapshot's form 1) is the anchor's step itself: commit absorbs it
+// into the anchor view, and it propagates from the anchor's parent. It
+// returns the number of delta tuples applied.
+func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V], view bool) int {
 	if delta.Len() == 0 {
 		return 0
 	}
-	path := src.path
-	p := t.propagate(src, delta, path)
-	src.data.MergeAll(t.ring, delta)
+	path, exclude := src.path, src.data
+	p := propagation[V]{steps: t.propSteps[:0]}
+	if view {
+		p.steps, exclude = append(p.steps, delta), src.anchor.view
+	}
+	p = t.propagate(p, exclude, delta, path)
+	if src.data != nil {
+		src.data.MergeAll(t.ring, delta)
+	}
 	n := delta.Len() + t.commit(p, path)
 	// Empty the buffers and the steps scratch, so nothing of the merged
 	// delta outlives the call pinned to them.
@@ -88,14 +97,14 @@ func pathOf[V any](n *Node[V]) []*Node[V] {
 // view's contents: at each node the delta joins the materialized views
 // of the node's other children and the full contents of its other
 // anchored relations — all off-path state — and the node's variable is
-// marginalized, one fused relation.Step per node (stepPlan.eval). The
-// steps evaluate into the path nodes' and the tree's recycled buffers
-// and the tree's steps scratch, which apply releases after its commit.
-func (t *Tree[V]) propagate(src *source[V], delta *relation.Map[V], path []*Node[V]) propagation[V] {
-	p := propagation[V]{steps: t.propSteps[:0]}
+// marginalized, one fused relation.Step per node (stepPlan.eval). d is
+// the delta of exclude, the operand it replaces at the first node p has
+// no step for yet. The steps evaluate into the path nodes' and the
+// tree's recycled buffers and the tree's steps scratch, which apply
+// releases after its commit.
+func (t *Tree[V]) propagate(p propagation[V], exclude, d *relation.Map[V], path []*Node[V]) propagation[V] {
 	var arr [4]*relation.Map[V]
-	exclude, d := src.data, delta
-	for _, n := range path {
+	for _, n := range path[len(p.steps):] {
 		d = n.step.eval(t.ring, n.parts(arr[:0], exclude, d), n.buf.take(n.keys, d.Len()))
 		p.steps = append(p.steps, d)
 		if d.Len() == 0 {

@@ -14,6 +14,10 @@
 // relation as a delta, smallest first — the paper's definition of a
 // database as the empty one plus updates.
 //
+// An input relation keeps its tuples only when a step probes them (its
+// anchor node has a child view or another anchored relation); else its
+// anchor view is its only state, and snapshots carry that view.
+//
 // # Key invariants
 //
 //   - Views, deltas, and input relations are all the same structure: a
@@ -22,7 +26,7 @@
 //     never stored.
 //   - Propagating a delta only READS off-path state (the sibling views
 //     of each path node, the other anchored relations) and only WRITES
-//     path state (the path nodes' views, the source, the result). The
+//     path state (the path nodes' views, a stored source, the result). The
 //     two sets are disjoint.
 //   - Delta propagation is linear in the delta: applying δ1 then δ2
 //     leaves exactly the state of applying δ1 ⊎ δ2, because each step

@@ -61,7 +61,7 @@ func PostOrderLifts(t testing.TB, rels []vo.Rel, attrs ...string) (*vo.Order, ma
 	return ord, lifts, perm
 }
 
-// treeState renders every view of the tree plus the sources and result
+// treeState renders every view of the tree plus the stored sources and result
 // deterministically (sorted tuples, canonical payload rendering), so two
 // trees can be compared for bit-identical state.
 func treeState[V any](t *Tree[V]) string {
@@ -77,8 +77,9 @@ func treeState[V any](t *Tree[V]) string {
 		walk(r)
 	}
 	for _, name := range t.RelationNames() {
-		src, _ := t.Source(name)
-		fmt.Fprintf(&b, "source %s = %s\n", name, src)
+		if src, ok := t.Source(name); ok {
+			fmt.Fprintf(&b, "source %s = %s\n", name, src)
+		}
 	}
 	fmt.Fprintf(&b, "result = %s\n", t.Result())
 	return b.String()
@@ -136,8 +137,9 @@ func verifyTreeIndexes[V any](t *testing.T, tr *Tree[V], ctx string) {
 		walk(r)
 	}
 	for _, name := range tr.RelationNames() {
-		src, _ := tr.Source(name)
-		check("source "+name, src)
+		if src, ok := tr.Source(name); ok {
+			check("source "+name, src)
+		}
 	}
 	check("result", tr.Result())
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/value"
 )
 
-// eachMap visits every relation the tree maintains — views, sources and
-// the result — in a deterministic order.
+// eachMap visits every relation the tree maintains — views, stored
+// sources and the result — in a deterministic order.
 func eachMap[V any](tr *Tree[V], fn func(name string, m *relation.Map[V])) {
 	var walk func(n *Node[V])
 	walk = func(n *Node[V]) {
@@ -24,7 +24,9 @@ func eachMap[V any](tr *Tree[V], fn func(name string, m *relation.Map[V])) {
 		walk(r)
 	}
 	for _, name := range tr.RelationNames() {
-		fn("source "+name, tr.sources[name].data)
+		if d := tr.sources[name].data; d != nil {
+			fn("source "+name, d)
+		}
 	}
 	fn("result", tr.result)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
@@ -14,24 +16,32 @@ import (
 // Snapshot format:
 //
 //	magic "FIVMSNAP" | version u8 | codec tag (v2+) | relation count uvarint
-//	per relation: name | attr count | attrs... | tuple count |
-//	              per tuple: encoded key | payload (ring codec)
+//	per relation: name | form u8 (v3+) | attr count | attrs... |
+//	              tuple count | per tuple: encoded key | payload (ring codec)
 //
 // The codec tag is the Go type name of the payload codec; it makes a
 // snapshot self-describing across engine kinds, so restoring e.g. a
 // count-engine snapshot into a float engine fails fast instead of
-// misparsing payload bytes. Version-1 snapshots (no tag) still load.
+// misparsing payload bytes.
 //
-// Only the input relations are persisted; views are recomputed on
-// restore (they are pure functions of the sources), which keeps the
-// snapshot small and immune to view-layout changes across versions.
+// Each relation is persisted as the state the tree keeps of it. Form 0
+// (formTuples) is its tuples: a relation that shares its anchor node
+// keeps them. Form 1 (formAnchorView) is its anchor view, over the
+// anchor's keys: a relation that is its anchor's only operand keeps no
+// tuples, and that view is all of it any update reads. The other views
+// are recomputed on restore: tuples enter at their anchor, an anchor
+// view above it, through the one load path. Versions 1 (no tag) and 2
+// (no form byte) still load, every relation as tuples.
 //
 // The per-relation body (attr count onward) is shared with the partial
 // format: writeRelation / readRelation.
 
 const (
 	snapshotMagic   = "FIVMSNAP"
-	snapshotVersion = 2
+	snapshotVersion = 3
+
+	formTuples     = 0
+	formAnchorView = 1
 )
 
 // codecTag names the payload codec for the snapshot header. Codecs
@@ -47,8 +57,9 @@ func codecTag[V any](codec ring.Codec[V]) string {
 	return fmt.Sprintf("%T", codec)
 }
 
-// WriteSnapshot persists the tree's input relations to w using codec
-// for payloads. The tree itself is unchanged.
+// WriteSnapshot persists the state the tree keeps of each input
+// relation to w — its tuples, or its anchor view — using codec for
+// payloads. The tree itself is unchanged.
 func (t *Tree[V]) WriteSnapshot(w io.Writer, codec ring.Codec[V]) error {
 	bw := bufio.NewWriter(w)
 	writeHeader(bw, snapshotMagic, snapshotVersion, codecTag(codec))
@@ -56,18 +67,32 @@ func (t *Tree[V]) WriteSnapshot(w io.Writer, codec ring.Codec[V]) error {
 	writeUvarint(bw, uint64(len(names)))
 	for _, name := range names {
 		writeString(bw, name)
-		if err := writeRelation(bw, codec, t.sources[name].data); err != nil {
+		s, form := t.sources[name].stored()
+		bw.WriteByte(form)
+		if err := writeRelation(bw, codec, s); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+// stored returns the state the tree keeps of s and its snapshot form:
+// its tuples, or its anchor view when it keeps none.
+func (s *source[V]) stored() (*relation.Map[V], byte) {
+	if s.data == nil {
+		return s.anchor.view, formAnchorView
+	}
+	return s.data, formTuples
+}
+
 // ReadSnapshot restores the tree's input relations from r and loads
 // them as one delta per relation against the emptied tree (see load).
-// The snapshot's relations must match the tree's configuration (names
-// and schemas); any previous contents are discarded, but only once the
-// whole stream has decoded — a bad snapshot leaves the tree untouched.
+// The snapshot's relations must match the tree's configuration (names,
+// schemas, and in version 3 the form the tree keeps each in); any
+// previous contents are discarded, but only once the whole stream has
+// decoded — a bad snapshot leaves the tree untouched. An anchor view is
+// decoded by codec.ForAnchor(name) when the codec has that method, so a
+// codec can check the payloads belong at that anchor.
 func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 	br := bufio.NewReader(r)
 	ver, err := readHeader(br, snapshotMagic, "snapshot")
@@ -77,7 +102,7 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 	switch ver {
 	case 1:
 		// Pre-tag format: no codec identification; trust the caller.
-	case snapshotVersion:
+	case 2, snapshotVersion:
 		if codec, err = readTag(br, codec, "snapshot"); err != nil {
 			return err
 		}
@@ -92,6 +117,7 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 		return fmt.Errorf("view: snapshot has %d relations, tree has %d", nRels, len(t.sources))
 	}
 	loaded := make(map[string]*relation.Map[V], nRels)
+	views := map[string]bool{}
 	for i := uint64(0); i < nRels; i++ {
 		name, err := readString(br)
 		if err != nil {
@@ -101,11 +127,31 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 		if !ok {
 			return fmt.Errorf("view: snapshot relation %s not in tree", name)
 		}
-		if loaded[name], err = readRelation(br, t.ring, codec, src.schema, "snapshot relation "+name); err != nil {
+		if _, dup := loaded[name]; dup {
+			return fmt.Errorf("view: snapshot relation %s appears twice", name)
+		}
+		form, schema, c := byte(formTuples), src.schema, codec
+		if ver == snapshotVersion {
+			m, want := src.stored()
+			if form, err = br.ReadByte(); err != nil {
+				return err
+			}
+			if form != want {
+				return fmt.Errorf("view: snapshot relation %s has form %d, this tree keeps it in form %d", name, form, want)
+			}
+			if form == formAnchorView {
+				schema = m.Schema()
+				if fa, ok := codec.(interface{ ForAnchor(string) ring.Codec[V] }); ok {
+					c = fa.ForAnchor(name)
+				}
+			}
+		}
+		if loaded[name], err = readRelation(br, t.ring, c, schema, "snapshot relation "+name); err != nil {
 			return err
 		}
+		views[name] = form == formAnchorView
 	}
-	t.load(loaded)
+	t.load(loaded, views)
 	return nil
 }
 
@@ -190,7 +236,7 @@ func readRelation[V any](r *bufio.Reader, rg ring.Ring[V], codec ring.Codec[V], 
 			return nil, err
 		}
 	}
-	if !value.NewSchema(attrs...).Equal(want) {
+	if !slices.Equal(attrs, want.Attrs()) { // not NewSchema: a crafted stream may repeat an attribute
 		return nil, fmt.Errorf("view: %s has schema %v, want %v", what, attrs, want)
 	}
 	nTuples, err := binary.ReadUvarint(r)
@@ -244,6 +290,15 @@ func readString(r *bufio.Reader) (string, error) {
 	}
 	if n > 1<<30 {
 		return "", fmt.Errorf("view: string length %d exceeds limit", n)
+	}
+	if n > 1<<16 {
+		// Grow with what the stream holds: a corrupt length must not
+		// allocate its size up front.
+		var b strings.Builder
+		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+			return "", err
+		}
+		return b.String(), nil
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -195,6 +195,9 @@ func (n *Node[V]) View() *relation.Map[V] { return n.view }
 type source[V any] struct {
 	name   string
 	schema value.Schema
+	// data holds the relation's tuples, or is nil when the relation is
+	// its anchor node's only operand: then no step reads the tuples, and
+	// the anchor view is all the tree keeps of them (see stored).
 	data   *relation.Map[V]
 	anchor *Node[V]
 	// path is the anchor-to-root node path, fixed at tree build; every
@@ -241,8 +244,9 @@ type Tree[V any] struct {
 type Stats struct {
 	// Updates is the number of ApplyDelta calls.
 	Updates int
-	// DeltaTuples is the total number of delta tuples merged into
-	// sources, views and the result: a function of the update stream.
+	// DeltaTuples is the total number of delta tuples applied to input
+	// relations and merged into views and the result: a function of the
+	// update stream.
 	DeltaTuples int
 }
 
@@ -294,11 +298,7 @@ func New[V any](spec Spec[V]) (*Tree[V], error) {
 		if _, dup := t.sources[r.Name]; dup {
 			return nil, fmt.Errorf("view: duplicate relation %s", r.Name)
 		}
-		t.sources[r.Name] = &source[V]{
-			name:   r.Name,
-			schema: r.Schema,
-			data:   relation.New[V](r.Schema),
-		}
+		t.sources[r.Name] = &source[V]{name: r.Name, schema: r.Schema}
 	}
 	for _, root := range spec.Order.Roots {
 		t.roots = append(t.roots, t.buildNode(root, nil))
@@ -363,6 +363,11 @@ func (t *Tree[V]) buildNode(vn *vo.Node, parent *Node[V]) *Node[V] {
 		src.anchor = n
 		n.rels = append(n.rels, src)
 	}
+	if len(n.children)+len(n.rels) > 1 {
+		for _, src := range n.rels {
+			src.data = relation.New[V](src.schema)
+		}
+	}
 	// The view keys are the dependency set plus any free variables of
 	// the subtree (including this node's own variable when free), which
 	// must be kept as keys up to the root.
@@ -405,15 +410,28 @@ func (t *Tree[V]) Roots() []*Node[V] { return t.roots }
 // none).
 func (t *Tree[V]) Lift(v string) ring.Lift[V] { return t.lifts[v] }
 
-// Source returns the current contents of input relation name. Callers
-// must not mutate it, and its payloads are live: the next maintenance
-// call may fold into them in place.
+// Source returns the current tuples of input relation name. Only a
+// relation that shares its anchor node with a child view or another
+// anchored relation keeps them: a step there probes them. A relation
+// that is its anchor's only operand keeps none — its anchor view is its
+// state — and Source reports false for it, as for an unknown name.
+// Callers must not mutate the map, and its payloads are live: the next
+// maintenance call may fold into them in place.
 func (t *Tree[V]) Source(name string) (*relation.Map[V], bool) {
 	s, ok := t.sources[name]
-	if !ok {
+	if !ok || s.data == nil {
 		return nil, false
 	}
 	return s.data, true
+}
+
+// Schema returns input relation name's schema.
+func (t *Tree[V]) Schema(name string) (value.Schema, bool) {
+	s, ok := t.sources[name]
+	if !ok {
+		return value.Schema{}, false
+	}
+	return s.schema, true
 }
 
 // RelationNames returns the input relation names, sorted.
@@ -453,7 +471,7 @@ func (t *Tree[V]) PartitionKey(rel string) (keyIdx []int, ok bool) {
 	if !found {
 		return nil, false
 	}
-	return src.data.PartitionKey(src.anchor.vn.Keys), true
+	return src.schema.MustProject(src.anchor.vn.Keys.Intersect(src.schema)), true
 }
 
 // SwapResult replaces the maintained result relation with m and returns
@@ -472,7 +490,8 @@ func (t *Tree[V]) Stats() Stats { return t.stats }
 
 // parts appends to out the operand relations joined at node n: children
 // views then anchored relations, with exclude (a child view or source
-// data) replaced by repl when non-nil.
+// data — nil for the one relation of a node that stores none) replaced
+// by repl.
 func (n *Node[V]) parts(out []*relation.Map[V], exclude, repl *relation.Map[V]) []*relation.Map[V] {
 	for _, c := range n.children {
 		if c.view == exclude {
@@ -502,13 +521,17 @@ func (n *Node[V]) parts(out []*relation.Map[V], exclude, repl *relation.Map[V]) 
 // the load rather than materializing a persistent index on the sibling
 // (the choice lives in Step, made from what it observes). Steps of a
 // load evaluate into the nodes' delta buffers like any other; release
-// drops what is load-sized. data's relations must carry the
-// sources' schemas; they are only read, and the tree holds what it keeps
-// of them flagged shared, so later maintenance never changes the
-// caller's maps. Stats counts ApplyDelta calls, not loads.
-func (t *Tree[V]) load(data map[string]*relation.Map[V]) {
+// drops what is load-sized. data's relations carry the sources'
+// schemas, except those named in views: a snapshot's anchor views (see
+// ReadSnapshot), over their anchors' keys. They are only read, and the
+// tree holds what it keeps of them flagged shared, so later maintenance
+// never changes the caller's maps. Stats counts ApplyDelta calls, not
+// loads.
+func (t *Tree[V]) load(data map[string]*relation.Map[V], views map[string]bool) {
 	for _, s := range t.sources {
-		s.data.Reset()
+		if s.data != nil {
+			s.data.Reset()
+		}
 		for _, n := range s.path { // a view holds only what some path committed into it
 			n.view.Reset()
 		}
@@ -525,7 +548,7 @@ func (t *Tree[V]) load(data map[string]*relation.Map[V]) {
 		return names[i] < names[j]
 	})
 	for _, name := range names {
-		t.apply(t.sources[name], data[name])
+		t.apply(t.sources[name], data[name], views[name])
 	}
 }
 
@@ -546,7 +569,7 @@ func (t *Tree[V]) Init(data map[string][]value.Tuple) error {
 		}
 		loaded[name] = relation.FromTuples(t.ring, s.schema, tuples)
 	}
-	t.load(loaded)
+	t.load(loaded, nil)
 	return nil
 }
 
@@ -566,6 +589,6 @@ func (t *Tree[V]) InitWeighted(data map[string]*relation.Map[V]) error {
 			return fmt.Errorf("view: InitWeighted: relation %s has schema %v, want %v", name, m.Schema(), s.schema)
 		}
 	}
-	t.load(data)
+	t.load(data, nil)
 	return nil
 }

@@ -2,6 +2,7 @@ package view_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -372,6 +373,30 @@ func TestSourceAccessors(t *testing.T) {
 	}
 }
 
+// TestPartitionKeyDropsForeignAttrs: a relation's partition key is its
+// anchor's dependency set restricted to its own schema, as positions in
+// that schema. In the triangle below S and T meet at C, keyed by A and
+// B: each keeps the one key attribute it has, and drops the other.
+func TestPartitionKeyDropsForeignAttrs(t *testing.T) {
+	rels := []vo.Rel{
+		{Name: "R", Schema: value.NewSchema("A", "B")},
+		{Name: "S", Schema: value.NewSchema("C", "A")},
+		{Name: "T", Schema: value.NewSchema("C", "B")},
+	}
+	tr, err := view.New(view.Spec[int64]{Ring: ring.Ints{}, Relations: rels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]int{"R": {0}, "S": {1}, "T": {1}} {
+		if got, ok := tr.PartitionKey(name); !ok || !slices.Equal(got, want) {
+			t.Errorf("PartitionKey(%s) = %v, %v, want %v", name, got, ok, want)
+		}
+	}
+	if _, ok := tr.PartitionKey("Z"); ok {
+		t.Error("PartitionKey of an unknown relation")
+	}
+}
+
 // TestMultiplicityUpdates checks Mult beyond ±1.
 func TestMultiplicityUpdates(t *testing.T) {
 	rels := []vo.Rel{{Name: "R", Schema: value.NewSchema("A")}}
@@ -565,13 +590,25 @@ func TestNodeAccessorsAndDeltaFor(t *testing.T) {
 	if err := tr.ApplyDelta("R", d); err != nil {
 		t.Fatal(err)
 	}
-	// a9 has no join partner, so the result is unchanged but the source
-	// gained the tuple.
+	// a9 has no join partner, so the result is unchanged but R's state
+	// gained the tuple. R is its anchor's only operand, so that state is
+	// its anchor view (B marginalized, keyed by A), not a tuple map.
 	if tr.ResultPayload() != before {
 		t.Error("dangling insert changed the result")
 	}
-	src, _ := tr.Source("R")
-	if got, _ := src.Get(value.T("a9", 9)); got != 1 {
-		t.Error("source not updated")
+	if _, ok := tr.Source("R"); ok {
+		t.Error("R, its anchor's only operand, keeps a tuple map")
+	}
+	var anchor *view.Node[int64]
+	for _, c := range root.Children() {
+		if len(c.RelNames()) == 1 && c.RelNames()[0] == "R" {
+			anchor = c
+		}
+	}
+	if anchor == nil {
+		t.Fatal("R is not anchored below the root")
+	}
+	if got, _ := anchor.View().Get(value.T("a9")); got != 1 {
+		t.Errorf("R's anchor view holds %d for a9, want 1", got)
 	}
 }

@@ -136,6 +136,12 @@ func (e *Engine[V]) BuildDelta(rel string, ups []view.Update) (Delta, error) {
 	return e.tree.DeltaFor(rel, ups)
 }
 
+// CheckUpdate reports the error Apply and BuildDelta would refuse u's
+// batch with: an unknown relation, a wrong arity, or a continuous or
+// binned feature's value that is not finite or exceeds view.MaxNumeric
+// in magnitude. Like BuildDelta it only reads immutable tree metadata.
+func (e *Engine[V]) CheckUpdate(u view.Update) error { return e.tree.CheckUpdate(u) }
+
 // ApplyBuilt maintains the views under a prebuilt delta relation — one
 // from BuildDelta of the same engine configuration, or a
 // *relation.Map[V] over rel's schema — in time proportional to the

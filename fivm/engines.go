@@ -171,7 +171,7 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	if len(lifts) != len(cfg.Attrs) {
 		return nil, fmt.Errorf("fivm: indexed %d of %d aggregate attributes; attribute missing from the order", len(lifts), len(cfg.Attrs))
 	}
-	tree, err := view.New(view.Spec[*ring.RangedCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
+	tree, err := view.New(view.Spec[*ring.RangedCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts, Numeric: cfg.Attrs})
 	if err != nil {
 		return nil, err
 	}

@@ -68,15 +68,18 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 	lifts := make(map[string]ring.Lift[*ring.RelCovar], m)
 	feats := make([]ml.Feature, m)
 	binWidths := make(map[string]float64)
+	var numeric []string
 	for i, f := range cfg.Features {
 		switch {
 		case f.BinWidth > 0:
 			lifts[f.Attr] = rg.LiftBinned(i, f.BinWidth)
 			binWidths[f.Attr] = f.BinWidth
+			numeric = append(numeric, f.Attr)
 		case f.Categorical:
 			lifts[f.Attr] = rg.LiftCategorical(i)
 		default:
 			lifts[f.Attr] = rg.LiftContinuous(i)
+			numeric = append(numeric, f.Attr)
 		}
 		feats[i] = ml.Feature{Name: f.Attr, Categorical: f.Categorical || f.BinWidth > 0, Index: i}
 	}
@@ -89,7 +92,7 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 			return nil, fmt.Errorf("fivm: label %s is categorical; ridge needs a continuous label", cfg.Label)
 		}
 	}
-	tree, err := view.New(view.Spec[*ring.RelCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts})
+	tree, err := view.New(view.Spec[*ring.RelCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts, Numeric: numeric})
 	if err != nil {
 		return nil, err
 	}

@@ -18,12 +18,12 @@ import (
 // Open returns and what the serving layer hosts; type-assert to the
 // concrete engine (*Analysis, *CountEngine, ...) for typed accessors.
 //
-// Concurrency contract: BuildDelta is safe to call concurrently with
-// maintenance (it only reads immutable tree metadata), and every
-// published Model is an isolated deep copy. Everything else — Apply,
-// ApplyBuilt, PublishModel, Stats, the snapshot and partial methods —
-// must be called from a single writer goroutine (or before any
-// concurrent use starts).
+// Concurrency contract: BuildDelta and CheckUpdate are safe to call
+// concurrently with maintenance (they only read immutable tree
+// metadata), and every published Model is an isolated deep copy.
+// Everything else — Apply, ApplyBuilt, PublishModel, Stats, the
+// snapshot and partial methods — must be called from a single writer
+// goroutine (or before any concurrent use starts).
 type AnyEngine interface {
 	// Kind identifies the engine instantiation.
 	Kind() Kind
@@ -35,6 +35,10 @@ type AnyEngine interface {
 	// merging same-tuple updates under the ring addition as it goes.
 	// Safe concurrently with maintenance.
 	BuildDelta(rel string, ups []view.Update) (Delta, error)
+	// CheckUpdate reports why Apply or BuildDelta would refuse u's
+	// batch, nil when they would not. Safe concurrently with
+	// maintenance.
+	CheckUpdate(u view.Update) error
 	// ApplyBuilt applies a delta from BuildDelta.
 	ApplyBuilt(rel string, d Delta) error
 	// PublishModel builds an immutable model of the current result,

@@ -209,3 +209,15 @@ func TestRouterRejectsWrongArity(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRejectsHugeValue: a continuous value whose square overflows
+// refuses the whole batch with the engine's 400 before it is split
+// across the shards.
+func TestRouterRejectsHugeValue(t *testing.T) {
+	_, cli := startCluster(t, engineConfigs()["covar"], 2)
+	_, err := cli.Update(context.Background(), []client.Update{client.NewUpdate("S", 1, 1, 2, 3), client.NewUpdate("R", 1, 1, 1e200)}, true)
+	var ae *client.APIError
+	if want := "relation R: B = 1e+200"; !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, want) {
+		t.Errorf("err = %v, want a 400 naming %q", err, want)
+	}
+}

@@ -75,14 +75,16 @@
 //
 // Operations are merges of sorted runs: Mul scales both operands by the
 // other's count and merges them with the sorted s × s cross terms into
-// one allocation; AddInto folds in place, seeking by galloping search,
-// while every key of the addend is already present and nothing
-// cancels, then finishes with one exact-size merge; Add, Neg, Clone and
-// Equal are linear. The coefficients hold no pointers, so the garbage
-// collector never scans a payload. RelCovarCodec writes the relational
-// ring's wire form (per slot a count, then (tuple key, coefficient)
-// pairs), unchanged from the map layout, and on decode drops zero
-// coefficients and rejects keys the ring cannot produce.
+// one allocation; AddInto folds in place: it sums the keys already
+// present, found by galloping search, merges the new ones in from the
+// back into spare capacity grown like append, and drops what cancelled
+// in one pass from the first zero; MulAddInto emits Mul's terms into a
+// stack buffer and folds them the same way, building no product; Add,
+// Neg, Clone and Equal are linear. The coefficients hold no pointers,
+// so the garbage collector never scans a payload. RelCovarCodec writes
+// the relational ring's wire form (per slot a count, then (tuple key,
+// coefficient) pairs), unchanged from the map layout, and on decode
+// drops zero coefficients and rejects keys the ring cannot produce.
 //
 // # Ranged payloads
 //
@@ -122,7 +124,12 @@
 // commits a delta in place (relation.Map.MergeAll). Rings implementing
 // Scratch additionally guarantee that Add returns a fresh value when
 // both operands are non-zero, so one pure Add turns a shared payload
-// into an owned one (copy-on-write). scratch_test.go pins the
-// equivalence contract for every implementing ring. See docs/PERF.md
-// for the full ownership story.
+// into an owned one (copy-on-write). Ownership covers a payload's
+// backing array up to its capacity, not only its length: RelCovar's
+// AddInto and MulAddInto grow into the spare capacity, so no two values
+// may share an array — every constructor (Clone, One, Mul via wrap,
+// Neg, the lifts, decode) allocates its own. scratch_test.go pins the
+// equivalence contract for every implementing ring, and
+// relcovar_ref_test.go's fold chain the ownership of RelCovar's. See
+// docs/PERF.md for the full ownership story.
 package ring

@@ -318,15 +318,25 @@ func (r RelCovarRing) Mul(a, b *RelCovar) *RelCovar {
 	if a == nil || b == nil {
 		return nil
 	}
+	return r.wrap(r.mulInto(nil, a, b))
+}
+
+// mulInto writes the coefficients of a × b (both non-zero) into out's
+// backing array when it is large enough, else into a new one of the
+// merge's upper bound, and returns them.
+func (r RelCovarRing) mulInto(out []coef, a, b *RelCovar) []coef {
 	ca, ea := splitCount(a.e)
 	cb, eb := splitCount(b.e)
 	var xbuf [64]coef
 	x := r.crossTerms(xbuf[:0], sPrefix(ea, r.m), sPrefix(eb, r.m))
-	out := make([]coef, 0, 1+len(ea)+len(eb)+len(x))
+	if n := 1 + len(ea) + len(eb) + len(x); cap(out) < n {
+		out = make([]coef, 0, n)
+	}
+	out = out[:0]
 	if c := ca * cb; c != 0 {
 		out = append(out, coef{0, c})
 	}
-	return r.wrap(mulMerge(out, ea, cb, eb, ca, x))
+	return mulMerge(out, ea, cb, eb, ca, x)
 }
 
 // splitCount separates the count scalar from the s and Q coefficients.

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/value"
@@ -58,6 +59,80 @@ func BenchmarkRelCovarAddInto(b *testing.B) {
 		acc = r.AddInto(r.AddInto(acc, ins), del)
 	}
 	benchSink = acc
+}
+
+// foldCards are the category counts of the Retailer analysis features
+// 3..6 (subcategory, category, categoryCluster, zip); features 0..2 are
+// continuous.
+var foldCards = [benchDegree]int{3: 31, 4: 11, 5: 5, 6: 97}
+
+// foldTuple is the product of tuple k's lifts of feats.
+func foldTuple(r RelCovarRing, k int, feats ...int) *RelCovar {
+	p := r.One()
+	for _, i := range feats {
+		if foldCards[i] == 0 {
+			p = r.Mul(p, r.LiftContinuous(i)(value.Float(float64(1+(7*k+i)%13))))
+		} else {
+			p = r.Mul(p, r.LiftCategorical(i)(value.Int(int64((3*k+i)%foldCards[i]))))
+		}
+	}
+	return p
+}
+
+// foldAcc sums tuples 1, 2, ... of feats until the sum holds at least
+// n coefficients.
+func foldAcc(r RelCovarRing, n int, feats ...int) *RelCovar {
+	var acc *RelCovar
+	for k := 1; acc.Len() < n; k++ {
+		acc = r.AddInto(acc, foldTuple(r, k, feats...))
+	}
+	return acc
+}
+
+// BenchmarkRelCovarFold is the in-place fold at the shapes the Retailer
+// analysis workload measures: a view payload of ~203 coefficients
+// taking a ~27-coefficient addend (AddInto), and a root group of ~500
+// coefficients taking a ~40-term product (MulAddInto). Each iteration
+// adds an operand and then its negation, so the state repeats; the
+// present case finds every key stored, the new case brings keys the
+// accumulator lacks and cancels them again — the merge into spare
+// capacity, then the zero-dropping pass.
+func BenchmarkRelCovarFold(b *testing.B) {
+	r := NewRelCovarRing(benchDegree)
+	addFeats := []int{0, 1, 3, 4, 5, 6}
+	view := foldAcc(r, 203, addFeats...)
+	root := foldAcc(r, 500, 0, 1, 2, 3, 4, 5, 6)
+	item := foldTuple(r, 1000, 0, 3, 4, 5)
+	loc := r.Add(foldTuple(r, 1000, 1, 2, 6), foldTuple(r, 1001, 1, 2, 6))
+	for _, c := range []struct {
+		name string
+		acc  *RelCovar
+		x, y *RelCovar // y nil: AddInto(acc, x)
+	}{
+		{"add/present", view, foldTuple(r, 1, addFeats...), nil},
+		{"add/new", view, foldTuple(r, 1000, addFeats...), nil},
+		{"muladd/present", root, foldTuple(r, 1, 0, 3, 4, 5), foldTuple(r, 1, 1, 2, 6)},
+		{"muladd/new", root, item, loc},
+	} {
+		n := c.x.Len()
+		if c.y != nil {
+			n = r.Mul(c.x, c.y).Len()
+		}
+		b.Run(fmt.Sprintf("%s/%d+%d", c.name, c.acc.Len(), n), func(b *testing.B) {
+			acc := c.acc.Clone()
+			nx := r.Neg(c.x)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.y == nil {
+					acc = r.AddInto(r.AddInto(acc, c.x), nx)
+				} else {
+					acc = r.MulAddInto(r.MulAddInto(acc, c.x, c.y), nx, c.y)
+				}
+			}
+			benchSink = acc
+		})
+	}
 }
 
 // BenchmarkRelCovarLiftPath is the ring work of one Inventory tuple on

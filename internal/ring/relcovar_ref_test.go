@@ -370,6 +370,75 @@ func checkKernel(t *testing.T, m int, data []byte) {
 	if !a.Equal(a0) || !b.Equal(b0) || !c.Equal(c0) {
 		t.Fatalf("m=%d an in-place operation modified a read-only operand", m)
 	}
+	checkFoldChain(t, r, [3]*RelCovar{a, b, c}, [3]*refCovar{ra, rb, rc})
+}
+
+// checkFoldChain folds a chain of AddInto and MulAddInto calls over
+// the operands (a, b, c) and their negations into one owned accumulator
+// seeded from c, so steps bring new keys, cancel earlier ones and grow
+// the accumulator's spare capacity. After every step the accumulator
+// must keep the flat invariants and equal the pure Add(acc, Mul(x, y))
+// chain bit for bit; at the end it must agree with the reference chain,
+// a clone taken mid-chain must be unchanged, and neither the operands
+// nor the reference ones may have moved.
+func checkFoldChain(t *testing.T, r RelCovarRing, ops [3]*RelCovar, refs [3]*refCovar) {
+	t.Helper()
+	a, b, c := ops[0], ops[1], ops[2]
+	ra, rb, rc := refs[0], refs[1], refs[2]
+	na, nb, nc := r.Neg(a), r.Neg(b), r.Neg(c)
+	rna, rnb, rnc := refNeg(ra), refNeg(rb), refNeg(rc)
+	op0 := [3]*RelCovar{a.Clone(), b.Clone(), c.Clone()}
+	ref0 := [3]*refCovar{ra.clone(), rb.clone(), rc.clone()}
+	steps := []struct {
+		name   string
+		x, y   *RelCovar // y nil: AddInto(acc, x)
+		rx, ry *refCovar
+	}{
+		{"AddInto(a)", a, nil, ra, nil},
+		{"MulAddInto(a,b)", a, b, ra, rb},
+		{"AddInto(-a)", na, nil, rna, nil},
+		{"MulAddInto(b,a)", b, a, rb, ra},
+		{"AddInto(b)", b, nil, rb, nil},
+		{"MulAddInto(-a,b)", na, b, rna, rb},
+		{"AddInto(-c)", nc, nil, rnc, nil},
+		{"MulAddInto(c,c)", c, c, rc, rc},
+		{"AddInto(-b)", nb, nil, rnb, nil},
+		{"MulAddInto(-b,a)", nb, a, rnb, ra},
+		{"MulAddInto(-c,c)", nc, c, rnc, rc},
+	}
+	acc, pure, racc := r.Own(c), c, rc.clone()
+	var mid, mid0 *RelCovar
+	for k, s := range steps {
+		if s.y == nil {
+			acc, pure, racc = r.AddInto(acc, s.x), r.Add(pure, s.x), refAddInto(racc, s.rx)
+		} else {
+			acc, pure, racc = r.MulAddInto(acc, s.x, s.y), r.Add(pure, r.Mul(s.x, s.y)), refMulAddInto(racc, s.rx, s.ry)
+		}
+		if acc != nil {
+			for i, e := range acc.e {
+				if e.v == 0 || i > 0 && acc.e[i-1].key >= e.key {
+					t.Fatalf("m=%d fold chain step %d %s: coefficient %d breaks the invariants: %v", r.m, k, s.name, i, acc.e)
+				}
+			}
+		}
+		if !acc.Equal(pure) {
+			t.Fatalf("m=%d fold chain step %d %s: in place %v, pure %v", r.m, k, s.name, acc, pure)
+		}
+		if k == len(steps)/2 {
+			mid, mid0 = acc.Clone(), pure
+		}
+	}
+	if d := agrees(acc, racc); d != "" {
+		t.Fatalf("m=%d fold chain: %s", r.m, d)
+	}
+	if !mid.Equal(mid0) {
+		t.Fatalf("m=%d fold chain: the mid-chain clone changed to %v, want %v", r.m, mid, mid0)
+	}
+	for i, op := range ops {
+		if !op.Equal(op0[i]) || !refEqual(refs[i], ref0[i]) && !(refIsZero(refs[i]) && refIsZero(ref0[i])) {
+			t.Fatalf("m=%d fold chain modified operand %d", r.m, i)
+		}
+	}
 }
 
 var kernelDegrees = []int{1, 2, 3, 7}

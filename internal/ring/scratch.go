@@ -1,5 +1,7 @@
 package ring
 
+import "slices"
+
 // Scratch is an optional Ring extension for rings whose values are
 // pointer-shaped (maps, structs with slices) and therefore allocate on
 // every pure Add. It lets accumulation loops that EXCLUSIVELY OWN their
@@ -15,7 +17,9 @@ package ring
 //     owner — never a value that anything else can still reach. A
 //     relation.Map owns the payloads it stores under exactly this rule
 //     (entries that alias outside state are flagged and excluded). v is
-//     only read.
+//     only read. Owning acc includes its backing storage beyond what
+//     it holds (a slice's capacity past its length), which AddInto may
+//     grow into: a value never shares a backing array with another.
 //   - Own(v) returns a value semantically equal to v that the caller
 //     exclusively owns (a deep copy for pointer-shaped values). It is
 //     how an accumulation loop seeds its accumulator from a shared
@@ -56,15 +60,20 @@ func (Relational) MulAddInto(acc, a, b RelVal) RelVal {
 	return relMulInto(acc, a, b, 1)
 }
 
-// MulAddInto implements FMA for the generalized matrix ring: the
-// product is one merge into a fresh slice, which then folds into acc
-// under AddInto's rules.
+// MulAddInto implements FMA for the generalized matrix ring: Mul's
+// merge emits the product's coefficients into a stack buffer instead of
+// a value, and they fold into acc like AddInto's addend. Each term is
+// the one Mul computes and each sum is acc + term, so the result is
+// bit-identical to Add(acc, Mul(a, b)).
 func (r RelCovarRing) MulAddInto(acc, a, b *RelCovar) *RelCovar {
-	p := r.Mul(a, b)
-	if acc == nil {
-		return p
+	if a == nil || b == nil {
+		return acc
 	}
-	return r.AddInto(acc, p)
+	if acc == nil {
+		return r.Mul(a, b)
+	}
+	var buf [128]coef
+	return acc.fold(r.mulInto(buf[:0], a, b))
 }
 
 // AddInto implements Scratch for the relational ring: coefficients of v
@@ -83,12 +92,10 @@ func (Relational) AddInto(acc, v RelVal) RelVal {
 // Own implements Scratch: a deep copy of v.
 func (Relational) Own(v RelVal) RelVal { return v.Clone() }
 
-// AddInto implements Scratch for the generalized matrix ring. While
-// every key of v is already in acc and no sum cancels — the steady
-// state of a maintained view — the coefficients fold in place, seeking
-// through acc by galloping search, so a small delta costs its own size,
-// not the stored payload's. The first new key or cancellation switches
-// to one merge of the two tails into an exact-size slice.
+// AddInto implements Scratch for the generalized matrix ring: v's
+// coefficients fold into acc in place (see fold), so a small delta
+// costs its own size plus, when it brings new keys, the tail of acc
+// they are merged into — never a rebuild of the stored payload.
 func (r RelCovarRing) AddInto(acc, v *RelCovar) *RelCovar {
 	if v == nil {
 		return acc
@@ -96,31 +103,73 @@ func (r RelCovarRing) AddInto(acc, v *RelCovar) *RelCovar {
 	if acc == nil {
 		return v.Clone()
 	}
-	a, b := acc.e, v.e
-	i := 0
-	for len(b) > 0 {
-		i = seek(a, i, b[0].key)
-		if i == len(a) || a[i].key != b[0].key {
-			break
+	return acc.fold(v.e)
+}
+
+// fold adds b — sorted, without zeros — into c's coefficients, which c
+// owns up to the capacity of their backing array, and returns c, or nil
+// when nothing is left. Every sum is c's coefficient + b's, as in
+// addMerge, so the result is bit-identical to Add.
+//
+// One pass seeks each key of b through c by galloping search: a key
+// already present is summed in place, and a sum that cancels is left as
+// a zero and its index remembered rather than ending the pass; a key
+// not present is only counted. The missing keys then merge in from the
+// back, into spare capacity grown like append, so only the coefficients
+// above the smallest new key move. Last, one pass from the first zero
+// drops the zeros.
+func (c *RelCovar) fold(b []coef) *RelCovar {
+	a := c.e
+	i, missing, zero := 0, 0, -1
+	for _, e := range b {
+		if i = seek(a, i, e.key); i == len(a) || a[i].key != e.key {
+			missing++
+			continue
 		}
-		s := a[i].v + b[0].v
-		if s == 0 {
-			break
+		s := a[i].v + e.v
+		if a[i].v = s; s == 0 && zero < 0 {
+			zero = i
 		}
-		a[i].v = s
 		i++
-		b = b[1:]
 	}
-	if len(b) == 0 {
-		return acc
+	if missing > 0 {
+		n := len(a)
+		a = slices.Grow(a, missing)[:n+missing]
+		// w-i missing keys are left to place: once it is 0, a[:i] and
+		// the rest of b, all present in it, are where they belong.
+		i, j, w := n-1, len(b)-1, n+missing-1
+		for w > i {
+			switch {
+			case i >= 0 && a[i].key > b[j].key:
+				a[w] = a[i]
+				i--
+				w--
+			case i >= 0 && a[i].key == b[j].key:
+				j-- // folded by the first pass
+			default:
+				a[w] = b[j]
+				j--
+				w--
+			}
+		}
 	}
-	out := make([]coef, i, len(a)+countMissing(a[i:], b))
-	copy(out, a[:i])
-	if out = addMerge(out, a[i:], b); len(out) == 0 {
+	if zero >= 0 {
+		// The merge only moved coefficients up, so none before the
+		// first zero's old index is zero.
+		n := zero
+		for _, e := range a[zero:] {
+			if e.v != 0 {
+				a[n] = e
+				n++
+			}
+		}
+		a = a[:n]
+	}
+	if len(a) == 0 {
 		return nil
 	}
-	acc.e = out
-	return acc
+	c.e = a
+	return c
 }
 
 // seek returns the first index at or after i whose key is >= k, given

@@ -182,6 +182,24 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown relation = %d, want 400", resp.StatusCode)
 	}
+	// A continuous value whose square overflows refuses its whole batch
+	// before anything is accepted.
+	resp, err = http.Post(ts.URL+"/v1/update", "application/json",
+		bytes.NewBufferString(`{"updates":[{"rel":"R","tuple":[1,2]},{"rel":"R","tuple":[1e200,2]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&refused); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if msg := fmt.Sprint(refused["error"]); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "relation R: X = 1e+200") {
+		t.Fatalf("huge continuous value = %d %q, want a 400 naming relation, attribute and value", resp.StatusCode, msg)
+	}
+	if _, stats := getJSON(t, ts.URL+"/v1/stats"); stats["ingested"].(float64) != 0 {
+		t.Fatalf("refused batch ingested %v updates", stats["ingested"])
+	}
 	code, _ := getJSON(t, ts.URL+"/v1/predict") // missing features
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("predict without features = %d, want 422", code)

@@ -400,19 +400,16 @@ func (s *Server) Ingest(ups []view.Update) (<-chan struct{}, error) {
 }
 
 // groupUpdates groups ups by relation, preserving per-relation order
-// and validating every update (relation known, tuple arity matches the
-// schema) before anything is enqueued — a bad update must not reach the
-// pipeline goroutines, where it would panic the whole server.
+// and validating every update with the engine's CheckUpdate (relation
+// known, tuple arity, numeric values in range) before anything is
+// enqueued — a bad update must not reach the pipeline goroutines, where
+// it would panic the whole server or be dropped after its 202.
 func (s *Server) groupUpdates(ups []view.Update) (order []string, groups map[string][]view.Update, err error) {
 	order = make([]string, 0, 4)
 	groups = make(map[string][]view.Update, 4)
 	for i, u := range ups {
-		sh, known := s.shards[u.Rel]
-		if !known {
-			return nil, nil, fmt.Errorf("serve: unknown relation %s", u.Rel)
-		}
-		if len(u.Tuple) != sh.arity {
-			return nil, nil, fmt.Errorf("serve: updates[%d]: relation %s wants %d attributes, tuple has %d", i, u.Rel, sh.arity, len(u.Tuple))
+		if err := s.eng.CheckUpdate(u); err != nil {
+			return nil, nil, fmt.Errorf("serve: updates[%d]: %w", i, err)
 		}
 		g, ok := groups[u.Rel]
 		if !ok {

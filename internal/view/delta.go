@@ -2,6 +2,7 @@ package view
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
@@ -191,25 +192,47 @@ func (t *Tree[V]) ApplyUpdates(ups []Update) error {
 }
 
 // sourceFor returns the input relation update u targets, failing on an
-// unknown relation or a tuple of the wrong arity — a caller's error
-// (e.g. a WAL written under an older schema), not a reason to panic in
-// the relation layer.
+// unknown relation or a tuple check refuses — a caller's error (e.g. a
+// WAL written under an older schema), not a reason to panic in the
+// relation layer.
 func (t *Tree[V]) sourceFor(u Update) (*source[V], error) {
 	src, ok := t.sources[u.Rel]
 	if !ok {
 		return nil, fmt.Errorf("view: unknown relation %s", u.Rel)
 	}
-	if err := src.checkArity(u.Tuple); err != nil {
+	if err := src.check(u.Tuple); err != nil {
 		return nil, err
 	}
 	return src, nil
 }
 
-// checkArity fails when tuple does not have the relation's attribute
-// count.
-func (s *source[V]) checkArity(tuple value.Tuple) error {
+// CheckUpdate reports the error ApplyUpdates would refuse u's batch
+// with, so an ingestion layer can refuse a request before accepting
+// it. Like DeltaFor it only reads immutable tree metadata.
+func (t *Tree[V]) CheckUpdate(u Update) error {
+	_, err := t.sourceFor(u)
+	return err
+}
+
+// MaxNumeric bounds the magnitude of a Spec.Numeric value. The covar
+// rings hold sums of x and of pairwise products x·y, so every term
+// stays within 1e200 and a sum of 2^53 of them within 1e216, far from
+// float64 overflow near 1.8e308. A larger value could overflow Q to
+// ±Inf, and deleting it again would leave Inf − Inf = NaN behind for
+// good.
+const MaxNumeric = 1e100
+
+// check fails when tuple does not have the relation's attribute count,
+// or a numeric attribute's value is not finite or exceeds MaxNumeric in
+// magnitude.
+func (s *source[V]) check(tuple value.Tuple) error {
 	if len(tuple) != s.schema.Len() {
 		return fmt.Errorf("view: relation %s has %d attributes %v, got a tuple of %d", s.name, s.schema.Len(), s.schema, len(tuple))
+	}
+	for _, i := range s.numeric {
+		if x := tuple[i].AsFloat(); !(math.Abs(x) <= MaxNumeric) {
+			return fmt.Errorf("view: relation %s: %s = %v is not a finite number within ±%g", s.name, s.schema.Attr(i), tuple[i], MaxNumeric)
+		}
 	}
 	return nil
 }
@@ -262,7 +285,7 @@ func (t *Tree[V]) DeltaFor(rel string, ups []Update) (*relation.Map[V], error) {
 		if u.Rel != rel {
 			return nil, fmt.Errorf("view: DeltaFor(%s) got update for %s", rel, u.Rel)
 		}
-		if err := src.checkArity(u.Tuple); err != nil {
+		if err := src.check(u.Tuple); err != nil {
 			return nil, err
 		}
 		d.Merge(t.ring, u.Tuple, t.payloadFor(u.Mult))

@@ -24,6 +24,10 @@ type Spec[V any] struct {
 	// variable is marginalized. Variables without an entry are summed
 	// away without payload contribution (g_X = 1).
 	Lifts map[string]ring.Lift[V]
+	// Numeric lists the variables whose lifts read a value as a number
+	// (continuous and binned features). A tuple whose value of one is
+	// not finite or larger in magnitude than MaxNumeric is refused.
+	Numeric []string
 	// Free lists the group-by variables of the query: they are kept as
 	// keys of the result instead of being marginalized.
 	Free []string
@@ -195,6 +199,8 @@ func (n *Node[V]) View() *relation.Map[V] { return n.view }
 type source[V any] struct {
 	name   string
 	schema value.Schema
+	// numeric holds the schema positions of Spec.Numeric variables.
+	numeric []int
 	// data holds the relation's tuples, or is nil when the relation is
 	// its anchor node's only operand: then no step reads the tuples, and
 	// the anchor view is all the tree keeps of them (see stored).
@@ -294,11 +300,22 @@ func New[V any](spec Spec[V]) (*Tree[V], error) {
 			return nil, fmt.Errorf("view: lift for unknown variable %s", v)
 		}
 	}
+	for _, v := range spec.Numeric {
+		if !allVars[v] {
+			return nil, fmt.Errorf("view: numeric variable %s not in the variable order", v)
+		}
+	}
 	for _, r := range spec.Relations {
 		if _, dup := t.sources[r.Name]; dup {
 			return nil, fmt.Errorf("view: duplicate relation %s", r.Name)
 		}
-		t.sources[r.Name] = &source[V]{name: r.Name, schema: r.Schema}
+		src := &source[V]{name: r.Name, schema: r.Schema}
+		for _, v := range spec.Numeric {
+			if i := r.Schema.Index(v); i >= 0 {
+				src.numeric = append(src.numeric, i)
+			}
+		}
+		t.sources[r.Name] = src
 	}
 	for _, root := range spec.Order.Roots {
 		t.roots = append(t.roots, t.buildNode(root, nil))
@@ -563,7 +580,7 @@ func (t *Tree[V]) Init(data map[string][]value.Tuple) error {
 			return fmt.Errorf("view: Init: unknown relation %s", name)
 		}
 		for _, tp := range tuples {
-			if err := s.checkArity(tp); err != nil {
+			if err := s.check(tp); err != nil {
 				return err
 			}
 		}

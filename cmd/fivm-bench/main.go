@@ -2,7 +2,7 @@
 // (docs/REPRODUCTION.md records one run): Figure 1's worked example
 // (e1), the §1 throughput claims (e2), the application tabs (e3–e6), the
 // batch/aggregate sweeps (e7), the Favorita database (e8), and the
-// ablations (a1–a3). It also drives HTTP load against a live server
+// ablations (a1, a3). It also drives HTTP load against a live server
 // (loadgen) and proxies one with injected network faults (chaos), which
 // is how CI smoke-tests the real binaries.
 //
@@ -35,7 +35,7 @@ func main() {
 		os.Exit(runChaos(os.Args[2:]))
 	}
 
-	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a2|a3|all")
+	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a3|all")
 	scale := flag.String("scale", "small", "workload scale: small|demo")
 	flag.Parse()
 
@@ -52,11 +52,11 @@ func main() {
 	run := map[string]func(experiments.Scale) error{
 		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4,
 		"e5": runE5, "e6": runE6, "e7": runE7, "e8": runE8,
-		"a1": runA1, "a2": runA2, "a3": runA3,
+		"a1": runA1, "a3": runA3,
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3"}
+		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a3"}
 	}
 	for _, id := range ids {
 		fn, ok := run[id]
@@ -222,16 +222,6 @@ func runE8(sc experiments.Scale) error {
 func runA1(sc experiments.Scale) error {
 	fmt.Println("A1 — ablation: ring sharing (compound payload vs independent aggregate trees)")
 	rows, err := experiments.A1Sharing(sc, 5)
-	if err != nil {
-		return err
-	}
-	experiments.PrintThroughput(os.Stdout, rows)
-	return nil
-}
-
-func runA2(sc experiments.Scale) error {
-	fmt.Println("A2 — ablation: maintaining gradients vs maintaining the join itself")
-	rows, err := experiments.A2Factorization(sc)
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,7 @@ func main() {
 	retryBudget := flag.Duration("retry-budget", 2*time.Second, "how long a write retries a shard's transport failures and 503s before giving up (negative disables)")
 	shardTimeout := flag.Duration("shard-timeout", 10*time.Second, "per-attempt ceiling on any one shard HTTP request, so a black-holed worker fails the attempt instead of hanging it (0 = none)")
 	db := flag.String("db", "", "rejected: presets bulk-load per worker and would duplicate the anchor relation")
-	engine := flag.String("engine", "", "engine kind: analysis|count|float|covar|join (default: inferred from the other flags)")
+	engine := flag.String("engine", "", daemon.EngineUsage())
 	query := flag.String("query", "", `SQL-subset query for count/float engines`)
 	relations := flag.String("relations", "", `relations, e.g. "R:A,B;S:B,C"`)
 	features := flag.String("features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)

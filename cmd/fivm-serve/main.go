@@ -23,7 +23,8 @@
 //	fivm-serve -relations "R:A,B;S:B,C" \
 //	           -query "SELECT SUM(A * B) FROM R NATURAL JOIN S"             # float
 //	fivm-serve -relations "R:A,B;S:B,C" -attrs "A,B,C"     # scalar COVAR
-//	fivm-serve -relations "R:A,B;S:B,C" -engine join       # join result
+//
+// -relations alone names no workload and is refused at start-up.
 //
 // With -wal the daemon is durable: every coalesced update batch is
 // appended to a per-shard write-ahead log before it is applied, the
@@ -62,7 +63,7 @@ func main() {
 	flag.StringVar(&o.DB, "db", "", "demo database preset: retailer|favorita (overrides -relations/-features)")
 	flag.IntVar(&o.Rows, "rows", 0, "fact-table rows for the preset database (0 = preset default)")
 	flag.BoolVar(&o.Load, "load", true, "bulk-load the generated preset database at startup")
-	flag.StringVar(&o.Engine, "engine", "", "engine kind: analysis|count|float|covar|join (default: inferred from the other flags)")
+	flag.StringVar(&o.Engine, "engine", "", daemon.EngineUsage())
 	flag.StringVar(&o.Query, "query", "", `SQL-subset query for count/float engines, e.g. "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"`)
 	flag.StringVar(&o.Relations, "relations", "", `custom relations, e.g. "R:A,B;S:B,C"`)
 	flag.StringVar(&o.Features, "features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)

@@ -6,8 +6,8 @@
 //
 // Everything the daemon does — sharded batched ingestion, lock-free
 // published models, the HTTP surface — is engine-agnostic: the same
-// serve.Server would host a float-SUM, COVAR, join-result, or full
-// analysis engine; only the fivm.Open config differs.
+// serve.Server would host a float-SUM, COVAR, or full analysis engine;
+// only the fivm.Open config differs.
 package main
 
 import (

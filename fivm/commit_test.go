@@ -37,7 +37,7 @@ func engineState[V any](e *fivm.Engine[V]) string {
 	return b.String()
 }
 
-// snapshotState dispatches engineState over the five concrete kinds.
+// snapshotState dispatches engineState over the four concrete kinds.
 func snapshotState(t *testing.T, e fivm.AnyEngine) string {
 	t.Helper()
 	switch x := e.(type) {
@@ -48,8 +48,6 @@ func snapshotState(t *testing.T, e fivm.AnyEngine) string {
 	case *fivm.FloatEngine:
 		return engineState(x.Engine)
 	case *fivm.CovarEngine:
-		return engineState(x.Engine)
-	case *fivm.JoinEngine:
 		return engineState(x.Engine)
 	default:
 		t.Fatalf("unknown engine type %T", e)
@@ -95,7 +93,7 @@ func indexStates[V any](t *testing.T, e *fivm.Engine[V]) map[string]map[string]s
 	return out
 }
 
-// snapshotIndexes dispatches indexStates over the five concrete kinds.
+// snapshotIndexes dispatches indexStates over the four concrete kinds.
 func snapshotIndexes(t *testing.T, e fivm.AnyEngine) map[string]map[string]string {
 	t.Helper()
 	switch x := e.(type) {
@@ -106,8 +104,6 @@ func snapshotIndexes(t *testing.T, e fivm.AnyEngine) map[string]map[string]strin
 	case *fivm.FloatEngine:
 		return indexStates(t, x.Engine)
 	case *fivm.CovarEngine:
-		return indexStates(t, x.Engine)
-	case *fivm.JoinEngine:
 		return indexStates(t, x.Engine)
 	default:
 		t.Fatalf("unknown engine type %T", e)
@@ -210,9 +206,6 @@ func equivConfigs() map[string]fivm.Config {
 			// fit: iterative float math, deterministic given identical
 			// payloads and an identical previous model.
 			Label: "D",
-		},
-		"join": {
-			Relations: equivRelations(),
 		},
 	}
 }

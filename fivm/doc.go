@@ -8,20 +8,21 @@
 //     either a SQL query or a declarative relations+features config
 //     into the right one through a single kinds table (which Config
 //     fields each kind consumes, and its builder), rejecting any set
-//     field the kind does not consume.
+//     field the kind does not consume and bare Relations, which name
+//     no workload. Kinds lists the table for command-line help.
 //   - AnyEngine is the one kind-independent interface Open returns and
 //     the serving layer hosts. Updates enter through Apply (tuple-level
 //     updates) or BuildDelta + ApplyBuilt (a prebuilt delta).
 //   - Engine[V] is the generic core behind it: a view tree over one
 //     ring plus the shared lifecycle (Init, InitWeighted, Apply,
 //     BuildDelta/ApplyBuilt, CloneView, Stats, WriteSnapshot/
-//     ReadSnapshot, PublishModel). Five thin
+//     ReadSnapshot, PublishModel). Four thin
 //     instantiations add typed accessors, reached by type assertion:
 //     Analysis (generalized COVAR / MI / ridge / Chow-Liu over mixed
 //     features), CountEngine and FloatEngine (SUM aggregates parsed
-//     from a small SQL subset), CovarEngine (scalar COVAR over
+//     from a small SQL subset), and CovarEngine (scalar COVAR over
 //     continuous attributes, on the ranged payloads of the paper's
-//     Figure 2d), and JoinEngine (the join result itself).
+//     Figure 2d).
 //
 // # Key invariants
 //

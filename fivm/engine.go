@@ -21,7 +21,6 @@ const (
 	KindCount    Kind = "count"    // SUM(1) over the Z ring
 	KindFloat    Kind = "float"    // one SUM aggregate over the float ring
 	KindCovar    Kind = "covar"    // scalar COVAR over all-continuous attributes, ranged payloads
-	KindJoin     Kind = "join"     // the join result itself, via the relational ring
 )
 
 // Delta is an opaque prebuilt delta relation flowing between BuildDelta
@@ -37,7 +36,7 @@ type Delta interface{ Len() int }
 // deep copies: nothing the engine does after publishing can change them.
 //
 // Concrete models are AnalysisModel (ridge/COVAR/MI), TableModel
-// (count, float-SUM, and join results), and CovarModel (scalar COVAR).
+// (count and float-SUM results), and CovarModel (scalar COVAR).
 type Model interface {
 	// Kind identifies the engine kind that published the model.
 	Kind() Kind
@@ -58,9 +57,9 @@ type Model interface {
 // Engine is the generic core every F-IVM workload shares: a view tree
 // over one ring, plus the lifecycle around it — bulk load, incremental
 // maintenance, delta prebuilding, deep-cloned reads, snapshot
-// persistence, and model publishing. Open builds it through one of five
-// thin instantiations (Analysis, CountEngine, FloatEngine, CovarEngine,
-// JoinEngine) that add ring-specific typed accessors.
+// persistence, and model publishing. Open builds it through one of four
+// thin instantiations (Analysis, CountEngine, FloatEngine, CovarEngine)
+// that add ring-specific typed accessors.
 //
 // Result-access convention (uniform across all engines): Payload and
 // Result never fail — an empty join yields the ring's zero (nil for

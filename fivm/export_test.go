@@ -72,8 +72,6 @@ func CommitWithPureAdd(e AnyEngine) error {
 		return purify(x.Engine)
 	case *CovarEngine:
 		return purify(x.Engine)
-	case *JoinEngine:
-		return purify(x.Engine)
 	}
 	return fmt.Errorf("fivm: unknown engine type %T", e)
 }

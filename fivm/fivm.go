@@ -2,6 +2,7 @@ package fivm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/m3"
 	"repro/internal/ml"
@@ -23,6 +24,9 @@ type RelationSpec struct {
 //   - Categorical true: one-hot encoded via the relational ring.
 //   - BinWidth > 0: continuous values discretized into equi-width bins
 //     and treated as categorical (used for MI over continuous data).
+//
+// A BinWidth that is neither 0 nor a finite positive number (negative,
+// NaN, ±Inf) is an error.
 type FeatureSpec struct {
 	Attr        string
 	Categorical bool
@@ -70,6 +74,10 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 	binWidths := make(map[string]float64)
 	var numeric []string
 	for i, f := range cfg.Features {
+		// NaN fails both comparisons.
+		if w := f.BinWidth; w != 0 && !(w > 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("fivm: feature %s: bin width %v is not a finite positive number", f.Attr, w)
+		}
 		switch {
 		case f.BinWidth > 0:
 			lifts[f.Attr] = rg.LiftBinned(i, f.BinWidth)

@@ -3,7 +3,6 @@ package fivm
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ml"
@@ -153,12 +152,10 @@ type TableRow struct {
 	Value float64 `json:"value"`
 }
 
-// TableModel is the Model published by the count, float, and join
-// engines: the maintained result as rows of (key, scalar). For count
-// and float engines the keys are the GROUP BY attributes (one row with
-// an empty key for ungrouped queries) and the values are the maintained
-// aggregates; for the join engine the keys are result tuples and the
-// values their multiplicities.
+// TableModel is the Model published by the count and float engines:
+// the maintained result as rows of (key, scalar). The keys are the
+// GROUP BY attributes (one row with an empty key for ungrouped queries)
+// and the values are the maintained aggregates.
 //
 // Publishing freezes only a shallow clone of the result (the clone's
 // payloads are flagged copy-on-write on both sides, so that is a full
@@ -168,9 +165,7 @@ type TableRow struct {
 // step is synchronized: concurrent readers are safe.
 type TableModel struct {
 	EngineKind Kind
-	// Attrs names the key attributes; nil when the key layout is
-	// unspecified (the join engine's tuples follow the lift application
-	// order, not a declared schema).
+	// Attrs names the key attributes, the GROUP BY list.
 	Attrs []string
 
 	once  sync.Once
@@ -198,7 +193,7 @@ func (m *TableModel) Rows() []TableRow {
 }
 
 // Total returns the sum of all row values: the join cardinality for
-// count and join models, the grand aggregate total for float.
+// count models, the grand aggregate total for float.
 func (m *TableModel) Total() float64 {
 	m.materialize()
 	return m.total
@@ -297,20 +292,4 @@ func jsonTuple(t value.Tuple) []any {
 		out[i] = jsonValue(v)
 	}
 	return out
-}
-
-// sortedRelRows decodes a relational-ring value into sorted TableRows.
-func sortedRelRows(rel ring.RelVal) ([]TableRow, float64) {
-	keys := make([]string, 0, len(rel))
-	for k := range rel {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]TableRow, 0, len(keys))
-	var total float64
-	for _, k := range keys {
-		rows = append(rows, TableRow{Key: jsonTuple(value.MustDecodeTuple(k)), Value: rel[k]})
-		total += rel[k]
-	}
-	return rows, total
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/ml"
@@ -72,8 +73,8 @@ type AnyEngine interface {
 
 // Config declares a workload for Open: either a SQL query over the
 // declared relations (count/float kinds) or a declarative
-// relations+features/attrs spec (analysis/covar/join kinds). Kind may
-// be left empty to infer the engine from which fields are set.
+// relations+features/attrs spec (analysis/covar kinds). Kind may be
+// left empty to infer the engine from which fields are set.
 type Config struct {
 	// Kind forces a specific engine; empty infers one (see Open).
 	Kind Kind
@@ -151,15 +152,24 @@ var kinds = map[Kind]kindSpec{
 	KindCount:    {fieldQuery, newCountEngine},
 	KindFloat:    {fieldQuery, newFloatEngine},
 	KindCovar:    {fieldAttrs, newCovarEngine},
-	KindJoin:     {0, newJoinEngine},
+}
+
+// Kinds returns every kind Open can build, sorted by name.
+func Kinds() []Kind {
+	out := make([]Kind, 0, len(kinds))
+	for k := range kinds {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Open is the only way to build an engine: it compiles cfg into the
 // right one. Kind selects explicitly; when empty it is inferred — a
 // Query yields KindCount for SUM(1) and KindFloat otherwise, Features
-// yield KindAnalysis, Attrs yield KindCovar, and bare Relations yield
-// KindJoin. A set field the kind does not consume is an error, never
-// silently dropped.
+// yield KindAnalysis, and Attrs yield KindCovar; bare Relations describe
+// no workload and are an error. A set field the kind does not consume
+// is an error, never silently dropped.
 func Open(cfg Config) (AnyEngine, error) {
 	if len(cfg.Relations) == 0 {
 		return nil, fmt.Errorf("fivm: Open needs at least one relation")
@@ -196,7 +206,7 @@ func Open(cfg Config) (AnyEngine, error) {
 		case set&fieldAttrs != 0:
 			kind = KindCovar
 		default:
-			kind = KindJoin
+			return nil, fmt.Errorf("fivm: Open needs a workload: set Query, Features or Attrs")
 		}
 	}
 	spec, ok := kinds[kind]

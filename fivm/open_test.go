@@ -1,10 +1,12 @@
 package fivm_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/fivm"
+	"repro/internal/daemon"
 	"repro/internal/ml"
 	"repro/internal/value"
 	"repro/internal/view"
@@ -29,7 +31,6 @@ func TestOpenKindInference(t *testing.T) {
 		{"float from SUM expr", fivm.Config{Relations: openRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"}, fivm.KindFloat},
 		{"analysis from features", fivm.Config{Relations: openRels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}}}, fivm.KindAnalysis},
 		{"covar from attrs", fivm.Config{Relations: openRels(), Attrs: []string{"B", "D"}}, fivm.KindCovar},
-		{"join from bare relations", fivm.Config{Relations: openRels()}, fivm.KindJoin},
 		{"covar forced by kind", fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: []string{"D", "B"}}, fivm.KindCovar},
 	}
 	for _, c := range cases {
@@ -75,6 +76,48 @@ func TestOpenKindInference(t *testing.T) {
 	}
 }
 
+// Bare Relations describe no workload: Open refuses them, naming the
+// fields that would, and the daemon's -relations alone reaches the same
+// refusal. "join" is no longer a kind.
+func TestOpenRefusesBareRelations(t *testing.T) {
+	_, err := fivm.Open(fivm.Config{Relations: openRels()})
+	if err == nil {
+		t.Fatal("bare relations accepted")
+	}
+	for _, field := range []string{"Query", "Features", "Attrs"} {
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("err = %v, want it to name %s", err, field)
+		}
+	}
+	cfg, _, derr := daemon.BuildEngineConfig("", 0, false, "", "", "R:A,B;S:A,C,D", "", "", "")
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if _, oerr := fivm.Open(cfg); oerr == nil || oerr.Error() != err.Error() {
+		t.Errorf("-relations alone: err = %v, want %v", oerr, err)
+	}
+	if _, err := fivm.Open(fivm.Config{Kind: "join", Relations: openRels()}); err == nil || !strings.Contains(err.Error(), "unknown engine kind") {
+		t.Errorf(`Kind "join": err = %v, want unknown engine kind`, err)
+	}
+}
+
+// A bin width is 0 (no binning) or a finite positive number; Open and
+// the daemon's feature parser refuse anything else rather than reading
+// it as continuous or putting every value in one bin.
+func TestBinWidthMustBeFinitePositive(t *testing.T) {
+	for w, ok := range map[float64]bool{0: true, 2.5: true, -1: false, math.NaN(): false, math.Inf(1): false, math.Inf(-1): false} {
+		feats := []fivm.FeatureSpec{{Attr: "B", BinWidth: w}, {Attr: "D"}}
+		if _, err := fivm.Open(fivm.Config{Relations: openRels(), Features: feats}); (err == nil) != ok {
+			t.Errorf("Open with BinWidth %v: err = %v, want ok=%v", w, err, ok)
+		}
+	}
+	for w, ok := range map[string]bool{"2.5": true, "0": false, "-1": false, "NaN": false, "Inf": false, "-Inf": false} {
+		if _, err := daemon.ParseFeatures("B:bin=" + w + ",D"); (err == nil) != ok {
+			t.Errorf("ParseFeatures(B:bin=%s): err = %v, want ok=%v", w, err, ok)
+		}
+	}
+}
+
 func TestOpenErrors(t *testing.T) {
 	if _, err := fivm.Open(fivm.Config{}); err == nil {
 		t.Error("no relations accepted")
@@ -110,12 +153,12 @@ func TestOpenErrors(t *testing.T) {
 	// An explicit Kind must not silently drop a workload field meant
 	// for a different engine.
 	_, err = fivm.Open(fivm.Config{
-		Kind:      fivm.KindJoin,
+		Kind:      fivm.KindCovar,
 		Relations: openRels(),
 		Query:     "SELECT SUM(1) FROM R NATURAL JOIN S",
 	})
 	if err == nil || !strings.Contains(err.Error(), "not consumed") {
-		t.Errorf("join+Query: err = %v, want unconsumed-field rejection", err)
+		t.Errorf("covar+Query: err = %v, want unconsumed-field rejection", err)
 	}
 	// A Ridge config without a Label is never consumed.
 	_, err = fivm.Open(fivm.Config{
@@ -239,9 +282,12 @@ func TestEmptyJoinConvention(t *testing.T) {
 	if _, err := cov.Sigma(); err == nil {
 		t.Fatal("Sigma() on the empty join must fail")
 	}
-	join := open[*fivm.JoinEngine](t, fivm.Config{Relations: rels})
-	if ts, ms := join.Tuples(); len(ts) != 0 || len(ms) != 0 {
-		t.Fatal("empty join must enumerate to empty slices")
+	count := open[*fivm.CountEngine](t, fivm.Config{Relations: rels, Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"})
+	if n := count.Result().Len(); n != 0 {
+		t.Fatalf("empty count result holds %d groups", n)
+	}
+	if rows := count.PublishModel(nil).(*fivm.TableModel).Rows(); rows == nil || len(rows) != 0 {
+		t.Fatalf("empty join must enumerate to an empty row list, got %v", rows)
 	}
 }
 
@@ -252,7 +298,6 @@ func TestPublishedModelsAreImmutable(t *testing.T) {
 		{Relations: openRels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"},
 		{Relations: openRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		{Relations: openRels(), Attrs: []string{"B", "D"}},
-		{Relations: openRels()},
 		{Relations: openRels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "D"}}, Label: "D"},
 	}
 	for _, cfg := range cfgs {

@@ -27,7 +27,6 @@ func mixedConfigs() map[string]fivm.Config {
 		"count":    {Relations: rels, Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"},
 		"float":    {Relations: rels, Query: "SELECT SUM(B * C) FROM R NATURAL JOIN S"},
 		"covar":    {Relations: rels, Attrs: []string{"B", "C"}},
-		"join":     {Relations: rels},
 		"analysis": {Relations: rels, Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}}},
 	}
 }
@@ -107,7 +106,7 @@ func sameState(a, b string, tol float64) bool {
 // views, stored sources and result — exactly for the exact rings, within
 // 1e-9 for the float ones — and keep agreeing under further updates.
 func TestRestoreEqualsLoadEqualsUpdates(t *testing.T) {
-	tol := map[string]float64{"count": 0, "join": 0, "float": 1e-9, "covar": 1e-9, "rangedcovar": 1e-9, "analysis": 1e-9}
+	tol := map[string]float64{"count": 0, "float": 1e-9, "covar": 1e-9, "rangedcovar": 1e-9, "analysis": 1e-9}
 	for _, set := range []struct {
 		name    string
 		configs map[string]fivm.Config

@@ -71,7 +71,6 @@ func snapshotConfigs() map[string]fivm.Config {
 		"float":       {Relations: openRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: openRels(), Attrs: []string{"B", "D"}},
 		"rangedcovar": {Relations: openRels(), Attrs: []string{"D", "B"}},
-		"join":        {Relations: openRels()},
 		"analysis":    {Relations: openRels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}, Label: "D"},
 	}
 }

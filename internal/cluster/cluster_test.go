@@ -26,7 +26,7 @@ func testRels() []fivm.RelationSpec {
 	}
 }
 
-// engineConfigs covers all five engine kinds over the shared schema,
+// engineConfigs covers all four engine kinds over the shared schema,
 // the covar kind twice: its attributes in the order its ranged payloads
 // are laid out in (the tree's post-order), and reversed, so the merged
 // model's permutation back to the caller's order is exercised too.
@@ -36,7 +36,6 @@ func engineConfigs() map[string]fivm.Config {
 		"float":       {Relations: testRels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: testRels(), Attrs: []string{"B", "D"}},
 		"rangedcovar": {Relations: testRels(), Attrs: []string{"D", "B"}},
-		"join":        {Relations: testRels()},
 		"analysis": {Relations: testRels(), Label: "B",
 			Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}},
 	}

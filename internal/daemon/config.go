@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -10,6 +11,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/value"
 )
+
+// EngineUsage is the -engine flag's help text; it lists fivm.Kinds.
+func EngineUsage() string {
+	var names []string
+	for _, k := range fivm.Kinds() {
+		names = append(names, string(k))
+	}
+	return "engine kind: " + strings.Join(names, "|") + " (default: inferred from the other flags)"
+}
 
 // BuildEngineConfig resolves the engine configuration from either a
 // preset database or the custom CLI options. For presets it also
@@ -128,7 +138,8 @@ func ParseRelations(s string) ([]fivm.RelationSpec, error) {
 }
 
 // ParseFeatures parses "A,B:cat,C:bin=10" — continuous by default,
-// ":cat" for categorical, ":bin=W" for equi-width binning.
+// ":cat" for categorical, ":bin=W" for equi-width binning (W finite
+// and positive).
 func ParseFeatures(s string) ([]fivm.FeatureSpec, error) {
 	var out []fivm.FeatureSpec
 	for _, part := range strings.Split(s, ",") {
@@ -143,7 +154,7 @@ func ParseFeatures(s string) ([]fivm.FeatureSpec, error) {
 				f.Categorical = true
 			case strings.HasPrefix(kind, "bin="):
 				w, err := strconv.ParseFloat(kind[len("bin="):], 64)
-				if err != nil || w <= 0 {
+				if err != nil || !(w > 0 && w <= math.MaxFloat64) { // NaN fails both
 					return nil, fmt.Errorf("bad bin width in feature %q", part)
 				}
 				f.BinWidth = w

@@ -211,17 +211,3 @@ func TestE8Favorita(t *testing.T) {
 		}
 	}
 }
-
-func TestA2(t *testing.T) {
-	rows, err := A2Factorization(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("A2 rows = %d", len(rows))
-	}
-	// Gradients must not be slower than maintaining the join listing.
-	if rows[0].PerSecond < rows[1].PerSecond/2 {
-		t.Errorf("A2 inverted: gradient %.0f/s vs join %.0f/s", rows[0].PerSecond, rows[1].PerSecond)
-	}
-}

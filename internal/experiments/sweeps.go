@@ -161,41 +161,3 @@ func A3Deletes(sc Scale, ratios []float64) ([]Throughput, error) {
 	}
 	return rows, nil
 }
-
-// A2Factorization pits gradient maintenance (COVAR ring) against
-// maintaining the join result itself (relational-ring listing at the
-// root) on the same stream — the paper's core performance argument:
-// "F-IVM can maintain model gradients over a join faster than
-// maintaining the join, since the latter may be much larger and have
-// many repeating values."
-func A2Factorization(sc Scale) ([]Throughput, error) {
-	s := newRetailerSetup(sc, 1)
-	data := s.db.TupleMap()
-	ups := s.stream(sc.StreamLen, 0.2, 9)
-	var rows []Throughput
-
-	eng, err := openLoaded(fivm.Config{Attrs: s.aggAttrs}, s.fspecs, data)
-	if err != nil {
-		return nil, err
-	}
-	r, err := measure("gradient (COVAR payloads)", ups, sc.BatchSize, eng.Apply)
-	if err != nil {
-		return nil, err
-	}
-	nAggs := 1 + len(s.aggAttrs) + len(s.aggAttrs)*(len(s.aggAttrs)+1)/2
-	r.Note = fmt.Sprintf("%d aggregates, O(1)-size root payload", nAggs)
-	rows = append(rows, r)
-
-	eng, err = openLoaded(fivm.Config{}, s.fspecs, data)
-	if err != nil {
-		return nil, err
-	}
-	je := eng.(*fivm.JoinEngine)
-	r, err = measure("join result (relational payloads)", ups, sc.BatchSize, je.Apply)
-	if err != nil {
-		return nil, err
-	}
-	r.Note = fmt.Sprintf("root lists %d join tuples", je.Size())
-	rows = append(rows, r)
-	return rows, nil
-}

@@ -138,10 +138,10 @@ func JoinProbeWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *
 // Step is the one join kernel, the delta rule δV = ⊕_X (δV_child ⊗
 // V_sibling ⊗ g_X) as a single pass: for every matching pair of tuples
 // it multiplies the payloads left-first (whichever side is iterated —
-// the relational ring is not commutative), applies the plan's lift
-// (lift must be non-nil iff the plan names one), encodes the plan's
-// group key straight from the two source tuples and folds the product
-// into that group of out. Under a fused plan (JoinPlan.Then) that is a
+// the test-only Relational and Matrix rings are not commutative),
+// applies the plan's lift (lift must be non-nil iff the plan names
+// one), encodes the plan's group key straight from the two source
+// tuples and folds the product into that group of out. Under a fused plan (JoinPlan.Then) that is a
 // join followed by an aggregation whose intermediate is never built;
 // under a plain plan every pair is its own group. Cartesian products
 // run through the same machinery (one empty-key bucket).

@@ -63,19 +63,6 @@ func readFloat(r io.Reader) (float64, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(buf[:])), nil
 }
 
-func writeString(w io.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	buf, err := readBytes(r, nil)
-	return string(buf), err
-}
-
 // readBytes reads a length-prefixed string into buf's backing array,
 // growing it in bounded steps so a corrupt length allocates no more
 // than the stream really holds.
@@ -127,59 +114,6 @@ func (FloatCodec) Encode(w io.Writer, v float64) error { return writeFloat(w, v)
 
 // Decode reads 8 big-endian bytes.
 func (FloatCodec) Decode(r io.Reader) (float64, error) { return readFloat(r) }
-
-// RelValCodec serializes relational-ring payloads.
-type RelValCodec struct{}
-
-// Encode writes the tuple count followed by (key, coefficient) pairs.
-// Iteration order is unspecified; the decoded map is equal regardless.
-func (RelValCodec) Encode(w io.Writer, v RelVal) error {
-	if err := writeUvarint(w, uint64(len(v))); err != nil {
-		return err
-	}
-	for k, c := range v {
-		if err := writeString(w, k); err != nil {
-			return err
-		}
-		if err := writeFloat(w, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decode reads a relational value. Zero coefficients are dropped — a
-// RelVal holds none — and a value left with no tuple decodes to nil.
-func (RelValCodec) Decode(r io.Reader) (RelVal, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxDecodeLen {
-		return nil, fmt.Errorf("ring: relation size %d exceeds limit", n)
-	}
-	out := make(RelVal, min(n, 1024)) // a hint only: n is unverified input
-	for i := uint64(0); i < n; i++ {
-		k, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		c, err := readFloat(r)
-		if err != nil {
-			return nil, err
-		}
-		if c != 0 {
-			out[k] = c
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
 
 // DecodeFullCovar reads one payload of the full-degree stream format
 // covar engines wrote before their payloads were ranged, under the tag

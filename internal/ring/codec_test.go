@@ -48,25 +48,6 @@ func TestFloatCodec(t *testing.T) {
 	}
 }
 
-func TestRelValCodec(t *testing.T) {
-	cases := []RelVal{
-		nil,
-		{},
-		RelOne(),
-		{value.T("x").Encode(): 2.5, value.T(1, 2).Encode(): -1},
-	}
-	for _, v := range cases {
-		got := roundTrip[RelVal](t, RelValCodec{}, v)
-		if !got.Equal(v) {
-			t.Errorf("roundtrip(%v) = %v", v, got)
-		}
-	}
-	// Empty maps normalize to nil.
-	if got := roundTrip[RelVal](t, RelValCodec{}, RelVal{}); got != nil {
-		t.Errorf("empty map decoded to %v, want nil", got)
-	}
-}
-
 // TestCovarCodec: DecodeFullCovar reads the full-degree stream format
 // back exactly, through the identity and through a permutation. A
 // payload of a smaller degree runs out of bytes; one of a larger degree

@@ -9,8 +9,10 @@
 //   - Ints / Floats: the ring Z (and its float analogue) of tuple
 //     multiplicities. Negative values encode deletes.
 //   - Relational: relations as values, with union as + and a
-//     schema-concatenating join as ×. Used as the scalar domain of the
-//     generalized degree-m ring.
+//     schema-concatenating join as ×. The scalar domain of the
+//     generalized degree-m ring; no engine runs it as its own ring. Its
+//     × is not commutative, so the view and relation tests use it, as
+//     the reference ring, to check that products keep operand order.
 //   - Covar: not a ring but the dense compound aggregate (c, s, Q) of m
 //     continuous attributes, the result type a covar engine hands out
 //     and ml.SigmaFromCovar reads. The full-degree ring over it
@@ -20,8 +22,8 @@
 //     composition that supports one-hot-encoded categorical attributes
 //     and the mutual-information count tables. Stored flat (see "The
 //     RelCovar layout" below); Relational and RelVal remain the scalar
-//     domain it is defined over, the join engine's payload, and what
-//     its Count/Sum/Prod accessors hand out.
+//     domain it is defined over and what its Count/Sum/Prod accessors
+//     hand out.
 //   - RangedCovar: the COVAR ring with ranged payloads, the paper's
 //     Figure 2d `RingCofactor<double, idx, cnt>` and the covar engine's
 //     ring: each view carries only its own subtree's aggregate indexes

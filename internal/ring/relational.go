@@ -103,7 +103,9 @@ func (r RelVal) String() string {
 }
 
 // Relational is the ring over relations: union as +, key-concatenating
-// join as ×, the empty relation as 0, {() -> 1} as 1.
+// join as ×, the empty relation as 0, {() -> 1} as 1. It implements
+// neither Scratch nor FMA: no engine maintains views over it, and the
+// tests that do take the pure path.
 type Relational struct{}
 
 // Zero returns the empty relation (nil).
@@ -178,46 +180,3 @@ func (Relational) Neg(a RelVal) RelVal {
 
 // IsZero reports whether a is the empty relation.
 func (Relational) IsZero(a RelVal) bool { return len(a) == 0 }
-
-// relAddInto accumulates src (scaled by c) into dst, returning dst
-// (allocating it if nil). It is the package-internal mutable fast path
-// behind Relational's Scratch/FMA extensions.
-func relAddInto(dst, src RelVal, c float64) RelVal {
-	if c == 0 || len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(RelVal, len(src))
-	}
-	for k, v := range src {
-		s := dst[k] + v*c
-		if s == 0 {
-			delete(dst, k)
-		} else {
-			dst[k] = s
-		}
-	}
-	return dst
-}
-
-// relMulInto accumulates a×b (scaled by c) into dst, returning dst.
-func relMulInto(dst RelVal, a, b RelVal, c float64) RelVal {
-	if c == 0 || len(a) == 0 || len(b) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(RelVal, len(a)*len(b))
-	}
-	for ka, va := range a {
-		for kb, vb := range b {
-			k := ka + kb
-			s := dst[k] + va*vb*c
-			if s == 0 {
-				delete(dst, k)
-			} else {
-				dst[k] = s
-			}
-		}
-	}
-	return dst
-}

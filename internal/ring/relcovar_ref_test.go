@@ -70,6 +70,27 @@ func refEqual(c, o *refCovar) bool {
 	return true
 }
 
+// relAddInto accumulates src (scaled by c) into dst, returning dst
+// (allocating it if nil): the in-place sum the reference formulas fold
+// with. A sum that cancels drops its key.
+func relAddInto(dst, src RelVal, c float64) RelVal {
+	if c == 0 || len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(RelVal, len(src))
+	}
+	for k, v := range src {
+		s := dst[k] + v*c
+		if s == 0 {
+			delete(dst, k)
+		} else {
+			dst[k] = s
+		}
+	}
+	return dst
+}
+
 func refAdd(a, b *refCovar) *refCovar {
 	if a == nil {
 		return b
@@ -92,6 +113,7 @@ func refMul(a, b *refCovar) *refCovar {
 	if a == nil || b == nil {
 		return nil
 	}
+	var rel Relational
 	m := a.m
 	out := &refCovar{m: m, S: make([]RelVal, m), Q: make([]RelVal, triLen(m))}
 	ca, cb := a.C.Scalar(), b.C.Scalar()
@@ -106,8 +128,8 @@ func refMul(a, b *refCovar) *refCovar {
 		for j := i; j < m; j++ {
 			q := relAddInto(nil, a.Q[k], cb)
 			q = relAddInto(q, b.Q[k], ca)
-			q = relMulInto(q, a.S[i], b.S[j], 1)
-			q = relMulInto(q, b.S[i], a.S[j], 1)
+			q = relAddInto(q, rel.Mul(a.S[i], b.S[j]), 1)
+			q = relAddInto(q, rel.Mul(b.S[i], a.S[j]), 1)
 			out.Q[k] = q
 			k++
 		}
@@ -154,6 +176,7 @@ func refMulAddInto(acc, a, b *refCovar) *refCovar {
 	if acc == nil {
 		return refMul(a, b)
 	}
+	var rel Relational
 	m := a.m
 	ca, cb := a.C.Scalar(), b.C.Scalar()
 	acc.C = relAddInto(acc.C, RelVal{"": ca * cb}, 1)
@@ -165,8 +188,8 @@ func refMulAddInto(acc, a, b *refCovar) *refCovar {
 		for j := i; j < m; j++ {
 			q := relAddInto(acc.Q[k], a.Q[k], cb)
 			q = relAddInto(q, b.Q[k], ca)
-			q = relMulInto(q, a.S[i], b.S[j], 1)
-			q = relMulInto(q, b.S[i], a.S[j], 1)
+			q = relAddInto(q, rel.Mul(a.S[i], b.S[j]), 1)
+			q = relAddInto(q, rel.Mul(b.S[i], a.S[j]), 1)
 			acc.Q[k] = q
 			k++
 		}

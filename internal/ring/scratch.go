@@ -51,15 +51,6 @@ type FMA[V any] interface {
 	MulAddInto(acc, a, b V) V
 }
 
-// MulAddInto implements FMA for the relational ring via the package's
-// mutable join-accumulate helper.
-func (Relational) MulAddInto(acc, a, b RelVal) RelVal {
-	if len(a) == 0 || len(b) == 0 {
-		return acc
-	}
-	return relMulInto(acc, a, b, 1)
-}
-
 // MulAddInto implements FMA for the generalized matrix ring: Mul's
 // merge emits the product's coefficients into a stack buffer instead of
 // a value, and they fold into acc like AddInto's addend. Each term is
@@ -75,22 +66,6 @@ func (r RelCovarRing) MulAddInto(acc, a, b *RelCovar) *RelCovar {
 	var buf [128]coef
 	return acc.fold(r.mulInto(buf[:0], a, b))
 }
-
-// AddInto implements Scratch for the relational ring: coefficients of v
-// are summed into acc's map. Entries that cancel are dropped, keeping
-// the no-explicit-zero invariant.
-func (Relational) AddInto(acc, v RelVal) RelVal {
-	if len(v) == 0 {
-		return acc
-	}
-	if acc == nil {
-		return v.Clone()
-	}
-	return relAddInto(acc, v, 1)
-}
-
-// Own implements Scratch: a deep copy of v.
-func (Relational) Own(v RelVal) RelVal { return v.Clone() }
 
 // AddInto implements Scratch for the generalized matrix ring: v's
 // coefficients fold into acc in place (see fold), so a small delta

@@ -78,25 +78,6 @@ func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(
 	}
 }
 
-func TestScratchContractRelational(t *testing.T) {
-	gen := func(rnd *rand.Rand) RelVal {
-		n := rnd.Intn(4)
-		out := RelVal{}
-		for i := 0; i < n; i++ {
-			k := value.Tuple{value.Int(int64(rnd.Intn(4)))}.Encode()
-			c := float64(rnd.Intn(7) - 3)
-			if c != 0 {
-				out[k] = c
-			}
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		return out
-	}
-	checkScratchContract[RelVal](t, "Relational", Relational{}, gen, nil, RelVal.Clone, RelVal.Equal)
-}
-
 func TestScratchContractRelCovar(t *testing.T) {
 	r := NewRelCovarRing(2)
 	lifts := []Lift[*RelCovar]{r.LiftContinuous(0), r.LiftCategorical(1)}

@@ -331,24 +331,3 @@ func TestHTTPServeCovarEngine(t *testing.T) {
 		t.Fatalf("sums = %v, want A=21 C=90", sums)
 	}
 }
-
-func TestHTTPServeJoinEngine(t *testing.T) {
-	_, ts := newEngineServer(t, fivm.Config{
-		Relations: twoRelations,
-		Kind:      fivm.KindJoin,
-	})
-	postUpdates(t, ts, seedBody)
-	code, model := getJSON(t, ts.URL+"/v1/model")
-	if code != http.StatusOK {
-		t.Fatalf("GET /v1/model = %d: %v", code, model)
-	}
-	if model["kind"] != "join" {
-		t.Fatalf("kind = %v, want join", model["kind"])
-	}
-	if model["total"].(float64) != 6 {
-		t.Fatalf("total = %v, want 6 join tuples", model["total"])
-	}
-	if rows := model["rows"].([]any); len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-}

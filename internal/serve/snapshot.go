@@ -16,8 +16,8 @@ import (
 //
 // The Model's concrete type depends on the hosted engine kind:
 // *fivm.AnalysisModel for analysis engines (ridge Predict, Covar, MI,
-// ChowLiu), *fivm.TableModel for count/float/join engines, and
-// *fivm.CovarModel for the scalar COVAR engines.
+// ChowLiu), *fivm.TableModel for count/float engines, and
+// *fivm.CovarModel for the scalar COVAR engine.
 type Snapshot struct {
 	// Version increments with every publish; version 1 is the state the
 	// Server was created with.

@@ -16,7 +16,7 @@ import (
 	"repro/internal/wal"
 )
 
-// walEngineConfigs spans all five engine kinds over the same
+// walEngineConfigs spans all four engine kinds over the same
 // two-relation schema R(A,B) ⋈ S(A,C,D), so one kill-and-recover
 // harness proves the recovery invariant for every payload type; the
 // covar kind runs twice, its attributes in its payloads' layout order
@@ -33,7 +33,6 @@ func walEngineConfigs() map[string]fivm.Config {
 		"float":       {Relations: rels(), Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"},
 		"covar":       {Relations: rels(), Attrs: []string{"B", "D"}},
 		"rangedcovar": {Relations: rels(), Attrs: []string{"D", "B"}},
-		"join":        {Relations: rels()},
 		"analysis":    {Relations: rels(), Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}, {Attr: "D"}}, Label: "D"},
 	}
 }

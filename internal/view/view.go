@@ -110,9 +110,13 @@ func planStep[V any](schemas []value.Schema, out value.Schema, liftAttr string, 
 // whole step is the one fused pass). With three or more parts and the
 // delta at position >= 2, the first join still combines two full parts
 // and costs what the pre-index path did. Reordering the fold
-// delta-first would fix that corner but reorder the ring products,
-// which the non-commutative relational ring forbids; it needs
-// per-position plans and a commutativity marker (ROADMAP).
+// delta-first would fix that corner but reorder the ring products. No
+// engine kind runs a non-commutative product — RangedCovarRing.Mul
+// orders its operands by range, and RelCovar's product commutes on
+// payloads (both pinned in internal/ring) — but the test-only
+// Relational and Matrix rings run through this tree and need operand
+// order kept, so the fix needs per-position plans that still multiply
+// in operand order (ROADMAP).
 func (sp *stepPlan[V]) eval(r ring.Ring[V], parts []*relation.Map[V], out *relation.Map[V]) *relation.Map[V] {
 	last := len(sp.joins) - 1
 	if last < 0 {

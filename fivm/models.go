@@ -3,11 +3,13 @@ package fivm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/ml"
 	"repro/internal/ring"
 	"repro/internal/value"
+	"repro/internal/view"
 )
 
 // AnalysisModel is the Model an Analysis engine publishes: a deep clone
@@ -47,7 +49,9 @@ func (m *AnalysisModel) Count() float64 { return m.Payload.CountScalar() }
 // categorical features one-hot match against the categories observed at
 // publish time (an unseen category contributes zero to every column).
 // Entries for the label attribute are ignored; all other feature
-// attributes must be present.
+// attributes must be present. A continuous or binned input that is not
+// finite or exceeds view.MaxNumeric in magnitude is refused — the bound
+// the update path enforces — and so is a prediction that overflows.
 func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
 	if m.Model == nil {
 		if m.FitErr != "" {
@@ -64,8 +68,12 @@ func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("fivm: missing feature %s", col.Attr)
 		}
+		w := m.BinWidths[col.Attr]
+		if (!col.IsCat || w > 0) && !(math.Abs(v.AsFloat()) <= view.MaxNumeric) {
+			return 0, fmt.Errorf("fivm: feature %s = %v is not a finite number within ±%g", col.Attr, v, view.MaxNumeric)
+		}
 		if col.IsCat {
-			if w := m.BinWidths[col.Attr]; w > 0 {
+			if w > 0 {
 				v = value.Int(ring.Bin(v.AsFloat(), w))
 			}
 			if v.Equal(col.Category) {
@@ -75,7 +83,11 @@ func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
 			vec[i] = v.AsFloat()
 		}
 	}
-	return m.Model.Predict(vec), nil
+	p := m.Model.Predict(vec)
+	if math.IsNaN(p) || math.IsInf(p, 0) {
+		return 0, fmt.Errorf("fivm: prediction %v is not finite", p)
+	}
+	return p, nil
 }
 
 // ResultJSON renders the fitted ridge model (weights by column label).

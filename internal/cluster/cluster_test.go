@@ -3,8 +3,10 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -244,6 +246,41 @@ func TestClusterReadThroughHTTP(t *testing.T) {
 	}
 	if len(st.Shards) != 2 {
 		t.Errorf("stats shards = %v, want the 2 relations for loadgen discovery", st.Shards)
+	}
+}
+
+// TestRouterPredictRefusesNonFiniteInput: the router answers a merged
+// predict whose continuous input is not finite or lies past
+// view.MaxNumeric with 422, like a worker does, never a 200 whose body
+// failed to encode.
+func TestRouterPredictRefusesNonFiniteInput(t *testing.T) {
+	ctx := context.Background()
+	_, cli := startCluster(t, engineConfigs()["analysis"], 2)
+	var ups []client.Update
+	for a := 1; a <= 10; a++ {
+		ups = append(ups, client.NewUpdate("R", 1, a, 2*a), client.NewUpdate("S", 1, a, a%2, a))
+	}
+	if _, err := cli.Update(ctx, ups, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		d    string
+		want int
+	}{
+		{"5", http.StatusOK},
+		{"NaN", http.StatusUnprocessableEntity},
+		{"Inf", http.StatusUnprocessableEntity},
+		{"-Inf", http.StatusUnprocessableEntity},
+		{"1e308", http.StatusUnprocessableEntity},
+	} {
+		_, err := cli.Predict(ctx, map[string]string{"C": "1", "D": c.d})
+		var ae *client.APIError
+		switch {
+		case c.want == http.StatusOK && err != nil:
+			t.Errorf("predict D=%s: %v", c.d, err)
+		case c.want != http.StatusOK && (!errors.As(err, &ae) || ae.Status != c.want || ae.Code != serve.CodeUnprocessable):
+			t.Errorf("predict D=%s = %v, want %d %s", c.d, err, c.want, serve.CodeUnprocessable)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/view"
@@ -24,7 +23,7 @@ func (s *Server) runBatcher(sh *shard) {
 		// The first message is the flush's oldest — its wait bounds the
 		// batcher-induced queueing latency for the whole flush.
 		wait := time.Since(msg.at)
-		ups, wgs, refs, chClosed := sh.collect(msg, s.cfg.MaxBatch)
+		ups, dones, refs, chClosed := sh.collect(msg, s.cfg.MaxBatch)
 		s.met.batcherWait.Observe(wait.Seconds())
 		s.met.batchRaw.Observe(float64(len(ups)))
 		t0 := time.Now()
@@ -32,17 +31,15 @@ func (s *Server) runBatcher(sh *shard) {
 		build := time.Since(t0)
 		s.met.stageBuild.Observe(build.Seconds())
 		if err != nil {
-			// Unreachable: the relation was validated at Ingest and the
-			// updates carry no schema. Release waiters and drop.
-			for _, wg := range wgs {
-				wg.Done()
-			}
+			// Unreachable: the relation was validated at admission and
+			// the updates carry no schema. Release the callers and drop.
+			closeAll(dones)
 			continue
 		}
 		// Write-ahead: the batch is logged before the writer can apply
 		// it, so anything the engine ever saw is in the log. An append
 		// failure poisons the shard and crashes the pipeline — the batch
-		// is dropped unapplied and its waiters never release, keeping
+		// is dropped unapplied and its done channels never close, keeping
 		// acknowledged == logged == recoverable.
 		var seq uint64
 		if sh.wal != nil {
@@ -54,7 +51,7 @@ func (s *Server) runBatcher(sh *shard) {
 		// The writer exits early on a crash; select so this send cannot
 		// block forever against it.
 		select {
-		case s.batches <- batch{rel: sh.rel, delta: delta, raw: len(ups), seq: seq, wgs: wgs, wait: wait, build: build}:
+		case s.batches <- batch{rel: sh.rel, delta: delta, raw: len(ups), seq: seq, dones: dones, wait: wait, build: build}:
 		case <-s.crashed:
 			return
 		}
@@ -69,17 +66,17 @@ func (s *Server) runBatcher(sh *shard) {
 // ingester's slice through untouched; as soon as a second message
 // arrives the updates are accumulated into the shard's reusable buffer,
 // so steady-state flushing allocates nothing for the update slice
-// (asserted by TestBatcherCollectSteadyStateAllocs). The waiter list is
+// (asserted by TestBatcherCollectSteadyStateAllocs). The done list is
 // NOT reused: it escapes into the batch handed to the writer, which
-// releases the waiters after the next publish, possibly while this
+// closes the channels after the next publish, possibly while this
 // batcher already collects the next round.
 // Batch refs of identified messages (see ingestMsg.ref) accumulate into
 // the shard's reusable refbuf — AppendRefs encodes them into the WAL
 // record without retaining the slice, so it too is free by the next
 // flush.
-func (sh *shard) collect(first ingestMsg, max int) (ups []view.Update, wgs []*sync.WaitGroup, refs []wal.BatchRef, chClosed bool) {
+func (sh *shard) collect(first ingestMsg, max int) (ups []view.Update, dones []chan struct{}, refs []wal.BatchRef, chClosed bool) {
 	ups = first.ups
-	wgs = append(wgs, first.wg)
+	dones = append(dones, first.done)
 	sh.refbuf = sh.refbuf[:0]
 	if !first.ref.ID.IsZero() {
 		sh.refbuf = append(sh.refbuf, first.ref)
@@ -89,7 +86,7 @@ func (sh *shard) collect(first ingestMsg, max int) (ups []view.Update, wgs []*sy
 		select {
 		case m2, ok := <-sh.ch:
 			if !ok {
-				return ups, wgs, sh.refbuf, true
+				return ups, dones, sh.refbuf, true
 			}
 			if !buffered {
 				sh.buf = append(sh.buf[:0], ups...)
@@ -97,22 +94,22 @@ func (sh *shard) collect(first ingestMsg, max int) (ups []view.Update, wgs []*sy
 			}
 			sh.buf = append(sh.buf, m2.ups...)
 			ups = sh.buf
-			wgs = append(wgs, m2.wg)
+			dones = append(dones, m2.done)
 			if !m2.ref.ID.IsZero() {
 				sh.refbuf = append(sh.refbuf, m2.ref)
 			}
 		default:
-			return ups, wgs, sh.refbuf, false
+			return ups, dones, sh.refbuf, false
 		}
 	}
-	return ups, wgs, sh.refbuf, false
+	return ups, dones, sh.refbuf, false
 }
 
 // runWriter is the single goroutine allowed to mutate the engine. It
 // applies queued delta batches — at most MaxBatchesPerPublish per round,
 // so one snapshot refit amortizes over a backlog — publishes a fresh
-// snapshot, and only then releases the batches' waiters, giving Ingest's
-// done channel read-your-writes semantics.
+// snapshot, and only then closes the batches' done channels, giving
+// IngestBatch's done channel read-your-writes semantics.
 func (s *Server) runWriter() {
 	defer close(s.writerDone)
 	for {
@@ -132,7 +129,7 @@ func (s *Server) runWriter() {
 				}
 				return
 			}
-			wgs := s.applyBatch(b)
+			dones := s.applyBatch(b)
 			chClosed := false
 			n := 1
 		drain:
@@ -143,16 +140,14 @@ func (s *Server) runWriter() {
 						chClosed = true
 						break drain
 					}
-					wgs = append(wgs, s.applyBatch(b2)...)
+					dones = append(dones, s.applyBatch(b2)...)
 					n++
 				default:
 					break drain
 				}
 			}
 			s.publish()
-			for _, wg := range wgs {
-				wg.Done()
-			}
+			closeAll(dones)
 			if chClosed {
 				return
 			}
@@ -160,9 +155,9 @@ func (s *Server) runWriter() {
 	}
 }
 
-// applyBatch applies one delta to the engine and returns the waiters to
-// release after the next publish.
-func (s *Server) applyBatch(b batch) []*sync.WaitGroup {
+// applyBatch applies one delta to the engine and returns the done
+// channels to close after the next publish.
+func (s *Server) applyBatch(b batch) []chan struct{} {
 	t0 := time.Now()
 	err := s.eng.ApplyBuilt(b.rel, b.delta)
 	apply := time.Since(t0)
@@ -190,5 +185,11 @@ func (s *Server) applyBatch(b batch) []*sync.WaitGroup {
 		s.cfg.TraceLog.Printf("batch rel=%s raw=%d delta=%d wait=%s build=%s apply=%s err=%v",
 			b.rel, b.raw, b.delta.Len(), b.wait, b.build, apply, err != nil)
 	}
-	return b.wgs
+	return b.dones
+}
+
+func closeAll(dones []chan struct{}) {
+	for _, d := range dones {
+		close(d)
+	}
 }

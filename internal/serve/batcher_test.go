@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/value"
@@ -12,7 +11,7 @@ import (
 // of the batcher's collect step: once the shard's reusable update
 // buffer has grown to the flush size, collecting a multi-message round
 // must not allocate for the update slice at all — the only per-round
-// allocations are the waiter list, which escapes into the batch and
+// allocations are the done list, which escapes into the batch and
 // cannot be reused. The budget is therefore a small constant,
 // independent of how many updates flow through the round (here 3
 // messages × 64 updates; a per-update or per-copy allocation would blow
@@ -24,23 +23,23 @@ func TestBatcherCollectSteadyStateAllocs(t *testing.T) {
 	for i := range ups {
 		ups[i] = view.Update{Rel: "R", Tuple: value.T(i, i), Mult: 1}
 	}
-	var wg sync.WaitGroup
+	done := make(chan struct{})
 	run := func() {
 		for i := 0; i < msgs; i++ {
-			sh.ch <- ingestMsg{ups: ups, wg: &wg}
+			sh.ch <- ingestMsg{ups: ups, done: done}
 		}
 		first := <-sh.ch
-		got, wgs, _, closed := sh.collect(first, 8192)
+		got, dones, _, closed := sh.collect(first, 8192)
 		if closed {
 			t.Fatal("channel unexpectedly closed")
 		}
-		if len(got) != msgs*perMsg || len(wgs) != msgs {
-			t.Fatalf("collected %d updates / %d waiters, want %d / %d", len(got), len(wgs), msgs*perMsg, msgs)
+		if len(got) != msgs*perMsg || len(dones) != msgs {
+			t.Fatalf("collected %d updates / %d done channels, want %d / %d", len(got), len(dones), msgs*perMsg, msgs)
 		}
 	}
 	run() // grow sh.buf to the steady-state capacity
 	allocs := testing.AllocsPerRun(100, run)
-	// The waiter list is 1–2 allocations (append growth); anything above
+	// The done list is 1–2 allocations (append growth); anything above
 	// a small constant means the update buffer reuse regressed.
 	if allocs > 4 {
 		t.Errorf("steady-state collect allocates %.0f times per round, want <= 4 (update slice must reuse sh.buf)", allocs)
@@ -54,9 +53,9 @@ func TestBatcherCollectSteadyStateAllocs(t *testing.T) {
 func TestBatcherCollectSingleMessagePassthrough(t *testing.T) {
 	sh := &shard{rel: "R", arity: 2, ch: make(chan ingestMsg, 1)}
 	ups := []view.Update{{Rel: "R", Tuple: value.T(1, 2), Mult: 1}}
-	got, wgs, _, closed := sh.collect(ingestMsg{ups: ups}, 8192)
-	if closed || len(wgs) != 1 {
-		t.Fatalf("unexpected collect result: closed=%v wgs=%d", closed, len(wgs))
+	got, dones, _, closed := sh.collect(ingestMsg{ups: ups}, 8192)
+	if closed || len(dones) != 1 {
+		t.Fatalf("unexpected collect result: closed=%v dones=%d", closed, len(dones))
 	}
 	if &got[0] != &ups[0] {
 		t.Error("single-message round copied the ingester's slice instead of passing it through")

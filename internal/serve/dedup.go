@@ -2,12 +2,9 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -33,8 +30,8 @@ type dedupKey struct {
 // already (or about to be) in the model.
 type dedupEntry struct {
 	key      dedupKey
-	accepted int             // updates the group carried
-	done     <-chan struct{} // closed once applied + published (may arrive pre-closed from recovery)
+	accepted int           // updates the group carried
+	done     chan struct{} // the group's ingestMsg.done: closed once applied + published (pre-closed from recovery)
 }
 
 // ErrBatchExpired refuses an identified batch group that has no dedup
@@ -124,122 +121,6 @@ func (t *dedupTable) seedRecovered(refs []wal.RecoveredRef) {
 		}
 		t.put(&dedupEntry{key: key, accepted: r.Updates, done: closedChan})
 	}
-}
-
-// IngestBatch is Ingest for identified batches: id stamps the call so a
-// redelivery of the same (id, body) — a client or router retry after a
-// lost response — is answered from the dedup table instead of applied
-// again. Retries MUST resend the identical update list under an id;
-// the table dedups per (id, relation) group and trusts the id, it does
-// not compare bodies.
-//
-// The returned done channel closes once every group of THIS call —
-// freshly enqueued or already in flight from the original delivery —
-// is applied and published (read-your-writes, exactly like Ingest).
-// deduped reports how many of the call's updates were suppressed as
-// duplicates; an ack for a fully deduplicated batch has deduped ==
-// len(ups). A zero id degrades to plain Ingest.
-func (s *Server) IngestBatch(id wal.BatchID, ups []view.Update) (done <-chan struct{}, deduped int, err error) {
-	if id.IsZero() {
-		d, err := s.Ingest(ups)
-		return d, 0, err
-	}
-	dch := make(chan struct{})
-	if len(ups) == 0 {
-		close(dch)
-		return dch, 0, nil
-	}
-	// Validate and group exactly like Ingest: nothing may be enqueued —
-	// or entered into the dedup table — unless the whole call is valid.
-	order, groups, err := s.groupUpdates(ups)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, 0, ErrClosed
-	}
-	if err := s.CrashError(); err != nil {
-		s.mu.RUnlock()
-		return nil, 0, err
-	}
-
-	// Partition the groups under the table lock: groups with an entry
-	// join the original delivery's wait; the rest are fresh and must
-	// pass admission control before any entry is created (a shed call
-	// leaves no trace, so its retry is not mistaken for a duplicate).
-	t := s.dedup
-	t.mu.Lock()
-	waits := make([]<-chan struct{}, 0, len(order))
-	fresh := order[:0:len(order)] // reuse order's backing array; order is not read again
-	freshUps := 0
-	for _, rel := range order {
-		if e := t.get(dedupKey{id: id, rel: rel}); e != nil {
-			waits = append(waits, e.done)
-			deduped += len(groups[rel])
-			continue
-		}
-		if t.expired(id) {
-			t.mu.Unlock()
-			s.mu.RUnlock()
-			return nil, 0, fmt.Errorf("%w: %v (relation %s)", ErrBatchExpired, id, rel)
-		}
-		fresh = append(fresh, rel)
-		freshUps += len(groups[rel])
-	}
-	for _, rel := range fresh {
-		if ch := s.shards[rel].ch; len(ch) >= s.cfg.HighWatermark {
-			t.mu.Unlock()
-			s.shed.Add(uint64(len(ups)))
-			s.mu.RUnlock()
-			return nil, 0, &OverloadError{Rel: rel, Depth: len(ch), Capacity: cap(ch)}
-		}
-	}
-	if deduped > 0 {
-		t.hits.Add(uint64(deduped))
-	}
-	groupDones := make([]chan struct{}, len(fresh))
-	for i, rel := range fresh {
-		gd := make(chan struct{})
-		groupDones[i] = gd
-		t.put(&dedupEntry{key: dedupKey{id: id, rel: rel}, accepted: len(groups[rel]), done: gd})
-		waits = append(waits, gd)
-	}
-	t.mu.Unlock()
-
-	if freshUps > 0 {
-		s.ingested.Add(uint64(freshUps))
-	}
-	now := time.Now()
-	for i, rel := range fresh {
-		wg := &sync.WaitGroup{}
-		wg.Add(1)
-		ref := wal.BatchRef{ID: id, Updates: len(groups[rel])}
-		select {
-		case s.shards[rel].ch <- ingestMsg{ups: groups[rel], wg: wg, at: now, ref: ref}:
-		case <-s.crashed:
-			// Groups already sent keep their in-flight entries; like a
-			// crashed Ingest, their done never closes — crash semantics.
-			s.mu.RUnlock()
-			return nil, 0, s.crashErr
-		}
-		gd := groupDones[i]
-		go func() {
-			wg.Wait()
-			close(gd)
-		}()
-	}
-	s.mu.RUnlock()
-
-	go func() {
-		for _, w := range waits {
-			<-w
-		}
-		close(dch)
-	}()
-	return dch, deduped, nil
 }
 
 // DedupStatus reports the idempotency table for /v1/stats.

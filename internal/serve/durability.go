@@ -66,7 +66,7 @@ func Recover(eng fivm.AnyEngine, w *wal.WAL) (RecoveryInfo, error) {
 }
 
 // walFail poisons the pipeline after a WAL append failure. The failing
-// batch is never handed to the writer and its waiters never release:
+// batch is never handed to the writer and its done channels never close:
 // the engine state stays a clean prefix of the logged stream, so a
 // restart recovers exactly the acknowledged updates.
 func (s *Server) walFail(err error) {

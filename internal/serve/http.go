@@ -120,7 +120,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	_, ups, err := DecodeRequest(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	// An X-Fivm-Batch-Id header makes the request idempotent: a
@@ -129,7 +129,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var id wal.BatchID
 	if h := r.Header.Get(BatchIDHeader); h != "" {
 		if id, err = wal.ParseBatchID(h); err != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 			return
 		}
 	}
@@ -140,13 +140,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &oe):
 			// Backpressure, not failure: tell the client when to come
 			// back instead of blocking its connection behind the backlog.
-			writeRetryErr(w, http.StatusTooManyRequests, CodeOverloaded, err, time.Second)
+			WriteRetryError(w, http.StatusTooManyRequests, CodeOverloaded, err, time.Second)
 		case errors.Is(err, ErrClosed) || errors.Is(err, ErrCrashed):
-			writeErr(w, http.StatusServiceUnavailable, CodeUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
 		case errors.Is(err, ErrBatchExpired):
-			writeErr(w, http.StatusConflict, CodeBatchExpired, err)
+			WriteError(w, http.StatusConflict, CodeBatchExpired, err)
 		default:
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		}
 		return
 	}
@@ -156,7 +156,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		case <-done:
 			applied = true
 		case <-r.Context().Done():
-			writeErr(w, http.StatusRequestTimeout, CodeTimeout, r.Context().Err())
+			WriteError(w, http.StatusRequestTimeout, CodeTimeout, r.Context().Err())
 			return
 		}
 	}
@@ -167,7 +167,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// when a retry races a delivery that actually succeeded.
 		ack["deduped"] = deduped
 	}
-	writeJSON(w, http.StatusAccepted, ack)
+	WriteJSON(w, http.StatusAccepted, ack)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -180,10 +180,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := snap.Predict(x)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"prediction": p,
 		"version":    snap.Version,
 		"count":      snap.Count(),
@@ -196,7 +196,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	snap := s.Snapshot()
 	body, err := snap.Model.ResultJSON()
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, CodeUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
 		return
 	}
 	out, ok := body.(map[string]any)
@@ -205,7 +205,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	out["version"] = snap.Version
 	out["kind"] = snap.Kind
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +215,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if st.Applied > 0 {
 		coalesce = float64(st.DeltaTuples) / float64(st.Applied)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"kind":                 s.Kind(),
 		"ingested":             st.Ingested,
 		"applied":              st.Applied,
@@ -250,7 +250,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 		ok = false
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"ok":                   ok,
 		"kind":                 s.Kind(),
 		"version":              snap.Version,
@@ -284,13 +284,13 @@ func (s *Server) handlePartial(w http.ResponseWriter, _ *http.Request) {
 	})
 	switch {
 	case errors.Is(err, ErrClosed) || errors.Is(err, ErrCrashed):
-		writeErr(w, http.StatusServiceUnavailable, CodeUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
 		return
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError, CodeInternal, err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	case werr != nil:
-		writeErr(w, http.StatusNotImplemented, CodeNotImplemented, werr)
+		WriteError(w, http.StatusNotImplemented, CodeNotImplemented, werr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -309,37 +309,24 @@ func (s *Server) handleViewTree(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, s.ViewTree())
 }
 
-func writeJSON(w http.ResponseWriter, code int, body any) {
+// WriteJSON writes a JSON response body. Every handler, the cluster
+// router's included, answers through it and the two error writers
+// below, so both surfaces share one set of wire shapes.
+func WriteJSON(w http.ResponseWriter, code int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// WriteJSON writes a JSON response body. Exported so the cluster
-// router answers in exactly the worker wire shapes.
-func WriteJSON(w http.ResponseWriter, code int, body any) { writeJSON(w, code, body) }
-
-// WriteError answers with the uniform v1 error envelope (exported for
-// the cluster router).
+// WriteError answers with the uniform v1 error envelope.
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
-	writeErr(w, status, code, err)
+	WriteJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code})
 }
 
-// WriteRetryError is WriteError plus the Retry-After header and
-// retry_after_ms field.
+// WriteRetryError is WriteError plus retry hints: the Retry-After
+// header (whole seconds) and the envelope's retry_after_ms carry the
+// same delay.
 func WriteRetryError(w http.ResponseWriter, status int, code string, err error, retry time.Duration) {
-	writeRetryErr(w, status, code, err, retry)
-}
-
-// writeErr answers with the uniform v1 error envelope.
-func writeErr(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code})
-}
-
-// writeRetryErr is writeErr plus retry hints: the Retry-After header
-// (whole seconds) and the envelope's retry_after_ms carry the same
-// delay.
-func writeRetryErr(w http.ResponseWriter, status int, code string, err error, retry time.Duration) {
 	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
-	writeJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code, RetryAfterMS: retry.Milliseconds()})
+	WriteJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code, RetryAfterMS: retry.Milliseconds()})
 }

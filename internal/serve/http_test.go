@@ -206,6 +206,34 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPPredictRefusesNonFiniteInput: a continuous input that is not
+// finite or lies past view.MaxNumeric — the bound the update path
+// enforces — answers 422 with the error envelope, never a 200 whose
+// body failed to encode.
+func TestHTTPPredictRefusesNonFiniteInput(t *testing.T) {
+	_, ts := newHTTPServer(t)
+	postUpdates(t, ts, `{"updates":[{"rel":"R","tuple":[1,2]},{"rel":"R","tuple":[2,4]},{"rel":"R","tuple":[3,6]}]}`)
+	for _, c := range []struct {
+		x    string
+		want int
+	}{
+		{"5", http.StatusOK},
+		{"1e100", http.StatusOK},
+		{"NaN", http.StatusUnprocessableEntity},
+		{"Inf", http.StatusUnprocessableEntity},
+		{"-Inf", http.StatusUnprocessableEntity},
+		{"1e308", http.StatusUnprocessableEntity},
+	} {
+		code, body := getJSON(t, ts.URL+"/v1/predict?X="+c.x)
+		if code != c.want {
+			t.Errorf("predict X=%s = %d %v, want %d", c.x, code, body, c.want)
+		}
+		if c.want != http.StatusOK && body["code"] != CodeUnprocessable {
+			t.Errorf("predict X=%s envelope = %v, want code %q", c.x, body, CodeUnprocessable)
+		}
+	}
+}
+
 // newEngineServer hosts an arbitrary engine kind behind the HTTP
 // handler — the decoupling fivm.AnyEngine buys: the same pipeline
 // serves count, float, COVAR, and join workloads.

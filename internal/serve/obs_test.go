@@ -67,22 +67,24 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 	// rounds to stick — retry with a deadline.
 	one := []view.Update{{Rel: "R", Tuple: value.T(1, 1), Mult: 1}}
 	deadline := time.Now().Add(10 * time.Second)
-	shed := false
-	for time.Now().Before(deadline) {
-		_, err := srv.Ingest(one)
-		if oe, ok := err.(*OverloadError); ok {
-			if oe.Rel != "R" || oe.Depth < 1 || oe.Capacity != 1 {
-				t.Fatalf("OverloadError = %+v, want Rel=R Depth>=1 Capacity=1", oe)
+	for name, ingest := range ingestEntryPoints(srv) {
+		shed := false
+		for time.Now().Before(deadline) {
+			err := ingest(one)
+			if oe, ok := err.(*OverloadError); ok {
+				if oe.Rel != "R" || oe.Depth < 1 || oe.Capacity != 1 {
+					t.Fatalf("%s: OverloadError = %+v, want Rel=R Depth>=1 Capacity=1", name, oe)
+				}
+				shed = true
+				break
 			}
-			shed = true
-			break
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
-			t.Fatal(err)
+		if !shed {
+			t.Fatalf("%s never shed despite a stalled writer and ChannelCap=1", name)
 		}
-	}
-	if !shed {
-		t.Fatal("pipeline never shed despite a stalled writer and ChannelCap=1")
 	}
 
 	// The HTTP surface maps the overload to 429 + Retry-After. A single

@@ -13,16 +13,17 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrClosed is returned by Ingest and Sync after Close.
+// ErrClosed is returned by IngestBatch (and so Ingest) and Sync after
+// Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrCrashed wraps the error returned by Ingest and Sync after a WAL
+// ErrCrashed wraps the error returned by IngestBatch and Sync after a WAL
 // append failure poisoned the pipeline: nothing further is accepted or
 // applied, so the durable log stays a clean prefix of the acknowledged
 // stream and a restart recovers exactly what was acknowledged.
 var ErrCrashed = errors.New("serve: pipeline crashed on WAL write failure")
 
-// OverloadError is returned by Ingest when a target relation's ingest
+// OverloadError is returned by IngestBatch when a target relation's ingest
 // queue is at or above the configured high-watermark: the caller
 // should back off and retry instead of blocking behind the backlog
 // (the HTTP handler maps it to 429 with a Retry-After header). Every
@@ -240,9 +241,9 @@ type shard struct {
 }
 
 type ingestMsg struct {
-	ups []view.Update
-	wg  *sync.WaitGroup
-	at  time.Time // Ingest enqueue time, for batcher-wait latency
+	ups  []view.Update
+	done chan struct{} // closed by the writer after the publish covering ups
+	at   time.Time     // enqueue time, for batcher-wait latency
 	// ref names the identified client batch these updates belong to
 	// (zero ID for unidentified traffic). The batcher records it inside
 	// the WAL record so dedup survives recovery.
@@ -258,7 +259,7 @@ type batch struct {
 	delta fivm.Delta
 	raw   int    // ingested updates this batch represents
 	seq   uint64 // WAL sequence number (0 when running without a WAL)
-	wgs   []*sync.WaitGroup
+	dones []chan struct{}
 	wait  time.Duration // oldest-message queue wait at collect time
 	build time.Duration // BuildDelta span
 }
@@ -332,71 +333,134 @@ func New(eng fivm.AnyEngine, cfg Config) (*Server, error) {
 // Kind identifies the hosted engine kind.
 func (s *Server) Kind() fivm.Kind { return s.eng.Kind() }
 
-// Ingest enqueues tuple updates. It returns a channel that is closed
-// once every update of this call has been applied to the engine AND a
-// snapshot reflecting them has been published — callers that need
-// read-your-writes wait on it; fire-and-forget callers drop it.
+// Ingest is IngestBatch without an ID: it enqueues tuple updates and
+// returns a channel that is closed once every update of this call has
+// been applied to the engine AND a snapshot reflecting them has been
+// published — callers that need read-your-writes wait on it;
+// fire-and-forget callers drop it.
+func (s *Server) Ingest(ups []view.Update) (<-chan struct{}, error) {
+	done, _, err := s.IngestBatch(wal.BatchID{}, ups)
+	return done, err
+}
+
+// IngestBatch is the one admission path. id stamps the call so a
+// redelivery of the same (id, body) — a client or router retry after a
+// lost response — is answered from the dedup table instead of applied
+// again. Retries MUST resend the identical update list under an id;
+// the table dedups per (id, relation) group and trusts the id, it does
+// not compare bodies. A zero id skips only the dedup table.
+//
+// The returned done channel closes once every group of THIS call —
+// freshly enqueued or already in flight from the original delivery —
+// is applied and published (read-your-writes). deduped reports how many
+// of the call's updates were suppressed as duplicates; an ack for a
+// fully deduplicated batch has deduped == len(ups).
+//
 // Updates to one relation are applied in ingest order; updates to
 // different relations may interleave with other callers', which cannot
 // change the final state (delta application commutes).
-func (s *Server) Ingest(ups []view.Update) (<-chan struct{}, error) {
-	done := make(chan struct{})
+func (s *Server) IngestBatch(id wal.BatchID, ups []view.Update) (done <-chan struct{}, deduped int, err error) {
 	if len(ups) == 0 {
-		close(done)
-		return done, nil
+		return closedChan, 0, nil
 	}
+	// Nothing may be enqueued — or entered into the dedup table — unless
+	// the whole call is valid.
 	order, groups, err := s.groupUpdates(ups)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	if err := s.CrashError(); err != nil {
-		s.mu.RUnlock()
-		return nil, err
+		return nil, 0, err
 	}
-	// Admission control: if any target shard's queue sits at or above
-	// the high-watermark, shed the whole call before anything is
-	// enqueued — all-or-nothing, so a multi-relation call never lands
-	// partially. The check is advisory (concurrent ingesters can still
-	// race past it into a blocking send), but the default watermark
-	// equals the channel capacity, so an over-watermark queue is a
-	// genuinely full one.
-	for _, rel := range order {
-		if ch := s.shards[rel].ch; len(ch) >= s.cfg.HighWatermark {
-			s.shed.Add(uint64(len(ups)))
-			s.mu.RUnlock()
-			return nil, &OverloadError{Rel: rel, Depth: len(ch), Capacity: cap(ch)}
-		}
-	}
-	// Count before the sends: a snapshot published mid-Ingest must never
-	// report Applied > Ingested.
-	s.ingested.Add(uint64(len(ups)))
-	now := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(len(order))
-	for _, rel := range order {
-		// A crash stops the batchers, so an unguarded send could block
-		// forever; a call interrupted mid-send reports the crash (its
-		// done channel never closes — crash semantics, not acknowledged).
-		select {
-		case s.shards[rel].ch <- ingestMsg{ups: groups[rel], wg: &wg, at: now}:
-		case <-s.crashed:
-			s.mu.RUnlock()
-			return nil, s.crashErr
-		}
-	}
-	s.mu.RUnlock()
 
+	// waits collects one done channel per group: first the dedup hits',
+	// which join the original delivery's wait, then the fresh groups'.
+	waits := make([]chan struct{}, 0, len(order))
+	fresh := order
+	t, identified := s.dedup, !id.IsZero()
+	if identified {
+		// Partition under the table lock, held through admission so a
+		// concurrent duplicate cannot slip in between lookup and entry.
+		t.mu.Lock()
+		fresh = order[:0:len(order)] // reuse order's backing array; order is not read again
+		for _, rel := range order {
+			if e := t.get(dedupKey{id: id, rel: rel}); e != nil {
+				waits = append(waits, e.done)
+				deduped += len(groups[rel])
+				continue
+			}
+			if t.expired(id) {
+				t.mu.Unlock()
+				return nil, 0, fmt.Errorf("%w: %v (relation %s)", ErrBatchExpired, id, rel)
+			}
+			fresh = append(fresh, rel)
+		}
+	}
+	// Admission control: if any fresh group's queue sits at or above the
+	// high-watermark, shed the whole call before anything is enqueued or
+	// entered into the dedup table — all-or-nothing, so a multi-relation
+	// call never lands partially and a shed call's retry is not mistaken
+	// for a duplicate. The check is advisory (concurrent ingesters can
+	// still race past it into a blocking send), but the default
+	// watermark equals the channel capacity, so an over-watermark queue
+	// is a genuinely full one.
+	for _, rel := range fresh {
+		if ch := s.shards[rel].ch; len(ch) >= s.cfg.HighWatermark {
+			if identified {
+				t.mu.Unlock()
+			}
+			s.shed.Add(uint64(len(ups)))
+			return nil, 0, &OverloadError{Rel: rel, Depth: len(ch), Capacity: cap(ch)}
+		}
+	}
+	hits := len(waits)
+	for range fresh {
+		waits = append(waits, make(chan struct{}))
+	}
+	dones := waits[hits:] // dones[i] belongs to fresh[i]
+	if identified {
+		if deduped > 0 {
+			t.hits.Add(uint64(deduped))
+		}
+		for i, rel := range fresh {
+			t.put(&dedupEntry{key: dedupKey{id: id, rel: rel}, accepted: len(groups[rel]), done: dones[i]})
+		}
+		t.mu.Unlock()
+	}
+
+	// Count before the sends: a snapshot published mid-call must never
+	// report Applied > Ingested.
+	s.ingested.Add(uint64(len(ups) - deduped))
+	now := time.Now()
+	for i, rel := range fresh {
+		msg := ingestMsg{ups: groups[rel], done: dones[i], at: now, ref: wal.BatchRef{ID: id, Updates: len(groups[rel])}}
+		// A crash stops the batchers, so an unguarded send could block
+		// forever. A call interrupted mid-send reports the crash; groups
+		// already sent keep their dedup entries, and no done ever closes
+		// — crash semantics, not acknowledged.
+		select {
+		case s.shards[rel].ch <- msg:
+		case <-s.crashed:
+			return nil, 0, s.crashErr
+		}
+	}
+	if len(waits) == 1 {
+		return waits[0], deduped, nil
+	}
+	all := make(chan struct{})
 	go func() {
-		wg.Wait()
-		close(done)
+		for _, w := range waits {
+			<-w
+		}
+		close(all)
 	}()
-	return done, nil
+	return all, deduped, nil
 }
 
 // groupUpdates groups ups by relation, preserving per-relation order

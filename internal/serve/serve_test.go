@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,6 +55,24 @@ func newTestServer(t testing.TB) *Server {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// ingestEntryPoints names both ways into the admission path, for
+// refusal checks that must hold on each: Ingest and an identified
+// IngestBatch (a fresh ID per call).
+func ingestEntryPoints(srv *Server) map[string]func([]view.Update) error {
+	var seq uint64
+	return map[string]func([]view.Update) error{
+		"Ingest": func(ups []view.Update) error {
+			_, err := srv.Ingest(ups)
+			return err
+		},
+		"IngestBatch": func(ups []view.Update) error {
+			seq++
+			_, _, err := srv.IngestBatch(testBatchID(seq), ups)
+			return err
+		},
+	}
 }
 
 func ingestWait(t testing.TB, srv *Server, ups []view.Update) {
@@ -140,6 +160,52 @@ func TestDeletesMaintainModel(t *testing.T) {
 	}
 }
 
+// TestSingleGroupIngestStartsNoGoroutine pins the completion hand-off:
+// a single-relation call returns its group's done channel, which the
+// writer closes after the publish covering it, so no goroutine waits
+// on the caller's behalf. The writer is held in Sync while the calls
+// queue up and goroutines are counted.
+func TestSingleGroupIngestStartsNoGoroutine(t *testing.T) {
+	srv := newTestServer(t)
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unhold := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unhold() // lets Close drain if an assertion fails mid-test
+	synced := make(chan error, 1)
+	go func() { synced <- srv.Sync(func(fivm.AnyEngine) { close(held); <-release }) }()
+	<-held
+
+	const n = 50
+	before := runtime.NumGoroutine()
+	dones := make([]<-chan struct{}, n)
+	for i := range dones {
+		done, _, err := srv.IngestBatch(testBatchID(uint64(i+1)), []view.Update{{Rel: "R", Tuple: value.T(i, 0), Mult: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dones[i] = done
+	}
+	if grown := runtime.NumGoroutine() - before; grown >= n {
+		t.Errorf("%d single-relation calls grew goroutines by %d, want fewer than %d", n, grown, n)
+	}
+	select {
+	case <-dones[0]:
+		t.Fatal("done closed while the writer was held")
+	default:
+	}
+
+	unhold()
+	for _, d := range dones {
+		waitClosed(t, d, "held call")
+	}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Snapshot().Stats.Applied; got != n {
+		t.Fatalf("applied %d updates, want %d", got, n)
+	}
+}
+
 func TestIngestErrors(t *testing.T) {
 	srv := newTestServer(t)
 	if _, err := srv.Ingest([]view.Update{{Rel: "Nope", Tuple: value.T(1, 2), Mult: 1}}); err == nil {
@@ -175,8 +241,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if got := srv.Snapshot().Count(); got != 200 {
 		t.Fatalf("count after Close = %v, want 200 (Close must drain)", got)
 	}
-	if _, err := srv.Ingest(seedUpdates(1, 1)); err != ErrClosed {
-		t.Fatalf("Ingest after Close = %v, want ErrClosed", err)
+	for name, ingest := range ingestEntryPoints(srv) {
+		if err := ingest(seedUpdates(1, 1)); err != ErrClosed {
+			t.Fatalf("%s after Close = %v, want ErrClosed", name, err)
+		}
 	}
 	if err := srv.Sync(func(fivm.AnyEngine) {}); err != ErrClosed {
 		t.Fatalf("Sync after Close = %v, want ErrClosed", err)

@@ -171,8 +171,10 @@ func TestKillMidBatchRecoversAckedPrefix(t *testing.T) {
 
 			// The poisoned pipeline reports the crash on every surface
 			// and shuts down without deadlock or a tainted checkpoint.
-			if _, err := srv.Ingest([]view.Update{walRUpdate(0)}); !errors.Is(err, ErrCrashed) {
-				t.Fatalf("Ingest after crash = %v, want ErrCrashed", err)
+			for name, ingest := range ingestEntryPoints(srv) {
+				if err := ingest([]view.Update{walRUpdate(0)}); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("%s after crash = %v, want ErrCrashed", name, err)
+				}
 			}
 			if err := srv.Sync(func(fivm.AnyEngine) {}); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("Sync after crash = %v, want ErrCrashed", err)

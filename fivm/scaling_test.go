@@ -15,8 +15,7 @@ import (
 var retailerAttrs = []string{"inventoryunits", "prize", "avghhi", "maxtemp", "medianage"}
 
 // retailer generates the synthetic Retailer database with the given
-// number of Inventory rows and dates (0 keeps the default 100), and its
-// relation specs.
+// number of Inventory rows and dates (0 keeps the default 100).
 func retailer(rows, dates int) (*dataset.Database, []fivm.RelationSpec) {
 	cfg := dataset.DefaultRetailerConfig()
 	cfg.InventoryRows = rows
@@ -24,11 +23,15 @@ func retailer(rows, dates int) (*dataset.Database, []fivm.RelationSpec) {
 		cfg.Dates = dates
 	}
 	db := dataset.Retailer(cfg)
-	var rels []fivm.RelationSpec
-	for _, r := range db.Relations {
-		rels = append(rels, fivm.RelationSpec{Name: r.Name, Attrs: r.Attrs})
-	}
-	return db, rels
+	return db, relationSpecs(db)
+}
+
+// favorita generates the synthetic Favorita database with the given
+// number of Sales rows and dates; stores and items keep their defaults.
+func favorita(rows, dates int) *dataset.Database {
+	cfg := dataset.DefaultFavoritaConfig()
+	cfg.SalesRows, cfg.Dates = rows, dates
+	return dataset.Favorita(cfg)
 }
 
 // inventoryStream is n Inventory updates over db with the given share
@@ -80,17 +83,13 @@ func TestScalingGate(t *testing.T) {
 	}
 }
 
-// singleTuplePair bulk-loads an engine of the given kind over db and
-// returns one insert+delete of an Inventory tuple through the prebuilt
+// singleTuplePair bulk-loads an engine of cfg over db and returns one
+// insert+delete of the first tuple of relation rel through the prebuilt
 // delta path, as the serving pipeline applies it. The pair leaves the
 // engine's state unchanged.
-func singleTuplePair(t *testing.T, kind string, db *dataset.Database, rels []fivm.RelationSpec) func() {
+func singleTuplePair(t *testing.T, cfg fivm.Config, db *dataset.Database, rel string) func() {
 	t.Helper()
-	cfg := fivm.Config{Relations: rels, Attrs: retailerAttrs}
-	if kind == "count" {
-		cfg = fivm.Config{Relations: rels,
-			Query: "SELECT SUM(1) FROM Inventory NATURAL JOIN Location NATURAL JOIN Census NATURAL JOIN Item NATURAL JOIN Weather"}
-	}
+	cfg.Relations = relationSpecs(db)
 	eng, err := fivm.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,20 +97,20 @@ func singleTuplePair(t *testing.T, kind string, db *dataset.Database, rels []fiv
 	if err := eng.Init(db.TupleMap()); err != nil {
 		t.Fatal(err)
 	}
-	tup := db.TupleMap()["Inventory"][0]
-	dIns, err := eng.BuildDelta("Inventory", []view.Update{{Rel: "Inventory", Tuple: tup, Mult: 1}})
+	tup := db.TupleMap()[rel][0]
+	dIns, err := eng.BuildDelta(rel, []view.Update{{Rel: rel, Tuple: tup, Mult: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dDel, err := eng.BuildDelta("Inventory", []view.Update{{Rel: "Inventory", Tuple: tup, Mult: -1}})
+	dDel, err := eng.BuildDelta(rel, []view.Update{{Rel: rel, Tuple: tup, Mult: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pair := func() {
-		if err := eng.ApplyBuilt("Inventory", dIns); err != nil {
+		if err := eng.ApplyBuilt(rel, dIns); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.ApplyBuilt("Inventory", dDel); err != nil {
+		if err := eng.ApplyBuilt(rel, dDel); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,32 +119,55 @@ func singleTuplePair(t *testing.T, kind string, db *dataset.Database, rels []fiv
 }
 
 // TestSingleTupleLatencyFlat pins the paper's complexity claim:
-// single-tuple maintenance costs O(|delta|), not O(database). The
-// latency of one insert+delete pair against a Retailer database of
-// 100 000 Inventory rows must stay within 3× of the same pair against
-// 1 000 rows. Dates grow with the rows (10 → 1 000), so Weather — one
-// row per (store, date) the facts mention, the sibling view an
-// Inventory update joins — grows ~100× as well; at the default 100
-// dates it saturates at 3 000 rows and a path forced onto
-// build-and-scan reads only ~2.9×. The indexed delta path reads ~1×;
-// build-and-scan grows with the sibling views while barely moving
-// allocations, which is why this is a latency test and not an alloc
-// pin. Both sides run in alternating rounds of one process and each
-// keeps its fastest round, so the ratio needs no baseline from matching
-// hardware.
+// single-tuple maintenance costs O(|delta|), not O(database). Each row
+// times one insert+delete pair of one relation's tuple against a small
+// and a large database, and the large side must stay within 3× of the
+// small one.
+//
+//   - Retailer Inventory, 1 000 → 100 000 Inventory rows. Dates grow
+//     with the rows (10 → 1 000), so Weather — one row per (store, date)
+//     the facts mention, the sibling view an Inventory update joins —
+//     grows ~100× as well; at the default 100 dates it saturates at
+//     3 000 rows and a path forced onto build-and-scan reads only ~2.9×.
+//   - Favorita Transactions and Holiday, 10 000 × 120 → 160 000 × 1 920
+//     Sales rows × dates; stores and items stay fixed, so the rows per
+//     date, and with them every per-key degree, stay bounded. Their
+//     deltas enter nodes of three parts (V@store, V@date) behind the
+//     first position: the rows that hold only if a step iterates its
+//     delta whatever position it enters at.
+//
+// The indexed delta path reads ~1×; build-and-scan grows with the
+// sibling views while barely moving allocations, which is why this is a
+// latency test and not an alloc pin. Both sides run in alternating
+// rounds of one process and each keeps its fastest round, so the ratio
+// needs no baseline from matching hardware.
 func TestSingleTupleLatencyFlat(t *testing.T) {
 	const (
 		maxGrowth = 3.0
 		rounds    = 5
 		pairs     = 200
 	)
-	smallDB, smallRels := retailer(1_000, 10)
-	largeDB, largeRels := retailer(100_000, 1_000)
-	for _, kind := range []string{"count", "covar"} {
-		t.Run(kind, func(t *testing.T) {
+	type scale struct{ small, large *dataset.Database }
+	smallRetailer, _ := retailer(1_000, 10)
+	largeRetailer, _ := retailer(100_000, 1_000)
+	retail := scale{smallRetailer, largeRetailer}
+	fav := scale{favorita(10_000, 120), favorita(160_000, 1_920)}
+	count := fivm.Config{Query: "SELECT SUM(1) FROM Inventory NATURAL JOIN Location NATURAL JOIN Census NATURAL JOIN Item NATURAL JOIN Weather"}
+	favCovar := fivm.Config{Attrs: []string{"unit_sales", "transactions", "oilprice"}}
+	for _, row := range []struct {
+		name, rel string
+		db        scale
+		cfg       fivm.Config
+	}{
+		{"count", "Inventory", retail, count},
+		{"covar", "Inventory", retail, fivm.Config{Attrs: retailerAttrs}},
+		{"Favorita/Transactions", "Transactions", fav, favCovar},
+		{"Favorita/Holiday", "Holiday", fav, favCovar},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			sides := []func(){
-				singleTuplePair(t, kind, smallDB, smallRels),
-				singleTuplePair(t, kind, largeDB, largeRels),
+				singleTuplePair(t, row.cfg, row.db.small, row.rel),
+				singleTuplePair(t, row.cfg, row.db.large, row.rel),
 			}
 			best := []time.Duration{time.Hour, time.Hour}
 			for r := 0; r < rounds; r++ {
@@ -158,10 +180,10 @@ func TestSingleTupleLatencyFlat(t *testing.T) {
 				}
 			}
 			growth, err := ratioGate(best[1], best[0], 0, maxGrowth)
-			t.Logf("%s single-tuple insert+delete: %v at 1k rows, %v at 100k rows: %.2f× (budget %.1f×)",
-				kind, best[0], best[1], growth, maxGrowth)
+			t.Logf("%s single-tuple insert+delete: %v small, %v large: %.2f× (budget %.1f×)",
+				row.name, best[0], best[1], growth, maxGrowth)
 			if err != nil {
-				t.Errorf("%s: single-tuple latency, 100k over 1k rows: %v: per-update cost is scaling with the database, not the delta", kind, err)
+				t.Errorf("%s: single-tuple latency, large over small database: %v: per-update cost is scaling with the database, not the delta", row.name, err)
 			}
 		})
 	}

@@ -16,7 +16,7 @@ const (
 // handed out from chunked backing arrays (one allocation per chunk
 // instead of one per entry) and recycled through a free list when they
 // are annihilated — a payload reaching the ring zero under Merge,
-// MergeAll, or the Join/Aggregate fold — or when an owning map is
+// MergeAll, or Step's fold — or when an owning map is
 // Reset. Recycling is safe exactly because annihilation and Reset are
 // the points where the map relinquishes an entry: the ownership
 // contract (package doc) says entry structs never escape their map —

@@ -68,16 +68,15 @@ func TestArenaResetRecyclesOwnedEntries(t *testing.T) {
 // arena, recycled or never used, references no tuple and no payload.
 func TestResetLeavesOnlyClearedEntries(t *testing.T) {
 	var cr ring.RangedCovarRing
-	plan := PlanJoin(s("A", "B"), s("B", "C"))
 	left, right := New[*ring.RangedCovar](s("A", "B")), New[*ring.RangedCovar](s("B", "C"))
 	for i := 0; i < 40; i++ {
 		left.Merge(cr, value.T(int64(i), int64(i%4)), cr.One())
 		right.Merge(cr, value.T(int64(i%4), int64(i)), cr.One())
 	}
 	buf := New[*ring.RangedCovar](s("A"))
-	fused := plan.Then(PlanAggregate(plan.Out(), buf.schema, ""))
+	plan := PlanStep([]value.Schema{left.schema, right.schema}, 0, buf.schema, "")
 	for round := 0; round < 2; round++ {
-		if Step(fused, cr, left, right, nil, buf).Len() != 40 {
+		if Step(plan, cr, []*Map[*ring.RangedCovar]{left, right}, nil, buf).Len() != 40 {
 			t.Fatalf("round %d: step filled %d groups", round, buf.Len())
 		}
 		buf.Reset()
@@ -109,7 +108,7 @@ func TestArenaIndexConsistencyUnderChurn(t *testing.T) {
 	// be non-empty or the join short-circuits before ensure).
 	d := New[int64](s("B", "C"))
 	d.Merge(z, value.T(int64(0), int64(0)), 1)
-	JoinProbeWith(PlanJoin(d.Schema(), m.Schema()), z, d, m)
+	Join(z, d, m)
 	m.Merge(z, value.T(int64(-1), int64(0)), -1)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {

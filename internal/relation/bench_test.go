@@ -14,16 +14,14 @@ import (
 func benchStep[V any](b *testing.B, r ring.Ring[V], deltaPayload, siblingPayload func(i int) V, lift ring.Lift[V], indexed bool) {
 	const deltaN, siblingN, groups = 1000, 100_000, 100
 	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
-	join := PlanJoin(sAB, sBC)
 	liftAttr := ""
 	if lift != nil {
 		liftAttr = "B"
 	}
-	agg := PlanAggregate(join.Out(), value.NewSchema("A"), liftAttr)
-	plan := join.Then(agg)
+	plan := PlanStep([]value.Schema{sAB, sBC}, 0, value.NewSchema("A"), liftAttr)
 	delta, sibling := New[V](sAB), NewSized[V](sBC, siblingN)
 	if indexed {
-		sibling.AddIndex(plan.RightIndexKey())
+		sibling.AddIndex(plan.IndexKey(1))
 	}
 	for i := 0; i < siblingN; i++ {
 		sibling.Merge(r, value.T(i, i%7), siblingPayload(i))
@@ -31,13 +29,14 @@ func benchStep[V any](b *testing.B, r ring.Ring[V], deltaPayload, siblingPayload
 	for i := 0; i < deltaN; i++ {
 		delta.Merge(r, value.T(i%groups, (i*97)%siblingN), deltaPayload(i))
 	}
-	out := NewSized[V](plan.Out(), deltaN)
-	Step(plan, r, delta, sibling, lift, out) // the first probe builds the lazy index
+	out := NewSized[V](plan.out, deltaN)
+	parts := []*Map[V]{delta, sibling}
+	Step(plan, r, parts, lift, out) // the first probe builds the lazy index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		if Step(plan, r, delta, sibling, lift, out).Len() != groups {
+		if Step(plan, r, parts, lift, out).Len() != groups {
 			b.Fatalf("step produced %d groups, want %d", out.Len(), groups)
 		}
 	}

@@ -7,7 +7,7 @@
 // # Key invariants
 //
 //   - Tuples whose payload equals the ring zero are never stored:
-//     Merge, MergeAll, Join, and Aggregate all drop entries that
+//     Merge, MergeAll and Step (Join, Aggregate) all drop entries that
 //     cancel, so relations stay compact under delete-heavy streams and
 //     two relations holding the same content are structurally equal.
 //   - Payloads are shared, never copied, on Clone — sound because every
@@ -18,18 +18,19 @@
 //     the probed index on first use, so it belongs to the map's writer.
 //
 // Beyond storage, the package provides the relational algebra the view
-// tree is built from (hash Join, group-by Aggregate with lift
-// application) and persistent secondary join-key indexes (AddIndex).
-// There is one join kernel, Step: for every matching pair
-// it multiplies the payloads left-first, applies the plan's lift and
-// folds the product into the plan's group of the output — a join
-// (JoinProbeWith, every pair its own group) or, under a plan fused with
-// JoinPlan.Then, a join and the aggregation after it in one pass whose
-// intermediate is never built, which is how the view tree evaluates a
-// path node. It probes the larger operand's index when it has one —
-// delta-sized steps then cost O(|delta|) instead of O(|relation|) — and
-// otherwise builds and scans, which is what a bulk load's
-// relation-sized deltas get.
+// tree is built from and persistent secondary join-key indexes
+// (AddIndex). There is one join kernel, Step, over k parts of which one
+// is the delta: it iterates the delta, probes every other part in
+// operand order, and for every matching combination multiplies the
+// payloads in operand order, applies the plan's lift and folds the
+// product into the plan's group of the output — the join and the
+// aggregation after it in one pass whose intermediate is never built,
+// which is how the view tree evaluates a path node. Join (two parts,
+// every pair its own group) and Aggregate (one part) are Step under
+// other plans. A part is probed through its persistent index when that
+// is built or the part is no smaller than the delta — delta-sized steps
+// then cost O(|delta|) instead of O(|relation|) — and otherwise indexed
+// for the call, which is what a bulk load's relation-sized deltas get.
 //
 // # Ownership and the allocation-lean hot path
 //
@@ -61,14 +62,14 @@
 //     allocate fresh ones. That is what lets each map slab-allocate
 //     its entries from a per-map arena and recycle them on
 //     annihilation and Reset (alloc.go).
-//   - Step and Aggregate OWN their output maps while building them —
+//   - Step OWNS its output map while building it —
 //     empty on entry, whether freshly allocated or a caller's recycled
 //     buffer — and fold only into payloads they created there in this
 //     call, in place via Scratch/FMA (the same entry.add the commit
 //     path uses): a group's first product is a fresh Mul result, so
-//     nothing Step folds into is reachable from an operand. Aggregate
-//     writes one thing outside its output: the shared flag of an input
-//     entry whose payload it stores unlifted.
+//     nothing Step folds into is reachable from an operand. A one-part
+//     step writes one thing outside its output: the shared flag of an
+//     input entry whose payload it stores unlifted.
 //   - Keys encode into reused scratch buffers (Tuple.AppendEncode*);
 //     maps are probed with string(buf), which Go compiles without a
 //     copy, and the key string plus output tuple only materialize when

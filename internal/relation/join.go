@@ -5,367 +5,324 @@ import (
 	"repro/internal/value"
 )
 
-// joinOrient is the precomputed geometry of one build/probe orientation
-// of a join: the common-key projections of both sides and, per output
-// position, which side it reads and at which position — so keys and
-// tuples assemble straight from the two source tuples with no
-// intermediate Concat/Project allocations. liftPos >= 0 names the
-// lifted attribute the same way (liftFromBuild, position).
-type joinOrient struct {
-	buildCommon   []int
-	probeCommon   []int
-	fromBuild     []bool
-	srcPos        []int
-	liftFromBuild bool
-	liftPos       int
+// ref names where one attribute value of a step comes from: position pos
+// of the tuple bound for part part.
+type ref struct{ part, pos int }
+
+// probe is one lookup of a step: part is probed on the projection index
+// of its schema (its attributes already bound, in its own order), whose
+// values come from key, among the parts bound before it.
+type probe struct {
+	part  int
+	index []int
+	key   []ref
 }
 
-func orientJoin(probe, build, out value.Schema) joinOrient {
-	common := probe.Intersect(build)
-	buildExtra := build.Minus(probe)
-	buildExtraIdx := build.MustProject(buildExtra)
-	joined := probe.Union(buildExtra)
-	reorder := joined.MustProject(out)
-	plen := probe.Len()
-	o := joinOrient{
-		buildCommon: build.MustProject(common),
-		probeCommon: probe.MustProject(common),
-		fromBuild:   make([]bool, len(reorder)),
-		srcPos:      make([]int, len(reorder)),
-		liftPos:     -1,
-	}
-	for i, j := range reorder {
-		if j < plen {
-			o.srcPos[i] = j
-		} else {
-			o.fromBuild[i] = true
-			o.srcPos[i] = buildExtraIdx[j-plen]
+// StepPlan is the reusable schema geometry of one Step: the natural join
+// of k parts over fixed schemas, fused with the aggregation of the join
+// onto a group-by schema and an optional lift, for a delta at one part
+// position. Deriving it per call costs a dozen allocations — noticeable
+// on single-tuple deltas — so the view tree plans each node's steps once
+// at build time, one plan per position a delta can enter, and replays
+// them.
+type StepPlan struct {
+	out    value.Schema
+	delta  int
+	probes []probe // every part but the delta's, in operand order
+	group  []ref   // output attribute i comes from group[i]
+	lift   ref     // the lifted attribute; part -1 when none is lifted
+}
+
+// PlanStep plans Step over parts of the given schemas with the delta at
+// position delta: the delta is iterated and every other part probed in
+// operand order on its attributes bound so far. The output is grouped by
+// out, whose attributes must all occur in some part; liftAttr names the
+// lifted attribute, "" for none.
+func PlanStep(parts []value.Schema, delta int, out value.Schema, liftAttr string) *StepPlan {
+	p := &StepPlan{out: out, delta: delta, lift: ref{part: -1}}
+	bound := map[string]ref{}
+	bind := func(j int) {
+		for i, a := range parts[j].Attrs() {
+			if _, ok := bound[a]; !ok {
+				bound[a] = ref{j, i}
+			}
 		}
 	}
-	return o
+	bind(delta)
+	for j, s := range parts {
+		if j == delta {
+			continue
+		}
+		pr := probe{part: j}
+		for i, a := range s.Attrs() {
+			if r, ok := bound[a]; ok {
+				pr.index = append(pr.index, i)
+				pr.key = append(pr.key, r)
+			}
+		}
+		p.probes = append(p.probes, pr)
+		bind(j)
+	}
+	find := func(a string) ref {
+		r, ok := bound[a]
+		if !ok {
+			panic("relation: attribute " + a + " is in no step operand")
+		}
+		return r
+	}
+	for _, a := range out.Attrs() {
+		p.group = append(p.group, find(a))
+	}
+	if liftAttr != "" {
+		p.lift = find(liftAttr)
+	}
+	return p
 }
 
-// then composes the orientation with an aggregation of the join's
-// output: output position i reads what the join's position agg.proj[i]
-// read, and the lift attribute resolves to its source tuple likewise.
-func (o joinOrient) then(agg *AggPlan) joinOrient {
-	f := joinOrient{
-		buildCommon: o.buildCommon,
-		probeCommon: o.probeCommon,
-		fromBuild:   make([]bool, len(agg.proj)),
-		srcPos:      make([]int, len(agg.proj)),
-		liftPos:     -1,
+// IndexKey returns the projection (positions into part's schema) the
+// plan probes part on — the persistent index part should carry for a
+// delta at the plan's position to cost O(|delta|) — or nil for the
+// delta's own position.
+func (p *StepPlan) IndexKey(part int) []int {
+	for _, pr := range p.probes {
+		if pr.part == part {
+			return pr.index
+		}
 	}
-	for i, j := range agg.proj {
-		f.fromBuild[i], f.srcPos[i] = o.fromBuild[j], o.srcPos[j]
-	}
-	if agg.liftIdx >= 0 {
-		f.liftFromBuild, f.liftPos = o.fromBuild[agg.liftIdx], o.srcPos[agg.liftIdx]
-	}
-	return f
-}
-
-// JoinPlan is the reusable schema geometry of one Step: a natural join,
-// optionally fused with the aggregation that follows it (Then) — which
-// attributes are common and where each output value and the lifted
-// value come from, for both orientations (which side is iterated is
-// decided at run time). Deriving it per call costs a dozen allocations
-// — noticeable on single-tuple deltas — so the view tree plans each
-// node's steps once at build time and replays them.
-type JoinPlan struct {
-	out value.Schema
-	fwd joinOrient // build = right side, probe = left
-	rev joinOrient // build = left side, probe = right
-}
-
-// Out returns the step's output schema: for a plain join left's schema
-// followed by right's attributes not in left, for a fused plan the
-// aggregation's group-by schema.
-func (p *JoinPlan) Out() value.Schema { return p.out }
-
-// LeftIndexKey returns the projection positions (into the left schema)
-// of the join's common key — the index the left side must carry for
-// Step to probe it when the right side is the small one.
-func (p *JoinPlan) LeftIndexKey() []int { return p.rev.buildCommon }
-
-// RightIndexKey is LeftIndexKey for the right side: the positions (into
-// the right schema) of the common key Step probes the right side's
-// index on.
-func (p *JoinPlan) RightIndexKey() []int { return p.fwd.buildCommon }
-
-// PlanJoin precomputes the join geometry for relations over the two
-// schemas.
-func PlanJoin(left, right value.Schema) *JoinPlan {
-	out := left.Union(right)
-	return &JoinPlan{
-		out: out,
-		fwd: orientJoin(left, right, out),
-		rev: orientJoin(right, left, out),
-	}
-}
-
-// Then returns the plan of this join fused with the aggregation agg of
-// its output (agg must have been planned from p.Out()): Step groups by
-// agg's schema and applies its lift pair by pair, and the join is never
-// materialized.
-func (p *JoinPlan) Then(agg *AggPlan) *JoinPlan {
-	return &JoinPlan{out: agg.out, fwd: p.fwd.then(agg), rev: p.rev.then(agg)}
+	return nil
 }
 
 // Join computes the natural join of left and right under ring r: tuples
 // agreeing on the common attributes combine, payloads multiply with the
 // ring product (left payload first, preserving any non-commutative key
 // orientation). The output schema is left's schema followed by right's
-// attributes not in left. Callers that join the same schemas repeatedly
-// should plan once with PlanJoin and use JoinProbeWith.
+// attributes not in left. It is Step with left as the delta and every
+// pair its own group.
 func Join[V any](r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	return JoinProbeWith(PlanJoin(left.schema, right.schema), r, left, right)
-}
-
-// JoinWith is the planned join forced onto the build-and-scan
-// orientation whatever indexes the operands carry: the reference the
-// index probe is tested against. Callers go through JoinProbeWith.
-func JoinWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	return step(plan, r, left, right, nil, nil, true)
-}
-
-// JoinProbeWith is Step materializing a plain join (plan from PlanJoin)
-// into a fresh relation.
-func JoinProbeWith[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V]) *Map[V] {
-	return step(plan, r, left, right, nil, nil, false)
-}
-
-// Step is the one join kernel, the delta rule δV = ⊕_X (δV_child ⊗
-// V_sibling ⊗ g_X) as a single pass: for every matching pair of tuples
-// it multiplies the payloads left-first (whichever side is iterated —
-// the test-only Relational and Matrix rings are not commutative),
-// applies the plan's lift (lift must be non-nil iff the plan names
-// one), encodes the plan's group key straight from the two source
-// tuples and folds the product into that group of out. Under a fused plan (JoinPlan.Then) that is a
-// join followed by an aggregation whose intermediate is never built;
-// under a plain plan every pair is its own group. Cartesian products
-// run through the same machinery (one empty-key bucket).
-//
-// out must be empty and over plan.Out(); nil allocates a relation sized
-// for the iterated side. Step owns what it puts there: a group's first
-// product is a fresh Mul result, later ones fold into it in place
-// (FMA.MulAddInto when nothing is lifted, Mul + entry.add otherwise),
-// so nothing folded into is reachable from an operand, and the group's
-// tuple and key string materialize only on first sight.
-//
-// Orientation follows from what the join observes, not from the caller.
-// When the larger side carries a persistent index on the common key
-// (AddIndex with the plan's Left/RightIndexKey) Step iterates only the
-// smaller side — the delta, in steady-state maintenance — and looks
-// matches up there: O(|small| + |matches|). Otherwise it builds a
-// throwaway index on the smaller side and scans the larger, O(|large|)
-// — the bulk-load case, where the loaded relation is the larger operand
-// and, being a delta, carries none, so no index is materialized on a
-// smaller sibling. Both visit the same multiset of payload products in
-// the same left-first per-pair order, so results are bit-identical
-// whenever ring addition is exact (integer rings, float rings over
-// integer-valued data); they iterate opposite
-// sides, which can group a key's float64 additions differently in the
-// last bits on inexact data.
-func Step[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {
-	return step(plan, r, left, right, lift, out, false)
-}
-
-// sides returns the operand step iterates, the one it looks matches up
-// in, and their geometry; swapped iterates the right operand.
-func sides[V any](plan *JoinPlan, left, right *Map[V], swapped bool) (iter, look *Map[V], o *joinOrient) {
-	if swapped {
-		return right, left, &plan.rev
-	}
-	return left, right, &plan.fwd
-}
-
-// step is Step; scan forces the build-and-scan orientation whatever
-// indexes the operands carry (JoinWith, the tests' reference).
-func step[V any](plan *JoinPlan, r ring.Ring[V], left, right *Map[V], lift ring.Lift[V], out *Map[V], scan bool) *Map[V] {
-	if left.Len() == 0 || right.Len() == 0 {
-		if out == nil {
-			out = New[V](plan.out)
-		}
-		return out
-	}
-	// Index probe: iterate the smaller side (left on a tie).
-	swapped := right.Len() < left.Len()
-	iter, look, o := sides(plan, left, right, swapped)
-	var karr, oarr [64]byte
-	kbuf, obuf := karr[:0], oarr[:0]
-	var idx *index[V]
-	var built map[string][]*entry[V]
-	if !scan {
-		idx = look.indexOn(o.buildCommon)
-	}
-	if idx != nil {
-		idx.ensure(look) // first probe materializes a lazily registered index
-	} else {
-		// Build and scan: index the smaller side (right on a tie).
-		swapped = left.Len() < right.Len()
-		iter, look, o = sides(plan, left, right, swapped)
-		built = make(map[string][]*entry[V], look.Len())
-		for _, e := range look.data {
-			kbuf = e.tuple.AppendEncodeProject(kbuf[:0], o.buildCommon)
-			built[string(kbuf)] = append(built[string(kbuf)], e)
-		}
-	}
-	if out == nil {
-		out = NewSized[V](plan.out, iter.Len())
-	}
-	fromBuild, srcPos := o.fromBuild, o.srcPos
-	sc := scratchOf(r)
-	fma, _ := r.(ring.FMA[V])
-	if lift != nil {
-		fma = nil
-	}
-	for _, pe := range iter.data {
-		kbuf = pe.tuple.AppendEncodeProject(kbuf[:0], o.probeCommon)
-		var matches []*entry[V]
-		if idx != nil {
-			matches = idx.lookup(kbuf)
-		} else {
-			matches = built[string(kbuf)]
-		}
-		for _, be := range matches {
-			a, b := pe.payload, be.payload
-			if swapped {
-				a, b = b, a
-			}
-			obuf = obuf[:0]
-			for i, fb := range fromBuild {
-				if fb {
-					obuf = be.tuple[srcPos[i]].AppendEncode(obuf)
-				} else {
-					obuf = pe.tuple[srcPos[i]].AppendEncode(obuf)
-				}
-			}
-			g, seen := out.data[string(obuf)]
-			if seen && fma != nil && !g.shared {
-				g.payload = fma.MulAddInto(g.payload, a, b)
-				if r.IsZero(g.payload) {
-					delete(out.data, string(obuf))
-					out.drop(g)
-				}
-				continue
-			}
-			p := r.Mul(a, b)
-			if lift != nil {
-				lv := pe.tuple
-				if o.liftFromBuild {
-					lv = be.tuple
-				}
-				p = r.Mul(p, lift(lv[o.liftPos]))
-			}
-			if r.IsZero(p) {
-				continue
-			}
-			if seen {
-				if g.add(r, sc, p) {
-					delete(out.data, string(obuf))
-					out.drop(g)
-				}
-				continue
-			}
-			t := make(value.Tuple, len(fromBuild))
-			for i, fb := range fromBuild {
-				if fb {
-					t[i] = be.tuple[srcPos[i]]
-				} else {
-					t[i] = pe.tuple[srcPos[i]]
-				}
-			}
-			out.data[string(obuf)] = out.newEntry(t, p, false)
-		}
-	}
-	return out
-}
-
-// AggPlan is the reusable geometry of a group-by aggregation: the
-// positions projected into the group key and the position of the lifted
-// attribute (-1 when no lift applies). Like JoinPlan it exists so
-// repeated aggregations over fixed schemas (every view-tree node) pay
-// for schema derivation once.
-type AggPlan struct {
-	out     value.Schema
-	proj    []int
-	liftIdx int
-}
-
-// Out returns the aggregation's output (group-by) schema.
-func (p *AggPlan) Out() value.Schema { return p.out }
-
-// PlanAggregate precomputes the aggregation geometry from in onto
-// outSchema (which must be a subset of in). liftAttr names the lifted
-// attribute, "" for none; a named attribute must be in the schema.
-func PlanAggregate(in, outSchema value.Schema, liftAttr string) *AggPlan {
-	p := &AggPlan{out: outSchema, proj: in.MustProject(outSchema), liftIdx: -1}
-	if liftAttr != "" {
-		p.liftIdx = in.Index(liftAttr)
-		if p.liftIdx < 0 {
-			panic("relation: lift attribute " + liftAttr + " not in schema " + in.String())
-		}
-	}
-	return p
+	schemas := []value.Schema{left.schema, right.schema}
+	return Step(PlanStep(schemas, 0, left.schema.Union(right.schema), ""), r, []*Map[V]{left, right}, nil, nil)
 }
 
 // Aggregate groups the relation by the attributes of outSchema (which
 // must be a subset of m's schema) and sums payloads with the ring
 // addition. If lift is non-nil, each tuple's payload is first multiplied
 // by lift applied to the value of liftAttr (payload × lift, in that
-// order). Callers aggregating over fixed schemas repeatedly should plan
-// once with PlanAggregate and use AggregateWith.
+// order). It is Step over the one part m.
 func Aggregate[V any](r ring.Ring[V], m *Map[V], outSchema value.Schema, liftAttr string, lift ring.Lift[V]) *Map[V] {
 	if lift == nil {
 		liftAttr = ""
 	}
-	return AggregateWith(PlanAggregate(m.schema, outSchema, liftAttr), r, m, lift, nil)
+	return Step(PlanStep([]value.Schema{m.schema}, 0, outSchema, liftAttr), r, []*Map[V]{m}, lift, nil)
 }
 
-// AggregateWith is Aggregate with a precomputed plan (which must have
-// been built from exactly m's schema; lift must be non-nil iff the plan
-// named a lift attribute) into out, which must be empty and over the
-// plan's schema; nil allocates a relation sized for m.
-func AggregateWith[V any](plan *AggPlan, r ring.Ring[V], m *Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {
-	if out == nil {
-		out = NewSized[V](plan.out, m.Len())
+// lookup is how Step finds the entries of one probed part by their
+// projection: the part's persistent index, or a throwaway one built for
+// this call.
+type lookup[V any] struct {
+	ix    *index[V]
+	built map[string][]*entry[V]
+}
+
+// lookupOn returns the lookup of m on proj for a delta of n tuples. A
+// persistent index serves when it is already built or m is no smaller
+// than the delta (the first probe then materializes it); otherwise the
+// call indexes m for itself — the bulk-load case, where the loaded
+// relation is the delta and the larger side, so no persistent index is
+// materialized on a smaller sibling.
+func lookupOn[V any](m *Map[V], proj []int, n int) lookup[V] {
+	if ix := m.indexOn(proj); ix != nil && (ix.built || m.Len() >= n) {
+		ix.ensure(m)
+		return lookup[V]{ix: ix}
 	}
-	sc := scratchOf(r)
-	proj := plan.proj
+	built := make(map[string][]*entry[V], m.Len())
 	var arr [64]byte
-	kbuf := arr[:0]
 	for _, e := range m.data {
-		p := e.payload
-		owned := false
-		if plan.liftIdx >= 0 {
-			// The product is a fresh value the output exclusively owns.
-			p = r.Mul(p, lift(e.tuple[plan.liftIdx]))
-			owned = true
+		kbuf := e.tuple.AppendEncodeProject(arr[:0], proj)
+		built[string(kbuf)] = append(built[string(kbuf)], e)
+	}
+	return lookup[V]{built: built}
+}
+
+func (l lookup[V]) find(key []byte) []*entry[V] {
+	if l.ix != nil {
+		return l.ix.lookup(key)
+	}
+	return l.built[string(key)]
+}
+
+// appendRefs appends the encoding of the values refs name in the bound
+// entries to buf.
+func appendRefs[V any](buf []byte, refs []ref, bound []*entry[V]) []byte {
+	for _, r := range refs {
+		buf = bound[r.part].tuple[r.pos].AppendEncode(buf)
+	}
+	return buf
+}
+
+// inlineParts is the part count Step keeps its per-call state on the
+// stack for; wider steps allocate it.
+const inlineParts = 4
+
+// cursor walks the matches of one probe.
+type cursor[V any] struct {
+	m []*entry[V]
+	i int
+}
+
+// Step is the one join kernel, the delta rule δV = ⊕_X (δV_child ⊗
+// V_sibling ⊗ … ⊗ g_X) as a single pass over k parts, one of them (the
+// plan's delta position) the delta. It iterates the delta and probes
+// every other part in operand order on the attributes bound so far; for
+// every combination of matching tuples it multiplies the payloads in
+// operand order 0..k−1, whatever the probe order (the test-only
+// Relational and Matrix rings are not commutative), applies the plan's
+// lift (lift must be non-nil iff the plan names one), encodes the
+// plan's group key straight from the source tuples and folds the
+// product into that group of out. The join in front of the aggregation
+// is never materialized. k = 1 is a plain aggregation: no probes, and
+// an unlifted payload is stored as is, flagged shared on both sides.
+// Cartesian products probe one empty-key bucket.
+//
+// out must be empty and over the plan's group-by schema; nil allocates a relation sized
+// for the delta. Step owns what it puts there: a group's first product
+// is a fresh Mul result, later ones fold into it in place
+// (FMA.MulAddInto when nothing is lifted, Mul + entry.add otherwise),
+// so nothing folded into is reachable from an operand, and the group's
+// tuple and key string materialize only on first sight.
+//
+// Each part is probed through its persistent index on the plan's
+// IndexKey (AddIndex) when that index is already built or the part is
+// no smaller than the delta — steady-state maintenance, O(|delta| +
+// |matches|). Otherwise Step indexes the part for this call alone,
+// O(|part|): the bulk-load case, where the loaded relation is the
+// delta and the larger side. Both find the same matches, so the choice
+// changes only the order in which a group's products are added, which
+// can differ in the last bits of inexact float sums.
+func Step[V any](plan *StepPlan, r ring.Ring[V], parts []*Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {
+	delta := parts[plan.delta]
+	if out == nil {
+		out = NewSized[V](plan.out, delta.Len())
+	}
+	for _, m := range parts {
+		if m.Len() == 0 {
+			return out
 		}
-		if r.IsZero(p) {
-			continue
+	}
+	var (
+		lookArr [inlineParts]lookup[V]
+		curArr  [inlineParts]cursor[V]
+		entArr  [inlineParts]*entry[V]
+		karr    [64]byte
+	)
+	k := len(plan.probes) + 1
+	looks, cur, bound := lookArr[:0], curArr[:], entArr[:]
+	if k > inlineParts {
+		cur, bound = make([]cursor[V], k), make([]*entry[V], k)
+	}
+	for _, pr := range plan.probes {
+		looks = append(looks, lookupOn(parts[pr.part], pr.index, delta.Len()))
+	}
+	f := folder[V]{plan: plan, r: r, sc: scratchOf(r), lift: lift, out: out}
+	if lift == nil && k > 1 {
+		f.fma, _ = r.(ring.FMA[V])
+	}
+	probes, last := plan.probes, len(plan.probes)-1
+	for _, de := range delta.data {
+		bound[plan.delta] = de
+		lvl := 0
+		if last >= 0 {
+			cur[0] = cursor[V]{m: looks[0].find(appendRefs(karr[:0], probes[0].key, bound))}
 		}
-		// Hot path: encode the projected key into the reused scratch
-		// buffer; the group tuple (and the key string) materialize only
-		// when the group is first seen.
-		kbuf = e.tuple.AppendEncodeProject(kbuf[:0], proj)
-		if g, ok := out.data[string(kbuf)]; !ok {
-			// A payload stored straight from the input (no lift) is now
-			// referenced by both relations, so both entries are flagged
-			// and whichever side accumulates next copies on write. Only
-			// the flag of m's entry is written, and only by the one
-			// goroutine aggregating it (see the package doc).
-			if !owned {
-				e.shared = true
+		for {
+			// Bind the next match at the current level and descend until
+			// every part is bound; an exhausted level climbs back up.
+			if last >= 0 {
+				c := &cur[lvl]
+				if c.i == len(c.m) {
+					if lvl == 0 {
+						break
+					}
+					lvl--
+					continue
+				}
+				bound[probes[lvl].part] = c.m[c.i]
+				c.i++
+				if lvl < last {
+					lvl++
+					cur[lvl] = cursor[V]{m: looks[lvl].find(appendRefs(karr[:0], probes[lvl].key, bound))}
+					continue
+				}
 			}
-			out.data[string(kbuf)] = out.newEntry(e.tuple.Project(proj), p, !owned)
-		} else if g.add(r, sc, p) {
-			delete(out.data, string(kbuf))
-			out.drop(g)
+			f.fold(bound[:k])
+			if last < 0 {
+				break
+			}
 		}
 	}
 	return out
+}
+
+// folder is Step's per-call state for folding one binding of every part
+// into the output.
+type folder[V any] struct {
+	plan *StepPlan
+	r    ring.Ring[V]
+	sc   ring.Scratch[V]
+	fma  ring.FMA[V] // nil when lifted or over one part
+	lift ring.Lift[V]
+	out  *Map[V]
+}
+
+// fold multiplies the bound payloads in operand order, applies the lift
+// and folds the product into its group of the output.
+func (f *folder[V]) fold(bound []*entry[V]) {
+	r, out, k := f.r, f.out, len(bound)
+	var arr [64]byte
+	key := appendRefs(arr[:0], f.plan.group, bound)
+	g, seen := out.data[string(key)]
+	if seen && f.fma != nil && !g.shared {
+		p := bound[0].payload
+		for _, e := range bound[1 : k-1] {
+			p = r.Mul(p, e.payload)
+		}
+		g.payload = f.fma.MulAddInto(g.payload, p, bound[k-1].payload)
+		if r.IsZero(g.payload) {
+			delete(out.data, string(key))
+			out.drop(g)
+		}
+		return
+	}
+	p := bound[0].payload
+	for _, e := range bound[1:] {
+		p = r.Mul(p, e.payload)
+	}
+	if lr := f.plan.lift; lr.part >= 0 {
+		p = r.Mul(p, f.lift(bound[lr.part].tuple[lr.pos]))
+	}
+	if r.IsZero(p) {
+		return
+	}
+	if seen {
+		if g.add(r, f.sc, p) {
+			delete(out.data, string(key))
+			out.drop(g)
+		}
+		return
+	}
+	// A payload stored straight from the one part (k = 1, nothing
+	// lifted) is now referenced by both relations, so both entries are
+	// flagged and whichever side accumulates next copies on write. Only
+	// the flag of the part's entry is written, and only by the one
+	// goroutine stepping it (see the package doc).
+	owned := k > 1 || f.plan.lift.part >= 0
+	if !owned {
+		bound[0].shared = true
+	}
+	t := make(value.Tuple, len(f.plan.group))
+	for i, gr := range f.plan.group {
+		t[i] = bound[gr.part].tuple[gr.pos]
+	}
+	out.data[string(key)] = out.newEntry(t, p, !owned)
 }
 
 // FromTuples builds a relation from raw tuples, assigning each the ring

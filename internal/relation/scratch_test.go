@@ -10,7 +10,7 @@ import (
 )
 
 // pureRing hides a ring's Scratch/FMA extensions behind a plain
-// ring.Ring interface: type assertions in Join/Aggregate fail against
+// ring.Ring interface: type assertions in Step fail against
 // it, forcing the pure Add/Mul path. Comparing both paths on the same
 // inputs pins the merge contract at the relation layer: the fused
 // scratch path must produce bit-identical relations.
@@ -94,14 +94,14 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 		// The fused step folds through FMA (unlifted) and AddInto (lifted);
 		// behind the wrapper every fold is a pure Add.
 		for _, liftAttr := range []string{"", "B"} {
-			plan := PlanJoin(left, right)
-			fusedPlan := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), liftAttr))
+			plan := PlanStep([]value.Schema{left, right}, 0, value.NewSchema("C"), liftAttr)
 			var lf ring.Lift[*ring.RangedCovar]
 			if liftAttr != "" {
 				lf = lift
 			}
-			stepF := Step[*ring.RangedCovar](fusedPlan, cr, l, r, lf, nil)
-			stepP := Step[*ring.RangedCovar](fusedPlan, pure, l, r, lf, nil)
+			parts := []*Map[*ring.RangedCovar]{l, r}
+			stepF := Step[*ring.RangedCovar](plan, cr, parts, lf, nil)
+			stepP := Step[*ring.RangedCovar](plan, pure, parts, lf, nil)
 			if !stepF.Equal(stepP, eq) {
 				t.Fatalf("fused step (lift %q) differs from the pure step:\n%v\nvs\n%v", liftAttr, stepF, stepP)
 			}
@@ -134,13 +134,13 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 func TestStepOwnsItsOutput(t *testing.T) {
 	var cr ring.RangedCovarRing
 	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
-	plan := PlanJoin(sAB, sBC)
 	rnd := rand.New(rand.NewSource(11))
 	left, right := randRangedRelation(rnd, sAB, 12, 0, 1), randRangedRelation(rnd, sBC, 12, 0, 0)
 	left.Set(value.T(9, 5), cr.One())  // × right's One: group C=8
 	right.Set(value.T(5, 8), cr.One()) //
 	right.Set(value.T(1, 9), cr.One()) // × left's B=1 payloads: group C=9
-	right.AddIndex(plan.RightIndexKey())
+	schemas := []value.Schema{sAB, sBC}
+	right.AddIndex(PlanStep(schemas, 0, value.NewSchema(), "").IndexKey(1))
 	operands := map[*ring.RangedCovar]*ring.RangedCovar{}
 	arrays := map[uintptr]bool{}
 	for _, m := range []*Map[*ring.RangedCovar]{left, right} {
@@ -156,8 +156,9 @@ func TestStepOwnsItsOutput(t *testing.T) {
 		if liftAttr != "" {
 			lift = cr.Lift(1)
 		}
-		fused := plan.Then(PlanAggregate(plan.Out(), value.NewSchema("C"), liftAttr))
-		out := Step[*ring.RangedCovar](fused, cr, left, right, lift, nil)
+		plan := PlanStep(schemas, 0, value.NewSchema("C"), liftAttr)
+		parts := []*Map[*ring.RangedCovar]{left, right}
+		out := Step[*ring.RangedCovar](plan, cr, parts, lift, nil)
 		if out.Len() == 0 || out.Len() >= left.Len()*right.Len() {
 			t.Fatalf("fixture groups nothing: %d groups", out.Len())
 		}
@@ -172,7 +173,7 @@ func TestStepOwnsItsOutput(t *testing.T) {
 		// A commit takes the groups over and folds into them in place.
 		view := New[*ring.RangedCovar](out.schema)
 		view.Absorb(cr, out)
-		view.Absorb(cr, Step[*ring.RangedCovar](fused, cr, left, right, lift, nil))
+		view.Absorb(cr, Step[*ring.RangedCovar](plan, cr, parts, lift, nil))
 		for p, was := range operands {
 			if !p.Equal(was) {
 				t.Fatalf("lift %q: an operand payload was written: %v, was %v", liftAttr, p, was)

@@ -119,8 +119,8 @@
 // ownership rule is strict — the accumulator must be EXCLUSIVELY OWNED
 // by the caller, the other operands are only read, and the result must
 // be bit-identical to the pure composition. Two kinds of callers own an
-// accumulator: relation.Join/Aggregate own the payloads of the output
-// they are building (created by Own, Mul, Neg, One, a lift, or a
+// accumulator: relation.Step owns the payloads of the output it is
+// building (created by Own, Mul, Neg, One, a lift, or a
 // previous in-place call), and a relation.Map owns the payloads it
 // stores unless their entry is flagged shared — that is how a view
 // commits a delta in place (relation.Map.MergeAll). Rings implementing

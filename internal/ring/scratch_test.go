@@ -7,7 +7,7 @@ import (
 	"repro/internal/value"
 )
 
-// The fused accumulation paths of relation.Join/Aggregate rely on the
+// The fused accumulation paths of relation.Step rely on the
 // Scratch and FMA extensions being indistinguishable from the pure ring
 // operations: AddInto(own(a), b) must equal Add(a, b), MulAddInto(
 // own(c), a, b) must equal Add(c, Mul(a, b)), and the read-only

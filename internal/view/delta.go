@@ -98,7 +98,8 @@ func pathOf[V any](n *Node[V]) []*Node[V] {
 // view's contents: at each node the delta joins the materialized views
 // of the node's other children and the full contents of its other
 // anchored relations — all off-path state — and the node's variable is
-// marginalized, one fused relation.Step per node (stepPlan.eval). d is
+// marginalized, one relation.Step per node over the plan of the part
+// the delta replaces (Node.steps), which iterates the delta. d is
 // the delta of exclude, the operand it replaces at the first node p has
 // no step for yet. The steps evaluate into the path nodes' and the
 // tree's recycled buffers and the tree's steps scratch, which apply
@@ -106,7 +107,8 @@ func pathOf[V any](n *Node[V]) []*Node[V] {
 func (t *Tree[V]) propagate(p propagation[V], exclude, d *relation.Map[V], path []*Node[V]) propagation[V] {
 	var arr [4]*relation.Map[V]
 	for _, n := range path[len(p.steps):] {
-		d = n.step.eval(t.ring, n.parts(arr[:0], exclude, d), n.buf.take(n.keys, d.Len()))
+		parts, at := n.parts(arr[:0], exclude, d)
+		d = relation.Step(n.steps[at], t.ring, parts, n.lift, n.buf.take(n.keys, d.Len()))
 		p.steps = append(p.steps, d)
 		if d.Len() == 0 {
 			return p // the delta cancelled out; nothing to propagate
@@ -122,7 +124,7 @@ func (t *Tree[V]) propagate(p propagation[V], exclude, d *relation.Map[V], path 
 	for _, o := range root.resOthers {
 		parts = append(parts, o.view)
 	}
-	p.dres = root.resStep.eval(t.ring, parts, t.resBuf.take(t.result.Schema(), d.Len()))
+	p.dres = relation.Step(root.resStep, t.ring, parts, nil, t.resBuf.take(t.result.Schema(), d.Len()))
 	return p
 }
 

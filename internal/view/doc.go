@@ -59,11 +59,12 @@
 //     before ApplyDelta returns, sized by the delta they were made for
 //     and replaced when the next one is far from it) are tree-owned and
 //     recycled.
-//   - Each node carries a build-time evaluation plan (stepPlan: join
-//     and aggregation schema geometry, resolved lift), so per-delta
-//     evaluation re-derives nothing, and evaluates it as one fused
-//     relation.Step — probe, multiply, lift, group — that never
-//     materializes the join in front of the marginalization.
+//   - Each node carries build-time evaluation plans, one per part a
+//     delta can enter at (relation.StepPlan: probe keys, group and lift
+//     positions; and its resolved lift), so per-delta evaluation
+//     re-derives nothing, and evaluates the delta's as one
+//     relation.Step — iterate the delta, probe the other parts, multiply
+//     in operand order, lift, group — that never materializes a join.
 //   - Every part a delta can be joined against (sibling views, other
 //     anchored relations, other roots' views) carries a registered
 //     join-key index on exactly the common-key projection the node's
@@ -73,8 +74,8 @@
 //     probe and are maintained by the commit-phase merges; the maps
 //     live as long as the tree (a bulk load Resets them, which keeps
 //     registrations), so New registers once. A load's own deltas are
-//     the larger, unindexed operand of every join they meet, which
-//     Step answers by building and scanning.
+//     the larger side of every step they meet, so Step indexes each
+//     smaller part whose index is unbuilt for that call only.
 //   - A view OWNS the payloads it stores: commit (relation.Absorb)
 //     folds each delta into them in place, so a batch costs what its
 //     delta costs, not what the stored payloads weigh. Every payload

@@ -4,8 +4,8 @@ package view
 // over the pure ring Add must produce bit-identical trees after every
 // batch across a fuzzed parameter space, and an annihilation round-trip
 // property exercises the O(1) index-removal path until every batch's
-// postings are gone again. The stream helpers and the chain schema here
-// are shared by the package's other tests.
+// postings are gone again. The stream helpers and the chain and star
+// schemas here are shared by the package's other tests.
 
 import (
 	"fmt"
@@ -25,6 +25,36 @@ var chainRels = []vo.Rel{
 	{Name: "R", Schema: value.NewSchema("A", "B")},
 	{Name: "S", Schema: value.NewSchema("B", "C")},
 	{Name: "T", Schema: value.NewSchema("C", "D")},
+}
+
+// StarRels is a star join whose view tree has a node of four parts: F(A,
+// B, C) with X(A, D), Y(A, E) and W(A) on A, and Z(B, G) on B. V@A joins
+// V@B, V@D, V@E and the stored W, so a delta from Y or W enters a step of
+// four parts behind its first position; V@B joins V@C and V@G. Exported
+// for the view_test package.
+var StarRels = []vo.Rel{
+	{Name: "F", Schema: value.NewSchema("A", "B", "C")},
+	{Name: "X", Schema: value.NewSchema("A", "D")},
+	{Name: "Y", Schema: value.NewSchema("A", "E")},
+	{Name: "Z", Schema: value.NewSchema("B", "G")},
+	{Name: "W", Schema: value.NewSchema("A")},
+}
+
+// WidestStep returns the most parts any node of tr joins (children views
+// and anchored relations). Exported for the view_test package.
+func WidestStep[V any](tr *Tree[V]) int {
+	widest := 0
+	var walk func(n *Node[V])
+	walk = func(n *Node[V]) {
+		widest = max(widest, len(n.children)+len(n.rels))
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	for _, r := range tr.roots {
+		walk(r)
+	}
+	return widest
 }
 
 // PostOrderLifts builds rels' greedy variable order and lifts attrs
@@ -157,20 +187,24 @@ func mustTree[V any](t testing.TB, spec Spec[V]) *Tree[V] {
 // ownership rule can matter to its result.
 type pureRing[V any] struct{ ring.Ring[V] }
 
-// commitEquivalence drives two trees of one spec — one committing in
-// place, one over the pure ring — through the same stream in batches of
-// b and requires bit-identical state and consistent indexes after every
-// batch.
-func commitEquivalence[V any](t *testing.T, seed int64, b int, bias float64, build func(wrap func(ring.Ring[V]) ring.Ring[V]) *Tree[V]) {
-	inPlace := build(func(r ring.Ring[V]) ring.Ring[V] { return r })
-	pure := build(func(r ring.Ring[V]) ring.Ring[V] { return pureRing[V]{r} })
+// commitEquivalence drives two trees of one spec over rels — one
+// committing in place, one over the pure ring — through the same stream
+// in batches of b and requires bit-identical state and consistent
+// indexes after every batch.
+func commitEquivalence[V any](t *testing.T, rels []vo.Rel, seed int64, b int, bias float64, build func(rels []vo.Rel, wrap func(ring.Ring[V]) ring.Ring[V]) *Tree[V]) {
+	inPlace := build(rels, func(r ring.Ring[V]) ring.Ring[V] { return r })
+	pure := build(rels, func(r ring.Ring[V]) ring.Ring[V] { return pureRing[V]{r} })
 	trees := map[string]*Tree[V]{"in-place": inPlace, "pure": pure}
 
 	rnd := rand.New(rand.NewSource(seed))
 	init := map[string][]value.Tuple{}
-	for _, r := range chainRels {
+	for _, r := range rels {
 		for i := 0; i < 20; i++ {
-			init[r.Name] = append(init[r.Name], value.T(rnd.Intn(6), rnd.Intn(6)))
+			tp := make(value.Tuple, r.Schema.Len())
+			for j := range tp {
+				tp[j] = value.Int(int64(rnd.Intn(6)))
+			}
+			init[r.Name] = append(init[r.Name], tp)
 		}
 	}
 	for _, tr := range trees {
@@ -178,7 +212,7 @@ func commitEquivalence[V any](t *testing.T, seed int64, b int, bias float64, bui
 			t.Fatal(err)
 		}
 	}
-	ups := biasedStream(rnd, chainRels, 350, bias)
+	ups := biasedStream(rnd, rels, 350, bias)
 	for i := 0; i < len(ups); i += b {
 		end := min(i+b, len(ups))
 		for name, tr := range trees {
@@ -195,17 +229,21 @@ func commitEquivalence[V any](t *testing.T, seed int64, b int, bias float64, bui
 }
 
 // FuzzCommitEquivalence is the seeded property check of the in-place
-// commit: for ANY (seed, batch size, delete bias) and every payload
-// shape, the tree must stay bit-identical to one committed with the
-// pure ring Add after every batch, with every built index consistent.
-// The inputs are plain scalars, so a failing case replays
-// deterministically and the fuzzer shrinks it to a minimal corpus entry.
+// commit: for ANY (seed, batch size, delete bias), every payload shape
+// and both the chain and the star schema, the tree must stay
+// bit-identical to one committed with the pure ring Add after every
+// batch, with every built index consistent. The inputs are plain
+// scalars, so a failing case replays deterministically and the fuzzer
+// shrinks it to a minimal corpus entry.
 func FuzzCommitEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint8(35))
 	f.Add(int64(7), uint8(9), uint8(60))
 	// Annihilation-heavy: ~90% of steps delete a live tuple, so most of
 	// the stream drains postings through the O(1) removal path.
 	f.Add(int64(42), uint8(180), uint8(90))
+	if w := WidestStep(mustTree(f, Spec[int64]{Ring: ring.Ints{}, Relations: StarRels})); w < 3 {
+		f.Fatalf("the star tree's widest step joins %d parts; the schema no longer reaches a step of three or more", w)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, batch, delBias uint8) {
 		b := int(batch)%200 + 1
 		// Cap the bias below 1 so streams always make progress.
@@ -216,22 +254,29 @@ func FuzzCommitEquivalence(f *testing.F) {
 		// implement Scratch, so their views commit in place.
 		var cr ring.RangedCovarRing
 		rc := ring.NewRelCovarRing(3)
-		ord, lifts, _ := PostOrderLifts(t, chainRels, "B", "C", "D")
+		schemas := [][]vo.Rel{chainRels, StarRels}
 		t.Run("ints", func(t *testing.T) {
-			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[int64]) ring.Ring[int64]) *Tree[int64] {
-				return mustTree(t, Spec[int64]{Ring: wrap(ring.Ints{}), Relations: chainRels, Free: []string{"B"}})
-			})
+			for _, rels := range schemas {
+				commitEquivalence(t, rels, seed, b, bias, func(rels []vo.Rel, wrap func(ring.Ring[int64]) ring.Ring[int64]) *Tree[int64] {
+					return mustTree(t, Spec[int64]{Ring: wrap(ring.Ints{}), Relations: rels, Free: []string{"B"}})
+				})
+			}
 		})
 		t.Run("covar", func(t *testing.T) {
-			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[*ring.RangedCovar]) ring.Ring[*ring.RangedCovar]) *Tree[*ring.RangedCovar] {
-				return mustTree(t, Spec[*ring.RangedCovar]{Ring: wrap(cr), Order: ord, Relations: chainRels, Lifts: lifts})
-			})
+			for _, rels := range schemas {
+				ord, lifts, _ := PostOrderLifts(t, rels, "B", "C", "D")
+				commitEquivalence(t, rels, seed, b, bias, func(rels []vo.Rel, wrap func(ring.Ring[*ring.RangedCovar]) ring.Ring[*ring.RangedCovar]) *Tree[*ring.RangedCovar] {
+					return mustTree(t, Spec[*ring.RangedCovar]{Ring: wrap(cr), Order: ord, Relations: rels, Lifts: lifts})
+				})
+			}
 		})
 		t.Run("relcovar", func(t *testing.T) {
-			commitEquivalence(t, seed, b, bias, func(wrap func(ring.Ring[*ring.RelCovar]) ring.Ring[*ring.RelCovar]) *Tree[*ring.RelCovar] {
-				return mustTree(t, Spec[*ring.RelCovar]{Ring: wrap(rc), Relations: chainRels, Free: []string{"C"},
-					Lifts: map[string]ring.Lift[*ring.RelCovar]{"A": rc.LiftContinuous(0), "B": rc.LiftCategorical(1), "D": rc.LiftContinuous(2)}})
-			})
+			for _, rels := range schemas {
+				commitEquivalence(t, rels, seed, b, bias, func(rels []vo.Rel, wrap func(ring.Ring[*ring.RelCovar]) ring.Ring[*ring.RelCovar]) *Tree[*ring.RelCovar] {
+					return mustTree(t, Spec[*ring.RelCovar]{Ring: wrap(rc), Relations: rels, Free: []string{"C"},
+						Lifts: map[string]ring.Lift[*ring.RelCovar]{"A": rc.LiftContinuous(0), "B": rc.LiftCategorical(1), "D": rc.LiftContinuous(2)}})
+				})
+			}
 		})
 	})
 }

@@ -104,7 +104,7 @@ func TestIndexRegistration(t *testing.T) {
 }
 
 // TestIndexedDeltaMatchesRecompute: incrementally maintained views
-// (which run the JoinProbeWith path and the index-maintaining merges)
+// (which run Step's index probes and the index-maintaining merges)
 // must stay bit-identical to a from-scratch bulk load of the same live
 // data — the strongest end-to-end check that index probes see exactly
 // the live entries.

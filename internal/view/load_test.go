@@ -84,7 +84,7 @@ func TestLoadLeavesViewsOwningTheirPayloads(t *testing.T) {
 	loaded := map[slot]*ring.RangedCovar{}
 	var walk func(n *Node[*ring.RangedCovar])
 	walk = func(n *Node[*ring.RangedCovar]) {
-		if n.step.lift != nil && n.parent != nil && len(n.parent.step.joins) > 0 {
+		if n.lift != nil && n.parent != nil && len(n.parent.steps) > 1 {
 			n.view.Each(func(tp value.Tuple, p *ring.RangedCovar) { loaded[slot{n.view, tp.Encode()}] = p })
 		}
 		for _, c := range n.children {

@@ -2,6 +2,7 @@ package view
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -44,14 +45,16 @@ type Node[V any] struct {
 	free     bool         // whether vn.Var is a group-by variable
 	view     *relation.Map[V]
 
-	// step is the node's evaluation plan, fixed at build time (deriving
-	// the schema geometry per evaluation costs a dozen allocations — the
-	// dominant cost of single-tuple deltas). Root nodes additionally plan
-	// the result-level step of propagate: the root's delta joined with
-	// the other roots' views (resOthers) and projected to the result
-	// schema.
-	step      stepPlan[V]
-	resStep   stepPlan[V]
+	// steps[d] is the node's evaluation plan for a delta entering at
+	// part d (see parts), fixed at build time: deriving the schema
+	// geometry per evaluation costs a dozen allocations, the dominant
+	// cost of single-tuple deltas. lift is the lift of the node's
+	// variable, nil for none. Root nodes additionally plan the
+	// result-level step of propagate: the root's delta joined with the
+	// other roots' views (resOthers) and projected to the result schema.
+	steps     []*relation.StepPlan
+	lift      ring.Lift[V]
+	resStep   *relation.StepPlan
 	resOthers []*Node[V]
 
 	// buf recycles the node's delta view across ApplyDelta calls (see
@@ -59,74 +62,21 @@ type Node[V any] struct {
 	buf deltaBuf[V]
 }
 
-// stepPlan is the build-time plan of one propagation step over k
-// operands of fixed schemas: plain joins fold operands 0..k-2 left to
-// right and the last join runs fused with the marginalization (its plan
-// is the join's Then(agg)), so the join in front of an aggregation is
-// never materialized; agg alone serves a single operand.
-type stepPlan[V any] struct {
-	joins []*relation.JoinPlan
-	agg   *relation.AggPlan
-	lift  ring.Lift[V]
-}
-
-// planStep plans joining relations over schemas (at least one) and
-// aggregating onto out, lifting liftAttr when lift is non-nil and the
-// attribute survives into the join.
-func planStep[V any](schemas []value.Schema, out value.Schema, liftAttr string, lift ring.Lift[V]) stepPlan[V] {
-	var sp stepPlan[V]
-	acc := schemas[0]
-	for _, s := range schemas[1:] {
-		pl := relation.PlanJoin(acc, s)
-		sp.joins = append(sp.joins, pl)
-		acc = pl.Out()
-	}
-	if lift != nil && acc.Has(liftAttr) {
-		sp.lift = lift
-	} else {
-		liftAttr = ""
-	}
-	sp.agg = relation.PlanAggregate(acc, out, liftAttr)
-	if last := len(sp.joins) - 1; last >= 0 {
-		sp.joins[last] = sp.joins[last].Then(sp.agg)
+// planStep plans a step over parts of the given schemas for a delta
+// entering at part d (relation.PlanStep) and registers on every other
+// part the persistent join-key index the plan probes it on. The maps
+// live as long as the tree (a bulk load resets them in place, which
+// keeps registrations), and registration is cheap: an index
+// materializes on its first probe, so a delta position no workload
+// updates costs nothing.
+func planStep[V any](schemas []value.Schema, parts []*relation.Map[V], d int, out value.Schema, liftAttr string) *relation.StepPlan {
+	sp := relation.PlanStep(schemas, d, out, liftAttr)
+	for j, m := range parts {
+		if j != d {
+			m.AddIndex(sp.IndexKey(j))
+		}
 	}
 	return sp
-}
-
-// eval runs the step over parts — the planned operands in their fixed
-// order, one substituted by a delta of identical schema, so the
-// build-time plan stays valid — into out (empty, or nil for a fresh
-// relation). Every join goes through relation.Step, so a delta-sized
-// operand probes the persistent join-key index of the full-size part
-// instead of the part being scanned — work proportional to the delta,
-// not the database — and an unindexed larger operand (the intermediate
-// accumulator, or the relation a bulk load is applying) is built
-// against and scanned.
-//
-// Scope of the O(|delta|) bound: the left fold keeps the fixed part
-// order, so the bound holds when the delta substitutes one of the first
-// two parts — always true with at most two parts (the common shape:
-// every node of the Retailer evaluation tree joins at most two, so its
-// whole step is the one fused pass). With three or more parts and the
-// delta at position >= 2, the first join still combines two full parts
-// and costs what the pre-index path did. Reordering the fold
-// delta-first would fix that corner but reorder the ring products. No
-// engine kind runs a non-commutative product — RangedCovarRing.Mul
-// orders its operands by range, and RelCovar's product commutes on
-// payloads (both pinned in internal/ring) — but the test-only
-// Relational and Matrix rings run through this tree and need operand
-// order kept, so the fix needs per-position plans that still multiply
-// in operand order (ROADMAP).
-func (sp *stepPlan[V]) eval(r ring.Ring[V], parts []*relation.Map[V], out *relation.Map[V]) *relation.Map[V] {
-	last := len(sp.joins) - 1
-	if last < 0 {
-		return relation.AggregateWith(sp.agg, r, parts[0], sp.lift, out)
-	}
-	j := parts[0]
-	for i, pl := range sp.joins[:last] {
-		j = relation.JoinProbeWith(pl, r, j, parts[i+1])
-	}
-	return relation.Step(sp.joins[last], r, j, parts[last+1], sp.lift, out)
 }
 
 // deltaBuf is the recycled output relation of one propagation step:
@@ -332,46 +282,22 @@ func New[V any](spec Spec[V]) (*Tree[V], error) {
 		resSchema = resSchema.Union(r.keys)
 	}
 	t.result = relation.New[V](resSchema)
-	// Plan each root's result-level step (see propagate): join the other
-	// root views in t.roots order, each probed on its registered index,
-	// and project to the result schema.
+	// Plan each root's result-level step (see propagate): the root's
+	// delta at part 0, probing the other root views in t.roots order on
+	// their registered indexes, projected to the result schema.
 	for _, root := range t.roots {
 		schemas := []value.Schema{root.keys}
+		parts := []*relation.Map[V]{root.view}
 		for _, r := range t.roots {
 			if r != root {
 				root.resOthers = append(root.resOthers, r)
 				schemas = append(schemas, r.keys)
+				parts = append(parts, r.view)
 			}
 		}
-		root.resStep = planStep[V](schemas, resSchema, "", nil)
-		for i, pl := range root.resStep.joins {
-			root.resOthers[i].view.AddIndex(pl.RightIndexKey())
-		}
+		root.resStep = planStep(schemas, parts, 0, resSchema, "")
 	}
 	return t, nil
-}
-
-// registerIndexes declares the persistent join-key indexes the delta
-// path probes at n (see relation.Step): on each of n's parts — children
-// views and anchored relations — the projection of the common key the
-// node's join plans probe that part on. buildNode runs it once per
-// node: the maps live as long as the tree (a bulk load resets them in
-// place, which keeps registrations). Registration is cheap: an index
-// materializes lazily on its first probe, so a probe direction no
-// workload updates costs nothing.
-func (n *Node[V]) registerIndexes() {
-	joins := n.step.joins
-	if len(joins) == 0 {
-		return // single-part node: the delta replaces the only part, nothing is probed
-	}
-	parts := n.parts(nil, nil, nil)
-	// The first join may probe either operand (whichever one the delta
-	// did not substitute); every later step accumulates the delta-sized
-	// relation on the left and probes the right part.
-	parts[0].AddIndex(joins[0].LeftIndexKey())
-	for i, pl := range joins {
-		parts[i+1].AddIndex(pl.RightIndexKey())
-	}
 }
 
 func (t *Tree[V]) buildNode(vn *vo.Node, parent *Node[V]) *Node[V] {
@@ -401,9 +327,9 @@ func (t *Tree[V]) buildNode(vn *vo.Node, parent *Node[V]) *Node[V] {
 	}
 	n.keys = keys
 	n.view = relation.New[V](keys)
-	// Plan the node's evaluation: left-fold joins over the parts
-	// (children views then anchored relations, the parts order), then
-	// the aggregation away of this node's variable.
+	// Plan the node's evaluation, one plan per part a delta can enter
+	// at: the join of the parts (children views then anchored relations,
+	// the parts order) and the aggregation away of this node's variable.
 	schemas := make([]value.Schema, 0, len(n.children)+len(n.rels))
 	for _, c := range n.children {
 		schemas = append(schemas, c.keys)
@@ -411,9 +337,13 @@ func (t *Tree[V]) buildNode(vn *vo.Node, parent *Node[V]) *Node[V] {
 	for _, r := range n.rels {
 		schemas = append(schemas, r.schema)
 	}
-	if len(schemas) > 0 {
-		n.step = planStep(schemas, keys, vn.Var, t.lifts[vn.Var])
-		n.registerIndexes()
+	liftAttr := ""
+	if n.lift = t.lifts[vn.Var]; n.lift != nil {
+		liftAttr = vn.Var
+	}
+	parts, _ := n.parts(nil, nil, nil)
+	for d := range schemas {
+		n.steps = append(n.steps, planStep(schemas, parts, d, keys, liftAttr))
 	}
 	return n
 }
@@ -509,26 +439,22 @@ func (t *Tree[V]) SwapResult(m *relation.Map[V]) *relation.Map[V] {
 // Stats returns maintenance counters accumulated so far.
 func (t *Tree[V]) Stats() Stats { return t.stats }
 
-// parts appends to out the operand relations joined at node n: children
-// views then anchored relations, with exclude (a child view or source
-// data — nil for the one relation of a node that stores none) replaced
-// by repl.
-func (n *Node[V]) parts(out []*relation.Map[V], exclude, repl *relation.Map[V]) []*relation.Map[V] {
+// parts appends to out the operand relations joined at node n —
+// children views then anchored relations — with exclude (a child view or
+// source data, nil for the one relation of a node that stores none)
+// replaced by repl, and returns them with repl's position.
+func (n *Node[V]) parts(out []*relation.Map[V], exclude, repl *relation.Map[V]) ([]*relation.Map[V], int) {
 	for _, c := range n.children {
-		if c.view == exclude {
-			out = append(out, repl)
-		} else {
-			out = append(out, c.view)
-		}
+		out = append(out, c.view)
 	}
 	for _, r := range n.rels {
-		if r.data == exclude {
-			out = append(out, repl)
-		} else {
-			out = append(out, r.data)
-		}
+		out = append(out, r.data)
 	}
-	return out
+	at := slices.Index(out, exclude)
+	if at >= 0 {
+		out[at] = repl
+	}
+	return out, at
 }
 
 // load is the one bulk-load path (Init, InitWeighted, ReadSnapshot),
@@ -536,11 +462,11 @@ func (n *Node[V]) parts(out []*relation.Map[V], exclude, repl *relation.Map[V]) 
 // delta per relation. It empties every source, view and the result in
 // place — Reset keeps index registrations, and an index a probe already
 // built stays maintained — then runs each relation through the
-// maintenance path, smallest first: every join on that path sees the
-// relation being loaded as its larger operand, which as a delta carries
-// no index, so relation.Step builds on the smaller sibling and scans
-// the load rather than materializing a persistent index on the sibling
-// (the choice lives in Step, made from what it observes). Steps of a
+// maintenance path, smallest first: every step on that path iterates
+// the relation being loaded, its delta and its larger side, so
+// relation.Step indexes each smaller sibling for the call rather than
+// materializing a persistent index on it (the choice lives in Step,
+// made from what it observes). Steps of a
 // load evaluate into the nodes' delta buffers like any other; release
 // drops what is load-sized. data's relations carry the sources'
 // schemas, except those named in views: a snapshot's anchor views (see

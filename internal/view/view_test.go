@@ -39,77 +39,95 @@ func updates(rel string, mult int, tuples ...value.Tuple) []view.Update {
 }
 
 // TestRandomEquivalence is the central engine property test: on random
-// three-relation databases with random mixed insert/delete streams, the
-// maintained count must equal brute-force recomputation after every
-// update batch.
+// databases with random mixed insert/delete streams, the maintained
+// count must equal brute-force recomputation after every update batch.
+// It runs the three-relation chain, whose steps join at most two parts,
+// and the star view.StarRels, whose root step joins four.
 func TestRandomEquivalence(t *testing.T) {
-	rels := []vo.Rel{
+	chain := []vo.Rel{
 		{Name: "R", Schema: value.NewSchema("A", "B")},
 		{Name: "S", Schema: value.NewSchema("B", "C")},
 		{Name: "T", Schema: value.NewSchema("C", "D")},
 	}
 	z := ring.Ints{}
 	rng := rand.New(rand.NewSource(23))
+	tuple := func(r vo.Rel) value.Tuple {
+		tp := make(value.Tuple, r.Schema.Len())
+		for i := range tp {
+			tp[i] = value.Int(int64(rng.Intn(3)))
+		}
+		return tp
+	}
 
-	for iter := 0; iter < 40; iter++ {
-		tr, err := view.New(view.Spec[int64]{Ring: z, Relations: rels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Shadow copies for the naive recomputation.
-		shadow := map[string]*relation.Map[int64]{}
-		for _, r := range rels {
-			shadow[r.Name] = relation.New[int64](r.Schema)
-		}
-		init := map[string][]value.Tuple{}
-		for _, r := range rels {
-			n := rng.Intn(8)
-			for i := 0; i < n; i++ {
-				tp := value.T(rng.Intn(3), rng.Intn(3))
-				init[r.Name] = append(init[r.Name], tp)
-				shadow[r.Name].Merge(z, tp, 1)
-			}
-		}
-		if err := tr.Init(init); err != nil {
-			t.Fatal(err)
-		}
-
-		check := func(step int) {
-			t.Helper()
-			want := sumAll(naiveCount(rels, shadow))
-			got := tr.ResultPayload()
-			if got != want {
-				t.Fatalf("iter %d step %d: maintained count %d, naive %d", iter, step, got, want)
-			}
-		}
-		check(-1)
-
-		// Random update stream: inserts anywhere; deletes only of live
-		// tuples (well-formed streams).
-		for step := 0; step < 30; step++ {
-			r := rels[rng.Intn(len(rels))]
-			sh := shadow[r.Name]
-			var up view.Update
-			if sh.Len() > 0 && rng.Intn(2) == 0 {
-				// Delete a random existing tuple.
-				k := rng.Intn(sh.Len())
-				var pick value.Tuple
-				i := 0
-				sh.Each(func(tp value.Tuple, _ int64) {
-					if i == k {
-						pick = tp
-					}
-					i++
-				})
-				up = view.Update{Rel: r.Name, Tuple: pick, Mult: -1}
-			} else {
-				up = view.Update{Rel: r.Name, Tuple: value.T(rng.Intn(3), rng.Intn(3)), Mult: 1}
-			}
-			sh.Merge(z, up.Tuple, int64(up.Mult))
-			if err := tr.ApplyUpdates([]view.Update{up}); err != nil {
+	for _, c := range []struct {
+		name   string
+		rels   []vo.Rel
+		widest int
+	}{{"chain", chain, 2}, {"star", view.StarRels, 4}} {
+		rels := c.rels
+		for iter := 0; iter < 40; iter++ {
+			tr, err := view.New(view.Spec[int64]{Ring: z, Relations: rels})
+			if err != nil {
 				t.Fatal(err)
 			}
-			check(step)
+			if w := view.WidestStep(tr); w != c.widest {
+				t.Fatalf("%s: the widest step joins %d parts, want %d", c.name, w, c.widest)
+			}
+			// Shadow copies for the naive recomputation.
+			shadow := map[string]*relation.Map[int64]{}
+			for _, r := range rels {
+				shadow[r.Name] = relation.New[int64](r.Schema)
+			}
+			init := map[string][]value.Tuple{}
+			for _, r := range rels {
+				n := rng.Intn(8)
+				for i := 0; i < n; i++ {
+					tp := tuple(r)
+					init[r.Name] = append(init[r.Name], tp)
+					shadow[r.Name].Merge(z, tp, 1)
+				}
+			}
+			if err := tr.Init(init); err != nil {
+				t.Fatal(err)
+			}
+
+			check := func(step int) {
+				t.Helper()
+				want := sumAll(naiveCount(rels, shadow))
+				got := tr.ResultPayload()
+				if got != want {
+					t.Fatalf("%s iter %d step %d: maintained count %d, naive %d", c.name, iter, step, got, want)
+				}
+			}
+			check(-1)
+
+			// Random update stream: inserts anywhere; deletes only of live
+			// tuples (well-formed streams).
+			for step := 0; step < 30; step++ {
+				r := rels[rng.Intn(len(rels))]
+				sh := shadow[r.Name]
+				var up view.Update
+				if sh.Len() > 0 && rng.Intn(2) == 0 {
+					// Delete a random existing tuple.
+					k := rng.Intn(sh.Len())
+					var pick value.Tuple
+					i := 0
+					sh.Each(func(tp value.Tuple, _ int64) {
+						if i == k {
+							pick = tp
+						}
+						i++
+					})
+					up = view.Update{Rel: r.Name, Tuple: pick, Mult: -1}
+				} else {
+					up = view.Update{Rel: r.Name, Tuple: tuple(r), Mult: 1}
+				}
+				sh.Merge(z, up.Tuple, int64(up.Mult))
+				if err := tr.ApplyUpdates([]view.Update{up}); err != nil {
+					t.Fatal(err)
+				}
+				check(step)
+			}
 		}
 	}
 }

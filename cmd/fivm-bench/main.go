@@ -2,42 +2,37 @@
 // (docs/REPRODUCTION.md records one run): Figure 1's worked example
 // (e1), the §1 throughput claims (e2), the application tabs (e3–e6), the
 // batch/aggregate sweeps (e7), the Favorita database (e8), and the
-// ablations (a1, a3). It also drives HTTP load against a live server
-// (loadgen) and proxies one with injected network faults (chaos), which
-// is how CI smoke-tests the real binaries.
+// ablations (a1, a3). It measures the engine in-process; the served
+// binaries are measured end to end by bench/ (see BENCHMARK.json).
 //
 // Usage:
 //
 //	fivm-bench -exp e2 -scale demo
 //	fivm-bench -exp all -scale small
-//	fivm-bench loadgen -url http://localhost:8344 -duration 10s -concurrency 8 -write-ratio 0.5 [-json LOADGEN.json]
-//	fivm-bench chaos -target 127.0.0.1:8351 [-listen 127.0.0.1:9351] [-seed 1] [-weights none=90,reset=5,blackhole=5] [-partition-every 5s] [-json CHAOS.json]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/exec"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		os.Exit(runLoadgen(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		os.Exit(runChaos(os.Args[2:]))
-	}
-
 	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a3|all")
 	scale := flag.String("scale", "small", "workload scale: small|demo")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag.Parse stops at the first positional argument, so without
+		// this a stray word would silently run every experiment.
+		fmt.Fprintf(os.Stderr, "fivm-bench: unexpected argument %q (fivm-bench takes only flags)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var sc experiments.Scale
 	switch *scale {
@@ -71,65 +66,20 @@ func main() {
 	}
 }
 
-// runLoadgen drives mixed read/write HTTP traffic against a live
-// fivm-serve instance and reports throughput plus client-side latency
-// quantiles (RunLoadgen). The report always goes to stdout; -json
-// additionally writes it to a file, which is how the CI serving smoke
-// archives it.
-func runLoadgen(args []string) int {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	url := fs.String("url", "http://localhost:8344", "base URL of the fivm-serve instance")
-	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
-	concurrency := fs.Int("concurrency", 8, "number of client goroutines")
-	writeRatio := fs.Float64("write-ratio", 0.5, "fraction of requests that are POST /v1/update (rest are GET /v1/model)")
-	batch := fs.Int("batch", 8, "tuples per write request")
-	seed := fs.Int64("seed", 1, "RNG seed for the generated tuple stream")
-	retries := fs.Int("retries", 0, "client retries per request (0 = a fault counts as an error; >0 = chaos mode, batch-ID dedup absorbs redeliveries)")
-	jsonOut := fs.String("json", "", "also write the JSON report to this file")
-	fs.Parse(args)
-
-	rep, err := RunLoadgen(LoadgenConfig{
-		URL:         *url,
-		Duration:    *duration,
-		Concurrency: *concurrency,
-		WriteRatio:  *writeRatio,
-		BatchSize:   *batch,
-		Seed:        *seed,
-		Retries:     *retries,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 1
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-		return 1
-	}
-	fmt.Println(string(out))
-	if *jsonOut != "" {
-		if err := os.WriteFile(*jsonOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fivm-bench: %v\n", err)
-			return 1
-		}
-	}
-	return 0
-}
-
 // runE1 replays Figure 1 by delegating to the quickstart example, which
 // prints the toy database's payloads under all four rings.
 func runE1(experiments.Scale) error {
 	fmt.Println("Figure 1 worked example (see also examples/quickstart and")
 	fmt.Println("go test ./internal/view -run TestFigure1):")
+	if _, err := os.Stat("examples/quickstart"); err != nil {
+		// No source tree here (e.g. an installed binary): point at it.
+		fmt.Println("  (run examples/quickstart from the repository root for the full output)")
+		return nil
+	}
 	cmd := exec.Command("go", "run", "./examples/quickstart")
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		// Fall back to a pointer when the source tree is unavailable
-		// (e.g. installed binary).
-		fmt.Println("  (run examples/quickstart from the repository root for the full output)")
-	}
-	return nil
+	return cmd.Run()
 }
 
 func runE2(sc experiments.Scale) error {

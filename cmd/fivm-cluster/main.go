@@ -114,6 +114,17 @@ func main() {
 	if (*shards == "") == (*spawn <= 0) {
 		fatalUsage("exactly one of -shards or -spawn is required")
 	}
+	if *shards != "" {
+		// These flags configure the workers -spawn forks. Existing
+		// workers run with their own, so here the flags would be
+		// silently ignored: -wal would promise durability nobody gets.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "wal", "fsync", "high-watermark", "dedup-cap", "checkpoint-interval", "spawn-port":
+				fatalUsage("-" + f.Name + " configures the workers -spawn forks and is refused with -shards; configure each existing worker instead")
+			}
+		})
+	}
 	// Validate the shared engine configuration up front, with the same
 	// error text the workers themselves would print.
 	probe := o

@@ -2,10 +2,12 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,13 +23,16 @@ import (
 // exercised by real transport faults, not mocks.
 type chaosCluster struct {
 	rt      *cluster.Router
+	url     string // the router's HTTP surface
 	cli     *client.Client
 	proxies []*faultnet.Proxy
-	workers []*httptest.Server
+	workers []*durableWorker
 }
 
-// startChaosCluster boots n workers, one seeded fault proxy per worker,
-// and a router whose shard URLs point at the proxies. The shard HTTP
+// startChaosCluster boots n WAL-backed workers, one seeded fault proxy
+// per worker, and a router whose shard URLs point at the proxies. A
+// worker restarted with crash() and start() keeps its address, so its
+// proxy reaches the recovered process unchanged. The shard HTTP
 // client disables keep-alives (one request = one connection = one
 // scheduled fault decision) and carries a 1s timeout so blackholed
 // connections resolve instead of hanging an attempt forever.
@@ -35,9 +40,11 @@ func startChaosCluster(t *testing.T, cfg fivm.Config, n int, seed int64, w fault
 	t.Helper()
 	cc := &chaosCluster{}
 	urls := make([]string, n)
+	dir := t.TempDir()
 	for i := 0; i < n; i++ {
-		ws := startWorker(t, cfg)
-		p, err := faultnet.Start(strings.TrimPrefix(ws.URL, "http://"), faultnet.NewRandSchedule(seed+int64(i), w))
+		ws := &durableWorker{t: t, cfg: cfg, dir: filepath.Join(dir, fmt.Sprintf("shard-%d", i))}
+		ws.start()
+		p, err := faultnet.Start(ws.addr, faultnet.NewRandSchedule(seed+int64(i), w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,12 +72,61 @@ func startChaosCluster(t *testing.T, cfg fivm.Config, n int, seed int64, w fault
 		hs.Close()
 		rt.Close()
 	})
-	cc.rt = rt
+	cc.rt, cc.url = rt, hs.URL
 	// Retries disabled on the test client: the test's own ack-until
 	// loop is the retrying writer, re-sending the identical batch under
 	// its fixed ID — the exactly-once usage pattern.
 	cc.cli = client.New(hs.URL, client.WithRetries(0))
 	return cc
+}
+
+// workerRows reads the router's per-worker /v1/stats rows, polling
+// until every row answered: the router's stats fetch crosses the
+// faulty links too, and a failed fetch leaves its row zeroed.
+func (cc *chaosCluster) workerRows(t *testing.T) []workerRow {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var body struct {
+			Workers []workerRow `json:"workers"`
+		}
+		resp, err := http.Get(cc.url + "/v1/stats")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+		}
+		ok := err == nil && len(body.Workers) == len(cc.workers)
+		for _, r := range body.Workers {
+			ok = ok && r.OK
+		}
+		if ok {
+			return body.Workers
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router stats never reached every worker: %v %+v", err, body.Workers)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// workerRow is one worker's row in the router's /v1/stats body.
+type workerRow struct {
+	ID             int    `json:"id"`
+	OK             bool   `json:"ok"`
+	AckedUpdates   uint64 `json:"acked_updates"`
+	AppliedUpdates uint64 `json:"applied_updates"`
+}
+
+// mergedJSON is the router's strict merged model, rendered.
+func (cc *chaosCluster) mergedJSON(t *testing.T) []byte {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	m, err := cc.rt.MergedModel(ctx)
+	if err != nil {
+		t.Fatalf("merged model: %v", err)
+	}
+	return resultJSONBytes(t, m)
 }
 
 // mustAck re-sends the identical batch under one fixed ID until the
@@ -95,10 +151,14 @@ func mustAck(t *testing.T, cli *client.Client, id string, ups []client.Update) *
 }
 
 // TestClusterChaosEquivalence drives the equivalence stream through a
-// 2-shard cluster whose router↔worker links inject seeded faults —
-// added latency, mid-request resets, blackholes, truncated responses,
-// and one full partition of shard 0 mid-stream — with the writer
-// retrying every batch under a fixed ID until acked. For every
+// 2-shard cluster of WAL-backed workers whose router↔worker links
+// inject seeded faults — added latency, mid-request resets, blackholes,
+// truncated responses, and one full partition of shard 0 mid-stream —
+// with the writer retrying every batch under a fixed ID until acked.
+// Right after the partition, shard 1 crashes and recovers from its WAL,
+// and the batch acked just before the crash is re-driven under its ID:
+// the recovered worker must answer it from the dedup entries its WAL
+// replay seeded, leaving the merged model unchanged. For every
 // configuration of engineConfigs the final merged model must be
 // bit-identical to a clean single engine fed the same stream once:
 // retries re-deliver, the dedup layer makes redelivery the ring
@@ -122,20 +182,32 @@ func TestClusterChaosEquivalence(t *testing.T) {
 		cfg, seed := configs[kind], int64(1000+100*i)
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
+			// The reference publishes wherever the test reads the
+			// cluster, each model warm-started from the last like the
+			// router's merger does: the analysis fit's iteration count
+			// and last bits depend on the starting point.
 			ref, err := fivm.Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, b := range batches {
-				ups := make([]view.Update, len(b))
-				for i, tw := range b {
-					ups[i] = tw.ref
+			var refModel fivm.Model
+			apply := func(bs [][]twin) []byte {
+				for _, b := range bs {
+					ups := make([]view.Update, len(b))
+					for i, tw := range b {
+						ups[i] = tw.ref
+					}
+					if err := ref.Apply(ups); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := ref.Apply(ups); err != nil {
-					t.Fatal(err)
-				}
+				refModel = ref.PublishModel(refModel)
+				return resultJSONBytes(t, refModel)
 			}
-			want := resultJSONBytes(t, ref.PublishModel(nil))
+			half := len(batches) / 2
+			wantRecovered := apply(batches[:half+1])
+			wantRedriven := apply(nil)
+			want := apply(batches[half+1:])
 
 			cc := startChaosCluster(t, cfg, 2, seed, weights)
 			for bi, b := range batches {
@@ -144,7 +216,7 @@ func TestClusterChaosEquivalence(t *testing.T) {
 					wire[i] = tw.wire
 				}
 				id := cc.cli.NextBatchID()
-				if bi == len(batches)/2 {
+				if bi == half {
 					// Full partition of shard 0: the first delivery
 					// attempt of this batch is doomed (or at best
 					// partial), then the link heals and the SAME ID is
@@ -156,16 +228,32 @@ func TestClusterChaosEquivalence(t *testing.T) {
 					cc.proxies[0].Partition(false)
 				}
 				mustAck(t, cc.cli, id, wire)
+				if bi == half {
+					// kill -9 of shard 1 and a restart on its WAL, then
+					// a client retry of the batch acked just before: the
+					// recovered worker must answer it from the dedup
+					// entries its WAL replay seeded.
+					cc.workers[1].crash()
+					cc.workers[1].start()
+					if got := cc.mergedJSON(t); string(got) != string(wantRecovered) {
+						t.Fatalf("merged model after shard 1 recovered diverges from the acked prefix\n got: %s\nwant: %s", got, wantRecovered)
+					}
+					mustAck(t, cc.cli, id, wire)
+					if got := cc.mergedJSON(t); string(got) != string(wantRedriven) {
+						t.Fatalf("re-driving batch %s after shard 1 recovered changed the merged model\n got: %s\nwant: %s", id, got, wantRedriven)
+					}
+				}
 			}
 
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			m, err := cc.rt.MergedModel(ctx)
-			if err != nil {
-				t.Fatalf("merged model: %v", err)
-			}
-			if got := resultJSONBytes(t, m); string(got) != string(want) {
+			if got := cc.mergedJSON(t); string(got) != string(want) {
 				t.Errorf("chaos merged model diverges from clean single engine\n got: %s\nwant: %s", got, want)
+			}
+			// Not equality: a truncated response leaves an applied
+			// sub-batch unacked, and its retry is deduped, not counted.
+			for _, r := range cc.workerRows(t) {
+				if r.AckedUpdates > r.AppliedUpdates {
+					t.Errorf("worker %d acked %d updates but applied only %d", r.ID, r.AckedUpdates, r.AppliedUpdates)
+				}
 			}
 			var conns, faulted int64
 			for _, p := range cc.proxies {
@@ -223,7 +311,7 @@ func TestClusterDuplicateDelivery(t *testing.T) {
 
 	applied := make([]uint64, len(cc.workers))
 	for i, ws := range cc.workers {
-		st, err := client.New(ws.URL).Stats(ctx)
+		st, err := client.New(ws.URL()).Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +335,7 @@ func TestClusterDuplicateDelivery(t *testing.T) {
 	}
 
 	for i, ws := range cc.workers {
-		st, err := client.New(ws.URL).Stats(ctx)
+		st, err := client.New(ws.URL()).Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -245,7 +245,7 @@ func TestClusterReadThroughHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(st.Shards) != 2 {
-		t.Errorf("stats shards = %v, want the 2 relations for loadgen discovery", st.Shards)
+		t.Errorf("stats shards = %v, want the 2 relations for schema discovery", st.Shards)
 	}
 }
 

@@ -267,8 +267,9 @@ type workerStatus struct {
 }
 
 // handleStats aggregates every reachable worker's counters. The
-// "shards" object keeps the worker wire shape (relation → arity), so
-// discovery-driven tools (the loadgen) work unchanged against a router.
+// "shards" object keeps the worker wire shape (relation → arity), so a
+// client that discovers the schema from it works unchanged against a
+// router.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	workers := make([]workerStatus, len(rt.shards))
 	var ingested, applied, shed uint64

@@ -34,6 +34,12 @@ func BuildEngineConfig(db string, rows int, load bool, engine, query, relations,
 		// confusing fivm.Open errors blaming flags the user never set.
 		return cfg, nil, fmt.Errorf("-db %s defines its own relations, features, and engine kind; drop -relations/-features/-attrs/-query/-engine", db)
 	}
+	if rows < 0 {
+		return cfg, nil, fmt.Errorf("-rows %d is negative (0 selects the preset default)", rows)
+	}
+	if rows != 0 && db == "" {
+		return cfg, nil, errors.New("-rows sizes a -db preset's fact table; it has no effect without -db")
+	}
 	switch db {
 	case "retailer":
 		rcfg := dataset.DefaultRetailerConfig()

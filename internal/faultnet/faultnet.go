@@ -13,9 +13,7 @@
 // disabled on the client side, one request is one connection is one
 // scheduled decision.
 //
-// Tests use it programmatically (Start, Partition, Close);
-// `fivm-bench chaos` wraps the same proxy as a CLI for shell-driven
-// chaos runs.
+// Tests use it programmatically (Start, Partition, Close).
 package faultnet
 
 import (
@@ -199,17 +197,12 @@ type Proxy struct {
 // accepted connection to target ("host:port"), applying sched's
 // decision for it.
 func Start(target string, sched Schedule) (*Proxy, error) {
-	return Listen("127.0.0.1:0", target, sched)
-}
-
-// Listen is Start on an explicit listen address.
-func Listen(addr, target string, sched Schedule) (*Proxy, error) {
 	if sched == nil {
 		sched = Script()
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("faultnet: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("faultnet: listen: %w", err)
 	}
 	p := &Proxy{
 		target:    target,

@@ -15,7 +15,7 @@ import (
 // headers, every sample line splits into a valid series name and a
 // parseable float value, and label blocks are brace-balanced. It is
 // the counterpart of Registry.WritePrometheus, shared by the
-// exposition-format tests and the loadgen smoke check.
+// exposition-format tests and the benchmark's /metrics scrape (bench/).
 func ParseExposition(r io.Reader) (map[string]float64, error) {
 	samples := make(map[string]float64)
 	sc := bufio.NewScanner(r)

@@ -18,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 
 	"repro/internal/experiments"
 )
@@ -26,44 +27,75 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a3|all")
 	scale := flag.String("scale", "small", "workload scale: small|demo")
 	flag.Parse()
-	if flag.NArg() > 0 {
-		// flag.Parse stops at the first positional argument, so without
-		// this a stray word would silently run every experiment.
-		fmt.Fprintf(os.Stderr, "fivm-bench: unexpected argument %q (fivm-bench takes only flags)\n", flag.Arg(0))
+	usageError := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "fivm-bench: "+format+"\n", args...)
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var sc experiments.Scale
-	switch *scale {
-	case "small":
-		sc = experiments.SmallScale()
-	case "demo":
-		sc = experiments.DemoScale()
-	default:
-		log.Fatalf("unknown scale %q (small|demo)", *scale)
+	if flag.NArg() > 0 {
+		// flag.Parse stops at the first positional argument, so without
+		// this a stray word would silently run every experiment.
+		usageError("unexpected argument %q (fivm-bench takes only flags)", flag.Arg(0))
 	}
 
+	scales := map[string]func() experiments.Scale{"small": experiments.SmallScale, "demo": experiments.DemoScale}
+	newScale, ok := scales[*scale]
+	if !ok {
+		usageError("unknown -scale %q (small|demo)", *scale)
+	}
+	sc := newScale()
+
+	// E3–E6 each print one part of the same Retailer tab run.
+	retailer := sync.OnceValues(func() (tabRun, error) {
+		m3, rows, err := experiments.PresetTabs("retailer", sc, 0.2)
+		return tabRun{m3, rows}, err
+	})
+	column := func(title string, col func(experiments.TabBulk) string) func(experiments.Scale) error {
+		return func(experiments.Scale) error {
+			fmt.Println(title)
+			r, err := retailer()
+			if err != nil {
+				return err
+			}
+			experiments.PrintTabs(os.Stdout, r.rows, col)
+			return nil
+		}
+	}
 	run := map[string]func(experiments.Scale) error{
-		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4,
-		"e5": runE5, "e6": runE6, "e7": runE7, "e8": runE8,
-		"a1": runA1, "a3": runA3,
+		"e1": runE1, "e2": runE2,
+		"e3": column("E3 — Figure 2a: model selection under update bulks (threshold 0.2)", experiments.SelectionColumn),
+		"e4": column("E4 — Figure 2b: ridge regression re-convergence per bulk", experiments.RegressionColumn),
+		"e5": column("E5 — Figure 2c: MI matrix + Chow-Liu tree per bulk (root ksn)", experiments.ChowLiuColumn),
+		"e6": func(experiments.Scale) error {
+			fmt.Println("E6 — Figure 2d: view tree and M3 code for the Retailer query")
+			r, err := retailer()
+			if err != nil {
+				return err
+			}
+			fmt.Println(r.m3)
+			return nil
+		},
+		"e7": runE7, "e8": runE8, "a1": runA1, "a3": runA3,
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a3"}
+	} else if _, ok := run[*exp]; !ok {
+		usageError("unknown -exp %q", *exp)
 	}
 	for _, id := range ids {
-		fn, ok := run[id]
-		if !ok {
-			log.Fatalf("unknown experiment %q", id)
-		}
 		fmt.Printf("================ %s ================\n", strings.ToUpper(id))
-		if err := fn(sc); err != nil {
+		if err := run[id](sc); err != nil {
 			log.Fatalf("%s: %v", id, err)
 		}
 		fmt.Println()
 	}
+}
+
+// tabRun is one preset's tab run: the M3 code and the per-bulk tabs.
+type tabRun struct {
+	m3   string
+	rows []experiments.TabBulk
 }
 
 // runE1 replays Figure 1 by delegating to the quickstart example, which
@@ -101,46 +133,6 @@ func runE2(sc experiments.Scale) error {
 	return nil
 }
 
-func runE3(sc experiments.Scale) error {
-	fmt.Println("E3 — Figure 2a: model selection under update bulks (threshold 0.2)")
-	rows, err := experiments.E3ModelSelection(sc, 0.2)
-	if err != nil {
-		return err
-	}
-	experiments.PrintAppResults(os.Stdout, rows)
-	return nil
-}
-
-func runE4(sc experiments.Scale) error {
-	fmt.Println("E4 — Figure 2b: ridge regression re-convergence per bulk")
-	rows, err := experiments.E4Regression(sc)
-	if err != nil {
-		return err
-	}
-	experiments.PrintAppResults(os.Stdout, rows)
-	return nil
-}
-
-func runE5(sc experiments.Scale) error {
-	fmt.Println("E5 — Figure 2c: MI matrix + Chow-Liu tree per bulk (root ksn)")
-	rows, err := experiments.E5ChowLiu(sc)
-	if err != nil {
-		return err
-	}
-	experiments.PrintAppResults(os.Stdout, rows)
-	return nil
-}
-
-func runE6(sc experiments.Scale) error {
-	fmt.Println("E6 — Figure 2d: view tree and M3 code for the Retailer query")
-	m3, err := experiments.E6Maintenance(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Println(m3)
-	return nil
-}
-
 func runE7(sc experiments.Scale) error {
 	fmt.Println("E7a — batch-size sweep (COVAR m=5, 20% deletes)")
 	rows, err := experiments.E7BatchSize(sc, []int{1, 10, 100, 1000, 10000})
@@ -159,13 +151,17 @@ func runE7(sc experiments.Scale) error {
 
 func runE8(sc experiments.Scale) error {
 	fmt.Println("E8 — the second demo database: Favorita (6-way join)")
-	rows, apps, err := experiments.E8Favorita(sc)
+	rows, err := experiments.E8Throughput(sc)
 	if err != nil {
 		return err
 	}
 	experiments.PrintThroughput(os.Stdout, rows)
 	fmt.Println()
-	experiments.PrintAppResults(os.Stdout, apps)
+	_, tabs, err := experiments.PresetTabs("favorita", sc, 0.2)
+	if err != nil {
+		return err
+	}
+	experiments.PrintTabs(os.Stdout, tabs, experiments.AllColumns)
 	return nil
 }
 

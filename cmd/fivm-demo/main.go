@@ -1,13 +1,18 @@
 // Command fivm-demo is a terminal reproduction of the paper's web user
 // interface (Figure 2). It loads a synthetic database (Retailer or
-// Favorita), maintains the MI and COVAR matrices under bulks of
+// Favorita), maintains the preset's MI and COVAR matrices under bulks of
 // updates, and renders each tab after every bulk:
 //
 //	Input               — database, query, feature kinds
 //	Model Selection     — MI ranking against a label with a threshold
 //	Regression          — ridge model re-converged from the COVAR matrix
-//	Chow-Liu Tree       — MI matrix and the tree rooted at a chosen node
+//	Chow-Liu Tree       — the tree over the MI matrix, rooted at a chosen node
 //	Maintenance Strategy— the view tree and its M3 code
+//
+// The feature lists are the preset's (internal/daemon.Presets), and the
+// tabs are computed by experiments.RunTabs, the run fivm-bench -exp
+// e3…e6 and e8 print. A bad flag prints one error to stderr and exits
+// with status 2 before any data is generated or loaded.
 //
 // Usage:
 //
@@ -18,13 +23,16 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/fivm"
 	"repro/internal/daemon"
 	"repro/internal/dataset"
-	"repro/internal/ml"
+	"repro/internal/experiments"
 )
 
 func main() {
@@ -38,62 +46,34 @@ func main() {
 	csvOut := flag.String("dump-csv", "", "write the (generated) database as typed-header CSVs to this directory and exit")
 	flag.Parse()
 
-	var (
-		db         *dataset.Database
-		miFeatures []fivm.FeatureSpec // all categorical/binned, for MI
-		factRel    string
-	)
-	switch *dbName {
-	case "retailer":
-		db = dataset.Retailer(dataset.DefaultRetailerConfig())
-		factRel = "Inventory"
-		if *label == "" {
-			*label = "inventoryunits"
-		}
-		if *root == "" {
-			*root = "ksn"
-		}
-		miFeatures = []fivm.FeatureSpec{
-			{Attr: "inventoryunits", BinWidth: 50},
-			{Attr: "ksn", Categorical: true},
-			{Attr: "prize", BinWidth: 10},
-			{Attr: "subcategory", Categorical: true},
-			{Attr: "category", Categorical: true},
-			{Attr: "categoryCluster", Categorical: true},
-			{Attr: "zip", Categorical: true},
-			{Attr: "avghhi", BinWidth: 20_000},
-			{Attr: "population", BinWidth: 25_000},
-			{Attr: "maxtemp", BinWidth: 5},
-			{Attr: "rain", Categorical: true},
-			{Attr: "snow", Categorical: true},
-		}
-	case "favorita":
-		db = dataset.Favorita(dataset.DefaultFavoritaConfig())
-		factRel = "Sales"
-		if *label == "" {
-			*label = "unit_sales"
-		}
-		if *root == "" {
-			*root = "item"
-		}
-		miFeatures = []fivm.FeatureSpec{
-			{Attr: "unit_sales", BinWidth: 10},
-			{Attr: "item", Categorical: true},
-			{Attr: "family", Categorical: true},
-			{Attr: "class", Categorical: true},
-			{Attr: "perishable", Categorical: true},
-			{Attr: "store", Categorical: true},
-			{Attr: "city", Categorical: true},
-			{Attr: "cluster", Categorical: true},
-			{Attr: "onpromotion", Categorical: true},
-			{Attr: "oilprice", BinWidth: 5},
-			{Attr: "holiday_type", Categorical: true},
-			{Attr: "transactions", BinWidth: 500},
-		}
-	default:
-		log.Fatalf("unknown database %q (retailer|favorita)", *dbName)
+	p, ok := daemon.Presets[*dbName]
+	if !ok {
+		refuse("unknown -db %q (retailer|favorita)", *dbName)
+	}
+	if *label == "" {
+		*label = p.Label
+	}
+	if *root == "" {
+		*root = p.Root
+	}
+	var miAttrs []string
+	for _, f := range p.MIFeatures {
+		miAttrs = append(miAttrs, f.Attr)
+	}
+	switch {
+	case !slices.Contains(miAttrs, *label):
+		refuse("-label %s is not an MI feature of %s (%s)", *label, *dbName, strings.Join(miAttrs, ", "))
+	case !slices.Contains(miAttrs, *root):
+		refuse("-root %s is not an MI feature of %s (%s)", *root, *dbName, strings.Join(miAttrs, ", "))
+	case *bulks < 0:
+		refuse("-bulks %d is negative", *bulks)
+	case *bulkSize <= 0:
+		refuse("-bulk-size %d is not positive", *bulkSize)
+	case !(*threshold >= 0 && *threshold <= math.MaxFloat64): // NaN fails both
+		refuse("-threshold %v is negative or not finite", *threshold)
 	}
 
+	db := p.Generate(0)
 	if *csvOut != "" {
 		if err := dataset.WriteCSV(db, *csvOut); err != nil {
 			log.Fatal(err)
@@ -115,121 +95,80 @@ func main() {
 		db = loaded
 	}
 
-	var rels []fivm.RelationSpec
-	var relNames []string
-	for _, r := range db.Relations {
-		rels = append(rels, fivm.RelationSpec{Name: r.Name, Attrs: r.Attrs})
-		relNames = append(relNames, r.Name)
-	}
-
 	// === Input tab ===
 	banner("Input")
+	var relNames []string
+	for _, r := range db.Relations {
+		relNames = append(relNames, r.Name)
+	}
 	fmt.Printf("database: %s\nquery: SELECT <compound aggregate> FROM %s\n",
 		db.Name, strings.Join(relNames, " NATURAL JOIN "))
-	fmt.Printf("MI features (%d):\n", len(miFeatures))
-	for _, f := range miFeatures {
-		kind := "continuous"
-		if f.Categorical {
-			kind = "categorical"
-		} else if f.BinWidth > 0 {
-			kind = fmt.Sprintf("binned(width=%v)", f.BinWidth)
-		}
-		fmt.Printf("  %-18s %s\n", f.Attr, kind)
-	}
+	printFeatures("MI", p.MIFeatures)
+	printFeatures("regression", p.Features)
 
-	// The COVAR engine is fivm-serve's preset for the database, over the
-	// relations loaded here. Its label is dropped: the Regression tab
-	// fits ridge itself, and may be asked for a label the preset's
-	// features do not carry.
-	covCfg, _, err := daemon.BuildEngineConfig(*dbName, 0, false, "", "", "", "", "", *label)
+	m3, tabs, err := experiments.RunTabs(experiments.TabsConfig{
+		Preset: p, DB: db, Label: *label, Threshold: *threshold, Root: *root,
+		Updates: *bulks * *bulkSize, BulkSize: *bulkSize,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	covCfg.Relations, covCfg.Label = rels, ""
-	an := open(fivm.Config{Relations: rels, Features: miFeatures})
-	anCov := open(covCfg)
-	t0 := time.Now()
-	if err := an.Init(db.TupleMap()); err != nil {
-		log.Fatal(err)
-	}
-	if err := anCov.Init(db.TupleMap()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ninitial evaluation (MI + COVAR): %v\n", time.Since(t0).Round(time.Millisecond))
+	for _, t := range tabs {
+		if t.Bulk == 0 {
+			fmt.Printf("\ninitial evaluation (MI + COVAR): %v\n", t.Maintain.Round(time.Millisecond))
+			// === Maintenance Strategy tab (static for the session) ===
+			banner("Maintenance Strategy")
+			fmt.Println(m3)
+		} else {
+			banner(fmt.Sprintf("Process Updates — bulk %d (%d updates, both matrices maintained in %v)",
+				t.Bulk, t.Updates, t.Maintain.Round(time.Millisecond)))
+		}
 
-	// === Maintenance Strategy tab (static for the session) ===
-	banner("Maintenance Strategy")
-	fmt.Println(an.M3())
-
-	var model *ml.RidgeModel
-	cfg := ml.DefaultRidgeConfig()
-	showTabs := func() {
 		// === Model Selection tab ===
 		banner("Model Selection")
-		ranking, selected, err := an.SelectFeatures(*label, *threshold)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("label: %s, threshold: %.2f\n", *label, *threshold)
-		for _, r := range ranking {
+		for _, r := range t.Ranking {
 			mark := " "
 			if r.MI >= *threshold {
 				mark = "*"
 			}
 			fmt.Printf("  %s %-18s %.4f\n", mark, r.Attr, r.MI)
 		}
-		fmt.Printf("selected: %v\n", selected)
+		fmt.Printf("selected: %v\n", t.Selected)
 
-		// === Regression tab === (driven by the separate COVAR engine,
-		// whose label stays continuous).
+		// === Regression tab ===
 		banner("Regression")
-		var sigma *ml.SigmaMatrix
-		model, sigma, err = anCov.Ridge(*label, model, cfg)
-		if err != nil {
-			fmt.Printf("regression unavailable: %v\n", err)
+		if t.RidgeErr != nil {
+			fmt.Printf("regression unavailable: %v\n", t.RidgeErr)
 		} else {
 			fmt.Printf("ridge over %d one-hot columns, %d CG iterations, train RMSE %.3f\n",
-				sigma.Dim(), model.Iterations, model.TrainRMSE(sigma))
-			fmt.Printf("θ0 = %+.4f\n", model.Intercept)
+				t.Sigma.Dim(), t.Model.Iterations, t.Model.TrainRMSE(t.Sigma))
+			fmt.Printf("θ0 = %+.4f\n", t.Model.Intercept)
 		}
 
 		// === Chow-Liu Tree tab ===
 		banner("Chow-Liu Tree")
-		tree, err := an.ChowLiu(*root)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("root: %s, total MI: %.3f\n%s", *root, tree.TotalMI, tree)
-	}
-	showTabs()
-
-	stream, err := dataset.NewStream(db, dataset.StreamConfig{
-		Relation: factRel, Total: *bulks * *bulkSize, DeleteRatio: 0.25, Seed: 5,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, bulk := range stream.Bulks(*bulkSize) {
-		t0 := time.Now()
-		if err := an.Apply(bulk); err != nil {
-			log.Fatal(err)
-		}
-		if err := anCov.Apply(bulk); err != nil {
-			log.Fatal(err)
-		}
-		banner(fmt.Sprintf("Process Updates — bulk %d (%d updates, both matrices maintained in %v)",
-			i+1, len(bulk), time.Since(t0).Round(time.Millisecond)))
-		showTabs()
+		fmt.Printf("root: %s, total MI: %.3f\n%s", *root, t.Tree.TotalMI, t.Tree)
 	}
 }
 
-// open builds the analysis engine cfg describes.
-func open(cfg fivm.Config) *fivm.Analysis {
-	eng, err := fivm.Open(cfg)
-	if err != nil {
-		log.Fatal(err)
+// refuse reports a bad flag and exits with status 2.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "fivm-demo: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+func printFeatures(kind string, features []fivm.FeatureSpec) {
+	fmt.Printf("%s features (%d):\n", kind, len(features))
+	for _, f := range features {
+		k := "continuous"
+		if f.Categorical {
+			k = "categorical"
+		} else if f.BinWidth > 0 {
+			k = fmt.Sprintf("binned(width=%v)", f.BinWidth)
+		}
+		fmt.Printf("  %-18s %s\n", f.Attr, k)
 	}
-	return eng.(*fivm.Analysis)
 }
 
 func banner(title string) {

@@ -184,29 +184,10 @@ func (a *Analysis) Covar() (*ml.SigmaMatrix, error) {
 }
 
 // MI computes the pairwise mutual-information matrix; every feature
-// must be categorical or binned.
+// must be categorical or binned. The Model Selection and Chow-Liu Tree
+// tabs both read one matrix (ml.SelectFeatures, ml.ChowLiu).
 func (a *Analysis) MI() (*ml.MIMatrix, error) {
 	return ml.MIFromRelCovar(a.Payload(), a.feats)
-}
-
-// SelectFeatures ranks features by MI with the label and applies the
-// threshold — the Model Selection tab.
-func (a *Analysis) SelectFeatures(label string, threshold float64) ([]ml.RankedAttr, []string, error) {
-	mi, err := a.MI()
-	if err != nil {
-		return nil, nil, err
-	}
-	return ml.SelectFeatures(mi, label, threshold)
-}
-
-// ChowLiu builds the Chow-Liu tree rooted at root — the Chow-Liu Tree
-// tab.
-func (a *Analysis) ChowLiu(root string) (*ml.ChowLiuTree, error) {
-	mi, err := a.MI()
-	if err != nil {
-		return nil, err
-	}
-	return ml.ChowLiu(mi, root)
 }
 
 // Ridge fits (or re-converges, when model is non-nil) a ridge linear

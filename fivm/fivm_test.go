@@ -145,14 +145,14 @@ func TestAnalysisMIAndApps(t *testing.T) {
 	if mi.At(0, 1) <= 0 {
 		t.Errorf("I(B,C) = %v, want > 0", mi.At(0, 1))
 	}
-	ranking, _, err := an.SelectFeatures("D", 0.1)
+	ranking, _, err := ml.SelectFeatures(mi, "D", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ranking) != 2 {
 		t.Errorf("ranking = %v", ranking)
 	}
-	tree, err := an.ChowLiu("B")
+	tree, err := ml.ChowLiu(mi, "B")
 	if err != nil {
 		t.Fatal(err)
 	}

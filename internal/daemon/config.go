@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,6 +20,101 @@ func EngineUsage() string {
 		names = append(names, string(k))
 	}
 	return "engine kind: " + strings.Join(names, "|") + " (default: inferred from the other flags)"
+}
+
+// Preset is one of the demo's two databases and the one feature list of
+// each kind every front end reads: fivm-serve -db serves Features,
+// fivm-demo and fivm-bench's application tabs (E3–E6, E8) maintain both
+// lists.
+type Preset struct {
+	// Generate builds the synthetic database with rows fact tuples
+	// (0 = the generator's default).
+	Generate func(rows int) *dataset.Database
+	// Fact is the fact relation, the one the update streams hit.
+	Fact string
+	// Label is the default label; Root is the Chow-Liu tree's default
+	// root.
+	Label, Root string
+	// Features are the regression (COVAR) features: continuous
+	// attributes stay continuous.
+	Features []fivm.FeatureSpec
+	// MIFeatures are the mutual-information features: every continuous
+	// attribute is binned.
+	MIFeatures []fivm.FeatureSpec
+}
+
+// Presets are the -db databases.
+var Presets = map[string]Preset{
+	"retailer": {
+		Generate: func(rows int) *dataset.Database {
+			cfg := dataset.DefaultRetailerConfig()
+			if rows > 0 {
+				cfg.InventoryRows = rows
+			}
+			return dataset.Retailer(cfg)
+		},
+		Fact:  "Inventory",
+		Label: "inventoryunits",
+		Root:  "ksn",
+		Features: []fivm.FeatureSpec{
+			{Attr: "inventoryunits"},
+			{Attr: "prize"},
+			{Attr: "subcategory", Categorical: true},
+			{Attr: "category", Categorical: true},
+			{Attr: "categoryCluster", Categorical: true},
+			{Attr: "avghhi"},
+			{Attr: "maxtemp"},
+		},
+		MIFeatures: []fivm.FeatureSpec{
+			{Attr: "inventoryunits", BinWidth: 50},
+			{Attr: "ksn", Categorical: true},
+			{Attr: "prize", BinWidth: 10},
+			{Attr: "subcategory", Categorical: true},
+			{Attr: "category", Categorical: true},
+			{Attr: "categoryCluster", Categorical: true},
+			{Attr: "zip", Categorical: true},
+			{Attr: "avghhi", BinWidth: 20_000},
+			{Attr: "population", BinWidth: 25_000},
+			{Attr: "maxtemp", BinWidth: 5},
+			{Attr: "rain", Categorical: true},
+			{Attr: "snow", Categorical: true},
+		},
+	},
+	"favorita": {
+		Generate: func(rows int) *dataset.Database {
+			cfg := dataset.DefaultFavoritaConfig()
+			if rows > 0 {
+				cfg.SalesRows = rows
+			}
+			return dataset.Favorita(cfg)
+		},
+		Fact:  "Sales",
+		Label: "unit_sales",
+		Root:  "item",
+		Features: []fivm.FeatureSpec{
+			{Attr: "unit_sales"},
+			{Attr: "family", Categorical: true},
+			{Attr: "perishable", Categorical: true},
+			{Attr: "stype", Categorical: true},
+			{Attr: "cluster", Categorical: true},
+			{Attr: "oilprice"},
+			{Attr: "transactions"},
+		},
+		MIFeatures: []fivm.FeatureSpec{
+			{Attr: "unit_sales", BinWidth: 10},
+			{Attr: "item", Categorical: true},
+			{Attr: "family", Categorical: true},
+			{Attr: "class", Categorical: true},
+			{Attr: "perishable", Categorical: true},
+			{Attr: "store", Categorical: true},
+			{Attr: "city", Categorical: true},
+			{Attr: "cluster", Categorical: true},
+			{Attr: "onpromotion", Categorical: true},
+			{Attr: "oilprice", BinWidth: 5},
+			{Attr: "holiday_type", Categorical: true},
+			{Attr: "transactions", BinWidth: 500},
+		},
+	},
 }
 
 // BuildEngineConfig resolves the engine configuration from either a
@@ -40,83 +136,45 @@ func BuildEngineConfig(db string, rows int, load bool, engine, query, relations,
 	if rows != 0 && db == "" {
 		return cfg, nil, errors.New("-rows sizes a -db preset's fact table; it has no effect without -db")
 	}
-	switch db {
-	case "retailer":
-		rcfg := dataset.DefaultRetailerConfig()
-		if rows > 0 {
-			rcfg.InventoryRows = rows
+	if db != "" {
+		p, ok := Presets[db]
+		if !ok {
+			return cfg, nil, fmt.Errorf("unknown -db %q (retailer|favorita, or use -relations)", db)
 		}
-		d := dataset.Retailer(rcfg)
+		d := p.Generate(rows)
 		for _, r := range d.Relations {
 			cfg.Relations = append(cfg.Relations, fivm.RelationSpec{Name: r.Name, Attrs: r.Attrs})
 		}
-		cfg.Features = []fivm.FeatureSpec{
-			{Attr: "inventoryunits"},
-			{Attr: "prize"},
-			{Attr: "subcategory", Categorical: true},
-			{Attr: "category", Categorical: true},
-			{Attr: "categoryCluster", Categorical: true},
-			{Attr: "avghhi"},
-			{Attr: "maxtemp"},
-		}
+		cfg.Features = slices.Clone(p.Features)
 		if label == "" {
-			label = "inventoryunits"
+			label = p.Label
 		}
 		cfg.Label = label
 		if load {
 			return cfg, d.TupleMap(), nil
 		}
 		return cfg, nil, nil
-	case "favorita":
-		fcfg := dataset.DefaultFavoritaConfig()
-		if rows > 0 {
-			fcfg.SalesRows = rows
-		}
-		d := dataset.Favorita(fcfg)
-		for _, r := range d.Relations {
-			cfg.Relations = append(cfg.Relations, fivm.RelationSpec{Name: r.Name, Attrs: r.Attrs})
-		}
-		cfg.Features = []fivm.FeatureSpec{
-			{Attr: "unit_sales"},
-			{Attr: "family", Categorical: true},
-			{Attr: "perishable", Categorical: true},
-			{Attr: "stype", Categorical: true},
-			{Attr: "cluster", Categorical: true},
-			{Attr: "oilprice"},
-			{Attr: "transactions"},
-		}
-		if label == "" {
-			label = "unit_sales"
-		}
-		cfg.Label = label
-		if load {
-			return cfg, d.TupleMap(), nil
-		}
-		return cfg, nil, nil
-	case "":
-		var err error
-		cfg.Relations, err = ParseRelations(relations)
+	}
+	var err error
+	cfg.Relations, err = ParseRelations(relations)
+	if err != nil {
+		return cfg, nil, err
+	}
+	if features != "" {
+		cfg.Features, err = ParseFeatures(features)
 		if err != nil {
 			return cfg, nil, err
 		}
-		if features != "" {
-			cfg.Features, err = ParseFeatures(features)
-			if err != nil {
-				return cfg, nil, err
-			}
-		}
-		if attrs != "" {
-			for _, a := range strings.Split(attrs, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					cfg.Attrs = append(cfg.Attrs, a)
-				}
-			}
-		}
-		cfg.Label = label
-		return cfg, nil, nil
-	default:
-		return cfg, nil, fmt.Errorf("unknown -db %q (retailer|favorita, or use -relations)", db)
 	}
+	if attrs != "" {
+		for _, a := range strings.Split(attrs, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				cfg.Attrs = append(cfg.Attrs, a)
+			}
+		}
+	}
+	cfg.Label = label
+	return cfg, nil, nil
 }
 
 // ParseRelations parses "R:A,B;S:B,C".

@@ -1,8 +1,11 @@
 package daemon
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/fivm"
 )
 
 // TestOptionsValidate checks that a flag combination the daemon would
@@ -35,6 +38,50 @@ func TestOptionsValidate(t *testing.T) {
 				t.Fatalf("Validate() = nil, want an error containing %q", tc.want)
 			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 				t.Fatalf("Validate() = %q, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPresets pins the preset table against the schema each preset's
+// generator produces: every feature names a generated attribute, the MI
+// features are all categorical or binned (categorical exactly when the
+// schema says so), and the default label and Chow-Liu root are MI
+// features — the label a regression feature too.
+func TestPresets(t *testing.T) {
+	for name, p := range Presets {
+		t.Run(name, func(t *testing.T) {
+			db := p.Generate(100)
+			if _, ok := db.Relation(p.Fact); !ok {
+				t.Fatalf("fact relation %s not generated", p.Fact)
+			}
+			attrs := map[string]bool{}
+			for _, r := range db.Relations {
+				for _, a := range r.Attrs {
+					attrs[a] = true
+				}
+			}
+			in := func(list []fivm.FeatureSpec, attr string) bool {
+				return slices.ContainsFunc(list, func(f fivm.FeatureSpec) bool { return f.Attr == attr })
+			}
+			for _, f := range append(slices.Clone(p.Features), p.MIFeatures...) {
+				if !attrs[f.Attr] {
+					t.Errorf("feature %s is not a generated attribute", f.Attr)
+				}
+				if f.Categorical != db.IsCategorical(f.Attr) {
+					t.Errorf("feature %s: categorical %v, schema says %v", f.Attr, f.Categorical, db.IsCategorical(f.Attr))
+				}
+			}
+			for _, f := range p.MIFeatures {
+				if !f.Categorical && f.BinWidth <= 0 {
+					t.Errorf("MI feature %s is neither categorical nor binned", f.Attr)
+				}
+			}
+			if !in(p.MIFeatures, p.Label) || !in(p.Features, p.Label) {
+				t.Errorf("label %s is not in both feature lists", p.Label)
+			}
+			if !in(p.MIFeatures, p.Root) {
+				t.Errorf("root %s is not an MI feature", p.Root)
 			}
 		})
 	}

@@ -5,6 +5,11 @@
 // (A1, A3). Figure 1's worked example (E1) is examples/quickstart.
 // cmd/fivm-bench prints their tables; docs/REPRODUCTION.md records one
 // run of `fivm-bench -exp all -scale small`.
+//
+// RunTabs is the one computation of Figure 2's tabs, over a preset's
+// feature lists (daemon.Presets): E3, E4 and E5 print one column each
+// of its Retailer run, E6 that run's M3 code, E8 its Favorita run, and
+// cmd/fivm-demo renders it tab by tab.
 package experiments
 
 import (

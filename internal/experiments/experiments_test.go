@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/daemon"
 )
 
 // tinyScale keeps experiment smoke tests fast.
@@ -51,37 +54,79 @@ func TestE2Compound(t *testing.T) {
 }
 
 func TestE3E4E5Run(t *testing.T) {
-	sc := tinyScale()
-	e3, err := E3ModelSelection(sc, 0.2)
+	const threshold = 0.2
+	_, rows, err := PresetTabs("retailer", tinyScale(), threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e3) != 4 { // 400 updates / 100 batch
-		t.Errorf("E3 bulks = %d", len(e3))
+	if len(rows) != 5 { // the initial evaluation + 400 updates / 100 batch
+		t.Fatalf("E3–E5 rows = %d, want 5", len(rows))
 	}
-	for _, r := range e3 {
-		if !strings.Contains(r.Artifact, "selected=") {
-			t.Errorf("E3 artifact = %q", r.Artifact)
+	for i, r := range rows {
+		if r.Bulk != i || (i > 0 && r.Updates != 100) {
+			t.Errorf("row %d: bulk %d with %d updates", i, r.Bulk, r.Updates)
+		}
+		for _, col := range []struct{ got, want string }{
+			{SelectionColumn(r), "selected="},
+			{RegressionColumn(r), "rmse="},
+			{ChowLiuColumn(r), "first=ksn->"},
+		} {
+			if !strings.Contains(col.got, col.want) {
+				t.Errorf("row %d: column %q lacks %q", i, col.got, col.want)
+			}
+		}
+		// Selection and ranking come from the same MI matrix.
+		var want []string
+		for _, a := range r.Ranking {
+			if a.Attr == "inventoryunits" {
+				t.Errorf("row %d: the label is ranked against itself", i)
+			}
+			if a.MI >= threshold {
+				want = append(want, a.Attr)
+			}
+		}
+		if fmt.Sprint(want) != fmt.Sprint(r.Selected) {
+			t.Errorf("row %d: selected %v, ranking above the threshold %v", i, r.Selected, want)
+		}
+		if r.Tree.Root != "ksn" || len(r.Tree.Edges) != len(r.Ranking) {
+			t.Errorf("row %d: tree rooted at %s with %d edges over %d other attributes", i, r.Tree.Root, len(r.Tree.Edges), len(r.Ranking))
+		}
+		// Every bulk keeps its own fit, not the last one warm-started
+		// in place.
+		if i > 0 && r.Model == rows[i-1].Model {
+			t.Errorf("row %d shares its ridge model with row %d", i, i-1)
 		}
 	}
-	e4, err := E4Regression(sc)
+}
+
+// TestTabsCategoricalLabel checks that a label the regression cannot
+// fit (ksn is categorical and no regression feature) leaves the other
+// tabs running and reports why the Regression tab is empty.
+func TestTabsCategoricalLabel(t *testing.T) {
+	p := daemon.Presets["retailer"]
+	sc := tinyScale()
+	_, rows, err := RunTabs(TabsConfig{
+		Preset: p, DB: p.Generate(sc.InventoryRows), Label: "ksn", Threshold: 0.2, Root: "ksn",
+		Updates: sc.BatchSize, BulkSize: sc.BatchSize,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e4) == 0 || !strings.Contains(e4[0].Artifact, "rmse=") {
-		t.Errorf("E4 results = %+v", e4)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	e5, err := E5ChowLiu(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e5) == 0 || !strings.Contains(e5[0].Artifact, "edges=") {
-		t.Errorf("E5 results = %+v", e5)
+	for _, r := range rows {
+		if r.RidgeErr == nil || r.Model != nil || len(r.Ranking) == 0 {
+			t.Errorf("bulk %d: ridge err %v, model %v, %d ranked", r.Bulk, r.RidgeErr, r.Model, len(r.Ranking))
+		}
+		if got := RegressionColumn(r); !strings.HasPrefix(got, "ridge: ") {
+			t.Errorf("bulk %d: regression column %q", r.Bulk, got)
+		}
 	}
 }
 
 func TestE6RendersM3(t *testing.T) {
-	out, err := E6Maintenance(tinyScale())
+	out, _, err := PresetTabs("retailer", tinyScale(), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +228,14 @@ func TestPrintHelpers(t *testing.T) {
 		}
 	}
 	sb.Reset()
-	PrintAppResults(&sb, []AppResult{{Bulk: 1, Updates: 10, Artifact: "a"}})
-	if !strings.Contains(sb.String(), "artifact") {
-		t.Error("PrintAppResults header missing")
+	PrintTabs(&sb, []TabBulk{{Bulk: 1, Updates: 10}}, func(TabBulk) string { return "a" })
+	if !strings.Contains(sb.String(), "artifact") || !strings.HasSuffix(sb.String(), "  a\n") {
+		t.Errorf("PrintTabs wants a header and the column:\n%s", sb.String())
 	}
 }
 
 func TestE8Favorita(t *testing.T) {
-	rows, apps, err := E8Favorita(tinyScale())
+	rows, err := E8Throughput(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +247,16 @@ func TestE8Favorita(t *testing.T) {
 			t.Errorf("%s: non-positive rate", r.System)
 		}
 	}
-	if len(apps) == 0 {
-		t.Fatal("E8 produced no application rows")
+	_, apps, err := PresetTabs("favorita", tinyScale(), 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(apps) != 5 {
+		t.Fatalf("E8 tab rows = %d, want 5", len(apps))
 	}
 	for _, a := range apps {
-		if !strings.Contains(a.Artifact, "rmse=") || !strings.Contains(a.Artifact, "chowliu") {
-			t.Errorf("E8 artifact = %q", a.Artifact)
+		if col := AllColumns(a); !strings.Contains(col, "rmse=") || !strings.Contains(col, "first=item->") {
+			t.Errorf("E8 column = %q", col)
 		}
 	}
 }

@@ -184,8 +184,10 @@ func (a *Analysis) Covar() (*ml.SigmaMatrix, error) {
 }
 
 // MI computes the pairwise mutual-information matrix; every feature
-// must be categorical or binned. The Model Selection and Chow-Liu Tree
-// tabs both read one matrix (ml.SelectFeatures, ml.ChowLiu).
+// must be categorical or binned. It reads the payload through the same
+// Σ as Covar and Ridge (ml.MIFromRelCovar). The Model Selection and
+// Chow-Liu Tree tabs both read one matrix (ml.SelectFeatures,
+// ml.ChowLiu).
 func (a *Analysis) MI() (*ml.MIMatrix, error) {
 	return ml.MIFromRelCovar(a.Payload(), a.feats)
 }

@@ -131,32 +131,6 @@ func (m *AnalysisModel) Covar() (*ml.SigmaMatrix, error) {
 	return ml.SigmaFromRelCovar(m.Payload, m.Features)
 }
 
-// MI computes the pairwise mutual-information matrix from the model
-// payload; every feature must be categorical or binned.
-func (m *AnalysisModel) MI() (*ml.MIMatrix, error) {
-	return ml.MIFromRelCovar(m.Payload, m.Features)
-}
-
-// ChowLiu builds the Chow-Liu tree rooted at root from the model's MI
-// matrix.
-func (m *AnalysisModel) ChowLiu(root string) (*ml.ChowLiuTree, error) {
-	mi, err := m.MI()
-	if err != nil {
-		return nil, err
-	}
-	return ml.ChowLiu(mi, root)
-}
-
-// SelectFeatures ranks features by MI with the label and applies the
-// threshold.
-func (m *AnalysisModel) SelectFeatures(label string, threshold float64) ([]ml.RankedAttr, []string, error) {
-	mi, err := m.MI()
-	if err != nil {
-		return nil, nil, err
-	}
-	return ml.SelectFeatures(mi, label, threshold)
-}
-
 // TableRow is one row of a TableModel: the (decoded) key tuple and the
 // scalar the engine maintains for it.
 type TableRow struct {

@@ -2,8 +2,8 @@
 // demonstrates on top of maintained ring payloads: ridge linear
 // regression re-converged from a COVAR matrix by warm-started conjugate
 // gradient on the normal equations the matrix determines,
-// pairwise mutual information from maintained count tables, Chow-Liu
-// trees, and MI-threshold model selection.
+// pairwise mutual information from the same matrix's category counts,
+// Chow-Liu trees, and MI-threshold model selection.
 package ml
 
 import (

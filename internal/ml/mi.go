@@ -6,75 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/ring"
-	"repro/internal/value"
 )
-
-// MutualInformation computes I(X, Y) from the maintained count
-// aggregates: cTotal = SUM(1), cx = SUM(1) GROUP BY X, cy = SUM(1)
-// GROUP BY Y, and cxy = SUM(1) GROUP BY (X, Y) with X-part-first keys —
-// exactly the components the RelCovar payload holds for a categorical
-// pair. The result uses natural logarithms (nats). Terms are summed in
-// sorted key order, so the value is a function of the counts alone, not
-// of map iteration order: equal inputs give bit-equal results, which
-// ChowLiu's tie-breaks rely on.
-func MutualInformation(cTotal float64, cx, cy, cxy ring.RelVal) float64 {
-	if cTotal <= 0 {
-		return 0
-	}
-	mi := 0.0
-	for _, kxy := range sortedKeys(cxy) {
-		nxy := cxy[kxy]
-		if nxy <= 0 {
-			continue
-		}
-		t := value.MustDecodeTuple(kxy)
-		if len(t) != 2 {
-			continue // malformed; skip rather than poison the sum
-		}
-		kx := value.Tuple{t[0]}.Encode()
-		ky := value.Tuple{t[1]}.Encode()
-		nx, ny := cx[kx], cy[ky]
-		if nx <= 0 || ny <= 0 {
-			continue
-		}
-		mi += nxy / cTotal * math.Log(cTotal*nxy/(nx*ny))
-	}
-	if mi < 0 {
-		mi = 0 // clamp numeric noise; MI is non-negative
-	}
-	return mi
-}
-
-// SelfInformation computes the entropy H(X) = I(X, X) from the marginal
-// counts, used for the MI matrix diagonal; summed in sorted key order
-// like MutualInformation.
-func SelfInformation(cTotal float64, cx ring.RelVal) float64 {
-	if cTotal <= 0 {
-		return 0
-	}
-	h := 0.0
-	for _, k := range sortedKeys(cx) {
-		n := cx[k]
-		if n <= 0 {
-			continue
-		}
-		p := n / cTotal
-		h -= p * math.Log(p)
-	}
-	if h < 0 {
-		h = 0
-	}
-	return h
-}
-
-func sortedKeys(v ring.RelVal) []string {
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // MIMatrix is the symmetric matrix of pairwise mutual information over a
 // set of attributes (diagonal = entropies).
@@ -103,7 +35,14 @@ func (m *MIMatrix) IndexOf(attr string) int {
 // MIFromRelCovar builds the pairwise MI matrix from a generalized COVAR
 // payload whose features are all categorical (continuous attributes
 // must have been lifted with binned/categorical lifts). feats addresses
-// the payload components.
+// the payload components. It reads the payload once, through Σ
+// (SigmaFromRelCovar): a column's Sum is its category's count, so a
+// feature's entropy comes from the sums of its columns, and I(X, Y)
+// from the entries of X's rows in Y's columns, each the count of one
+// category pair. The result uses natural logarithms (nats). A feature's
+// columns are contiguous and sorted by category value, and rows by
+// column, so every sum runs in a fixed order: the matrix is a function
+// of the counts alone, which ChowLiu's tie-breaks rely on.
 func MIFromRelCovar(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
 	if c == nil {
 		return nil, fmt.Errorf("ml: nil payload (empty join result)")
@@ -113,30 +52,47 @@ func MIFromRelCovar(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
 			return nil, fmt.Errorf("ml: MI needs categorical (or binned) lifts, feature %s is continuous", f.Name)
 		}
 	}
+	sigma, err := SigmaFromRelCovar(c, feats)
+	if err != nil {
+		return nil, err
+	}
 	n := len(feats)
 	m := &MIMatrix{n: n, Attrs: make([]string, n), Data: make([]float64, n*n)}
-	total := c.Count().Scalar()
 	for i, f := range feats {
 		m.Attrs[i] = f.Name
-		m.Data[i*n+i] = SelfInformation(total, c.Sum(f.Index))
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			fi, fj := feats[i], feats[j]
-			// Prod(i,j) keys are (lower-ring-index part first); orient so
-			// X is the first component.
-			var cxy ring.RelVal
-			var cx, cy ring.RelVal
-			if fi.Index <= fj.Index {
-				cxy = c.Prod(fi.Index, fj.Index)
-				cx, cy = c.Sum(fi.Index), c.Sum(fj.Index)
-			} else {
-				cxy = c.Prod(fj.Index, fi.Index)
-				cx, cy = c.Sum(fj.Index), c.Sum(fi.Index)
+	total := sigma.Count
+	if total <= 0 {
+		return m, nil
+	}
+	// Σ's columns come in feats order: featOf maps a column to its feature.
+	featOf := make([]int, 0, sigma.Dim())
+	for a, f := range feats {
+		for len(featOf) < sigma.Dim() && sigma.Cols[len(featOf)].Attr == f.Name {
+			featOf = append(featOf, a)
+		}
+	}
+	for x := range sigma.Cols {
+		a := featOf[x]
+		nx := sigma.Sum[x]
+		if nx <= 0 {
+			continue
+		}
+		p := nx / total
+		m.Data[a*n+a] -= p * math.Log(p)
+		cols, vals := sigma.row(x)
+		for k, y := range cols {
+			b, nxy, ny := featOf[y], vals[k], sigma.Sum[y]
+			if b <= a || nxy <= 0 || ny <= 0 {
+				continue
 			}
-			mi := MutualInformation(total, cx, cy, cxy)
-			m.Data[i*n+j] = mi
-			m.Data[j*n+i] = mi
+			m.Data[a*n+b] += nxy / total * math.Log(total*nxy/(nx*ny))
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a; b < n; b++ {
+			mi := max(m.Data[a*n+b], 0) // clamp numeric noise; MI is non-negative
+			m.Data[a*n+b], m.Data[b*n+a] = mi, mi
 		}
 	}
 	return m, nil

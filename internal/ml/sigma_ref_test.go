@@ -286,7 +286,8 @@ func CheckSparseSigma(t testing.TB, payload *ring.RelCovar, feats []Feature, sig
 // count, sums and co-occurrences a delete cancels exactly while the
 // rounding leftovers of its products with the continuous features
 // remain, and holds SigmaFromRelCovar, a cold Fit and TrainRMSE to the
-// dense reference.
+// dense reference, and MIFromRelCovar over the categorical and binned
+// features to the relational-ring reference.
 func FuzzSparseSigma(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed*30))
@@ -362,5 +363,12 @@ func FuzzSparseSigma(f *testing.F) {
 			}
 		}
 		CheckSparseSigma(t, total, feats, sigma, model, nil, cfg)
+		var cats []Feature
+		for _, f := range feats {
+			if f.Categorical {
+				cats = append(cats, f)
+			}
+		}
+		checkMI(t, total, cats, 1)
 	})
 }

@@ -99,6 +99,14 @@ func (t *dedupTable) size() int {
 	return len(t.m)
 }
 
+// evictedOrigins returns how many origins have a high-water mark: the
+// evicted map grows by one per origin and is never pruned.
+func (t *dedupTable) evictedOrigins() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.evicted)
+}
+
 // closedChan is the pre-closed done shared by recovery-seeded entries.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
@@ -131,9 +139,13 @@ type DedupStatus struct {
 	Capacity int `json:"capacity"`
 	// Hits counts duplicate groups answered from the table.
 	Hits uint64 `json:"hits"`
+	// EvictedOrigins counts the client origins with an evicted
+	// high-water sequence number.
+	EvictedOrigins int `json:"evicted_origins"`
 }
 
 // DedupStatus returns the idempotency table's live counters.
 func (s *Server) DedupStatus() DedupStatus {
-	return DedupStatus{Entries: s.dedup.size(), Capacity: s.dedup.cap, Hits: s.dedup.hits.Load()}
+	return DedupStatus{Entries: s.dedup.size(), Capacity: s.dedup.cap, Hits: s.dedup.hits.Load(),
+		EvictedOrigins: s.dedup.evictedOrigins()}
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -234,5 +236,55 @@ func TestEvictedRetryIsRefused(t *testing.T) {
 	if !tab.expired(testBatchID(1)) || tab.expired(testBatchID(2)) {
 		t.Errorf("recovered table: batch 1 expired=%v, batch 2 expired=%v; want true, false",
 			tab.expired(testBatchID(1)), tab.expired(testBatchID(2)))
+	}
+}
+
+// TestDedupReportsEvictedOrigins: with room for two groups, two batches
+// from each of three origins evict a group of every origin, and the
+// high-water map's size shows on /v1/stats and /metrics.
+func TestDedupReportsEvictedOrigins(t *testing.T) {
+	eng, err := fivm.Open(walEngineConfigs()["count"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Config{DedupCap: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(srv))
+	defer srv.Close()
+	defer ts.Close()
+	for seq := uint64(1); seq <= 2; seq++ {
+		for origin := 0; origin < 3; origin++ {
+			id := wal.BatchID{Seq: seq}
+			copy(id.Origin[:], fmt.Sprintf("origin-%d", origin))
+			done, _, err := srv.IngestBatch(id, []view.Update{walRUpdate(origin)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitClosed(t, done, "identified batch")
+		}
+	}
+	if got := srv.DedupStatus().EvictedOrigins; got != 3 {
+		t.Errorf("EvictedOrigins = %d, want 3", got)
+	}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if stats := get("/v1/stats"); !strings.Contains(stats, `"evicted_origins":3`) {
+		t.Errorf("/v1/stats lacks evicted_origins 3: %s", stats)
+	}
+	if metrics := get("/metrics"); !strings.Contains(metrics, "\nfivm_dedup_evicted_origins 3\n") {
+		t.Errorf("/metrics lacks fivm_dedup_evicted_origins 3")
 	}
 }

@@ -70,6 +70,9 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	reg.GaugeFunc("fivm_dedup_entries", "",
 		"Live entries in the idempotency dedup table.",
 		func() float64 { return float64(s.dedup.size()) })
+	reg.GaugeFunc("fivm_dedup_evicted_origins", "",
+		"Client origins with an evicted high-water batch sequence number in the dedup table.",
+		func() float64 { return float64(s.dedup.evictedOrigins()) })
 
 	// Per-shard ingest queues: depth and capacity, read at scrape time.
 	names := make([]string, 0, len(s.shards))

@@ -38,8 +38,9 @@
 //
 // All configuration is validated before any data is generated or
 // loaded: a bad flag combination prints one error to stderr and exits
-// with status 2. The daemon itself lives in internal/daemon;
-// fivm-cluster -spawn runs the same code for each worker.
+// with status 2. The daemon and every flag but -addr and -version live
+// in internal/daemon; each fivm-cluster worker is the same flag set and
+// the same code.
 package main
 
 import (
@@ -50,35 +51,15 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/daemon"
-	"repro/internal/wal"
 )
 
 func main() {
 	var o daemon.Options
+	o.RegisterFlags(flag.CommandLine)
 	flag.StringVar(&o.Addr, "addr", ":8344", "HTTP listen address")
-	flag.StringVar(&o.DB, "db", "", "demo database preset: retailer|favorita (overrides -relations/-features)")
-	flag.IntVar(&o.Rows, "rows", 0, "fact-table rows for the preset database (0 = preset default)")
-	flag.BoolVar(&o.Load, "load", true, "bulk-load the generated preset database at startup")
-	flag.StringVar(&o.Engine, "engine", "", daemon.EngineUsage())
-	flag.StringVar(&o.Query, "query", "", `SQL-subset query for count/float engines, e.g. "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"`)
-	flag.StringVar(&o.Relations, "relations", "", `custom relations, e.g. "R:A,B;S:B,C"`)
-	flag.StringVar(&o.Features, "features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)
-	flag.StringVar(&o.Attrs, "attrs", "", `covar aggregate attributes, e.g. "A,B,C"`)
-	flag.StringVar(&o.Label, "label", "", "ridge label attribute for analysis engines (preset default when -db is set; empty disables fitting)")
-	flag.StringVar(&o.WALDir, "wal", "", "durability directory: write-ahead log + checkpoints, recovered at startup")
-	flag.StringVar(&o.FsyncPolicy, "fsync", string(wal.PolicyInterval), "WAL fsync policy: always|interval|off")
-	flag.DurationVar(&o.FsyncInterval, "fsync-interval", 100*time.Millisecond, "background WAL fsync period under -fsync interval")
-	flag.DurationVar(&o.CheckpointInterval, "checkpoint-interval", time.Minute, "incremental checkpoint period with -wal (<0 disables; a final checkpoint is still written on shutdown)")
-	flag.Int64Var(&o.SegmentBytes, "segment-bytes", 64<<20, "WAL segment rotation size")
-	flag.IntVar(&o.MaxBatch, "max-batch", 8192, "max raw updates coalesced into one delta batch")
-	flag.IntVar(&o.ChannelCap, "chan-cap", 256, "per-relation ingest channel capacity")
-	flag.IntVar(&o.HighWatermark, "high-watermark", 0, "ingest queue depth at which /v1/update sheds with 429 (0 = chan-cap)")
-	flag.IntVar(&o.DedupCap, "dedup-cap", 0, "idempotency dedup table capacity in recently seen batch groups (0 = 8192)")
-	flag.BoolVar(&o.Trace, "trace", false, "log one structured line per batch and per snapshot publish")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/fivm"
 	"repro/fivm/client"
@@ -281,6 +283,39 @@ func TestRouterPredictRefusesNonFiniteInput(t *testing.T) {
 		case c.want != http.StatusOK && (!errors.As(err, &ae) || ae.Status != c.want || ae.Code != serve.CodeUnprocessable):
 			t.Errorf("predict D=%s = %v, want %d %s", c.d, err, c.want, serve.CodeUnprocessable)
 		}
+	}
+}
+
+// TestNewRefusesBadConfig: a shard URL listed twice would have its
+// partial merged twice, so every count, sum and product read through
+// the router would double; a negative cover wait used to become the
+// default silently. cluster.New refuses both, and still accepts a zero
+// cover wait as the default.
+func TestNewRefusesBadConfig(t *testing.T) {
+	cfg := engineConfigs()["count"]
+	for _, c := range []struct {
+		name string
+		cfg  cluster.Config
+		want string // "" = accepted; otherwise a substring of the error
+	}{
+		{"distinct shards", cluster.Config{ShardURLs: []string{"http://a:1", "http://b:1"}}, ""},
+		{"zero cover wait", cluster.Config{ShardURLs: []string{"http://a:1"}, CoverWait: 0}, ""},
+		{"repeated shard", cluster.Config{ShardURLs: []string{"http://a:1", "http://b:1", "http://a:1"}}, "shard URL http://a:1 is listed twice"},
+		{"negative cover wait", cluster.Config{ShardURLs: []string{"http://a:1"}, CoverWait: -time.Second}, "cover wait -1s is negative"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Engine, c.cfg.ProbeInterval = cfg, -1
+			rt, err := cluster.New(c.cfg)
+			if err == nil {
+				rt.Close()
+			}
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("New = %v, want nil", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("New = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

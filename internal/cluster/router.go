@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,7 +26,8 @@ import (
 type Config struct {
 	// ShardURLs are the worker base URLs, one per shard; shard i of the
 	// shard map is ShardURLs[i], so the list's order IS the partition
-	// assignment and must be identical on every router instance.
+	// assignment and must be identical on every router instance. A
+	// repeated URL is refused: that worker's partial would count twice.
 	ShardURLs []string
 	// Engine is the cluster-wide engine configuration — the exact
 	// config every worker runs. The router opens a data-less "merger"
@@ -40,7 +42,7 @@ type Config struct {
 	HTTPClient *http.Client
 	// CoverWait bounds how long a merged read waits for every shard's
 	// partial to cover the router's acked counts before giving up
-	// (default 2s).
+	// (0 selects 2s; negative is refused).
 	CoverWait time.Duration
 	// ProbeInterval paces the background health prober feeding
 	// /metrics gauges (default 2s; negative disables it).
@@ -121,7 +123,15 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.ShardURLs) == 0 {
 		return nil, fmt.Errorf("cluster: no shard URLs")
 	}
-	if cfg.CoverWait <= 0 {
+	for i, u := range cfg.ShardURLs {
+		if slices.Contains(cfg.ShardURLs[:i], u) {
+			return nil, fmt.Errorf("cluster: shard URL %s is listed twice; its partial would be merged twice", u)
+		}
+	}
+	if cfg.CoverWait < 0 {
+		return nil, fmt.Errorf("cluster: cover wait %v is negative (0 selects the 2s default)", cfg.CoverWait)
+	}
+	if cfg.CoverWait == 0 {
 		cfg.CoverWait = 2 * time.Second
 	}
 	if cfg.ProbeInterval == 0 {

@@ -2,24 +2,71 @@ package daemon
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/fivm"
 	"repro/internal/dataset"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
-// EngineUsage is the -engine flag's help text; it lists fivm.Kinds.
-func EngineUsage() string {
-	var names []string
+// FlagGroup is the part a daemon flag plays when fivm-cluster fronts
+// the daemon's workers. The zero value is a flag the daemon does not
+// register.
+type FlagGroup int
+
+const (
+	// EngineFlag defines the engine: the router and every worker share it.
+	EngineFlag FlagGroup = iota + 1
+	// PresetFlag picks, sizes or bulk-loads a -db preset.
+	PresetFlag
+	// WorkerFlag configures one worker's ingest pipeline and WAL.
+	WorkerFlag
+)
+
+// RegisterFlags registers every Options field except Addr and Logf on
+// fs, under the flag names, defaults and help text both serving
+// binaries print, and returns each flag's group keyed by flag name.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) map[string]FlagGroup {
+	engine, preset, worker := flag.NewFlagSet("", 0), flag.NewFlagSet("", 0), flag.NewFlagSet("", 0)
+	preset.StringVar(&o.DB, "db", "", "demo database preset: retailer|favorita (refused with -relations/-features/-attrs/-query/-engine)")
+	preset.IntVar(&o.Rows, "rows", 0, "fact-table rows for the preset database (0 = preset default)")
+	preset.BoolVar(&o.Load, "load", true, "bulk-load the generated preset database at startup")
+	var kinds []string
 	for _, k := range fivm.Kinds() {
-		names = append(names, string(k))
+		kinds = append(kinds, string(k))
 	}
-	return "engine kind: " + strings.Join(names, "|") + " (default: inferred from the other flags)"
+	engine.StringVar(&o.Engine, "engine", "", "engine kind: "+strings.Join(kinds, "|")+" (default: inferred from the other flags)")
+	engine.StringVar(&o.Query, "query", "", `SQL-subset query for count/float engines, e.g. "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"`)
+	engine.StringVar(&o.Relations, "relations", "", `custom relations, e.g. "R:A,B;S:B,C"`)
+	engine.StringVar(&o.Features, "features", "", `analysis features, e.g. "A,B:cat,C:bin=10"`)
+	engine.StringVar(&o.Attrs, "attrs", "", `covar aggregate attributes, e.g. "A,B,C"`)
+	engine.StringVar(&o.Label, "label", "", "ridge label attribute for analysis engines (preset default when -db is set; empty disables fitting)")
+	worker.StringVar(&o.WALDir, "wal", "", "durability directory: write-ahead log + checkpoints, recovered at startup")
+	worker.StringVar(&o.FsyncPolicy, "fsync", string(wal.PolicyInterval), "WAL fsync policy: always|interval|off")
+	worker.DurationVar(&o.FsyncInterval, "fsync-interval", 100*time.Millisecond, "background WAL fsync period under -fsync interval")
+	worker.DurationVar(&o.CheckpointInterval, "checkpoint-interval", time.Minute, "incremental checkpoint period with -wal (<0 disables; a final checkpoint is still written on shutdown)")
+	worker.Int64Var(&o.SegmentBytes, "segment-bytes", 64<<20, "WAL segment rotation size")
+	worker.IntVar(&o.MaxBatch, "max-batch", 8192, "max raw updates coalesced into one delta batch")
+	worker.IntVar(&o.ChannelCap, "chan-cap", 256, "per-relation ingest channel capacity")
+	worker.IntVar(&o.HighWatermark, "high-watermark", 0, "ingest queue depth at which /v1/update sheds with 429 (0 = chan-cap)")
+	worker.IntVar(&o.DedupCap, "dedup-cap", 0, "idempotency dedup table capacity in recently seen batch groups (0 = 8192)")
+	worker.BoolVar(&o.Trace, "trace", false, "log one structured line per batch and per snapshot publish")
+	// Each group's own set names its flags, so no second list does.
+	groups := map[string]FlagGroup{}
+	for g, set := range map[FlagGroup]*flag.FlagSet{EngineFlag: engine, PresetFlag: preset, WorkerFlag: worker} {
+		set.VisitAll(func(f *flag.Flag) {
+			fs.Var(f.Value, f.Name, f.Usage)
+			groups[f.Name] = g
+		})
+	}
+	return groups
 }
 
 // Preset is one of the demo's two databases and the one feature list of

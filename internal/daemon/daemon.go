@@ -2,9 +2,10 @@
 // engine configuration from CLI-style options, wiring durability and the
 // serving pipeline, and running the HTTP server until the context ends.
 //
-// cmd/fivm-serve is a thin flag front-end over it, and cmd/fivm-cluster
-// reuses it verbatim for the workers its -spawn mode forks — one code
-// path defines what a worker is.
+// Options.RegisterFlags is the one flag set of both serving binaries:
+// cmd/fivm-serve is that set plus -addr and -version, a cmd/fivm-cluster
+// worker the same set and the same Run — one code path defines what a
+// worker is.
 package daemon
 
 import (
@@ -22,56 +23,27 @@ import (
 	"repro/internal/wal"
 )
 
-// Options mirrors the fivm-serve flag set. The zero value is invalid;
-// fill in at least DB or Relations. See Validate.
+// Options configures the daemon. RegisterFlags binds every field but
+// Addr and Logf to one flag, whose help text documents the field. The
+// zero value is invalid; fill in at least DB or Relations. See
+// Validate.
 type Options struct {
 	// Addr is the HTTP listen address, e.g. ":8344".
 	Addr string
-	// DB selects a demo preset (retailer|favorita); mutually exclusive
-	// with the custom-schema options below.
-	DB string
-	// Rows overrides the preset's fact-table row count (0 = default).
+
+	// The preset flags -db, -rows and -load.
+	DB   string
 	Rows int
-	// Load bulk-loads the generated preset data at startup.
 	Load bool
-	// Engine forces the engine kind; empty infers it from the other
-	// options (see fivm.Open).
-	Engine string
-	// Query is the SQL-subset query for count/float engines.
-	Query string
-	// Relations declares a custom schema, e.g. "R:A,B;S:B,C".
-	Relations string
-	// Features declares analysis features, e.g. "A,B:cat,C:bin=10".
-	Features string
-	// Attrs declares covar aggregate attributes, e.g. "A,B,C".
-	Attrs string
-	// Label is the ridge label attribute (preset default when DB is
-	// set; empty disables fitting).
-	Label string
-
-	// WALDir enables crash-safe durability (write-ahead log plus
-	// incremental checkpoints, recovered at startup).
-	WALDir string
-	// FsyncPolicy is the WAL sync policy: always|interval|off.
-	FsyncPolicy string
-	// FsyncInterval paces background fsync under the interval policy.
-	FsyncInterval time.Duration
-	// CheckpointInterval paces incremental checkpoints (<0 disables the
-	// periodic loop; a final checkpoint is still written on shutdown).
-	CheckpointInterval time.Duration
-	// SegmentBytes is the WAL segment rotation size.
-	SegmentBytes int64
-
-	// MaxBatch, ChannelCap, HighWatermark tune the ingestion pipeline
-	// (serve.Config).
-	MaxBatch      int
-	ChannelCap    int
-	HighWatermark int
-	// DedupCap bounds the idempotency dedup table (serve.Config.DedupCap;
-	// 0 = default).
-	DedupCap int
-	// Trace logs one structured line per batch and snapshot publish.
-	Trace bool
+	// The engine flags -engine, -query, -relations, -features, -attrs, -label.
+	Engine, Query, Relations, Features, Attrs, Label string
+	// The worker flags -wal, -fsync, -fsync-interval, -checkpoint-interval,
+	// -segment-bytes, -max-batch, -chan-cap, -high-watermark, -dedup-cap, -trace.
+	WALDir, FsyncPolicy                           string
+	FsyncInterval, CheckpointInterval             time.Duration
+	SegmentBytes                                  int64
+	MaxBatch, ChannelCap, HighWatermark, DedupCap int
+	Trace                                         bool
 
 	// Logf receives progress lines; nil selects log.Printf.
 	Logf func(format string, args ...any)

@@ -1,9 +1,13 @@
 package daemon
 
 import (
+	"flag"
+	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/fivm"
 )
@@ -27,6 +31,13 @@ func TestOptionsValidate(t *testing.T) {
 		{"db with relations", with(preset, func(o *Options) { o.Relations = "R:A,B" }), "-db retailer defines its own"},
 		{"bad fsync", with(custom, func(o *Options) { o.FsyncPolicy = "sometimes" }), `bad -fsync policy "sometimes"`},
 		{"watermark above chan-cap", with(custom, func(o *Options) { o.ChannelCap, o.HighWatermark = 8, 9 }), "HighWatermark 9 exceeds ChannelCap 8"},
+		{"worker flags", with(custom, func(o *Options) { o.MaxBatch, o.ChannelCap, o.SegmentBytes, o.Trace = 64, 32, 1024, true }), ""},
+		{"negative max-batch", with(custom, func(o *Options) { o.MaxBatch = -1 }), "MaxBatch -1 is negative"},
+		{"negative chan-cap", with(custom, func(o *Options) { o.ChannelCap = -1 }), "ChannelCap -1 is negative"},
+		{"negative high-watermark", with(custom, func(o *Options) { o.HighWatermark = -1 }), "HighWatermark -1 is negative"},
+		{"negative dedup-cap", with(custom, func(o *Options) { o.DedupCap = -1 }), "DedupCap -1 is negative"},
+		{"db with query", with(preset, func(o *Options) { o.Query = "SELECT SUM(1) FROM Inventory" }), "-db retailer defines its own"},
+		{"load without db", with(custom, func(o *Options) { o.Load = false }), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,6 +51,36 @@ func TestOptionsValidate(t *testing.T) {
 				t.Fatalf("Validate() = %q, want it to contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRegisterFlags pins the one daemon flag set: its defaults, the
+// Options field each flag fills, and each flag's group.
+func TestRegisterFlags(t *testing.T) {
+	var o Options
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	groups := o.RegisterFlags(fs)
+	want := Options{Load: true, FsyncPolicy: "interval", FsyncInterval: 100 * time.Millisecond,
+		CheckpointInterval: time.Minute, SegmentBytes: 64 << 20, MaxBatch: 8192, ChannelCap: 256}
+	if !reflect.DeepEqual(o, want) {
+		t.Errorf("defaults = %+v, want %+v", o, want)
+	}
+	if err := fs.Parse([]string{"-db=d", "-rows=1", "-load=false",
+		"-engine=e", "-query=q", "-relations=r", "-features=f", "-attrs=a", "-label=l",
+		"-wal=w", "-fsync=always", "-fsync-interval=2s", "-checkpoint-interval=3s", "-segment-bytes=4",
+		"-max-batch=5", "-chan-cap=6", "-high-watermark=7", "-dedup-cap=8", "-trace"}); err != nil {
+		t.Fatal(err)
+	}
+	want = Options{DB: "d", Rows: 1, Engine: "e", Query: "q", Relations: "r", Features: "f", Attrs: "a", Label: "l",
+		WALDir: "w", FsyncPolicy: "always", FsyncInterval: 2 * time.Second, CheckpointInterval: 3 * time.Second,
+		SegmentBytes: 4, MaxBatch: 5, ChannelCap: 6, HighWatermark: 7, DedupCap: 8, Trace: true}
+	if !reflect.DeepEqual(o, want) {
+		t.Errorf("parsed = %+v, want %+v", o, want)
+	}
+	count := map[FlagGroup]int{}
+	fs.VisitAll(func(f *flag.Flag) { count[groups[f.Name]]++ })
+	if want := map[FlagGroup]int{EngineFlag: 6, PresetFlag: 3, WorkerFlag: 10}; !maps.Equal(count, want) || len(groups) != 19 {
+		t.Errorf("flags per group = %v (%d grouped), want %v", count, len(groups), want)
 	}
 }
 

@@ -61,10 +61,13 @@ func NewUpdate(rel string, mult int, tuple ...any) Update {
 // was written (wait=true), and how many were recognized as duplicates
 // of an earlier delivery of the same batch ID (suppressed, not
 // re-applied; Deduped == Accepted means the whole batch was a replay).
+// WithPartialAcks adds the partial that covers the batch (nil if none).
 type UpdateAck struct {
-	Accepted int  `json:"accepted"`
-	Applied  bool `json:"applied"`
-	Deduped  int  `json:"deduped"`
+	Accepted       int    `json:"accepted"`
+	Applied        bool   `json:"applied"`
+	Deduped        int    `json:"deduped"`
+	Partial        []byte `json:"partial"`
+	PartialApplied uint64 `json:"partial_applied"`
 }
 
 // Model is a decoded GET /v1/model response: the engine-specific body
@@ -167,6 +170,11 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // accounting, and the cluster router owns its own per-shard policy).
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
+// WithPartialAcks makes every waited update ask the worker for its
+// partial in the ack (POST /v1/update?wait=1&partial=1). The cluster
+// router's shard clients use it to merge reads without a round trip.
+func WithPartialAcks() Option { return func(c *Client) { c.partialAcks = true } }
+
 // WithBackoff sets the base and maximum retry delay. The server's
 // Retry-After hint is honored when present but clamped to max.
 func WithBackoff(base, max time.Duration) Option {
@@ -176,11 +184,12 @@ func WithBackoff(base, max time.Duration) Option {
 // Client talks to one fivm-serve worker or fivm-cluster router. It is
 // safe for concurrent use.
 type Client struct {
-	base       string
-	hc         *http.Client
-	retries    int
-	backoff    time.Duration
-	maxBackoff time.Duration
+	base        string
+	hc          *http.Client
+	retries     int
+	backoff     time.Duration
+	maxBackoff  time.Duration
+	partialAcks bool
 	// origin is this client instance's random 128-bit identity; origin
 	// plus the batchSeq counter forms each Update call's batch ID.
 	origin   [16]byte
@@ -250,6 +259,9 @@ func (c *Client) UpdateBody(ctx context.Context, batchID string, body []byte, wa
 	path := "/v1/update"
 	if wait {
 		path += "?wait=1"
+		if c.partialAcks {
+			path += "&partial=1"
+		}
 	}
 	resp, err := c.doID(ctx, http.MethodPost, path, body, batchID)
 	if err != nil {
@@ -329,7 +341,10 @@ func (c *Client) Partial(ctx context.Context) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	applied, _ := strconv.ParseUint(resp.Header.Get("X-Fivm-Applied"), 10, 64)
+	applied, err := strconv.ParseUint(resp.Header.Get("X-Fivm-Applied"), 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("fivm: /v1/partial: bad X-Fivm-Applied header: %w", err)
+	}
 	return &Partial{Data: data, Applied: applied}, nil
 }
 

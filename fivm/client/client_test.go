@@ -304,3 +304,56 @@ func TestRetryAfterHTTPDate(t *testing.T) {
 		t.Errorf("envelope retry_after_ms=250 with header 7s parsed as %v, want 250ms (envelope wins)", ae.RetryAfter)
 	}
 }
+
+// TestPartialRequiresAppliedHeader: a partial without a well-formed
+// X-Fivm-Applied covers nothing the caller can check, so it is an error
+// naming the header, not a partial that covers 0 updates.
+func TestPartialRequiresAppliedHeader(t *testing.T) {
+	for name, header := range map[string]string{"missing": "", "malformed": "twelve"} {
+		_, hs := newScriptServer(t, func(w http.ResponseWriter) {
+			if header != "" {
+				w.Header().Set("X-Fivm-Applied", header)
+			}
+			_, _ = w.Write([]byte("FIVMPART"))
+		})
+		_, err := New(hs.URL).Partial(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "X-Fivm-Applied") {
+			t.Errorf("%s header: err = %v, want one naming X-Fivm-Applied", name, err)
+		}
+	}
+	_, hs := newScriptServer(t, func(w http.ResponseWriter) {
+		w.Header().Set("X-Fivm-Applied", "12")
+		_, _ = w.Write([]byte("FIVMPART"))
+	})
+	p, err := New(hs.URL).Partial(context.Background())
+	if err != nil || p.Applied != 12 || string(p.Data) != "FIVMPART" {
+		t.Fatalf("Partial = %+v, %v; want applied 12", p, err)
+	}
+}
+
+// TestPartialAcksAskOnlyWhenWaiting: WithPartialAcks adds partial=1 to
+// waited updates only, and the ack's partial decodes from base64.
+func TestPartialAcksAskOnlyWhenWaiting(t *testing.T) {
+	var queries []string
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		queries = append(queries, r.URL.RawQuery)
+		w.WriteHeader(http.StatusAccepted)
+		_, _ = w.Write([]byte(`{"accepted":1,"applied":true,"partial":"RklWTVBBUlQ=","partial_applied":3}`))
+	}))
+	defer hs.Close()
+	ctx := context.Background()
+	ups := []Update{NewUpdate("R", 1, 1)}
+	ack, err := New(hs.URL, WithPartialAcks()).Update(ctx, ups, true)
+	if err != nil || string(ack.Partial) != "FIVMPART" || ack.PartialApplied != 3 {
+		t.Fatalf("ack = %+v, %v", ack, err)
+	}
+	if _, err := New(hs.URL, WithPartialAcks()).Update(ctx, ups, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(hs.URL).Update(ctx, ups, true); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"wait=1&partial=1", "", "wait=1"}; strings.Join(queries, "|") != strings.Join(want, "|") {
+		t.Fatalf("queries = %q, want %q", queries, want)
+	}
+}

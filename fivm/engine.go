@@ -52,6 +52,10 @@ type Model interface {
 	// Predict evaluates the model's predictor on one feature vector.
 	// Engines that publish no predictive model return an error.
 	Predict(x map[string]value.Value) (float64, error)
+	// WritePartial writes the result relation the model was published
+	// from, in Engine.WritePartial's format. It reads only the model's
+	// own frozen copy, so it may run on any goroutine.
+	WritePartial(w io.Writer) error
 }
 
 // Engine is the generic core every F-IVM workload shares: a view tree
@@ -224,7 +228,20 @@ func (e *Engine[V]) ReadSnapshot(r io.Reader) error {
 // partial aggregate of the global query when the engine owns one shard
 // of the anchor relation — for cross-shard merging (see MergePartials).
 func (e *Engine[V]) WritePartial(w io.Writer) error {
-	return e.tree.WritePartial(w, e.resultCodec)
+	return view.WritePartial(w, e.resultCodec, e.tree.Result())
+}
+
+// payloadPartial is the partial of the ungrouped result whose payload
+// is p, a frozen copy; the relation is built only when it is written.
+func (e *Engine[V]) payloadPartial(p V) frozenPartial {
+	schema, rg, codec := e.tree.Result().Schema(), e.tree.Ring(), e.resultCodec
+	return func(w io.Writer) error {
+		res := relation.New[V](schema)
+		if !rg.IsZero(p) {
+			res.Set(value.Tuple{}, p)
+		}
+		return view.WritePartial(w, codec, res)
+	}
 }
 
 // MergePartials ring-merges per-shard partial results (each written by
@@ -271,14 +288,16 @@ func (e *Engine[V]) PublishModel(prev Model) Model { return e.publish(prev) }
 
 // tableModel snapshots the result relation into a TableModel. The
 // publish-time cost is one shallow clone (relation.Map.Clone flags the
-// shared payloads copy-on-write, so that is a full snapshot);
+// shared payloads copy-on-write, so that is a full snapshot), which the
+// model's partial also reads;
 // converting with toFloat, sorting, and decoding keys is deferred to
 // the first read of the model.
 func tableModel[V any](e *Engine[V], toFloat func(V) float64) *TableModel {
-	frozen := e.tree.Result().Clone()
+	frozen, codec := e.tree.Result().Clone(), e.resultCodec
 	return &TableModel{
-		EngineKind: e.kind,
-		Attrs:      frozen.Schema().Attrs(),
+		EngineKind:    e.kind,
+		Attrs:         frozen.Schema().Attrs(),
+		frozenPartial: func(w io.Writer) error { return view.WritePartial(w, codec, frozen) },
 		build: func() ([]TableRow, float64) {
 			rows := make([]TableRow, 0, frozen.Len())
 			var total float64

@@ -188,7 +188,8 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 		clone:       (*ring.RangedCovar).Clone,
 		info:        m3.RingInfo{Name: "RingCofactor<double, idx, cnt>", LiftIndexOf: l.liftIndexOf},
 		publish: func(Model) Model {
-			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: e.Payload().Widen(perm)}
+			p := e.ClonePayload()
+			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: p.Widen(perm), frozenPartial: e.payloadPartial(p)}
 		},
 	})
 	return e, nil

@@ -145,6 +145,7 @@ func (a *Analysis) publishModel(prev Model) Model {
 		Features:  append([]ml.Feature(nil), a.feats...),
 		BinWidths: binWidths,
 	}
+	m.frozenPartial = a.payloadPartial(m.Payload)
 	if a.label == "" {
 		return m
 	}

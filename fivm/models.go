@@ -3,6 +3,7 @@ package fivm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -18,6 +19,7 @@ import (
 // derived purely from one, so any number of readers may use it
 // concurrently without coordination.
 type AnalysisModel struct {
+	frozenPartial // over Payload
 	// Label is the ridge model's target attribute ("" when fitting is
 	// disabled).
 	Label string
@@ -150,6 +152,7 @@ type TableRow struct {
 // the serving writer's publish cost independent of rendering. The lazy
 // step is synchronized: concurrent readers are safe.
 type TableModel struct {
+	frozenPartial
 	EngineKind Kind
 	// Attrs names the key attributes, the GROUP BY list.
 	Attrs []string
@@ -207,7 +210,8 @@ func (m *TableModel) Predict(map[string]value.Value) (float64, error) {
 // degree-m compound aggregate (count, sums, products) over the named
 // continuous attributes.
 type CovarModel struct {
-	EngineKind Kind
+	frozenPartial // over a ranged clone of the payload
+	EngineKind    Kind
 	// Attrs maps aggregate index -> attribute name.
 	Attrs []string
 	// Payload is a copy of the compound aggregate in Attrs order; nil
@@ -256,6 +260,13 @@ func (m *CovarModel) ResultJSON() (any, error) {
 func (m *CovarModel) Predict(map[string]value.Value) (float64, error) {
 	return 0, fmt.Errorf("fivm: %s engine serves no predictive model", m.EngineKind)
 }
+
+// frozenPartial is the Model.WritePartial every model embeds: it writes
+// the result relation frozen at publish time, in the partial format.
+type frozenPartial func(io.Writer) error
+
+// WritePartial writes the frozen result relation.
+func (f frozenPartial) WritePartial(w io.Writer) error { return f(w) }
 
 // jsonValue converts a typed value to its natural JSON representation.
 func jsonValue(v value.Value) any {

@@ -61,8 +61,9 @@ type Config struct {
 	BreakerCooldown time.Duration
 }
 
-// shardRef is the router's per-worker state: the client, and the
-// monotonic counters the ack protocol and health aggregation ride on.
+// shardRef is the router's per-worker state: the client, the monotonic
+// counters the ack protocol and health aggregation ride on, and the
+// newest partial the shard has sent.
 type shardRef struct {
 	id  int
 	url string
@@ -75,6 +76,9 @@ type shardRef struct {
 	// counter; up its last observed reachability. Both feed /metrics.
 	applied atomic.Uint64
 	up      atomic.Bool
+	// held is the newest (largest Applied) partial a write ack or a poll
+	// brought back; nil when there is none or it was dropped.
+	held atomic.Pointer[client.Partial]
 	// brk fails writes to a persistently failing shard fast instead of
 	// burning the whole retry budget against it on every request.
 	brk *breaker
@@ -104,6 +108,9 @@ type Router struct {
 	readErrors  *obs.Counter
 	retries     *obs.Counter
 	mergeLat    *obs.Histogram
+	// Partials merged reads used, by source.
+	partialsHeld    *obs.Counter
+	partialsFetched *obs.Counter
 
 	// origin + batchSeq mint batch IDs for writes that arrive without
 	// an X-Fivm-Batch-Id, so the router's own per-shard retries are
@@ -176,8 +183,9 @@ func New(cfg Config) (*Router, error) {
 		opts = append(opts, client.WithHTTPClient(cfg.HTTPClient))
 	}
 	// The router does not retry 429s itself: backpressure must reach
-	// the writing client, which owns the retry budget.
-	opts = append(opts, client.WithRetries(0))
+	// the writing client, which owns the retry budget. Every waited
+	// write brings back the shard's partial as of its ack.
+	opts = append(opts, client.WithRetries(0), client.WithPartialAcks())
 	for i, u := range cfg.ShardURLs {
 		sh := &shardRef{
 			id: i, url: u, cli: client.New(u, opts...),
@@ -211,6 +219,9 @@ func New(cfg Config) (*Router, error) {
 		"Per-shard write sub-batch retries (transport failures and 503s re-sent under the retry budget).")
 	rt.mergeLat = rt.reg.NewHistogram("fivm_cluster_merge_seconds", "",
 		"Latency of gathering and ring-merging per-shard partials.", obs.LatencyBuckets())
+	const partialsHelp = "Partials merged reads used: held from a write ack or an earlier read, or fetched from the shard."
+	rt.partialsHeld = rt.reg.NewCounter("fivm_cluster_partials_total", `source="held"`, partialsHelp)
+	rt.partialsFetched = rt.reg.NewCounter("fivm_cluster_partials_total", `source="fetched"`, partialsHelp)
 	if cfg.ProbeInterval > 0 {
 		rt.probeWG.Add(1)
 		go func() {
@@ -272,17 +283,54 @@ func (rt *Router) probeLoop() {
 func (sh *shardRef) observeStats(ctx context.Context) {
 	st, err := sh.cli.Stats(ctx)
 	if err != nil {
-		sh.up.Store(false)
+		sh.markDown()
 		return
 	}
-	sh.up.Store(true)
 	app := st.Applied
 	if st.WAL.Enabled {
 		// The WAL counter is cumulative across restarts, matching the
 		// covering counter /v1/partial reports on durable workers.
 		app = st.WAL.AppliedUpdates
 	}
-	sh.applied.Store(app)
+	sh.observe(app)
+}
+
+// observe records a reachable shard's applied counter. One below the
+// held partial's (a restart without a WAL) drops the held partial.
+func (sh *shardRef) observe(applied uint64) {
+	sh.up.Store(true)
+	sh.applied.Store(applied)
+	if h := sh.held.Load(); h != nil && applied < h.Applied {
+		sh.held.CompareAndSwap(h, nil)
+	}
+}
+
+// markDown records the shard unreachable and drops its held partial.
+func (sh *shardRef) markDown() {
+	sh.up.Store(false)
+	sh.held.Store(nil)
+}
+
+// hold keeps p when it is newer than the held partial.
+func (sh *shardRef) hold(p *client.Partial) {
+	for {
+		cur := sh.held.Load()
+		if cur != nil && cur.Applied >= p.Applied || sh.held.CompareAndSwap(cur, p) {
+			return
+		}
+	}
+}
+
+// heldCovering returns the held partial when it proves coverage without
+// a request: the shard is up and the partial covers both the acked
+// target and the last observed applied counter, which bounds staleness
+// for other writers to one probe interval.
+func (sh *shardRef) heldCovering(target uint64) *client.Partial {
+	h := sh.held.Load()
+	if h == nil || !sh.up.Load() || h.Applied < target || h.Applied < sh.applied.Load() {
+		return nil
+	}
+	return h
 }
 
 // subBatch is one shard's share of a client batch: its POST
@@ -422,6 +470,9 @@ func (rt *Router) writeShard(ctx context.Context, sh *shardRef, batchID string, 
 		if err == nil {
 			sh.brk.onSuccess()
 			sh.up.Store(true)
+			if ack.Partial != nil { // before acked grows, so a read of the new target finds it
+				sh.hold(&client.Partial{Data: ack.Partial, Applied: ack.PartialApplied})
+			}
 			fresh := g.n - ack.Deduped
 			if fresh < 0 {
 				fresh = 0
@@ -437,7 +488,7 @@ func (rt *Router) writeShard(ctx context.Context, sh *shardRef, batchID string, 
 		if !isAPI || ae.Temporary() {
 			// Transport failure or 429/503: the shard is down or
 			// shedding. 4xx rejections leave it up.
-			sh.up.Store(false)
+			sh.markDown()
 		}
 		retryable := !isAPI || ae.Status == http.StatusServiceUnavailable
 		if !retryable {
@@ -485,11 +536,12 @@ type mergeInfo struct {
 	Merged int `json:"merged"`
 }
 
-// gatherPartials fetches every shard's partial, requiring each to cover
-// the shard's acked counter (read-your-writes). A shard that cannot
-// deliver a covering partial within CoverWait is an error — unless
-// allowStale, which instead reports it in info.Missing and merges the
-// rest.
+// gatherPartials collects every shard's partial, requiring each to
+// cover the shard's acked counter (read-your-writes): a held one when
+// heldCovering allows, else one polled (and held when newer). A shard
+// that cannot deliver a covering partial within CoverWait is an error —
+// unless allowStale, which instead reports it in info.Missing and
+// merges the rest.
 func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte, *mergeInfo, error) {
 	info := &mergeInfo{}
 	bodies := make([][]byte, len(rt.shards))
@@ -497,11 +549,17 @@ func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte
 	deadline := time.Now().Add(rt.cfg.CoverWait)
 	var wg sync.WaitGroup
 	for _, sh := range rt.shards {
-		info.Acked += sh.acked.Load()
+		// One load: the target enforced is the coverage reported.
+		target := sh.acked.Load()
+		info.Acked += target
+		if h := sh.heldCovering(target); h != nil {
+			bodies[sh.id] = h.Data
+			rt.partialsHeld.Inc()
+			continue
+		}
 		wg.Add(1)
 		go func(sh *shardRef) {
 			defer wg.Done()
-			target := sh.acked.Load()
 			// Jittered exponential backoff between polls: the first
 			// re-poll comes fast (a healthy shard is usually one batch
 			// behind), later ones back off to CoverWait/8 so a
@@ -514,11 +572,12 @@ func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte
 			for {
 				p, err := sh.cli.Partial(ctx)
 				if err == nil {
-					sh.up.Store(true)
-					sh.applied.Store(p.Applied)
+					sh.observe(p.Applied)
+					sh.hold(p)
 					if p.Applied >= target {
 						bodies[sh.id] = p.Data
 						errs[sh.id] = nil
+						rt.partialsFetched.Inc()
 						return
 					}
 					// The shard answered but has not yet re-applied
@@ -526,7 +585,7 @@ func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte
 					// covered is a matter of waiting.
 					err = fmt.Errorf("shard %d applied %d of %d acked updates", sh.id, p.Applied, target)
 				} else {
-					sh.up.Store(false)
+					sh.markDown()
 				}
 				errs[sh.id] = err
 				if time.Now().After(deadline) {

@@ -19,9 +19,10 @@
 // Read-your-writes: the router acks a write only after every touched
 // shard has applied and (when WAL-enabled) logged its sub-batch
 // (?wait=1), and it tracks the cumulative acked count per shard. A
-// merged read requires each shard's partial to cover that count (the
-// X-Fivm-Applied header), so every acknowledged write is visible in
-// every subsequent merged read.
+// merged read requires each shard's partial to cover that count (its
+// applied counter: the ack's partial_applied or the X-Fivm-Applied
+// header), so every acknowledged write is visible in every subsequent
+// merged read.
 package cluster
 
 import "repro/internal/value"

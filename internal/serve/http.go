@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/fivm"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -18,7 +16,9 @@ import (
 //
 //	POST /v1/update   {"updates":[{"rel":"R","tuple":[1,2.5,"x"],"mult":1}]}
 //	                  ?wait=1 blocks until the batch is applied and a
-//	                  snapshot reflecting it is published; 429 +
+//	                  snapshot reflecting it is published; with
+//	                  &partial=1 the ack carries that snapshot's partial
+//	                  and its applied counter; 429 +
 //	                  Retry-After when a target ingest queue is over the
 //	                  high-watermark
 //	GET  /v1/predict  ?attr=value&... one query parameter per feature
@@ -28,7 +28,7 @@ import (
 //	                  and age, per-shard queue depths, shed counts
 //	GET  /v1/viewtree the maintained view tree (text)
 //	GET  /v1/healthz  liveness + staleness (snapshot version/age, queues)
-//	GET  /v1/partial  the shard's partial result relation in the binary
+//	GET  /v1/partial  the latest snapshot's result relation in the binary
 //	                  partial format, for cross-shard merging; the
 //	                  X-Fivm-Applied header carries the cumulative
 //	                  applied-update counter the body covers
@@ -150,8 +150,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	q := r.URL.Query()
 	applied := false
-	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait {
+	if wait, _ := strconv.ParseBool(q.Get("wait")); wait {
 		select {
 		case <-done:
 			applied = true
@@ -166,6 +167,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// keeping per-shard acked counters equal to applied ones even
 		// when a retry races a delivery that actually succeeded.
 		ack["deduped"] = deduped
+	}
+	if partial, _ := strconv.ParseBool(q.Get("partial")); partial && applied {
+		// The snapshot loaded after done closed covers this batch. A
+		// router holds the partial and merges it without asking again.
+		snap := s.Snapshot()
+		if data, err := snap.Partial(); err == nil {
+			ack["partial"] = data
+			ack["partial_applied"] = snap.Covered
+		}
 	}
 	WriteJSON(w, http.StatusAccepted, ack)
 }
@@ -262,40 +272,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handlePartial serves the shard's partial result for cross-shard
-// merging: the maintained result relation in the engine's binary
-// partial format (see view.Tree.WritePartial). It runs on the writer
-// goroutine between batches, so the body is one consistent batch
-// boundary, and X-Fivm-Applied carries the cumulative applied-update
-// counter that boundary covers — with a WAL it is the recovery-durable
-// cumulative count (survives restarts), without one the counter since
-// boot. A cluster router compares it against its per-shard acked
-// counts to enforce read-your-writes on merged reads.
+// handlePartial serves the latest snapshot's Partial for cross-shard
+// merging, without waiting for the writer; X-Fivm-Applied is the
+// snapshot's Covered counter, which a cluster router checks against its
+// acked counts (read-your-writes). A closed or crashed server answers 503.
 func (s *Server) handlePartial(w http.ResponseWriter, _ *http.Request) {
-	var buf bytes.Buffer
-	var applied uint64
-	var werr error
-	err := s.Sync(func(m fivm.AnyEngine) {
-		applied = s.nApplied
-		if s.cfg.WAL != nil {
-			applied = s.walPos.Applied
-		}
-		werr = m.WritePartial(&buf)
-	})
-	switch {
-	case errors.Is(err, ErrClosed) || errors.Is(err, ErrCrashed):
+	s.mu.RLock()
+	err := s.CrashError()
+	if s.closed {
+		err = ErrClosed
+	}
+	s.mu.RUnlock()
+	if err != nil {
 		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
 		return
-	case err != nil:
-		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	case werr != nil:
-		WriteError(w, http.StatusNotImplemented, CodeNotImplemented, werr)
+	}
+	snap := s.Snapshot()
+	data, err := snap.Partial()
+	if err != nil {
+		WriteError(w, http.StatusNotImplemented, CodeNotImplemented, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Fivm-Applied", strconv.FormatUint(applied, 10))
-	_, _ = w.Write(buf.Bytes())
+	w.Header().Set("X-Fivm-Applied", strconv.FormatUint(snap.Covered, 10))
+	_, _ = w.Write(data)
 }
 
 // handleMetrics serves the Prometheus text exposition.

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/fivm"
@@ -31,6 +33,27 @@ type Snapshot struct {
 	Model fivm.Model
 	// Stats are the serving counters as of this publish.
 	Stats Stats
+	// Covered is the applied-update counter the model covers: with a
+	// WAL the cumulative count, which survives restarts, without one
+	// the count since boot. It is the X-Fivm-Applied of Partial's bytes.
+	Covered uint64
+
+	partialOnce sync.Once
+	partial     []byte
+	partialErr  error
+}
+
+// Partial returns the model's result relation in the binary partial
+// format. The bytes are encoded once, on the first caller's goroutine
+// (never the writer's), and shared by every later call; they serve both
+// GET /v1/partial and the partial=1 update ack.
+func (ms *Snapshot) Partial() ([]byte, error) {
+	ms.partialOnce.Do(func() {
+		var buf bytes.Buffer
+		ms.partialErr = ms.Model.WritePartial(&buf)
+		ms.partial = buf.Bytes()
+	})
+	return ms.partial, ms.partialErr
 }
 
 // publish builds a fresh snapshot from the engine and swaps it in. Only
@@ -65,6 +88,10 @@ func (s *Server) publish() {
 			RidgeUnconverged: s.nUnconverged,
 			View:             s.eng.Stats(),
 		},
+		Covered: s.nApplied,
+	}
+	if s.cfg.WAL != nil {
+		ms.Covered = s.walPos.Applied
 	}
 	ms.At = time.Now()
 	s.snap.Store(ms)

@@ -29,12 +29,12 @@ const (
 	partialVersion = 1
 )
 
-// WritePartial serializes the tree's current result relation to w using
-// codec for payloads. The tree is unchanged.
-func (t *Tree[V]) WritePartial(w io.Writer, codec ring.Codec[V]) error {
+// WritePartial serializes a result relation — the tree's live Result, or
+// a frozen copy of it — to w using codec for payloads. res is only read.
+func WritePartial[V any](w io.Writer, codec ring.Codec[V], res *relation.Map[V]) error {
 	bw := bufio.NewWriter(w)
 	writeHeader(bw, partialMagic, partialVersion, codecTag(codec))
-	if err := writeRelation(bw, codec, t.result); err != nil {
+	if err := writeRelation(bw, codec, res); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -170,9 +170,8 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // accounting, and the cluster router owns its own per-shard policy).
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
-// WithPartialAcks makes every waited update ask the worker for its
-// partial in the ack (POST /v1/update?wait=1&partial=1). The cluster
-// router's shard clients use it to merge reads without a round trip.
+// WithPartialAcks makes waited updates ask for the worker's partial in
+// the ack (?wait=1&partial=1), for a router to merge reads from.
 func WithPartialAcks() Option { return func(c *Client) { c.partialAcks = true } }
 
 // WithBackoff sets the base and maximum retry delay. The server's

@@ -52,9 +52,8 @@ type Model interface {
 	// Predict evaluates the model's predictor on one feature vector.
 	// Engines that publish no predictive model return an error.
 	Predict(x map[string]value.Value) (float64, error)
-	// WritePartial writes the result relation the model was published
-	// from, in Engine.WritePartial's format. It reads only the model's
-	// own frozen copy, so it may run on any goroutine.
+	// WritePartial writes the result the model was published from, in
+	// Engine.WritePartial's format, from a frozen copy: any goroutine.
 	WritePartial(w io.Writer) error
 }
 
@@ -232,12 +231,13 @@ func (e *Engine[V]) WritePartial(w io.Writer) error {
 }
 
 // payloadPartial is the partial of the ungrouped result whose payload
-// is p, a frozen copy; the relation is built only when it is written.
-func (e *Engine[V]) payloadPartial(p V) frozenPartial {
+// payload returns from a frozen copy; both run only when it is written,
+// never on the writer.
+func (e *Engine[V]) payloadPartial(payload func() V) frozenPartial {
 	schema, rg, codec := e.tree.Result().Schema(), e.tree.Ring(), e.resultCodec
 	return func(w io.Writer) error {
 		res := relation.New[V](schema)
-		if !rg.IsZero(p) {
+		if p := payload(); !rg.IsZero(p) {
 			res.Set(value.Tuple{}, p)
 		}
 		return view.WritePartial(w, codec, res)

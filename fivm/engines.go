@@ -188,8 +188,10 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 		clone:       (*ring.RangedCovar).Clone,
 		info:        m3.RingInfo{Name: "RingCofactor<double, idx, cnt>", LiftIndexOf: l.liftIndexOf},
 		publish: func(Model) Model {
-			p := e.ClonePayload()
-			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: p.Widen(perm), frozenPartial: e.payloadPartial(p)}
+			// One copy per publish: the partial narrows it back when read.
+			wide := e.Payload().Widen(perm)
+			narrow := func() *ring.RangedCovar { return wide.Narrow(perm) }
+			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: wide, frozenPartial: e.payloadPartial(narrow)}
 		},
 	})
 	return e, nil

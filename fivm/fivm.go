@@ -145,7 +145,7 @@ func (a *Analysis) publishModel(prev Model) Model {
 		Features:  append([]ml.Feature(nil), a.feats...),
 		BinWidths: binWidths,
 	}
-	m.frozenPartial = a.payloadPartial(m.Payload)
+	m.frozenPartial = a.payloadPartial(func() *ring.RelCovar { return m.Payload })
 	if a.label == "" {
 		return m
 	}

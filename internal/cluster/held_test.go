@@ -42,14 +42,19 @@ func metricSum(t *testing.T, base, prefix string) float64 {
 }
 
 // TestMergedReadsUseHeldPartials: after acked writes through the router,
-// merged reads send no GET /v1/partial to any worker — each shard's
-// write ack carried its partial — and still equal the single engine.
+// merged reads of a covar engine send no GET /v1/partial to any worker
+// — each shard's write ack carried its partial — and still equal the
+// single engine. Other engines' acks carry no partial: their first read
+// polls each shard once, and the second uses what that poll brought.
 func TestMergedReadsUseHeldPartials(t *testing.T) {
 	ctx := context.Background()
+	acksCarryPartial := map[string]bool{"covar": true, "rangedcovar": true}
 	for kind, cfg := range engineConfigs() {
 		t.Run(kind, func(t *testing.T) {
 			urls := []string{startWorker(t, cfg).URL, startWorker(t, cfg).URL}
-			rt, err := cluster.New(cluster.Config{ShardURLs: urls, Engine: cfg, ProbeInterval: -1})
+			// The prober must run for held partials to be used; an hour
+			// keeps it from running during the test.
+			rt, err := cluster.New(cluster.Config{ShardURLs: urls, Engine: cfg, ProbeInterval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,11 +97,15 @@ func TestMergedReadsUseHeldPartials(t *testing.T) {
 					t.Fatalf("read %d diverges from the single engine\n got: %s\nwant: %s", read, g, w)
 				}
 			}
-			if n := partials() - before; n != 0 {
-				t.Errorf("two merged reads sent %v GET /v1/partial to the workers, want 0", n)
+			wantPolls, wantHeld := 2.0, 2.0
+			if acksCarryPartial[kind] {
+				wantPolls, wantHeld = 0, 4
 			}
-			if held := metricSum(t, hs.URL, `fivm_cluster_partials_total{source="held"}`); held != 4 {
-				t.Errorf("fivm_cluster_partials_total{source=\"held\"} = %v, want 4", held)
+			if n := partials() - before; n != wantPolls {
+				t.Errorf("two merged reads sent %v GET /v1/partial to the workers, want %v", n, wantPolls)
+			}
+			if held := metricSum(t, hs.URL, `fivm_cluster_partials_total{source="held"}`); held != wantHeld {
+				t.Errorf("fivm_cluster_partials_total{source=\"held\"} = %v, want %v", held, wantHeld)
 			}
 		})
 	}
@@ -147,9 +156,10 @@ func (w *memWorker) crash() { w.hsrv.Close() }
 // TestHeldPartialsAreDropped: the router stops trusting a held partial
 // once a probe shows the shard restarted without a WAL or went away,
 // and a probe showing a write from elsewhere makes the next read poll.
+// Without the prober no held partial is trusted at all.
 func TestHeldPartialsAreDropped(t *testing.T) {
 	ctx := context.Background()
-	cfg := engineConfigs()["count"]
+	cfg := engineConfigs()["covar"]
 	// waitProbe waits until the router's series for shard 1 reads want.
 	waitProbe := func(router, series string, want float64) {
 		t.Helper()
@@ -162,8 +172,9 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 	}
 	// setup acks R(1,2), R(2,3), R(3,3) and three broadcast S rows
 	// through a router over two workers, reads once, and waits for a
-	// probe to see shard 1's applied counter, which it returns.
-	setup := func() (*cluster.Router, string, [2]*memWorker, int) {
+	// probe to see shard 1's applied counter, which it returns. A
+	// negative probe interval disables the prober and the wait.
+	setup := func(probe time.Duration) (*cluster.Router, string, [2]*memWorker, int) {
 		var ws [2]*memWorker
 		for i := range ws {
 			ws[i] = &memWorker{t: t, cfg: cfg}
@@ -172,7 +183,7 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 		rt, err := cluster.New(cluster.Config{
 			ShardURLs:     []string{ws[0].URL(), ws[1].URL()},
 			Engine:        cfg,
-			ProbeInterval: 10 * time.Millisecond,
+			ProbeInterval: probe,
 			CoverWait:     200 * time.Millisecond,
 		})
 		if err != nil {
@@ -199,12 +210,15 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 				applied++
 			}
 		}
-		waitProbe(hs.URL, "fivm_cluster_shard_applied_updates", float64(applied))
+		if probe > 0 {
+			waitProbe(hs.URL, "fivm_cluster_shard_applied_updates", float64(applied))
+		}
 		return rt, hs.URL, ws, applied
 	}
+	const probe = 10 * time.Millisecond
 
 	t.Run("write from elsewhere", func(t *testing.T) {
-		rt, router, ws, applied := setup()
+		rt, router, ws, applied := setup(probe)
 		var a int
 		for a = 10; rt.Map().Owner(value.T(a, 7)) != 1; a++ {
 		}
@@ -223,7 +237,7 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 	})
 
 	t.Run("restart without WAL", func(t *testing.T) {
-		rt, router, ws, _ := setup()
+		rt, router, ws, _ := setup(probe)
 		ws[1].crash()
 		ws[1].start()
 		waitProbe(router, "fivm_cluster_shard_applied_updates", 0)
@@ -234,7 +248,7 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 	})
 
 	t.Run("kill", func(t *testing.T) {
-		rt, router, ws, _ := setup()
+		rt, router, ws, _ := setup(probe)
 		ws[1].crash() // no write since its last ack
 		waitProbe(router, "fivm_cluster_shard_up", 0)
 		if m, err := rt.MergedModel(ctx); err == nil {
@@ -255,6 +269,13 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 		}
 		if resp.StatusCode != http.StatusOK || len(body.Cluster.Missing) != 1 || body.Cluster.Missing[0] != 1 {
 			t.Fatalf("stale read = %d, missing %v; want 200 with missing [1]", resp.StatusCode, body.Cluster.Missing)
+		}
+	})
+	t.Run("kill without prober", func(t *testing.T) {
+		rt, _, ws, _ := setup(-1)
+		ws[1].crash() // no write since its last ack, and no probe to notice
+		if m, err := rt.MergedModel(ctx); err == nil {
+			t.Fatalf("strict read with shard 1 dead served count %v", m.Count())
 		}
 	})
 }

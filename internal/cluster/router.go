@@ -45,7 +45,9 @@ type Config struct {
 	// (0 selects 2s; negative is refused).
 	CoverWait time.Duration
 	// ProbeInterval paces the background health prober feeding
-	// /metrics gauges (default 2s; negative disables it).
+	// /metrics gauges and bounding how stale a held partial may be
+	// (default 2s). Negative disables it, and held partials with it:
+	// every merged read then polls every shard.
 	ProbeInterval time.Duration
 	// RetryBudget bounds how long one write keeps retrying a shard's
 	// transport failures and 503s (full-jitter exponential backoff
@@ -183,9 +185,14 @@ func New(cfg Config) (*Router, error) {
 		opts = append(opts, client.WithHTTPClient(cfg.HTTPClient))
 	}
 	// The router does not retry 429s itself: backpressure must reach
-	// the writing client, which owns the retry budget. Every waited
-	// write brings back the shard's partial as of its ack.
-	opts = append(opts, client.WithRetries(0), client.WithPartialAcks())
+	// the writing client, which owns the retry budget.
+	opts = append(opts, client.WithRetries(0))
+	if cfg.ProbeInterval > 0 && merger.Kind() == fivm.KindCovar {
+		// Waited writes bring back the shard's partial for reads to merge.
+		// Only a covar partial has a size fixed by the config; a grouped
+		// or analysis one grows with the data, and every write would pay.
+		opts = append(opts, client.WithPartialAcks())
+	}
 	for i, u := range cfg.ShardURLs {
 		sh := &shardRef{
 			id: i, url: u, cli: client.New(u, opts...),
@@ -295,8 +302,8 @@ func (sh *shardRef) observeStats(ctx context.Context) {
 	sh.observe(app)
 }
 
-// observe records a reachable shard's applied counter. One below the
-// held partial's (a restart without a WAL) drops the held partial.
+// observe records a reachable shard's applied counter; one below the
+// held partial's (a restart without a WAL) drops that partial.
 func (sh *shardRef) observe(applied uint64) {
 	sh.up.Store(true)
 	sh.applied.Store(applied)
@@ -319,18 +326,6 @@ func (sh *shardRef) hold(p *client.Partial) {
 			return
 		}
 	}
-}
-
-// heldCovering returns the held partial when it proves coverage without
-// a request: the shard is up and the partial covers both the acked
-// target and the last observed applied counter, which bounds staleness
-// for other writers to one probe interval.
-func (sh *shardRef) heldCovering(target uint64) *client.Partial {
-	h := sh.held.Load()
-	if h == nil || !sh.up.Load() || h.Applied < target || h.Applied < sh.applied.Load() {
-		return nil
-	}
-	return h
 }
 
 // subBatch is one shard's share of a client batch: its POST
@@ -537,11 +532,11 @@ type mergeInfo struct {
 }
 
 // gatherPartials collects every shard's partial, requiring each to
-// cover the shard's acked counter (read-your-writes): a held one when
-// heldCovering allows, else one polled (and held when newer). A shard
-// that cannot deliver a covering partial within CoverWait is an error —
-// unless allowStale, which instead reports it in info.Missing and
-// merges the rest.
+// cover the shard's acked counter (read-your-writes): the held one when
+// it proves that without a request, else one polled (and held when
+// newer). A shard that cannot deliver a covering partial within
+// CoverWait is an error — unless allowStale, which instead reports it
+// in info.Missing and merges the rest.
 func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte, *mergeInfo, error) {
 	info := &mergeInfo{}
 	bodies := make([][]byte, len(rt.shards))
@@ -552,7 +547,10 @@ func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte
 		// One load: the target enforced is the coverage reported.
 		target := sh.acked.Load()
 		info.Acked += target
-		if h := sh.heldCovering(target); h != nil {
+		// A held partial needs no request while the prober runs (nothing
+		// else sees a shard die, restart empty or take others' writes),
+		// the shard is up, and it covers target and the last observed count.
+		if h := sh.held.Load(); h != nil && rt.cfg.ProbeInterval > 0 && sh.up.Load() && h.Applied >= target && h.Applied >= sh.applied.Load() {
 			bodies[sh.id] = h.Data
 			rt.partialsHeld.Inc()
 			continue

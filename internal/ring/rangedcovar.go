@@ -161,6 +161,25 @@ func (c *RangedCovar) Widen(perm []int) *Covar {
 	return out
 }
 
+// Narrow inverts Widen for a payload over [0, len(perm)), perm being a
+// permutation of it: global index perm[i] is c's attribute i.
+func (c *Covar) Narrow(perm []int) *RangedCovar {
+	if c == nil {
+		return nil
+	}
+	out := newRanged(0, len(perm))
+	out.C = c.C
+	k := 0
+	for i, g := range perm {
+		out.v[g] = c.S[i]
+		for _, h := range perm[i:] {
+			out.v[out.N+triIndex(out.N, min(g, h), max(g, h))] = c.Q[k]
+			k++
+		}
+	}
+	return out
+}
+
 // RangedCovarRing is the ranged degree-m matrix ring. The ring itself is
 // degree-free: each payload carries its own range.
 type RangedCovarRing struct{}

@@ -123,7 +123,7 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 	if !nilP.Equal(nil) {
 		t.Error("nil Equal")
 	}
-	if nilP.Widen([]int{0, 1}) != nil {
+	if nilP.Widen([]int{0, 1}) != nil || nilP.Widen([]int{0, 1}).Narrow([]int{0, 1}) != nil {
 		t.Error("nil Widen")
 	}
 	if !r.IsZero(nil) {
@@ -163,6 +163,9 @@ func TestRangedWiden(t *testing.T) {
 	w := p.Widen(perm)
 	if w.Degree() != 3 || w.Count() != p.Count() {
 		t.Fatalf("widened %v from %v", w, p)
+	}
+	if back := w.Narrow(perm); !back.Equal(p) {
+		t.Errorf("Narrow(Widen(p)) = %v, want %v", back, p)
 	}
 	for i, g := range perm {
 		if w.Sum(i) != p.Sum(g) {

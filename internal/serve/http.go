@@ -272,10 +272,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handlePartial serves the latest snapshot's Partial for cross-shard
-// merging, without waiting for the writer; X-Fivm-Applied is the
-// snapshot's Covered counter, which a cluster router checks against its
-// acked counts (read-your-writes). A closed or crashed server answers 503.
+// handlePartial serves the latest snapshot's Partial, without waiting
+// for the writer, and its Covered counter as X-Fivm-Applied, which a
+// router checks against its acked counts. Closed or crashed: 503.
 func (s *Server) handlePartial(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	err := s.CrashError()

@@ -33,9 +33,8 @@ type Snapshot struct {
 	Model fivm.Model
 	// Stats are the serving counters as of this publish.
 	Stats Stats
-	// Covered is the applied-update counter the model covers: with a
-	// WAL the cumulative count, which survives restarts, without one
-	// the count since boot. It is the X-Fivm-Applied of Partial's bytes.
+	// Covered is the applied-update counter the model covers (with a
+	// WAL cumulative across restarts), Partial's X-Fivm-Applied.
 	Covered uint64
 
 	partialOnce sync.Once
@@ -43,10 +42,9 @@ type Snapshot struct {
 	partialErr  error
 }
 
-// Partial returns the model's result relation in the binary partial
-// format. The bytes are encoded once, on the first caller's goroutine
-// (never the writer's), and shared by every later call; they serve both
-// GET /v1/partial and the partial=1 update ack.
+// Partial returns the model's result in the binary partial format,
+// encoded once on the first caller's goroutine (never the writer's) for
+// both GET /v1/partial and the partial=1 update ack.
 func (ms *Snapshot) Partial() ([]byte, error) {
 	ms.partialOnce.Do(func() {
 		var buf bytes.Buffer

@@ -2,7 +2,6 @@ package fivm_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -188,20 +187,30 @@ func TestCovarFavoritaMatchesFullDegree(t *testing.T) {
 	}
 }
 
-// snapshotOf writes the snapshot of a tree over r whose relation R holds
-// one tuple weighted p. R is its anchor's only operand, so the stream
-// carries R's anchor view: p at key a1.
-func snapshotOf[V any](t *testing.T, r ring.Ring[V], codec ring.Codec[V], p V) []byte {
-	t.Helper()
-	rels := []vo.Rel{
-		{Name: "R", Schema: value.NewSchema("A", "B")},
-		{Name: "S", Schema: value.NewSchema("A", "C", "D")},
+// keptRels is openRels with S over R's attributes and one more: R then
+// shares its anchor with S's subtree, so the tree keeps its tuples.
+func keptRels() []fivm.RelationSpec {
+	return []fivm.RelationSpec{
+		{Name: "R", Attrs: []string{"A", "B"}},
+		{Name: "S", Attrs: []string{"A", "B", "C"}},
 	}
-	tree, err := view.New(view.Spec[V]{Ring: r, Relations: rels})
+}
+
+// snapshotOf writes the snapshot of a tree over r and rels whose
+// relation R holds one tuple, (a1, 1), weighted p. Over openRels, R is
+// its anchor's only operand, so the stream carries R's anchor view: p
+// at key a1. Over keptRels it carries R's tuple.
+func snapshotOf[V any](t *testing.T, rels []fivm.RelationSpec, r ring.Ring[V], codec ring.Codec[V], p V) []byte {
+	t.Helper()
+	vrels := make([]vo.Rel, len(rels))
+	for i, rel := range rels {
+		vrels[i] = vo.Rel{Name: rel.Name, Schema: value.NewSchema(rel.Attrs...)}
+	}
+	tree, err := view.New(view.Spec[V]{Ring: r, Relations: vrels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := relation.New[V](rels[0].Schema)
+	m := relation.New[V](vrels[0].Schema)
 	m.Set(value.T("a1", 1), p)
 	if err := tree.InitWeighted(map[string]*relation.Map[V]{"R": m}); err != nil {
 		t.Fatal(err)
@@ -213,112 +222,55 @@ func snapshotOf[V any](t *testing.T, r ring.Ring[V], codec ring.Codec[V], p V) [
 	return buf.Bytes()
 }
 
-// fullDegreeCodec writes ranged payloads in the format covar engines
-// wrote before their payloads were ranged: tagged with the degree, each
-// payload a presence flag, then c, s and the packed upper triangle of Q
-// over the full degree. Only ring.DecodeFullCovar still reads it.
-type fullDegreeCodec struct{ ring.RangedCovarCodec }
-
-func (c fullDegreeCodec) Tag() string { return fmt.Sprintf("ring.CovarCodec[m=%d]", c.Degree) }
-
-func (c fullDegreeCodec) Encode(w io.Writer, v *ring.RangedCovar) error {
-	if v == nil {
-		_, err := w.Write([]byte{0})
-		return err
-	}
-	vals := []float64{v.C}
-	for i := 0; i < c.Degree; i++ {
-		vals = append(vals, v.Sum(i))
-	}
-	for i := 0; i < c.Degree; i++ {
-		for j := i; j < c.Degree; j++ {
-			vals = append(vals, v.Prod(i, j))
-		}
-	}
-	buf := []byte{1}
-	for _, x := range vals {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// v2SnapshotOf writes, in snapshot version 2 (every relation as its
-// tuples, no form byte), the stream snapshotOf's tree wrote before R was
-// stored as its anchor view: R holds a1,1 weighted p, S is empty.
-func v2SnapshotOf[V any](t *testing.T, codec ring.Codec[V], p V) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	str := func(s string) {
-		b.Write(binary.AppendUvarint(nil, uint64(len(s))))
-		b.WriteString(s)
-	}
-	b.WriteString("FIVMSNAP\x02")
-	str(codec.(interface{ Tag() string }).Tag())
-	b.WriteByte(2)
-	str("R")
-	b.WriteByte(2)
-	str("A")
-	str("B")
-	b.WriteByte(1)
-	str(value.T("a1", 1).Encode())
-	if err := codec.Encode(&b, p); err != nil {
-		t.Fatal(err)
-	}
-	str("S")
-	b.WriteByte(3)
-	str("A")
-	str("C")
-	str("D")
-	b.WriteByte(0)
-	return b.Bytes()
-}
-
 // TestRangedEngineErrors: the covar engine rejects a misconfiguration
 // at Open, and on restore a snapshot whose payloads do not cover the
-// range where they load — a source payload that is not a scalar, in
-// today's ranged format and in the full-degree one earlier covar
-// engines wrote, and an anchor view payload outside its anchor's lift
-// range — instead of panicking on a range mismatch while the load
-// propagates.
+// range where they load — a source payload that is not a scalar, and
+// an anchor view payload outside its anchor's lift range — instead of
+// panicking on a range mismatch while the load propagates.
 func TestRangedEngineErrors(t *testing.T) {
-	covar := func(attrs ...string) fivm.Config {
-		return fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: attrs}
+	covar := func(rels []fivm.RelationSpec, attrs ...string) fivm.Config {
+		return fivm.Config{Kind: fivm.KindCovar, Relations: rels, Attrs: attrs}
 	}
-	if _, err := fivm.Open(covar()); err == nil {
+	if _, err := fivm.Open(covar(openRels())); err == nil {
 		t.Error("empty attrs accepted")
 	}
-	if _, err := fivm.Open(covar("Z")); err == nil {
+	if _, err := fivm.Open(covar(openRels(), "Z")); err == nil {
 		t.Error("unknown attr accepted")
 	}
-	if _, err := fivm.Open(covar("B", "B")); err == nil {
+	if _, err := fivm.Open(covar(openRels(), "B", "B")); err == nil {
 		t.Error("duplicate attr accepted")
 	}
 
 	var rr ring.RangedCovarRing
+	codec := ring.RangedCovarCodec{Degree: 2}
+	// Over keptRels, R's tuples are source payloads, scalars; over
+	// openRels, R's anchor view covers B's lift range, [0,1).
+	kept, viewed := covar(keptRels(), "B", "C"), covar(openRels(), "B", "D")
 	for _, c := range []struct {
-		name, want string
-		snap       []byte
+		name string
+		cfg  fivm.Config
+		want string
 	}{
-		{"v2 ranged", "source payload covers attribute range [1,2)",
-			v2SnapshotOf(t, ring.RangedCovarCodec{Degree: 2}, rr.Lift(1)(value.Int(3)))},
-		{"v2 full-degree", "not a scalar",
-			v2SnapshotOf(t, fullDegreeCodec{ring.RangedCovarCodec{Degree: 2}}, rr.Lift(0)(value.Int(3)))},
-		{"v3 anchor view", "anchor view of R payload covers attribute range [1,2), this engine's is [0,1)",
-			snapshotOf(t, rr, ring.RangedCovarCodec{Degree: 2}, rr.Lift(1)(value.Int(3)))},
+		{"tuples", kept, "source payload covers attribute range [1,2), this engine's is [0,0)"},
+		{"anchor view", viewed, "anchor view of R payload covers attribute range [1,2), this engine's is [0,1)"},
 	} {
-		eng := open[*fivm.CovarEngine](t, covar("B", "D"))
-		if err := eng.ReadSnapshot(bytes.NewReader(c.snap)); err == nil || !strings.Contains(err.Error(), c.want) {
+		eng := open[*fivm.CovarEngine](t, c.cfg)
+		snap := snapshotOf(t, c.cfg.Relations, rr, codec, rr.Lift(1)(value.Int(3)))
+		if err := eng.ReadSnapshot(bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s snapshot with a payload of the wrong range: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 	// Each stream loads into a covar engine once its payload has the
 	// range the engine expects there.
-	for name, snap := range map[string][]byte{
-		"v2 scalar":      v2SnapshotOf(t, ring.RangedCovarCodec{Degree: 2}, rr.One()),
-		"v3 anchor view": snapshotOf(t, rr, ring.RangedCovarCodec{Degree: 2}, rr.Lift(0)(value.Int(3))),
+	for name, c := range map[string]struct {
+		cfg fivm.Config
+		p   *ring.RangedCovar
+	}{
+		"tuples":      {kept, rr.One()},
+		"anchor view": {viewed, rr.Lift(0)(value.Int(3))},
 	} {
-		if err := open[*fivm.CovarEngine](t, covar("B", "D")).ReadSnapshot(bytes.NewReader(snap)); err != nil {
+		snap := snapshotOf(t, c.cfg.Relations, rr, codec, c.p)
+		if err := open[*fivm.CovarEngine](t, c.cfg).ReadSnapshot(bytes.NewReader(snap)); err != nil {
 			t.Errorf("%s snapshot: %v", name, err)
 		}
 	}
@@ -327,11 +279,9 @@ func TestRangedEngineErrors(t *testing.T) {
 // TestCovarPartialOfAnotherDegreeIsRejected: a partial result written by
 // a covar engine of one degree and merged by one of another is an error
 // naming both, in either direction — never a merged model with silently
-// zero statistics, nor one whose rendering fails. Today's codec tag
-// carries the degree and fails at the header; a partial under the
-// degree-free tag of the former rangedcovar kind (same wire format)
-// reaches the payload checks: a range past the merger's degree fails
-// to decode, a narrower one is not a result payload.
+// zero statistics, nor one whose rendering fails. The codec tag
+// carries the degree and fails at the header, and so does the
+// degree-free tag the former rangedcovar kind wrote.
 func TestCovarPartialOfAnotherDegreeIsRejected(t *testing.T) {
 	partial := func(attrs ...string) []byte {
 		eng := open[*fivm.CovarEngine](t, fivm.Config{Relations: openRels(), Attrs: attrs})
@@ -361,8 +311,7 @@ func TestCovarPartialOfAnotherDegreeIsRejected(t *testing.T) {
 	}{
 		{"degree 2 into 3", narrow, []string{"B", "C", "D"}, []string{"[m=2]", "[m=3]"}},
 		{"degree 3 into 2", wide, []string{"B", "D"}, []string{"[m=3]", "[m=2]"}},
-		{"untagged degree 2 into 3", retag(narrow, 2), []string{"B", "C", "D"}, []string{"[0,2)", "[0,3)"}},
-		{"untagged degree 3 into 2", retag(wide, 3), []string{"B", "D"}, []string{"3 attributes", "degree 2"}},
+		{"untagged degree 2 into 3", retag(narrow, 2), []string{"B", "C", "D"}, []string{"codec ring.RangedCovarCodec,", "[m=3]"}},
 	} {
 		merger := open[*fivm.CovarEngine](t, fivm.Config{Relations: openRels(), Attrs: c.attrs})
 		m, err := merger.MergePartials([]io.Reader{bytes.NewReader(c.part)})

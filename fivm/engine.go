@@ -217,8 +217,8 @@ func (e *Engine[V]) WriteSnapshot(w io.Writer) error {
 // per relation like Init: tuples enter at their anchor, an anchor view
 // above it. The receiving engine must have the same relations, lifts,
 // and variable order as the writer; snapshots from a different engine
-// kind are rejected by the codec tag, and version-1 and -2 snapshots
-// (every relation as tuples) still load.
+// kind are rejected by the codec tag, and a snapshot of another format
+// version is refused by name.
 func (e *Engine[V]) ReadSnapshot(r io.Reader) error {
 	return e.tree.ReadSnapshot(r, e.codec)
 }

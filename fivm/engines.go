@@ -177,7 +177,7 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	}
 	attrs := append([]string(nil), cfg.Attrs...)
 	e := &CovarEngine{Attrs: attrs, perm: perm}
-	codec := covarCodec{RangedCovarCodec: ring.RangedCovarCodec{Degree: len(attrs)}, perm: perm, anchors: anchors, what: "source"}
+	codec := covarCodec{RangedCovarCodec: ring.RangedCovarCodec{Degree: len(attrs)}, anchors: anchors, what: "source"}
 	result := codec
 	result.want, result.what = liftRange{0, len(attrs)}, "partial result"
 	e.Engine = newEngine(Engine[*ring.RangedCovar]{
@@ -226,11 +226,9 @@ func (e *CovarEngine) Sigma() (*ml.SigmaMatrix, error) {
 // to the engine's degree, which also checks where each payload belongs
 // — a source payload (snapshots) is a scalar, an anchor view's
 // (snapshots, ForAnchor) covers its anchor subtree's lift range, a
-// result payload (partials) covers exactly [0, m) — and reads the
-// streams earlier covar engines wrote (ForTag).
+// result payload (partials) covers exactly [0, m).
 type covarCodec struct {
 	ring.RangedCovarCodec
-	perm []int
 	// anchors is each relation's anchor subtree lift range.
 	anchors map[string]liftRange
 	// want is the range every payload decoded must cover; what names
@@ -261,47 +259,4 @@ func (c covarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
 		return nil, fmt.Errorf("fivm: %s payload covers attribute range [%d,%d), this engine's is [%d,%d)", c.what, p.Start, p.Start+p.N, w.start, w.start+w.n)
 	}
 	return p, nil
-}
-
-// legacyRangedTag is the header tag of streams the former rangedcovar
-// engine kind wrote: the codec's Go type name, from before the degree
-// was bound. The payload wire format is today's.
-const legacyRangedTag = "ring.RangedCovarCodec"
-
-// legacyFullTag is the header tag of streams covar engines wrote before
-// their payloads were ranged: full-degree payloads in the caller's
-// attribute order, which ring.DecodeFullCovar reads.
-const legacyFullTag = "ring.CovarCodec[m=%d]"
-
-// ForTag names the codec for a stream header's tag other than Tag's
-// (see view.Tree.ReadSnapshot), for the two formats covar streams had
-// before: the degree-free ranged tag, and the full-degree one of the
-// same degree.
-func (c covarCodec) ForTag(tag string) (ring.Codec[*ring.RangedCovar], bool) {
-	switch tag {
-	case legacyRangedTag:
-		return c, true
-	case fmt.Sprintf(legacyFullTag, c.Degree):
-		return fullCovarCodec{c}, true
-	}
-	return nil, false
-}
-
-// fullCovarCodec decodes full-degree payloads into ranged ones, through
-// the lift-order permutation: a result payload as it is, a source
-// payload only if it is a scalar. It is only ever read.
-type fullCovarCodec struct{ covarCodec }
-
-// Decode reads one full-degree payload.
-func (c fullCovarCodec) Decode(r io.Reader) (*ring.RangedCovar, error) {
-	p, err := ring.DecodeFullCovar(r, c.perm)
-	if err != nil || p == nil || c.want.n > 0 {
-		return p, err
-	}
-	stats := *p
-	stats.C = 0
-	if !(ring.RangedCovarRing{}).IsZero(&stats) {
-		return nil, fmt.Errorf("fivm: source payload %v is not a scalar", p.Widen(c.perm))
-	}
-	return &ring.RangedCovar{C: p.C}, nil
 }

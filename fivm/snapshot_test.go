@@ -100,33 +100,19 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 }
 
 // TestRecordedStreamsStillLoad pins the wire formats: internal/view/
-// testdata holds, per engine kind, one FIVMSNAP version-3 snapshot
-// (<kind>-v3.snap: each relation's tuples or, where that is all the
-// tree keeps of it, its anchor view) and one FIVMPART partial in today's
-// format, each taken from snapshotConfigs' engine after Init(toyData())
-// and the three updates below, so loading it must land on the state that
-// history reaches here — and beside them the older formats the same
-// configuration must still load:
-//   - <kind>.snap, version 2: every relation as its tuples;
-//   - count-v1.snap, the count body without the codec tag;
-//   - covar.*, written by the covar engine of full-degree payloads
-//     (ring.CovarCodec[m=2], attributes in the caller's order B, D),
-//     which the covar configuration loads;
-//   - rangedcovar.*, written by the former rangedcovar kind (the
-//     degree-free ring.RangedCovarCodec tag, payloads laid out in the
-//     tree's post-order), which both covar configurations load.
-//
-// Today's covar streams are covar-ranged.*, shared by both
+// testdata holds, per engine kind, one FIVMSNAP snapshot (<kind>-v3.snap:
+// each relation's tuples or, where that is all the tree keeps of it, its
+// anchor view) and one FIVMPART partial (<kind>.part), each taken from
+// snapshotConfigs' engine after Init(toyData()) and the three updates
+// below, so loading it must land on the state that history reaches here.
+// The covar streams are covar-ranged.*, shared by both covar
 // configurations: ranged payloads are laid out in the lift order
-// whatever order Attrs lists.
+// whatever order Attrs lists. A stream of any other version is refused
+// (TestFormatsRefuseOtherVersions), so a format change bumps the version
+// and re-records these files.
 func TestRecordedStreamsStillLoad(t *testing.T) {
 	const dir = "../internal/view/testdata/"
 	current := map[string]string{"covar": "covar-ranged", "rangedcovar": "covar-ranged"}
-	older := map[string][]string{
-		"count":       {"count-v1.snap"},
-		"covar":       {"covar.snap", "covar.part", "rangedcovar.snap", "rangedcovar.part"},
-		"rangedcovar": {"rangedcovar.snap", "rangedcovar.part"},
-	}
 	for name, cfg := range snapshotConfigs() {
 		t.Run(name, func(t *testing.T) {
 			open := func() fivm.AnyEngine {
@@ -158,7 +144,7 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 			if !ok {
 				base = name
 			}
-			for _, file := range append([]string{base + "-v3.snap", base + ".part", base + ".snap"}, older[name]...) {
+			for _, file := range []string{base + "-v3.snap", base + ".part"} {
 				raw := read(file)
 				if strings.HasSuffix(file, ".part") {
 					merged, err := open().MergePartials([]io.Reader{bytes.NewReader(raw)})
@@ -178,10 +164,9 @@ func TestRecordedStreamsStillLoad(t *testing.T) {
 					t.Fatalf("%s loaded to\n%s\nwant\n%s", file, g, w)
 				}
 			}
-			// What is written today has the size of the streams recorded in
-			// today's format (tuple order within a stream is unspecified, so
-			// bytes are compared by length and, above, by what they decode
-			// to).
+			// What is written today has the size of the recorded streams
+			// (tuple order within a stream is unspecified, so bytes are
+			// compared by length and, above, by what they decode to).
 			var snap, part bytes.Buffer
 			if err := want.WriteSnapshot(&snap); err != nil {
 				t.Fatal(err)

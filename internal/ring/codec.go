@@ -115,40 +115,6 @@ func (FloatCodec) Encode(w io.Writer, v float64) error { return writeFloat(w, v)
 // Decode reads 8 big-endian bytes.
 func (FloatCodec) Decode(r io.Reader) (float64, error) { return readFloat(r) }
 
-// DecodeFullCovar reads one payload of the full-degree stream format
-// covar engines wrote before their payloads were ranged, under the tag
-// "ring.CovarCodec[m=N]": a presence flag (zero decodes to nil), then
-// c, the N sums and the packed upper triangle of Q, attributes in the
-// writer's order. It writes them straight into a payload over [0, N)
-// whose global index perm[i] carries attribute i, where N = len(perm)
-// and perm is a permutation of 0..N-1. Only the degree sizes what it
-// allocates; the stream sizes nothing.
-func DecodeFullCovar(r io.Reader, perm []int) (*RangedCovar, error) {
-	flag, err := readUvarint(r)
-	if err != nil || flag == 0 {
-		return nil, err
-	}
-	m := len(perm)
-	out := newRanged(0, m)
-	if out.C, err = readFloat(r); err != nil {
-		return nil, err
-	}
-	s, q := out.v[:m], out.v[m:]
-	for _, g := range perm {
-		if s[g], err = readFloat(r); err != nil {
-			return nil, err
-		}
-	}
-	for i, g := range perm {
-		for _, h := range perm[i:] {
-			if q[triIndex(m, min(g, h), max(g, h))], err = readFloat(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // RangedCovarCodec serializes ranged payloads of a degree-Degree ring.
 // Ranges are self-describing, and every one must lie within [0, Degree):
 // the degree bounds what a decode allocates, and Tag exposes it so a

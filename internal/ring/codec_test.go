@@ -48,38 +48,6 @@ func TestFloatCodec(t *testing.T) {
 	}
 }
 
-// TestCovarCodec: DecodeFullCovar reads the full-degree stream format
-// back exactly, through the identity and through a permutation. A
-// payload of a smaller degree runs out of bytes; one of a larger degree
-// is the stream header's to refuse, as the tag names the degree.
-func TestCovarCodec(t *testing.T) {
-	gen := randCovar(3)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50; i++ {
-		v := gen(rng)
-		for _, perm := range [][]int{{0, 1, 2}, {2, 0, 1}} {
-			var buf bytes.Buffer
-			if err := encodeFullCovar(&buf, v); err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeFullCovar(&buf, perm)
-			if err != nil || buf.Len() != 0 {
-				t.Fatalf("decode: %v, %d bytes left", err, buf.Len())
-			}
-			if back := got.Widen(perm); !back.Equal(v) {
-				t.Errorf("roundtrip(%v) through %v = %v", v, perm, back)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := encodeFullCovar(&buf, NewCovarRing(2).One()); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := DecodeFullCovar(&buf, []int{0, 1, 2}); err == nil {
-		t.Errorf("a degree-2 payload decoded at degree 3 to %v", v)
-	}
-}
-
 func TestRelCovarCodec(t *testing.T) {
 	r := NewRelCovarRing(2)
 	c := RelCovarCodec{Ring: r}
@@ -105,15 +73,16 @@ func TestRelCovarCodec(t *testing.T) {
 	}
 }
 
+// TestCodecTruncation: a ranged payload cut anywhere fails to decode.
 func TestCodecTruncation(t *testing.T) {
-	v := NewCovarRing(2).One()
-	v.S[0] = 5
+	var r RangedCovarRing
+	v := r.Mul(r.Lift(0)(value.Float(5)), r.Lift(1)(value.Float(2)))
 	var buf bytes.Buffer
-	if err := encodeFullCovar(&buf, v); err != nil {
+	if err := (RangedCovarCodec{Degree: 2}).Encode(&buf, v); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < buf.Len(); cut++ {
-		if _, err := DecodeFullCovar(bytes.NewReader(buf.Bytes()[:cut]), []int{1, 0}); err == nil {
+		if _, err := (RangedCovarCodec{Degree: 2}).Decode(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Errorf("truncated payload (%d bytes) decoded", cut)
 		}
 	}
@@ -184,47 +153,39 @@ func TestRangedCovarCodecBoundToDegree(t *testing.T) {
 	}
 }
 
-// FuzzRangedCovarDecode: decoding arbitrary bytes — with the ranged
-// codec, and with DecodeFullCovar, the reader of the full-degree format
-// of earlier covar streams — never panics, never allocates beyond what
-// a payload of the degree needs, accepts only ranges within the degree,
-// and re-encoding an accepted value decodes to the same bits (the full
-// degree through a test-side encoder of its widened payload).
+// FuzzRangedCovarDecode: decoding arbitrary bytes with the ranged codec
+// never panics, never allocates beyond what a payload of the degree
+// needs, accepts only ranges within the degree, and re-encoding an
+// accepted value decodes to the same bits.
 func FuzzRangedCovarDecode(f *testing.F) {
 	const m = 6
 	codec := RangedCovarCodec{Degree: m}
-	perm := []int{3, 0, 5, 1, 4, 2}
 	rnd := rand.New(rand.NewSource(6))
+	var full []byte
 	for _, rng := range [][2]int{{0, 0}, {0, 1}, {2, 3}, {0, m}, {5, 1}} {
 		var buf bytes.Buffer
 		if err := codec.Encode(&buf, randRanged(rnd, rng[0], rng[1], true)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
-	}
-	gen := randCovar(m)
-	for i := 0; i < 3; i++ {
-		var buf bytes.Buffer
-		if err := encodeFullCovar(&buf, gen(rnd)); err != nil {
-			f.Fatal(err)
+		if rng[1] == m {
+			full = buf.Bytes()
 		}
-		f.Add(buf.Bytes())
 	}
+	// The full-degree payload cut inside Q and with a presence flag
+	// other than 1, and a payload whose every float is a NaN.
+	f.Add(full[:len(full)/2])
+	f.Add(append([]byte{2}, full[1:]...))
+	nan := binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 0), 1)
+	for range 3 {
+		nan = binary.BigEndian.AppendUint64(nan, math.Float64bits(math.NaN()))
+	}
+	f.Add(nan)
 	f.Add([]byte{0})
 	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, 3), 4))
 	f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{1}, math.MaxUint64), 0))
-	decoders := []struct {
-		name   string
-		decode func(io.Reader) (*RangedCovar, error)
-		encode func(io.Writer, *RangedCovar) error
-	}{
-		{"ranged", codec.Decode, codec.Encode},
-		{"full-degree",
-			func(r io.Reader) (*RangedCovar, error) { return DecodeFullCovar(r, perm) },
-			func(w io.Writer, v *RangedCovar) error { return encodeFullCovar(w, v.Widen(perm)) }},
-	}
 	// A degree-m payload is one struct and one array of m+m(m+1)/2
-	// floats; the slack covers the readers' small buffers. The heap
+	// floats; the slack covers the reader's small buffers. The heap
 	// counter is process-wide and the fuzzing engine allocates beside
 	// the target, so the bound holds the least of three decodes.
 	const budget = 8*(m+m*(m+1)/2) + 512
@@ -234,32 +195,30 @@ func FuzzRangedCovarDecode(f *testing.F) {
 		return ms.TotalAlloc
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, d := range decoders {
-			least := uint64(math.MaxUint64)
-			for i := 0; i < 3; i++ {
-				r := bytes.NewReader(data)
-				before := allocated()
-				d.decode(r)
-				least = min(least, allocated()-before)
-			}
-			if least > budget {
-				t.Fatalf("%s: decoding %d bytes allocated %d bytes, budget %d", d.name, len(data), least, budget)
-			}
-			v, err := d.decode(bytes.NewReader(data))
-			if err != nil {
-				continue
-			}
-			if v != nil && (v.Start < 0 || v.N < 0 || v.Start+v.N > m || len(v.v) != v.N+triLen(v.N)) {
-				t.Fatalf("%s: accepted range [%d,%d) with %d floats at degree %d", d.name, v.Start, v.Start+v.N, len(v.v), m)
-			}
-			var buf bytes.Buffer
-			if err := d.encode(&buf, v); err != nil {
-				t.Fatal(err)
-			}
-			back, err := d.decode(&buf)
-			if err != nil || !sameBits(back, v) {
-				t.Fatalf("%s: decode(encode(x)) = (%v, %v), want %v", d.name, back, err, v)
-			}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			r := bytes.NewReader(data)
+			before := allocated()
+			codec.Decode(r)
+			least = min(least, allocated()-before)
+		}
+		if least > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), least, budget)
+		}
+		v, err := codec.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if v != nil && (v.Start < 0 || v.N < 0 || v.Start+v.N > m || len(v.v) != v.N+triLen(v.N)) {
+			t.Fatalf("accepted range [%d,%d) with %d floats at degree %d", v.Start, v.Start+v.N, len(v.v), m)
+		}
+		var buf bytes.Buffer
+		if err := codec.Encode(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		back, err := codec.Decode(&buf)
+		if err != nil || !sameBits(back, v) {
+			t.Fatalf("decode(encode(x)) = (%v, %v), want %v", back, err, v)
 		}
 	})
 }

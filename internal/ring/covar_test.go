@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -11,8 +10,7 @@ import (
 
 // CovarRing is the full-degree matrix ring over float64 scalars: every
 // payload carries all m attributes. No engine runs it; it is the
-// reference the ranged and relational rings are checked against, and
-// encodeFullCovar writes the stream format earlier covar engines wrote.
+// reference the ranged and relational rings are checked against.
 type CovarRing struct{ m int }
 
 // NewCovarRing returns the degree-m matrix ring. It panics for m <= 0.
@@ -128,24 +126,6 @@ func (r CovarRing) Lift(idx int) Lift[*Covar] {
 		c.Q[qi] = x * x
 		return c
 	}
-}
-
-// encodeFullCovar writes v in the full-degree stream format
-// DecodeFullCovar reads: a presence flag, then c, s and the packed
-// upper triangle of Q.
-func encodeFullCovar(w io.Writer, v *Covar) error {
-	if v == nil {
-		return writeUvarint(w, 0)
-	}
-	if err := writeUvarint(w, 1); err != nil {
-		return err
-	}
-	for _, x := range append(append([]float64{v.C}, v.S...), v.Q...) {
-		if err := writeFloat(w, x); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // randCovar draws a degree-m Covar with small integer entries so all

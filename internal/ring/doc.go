@@ -97,15 +97,13 @@
 // index-assignment bug and panics, which is why the covar engine
 // assigns lift indexes in its variable order's post-order, the order
 // its products combine subtrees in. Widen reads a payload through a
-// permutation as a full Covar; DecodeFullCovar reads the full-degree
-// stream format earlier covar engines wrote the other way. s and Q
-// share one backing array, so a payload is two allocations (a scalar
-// one) and every kernel is a pass over that array: Mul writes each
-// operand's triangle scaled by the other's count plus the one s×s cross
-// block, row by row of the packed result; MulAddInto (FMA) adds the
-// same terms in place, each rounded to float64 first, so it is
-// bit-identical to the pure composition; AddInto, Neg and Clone are
-// single loops. RangedCovarCodec is bound to a degree: a range past it
+// permutation as a full Covar. s and Q share one backing array, so a
+// payload is two allocations (a scalar one) and every kernel is a pass
+// over that array: Mul writes each operand's triangle scaled by the
+// other's count plus the one s×s cross block, row by row of the packed
+// result; MulAddInto (FMA) adds the same terms in place, each rounded
+// to float64 first, so it is bit-identical to the pure composition;
+// AddInto, Neg and Clone are single loops. RangedCovarCodec is bound to a degree: a range past it
 // is refused on encode and, before anything is allocated, on decode.
 //
 // # Scratch extensions and ownership

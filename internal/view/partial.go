@@ -2,7 +2,6 @@ package view
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 
 	"repro/internal/relation"
@@ -46,14 +45,7 @@ func WritePartial[V any](w io.Writer, codec ring.Codec[V], res *relation.Map[V])
 // or mutate.
 func (t *Tree[V]) ReadPartial(r io.Reader, codec ring.Codec[V]) (*relation.Map[V], error) {
 	br := bufio.NewReader(r)
-	ver, err := readHeader(br, partialMagic, "partial")
-	if err != nil {
-		return nil, err
-	}
-	if ver != partialVersion {
-		return nil, fmt.Errorf("view: unsupported partial version %d", ver)
-	}
-	if codec, err = readTag(br, codec, "partial"); err != nil {
+	if err := readHeader(br, partialMagic, partialVersion, codec, "partial"); err != nil {
 		return nil, err
 	}
 	return readRelation(br, t.ring, codec, t.result.Schema(), "partial result")

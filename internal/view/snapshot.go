@@ -15,8 +15,8 @@ import (
 
 // Snapshot format:
 //
-//	magic "FIVMSNAP" | version u8 | codec tag (v2+) | relation count uvarint
-//	per relation: name | form u8 (v3+) | attr count | attrs... |
+//	magic "FIVMSNAP" | version u8 | codec tag | relation count uvarint
+//	per relation: name | form u8 | attr count | attrs... |
 //	              tuple count | per tuple: encoded key | payload (ring codec)
 //
 // The codec tag is the Go type name of the payload codec; it makes a
@@ -30,8 +30,10 @@ import (
 // anchor's keys: a relation that is its anchor's only operand keeps no
 // tuples, and that view is all of it any update reads. The other views
 // are recomputed on restore: tuples enter at their anchor, an anchor
-// view above it, through the one load path. Versions 1 (no tag) and 2
-// (no form byte) still load, every relation as tuples.
+// view above it, through the one load path.
+//
+// A reader accepts only the version this build writes (snapshotVersion)
+// and refuses any other by name, before it touches the tree.
 //
 // The per-relation body (attr count onward) is shared with the partial
 // format: writeRelation / readRelation.
@@ -47,9 +49,7 @@ const (
 // codecTag names the payload codec for the snapshot header. Codecs
 // whose wire format depends on parameters (e.g. the ring degree) expose
 // a Tag method so two configurations of the same codec type do not
-// collide; the Go type name covers the rest. A codec that still reads
-// streams an earlier format wrote under another tag exposes
-// ForTag(tag) (ring.Codec[V], bool), which readTag consults.
+// collide; the Go type name covers the rest.
 func codecTag[V any](codec ring.Codec[V]) string {
 	if t, ok := any(codec).(interface{ Tag() string }); ok {
 		return t.Tag()
@@ -88,26 +88,15 @@ func (s *source[V]) stored() (*relation.Map[V], byte) {
 // ReadSnapshot restores the tree's input relations from r and loads
 // them as one delta per relation against the emptied tree (see load).
 // The snapshot's relations must match the tree's configuration (names,
-// schemas, and in version 3 the form the tree keeps each in); any
+// schemas, and the form the tree keeps each in); any
 // previous contents are discarded, but only once the whole stream has
 // decoded — a bad snapshot leaves the tree untouched. An anchor view is
 // decoded by codec.ForAnchor(name) when the codec has that method, so a
 // codec can check the payloads belong at that anchor.
 func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 	br := bufio.NewReader(r)
-	ver, err := readHeader(br, snapshotMagic, "snapshot")
-	if err != nil {
+	if err := readHeader(br, snapshotMagic, snapshotVersion, codec, "snapshot"); err != nil {
 		return err
-	}
-	switch ver {
-	case 1:
-		// Pre-tag format: no codec identification; trust the caller.
-	case 2, snapshotVersion:
-		if codec, err = readTag(br, codec, "snapshot"); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("view: unsupported snapshot version %d", ver)
 	}
 	nRels, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -130,20 +119,19 @@ func (t *Tree[V]) ReadSnapshot(r io.Reader, codec ring.Codec[V]) error {
 		if _, dup := loaded[name]; dup {
 			return fmt.Errorf("view: snapshot relation %s appears twice", name)
 		}
-		form, schema, c := byte(formTuples), src.schema, codec
-		if ver == snapshotVersion {
-			m, want := src.stored()
-			if form, err = br.ReadByte(); err != nil {
-				return err
-			}
-			if form != want {
-				return fmt.Errorf("view: snapshot relation %s has form %d, this tree keeps it in form %d", name, form, want)
-			}
-			if form == formAnchorView {
-				schema = m.Schema()
-				if fa, ok := codec.(interface{ ForAnchor(string) ring.Codec[V] }); ok {
-					c = fa.ForAnchor(name)
-				}
+		m, form := src.stored()
+		got, err := br.ReadByte()
+		if err != nil {
+			return err
+		}
+		if got != form {
+			return fmt.Errorf("view: snapshot relation %s has form %d, this tree keeps it in form %d", name, got, form)
+		}
+		schema, c := src.schema, codec
+		if form == formAnchorView {
+			schema = m.Schema()
+			if fa, ok := codec.(interface{ ForAnchor(string) ring.Codec[V] }); ok {
+				c = fa.ForAnchor(name)
 			}
 		}
 		if loaded[name], err = readRelation(br, t.ring, c, schema, "snapshot relation "+name); err != nil {
@@ -163,40 +151,33 @@ func writeHeader(w *bufio.Writer, magic string, version byte, tag string) {
 	writeString(w, tag)
 }
 
-// readHeader consumes the magic and returns the version byte; what
-// names the format in errors.
-func readHeader(r *bufio.Reader, magic, what string) (byte, error) {
+// readHeader consumes a stream's header and checks it is the one
+// writeHeader writes for codec: magic, version, and codec tag. A stream
+// of any other version is refused by name; what names the format in
+// errors.
+func readHeader[V any](r *bufio.Reader, magic string, version byte, codec ring.Codec[V], what string) error {
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, got); err != nil {
-		return 0, fmt.Errorf("view: reading %s header: %w", what, err)
+		return fmt.Errorf("view: reading %s header: %w", what, err)
 	}
 	if string(got) != magic {
-		return 0, fmt.Errorf("view: not a F-IVM %s (magic %q)", what, got)
+		return fmt.Errorf("view: not a F-IVM %s (magic %q)", what, got)
 	}
-	return r.ReadByte()
-}
-
-// readTag consumes the codec tag and returns the codec that decodes the
-// stream: codec itself, or — for a tag of an earlier wire format —
-// the one codec's ForTag names. A stream any other codec wrote is
-// rejected.
-func readTag[V any](r *bufio.Reader, codec ring.Codec[V], what string) (ring.Codec[V], error) {
+	ver, err := r.ReadByte()
+	if err != nil {
+		return fmt.Errorf("view: reading %s header: %w", what, err)
+	}
+	if ver != version {
+		return fmt.Errorf("view: unsupported %s version %d", what, ver)
+	}
 	tag, err := readString(r)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("view: reading %s header: %w", what, err)
 	}
-	want := codecTag(codec)
-	if tag == want {
-		return codec, nil
+	if want := codecTag(codec); tag != want {
+		return fmt.Errorf("view: %s written with codec %s, this engine uses %s", what, tag, want)
 	}
-	if tr, ok := codec.(interface {
-		ForTag(string) (ring.Codec[V], bool)
-	}); ok {
-		if c, ok := tr.ForTag(tag); ok {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("view: %s written with codec %s, this engine uses %s", what, tag, want)
+	return nil
 }
 
 // writeRelation writes one relation body:

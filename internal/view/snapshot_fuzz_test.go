@@ -19,8 +19,7 @@ import (
 // The snapshot reader under fuzzing. The tree is R(A,B) ⋈ S(A,B,C)
 // over the covar engine's ranged ring, lifts B and C: the greedy order
 // is A → B → C, so R (anchored at B beside S's subtree) keeps its tuples
-// and S keeps only its anchor view at C — a version-3 stream carries
-// both forms.
+// and S keeps only its anchor view at C — a stream carries both forms.
 var mixedRels = []vo.Rel{
 	{Name: "R", Schema: value.NewSchema("A", "B")},
 	{Name: "S", Schema: value.NewSchema("A", "B", "C")},
@@ -68,27 +67,20 @@ func mixedTree(t testing.TB, seed int) (*Tree[*ring.RangedCovar], rangeCodec) {
 // snapRel is one relation of a hand-built snapshot stream.
 type snapRel struct {
 	name string
-	form byte // written in version 3 only
+	form byte
 	m    *relation.Map[*ring.RangedCovar]
 }
 
-// snapStream writes a snapshot stream of the given version holding rels
-// in order — what WriteSnapshot writes in version 3 when each relation
-// is in its tree's form, and what earlier versions wrote before.
-func snapStream(codec ring.Codec[*ring.RangedCovar], version byte, rels ...snapRel) []byte {
+// snapStream writes a snapshot stream holding rels in order — what
+// WriteSnapshot writes when each relation is in its tree's form.
+func snapStream(codec ring.Codec[*ring.RangedCovar], rels ...snapRel) []byte {
 	var b bytes.Buffer
 	w := bufio.NewWriter(&b)
-	w.WriteString(snapshotMagic)
-	w.WriteByte(version)
-	if version >= 2 {
-		writeString(w, codecTag(codec))
-	}
+	writeHeader(w, snapshotMagic, snapshotVersion, codecTag(codec))
 	writeUvarint(w, uint64(len(rels)))
 	for _, r := range rels {
 		writeString(w, r.name)
-		if version >= 3 {
-			w.WriteByte(r.form)
-		}
+		w.WriteByte(r.form)
 		if err := writeRelation(w, codec, r.m); err != nil {
 			panic(err)
 		}
@@ -98,20 +90,22 @@ func snapStream(codec ring.Codec[*ring.RangedCovar], version byte, rels ...snapR
 }
 
 // judgeSnapshot is the fuzz oracle: it walks a stream with plain
-// decoders and names the first relation body that cannot belong in tr —
-// a form other than the one tr keeps the relation in, a schema other
-// than that form's, a payload range other than where it loads — or
-// returns "" when it finds none (or the bytes stop parsing first).
+// decoders and names a version other than this build's, or the first
+// relation body that cannot belong in tr — a form other than the one
+// tr keeps the relation in, a schema other than that form's, a payload
+// range other than where it loads — or returns "" when it finds none
+// (or the bytes stop parsing first).
 func judgeSnapshot(data []byte, tr *Tree[*ring.RangedCovar], anchors map[string][2]int) string {
 	r := bufio.NewReader(bytes.NewReader(data))
-	ver, err := readHeader(r, snapshotMagic, "snapshot")
-	if err != nil || ver < 1 || ver > 3 {
+	head := make([]byte, len(snapshotMagic)+1)
+	if _, err := io.ReadFull(r, head); err != nil || string(head[:len(snapshotMagic)]) != snapshotMagic {
 		return ""
 	}
-	if ver >= 2 {
-		if _, err := readString(r); err != nil {
-			return ""
-		}
+	if head[len(snapshotMagic)] != snapshotVersion {
+		return "another version"
+	}
+	if _, err := readString(r); err != nil {
+		return ""
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -124,17 +118,15 @@ func judgeSnapshot(data []byte, tr *Tree[*ring.RangedCovar], anchors map[string]
 			return ""
 		}
 		schema, want, view := src.schema, [2]int{}, src.data == nil
-		if ver == 3 {
-			form, err := r.ReadByte()
-			if err != nil {
-				return ""
-			}
-			if (form == formAnchorView) != view || form > formAnchorView {
-				return "a wrong form"
-			}
-			if view {
-				schema, want = src.anchor.keys, anchors[name]
-			}
+		form, err := r.ReadByte()
+		if err != nil {
+			return ""
+		}
+		if (form == formAnchorView) != view || form > formAnchorView {
+			return "a wrong form"
+		}
+		if view {
+			schema, want = src.anchor.keys, anchors[name]
 		}
 		nAttrs, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -172,16 +164,15 @@ func judgeSnapshot(data []byte, tr *Tree[*ring.RangedCovar], anchors map[string]
 	return ""
 }
 
-// snapshotSeeds returns a version-3 stream of mixedTree(1), hand-built
-// and as WriteSnapshot wrote it, the same database as versions 2 and 1
-// (every relation as its tuples), and the streams ReadSnapshot must
-// refuse: version 3 with a wrong form byte, a wrong anchor view schema,
-// or an anchor view payload of the wrong range, and version 2 with an
-// attribute repeated.
+// snapshotSeeds returns a stream of mixedTree(1), hand-built and as
+// WriteSnapshot wrote it, and the streams ReadSnapshot must refuse: the
+// version before and after this build's, a wrong form byte, a wrong
+// anchor view schema, an anchor view payload of the wrong range, and
+// R's tuples under a repeated attribute.
 func snapshotSeeds(t testing.TB) map[string][]byte {
 	src, codec := mixedTree(t, 1)
-	var v3 bytes.Buffer
-	if err := src.WriteSnapshot(&v3, codec); err != nil {
+	var written bytes.Buffer
+	if err := src.WriteSnapshot(&written, codec); err != nil {
 		t.Fatal(err)
 	}
 	r := src.sources["R"].data
@@ -194,23 +185,28 @@ func snapshotSeeds(t testing.TB) map[string][]byte {
 	sView.Each(func(tp value.Tuple, _ *ring.RangedCovar) {
 		shifted.Set(tp, ring.RangedCovarRing{}.Lift(1-codec.anchors["S"][0])(value.Int(2)))
 	})
-	v2 := snapStream(codec, 2, snapRel{"R", 0, r}, snapRel{"S", 0, sTuples})
+	built := snapStream(codec, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, sView})
+	version := func(v byte) []byte {
+		b := slices.Clone(built)
+		b[len(snapshotMagic)] = v
+		return b
+	}
 	return map[string][]byte{
-		"v3":                snapStream(codec, 3, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, sView}),
-		"v3 written":        v3.Bytes(),
-		"v2":                v2,
-		"v1":                snapStream(codec, 1, snapRel{"R", 0, r}, snapRel{"S", 0, sTuples}),
-		"wrong form":        snapStream(codec, 3, snapRel{"R", formAnchorView, r}, snapRel{"S", formAnchorView, sView}),
-		"wrong view schema": snapStream(codec, 3, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, sTuples}),
-		"wrong range":       snapStream(codec, 3, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, shifted}),
-		// S's attributes A, B, C renamed A, B, A: once a panic in the
-		// schema check, now a schema mismatch.
-		"wrong repeated attribute": bytes.Replace(v2, []byte("\x01A\x01B\x01C"), []byte("\x01A\x01B\x01A"), 1),
+		"built":               built,
+		"written":             written.Bytes(),
+		"wrong older version": version(snapshotVersion - 1),
+		"wrong newer version": version(snapshotVersion + 1),
+		"wrong form":          snapStream(codec, snapRel{"R", formAnchorView, r}, snapRel{"S", formAnchorView, sView}),
+		"wrong view schema":   snapStream(codec, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, sTuples}),
+		"wrong range":         snapStream(codec, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, shifted}),
+		// R's attributes A, B renamed A, A: once a panic in the schema
+		// check, now a schema mismatch.
+		"wrong repeated attribute": bytes.Replace(built, []byte("\x01R\x00\x02\x01A\x01B"), []byte("\x01R\x00\x02\x01A\x01A"), 1),
 	}
 }
 
-// TestReadSnapshotForms: the seeds are judged as intended — every
-// well-formed version loads into a tree that already holds another
+// TestReadSnapshotForms: the seeds are judged as intended — each
+// well-formed stream loads into a tree that already holds another
 // database, landing on the state the same database reached by Init; each
 // wrong stream is refused and leaves the tree as it was.
 func TestReadSnapshotForms(t *testing.T) {

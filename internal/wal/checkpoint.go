@@ -3,14 +3,13 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -25,7 +24,9 @@ import (
 // The file is written atomically (temp + fsync + rename + dir fsync)
 // and validated by a full-file CRC pass before recovery trusts it; a
 // checkpoint that fails validation is skipped and the next-newest
-// tried, which is why pruning keeps more than one.
+// tried, which is why pruning keeps more than one. One that passes it
+// but has another magic or version is refused (formatError), not
+// skipped: skipping it would replay only what pruning left behind.
 
 const (
 	ckptMagic    = "FIVMCKPT"
@@ -147,37 +148,22 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 
 // scanCheckpoints finds the newest checkpoint that validates, skipping
 // corrupt ones, and the highest checkpoint sequence number present
-// (valid or not — new checkpoints must not reuse a tainted name).
+// (valid or not — new checkpoints must not reuse a tainted name). An
+// intact checkpoint of another format is an error.
 func scanCheckpoints(dir string) (*CheckpointInfo, uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	paths, seqs, err := listNumbered(dir, ckptPrefix, ckptExt)
+	if err != nil || len(paths) == 0 {
 		return nil, 0, err
 	}
-	type cand struct {
-		path string
-		seq  uint64
-	}
-	var cands []cand
-	var maxSeq uint64
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptExt) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptExt), 16, 64)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{path: filepath.Join(dir, name), seq: seq})
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq > cands[j].seq })
-	for _, c := range cands {
-		info, err := parseCheckpoint(c.path, c.seq)
+	maxSeq := seqs[len(seqs)-1]
+	for i := len(paths) - 1; i >= 0; i-- {
+		info, err := parseCheckpoint(paths[i], seqs[i])
 		if err == nil {
 			return info, maxSeq, nil
+		}
+		var fe *formatError
+		if errors.As(err, &fe) {
+			return nil, 0, err
 		}
 	}
 	return nil, maxSeq, nil
@@ -227,14 +213,14 @@ func parseCheckpoint(path string, seq uint64) (*CheckpointInfo, error) {
 		return nil, err
 	}
 	if string(magic) != ckptMagic {
-		return nil, fmt.Errorf("wal: %s is not a checkpoint (magic %q)", path, magic)
+		return nil, &formatError{path, fmt.Sprintf("not a checkpoint (magic %q)", magic)}
 	}
 	ver, err := cr.ReadByte()
 	if err != nil {
 		return nil, err
 	}
 	if ver != ckptVersion {
-		return nil, fmt.Errorf("wal: unsupported checkpoint version %d", ver)
+		return nil, &formatError{path, fmt.Sprintf("unsupported checkpoint version %d", ver)}
 	}
 	nShards, err := binary.ReadUvarint(cr)
 	if err != nil {
@@ -320,24 +306,11 @@ func (w *WAL) prune(pos Positions) {
 			}
 		}
 	}
-	entries, err := os.ReadDir(w.cfg.Dir)
+	paths, _, err := listNumbered(w.cfg.Dir, ckptPrefix, ckptExt)
 	if err != nil {
 		return
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptExt) {
-			continue
-		}
-		if seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptExt), 16, 64); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for i, seq := range seqs {
-		if i >= w.cfg.KeepCheckpoints {
-			_ = os.Remove(filepath.Join(w.cfg.Dir, fmt.Sprintf("%s%016x%s", ckptPrefix, seq, ckptExt)))
-		}
+	for _, path := range paths[:max(0, len(paths)-w.cfg.KeepCheckpoints)] {
+		_ = os.Remove(path)
 	}
 }

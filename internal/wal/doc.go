@@ -71,6 +71,12 @@
 // caller in per-shard sequence order (cross-shard interleaving is free:
 // delta application commutes across relations).
 //
+// Torn is not foreign. A checkpoint that passes its CRC, or a segment
+// whose 8-byte magic is whole, but of another format or version fails
+// Open with an error naming the file, and Open truncates and removes
+// nothing: each format has one version, the one this build writes, and
+// skipping or deleting such a file would drop the updates it holds.
+//
 // The recovery invariant, proven by the serving layer's kill-mid-batch
 // tests: after restoring the checkpoint and replaying the log, the
 // engine is bit-identical to a clean engine that applied exactly the

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -158,46 +159,44 @@ func openSegmentReader(path, rel string) (*segmentReader, error) {
 	return &segmentReader{f: f, rel: rel, off: hdrLen}, nil
 }
 
-// checkSegmentHeader reads and validates the magic + relation name,
-// returning the header length.
+// segmentHeader is the header a segment of rel starts with:
+// magic | uvarint len(rel) | rel.
+func segmentHeader(rel string) []byte {
+	return append(binary.AppendUvarint([]byte(segmentMagic), uint64(len(rel))), rel...)
+}
+
+// checkSegmentHeader reads the header of a segment of rel and returns
+// its length.
 func checkSegmentHeader(f *os.File, rel string) (int64, error) {
+	if err := readSegmentMagic(f); err != nil {
+		return 0, err
+	}
+	want := segmentHeader(rel)[len(segmentMagic):]
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(f, got); err != nil {
+		return 0, fmt.Errorf("wal: segment header: %w", err)
+	}
+	if !bytes.Equal(got, want) {
+		return 0, fmt.Errorf("wal: segment header %q does not name relation %q", got, rel)
+	}
+	return int64(len(segmentMagic) + len(want)), nil
+}
+
+// readSegmentMagic consumes a segment's magic. A magic cut short is a
+// torn create; a whole one that is not segmentMagic is a formatError.
+func readSegmentMagic(f *os.File) error {
 	magic := make([]byte, len(segmentMagic))
 	if _, err := io.ReadFull(f, magic); err != nil {
-		return 0, fmt.Errorf("wal: segment header: %w", err)
+		return fmt.Errorf("wal: segment header: %w", err)
 	}
-	if string(magic) != segmentMagic {
-		return 0, fmt.Errorf("wal: not a segment file (magic %q)", magic)
+	if string(magic) == segmentMagic {
+		return nil
 	}
-	var lbuf [binary.MaxVarintLen32]byte
-	// Read the name length byte-by-byte (names are short, so the varint
-	// is 1-2 bytes; read conservatively).
-	n := 0
-	var nameLen uint64
-	for {
-		if n == len(lbuf) {
-			return 0, fmt.Errorf("wal: segment relation length overflows")
-		}
-		if _, err := io.ReadFull(f, lbuf[n:n+1]); err != nil {
-			return 0, fmt.Errorf("wal: segment header: %w", err)
-		}
-		n++
-		var c int
-		nameLen, c = binary.Uvarint(lbuf[:n])
-		if c > 0 {
-			break
-		}
+	msg := fmt.Sprintf("not a segment file (magic %q)", magic)
+	if prefix := segmentMagic[:len(segmentMagic)-1]; string(magic[:len(prefix)]) == prefix {
+		msg = fmt.Sprintf("unsupported segment version %c", magic[len(prefix)])
 	}
-	if nameLen > 4096 {
-		return 0, fmt.Errorf("wal: segment relation name length %d exceeds limit", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(f, name); err != nil {
-		return 0, fmt.Errorf("wal: segment header: %w", err)
-	}
-	if string(name) != rel {
-		return 0, fmt.Errorf("wal: segment belongs to relation %q, expected %q", name, rel)
-	}
-	return int64(len(segmentMagic) + n + int(nameLen)), nil
+	return &formatError{f.Name(), msg}
 }
 
 // next reads one record's payload. ok=false means iteration is over —

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -124,10 +125,7 @@ func (s *Shard) rotate(firstSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: opening segment %s: %w", path, err)
 	}
-	hdr := make([]byte, 0, len(segmentMagic)+binary.MaxVarintLen32+len(s.rel))
-	hdr = append(hdr, segmentMagic...)
-	hdr = binary.AppendUvarint(hdr, uint64(len(s.rel)))
-	hdr = append(hdr, s.rel...)
+	hdr := segmentHeader(s.rel)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header %s: %w", path, err)
@@ -204,32 +202,59 @@ func segmentName(firstSeq uint64) string {
 // listSegments returns a shard directory's segment files sorted by
 // first sequence number (ascending).
 func listSegments(dir string) (paths []string, firstSeqs []uint64, err error) {
+	return listNumbered(dir, "", segmentExt)
+}
+
+// listNumbered returns the files in dir named prefix, a hex number and
+// ext, sorted by that number (ascending). Other files are left alone.
+func listNumbered(dir, prefix, ext string) (paths []string, nums []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	type seg struct {
+	type file struct {
 		path string
-		seq  uint64
+		num  uint64
 	}
-	var segs []seg
+	var files []file
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, segmentExt) {
+		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
 			continue
 		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, segmentExt), 16, 64)
-		if err != nil {
-			continue // foreign file; leave it alone
+		if num, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ext), 16, 64); err == nil {
+			files = append(files, file{filepath.Join(dir, name), num})
 		}
-		segs = append(segs, seg{path: filepath.Join(dir, name), seq: seq})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	for _, sg := range segs {
-		paths = append(paths, sg.path)
-		firstSeqs = append(firstSeqs, sg.seq)
+	sort.Slice(files, func(i, j int) bool { return files[i].num < files[j].num })
+	for _, f := range files {
+		paths = append(paths, f.path)
+		nums = append(nums, f.num)
 	}
-	return paths, firstSeqs, nil
+	return paths, nums, nil
+}
+
+// checkSegmentFormats returns the formatError of the first segment in
+// dir written in another format. Open calls it for every shard before
+// openShard truncates or removes anything.
+func checkSegmentFormats(dir string) error {
+	paths, _, err := listSegments(dir)
+	if err != nil {
+		return err
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		err = readSegmentMagic(f)
+		f.Close()
+		var fe *formatError
+		if errors.As(err, &fe) {
+			return err
+		}
+	}
+	return nil
 }
 
 // openShard scans one shard's segments at Open time, enforcing the

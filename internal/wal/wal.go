@@ -153,11 +153,20 @@ type WAL struct {
 	stopped sync.WaitGroup
 }
 
+// formatError is an intact file of a format or version this build does
+// not write. Open refuses the directory on one, before it truncates or
+// removes anything: taken for torn, it would be skipped or deleted with
+// the updates it holds.
+type formatError struct{ path, msg string }
+
+func (e *formatError) Error() string { return fmt.Sprintf("wal: %s: %s", e.path, e.msg) }
+
 // Open opens (creating if needed) the WAL directory, selects the newest
 // valid checkpoint, and truncates every shard's log at the first
 // invalid record — the crash-recovery cleanup that makes the remaining
 // log a clean, contiguous prefix. The caller then restores the
-// checkpoint, replays, and appends.
+// checkpoint, replays, and appends. A checkpoint or segment of another
+// format version fails Open and leaves the directory as it was.
 func Open(cfg Config) (*WAL, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -182,6 +191,13 @@ func Open(cfg Config) (*WAL, error) {
 	entries, err := os.ReadDir(filepath.Join(cfg.Dir, shardsDirName))
 	if err != nil {
 		return nil, err
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			if err := checkSegmentFormats(filepath.Join(cfg.Dir, shardsDirName, e.Name())); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for _, e := range entries {
 		if !e.IsDir() {

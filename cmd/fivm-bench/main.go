@@ -2,7 +2,8 @@
 // (docs/REPRODUCTION.md records one run): Figure 1's worked example
 // (e1), the §1 throughput claims (e2), the application tabs (e3–e6), the
 // batch/aggregate sweeps (e7), the Favorita database (e8), and the
-// ablations (a1, a3). It measures the engine in-process; the served
+// ablations (a1, a3). Every experiment runs in process, so an installed
+// binary needs no source tree. It measures the engine alone; the served
 // binaries are measured end to end by bench/ (see BENCHMARK.json).
 //
 // Usage:
@@ -16,7 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
+	"slices"
 	"strings"
 	"sync"
 
@@ -24,7 +25,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: e1|e2|e3|e4|e5|e6|e7|e8|a1|a3|all")
+	ids := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		ids[i] = e.id
+	}
+	exp := flag.String("exp", "all", "experiment id: "+strings.Join(ids, "|")+"|all")
 	scale := flag.String("scale", "small", "workload scale: small|demo")
 	flag.Parse()
 	usageError := func(format string, args ...any) {
@@ -45,77 +50,82 @@ func main() {
 	}
 	sc := newScale()
 
-	// E3–E6 each print one part of the same Retailer tab run.
-	retailer := sync.OnceValues(func() (tabRun, error) {
-		m3, rows, err := experiments.PresetTabs("retailer", sc, 0.2)
-		return tabRun{m3, rows}, err
-	})
-	column := func(title string, col func(experiments.TabBulk) string) func(experiments.Scale) error {
-		return func(experiments.Scale) error {
-			fmt.Println(title)
-			r, err := retailer()
-			if err != nil {
-				return err
-			}
-			experiments.PrintTabs(os.Stdout, r.rows, col)
-			return nil
+	run := experimentList
+	if *exp != "all" {
+		i := slices.IndexFunc(run, func(e experiment) bool { return e.id == *exp })
+		if i < 0 {
+			usageError("unknown -exp %q", *exp)
 		}
+		run = run[i : i+1]
 	}
-	run := map[string]func(experiments.Scale) error{
-		"e1": runE1, "e2": runE2,
-		"e3": column("E3 — Figure 2a: model selection under update bulks (threshold 0.2)", experiments.SelectionColumn),
-		"e4": column("E4 — Figure 2b: ridge regression re-convergence per bulk", experiments.RegressionColumn),
-		"e5": column("E5 — Figure 2c: MI matrix + Chow-Liu tree per bulk (root ksn)", experiments.ChowLiuColumn),
-		"e6": func(experiments.Scale) error {
-			fmt.Println("E6 — Figure 2d: view tree and M3 code for the Retailer query")
-			r, err := retailer()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.m3)
-			return nil
-		},
-		"e7": runE7, "e8": runE8, "a1": runA1, "a3": runA3,
-	}
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a3"}
-	} else if _, ok := run[*exp]; !ok {
-		usageError("unknown -exp %q", *exp)
-	}
-	for _, id := range ids {
-		fmt.Printf("================ %s ================\n", strings.ToUpper(id))
-		if err := run[id](sc); err != nil {
-			log.Fatalf("%s: %v", id, err)
+	for _, e := range run {
+		fmt.Printf("================ %s ================\n", strings.ToUpper(e.id))
+		fmt.Println(e.title)
+		if err := e.run(sc); err != nil {
+			log.Fatalf("%s: %v", e.id, err)
 		}
 		fmt.Println()
 	}
 }
 
-// tabRun is one preset's tab run: the M3 code and the per-bulk tabs.
-type tabRun struct {
-	m3   string
-	rows []experiments.TabBulk
+// experiment is one -exp id: its title line(s) and what prints the rest.
+type experiment struct {
+	id, title string
+	run       func(experiments.Scale) error
 }
 
-// runE1 replays Figure 1 by delegating to the quickstart example, which
-// prints the toy database's payloads under all four rings.
-func runE1(experiments.Scale) error {
-	fmt.Println("Figure 1 worked example (see also examples/quickstart and")
-	fmt.Println("go test ./internal/view -run TestFigure1):")
-	if _, err := os.Stat("examples/quickstart"); err != nil {
-		// No source tree here (e.g. an installed binary): point at it.
-		fmt.Println("  (run examples/quickstart from the repository root for the full output)")
-		return nil
+// experimentList is every experiment in the order -exp all runs them;
+// the -exp help text and its lookup read it too.
+var experimentList = []experiment{
+	{"e1", "Figure 1 worked example (experiments.Figure1; see also\ngo test ./internal/view -run TestFigure1):", runE1},
+	{"e2", "E2 — §1 claim: F-IVM vs DBToaster-style IVM vs re-evaluation", runE2},
+	{"e3", "E3 — Figure 2a: model selection under update bulks (threshold 0.2)", retailerColumn(experiments.SelectionColumn)},
+	{"e4", "E4 — Figure 2b: ridge regression re-convergence per bulk", retailerColumn(experiments.RegressionColumn)},
+	{"e5", "E5 — Figure 2c: MI matrix + Chow-Liu tree per bulk (root ksn)", retailerColumn(experiments.ChowLiuColumn)},
+	{"e6", "E6 — Figure 2d: view tree and M3 code for the Retailer query", runE6},
+	{"e7", "E7a — batch-size sweep (COVAR m=5, 20% deletes)", runE7},
+	{"e8", "E8 — the second demo database: Favorita (6-way join)", runE8},
+	{"a1", "A1 — ablation: ring sharing (compound payload vs independent aggregate trees)", runA1},
+	{"a3", "A3 — ablation: delete-ratio sweep (deletes cost the same as inserts)", runA3},
+}
+
+// retailerRun is the one Retailer tab run that E3–E6 each print one
+// part of; every experiment in a process runs at the same scale.
+var retailerRun struct {
+	sync.Once
+	m3   string
+	rows []experiments.TabBulk
+	err  error
+}
+
+func retailer(sc experiments.Scale) (m3 string, rows []experiments.TabBulk, err error) {
+	r := &retailerRun
+	r.Do(func() { r.m3, r.rows, r.err = experiments.PresetTabs("retailer", sc, 0.2) })
+	return r.m3, r.rows, r.err
+}
+
+// retailerColumn prints one column of the Retailer tab run.
+func retailerColumn(col func(experiments.TabBulk) string) func(experiments.Scale) error {
+	return func(sc experiments.Scale) error {
+		_, rows, err := retailer(sc)
+		if err == nil {
+			experiments.PrintTabs(os.Stdout, rows, col)
+		}
+		return err
 	}
-	cmd := exec.Command("go", "run", "./examples/quickstart")
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	return cmd.Run()
+}
+
+func runE1(experiments.Scale) error { return experiments.Figure1(os.Stdout) }
+
+func runE6(sc experiments.Scale) error {
+	m3, _, err := retailer(sc)
+	if err == nil {
+		fmt.Println(m3)
+	}
+	return err
 }
 
 func runE2(sc experiments.Scale) error {
-	fmt.Println("E2 — §1 claim: F-IVM vs DBToaster-style IVM vs re-evaluation")
 	fmt.Printf("Retailer 5-way join, %d fact rows, %d updates (20%% deletes), batch %d, one goroutine\n\n",
 		sc.InventoryRows, sc.StreamLen, sc.BatchSize)
 	rows, err := experiments.E2(sc, 0.2)
@@ -134,7 +144,6 @@ func runE2(sc experiments.Scale) error {
 }
 
 func runE7(sc experiments.Scale) error {
-	fmt.Println("E7a — batch-size sweep (COVAR m=5, 20% deletes)")
 	rows, err := experiments.E7BatchSize(sc, []int{1, 10, 100, 1000, 10000})
 	if err != nil {
 		return err
@@ -150,7 +159,6 @@ func runE7(sc experiments.Scale) error {
 }
 
 func runE8(sc experiments.Scale) error {
-	fmt.Println("E8 — the second demo database: Favorita (6-way join)")
 	rows, err := experiments.E8Throughput(sc)
 	if err != nil {
 		return err
@@ -166,7 +174,6 @@ func runE8(sc experiments.Scale) error {
 }
 
 func runA1(sc experiments.Scale) error {
-	fmt.Println("A1 — ablation: ring sharing (compound payload vs independent aggregate trees)")
 	rows, err := experiments.A1Sharing(sc, 5)
 	if err != nil {
 		return err
@@ -176,7 +183,6 @@ func runA1(sc experiments.Scale) error {
 }
 
 func runA3(sc experiments.Scale) error {
-	fmt.Println("A3 — ablation: delete-ratio sweep (deletes cost the same as inserts)")
 	rows, err := experiments.A3Deletes(sc, []float64{0, 0.25, 0.5})
 	if err != nil {
 		return err

@@ -11,25 +11,32 @@ import (
 // mdLink matches inline markdown links [text](target).
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// repoPath matches a backticked repository path such as
+// `internal/view/tree.go:42`; a :line suffix is captured apart.
+var repoPath = regexp.MustCompile("`((?:cmd|internal|fivm|docs|bench|examples)/[^`\\s:]*)(?::[^`\\s]*)?`")
+
 // fencedBlock matches a fenced code block, whose text is never a link
 // (recorded program output such as M3 code contains "[...](x)").
 var fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
 
-// TestDocRelativeLinks verifies that every relative link in README.md
-// and docs/*.md points at a file or directory that exists, so the
-// architecture documentation cannot silently rot as files move. CI runs
-// this as the doc-link checker.
+// TestDocRelativeLinks verifies that every relative link and every
+// backticked repository path (outside fenced blocks) in README.md,
+// docs/*.md and the .claude/skills notes points at a file or directory
+// that exists, so the documentation cannot silently rot as files move.
+// CI runs this as the doc-link checker.
 func TestDocRelativeLinks(t *testing.T) {
 	files := []string{"README.md"}
-	docs, err := filepath.Glob("docs/*.md")
-	if err != nil {
-		t.Fatal(err)
+	for _, pattern := range []string{"docs/*.md", ".claude/skills/*/SKILL.md"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
 	}
-	files = append(files, docs...)
 	if len(files) < 2 {
 		t.Fatalf("expected README.md plus docs/*.md, found %v", files)
 	}
-	checked := 0
+	checked, paths := 0, 0
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -54,8 +61,16 @@ func TestDocRelativeLinks(t *testing.T) {
 			}
 			checked++
 		}
+		// Repository paths are relative to the root, wherever they are
+		// written; a glob such as docs/*.md must match something.
+		for _, m := range repoPath.FindAllStringSubmatch(prose, -1) {
+			if matches, err := filepath.Glob(filepath.FromSlash(m[1])); err != nil || len(matches) == 0 {
+				t.Errorf("%s: backticked path %q names nothing in the repository", f, m[0])
+			}
+			paths++
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no relative links found; the checker is miswired")
+	if checked == 0 || paths == 0 {
+		t.Fatalf("%d relative links and %d backticked paths found; the checker is miswired", checked, paths)
 	}
 }

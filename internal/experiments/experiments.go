@@ -1,8 +1,8 @@
 // Package experiments hosts the runnable reproductions of every
-// evaluation artifact in the paper: the §1 throughput claims (E2), the
-// application tabs of Figure 2 (E3–E6), the batch-size/aggregate-count
-// sweeps (E7), the second demo database (E8), and the design ablations
-// (A1, A3). Figure 1's worked example (E1) is examples/quickstart.
+// evaluation artifact in the paper: Figure 1's worked example (E1,
+// Figure1), the §1 throughput claims (E2), the application tabs of
+// Figure 2 (E3–E6), the batch-size/aggregate-count sweeps (E7), the
+// second demo database (E8), and the design ablations (A1, A3).
 // cmd/fivm-bench prints their tables; docs/REPRODUCTION.md records one
 // run of `fivm-bench -exp all -scale small`.
 //

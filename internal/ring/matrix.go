@@ -14,8 +14,8 @@ import (
 //
 // The paper lists matrix chain multiplication among the applications
 // the same view tree maintains with only a ring change. Rectangular
-// chains are handled by the float-ring encoding (see
-// examples/matrixchain, where entries live in payloads of index
+// chains are handled by the float-ring encoding (see the fivm package's
+// ExampleEngine_InitWeighted, where entries live in payloads of index
 // tuples); this ring covers the square case where whole matrices are
 // the payloads — e.g. aggregating products of per-tuple transition
 // matrices.

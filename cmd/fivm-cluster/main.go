@@ -72,7 +72,7 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.spawnPort, "spawn-port", 8351, "first worker port in -spawn mode (worker i listens on 127.0.0.1:port+i)")
 	fs.StringVar(&c.shardBy, "shard-by", "", "anchor relation partitioned across shards (default: first declared relation)")
 	fs.DurationVar(&c.coverWait, "cover-wait", 2*time.Second, "how long a merged read waits for every shard to cover acked writes")
-	fs.DurationVar(&c.retryBudget, "retry-budget", 2*time.Second, "how long a write retries a shard's transport failures and 503s before giving up (negative disables)")
+	fs.DurationVar(&c.retryBudget, "retry-budget", 2*time.Second, "how long a write retries a shard's transport failures and 503s before giving up")
 	fs.DurationVar(&c.shardTimeout, "shard-timeout", 10*time.Second, "per-attempt ceiling on any one shard HTTP request, so a black-holed worker fails the attempt instead of hanging it (0 = none)")
 	fs.BoolVar(&c.version, "version", false, "print build information and exit")
 	fs.BoolVar(&c.worker, "worker", false, "internal: run one spawned worker daemon (set by -spawn re-exec)")

@@ -56,10 +56,11 @@ func TestRefusesBadFlags(t *testing.T) {
 		{"wal with shards", append([]string{"-shards", u, "-wal", "d"}, custom...), "-wal configures the workers -spawn forks"},
 		{"max-batch with shards", append([]string{"-shards", u, "-max-batch", "64"}, custom...), "-max-batch configures the workers -spawn forks"},
 		{"trace with shards", append([]string{"-shards", u, "-trace"}, custom...), "-trace configures the workers -spawn forks"},
-		{"watermark above chan-cap", append([]string{"-spawn", "1", "-chan-cap", "8", "-high-watermark", "9"}, custom...), "HighWatermark 9 exceeds ChannelCap 8"},
+		{"negative chan-cap", append([]string{"-spawn", "1", "-chan-cap", "-1"}, custom...), "ChannelCap -1 is negative"},
 		{"repeated shard", append([]string{"-shards", u + "," + u}, custom...), "is listed twice"},
 		{"unknown shard-by", append([]string{"-spawn", "1", "-shard-by", "Nope"}, custom...), "shard-by relation Nope is not an input relation"},
 		{"negative cover-wait", append([]string{"-spawn", "1", "-cover-wait", "-1s"}, custom...), "cover wait -1s is negative"},
+		{"negative retry-budget", append([]string{"-spawn", "1", "-retry-budget", "-1s"}, custom...), "retry budget -1s is negative"},
 		{"negative shard-timeout", append([]string{"-spawn", "1", "-shard-timeout", "-1s"}, custom...), "-shard-timeout -1s is negative"},
 		{"spawn port out of range", append([]string{"-spawn", "1", "-spawn-port", "70000"}, custom...), "-spawn-port 70000"},
 	}

@@ -3,8 +3,7 @@
 // snapshots, exposed over HTTP/JSON (v1 API; see docs/API.md).
 //
 //	POST /v1/update    ingest tuple updates (?wait=1 for read-your-writes;
-//	                   429 + Retry-After when an ingest queue is over the
-//	                   high-watermark)
+//	                   429 + Retry-After when an ingest queue is full)
 //	GET  /v1/predict   evaluate the latest ridge model (analysis engines)
 //	GET  /v1/model     the published model, rendered per engine kind
 //	GET  /v1/stats     serving + maintenance counters, snapshot version and

@@ -47,6 +47,14 @@ type breaker struct {
 	openedAt time.Time // when the breaker last opened
 }
 
+// Every shard's breaker opens after breakerThreshold consecutive
+// retryable failures and fails fast for breakerCooldown before admitting
+// a half-open probe.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = time.Second
+)
+
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }

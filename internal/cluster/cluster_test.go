@@ -289,8 +289,8 @@ func TestRouterPredictRefusesNonFiniteInput(t *testing.T) {
 // TestNewRefusesBadConfig: a shard URL listed twice would have its
 // partial merged twice, so every count, sum and product read through
 // the router would double; a negative cover wait used to become the
-// default silently. cluster.New refuses both, and still accepts a zero
-// cover wait as the default.
+// default silently, and a negative retry budget means nothing. cluster.New
+// refuses all three, and still accepts a zero cover wait as the default.
 func TestNewRefusesBadConfig(t *testing.T) {
 	cfg := engineConfigs()["count"]
 	for _, c := range []struct {
@@ -302,6 +302,7 @@ func TestNewRefusesBadConfig(t *testing.T) {
 		{"zero cover wait", cluster.Config{ShardURLs: []string{"http://a:1"}, CoverWait: 0}, ""},
 		{"repeated shard", cluster.Config{ShardURLs: []string{"http://a:1", "http://b:1", "http://a:1"}}, "shard URL http://a:1 is listed twice"},
 		{"negative cover wait", cluster.Config{ShardURLs: []string{"http://a:1"}, CoverWait: -time.Second}, "cover wait -1s is negative"},
+		{"negative retry budget", cluster.Config{ShardURLs: []string{"http://a:1"}, RetryBudget: -time.Second}, "retry budget -1s is negative"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Engine, c.cfg.ProbeInterval = cfg, -1

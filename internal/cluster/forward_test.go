@@ -194,18 +194,25 @@ func TestRouterPassesOnExpiredBatch(t *testing.T) {
 	}
 }
 
-// TestRouterRejectsWrongArity: a tuple of the wrong arity is refused
-// with the worker's 400 before the shard map hashes it; a short anchor
-// tuple used to index past its end there and drop the connection.
+// TestRouterRejectsWrongArity: a tuple of the wrong arity, or of an
+// unknown relation, is refused with the worker's 400 before the shard
+// map hashes it; a short anchor tuple used to index past its end there
+// and drop the connection.
 func TestRouterRejectsWrongArity(t *testing.T) {
 	ctx := context.Background()
 	_, cli := startCluster(t, engineConfigs()["count"], 2)
-	for _, u := range []client.Update{client.NewUpdate("R", 1), client.NewUpdate("S", 1, 1, 2)} {
-		_, err := cli.Update(ctx, []client.Update{u}, true)
+	for _, c := range []struct {
+		u    client.Update
+		want string // a substring of the engine's error
+	}{
+		{client.NewUpdate("R", 1), "relation R has 2 attributes"},
+		{client.NewUpdate("S", 1, 1, 2), "relation S has 3 attributes"},
+		{client.NewUpdate("Nope", 1, 1), "unknown relation Nope"},
+	} {
+		_, err := cli.Update(ctx, []client.Update{c.u}, true)
 		var ae *client.APIError
-		want := fmt.Sprintf("relation %s wants", u.Rel)
-		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, want) {
-			t.Errorf("%s%v: err = %v, want a 400 naming %q", u.Rel, u.Tuple, err, want)
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, c.want) {
+			t.Errorf("%s%v: err = %v, want a 400 naming %q", c.u.Rel, c.u.Tuple, err, c.want)
 		}
 	}
 }

@@ -69,25 +69,13 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Owners: the owning shard for anchor updates, -1 (broadcast) for
-	// the rest. Unknown relations and updates the engine refuses (wrong
+	// the rest. Updates the engine refuses (unknown relation, wrong
 	// arity, numeric values out of range) fail the whole batch up front
-	// — no shard has been touched yet, so rejecting is free, and the
-	// shard map hashes only tuples of the anchor's arity.
+	// with the engine's text, as a worker would — no shard has been
+	// touched yet, so rejecting is free, and the shard map hashes only
+	// tuples of the anchor's arity.
 	owners := make([]int, len(ups))
 	for i, u := range ups {
-		n, ok := rt.arity[u.Rel]
-		if !ok {
-			rt.writeErrors.Inc()
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
-				fmt.Errorf("updates[%d]: unknown relation %s (cluster serves %v)", i, u.Rel, rt.merger.RelationNames()))
-			return
-		}
-		if len(u.Tuple) != n {
-			rt.writeErrors.Inc()
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
-				fmt.Errorf("updates[%d]: relation %s wants %d attributes, tuple has %d", i, u.Rel, n, len(u.Tuple)))
-			return
-		}
 		if err := rt.merger.CheckUpdate(u); err != nil {
 			rt.writeErrors.Inc()
 			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("updates[%d]: %w", i, err))

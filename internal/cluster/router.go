@@ -52,15 +52,9 @@ type Config struct {
 	// RetryBudget bounds how long one write keeps retrying a shard's
 	// transport failures and 503s (full-jitter exponential backoff
 	// between attempts) before giving up on that shard; the request
-	// context's deadline always wins when it is sooner. Default 2s;
-	// negative disables per-shard retries entirely.
+	// context's deadline always wins when it is sooner (0 selects 2s;
+	// negative is refused).
 	RetryBudget time.Duration
-	// BreakerThreshold is how many consecutive retryable failures open
-	// a shard's circuit breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker fails fast before
-	// admitting a half-open probe (default 1s).
-	BreakerCooldown time.Duration
 }
 
 // shardRef is the router's per-worker state: the client, the monotonic
@@ -140,6 +134,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.CoverWait < 0 {
 		return nil, fmt.Errorf("cluster: cover wait %v is negative (0 selects the 2s default)", cfg.CoverWait)
 	}
+	if cfg.RetryBudget < 0 {
+		return nil, fmt.Errorf("cluster: retry budget %v is negative (0 selects the 2s default)", cfg.RetryBudget)
+	}
 	if cfg.CoverWait == 0 {
 		cfg.CoverWait = 2 * time.Second
 	}
@@ -148,12 +145,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 2 * time.Second
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = time.Second
 	}
 	merger, err := fivm.Open(cfg.Engine)
 	if err != nil {
@@ -196,7 +187,7 @@ func New(cfg Config) (*Router, error) {
 	for i, u := range cfg.ShardURLs {
 		sh := &shardRef{
 			id: i, url: u, cli: client.New(u, opts...),
-			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			brk: newBreaker(breakerThreshold, breakerCooldown),
 		}
 		rt.shards = append(rt.shards, sh)
 		label := fmt.Sprintf(`shard="%d"`, i)
@@ -439,9 +430,6 @@ type writeShardResult struct {
 func (rt *Router) writeShard(ctx context.Context, sh *shardRef, batchID string, g subBatch) writeShardResult {
 	res := writeShardResult{shardError: shardError{id: sh.id}}
 	budget := rt.cfg.RetryBudget
-	if budget < 0 {
-		budget = 0
-	}
 	deadline := time.Now().Add(budget)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d

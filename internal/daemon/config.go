@@ -55,7 +55,6 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) map[string]FlagGroup {
 	worker.Int64Var(&o.SegmentBytes, "segment-bytes", 64<<20, "WAL segment rotation size")
 	worker.IntVar(&o.MaxBatch, "max-batch", 8192, "max raw updates coalesced into one delta batch")
 	worker.IntVar(&o.ChannelCap, "chan-cap", 256, "per-relation ingest channel capacity")
-	worker.IntVar(&o.HighWatermark, "high-watermark", 0, "ingest queue depth at which /v1/update sheds with 429 (0 = chan-cap)")
 	worker.IntVar(&o.DedupCap, "dedup-cap", 0, "idempotency dedup table capacity in recently seen batch groups (0 = 8192)")
 	worker.BoolVar(&o.Trace, "trace", false, "log one structured line per batch and per snapshot publish")
 	// Each group's own set names its flags, so no second list does.

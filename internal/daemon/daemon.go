@@ -38,12 +38,12 @@ type Options struct {
 	// The engine flags -engine, -query, -relations, -features, -attrs, -label.
 	Engine, Query, Relations, Features, Attrs, Label string
 	// The worker flags -wal, -fsync, -fsync-interval, -checkpoint-interval,
-	// -segment-bytes, -max-batch, -chan-cap, -high-watermark, -dedup-cap, -trace.
-	WALDir, FsyncPolicy                           string
-	FsyncInterval, CheckpointInterval             time.Duration
-	SegmentBytes                                  int64
-	MaxBatch, ChannelCap, HighWatermark, DedupCap int
-	Trace                                         bool
+	// -segment-bytes, -max-batch, -chan-cap, -dedup-cap, -trace.
+	WALDir, FsyncPolicy               string
+	FsyncInterval, CheckpointInterval time.Duration
+	SegmentBytes                      int64
+	MaxBatch, ChannelCap, DedupCap    int
+	Trace                             bool
 
 	// Logf receives progress lines; nil selects log.Printf.
 	Logf func(format string, args ...any)
@@ -63,7 +63,6 @@ func (o Options) ServeConfig() serve.Config {
 	return serve.Config{
 		MaxBatch:           o.MaxBatch,
 		ChannelCap:         o.ChannelCap,
-		HighWatermark:      o.HighWatermark,
 		DedupCap:           o.DedupCap,
 		CheckpointInterval: o.CheckpointInterval,
 	}

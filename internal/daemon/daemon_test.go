@@ -30,11 +30,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative rows", with(preset, func(o *Options) { o.Rows = -1 }), "-rows -1 is negative"},
 		{"db with relations", with(preset, func(o *Options) { o.Relations = "R:A,B" }), "-db retailer defines its own"},
 		{"bad fsync", with(custom, func(o *Options) { o.FsyncPolicy = "sometimes" }), `bad -fsync policy "sometimes"`},
-		{"watermark above chan-cap", with(custom, func(o *Options) { o.ChannelCap, o.HighWatermark = 8, 9 }), "HighWatermark 9 exceeds ChannelCap 8"},
 		{"worker flags", with(custom, func(o *Options) { o.MaxBatch, o.ChannelCap, o.SegmentBytes, o.Trace = 64, 32, 1024, true }), ""},
 		{"negative max-batch", with(custom, func(o *Options) { o.MaxBatch = -1 }), "MaxBatch -1 is negative"},
 		{"negative chan-cap", with(custom, func(o *Options) { o.ChannelCap = -1 }), "ChannelCap -1 is negative"},
-		{"negative high-watermark", with(custom, func(o *Options) { o.HighWatermark = -1 }), "HighWatermark -1 is negative"},
 		{"negative dedup-cap", with(custom, func(o *Options) { o.DedupCap = -1 }), "DedupCap -1 is negative"},
 		{"db with query", with(preset, func(o *Options) { o.Query = "SELECT SUM(1) FROM Inventory" }), "-db retailer defines its own"},
 		{"load without db", with(custom, func(o *Options) { o.Load = false }), ""},
@@ -68,18 +66,18 @@ func TestRegisterFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-db=d", "-rows=1", "-load=false",
 		"-engine=e", "-query=q", "-relations=r", "-features=f", "-attrs=a", "-label=l",
 		"-wal=w", "-fsync=always", "-fsync-interval=2s", "-checkpoint-interval=3s", "-segment-bytes=4",
-		"-max-batch=5", "-chan-cap=6", "-high-watermark=7", "-dedup-cap=8", "-trace"}); err != nil {
+		"-max-batch=5", "-chan-cap=6", "-dedup-cap=8", "-trace"}); err != nil {
 		t.Fatal(err)
 	}
 	want = Options{DB: "d", Rows: 1, Engine: "e", Query: "q", Relations: "r", Features: "f", Attrs: "a", Label: "l",
 		WALDir: "w", FsyncPolicy: "always", FsyncInterval: 2 * time.Second, CheckpointInterval: 3 * time.Second,
-		SegmentBytes: 4, MaxBatch: 5, ChannelCap: 6, HighWatermark: 7, DedupCap: 8, Trace: true}
+		SegmentBytes: 4, MaxBatch: 5, ChannelCap: 6, DedupCap: 8, Trace: true}
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("parsed = %+v, want %+v", o, want)
 	}
 	count := map[FlagGroup]int{}
 	fs.VisitAll(func(f *flag.Flag) { count[groups[f.Name]]++ })
-	if want := map[FlagGroup]int{EngineFlag: 6, PresetFlag: 3, WorkerFlag: 10}; !maps.Equal(count, want) || len(groups) != 19 {
+	if want := map[FlagGroup]int{EngineFlag: 6, PresetFlag: 3, WorkerFlag: 9}; !maps.Equal(count, want) || len(groups) != 18 {
 		t.Errorf("flags per group = %v (%d grouped), want %v", count, len(groups), want)
 	}
 }

@@ -105,8 +105,13 @@ func (sh *shard) collect(first ingestMsg, max int) (ups []view.Update, dones []c
 	return ups, dones, sh.refbuf, false
 }
 
+// maxBatchesPerPublish caps how many queued deltas the writer applies
+// before publishing a fresh snapshot: higher amortizes model refits
+// under backlog at the cost of staleness.
+const maxBatchesPerPublish = 32
+
 // runWriter is the single goroutine allowed to mutate the engine. It
-// applies queued delta batches — at most MaxBatchesPerPublish per round,
+// applies queued delta batches — at most maxBatchesPerPublish per round,
 // so one snapshot refit amortizes over a backlog — publishes a fresh
 // snapshot, and only then closes the batches' done channels, giving
 // IngestBatch's done channel read-your-writes semantics.
@@ -133,7 +138,7 @@ func (s *Server) runWriter() {
 			chClosed := false
 			n := 1
 		drain:
-			for n < s.cfg.MaxBatchesPerPublish {
+			for n < maxBatchesPerPublish {
 				select {
 				case b2, ok2 := <-s.batches:
 					if !ok2 {

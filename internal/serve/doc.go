@@ -92,8 +92,8 @@
 // # Admission control
 //
 // IngestBatch (and so Ingest) sheds load instead of blocking once any
-// target shard's queue reaches Config.HighWatermark (default: channel
-// capacity): it returns *OverloadError without enqueueing anything —
+// target shard's queue is full (Config.ChannelCap queued batches): it
+// returns *OverloadError without enqueueing anything —
 // all-or-nothing, so a multi-relation batch is never partially
 // admitted — and the HTTP layer maps that to 429 with a Retry-After
 // header. Shed counts are

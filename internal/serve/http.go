@@ -19,8 +19,7 @@ import (
 //	                  snapshot reflecting it is published; with
 //	                  &partial=1 the ack carries that snapshot's partial
 //	                  and its applied counter; 429 +
-//	                  Retry-After when a target ingest queue is over the
-//	                  high-watermark
+//	                  Retry-After when a target ingest queue is full
 //	GET  /v1/predict  ?attr=value&... one query parameter per feature
 //	                  (analysis engines with a label only)
 //	GET  /v1/model    the published model, rendered per engine kind

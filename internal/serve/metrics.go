@@ -61,7 +61,7 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	reg.CounterFunc("fivm_ingest_updates_total", "",
 		"Tuple updates accepted by Ingest.", s.ingested.Load)
 	reg.CounterFunc("fivm_ingest_shed_updates_total", "",
-		"Tuple updates rejected by admission control (ingest queue at or above the high-watermark).", s.shed.Load)
+		"Tuple updates rejected by admission control (target ingest queue full).", s.shed.Load)
 
 	// Idempotency: the dedup table behind exactly-once ingest.
 	reg.CounterFunc("fivm_dedup_hits_total", "",

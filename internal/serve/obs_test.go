@@ -21,30 +21,26 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{MaxBatch: -1},
 		{ChannelCap: -8},
-		{MaxBatchesPerPublish: -2},
-		{HighWatermark: -1},
-		{ChannelCap: 4, HighWatermark: 10}, // watermark the queue can never reach
 	}
 	for _, cfg := range bad {
 		if _, err := New(testAnalysis(t), cfg); err == nil {
 			t.Errorf("New accepted nonsensical config %+v", cfg)
 		}
 	}
-	// A watermark at or below the capacity is valid.
-	srv, err := New(testAnalysis(t), Config{ChannelCap: 8, HighWatermark: 4})
+	srv, err := New(testAnalysis(t), Config{ChannelCap: 8})
 	if err != nil {
-		t.Fatalf("valid watermark rejected: %v", err)
+		t.Fatalf("valid config rejected: %v", err)
 	}
 	srv.Close()
 }
 
 // TestBackpressureShedsAndRecovers drives the admission-control path
 // end to end: with the writer stalled and tiny queues, ingestion must
-// shed with 429 + Retry-After instead of blocking, and must accept
-// again once the backlog drains.
+// shed with 429 + Retry-After instead of blocking — and only when the
+// target queue is full — and must accept again once the backlog drains.
 func TestBackpressureShedsAndRecovers(t *testing.T) {
 	an := testAnalysis(t)
-	srv, err := New(an, Config{MaxBatch: 1, ChannelCap: 1, HighWatermark: 1})
+	srv, err := New(an, Config{MaxBatch: 1, ChannelCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +68,8 @@ func TestBackpressureShedsAndRecovers(t *testing.T) {
 		for time.Now().Before(deadline) {
 			err := ingest(one)
 			if oe, ok := err.(*OverloadError); ok {
-				if oe.Rel != "R" || oe.Depth < 1 || oe.Capacity != 1 {
-					t.Fatalf("%s: OverloadError = %+v, want Rel=R Depth>=1 Capacity=1", name, oe)
+				if oe.Rel != "R" || oe.Depth != oe.Capacity || oe.Capacity != 1 {
+					t.Fatalf("%s: OverloadError = %+v, want Rel=R Depth=Capacity=1", name, oe)
 				}
 				shed = true
 				break

@@ -24,10 +24,10 @@ var ErrClosed = errors.New("serve: server closed")
 var ErrCrashed = errors.New("serve: pipeline crashed on WAL write failure")
 
 // OverloadError is returned by IngestBatch when a target relation's ingest
-// queue is at or above the configured high-watermark: the caller
-// should back off and retry instead of blocking behind the backlog
-// (the HTTP handler maps it to 429 with a Retry-After header). Every
-// update of the rejected call counts into the shed statistics.
+// queue is full at admission time: the caller should back off and retry
+// instead of blocking behind the backlog (the HTTP handler maps it to
+// 429 with a Retry-After header). Every update of the rejected call
+// counts into the shed statistics.
 type OverloadError struct {
 	// Rel is the overloaded relation.
 	Rel string
@@ -47,18 +47,6 @@ type Config struct {
 	// ChannelCap is the per-relation ingest channel capacity
 	// (default 256).
 	ChannelCap int
-	// MaxBatchesPerPublish caps how many queued deltas the writer
-	// applies before publishing a fresh snapshot (default 32). Higher
-	// values amortize model refits under backlog at the cost of
-	// staleness.
-	MaxBatchesPerPublish int
-	// HighWatermark is the per-relation ingest queue depth at or above
-	// which Ingest sheds with an OverloadError instead of enqueueing
-	// (admission control). 0 selects ChannelCap: shed only when a
-	// target queue is already full at admission time. Must not exceed
-	// ChannelCap — a watermark the queue can never reach would disable
-	// shedding silently.
-	HighWatermark int
 	// TraceLog, when non-nil, receives one structured line per flushed
 	// batch (queue wait, build, apply spans) and per published snapshot
 	// — the serving pipeline's span log, enabled by fivm-serve -trace.
@@ -91,19 +79,15 @@ func (c Config) Validate() error {
 }
 
 // withDefaults fills zero fields and rejects nonsensical explicit
-// settings: zero means "default", but a negative knob or a watermark
-// above the channel capacity is a configuration bug that must fail at
-// construction, not silently serve with a different value.
+// settings: zero means "default", but a negative knob is a
+// configuration bug that must fail at construction, not silently serve
+// with a different value.
 func (c Config) withDefaults() (Config, error) {
 	switch {
 	case c.MaxBatch < 0:
 		return c, fmt.Errorf("serve: MaxBatch %d is negative (0 selects the default)", c.MaxBatch)
 	case c.ChannelCap < 0:
 		return c, fmt.Errorf("serve: ChannelCap %d is negative (0 selects the default)", c.ChannelCap)
-	case c.MaxBatchesPerPublish < 0:
-		return c, fmt.Errorf("serve: MaxBatchesPerPublish %d is negative (0 selects the default)", c.MaxBatchesPerPublish)
-	case c.HighWatermark < 0:
-		return c, fmt.Errorf("serve: HighWatermark %d is negative (0 selects ChannelCap)", c.HighWatermark)
 	case c.DedupCap < 0:
 		return c, fmt.Errorf("serve: DedupCap %d is negative (0 selects the default)", c.DedupCap)
 	}
@@ -113,17 +97,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ChannelCap == 0 {
 		c.ChannelCap = 256
 	}
-	if c.MaxBatchesPerPublish == 0 {
-		c.MaxBatchesPerPublish = 32
-	}
-	if c.HighWatermark == 0 {
-		c.HighWatermark = c.ChannelCap
-	}
 	if c.DedupCap == 0 {
 		c.DedupCap = 8192
-	}
-	if c.HighWatermark > c.ChannelCap {
-		return c, fmt.Errorf("serve: HighWatermark %d exceeds ChannelCap %d — queues can never reach it, so shedding would silently never trigger", c.HighWatermark, c.ChannelCap)
 	}
 	if c.WAL != nil && c.CheckpointInterval == 0 {
 		c.CheckpointInterval = time.Minute
@@ -402,21 +377,20 @@ func (s *Server) IngestBatch(id wal.BatchID, ups []view.Update) (done <-chan str
 			fresh = append(fresh, rel)
 		}
 	}
-	// Admission control: if any fresh group's queue sits at or above the
-	// high-watermark, shed the whole call before anything is enqueued or
-	// entered into the dedup table — all-or-nothing, so a multi-relation
-	// call never lands partially and a shed call's retry is not mistaken
-	// for a duplicate. The check is advisory (concurrent ingesters can
-	// still race past it into a blocking send), but the default
-	// watermark equals the channel capacity, so an over-watermark queue
-	// is a genuinely full one.
+	// Admission control: if any fresh group's queue is full, shed the
+	// whole call before anything is enqueued or entered into the dedup
+	// table — all-or-nothing, so a multi-relation call never lands
+	// partially and a shed call's retry is not mistaken for a duplicate.
+	// The check is advisory: concurrent ingesters can still race past it
+	// into a blocking send.
 	for _, rel := range fresh {
-		if ch := s.shards[rel].ch; len(ch) >= s.cfg.HighWatermark {
+		ch := s.shards[rel].ch
+		if depth := len(ch); depth == cap(ch) {
 			if identified {
 				t.mu.Unlock()
 			}
 			s.shed.Add(uint64(len(ups)))
-			return nil, 0, &OverloadError{Rel: rel, Depth: len(ch), Capacity: cap(ch)}
+			return nil, 0, &OverloadError{Rel: rel, Depth: depth, Capacity: cap(ch)}
 		}
 	}
 	hits := len(waits)

@@ -74,7 +74,7 @@ func (s *sectionReadCloser) Close() error { return s.f.Close() }
 // WriteCheckpoint atomically writes a new checkpoint holding the given
 // positions and the engine snapshot produced by writeSnap, then prunes:
 // segments fully covered by the positions are deleted (never a shard's
-// newest segment) and checkpoints beyond KeepCheckpoints are removed.
+// newest segment) and checkpoints beyond keepCheckpoints are removed.
 func (w *WAL) WriteCheckpoint(pos Positions, writeSnap func(io.Writer) error) error {
 	w.mu.Lock()
 	if w.closed {
@@ -281,8 +281,12 @@ func (c *countReader) readFull(p []byte) error {
 	return err
 }
 
+// keepCheckpoints is how many newest checkpoints survive pruning: the
+// newest plus one fallback should a later recovery find it corrupt.
+const keepCheckpoints = 2
+
 // prune removes segments fully covered by the checkpointed positions
-// and old checkpoints beyond KeepCheckpoints. Best-effort: a file that
+// and old checkpoints beyond keepCheckpoints. Best-effort: a file that
 // cannot be removed stays for the next prune.
 func (w *WAL) prune(pos Positions) {
 	for _, rel := range w.shardNames() {
@@ -310,7 +314,7 @@ func (w *WAL) prune(pos Positions) {
 	if err != nil {
 		return
 	}
-	for _, path := range paths[:max(0, len(paths)-w.cfg.KeepCheckpoints)] {
+	for _, path := range paths[:max(0, len(paths)-keepCheckpoints)] {
 		_ = os.Remove(path)
 	}
 }

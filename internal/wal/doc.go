@@ -56,8 +56,8 @@
 // the per-shard sequence number of the last batch applied before the
 // snapshot was taken, and the cumulative applied update/batch counts.
 // After a checkpoint commits, segments whose every record is covered by
-// it are deleted, and older checkpoints beyond KeepCheckpoints are
-// pruned. The active (newest) segment of a shard is never deleted.
+// it are deleted, and all but the two newest checkpoints are pruned.
+// The active (newest) segment of a shard is never deleted.
 //
 // # Recovery
 //

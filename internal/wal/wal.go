@@ -39,10 +39,6 @@ type Config struct {
 	// size (default 64 MiB). A single batch larger than the limit still
 	// lands whole in a fresh segment.
 	SegmentBytes int64
-	// KeepCheckpoints is how many newest checkpoints survive pruning
-	// (default 2 — the newest plus one fallback should it be found
-	// corrupt by a later recovery).
-	KeepCheckpoints int
 	// OpenSegment overrides how segment files are opened for append —
 	// the fault-injection seam crash tests use to tear a write
 	// mid-record. nil opens through the OS. Recovery always reads the
@@ -67,9 +63,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 20
-	}
-	if c.KeepCheckpoints <= 0 {
-		c.KeepCheckpoints = 2
 	}
 	if c.OpenSegment == nil {
 		c.OpenSegment = func(path string) (WriteFile, error) {

@@ -24,7 +24,6 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,8 +34,14 @@ import (
 	"time"
 )
 
-// BatchIDHeader carries the idempotency batch ID on POST /v1/update.
-const BatchIDHeader = "X-Fivm-Batch-Id"
+// Header names of the v1 protocol (docs/API.md).
+const (
+	// BatchIDHeader carries the idempotency batch ID on POST /v1/update.
+	BatchIDHeader = "X-Fivm-Batch-Id"
+	// AppliedHeader carries, on a GET /v1/partial response, the
+	// cumulative applied-update counter the partial covers.
+	AppliedHeader = "X-Fivm-Applied"
+)
 
 // Update is the wire form of one tuple update. Tuple elements must be
 // JSON scalars (numbers, strings, nil); Mult nil means 1 (insert),
@@ -82,7 +87,7 @@ type Model struct {
 
 // Partial is a GET /v1/partial response: the shard's result relation in
 // the binary partial format, plus the cumulative applied-update counter
-// the body covers (the X-Fivm-Applied header).
+// the body covers (the AppliedHeader).
 type Partial struct {
 	Data    []byte
 	Applied uint64
@@ -101,23 +106,56 @@ type Stats struct {
 	Raw      map[string]json.RawMessage `json:"-"`
 }
 
-// ShardStatus describes one ingest shard (per input relation).
+// ShardStatus reports one relation's ingest queue in /v1/stats and
+// /v1/healthz: current depth, capacity, and the relation's tuple arity
+// (which load generators use to synthesize valid updates).
 type ShardStatus struct {
 	Depth    int `json:"depth"`
 	Capacity int `json:"capacity"`
 	Arity    int `json:"arity"`
 }
 
-// WALStatus mirrors the server's durability status block.
+// WALStatus is the durability section ("wal") of /v1/stats and
+// /v1/healthz.
 type WALStatus struct {
-	Enabled          bool   `json:"enabled"`
-	Crashed          bool   `json:"crashed"`
-	AppendedBatches  uint64 `json:"appended_batches"`
-	AppendedBytes    uint64 `json:"appended_bytes"`
-	Segments         int    `json:"segments"`
-	CheckpointSeq    uint64 `json:"checkpoint_seq"`
+	Enabled bool `json:"enabled"`
+	// AppendedBatches and AppendedBytes count records logged by this
+	// process.
+	AppendedBatches uint64 `json:"appended_batches"`
+	AppendedBytes   uint64 `json:"appended_bytes"`
+	// Segments is the number of live segment files across shards.
+	Segments int64 `json:"segments"`
+	// CheckpointSeq and CheckpointAgeSeconds describe the newest valid
+	// checkpoint (age falls back to time since boot when none exists).
+	CheckpointSeq        uint64  `json:"checkpoint_seq"`
+	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds"`
+	// RecoveredUpdates and RecoveredBatches are what boot recovery
+	// restored: the checkpoint's cumulative coverage plus replayed log
+	// records. Both are cumulative across restarts, so after a clean
+	// quiesce-kill-restart cycle recovered_updates is at least the
+	// applied count observed before the kill.
 	RecoveredUpdates uint64 `json:"recovered_updates"`
-	AppliedUpdates   uint64 `json:"applied_updates"`
+	RecoveredBatches uint64 `json:"recovered_batches"`
+	// AppliedUpdates and AppliedBatches are the cumulative counts the
+	// current WAL positions cover (recovered plus applied since boot) —
+	// what the next checkpoint will stamp.
+	AppliedUpdates uint64 `json:"applied_updates"`
+	AppliedBatches uint64 `json:"applied_batches"`
+	// TruncatedBytes and RemovedSegments report what boot recovery
+	// discarded as torn or unreachable.
+	TruncatedBytes  uint64 `json:"truncated_bytes"`
+	RemovedSegments int64  `json:"removed_segments"`
+	// Crashed flags a poisoned pipeline; CrashError is its cause.
+	Crashed    bool   `json:"crashed"`
+	CrashError string `json:"crash_error,omitempty"`
+}
+
+// ErrorEnvelope is the uniform v1 error body. retry_after_ms appears
+// only on retryable errors.
+type ErrorEnvelope struct {
+	Error        string `json:"error"`
+	Code         string `json:"code"`
+	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
 // Health is a decoded GET /v1/healthz response.
@@ -147,14 +185,6 @@ func (e *APIError) Error() string {
 // (backpressure or a shard restarting).
 func (e *APIError) Temporary() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
-}
-
-// ModelReader is the read-side surface of the v1 API; *Client
-// implements it. Code that only renders models can depend on this
-// instead of the full client.
-type ModelReader interface {
-	Model(ctx context.Context) (*Model, error)
-	Predict(ctx context.Context, features map[string]string) (float64, error)
 }
 
 // Option configures a Client.
@@ -194,8 +224,6 @@ type Client struct {
 	origin   [16]byte
 	batchSeq atomic.Uint64
 }
-
-var _ ModelReader = (*Client)(nil)
 
 // New builds a client for the server at base (e.g.
 // "http://127.0.0.1:8344"). Defaults: the shared http.DefaultClient, 3
@@ -262,7 +290,7 @@ func (c *Client) UpdateBody(ctx context.Context, batchID string, body []byte, wa
 			path += "&partial=1"
 		}
 	}
-	resp, err := c.doID(ctx, http.MethodPost, path, body, batchID)
+	resp, err := c.doID(ctx, http.MethodPost, path, body, batchID, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -340,26 +368,21 @@ func (c *Client) Partial(ctx context.Context) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	applied, err := strconv.ParseUint(resp.Header.Get("X-Fivm-Applied"), 10, 64)
+	applied, err := strconv.ParseUint(resp.Header.Get(AppliedHeader), 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("fivm: /v1/partial: bad X-Fivm-Applied header: %w", err)
+		return nil, fmt.Errorf("fivm: /v1/partial: bad %s header: %w", AppliedHeader, err)
 	}
 	return &Partial{Data: data, Applied: applied}, nil
 }
 
 // Healthz probes liveness. A 503 with a well-formed body is a healthy
-// transport answer about an unhealthy server: it returns OK=false and
-// no error.
+// transport answer about an unhealthy server: it returns OK=false, the
+// decoded body and no error, after one request — health aggregators
+// tell "down" from "unhealthy" by it. Transport failures retry like any
+// GET.
 func (c *Client) Healthz(ctx context.Context) (*Health, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil)
+	resp, err := c.doID(ctx, http.MethodGet, "/v1/healthz", nil, "", http.StatusServiceUnavailable)
 	if err != nil {
-		var ae *APIError
-		// The healthz body itself says ok=false on 503; surface that as
-		// data, not failure, so health aggregators distinguish "down"
-		// from "unhealthy".
-		if errors.As(err, &ae) && ae.Status == http.StatusServiceUnavailable {
-			return &Health{OK: false, Body: map[string]any{"error": ae.Message}}, nil
-		}
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -402,11 +425,13 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, o
 
 // do performs one request with the retry loop (see doID).
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	return c.doID(ctx, method, path, body, "")
+	return c.doID(ctx, method, path, body, "", 0)
 }
 
 // doID performs one request with the retry loop, stamping batchID on
-// it when non-empty. Non-2xx responses are decoded into *APIError.
+// it when non-empty. A response with status dataStatus (0: none) is
+// returned like a 2xx one; other non-2xx responses are decoded into
+// *APIError.
 // What retries depends on what a redelivery can do:
 //
 //   - 429: always retried — the server shed the batch before
@@ -420,7 +445,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 // Backoff doubles from the configured base, clamped to the maximum;
 // a server Retry-After hint (header or envelope) overrides the
 // computed delay for that attempt, clamped the same way.
-func (c *Client) doID(ctx context.Context, method, path string, body []byte, batchID string) (*http.Response, error) {
+func (c *Client) doID(ctx context.Context, method, path string, body []byte, batchID string, dataStatus int) (*http.Response, error) {
 	idempotent := method == http.MethodGet || batchID != ""
 	delay := c.backoff
 	for attempt := 0; ; attempt++ {
@@ -448,7 +473,7 @@ func (c *Client) doID(ctx context.Context, method, path string, body []byte, bat
 				return nil, err
 			}
 		} else {
-			if resp.StatusCode/100 == 2 {
+			if resp.StatusCode/100 == 2 || resp.StatusCode == dataStatus {
 				return resp, nil
 			}
 			apiErr := decodeAPIError(resp)
@@ -499,11 +524,7 @@ func decodeAPIError(resp *http.Response) *APIError {
 		}
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	var env struct {
-		Error        string `json:"error"`
-		Code         string `json:"code"`
-		RetryAfterMS int64  `json:"retry_after_ms"`
-	}
+	var env ErrorEnvelope
 	if err := json.Unmarshal(data, &env); err == nil && env.Error != "" {
 		ae.Message = env.Error
 		ae.Code = env.Code

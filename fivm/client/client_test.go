@@ -331,6 +331,24 @@ func TestPartialRequiresAppliedHeader(t *testing.T) {
 	}
 }
 
+// TestHealthzUnhealthyIsData: a 503 from /v1/healthz is the server's
+// answer that it is up but unhealthy (a crashed WAL), not a failure:
+// one request, OK false, and the health object decoded — not retried
+// as an idempotent GET and not flattened into an error string.
+func TestHealthzUnhealthyIsData(t *testing.T) {
+	s, hs := newScriptServer(t, status(http.StatusServiceUnavailable, `{"ok":false,"wal":{"crashed":true}}`))
+	h, err := New(hs.URL).Healthz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.hits.Load(); n != 1 {
+		t.Errorf("Healthz sent %d requests for one 503, want 1", n)
+	}
+	if _, ok := h.Body["wal"]; h.OK || !ok {
+		t.Errorf("Healthz = OK %v, body %v; want OK false with the wal object", h.OK, h.Body)
+	}
+}
+
 // TestPartialAcksAskOnlyWhenWaiting: WithPartialAcks adds partial=1 to
 // waited updates only, and the ack's partial decodes from base64.
 func TestPartialAcksAskOnlyWhenWaiting(t *testing.T) {

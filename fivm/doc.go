@@ -15,7 +15,7 @@
 //     updates) or BuildDelta + ApplyBuilt (a prebuilt delta).
 //   - Engine[V] is the generic core behind it: a view tree over one
 //     ring plus the shared lifecycle (Init, InitWeighted, Apply,
-//     BuildDelta/ApplyBuilt, CloneView, Stats, WriteSnapshot/
+//     BuildDelta/ApplyBuilt, ClonePayload, Stats, WriteSnapshot/
 //     ReadSnapshot, PublishModel). Four thin
 //     instantiations add typed accessors, reached by type assertion:
 //     Analysis (generalized COVAR / MI / ridge / Chow-Liu over mixed
@@ -30,7 +30,7 @@
 //     payloads. A view owns the payloads it stores and maintenance
 //     updates them in place, so Payload/Result/Tree().Source hand out
 //     live references (read them before the next update, or use
-//     ClonePayload/CloneView); everything an engine publishes is a
+//     ClonePayload/Result().Clone()); everything an engine publishes is a
 //     deep copy or a copy-on-write clone that no later update changes.
 //   - Result-access convention: Payload/Result never fail (the empty
 //     join yields the ring zero); typed accessors that derive

@@ -84,7 +84,7 @@ type Engine[V any] struct {
 	// codec may check differently from the source payloads of a
 	// snapshot. nil means codec.
 	resultCodec ring.Codec[V]
-	// clone deep-copies one payload for CloneView/ClonePayload.
+	// clone deep-copies one payload for ClonePayload.
 	clone func(V) V
 	// info names the ring for the M3/ViewTree renderings.
 	info    m3.RingInfo
@@ -167,23 +167,13 @@ func (e *Engine[V]) Payload() V { return e.tree.ResultPayload() }
 
 // Result returns the maintained result relation, keyed by the query's
 // free variables. Callers must not mutate it, and maintenance updates
-// its payloads in place; use CloneView for an isolated copy.
+// its payloads in place; Result().Clone() is a stable snapshot.
 func (e *Engine[V]) Result() *relation.Map[V] { return e.tree.Result() }
 
 // ClonePayload returns a deep copy of the maintained compound aggregate,
 // sharing nothing with the engine — a snapshot publisher can hand it to
 // concurrent readers while the engine keeps applying deltas.
 func (e *Engine[V]) ClonePayload() V { return e.clone(e.tree.ResultPayload()) }
-
-// CloneView returns a deep copy of the maintained result relation with
-// every payload cloned. Like ClonePayload it shares nothing with the
-// engine.
-func (e *Engine[V]) CloneView() *relation.Map[V] {
-	res := e.tree.Result()
-	out := relation.New[V](res.Schema())
-	res.Each(func(t value.Tuple, p V) { out.Set(t, e.clone(p)) })
-	return out
-}
 
 // RelationNames returns the input relation names, sorted.
 func (e *Engine[V]) RelationNames() []string { return e.tree.RelationNames() }

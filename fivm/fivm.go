@@ -41,7 +41,6 @@ type Analysis struct {
 	*Engine[*ring.RelCovar]
 	ring      ring.RelCovarRing
 	feats     []ml.Feature
-	specs     []FeatureSpec
 	label     string
 	ridgeCfg  ml.RidgeConfig
 	binWidths map[string]float64
@@ -111,7 +110,6 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 	a := &Analysis{
 		ring:      rg,
 		feats:     feats,
-		specs:     append([]FeatureSpec(nil), cfg.Features...),
 		label:     cfg.Label,
 		ridgeCfg:  ridgeCfg,
 		binWidths: binWidths,
@@ -170,13 +168,6 @@ func (a *Analysis) Label() string { return a.label }
 
 // Features returns the payload indexing metadata.
 func (a *Analysis) Features() []ml.Feature { return a.feats }
-
-// FeatureSpecs returns a copy of the configured feature specs —
-// unlike Features it preserves BinWidth, which callers interpreting
-// binned one-hot categories (keyed by bin index, not raw value) need.
-func (a *Analysis) FeatureSpecs() []FeatureSpec {
-	return append([]FeatureSpec(nil), a.specs...)
-}
 
 // Covar converts the payload to the one-hot-expanded SigmaMatrix for
 // the regression solver.

@@ -131,7 +131,7 @@ func walOf(t *testing.T, dir string, eng fivm.AnyEngine) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := sh.Append([]view.Update{{Rel: "R", Tuple: value.T(fmt.Sprintf("a%d", i), i), Mult: 1}}); err != nil {
+		if _, err := sh.AppendRefs([]view.Update{{Rel: "R", Tuple: value.T(fmt.Sprintf("a%d", i), i), Mult: 1}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {

@@ -51,9 +51,6 @@ func TestFlatIVMSmallJoin(t *testing.T) {
 	if flat.JoinSize() != 2 {
 		t.Errorf("join size = %d", flat.JoinSize())
 	}
-	if got := flat.AggAttrs(); len(got) != 2 || got[0] != "B" {
-		t.Errorf("AggAttrs = %v", got)
-	}
 
 	// Unknown relation in an update batch.
 	if err := flat.Apply([]view.Update{{Rel: "Z", Tuple: value.T(1, 1), Mult: 1}}); err == nil {

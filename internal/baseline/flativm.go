@@ -15,7 +15,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/relation"
 	"repro/internal/ring"
@@ -228,14 +227,6 @@ func (f *FlatIVM) Prod(i, j int) float64 {
 // JoinSize returns the number of distinct tuples in the maintained flat
 // join — the materialization F-IVM avoids.
 func (f *FlatIVM) JoinSize() int { return f.join.Len() }
-
-// AggAttrs returns the aggregate attribute names.
-func (f *FlatIVM) AggAttrs() []string {
-	out := make([]string, len(f.aggAttrs))
-	copy(out, f.aggAttrs)
-	sort.Strings(out)
-	return out
-}
 
 // checkBatch refuses a batch before anything applies it: every update
 // must name a known relation with a tuple of its arity, and no tuple's

@@ -37,7 +37,7 @@ func (rw *recordingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rw.mu.Lock()
 	rw.bodies = append(rw.bodies, string(body))
-	rw.ids = append(rw.ids, r.Header.Get(serve.BatchIDHeader))
+	rw.ids = append(rw.ids, r.Header.Get(client.BatchIDHeader))
 	fail := rw.fail503 > 0
 	if fail {
 		rw.fail503--

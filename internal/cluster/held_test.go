@@ -173,7 +173,8 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 	// setup acks R(1,2), R(2,3), R(3,3) and three broadcast S rows
 	// through a router over two workers, reads once, and waits for a
 	// probe to see shard 1's applied counter, which it returns. A
-	// negative probe interval disables the prober and the wait.
+	// negative probe interval disables the prober and the wait; an hour
+	// keeps the prober from running, and setup does not wait for it.
 	setup := func(probe time.Duration) (*cluster.Router, string, [2]*memWorker, int) {
 		var ws [2]*memWorker
 		for i := range ws {
@@ -210,7 +211,7 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 				applied++
 			}
 		}
-		if probe > 0 {
+		if probe > 0 && probe < time.Hour {
 			waitProbe(hs.URL, "fivm_cluster_shard_applied_updates", float64(applied))
 		}
 		return rt, hs.URL, ws, applied
@@ -247,6 +248,30 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 		}
 	})
 
+	// GET /v1/stats observes the shards as a probe does: seeing shard 1
+	// restarted empty drops its held partial, so the next read polls it
+	// and cannot serve the pre-restart model.
+	t.Run("restart seen by stats", func(t *testing.T) {
+		_, router, ws, _ := setup(time.Hour)
+		ws[1].crash()
+		ws[1].start()
+		resp, err := http.Get(router + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp, err = http.Get(router + "/v1/model"); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("strict read after /v1/stats saw shard 1 restarted empty = %d, want 503", resp.StatusCode)
+		}
+		if missing := staleMissing(t, router); len(missing) != 1 || missing[0] != 1 {
+			t.Fatalf("stale read missing %v, want [1]", missing)
+		}
+	})
+
 	t.Run("kill", func(t *testing.T) {
 		rt, router, ws, _ := setup(probe)
 		ws[1].crash() // no write since its last ack
@@ -254,21 +279,8 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 		if m, err := rt.MergedModel(ctx); err == nil {
 			t.Fatalf("strict read with shard 1 dead served count %v", m.Count())
 		}
-		resp, err := http.Get(router + "/v1/model?stale=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body struct {
-			Cluster struct {
-				Missing []int `json:"missing"`
-			} `json:"cluster"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || len(body.Cluster.Missing) != 1 || body.Cluster.Missing[0] != 1 {
-			t.Fatalf("stale read = %d, missing %v; want 200 with missing [1]", resp.StatusCode, body.Cluster.Missing)
+		if missing := staleMissing(t, router); len(missing) != 1 || missing[0] != 1 {
+			t.Fatalf("stale read missing %v, want [1]", missing)
 		}
 	})
 	t.Run("kill without prober", func(t *testing.T) {
@@ -278,4 +290,27 @@ func TestHeldPartialsAreDropped(t *testing.T) {
 			t.Fatalf("strict read with shard 1 dead served count %v", m.Count())
 		}
 	})
+}
+
+// staleMissing reads GET /v1/model?stale=1 from the router, which must
+// answer 200, and returns the shards its envelope lists as missing.
+func staleMissing(t *testing.T, router string) []int {
+	t.Helper()
+	resp, err := http.Get(router + "/v1/model?stale=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Cluster struct {
+			Missing []int `json:"missing"`
+		} `json:"cluster"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stale read = %d, want 200", resp.StatusCode)
+	}
+	return body.Cluster.Missing
 }

@@ -51,16 +51,17 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// client-level retry of the whole request dedups there; a write
 	// without one gets a router-minted ID, so the router's own
 	// per-shard retries stay idempotent regardless of the client.
-	batchID := r.Header.Get(serve.BatchIDHeader)
+	batchID := r.Header.Get(client.BatchIDHeader)
 	if batchID != "" {
 		if _, err := wal.ParseBatchID(batchID); err != nil {
 			rt.writeErrors.Inc()
 			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest,
-				fmt.Errorf("%s: %w", serve.BatchIDHeader, err))
+				fmt.Errorf("%s: %w", client.BatchIDHeader, err))
 			return
 		}
 	} else {
-		batchID = rt.mintBatchID()
+		// The router becomes the retrying origin of an unidentified write.
+		batchID = wal.BatchID{Origin: rt.origin, Seq: rt.batchSeq.Add(1)}.String()
 	}
 	raws, ups, err := serve.DecodeRequest(r)
 	if err != nil {
@@ -125,7 +126,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// up because the retry budget ran dry (exhausted) or because
 		// the rejection was terminal.
 		serve.WriteJSON(w, http.StatusServiceUnavailable, retryErrorEnvelope{
-			ErrorEnvelope: serve.ErrorEnvelope{Error: err.Error(), Code: serve.CodeUnavailable},
+			ErrorEnvelope: client.ErrorEnvelope{Error: err.Error(), Code: serve.CodeUnavailable},
 			Retries:       retries,
 		})
 		return
@@ -156,7 +157,7 @@ type shardRetryDetail struct {
 // retryErrorEnvelope extends the uniform v1 error envelope with the
 // router's per-shard retry detail.
 type retryErrorEnvelope struct {
-	serve.ErrorEnvelope
+	client.ErrorEnvelope
 	Retries []shardRetryDetail `json:"retries"`
 }
 
@@ -268,20 +269,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func(i int, sh *shardRef) {
 			defer wg.Done()
 			ws := workerStatus{ID: sh.id, URL: sh.url, AckedUpdates: sh.acked.Load()}
-			st, err := sh.cli.Stats(r.Context())
+			st, app, err := sh.observeStats(r.Context())
 			if err != nil {
-				sh.up.Store(false)
 				ws.Error = err.Error()
 			} else {
-				sh.up.Store(true)
 				ws.OK = true
 				ws.Ingested, ws.Shed = st.Ingested, st.Shed
 				ws.WALEnabled = st.WAL.Enabled
-				ws.AppliedUpdates = st.Applied
-				if st.WAL.Enabled {
-					ws.AppliedUpdates = st.WAL.AppliedUpdates
-				}
-				sh.applied.Store(ws.AppliedUpdates)
+				ws.AppliedUpdates = app
 				mu.Lock()
 				ingested += st.Ingested
 				applied += st.Applied
@@ -329,7 +324,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			h, err := sh.cli.Healthz(r.Context())
 			switch {
 			case err != nil:
-				sh.up.Store(false)
+				sh.markDown()
 				wh.Error = err.Error()
 			case !h.OK:
 				sh.up.Store(true)

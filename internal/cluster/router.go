@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	crand "crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,13 +236,6 @@ func (rt *Router) Close() {
 	rt.probeWG.Wait()
 }
 
-// mintBatchID stamps a write that arrived without a batch ID, making
-// the router the retrying origin for it (same wire format as
-// client.NextBatchID: hex origin, dash, decimal sequence).
-func (rt *Router) mintBatchID() string {
-	return hex.EncodeToString(rt.origin[:]) + "-" + strconv.FormatUint(rt.batchSeq.Add(1), 10)
-}
-
 // Map exposes the shard map (tests partition bulk data with it).
 func (rt *Router) Map() *ShardMap { return rt.smap }
 
@@ -277,12 +268,13 @@ func (rt *Router) probeLoop() {
 }
 
 // observeStats refreshes the shard's cached reachability and applied
-// counter from one GET /v1/stats.
-func (sh *shardRef) observeStats(ctx context.Context) {
+// counter from one GET /v1/stats, and returns the stats with the
+// applied counter it recorded.
+func (sh *shardRef) observeStats(ctx context.Context) (*client.Stats, uint64, error) {
 	st, err := sh.cli.Stats(ctx)
 	if err != nil {
 		sh.markDown()
-		return
+		return nil, 0, err
 	}
 	app := st.Applied
 	if st.WAL.Enabled {
@@ -291,6 +283,7 @@ func (sh *shardRef) observeStats(ctx context.Context) {
 		app = st.WAL.AppliedUpdates
 	}
 	sh.observe(app)
+	return st, app, nil
 }
 
 // observe records a reachable shard's applied counter; one below the

@@ -76,7 +76,7 @@ func TestParseCSVNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.Tuples[0][0].IsNull() || !rel.Tuples[0][1].IsNull() {
+	if rel.Tuples[0][0].Kind() != value.KindNull || rel.Tuples[0][1].Kind() != value.KindNull {
 		t.Errorf("empty fields = %v, want NULLs", rel.Tuples[0])
 	}
 }

@@ -136,9 +136,6 @@ func TestFavoritaShape(t *testing.T) {
 	if !db.IsCategorical("family") || db.IsCategorical("unit_sales") {
 		t.Error("categorical metadata wrong")
 	}
-	if len(FavoritaAttrs()) != 6 {
-		t.Error("FavoritaAttrs drifted")
-	}
 }
 
 func TestDatabaseHelpers(t *testing.T) {

@@ -38,18 +38,6 @@ var (
 	favoritaCategorical = []string{"date", "store", "item", "onpromotion", "family", "class", "perishable", "city", "state", "stype", "cluster", "holiday_type", "locale", "transferred"}
 )
 
-// FavoritaAttrs returns the attribute names of each Favorita relation.
-func FavoritaAttrs() map[string][]string {
-	return map[string][]string{
-		"Sales":        favoritaSalesAttrs,
-		"Items":        favoritaItemsAttrs,
-		"Stores":       favoritaStoresAttrs,
-		"Transactions": favoritaTransactionsAttrs,
-		"Oil":          favoritaOilAttrs,
-		"Holiday":      favoritaHolidayAttrs,
-	}
-}
-
 // Favorita generates the synthetic Favorita database: six relations
 // joined on (date, store, item).
 func Favorita(cfg FavoritaConfig) *Database {

@@ -7,11 +7,9 @@ package m3
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/view"
-	"repro/internal/vo"
 )
 
 // RingInfo names the payload ring for the DECLARE MAP headers, e.g.
@@ -109,30 +107,4 @@ func typedKeys(keys []string) string {
 		parts[i] = k + ": long"
 	}
 	return strings.Join(parts, ", ")
-}
-
-// DrawOrder renders a bare variable order (without materialized views)
-// in the same style; used before a tree is instantiated.
-func DrawOrder(o *vo.Order) string {
-	var b strings.Builder
-	var rec func(n *vo.Node, depth int)
-	rec = func(n *vo.Node, depth int) {
-		indent := strings.Repeat("  ", depth)
-		fmt.Fprintf(&b, "%sV@%s[%s]\n", indent, n.Var, strings.Join(n.Keys.Attrs(), ", "))
-		rels := make([]string, len(n.Rels))
-		for i, r := range n.Rels {
-			rels[i] = r.Name
-		}
-		sort.Strings(rels)
-		for _, r := range rels {
-			fmt.Fprintf(&b, "%s  %s[...]\n", indent, r)
-		}
-		for _, c := range n.Children {
-			rec(c, depth+1)
-		}
-	}
-	for _, r := range o.Roots {
-		rec(r, 0)
-	}
-	return b.String()
 }

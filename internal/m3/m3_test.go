@@ -103,20 +103,3 @@ func TestRenderWithoutLiftIndex(t *testing.T) {
 		t.Errorf("generic lift marker missing:\n%s", p.String())
 	}
 }
-
-func TestDrawOrder(t *testing.T) {
-	rels := []vo.Rel{
-		{Name: "R", Schema: value.NewSchema("A", "B")},
-		{Name: "S", Schema: value.NewSchema("A", "C")},
-	}
-	ord, err := vo.Build(rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m3.DrawOrder(ord)
-	for _, frag := range []string{"V@A[]", "R[...]", "S[...]"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("DrawOrder missing %q:\n%s", frag, s)
-		}
-	}
-}

@@ -1,21 +1,22 @@
 // Package obs is a dependency-free observability kernel for the
-// serving pipeline: atomic counters and gauges, fixed-bucket latency
-// histograms with quantile estimation, and a registry that renders
+// serving pipeline: atomic counters, scrape-time gauges, fixed-bucket
+// latency histograms, and a registry that renders
 // every registered series in the Prometheus text exposition format
 // (version 0.0.4) — hand-rolled so go.mod stays stdlib-only.
 //
-// Hot-path cost is the design constraint: Counter.Add, Gauge.Set, and
+// Hot-path cost is the design constraint: Counter.Add and
 // Histogram.Observe are a handful of atomic operations on
 // pre-registered series and allocate nothing (pinned by
 // TestMetricOpsAllocFree), so the maintenance pipeline records
 // per-batch timings without disturbing its zero-allocation steady
-// state. All formatting cost is paid by the scraper, never the writer.
+// state. All formatting cost, quantile estimation included, is paid by
+// the scraper, never the writer.
 //
 // Series are registered once at setup through a Registry — there is no
 // dynamic label creation, which is what makes the write path
-// allocation-free. Func-backed variants (CounterFunc, GaugeFunc) read
+// allocation-free. Func-backed series (CounterFunc, GaugeFunc) read
 // state the owner already maintains (queue depths, snapshot age) at
-// scrape time only.
+// scrape time only; every gauge is one.
 package obs
 
 import (
@@ -40,24 +41,11 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down. The zero value is ready
-// to use; all methods are safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Histogram counts observations into fixed buckets (Prometheus
-// "le"-style cumulative upper bounds) and keeps the running sum, from
-// which Quantile estimates p50/p99/p999 by linear interpolation within
-// the bucket holding the target rank. Observe is lock-free and
-// allocation-free; the bucket layout is fixed at construction.
+// "le"-style cumulative upper bounds) and keeps the running sum; the
+// scraper estimates quantiles from the rendered buckets. Observe is
+// lock-free and allocation-free; the bucket layout is fixed at
+// construction.
 type Histogram struct {
 	bounds []float64 // ascending finite upper bounds; +Inf is implicit
 	counts []atomic.Uint64
@@ -108,52 +96,6 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-quantile (q in [0, 1]) from the bucket
-// counts, interpolating linearly inside the bucket that holds the
-// target rank — the same estimate Prometheus' histogram_quantile
-// computes. The error is bounded by the width of that bucket. Ranks
-// landing in the +Inf bucket clamp to the largest finite bound.
-// Returns NaN on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	var total uint64
-	cum := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		total += h.counts[i].Load()
-		cum[i] = total
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	for i, c := range cum {
-		if float64(c) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			prev := uint64(0)
-			if i > 0 {
-				prev = cum[i-1]
-			}
-			inBucket := float64(c - prev)
-			if inBucket == 0 {
-				return upper
-			}
-			return lower + (upper-lower)*(rank-float64(prev))/inBucket
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // ExpBuckets returns n exponentially growing bucket upper bounds
 // starting at start, each factor times the previous.
@@ -229,13 +171,6 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() uint64) {
 	r.register(name, "counter", help, labels, func(w io.Writer, name, labels string) {
 		fmt.Fprintf(w, "%s%s %d\n", name, braced(labels), fn())
 	})
-}
-
-// NewGauge registers and returns an integer gauge series.
-func (r *Registry) NewGauge(name, labels, help string) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, labels, help, func() float64 { return float64(g.Load()) })
-	return g
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at

@@ -14,71 +14,22 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Load() != 42 {
 		t.Fatalf("counter = %d, want 42", c.Load())
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Load())
-	}
-}
-
-// TestHistogramQuantileAccuracy bounds the estimation error: with
-// linear interpolation inside a bucket, a quantile estimate over
-// uniform data can be off by at most the width of the bucket that
-// holds the target rank.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 2, 12)) // 1..2048
-	const n = 10_000
-	for i := 1; i <= n; i++ {
-		h.Observe(float64(i) / float64(n) * 1000) // uniform over (0, 1000]
-	}
-	if h.Count() != n {
-		t.Fatalf("count = %d, want %d", h.Count(), n)
-	}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0.5, 500}, {0.99, 990}, {0.999, 999}}
-	for _, c := range cases {
-		got := h.Quantile(c.q)
-		// The rank lands in bucket (512, 1024]: error bound = 512.
-		lo, hi := bucketFor(h, c.want)
-		if got < lo || got > hi {
-			t.Errorf("p%v = %v, want within bucket (%v, %v] of true %v", c.q*100, got, lo, hi, c.want)
+	reg := NewRegistry()
+	depth := 7.0
+	reg.GaugeFunc("g", "", "g", func() float64 { return depth })
+	for _, want := range []float64{7, 4} {
+		depth = want
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if p50, p99, p999 := h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999); !(p50 <= p99 && p99 <= p999) {
-		t.Errorf("quantiles not monotone: p50=%v p99=%v p999=%v", p50, p99, p999)
-	}
-	wantSum := 0.0
-	for i := 1; i <= n; i++ {
-		wantSum += float64(i) / float64(n) * 1000
-	}
-	if math.Abs(h.Sum()-wantSum) > 1e-6*wantSum {
-		t.Errorf("sum = %v, want %v", h.Sum(), wantSum)
-	}
-}
-
-// bucketFor returns the (lower, upper] bounds of the bucket containing v.
-func bucketFor(h *Histogram, v float64) (lo, hi float64) {
-	lo = 0
-	for _, b := range h.bounds {
-		if v <= b {
-			return lo, b
+		samples, err := ParseExposition(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		lo = b
-	}
-	return lo, math.Inf(1)
-}
-
-func TestHistogramEmptyAndOverflow(t *testing.T) {
-	h := NewHistogram([]float64{1, 10})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
-	}
-	h.Observe(1e9) // +Inf bucket
-	if got := h.Quantile(0.5); got != 10 {
-		t.Errorf("overflow quantile = %v, want clamp to largest finite bound 10", got)
+		if samples["g"] != want {
+			t.Fatalf("gauge = %v, want %v: a GaugeFunc is read at each scrape", samples["g"], want)
+		}
 	}
 }
 
@@ -156,13 +107,10 @@ func TestParseExpositionRejectsGarbage(t *testing.T) {
 func TestMetricOpsAllocFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("c_total", "", "c")
-	g := reg.NewGauge("g", "", "g")
 	h := reg.NewHistogram("h_seconds", "", "h", LatencyBuckets())
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(17)
-		g.Add(-4)
 		h.Observe(0.0042)
 	}); allocs != 0 {
 		t.Errorf("metric ops allocate %.1f per round, want 0", allocs)
@@ -176,7 +124,6 @@ func TestMetricOpsAllocFree(t *testing.T) {
 func TestConcurrentMetricWrites(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("c_total", "", "c")
-	g := reg.NewGauge("g", "", "g")
 	h := reg.NewHistogram("h_seconds", "", "h", LatencyBuckets())
 
 	const writers, perWriter = 8, 5000
@@ -209,7 +156,6 @@ func TestConcurrentMetricWrites(t *testing.T) {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Set(int64(i))
 				h.Observe(float64(i%100) * 1e-5)
 			}
 		}()

@@ -9,9 +9,8 @@
 // Supported select items: SUM(<factor> {* <factor>}) where a factor is a
 // numeric literal, an attribute name, or a function application f(Attr);
 // plain attributes may be listed alongside and must then appear in GROUP
-// BY. The catalog maps relation names to schemas and attribute kinds
-// (continuous vs categorical), from which the application layers derive
-// ring and lift choices.
+// BY. The catalog maps relation names to schemas; which attributes are
+// categorical is the application layer's to say (fivm.FeatureSpec).
 package query
 
 import (

@@ -32,16 +32,6 @@ func Parse(c *Catalog, src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParse is Parse that panics on error, for statically known query
-// text in examples and tests.
-func MustParse(c *Catalog, src string) *Query {
-	q, err := Parse(c, src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -9,46 +9,25 @@ import (
 	"repro/internal/vo"
 )
 
-// AttrKind classifies attributes for lift-function selection.
-type AttrKind int
-
-const (
-	// Continuous attributes contribute scalar SUM aggregates.
-	Continuous AttrKind = iota
-	// Categorical attributes are one-hot encoded: their aggregates are
-	// relations grouped by the attribute.
-	Categorical
-)
-
-// String returns "continuous" or "categorical".
-func (k AttrKind) String() string {
-	if k == Categorical {
-		return "categorical"
-	}
-	return "continuous"
-}
-
 // Relation describes one catalog relation.
 type Relation struct {
 	Name   string
 	Schema value.Schema
 }
 
-// Catalog maps relation names to schemas and attribute kinds. Attribute
-// names are global (natural-join semantics): the same name in two
+// Catalog maps relation names to schemas. Attribute names are global (natural-join semantics): the same name in two
 // relations is one variable.
 type Catalog struct {
 	rels  map[string]Relation
 	order []string
-	kinds map[string]AttrKind
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{rels: map[string]Relation{}, kinds: map[string]AttrKind{}}
+	return &Catalog{rels: map[string]Relation{}}
 }
 
-// AddRelation registers a relation; attributes default to Continuous.
+// AddRelation registers a relation.
 func (c *Catalog) AddRelation(name string, attrs ...string) error {
 	if _, dup := c.rels[name]; dup {
 		return fmt.Errorf("query: relation %s already in catalog", name)
@@ -57,12 +36,6 @@ func (c *Catalog) AddRelation(name string, attrs ...string) error {
 	c.order = append(c.order, name)
 	return nil
 }
-
-// SetKind marks an attribute continuous or categorical catalog-wide.
-func (c *Catalog) SetKind(attr string, k AttrKind) { c.kinds[attr] = k }
-
-// Kind returns the kind of attr (Continuous when unset).
-func (c *Catalog) Kind(attr string) AttrKind { return c.kinds[attr] }
 
 // Relation looks up a relation by name.
 func (c *Catalog) Relation(name string) (Relation, bool) {
@@ -77,16 +50,6 @@ func (c *Catalog) Relations() []Relation {
 		out = append(out, c.rels[n])
 	}
 	return out
-}
-
-// HasAttr reports whether any relation contains attr.
-func (c *Catalog) HasAttr(attr string) bool {
-	for _, r := range c.rels {
-		if r.Schema.Has(attr) {
-			return true
-		}
-	}
-	return false
 }
 
 // Factor is one multiplicand inside SUM(...): either a numeric constant,
@@ -180,25 +143,6 @@ func (q *Query) VORels() []vo.Rel {
 	for i, r := range q.Relations {
 		out[i] = vo.Rel{Name: r.Name, Schema: r.Schema}
 	}
-	return out
-}
-
-// JoinVars returns the variables occurring in at least two relations,
-// sorted.
-func (q *Query) JoinVars() []string {
-	count := map[string]int{}
-	for _, r := range q.Relations {
-		for _, a := range r.Schema.Attrs() {
-			count[a]++
-		}
-	}
-	var out []string
-	for a, c := range count {
-		if c >= 2 {
-			out = append(out, a)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

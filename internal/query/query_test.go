@@ -14,7 +14,6 @@ func testCatalog(t *testing.T) *Catalog {
 	if err := c.AddRelation("S", "A", "C", "D"); err != nil {
 		t.Fatal(err)
 	}
-	c.SetKind("C", Categorical)
 	return c
 }
 
@@ -30,18 +29,9 @@ func TestCatalogBasics(t *testing.T) {
 	if _, ok := c.Relation("Z"); ok {
 		t.Error("phantom relation")
 	}
-	if c.Kind("C") != Categorical || c.Kind("B") != Continuous {
-		t.Error("kinds wrong")
-	}
-	if !c.HasAttr("D") || c.HasAttr("Z") {
-		t.Error("HasAttr wrong")
-	}
 	rels := c.Relations()
 	if len(rels) != 2 || rels[0].Name != "R" {
 		t.Errorf("Relations order = %v", rels)
-	}
-	if Continuous.String() != "continuous" || Categorical.String() != "categorical" {
-		t.Error("kind names")
 	}
 }
 
@@ -161,7 +151,7 @@ func TestLexerStringsAndNumbers(t *testing.T) {
 
 func TestQueryString(t *testing.T) {
 	c := testCatalog(t)
-	q := MustParse(c, "SELECT A, SUM(gB(B) * gC(C)) FROM R NATURAL JOIN S GROUP BY A")
+	q := mustParse(t, c, "SELECT A, SUM(gB(B) * gC(C)) FROM R NATURAL JOIN S GROUP BY A")
 	s := q.String()
 	for _, frag := range []string{"SELECT A", "SUM(gB(B) * gC(C))", "R NATURAL JOIN S", "GROUP BY A"} {
 		if !strings.Contains(s, frag) {
@@ -178,30 +168,17 @@ func TestQueryString(t *testing.T) {
 	}
 }
 
-func TestQueryVarsAndJoinVars(t *testing.T) {
+func TestQueryVars(t *testing.T) {
 	c := testCatalog(t)
-	q := MustParse(c, "SELECT SUM(1) FROM R NATURAL JOIN S")
+	q := mustParse(t, c, "SELECT SUM(1) FROM R NATURAL JOIN S")
 	vars := q.Vars()
 	if len(vars) != 4 { // A, B, C, D
 		t.Errorf("Vars = %v", vars)
-	}
-	jv := q.JoinVars()
-	if len(jv) != 1 || jv[0] != "A" {
-		t.Errorf("JoinVars = %v", jv)
 	}
 	rels := q.VORels()
 	if len(rels) != 2 || rels[0].Name != "R" {
 		t.Errorf("VORels = %v", rels)
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	MustParse(testCatalog(t), "not a query")
 }
 
 func TestFactorString(t *testing.T) {
@@ -223,7 +200,7 @@ func TestFactorString(t *testing.T) {
 
 func TestValidateSchemaDrift(t *testing.T) {
 	c := testCatalog(t)
-	q := MustParse(c, "SELECT SUM(1) FROM R")
+	q := mustParse(t, c, "SELECT SUM(1) FROM R")
 	// Simulate catalog drift after parsing.
 	c2 := NewCatalog()
 	if err := c2.AddRelation("R", "A"); err != nil {
@@ -236,4 +213,13 @@ func TestValidateSchemaDrift(t *testing.T) {
 	if err := empty.Validate(c); err == nil {
 		t.Error("relation-less query accepted")
 	}
+}
+
+func mustParse(t *testing.T, c *Catalog, src string) *Query {
+	t.Helper()
+	q, err := Parse(c, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }

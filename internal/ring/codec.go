@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -306,16 +305,4 @@ func internKey(key []byte, maxParts int) (p1, p2 CatID, err error) {
 		p2, err = cats.intern(key[cut[0]:])
 	}
 	return p1, p2, err
-}
-
-// BufferedEncode wraps enc in a bufio.Writer for callers doing many
-// small writes; it flushes before returning.
-func BufferedEncode[V any](w io.Writer, c Codec[V], vs []V) error {
-	bw := bufio.NewWriter(w)
-	for _, v := range vs {
-		if err := c.Encode(bw, v); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -88,21 +88,6 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-func TestBufferedEncode(t *testing.T) {
-	var buf bytes.Buffer
-	vals := []int64{1, 2, 3}
-	if err := BufferedEncode[int64](&buf, IntCodec{}, vals); err != nil {
-		t.Fatal(err)
-	}
-	rd := bytes.NewReader(buf.Bytes())
-	for _, want := range vals {
-		got, err := (IntCodec{}).Decode(rd)
-		if err != nil || got != want {
-			t.Fatalf("decode = %d, %v; want %d", got, err, want)
-		}
-	}
-}
-
 func TestRangedCovarCodec(t *testing.T) {
 	c := RangedCovarCodec{Degree: 6}
 	rng := rand.New(rand.NewSource(9))

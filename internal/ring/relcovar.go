@@ -511,11 +511,6 @@ func (r RelCovarRing) LiftBinned(idx int, width float64) Lift[*RelCovar] {
 	}
 }
 
-// LiftOne returns g(x) = 1 for join attributes outside the aggregate.
-func (r RelCovarRing) LiftOne() Lift[*RelCovar] {
-	return func(value.Value) *RelCovar { return r.One() }
-}
-
 func (r RelCovarRing) checkIdx(idx int) {
 	if idx < 0 || idx >= r.m {
 		panic(fmt.Sprintf("ring: lift index %d out of range for degree %d", idx, r.m))

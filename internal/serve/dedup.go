@@ -8,10 +8,6 @@ import (
 	"repro/internal/wal"
 )
 
-// BatchIDHeader carries a client batch ID on POST /v1/update. See
-// wal.BatchID for the format and docs/API.md for the protocol.
-const BatchIDHeader = "X-Fivm-Batch-Id"
-
 // dedupKey identifies one relation group of one client batch. Dedup is
 // per (batch, relation), not per batch: a request's updates are grouped
 // by relation at ingest and each group travels — and is WAL-logged —

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/fivm/client"
 	"repro/internal/view"
 	"repro/internal/wal"
 )
@@ -199,7 +200,7 @@ func TestEvictedRetryIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(BatchIDHeader, testBatchID(seq).String())
+		req.Header.Set(client.BatchIDHeader, testBatchID(seq).String())
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/fivm/client"
 	"repro/internal/view"
 	"repro/internal/wal"
 )
@@ -142,49 +143,15 @@ func (s *Server) finalCheckpoint() error {
 	return s.cfg.WAL.WriteCheckpoint(copyPositions(s.walPos), s.eng.WriteSnapshot)
 }
 
-// WALStatus is the durability section of /v1/stats and /v1/healthz.
-type WALStatus struct {
-	Enabled bool `json:"enabled"`
-	// AppendedBatches and AppendedBytes count records logged by this
-	// process.
-	AppendedBatches uint64 `json:"appended_batches"`
-	AppendedBytes   uint64 `json:"appended_bytes"`
-	// Segments is the number of live segment files across shards.
-	Segments int64 `json:"segments"`
-	// CheckpointSeq and CheckpointAgeSeconds describe the newest valid
-	// checkpoint (age falls back to time since boot when none exists).
-	CheckpointSeq        uint64  `json:"checkpoint_seq"`
-	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds"`
-	// RecoveredUpdates and RecoveredBatches are what boot recovery
-	// restored: the checkpoint's cumulative coverage plus replayed log
-	// records. Both are cumulative across restarts, so after a clean
-	// quiesce-kill-restart cycle recovered_updates is at least the
-	// applied count observed before the kill.
-	RecoveredUpdates uint64 `json:"recovered_updates"`
-	RecoveredBatches uint64 `json:"recovered_batches"`
-	// AppliedUpdates and AppliedBatches are the cumulative counts the
-	// current WAL positions cover (recovered plus applied since boot) —
-	// what the next checkpoint will stamp.
-	AppliedUpdates uint64 `json:"applied_updates"`
-	AppliedBatches uint64 `json:"applied_batches"`
-	// TruncatedBytes and RemovedSegments report what boot recovery
-	// discarded as torn or unreachable.
-	TruncatedBytes  uint64 `json:"truncated_bytes"`
-	RemovedSegments int64  `json:"removed_segments"`
-	// Crashed flags a poisoned pipeline (see CrashError).
-	Crashed    bool   `json:"crashed"`
-	CrashError string `json:"crash_error,omitempty"`
-}
-
 // WALStatus reports the durability subsystem's state; the zero value
 // (Enabled false) when the server runs without a WAL.
-func (s *Server) WALStatus() WALStatus {
+func (s *Server) WALStatus() client.WALStatus {
 	w := s.cfg.WAL
 	if w == nil {
-		return WALStatus{}
+		return client.WALStatus{}
 	}
 	st := w.Stats()
-	ws := WALStatus{
+	ws := client.WALStatus{
 		Enabled:              true,
 		AppendedBatches:      st.AppendedBatches,
 		AppendedBytes:        st.AppendedBytes,

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/fivm/client"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -48,15 +49,7 @@ const (
 	CodeUnprocessable  = "unprocessable"    // 422: the engine cannot answer (e.g. no predictor)
 	CodeUnavailable    = "unavailable"      // 503: closed, crashed, or no result yet
 	CodeNotImplemented = "not_implemented"  // 501: engine lacks the capability (e.g. no codec)
-	CodeInternal       = "internal"         // 500: unexpected failure
 )
-
-// ErrorEnvelope is the uniform v1 error body.
-type ErrorEnvelope struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
 
 // NewHandler exposes a Server over HTTP/JSON. The surface is identical
 // for every hosted engine kind; /v1/model renders the engine's own
@@ -68,22 +61,27 @@ type ErrorEnvelope struct {
 // fivm_http_requests_total).
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range []struct {
-		method, path string
-		h            http.HandlerFunc
-	}{
-		{"POST", "/v1/update", s.handleUpdate},
-		{"GET", "/v1/predict", s.handlePredict},
-		{"GET", "/v1/model", s.handleModel},
-		{"GET", "/v1/stats", s.handleStats},
-		{"GET", "/v1/viewtree", s.handleViewTree},
-		{"GET", "/v1/healthz", s.handleHealthz},
-		{"GET", "/v1/partial", s.handlePartial},
-		{"GET", "/metrics", s.handleMetrics},
-	} {
+	for _, rt := range routes {
 		mux.HandleFunc(rt.method+" "+rt.path, s.instrument(rt.path, rt.h))
 	}
 	return mux
+}
+
+// routes is the one table of the HTTP surface: NewHandler serves these,
+// and the metrics pre-register each path's series, so recording stays
+// allocation-free and no route can lack its series.
+var routes = []struct {
+	method, path string
+	h            func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"POST", "/v1/update", (*Server).handleUpdate},
+	{"GET", "/v1/predict", (*Server).handlePredict},
+	{"GET", "/v1/model", (*Server).handleModel},
+	{"GET", "/v1/stats", (*Server).handleStats},
+	{"GET", "/v1/viewtree", (*Server).handleViewTree},
+	{"GET", "/v1/healthz", (*Server).handleHealthz},
+	{"GET", "/v1/partial", (*Server).handlePartial},
+	{"GET", "/metrics", (*Server).handleMetrics},
 }
 
 // statusRecorder captures the response code for the status-class
@@ -100,13 +98,13 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps a handler with the route's pre-registered latency
 // histogram and status counters.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) instrument(route string, h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	hist := s.met.httpLat[route]
 	codes := s.met.httpCodes[route]
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		rec := statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(&rec, r)
+		h(s, &rec, r)
 		hist.Observe(time.Since(t0).Seconds())
 		class := rec.code/100 - 2
 		if class < 0 || class >= len(codeClasses) {
@@ -126,7 +124,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// redelivery of the same ID (with the identical body — see
 	// IngestBatch) is answered from the dedup table, not applied again.
 	var id wal.BatchID
-	if h := r.Header.Get(BatchIDHeader); h != "" {
+	if h := r.Header.Get(client.BatchIDHeader); h != "" {
 		if id, err = wal.ParseBatchID(h); err != nil {
 			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 			return
@@ -292,7 +290,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Fivm-Applied", strconv.FormatUint(snap.Covered, 10))
+	w.Header().Set(client.AppliedHeader, strconv.FormatUint(snap.Covered, 10))
 	_, _ = w.Write(data)
 }
 
@@ -318,7 +316,7 @@ func WriteJSON(w http.ResponseWriter, code int, body any) {
 
 // WriteError answers with the uniform v1 error envelope.
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
-	WriteJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code})
+	WriteJSON(w, status, client.ErrorEnvelope{Error: err.Error(), Code: code})
 }
 
 // WriteRetryError is WriteError plus retry hints: the Retry-After
@@ -326,5 +324,5 @@ func WriteError(w http.ResponseWriter, status int, code string, err error) {
 // same delay.
 func WriteRetryError(w http.ResponseWriter, status int, code string, err error, retry time.Duration) {
 	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
-	WriteJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code, RetryAfterMS: retry.Milliseconds()})
+	WriteJSON(w, status, client.ErrorEnvelope{Error: err.Error(), Code: code, RetryAfterMS: retry.Milliseconds()})
 }

@@ -8,14 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// httpRoutes are the handler paths NewHandler instruments with a
-// latency histogram and per-status-class counters. Routes are a fixed
-// set so every series pre-registers at construction — recording stays
-// allocation-free.
-var httpRoutes = []string{
-	"/v1/update", "/v1/predict", "/v1/model", "/v1/stats", "/v1/viewtree", "/v1/healthz", "/v1/partial", "/metrics",
-}
-
 // codeClasses label HTTP status counters; a response's class is
 // status/100 mapped onto this array (3xx folds into the index after
 // 2xx, and anything outside 2xx–5xx clamps to 5xx).
@@ -53,8 +45,8 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	reg := obs.NewRegistry()
 	m := &pipelineMetrics{
 		reg:       reg,
-		httpLat:   make(map[string]*obs.Histogram, len(httpRoutes)),
-		httpCodes: make(map[string]*[4]*obs.Counter, len(httpRoutes)),
+		httpLat:   make(map[string]*obs.Histogram, len(routes)),
+		httpCodes: make(map[string]*[4]*obs.Counter, len(routes)),
 	}
 
 	// Ingest admission: live atomics.
@@ -162,15 +154,15 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 		obs.ExpBuckets(1, 2, 14))
 
 	// HTTP surface, by route.
-	for _, rt := range httpRoutes {
-		m.httpLat[rt] = reg.NewHistogram("fivm_http_request_seconds", `route="`+rt+`"`,
+	for _, rt := range routes {
+		m.httpLat[rt.path] = reg.NewHistogram("fivm_http_request_seconds", `route="`+rt.path+`"`,
 			"HTTP request latency by route.", obs.LatencyBuckets())
 		var cs [4]*obs.Counter
 		for i, class := range codeClasses {
-			cs[i] = reg.NewCounter("fivm_http_requests_total", `route="`+rt+`",code="`+class+`"`,
+			cs[i] = reg.NewCounter("fivm_http_requests_total", `route="`+rt.path+`",code="`+class+`"`,
 				"HTTP responses by route and status class.")
 		}
-		m.httpCodes[rt] = &cs
+		m.httpCodes[rt.path] = &cs
 	}
 	return m
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/fivm/client"
 	"repro/internal/view"
 	"repro/internal/wal"
 )
@@ -134,15 +135,6 @@ type Stats struct {
 	// snapshot-consistent.
 	Shed uint64
 	View view.Stats
-}
-
-// ShardStatus reports one relation's ingest queue for /v1/stats and
-// /v1/healthz: current depth, capacity, and the relation's tuple arity
-// (which load generators use to synthesize valid updates).
-type ShardStatus struct {
-	Depth    int `json:"depth"`
-	Capacity int `json:"capacity"`
-	Arity    int `json:"arity"`
 }
 
 // Server owns a fivm engine and runs the ingestion pipeline over
@@ -508,10 +500,10 @@ func (s *Server) Stats() Stats {
 // Shards reports every relation's ingest queue (depth, capacity,
 // arity) — the health-check view of where backlog sits. Channel
 // lengths are instantaneous reads; no lock is taken.
-func (s *Server) Shards() map[string]ShardStatus {
-	out := make(map[string]ShardStatus, len(s.shards))
+func (s *Server) Shards() map[string]client.ShardStatus {
+	out := make(map[string]client.ShardStatus, len(s.shards))
 	for rel, sh := range s.shards {
-		out[rel] = ShardStatus{Depth: len(sh.ch), Capacity: cap(sh.ch), Arity: sh.arity}
+		out[rel] = client.ShardStatus{Depth: len(sh.ch), Capacity: cap(sh.ch), Arity: sh.arity}
 	}
 	return out
 }

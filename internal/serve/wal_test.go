@@ -371,7 +371,7 @@ func TestRecoverRejectsArityDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append([]view.Update{{Rel: "R", Tuple: value.T("a1", 1, 7), Mult: 1}}); err != nil {
+	if _, err := sh.AppendRefs([]view.Update{{Rel: "R", Tuple: value.T("a1", 1, 7), Mult: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -2,7 +2,6 @@ package value
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -132,15 +131,6 @@ func (s Schema) IsSubsetOf(o Schema) bool {
 		}
 	}
 	return true
-}
-
-// Sorted returns the attribute names in lexicographic order (a fresh
-// slice; the schema itself is unchanged).
-func (s Schema) Sorted() []string {
-	out := make([]string, len(s.attrs))
-	copy(out, s.attrs)
-	sort.Strings(out)
-	return out
 }
 
 // String renders the schema as "[a, b, c]".

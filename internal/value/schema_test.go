@@ -100,18 +100,6 @@ func TestSchemaIsSubsetOf(t *testing.T) {
 	}
 }
 
-func TestSchemaSorted(t *testing.T) {
-	s := NewSchema("C", "A", "B")
-	got := s.Sorted()
-	if got[0] != "A" || got[1] != "B" || got[2] != "C" {
-		t.Errorf("Sorted = %v", got)
-	}
-	// The schema itself keeps declaration order.
-	if s.Attr(0) != "C" {
-		t.Error("Sorted mutated the schema")
-	}
-}
-
 func TestSchemaAttrsNotAliased(t *testing.T) {
 	src := []string{"A", "B"}
 	s := NewSchema(src...)

@@ -254,18 +254,12 @@ func MustDecodeTuple(key string) Tuple {
 
 // AppendEncodeProject appends the encoding of t's projection onto the
 // given positions to buf without materializing the projected tuple —
-// the scratch-buffer form of EncodeProject (see AppendEncode for the
+// the hot path of group-by aggregation. It appends exactly what
+// t.Project(idx).Encode() returns (see AppendEncode for the
 // zero-allocation lookup idiom).
 func (t Tuple) AppendEncodeProject(buf []byte, idx []int) []byte {
 	for _, j := range idx {
 		buf = appendValue(buf, t[j])
 	}
 	return buf
-}
-
-// EncodeProject encodes the projection of t onto the given positions
-// without materializing the projected tuple — the hot path of group-by
-// aggregation. It is equivalent to t.Project(idx).Encode().
-func (t Tuple) EncodeProject(idx []int) string {
-	return string(t.AppendEncodeProject(make([]byte, 0, 16*len(idx)), idx))
 }

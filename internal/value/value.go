@@ -66,9 +66,6 @@ func String(v string) Value { return Value{kind: KindString, s: v} }
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // Int returns the integer payload; it panics if v is not an INT.
 func (v Value) Int() int64 {
 	if v.kind != KindInt {

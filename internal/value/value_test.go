@@ -16,11 +16,11 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := String("x"); v.Kind() != KindString || v.Str() != "x" {
 		t.Errorf("String(x) = %v", v)
 	}
-	if v := Null(); v.Kind() != KindNull || !v.IsNull() {
+	if v := Null(); v.Kind() != KindNull {
 		t.Errorf("Null() = %v", v)
 	}
 	var zero Value
-	if !zero.IsNull() {
+	if zero.Kind() != KindNull {
 		t.Error("zero Value is not NULL")
 	}
 }

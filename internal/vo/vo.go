@@ -325,18 +325,3 @@ func Validate(ord *Order, rels []Rel) error {
 	}
 	return nil
 }
-
-// FindAnchor returns the node where relation name is anchored, or nil.
-func (o *Order) FindAnchor(name string) *Node {
-	var found *Node
-	for _, r := range o.Roots {
-		r.walk(func(n *Node) {
-			for _, rel := range n.Rels {
-				if rel.Name == name {
-					found = n
-				}
-			}
-		})
-	}
-	return found
-}

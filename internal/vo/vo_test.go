@@ -27,14 +27,10 @@ func TestBuildToyQuery(t *testing.T) {
 	if ord.Roots[0].Var != "A" {
 		t.Errorf("root = %s, want A (max occurrence)", ord.Roots[0].Var)
 	}
-	if n := ord.FindAnchor("R"); n == nil || n.Var != "B" {
-		t.Errorf("R anchored at %v, want B", n)
-	}
-	if n := ord.FindAnchor("S"); n == nil {
-		t.Error("S not anchored")
-	}
-	if ord.FindAnchor("missing") != nil {
-		t.Error("phantom anchor")
+	// R anchors at B, S at D (the deepest variable each completes).
+	want := "A (keys [])\n  B (keys [A]) {R}\n  C (keys [A])\n    D (keys [A, C]) {S}\n"
+	if got := ord.String(); got != want {
+		t.Errorf("order =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestBatchRefRecovery(t *testing.T) {
 	if _, err := sh.AppendRefs(ups, []BatchRef{{ID: id1, Updates: 1}, {ID: id2, Updates: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(ups[:1]); err != nil { // legacy: no refs
+	if _, err := sh.AppendRefs(ups[:1], nil); err != nil { // legacy: no refs
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

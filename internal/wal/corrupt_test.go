@@ -136,7 +136,7 @@ func TestCorruptionMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := sh.Append(testBatch("R", 100))
+			seq, err := sh.AppendRefs(testBatch("R", 100), nil)
 			if err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
@@ -192,7 +192,7 @@ func TestTruncatedHeaderRemovesSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq, err := sh.Append(testBatch("R", 10)); err != nil || seq != 4 {
+	if seq, err := sh.AppendRefs(testBatch("R", 10), nil); err != nil || seq != 4 {
 		t.Fatalf("append after stub removal: seq %d err %v, want 4 nil", seq, err)
 	}
 }
@@ -241,7 +241,7 @@ func TestLaterSegmentsAfterTearAreDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq, err := sh.Append(testBatch("R", 50)); err != nil || seq != last+1 {
+	if seq, err := sh.AppendRefs(testBatch("R", 50), nil); err != nil || seq != last+1 {
 		t.Fatalf("append resumed at %d (err %v), want %d", seq, err, last+1)
 	}
 }

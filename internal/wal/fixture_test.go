@@ -43,9 +43,9 @@ func fixtureRecords() []fixtureRecord {
 
 // TestRecordedSegmentStillReplays pins the WAL record format the way
 // the FIVMSNAP/FIVMPART fixtures pin theirs: testdata/Sales.seg is one
-// shard's segment written by an earlier commit (Append, then
-// AppendRefs, fsync off). A copy must replay through Open + Replay +
-// RecoveredBatchRefs to exactly the recorded updates and refs, and
+// shard's segment written by an earlier commit (a record without refs,
+// then one with refs, fsync off). A copy must replay through Open +
+// Replay + RecoveredBatchRefs to exactly the recorded updates and refs, and
 // appendBatchPayload must reproduce the file byte for byte.
 func TestRecordedSegmentStillReplays(t *testing.T) {
 	raw, err := os.ReadFile("testdata/Sales.seg")

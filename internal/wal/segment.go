@@ -50,8 +50,8 @@ type Shard struct {
 	kbuf    []byte // reusable tuple-encode scratch
 }
 
-// Append logs one coalesced update batch and returns its sequence
-// number. Under PolicyAlways the record is fsynced before Append
+// AppendRefs logs one coalesced update batch and returns its sequence
+// number. Under PolicyAlways the record is fsynced before AppendRefs
 // returns. A write failure is sticky: the shard refuses further appends
 // with the same error, and the caller must treat the pipeline as
 // crashed (recovery will replay the intact prefix).
@@ -59,16 +59,13 @@ type Shard struct {
 // The steady-state append allocates nothing: the record is encoded into
 // a per-shard buffer reused across calls and handed to the file in one
 // Write.
-func (s *Shard) Append(ups []view.Update) (uint64, error) {
-	return s.AppendRefs(ups, nil)
-}
-
-// AppendRefs is Append with the batch IDs the record carries: each ref
-// names one identified client batch whose updates are (contiguously)
-// part of ups. The refs ride a trailer inside the same record, so the
-// dedup fact "this batch is applied" becomes durable atomically with
-// the batch itself — there is no window where one is on disk without
-// the other.
+//
+// refs are the batch IDs the record carries: each names one identified
+// client batch whose updates are (contiguously) part of ups; nil when no
+// batch is identified. The refs ride a trailer inside the same record,
+// so the dedup fact "this batch is applied" becomes durable atomically
+// with the batch itself — there is no window where one is on disk
+// without the other.
 func (s *Shard) AppendRefs(ups []view.Update, refs []BatchRef) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

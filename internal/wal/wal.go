@@ -327,7 +327,7 @@ func (w *WAL) fsyncLoop() {
 			return
 		case <-t.C:
 			for _, s := range w.shardList() {
-				_ = s.Sync() // sticky error resurfaces on the next Append
+				_ = s.Sync() // sticky error resurfaces on the next AppendRefs
 			}
 		}
 	}

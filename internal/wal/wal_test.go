@@ -37,7 +37,7 @@ func appendBatches(t *testing.T, cfg Config, rels []string, n int) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if _, err := sh.Append(testBatch(rel, i)); err != nil {
+			if _, err := sh.AppendRefs(testBatch(rel, i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +168,7 @@ func TestCheckpointPrunesCoveredSegments(t *testing.T) {
 	}
 	var lastSeq uint64
 	for i := 0; i < 50; i++ {
-		if lastSeq, err = sh.Append(testBatch("R", i)); err != nil {
+		if lastSeq, err = sh.AppendRefs(testBatch("R", i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,15 +343,15 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := testBatch("R", 42)
-	if _, err := sh.Append(ups); err != nil { // warm buffers + open the segment
+	if _, err := sh.AppendRefs(ups, nil); err != nil { // warm buffers + open the segment
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := sh.Append(ups); err != nil {
+		if _, err := sh.AppendRefs(ups, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("steady-state Append allocates %.1f per batch, want 0", allocs)
+		t.Errorf("steady-state AppendRefs allocates %.1f per batch, want 0", allocs)
 	}
 }
 

@@ -255,7 +255,7 @@ func TestRangedEngineErrors(t *testing.T) {
 		{"anchor view", viewed, "anchor view of R payload covers attribute range [1,2), this engine's is [0,1)"},
 	} {
 		eng := open[*fivm.CovarEngine](t, c.cfg)
-		snap := snapshotOf(t, c.cfg.Relations, rr, codec, rr.Lift(1)(value.Int(3)))
+		snap := snapshotOf(t, c.cfg.Relations, rr, codec, rr.Lift(1)(nil, value.Int(3)))
 		if err := eng.ReadSnapshot(bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s snapshot with a payload of the wrong range: err = %v, want %q", c.name, err, c.want)
 		}
@@ -267,7 +267,7 @@ func TestRangedEngineErrors(t *testing.T) {
 		p   *ring.RangedCovar
 	}{
 		"tuples":      {kept, rr.One()},
-		"anchor view": {viewed, rr.Lift(0)(value.Int(3))},
+		"anchor view": {viewed, rr.Lift(0)(nil, value.Int(3))},
 	} {
 		snap := snapshotOf(t, c.cfg.Relations, rr, codec, c.p)
 		if err := open[*fivm.CovarEngine](t, c.cfg).ReadSnapshot(bytes.NewReader(snap)); err != nil {

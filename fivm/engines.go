@@ -54,7 +54,7 @@ type FloatEngine struct {
 }
 
 // floatFuncs is the registry of factor functions for the float ring.
-var floatFuncs = map[string]func(value.Value) float64{
+var floatFuncs = map[string]ring.Lift[float64]{
 	"":   ring.IdentityLift,
 	"id": ring.IdentityLift,
 	"sq": ring.SquareLift,
@@ -95,7 +95,7 @@ func newFloatEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 		// Fold the constant into one of the lifts by wrapping it.
 		for attr, fn := range lifts {
 			inner := fn
-			lifts[attr] = func(v value.Value) float64 { return scale * inner(v) }
+			lifts[attr] = func(dst float64, v value.Value) float64 { return scale * inner(dst, v) }
 			break
 		}
 	}

@@ -12,7 +12,7 @@ func TestSigmaFromCovar(t *testing.T) {
 	total := r.Zero()
 	rows := [][]float64{{1, 10}, {2, 20}, {3, 30}}
 	for _, row := range rows {
-		p := r.Mul(r.Lift(0)(value.Float(row[0])), r.Lift(1)(value.Float(row[1])))
+		p := r.Mul(r.Lift(0)(nil, value.Float(row[0])), r.Lift(1)(nil, value.Float(row[1])))
 		total = r.Add(total, p)
 	}
 	feats := []Feature{{Name: "x", Index: 0}, {Name: "y", Index: 1}}
@@ -60,7 +60,7 @@ func TestSigmaFromRelCovarMixed(t *testing.T) {
 	rows := []row{{"a", 1, 10}, {"a", 2, 20}, {"b", 3, 30}}
 	total := r.Zero()
 	for _, rw := range rows {
-		p := r.Mul(r.Mul(gc(value.String(rw.c)), gx(value.Float(rw.x))), gy(value.Float(rw.y)))
+		p := r.Mul(r.Mul(gc(nil, value.String(rw.c)), gx(nil, value.Float(rw.x))), gy(nil, value.Float(rw.y)))
 		total = r.Add(total, p)
 	}
 	feats := []Feature{
@@ -126,9 +126,9 @@ func TestSigmaFromRelCovarTwoCategoricals(t *testing.T) {
 	total := r.Zero()
 	// (u, x) co-occur twice; (v, y) once.
 	for i := 0; i < 2; i++ {
-		total = r.Add(total, r.Mul(g1(value.String("u")), g2(value.String("x"))))
+		total = r.Add(total, r.Mul(g1(nil, value.String("u")), g2(nil, value.String("x"))))
 	}
-	total = r.Add(total, r.Mul(g1(value.String("v")), g2(value.String("y"))))
+	total = r.Add(total, r.Mul(g1(nil, value.String("v")), g2(nil, value.String("y"))))
 
 	feats := []Feature{
 		{Name: "p", Categorical: true, Index: 0},
@@ -167,7 +167,7 @@ func TestSigmaFromRelCovarFeatureOrder(t *testing.T) {
 		c    string
 		x, y float64
 	}{{"a", 1, 10}, {"b", 2, 20}, {"a", 3, 30}} {
-		p := r.Mul(r.Mul(r.LiftContinuous(0)(value.Float(rw.x)), r.LiftCategorical(1)(value.String(rw.c))), r.LiftContinuous(2)(value.Float(rw.y)))
+		p := r.Mul(r.Mul(r.LiftContinuous(0)(nil, value.Float(rw.x)), r.LiftCategorical(1)(nil, value.String(rw.c))), r.LiftContinuous(2)(nil, value.Float(rw.y)))
 		total = r.Add(total, p)
 	}
 	m, err := SigmaFromRelCovar(total, []Feature{
@@ -190,7 +190,7 @@ func TestSigmaFromRelCovarFeatureOrder(t *testing.T) {
 // wrong kind is reported, not read out of a wrong column.
 func TestSigmaFromRelCovarMistypedFeatures(t *testing.T) {
 	r := ring.NewRelCovarRing(2)
-	p := r.Mul(r.LiftCategorical(0)(value.String("u")), r.LiftContinuous(1)(value.Float(2)))
+	p := r.Mul(r.LiftCategorical(0)(nil, value.String("u")), r.LiftContinuous(1)(nil, value.Float(2)))
 	for name, feats := range map[string][]Feature{
 		"continuous declared categorical": {{Name: "p", Categorical: true, Index: 0}, {Name: "q", Categorical: true, Index: 1}},
 		"categorical declared continuous": {{Name: "p", Index: 0}, {Name: "q", Index: 1}},
@@ -208,7 +208,7 @@ func TestSigmaFromRelCovarMistypedFeatures(t *testing.T) {
 func TestSigmaFromRelCovarCancelledCategory(t *testing.T) {
 	r := ring.NewRelCovarRing(2)
 	row := func(c string, x float64) *ring.RelCovar {
-		return r.Mul(r.LiftCategorical(0)(value.String(c)), r.LiftContinuous(1)(value.Float(x)))
+		return r.Mul(r.LiftCategorical(0)(nil, value.String(c)), r.LiftContinuous(1)(nil, value.Float(x)))
 	}
 	// +(u,1) -(u,3) +(v,2): s_c(u) cancels, Q_cx(u) = -2 remains.
 	total := r.Add(r.Add(row("u", 1), r.Neg(row("u", 3))), row("v", 2))

@@ -161,7 +161,7 @@ func TestMIMatrixFromRelCovar(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		x := rng.Intn(2)
 		z := rng.Intn(2) // independent of x
-		p := r.Mul(r.Mul(lifts[0](value.Int(int64(x))), lifts[1](value.Int(int64(x)))), lifts[2](value.Int(int64(z))))
+		p := r.Mul(r.Mul(lifts[0](nil, value.Int(int64(x))), lifts[1](nil, value.Int(int64(x)))), lifts[2](nil, value.Int(int64(z))))
 		total = r.Add(total, p)
 	}
 	feats := []Feature{
@@ -316,7 +316,7 @@ func TestChowLiuIsAFunctionOfTheData(t *testing.T) {
 		z := (x + rng.Intn(4)) % 5
 		p := r.One()
 		for f, v := range []int{w, x, x, z} {
-			p = r.Mul(p, r.LiftCategorical(f)(value.Int(int64(v))))
+			p = r.Mul(p, r.LiftCategorical(f)(nil, value.Int(int64(v))))
 		}
 		total = r.Add(total, p)
 	}

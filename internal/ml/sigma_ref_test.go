@@ -331,7 +331,7 @@ func FuzzSparseSigma(f *testing.F) {
 				case x >= 0:
 					v = value.Float(x)
 				}
-				p = r.Mul(p, g(v))
+				p = r.Mul(p, g(nil, v))
 			}
 			return p
 		}

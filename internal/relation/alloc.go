@@ -76,8 +76,12 @@ func (m *Map[V]) newEntry(t value.Tuple, p V, shared bool) *entry[V] {
 }
 
 // drop retires an annihilated entry the caller has already deleted
-// from the primary map: out of every built index, into the arena.
+// from the primary map: out of every built index, into the arena, and
+// its payload, when the map owns it, into the slab.
 func (m *Map[V]) drop(e *entry[V]) {
 	m.indexRemove(e)
+	if !e.shared {
+		m.release(e.payload)
+	}
 	m.arena.recycle(e)
 }

@@ -76,7 +76,7 @@ func TestResetLeavesOnlyClearedEntries(t *testing.T) {
 	buf := New[*ring.RangedCovar](s("A"))
 	plan := PlanStep([]value.Schema{left.schema, right.schema}, 0, buf.schema, "")
 	for round := 0; round < 2; round++ {
-		if Step(plan, cr, []*Map[*ring.RangedCovar]{left, right}, nil, buf).Len() != 40 {
+		if Step(plan, cr, []*Map[*ring.RangedCovar]{left, right}, nil, buf, false).Len() != 40 {
 			t.Fatalf("round %d: step filled %d groups", round, buf.Len())
 		}
 		buf.Reset()

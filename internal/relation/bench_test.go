@@ -31,12 +31,12 @@ func benchStep[V any](b *testing.B, r ring.Ring[V], deltaPayload, siblingPayload
 	}
 	out := NewSized[V](plan.out, deltaN)
 	parts := []*Map[V]{delta, sibling}
-	Step(plan, r, parts, lift, out) // the first probe builds the lazy index
+	Step(plan, r, parts, lift, out, false) // the first probe builds the lazy index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		if Step(plan, r, parts, lift, out).Len() != groups {
+		if Step(plan, r, parts, lift, out, false).Len() != groups {
 			b.Fatalf("step produced %d groups, want %d", out.Len(), groups)
 		}
 	}
@@ -46,7 +46,7 @@ func benchStepKinds(b *testing.B, lifted, indexed bool) {
 	b.Run("ints", func(b *testing.B) {
 		var lift ring.Lift[int64]
 		if lifted {
-			lift = func(v value.Value) int64 { return v.Int() + 1 }
+			lift = func(_ int64, v value.Value) int64 { return v.Int() + 1 }
 		}
 		payload := func(i int) int64 { return int64(i%5 + 1) }
 		benchStep[int64](b, ring.Ints{}, payload, payload, lift, indexed)
@@ -60,7 +60,7 @@ func benchStepKinds(b *testing.B, lifted, indexed bool) {
 			lift = cr.Lift(2)
 		}
 		payload := func(idx int) func(i int) *ring.RangedCovar {
-			return func(i int) *ring.RangedCovar { return cr.Lift(idx)(value.Int(int64(i%5 + 1))) }
+			return func(i int) *ring.RangedCovar { return cr.Lift(idx)(nil, value.Int(int64(i%5+1))) }
 		}
 		benchStep[*ring.RangedCovar](b, cr, payload(0), payload(1), lift, indexed)
 	})

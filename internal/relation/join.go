@@ -100,7 +100,7 @@ func (p *StepPlan) IndexKey(part int) []int {
 // pair its own group.
 func Join[V any](r ring.Ring[V], left, right *Map[V]) *Map[V] {
 	schemas := []value.Schema{left.schema, right.schema}
-	return Step(PlanStep(schemas, 0, left.schema.Union(right.schema), ""), r, []*Map[V]{left, right}, nil, nil)
+	return Step(PlanStep(schemas, 0, left.schema.Union(right.schema), ""), r, []*Map[V]{left, right}, nil, nil, false)
 }
 
 // Aggregate groups the relation by the attributes of outSchema (which
@@ -112,7 +112,7 @@ func Aggregate[V any](r ring.Ring[V], m *Map[V], outSchema value.Schema, liftAtt
 	if lift == nil {
 		liftAttr = ""
 	}
-	return Step(PlanStep([]value.Schema{m.schema}, 0, outSchema, liftAttr), r, []*Map[V]{m}, lift, nil)
+	return Step(PlanStep([]value.Schema{m.schema}, 0, outSchema, liftAttr), r, []*Map[V]{m}, lift, nil, false)
 }
 
 // lookup is how Step finds the entries of one probed part by their
@@ -124,13 +124,13 @@ type lookup[V any] struct {
 }
 
 // lookupOn returns the lookup of m on proj for a delta of n tuples. A
-// persistent index serves when it is already built or m is no smaller
-// than the delta (the first probe then materializes it); otherwise the
-// call indexes m for itself — the bulk-load case, where the loaded
-// relation is the delta and the larger side, so no persistent index is
-// materialized on a smaller sibling.
-func lookupOn[V any](m *Map[V], proj []int, n int) lookup[V] {
-	if ix := m.indexOn(proj); ix != nil && (ix.built || m.Len() >= n) {
+// registered persistent index serves, materialized on its first probe,
+// unless bulk is set, it is unbuilt and m is smaller than the delta:
+// then the call indexes m for itself — the bulk-load case, where the
+// loaded relation is the delta and the larger side, so no persistent
+// index is materialized on a smaller sibling.
+func lookupOn[V any](m *Map[V], proj []int, n int, bulk bool) lookup[V] {
+	if ix := m.indexOn(proj); ix != nil && (ix.built || !bulk || m.Len() >= n) {
 		ix.ensure(m)
 		return lookup[V]{ix: ix}
 	}
@@ -185,20 +185,21 @@ type cursor[V any] struct {
 //
 // out must be empty and over the plan's group-by schema; nil allocates a relation sized
 // for the delta. Step owns what it puts there: a group's first product
-// is a fresh Mul result, later ones fold into it in place
-// (FMA.MulAddInto when nothing is lifted, Mul + entry.add otherwise),
-// so nothing folded into is reachable from an operand, and the group's
-// tuple and key string materialize only on first sight.
+// is a fresh product — carved from out's slab when out keeps one — and
+// later ones fold into it in place through FMA.MulAddInto (Mul + add
+// for rings without FMA), so nothing folded into is reachable from an
+// operand, and the group's tuple and key string materialize only on
+// first sight.
 //
 // Each part is probed through its persistent index on the plan's
-// IndexKey (AddIndex) when that index is already built or the part is
-// no smaller than the delta — steady-state maintenance, O(|delta| +
-// |matches|). Otherwise Step indexes the part for this call alone,
-// O(|part|): the bulk-load case, where the loaded relation is the
-// delta and the larger side. Both find the same matches, so the choice
-// changes only the order in which a group's products are added, which
-// can differ in the last bits of inexact float sums.
-func Step[V any](plan *StepPlan, r ring.Ring[V], parts []*Map[V], lift ring.Lift[V], out *Map[V]) *Map[V] {
+// IndexKey (AddIndex), materialized on the first probe — steady-state
+// maintenance, O(|delta| + |matches|). bulk marks a bulk load's step:
+// then a part smaller than the delta whose index is still unbuilt is
+// indexed for this call alone, O(|part|), since the loaded relation is
+// the delta and the larger side. Both find the same matches, so the
+// choice changes only the order in which a group's products are added,
+// which can differ in the last bits of inexact float sums.
+func Step[V any](plan *StepPlan, r ring.Ring[V], parts []*Map[V], lift ring.Lift[V], out *Map[V], bulk bool) *Map[V] {
 	delta := parts[plan.delta]
 	if out == nil {
 		out = NewSized[V](plan.out, delta.Len())
@@ -220,12 +221,11 @@ func Step[V any](plan *StepPlan, r ring.Ring[V], parts []*Map[V], lift ring.Lift
 		cur, bound = make([]cursor[V], k), make([]*entry[V], k)
 	}
 	for _, pr := range plan.probes {
-		looks = append(looks, lookupOn(parts[pr.part], pr.index, delta.Len()))
+		looks = append(looks, lookupOn(parts[pr.part], pr.index, delta.Len(), bulk))
 	}
+	out.slabFor(r)
 	f := folder[V]{plan: plan, r: r, sc: scratchOf(r), lift: lift, out: out}
-	if lift == nil && k > 1 {
-		f.fma, _ = r.(ring.FMA[V])
-	}
+	f.fma, _ = r.(ring.FMA[V])
 	probes, last := plan.probes, len(plan.probes)-1
 	for _, de := range delta.data {
 		bound[plan.delta] = de
@@ -268,61 +268,119 @@ type folder[V any] struct {
 	plan *StepPlan
 	r    ring.Ring[V]
 	sc   ring.Scratch[V]
-	fma  ring.FMA[V] // nil when lifted or over one part
+	fma  ring.FMA[V]
 	lift ring.Lift[V]
 	out  *Map[V]
 }
 
 // fold multiplies the bound payloads in operand order, applies the lift
-// and folds the product into its group of the output.
+// and folds the product into its group of the output. The product's
+// last factor — the lift, else the last part's payload — is held back,
+// so a group already seen takes it fused (FMA.MulAddInto). The products
+// before it and the lift are scratch values, carved from the output's
+// slab and handed back once used when it keeps one.
 func (f *folder[V]) fold(bound []*entry[V]) {
 	r, out, k := f.r, f.out, len(bound)
 	var arr [64]byte
 	key := appendRefs(arr[:0], f.plan.group, bound)
 	g, seen := out.data[string(key)]
-	if seen && f.fma != nil && !g.shared {
-		p := bound[0].payload
-		for _, e := range bound[1 : k-1] {
-			p = r.Mul(p, e.payload)
-		}
-		g.payload = f.fma.MulAddInto(g.payload, p, bound[k-1].payload)
-		if r.IsZero(g.payload) {
-			delete(out.data, string(key))
-			out.drop(g)
-		}
-		return
+	lr, n := f.plan.lift, k
+	var last V
+	if lr.part >= 0 {
+		last = out.lift(f.lift, bound[lr.part].tuple[lr.pos])
+	} else if k > 1 {
+		n--
+		last = bound[n].payload
 	}
 	p := bound[0].payload
-	for _, e := range bound[1:] {
-		p = r.Mul(p, e.payload)
+	for i, e := range bound[1:n] {
+		q := out.mul(r, p, e.payload)
+		if i > 0 {
+			out.release(p)
+		}
+		p = q
 	}
-	if lr := f.plan.lift; lr.part >= 0 {
-		p = r.Mul(p, f.lift(bound[lr.part].tuple[lr.pos]))
+	owned := n < k || lr.part >= 0 // p is a product (or the lift's)
+	if owned {
+		if seen && f.fma != nil && !g.shared {
+			g.payload = f.fma.MulAddInto(g.payload, p, last)
+			f.releaseScratch(n, p, last)
+			if r.IsZero(g.payload) {
+				delete(out.data, string(key))
+				out.drop(g)
+			}
+			return
+		}
+		q := out.mul(r, p, last)
+		f.releaseScratch(n, p, last)
+		p = q
 	}
 	if r.IsZero(p) {
+		if owned {
+			out.release(p)
+		}
 		return
 	}
 	if seen {
-		if g.add(r, f.sc, p) {
+		if out.add(r, f.sc, g, p) {
 			delete(out.data, string(key))
 			out.drop(g)
+		}
+		if owned {
+			out.release(p)
 		}
 		return
 	}
 	// A payload stored straight from the one part (k = 1, nothing
-	// lifted) is now referenced by both relations, so both entries are
-	// flagged and whichever side accumulates next copies on write. Only
-	// the flag of the part's entry is written, and only by the one
-	// goroutine stepping it (see the package doc).
-	owned := k > 1 || f.plan.lift.part >= 0
+	// lifted) is a copy carved from the output's slab when it keeps one
+	// and the part owns the payload (the part recycles its slot once it
+	// drops it). Otherwise it is now referenced by both relations, so
+	// both entries are flagged and whichever side accumulates next
+	// copies on write. Only the flag of the part's entry is written, and
+	// only by the one goroutine stepping it (see the package doc).
+	shared := false
 	if !owned {
-		bound[0].shared = true
+		if sb := out.slabFor(r); sb != nil && !bound[0].shared {
+			p = sb.Own(p)
+		} else {
+			bound[0].shared, shared = true, true
+		}
 	}
 	t := make(value.Tuple, len(f.plan.group))
 	for i, gr := range f.plan.group {
 		t[i] = bound[gr.part].tuple[gr.pos]
 	}
-	out.data[string(key)] = out.newEntry(t, p, !owned)
+	out.data[string(key)] = out.newEntry(t, p, shared)
+}
+
+// releaseScratch hands fold's scratch values back to the output's slab:
+// p when it is a product of the parts before the last factor (n > 1),
+// and last when it is the lift.
+func (f *folder[V]) releaseScratch(n int, p, last V) {
+	if n > 1 {
+		f.out.release(p)
+	}
+	if f.plan.lift.part >= 0 {
+		f.out.release(last)
+	}
+}
+
+// mul returns a×b: carved from m's slab when it keeps one, so m owns
+// it, and a fresh value otherwise.
+func (m *Map[V]) mul(r ring.Ring[V], a, b V) V {
+	if m.slab != nil {
+		return m.slab.Mul(a, b)
+	}
+	return r.Mul(a, b)
+}
+
+// lift returns l(x), written into a slot of m's slab when it keeps one.
+func (m *Map[V]) lift(l ring.Lift[V], x value.Value) V {
+	if m.slab != nil {
+		return m.slab.Lift(l, x)
+	}
+	var zero V
+	return l(zero, x)
 }
 
 // FromTuples builds a relation from raw tuples, assigning each the ring

@@ -83,7 +83,8 @@ func naiveStep[V any](r ring.Ring[V], parts []*Map[V], group value.Schema, liftA
 	visit = func(j int, p V) {
 		if j == len(parts) {
 			if liftAttr != "" {
-				p = r.Mul(p, lift(vals[liftAttr]))
+				var zero V
+				p = r.Mul(p, lift(zero, vals[liftAttr]))
 			}
 			t := make(value.Tuple, group.Len())
 			for i, a := range group.Attrs() {
@@ -244,7 +245,7 @@ func checkStep[V any](t testing.TB, pr probeRing[V], parts []*Map[V], d int) {
 				if c.out != nil {
 					c.out.Reset()
 				}
-				got := Step(plan, r, c.parts, lift, c.out)
+				got := Step(plan, r, c.parts, lift, c.out, true)
 				if !got.schema.Equal(group) || !got.Equal(want, eq) {
 					t.Fatalf("%s (%s): Step diverged from the naive oracle\nstep:  %v\nnaive: %v", ctx, c.name, got, want)
 				}
@@ -265,13 +266,25 @@ func checkStep[V any](t testing.TB, pr probeRing[V], parts []*Map[V], d int) {
 					t.Fatalf("%s: part %d (%d tuples, delta %d) was not probed on its index", ctx, j, m.Len(), parts[d].Len())
 				}
 				if m.Len() < parts[d].Len() && built && !wasBuilt[j] {
-					t.Fatalf("%s: part %d, smaller than the delta, had its persistent index built", ctx, j)
+					t.Fatalf("%s: part %d, smaller than the delta, had its persistent index built in a bulk step", ctx, j)
+				}
+			}
+			if probed {
+				// Outside a bulk load every probed part is indexed for good.
+				if got := Step(plan, r, parts, lift, nil, false); !got.Equal(want, eq) {
+					t.Fatalf("%s: non-bulk Step diverged from the naive oracle", ctx)
+				}
+				for j, m := range parts {
+					if ix := m.indexOn(plan.IndexKey(j)); j != d && ix != nil && !ix.built {
+						t.Fatalf("%s: part %d was probed outside a bulk load without its index built", ctx, j)
+					}
+					checkIndexConsistency(t, m)
 				}
 			}
 			for j := range parts {
 				emptied := slices.Clone(parts)
 				emptied[j] = New[V](schemas[j])
-				if got := Step(plan, r, emptied, lift, nil); got.Len() != 0 || !got.schema.Equal(group) {
+				if got := Step(plan, r, emptied, lift, nil, false); got.Len() != 0 || !got.schema.Equal(group) {
 					t.Fatalf("%s: step with part %d empty produced %v", ctx, j, got)
 				}
 			}
@@ -317,7 +330,7 @@ func runProbeEquivalence[V any](t *testing.T, pr probeRing[V]) {
 	}
 	plan := PlanStep([]value.Schema{sAB, sBC}, 0, value.NewSchema("C"), "")
 	right.AddIndex(plan.IndexKey(1))
-	if got := Step(plan, r, []*Map[V]{left, right}, nil, nil); got.Len() != 0 {
+	if got := Step(plan, r, []*Map[V]{left, right}, nil, nil, false); got.Len() != 0 {
 		t.Fatalf("cancelling groups survived the step: %v", got)
 	}
 	checkStep(t, pr, []*Map[V]{left, right}, 0)
@@ -355,12 +368,14 @@ func probeKinds() []probeKind {
 	kinds := []probeKind{
 		kindOf("ints", probeRing[int64]{ring: ring.Ints{}, gen: func(rnd *rand.Rand, _ int) int64 {
 			return int64(rnd.Intn(9) - 4)
-		}, lift: func(int) ring.Lift[int64] { return func(v value.Value) int64 { return v.Int() - 2 } }}),
+		}, lift: func(int) ring.Lift[int64] { return func(_ int64, v value.Value) int64 { return v.Int() - 2 } }}),
 		kindOf("floats", probeRing[float64]{ring: ring.Floats{}, gen: func(rnd *rand.Rand, _ int) float64 {
 			return float64(rnd.Intn(9) - 4)
-		}, lift: func(int) ring.Lift[float64] { return func(v value.Value) float64 { return float64(v.Int()) - 2 } }}),
+		}, lift: func(int) ring.Lift[float64] {
+			return func(_ float64, v value.Value) float64 { return float64(v.Int()) - 2 }
+		}}),
 		kindOf("relcovar", probeRing[*ring.RelCovar]{ring: rc, gen: func(rnd *rand.Rand, _ int) *ring.RelCovar {
-			p := rcLifts[rnd.Intn(2)](value.Int(int64(rnd.Intn(4))))
+			p := rcLifts[rnd.Intn(2)](nil, value.Int(int64(rnd.Intn(4))))
 			if rnd.Intn(2) == 0 {
 				return rc.Neg(p)
 			}
@@ -369,7 +384,7 @@ func probeKinds() []probeKind {
 		kindOf("relational", probeRing[ring.RelVal]{ring: ring.Relational{}, gen: func(rnd *rand.Rand, j int) ring.RelVal {
 			return ring.RelSingle(value.T(j, rnd.Intn(2)), float64(rnd.Intn(5)-2))
 		}, lift: func(int) ring.Lift[ring.RelVal] {
-			return func(v value.Value) ring.RelVal { return ring.RelSingle(value.T("g", v), 1) }
+			return func(_ ring.RelVal, v value.Value) ring.RelVal { return ring.RelSingle(value.T("g", v), 1) }
 		}}),
 	}
 	for _, c := range []struct {
@@ -422,7 +437,7 @@ func rangedProbeRing(width int) probeRing[*ring.RangedCovar] {
 	lifted := func(rnd *rand.Rand, start, n int) *ring.RangedCovar {
 		p := r.One()
 		for i := start; i < start+n; i++ {
-			p = r.Mul(p, r.Lift(i)(value.Int(int64(rnd.Intn(5)-2))))
+			p = r.Mul(p, r.Lift(i)(nil, value.Int(int64(rnd.Intn(5)-2))))
 		}
 		if rnd.Intn(2) == 0 {
 			return r.Neg(p)
@@ -445,7 +460,7 @@ func rangedProbeRing(width int) probeRing[*ring.RangedCovar] {
 func TestStepKeepsRelationalKeyOrientation(t *testing.T) {
 	r := ring.Relational{}
 	sAB, sBC := value.NewSchema("A", "B"), value.NewSchema("B", "C")
-	lift := func(v value.Value) ring.RelVal { return ring.RelSingle(value.T("g"), 1) }
+	lift := func(_ ring.RelVal, v value.Value) ring.RelVal { return ring.RelSingle(value.T("g"), 1) }
 	group := value.NewSchema("B")
 	for _, sizes := range [][2]int{{1, 3}, {3, 1}, {2, 2}} {
 		for _, indexed := range []bool{true, false} {
@@ -467,10 +482,10 @@ func TestStepKeepsRelationalKeyOrientation(t *testing.T) {
 					got  *Map[ring.RelVal]
 					want value.Tuple
 				}{
-					{Step(PlanStep(ab, d, group, ""), r, []*Map[ring.RelVal]{left, right}, nil, nil), value.T("l", "r")},
-					{Step(PlanStep(ba, d, group, ""), r, []*Map[ring.RelVal]{right, left}, nil, nil), value.T("r", "l")},
-					{Step(PlanStep(ab, d, group, "A"), r, []*Map[ring.RelVal]{left, right}, lift, nil), value.T("l", "r", "g")},
-					{Step(PlanStep(ba, d, group, "C"), r, []*Map[ring.RelVal]{right, left}, lift, nil), value.T("r", "l", "g")},
+					{Step(PlanStep(ab, d, group, ""), r, []*Map[ring.RelVal]{left, right}, nil, nil, false), value.T("l", "r")},
+					{Step(PlanStep(ba, d, group, ""), r, []*Map[ring.RelVal]{right, left}, nil, nil, false), value.T("r", "l")},
+					{Step(PlanStep(ab, d, group, "A"), r, []*Map[ring.RelVal]{left, right}, lift, nil, false), value.T("l", "r", "g")},
+					{Step(PlanStep(ba, d, group, "C"), r, []*Map[ring.RelVal]{right, left}, lift, nil, false), value.T("r", "l", "g")},
 				} {
 					got, _ := c.got.Get(value.T(7))
 					if want := ring.RelSingle(c.want, n); !reflect.DeepEqual(got, want) {
@@ -583,7 +598,7 @@ func TestProbeAsymptotics(t *testing.T) {
 		}
 		delta := New[int64](sAB)
 		delta.Merge(z, value.T(7, 13), 1)
-		out := Step(plan, z, []*Map[int64]{delta, big}, nil, nil)
+		out := Step(plan, z, []*Map[int64]{delta, big}, nil, nil, false)
 		// Key B=13 matches the n/50 tuples with that join key.
 		if out.Len() != n/50 {
 			t.Fatalf("n=%d: probe produced %d tuples, want %d", n, out.Len(), n/50)

@@ -33,6 +33,9 @@ type Map[V any] struct {
 	// arena slab-allocates this map's entry structs and recycles
 	// annihilated ones (see alloc.go).
 	arena arena[V]
+	// slab holds the payloads the map owns when its ring keeps them in
+	// one (ring.Slabbed), made on first use; nil otherwise.
+	slab ring.Slab[V]
 }
 
 type entry[V any] struct {
@@ -45,20 +48,23 @@ type entry[V any] struct {
 	shared bool
 }
 
-// add folds the non-zero payload p into the entry and reports whether
-// the sum annihilated (the caller then removes the entry). A payload
-// the map exclusively owns accumulates in place through the ring's
-// Scratch extension; a shared one, or any payload of a ring without
-// Scratch, is replaced by the pure sum — copy-on-write, after which the
-// map owns the fresh value. That relies on two invariants: maps store
-// no ring zero and p is non-zero, so Add cannot take an
-// operand-returning zero fast path and hand p itself back.
-func (e *entry[V]) add(r ring.Ring[V], sc ring.Scratch[V], p V) (zero bool) {
-	if sc != nil && !e.shared {
+// add folds the non-zero payload p into entry e of m and reports
+// whether the sum annihilated (the caller then removes the entry). A
+// payload the map exclusively owns accumulates in place through the
+// ring's Scratch extension; a shared one, or any payload of a ring
+// without Scratch, is replaced by the pure sum — copy-on-write, after
+// which the map owns the fresh value, carved from its slab when it
+// keeps one. That relies on two invariants: maps store no ring zero
+// and p is non-zero, so Add cannot take an operand-returning zero fast
+// path and hand p itself back.
+func (m *Map[V]) add(r ring.Ring[V], sc ring.Scratch[V], e *entry[V], p V) (zero bool) {
+	switch {
+	case sc != nil && !e.shared:
 		e.payload = sc.AddInto(e.payload, p)
-	} else {
-		e.payload = r.Add(e.payload, p)
-		e.shared = false
+	case m.slabFor(r) != nil:
+		e.payload, e.shared = sc.AddInto(m.slab.Own(e.payload), p), false
+	default:
+		e.payload, e.shared = r.Add(e.payload, p), false
 	}
 	return r.IsZero(e.payload)
 }
@@ -68,6 +74,25 @@ func (e *entry[V]) add(r ring.Ring[V], sc ring.Scratch[V], p V) (zero bool) {
 func scratchOf[V any](r ring.Ring[V]) ring.Scratch[V] {
 	sc, _ := r.(ring.Scratch[V])
 	return sc
+}
+
+// slabFor returns m's payload slab, made on first use when r keeps its
+// payloads in one, and nil when it does not.
+func (m *Map[V]) slabFor(r ring.Ring[V]) ring.Slab[V] {
+	if m.slab == nil {
+		if sr, ok := r.(ring.Slabbed[V]); ok {
+			m.slab = sr.NewSlab()
+		}
+	}
+	return m.slab
+}
+
+// release hands an owned payload that m stores no longer, or a scratch
+// value carved from m's slab, back to the slab.
+func (m *Map[V]) release(p V) {
+	if m.slab != nil {
+		m.slab.Free(p)
+	}
 }
 
 // New returns an empty relation over the given key schema.
@@ -88,10 +113,14 @@ func (m *Map[V]) Len() int { return len(m.data) }
 // allocated capacity, so scratch relations (per-engine delta buffers)
 // can be refilled without reallocating. Payloads handed out earlier
 // (e.g. merged into another relation) are unaffected, but the entry
-// STRUCTS are recycled into the map's arena for the refill. Registered
-// indexes stay registered and are emptied alongside the data.
+// STRUCTS are recycled into the map's arena for the refill, and the
+// payloads the map owns into its slab. Registered indexes stay
+// registered and are emptied alongside the data.
 func (m *Map[V]) Reset() {
 	for _, e := range m.data {
+		if !e.shared {
+			m.release(e.payload)
+		}
 		m.arena.recycle(e)
 	}
 	clear(m.data)
@@ -151,7 +180,7 @@ func (m *Map[V]) Merge(r ring.Ring[V], t value.Tuple, p V) {
 		e = m.newEntry(t, p, true)
 		m.data[string(buf)] = e
 		m.indexInsert(e)
-	} else if e.add(r, scratchOf(r), p) {
+	} else if m.add(r, scratchOf(r), e, p) {
 		delete(m.data, string(buf))
 		m.drop(e)
 	}
@@ -159,32 +188,39 @@ func (m *Map[V]) Merge(r ring.Ring[V], t value.Tuple, p V) {
 
 // MergeAll merges every tuple of other into m under ring r. The schemas
 // must be equal. other's entries are only read: a key new to m gets
-// m's own entry struct holding other's payload, flagged shared; a key m
-// already stores accumulates through entry.add — in place once m owns
-// the payload.
+// m's own entry struct holding other's payload, flagged shared — or,
+// when m keeps a slab and other owns the payload, a copy carved from
+// m's slab, since other recycles its slot once it drops it. A key m
+// already stores accumulates through add — in place once m owns the
+// payload.
 func (m *Map[V]) MergeAll(r ring.Ring[V], other *Map[V]) { m.mergeAll(r, other, false) }
 
 // Absorb is MergeAll of a relation the caller gives up with the call —
-// the commit step of view maintenance, whose delta views are dropped
+// the commit step of view maintenance, whose delta views are emptied
 // once merged. A key new to m keeps other's ownership flag rather than
 // being flagged shared, so m owns what other owned and the next delta
-// folds into it in place, from the first touch after a load on.
+// folds into it in place, from the first touch after a load on; with a
+// slab, what other owned is copied into m's (see MergeAll).
 func (m *Map[V]) Absorb(r ring.Ring[V], other *Map[V]) { m.mergeAll(r, other, true) }
 
 func (m *Map[V]) mergeAll(r ring.Ring[V], other *Map[V], ceded bool) {
 	if !m.schema.Equal(other.schema) {
 		panic(fmt.Sprintf("relation: MergeAll schema mismatch %v vs %v", m.schema, other.schema))
 	}
-	sc := scratchOf(r)
+	sc, sb := scratchOf(r), m.slabFor(r)
 	for k, e := range other.data {
 		if r.IsZero(e.payload) {
 			continue
 		}
 		if ex, ok := m.data[k]; !ok {
-			ne := m.newEntry(e.tuple, e.payload, !ceded || e.shared)
+			p, shared := e.payload, !ceded || e.shared
+			if sb != nil && !e.shared {
+				p, shared = sb.Own(p), false
+			}
+			ne := m.newEntry(e.tuple, p, shared)
 			m.data[k] = ne
 			m.indexInsert(ne)
-		} else if ex.add(r, sc, e.payload) {
+		} else if m.add(r, sc, ex, e.payload) {
 			delete(m.data, k)
 			m.drop(ex)
 		}

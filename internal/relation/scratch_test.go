@@ -35,7 +35,7 @@ func randRanged(rnd *rand.Rand, start, n int) *ring.RangedCovar {
 		p.C = -p.C
 	}
 	for i := start; i < start+n; i++ {
-		p = r.Mul(p, r.Lift(i)(value.Int(int64(rnd.Intn(7)-3))))
+		p = r.Mul(p, r.Lift(i)(nil, value.Int(int64(rnd.Intn(7)-3))))
 	}
 	return p
 }
@@ -100,8 +100,8 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 				lf = lift
 			}
 			parts := []*Map[*ring.RangedCovar]{l, r}
-			stepF := Step[*ring.RangedCovar](plan, cr, parts, lf, nil)
-			stepP := Step[*ring.RangedCovar](plan, pure, parts, lf, nil)
+			stepF := Step[*ring.RangedCovar](plan, cr, parts, lf, nil, false)
+			stepP := Step[*ring.RangedCovar](plan, pure, parts, lf, nil, false)
 			if !stepF.Equal(stepP, eq) {
 				t.Fatalf("fused step (lift %q) differs from the pure step:\n%v\nvs\n%v", liftAttr, stepF, stepP)
 			}
@@ -158,7 +158,7 @@ func TestStepOwnsItsOutput(t *testing.T) {
 		}
 		plan := PlanStep(schemas, 0, value.NewSchema("C"), liftAttr)
 		parts := []*Map[*ring.RangedCovar]{left, right}
-		out := Step[*ring.RangedCovar](plan, cr, parts, lift, nil)
+		out := Step[*ring.RangedCovar](plan, cr, parts, lift, nil, false)
 		if out.Len() == 0 || out.Len() >= left.Len()*right.Len() {
 			t.Fatalf("fixture groups nothing: %d groups", out.Len())
 		}
@@ -173,7 +173,7 @@ func TestStepOwnsItsOutput(t *testing.T) {
 		// A commit takes the groups over and folds into them in place.
 		view := New[*ring.RangedCovar](out.schema)
 		view.Absorb(cr, out)
-		view.Absorb(cr, Step[*ring.RangedCovar](plan, cr, parts, lift, nil))
+		view.Absorb(cr, Step[*ring.RangedCovar](plan, cr, parts, lift, nil, false))
 		for p, was := range operands {
 			if !p.Equal(was) {
 				t.Fatalf("lift %q: an operand payload was written: %v, was %v", liftAttr, p, was)
@@ -188,7 +188,7 @@ func covarOf(c, x float64) *ring.RangedCovar {
 	var r ring.RangedCovarRing
 	p := r.One()
 	p.C = c
-	return r.Mul(p, r.Lift(0)(value.Float(x)))
+	return r.Mul(p, r.Lift(0)(nil, value.Float(x)))
 }
 
 // TestMergeOwnsWhatItStores pins the ownership rule of the commit path:
@@ -260,11 +260,12 @@ func TestMergeOwnsWhatItStores(t *testing.T) {
 }
 
 // TestAbsorbTakesOverWhatItsArgumentOwned: Absorb is the commit step,
-// whose delta views are dropped once merged. A payload the delta owned
-// (a fresh join product) becomes the map's at once — the very next hit
-// folds into it in place, no copy — while one the delta only aliased
-// (flagged shared) is still replaced, never written; contents equal the
-// pure-Add map's throughout.
+// whose delta views are emptied once merged. A payload the delta owned
+// (a fresh join product) becomes the map's at once: copied into the
+// map's slab, since the delta recycles its own slot, and from then on
+// every hit folds into that copy in place — while one the delta only
+// aliased (flagged shared) is still replaced, never written; contents
+// equal the pure-Add map's throughout.
 func TestAbsorbTakesOverWhatItsArgumentOwned(t *testing.T) {
 	var cr ring.RangedCovarRing
 	pure := pureRing[*ring.RangedCovar]{r: cr}
@@ -282,8 +283,12 @@ func TestAbsorbTakesOverWhatItsArgumentOwned(t *testing.T) {
 	}
 	m, ref := New[*ring.RangedCovar](schema), New[*ring.RangedCovar](schema)
 	first := delta()
-	taken, _ := first.Get(ownedKey)
+	delivered, _ := first.Get(ownedKey)
 	m.Absorb(cr, first)
+	taken, _ := m.Get(ownedKey)
+	if taken == delivered {
+		t.Fatal("Absorb stored the delta's own slot, which the delta recycles")
+	}
 	ref.MergeAll(pure, delta())
 	for i := 0; i < 3; i++ {
 		m.Absorb(cr, delta())

@@ -80,7 +80,7 @@ func TestCatTableExhaustion(t *testing.T) {
 }
 
 func TestCategoryKey(t *testing.T) {
-	p := NewRelCovarRing(1).LiftCategorical(0)(value.String("category-key"))
+	p := NewRelCovarRing(1).LiftCategorical(0)(nil, value.String("category-key"))
 	var ids []CatID
 	p.Visit(func(i, j int, p1, p2 CatID, v float64) bool {
 		ids = append(ids, p1)

@@ -76,7 +76,7 @@ func TestRelCovarCodec(t *testing.T) {
 // TestCodecTruncation: a ranged payload cut anywhere fails to decode.
 func TestCodecTruncation(t *testing.T) {
 	var r RangedCovarRing
-	v := r.Mul(r.Lift(0)(value.Float(5)), r.Lift(1)(value.Float(2)))
+	v := r.Mul(r.Lift(0)(nil, value.Float(5)), r.Lift(1)(nil, value.Float(2)))
 	var buf bytes.Buffer
 	if err := (RangedCovarCodec{Degree: 2}).Encode(&buf, v); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestRangedCovarCodec(t *testing.T) {
 // degree fails at the header.
 func TestRangedCovarCodecBoundToDegree(t *testing.T) {
 	var r RangedCovarRing
-	wide := r.Mul(r.Mul(r.Lift(0)(value.Float(1)), r.Lift(1)(value.Float(2))), r.Lift(2)(value.Float(3)))
+	wide := r.Mul(r.Mul(r.Lift(0)(nil, value.Float(1)), r.Lift(1)(nil, value.Float(2))), r.Lift(2)(nil, value.Float(3)))
 	var buf bytes.Buffer
 	if err := (RangedCovarCodec{Degree: 3}).Encode(&buf, wide); err != nil {
 		t.Fatal(err)

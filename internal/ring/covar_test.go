@@ -119,7 +119,7 @@ func (r CovarRing) Lift(idx int) Lift[*Covar] {
 		panic(fmt.Sprintf("ring: lift index %d out of range for degree %d", idx, r.m))
 	}
 	qi := triIndex(r.m, idx, idx)
-	return func(v value.Value) *Covar {
+	return func(_ *Covar, v value.Value) *Covar {
 		x := v.AsFloat()
 		c := r.One()
 		c.S[idx] = x
@@ -191,7 +191,7 @@ func TestCovarAgainstBruteForce(t *testing.T) {
 	for _, row := range rows {
 		p := r.One()
 		for i, x := range row {
-			p = r.Mul(p, lifts[i](value.Float(x)))
+			p = r.Mul(p, lifts[i](nil, value.Float(x)))
 		}
 		total = r.Add(total, p)
 	}
@@ -240,7 +240,7 @@ func TestCovarNilZeroAccessors(t *testing.T) {
 func TestCovarLiftValues(t *testing.T) {
 	r := NewCovarRing(2)
 	g := r.Lift(1)
-	c := g(value.Float(3))
+	c := g(nil, value.Float(3))
 	if c.Count() != 1 || c.Sum(0) != 0 || c.Sum(1) != 3 ||
 		c.Prod(1, 1) != 9 || c.Prod(0, 1) != 0 {
 		t.Errorf("lift = %v", c)

@@ -102,7 +102,7 @@ func TestQuickLiftFoldEqualsDirectStats(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			cat := int64(rng.Intn(3))
 			x := float64(rng.Intn(9) - 4)
-			total = r.Add(total, r.Mul(gCat(value.Int(cat)), gX(value.Float(x))))
+			total = r.Add(total, r.Mul(gCat(nil, value.Int(cat)), gX(nil, value.Float(x))))
 			counts[cat]++
 			sumXBy[cat] += x
 			sumX += x

@@ -237,7 +237,18 @@ func adjacent(a, b *RangedCovar) (lo, hi *RangedCovar, start int, loScale, hiSca
 }
 
 // Mul returns the product over the union range. The operand ranges must
-// be adjacent (either may be empty); the result's blocks are
+// be adjacent (either may be empty); see product for its blocks.
+func (RangedCovarRing) Mul(a, b *RangedCovar) *RangedCovar {
+	if a == nil || b == nil {
+		return nil
+	}
+	lo, hi, start, loScale, hiScale := adjacent(a, b)
+	return product(newRanged(start, lo.N+hi.N), a, b, lo, hi, loScale, hiScale)
+}
+
+// product writes a×b into out, which covers the union range [start,
+// start+lo.N+hi.N) adjacent returned, and returns it — the one kernel
+// behind Mul and a slab's Mul. The result's blocks are
 //
 //	c = ca·cb
 //	s = [cb·sa | ca·sb]            (in index order)
@@ -246,13 +257,8 @@ func adjacent(a, b *RangedCovar) (lo, hi *RangedCovar, start int, loScale, hiSca
 // written in one pass over the packed result: row i < |lo| of Q is lo's
 // row i scaled, then s_lo[i]·s_hi; the rows below are hi's triangle
 // scaled, contiguous.
-func (RangedCovarRing) Mul(a, b *RangedCovar) *RangedCovar {
-	if a == nil || b == nil {
-		return nil
-	}
-	lo, hi, start, loScale, hiScale := adjacent(a, b)
+func product(out, a, b, lo, hi *RangedCovar, loScale, hiScale float64) *RangedCovar {
 	n := lo.N
-	out := newRanged(start, n+hi.N)
 	out.C = a.C * b.C
 	s, q := out.v[:out.N], out.v[out.N:]
 	ls, lq := lo.v[:n], lo.v[n:]
@@ -312,16 +318,19 @@ func (RangedCovarRing) IsZero(a *RangedCovar) bool {
 }
 
 // Lift returns g_X for the attribute at global aggregate index idx:
-// a single-index payload (1, [x], [x²]).
+// a single-index payload (1, [x], [x²]), written into dst when dst's
+// backing array has room for it (a slab slot; see Slab) and into a
+// fresh payload otherwise.
 func (RangedCovarRing) Lift(idx int) Lift[*RangedCovar] {
 	if idx < 0 {
 		panic("ring: negative lift index")
 	}
-	return func(v value.Value) *RangedCovar {
+	return func(dst *RangedCovar, v value.Value) *RangedCovar {
+		if dst == nil || cap(dst.v) < 2 {
+			dst = newRanged(idx, 1)
+		}
 		x := v.AsFloat()
-		c := newRanged(idx, 1)
-		c.C = 1
-		c.v[0], c.v[1] = x, x*x
-		return c
+		dst.Start, dst.N, dst.C, dst.v = idx, 1, 1, append(dst.v[:0], x, x*x)
+		return dst
 	}
 }

@@ -25,8 +25,8 @@ func TestRangedMatchesFullOnChain(t *testing.T) {
 			pf, pr := full.One(), ranged.One()
 			for i := 0; i < m; i++ {
 				x := value.Float(float64(rng.Intn(9) - 4))
-				pf = full.Mul(pf, full.Lift(i)(x))
-				pr = ranged.Mul(pr, ranged.Lift(i)(x))
+				pf = full.Mul(pf, full.Lift(i)(nil, x))
+				pr = ranged.Mul(pr, ranged.Lift(i)(nil, x))
 			}
 			if rng.Intn(4) == 0 {
 				pf, pr = full.Neg(pf), ranged.Neg(pr)
@@ -49,9 +49,9 @@ func TestRangedBlockProduct(t *testing.T) {
 	var r RangedCovarRing
 	// a covers index 0 with x=2 (two rows summed: count 2, s=[3], from
 	// rows x=1 and x=2).
-	a := r.Add(r.Lift(0)(value.Float(1)), r.Lift(0)(value.Float(2)))
+	a := r.Add(r.Lift(0)(nil, value.Float(1)), r.Lift(0)(nil, value.Float(2)))
 	// b covers index 1 with one row y=5.
-	b := r.Lift(1)(value.Float(5))
+	b := r.Lift(1)(nil, value.Float(5))
 	p := r.Mul(a, b)
 	if p.Start != 0 || p.N != 2 {
 		t.Fatalf("range = [%d,%d)", p.Start, p.Start+p.N)
@@ -76,7 +76,7 @@ func TestRangedBlockProduct(t *testing.T) {
 func TestRangedScalarOperand(t *testing.T) {
 	var r RangedCovarRing
 	two := r.Add(r.One(), r.One()) // scalar 2, empty range
-	x := r.Lift(3)(value.Float(4))
+	x := r.Lift(3)(nil, value.Float(4))
 	p := r.Mul(two, x)
 	if p.Start != 3 || p.N != 1 {
 		t.Fatalf("range = [%d,%d)", p.Start, p.Start+p.N)
@@ -88,8 +88,8 @@ func TestRangedScalarOperand(t *testing.T) {
 
 func TestRangedAdjacencyViolationPanics(t *testing.T) {
 	var r RangedCovarRing
-	a := r.Lift(0)(value.Float(1))
-	c := r.Lift(2)(value.Float(1)) // gap at index 1
+	a := r.Lift(0)(nil, value.Float(1))
+	c := r.Lift(2)(nil, value.Float(1)) // gap at index 1
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic for non-adjacent ranges")
@@ -100,8 +100,8 @@ func TestRangedAdjacencyViolationPanics(t *testing.T) {
 
 func TestRangedAddRangeMismatchPanics(t *testing.T) {
 	var r RangedCovarRing
-	a := r.Lift(0)(value.Float(1))
-	b := r.Lift(1)(value.Float(1))
+	a := r.Lift(0)(nil, value.Float(1))
+	b := r.Lift(1)(nil, value.Float(1))
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic for mismatched Add ranges")
@@ -137,7 +137,7 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 		t.Errorf("1 + (-1) = %v", z)
 	}
 	// Out-of-range global reads return 0 rather than panicking.
-	p := r.Lift(2)(value.Float(3))
+	p := r.Lift(2)(nil, value.Float(3))
 	if p.Sum(0) != 0 || p.Prod(0, 2) != 0 || p.Sum(2) != 3 {
 		t.Error("global-index reads wrong")
 	}
@@ -154,9 +154,9 @@ func TestRangedWiden(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := r.One()
 	for i := 0; i < 3; i++ {
-		p = r.Mul(p, r.Lift(i)(value.Float(rng.NormFloat64())))
+		p = r.Mul(p, r.Lift(i)(nil, value.Float(rng.NormFloat64())))
 	}
-	p = r.Add(p, r.Mul(r.Mul(r.Lift(0)(value.Float(2)), r.Lift(1)(value.Float(-3))), r.Lift(2)(value.Float(5))))
+	p = r.Add(p, r.Mul(r.Mul(r.Lift(0)(nil, value.Float(2)), r.Lift(1)(nil, value.Float(-3))), r.Lift(2)(nil, value.Float(5))))
 	perm := []int{2, 0, 1}
 	w := p.Widen(perm)
 	if w.Degree() != 3 || w.Count() != p.Count() {
@@ -176,7 +176,7 @@ func TestRangedWiden(t *testing.T) {
 		}
 	}
 	// A payload narrower than perm widens with zeros outside its range.
-	leaf := r.Lift(1)(value.Float(4))
+	leaf := r.Lift(1)(nil, value.Float(4))
 	if w := leaf.Widen(perm); w.Sum(2) != 4 || w.Prod(2, 2) != 16 || w.Sum(0) != 0 || w.Prod(0, 2) != 0 || w.Count() != 1 {
 		t.Errorf("leaf widened to %v", w)
 	}

@@ -472,7 +472,7 @@ func (r RelCovarRing) lifted(idx int, key CatID, s, q float64) *RelCovar {
 // merges rely on.
 func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
-	return func(v value.Value) *RelCovar {
+	return func(_ *RelCovar, v value.Value) *RelCovar {
 		x := v.AsFloat()
 		return r.lifted(idx, 0, x, x*x)
 	}
@@ -483,7 +483,7 @@ func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 // It panics once the category dictionary is full (see CatID).
 func (r RelCovarRing) LiftCategorical(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
-	return func(v value.Value) *RelCovar {
+	return func(_ *RelCovar, v value.Value) *RelCovar {
 		var buf [32]byte
 		id, err := cats.intern(v.AppendEncode(buf[:0]))
 		if err != nil {
@@ -506,8 +506,8 @@ func (r RelCovarRing) LiftBinned(idx int, width float64) Lift[*RelCovar] {
 		panic("ring: bin width must be positive")
 	}
 	cat := r.LiftCategorical(idx)
-	return func(v value.Value) *RelCovar {
-		return cat(value.Int(Bin(v.AsFloat(), width)))
+	return func(_ *RelCovar, v value.Value) *RelCovar {
+		return cat(nil, value.Int(Bin(v.AsFloat(), width)))
 	}
 }
 

@@ -26,10 +26,10 @@ func benchItemView(r RelCovarRing, n int) *RelCovar {
 }
 
 func benchItemTuple(r RelCovarRing, k int) *RelCovar {
-	p := r.LiftContinuous(1)(value.Float(float64(1 + k%17)))
-	p = r.Mul(p, r.LiftCategorical(2)(value.Int(int64(k%31))))
-	p = r.Mul(p, r.LiftCategorical(3)(value.Int(int64(k%11))))
-	return r.Mul(p, r.LiftCategorical(4)(value.Int(int64(k%5))))
+	p := r.LiftContinuous(1)(nil, value.Float(float64(1+k%17)))
+	p = r.Mul(p, r.LiftCategorical(2)(nil, value.Int(int64(k%31))))
+	p = r.Mul(p, r.LiftCategorical(3)(nil, value.Int(int64(k%11))))
+	return r.Mul(p, r.LiftCategorical(4)(nil, value.Int(int64(k%5))))
 }
 
 // BenchmarkRelCovarMul multiplies a single-tuple delta payload with a
@@ -37,7 +37,7 @@ func benchItemTuple(r RelCovarRing, k int) *RelCovar {
 func BenchmarkRelCovarMul(b *testing.B) {
 	r := NewRelCovarRing(benchDegree)
 	view := benchItemView(r, 200)
-	delta := r.LiftContinuous(0)(value.Float(3))
+	delta := r.LiftContinuous(0)(nil, value.Float(3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,9 +71,9 @@ func foldTuple(r RelCovarRing, k int, feats ...int) *RelCovar {
 	p := r.One()
 	for _, i := range feats {
 		if foldCards[i] == 0 {
-			p = r.Mul(p, r.LiftContinuous(i)(value.Float(float64(1+(7*k+i)%13))))
+			p = r.Mul(p, r.LiftContinuous(i)(nil, value.Float(float64(1+(7*k+i)%13))))
 		} else {
-			p = r.Mul(p, r.LiftCategorical(i)(value.Int(int64((3*k+i)%foldCards[i]))))
+			p = r.Mul(p, r.LiftCategorical(i)(nil, value.Int(int64((3*k+i)%foldCards[i]))))
 		}
 	}
 	return p
@@ -141,14 +141,14 @@ func BenchmarkRelCovarFold(b *testing.B) {
 func BenchmarkRelCovarLiftPath(b *testing.B) {
 	r := NewRelCovarRing(benchDegree)
 	item := benchItemTuple(r, 42)
-	weather := r.LiftContinuous(5)(value.Float(21.5))
-	location := r.LiftContinuous(6)(value.Float(60000))
+	weather := r.LiftContinuous(5)(nil, value.Float(21.5))
+	location := r.LiftContinuous(6)(nil, value.Float(60000))
 	units := r.LiftContinuous(0)
 	one := r.One()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := r.Mul(one, units(value.Float(float64(i%9))))
+		p := r.Mul(one, units(nil, value.Float(float64(i%9))))
 		p = r.Mul(p, item)
 		p = r.Mul(p, weather)
 		benchSink = r.Mul(p, location)

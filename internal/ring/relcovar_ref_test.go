@@ -305,10 +305,10 @@ func (g *pairGen) lift(idx int) (*RelCovar, *refCovar) {
 		return g.r.One(), refOne(m)
 	case b%2 == 0:
 		x := genScalars[b/2%len(genScalars)]
-		return g.r.LiftContinuous(idx)(value.Float(x)), refLift(m, idx, "", x, x*x)
+		return g.r.LiftContinuous(idx)(nil, value.Float(x)), refLift(m, idx, "", x, x*x)
 	default:
 		v := genCats[b/2%len(genCats)]
-		return g.r.LiftCategorical(idx)(v), refLift(m, idx, value.Tuple{v}.Encode(), 1, 1)
+		return g.r.LiftCategorical(idx)(nil, v), refLift(m, idx, value.Tuple{v}.Encode(), 1, 1)
 	}
 }
 
@@ -499,10 +499,10 @@ func FuzzRelCovarKernel(f *testing.F) {
 // of Q_ij under either multiplication order.
 func TestRelCovarCrossTermKeys(t *testing.T) {
 	r := NewRelCovarRing(2)
-	if z := r.LiftContinuous(0)(value.Float(0)); !z.Equal(r.One()) {
+	if z := r.LiftContinuous(0)(nil, value.Float(0)); !z.Equal(r.One()) {
 		t.Errorf("LiftContinuous(0) = %v, want One", z)
 	}
-	x, y := r.LiftCategorical(0)(value.String("x")), r.LiftCategorical(0)(value.String("y"))
+	x, y := r.LiftCategorical(0)(nil, value.String("x")), r.LiftCategorical(0)(nil, value.String("y"))
 	q := r.Mul(x, y).Prod(0, 0)
 	want := RelVal{value.T("x").Encode(): 1, value.T("y").Encode(): 1, value.T("x", "y").Encode(): 1, value.T("y", "x").Encode(): 1}
 	if !q.Equal(want) {
@@ -511,14 +511,14 @@ func TestRelCovarCrossTermKeys(t *testing.T) {
 	if q := r.Mul(x, x).Prod(0, 0); q.Get(value.T("x", "x")) != 2 {
 		t.Errorf("Q_00 of x×x = %v, want (x, x)->2", q)
 	}
-	z := r.LiftCategorical(1)(value.String("z"))
+	z := r.LiftCategorical(1)(nil, value.String("z"))
 	for _, p := range []*RelCovar{r.Mul(x, z), r.Mul(z, x)} {
 		if q := p.Prod(0, 1); len(q) != 1 || q.Get(value.T("x", "z")) != 1 {
 			t.Errorf("Q_01 = %v, want {(x, z)->1}", q)
 		}
 	}
 	// A continuous part packs to nothing on either side of the key.
-	cx := r.LiftContinuous(0)(value.Float(3))
+	cx := r.LiftContinuous(0)(nil, value.Float(3))
 	for _, p := range []*RelCovar{r.Mul(cx, z), r.Mul(z, cx)} {
 		if q := p.Prod(0, 1); len(q) != 1 || q.Get(value.T("z")) != 3 {
 			t.Errorf("Q_01 = %v, want {(z)->3}", q)

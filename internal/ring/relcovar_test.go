@@ -30,7 +30,7 @@ func randRelCovar(m int) func(*rand.Rand) *RelCovar {
 				} else {
 					lf = r.LiftContinuous(i)
 				}
-				p = r.Mul(p, lf(value.Int(int64(rng.Intn(3)))))
+				p = r.Mul(p, lf(nil, value.Int(int64(rng.Intn(3)))))
 			}
 			if rng.Intn(4) == 0 {
 				p = r.Neg(p)
@@ -90,8 +90,8 @@ func TestRelCovarMatchesScalarCovarOnContinuous(t *testing.T) {
 	for _, row := range rows {
 		ps, pg := rs.One(), rg.One()
 		for i, x := range row {
-			ps = rs.Mul(ps, rs.Lift(i)(value.Float(x)))
-			pg = rg.Mul(pg, rg.LiftContinuous(i)(value.Float(x)))
+			ps = rs.Mul(ps, rs.Lift(i)(nil, value.Float(x)))
+			pg = rg.Mul(pg, rg.LiftContinuous(i)(nil, value.Float(x)))
 		}
 		ts = rs.Add(ts, ps)
 		tg = rg.Add(tg, pg)
@@ -125,7 +125,7 @@ func TestRelCovarCategoricalBruteForce(t *testing.T) {
 
 	total := r.Zero()
 	for _, rw := range rows {
-		total = r.Add(total, r.Mul(gc(value.String(rw.cat)), gx(value.Float(rw.x))))
+		total = r.Add(total, r.Mul(gc(nil, value.String(rw.cat)), gx(nil, value.Float(rw.x))))
 	}
 	// s_cat = counts per category.
 	counts := map[string]float64{}
@@ -166,7 +166,7 @@ func TestRelCovarLiftBinned(t *testing.T) {
 		x    float64
 		want int64
 	}{{0, 0}, {9.9, 0}, {10, 1}, {25, 2}, {-0.1, -1}, {-10, -1}, {-10.5, -2}, {-20, -2}} {
-		p := g(value.Float(c.x))
+		p := g(nil, value.Float(c.x))
 		if got := p.Sum(0).Get(value.T(c.want)); got != 1 {
 			t.Errorf("bin(%v): payload %v, want bin %d", c.x, p.Sum(0), c.want)
 		}
@@ -200,7 +200,7 @@ func TestRelCovarDeleteCancelsInsert(t *testing.T) {
 	// The paper's delete encoding: adding Neg(payload) must cancel the
 	// earlier insert exactly, leaving the ring zero.
 	r := NewRelCovarRing(2)
-	p := r.Mul(r.LiftCategorical(0)(value.String("a")), r.LiftContinuous(1)(value.Float(2.5)))
+	p := r.Mul(r.LiftCategorical(0)(nil, value.String("a")), r.LiftContinuous(1)(nil, value.Float(2.5)))
 	sum := r.Add(p, r.Neg(p))
 	if !r.IsZero(sum) {
 		t.Errorf("insert+delete left %v", sum)
@@ -211,8 +211,8 @@ func TestRelCovarProdKeyOrientation(t *testing.T) {
 	// Q_ij keys must carry the i-part first regardless of multiplication
 	// order.
 	r := NewRelCovarRing(2)
-	a := r.LiftCategorical(0)(value.String("x0"))
-	b := r.LiftCategorical(1)(value.String("y1"))
+	a := r.LiftCategorical(0)(nil, value.String("x0"))
+	b := r.LiftCategorical(1)(nil, value.String("y1"))
 	for _, p := range []*RelCovar{r.Mul(a, b), r.Mul(b, a)} {
 		q := p.Prod(0, 1)
 		if q.Get(value.T("x0", "y1")) != 1 {
@@ -253,7 +253,7 @@ func TestRelCovarLiftIndexPanics(t *testing.T) {
 func TestRelCovarMaxDegree(t *testing.T) {
 	const m = MaxRelCovarDegree
 	r := NewRelCovarRing(m)
-	p := r.Mul(r.LiftCategorical(m-1)(value.String("last")), r.LiftContinuous(0)(value.Float(2)))
+	p := r.Mul(r.LiftCategorical(m-1)(nil, value.String("last")), r.LiftContinuous(0)(nil, value.Float(2)))
 	if got := p.Prod(0, m-1).Get(value.T("last")); got != 2 {
 		t.Errorf("Q_0,%d = %v, want {(last)->2}", m-1, p.Prod(0, m-1))
 	}

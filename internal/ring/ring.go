@@ -29,8 +29,11 @@ type Ring[V any] interface {
 
 // Lift maps an attribute value into a ring element. Lift functions are
 // the paper's g_X: they are applied when their attribute is marginalized
-// in the view tree.
-type Lift[V any] func(value.Value) V
+// in the view tree. dst is a value the caller exclusively owns and gives
+// up, or the ring zero: a lift may write its result into dst's storage
+// and return it (RangedCovar's does, so a relation lifts into a slot of
+// its slab — see Slab), and the others ignore it.
+type Lift[V any] func(dst V, v value.Value) V
 
 // Ints is the ring Z of tuple multiplicities over int64.
 type Ints struct{}
@@ -54,7 +57,7 @@ func (Ints) Neg(a int64) int64 { return -a }
 func (Ints) IsZero(a int64) bool { return a == 0 }
 
 // CountLift is the lift g_X(x) = 1 in Z, used by plain COUNT aggregates.
-func CountLift(value.Value) int64 { return 1 }
+func CountLift(int64, value.Value) int64 { return 1 }
 
 // Floats is the ring of float64 scalars; SUM(expr) over numeric
 // expressions uses it.
@@ -82,10 +85,10 @@ func (Floats) IsZero(a float64) bool { return a == 0 }
 
 // IdentityLift lifts a numeric attribute value to itself in Floats:
 // g_X(x) = x, the lift of SUM(X).
-func IdentityLift(v value.Value) float64 { return v.AsFloat() }
+func IdentityLift(_ float64, v value.Value) float64 { return v.AsFloat() }
 
 // SquareLift lifts x to x*x, the lift of SUM(X*X).
-func SquareLift(v value.Value) float64 {
+func SquareLift(_ float64, v value.Value) float64 {
 	f := v.AsFloat()
 	return f * f
 }

@@ -65,13 +65,13 @@ func TestFloatsAxioms(t *testing.T) {
 }
 
 func TestLifts(t *testing.T) {
-	if CountLift(value.Int(7)) != 1 {
+	if CountLift(0, value.Int(7)) != 1 {
 		t.Error("CountLift != 1")
 	}
-	if IdentityLift(value.Int(7)) != 7 || IdentityLift(value.Float(2.5)) != 2.5 {
+	if IdentityLift(0, value.Int(7)) != 7 || IdentityLift(0, value.Float(2.5)) != 2.5 {
 		t.Error("IdentityLift wrong")
 	}
-	if SquareLift(value.Int(3)) != 9 {
+	if SquareLift(0, value.Int(3)) != 9 {
 		t.Error("SquareLift wrong")
 	}
 }

@@ -1,6 +1,10 @@
 package ring
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/value"
+)
 
 // Scratch is an optional Ring extension for rings whose values are
 // pointer-shaped (maps, structs with slices) and therefore allocate on
@@ -49,6 +53,34 @@ type Scratch[V any] interface {
 type FMA[V any] interface {
 	// MulAddInto returns acc + a×b, mutating acc when possible.
 	MulAddInto(acc, a, b V) V
+}
+
+// Slab is the payload storage one relation keeps for a Scratch ring
+// whose payloads are fixed-width per relation (RangedCovar: a view
+// node's lift range is fixed, so every payload of its view is as wide).
+// Each value it returns is carved from it — a recycled slot or the next
+// one of a chunk allocated for many — and is exclusively owned by the
+// relation, which hands it back with Free when it stops storing it: on
+// annihilation, on Reset, or right after use for a scratch value. So a
+// relation whose size is steady allocates no payload in steady state.
+// The results are those of the pure operations, bit for bit.
+type Slab[V any] interface {
+	// Own returns a copy of v: Scratch.Own, carved.
+	Own(v V) V
+	// Mul returns a×b: Ring.Mul, carved.
+	Mul(a, b V) V
+	// Lift returns l(x) written into a carved slot.
+	Lift(l Lift[V], x value.Value) V
+	// Free returns v to the slab. v must have been carved from it, or
+	// be a value nothing else can reach, and is not used again.
+	Free(v V)
+}
+
+// Slabbed is the optional extension of a Scratch ring whose payloads a
+// relation keeps in a Slab: NewSlab returns an empty one for a new
+// relation. relation.Map makes its slab on first use.
+type Slabbed[V any] interface {
+	NewSlab() Slab[V]
 }
 
 // MulAddInto implements FMA for the generalized matrix ring: Mul's
@@ -235,3 +267,94 @@ func (r RangedCovarRing) AddInto(acc, v *RangedCovar) *RangedCovar {
 
 // Own implements Scratch: a deep copy of v.
 func (r RangedCovarRing) Own(v *RangedCovar) *RangedCovar { return v.Clone() }
+
+// NewSlab implements Slabbed: ranged payloads are fixed-width per
+// relation, so a relation keeps them in a rangedSlab.
+func (RangedCovarRing) NewSlab() Slab[*RangedCovar] { return &rangedSlab{} }
+
+// Ranged slab chunk sizing, in slots: the first chunk is small so the
+// short-lived relations of single-tuple maintenance pay for a few
+// payloads, and chunks double up to the cap so a large relation
+// amortizes to one allocation of headers and one of floats per
+// slabMax payloads (relation/alloc.go sizes its entry chunks alike).
+const (
+	slabMin = 8
+	slabMax = 512
+)
+
+// rangedSlab is RangedCovar's Slab. A slot is a payload header carved
+// from a chunk of headers plus width floats carved from a chunk of
+// floats, the header's backing array. width is the widest payload
+// carved so far — one relation's payloads all have its width, a scratch
+// product or lift is narrower — and every slot is carved that wide, so
+// any slot holds any payload the relation makes. Free parks a slot
+// with its header, backing array included; a slot narrower than width
+// (carved before width grew) is dropped instead.
+type rangedSlab struct {
+	width int
+	hdrs  []RangedCovar
+	vals  []float64
+	free  []*RangedCovar
+	grow  int // slots in the next chunk
+}
+
+// carve returns an owned payload over [start, start+n) whose contents
+// the caller overwrites.
+func (s *rangedSlab) carve(start, n int) *RangedCovar {
+	need := n + triLen(n)
+	var c *RangedCovar
+	if k := len(s.free); k > 0 {
+		c = s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		if cap(c.v) < need {
+			c = nil // parked before width grew: dropped
+		}
+	}
+	if c == nil {
+		s.width = max(s.width, need)
+		if len(s.hdrs) == 0 || len(s.vals) < s.width {
+			s.grow = min(max(s.grow*2, slabMin), slabMax)
+			s.hdrs = make([]RangedCovar, s.grow)
+			s.vals = make([]float64, s.grow*s.width)
+		}
+		c = &s.hdrs[0]
+		s.hdrs = s.hdrs[1:]
+		c.v = s.vals[:0:s.width]
+		s.vals = s.vals[s.width:]
+	}
+	c.Start, c.N, c.v = start, n, c.v[:need]
+	return c
+}
+
+// Own implements Slab.
+func (s *rangedSlab) Own(v *RangedCovar) *RangedCovar {
+	if v == nil {
+		return nil
+	}
+	c := s.carve(v.Start, v.N)
+	c.C = v.C
+	copy(c.v, v.v)
+	return c
+}
+
+// Mul implements Slab.
+func (s *rangedSlab) Mul(a, b *RangedCovar) *RangedCovar {
+	if a == nil || b == nil {
+		return nil
+	}
+	lo, hi, start, loScale, hiScale := adjacent(a, b)
+	return product(s.carve(start, lo.N+hi.N), a, b, lo, hi, loScale, hiScale)
+}
+
+// Lift implements Slab.
+func (s *rangedSlab) Lift(l Lift[*RangedCovar], x value.Value) *RangedCovar {
+	return l(s.carve(0, 1), x)
+}
+
+// Free implements Slab.
+func (s *rangedSlab) Free(v *RangedCovar) {
+	if v != nil && cap(v.v) >= s.width {
+		s.free = append(s.free, v)
+	}
+}

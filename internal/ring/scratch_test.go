@@ -85,9 +85,9 @@ func TestScratchContractRelCovar(t *testing.T) {
 		if rnd.Intn(5) == 0 {
 			return nil
 		}
-		v := lifts[rnd.Intn(len(lifts))](value.Int(int64(rnd.Intn(4))))
+		v := lifts[rnd.Intn(len(lifts))](nil, value.Int(int64(rnd.Intn(4))))
 		if rnd.Intn(2) == 0 {
-			v = r.Mul(v, lifts[rnd.Intn(len(lifts))](value.Int(int64(rnd.Intn(4)))))
+			v = r.Mul(v, lifts[rnd.Intn(len(lifts))](nil, value.Int(int64(rnd.Intn(4)))))
 		}
 		if rnd.Intn(3) == 0 {
 			v = r.Neg(v)

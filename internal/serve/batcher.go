@@ -106,15 +106,26 @@ func (sh *shard) collect(first ingestMsg, max int) (ups []view.Update, dones []c
 }
 
 // maxBatchesPerPublish caps how many queued deltas the writer applies
-// before publishing a fresh snapshot: higher amortizes model refits
-// under backlog at the cost of staleness.
+// before publishing a fresh snapshot.
 const maxBatchesPerPublish = 32
 
+// drainMore reports whether the writer applies another queued batch
+// before it publishes, having applied batches of them in applied time
+// since the last publish, which took publish. It drains only while the
+// applied time is below the publish's: a cheap publish (a covar model
+// is a copy of one payload) then follows every batch, so no
+// acknowledgement waits for the apply of the batch queued behind it,
+// while an expensive one (the analysis ridge refit) still amortizes
+// over a backlog of small batches, up to maxBatchesPerPublish.
+func drainMore(batches int, applied, publish time.Duration) bool {
+	return batches < maxBatchesPerPublish && applied < publish
+}
+
 // runWriter is the single goroutine allowed to mutate the engine. It
-// applies queued delta batches — at most maxBatchesPerPublish per round,
-// so one snapshot refit amortizes over a backlog — publishes a fresh
-// snapshot, and only then closes the batches' done channels, giving
-// IngestBatch's done channel read-your-writes semantics.
+// applies a queued delta batch, keeps applying queued ones while
+// drainMore says publishing can wait, publishes a fresh snapshot, and
+// only then closes the batches' done channels, giving IngestBatch's
+// done channel read-your-writes semantics.
 func (s *Server) runWriter() {
 	defer close(s.writerDone)
 	for {
@@ -134,18 +145,20 @@ func (s *Server) runWriter() {
 				}
 				return
 			}
-			dones := s.applyBatch(b)
+			dones, applied := s.applyBatch(b)
 			chClosed := false
 			n := 1
 		drain:
-			for n < maxBatchesPerPublish {
+			for drainMore(n, applied, s.lastPublish) {
 				select {
 				case b2, ok2 := <-s.batches:
 					if !ok2 {
 						chClosed = true
 						break drain
 					}
-					dones = append(dones, s.applyBatch(b2)...)
+					more, took := s.applyBatch(b2)
+					dones = append(dones, more...)
+					applied += took
 					n++
 				default:
 					break drain
@@ -161,8 +174,9 @@ func (s *Server) runWriter() {
 }
 
 // applyBatch applies one delta to the engine and returns the done
-// channels to close after the next publish.
-func (s *Server) applyBatch(b batch) []chan struct{} {
+// channels to close after the next publish, and how long the apply
+// took.
+func (s *Server) applyBatch(b batch) ([]chan struct{}, time.Duration) {
 	t0 := time.Now()
 	err := s.eng.ApplyBuilt(b.rel, b.delta)
 	apply := time.Since(t0)
@@ -190,7 +204,7 @@ func (s *Server) applyBatch(b batch) []chan struct{} {
 		s.cfg.TraceLog.Printf("batch rel=%s raw=%d delta=%d wait=%s build=%s apply=%s err=%v",
 			b.rel, b.raw, b.delta.Len(), b.wait, b.build, apply, err != nil)
 	}
-	return b.dones
+	return b.dones, apply
 }
 
 func closeAll(dones []chan struct{}) {

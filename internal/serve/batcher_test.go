@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/value"
 	"repro/internal/view"
@@ -59,5 +60,32 @@ func TestBatcherCollectSingleMessagePassthrough(t *testing.T) {
 	}
 	if &got[0] != &ups[0] {
 		t.Error("single-message round copied the ingester's slice instead of passing it through")
+	}
+}
+
+// TestDrainMore pins the writer's publish rule on durations alone: it
+// drains queued batches before publishing only while their apply time
+// since the last publish is below that publish's duration, and never
+// past maxBatchesPerPublish.
+func TestDrainMore(t *testing.T) {
+	const us, ms = time.Microsecond, time.Millisecond
+	cases := []struct {
+		name             string
+		batches          int
+		applied, publish time.Duration
+		want             bool
+	}{
+		{"no publish yet: publish the first batch", 1, 10 * us, 0, false},
+		{"covar: a 3 us publish after a 3 ms apply", 1, 3 * ms, 3 * us, false},
+		{"analysis batch: 0.9 ms apply, 0.24 ms publish", 1, 900 * us, 240 * us, false},
+		{"analysis single tuples: 18 us applied, 0.24 ms publish", 1, 18 * us, 240 * us, true},
+		{"backlog catches up with the publish", 13, 240 * us, 240 * us, false},
+		{"the cap holds whatever the publish costs", maxBatchesPerPublish, 18 * us, time.Second, false},
+		{"just below the cap", maxBatchesPerPublish - 1, 18 * us, time.Second, true},
+	}
+	for _, c := range cases {
+		if got := drainMore(c.batches, c.applied, c.publish); got != c.want {
+			t.Errorf("%s: drainMore(%d, %v, %v) = %v, want %v", c.name, c.batches, c.applied, c.publish, got, c.want)
+		}
 	}
 }

@@ -185,6 +185,10 @@ type Server struct {
 	nUnconverged uint64
 	lastErr      string
 	dirty        bool
+	// lastPublish is how long the last publish took: the writer drains
+	// queued batches before publishing only while their apply time is
+	// below it (see drainMore).
+	lastPublish time.Duration
 
 	viewTree string
 }

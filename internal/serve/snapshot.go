@@ -93,9 +93,10 @@ func (s *Server) publish() {
 	}
 	ms.At = time.Now()
 	s.snap.Store(ms)
-	s.met.stagePublish.Observe(time.Since(t0).Seconds())
+	s.lastPublish = time.Since(t0)
+	s.met.stagePublish.Observe(s.lastPublish.Seconds())
 	if s.cfg.TraceLog != nil {
-		s.cfg.TraceLog.Printf("publish version=%d applied=%d took=%s", ms.Version, ms.Stats.Applied, time.Since(t0))
+		s.cfg.TraceLog.Printf("publish version=%d applied=%d took=%s", ms.Version, ms.Stats.Applied, s.lastPublish)
 	}
 }
 

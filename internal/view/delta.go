@@ -37,7 +37,7 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 		return fmt.Errorf("view: delta schema %v does not match %s schema %v", delta.Schema(), name, src.schema)
 	}
 	t.stats.Updates++
-	t.stats.DeltaTuples += t.apply(src, delta, false)
+	t.stats.DeltaTuples += t.apply(src, delta, false, false)
 	return nil
 }
 
@@ -46,9 +46,10 @@ func (t *Tree[V]) ApplyDelta(name string, delta *relation.Map[V]) error {
 // it into its source when the source is stored, commit the steps,
 // release the buffers. A delta of src's anchor view (view set: a
 // snapshot's form 1) is the anchor's step itself: commit absorbs it
-// into the anchor view, and it propagates from the anchor's parent. It
-// returns the number of delta tuples applied.
-func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V], view bool) int {
+// into the anchor view, and it propagates from the anchor's parent.
+// bulk marks the bulk load's steps (see relation.Step). It returns the
+// number of delta tuples applied.
+func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V], view, bulk bool) int {
 	if delta.Len() == 0 {
 		return 0
 	}
@@ -57,7 +58,7 @@ func (t *Tree[V]) apply(src *source[V], delta *relation.Map[V], view bool) int {
 	if view {
 		p.steps, exclude = append(p.steps, delta), src.anchor.view
 	}
-	p = t.propagate(p, exclude, delta, path)
+	p = t.propagate(p, exclude, delta, path, bulk)
 	if src.data != nil {
 		src.data.MergeAll(t.ring, delta)
 	}
@@ -101,14 +102,14 @@ func pathOf[V any](n *Node[V]) []*Node[V] {
 // marginalized, one relation.Step per node over the plan of the part
 // the delta replaces (Node.steps), which iterates the delta. d is
 // the delta of exclude, the operand it replaces at the first node p has
-// no step for yet. The steps evaluate into the path nodes' and the
-// tree's recycled buffers and the tree's steps scratch, which apply
-// releases after its commit.
-func (t *Tree[V]) propagate(p propagation[V], exclude, d *relation.Map[V], path []*Node[V]) propagation[V] {
+// no step for yet; bulk marks a bulk load's steps. The steps evaluate
+// into the path nodes' and the tree's recycled buffers and the tree's
+// steps scratch, which apply releases after its commit.
+func (t *Tree[V]) propagate(p propagation[V], exclude, d *relation.Map[V], path []*Node[V], bulk bool) propagation[V] {
 	var arr [4]*relation.Map[V]
 	for _, n := range path[len(p.steps):] {
 		parts, at := n.parts(arr[:0], exclude, d)
-		d = relation.Step(n.steps[at], t.ring, parts, n.lift, n.buf.take(n.keys, d.Len()))
+		d = relation.Step(n.steps[at], t.ring, parts, n.lift, n.buf.take(n.keys, d.Len()), bulk)
 		p.steps = append(p.steps, d)
 		if d.Len() == 0 {
 			return p // the delta cancelled out; nothing to propagate
@@ -124,7 +125,7 @@ func (t *Tree[V]) propagate(p propagation[V], exclude, d *relation.Map[V], path 
 	for _, o := range root.resOthers {
 		parts = append(parts, o.view)
 	}
-	p.dres = relation.Step(root.resStep, t.ring, parts, nil, t.resBuf.take(t.result.Schema(), d.Len()))
+	p.dres = relation.Step(root.resStep, t.ring, parts, nil, t.resBuf.take(t.result.Schema(), d.Len()), bulk)
 	return p
 }
 

@@ -183,7 +183,7 @@ func snapshotSeeds(t testing.TB) map[string][]byte {
 	}
 	shifted := relation.New[*ring.RangedCovar](sView.Schema())
 	sView.Each(func(tp value.Tuple, _ *ring.RangedCovar) {
-		shifted.Set(tp, ring.RangedCovarRing{}.Lift(1-codec.anchors["S"][0])(value.Int(2)))
+		shifted.Set(tp, ring.RangedCovarRing{}.Lift(1-codec.anchors["S"][0])(nil, value.Int(2)))
 	})
 	built := snapStream(codec, snapRel{"R", formTuples, r}, snapRel{"S", formAnchorView, sView})
 	version := func(v byte) []byte {

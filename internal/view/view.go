@@ -495,7 +495,7 @@ func (t *Tree[V]) load(data map[string]*relation.Map[V], views map[string]bool) 
 		return names[i] < names[j]
 	})
 	for _, name := range names {
-		t.apply(t.sources[name], data[name], views[name])
+		t.apply(t.sources[name], data[name], views[name], true)
 	}
 }
 

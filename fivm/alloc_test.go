@@ -2,10 +2,12 @@ package fivm_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/fivm"
 	"repro/internal/daemon"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -24,13 +26,13 @@ import (
 const (
 	// maxAllocsCovarSingle bounds allocs for one insert + one delete of
 	// a single tuple on the scalar-covar engine (degree 3, two-relation
-	// join). Measured 16 for the pair: what is left are the ring values
-	// themselves (a lift, its product) and the first-seen group's tuple
-	// and key; every map, slab and table is a recycled step buffer.
+	// join). Measured 4 for the pair, the count engine's number: what is
+	// left is the first-seen group's tuple and key; every map, table and
+	// payload is a recycled step buffer or a slot of its slab.
 	// History: 230+ → 82 → 76 → 60 (in-place commits) → 16 (fused step)
-	// → 16 (ranged payloads: fewer bytes, not fewer values). Budget:
-	// measured + 10%.
-	maxAllocsCovarSingle = 18
+	// → 16 (ranged payloads: fewer bytes, not fewer values) → 4
+	// (payloads in slabs). Budget: measured + 10%, rounded up.
+	maxAllocsCovarSingle = 5
 	// maxAllocsCountSingle bounds the same pair on the count engine.
 	// Measured 4 (value payloads: only the group tuple and key remain).
 	// History: 48 (indexed path) → 4 (fused step, recycled buffers).
@@ -45,17 +47,18 @@ const (
 	// maxAllocsCovarBatch bounds one batch of 1000 fresh Inventory
 	// inserts plus the batch deleting them again, through Apply, on the
 	// Retailer covar engine (5 000 rows, five attributes). Measured
-	// 20 850 (10.4 per update) now that Inventory keeps no tuple map;
-	// 21 848 when it did, 22 848 before payloads were ranged, their s and
-	// Q one array. Budget: measured + 10%.
-	maxAllocsCovarBatch = 22_940
+	// 8 794 (4.4 per update) now that payloads live in their relation's
+	// slab; 20 850 while each was two allocations, 21 848 while
+	// Inventory kept a tuple map, 22 848 before payloads were ranged,
+	// their s and Q one array. Budget: measured + 10%.
+	maxAllocsCovarBatch = 9_680
 	// maxBytesCovarBatch bounds the bytes that batch pair allocates per
 	// update: what GC pressure on the serving writer scales with, which
 	// allocation counts miss — ranged payloads halved it (1 031 → 520)
-	// while the count moved 4%. Measured 496 on go1.24 (520 while
-	// Inventory kept a tuple map); go1.22 is unverified (its maps size
-	// differently). Budget: measured + 10%.
-	maxBytesCovarBatch = 546
+	// while the count moved 4%. Measured 273 on go1.24 with payloads in
+	// slabs (496 before, 520 while Inventory kept a tuple map); go1.22 is
+	// unverified (its maps size differently). Budget: measured + 10%.
+	maxBytesCovarBatch = 300
 	// maxAllocsAnalysisBatch and maxBytesAnalysisBatch bound the same
 	// pair on the Retailer analysis engine (three continuous and four
 	// categorical features). Measured 21 382 allocs and 1 374
@@ -198,11 +201,76 @@ func TestApplyBatchAllocsCovar(t *testing.T) {
 	}
 	got, bytes := measureBatchApply(t, eng)
 	t.Logf("covar 1000-tuple insert+delete batches: %.0f allocs, %.0f bytes/update", got, bytes)
+	// The batch is larger than the category view (200 items), so the
+	// budget holds only if the first batch indexes that view for good
+	// instead of every batch indexing it for itself.
+	var cat *view.Node[*ring.RangedCovar]
+	var find func(n *view.Node[*ring.RangedCovar])
+	find = func(n *view.Node[*ring.RangedCovar]) {
+		if n.Var() == "category" {
+			cat = n
+		}
+		for _, c := range n.Children() {
+			find(c)
+		}
+	}
+	for _, r := range eng.(*fivm.CovarEngine).Tree().Roots() {
+		find(r)
+	}
+	if cat == nil || len(cat.View().IndexDumps()) == 0 {
+		t.Error("the category view is probed by every batch, yet its join-key index is unbuilt")
+	} else if err := cat.View().VerifyIndexes(); err != nil {
+		t.Error(err)
+	}
 	if got > maxAllocsCovarBatch {
 		t.Errorf("covar 1000-tuple batch pair allocates %.0f, budget %d — the batch path regressed (see docs/PERF.md)", got, maxAllocsCovarBatch)
 	}
 	if bytes > maxBytesCovarBatch {
 		t.Errorf("covar 1000-tuple batch pair allocates %.0f bytes/update, budget %d — the batch path regressed (see docs/PERF.md)", bytes, maxBytesCovarBatch)
+	}
+}
+
+// TestApplyBatchAllocsCovarRingValues pins that a warmed-up covar batch
+// whose groups all exist allocates no ring value: the covar engine and
+// the count engine over the same join, whose int64 payloads never
+// allocate, must allocate the same number of times for the same batch
+// pair. Every view already holds each group it touches, so commit folds
+// in place, and each step's products, lifts and scratch come out of its
+// recycled buffer's slab; what both engines allocate is the first-seen
+// group tuples and keys of the step buffers.
+func TestApplyBatchAllocsCovarRingValues(t *testing.T) {
+	db, rels := retailer(5_000, 0)
+	names := make([]string, len(rels))
+	for i, r := range rels {
+		names[i] = r.Name
+	}
+	ins := inventoryStream(t, db, 1_000, 0)
+	del := make([]view.Update, len(ins))
+	for i, u := range ins {
+		del[i] = view.Update{Rel: u.Rel, Tuple: u.Tuple, Mult: -u.Mult}
+	}
+	measure := func(cfg fivm.Config) float64 {
+		eng, err := fivm.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Init(db.TupleMap()); err != nil {
+			t.Fatal(err)
+		}
+		apply := func(ups []view.Update) {
+			if err := eng.Apply(ups); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply(ins) // every group the pair below touches now exists
+		allocs, _ := allocsPerRun(5, func() { apply(ins); apply(del) })
+		return allocs
+	}
+	covar := measure(fivm.Config{Relations: rels, Attrs: retailerAttrs})
+	count := measure(fivm.Config{Relations: rels, Query: "SELECT SUM(1) FROM " + strings.Join(names, " NATURAL JOIN ")})
+	t.Logf("1000-tuple insert+delete batches over existing groups: covar %.0f allocs, count %.0f", covar, count)
+	if covar != count {
+		t.Errorf("covar batch pair allocates %.0f, the count engine %.0f: %.0f ring values allocated (see docs/PERF.md)", covar, count, covar-count)
 	}
 }
 

@@ -300,8 +300,8 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 		}
 		p = q
 	}
-	owned := n < k || lr.part >= 0 // p is a product (or the lift's)
-	if owned {
+	product := n < k || lr.part >= 0 // a last factor is held back
+	if product {
 		if seen && f.fma != nil && !g.shared {
 			g.payload = f.fma.MulAddInto(g.payload, p, last)
 			f.releaseScratch(n, p, last)
@@ -316,7 +316,7 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 		p = q
 	}
 	if r.IsZero(p) {
-		if owned {
+		if product {
 			out.release(p)
 		}
 		return
@@ -326,7 +326,7 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 			delete(out.data, string(key))
 			out.drop(g)
 		}
-		if owned {
+		if product {
 			out.release(p)
 		}
 		return
@@ -339,7 +339,7 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 	// copies on write. Only the flag of the part's entry is written, and
 	// only by the one goroutine stepping it (see the package doc).
 	shared := false
-	if !owned {
+	if !product {
 		if sb := out.slabFor(r); sb != nil && !bound[0].shared {
 			p = sb.Own(p)
 		} else {

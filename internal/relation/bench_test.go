@@ -74,5 +74,5 @@ func BenchmarkStepProbe(b *testing.B) { benchStepKinds(b, false, true) }
 func BenchmarkStepScan(b *testing.B) { benchStepKinds(b, false, false) }
 
 // BenchmarkStepLifted: the probe with a lift on the marginalized
-// attribute (Mul + AddInto per pair instead of one MulAddInto).
+// attribute (a lift into a scratch slot, then one MulAddInto per pair).
 func BenchmarkStepLifted(b *testing.B) { benchStepKinds(b, true, true) }

@@ -48,7 +48,13 @@
 //     as ±1, anything given to Set), both sides of a Clone, and both
 //     sides of an unlifted Aggregate (input and output hold the same
 //     value). Only Absorb, whose argument the caller gives up, takes
-//     over what that argument owned. A
+//     over what that argument owned. A ring whose payloads are
+//     fixed-width per relation (ring.Slabbed: RangedCovar) keeps every
+//     payload a map owns in the map's own ring.Slab — Step's products,
+//     lifts and scratch, copy-on-write results, and a copy of whatever
+//     another map owned and passes on (Absorb, MergeAll, an unlifted
+//     one-part Step), since that map recycles its slot when it drops
+//     it — and hands a slot back on annihilation and Reset. A
 //     flagged entry copies on write: its next hit takes one pure ring
 //     Add, whose fresh result the map owns from then on. Rings without
 //     Scratch (value payloads) always take the pure Add. What the
@@ -56,20 +62,24 @@
 //     stored (so Add cannot hand an operand back), and results are
 //     bit-identical to the pure path (scratch_test.go here, the pure
 //     reference trees in view and fivm). Payloads read out of a map
-//     (Get, Each, a view's Result) are therefore live: read them
-//     before the next merge, or Clone for a stable snapshot.
+//     (Get, Each, a view's Result) are therefore live — a slab may
+//     even recycle one for another tuple: read them before the next
+//     merge, or Clone for a stable snapshot.
 //   - Entry structs are owned by their map too: Clone and MergeAll
 //     allocate fresh ones. That is what lets each map slab-allocate
 //     its entries from a per-map arena and recycle them on
-//     annihilation and Reset (alloc.go).
+//     annihilation and Reset (alloc.go), and, for a Slabbed ring, the
+//     payloads its entries own from its slab; a payload flagged shared
+//     is never recycled.
 //   - Step OWNS its output map while building it —
 //     empty on entry, whether freshly allocated or a caller's recycled
 //     buffer — and fold only into payloads they created there in this
-//     call, in place via Scratch/FMA (the same entry.add the commit
+//     call, in place via Scratch/FMA (the same Map.add the commit
 //     path uses): a group's first product is a fresh Mul result, so
 //     nothing Step folds into is reachable from an operand. A one-part
 //     step writes one thing outside its output: the shared flag of an
-//     input entry whose payload it stores unlifted.
+//     input entry whose payload it stores unlifted (unless it stores a
+//     slab copy).
 //   - Keys encode into reused scratch buffers (Tuple.AppendEncode*);
 //     maps are probed with string(buf), which Go compiles without a
 //     copy, and the key string plus output tuple only materialize when

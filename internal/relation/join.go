@@ -284,6 +284,8 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 	var arr [64]byte
 	key := appendRefs(arr[:0], f.plan.group, bound)
 	g, seen := out.data[string(key)]
+	// p becomes the product of bound[:n]'s payloads; last is the factor
+	// held back, and product whether there is one.
 	lr, n := f.plan.lift, k
 	var last V
 	if lr.part >= 0 {
@@ -292,6 +294,7 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 		n--
 		last = bound[n].payload
 	}
+	product := n < k || lr.part >= 0
 	p := bound[0].payload
 	for i, e := range bound[1:n] {
 		q := out.mul(r, p, e.payload)
@@ -300,7 +303,6 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 		}
 		p = q
 	}
-	product := n < k || lr.part >= 0 // a last factor is held back
 	if product {
 		if seen && f.fma != nil && !g.shared {
 			g.payload = f.fma.MulAddInto(g.payload, p, last)

@@ -111,10 +111,11 @@ func (m *Map[V]) Len() int { return len(m.data) }
 
 // Reset removes every tuple while keeping the schema and the map's
 // allocated capacity, so scratch relations (per-engine delta buffers)
-// can be refilled without reallocating. Payloads handed out earlier
-// (e.g. merged into another relation) are unaffected, but the entry
-// STRUCTS are recycled into the map's arena for the refill, and the
-// payloads the map owns into its slab. Registered indexes stay
+// can be refilled without reallocating. Payloads merged into another
+// relation are unaffected (it holds the shared ones flagged and its own
+// copy of those this map owned), but the entry STRUCTS are recycled
+// into the map's arena for the refill, and the payloads the map owns
+// into its slab. Registered indexes stay
 // registered and are emptied alongside the data.
 func (m *Map[V]) Reset() {
 	for _, e := range m.data {

@@ -97,13 +97,17 @@
 // index-assignment bug and panics, which is why the covar engine
 // assigns lift indexes in its variable order's post-order, the order
 // its products combine subtrees in. Widen reads a payload through a
-// permutation as a full Covar. s and Q share one backing array, so a
-// payload is two allocations (a scalar one) and every kernel is a pass
-// over that array: Mul writes each operand's triangle scaled by the
-// other's count plus the one s×s cross block, row by row of the packed
-// result; MulAddInto (FMA) adds the same terms in place, each rounded
-// to float64 first, so it is bit-identical to the pure composition;
-// AddInto, Neg and Clone are single loops. RangedCovarCodec is bound to a degree: a range past it
+// permutation as a full Covar. s and Q share one backing array, and
+// every kernel is a pass over that array: Mul writes each operand's
+// triangle scaled by the other's count plus the one s×s cross block,
+// row by row of the packed result; MulAddInto (FMA) adds the same terms
+// in place, each rounded to float64 first, so it is bit-identical to
+// the pure composition; AddInto, Neg and Clone are single loops. A
+// payload a relation stores lives in that relation's Slab: its header
+// and array are a slot carved from per-relation chunks and recycled
+// when the relation drops it, so maintenance allocates no payload in
+// steady state; a pure operation's result is two allocations (a
+// scalar's one). RangedCovarCodec is bound to a degree: a range past it
 // is refused on encode and, before anything is allocated, on decode.
 //
 // # Scratch extensions and ownership
@@ -121,14 +125,20 @@
 // building (created by Own, Mul, Neg, One, a lift, or a
 // previous in-place call), and a relation.Map owns the payloads it
 // stores unless their entry is flagged shared — that is how a view
-// commits a delta in place (relation.Map.MergeAll). Rings implementing
+// commits a delta in place (relation.Map.MergeAll). A ring whose
+// payloads are fixed-width per relation (RangedCovar) also implements
+// Slabbed: each relation then carves the values it owns — products,
+// lifts, copies — from its own Slab and hands them back when it drops
+// them, so it never keeps a value another relation may recycle: what
+// crosses from one relation to another is copied. Rings implementing
 // Scratch additionally guarantee that Add returns a fresh value when
 // both operands are non-zero, so one pure Add turns a shared payload
 // into an owned one (copy-on-write). Ownership covers a payload's
 // backing array up to its capacity, not only its length: RelCovar's
 // AddInto and MulAddInto grow into the spare capacity, so no two values
 // may share an array — every constructor (Clone, One, Mul via wrap,
-// Neg, the lifts, decode) allocates its own. scratch_test.go pins the
+// Neg, the lifts, decode) allocates its own, and a Slab slot is one
+// payload's. scratch_test.go pins the
 // equivalence contract for every implementing ring, and
 // relcovar_ref_test.go's fold chain the ownership of RelCovar's. See
 // docs/PERF.md for the full ownership story.

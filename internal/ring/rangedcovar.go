@@ -23,20 +23,23 @@ import (
 //
 // A nil *RangedCovar is the ring's zero. One() covers the empty range
 // with scalar 1. Start and N are read-only: every ring operation sizes
-// the payload's backing array from them.
+// the payload's backing array from them. Only a slab slot's holder
+// rewrites them: the Slab handing the slot out again, or a lift it was
+// handed to.
 type RangedCovar struct {
 	Start int
 	N     int
 	C     float64
 	// v is the payload's one backing array: s (N entries), then the
-	// packed upper triangle of Q (N(N+1)/2 entries). nil when N is 0.
+	// packed upper triangle of Q (N(N+1)/2 entries). Empty when N is 0;
+	// a slab slot's capacity may exceed its length.
 	v []float64
 }
 
 // newRanged returns a zero payload over [start, start+n) whose s and Q
-// share one backing array: payload construction is the maintenance hot
-// path's dominant allocator, and one array turns three allocations
-// (struct, s, Q) into two — one for a scalar.
+// share one backing array, two allocations (one for a scalar): the pure
+// operations' results. What a relation stores is carved from its slab
+// instead (rangedSlab).
 func newRanged(start, n int) *RangedCovar {
 	c := &RangedCovar{Start: start, N: n}
 	if n > 0 {

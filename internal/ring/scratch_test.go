@@ -124,6 +124,67 @@ func TestScratchContractRangedCovar(t *testing.T) {
 	checkScratchContract[*RangedCovar](t, "RangedCovar", r, gen, fmaGen, (*RangedCovar).Clone, (*RangedCovar).Equal)
 }
 
+// TestSlabContractRangedCovar pins the ranged ring's Slab against the
+// pure operations: a carved product, copy and lift equal Mul, Clone and
+// the lift bit for bit and leave their operands alone; a freed slot is
+// handed out again, and never while another value still holds it; and
+// a slot parked before the slab's width grew is dropped, not reused.
+func TestSlabContractRangedCovar(t *testing.T) {
+	var r RangedCovarRing
+	sb := r.NewSlab()
+	rnd := rand.New(rand.NewSource(29))
+	var held, want []*RangedCovar
+	for i := 0; i < 400; i++ {
+		split := rnd.Intn(4) // a covers [0, split), b [split, 3)
+		a, b := randRanged(rnd, 0, split, true), randRanged(rnd, split, 3-split, true)
+		if rnd.Intn(2) == 0 {
+			a, b = b, a
+		}
+		ac, bc := a.Clone(), b.Clone()
+		var got, ref *RangedCovar
+		switch rnd.Intn(3) {
+		case 0:
+			got, ref = sb.Mul(a, b), r.Mul(a, b)
+		case 1:
+			got, ref = sb.Own(a), a.Clone()
+		default:
+			l, x := r.Lift(rnd.Intn(3)), value.Float(rnd.NormFloat64())
+			got, ref = sb.Lift(l, x), l(nil, x)
+		}
+		if !got.Equal(ref) {
+			t.Fatalf("round %d: carved %v, want %v", i, got, ref)
+		}
+		if !a.Equal(ac) || !b.Equal(bc) {
+			t.Fatalf("round %d: the slab wrote an operand", i)
+		}
+		held, want = append(held, got), append(want, ref)
+		if rnd.Intn(2) == 0 {
+			k := rnd.Intn(len(held))
+			sb.Free(held[k])
+			held[k], want[k] = held[len(held)-1], want[len(want)-1]
+			held, want = held[:len(held)-1], want[:len(want)-1]
+		}
+		for k, h := range held {
+			if !h.Equal(want[k]) {
+				t.Fatalf("round %d: a held value changed to %v, want %v: its slot was handed out twice", i, h, want[k])
+			}
+		}
+	}
+
+	sb = r.NewSlab()
+	x := value.Float(2)
+	narrow := sb.Lift(r.Lift(0), x) // the slab's first slot: 2 floats wide
+	sb.Free(narrow)
+	wide := sb.Mul(randRanged(rnd, 0, 2, false), randRanged(rnd, 2, 1, false))
+	if wide == narrow {
+		t.Fatal("a 2-float slot was handed out for a 9-float product")
+	}
+	sb.Free(wide)
+	if again := sb.Lift(r.Lift(1), x); again != wide {
+		t.Fatal("a freed slot was not handed out again")
+	}
+}
+
 // randRanged draws a payload over [start, start+n): small integers, so
 // sums are exact, or normal reals.
 func randRanged(rnd *rand.Rand, start, n int, real bool) *RangedCovar {

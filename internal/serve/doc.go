@@ -19,8 +19,11 @@
 //     view work — so no separate coalescing pass runs). Delta building
 //     happens off the maintenance thread.
 //   - A single writer goroutine applies delta batches to the engine
-//     and after each applied round publishes an immutable Snapshot (a
-//     deep fivm.Model clone + counters) through an atomic.Pointer.
+//     and publishes an immutable Snapshot (a deep fivm.Model clone +
+//     counters) through an atomic.Pointer after a batch, or after the
+//     queued batches it applied while their apply time stayed below
+//     the last publish's (up to 32): a cheap publish follows every
+//     batch, an expensive refit amortizes over a backlog.
 //     ApplyBuilt runs on that goroutine alone; more cores serve more
 //     shards behind a cluster router (internal/cluster), not one
 //     engine.

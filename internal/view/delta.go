@@ -157,9 +157,10 @@ func (t *Tree[V]) commit(p propagation[V], path []*Node[V]) int {
 //
 // The per-relation delta buffers are owned by the tree and recycled
 // across calls (Reset, not reallocated). Views that retained a buffer's
-// payload hold it flagged shared and the refill never mutates a payload
-// the buffer has handed out (Reset drops them), so they stay valid.
-// This is safe under the tree's existing single-writer contract.
+// payload hold it flagged shared, or their own copy of one the buffer
+// owned, and the refill never mutates a payload the buffer has handed
+// out (Reset drops them), so they stay valid. This is safe under the
+// tree's existing single-writer contract.
 func (t *Tree[V]) ApplyUpdates(ups []Update) error {
 	order := t.updOrder[:0]
 	for _, u := range ups {

@@ -82,8 +82,11 @@ func planStep[V any](schemas []value.Schema, parts []*relation.Map[V], d int, ou
 // deltaBuf is the recycled output relation of one propagation step:
 // each path node owns one for its delta view and the tree one for the
 // result delta. A step fills it, commit Absorbs it and release empties
-// it (entries back to its arena), so the next call refills warm memory
-// instead of allocating a table, a slab and a Map per node.
+// it (entries back to its arena, payloads back to its slab when the
+// ring keeps one), so the next call refills warm memory instead of
+// allocating a table, slabs and a Map per node. Emptying costs the
+// fill, not what the slab holds: a single-tuple delta after a batch
+// hands back one slot.
 //
 // A buffer costs its capacity, not its fill — clearing and iterating a
 // Go map are O(table) — so size tracks what the table was made for: the
@@ -166,9 +169,10 @@ type source[V any] struct {
 	// delta is the relation's reusable delta buffer: ApplyUpdates Resets
 	// and refills it each batch instead of allocating a fresh relation
 	// per call. Views and source data that stored one of its payloads
-	// hold it flagged shared, and Reset drops the buffer's references,
-	// so they keep it after the buffer itself is recycled. inBatch marks
-	// the buffer in-use while one ApplyUpdates call groups its updates.
+	// hold it flagged shared, or their own copy of one the buffer owned,
+	// and Reset drops the buffer's references, so they keep it after the
+	// buffer itself is recycled. inBatch marks the buffer in-use while
+	// one ApplyUpdates call groups its updates.
 	delta   *relation.Map[V]
 	inBatch bool
 }

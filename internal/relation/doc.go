@@ -75,7 +75,7 @@
 //     empty on entry, whether freshly allocated or a caller's recycled
 //     buffer — and fold only into payloads they created there in this
 //     call, in place via Scratch/FMA (the same Map.add the commit
-//     path uses): a group's first product is a fresh Mul result, so
+//     path uses): a group's first product is a fresh product, so
 //     nothing Step folds into is reachable from an operand. A one-part
 //     step writes one thing outside its output: the shared flag of an
 //     input entry whose payload it stores unlifted (unless it stores a

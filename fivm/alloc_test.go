@@ -52,6 +52,12 @@ const (
 	// Inventory kept a tuple map, 22 848 before payloads were ranged,
 	// their s and Q one array. Budget: measured + 10%.
 	maxAllocsCovarBatch = 9_680
+	// ringValueSlack bounds how many more allocations that batch pair may
+	// make, over groups that all exist, than the count engine's: the two
+	// engines' counts differ by a fraction of an allocation between runs
+	// (the runtime's own; measured 0 and 0.4), while one ring value per
+	// update would add 2 000. Measured equal: 8 794.
+	ringValueSlack = 10
 	// maxBytesCovarBatch bounds the bytes that batch pair allocates per
 	// update: what GC pressure on the serving writer scales with, which
 	// allocation counts miss — ranged payloads halved it (1 031 → 520)
@@ -237,7 +243,7 @@ func TestApplyBatchAllocsCovar(t *testing.T) {
 // pair. Every view already holds each group it touches, so commit folds
 // in place, and each step's products, lifts and scratch come out of its
 // recycled buffer's slab; what both engines allocate is the first-seen
-// group tuples and keys of the step buffers.
+// group tuples and keys of the step buffers, up to ringValueSlack.
 func TestApplyBatchAllocsCovarRingValues(t *testing.T) {
 	db, rels := retailer(5_000, 0)
 	names := make([]string, len(rels))
@@ -268,9 +274,9 @@ func TestApplyBatchAllocsCovarRingValues(t *testing.T) {
 	}
 	covar := measure(fivm.Config{Relations: rels, Attrs: retailerAttrs})
 	count := measure(fivm.Config{Relations: rels, Query: "SELECT SUM(1) FROM " + strings.Join(names, " NATURAL JOIN ")})
-	t.Logf("1000-tuple insert+delete batches over existing groups: covar %.0f allocs, count %.0f", covar, count)
-	if covar != count {
-		t.Errorf("covar batch pair allocates %.0f, the count engine %.0f: %.0f ring values allocated (see docs/PERF.md)", covar, count, covar-count)
+	t.Logf("1000-tuple insert+delete batches over existing groups: covar %.1f allocs, count %.1f", covar, count)
+	if covar-count > ringValueSlack {
+		t.Errorf("covar batch pair allocates %.1f, the count engine %.1f: %.1f ring values allocated (see docs/PERF.md)", covar, count, covar-count)
 	}
 }
 

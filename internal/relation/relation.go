@@ -61,7 +61,7 @@ func (m *Map[V]) add(r ring.Ring[V], sc ring.Scratch[V], e *entry[V], p V) (zero
 	switch {
 	case sc != nil && !e.shared:
 		e.payload = sc.AddInto(e.payload, p)
-	case m.slabFor(r) != nil:
+	case sc != nil && m.slabFor(r) != nil:
 		e.payload, e.shared = sc.AddInto(m.slab.Own(e.payload), p), false
 	default:
 		e.payload, e.shared = r.Add(e.payload, p), false

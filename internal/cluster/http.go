@@ -8,9 +8,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/fivm"
 	"repro/fivm/client"
 	"repro/internal/serve"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -36,8 +36,8 @@ import (
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/update", rt.handleUpdate)
-	mux.HandleFunc("GET /v1/model", rt.handleModel)
-	mux.HandleFunc("GET /v1/predict", rt.handlePredict)
+	mux.HandleFunc("GET /v1/model", rt.countRead(serve.ServeModel))
+	mux.HandleFunc("GET /v1/predict", rt.countRead(serve.ServePredict))
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /v1/viewtree", rt.handleViewTree)
@@ -108,7 +108,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 				allExpired = false
 			}
 		}
-		err := fmt.Errorf("cluster: %d of %d touched shards failed to ack (shards %v, first: %w); sub-batches acked by other shards are applied and will be visible", len(failed), countTouched(perShard, failed), ids, failed[0].err)
+		err := fmt.Errorf("cluster: %d of %d touched shards failed to ack (shards %v, first: %w); sub-batches acked by other shards are applied and will be visible", len(failed), len(perShard)+len(failed), ids, failed[0].err)
 		if allOverloaded {
 			// Pure backpressure: every failing shard shed its sub-batch
 			// before enqueueing, so the client should simply retry.
@@ -161,10 +161,6 @@ type retryErrorEnvelope struct {
 	Retries []shardRetryDetail `json:"retries"`
 }
 
-func countTouched(perShard map[string]int, failed []shardError) int {
-	return len(perShard) + len(failed)
-}
-
 // cluster is the merged-read envelope extension: shard topology and
 // coverage of the response.
 type clusterEnvelope struct {
@@ -185,60 +181,27 @@ func envelopeOf(rt *Router, info *mergeInfo) clusterEnvelope {
 	}
 }
 
-func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
-	rt.reads.Inc()
+// countRead serves one read from the merged model through the worker's
+// handler, counting the request and, when it answers other than 2xx,
+// the error.
+func (rt *Router) countRead(serveRead func(http.ResponseWriter, *http.Request, serve.ReadSource) int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rt.reads.Inc()
+		if serveRead(w, r, rt.readMerged)/100 != 2 {
+			rt.readErrors.Inc()
+		}
+	}
+}
+
+// readMerged is the router's serve.ReadSource: the merged model (?stale=1
+// merges the reachable shards) under the "cluster" envelope.
+func (rt *Router) readMerged(r *http.Request) (fivm.Model, map[string]any, error) {
 	stale, _ := strconv.ParseBool(r.URL.Query().Get("stale"))
 	model, info, err := rt.mergedModel(r.Context(), stale)
 	if err != nil {
-		rt.readErrors.Inc()
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, err)
-		return
+		return nil, nil, err
 	}
-	body, err := model.ResultJSON()
-	if err != nil {
-		rt.readErrors.Inc()
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, err)
-		return
-	}
-	out, ok := body.(map[string]any)
-	if !ok {
-		out = map[string]any{"result": body}
-	}
-	out["kind"] = model.Kind()
-	out["cluster"] = envelopeOf(rt, info)
-	serve.WriteJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	rt.reads.Inc()
-	q := r.URL.Query()
-	stale, _ := strconv.ParseBool(q.Get("stale"))
-	model, info, err := rt.mergedModel(r.Context(), stale)
-	if err != nil {
-		rt.readErrors.Inc()
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, err)
-		return
-	}
-	x := make(map[string]value.Value)
-	for k, vs := range q {
-		if k == "stale" {
-			continue
-		}
-		if len(vs) > 0 {
-			x[k] = serve.ParseValue(vs[0])
-		}
-	}
-	p, err := model.Predict(x)
-	if err != nil {
-		rt.readErrors.Inc()
-		serve.WriteError(w, http.StatusUnprocessableEntity, serve.CodeUnprocessable, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"prediction": p,
-		"count":      model.Count(),
-		"cluster":    envelopeOf(rt, info),
-	})
+	return model, map[string]any{"cluster": envelopeOf(rt, info)}, nil
 }
 
 // workerStatus is one shard's row in the aggregated /v1/stats and

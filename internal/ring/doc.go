@@ -122,7 +122,7 @@
 // by the caller, the other operands are only read, and the result must
 // be bit-identical to the pure composition. Two kinds of callers own an
 // accumulator: relation.Step owns the payloads of the output it is
-// building (created by Own, Mul, Neg, One, a lift, or a
+// building (created by a Slab's Own, Mul, Neg, One, a lift, or a
 // previous in-place call), and a relation.Map owns the payloads it
 // stores unless their entry is flagged shared — that is how a view
 // commits a delta in place (relation.Map.MergeAll). A ring whose

@@ -385,11 +385,11 @@ func checkKernel(t *testing.T, m int, data []byte) {
 		t.Fatalf("m=%d a pure operation modified an operand", m)
 	}
 	// The in-place operations run on clones they own.
-	sum := r.AddInto(r.Own(c), a)
+	sum := r.AddInto(c.Clone(), a)
 	check("AddInto(c,a)", sum, refAddInto(rc.clone(), ra))
 	check("AddInto(c,a) then Neg(a)", r.AddInto(sum, r.Neg(a)), rc)
-	check("AddInto(c,Neg(c))", r.AddInto(r.Own(c), r.Neg(c)), nil)
-	check("MulAddInto(c,a,b)", r.MulAddInto(r.Own(c), a, b), refMulAddInto(rc.clone(), ra, rb))
+	check("AddInto(c,Neg(c))", r.AddInto(c.Clone(), r.Neg(c)), nil)
+	check("MulAddInto(c,a,b)", r.MulAddInto(c.Clone(), a, b), refMulAddInto(rc.clone(), ra, rb))
 	if !a.Equal(a0) || !b.Equal(b0) || !c.Equal(c0) {
 		t.Fatalf("m=%d an in-place operation modified a read-only operand", m)
 	}
@@ -429,7 +429,7 @@ func checkFoldChain(t *testing.T, r RelCovarRing, ops [3]*RelCovar, refs [3]*ref
 		{"MulAddInto(-b,a)", nb, a, rnb, ra},
 		{"MulAddInto(-c,c)", nc, c, rnc, rc},
 	}
-	acc, pure, racc := r.Own(c), c, rc.clone()
+	acc, pure, racc := c.Clone(), c, rc.clone()
 	var mid, mid0 *RelCovar
 	for k, s := range steps {
 		if s.y == nil {

@@ -15,8 +15,9 @@ import (
 // Ownership contract (see also the package doc):
 //
 //   - AddInto(acc, v) returns acc + v and MAY mutate and reuse acc.
-//     The caller must exclusively own acc: acc was produced by Own, by
-//     Mul/Neg/One/a lift (which always return fresh values), or by a
+//     The caller must exclusively own acc: acc was produced by a Slab's
+//     Own or the value's Clone (deep copies), by Mul/Neg/One/a lift
+//     (which always return fresh values), or by a
 //     previous AddInto or a pure Add of two non-zero values by the same
 //     owner — never a value that anything else can still reach. A
 //     relation.Map owns the payloads it stores under exactly this rule
@@ -24,10 +25,6 @@ import (
 //     only read. Owning acc includes its backing storage beyond what
 //     it holds (a slice's capacity past its length), which AddInto may
 //     grow into: a value never shares a backing array with another.
-//   - Own(v) returns a value semantically equal to v that the caller
-//     exclusively owns (a deep copy for pointer-shaped values). It is
-//     how an accumulation loop seeds its accumulator from a shared
-//     value it is not allowed to mutate.
 //
 // The result of AddInto must be indistinguishable from Add(acc, v) to
 // any reader; the ring's merge-contract tests assert this equivalence.
@@ -38,8 +35,6 @@ type Scratch[V any] interface {
 	// AddInto returns acc + v, mutating acc when possible. acc must be
 	// exclusively owned by the caller; v is never modified.
 	AddInto(acc, v V) V
-	// Own returns an exclusively-owned value equal to v.
-	Own(v V) V
 }
 
 // FMA is a second optional extension for fused multiply-accumulate:
@@ -65,7 +60,8 @@ type FMA[V any] interface {
 // relation whose size is steady allocates no payload in steady state.
 // The results are those of the pure operations, bit for bit.
 type Slab[V any] interface {
-	// Own returns a copy of v: Scratch.Own, carved.
+	// Own returns a deep copy of v, carved: how a relation seeds an
+	// accumulator from a value it may not mutate.
 	Own(v V) V
 	// Mul returns a×b: Ring.Mul, carved.
 	Mul(a, b V) V
@@ -199,9 +195,6 @@ func seek(e []coef, i int, k uint64) int {
 	return i
 }
 
-// Own implements Scratch: a deep copy of v.
-func (r RelCovarRing) Own(v *RelCovar) *RelCovar { return v.Clone() }
-
 // MulAddInto implements FMA for the ranged matrix ring: Mul's blocks
 // accumulated in place into acc's backing array, so a fused join folds
 // `acc += a × b` without building the product. Every term is rounded to
@@ -264,9 +257,6 @@ func (r RangedCovarRing) AddInto(acc, v *RangedCovar) *RangedCovar {
 	}
 	return acc
 }
-
-// Own implements Scratch: a deep copy of v.
-func (r RangedCovarRing) Own(v *RangedCovar) *RangedCovar { return v.Clone() }
 
 // NewSlab implements Slabbed: ranged payloads are fixed-width per
 // relation, so a relation keeps them in a rangedSlab.

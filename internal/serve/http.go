@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"time"
 
+	"repro/fivm"
 	"repro/fivm/client"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -22,7 +24,8 @@ import (
 //	                  and its applied counter; 429 +
 //	                  Retry-After when a target ingest queue is full
 //	GET  /v1/predict  ?attr=value&... one query parameter per feature
-//	                  (analysis engines with a label only)
+//	                  (analysis engines with a label only; "stale" is
+//	                  reserved, as on a router, and ignored)
 //	GET  /v1/model    the published model, rendered per engine kind
 //	GET  /v1/stats    serving + maintenance counters, snapshot version
 //	                  and age, per-shard queue depths, shed counts
@@ -75,8 +78,8 @@ var routes = []struct {
 	h            func(*Server, http.ResponseWriter, *http.Request)
 }{
 	{"POST", "/v1/update", (*Server).handleUpdate},
-	{"GET", "/v1/predict", (*Server).handlePredict},
-	{"GET", "/v1/model", (*Server).handleModel},
+	{"GET", "/v1/predict", func(s *Server, w http.ResponseWriter, r *http.Request) { ServePredict(w, r, s.readSnapshot) }},
+	{"GET", "/v1/model", func(s *Server, w http.ResponseWriter, r *http.Request) { ServeModel(w, r, s.readSnapshot) }},
 	{"GET", "/v1/stats", (*Server).handleStats},
 	{"GET", "/v1/viewtree", (*Server).handleViewTree},
 	{"GET", "/v1/healthz", (*Server).handleHealthz},
@@ -177,42 +180,66 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusAccepted, ack)
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+// ReadSource yields what a read answers from: the model and the
+// envelope merged into a 2xx body — {"version": n} on a worker,
+// {"cluster": {...}} on a router. An error answers 503.
+type ReadSource func(r *http.Request) (fivm.Model, map[string]any, error)
+
+// readSnapshot is a worker's ReadSource: the published snapshot.
+func (s *Server) readSnapshot(*http.Request) (fivm.Model, map[string]any, error) {
 	snap := s.Snapshot()
-	x := make(map[string]value.Value)
-	for k, vs := range r.URL.Query() {
-		if len(vs) > 0 {
-			x[k] = ParseValue(vs[0])
-		}
-	}
-	p, err := snap.Predict(x)
-	if err != nil {
-		WriteError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"prediction": p,
-		"version":    snap.Version,
-		"count":      snap.Count(),
-	})
+	return snap.Model, map[string]any{"version": snap.Version}, nil
 }
 
-// handleModel renders the published model per engine kind. The body is
-// the model's own JSON shape with "version" and "kind" merged in.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	body, err := snap.Model.ResultJSON()
+// ServeModel answers GET /v1/model from src: the model's own JSON
+// shape with "kind" and the envelope merged in. NewHandler and the
+// cluster router both serve it, so a worker and a router render alike.
+// It returns the status it wrote.
+func ServeModel(w http.ResponseWriter, r *http.Request, src ReadSource) int {
+	model, env, err := src(r)
+	var body any
+	if err == nil {
+		body, err = model.ResultJSON()
+	}
 	if err != nil {
 		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
-		return
+		return http.StatusServiceUnavailable
 	}
 	out, ok := body.(map[string]any)
 	if !ok {
 		out = map[string]any{"result": body}
 	}
-	out["version"] = snap.Version
-	out["kind"] = snap.Kind
+	out["kind"] = model.Kind()
+	maps.Copy(out, env)
 	WriteJSON(w, http.StatusOK, out)
+	return http.StatusOK
+}
+
+// ServePredict answers GET /v1/predict from src: one query parameter
+// per feature ("stale" is reserved and never a feature), answered with
+// the prediction, the model's count and the envelope. A model that
+// cannot predict from them answers 422. It returns the status it wrote.
+func ServePredict(w http.ResponseWriter, r *http.Request, src ReadSource) int {
+	model, env, err := src(r)
+	if err != nil {
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
+		return http.StatusServiceUnavailable
+	}
+	x := make(map[string]value.Value)
+	for k, vs := range r.URL.Query() {
+		if k != "stale" && len(vs) > 0 {
+			x[k] = ParseValue(vs[0])
+		}
+	}
+	p, err := model.Predict(x)
+	if err != nil {
+		WriteError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err)
+		return http.StatusUnprocessableEntity
+	}
+	out := map[string]any{"prediction": p, "count": model.Count()}
+	maps.Copy(out, env)
+	WriteJSON(w, http.StatusOK, out)
+	return http.StatusOK
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

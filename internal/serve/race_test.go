@@ -78,7 +78,7 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 				}
 				snap := srv.Snapshot()
 				_ = snap.Count()
-				_, _ = snap.Predict(x)
+				_, _ = snap.Model.Predict(x)
 				if am, ok := snap.Model.(*fivm.AnalysisModel); ok {
 					_, _ = am.Covar()
 				}

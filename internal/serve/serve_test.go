@@ -105,7 +105,7 @@ func TestIngestWaitReflectsInSnapshot(t *testing.T) {
 	if am.Model == nil {
 		t.Fatalf("no model after ingest: %s", am.FitErr)
 	}
-	if _, err := snap.Predict(map[string]value.Value{"A": value.Int(5), "C": value.Int(1)}); err != nil {
+	if _, err := snap.Model.Predict(map[string]value.Value{"A": value.Int(5), "C": value.Int(1)}); err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
 	st := srv.Stats()
@@ -288,11 +288,11 @@ func TestPredictValidation(t *testing.T) {
 	srv := newTestServer(t)
 	ingestWait(t, srv, seedUpdates(40, 4))
 	snap := srv.Snapshot()
-	if _, err := snap.Predict(map[string]value.Value{"A": value.Int(1)}); err == nil {
+	if _, err := snap.Model.Predict(map[string]value.Value{"A": value.Int(1)}); err == nil {
 		t.Fatal("expected error for missing feature C")
 	}
 	// Unseen category: valid, one-hot block contributes nothing.
-	if _, err := snap.Predict(map[string]value.Value{"A": value.Int(1), "C": value.Int(77)}); err != nil {
+	if _, err := snap.Model.Predict(map[string]value.Value{"A": value.Int(1), "C": value.Int(77)}); err != nil {
 		t.Fatalf("unseen category should predict: %v", err)
 	}
 }
@@ -326,7 +326,7 @@ func TestPredictBinsRawInputs(t *testing.T) {
 	snap := srv.Snapshot()
 	pred := func(c value.Value) float64 {
 		t.Helper()
-		p, err := snap.Predict(map[string]value.Value{"C": c})
+		p, err := snap.Model.Predict(map[string]value.Value{"C": c})
 		if err != nil {
 			t.Fatal(err)
 		}

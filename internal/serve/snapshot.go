@@ -27,8 +27,6 @@ type Snapshot struct {
 	// At is the publish time; time.Since(At) is the snapshot's age,
 	// the staleness signal /v1/healthz and /metrics report.
 	At time.Time
-	// Kind is the hosted engine kind.
-	Kind fivm.Kind
 	// Model is the engine's published model.
 	Model fivm.Model
 	// Stats are the serving counters as of this publish.
@@ -73,7 +71,6 @@ func (s *Server) publish() {
 	}
 	ms := &Snapshot{
 		Version: s.nSnapshots,
-		Kind:    s.eng.Kind(),
 		Model:   model,
 		Stats: Stats{
 			Ingested:         s.ingested.Load(),
@@ -98,12 +95,6 @@ func (s *Server) publish() {
 	if s.cfg.TraceLog != nil {
 		s.cfg.TraceLog.Printf("publish version=%d applied=%d took=%s", ms.Version, ms.Stats.Applied, s.lastPublish)
 	}
-}
-
-// Predict evaluates the snapshot's model on the given feature values.
-// Engines that publish no predictive model return an error.
-func (ms *Snapshot) Predict(x map[string]value.Value) (float64, error) {
-	return ms.Model.Predict(x)
 }
 
 // Count returns the model's scalar summary (see fivm.Model.Count).

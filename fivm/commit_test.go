@@ -213,7 +213,7 @@ func equivConfigs() map[string]fivm.Config {
 // TestCommitEquivalenceAllKinds is the correctness anchor of the
 // in-place commit: for every engine kind, the engine exactly as Open
 // returns it and a reference engine whose tree commits with the pure
-// ring Add (no Scratch, no FMA: the ownership rule cannot matter there)
+// ring Add (no Scratch: the ownership rule cannot matter there)
 // are driven through the same randomized mixed insert/delete stream and
 // must hold bit-identical views, sources, results, index postings and
 // published models after every batch — then through a drain of every

@@ -171,6 +171,10 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	if len(lifts) != len(cfg.Attrs) {
 		return nil, fmt.Errorf("fivm: indexed %d of %d aggregate attributes; attribute missing from the order", len(lifts), len(cfg.Attrs))
 	}
+	inv := make([]int, len(perm)) // inv[perm[i]] = i: lift order from Attrs order
+	for i, g := range perm {
+		inv[g] = i
+	}
 	tree, err := view.New(view.Spec[*ring.RangedCovar]{Ring: rg, Order: l.order, Relations: l.rels, Lifts: lifts, Numeric: cfg.Attrs})
 	if err != nil {
 		return nil, err
@@ -188,10 +192,10 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 		clone:       (*ring.RangedCovar).Clone,
 		info:        m3.RingInfo{Name: "RingCofactor<double, idx, cnt>", LiftIndexOf: l.liftIndexOf},
 		publish: func(Model) Model {
-			// One copy per publish: the partial narrows it back when read.
+			// One copy per publish: the partial permutes it back when read.
 			wide := e.Payload().Widen(perm)
-			narrow := func() *ring.RangedCovar { return wide.Narrow(perm) }
-			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: wide, frozenPartial: e.payloadPartial(narrow)}
+			inLiftOrder := func() *ring.RangedCovar { return wide.Widen(inv) }
+			return &CovarModel{EngineKind: KindCovar, Attrs: attrs, Payload: wide, frozenPartial: e.payloadPartial(inLiftOrder)}
 		},
 	})
 	return e, nil
@@ -199,8 +203,8 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 
 // Covar returns the compound aggregate in Attrs order, a copy, failing
 // on the empty join per the package's result-access convention. Use
-// Payload for the raw ranged (possibly nil) value.
-func (e *CovarEngine) Covar() (*ring.Covar, error) {
+// Payload for the raw (possibly nil) value in lift order.
+func (e *CovarEngine) Covar() (*ring.RangedCovar, error) {
 	p := e.Payload()
 	if p == nil {
 		return nil, fmt.Errorf("fivm: empty join result")

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vo"
 )
 
-// pureRing hides a ring's Scratch and FMA extensions behind the plain
+// pureRing hides a ring's Scratch extension behind the plain
 // ring.Ring interface, so every merge, join and aggregation of a tree
 // built over it takes the pure Add/Mul path.
 type pureRing[V any] struct{ ring.Ring[V] }

@@ -210,13 +210,13 @@ func (m *TableModel) Predict(map[string]value.Value) (float64, error) {
 // degree-m compound aggregate (count, sums, products) over the named
 // continuous attributes.
 type CovarModel struct {
-	frozenPartial // over a ranged clone of the payload
+	frozenPartial // over Payload permuted back into lift order
 	EngineKind    Kind
 	// Attrs maps aggregate index -> attribute name.
 	Attrs []string
-	// Payload is a copy of the compound aggregate in Attrs order; nil
-	// when the join is empty.
-	Payload *ring.Covar
+	// Payload is a copy of the compound aggregate over [0, len(Attrs)),
+	// index i being Attrs[i]; nil when the join is empty.
+	Payload *ring.RangedCovar
 }
 
 // Kind identifies the publishing engine.

@@ -21,7 +21,7 @@ type Reeval struct {
 	// data holds the current multiset per relation: encoded tuple ->
 	// (tuple, multiplicity).
 	data    map[string]map[string]weighted
-	payload *ring.Covar
+	payload *ring.RangedCovar
 }
 
 type weighted struct {
@@ -114,4 +114,4 @@ func (r *Reeval) recompute() error {
 
 // Payload returns the last recomputed compound aggregate, in the
 // aggregate attributes' order; nil when the join is empty.
-func (r *Reeval) Payload() *ring.Covar { return r.payload }
+func (r *Reeval) Payload() *ring.RangedCovar { return r.payload }

@@ -183,9 +183,11 @@ func TestClusterChaosEquivalence(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			// The reference publishes wherever the test reads the
-			// cluster, each model warm-started from the last like the
-			// router's merger does: the analysis fit's iteration count
-			// and last bits depend on the starting point.
+			// cluster after a write, each model warm-started from the
+			// last like the router's merger does: the analysis fit's
+			// iteration count and last bits depend on the starting
+			// point. A read over unchanged partials answers the model
+			// merged from them, so it needs no publish.
 			ref, err := fivm.Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -206,7 +208,6 @@ func TestClusterChaosEquivalence(t *testing.T) {
 			}
 			half := len(batches) / 2
 			wantRecovered := apply(batches[:half+1])
-			wantRedriven := apply(nil)
 			want := apply(batches[half+1:])
 
 			cc := startChaosCluster(t, cfg, 2, seed, weights)
@@ -239,8 +240,8 @@ func TestClusterChaosEquivalence(t *testing.T) {
 						t.Fatalf("merged model after shard 1 recovered diverges from the acked prefix\n got: %s\nwant: %s", got, wantRecovered)
 					}
 					mustAck(t, cc.cli, id, wire)
-					if got := cc.mergedJSON(t); string(got) != string(wantRedriven) {
-						t.Fatalf("re-driving batch %s after shard 1 recovered changed the merged model\n got: %s\nwant: %s", id, got, wantRedriven)
+					if got := cc.mergedJSON(t); string(got) != string(wantRecovered) {
+						t.Fatalf("re-driving batch %s after shard 1 recovered changed the merged model\n got: %s\nwant: %s", id, got, wantRecovered)
 					}
 				}
 			}

@@ -10,7 +10,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/fivm"
 	"repro/fivm/client"
+	"repro/internal/view"
 )
 
 // TestReadSurfaceWorkerMatchesRouter runs one update stream into a
@@ -168,4 +170,79 @@ func sameRidge(t *testing.T, w, r map[string]any) {
 			t.Errorf("weight %v: worker %v, router %v", a["column"], x, y)
 		}
 	}
+}
+
+// TestRepeatReadsAnswerTheSameBody: reads over unchanged partials
+// answer the model merged from them once, byte for byte — a re-merge
+// would refit warm-started from its own answer and report a different
+// iteration count — while the merge and partial metrics still count
+// every read; a write in between is merged into the next read.
+func TestRepeatReadsAnswerTheSameBody(t *testing.T) {
+	ctx := context.Background()
+	cfg := engineConfigs()["analysis"]
+	_, rcli := startCluster(t, cfg, 2)
+	router := rcli.Base()
+	ref, err := fivm.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(b []twin) {
+		t.Helper()
+		wire, ups := make([]client.Update, len(b)), make([]view.Update, len(b))
+		for i, tw := range b {
+			wire[i], ups[i] = tw.wire, tw.ref
+		}
+		if _, err := rcli.Update(ctx, wire, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range stream(3, 60, 20) {
+		write(b)
+	}
+
+	merges := metricSum(t, router, "fivm_cluster_merge_seconds_count")
+	partials := metricSum(t, router, "fivm_cluster_partials_total")
+	first := readRaw(t, router+"/v1/model")
+	for i := 2; i <= 3; i++ {
+		if again := readRaw(t, router+"/v1/model"); !bytes.Equal(again, first) {
+			t.Fatalf("read %d differs from the first\nfirst: %s\nread %d: %s", i, first, i, again)
+		}
+	}
+	if got := metricSum(t, router, "fivm_cluster_merge_seconds_count") - merges; got != 3 {
+		t.Errorf("merge histogram counted %v reads, want 3", got)
+	}
+	if got := metricSum(t, router, "fivm_cluster_partials_total") - partials; got != 6 {
+		t.Errorf("partials counter grew by %v, want 6 (2 shards, 3 reads)", got)
+	}
+
+	before := ref.PublishModel(nil).Count()
+	write([]twin{newTwin("R", 1, 1, 2)})
+	want := ref.PublishModel(nil).Count()
+	if want == before {
+		t.Fatalf("the extra write left the join count at %v", want)
+	}
+	if got := number(t, readBody(t, router+"/v1/model", http.StatusOK, "cluster")["count"]); got != want {
+		t.Errorf("count after one more write = %v, want %v", got, want)
+	}
+}
+
+// readRaw GETs url, requires 200 and returns the body as sent.
+func readRaw(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d %s", url, resp.StatusCode, raw)
+	}
+	return raw
 }

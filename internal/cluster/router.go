@@ -91,9 +91,14 @@ type Router struct {
 
 	// merger is the data-less engine that decodes and ring-merges
 	// per-shard partials; mergerMu serializes its use (MergePartials
-	// swaps the result relation in place).
-	merger   fivm.AnyEngine
-	mergerMu sync.Mutex
+	// swaps the result relation in place) and guards lastModel, the
+	// last merged model, and lastBodies, the partials it came from: a
+	// read gathering byte-equal partials answers lastModel as is,
+	// without decoding, merging or refitting again.
+	merger     fivm.AnyEngine
+	mergerMu   sync.Mutex
+	lastModel  fivm.Model
+	lastBodies [][]byte
 
 	reg         *obs.Registry
 	writes      *obs.Counter
@@ -600,19 +605,29 @@ func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte
 	return present, info, nil
 }
 
-// mergedModel gathers partials and publishes the ring-merged model.
+// mergedModel gathers partials and publishes the ring-merged model, or
+// answers the last one when the partials are byte-equal to those it
+// was merged from: the same partials merge to the same result, and a
+// refit warm-started from its own answer would only report a different
+// iteration count.
 func (rt *Router) mergedModel(ctx context.Context, allowStale bool) (fivm.Model, *mergeInfo, error) {
 	t0 := time.Now()
 	bodies, info, err := rt.gatherPartials(ctx, allowStale)
 	if err != nil {
 		return nil, info, err
 	}
-	readers := make([]io.Reader, len(bodies))
-	for i, b := range bodies {
-		readers[i] = bytes.NewReader(b)
-	}
 	rt.mergerMu.Lock()
-	model, err := rt.merger.MergePartials(readers)
+	model := rt.lastModel
+	if model == nil || !slices.EqualFunc(bodies, rt.lastBodies, bytes.Equal) {
+		readers := make([]io.Reader, len(bodies))
+		for i, b := range bodies {
+			readers[i] = bytes.NewReader(b)
+		}
+		model, err = rt.merger.MergePartials(readers)
+		if err == nil {
+			rt.lastModel, rt.lastBodies = model, bodies
+		}
+	}
 	rt.mergerMu.Unlock()
 	rt.mergeLat.Observe(time.Since(t0).Seconds())
 	if err != nil {

@@ -89,7 +89,7 @@ func (m *SigmaMatrix) ColumnsOf(attr string) []int {
 
 // SigmaFromCovar converts a scalar COVAR payload (all-continuous features)
 // into a SigmaMatrix with dense rows, one column per feature in feats order.
-func SigmaFromCovar(c *ring.Covar, feats []Feature) (*SigmaMatrix, error) {
+func SigmaFromCovar(c *ring.RangedCovar, feats []Feature) (*SigmaMatrix, error) {
 	n := len(feats)
 	m := &SigmaMatrix{Count: c.Count(), Cols: make([]Column, n), Sum: make([]float64, n)}
 	upper, rowLen := make([]sigmaEntry, 0, n*(n+1)/2), make([]int, n)

@@ -186,10 +186,10 @@ type cursor[V any] struct {
 // out must be empty and over the plan's group-by schema; nil allocates a relation sized
 // for the delta. Step owns what it puts there: a group's first product
 // is a fresh product — carved from out's slab when out keeps one — and
-// later ones fold into it in place through FMA.MulAddInto (Mul + add
-// for rings without FMA), so nothing folded into is reachable from an
-// operand, and the group's tuple and key string materialize only on
-// first sight.
+// later ones fold into it in place through Scratch.MulAddInto (Mul +
+// Add for rings without Scratch), so nothing folded into is reachable
+// from an operand, and the group's tuple and key string materialize
+// only on first sight.
 //
 // Each part is probed through its persistent index on the plan's
 // IndexKey (AddIndex), materialized on the first probe — steady-state
@@ -225,7 +225,6 @@ func Step[V any](plan *StepPlan, r ring.Ring[V], parts []*Map[V], lift ring.Lift
 	}
 	out.slabFor(r)
 	f := folder[V]{plan: plan, r: r, sc: scratchOf(r), lift: lift, out: out}
-	f.fma, _ = r.(ring.FMA[V])
 	probes, last := plan.probes, len(plan.probes)-1
 	for _, de := range delta.data {
 		bound[plan.delta] = de
@@ -268,7 +267,6 @@ type folder[V any] struct {
 	plan *StepPlan
 	r    ring.Ring[V]
 	sc   ring.Scratch[V]
-	fma  ring.FMA[V]
 	lift ring.Lift[V]
 	out  *Map[V]
 }
@@ -276,7 +274,7 @@ type folder[V any] struct {
 // fold multiplies the bound payloads in operand order, applies the lift
 // and folds the product into its group of the output. The product's
 // last factor — the lift, else the last part's payload — is held back,
-// so a group already seen takes it fused (FMA.MulAddInto). The products
+// so a group already seen takes it fused (Scratch.MulAddInto). The products
 // before it and the lift are scratch values, carved from the output's
 // slab and handed back once used when it keeps one.
 func (f *folder[V]) fold(bound []*entry[V]) {
@@ -304,8 +302,8 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 		p = q
 	}
 	if product {
-		if seen && f.fma != nil && !g.shared {
-			g.payload = f.fma.MulAddInto(g.payload, p, last)
+		if seen && f.sc != nil && !g.shared {
+			g.payload = f.sc.MulAddInto(g.payload, p, last)
 			f.releaseScratch(n, p, last)
 			if r.IsZero(g.payload) {
 				delete(out.data, string(key))

@@ -9,7 +9,7 @@ import (
 	"repro/internal/value"
 )
 
-// pureRing hides a ring's Scratch/FMA extensions behind a plain
+// pureRing hides a ring's Scratch extension behind a plain
 // ring.Ring interface: type assertions in Step fail against
 // it, forcing the pure Add/Mul path. Comparing both paths on the same
 // inputs pins the merge contract at the relation layer: the fused
@@ -61,7 +61,7 @@ func backing(p *ring.RangedCovar) uintptr {
 }
 
 // TestJoinAggregateFusedMatchesPure joins and aggregates random
-// covar-payload relations through both the fused (Scratch/FMA) and the
+// covar-payload relations through both the fused (Scratch) and the
 // pure path and requires bit-identical results. Integer-valued data
 // keeps float sums exact, so even the float components must match
 // exactly.
@@ -91,8 +91,8 @@ func TestJoinAggregateFusedMatchesPure(t *testing.T) {
 			t.Fatalf("fused aggregate differs from pure aggregate:\n%v\nvs\n%v", aggF, aggP)
 		}
 
-		// The fused step folds through FMA (unlifted) and AddInto (lifted);
-		// behind the wrapper every fold is a pure Add.
+		// The fused step folds through MulAddInto (unlifted) and AddInto
+		// (lifted); behind the wrapper every fold is a pure Add.
 		for _, liftAttr := range []string{"", "B"} {
 			plan := PlanStep([]value.Schema{left, right}, 0, value.NewSchema("C"), liftAttr)
 			var lf ring.Lift[*ring.RangedCovar]

@@ -9,9 +9,16 @@ import (
 )
 
 // CovarRing is the full-degree matrix ring over float64 scalars: every
-// payload carries all m attributes. No engine runs it; it is the
-// reference the ranged and relational rings are checked against.
+// payload carries all m attributes, a RangedCovar over [0, m). No engine
+// runs it; it is the reference the ranged and relational rings are
+// checked against, so its operations are its own, never
+// RangedCovarRing's.
 type CovarRing struct{ m int }
+
+// sums and tri are a full-range payload's s vector and packed Q
+// triangle.
+func sums(c *RangedCovar) []float64 { return c.v[:c.N] }
+func tri(c *RangedCovar) []float64  { return c.v[c.N:] }
 
 // NewCovarRing returns the degree-m matrix ring. It panics for m <= 0.
 func NewCovarRing(m int) CovarRing {
@@ -22,30 +29,32 @@ func NewCovarRing(m int) CovarRing {
 }
 
 // Zero returns nil, the additive identity.
-func (r CovarRing) Zero() *Covar { return nil }
+func (r CovarRing) Zero() *RangedCovar { return nil }
 
 // One returns (1, 0, 0), the multiplicative identity.
-func (r CovarRing) One() *Covar {
-	out := newCovar(r.m)
+func (r CovarRing) One() *RangedCovar {
+	out := newRanged(0, r.m)
 	out.C = 1
 	return out
 }
 
 // Add returns the element-wise sum. Either argument may be nil.
-func (r CovarRing) Add(a, b *Covar) *Covar {
+func (r CovarRing) Add(a, b *RangedCovar) *RangedCovar {
 	if a == nil {
 		return b
 	}
 	if b == nil {
 		return a
 	}
-	out := newCovar(r.m)
+	out := newRanged(0, r.m)
 	out.C = a.C + b.C
-	for i := range out.S {
-		out.S[i] = a.S[i] + b.S[i]
+	os, as, bs := sums(out), sums(a), sums(b)
+	for i := range os {
+		os[i] = as[i] + bs[i]
 	}
-	for i := range out.Q {
-		out.Q[i] = a.Q[i] + b.Q[i]
+	oq, aq, bq := tri(out), tri(a), tri(b)
+	for i := range oq {
+		oq[i] = aq[i] + bq[i]
 	}
 	return out
 }
@@ -55,20 +64,22 @@ func (r CovarRing) Add(a, b *Covar) *Covar {
 //	c = ca*cb
 //	s = cb*sa + ca*sb
 //	Q = cb*Qa + ca*Qb + sa sbᵀ + sb saᵀ
-func (r CovarRing) Mul(a, b *Covar) *Covar {
+func (r CovarRing) Mul(a, b *RangedCovar) *RangedCovar {
 	if a == nil || b == nil {
 		return nil
 	}
 	m := r.m
-	out := newCovar(m)
+	out := newRanged(0, m)
 	out.C = a.C * b.C
+	os, as, bs := sums(out), sums(a), sums(b)
+	oq, aq, bq := tri(out), tri(a), tri(b)
 	for i := 0; i < m; i++ {
-		out.S[i] = b.C*a.S[i] + a.C*b.S[i]
+		os[i] = b.C*as[i] + a.C*bs[i]
 	}
 	k := 0
 	for i := 0; i < m; i++ {
 		for j := i; j < m; j++ {
-			out.Q[k] = b.C*a.Q[k] + a.C*b.Q[k] + a.S[i]*b.S[j] + b.S[i]*a.S[j]
+			oq[k] = b.C*aq[k] + a.C*bq[k] + as[i]*bs[j] + bs[i]*as[j]
 			k++
 		}
 	}
@@ -76,35 +87,37 @@ func (r CovarRing) Mul(a, b *Covar) *Covar {
 }
 
 // Neg returns the element-wise negation.
-func (r CovarRing) Neg(a *Covar) *Covar {
+func (r CovarRing) Neg(a *RangedCovar) *RangedCovar {
 	if a == nil {
 		return nil
 	}
-	out := newCovar(r.m)
+	out := newRanged(0, r.m)
 	out.C = -a.C
-	for i := range out.S {
-		out.S[i] = -a.S[i]
+	os, as := sums(out), sums(a)
+	for i := range os {
+		os[i] = -as[i]
 	}
-	for i := range out.Q {
-		out.Q[i] = -a.Q[i]
+	oq, aq := tri(out), tri(a)
+	for i := range oq {
+		oq[i] = -aq[i]
 	}
 	return out
 }
 
 // IsZero reports whether a is nil or element-wise zero.
-func (r CovarRing) IsZero(a *Covar) bool {
+func (r CovarRing) IsZero(a *RangedCovar) bool {
 	if a == nil {
 		return true
 	}
 	if a.C != 0 {
 		return false
 	}
-	for _, v := range a.S {
+	for _, v := range sums(a) {
 		if v != 0 {
 			return false
 		}
 	}
-	for _, v := range a.Q {
+	for _, v := range tri(a) {
 		if v != 0 {
 			return false
 		}
@@ -114,35 +127,32 @@ func (r CovarRing) IsZero(a *Covar) bool {
 
 // Lift returns the lift g_X for the continuous attribute at index idx:
 // g_X(x) = (1, s, Q) with s_idx = x and Q_idx,idx = x².
-func (r CovarRing) Lift(idx int) Lift[*Covar] {
+func (r CovarRing) Lift(idx int) Lift[*RangedCovar] {
 	if idx < 0 || idx >= r.m {
 		panic(fmt.Sprintf("ring: lift index %d out of range for degree %d", idx, r.m))
 	}
 	qi := triIndex(r.m, idx, idx)
-	return func(_ *Covar, v value.Value) *Covar {
+	return func(_ *RangedCovar, v value.Value) *RangedCovar {
 		x := v.AsFloat()
 		c := r.One()
-		c.S[idx] = x
-		c.Q[qi] = x * x
+		sums(c)[idx] = x
+		tri(c)[qi] = x * x
 		return c
 	}
 }
 
-// randCovar draws a degree-m Covar with small integer entries so all
+// randCovar draws a full-range degree-m payload with small integer entries so all
 // arithmetic is exact.
-func randCovar(m int) func(*rand.Rand) *Covar {
+func randCovar(m int) func(*rand.Rand) *RangedCovar {
 	r := NewCovarRing(m)
-	return func(rng *rand.Rand) *Covar {
+	return func(rng *rand.Rand) *RangedCovar {
 		if rng.Intn(8) == 0 {
 			return nil // the zero
 		}
 		c := r.One()
 		c.C = float64(rng.Intn(7) - 3)
-		for i := range c.S {
-			c.S[i] = float64(rng.Intn(7) - 3)
-		}
-		for i := range c.Q {
-			c.Q[i] = float64(rng.Intn(7) - 3)
+		for i := range c.v {
+			c.v[i] = float64(rng.Intn(7) - 3)
 		}
 		return c
 	}
@@ -151,8 +161,8 @@ func randCovar(m int) func(*rand.Rand) *Covar {
 func TestCovarAxioms(t *testing.T) {
 	for _, m := range []int{1, 2, 3, 5} {
 		r := NewCovarRing(m)
-		checkRingAxioms[*Covar](t, "Covar", r, randCovar(m),
-			func(a, b *Covar) bool {
+		checkRingAxioms[*RangedCovar](t, "Covar", r, randCovar(m),
+			func(a, b *RangedCovar) bool {
 				// Treat nil and the explicit all-zero value as equal.
 				if r.IsZero(a) && r.IsZero(b) {
 					return true
@@ -180,7 +190,7 @@ func TestCovarMulIsCommutative(t *testing.T) {
 func TestCovarAgainstBruteForce(t *testing.T) {
 	const m = 3
 	r := NewCovarRing(m)
-	lifts := []Lift[*Covar]{r.Lift(0), r.Lift(1), r.Lift(2)}
+	lifts := []Lift[*RangedCovar]{r.Lift(0), r.Lift(1), r.Lift(2)}
 	rows := [][]float64{
 		{1, 2, 3},
 		{4, 5, 6},
@@ -221,14 +231,14 @@ func TestCovarAgainstBruteForce(t *testing.T) {
 func TestCovarProdSymmetry(t *testing.T) {
 	r := NewCovarRing(3)
 	c := r.One()
-	c.Q[triIndex(3, 0, 2)] = 7
+	tri(c)[triIndex(3, 0, 2)] = 7
 	if c.Prod(0, 2) != 7 || c.Prod(2, 0) != 7 {
 		t.Error("Prod not symmetric")
 	}
 }
 
 func TestCovarNilZeroAccessors(t *testing.T) {
-	var c *Covar
+	var c *RangedCovar
 	if c.Count() != 0 || c.Sum(0) != 0 || c.Prod(1, 2) != 0 {
 		t.Error("nil Covar accessors must return 0")
 	}
@@ -286,7 +296,7 @@ func TestCovarIsZero(t *testing.T) {
 	}
 	nzq := r.One()
 	nzq.C = 0
-	nzq.Q[0] = 1
+	tri(nzq)[0] = 1
 	if r.IsZero(nzq) {
 		t.Error("nonzero Q reported zero")
 	}
@@ -295,33 +305,20 @@ func TestCovarIsZero(t *testing.T) {
 func TestCovarEqualEdgeCases(t *testing.T) {
 	r := NewCovarRing(2)
 	a := r.One()
-	if a.Equal(nil) || (*Covar)(nil).Equal(a) {
+	if a.Equal(nil) || (*RangedCovar)(nil).Equal(a) {
 		t.Error("nil vs non-nil Equal")
 	}
-	if !(*Covar)(nil).Equal(nil) {
+	if !(*RangedCovar)(nil).Equal(nil) {
 		t.Error("nil vs nil")
 	}
 	b := r.One()
-	b.S[1] = 5
+	sums(b)[1] = 5
 	if a.Equal(b) {
 		t.Error("different S equal")
 	}
 	r3 := NewCovarRing(3)
 	if a.Equal(r3.One()) {
 		t.Error("cross-degree equal")
-	}
-}
-
-func TestCovarString(t *testing.T) {
-	r := NewCovarRing(2)
-	c := r.One()
-	c.C = 3
-	c.S[0] = 4
-	c.Q[triIndex(2, 0, 1)] = 7
-	got := c.String()
-	want := "(3, [4 0], [0 7; 0])"
-	if got != want {
-		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 

@@ -13,11 +13,6 @@
 //     generalized degree-m ring; no engine runs it as its own ring. Its
 //     × is not commutative, so the view and relation tests use it, as
 //     the reference ring, to check that products keep operand order.
-//   - Covar: not a ring but the dense compound aggregate (c, s, Q) of m
-//     continuous attributes, the result type a covar engine hands out
-//     and ml.SigmaFromCovar reads. The full-degree ring over it
-//     survives only in covar_test.go, as the reference the ranged and
-//     relational rings are checked against.
 //   - RelCovar: the degree-m matrix ring over relational values, the
 //     composition that supports one-hot-encoded categorical attributes
 //     and the mutual-information count tables. Stored flat (see "The
@@ -27,7 +22,11 @@
 //   - RangedCovar: the COVAR ring with ranged payloads, the paper's
 //     Figure 2d `RingCofactor<double, idx, cnt>` and the covar engine's
 //     ring: each view carries only its own subtree's aggregate indexes
-//     (see "Ranged payloads" below).
+//     (see "Ranged payloads" below). It is also the one (c, s, Q) type
+//     a covar engine hands out and ml.SigmaFromCovar reads, over the
+//     full range [0, m). The full-degree ring, every payload over
+//     [0, m), survives only in covar_test.go, as the reference the
+//     ranged and relational rings are checked against.
 //   - Matrix: dense matrices, demonstrating a non-commutative ring
 //     (matrix chain products) on the same machinery.
 //
@@ -36,8 +35,8 @@
 //   - The pure operations never modify their arguments: Add, Mul, and
 //     Neg return fresh values (or an operand itself, when the other is
 //     the zero), so they are safe to call concurrently on shared
-//     values. Mutation exists only behind the Scratch/FMA extensions
-//     below, on values their caller owns.
+//     values. Mutation exists only behind the Scratch extension
+//     below, on values its caller owns.
 //   - Add is associative and commutative, and values carry no hidden
 //     representation slack that could distinguish equal sums (e.g.
 //     RelVal stores no explicit zero coefficients). The maintenance
@@ -97,10 +96,11 @@
 // index-assignment bug and panics, which is why the covar engine
 // assigns lift indexes in its variable order's post-order, the order
 // its products combine subtrees in. Widen reads a payload through a
-// permutation as a full Covar. s and Q share one backing array, and
+// permutation onto [0, len(perm)), and Widen of the inverse permutation
+// reads it back. s and Q share one backing array, and
 // every kernel is a pass over that array: Mul writes each operand's
 // triangle scaled by the other's count plus the one s×s cross block,
-// row by row of the packed result; MulAddInto (FMA) adds the same terms
+// row by row of the packed result; MulAddInto adds the same terms
 // in place, each rounded to float64 first, so it is bit-identical to
 // the pure composition; AddInto, Neg and Clone are single loops. A
 // payload a relation stores lives in that relation's Slab: its header
@@ -110,14 +110,14 @@
 // scalar's one). RangedCovarCodec is bound to a degree: a range past it
 // is refused on encode and, before anything is allocated, on decode.
 //
-// # Scratch extensions and ownership
+// # The Scratch extension and ownership
 //
 // The pure operations allocate: for pointer-shaped payloads every Add
 // builds a fresh value, which dominated the maintenance hot path's
 // allocation profile — and, when a commit adds a small delta to a large
-// stored payload, copies the large one. The optional Scratch and FMA
-// interfaces are the sanctioned escape hatch: AddInto folds a value
-// into an accumulator in place, MulAddInto fuses `acc += a × b`. The
+// stored payload, copies the large one. The optional Scratch interface
+// is the sanctioned escape hatch: AddInto folds a value into an
+// accumulator in place, MulAddInto fuses `acc += a × b`. The
 // ownership rule is strict — the accumulator must be EXCLUSIVELY OWNED
 // by the caller, the other operands are only read, and the result must
 // be bit-identical to the pure composition. Two kinds of callers own an

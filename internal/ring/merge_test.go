@@ -90,21 +90,18 @@ func TestMergeContractRelational(t *testing.T) {
 
 func TestMergeContractCovar(t *testing.T) {
 	r := NewCovarRing(3)
-	gen := func(rnd *rand.Rand) *Covar {
+	gen := func(rnd *rand.Rand) *RangedCovar {
 		if rnd.Intn(5) == 0 {
 			return nil
 		}
 		c := r.One()
 		c.C = float64(rnd.Intn(7) - 3)
-		for i := range c.S {
-			c.S[i] = float64(rnd.Intn(7) - 3)
-		}
-		for i := range c.Q {
-			c.Q[i] = float64(rnd.Intn(7) - 3)
+		for i := range c.v {
+			c.v[i] = float64(rnd.Intn(7) - 3)
 		}
 		return c
 	}
-	checkMergeContract[*Covar](t, "Covar", r, gen, (*Covar).Clone, (*Covar).Equal, true)
+	checkMergeContract[*RangedCovar](t, "Covar", r, gen, (*RangedCovar).Clone, (*RangedCovar).Equal, true)
 }
 
 func TestMergeContractRelCovar(t *testing.T) {

@@ -14,16 +14,16 @@ import (
 func TestQuickCovarMulMatchesDefinition(t *testing.T) {
 	const m = 3
 	r := NewCovarRing(m)
-	fromRaw := func(c float64, s, q []int8) *Covar {
+	fromRaw := func(c float64, s, q []int8) *RangedCovar {
 		out := r.One()
 		out.C = c
 		for i := 0; i < m; i++ {
-			out.S[i] = float64(s[i%len(s)])
+			sums(out)[i] = float64(s[i%len(s)])
 		}
 		k := 0
 		for i := 0; i < m; i++ {
 			for j := i; j < m; j++ {
-				out.Q[k] = float64(q[k%len(q)])
+				tri(out)[k] = float64(q[k%len(q)])
 				k++
 			}
 		}

@@ -141,47 +141,37 @@ func (c *RangedCovar) String() string {
 	return b.String()
 }
 
-// Widen returns the payload as a full Covar of degree len(perm) whose
-// attribute i is this payload's global index perm[i] — how the covar
-// engine hands out its root payload, maintained in the view tree's
-// structural order, in its caller's attribute order. Indexes outside
-// the payload's range read 0. It is one pass with a Clone's two
-// allocations; widening nil (the ring zero) returns nil.
-func (c *RangedCovar) Widen(perm []int) *Covar {
+// Widen returns the payload permuted onto [0, len(perm)): its index i
+// is this payload's global index perm[i]. Indexes outside the payload's
+// range read 0. The covar engine hands out its root payload, maintained
+// in the view tree's structural order, through Widen in its caller's
+// attribute order, and reads it back through Widen of the inverse
+// permutation. It is one pass with a Clone's two allocations; widening
+// nil (the ring zero) returns nil.
+func (c *RangedCovar) Widen(perm []int) *RangedCovar {
 	if c == nil {
 		return nil
 	}
-	out := newCovar(len(perm))
+	n := len(perm)
+	out := newRanged(0, n)
 	out.C = c.C
-	k := 0
+	k := n
 	for i, g := range perm {
-		out.S[i] = c.Sum(g)
+		out.v[i] = c.Sum(g)
 		for _, h := range perm[i:] {
-			out.Q[k] = c.Prod(g, h)
+			out.v[k] = c.Prod(g, h)
 			k++
 		}
 	}
 	return out
 }
 
-// Narrow inverts Widen for a payload over [0, len(perm)), perm being a
-// permutation of it: global index perm[i] is c's attribute i.
-func (c *Covar) Narrow(perm []int) *RangedCovar {
-	if c == nil {
-		return nil
-	}
-	out := newRanged(0, len(perm))
-	out.C = c.C
-	k := 0
-	for i, g := range perm {
-		out.v[g] = c.S[i]
-		for _, h := range perm[i:] {
-			out.v[out.N+triIndex(out.N, min(g, h), max(g, h))] = c.Q[k]
-			k++
-		}
-	}
-	return out
-}
+// triLen returns the packed-triangle length for degree m.
+func triLen(m int) int { return m * (m + 1) / 2 }
+
+// triIndex returns the packed index of entry (i, j); callers must pass
+// i <= j.
+func triIndex(m, i, j int) int { return i*m - i*(i-1)/2 + (j - i) }
 
 // RangedCovarRing is the ranged degree-m matrix ring. The ring itself is
 // degree-free: each payload carries its own range.

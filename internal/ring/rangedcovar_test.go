@@ -122,7 +122,7 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 	if !nilP.Equal(nil) {
 		t.Error("nil Equal")
 	}
-	if nilP.Widen([]int{0, 1}) != nil || nilP.Widen([]int{0, 1}).Narrow([]int{0, 1}) != nil {
+	if nilP.Widen([]int{0, 1}) != nil || nilP.Widen([]int{0, 1}).Widen([]int{1, 0}) != nil {
 		t.Error("nil Widen")
 	}
 	if !r.IsZero(nil) {
@@ -148,7 +148,7 @@ func TestRangedAccessorsAndZero(t *testing.T) {
 
 // TestRangedWiden: Widen reads the payload through a permutation into
 // caller order — sums, both triangles of Q, and 0 outside the range —
-// and Narrow inverts it exactly.
+// and Widen of the inverse permutation restores it exactly.
 func TestRangedWiden(t *testing.T) {
 	var r RangedCovarRing
 	rng := rand.New(rand.NewSource(4))
@@ -157,13 +157,13 @@ func TestRangedWiden(t *testing.T) {
 		p = r.Mul(p, r.Lift(i)(nil, value.Float(rng.NormFloat64())))
 	}
 	p = r.Add(p, r.Mul(r.Mul(r.Lift(0)(nil, value.Float(2)), r.Lift(1)(nil, value.Float(-3))), r.Lift(2)(nil, value.Float(5))))
-	perm := []int{2, 0, 1}
+	perm, inv := []int{2, 0, 1}, []int{1, 2, 0}
 	w := p.Widen(perm)
-	if w.Degree() != 3 || w.Count() != p.Count() {
+	if w.Start != 0 || w.N != 3 || w.Count() != p.Count() {
 		t.Fatalf("widened %v from %v", w, p)
 	}
-	if back := w.Narrow(perm); !back.Equal(p) {
-		t.Errorf("Narrow(Widen(p)) = %v, want %v", back, p)
+	if back := w.Widen(inv); !back.Equal(p) {
+		t.Errorf("Widen(Widen(p, perm), inv) = %v, want %v", back, p)
 	}
 	for i, g := range perm {
 		if w.Sum(i) != p.Sum(g) {

@@ -103,9 +103,9 @@ func (r RelVal) String() string {
 }
 
 // Relational is the ring over relations: union as +, key-concatenating
-// join as ×, the empty relation as 0, {() -> 1} as 1. It implements
-// neither Scratch nor FMA: no engine maintains views over it, and the
-// tests that do take the pure path.
+// join as ×, the empty relation as 0, {() -> 1} as 1. It does not
+// implement Scratch: no engine maintains views over it, and the tests
+// that do take the pure path.
 type Relational struct{}
 
 // Zero returns the empty relation (nil).

@@ -7,10 +7,10 @@ import "repro/internal/value"
 // modify their arguments: they return fresh values (or an operand
 // itself when the other is the zero), so they are safe to call
 // concurrently on shared values; in-place accumulation lives behind
-// the optional Scratch and FMA extensions. Add must additionally be
-// associative and commutative — the maintenance core merges partial
-// aggregates in arbitrary groupings, including a cluster router's merge
-// of per-shard partials.
+// the optional Scratch extension. Add must additionally be associative
+// and commutative — the maintenance core merges partial aggregates in
+// arbitrary groupings, including a cluster router's merge of per-shard
+// partials.
 type Ring[V any] interface {
 	// Zero returns the additive identity.
 	Zero() V

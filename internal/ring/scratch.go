@@ -8,45 +8,38 @@ import (
 
 // Scratch is an optional Ring extension for rings whose values are
 // pointer-shaped (maps, structs with slices) and therefore allocate on
-// every pure Add. It lets accumulation loops that EXCLUSIVELY OWN their
-// accumulator fold values in place instead of allocating a fresh result
-// per addition.
+// every pure Add or Mul. It lets accumulation loops that EXCLUSIVELY OWN
+// their accumulator fold values in place instead of allocating a fresh
+// result per addition: AddInto folds `acc += v`, and MulAddInto folds
+// `acc += a × b` without materializing the product, the single hottest
+// allocation a join performs on duplicate output tuples.
 //
 // Ownership contract (see also the package doc):
 //
-//   - AddInto(acc, v) returns acc + v and MAY mutate and reuse acc.
-//     The caller must exclusively own acc: acc was produced by a Slab's
-//     Own or the value's Clone (deep copies), by Mul/Neg/One/a lift
-//     (which always return fresh values), or by a
-//     previous AddInto or a pure Add of two non-zero values by the same
-//     owner — never a value that anything else can still reach. A
-//     relation.Map owns the payloads it stores under exactly this rule
-//     (entries that alias outside state are flagged and excluded). v is
-//     only read. Owning acc includes its backing storage beyond what
-//     it holds (a slice's capacity past its length), which AddInto may
-//     grow into: a value never shares a backing array with another.
+//   - AddInto(acc, v) returns acc + v and MulAddInto(acc, a, b) returns
+//     acc + a×b; both MAY mutate and reuse acc. The caller must
+//     exclusively own acc: acc was produced by a Slab's Own or the
+//     value's Clone (deep copies), by Mul/Neg/One/a lift (which always
+//     return fresh values), or by a previous AddInto/MulAddInto or a
+//     pure Add of two non-zero values by the same owner — never a value
+//     that anything else can still reach. A relation.Map owns the
+//     payloads it stores under exactly this rule (entries that alias
+//     outside state are flagged and excluded). v, a and b are only
+//     read. Owning acc includes its backing storage beyond what it
+//     holds (a slice's capacity past its length), which either may grow
+//     into: a value never shares a backing array with another.
 //
-// The result of AddInto must be indistinguishable from Add(acc, v) to
-// any reader; the ring's merge-contract tests assert this equivalence.
-// Rings with value-type payloads (Ints, Floats) gain nothing from the
-// extension and do not implement it; callers type-assert and fall back
-// to the pure Add path.
+// The results must be indistinguishable from Add(acc, v) and
+// Add(acc, Mul(a, b)) to any reader; the ring's scratch-contract tests
+// assert this equivalence. Rings with value-type payloads (Ints, Floats)
+// gain nothing from the extension and do not implement it; callers
+// type-assert and fall back to the pure Add and Mul path.
 type Scratch[V any] interface {
 	// AddInto returns acc + v, mutating acc when possible. acc must be
 	// exclusively owned by the caller; v is never modified.
 	AddInto(acc, v V) V
-}
-
-// FMA is a second optional extension for fused multiply-accumulate:
-// joins fold `acc += a × b` straight into their accumulator without
-// materializing the product, the single hottest allocation a hash join
-// performs on duplicate output tuples. The ownership rules are
-// Scratch's: acc is exclusively owned by the caller (or the ring zero),
-// a and b are only read, and the result must be indistinguishable from
-// Add(acc, Mul(a, b)). Callers fall back to Mul + Scratch.AddInto (or
-// the fully pure path) when a ring does not implement FMA.
-type FMA[V any] interface {
-	// MulAddInto returns acc + a×b, mutating acc when possible.
+	// MulAddInto returns acc + a×b, mutating acc when possible. acc must
+	// be exclusively owned by the caller; a and b are never modified.
 	MulAddInto(acc, a, b V) V
 }
 
@@ -79,7 +72,7 @@ type Slabbed[V any] interface {
 	NewSlab() Slab[V]
 }
 
-// MulAddInto implements FMA for the generalized matrix ring: Mul's
+// MulAddInto implements Scratch for the generalized matrix ring: Mul's
 // merge emits the product's coefficients into a stack buffer instead of
 // a value, and they fold into acc like AddInto's addend. Each term is
 // the one Mul computes and each sum is acc + term, so the result is
@@ -195,7 +188,7 @@ func seek(e []coef, i int, k uint64) int {
 	return i
 }
 
-// MulAddInto implements FMA for the ranged matrix ring: Mul's blocks
+// MulAddInto implements Scratch for the ranged matrix ring: Mul's blocks
 // accumulated in place into acc's backing array, so a fused join folds
 // `acc += a × b` without building the product. Every term is rounded to
 // float64 before it is added (the explicit conversions forbid fusing

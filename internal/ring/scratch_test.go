@@ -8,17 +8,17 @@ import (
 )
 
 // The fused accumulation paths of relation.Step rely on the
-// Scratch and FMA extensions being indistinguishable from the pure ring
+// Scratch extension being indistinguishable from the pure ring
 // operations: AddInto(own(a), b) must equal Add(a, b), MulAddInto(
 // own(c), a, b) must equal Add(c, Mul(a, b)), and the read-only
 // operands must come out bit-identical — that is what keeps maintained
 // views bit-identical whichever path ran. These property tests pin the
-// contract for every ring implementing the extensions.
+// contract for every ring implementing the extension.
 
 // checkScratchContract draws the operands of each round from gen, or,
-// for the FMA half, from fmaGen when it is non-nil: a ring whose sums
-// and products constrain their operands differently (ranged payloads
-// add within one range and multiply adjacent ones) supplies a
+// for the MulAddInto half, from fmaGen when it is non-nil: a ring whose
+// sums and products constrain their operands differently (ranged
+// payloads add within one range and multiply adjacent ones) supplies a
 // generator of a, b, c fit for c + a×b.
 func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(rnd *rand.Rand) V, fmaGen func(rnd *rand.Rand) (a, b, c V), clone func(V) V, eq func(a, b V) bool) {
 	t.Helper()
@@ -26,7 +26,6 @@ func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(
 	if !ok {
 		t.Fatalf("%s: ring does not implement Scratch", name)
 	}
-	fma, hasFMA := r.(FMA[V])
 	rnd := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
 		a, b, c := gen(rnd), gen(rnd), gen(rnd)
@@ -53,23 +52,21 @@ func checkScratchContract[V any](t *testing.T, name string, r Ring[V], gen func(
 			t.Fatalf("%s: mutating AddInto(0, b) reached b", name)
 		}
 
-		if hasFMA {
-			if fmaGen != nil {
-				a, b, c = fmaGen(rnd)
-				ac, bc, cc = clone(a), clone(b), clone(c)
-			}
-			got := fma.MulAddInto(clone(c), a, b)
-			want := r.Add(cc, r.Mul(a, b))
-			if !eq(got, want) {
-				t.Fatalf("%s: MulAddInto(clone(c), a, b) = %v, want c + a*b = %v", name, got, want)
-			}
-			if !eq(a, ac) || !eq(b, bc) || !eq(c, cc) {
-				t.Fatalf("%s: MulAddInto mutated a read-only operand", name)
-			}
-			z := fma.MulAddInto(r.Zero(), a, b)
-			if !eq(z, r.Mul(ac, bc)) {
-				t.Fatalf("%s: MulAddInto(0, a, b) != a*b", name)
-			}
+		if fmaGen != nil {
+			a, b, c = fmaGen(rnd)
+			ac, bc, cc = clone(a), clone(b), clone(c)
+		}
+		got = sc.MulAddInto(clone(c), a, b)
+		want = r.Add(cc, r.Mul(a, b))
+		if !eq(got, want) {
+			t.Fatalf("%s: MulAddInto(clone(c), a, b) = %v, want c + a*b = %v", name, got, want)
+		}
+		if !eq(a, ac) || !eq(b, bc) || !eq(c, cc) {
+			t.Fatalf("%s: MulAddInto mutated a read-only operand", name)
+		}
+		z = sc.MulAddInto(r.Zero(), a, b)
+		if !eq(z, r.Mul(ac, bc)) {
+			t.Fatalf("%s: MulAddInto(0, a, b) != a*b", name)
 		}
 	}
 }

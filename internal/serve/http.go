@@ -56,7 +56,7 @@ const (
 
 // NewHandler exposes a Server over HTTP/JSON. The surface is identical
 // for every hosted engine kind; /v1/model renders the engine's own
-// model shape (ridge weights for analysis, rows for count/float/join,
+// model shape (ridge weights for analysis, rows for count/float,
 // the compound aggregate for COVAR).
 //
 // Every route is instrumented with a latency histogram and

@@ -182,7 +182,7 @@ func mustTree[V any](t testing.TB, spec Spec[V]) *Tree[V] {
 	return tr
 }
 
-// pureRing hides a ring's Scratch and FMA extensions: a tree over it
+// pureRing hides a ring's Scratch extension: a tree over it
 // commits, joins and aggregates with the pure Add and Mul only, so no
 // ownership rule can matter to its result.
 type pureRing[V any] struct{ ring.Ring[V] }

@@ -32,6 +32,7 @@ var keptExports = map[string]string{
 	"FromRows":         "ring: reference matrix constructor of the matrix-chain tests",
 	"NewRandSchedule":  "faultnet: seeded fault schedule of the cluster chaos test",
 	"Partition":        "faultnet: full-partition switch of the cluster chaos test",
+	"LimitCategories":  "ring: lowers the category dictionary's bound for the serve test of a full dictionary",
 }
 
 // TestEveryExportHasACaller keeps the module's exported surface to what

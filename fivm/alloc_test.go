@@ -78,13 +78,21 @@ const (
 
 	// maxAllocsPublishAnalysis and maxBytesPublishAnalysis bound one
 	// PublishModel on the Retailer preset's analysis engine (5 000 rows,
-	// label inventoryunits): the payload clone, Σ and the warm-started
-	// ridge refit, which the serving writer runs before a batch's
-	// waiters are released. Measured 221 allocs and 517 384 bytes with
-	// the dense Σ (its matrix and Fit's system matrix, n×n each), 240
-	// allocs and 165 400 bytes with the sparse one. Budget: measured + 10%.
-	maxAllocsPublishAnalysis = 264
-	maxBytesPublishAnalysis  = 181_940
+	// label inventoryunits), what the serving writer runs before a
+	// batch's waiters are released: the payload clone. Measured 7 allocs
+	// and 19 616 bytes; it was 240 allocs and 165 400 bytes while the
+	// publish also built Σ and refit the ridge model (221 and 517 384
+	// with the dense Σ). Budget: measured + 10%.
+	maxAllocsPublishAnalysis = 8
+	maxBytesPublishAnalysis  = 21_578
+	// maxAllocsFitAnalysis and maxBytesFitAnalysis bound the fit of one
+	// published version on the same engine, once per version off the
+	// writer: Σ on the newest fit's columns and sparsity structure (the
+	// payload's keys are unchanged) and the warm-started refit. Measured
+	// 7 allocs and 29 416 bytes (59 and 89 625 when only the columns were
+	// kept). Budget: measured + 10%.
+	maxAllocsFitAnalysis = 8
+	maxBytesFitAnalysis  = 32_358
 )
 
 func allocFixtureData() map[string][]value.Tuple {
@@ -305,6 +313,51 @@ func TestApplyBatchAllocsAnalysis(t *testing.T) {
 }
 
 func TestPublishAllocsAnalysis(t *testing.T) {
+	eng := retailerAnalysis(t)
+	prev := eng.PublishModel(nil)
+	allocs, bytes := allocsPerRun(20, func() { eng.PublishModel(prev) })
+	t.Logf("analysis publish (Retailer preset, 5 000 rows): %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > maxAllocsPublishAnalysis {
+		t.Errorf("analysis publish allocates %.0f, budget %d — the publish path regressed (see docs/PERF.md)", allocs, maxAllocsPublishAnalysis)
+	}
+	if bytes > maxBytesPublishAnalysis {
+		t.Errorf("analysis publish allocates %.0f bytes, budget %d — the publish path regressed (see docs/PERF.md)", bytes, maxBytesPublishAnalysis)
+	}
+}
+
+// TestFitAllocsAnalysis pins one published version's fit over an
+// unchanged payload key set: Σ on the previous fit's columns and
+// structure, and the warm-started ridge refit.
+func TestFitAllocsAnalysis(t *testing.T) {
+	eng := retailerAnalysis(t)
+	if model, _, err := eng.PublishModel(nil).(*fivm.AnalysisModel).Fit(); model == nil {
+		t.Fatalf("no model: %v", err)
+	}
+	const runs = 20
+	models := make([]*fivm.AnalysisModel, runs+1) // allocsPerRun calls f runs+1 times
+	for i := range models {
+		models[i] = eng.PublishModel(nil).(*fivm.AnalysisModel)
+	}
+	next := 0
+	allocs, bytes := allocsPerRun(runs, func() {
+		if model, _, err := models[next].Fit(); model == nil {
+			t.Fatalf("no model: %v", err)
+		}
+		next++
+	})
+	t.Logf("analysis fit of one version (Retailer preset, 5 000 rows): %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > maxAllocsFitAnalysis {
+		t.Errorf("analysis fit allocates %.0f, budget %d — the fit regressed (see docs/PERF.md)", allocs, maxAllocsFitAnalysis)
+	}
+	if bytes > maxBytesFitAnalysis {
+		t.Errorf("analysis fit allocates %.0f bytes, budget %d — the fit regressed (see docs/PERF.md)", bytes, maxBytesFitAnalysis)
+	}
+}
+
+// retailerAnalysis opens the Retailer preset's analysis engine on 5 000
+// rows.
+func retailerAnalysis(t *testing.T) fivm.AnyEngine {
+	t.Helper()
 	cfg, data, err := daemon.BuildEngineConfig("retailer", 5_000, true, "", "", "", "", "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -316,16 +369,5 @@ func TestPublishAllocsAnalysis(t *testing.T) {
 	if err := eng.Init(data); err != nil {
 		t.Fatal(err)
 	}
-	prev := eng.PublishModel(nil)
-	if m := prev.(*fivm.AnalysisModel); m.Model == nil {
-		t.Fatalf("no model: %s", m.FitErr)
-	}
-	allocs, bytes := allocsPerRun(20, func() { eng.PublishModel(prev) })
-	t.Logf("analysis publish (Retailer preset, 5 000 rows): %.0f allocs, %.0f bytes", allocs, bytes)
-	if allocs > maxAllocsPublishAnalysis {
-		t.Errorf("analysis publish allocates %.0f, budget %d — the publish path regressed (see docs/PERF.md)", allocs, maxAllocsPublishAnalysis)
-	}
-	if bytes > maxBytesPublishAnalysis {
-		t.Errorf("analysis publish allocates %.0f bytes, budget %d — the publish path regressed (see docs/PERF.md)", bytes, maxBytesPublishAnalysis)
-	}
+	return eng
 }

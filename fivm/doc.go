@@ -38,9 +38,21 @@
 //     ResultJSON) return a descriptive error on the empty join.
 //   - An Engine is single-writer, and maintenance starts no goroutines
 //     of its own: more cores serve more shards (internal/cluster). Two
-//     deliberate exceptions support the serving layer: BuildDelta
-//     reads only immutable tree metadata and may run concurrently with
-//     maintenance, and every published Model is an isolated deep copy.
+//     deliberate exceptions support the serving layer: BuildDelta and
+//     CheckUpdate may run concurrently with maintenance (CheckUpdate
+//     interns an analysis update's categories into the category
+//     dictionary, refusing them with ErrCategoriesFull once it is
+//     full), and every published Model is an isolated deep copy.
+//   - Publishing is a copy: PublishModel clones the payload (analysis,
+//     covar) or the result relation (count, float), and whatever a
+//     reader derives from it runs later, at most once per model, on
+//     the reader's goroutine. An AnalysisModel's ridge fit — Σ and the
+//     warm-started conjugate gradient — is such a derivation: its
+//     first caller of Fit (or ResultJSON, Predict, Covar) runs it and
+//     concurrent callers wait, warm-started from the engine's newest
+//     finished fit and building Σ on that fit's columns and sparsity
+//     structure while they still hold. A serving layer runs it off its
+//     writer (the fitter goroutine of internal/serve).
 //   - Maintenance scratch lives on the engine (its view tree): delta
 //     buffers, propagation steps, and cached ±1
 //     payloads are recycled across Apply/ApplyBuilt calls under the

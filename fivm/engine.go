@@ -73,9 +73,9 @@ type Model interface {
 // return empty collections.
 //
 // An Engine is not safe for concurrent use, with two deliberate
-// exceptions that the serving layer builds on: BuildDelta only reads
-// immutable tree metadata and may run concurrently with maintenance,
-// and every published Model is an isolated deep copy.
+// exceptions that the serving layer builds on: BuildDelta and
+// CheckUpdate may run concurrently with maintenance, and every
+// published Model is an isolated deep copy.
 type Engine[V any] struct {
 	tree  *view.Tree[V]
 	kind  Kind
@@ -89,9 +89,8 @@ type Engine[V any] struct {
 	// info names the ring for the M3/ViewTree renderings.
 	info    m3.RingInfo
 	publish func(prev Model) Model
-	// merged is the last model MergePartials published, the warm start
-	// of the next merged publish.
-	merged Model
+	// admit, when set, is CheckUpdate's check beyond the tree's.
+	admit func(view.Update) error
 }
 
 // newEngine completes e's defaults: a nil resultCodec is codec, and a
@@ -141,8 +140,19 @@ func (e *Engine[V]) BuildDelta(rel string, ups []view.Update) (Delta, error) {
 // CheckUpdate reports the error Apply and BuildDelta would refuse u's
 // batch with: an unknown relation, a wrong arity, or a continuous or
 // binned feature's value that is not finite or exceeds view.MaxNumeric
-// in magnitude. Like BuildDelta it only reads immutable tree metadata.
-func (e *Engine[V]) CheckUpdate(u view.Update) error { return e.tree.CheckUpdate(u) }
+// in magnitude. An analysis engine also enters u's categorical and
+// binned values into the process-wide category dictionary, and refuses
+// u with ErrCategoriesFull when a new one finds it full, so a lift on
+// the writer never meets a full dictionary. It reads only immutable
+// tree metadata, and the dictionary is safe for concurrent use, so any
+// goroutine may call it while the writer maintains the views — an
+// admission path does, before anything reaches the writer.
+func (e *Engine[V]) CheckUpdate(u view.Update) error {
+	if err := e.tree.CheckUpdate(u); err != nil || e.admit == nil {
+		return err
+	}
+	return e.admit(u)
+}
 
 // ApplyBuilt maintains the views under a prebuilt delta relation — one
 // from BuildDelta of the same engine configuration, or a
@@ -242,9 +252,9 @@ func (e *Engine[V]) payloadPartial(payload func() V) frozenPartial {
 // result (bit-identically for exact rings). The engine's own maintained
 // state is untouched — the merged relation is swapped in only for the
 // duration of the publish — so a data-less "merger" engine built from
-// the cluster's configuration can serve merged reads repeatedly, each
-// publish warm-starting from the previous merged model (what a worker's
-// own publishes do from theirs). Not safe concurrently with maintenance
+// the cluster's configuration can serve merged reads repeatedly; an
+// analysis merger's models fit like a worker's, once each, warm-started
+// from its newest finished fit. Not safe concurrently with maintenance
 // or other MergePartials calls.
 func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	merged := relation.New[V](e.tree.Result().Schema())
@@ -257,8 +267,7 @@ func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	}
 	old := e.tree.SwapResult(merged)
 	defer e.tree.SwapResult(old)
-	e.merged = e.PublishModel(e.merged)
-	return e.merged, nil
+	return e.PublishModel(nil), nil
 }
 
 // PartitionKey returns the attribute positions a cluster shard map
@@ -270,10 +279,13 @@ func (e *Engine[V]) PartitionKey(rel string) ([]int, bool) {
 	return e.tree.PartitionKey(rel)
 }
 
-// PublishModel builds an immutable Model of the current result, warm-
-// starting from prev (the previously published model, nil on the first
-// publish) where the engine supports it. It reads live engine state, so
-// a serving layer must call it from its single writer.
+// PublishModel builds an immutable Model of the current result: a copy
+// of the payload or a clone of the result relation, so its cost is
+// independent of what readers derive from it. prev, the previously
+// published model (nil on the first publish), is not read by any engine
+// now: an analysis model's ridge fit runs later, once, warm-started from
+// the engine's newest finished fit. It reads live engine state, so a
+// serving layer must call it from its single writer.
 func (e *Engine[V]) PublishModel(prev Model) Model { return e.publish(prev) }
 
 // tableModel snapshots the result relation into a TableModel. The

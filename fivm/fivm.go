@@ -3,12 +3,15 @@ package fivm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/m3"
 	"repro/internal/ml"
 	"repro/internal/query"
 	"repro/internal/ring"
+	"repro/internal/value"
 	"repro/internal/view"
+	"repro/internal/vo"
 )
 
 // RelationSpec declares one input relation of the join.
@@ -36,15 +39,27 @@ type FeatureSpec struct {
 // Analysis maintains the generalized degree-m COVAR payload over the
 // natural join of the configured relations — the flagship instantiation
 // of Engine over the relational-COVAR ring. It is not safe for
-// concurrent use.
+// concurrent use; the fits of the models it publishes are (see
+// AnalysisModel.Fit).
 type Analysis struct {
 	*Engine[*ring.RelCovar]
 	ring      ring.RelCovarRing
 	feats     []ml.Feature
 	label     string
-	ridgeCfg  ml.RidgeConfig
 	binWidths map[string]float64
+	fits      *analysisFits
+	// published counts the models published, each one's version.
+	published uint64
 }
+
+// ErrCategoriesFull is the error CheckUpdate wraps when an update
+// carries a category value that the full category dictionary cannot
+// take.
+var ErrCategoriesFull = ring.ErrCategoriesFull
+
+// Categories returns the number of distinct categorical and binned
+// values the process-wide category dictionary holds.
+func Categories() int { return ring.Categories() }
 
 // newAnalysis builds the engine: degree-m ring (m = len(Features)),
 // per-feature lifts, variable order, and empty view tree.
@@ -111,8 +126,8 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 		ring:      rg,
 		feats:     feats,
 		label:     cfg.Label,
-		ridgeCfg:  ridgeCfg,
 		binWidths: binWidths,
+		fits:      &analysisFits{label: cfg.Label, cfg: ridgeCfg},
 	}
 	a.Engine = newEngine(Engine[*ring.RelCovar]{
 		kind:    KindAnalysis,
@@ -121,14 +136,47 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 		clone:   (*ring.RelCovar).Clone,
 		info:    m3.RingInfo{Name: fmt.Sprintf("RingCofactor<double, %d>", m), LiftIndexOf: l.liftIndexOf},
 		publish: a.publishModel,
+		admit:   internCategories(l.rels, l.index, feats, binWidths),
 	})
 	return a, nil
 }
 
-// publishModel builds the immutable AnalysisModel: a deep payload clone
-// plus — when a label is configured — a ridge refit warm-started from
-// the previously published optimum.
-func (a *Analysis) publishModel(prev Model) Model {
+// internCategories returns the analysis engine's admission check: it
+// interns every categorical and binned value of an update, the values
+// its lifts will look up, so a full category dictionary refuses the
+// update's batch instead of panicking a lift on the writer.
+func internCategories(rels []vo.Rel, index map[string]int, feats []ml.Feature, binWidths map[string]float64) func(view.Update) error {
+	type catAttr struct {
+		pos   int
+		name  string
+		width float64
+	}
+	byRel := make(map[string][]catAttr, len(rels))
+	for _, r := range rels {
+		for pos, attr := range r.Schema.Attrs() {
+			if i, ok := index[attr]; ok && feats[i].Categorical {
+				byRel[r.Name] = append(byRel[r.Name], catAttr{pos, attr, binWidths[attr]})
+			}
+		}
+	}
+	return func(u view.Update) error {
+		for _, c := range byRel[u.Rel] {
+			v := u.Tuple[c.pos]
+			if c.width > 0 {
+				v = value.Int(ring.Bin(v.AsFloat(), c.width))
+			}
+			if err := ring.InternCategory(v); err != nil {
+				return fmt.Errorf("fivm: relation %s: %s = %v: %w", u.Rel, c.name, u.Tuple[c.pos], err)
+			}
+		}
+		return nil
+	}
+}
+
+// publishModel builds the immutable AnalysisModel: a deep payload
+// clone. Its ridge fit is not run here but at most once, by the first
+// caller of the model's Fit (see AnalysisModel).
+func (a *Analysis) publishModel(Model) Model {
 	// Features and BinWidths are copied too, upholding the model's
 	// every-field-is-a-deep-copy contract — sharing the engine's own
 	// slice/map would turn any future mutation of them into a data race
@@ -137,29 +185,78 @@ func (a *Analysis) publishModel(prev Model) Model {
 	for k, v := range a.binWidths {
 		binWidths[k] = v
 	}
+	a.published++
 	m := &AnalysisModel{
 		Label:     a.label,
 		Payload:   a.ClonePayload(),
 		Features:  append([]ml.Feature(nil), a.feats...),
 		BinWidths: binWidths,
+		version:   a.published,
+		fits:      a.fits,
 	}
 	m.frozenPartial = a.payloadPartial(func() *ring.RelCovar { return m.Payload })
-	if a.label == "" {
-		return m
-	}
-	var warm *ml.RidgeModel
-	if p, ok := prev.(*AnalysisModel); ok && p != nil && p.Model != nil {
-		// Warm-start from the previously published optimum, on a clone
-		// so the published model is never mutated.
-		warm = p.Model.Clone()
-	}
-	model, sigma, err := RidgeFromPayload(m.Payload, m.Features, a.label, warm, a.ridgeCfg)
-	if err != nil {
-		m.FitErr = err.Error()
-	} else {
-		m.Model, m.Sigma = model, sigma
-	}
 	return m
+}
+
+// OnFit registers fn to observe every finished ridge fit of a model
+// this engine published, on the goroutine that ran the fit, once per
+// fitted model. Register it before the first publish; a serving layer
+// records its fit metrics through it.
+func (a *Analysis) OnFit(fn func(*ml.RidgeModel)) { a.fits.onFit = fn }
+
+// analysisFits is what the models of one Analysis engine share for
+// their fits: the ridge configuration, the observer, and the newest
+// finished fit — the warm start of the next, whose Σ the next is built
+// on (ml.SigmaFromRelCovar's prev). Fits of different models may run at
+// once on any goroutines; mu guards newest.
+type analysisFits struct {
+	label string
+	cfg   ml.RidgeConfig
+	onFit func(*ml.RidgeModel)
+
+	mu sync.Mutex
+	// newest holds the Σ and the ridge model of the newest version
+	// fitted, newestVersion; both are published and never written.
+	newest        ridgeFit
+	newestVersion uint64
+}
+
+// ridgeFit is one model's fit: Σ (nil when it could not be built), the
+// ridge model (nil when fitting is disabled or failed) and the error.
+type ridgeFit struct {
+	sigma *ml.SigmaMatrix
+	model *ml.RidgeModel
+	err   error
+}
+
+// fit builds m's Σ on the newest fit's and — with a label —
+// re-converges the ridge model warm-started from the newest fit's, then
+// records the result as the newest if no newer version was fitted
+// meanwhile.
+func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
+	f.mu.Lock()
+	last := f.newest
+	f.mu.Unlock()
+	var r ridgeFit
+	if r.sigma, r.err = ml.SigmaFromRelCovar(m.Payload, m.Features, last.sigma); r.err != nil {
+		return r
+	}
+	if f.label != "" {
+		// The warm start is a clone: the newest fit stays published.
+		r.model, r.err = fitRidge(r.sigma, f.label, last.model.Clone(), f.cfg)
+	}
+	f.mu.Lock()
+	if m.version > f.newestVersion {
+		f.newest.sigma, f.newestVersion = r.sigma, m.version
+		if r.model != nil {
+			f.newest.model = r.model
+		}
+	}
+	f.mu.Unlock()
+	if r.model != nil && f.onFit != nil {
+		f.onFit(r.model)
+	}
+	return r
 }
 
 // Label returns the configured serving label ("" when ridge fitting in
@@ -172,7 +269,7 @@ func (a *Analysis) Features() []ml.Feature { return a.feats }
 // Covar converts the payload to the one-hot-expanded SigmaMatrix for
 // the regression solver.
 func (a *Analysis) Covar() (*ml.SigmaMatrix, error) {
-	return ml.SigmaFromRelCovar(a.Payload(), a.feats)
+	return ml.SigmaFromRelCovar(a.Payload(), a.feats, nil)
 }
 
 // MI computes the pairwise mutual-information matrix; every feature
@@ -199,13 +296,22 @@ func (a *Analysis) Ridge(label string, model *ml.RidgeModel, cfg ml.RidgeConfig)
 // only new ones start at zero (ml.RidgeModel.Remap), so the warm start
 // survives a category appearing or dying out.
 func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
-	sigma, err := ml.SigmaFromRelCovar(payload, feats)
+	sigma, err := ml.SigmaFromRelCovar(payload, feats, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	if model, err = fitRidge(sigma, label, model, cfg); err != nil {
+		return nil, nil, err
+	}
+	return model, sigma, nil
+}
+
+// fitRidge fits model (a new one when nil), remapped onto sigma's
+// columns, against sigma.
+func fitRidge(sigma *ml.SigmaMatrix, label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, error) {
 	cols := sigma.ColumnsOf(label)
 	if len(cols) != 1 {
-		return nil, nil, fmt.Errorf("fivm: label %s must be a single continuous column (got %d columns)", label, len(cols))
+		return nil, fmt.Errorf("fivm: label %s must be a single continuous column (got %d columns)", label, len(cols))
 	}
 	if model == nil {
 		model = ml.NewRidge(sigma, cols[0])
@@ -213,9 +319,9 @@ func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, 
 		model.Remap(sigma, cols[0])
 	}
 	if err := model.Fit(sigma, cfg); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return model, sigma, nil
+	return model, nil
 }
 
 // NewCatalog re-exports query catalog construction for the SQL surface.

@@ -14,10 +14,13 @@ import (
 )
 
 // AnalysisModel is the Model an Analysis engine publishes: a deep clone
-// of the generalized COVAR payload plus — when a Label is configured —
-// the ridge regression refit against it. Every field is a deep copy or
-// derived purely from one, so any number of readers may use it
-// concurrently without coordination.
+// of the generalized COVAR payload and — when a Label is configured —
+// the ridge regression fit against it. Publishing only clones; the fit
+// (Σ and the warm-started conjugate gradient) runs at most once per
+// model, on the goroutine of the first caller of Fit, Covar, Predict or
+// ResultJSON, and concurrent callers wait for it. The fields are deep
+// copies, so any number of readers may use the model concurrently
+// without coordination.
 type AnalysisModel struct {
 	frozenPartial // over Payload
 	// Label is the ridge model's target attribute ("" when fitting is
@@ -32,12 +35,36 @@ type AnalysisModel struct {
 	// categories are bin indexes, so Predict inputs must be binned the
 	// same way before matching.
 	BinWidths map[string]float64
-	// Sigma and Model are the covariance matrix and ridge model fit
-	// against this payload; nil when fitting is disabled or failed
-	// (FitErr carries the reason).
-	Sigma  *ml.SigmaMatrix
-	Model  *ml.RidgeModel
-	FitErr string
+
+	// version orders the engine's models, for its newest fit.
+	version uint64
+	fits    *analysisFits
+	once    sync.Once
+	fit     ridgeFit
+}
+
+// errFitDisabled is Fit's error on a model without a label.
+var errFitDisabled = errors.New("model fitting is disabled (no label configured)")
+
+// fitted runs the model's fit on its first call; later and concurrent
+// calls wait for and share that one result.
+func (m *AnalysisModel) fitted() *ridgeFit {
+	m.once.Do(func() { m.fit = m.fits.fit(m) })
+	return &m.fit
+}
+
+// Fit returns the ridge model fit against this model's payload and the
+// covariance matrix Σ it was fit against, running the fit on the first
+// call (see AnalysisModel). It fails when fitting is disabled (no
+// Label), the join is empty, or the solver refused; Σ is returned
+// whenever it could be built. The returned values are shared by every
+// caller: never write them.
+func (m *AnalysisModel) Fit() (*ml.RidgeModel, *ml.SigmaMatrix, error) {
+	if m.Label == "" {
+		return nil, nil, errFitDisabled
+	}
+	f := m.fitted()
+	return f.model, f.sigma, f.err
 }
 
 // Kind returns KindAnalysis.
@@ -55,14 +82,15 @@ func (m *AnalysisModel) Count() float64 { return m.Payload.CountScalar() }
 // finite or exceeds view.MaxNumeric in magnitude is refused — the bound
 // the update path enforces — and so is a prediction that overflows.
 func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
-	if m.Model == nil {
-		if m.FitErr != "" {
-			return 0, fmt.Errorf("fivm: no model: %s", m.FitErr)
+	model, sigma, err := m.Fit()
+	if err != nil {
+		if m.Label == "" {
+			return 0, fmt.Errorf("fivm: %w", err)
 		}
-		return 0, errors.New("fivm: model fitting is disabled (no label configured)")
+		return 0, fmt.Errorf("fivm: no model: %w", err)
 	}
-	vec := make([]float64, m.Sigma.Dim())
-	for i, col := range m.Sigma.Cols {
+	vec := make([]float64, sigma.Dim())
+	for i, col := range sigma.Cols {
 		if col.Attr == m.Label {
 			continue
 		}
@@ -85,7 +113,7 @@ func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
 			vec[i] = v.AsFloat()
 		}
 	}
-	p := m.Model.Predict(vec)
+	p := model.Predict(vec)
 	if math.IsNaN(p) || math.IsInf(p, 0) {
 		return 0, fmt.Errorf("fivm: prediction %v is not finite", p)
 	}
@@ -96,41 +124,40 @@ func (m *AnalysisModel) Predict(x map[string]value.Value) (float64, error) {
 // It fails when fitting is disabled or failed — the serving layer turns
 // that into an HTTP error.
 func (m *AnalysisModel) ResultJSON() (any, error) {
-	if m.Model == nil {
-		if m.FitErr != "" {
-			return nil, errors.New(m.FitErr)
-		}
-		return nil, errors.New("model fitting is disabled (no label configured)")
+	model, sigma, err := m.Fit()
+	if err != nil {
+		return nil, err
 	}
 	type weightJSON struct {
 		Column string  `json:"column"`
 		Weight float64 `json:"weight"`
 	}
-	weights := make([]weightJSON, 0, m.Sigma.Dim())
-	for i, col := range m.Sigma.Cols {
-		if i == m.Model.LabelCol {
+	weights := make([]weightJSON, 0, sigma.Dim())
+	for i := range sigma.Cols {
+		if i == model.LabelCol {
 			continue
 		}
-		weights = append(weights, weightJSON{Column: col.Label(), Weight: m.Model.Weights[i]})
+		weights = append(weights, weightJSON{Column: sigma.ColumnLabel(i), Weight: model.Weights[i]})
 	}
 	return map[string]any{
 		"label":      m.Label,
 		"count":      m.Count(),
-		"intercept":  m.Model.Intercept,
+		"intercept":  model.Intercept,
 		"weights":    weights,
-		"converged":  m.Model.Converged,
-		"iterations": m.Model.Iterations,
-		"train_rmse": m.Model.TrainRMSE(m.Sigma),
+		"converged":  model.Converged,
+		"iterations": model.Iterations,
+		"train_rmse": model.TrainRMSE(sigma),
 	}, nil
 }
 
-// Covar converts the model payload to its sigma matrix (the one fit at
-// publish time when available).
+// Covar returns the payload's sigma matrix, the one Fit fits against
+// (built by the same once when there is no label).
 func (m *AnalysisModel) Covar() (*ml.SigmaMatrix, error) {
-	if m.Sigma != nil {
-		return m.Sigma, nil
+	f := m.fitted()
+	if f.sigma == nil {
+		return nil, f.err
 	}
-	return ml.SigmaFromRelCovar(m.Payload, m.Features)
+	return f.sigma, nil
 }
 
 // TableRow is one row of a TableModel: the (decoded) key tuple and the

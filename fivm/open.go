@@ -37,13 +37,15 @@ type AnyEngine interface {
 	// Safe concurrently with maintenance.
 	BuildDelta(rel string, ups []view.Update) (Delta, error)
 	// CheckUpdate reports why Apply or BuildDelta would refuse u's
-	// batch, nil when they would not. Safe concurrently with
-	// maintenance.
+	// batch, or that the full category dictionary cannot take one of
+	// its categories (ErrCategoriesFull), nil when neither. Safe
+	// concurrently with maintenance.
 	CheckUpdate(u view.Update) error
 	// ApplyBuilt applies a delta from BuildDelta.
 	ApplyBuilt(rel string, d Delta) error
 	// PublishModel builds an immutable model of the current result,
-	// warm-starting from the previously published one (nil at first).
+	// given the previously published one (nil at first), which no
+	// engine reads now; see Engine.PublishModel.
 	PublishModel(prev Model) Model
 	// RelationNames returns the input relation names, sorted.
 	RelationNames() []string

@@ -71,15 +71,16 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Owners: the owning shard for anchor updates, -1 (broadcast) for
 	// the rest. Updates the engine refuses (unknown relation, wrong
-	// arity, numeric values out of range) fail the whole batch up front
-	// with the engine's text, as a worker would — no shard has been
+	// arity, numeric values out of range, a new category once the
+	// dictionary is full) fail the whole batch up front with the
+	// engine's text and code, as a worker would — no shard has been
 	// touched yet, so rejecting is free, and the shard map hashes only
 	// tuples of the anchor's arity.
 	owners := make([]int, len(ups))
 	for i, u := range ups {
 		if err := rt.merger.CheckUpdate(u); err != nil {
 			rt.writeErrors.Inc()
-			serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Errorf("updates[%d]: %w", i, err))
+			serve.WriteRefused(w, fmt.Errorf("updates[%d]: %w", i, err))
 			return
 		}
 		if u.Rel == rt.smap.Anchor() {

@@ -68,7 +68,7 @@ func TestSigmaFromRelCovarMixed(t *testing.T) {
 		{Name: "x", Index: 1},
 		{Name: "y", Index: 2},
 	}
-	m, err := SigmaFromRelCovar(total, feats)
+	m, err := SigmaFromRelCovar(total, feats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSigmaFromRelCovarTwoCategoricals(t *testing.T) {
 		{Name: "p", Categorical: true, Index: 0},
 		{Name: "q", Categorical: true, Index: 1},
 	}
-	m, err := SigmaFromRelCovar(total, feats)
+	m, err := SigmaFromRelCovar(total, feats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSigmaFromRelCovarTwoCategoricals(t *testing.T) {
 }
 
 func TestSigmaFromRelCovarNil(t *testing.T) {
-	if _, err := SigmaFromRelCovar(nil, nil); err == nil {
+	if _, err := SigmaFromRelCovar(nil, nil, nil); err == nil {
 		t.Error("nil payload accepted")
 	}
 }
@@ -173,7 +173,7 @@ func TestSigmaFromRelCovarFeatureOrder(t *testing.T) {
 	m, err := SigmaFromRelCovar(total, []Feature{
 		{Name: "y", Index: 2},
 		{Name: "c", Categorical: true, Index: 1},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSigmaFromRelCovarMistypedFeatures(t *testing.T) {
 		"categorical declared continuous": {{Name: "p", Index: 0}, {Name: "q", Index: 1}},
 		"index outside the payload":       {{Name: "p", Categorical: true, Index: 2}},
 	} {
-		if m, err := SigmaFromRelCovar(p, feats); err == nil {
+		if m, err := SigmaFromRelCovar(p, feats, nil); err == nil {
 			t.Errorf("%s: accepted, columns %+v", name, m.Cols)
 		}
 	}
@@ -212,11 +212,57 @@ func TestSigmaFromRelCovarCancelledCategory(t *testing.T) {
 	}
 	// +(u,1) -(u,3) +(v,2): s_c(u) cancels, Q_cx(u) = -2 remains.
 	total := r.Add(r.Add(row("u", 1), r.Neg(row("u", 3))), row("v", 2))
-	m, err := SigmaFromRelCovar(total, []Feature{{Name: "c", Categorical: true, Index: 0}, {Name: "x", Index: 1}})
+	m, err := SigmaFromRelCovar(total, []Feature{{Name: "c", Categorical: true, Index: 0}, {Name: "x", Index: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Dim() != 2 || m.Cols[0].Label() != "c=v" || m.At(0, 1) != 2 || m.Count != 1 {
 		t.Errorf("columns %+v, Q(c=v,x) = %v, count %v", m.Cols, m.At(0, 1), m.Count)
+	}
+}
+
+// TestSigmaReusesPrevious: a Σ over a payload with the previous Σ's keys
+// shares its columns and sparsity structure, one over the same category
+// sets only its columns, and one over a new category neither; each
+// equals the Σ built cold.
+func TestSigmaReusesPrevious(t *testing.T) {
+	r := ring.NewRelCovarRing(3)
+	row := func(c, d string, x float64) *ring.RelCovar {
+		return r.Mul(r.Mul(r.LiftCategorical(0)(nil, value.String(c)), r.LiftCategorical(1)(nil, value.String(d))), r.LiftContinuous(2)(nil, value.Float(x)))
+	}
+	feats := []Feature{{Name: "c", Categorical: true, Index: 0}, {Name: "d", Categorical: true, Index: 1}, {Name: "x", Index: 2}}
+	p0 := r.Add(row("a", "p", 1), row("b", "q", 2))
+	// A build given a prev records its structure: chain from a cold one.
+	cold, err := SigmaFromRelCovar(p0, feats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := SigmaFromRelCovar(p0, feats, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameSigma(t, prev, cold)
+	for _, tc := range []struct {
+		name              string
+		p                 *ring.RelCovar
+		structure, layout bool
+	}{
+		{"same keys", r.Add(p0, row("a", "p", 3)), true, true},
+		{"same categories, a new pair", r.Add(p0, row("a", "q", 3)), false, true},
+		{"a new category", r.Add(p0, row("e", "q", 3)), false, false},
+	} {
+		got, err := SigmaFromRelCovar(tc.p, feats, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SigmaFromRelCovar(tc.p, feats, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameSigma(t, got, want)
+		if (got.pattern == prev.pattern) != tc.structure || (got.layout == prev.layout) != tc.layout {
+			t.Errorf("%s: shares structure %v and columns %v, want %v and %v", tc.name,
+				got.pattern == prev.pattern, got.layout == prev.layout, tc.structure, tc.layout)
+		}
 	}
 }

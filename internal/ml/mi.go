@@ -52,7 +52,7 @@ func MIFromRelCovar(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
 			return nil, fmt.Errorf("ml: MI needs categorical (or binned) lifts, feature %s is continuous", f.Name)
 		}
 	}
-	sigma, err := SigmaFromRelCovar(c, feats)
+	sigma, err := SigmaFromRelCovar(c, feats, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -120,12 +120,30 @@ func BenchmarkMI(b *testing.B) {
 	}
 }
 
+// BenchmarkSigma times the Σ build twice: cold, decoding and sorting
+// every category into columns, and over unchanged payload keys on the
+// previous Σ's columns and structure, as a published version's fit
+// usually does.
 func BenchmarkSigma(b *testing.B) {
 	eng := retailerMIPayload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features()); err != nil {
-			b.Fatal(err)
-		}
+	cold, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features(), cold) // records its structure
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		prev *ml.SigmaMatrix
+	}{{"cold", nil}, {"reused", prev}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features(), bc.prev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -195,10 +195,14 @@ func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
 			p[i] = res[i] + rr/prev*p[i]
 		}
 	}
-	// Back to raw space: θ_i = θ'_i σ_y/σ_i, θ0 = μ_y − Σ θ_i μ_i.
+	// Back to raw space: θ_i = θ'_i σ_y/σ_i, θ0 = μ_y − Σ θ_i μ_i. A
+	// start that took no step keeps its weights bit for bit, so the refit
+	// of an unchanged Σ answers the model it resumed from.
 	r.Intercept = mu[y]
 	for i := range x {
-		r.Weights[i] = x[i] * sd[y] / sd[i]
+		if r.Iterations > 0 {
+			r.Weights[i] = x[i] * sd[y] / sd[i]
+		}
 		r.Intercept -= r.Weights[i] * mu[i]
 	}
 	r.Cols = m.Cols

@@ -39,15 +39,19 @@ func TestSparseSigmaRetailerReplay(t *testing.T) {
 		if err := eng.Apply(ups); err != nil {
 			t.Fatal(err)
 		}
+		// Each version is fitted before the next is published, so the
+		// newest finished fit, the warm start, is the previous one's.
 		var warm *ml.RidgeModel
 		if p, ok := prev.(*fivm.AnalysisModel); ok {
-			warm = p.Model.Clone()
+			model, _, _ := p.Fit()
+			warm = model.Clone()
 		}
 		m := eng.PublishModel(prev).(*fivm.AnalysisModel)
-		if m.Model == nil {
-			t.Fatalf("batch %d: no model: %s", i, m.FitErr)
+		model, sigma, err := m.Fit()
+		if model == nil {
+			t.Fatalf("batch %d: no model: %v", i, err)
 		}
-		ml.CheckSparseSigma(t, m.Payload, m.Features, m.Sigma, m.Model, warm, ml.DefaultRidgeConfig())
+		ml.CheckSparseSigma(t, m.Payload, m.Features, sigma, model, warm, ml.DefaultRidgeConfig())
 		prev = m
 	}
 }

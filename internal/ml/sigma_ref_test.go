@@ -280,14 +280,27 @@ func CheckSparseSigma(t testing.TB, payload *ring.RelCovar, feats []Feature, sig
 	}
 }
 
+// checkSameSigma holds got to want exactly: count, columns, sums and
+// every stored entry.
+func checkSameSigma(t testing.TB, got, want *SigmaMatrix) {
+	t.Helper()
+	if got.Count != want.Count || !slices.Equal(got.Cols, want.Cols) || !slices.Equal(got.Sum, want.Sum) {
+		t.Fatalf("Σ count %v, columns %v, sums %v; want %v, %v, %v", got.Count, got.Cols, got.Sum, want.Count, want.Cols, want.Sum)
+	}
+	if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.col, want.col) || !slices.Equal(got.val, want.val) {
+		t.Fatalf("Σ rows %v %v %v; want %v %v %v", got.rowPtr, got.col, got.val, want.rowPtr, want.col, want.val)
+	}
+}
+
 // FuzzSparseSigma builds random mixed payloads through the ring's lifts
 // — continuous, categorical and binned features, listed in a shuffled
 // order and sometimes without one of them — plus a category whose
 // count, sums and co-occurrences a delete cancels exactly while the
 // rounding leftovers of its products with the continuous features
 // remain, and holds SigmaFromRelCovar, a cold Fit and TrainRMSE to the
-// dense reference, and MIFromRelCovar over the categorical and binned
-// features to the relational-ring reference.
+// dense reference, a Σ built on that one's structure to one built cold,
+// and MIFromRelCovar over the categorical and binned features to the
+// relational-ring reference.
 func FuzzSparseSigma(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed*30))
@@ -350,7 +363,7 @@ func FuzzSparseSigma(f *testing.F) {
 		if last := feats[m-1]; m > 2 && last.Index != 0 && rng.Intn(3) == 0 {
 			feats = feats[:m-1]
 		}
-		sigma, err := SigmaFromRelCovar(total, feats)
+		sigma, err := SigmaFromRelCovar(total, feats, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,6 +376,26 @@ func FuzzSparseSigma(f *testing.F) {
 			}
 		}
 		CheckSparseSigma(t, total, feats, sigma, model, nil, cfg)
+		// A Σ built on sigma (which records its structure), then Σs built
+		// on that one over the same keys (every coefficient doubled) and
+		// after one more row, which may add keys or a category, each
+		// equal the Σ built cold.
+		prev, err := SigmaFromRelCovar(total, feats, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameSigma(t, prev, sigma)
+		for _, next := range []*ring.RelCovar{r.Add(total, total), r.Add(total, tuple(-1))} {
+			want, err := SigmaFromRelCovar(next, feats, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SigmaFromRelCovar(next, feats, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameSigma(t, got, want)
+		}
 		var cats []Feature
 		for _, f := range feats {
 			if f.Categorical {

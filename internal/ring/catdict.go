@@ -2,7 +2,10 @@ package ring
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+
+	"repro/internal/value"
 )
 
 // CatID is the dense id of one encoded category value (a single-value
@@ -14,9 +17,9 @@ type CatID uint32
 // catBits is the width of one CatID inside a packed RelCovar key.
 const catBits = 24
 
-// errCatsExhausted reports that the dictionary already holds its
-// maximum of 2^24 distinct category values.
-var errCatsExhausted = errors.New("ring: category dictionary is full (2^24 distinct category values)")
+// ErrCategoriesFull reports that the dictionary already holds its
+// maximum of distinct category values (2^24 − 1 besides the empty key).
+var ErrCategoriesFull = errors.New("ring: the category dictionary is full")
 
 // catTable is the append-only intern table behind CatID: it assigns
 // ids in first-seen order and never forgets or renumbers one, so a
@@ -58,7 +61,7 @@ func (t *catTable) intern(part []byte) (CatID, error) {
 		return id, nil
 	}
 	if len(t.names) >= t.limit {
-		return 0, errCatsExhausted
+		return 0, fmt.Errorf("%w (%d distinct values)", ErrCategoriesFull, t.limit-1)
 	}
 	name := string(part)
 	id = CatID(len(t.names))
@@ -74,6 +77,39 @@ func (t *catTable) snapshot() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.names
+}
+
+// size returns the number of distinct values interned, the empty key
+// not counted.
+func (t *catTable) size() int { return len(t.snapshot()) - 1 }
+
+// InternCategory enters categorical value v into the dictionary, as a
+// lift of v would, and fails with ErrCategoriesFull when v is new and
+// the dictionary is full. An engine's admission check calls it, so a
+// lift on the writer only ever looks up values already interned.
+func InternCategory(v value.Value) error {
+	var buf [32]byte
+	_, err := cats.intern(v.AppendEncode(buf[:0]))
+	return err
+}
+
+// Categories returns the number of distinct category values the
+// dictionary holds.
+func Categories() int { return cats.size() }
+
+// LimitCategories caps the dictionary at n values beyond those it holds
+// now, until restore runs: tests of the full-dictionary path use it. Do
+// not run it concurrently with another test that interns values.
+func LimitCategories(n int) (restore func()) {
+	cats.mu.Lock()
+	defer cats.mu.Unlock()
+	old := cats.limit
+	cats.limit = len(cats.names) + n
+	return func() {
+		cats.mu.Lock()
+		cats.limit = old
+		cats.mu.Unlock()
+	}
 }
 
 // CategoryKey returns the encoded single-value tuple key that id stands

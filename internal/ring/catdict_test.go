@@ -68,8 +68,8 @@ func TestCatTableExhaustion(t *testing.T) {
 	if a != 1 || b != 2 {
 		t.Fatalf("ids = %d, %d, want 1, 2", a, b)
 	}
-	if _, err := tab.intern([]byte("c")); !errors.Is(err, errCatsExhausted) {
-		t.Errorf("third value: err = %v, want errCatsExhausted", err)
+	if _, err := tab.intern([]byte("c")); !errors.Is(err, ErrCategoriesFull) {
+		t.Errorf("third value: err = %v, want ErrCategoriesFull", err)
 	}
 	if id, err := tab.intern([]byte("a")); err != nil || id != a {
 		t.Errorf("known value after exhaustion: (%d, %v)", id, err)

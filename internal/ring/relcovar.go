@@ -169,6 +169,21 @@ func (c *RelCovar) Visit(fn func(i, j int, p1, p2 CatID, v float64) bool) {
 	}
 }
 
+// SameKeys reports whether c and o hold coefficients under the same
+// keys in the same order, so Visit calls back with the same (i, j, p1,
+// p2) sequence on both; only the values may differ.
+func (c *RelCovar) SameKeys(o *RelCovar) bool {
+	if c == nil || o == nil || c.m != o.m || len(c.e) != len(o.e) {
+		return c == o
+	}
+	for k := range c.e {
+		if c.e[k].key != o.e[k].key {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a deep copy of c — one slice copy — so the clone stays
 // valid however the source's owner evolves afterwards. Cloning nil (the
 // ring zero) returns nil.
@@ -480,7 +495,8 @@ func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 
 // LiftCategorical returns g_X for a categorical attribute at index idx:
 // s_idx = {x -> 1}, Q_idx,idx = {x -> 1} — the compact one-hot encoding.
-// It panics once the category dictionary is full (see CatID).
+// It panics on a new value once the category dictionary is full (see
+// CatID); InternCategory is the check that refuses such a value first.
 func (r RelCovarRing) LiftCategorical(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
 	return func(_ *RelCovar, v value.Value) *RelCovar {

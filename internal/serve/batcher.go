@@ -112,11 +112,12 @@ const maxBatchesPerPublish = 32
 // drainMore reports whether the writer applies another queued batch
 // before it publishes, having applied batches of them in applied time
 // since the last publish, which took publish. It drains only while the
-// applied time is below the publish's: a cheap publish (a covar model
-// is a copy of one payload) then follows every batch, so no
+// applied time is below the publish's: a cheap publish (every model is
+// a copy of one payload or a clone of the result, and the analysis
+// ridge fit runs off the writer) then follows every batch, so no
 // acknowledgement waits for the apply of the batch queued behind it,
-// while an expensive one (the analysis ridge refit) still amortizes
-// over a backlog of small batches, up to maxBatchesPerPublish.
+// while an expensive one still amortizes over a backlog of small
+// batches, up to maxBatchesPerPublish.
 func drainMore(batches int, applied, publish time.Duration) bool {
 	return batches < maxBatchesPerPublish && applied < publish
 }

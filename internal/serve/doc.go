@@ -22,22 +22,31 @@
 //     and publishes an immutable Snapshot (a deep fivm.Model clone +
 //     counters) through an atomic.Pointer after a batch, or after the
 //     queued batches it applied while their apply time stayed below
-//     the last publish's (up to 32): a cheap publish follows every
-//     batch, an expensive refit amortizes over a backlog.
+//     the last publish's (up to 32): a publish is a payload copy or a
+//     result clone, so it follows every batch.
 //     ApplyBuilt runs on that goroutine alone; more cores serve more
 //     shards behind a cluster router (internal/cluster), not one
 //     engine.
+//   - For an analysis engine with a label, one fitter goroutine runs
+//     the ridge fit of the newest published model after each publish,
+//     off the writer, skipping versions superseded before it got to
+//     them. A done channel closes once its batch is applied and
+//     published, not fitted; a reader of a version whose fit is still
+//     running waits for that one fit (fivm.AnalysisModel.Fit), so
+//     read-your-writes holds. Close stops the fitter after the writer.
 //
 // Readers call Snapshot and work against that immutable value: Model
 // reads, Predict, and Stats never take a lock, never block behind
-// ingestion, and never observe a half-applied batch.
+// ingestion, and never observe a half-applied batch; the first reads of
+// an analysis version may wait for its fit.
 //
 // # Key invariants
 //
 //   - Exactly one goroutine (the writer) mutates the engine; batchers
 //     only call BuildDelta, which reads immutable tree metadata.
 //   - Every published Snapshot is a deep copy sharing nothing mutable
-//     with the engine.
+//     with the engine; its model's fit, run once by whichever of the
+//     fitter and the readers comes first, reads only that copy.
 //   - Updates to one relation are applied in ingest order; updates to
 //     different relations may interleave, which cannot change the
 //     final state (delta application commutes across relations).

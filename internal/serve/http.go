@@ -52,6 +52,7 @@ const (
 	CodeUnprocessable  = "unprocessable"    // 422: the engine cannot answer (e.g. no predictor)
 	CodeUnavailable    = "unavailable"      // 503: closed, crashed, or no result yet
 	CodeNotImplemented = "not_implemented"  // 501: engine lacks the capability (e.g. no codec)
+	CodeCategoriesFull = "categories_full"  // 507: the category dictionary cannot take a new value
 )
 
 // NewHandler exposes a Server over HTTP/JSON. The surface is identical
@@ -146,7 +147,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrBatchExpired):
 			WriteError(w, http.StatusConflict, CodeBatchExpired, err)
 		default:
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
+			WriteRefused(w, err)
 		}
 		return
 	}
@@ -263,6 +264,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"apply_errors":         st.ApplyErrors,
 		"last_error":           st.LastError,
 		"ridge_unconverged":    st.RidgeUnconverged,
+		"categories":           fivm.Categories(),
 		"view_updates":         st.View.Updates,
 		"view_delta_tuples":    st.View.DeltaTuples,
 		"shards":               s.Shards(),
@@ -344,6 +346,17 @@ func WriteJSON(w http.ResponseWriter, code int, body any) {
 // WriteError answers with the uniform v1 error envelope.
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
 	WriteJSON(w, status, client.ErrorEnvelope{Error: err.Error(), Code: code})
+}
+
+// WriteRefused answers a batch an engine's CheckUpdate refused: 507
+// categories_full when the category dictionary is full, 400 bad_request
+// for anything else. Worker and router admission both answer through it.
+func WriteRefused(w http.ResponseWriter, err error) {
+	if errors.Is(err, fivm.ErrCategoriesFull) {
+		WriteError(w, http.StatusInsufficientStorage, CodeCategoriesFull, err)
+		return
+	}
+	WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 }
 
 // WriteRetryError is WriteError plus retry hints: the Retry-After

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/fivm"
 	"repro/internal/obs"
 )
 
@@ -33,7 +34,7 @@ type pipelineMetrics struct {
 	stageBuild   *obs.Histogram
 	stageApply   *obs.Histogram
 	stagePublish *obs.Histogram
-	// Conjugate-gradient steps of each published ridge refit (analysis
+	// Conjugate-gradient steps of each finished ridge fit (analysis
 	// engines with a label; other kinds never observe).
 	ridgeIters *obs.Histogram
 
@@ -98,8 +99,11 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 		"Failed ApplyBuilt calls.",
 		func() uint64 { return snapStats().ApplyErrors })
 	reg.CounterFunc("fivm_ridge_unconverged_total", "",
-		"Published ridge fits that stopped at the solver's iteration cap (served with converged=false).",
-		func() uint64 { return snapStats().RidgeUnconverged })
+		"Finished ridge fits that stopped at the solver's iteration cap (served with converged=false).",
+		s.unconverged.Load)
+	reg.GaugeFunc("fivm_categories", "",
+		"Distinct categorical and binned values in the process-wide category dictionary (admission refuses a batch with a new one once it is full).",
+		func() float64 { return float64(fivm.Categories()) })
 	reg.CounterFunc("fivm_snapshots_total", "",
 		"Published model snapshots.",
 		func() uint64 { return snapStats().Snapshots })
@@ -150,7 +154,7 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	m.stagePublish = reg.NewHistogram("fivm_stage_seconds", `stage="publish"`, stageHelp, obs.LatencyBuckets())
 
 	m.ridgeIters = reg.NewHistogram("fivm_ridge_iterations", "",
-		"Conjugate-gradient steps per published ridge refit.",
+		"Conjugate-gradient steps per finished ridge fit (one per fitted snapshot, off the writer).",
 		obs.ExpBuckets(1, 2, 14))
 
 	// HTTP surface, by route.

@@ -205,11 +205,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestRidgeFitMetrics: every published ridge refit lands in the
+// TestRidgeFitMetrics: every finished ridge fit lands in the
 // fivm_ridge_iterations histogram, and one cut short by the solver's
 // iteration cap — served with converged=false — is counted in
 // fivm_ridge_unconverged_total (and /stats), so it no longer goes
-// unnoticed.
+// unnoticed. Fits run after the ack, so each version is read (which
+// waits for its fit) before the metrics are scraped.
 func TestRidgeFitMetrics(t *testing.T) {
 	scrape := func(srv *Server) map[string]float64 {
 		t.Helper()
@@ -223,9 +224,19 @@ func TestRidgeFitMetrics(t *testing.T) {
 		}
 		return samples
 	}
+	fitted := func(srv *Server) map[string]any {
+		t.Helper()
+		body, err := srv.Snapshot().Model.ResultJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body.(map[string]any)
+	}
 	srv := newTestServer(t) // default solver configuration
 	ingestWait(t, srv, seedUpdates(100, 10))
+	fitted(srv)
 	ingestWait(t, srv, seedUpdates(50, 10))
+	fitted(srv)
 	m := scrape(srv)
 	if fits := m["fivm_ridge_iterations_count"]; fits < 2 || fits > m["fivm_snapshots_total"] {
 		t.Errorf("fivm_ridge_iterations_count = %v with %v snapshots, want one observation per fit", fits, m["fivm_snapshots_total"])
@@ -249,18 +260,15 @@ func TestRidgeFitMetrics(t *testing.T) {
 	}
 	t.Cleanup(func() { capped.Close() })
 	ingestWait(t, capped, seedUpdates(100, 10))
+	body := fitted(capped)
 	if got := scrape(capped)["fivm_ridge_unconverged_total"]; got == 0 {
 		t.Error("fivm_ridge_unconverged_total = 0 although every fit was capped at one step")
 	}
 	if got := capped.Stats().RidgeUnconverged; got == 0 {
 		t.Error("Stats().RidgeUnconverged = 0 although every fit was capped at one step")
 	}
-	body, err := capped.Snapshot().Model.ResultJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body.(map[string]any)["converged"] != false {
-		t.Errorf("capped model reports converged=%v", body.(map[string]any)["converged"])
+	if body["converged"] != false {
+		t.Errorf("capped model reports converged=%v", body["converged"])
 	}
 }
 

@@ -81,6 +81,7 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 				_, _ = snap.Model.Predict(x)
 				if am, ok := snap.Model.(*fivm.AnalysisModel); ok {
 					_, _ = am.Covar()
+					_, _, _ = am.Fit()
 				}
 				_ = srv.Stats()
 			}

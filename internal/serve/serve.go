@@ -127,8 +127,10 @@ type Stats struct {
 	// most recent message).
 	ApplyErrors uint64
 	LastError   string
-	// RidgeUnconverged counts published ridge fits that stopped at the
-	// solver's iteration cap (their model says converged=false).
+	// RidgeUnconverged counts finished ridge fits that stopped at the
+	// solver's iteration cap (their model says converged=false). Fits
+	// run after their snapshot is published, so like Ingested it is a
+	// live counter, not snapshot-consistent.
 	RidgeUnconverged uint64
 	// Shed is the number of tuple updates rejected by admission
 	// control (OverloadError); like Ingested it is a live counter, not
@@ -158,6 +160,15 @@ type Server struct {
 	met      *pipelineMetrics
 	dedup    *dedupTable
 
+	// fitWake (capacity 1) wakes the fitter goroutine after a publish,
+	// when the engine fits ridge models; nil otherwise. unconverged
+	// counts finished fits cut off by the iteration cap; fitHook, when
+	// set, runs inside every finished fit (tests hold fits with it).
+	fitWake     chan struct{}
+	fitterDone  chan struct{}
+	unconverged atomic.Uint64
+	fitHook     atomic.Pointer[func()]
+
 	// crashed closes (once, after crashErr is set) when a WAL append
 	// failure poisons the pipeline; every blocking channel operation
 	// selects on it so goroutines unwind instead of deadlocking.
@@ -182,7 +193,6 @@ type Server struct {
 	nDeltaTuples uint64
 	nSnapshots   uint64
 	nApplyErrs   uint64
-	nUnconverged uint64
 	lastErr      string
 	dirty        bool
 	// lastPublish is how long the last publish took: the writer drains
@@ -287,7 +297,14 @@ func New(eng fivm.AnyEngine, cfg Config) (*Server, error) {
 		s.dedup.seedRecovered(cfg.WAL.RecoveredBatchRefs())
 	}
 	s.met = newPipelineMetrics(s) // before publish: publish records its span
-	s.publish()                   // version 1: the initial state, before any goroutine runs
+	if an, ok := eng.(*fivm.Analysis); ok && an.Label() != "" {
+		an.OnFit(s.observeFit)
+		s.fitWake, s.fitterDone = make(chan struct{}, 1), make(chan struct{})
+	}
+	s.publish() // version 1: the initial state, before any goroutine runs
+	if s.fitWake != nil {
+		go s.runFitter()
+	}
 	for _, sh := range s.shards {
 		s.batchers.Add(1)
 		go s.runBatcher(sh)
@@ -498,6 +515,7 @@ func (s *Server) Stats() Stats {
 	st := s.snap.Load().Stats
 	st.Ingested = s.ingested.Load()
 	st.Shed = s.shed.Load()
+	st.RidgeUnconverged = s.unconverged.Load()
 	return st
 }
 
@@ -518,7 +536,8 @@ func (s *Server) ViewTree() string { return s.viewTree }
 
 // Close drains the pipeline — every update accepted by Ingest before
 // Close is applied and reflected in a final snapshot — then stops all
-// goroutines and, when a WAL is configured, writes a final checkpoint.
+// goroutines (the fitter after the fit it is running, if any) and, when
+// a WAL is configured, writes a final checkpoint.
 // After a crash there is no drain and no checkpoint: the WAL already
 // holds the clean prefix a restart will recover. Close is idempotent;
 // Ingest and Sync fail with ErrClosed afterwards.
@@ -527,6 +546,9 @@ func (s *Server) Close() error {
 	if s.closed {
 		s.mu.Unlock()
 		<-s.writerDone
+		if s.fitterDone != nil {
+			<-s.fitterDone
+		}
 		return nil
 	}
 	s.closed = true
@@ -542,5 +564,10 @@ func (s *Server) Close() error {
 	s.batchers.Wait()
 	close(s.batches)
 	<-s.writerDone
+	if s.fitWake != nil {
+		// The writer, the only sender, has exited.
+		close(s.fitWake)
+		<-s.fitterDone
+	}
 	return s.finalCheckpoint()
 }

@@ -102,8 +102,8 @@ func TestIngestWaitReflectsInSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatalf("snapshot model = %T, want *fivm.AnalysisModel", snap.Model)
 	}
-	if am.Model == nil {
-		t.Fatalf("no model after ingest: %s", am.FitErr)
+	if model, _, err := am.Fit(); model == nil {
+		t.Fatalf("no model after ingest: %v", err)
 	}
 	if _, err := snap.Model.Predict(map[string]value.Value{"A": value.Int(5), "C": value.Int(1)}); err != nil {
 		t.Fatalf("Predict: %v", err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/internal/ml"
 	"repro/internal/value"
 )
 
@@ -62,26 +63,18 @@ func (s *Server) publish() {
 	if p := s.snap.Load(); p != nil {
 		prev = p.Model
 	}
-	model := s.eng.PublishModel(prev)
-	if am, ok := model.(*fivm.AnalysisModel); ok && am.Model != nil {
-		s.met.ridgeIters.Observe(float64(am.Model.Iterations))
-		if !am.Model.Converged {
-			s.nUnconverged++
-		}
-	}
 	ms := &Snapshot{
 		Version: s.nSnapshots,
-		Model:   model,
+		Model:   s.eng.PublishModel(prev),
 		Stats: Stats{
-			Ingested:         s.ingested.Load(),
-			Applied:          s.nApplied,
-			Batches:          s.nBatches,
-			DeltaTuples:      s.nDeltaTuples,
-			Snapshots:        s.nSnapshots,
-			ApplyErrors:      s.nApplyErrs,
-			LastError:        s.lastErr,
-			RidgeUnconverged: s.nUnconverged,
-			View:             s.eng.Stats(),
+			Ingested:    s.ingested.Load(),
+			Applied:     s.nApplied,
+			Batches:     s.nBatches,
+			DeltaTuples: s.nDeltaTuples,
+			Snapshots:   s.nSnapshots,
+			ApplyErrors: s.nApplyErrs,
+			LastError:   s.lastErr,
+			View:        s.eng.Stats(),
 		},
 		Covered: s.nApplied,
 	}
@@ -90,10 +83,43 @@ func (s *Server) publish() {
 	}
 	ms.At = time.Now()
 	s.snap.Store(ms)
+	if s.fitWake != nil {
+		// Wake the fitter unless a wake is already pending: it fits
+		// whichever snapshot is newest when it gets to it.
+		select {
+		case s.fitWake <- struct{}{}:
+		default:
+		}
+	}
 	s.lastPublish = time.Since(t0)
 	s.met.stagePublish.Observe(s.lastPublish.Seconds())
 	if s.cfg.TraceLog != nil {
 		s.cfg.TraceLog.Printf("publish version=%d applied=%d took=%s", ms.Version, ms.Stats.Applied, s.lastPublish)
+	}
+}
+
+// runFitter is the fitter goroutine of an analysis engine with a label:
+// on each wake it fits the newest snapshot's model, off the writer, so
+// a read usually finds the version it asks for fitted. A version that
+// was superseded before the fitter got to it is fitted only if a reader
+// asks for it; a reader asking for the version being fitted waits for
+// that fit (fivm.AnalysisModel.Fit).
+func (s *Server) runFitter() {
+	defer close(s.fitterDone)
+	for range s.fitWake {
+		_, _, _ = s.snap.Load().Model.(*fivm.AnalysisModel).Fit()
+	}
+}
+
+// observeFit records one finished ridge fit, inside it, on the goroutine
+// that ran it: the fitter or a reader.
+func (s *Server) observeFit(m *ml.RidgeModel) {
+	s.met.ridgeIters.Observe(float64(m.Iterations))
+	if !m.Converged {
+		s.unconverged.Add(1)
+	}
+	if h := s.fitHook.Load(); h != nil {
+		(*h)()
 	}
 }
 

@@ -81,9 +81,11 @@
 //	eng, _ := fivm.Open(fivm.Config{
 //	    Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}, ...},
 //	    Features:  []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}},
+//	    Label:     "B",
 //	})
 //	an := eng.(*fivm.Analysis)
 //	an.Init(initialTuples)
 //	an.Apply(updates)          // inserts and deletes
-//	sigma, _ := an.Covar()     // feeds ml.RidgeModel
+//	m := an.PublishModel(nil).(*fivm.AnalysisModel)
+//	model, sigma, _ := m.Fit() // ridge predicting B, and the Σ it fits
 package fivm

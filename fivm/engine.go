@@ -67,10 +67,11 @@ type Model interface {
 // Result-access convention (uniform across all engines): Payload and
 // Result never fail — an empty join yields the ring's zero (nil for
 // pointer-shaped rings) and an empty result relation. Typed accessors
-// that must interpret the payload into derived structure (Covar, Sigma,
-// Ridge, MI, a Model's ResultJSON) return a descriptive error on the
-// empty join instead of fabricating zeros; plain enumerations (Tuples)
-// return empty collections.
+// that must interpret the payload into derived structure
+// (CovarEngine.Covar and Sigma, AnalysisModel.Covar and Fit, a Model's
+// ResultJSON) return a descriptive error on the empty join instead of
+// fabricating zeros; plain enumerations (Tuples) return empty
+// collections.
 //
 // An Engine is not safe for concurrent use, with two deliberate
 // exceptions that the serving layer builds on: BuildDelta and

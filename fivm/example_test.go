@@ -57,12 +57,15 @@ func Example() {
 	// after delete: {()->2}
 }
 
-// ExampleAnalysis_Ridge fits a ridge regression from the maintained
-// COVAR matrix: the training set is never materialized.
-func ExampleAnalysis_Ridge() {
+// ExampleAnalysisModel_Fit fits a ridge regression from the maintained
+// COVAR matrix of a published model: the training set is never
+// materialized.
+func ExampleAnalysisModel_Fit() {
 	eng, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "T", Attrs: []string{"id", "x", "y"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "x"}, {Attr: "y"}},
+		Label:     "y",
+		Ridge:     ml.RidgeConfig{Lambda: 1e-9, MaxIters: 20000, Tolerance: 1e-12, Normalize: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -76,9 +79,7 @@ func ExampleAnalysis_Ridge() {
 	if err := an.Init(map[string][]value.Tuple{"T": rows}); err != nil {
 		log.Fatal(err)
 	}
-	model, sigma, err := an.Ridge("y", nil, ml.RidgeConfig{
-		Lambda: 1e-9, MaxIters: 20000, Tolerance: 1e-12, Normalize: true,
-	})
+	model, sigma, err := an.PublishModel(nil).(*fivm.AnalysisModel).Fit()
 	if err != nil {
 		log.Fatal(err)
 	}

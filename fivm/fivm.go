@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/m3"
 	"repro/internal/ml"
@@ -199,10 +200,11 @@ func (a *Analysis) publishModel(Model) Model {
 }
 
 // OnFit registers fn to observe every finished ridge fit of a model
-// this engine published, on the goroutine that ran the fit, once per
-// fitted model. Register it before the first publish; a serving layer
-// records its fit metrics through it.
-func (a *Analysis) OnFit(fn func(*ml.RidgeModel)) { a.fits.onFit = fn }
+// this engine published, with the time the fit took (Σ and ridge), on
+// the goroutine that ran the fit, once per fitted model. Register it
+// before the first publish; a serving layer records its fit metrics
+// through it.
+func (a *Analysis) OnFit(fn func(*ml.RidgeModel, time.Duration)) { a.fits.onFit = fn }
 
 // analysisFits is what the models of one Analysis engine share for
 // their fits: the ridge configuration, the observer, and the newest
@@ -212,7 +214,7 @@ func (a *Analysis) OnFit(fn func(*ml.RidgeModel)) { a.fits.onFit = fn }
 type analysisFits struct {
 	label string
 	cfg   ml.RidgeConfig
-	onFit func(*ml.RidgeModel)
+	onFit func(*ml.RidgeModel, time.Duration)
 
 	mu sync.Mutex
 	// newest holds the Σ and the ridge model of the newest version
@@ -234,6 +236,7 @@ type ridgeFit struct {
 // records the result as the newest if no newer version was fitted
 // meanwhile.
 func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
+	t0 := time.Now()
 	f.mu.Lock()
 	last := f.newest
 	f.mu.Unlock()
@@ -254,7 +257,7 @@ func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
 	}
 	f.mu.Unlock()
 	if r.model != nil && f.onFit != nil {
-		f.onFit(r.model)
+		f.onFit(r.model, time.Since(t0))
 	}
 	return r
 }
@@ -262,49 +265,6 @@ func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
 // Label returns the configured serving label ("" when ridge fitting in
 // published models is disabled).
 func (a *Analysis) Label() string { return a.label }
-
-// Features returns the payload indexing metadata.
-func (a *Analysis) Features() []ml.Feature { return a.feats }
-
-// Covar converts the payload to the one-hot-expanded SigmaMatrix for
-// the regression solver.
-func (a *Analysis) Covar() (*ml.SigmaMatrix, error) {
-	return ml.SigmaFromRelCovar(a.Payload(), a.feats, nil)
-}
-
-// MI computes the pairwise mutual-information matrix; every feature
-// must be categorical or binned. It reads the payload through the same
-// Σ as Covar and Ridge (ml.MIFromRelCovar). The Model Selection and
-// Chow-Liu Tree tabs both read one matrix (ml.SelectFeatures,
-// ml.ChowLiu).
-func (a *Analysis) MI() (*ml.MIMatrix, error) {
-	return ml.MIFromRelCovar(a.Payload(), a.feats)
-}
-
-// Ridge fits (or re-converges, when model is non-nil) a ridge linear
-// regression predicting label from the other features — the Regression
-// tab. It returns the model and the sigma matrix it was fit against.
-func (a *Analysis) Ridge(label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
-	return RidgeFromPayload(a.Payload(), a.feats, label, model, cfg)
-}
-
-// RidgeFromPayload fits (or re-converges, when model is non-nil) a
-// ridge regression against any COVAR payload — Analysis.Ridge uses the
-// live payload; the serving layer uses immutable snapshot clones. The
-// passed model is mutated in place. When the one-hot column set has
-// drifted since it was fit, surviving columns keep their weights and
-// only new ones start at zero (ml.RidgeModel.Remap), so the warm start
-// survives a category appearing or dying out.
-func RidgeFromPayload(payload *ring.RelCovar, feats []ml.Feature, label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, *ml.SigmaMatrix, error) {
-	sigma, err := ml.SigmaFromRelCovar(payload, feats, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if model, err = fitRidge(sigma, label, model, cfg); err != nil {
-		return nil, nil, err
-	}
-	return model, sigma, nil
-}
 
 // fitRidge fits model (a new one when nil), remapped onto sigma's
 // columns, against sigma.

@@ -52,7 +52,8 @@ func TestAnalysisEndToEnd(t *testing.T) {
 	if p == nil || p.Count().Scalar() != 3 {
 		t.Fatalf("payload count = %v", p)
 	}
-	sigma, err := an.Covar()
+	m := publish(an)
+	sigma, err := m.Covar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,38 +89,48 @@ func TestAnalysisEndToEnd(t *testing.T) {
 	if an.Stats().Updates == 0 {
 		t.Error("stats not accumulating")
 	}
-	if len(an.Features()) != 3 {
-		t.Error("features accessor")
+	if len(m.Features) != 3 {
+		t.Error("model features")
 	}
 	if an.Tree() == nil {
 		t.Error("tree accessor")
 	}
 }
 
+// publish publishes an's current state as an AnalysisModel.
+func publish(an *fivm.Analysis) *fivm.AnalysisModel {
+	return an.PublishModel(nil).(*fivm.AnalysisModel)
+}
+
 func TestAnalysisRidge(t *testing.T) {
-	an := open[*fivm.Analysis](t, toyConfig())
+	cfg := toyConfig()
+	cfg.Label = "D"
+	an := open[*fivm.Analysis](t, cfg)
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
-	model, sigma, err := an.Ridge("D", nil, ml.DefaultRidgeConfig())
+	model, sigma, err := publish(an).Fit()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if model == nil || sigma == nil {
 		t.Fatal("nil results")
 	}
-	// Warm-start path reuses the model.
-	model2, _, err := an.Ridge("D", model, ml.DefaultRidgeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model2 != model {
-		t.Error("warm start rebuilt the model despite stable columns")
-	}
 	// A categorical label must be rejected.
-	if _, _, err := an.Ridge("C", nil, ml.DefaultRidgeConfig()); err == nil {
+	cfg.Label = "C"
+	if _, err := fivm.Open(cfg); err == nil {
 		t.Error("categorical label accepted")
 	}
+}
+
+// readMI reads the MI matrix off the Σ of a model of an.
+func readMI(an *fivm.Analysis) (*ml.MIMatrix, error) {
+	m := publish(an)
+	sigma, err := m.Covar()
+	if err != nil {
+		return nil, err
+	}
+	return ml.MIFromSigma(sigma, m.Features)
 }
 
 func TestAnalysisMIAndApps(t *testing.T) {
@@ -133,7 +144,7 @@ func TestAnalysisMIAndApps(t *testing.T) {
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
-	mi, err := an.MI()
+	mi, err := readMI(an)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +177,7 @@ func TestAnalysisMIRejectsContinuous(t *testing.T) {
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := an.MI(); err == nil {
+	if _, err := readMI(an); err == nil {
 		t.Error("MI over continuous features accepted")
 	}
 }

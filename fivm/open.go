@@ -92,7 +92,7 @@ type Config struct {
 	Attrs []string
 	// Label optionally names the continuous feature the Analysis'
 	// published AnalysisModel predicts; empty disables ridge fitting in
-	// published models (explicit Analysis.Ridge calls are unaffected).
+	// published models.
 	Label string
 	// Ridge configures the published model's solver; the zero value
 	// means ml.DefaultRidgeConfig().

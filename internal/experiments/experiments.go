@@ -237,7 +237,7 @@ func E2Compound(sc Scale, deleteRatio float64) (Throughput, int, error) {
 		return Throughput{}, 0, err
 	}
 	an := eng.(*fivm.Analysis)
-	sigma, err := an.Covar()
+	sigma, err := an.PublishModel(nil).(*fivm.AnalysisModel).Covar()
 	if err != nil {
 		return Throughput{}, 0, err
 	}

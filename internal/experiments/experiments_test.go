@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -96,6 +97,32 @@ func TestE3E4E5Run(t *testing.T) {
 		if i > 0 && r.Model == rows[i-1].Model {
 			t.Errorf("row %d shares its ridge model with row %d", i, i-1)
 		}
+	}
+}
+
+// TestTabsGolden pins every tab of a tiny Retailer and Favorita run to
+// testdata/tabs.golden, recorded when the tabs still read the live
+// engines with Σ built cold on every read: publishing models whose Σ is
+// built on the previous version's, and whose ridge fit is warm-started
+// from the previous bulk's, must print the same artifacts.
+func TestTabsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tabs.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, db := range []string{"retailer", "favorita"} {
+		_, rows, err := PresetTabs(db, tinyScale(), 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString("# " + db + "\n")
+		for _, r := range rows {
+			sb.WriteString(AllColumns(r) + "\n")
+		}
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("tabs differ from testdata/tabs.golden:\n%s\nwant:\n%s", got, want)
 	}
 }
 

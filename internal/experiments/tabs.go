@@ -25,46 +25,56 @@ type TabsConfig struct {
 }
 
 // TabBulk is the application tabs after one bulk: every tab is derived
-// from the one MI matrix and the one COVAR payload maintained so far.
+// from the models the MI and COVAR engines published after it — one MI
+// matrix read off the MI model's Σ, and the COVAR model's ridge fit.
 type TabBulk struct {
 	// Bulk 0 is the initial evaluation of the database; Updates is then
 	// its tuple count, and Maintain the evaluation time.
 	Bulk, Updates int
 	// Maintain is the time both engines took to apply the bulk; App is
-	// the time to recompute every tab below from their payloads.
+	// the time to publish both models and recompute every tab below
+	// from them.
 	Maintain, App time.Duration
 	// Ranking and Selected are the Model Selection tab.
 	Ranking  []ml.RankedAttr
 	Selected []string
 	// Tree is the Chow-Liu Tree tab.
 	Tree *ml.ChowLiuTree
-	// Model and Sigma are the Regression tab: ridge, warm-started from
-	// the previous bulk's fit. RidgeErr is set instead when the label
-	// cannot be regressed on the preset's features (it is categorical or
-	// not one of them).
+	// Model and Sigma are the Regression tab: the COVAR model's ridge
+	// fit, warm-started from the previous bulk's (fivm.AnalysisModel.Fit).
+	// RidgeErr is set instead when the label cannot be regressed on the
+	// preset's features (fivm.Open refuses it: it is categorical or not
+	// one of them) or the fit failed.
 	Model    *ml.RidgeModel
 	Sigma    *ml.SigmaMatrix
 	RidgeErr error
 }
 
 // openTabEngines opens the preset's MI and COVAR engines over db and
-// evaluates both on it. The COVAR engine has no label: the tabs fit
-// ridge themselves, for whichever label they are asked.
-func openTabEngines(p daemon.Preset, db *dataset.Database) (mi, cov *fivm.Analysis, err error) {
+// evaluates both on it. The COVAR engine's models fit ridge for label;
+// when Open refuses label, the COVAR engine opens without one and
+// labelErr is the refusal.
+func openTabEngines(p daemon.Preset, db *dataset.Database, label string) (mi, cov *fivm.Analysis, labelErr, err error) {
 	var rels []fivm.RelationSpec
 	for _, r := range db.Relations {
 		rels = append(rels, fivm.RelationSpec{Name: r.Name, Attrs: r.Attrs})
 	}
 	data := db.TupleMap()
-	var engs [2]*fivm.Analysis
-	for i, features := range [][]fivm.FeatureSpec{p.MIFeatures, p.Features} {
-		eng, err := openLoaded(fivm.Config{Features: features}, rels, data)
-		if err != nil {
-			return nil, nil, err
-		}
-		engs[i] = eng.(*fivm.Analysis)
+	miEng, err := openLoaded(fivm.Config{Features: p.MIFeatures}, rels, data)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return engs[0], engs[1], nil
+	// Open checks the label before it loads anything, so a COVAR engine
+	// that opens without it was refused for the label alone.
+	covEng, err := openLoaded(fivm.Config{Features: p.Features, Label: label}, rels, data)
+	if err != nil && label != "" {
+		labelErr = err
+		covEng, err = openLoaded(fivm.Config{Features: p.Features}, rels, data)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return miEng.(*fivm.Analysis), covEng.(*fivm.Analysis), labelErr, nil
 }
 
 // tabStream is the update stream every tab run applies: total updates
@@ -75,41 +85,48 @@ func tabStream(p daemon.Preset, db *dataset.Database, total int) (*dataset.Strea
 
 // RunTabs computes the application tabs of c: it evaluates the preset's
 // MI and COVAR engines over c.DB, then applies every bulk of the stream
-// to both, and after the evaluation and after each bulk derives the
-// feature ranking and the Chow-Liu tree from one MI matrix and refits
-// ridge on the COVAR payload. It also returns the MI engine's view tree
-// and M3 code, the Maintenance Strategy tab.
+// to both. After the evaluation and after each bulk it publishes a
+// model of each engine — the read path a served engine has — and
+// derives the feature ranking and the Chow-Liu tree from one MI matrix
+// over the MI model's Σ, and the Regression tab from the COVAR model's
+// ridge fit. Each version's Σ is built on the previous one's. It also
+// returns the MI engine's view tree and M3 code, the Maintenance
+// Strategy tab.
 func RunTabs(c TabsConfig) (m3 string, out []TabBulk, err error) {
 	stream, err := tabStream(c.Preset, c.DB, c.Updates)
 	if err != nil {
 		return "", nil, err
 	}
 	t0 := time.Now()
-	miEng, covEng, err := openTabEngines(c.Preset, c.DB)
+	miEng, covEng, labelErr, err := openTabEngines(c.Preset, c.DB, c.Label)
 	if err != nil {
 		return "", nil, err
 	}
 	initial := time.Since(t0)
-	var model *ml.RidgeModel
-	ridgeCfg := ml.DefaultRidgeConfig()
 	refresh := func(updates int, maintain time.Duration) error {
 		t0 := time.Now()
-		mi, err := miEng.MI()
+		miModel := miEng.PublishModel(nil).(*fivm.AnalysisModel)
+		sigma, err := miModel.Covar()
 		if err != nil {
 			return err
 		}
-		b := TabBulk{Bulk: len(out), Updates: updates, Maintain: maintain}
+		mi, err := ml.MIFromSigma(sigma, miModel.Features)
+		if err != nil {
+			return err
+		}
+		b := TabBulk{Bulk: len(out), Updates: updates, Maintain: maintain, RidgeErr: labelErr}
 		if b.Ranking, b.Selected, err = ml.SelectFeatures(mi, c.Label, c.Threshold); err != nil {
 			return err
 		}
 		if b.Tree, err = ml.ChowLiu(mi, c.Root); err != nil {
 			return err
 		}
-		// Ridge refits its warm start in place; each bulk keeps its own.
-		if m, sigma, err := covEng.Ridge(c.Label, model.Clone(), ridgeCfg); err != nil {
-			b.RidgeErr = err
-		} else {
-			model, b.Model, b.Sigma = m, m, sigma
+		if labelErr == nil {
+			if m, sigma, err := covEng.PublishModel(nil).(*fivm.AnalysisModel).Fit(); err != nil {
+				b.RidgeErr = err
+			} else {
+				b.Model, b.Sigma = m, sigma
+			}
 		}
 		b.App = time.Since(t0)
 		out = append(out, b)
@@ -196,7 +213,7 @@ func E8Throughput(sc Scale) ([]Throughput, error) {
 	if err != nil {
 		return nil, err
 	}
-	miEng, covEng, err := openTabEngines(p, db)
+	miEng, covEng, _, err := openTabEngines(p, db, "")
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +226,7 @@ func E8Throughput(sc Scale) ([]Throughput, error) {
 		return nil, err
 	}
 	mi.Note = fmt.Sprintf("%d attributes in the MI matrix", len(p.MIFeatures))
-	sigma, err := covEng.Covar()
+	sigma, err := covEng.PublishModel(nil).(*fivm.AnalysisModel).Covar()
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ type ChowLiuTree struct {
 // matrix). Edges come out in insertion (Prim) order. Equal MI values
 // break by name — the next child is the name-smallest among the best,
 // its parent the name-smallest tree node achieving that MI — so with
-// MIFromRelCovar's sums, each run in Σ's fixed column order, the tree is
+// MIFromSigma's sums, each run in Σ's fixed column order, the tree is
 // a function of the data.
 func ChowLiu(m *MIMatrix, root string) (*ChowLiuTree, error) {
 	ri := m.IndexOf(root)

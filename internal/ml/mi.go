@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/ring"
 )
 
 // MIMatrix is the symmetric matrix of pairwise mutual information over a
@@ -32,29 +30,25 @@ func (m *MIMatrix) IndexOf(attr string) int {
 	return -1
 }
 
-// MIFromRelCovar builds the pairwise MI matrix from a generalized COVAR
-// payload whose features are all categorical (continuous attributes
-// must have been lifted with binned/categorical lifts). feats addresses
-// the payload components. It reads the payload once, through Σ
-// (SigmaFromRelCovar): a column's Sum is its category's count, so a
+// MIFromSigma builds the pairwise MI matrix from Σ, the one-hot
+// covariance matrix of a generalized COVAR payload whose features are
+// all categorical (continuous attributes must have been lifted with
+// binned/categorical lifts); feats are the features Σ was built from
+// (SigmaFromRelCovar). A column's Sum is its category's count, so a
 // feature's entropy comes from the sums of its columns, and I(X, Y)
 // from the entries of X's rows in Y's columns, each the count of one
 // category pair. The result uses natural logarithms (nats). A feature's
 // columns are contiguous and sorted by category value, and rows by
 // column, so every sum runs in a fixed order: the matrix is a function
 // of the counts alone, which ChowLiu's tie-breaks rely on.
-func MIFromRelCovar(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
-	if c == nil {
-		return nil, fmt.Errorf("ml: nil payload (empty join result)")
+func MIFromSigma(sigma *SigmaMatrix, feats []Feature) (*MIMatrix, error) {
+	if sigma == nil {
+		return nil, fmt.Errorf("ml: nil Σ (empty join result)")
 	}
 	for _, f := range feats {
 		if !f.Categorical {
 			return nil, fmt.Errorf("ml: MI needs categorical (or binned) lifts, feature %s is continuous", f.Name)
 		}
-	}
-	sigma, err := SigmaFromRelCovar(c, feats, nil)
-	if err != nil {
-		return nil, err
 	}
 	n := len(feats)
 	m := &MIMatrix{n: n, Attrs: make([]string, n), Data: make([]float64, n*n)}

@@ -31,10 +31,11 @@ func openPresetMI(tb testing.TB, p daemon.Preset, db *dataset.Database) *fivm.An
 
 // TestMIMatchesReferenceOnPresets streams the demo's tab stream (a
 // quarter deletes) into the Retailer and Favorita presets' MI engines in
-// ten bulks and, after the evaluation and after each bulk, holds the MI
-// matrix read off Σ to the relational-ring reference within 1e-12
-// relative, and the feature ranking, the selection and the Chow-Liu tree
-// derived from it to the reference's exactly.
+// ten bulks and, after the evaluation and after each bulk, publishes a
+// model and holds the MI matrix read off its Σ — built on the previous
+// version's, as the tabs read it — to the relational-ring reference
+// within 1e-12 relative, and the feature ranking, the selection and the
+// Chow-Liu tree derived from it to the reference's exactly.
 func TestMIMatchesReferenceOnPresets(t *testing.T) {
 	sc := experiments.SmallScale()
 	for _, name := range []string{"retailer", "favorita"} {
@@ -47,7 +48,12 @@ func TestMIMatchesReferenceOnPresets(t *testing.T) {
 				t.Fatal(err)
 			}
 			check := func(bulk int) {
-				got, ref := ml.CheckMI(t, eng.Payload(), eng.Features(), 0)
+				m := eng.PublishModel(nil).(*fivm.AnalysisModel)
+				sigma, err := m.Covar()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, ref := ml.CheckMI(t, sigma, m.Payload, m.Features, 0)
 				gotRank, gotSel, err := ml.SelectFeatures(got, p.Label, 0.1)
 				if err != nil {
 					t.Fatal(err)
@@ -101,20 +107,25 @@ func TestMIMatchesReferenceOnPresets(t *testing.T) {
 	}
 }
 
-// retailerMIPayload is the Retailer preset's MI engine evaluated over
-// 20 000 fact rows: the payload BenchmarkMI and BenchmarkSigma read.
-func retailerMIPayload(b *testing.B) *fivm.Analysis {
+// retailerMIModel is a model of the Retailer preset's MI engine
+// evaluated over 20 000 fact rows: the payload BenchmarkMI and
+// BenchmarkSigma read.
+func retailerMIModel(b *testing.B) *fivm.AnalysisModel {
 	p := daemon.Presets["retailer"]
-	return openPresetMI(b, p, p.Generate(20_000))
+	return openPresetMI(b, p, p.Generate(20_000)).PublishModel(nil).(*fivm.AnalysisModel)
 }
 
-// BenchmarkMI times the MI matrix read off the Retailer preset's MI
-// payload; BenchmarkSigma times the Σ build it starts from.
+// BenchmarkMI times the MI matrix read off the Σ of the Retailer
+// preset's MI payload; BenchmarkSigma times the Σ build.
 func BenchmarkMI(b *testing.B) {
-	eng := retailerMIPayload(b)
+	m := retailerMIModel(b)
+	sigma, err := m.Covar()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ml.MIFromRelCovar(eng.Payload(), eng.Features()); err != nil {
+		if _, err := ml.MIFromSigma(sigma, m.Features); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,12 +136,12 @@ func BenchmarkMI(b *testing.B) {
 // previous Σ's columns and structure, as a published version's fit
 // usually does.
 func BenchmarkSigma(b *testing.B) {
-	eng := retailerMIPayload(b)
-	cold, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features(), nil)
+	m := retailerMIModel(b)
+	cold, err := ml.SigmaFromRelCovar(m.Payload, m.Features, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features(), cold) // records its structure
+	prev, err := ml.SigmaFromRelCovar(m.Payload, m.Features, cold) // records its structure
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +151,7 @@ func BenchmarkSigma(b *testing.B) {
 	}{{"cold", nil}, {"reused", prev}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ml.SigmaFromRelCovar(eng.Payload(), eng.Features(), bc.prev); err != nil {
+				if _, err := ml.SigmaFromRelCovar(m.Payload, m.Features, bc.prev); err != nil {
 					b.Fatal(err)
 				}
 			}

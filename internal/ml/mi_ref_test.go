@@ -11,7 +11,7 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the reference MIFromRelCovar is held to: mutual
+// This file is the reference MIFromSigma is held to: mutual
 // information read off the payload through the relational ring, which
 // builds a map[string]float64 per feature (RelCovar.Sum) and per pair
 // (RelCovar.Prod) and sums each in sorted key order.
@@ -83,11 +83,11 @@ func sortedKeys(v ring.RelVal) []string {
 	return keys
 }
 
-// refMIFromRelCovar is MIFromRelCovar before it read Σ: it builds the
+// refMI is MI before it was read off Σ: it builds the
 // pairwise MI matrix from a generalized COVAR payload whose features are
 // all categorical (continuous attributes must have been lifted with
 // binned/categorical lifts). feats addresses the payload components.
-func refMIFromRelCovar(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
+func refMI(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
 	if c == nil {
 		return nil, fmt.Errorf("ml: nil payload (empty join result)")
 	}
@@ -125,17 +125,18 @@ func refMIFromRelCovar(c *ring.RelCovar, feats []Feature) (*MIMatrix, error) {
 	return m, nil
 }
 
-// checkMI computes MIFromRelCovar and the reference over payload and
-// feats and holds every entry to the reference within
-// 1e-12 × max(floor, |ref|): floor 1 bounds the error absolutely near
-// zero, floor 0 makes it relative throughout. It returns both matrices.
-func checkMI(t testing.TB, payload *ring.RelCovar, feats []Feature, floor float64) (got, ref *MIMatrix) {
+// checkMI computes MIFromSigma over sigma, a Σ of payload built over
+// feats, and the reference over payload and feats, and holds every
+// entry to the reference within 1e-12 × max(floor, |ref|): floor 1
+// bounds the error absolutely near zero, floor 0 makes it relative
+// throughout. It returns both matrices.
+func checkMI(t testing.TB, sigma *SigmaMatrix, payload *ring.RelCovar, feats []Feature, floor float64) (got, ref *MIMatrix) {
 	t.Helper()
-	got, err := MIFromRelCovar(payload, feats)
+	got, err := MIFromSigma(sigma, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref, err = refMIFromRelCovar(payload, feats); err != nil {
+	if ref, err = refMI(payload, feats); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	if !slices.Equal(got.Attrs, ref.Attrs) {

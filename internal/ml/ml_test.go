@@ -169,10 +169,7 @@ func TestMIMatrixFromRelCovar(t *testing.T) {
 		{Name: "Y", Categorical: true, Index: 1},
 		{Name: "Z", Categorical: true, Index: 2},
 	}
-	m, err := MIFromRelCovar(total, feats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := coldMI(t, total, feats)
 	ixy := m.At(0, 1)
 	ixz := m.At(0, 2)
 	if ixy < 0.5 { // ~ln2 ≈ 0.693 minus sampling noise
@@ -192,12 +189,32 @@ func TestMIMatrixFromRelCovar(t *testing.T) {
 	}
 }
 
-func TestMIFromRelCovarErrors(t *testing.T) {
-	if _, err := MIFromRelCovar(nil, nil); err == nil {
-		t.Error("nil payload accepted")
+// coldMI is the MI matrix of payload c over feats, read off a Σ built
+// cold.
+func coldMI(t testing.TB, c *ring.RelCovar, feats []Feature) *MIMatrix {
+	t.Helper()
+	sigma, err := SigmaFromRelCovar(c, feats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := MIFromSigma(sigma, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestMIFromSigmaErrors(t *testing.T) {
+	if _, err := MIFromSigma(nil, nil); err == nil {
+		t.Error("nil Σ accepted")
 	}
 	r := ring.NewRelCovarRing(1)
-	if _, err := MIFromRelCovar(r.One(), []Feature{{Name: "x", Categorical: false, Index: 0}}); err == nil {
+	feats := []Feature{{Name: "x", Categorical: false, Index: 0}}
+	sigma, err := SigmaFromRelCovar(r.One(), feats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MIFromSigma(sigma, feats); err == nil {
 		t.Error("continuous feature accepted for MI")
 	}
 }
@@ -329,10 +346,7 @@ func TestChowLiuIsAFunctionOfTheData(t *testing.T) {
 	var wantBits []uint64
 	var wantEdges []ChowLiuEdge
 	for run := 0; run < 50; run++ {
-		m, err := MIFromRelCovar(total, feats)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := coldMI(t, total, feats)
 		if m.At(0, 1) != m.At(0, 2) || m.At(3, 1) != m.At(3, 2) {
 			t.Fatalf("run %d: equal pairs differ: I(W,X)=%v I(W,Y)=%v I(Z,X)=%v I(Z,Y)=%v", run, m.At(0, 1), m.At(0, 2), m.At(3, 1), m.At(3, 2))
 		}

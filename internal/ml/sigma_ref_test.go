@@ -299,8 +299,8 @@ func checkSameSigma(t testing.TB, got, want *SigmaMatrix) {
 // rounding leftovers of its products with the continuous features
 // remain, and holds SigmaFromRelCovar, a cold Fit and TrainRMSE to the
 // dense reference, a Σ built on that one's structure to one built cold,
-// and MIFromRelCovar over the categorical and binned features to the
-// relational-ring reference.
+// and MIFromSigma over a cold Σ of the categorical and binned features
+// to the relational-ring reference.
 func FuzzSparseSigma(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed*30))
@@ -402,6 +402,10 @@ func FuzzSparseSigma(f *testing.F) {
 				cats = append(cats, f)
 			}
 		}
-		checkMI(t, total, cats, 1)
+		catSigma, err := SigmaFromRelCovar(total, cats, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMI(t, catSigma, total, cats, 1)
 	})
 }

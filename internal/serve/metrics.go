@@ -30,10 +30,12 @@ type pipelineMetrics struct {
 	batchRaw    *obs.Histogram // raw updates collected into one flush
 	batcherWait *obs.Histogram // queue wait of the flush's oldest message
 	// Per-stage latency: delta build (batcher goroutine), delta apply
-	// and snapshot publish (writer goroutine).
+	// and snapshot publish (writer goroutine), and ridge fit (fitter
+	// goroutine or a reader; analysis engines with a label only).
 	stageBuild   *obs.Histogram
 	stageApply   *obs.Histogram
 	stagePublish *obs.Histogram
+	stageFit     *obs.Histogram
 	// Conjugate-gradient steps of each finished ridge fit (analysis
 	// engines with a label; other kinds never observe).
 	ridgeIters *obs.Histogram
@@ -148,10 +150,11 @@ func newPipelineMetrics(s *Server) *pipelineMetrics {
 	m.batcherWait = reg.NewHistogram("fivm_batcher_wait_seconds", "",
 		"Queue wait of a flush's oldest message, ingest enqueue to batcher collect.",
 		obs.LatencyBuckets())
-	stageHelp := "Write-path stage latency: build (BuildDelta, batcher goroutine), apply (ApplyBuilt), publish (PublishModel + snapshot swap)."
+	stageHelp := "Write-path stage latency: build (BuildDelta, batcher goroutine), apply (ApplyBuilt), publish (PublishModel + snapshot swap), fit (a snapshot's Σ and ridge refit, off the writer; analysis engines with a label only)."
 	m.stageBuild = reg.NewHistogram("fivm_stage_seconds", `stage="build"`, stageHelp, obs.LatencyBuckets())
 	m.stageApply = reg.NewHistogram("fivm_stage_seconds", `stage="apply"`, stageHelp, obs.LatencyBuckets())
 	m.stagePublish = reg.NewHistogram("fivm_stage_seconds", `stage="publish"`, stageHelp, obs.LatencyBuckets())
+	m.stageFit = reg.NewHistogram("fivm_stage_seconds", `stage="fit"`, stageHelp, obs.LatencyBuckets())
 
 	m.ridgeIters = reg.NewHistogram("fivm_ridge_iterations", "",
 		"Conjugate-gradient steps per finished ridge fit (one per fitted snapshot, off the writer).",

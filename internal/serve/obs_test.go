@@ -206,7 +206,8 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestRidgeFitMetrics: every finished ridge fit lands in the
-// fivm_ridge_iterations histogram, and one cut short by the solver's
+// fivm_ridge_iterations histogram and its time in the fit stage of
+// fivm_stage_seconds, and one cut short by the solver's
 // iteration cap — served with converged=false — is counted in
 // fivm_ridge_unconverged_total (and /stats), so it no longer goes
 // unnoticed. Fits run after the ack, so each version is read (which
@@ -243,6 +244,15 @@ func TestRidgeFitMetrics(t *testing.T) {
 	}
 	if got := m["fivm_ridge_unconverged_total"]; got != 0 {
 		t.Errorf("fivm_ridge_unconverged_total = %v on a well-posed fit, want 0", got)
+	}
+	// Once Close has stopped the fitter no fit is half observed: each
+	// one is timed in the fit stage.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m = scrape(srv)
+	if got, fits := m[`fivm_stage_seconds_count{stage="fit"}`], m["fivm_ridge_iterations_count"]; got != fits || m[`fivm_stage_seconds_sum{stage="fit"}`] <= 0 {
+		t.Errorf("fit stage timed %v fits taking %vs, fivm_ridge_iterations_count = %v", got, m[`fivm_stage_seconds_sum{stage="fit"}`], fits)
 	}
 
 	an, err := fivm.Open(fivm.Config{

@@ -126,14 +126,19 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 	// Cold-fit both sigmas with identical config: deterministic gradient
 	// descent over equal payloads must agree.
 	cfg := ml.DefaultRidgeConfig()
-	wantModel, _, err := replay.Ridge("B", nil, cfg)
-	if err != nil {
-		t.Fatal(err)
+	coldFit := func(m *fivm.AnalysisModel) *ml.RidgeModel {
+		sigma, err := ml.SigmaFromRelCovar(m.Payload, m.Features, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := ml.NewRidge(sigma, sigma.ColumnsOf("B")[0])
+		if err := model.Fit(sigma, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return model
 	}
-	gotModel, _, err := fivm.RidgeFromPayload(fm.Payload, fm.Features, "B", nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantModel := coldFit(replay.PublishModel(nil).(*fivm.AnalysisModel))
+	gotModel := coldFit(fm)
 	if math.Abs(gotModel.Intercept-wantModel.Intercept) > 1e-9 {
 		t.Fatalf("intercept %v vs replay %v", gotModel.Intercept, wantModel.Intercept)
 	}

@@ -111,9 +111,10 @@ func (s *Server) runFitter() {
 	}
 }
 
-// observeFit records one finished ridge fit, inside it, on the goroutine
-// that ran it: the fitter or a reader.
-func (s *Server) observeFit(m *ml.RidgeModel) {
+// observeFit records one finished ridge fit and the time it took,
+// inside it, on the goroutine that ran it: the fitter or a reader.
+func (s *Server) observeFit(m *ml.RidgeModel, took time.Duration) {
+	s.met.stageFit.Observe(took.Seconds())
 	s.met.ridgeIters.Observe(float64(m.Iterations))
 	if !m.Converged {
 		s.unconverged.Add(1)

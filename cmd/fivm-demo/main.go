@@ -5,7 +5,7 @@
 //
 //	Input               — database, query, feature kinds
 //	Model Selection     — MI ranking against a label with a threshold
-//	Regression          — ridge model re-converged from the COVAR matrix
+//	Regression          — ridge model fit to the COVAR matrix
 //	Chow-Liu Tree       — the tree over the MI matrix, rooted at a chosen node
 //	Maintenance Strategy— the view tree and its M3 code
 //

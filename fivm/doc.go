@@ -47,12 +47,12 @@
 //     covar) or the result relation (count, float), and whatever a
 //     reader derives from it runs later, at most once per model, on
 //     the reader's goroutine. An AnalysisModel's ridge fit — Σ and the
-//     warm-started conjugate gradient — is such a derivation: its
-//     first caller of Fit (or ResultJSON, Predict, Covar) runs it and
-//     concurrent callers wait, warm-started from the engine's newest
-//     finished fit and building Σ on that fit's columns and sparsity
-//     structure while they still hold. A serving layer runs it off its
-//     writer (the fitter goroutine of internal/serve).
+//     conjugate gradient — is such a derivation: its first caller of
+//     Fit (or ResultJSON, Predict, Covar) runs it and concurrent
+//     callers wait. Σ is built on the engine's newest Σ's columns and
+//     sparsity structure while they still hold, and the fit starts from
+//     zero, so it depends on the model's payload alone. A serving layer
+//     runs it off its writer (the fitter goroutine of internal/serve).
 //   - Maintenance scratch lives on the engine (its view tree): delta
 //     buffers, propagation steps, and cached ±1
 //     payloads are recycled across Apply/ApplyBuilt calls under the

@@ -254,9 +254,9 @@ func (e *Engine[V]) payloadPartial(payload func() V) frozenPartial {
 // state is untouched — the merged relation is swapped in only for the
 // duration of the publish — so a data-less "merger" engine built from
 // the cluster's configuration can serve merged reads repeatedly; an
-// analysis merger's models fit like a worker's, once each, warm-started
-// from its newest finished fit. Not safe concurrently with maintenance
-// or other MergePartials calls.
+// analysis merger's models fit like a worker's, once each, so a merged
+// model answers what a worker holding the same payload does. Not safe
+// concurrently with maintenance or other MergePartials calls.
 func (e *Engine[V]) MergePartials(parts []io.Reader) (Model, error) {
 	merged := relation.New[V](e.tree.Result().Schema())
 	for i, p := range parts {
@@ -284,9 +284,9 @@ func (e *Engine[V]) PartitionKey(rel string) ([]int, bool) {
 // of the payload or a clone of the result relation, so its cost is
 // independent of what readers derive from it. prev, the previously
 // published model (nil on the first publish), is not read by any engine
-// now: an analysis model's ridge fit runs later, once, warm-started from
-// the engine's newest finished fit. It reads live engine state, so a
-// serving layer must call it from its single writer.
+// now: an analysis model's ridge fit runs later, once, on its own
+// payload. It reads live engine state, so a serving layer must call it
+// from its single writer.
 func (e *Engine[V]) PublishModel(prev Model) Model { return e.publish(prev) }
 
 // tableModel snapshots the result relation into a TableModel. The

@@ -207,19 +207,20 @@ func (a *Analysis) publishModel(Model) Model {
 func (a *Analysis) OnFit(fn func(*ml.RidgeModel, time.Duration)) { a.fits.onFit = fn }
 
 // analysisFits is what the models of one Analysis engine share for
-// their fits: the ridge configuration, the observer, and the newest
-// finished fit — the warm start of the next, whose Σ the next is built
-// on (ml.SigmaFromRelCovar's prev). Fits of different models may run at
-// once on any goroutines; mu guards newest.
+// their fits: the ridge configuration, the observer, and the Σ of the
+// newest version fitted, on which the next Σ is built
+// (ml.SigmaFromRelCovar's prev). A fit reads nothing else of another
+// model's, so its result depends on its own payload alone. Fits of
+// different models may run at once on any goroutines; mu guards newest.
 type analysisFits struct {
 	label string
 	cfg   ml.RidgeConfig
 	onFit func(*ml.RidgeModel, time.Duration)
 
 	mu sync.Mutex
-	// newest holds the Σ and the ridge model of the newest version
-	// fitted, newestVersion; both are published and never written.
-	newest        ridgeFit
+	// newest is the Σ of the newest version fitted, newestVersion; it is
+	// published and never written.
+	newest        *ml.SigmaMatrix
 	newestVersion uint64
 }
 
@@ -231,31 +232,26 @@ type ridgeFit struct {
 	err   error
 }
 
-// fit builds m's Σ on the newest fit's and — with a label —
-// re-converges the ridge model warm-started from the newest fit's, then
-// records the result as the newest if no newer version was fitted
-// meanwhile.
+// fit builds m's Σ on the newest one, records it as the newest if no
+// newer version was fitted meanwhile, and — with a label — fits the
+// ridge model to it.
 func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
 	t0 := time.Now()
 	f.mu.Lock()
-	last := f.newest
+	prev := f.newest
 	f.mu.Unlock()
 	var r ridgeFit
-	if r.sigma, r.err = ml.SigmaFromRelCovar(m.Payload, m.Features, last.sigma); r.err != nil {
+	if r.sigma, r.err = ml.SigmaFromRelCovar(m.Payload, m.Features, prev); r.err != nil {
 		return r
-	}
-	if f.label != "" {
-		// The warm start is a clone: the newest fit stays published.
-		r.model, r.err = fitRidge(r.sigma, f.label, last.model.Clone(), f.cfg)
 	}
 	f.mu.Lock()
 	if m.version > f.newestVersion {
-		f.newest.sigma, f.newestVersion = r.sigma, m.version
-		if r.model != nil {
-			f.newest.model = r.model
-		}
+		f.newest, f.newestVersion = r.sigma, m.version
 	}
 	f.mu.Unlock()
+	if f.label != "" {
+		r.model, r.err = fitRidge(r.sigma, f.label, f.cfg)
+	}
 	if r.model != nil && f.onFit != nil {
 		f.onFit(r.model, time.Since(t0))
 	}
@@ -266,22 +262,13 @@ func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
 // published models is disabled).
 func (a *Analysis) Label() string { return a.label }
 
-// fitRidge fits model (a new one when nil), remapped onto sigma's
-// columns, against sigma.
-func fitRidge(sigma *ml.SigmaMatrix, label string, model *ml.RidgeModel, cfg ml.RidgeConfig) (*ml.RidgeModel, error) {
+// fitRidge fits the ridge model predicting label against sigma.
+func fitRidge(sigma *ml.SigmaMatrix, label string, cfg ml.RidgeConfig) (*ml.RidgeModel, error) {
 	cols := sigma.ColumnsOf(label)
 	if len(cols) != 1 {
 		return nil, fmt.Errorf("fivm: label %s must be a single continuous column (got %d columns)", label, len(cols))
 	}
-	if model == nil {
-		model = ml.NewRidge(sigma, cols[0])
-	} else {
-		model.Remap(sigma, cols[0])
-	}
-	if err := model.Fit(sigma, cfg); err != nil {
-		return nil, err
-	}
-	return model, nil
+	return ml.FitRidge(sigma, cols[0], cfg)
 }
 
 // NewCatalog re-exports query catalog construction for the SQL surface.

@@ -2,11 +2,13 @@ package fivm_test
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/fivm"
+	"repro/internal/daemon"
 	"repro/internal/ml"
 	"repro/internal/value"
 	"repro/internal/view"
@@ -120,6 +122,46 @@ func TestAnalysisRidge(t *testing.T) {
 	cfg.Label = "C"
 	if _, err := fivm.Open(cfg); err == nil {
 		t.Error("categorical label accepted")
+	}
+}
+
+// TestAnalysisFitIsAFunctionOfThePayload: every version of a stream is
+// published and fitted in turn, so each fit could lean on the engine's
+// earlier ones; the last model must still render byte for byte what a
+// fresh engine renders from that model's partial, having fitted nothing
+// before.
+func TestAnalysisFitIsAFunctionOfThePayload(t *testing.T) {
+	const rows, batches, batch = 5_000, 20, 100
+	cfg, data, err := daemon.BuildEngineConfig("retailer", rows, true, "", "", "", "", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, fresh := open[fivm.AnyEngine](t, cfg), open[fivm.AnyEngine](t, cfg)
+	if err := eng.Init(data); err != nil {
+		t.Fatal(err)
+	}
+	db, _ := retailer(rows, 0)
+	ups := inventoryStream(t, db, batches*batch, 0.2)
+	var last fivm.Model
+	for i := 0; i < len(ups); i += batch {
+		if err := eng.Apply(ups[i : i+batch]); err != nil {
+			t.Fatal(err)
+		}
+		last = eng.PublishModel(last)
+		if _, _, err := last.(*fivm.AnalysisModel).Fit(); err != nil {
+			t.Fatalf("batch %d: %v", i/batch, err)
+		}
+	}
+	var partial bytes.Buffer
+	if err := last.WritePartial(&partial); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := fresh.MergePartials([]io.Reader{&partial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := modelJSON(last), modelJSON(merged); got != want {
+		t.Errorf("the stream's last model renders\n%s\na fresh engine's over its partial\n%s", got, want)
 	}
 }
 

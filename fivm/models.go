@@ -16,11 +16,11 @@ import (
 // AnalysisModel is the Model an Analysis engine publishes: a deep clone
 // of the generalized COVAR payload and — when a Label is configured —
 // the ridge regression fit against it. Publishing only clones; the fit
-// (Σ and the warm-started conjugate gradient) runs at most once per
-// model, on the goroutine of the first caller of Fit, Covar, Predict or
-// ResultJSON, and concurrent callers wait for it. The fields are deep
-// copies, so any number of readers may use the model concurrently
-// without coordination.
+// (Σ and the conjugate gradient) runs at most once per model, on the
+// goroutine of the first caller of Fit, Covar, Predict or ResultJSON,
+// and concurrent callers wait for it. The fields are deep copies, so
+// any number of readers may use the model concurrently without
+// coordination.
 type AnalysisModel struct {
 	frozenPartial // over Payload
 	// Label is the ridge model's target attribute ("" when fitting is
@@ -36,7 +36,7 @@ type AnalysisModel struct {
 	// same way before matching.
 	BinWidths map[string]float64
 
-	// version orders the engine's models, for its newest fit.
+	// version orders the engine's models, for its newest Σ.
 	version uint64
 	fits    *analysisFits
 	once    sync.Once
@@ -283,7 +283,7 @@ func (m *CovarModel) ResultJSON() (any, error) {
 }
 
 // Predict always fails: COVAR engines publish statistics, not a fitted
-// predictor (fit one with ml.NewRidge against Sigma).
+// predictor (fit one with ml.FitRidge against Sigma).
 func (m *CovarModel) Predict(map[string]value.Value) (float64, error) {
 	return 0, fmt.Errorf("fivm: %s engine serves no predictive model", m.EngineKind)
 }

@@ -2,7 +2,6 @@ package fivm_test
 
 import (
 	"math"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -18,13 +17,8 @@ import (
 // delete into NaN for good. Apply, BuildDelta, CheckUpdate and Init
 // refuse its whole batch with an error naming the relation, the
 // attribute and the value, so inserting and deleting it leaves the
-// model as it was, equal to a fresh engine's over the same tuples. An
-// analysis model's fit resumes from the engine's newest fit, so its
-// step count is compared apart: the refit of the unchanged state must
-// take none.
+// model as it was, equal to a fresh engine's over the same tuples.
 func TestOutOfRangeValuesRefused(t *testing.T) {
-	steps := regexp.MustCompile(`"iterations":\d+`)
-	state := func(m fivm.Model) string { return steps.ReplaceAllString(modelJSON(m), `"iterations":#`) }
 	db, rels := retailer(500, 0)
 	analysis, _, err := daemon.BuildEngineConfig("retailer", 500, false, "", "", "", "", "", "")
 	if err != nil {
@@ -44,7 +38,7 @@ func TestOutOfRangeValuesRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := state(eng.PublishModel(nil))
+		before := modelJSON(eng.PublishModel(nil))
 		for _, x := range []float64{1e200, -1e101, math.Inf(1), math.NaN()} {
 			bad := view.Update{Rel: "Inventory", Tuple: slices.Clone(good.Tuple), Mult: 1}
 			bad.Tuple[units] = value.Float(x)
@@ -68,18 +62,9 @@ func TestOutOfRangeValuesRefused(t *testing.T) {
 		}
 		// Loads sum in relation order, so two engines over the same tuples
 		// agree to rounding; the engine itself must not have moved at all.
-		after := eng.PublishModel(nil)
-		got := state(after)
-		if want := state(fresh.PublishModel(nil)); got != before || !sameState(got, want, 1e-9) {
+		got := modelJSON(eng.PublishModel(nil))
+		if want := modelJSON(fresh.PublishModel(nil)); got != before || !sameState(got, want, 1e-9) {
 			t.Errorf("%s: after the refused insert and delete the model is\n%s\nwant the one before\n%s\nand a fresh engine's\n%s", eng.Kind(), got, before, want)
-		}
-		if am, ok := after.(*fivm.AnalysisModel); ok {
-			if model, _, err := am.Fit(); err != nil || model.Iterations != 0 {
-				t.Errorf("the refit of the unchanged state: %v, want 0 steps from the previous fit", err)
-				if err == nil {
-					t.Errorf("it took %d steps", model.Iterations)
-				}
-			}
 		}
 	}
 }

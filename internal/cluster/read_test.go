@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
-	"slices"
 	"testing"
 
 	"repro/fivm"
@@ -19,9 +17,9 @@ import (
 // worker and into a one-shard router and reads both through the one
 // read surface they share: the /v1/model bodies must be equal once the
 // worker's "version" and the router's "cluster" envelope are removed,
-// and /v1/predict with the reserved ?stale=1 must answer alike. The
-// analysis engine's ridge refit warm-starts from each side's previous
-// model, so its weights agree to a relative 1e-6, not bit for bit.
+// and /v1/predict with the reserved ?stale=1 must answer alike. An
+// analysis model's ridge fit depends on its payload alone, so its
+// weights agree bit for bit too.
 func TestReadSurfaceWorkerMatchesRouter(t *testing.T) {
 	ctx := context.Background()
 	batches := stream(11, 200, 20)
@@ -44,32 +42,22 @@ func TestReadSurfaceWorkerMatchesRouter(t *testing.T) {
 				}
 			}
 
-			wm := readBody(t, worker+"/v1/model", http.StatusOK, "version")
-			rm := readBody(t, router+"/v1/model", http.StatusOK, "cluster")
-			if kind == "analysis" {
-				sameRidge(t, wm, rm)
-			} else if w, r := marshal(t, wm), marshal(t, rm); !bytes.Equal(w, r) {
-				t.Errorf("model bodies differ\nworker: %s\nrouter: %s", w, r)
+			same := func(path string, status int, wdrop, rdrop string) {
+				t.Helper()
+				w := marshal(t, readBody(t, worker+path, status, wdrop))
+				r := marshal(t, readBody(t, router+path, status, rdrop))
+				if !bytes.Equal(w, r) {
+					t.Errorf("%s bodies differ\nworker: %s\nrouter: %s", path, w, r)
+				}
 			}
-
+			same("/v1/model", http.StatusOK, "version", "cluster")
 			const predict = "/v1/predict?C=1&D=5&stale=1"
-			if kind != "analysis" {
+			if kind == "analysis" {
+				same(predict, http.StatusOK, "version", "cluster")
+			} else {
 				// Only the analysis engine predicts; the others refuse
 				// alike on both surfaces.
-				w := marshal(t, readBody(t, worker+predict, http.StatusUnprocessableEntity, ""))
-				r := marshal(t, readBody(t, router+predict, http.StatusUnprocessableEntity, ""))
-				if !bytes.Equal(w, r) {
-					t.Errorf("predict refusals differ\nworker: %s\nrouter: %s", w, r)
-				}
-				return
-			}
-			wp := readBody(t, worker+predict, http.StatusOK, "version")
-			rp := readBody(t, router+predict, http.StatusOK, "cluster")
-			if !sameKeys(wp, rp) || wp["count"] != rp["count"] {
-				t.Errorf("predict bodies differ\nworker: %v\nrouter: %v", wp, rp)
-			}
-			if w, r := number(t, wp["prediction"]), number(t, rp["prediction"]); !close6(w, r) {
-				t.Errorf("prediction: worker %v, router %v", w, r)
+				same(predict, http.StatusUnprocessableEntity, "", "")
 			}
 		})
 	}
@@ -129,54 +117,10 @@ func number(t *testing.T, v any) float64 {
 	return f
 }
 
-func sameKeys(a, b map[string]any) bool {
-	ka, kb := make([]string, 0, len(a)), make([]string, 0, len(b))
-	for k := range a {
-		ka = append(ka, k)
-	}
-	for k := range b {
-		kb = append(kb, k)
-	}
-	slices.Sort(ka)
-	slices.Sort(kb)
-	return slices.Equal(ka, kb)
-}
-
-// close6 reports whether a and b agree to a relative 1e-6.
-func close6(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-6*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// sameRidge compares two ridge model bodies: the same keys, label,
-// count and weight columns, the weights and intercept to a relative 1e-6.
-func sameRidge(t *testing.T, w, r map[string]any) {
-	t.Helper()
-	if !sameKeys(w, r) || w["label"] != r["label"] || w["count"] != r["count"] {
-		t.Fatalf("ridge bodies differ\nworker: %v\nrouter: %v", w, r)
-	}
-	if a, b := number(t, w["intercept"]), number(t, r["intercept"]); !close6(a, b) {
-		t.Errorf("intercept: worker %v, router %v", a, b)
-	}
-	ww, rw := w["weights"].([]any), r["weights"].([]any)
-	if len(ww) == 0 || len(ww) != len(rw) {
-		t.Fatalf("weights: worker %v, router %v", ww, rw)
-	}
-	for i := range ww {
-		a, b := ww[i].(map[string]any), rw[i].(map[string]any)
-		if a["column"] != b["column"] {
-			t.Errorf("weight %d: column %v (worker) vs %v (router)", i, a["column"], b["column"])
-		}
-		if x, y := number(t, a["weight"]), number(t, b["weight"]); !close6(x, y) {
-			t.Errorf("weight %v: worker %v, router %v", a["column"], x, y)
-		}
-	}
-}
-
 // TestRepeatReadsAnswerTheSameBody: reads over unchanged partials
-// answer the model merged from them once, byte for byte — a re-merge
-// would refit warm-started from its own answer and report a different
-// iteration count — while the merge and partial metrics still count
-// every read; a write in between is merged into the next read.
+// answer the same body byte for byte while the merge and partial
+// metrics still count every read; a write in between is merged into the
+// next read.
 func TestRepeatReadsAnswerTheSameBody(t *testing.T) {
 	ctx := context.Background()
 	cfg := engineConfigs()["analysis"]

@@ -607,9 +607,8 @@ func (rt *Router) gatherPartials(ctx context.Context, allowStale bool) ([][]byte
 
 // mergedModel gathers partials and publishes the ring-merged model, or
 // answers the last one when the partials are byte-equal to those it
-// was merged from: the same partials merge to the same result, and a
-// refit warm-started from its own answer would only report a different
-// iteration count.
+// was merged from: the same partials merge to the same model, so a
+// re-merge (and its fit) would be work spent on the answer it has.
 func (rt *Router) mergedModel(ctx context.Context, allowStale bool) (fivm.Model, *mergeInfo, error) {
 	t0 := time.Now()
 	bodies, info, err := rt.gatherPartials(ctx, allowStale)

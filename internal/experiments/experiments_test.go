@@ -92,8 +92,7 @@ func TestE3E4E5Run(t *testing.T) {
 		if r.Tree.Root != "ksn" || len(r.Tree.Edges) != len(r.Ranking) {
 			t.Errorf("row %d: tree rooted at %s with %d edges over %d other attributes", i, r.Tree.Root, len(r.Tree.Edges), len(r.Ranking))
 		}
-		// Every bulk keeps its own fit, not the last one warm-started
-		// in place.
+		// Every bulk keeps its own fit.
 		if i > 0 && r.Model == rows[i-1].Model {
 			t.Errorf("row %d shares its ridge model with row %d", i, i-1)
 		}
@@ -102,9 +101,9 @@ func TestE3E4E5Run(t *testing.T) {
 
 // TestTabsGolden pins every tab of a tiny Retailer and Favorita run to
 // testdata/tabs.golden, recorded when the tabs still read the live
-// engines with Σ built cold on every read: publishing models whose Σ is
-// built on the previous version's, and whose ridge fit is warm-started
-// from the previous bulk's, must print the same artifacts.
+// engines with Σ built cold on every read (its iters fields re-recorded
+// since for ridge fits that start from zero): publishing models whose Σ
+// is built on the previous version's must print the same artifacts.
 func TestTabsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/tabs.golden")
 	if err != nil {

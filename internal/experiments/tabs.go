@@ -41,7 +41,7 @@ type TabBulk struct {
 	// Tree is the Chow-Liu Tree tab.
 	Tree *ml.ChowLiuTree
 	// Model and Sigma are the Regression tab: the COVAR model's ridge
-	// fit, warm-started from the previous bulk's (fivm.AnalysisModel.Fit).
+	// fit (fivm.AnalysisModel.Fit).
 	// RidgeErr is set instead when the label cannot be regressed on the
 	// preset's features (fivm.Open refuses it: it is categorical or not
 	// one of them) or the fit failed.

@@ -1,7 +1,7 @@
 // Package ml implements the machine-learning applications the paper
 // demonstrates on top of maintained ring payloads: ridge linear
-// regression re-converged from a COVAR matrix by warm-started conjugate
-// gradient on the normal equations the matrix determines,
+// regression fit to a COVAR matrix by conjugate gradient on the normal
+// equations the matrix determines,
 // pairwise mutual information from the same matrix's category counts,
 // Chow-Liu trees, and MI-threshold model selection.
 package ml

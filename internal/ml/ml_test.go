@@ -53,9 +53,8 @@ func TestRidgeRecoversLinearModel(t *testing.T) {
 		rows = append(rows, []float64{x1, x2, y})
 	}
 	sigma := buildSigmaFromRows(rows, []string{"x1", "x2", "y"})
-	model := NewRidge(sigma, 2)
-	cfg := RidgeConfig{Lambda: 1e-9, MaxIters: 50_000, Tolerance: 1e-12, Normalize: true}
-	if err := model.Fit(sigma, cfg); err != nil {
+	model, err := FitRidge(sigma, 2, RidgeConfig{Lambda: 1e-9, MaxIters: 50_000, Tolerance: 1e-12, Normalize: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(model.Weights[0]-2) > 1e-3 {
@@ -81,9 +80,8 @@ func TestRidgeWithoutNormalization(t *testing.T) {
 		rows = append(rows, []float64{x, 1 + 0.5*x})
 	}
 	sigma := buildSigmaFromRows(rows, []string{"x", "y"})
-	model := NewRidge(sigma, 1)
-	cfg := RidgeConfig{Lambda: 1e-9, MaxIters: 50_000, Tolerance: 1e-12}
-	if err := model.Fit(sigma, cfg); err != nil {
+	model, err := FitRidge(sigma, 1, RidgeConfig{Lambda: 1e-9, MaxIters: 50_000, Tolerance: 1e-12})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(model.Weights[0]-0.5) > 1e-3 || math.Abs(model.Intercept-1) > 1e-3 {
@@ -93,28 +91,19 @@ func TestRidgeWithoutNormalization(t *testing.T) {
 
 func TestRidgeErrors(t *testing.T) {
 	sigma := buildSigmaFromRows([][]float64{{1, 2}}, []string{"x", "y"})
-	m := NewRidge(sigma, 1)
 	empty := buildSigmaFromRows(nil, []string{"x", "y"})
-	if err := m.Fit(empty, DefaultRidgeConfig()); err == nil {
+	if _, err := FitRidge(empty, 1, DefaultRidgeConfig()); err == nil {
 		t.Error("fit on empty training set accepted")
 	}
-	wrong := NewRidge(sigma, 1)
-	wrong.Weights = wrong.Weights[:1]
-	if err := wrong.Fit(sigma, DefaultRidgeConfig()); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	bad := NewRidge(sigma, 1)
-	bad.LabelCol = 5
-	if err := bad.Fit(sigma, DefaultRidgeConfig()); err == nil {
-		t.Error("label out of range accepted")
+	for _, y := range []int{-1, 2, 5} {
+		if _, err := FitRidge(sigma, y, DefaultRidgeConfig()); err == nil {
+			t.Errorf("label column %d out of range accepted", y)
+		}
 	}
 }
 
 func TestRidgePredict(t *testing.T) {
-	sigma := buildSigmaFromRows([][]float64{{1, 2}, {2, 4}}, []string{"x", "y"})
-	m := NewRidge(sigma, 1)
-	m.Intercept = 1
-	m.Weights[0] = 2
+	m := &RidgeModel{Intercept: 1, Weights: []float64{2, 0}, LabelCol: 1}
 	if got := m.Predict([]float64{3, 0}); got != 7 {
 		t.Errorf("Predict = %v, want 7", got)
 	}

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // RidgeModel is a ridge linear regression model over the expanded
@@ -14,15 +13,9 @@ type RidgeModel struct {
 	// Weights holds one θ per feature column (the label's column weight
 	// is unused and kept at zero).
 	Weights []float64
-	// Cols names the column each weight belongs to: the columns of the
-	// matrix last fit (shared with it, never written; nil before the
-	// first Fit), so Remap can carry weights across a change of the
-	// one-hot column set.
-	Cols []Column
 	// LabelCol is the column index of the label in the SigmaMatrix.
 	LabelCol int
-	// Iterations is the number of conjugate-gradient steps the last Fit
-	// took (0 when the warm start already met the tolerance).
+	// Iterations is the number of conjugate-gradient steps the fit took.
 	Iterations int
 	// Converged reports whether the residual's max-norm dropped below
 	// the tolerance before the iteration cap.
@@ -34,7 +27,7 @@ type RidgeConfig struct {
 	// Lambda is the L2 regularization strength (applied to weights, not
 	// the intercept).
 	Lambda float64
-	// MaxIters caps conjugate-gradient steps per Fit call. In exact
+	// MaxIters caps conjugate-gradient steps per fit. In exact
 	// arithmetic the method needs at most one step per column, so this
 	// is a safety cap, not a tuning knob.
 	MaxIters int
@@ -54,45 +47,8 @@ func DefaultRidgeConfig() RidgeConfig {
 	return RidgeConfig{Lambda: 1e-3, MaxIters: 5000, Tolerance: 1e-8, Normalize: true}
 }
 
-// Clone returns a deep copy of the model, so a warm-started refit can
-// run against a copy while the original stays published to readers.
-func (r *RidgeModel) Clone() *RidgeModel {
-	if r == nil {
-		return nil
-	}
-	cp := *r
-	cp.Weights = append([]float64(nil), r.Weights...)
-	return &cp
-}
-
-// NewRidge returns a zero-initialized model for the given matrix and
-// label column.
-func NewRidge(m *SigmaMatrix, labelCol int) *RidgeModel {
-	return &RidgeModel{Weights: make([]float64, m.Dim()), LabelCol: labelCol}
-}
-
-// Remap re-indexes the model onto the columns of m, whose one-hot
-// column set may have drifted since the last fit (a category appeared
-// or died out): a surviving column, matched by Column.Label, keeps its
-// weight and a new one starts at zero, so the next Fit still resumes
-// from the previous optimum.
-func (r *RidgeModel) Remap(m *SigmaMatrix, labelCol int) {
-	r.LabelCol = labelCol
-	if slices.Equal(r.Cols, m.Cols) {
-		return
-	}
-	old := make(map[string]float64, len(r.Cols))
-	for i, c := range r.Cols {
-		old[c.Label()] = r.Weights[i]
-	}
-	r.Weights = make([]float64, m.Dim())
-	for i, c := range m.Cols {
-		r.Weights[i] = old[c.Label()]
-	}
-	r.Cols = m.Cols
-}
-
-// Fit minimizes the least-squares objective
+// FitRidge fits the ridge model predicting column labelCol of m from
+// the others, minimizing
 //
 //	J(θ) = 1/(2N) Σ (θ0 + θᵀx − y)² + λ/2 ‖θ‖²
 //
@@ -108,27 +64,26 @@ func (r *RidgeModel) Remap(m *SigmaMatrix, labelCol int) {
 //
 //	(Σ'/N + λI) θ' = Σ'_y/N
 //
-// over the feature columns, whose residual is −∇J. Fit solves it by
-// conjugate gradient without forming it (with D = diag(σ) and the label
-// masked, a step's D⁻¹(Σ/N)D⁻¹v − D⁻¹μ(μᵀD⁻¹v) + λv is one pass over Σ's
-// entries), resuming from the model's current parameters: after a delta
-// batch it re-converges from the previous optimum (warm start) in a
-// handful of steps, like the demo's Regression tab, and from any start
-// in at most one step per column up to rounding.
-func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
-	n, y := m.Dim(), r.LabelCol
+// over the feature columns, whose residual is −∇J. FitRidge solves it
+// by conjugate gradient without forming it (with D = diag(σ) and the
+// label masked, a step's D⁻¹(Σ/N)D⁻¹v − D⁻¹μ(μᵀD⁻¹v) + λv is one pass
+// over Σ's entries), from θ' = 0 in at most one step per column up to
+// rounding. Every fit starts there, so the model is a function of m and
+// cfg alone.
+func FitRidge(m *SigmaMatrix, labelCol int, cfg RidgeConfig) (*RidgeModel, error) {
+	n, y := m.Dim(), labelCol
 	if m.Count <= 0 {
-		return fmt.Errorf("ml: cannot fit on an empty training set")
-	}
-	if len(r.Weights) != n {
-		return fmt.Errorf("ml: model has %d weights, matrix has %d columns", len(r.Weights), n)
+		return nil, fmt.Errorf("ml: cannot fit on an empty training set")
 	}
 	if y < 0 || y >= n {
-		return fmt.Errorf("ml: label column %d out of range", y)
+		return nil, fmt.Errorf("ml: label column %d out of range", y)
 	}
-	vs := make([]float64, 8*n)
+	r := &RidgeModel{Weights: make([]float64, n), LabelCol: y}
+	vs := make([]float64, 7*n)
 	mu, sd, u, b := vs[:n], vs[n:2*n], vs[2*n:3*n], vs[3*n:4*n]
-	x, res, p, ap := vs[4*n:5*n], vs[5*n:6*n], vs[6*n:7*n], vs[7*n:]
+	res, p, ap := vs[4*n:5*n], vs[5*n:6*n], vs[6*n:]
+	// x, the unknowns θ'_i = θ_i σ_i/σ_y, lives in Weights until the end.
+	x := r.Weights
 	for i := range mu {
 		mu[i] = m.Sum[i] / m.Count
 		sd[i] = 1
@@ -136,13 +91,12 @@ func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
 			sd[i] = math.Sqrt(v) // constant columns stay unscaled
 		}
 	}
-	// b is the right-hand side, x the unknowns θ'_i = θ_i σ_i/σ_y. Entry
-	// y of b, x, and so of every residual and direction, stays zero.
+	// b is the right-hand side. Entry y of b, x, and so of every residual
+	// and direction, stays zero.
 	for i := range b {
 		b[i] = (m.At(i, y)/m.Count - mu[i]*mu[y]) / (sd[i] * sd[y])
-		x[i] = r.Weights[i] * sd[i] / sd[y]
 	}
-	b[y], x[y] = 0, 0
+	b[y] = 0
 	mulA := func(dst, v []float64) {
 		var dot float64
 		for i := range u {
@@ -159,14 +113,13 @@ func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
 		}
 		dst[y] = 0
 	}
-	mulA(ap, x)
+	// From x = 0 the first residual is b itself.
 	var rr float64
 	for i := range res {
-		res[i] = b[i] - ap[i]
+		res[i] = b[i]
 		rr += res[i] * res[i]
 	}
 	copy(p, res)
-	r.Converged, r.Iterations = false, 0
 	for {
 		var maxAbs float64
 		for _, v := range res {
@@ -195,18 +148,13 @@ func (r *RidgeModel) Fit(m *SigmaMatrix, cfg RidgeConfig) error {
 			p[i] = res[i] + rr/prev*p[i]
 		}
 	}
-	// Back to raw space: θ_i = θ'_i σ_y/σ_i, θ0 = μ_y − Σ θ_i μ_i. A
-	// start that took no step keeps its weights bit for bit, so the refit
-	// of an unchanged Σ answers the model it resumed from.
+	// Back to raw space: θ_i = θ'_i σ_y/σ_i, θ0 = μ_y − Σ θ_i μ_i.
 	r.Intercept = mu[y]
 	for i := range x {
-		if r.Iterations > 0 {
-			r.Weights[i] = x[i] * sd[y] / sd[i]
-		}
+		r.Weights[i] = x[i] * sd[y] / sd[i]
 		r.Intercept -= r.Weights[i] * mu[i]
 	}
-	r.Cols = m.Cols
-	return nil
+	return r, nil
 }
 
 // Predict evaluates the model on an expanded feature vector x (the

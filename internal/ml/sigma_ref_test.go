@@ -130,11 +130,12 @@ func denseSigmaFromRelCovar(c *ring.RelCovar, feats []Feature) (*denseSigma, err
 	return m, nil
 }
 
-// denseFit is Fit on the system matrix built once as a flat n×n slice.
-func (r *RidgeModel) denseFit(m *denseSigma, cfg RidgeConfig) error {
-	n, y := m.n, r.LabelCol
+// denseFitRidge is FitRidge on the system matrix built once as a flat
+// n×n slice.
+func denseFitRidge(m *denseSigma, y int, cfg RidgeConfig) (*RidgeModel, error) {
+	n := m.n
 	if m.Count <= 0 {
-		return fmt.Errorf("ml: cannot fit on an empty training set")
+		return nil, fmt.Errorf("ml: cannot fit on an empty training set")
 	}
 	mu, sd := make([]float64, n), make([]float64, n)
 	for i := range mu {
@@ -155,7 +156,6 @@ func (r *RidgeModel) denseFit(m *denseSigma, cfg RidgeConfig) error {
 		}
 		b[i], row[y] = row[y], 0
 		row[i] += cfg.Lambda
-		x[i] = r.Weights[i] * sd[i] / sd[y]
 	}
 	mulA := func(dst, v []float64) {
 		for i := range dst {
@@ -174,7 +174,7 @@ func (r *RidgeModel) denseFit(m *denseSigma, cfg RidgeConfig) error {
 		rr += res[i] * res[i]
 	}
 	copy(p, res)
-	r.Converged, r.Iterations = false, 0
+	r := &RidgeModel{Weights: make([]float64, n), LabelCol: y}
 	for {
 		var maxAbs float64
 		for _, v := range res {
@@ -208,8 +208,7 @@ func (r *RidgeModel) denseFit(m *denseSigma, cfg RidgeConfig) error {
 		r.Weights[i] = x[i] * sd[y] / sd[i]
 		r.Intercept -= r.Weights[i] * mu[i]
 	}
-	r.Cols = m.Cols
-	return nil
+	return r, nil
 }
 
 // denseTrainRMSE is TrainRMSE over every entry of the dense Σ.
@@ -234,13 +233,13 @@ func (r *RidgeModel) denseTrainRMSE(m *denseSigma) float64 {
 
 // CheckSparseSigma holds sigma, built from payload over feats, to the
 // dense reference: Count, Sum, the columns and every At(i, j) exactly.
-// Given the model fit to sigma under cfg from warm (nil for a cold
-// start), it also holds the model's weights within 1e-6 of a dense fit
-// from the same start, relative in max-norm, its intercept within 1e-6
-// relative, and its TrainRMSE within 1e-9 relative of the dense one.
+// Given the model fit to sigma under cfg, it also holds the model's
+// weights within 1e-6 of a dense fit, relative in max-norm, its
+// intercept within 1e-6 relative, and its TrainRMSE within 1e-9
+// relative of the dense one.
 // It is exported to the package's external tests, which drive it from a
 // served engine.
-func CheckSparseSigma(t testing.TB, payload *ring.RelCovar, feats []Feature, sigma *SigmaMatrix, model, warm *RidgeModel, cfg RidgeConfig) {
+func CheckSparseSigma(t testing.TB, payload *ring.RelCovar, feats []Feature, sigma *SigmaMatrix, model *RidgeModel, cfg RidgeConfig) {
 	t.Helper()
 	d, err := denseSigmaFromRelCovar(payload, feats)
 	if err != nil {
@@ -259,12 +258,8 @@ func CheckSparseSigma(t testing.TB, payload *ring.RelCovar, feats []Feature, sig
 	if model == nil {
 		return
 	}
-	ref := warm.Clone()
-	if ref == nil {
-		ref = NewRidge(sigma, model.LabelCol)
-	}
-	ref.Remap(sigma, model.LabelCol)
-	if err := ref.denseFit(d, cfg); err != nil {
+	ref, err := denseFitRidge(d, model.LabelCol, cfg)
+	if err != nil {
 		t.Fatalf("dense fit: %v", err)
 	}
 	var scale, diff float64
@@ -370,12 +365,11 @@ func FuzzSparseSigma(f *testing.F) {
 		var model *RidgeModel
 		cfg := RidgeConfig{Lambda: 1e-3, MaxIters: 5000, Tolerance: 1e-11, Normalize: true}
 		if sigma.Count > 0 {
-			model = NewRidge(sigma, sigma.ColumnsOf("f0")[0])
-			if err := model.Fit(sigma, cfg); err != nil {
+			if model, err = FitRidge(sigma, sigma.ColumnsOf("f0")[0], cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		CheckSparseSigma(t, total, feats, sigma, model, nil, cfg)
+		CheckSparseSigma(t, total, feats, sigma, model, cfg)
 		// A Σ built on sigma (which records its structure), then Σs built
 		// on that one over the same keys (every coefficient doubled) and
 		// after one more row, which may add keys or a category, each

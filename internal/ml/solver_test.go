@@ -115,8 +115,8 @@ func TestRidgeMatchesDirectSolve(t *testing.T) {
 	sigma := buildSigmaFromRows(rows, names(n))
 	for _, normalize := range []bool{true, false} {
 		cfg := RidgeConfig{Lambda: 1e-2, MaxIters: 100, Tolerance: 1e-12, Normalize: normalize}
-		m := NewRidge(sigma, n-1)
-		if err := m.Fit(sigma, cfg); err != nil {
+		m, err := FitRidge(sigma, n-1, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !m.Converged {
@@ -170,92 +170,24 @@ func sigmaWithCols(rows [][]float64, cols []Column) *SigmaMatrix {
 
 // TestRidgeCollinearOneHot: the rank-deficient nested one-hot system at
 // the serving default λ = 1e-3 converges to the direct solution within
-// unknowns+1 steps, cold and warm, and a model refit to the matrix it
-// was just fit to is already optimal.
+// unknowns+1 steps.
 func TestRidgeCollinearOneHot(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	rows, cols := nestedOneHotRows(rng, 3000)
+	rows, cols := nestedOneHotRows(rand.New(rand.NewSource(9)), 3000)
 	y := len(cols) - 1
 	sigma := sigmaWithCols(rows, cols)
 	cfg := DefaultRidgeConfig()
 
-	m := NewRidge(sigma, y)
-	if err := m.Fit(sigma, cfg); err != nil {
+	m, err := FitRidge(sigma, y, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Converged || m.Iterations > y+1 {
-		t.Fatalf("cold fit: converged=%v after %d steps, want <= %d", m.Converged, m.Iterations, y+1)
+		t.Fatalf("fit: converged=%v after %d steps, want <= %d", m.Converged, m.Iterations, y+1)
 	}
 	b0, w := directRidge(rows, y, cfg.Lambda, true)
 	assertModelNear(t, m, b0, w, 1e-5)
 	if rmse := m.TrainRMSE(sigma); rmse < 0.8 || rmse > 1.2 {
 		t.Errorf("train RMSE = %v, want about the unit noise", rmse)
-	}
-
-	// A batch-sized delta: 20 more rows out of 3000, refit warm.
-	more, _ := nestedOneHotRows(rng, 20)
-	rows = append(rows, more...)
-	sigma2 := sigmaWithCols(rows, cols)
-	if err := m.Fit(sigma2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Converged || m.Iterations > y+1 {
-		t.Errorf("warm refit: converged=%v after %d steps, want <= %d", m.Converged, m.Iterations, y+1)
-	}
-	b0, w = directRidge(rows, y, cfg.Lambda, true)
-	assertModelNear(t, m, b0, w, 1e-5)
-
-	if err := m.Fit(sigma2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Converged || m.Iterations > 1 {
-		t.Errorf("refit at the optimum took %d steps", m.Iterations)
-	}
-}
-
-// TestRidgeWarmStartNeverSlower: on a dense, ill-conditioned system —
-// thirty correlated columns on very different scales, where conjugate
-// gradient is limited by its convergence rate, not by running out of
-// eigen-directions — a warm refit after a batch-sized delta needs no
-// more steps than a cold fit of the same matrix, whatever the seed.
-func TestRidgeWarmStartNeverSlower(t *testing.T) {
-	const n = 31
-	gen := func(rng *rand.Rand, cnt int) [][]float64 {
-		rows := make([][]float64, cnt)
-		for i := range rows {
-			r := make([]float64, n)
-			f1, f2 := rng.NormFloat64(), rng.NormFloat64()
-			for j := 0; j < n-1; j++ {
-				r[j] = f1*float64(j%5) + f2*float64(j%3) + rng.NormFloat64()*(0.2+float64(j)/10) + float64(j)
-				r[n-1] += r[j] * float64(j%4-1)
-			}
-			r[n-1] += rng.NormFloat64()
-			rows[i] = r
-		}
-		return rows
-	}
-	cfg := DefaultRidgeConfig()
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rows := gen(rng, 2000)
-		warm := NewRidge(buildSigmaFromRows(rows, names(n)), n-1)
-		if err := warm.Fit(buildSigmaFromRows(rows, names(n)), cfg); err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, gen(rng, 20)...)
-		sigma := buildSigmaFromRows(rows, names(n))
-		cold := NewRidge(sigma, n-1)
-		if err := cold.Fit(sigma, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := warm.Fit(sigma, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if !cold.Converged || !warm.Converged || warm.Iterations > cold.Iterations {
-			t.Errorf("seed %d: warm refit %d steps (converged=%v), cold fit %d (converged=%v)",
-				seed, warm.Iterations, warm.Converged, cold.Iterations, cold.Converged)
-		}
-		assertModelNear(t, warm, cold.Intercept, cold.Weights, 1e-4)
 	}
 }
 
@@ -265,89 +197,11 @@ func TestRidgeMaxItersIsReported(t *testing.T) {
 	sigma := sigmaWithCols(rows, cols)
 	cfg := DefaultRidgeConfig()
 	cfg.MaxIters = 2
-	m := NewRidge(sigma, len(cols)-1)
-	if err := m.Fit(sigma, cfg); err != nil {
+	m, err := FitRidge(sigma, len(cols)-1, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Converged || m.Iterations != 2 {
 		t.Errorf("capped fit: converged=%v iterations=%d, want false and 2", m.Converged, m.Iterations)
-	}
-}
-
-// TestRidgeRemap: when the one-hot column set drifts, surviving columns
-// keep their weights, new ones start at zero, vanished ones are dropped
-// and the label index follows — and the remapped warm start beats a
-// cold one.
-func TestRidgeRemap(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	rows, cols := nestedOneHotRows(rng, 2000)
-	y := len(cols) - 1
-	sigma := sigmaWithCols(rows, cols)
-	cfg := DefaultRidgeConfig()
-	m := NewRidge(sigma, y)
-	if err := m.Fit(sigma, cfg); err != nil {
-		t.Fatal(err)
-	}
-	before := append([]float64(nil), m.Weights...)
-
-	// Drop leaf category 3's column and add a never-seen leaf 99 in
-	// front of it: same width, different columns.
-	drop := 3
-	cols2 := append([]Column{}, cols[:drop]...)
-	cols2 = append(cols2, Column{Attr: "leaf", Category: value.Int(99), IsCat: true})
-	cols2 = append(cols2, cols[drop+1:]...)
-	var rows2 [][]float64
-	for _, r := range rows {
-		if r[drop] == 1 {
-			continue // the category died out
-		}
-		rows2 = append(rows2, r)
-	}
-	fresh := append([]float64(nil), rows2[0]...)
-	for i := range fresh[:12] {
-		fresh[i] = 0
-	}
-	fresh[drop] = 1 // the new category's first row sits in the reused slot
-	rows2 = append(rows2, fresh)
-	sigma2 := sigmaWithCols(rows2, cols2)
-
-	m.Remap(sigma2, y)
-	for i, c := range cols2 {
-		want := 0.0
-		if i != drop {
-			want = before[i]
-		}
-		if m.Weights[i] != want {
-			t.Errorf("column %s: remapped weight %v, want %v", c.Label(), m.Weights[i], want)
-		}
-	}
-	cold := NewRidge(sigma2, y)
-	if err := cold.Fit(sigma2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Fit(sigma2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if m.Iterations > cold.Iterations {
-		t.Errorf("remapped warm start took %d steps, cold %d", m.Iterations, cold.Iterations)
-	}
-
-	// A grown column set (a column inserted before the label) moves the
-	// label index along with the weights.
-	cols3 := append(append([]Column{}, cols2[:y]...), Column{Attr: "z"}, cols2[y])
-	sigma3 := sigmaWithCols(func() [][]float64 {
-		var out [][]float64
-		for _, r := range rows2 {
-			out = append(out, append(append(append([]float64{}, r[:y]...), rng.Float64()), r[y]))
-		}
-		return out
-	}(), cols3)
-	wx := m.Weights[y-1]
-	m.Remap(sigma3, y+1)
-	if len(m.Weights) != y+2 || m.LabelCol != y+1 || m.Weights[y-1] != wx || m.Weights[y] != 0 {
-		t.Errorf("grown remap: %d weights, label %d, x weight %v (want %v), z weight %v", len(m.Weights), m.LabelCol, m.Weights[y-1], wx, m.Weights[y])
-	}
-	if err := m.Fit(sigma3, cfg); err != nil {
-		t.Fatalf("fit after grown remap: %v", err)
 	}
 }

@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/fivm"
-	"repro/internal/ml"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -123,28 +122,17 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 			fm.Payload, replay.Payload())
 	}
 
-	// Cold-fit both sigmas with identical config: deterministic gradient
-	// descent over equal payloads must agree.
-	cfg := ml.DefaultRidgeConfig()
-	coldFit := func(m *fivm.AnalysisModel) *ml.RidgeModel {
-		sigma, err := ml.SigmaFromRelCovar(m.Payload, m.Features, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := ml.NewRidge(sigma, sigma.ColumnsOf("B")[0])
-		if err := model.Fit(sigma, cfg); err != nil {
-			t.Fatal(err)
-		}
-		return model
+	// A fit depends on its payload alone, so the served model's equals
+	// the replay's bit for bit.
+	got, _, err := fm.Fit()
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantModel := coldFit(replay.PublishModel(nil).(*fivm.AnalysisModel))
-	gotModel := coldFit(fm)
-	if math.Abs(gotModel.Intercept-wantModel.Intercept) > 1e-9 {
-		t.Fatalf("intercept %v vs replay %v", gotModel.Intercept, wantModel.Intercept)
+	want, _, err := replay.PublishModel(nil).(*fivm.AnalysisModel).Fit()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range wantModel.Weights {
-		if math.Abs(gotModel.Weights[i]-wantModel.Weights[i]) > 1e-9 {
-			t.Fatalf("weight[%d] %v vs replay %v", i, gotModel.Weights[i], wantModel.Weights[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("served fit %+v, replay's %+v", got, want)
 	}
 }

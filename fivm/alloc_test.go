@@ -40,9 +40,11 @@ const (
 	// maxAllocsAnalysisSingle bounds the same pair on the analysis
 	// engine (relational-COVAR ring, one categorical and two continuous
 	// features; a payload is a header plus one coefficient slice).
-	// Measured 16, the scalar covar engine's number. History: 250 → 130
-	// (map-of-maps payloads) → 60 (flat payloads) → 16 (fused step).
-	maxAllocsAnalysisSingle = 20
+	// Measured 4, the covar and count engines' number: its payloads live
+	// in their relation's slab too. History: 250 → 130 (map-of-maps
+	// payloads) → 60 (flat payloads) → 16 (fused step) → 4 (payloads in
+	// slabs). Budget: measured + 10%, rounded up.
+	maxAllocsAnalysisSingle = 5
 
 	// maxAllocsCovarBatch bounds one batch of 1000 fresh Inventory
 	// inserts plus the batch deleting them again, through Apply, on the
@@ -67,14 +69,17 @@ const (
 	maxBytesCovarBatch = 300
 	// maxAllocsAnalysisBatch and maxBytesAnalysisBatch bound the same
 	// pair on the Retailer analysis engine (three continuous and four
-	// categorical features). Measured 21 382 allocs and 1 374
-	// bytes/update on go1.24 now that RelCovar sums fold in place: a new
-	// key merges into the accumulator's spare capacity and a fused
-	// product builds no value. Before that: 25 583 allocs and 2 861
-	// bytes/update (26 575–26 582 allocs while Inventory kept a tuple
-	// map). Budget: measured + 10%.
-	maxAllocsAnalysisBatch = 23_520
-	maxBytesAnalysisBatch  = 1_511
+	// categorical features). Measured 8 849 allocs (the count engine's
+	// 8 794 plus the cross terms too many for Mul's stack buffer) and
+	// 328–329 bytes/update on go1.24 now that RelCovar payloads live in
+	// their relation's slab — lifts, products, stored copies, a fold that
+	// outgrows its slot and a product too wide for MulAddInto's stack
+	// buffer all take slots of it; go1.22 is unverified. Before that:
+	// 20 122 and 1 344 with sums folded in place, 25 583 and 2 861 before
+	// that (26 575–26 582 allocs while Inventory kept a tuple map).
+	// Budget: measured + 10%.
+	maxAllocsAnalysisBatch = 9_740
+	maxBytesAnalysisBatch  = 362
 
 	// maxAllocsPublishAnalysis and maxBytesPublishAnalysis bound one
 	// PublishModel on the Retailer preset's analysis engine (5 000 rows,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/internal/daemon"
 	"repro/internal/dataset"
 	"repro/internal/view"
 )
@@ -124,11 +125,13 @@ func singleTuplePair(t *testing.T, cfg fivm.Config, db *dataset.Database, rel st
 // and a large database, and the large side must stay within 3× of the
 // small one.
 //
-//   - Retailer Inventory, 1 000 → 100 000 Inventory rows. Dates grow
-//     with the rows (10 → 1 000), so Weather — one row per (store, date)
-//     the facts mention, the sibling view an Inventory update joins —
-//     grows ~100× as well; at the default 100 dates it saturates at
-//     3 000 rows and a path forced onto build-and-scan reads only ~2.9×.
+//   - Retailer Inventory, 1 000 → 100 000 Inventory rows, on the count,
+//     covar and analysis engines (the last over the Retailer preset's
+//     features). Dates grow with the rows (10 → 1 000), so Weather —
+//     one row per (store, date) the facts mention, the sibling view an
+//     Inventory update joins — grows ~100× as well; at the default 100
+//     dates it saturates at 3 000 rows and a path forced onto
+//     build-and-scan reads only ~2.9×.
 //   - Favorita Transactions and Holiday, 10 000 × 120 → 160 000 × 1 920
 //     Sales rows × dates; stores and items stay fixed, so the rows per
 //     date, and with them every per-key degree, stay bounded. Their
@@ -161,6 +164,7 @@ func TestSingleTupleLatencyFlat(t *testing.T) {
 	}{
 		{"count", "Inventory", retail, count},
 		{"covar", "Inventory", retail, fivm.Config{Attrs: retailerAttrs}},
+		{"analysis", "Inventory", retail, fivm.Config{Features: daemon.Presets["retailer"].Features}},
 		{"Favorita/Transactions", "Transactions", fav, favCovar},
 		{"Favorita/Holiday", "Holiday", fav, favCovar},
 	} {

@@ -48,27 +48,28 @@
 //     as ±1, anything given to Set), both sides of a Clone, and both
 //     sides of an unlifted Aggregate (input and output hold the same
 //     value). Only Absorb, whose argument the caller gives up, takes
-//     over what that argument owned. A ring whose payloads are
-//     fixed-width per relation (ring.Slabbed: RangedCovar) keeps every
-//     payload a map owns in the map's own ring.Slab — Step's products,
+//     over what that argument owned. A ring with the Scratch extension
+//     (RangedCovar, RelCovar) keeps every payload a map owns in the
+//     map's own ring.Slab (ring.Scratch's NewSlab) — Step's products,
 //     lifts and scratch, copy-on-write results, and a copy of whatever
 //     another map owned and passes on (Absorb, MergeAll, an unlifted
 //     one-part Step), since that map recycles its slot when it drops
-//     it — and hands a slot back on annihilation and Reset. A
-//     flagged entry copies on write: its next hit takes one pure ring
-//     Add, whose fresh result the map owns from then on. Rings without
-//     Scratch (value payloads) always take the pure Add. What the
-//     addends point to is never written, zero payloads are never
-//     stored (so Add cannot hand an operand back), and results are
-//     bit-identical to the pure path (scratch_test.go here, the pure
-//     reference trees in view and fivm). Payloads read out of a map
-//     (Get, Each, a view's Result) are therefore live — a slab may
-//     even recycle one for another tuple: read them before the next
-//     merge, or Clone for a stable snapshot.
+//     it — and hands a slot back on annihilation (the accumulator that
+//     cancelled, since a zero sum may be a nil value) and Reset. A
+//     flagged entry copies on write: its next hit first copies the
+//     payload into the map's slab, and folds into the copy the map owns
+//     from then on. Rings without Scratch (value payloads) always take
+//     the pure Add. What the addends point to is never written, zero
+//     payloads are never stored (so Add cannot hand an operand back),
+//     and results are bit-identical to the pure path (scratch_test.go
+//     here, the pure reference trees in view and fivm). Payloads read
+//     out of a map (Get, Each, a view's Result) are therefore live — a
+//     slab may even recycle one for another tuple: read them before
+//     the next merge, or Clone for a stable snapshot.
 //   - Entry structs are owned by their map too: Clone and MergeAll
 //     allocate fresh ones. That is what lets each map slab-allocate
 //     its entries from a per-map arena and recycle them on
-//     annihilation and Reset (alloc.go), and, for a Slabbed ring, the
+//     annihilation and Reset (alloc.go), and, for a Scratch ring, the
 //     payloads its entries own from its slab; a payload flagged shared
 //     is never recycled.
 //   - Step OWNS its output map while building it —

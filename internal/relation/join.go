@@ -303,9 +303,9 @@ func (f *folder[V]) fold(bound []*entry[V]) {
 	}
 	if product {
 		if seen && f.sc != nil && !g.shared {
-			g.payload = f.sc.MulAddInto(g.payload, p, last)
+			zero := settle(r, g, g.payload, f.sc.MulAddInto(g.payload, p, last))
 			f.releaseScratch(n, p, last)
-			if r.IsZero(g.payload) {
+			if zero {
 				delete(out.data, string(key))
 				out.drop(g)
 			}

@@ -33,8 +33,8 @@ type Map[V any] struct {
 	// arena slab-allocates this map's entry structs and recycles
 	// annihilated ones (see alloc.go).
 	arena arena[V]
-	// slab holds the payloads the map owns when its ring keeps them in
-	// one (ring.Slabbed), made on first use; nil otherwise.
+	// slab holds the payloads the map owns when its ring implements
+	// ring.Scratch, made on first use; nil otherwise.
 	slab ring.Slab[V]
 }
 
@@ -51,22 +51,35 @@ type entry[V any] struct {
 // add folds the non-zero payload p into entry e of m and reports
 // whether the sum annihilated (the caller then removes the entry). A
 // payload the map exclusively owns accumulates in place through the
-// ring's Scratch extension; a shared one, or any payload of a ring
-// without Scratch, is replaced by the pure sum — copy-on-write, after
-// which the map owns the fresh value, carved from its slab when it
-// keeps one. That relies on two invariants: maps store no ring zero
-// and p is non-zero, so Add cannot take an operand-returning zero fast
-// path and hand p itself back.
+// ring's Scratch extension; a shared one is first copied into the map's
+// slab — copy-on-write, after which the map owns the copy. A ring
+// without Scratch replaces the payload by the pure sum, which relies
+// on two invariants: maps store no ring zero and p is non-zero, so Add
+// cannot take an operand-returning zero fast path and hand p itself
+// back.
 func (m *Map[V]) add(r ring.Ring[V], sc ring.Scratch[V], e *entry[V], p V) (zero bool) {
-	switch {
-	case sc != nil && !e.shared:
-		e.payload = sc.AddInto(e.payload, p)
-	case sc != nil && m.slabFor(r) != nil:
-		e.payload, e.shared = sc.AddInto(m.slab.Own(e.payload), p), false
-	default:
+	if sc == nil {
 		e.payload, e.shared = r.Add(e.payload, p), false
+		return r.IsZero(e.payload)
 	}
-	return r.IsZero(e.payload)
+	acc := e.payload
+	if e.shared {
+		acc, e.shared = m.slabFor(r).Own(acc), false
+	}
+	return settle(r, e, acc, sc.AddInto(acc, p))
+}
+
+// settle stores sum, an in-place fold into e's owned accumulator acc,
+// as e's payload and reports whether it is the ring zero. A zero sum
+// leaves acc stored instead, so that dropping the entry hands acc's
+// storage back to the slab.
+func settle[V any](r ring.Ring[V], e *entry[V], acc, sum V) (zero bool) {
+	if r.IsZero(sum) {
+		e.payload = acc
+		return true
+	}
+	e.payload = sum
+	return false
 }
 
 // scratchOf returns the ring's optional in-place accumulation extension
@@ -76,12 +89,12 @@ func scratchOf[V any](r ring.Ring[V]) ring.Scratch[V] {
 	return sc
 }
 
-// slabFor returns m's payload slab, made on first use when r keeps its
-// payloads in one, and nil when it does not.
+// slabFor returns m's payload slab, made on first use when r implements
+// Scratch, and nil when it does not.
 func (m *Map[V]) slabFor(r ring.Ring[V]) ring.Slab[V] {
 	if m.slab == nil {
-		if sr, ok := r.(ring.Slabbed[V]); ok {
-			m.slab = sr.NewSlab()
+		if sc := scratchOf(r); sc != nil {
+			m.slab = sc.NewSlab()
 		}
 	}
 	return m.slab

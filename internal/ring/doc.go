@@ -78,10 +78,16 @@
 // other's count and merges them with the sorted s × s cross terms into
 // one allocation; AddInto folds in place: it sums the keys already
 // present, found by galloping search, merges the new ones in from the
-// back into spare capacity grown like append, and drops what cancelled
+// back into spare capacity — grown into a larger slot of its slab for
+// a carved payload, like append otherwise — and drops what cancelled
 // in one pass from the first zero; MulAddInto emits Mul's terms into a
 // stack buffer and folds them the same way, building no product; Add,
-// Neg, Clone and Equal are linear. The coefficients hold no pointers,
+// Neg, Clone and Equal are linear. A payload a relation stores lives in
+// that relation's Slab, as a header and a backing array of a
+// power-of-two capacity class: a lift writes into a carved slot, Mul's
+// merge runs into one, and a payload the relation drops goes back to
+// the free list of its class, so a recycled slot holds under twice the
+// coefficients it is carved for. The coefficients hold no pointers,
 // so the garbage collector never scans a payload. RelCovarCodec writes
 // the relational ring's wire form (per slot a count, then (tuple key,
 // coefficient) pairs), unchanged from the map layout, and on decode
@@ -125,21 +131,20 @@
 // building (created by a Slab's Own, Mul, Neg, One, a lift, or a
 // previous in-place call), and a relation.Map owns the payloads it
 // stores unless their entry is flagged shared — that is how a view
-// commits a delta in place (relation.Map.MergeAll). A ring whose
-// payloads are fixed-width per relation (RangedCovar) also implements
-// Slabbed: each relation then carves the values it owns — products,
-// lifts, copies — from its own Slab and hands them back when it drops
-// them, so it never keeps a value another relation may recycle: what
-// crosses from one relation to another is copied. Rings implementing
-// Scratch additionally guarantee that Add returns a fresh value when
-// both operands are non-zero, so one pure Add turns a shared payload
-// into an owned one (copy-on-write). Ownership covers a payload's
-// backing array up to its capacity, not only its length: RelCovar's
-// AddInto and MulAddInto grow into the spare capacity, so no two values
-// may share an array — every constructor (Clone, One, Mul via wrap,
-// Neg, the lifts, decode) allocates its own, and a Slab slot is one
-// payload's. scratch_test.go pins the
-// equivalence contract for every implementing ring, and
-// relcovar_ref_test.go's fold chain the ownership of RelCovar's. See
-// docs/PERF.md for the full ownership story.
+// commits a delta in place (relation.Map.MergeAll). Scratch's NewSlab
+// gives each relation a Slab: the relation carves the values it owns —
+// products, lifts, copies — from its own Slab and hands them back when
+// it drops them, so it never keeps a value another relation may
+// recycle: what crosses from one relation to another is copied, and a
+// shared payload is copied into the slab (Own) before its first
+// in-place fold (copy-on-write). Ownership covers a payload's backing
+// array up to its capacity, not only its length: RelCovar's AddInto and
+// MulAddInto grow into the spare capacity, so no two values may share
+// an array — every constructor (Clone, One, Mul via wrap, Neg, decode)
+// allocates its own, a lift writes into the dst it is given or
+// allocates, and a Slab slot is one payload's. scratch_test.go pins the
+// equivalence contract and the Slab contract for every implementing
+// ring, and relcovar_ref_test.go's fold chain the ownership of
+// RelCovar's, on a slab-carved accumulator. See docs/PERF.md for the
+// full ownership story.
 package ring

@@ -26,6 +26,10 @@ import (
 type RelCovar struct {
 	m int
 	e []coef
+	// slab is the relation slab the value was carved from, nil for a
+	// value of the pure operations: an in-place fold that outgrows e
+	// moves into a larger slot of it and hands e back (see grow).
+	slab *relSlab
 }
 
 // coef is one coefficient of a RelCovar. The key packs, from the top:
@@ -333,25 +337,39 @@ func (r RelCovarRing) Mul(a, b *RelCovar) *RelCovar {
 	if a == nil || b == nil {
 		return nil
 	}
-	return r.wrap(r.mulInto(nil, a, b))
+	var xbuf [64]coef
+	t := r.mulTerms(xbuf[:0], a, b)
+	return r.wrap(t.merge(make([]coef, 0, t.bound())))
 }
 
-// mulInto writes the coefficients of a × b (both non-zero) into out's
-// backing array when it is large enough, else into a new one of the
-// merge's upper bound, and returns them.
-func (r RelCovarRing) mulInto(out []coef, a, b *RelCovar) []coef {
+// mulTerms is a × b split into what mulMerge merges: each operand's
+// count and its s and Q coefficients, and the s × s cross terms.
+type mulTerms struct {
+	ca, cb float64
+	ea, eb []coef
+	x      []coef
+}
+
+// mulTerms splits a × b (both non-zero), building the cross terms in
+// x's backing array when it is large enough.
+func (r RelCovarRing) mulTerms(x []coef, a, b *RelCovar) mulTerms {
 	ca, ea := splitCount(a.e)
 	cb, eb := splitCount(b.e)
-	var xbuf [64]coef
-	x := r.crossTerms(xbuf[:0], sPrefix(ea, r.m), sPrefix(eb, r.m))
-	if n := 1 + len(ea) + len(eb) + len(x); cap(out) < n {
-		out = make([]coef, 0, n)
-	}
+	x = r.crossTerms(x, sPrefix(ea, r.m), sPrefix(eb, r.m))
+	return mulTerms{ca: ca, cb: cb, ea: ea, eb: eb, x: x}
+}
+
+// bound returns the most coefficients the product holds.
+func (t *mulTerms) bound() int { return 1 + len(t.ea) + len(t.eb) + len(t.x) }
+
+// merge writes the product's coefficients into out's backing array,
+// which holds bound() of them, and returns them.
+func (t *mulTerms) merge(out []coef) []coef {
 	out = out[:0]
-	if c := ca * cb; c != 0 {
+	if c := t.ca * t.cb; c != 0 {
 		out = append(out, coef{0, c})
 	}
-	return mulMerge(out, ea, cb, eb, ca, x)
+	return mulMerge(out, t.ea, t.cb, t.eb, t.ca, t.x)
 }
 
 // splitCount separates the count scalar from the s and Q coefficients.
@@ -466,18 +484,26 @@ func (r RelCovarRing) Neg(a *RelCovar) *RelCovar {
 // IsZero reports whether a holds no coefficient.
 func (r RelCovarRing) IsZero(a *RelCovar) bool { return a == nil || len(a.e) == 0 }
 
+// liftLen is the most coefficients a lift holds: the count, s_idx and
+// Q_idx,idx.
+const liftLen = 3
+
 // lifted returns g_X(x) for one attribute: count 1, s_idx = {key -> s},
-// Q_idx,idx = {key -> q}, with zero coefficients left out.
-func (r RelCovarRing) lifted(idx int, key CatID, s, q float64) *RelCovar {
-	e := make([]coef, 1, 3)
-	e[0] = coef{0, 1}
+// Q_idx,idx = {key -> q}, with zero coefficients left out. It writes
+// into dst when dst holds liftLen coefficients, else into a new value.
+func (r RelCovarRing) lifted(dst *RelCovar, idx int, key CatID, s, q float64) *RelCovar {
+	if dst == nil || cap(dst.e) < liftLen {
+		dst = &RelCovar{e: make([]coef, 0, liftLen)}
+	}
+	e := append(dst.e[:0], coef{0, 1})
 	if s != 0 {
 		e = append(e, coef{packKey(sSlot(idx), key, 0), s})
 	}
 	if q != 0 {
 		e = append(e, coef{packKey(qSlot(r.m, idx, idx), key, 0), q})
 	}
-	return &RelCovar{m: r.m, e: e}
+	dst.m, dst.e = r.m, e
+	return dst
 }
 
 // LiftContinuous returns g_X for a continuous attribute at index idx:
@@ -487,9 +513,9 @@ func (r RelCovarRing) lifted(idx int, key CatID, s, q float64) *RelCovar {
 // merges rely on.
 func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
-	return func(_ *RelCovar, v value.Value) *RelCovar {
+	return func(dst *RelCovar, v value.Value) *RelCovar {
 		x := v.AsFloat()
-		return r.lifted(idx, 0, x, x*x)
+		return r.lifted(dst, idx, 0, x, x*x)
 	}
 }
 
@@ -499,13 +525,13 @@ func (r RelCovarRing) LiftContinuous(idx int) Lift[*RelCovar] {
 // CatID); InternCategory is the check that refuses such a value first.
 func (r RelCovarRing) LiftCategorical(idx int) Lift[*RelCovar] {
 	r.checkIdx(idx)
-	return func(_ *RelCovar, v value.Value) *RelCovar {
+	return func(dst *RelCovar, v value.Value) *RelCovar {
 		var buf [32]byte
 		id, err := cats.intern(v.AppendEncode(buf[:0]))
 		if err != nil {
 			panic(err)
 		}
-		return r.lifted(idx, id, 1, 1)
+		return r.lifted(dst, idx, id, 1, 1)
 	}
 }
 
@@ -522,8 +548,8 @@ func (r RelCovarRing) LiftBinned(idx int, width float64) Lift[*RelCovar] {
 		panic("ring: bin width must be positive")
 	}
 	cat := r.LiftCategorical(idx)
-	return func(_ *RelCovar, v value.Value) *RelCovar {
-		return cat(nil, value.Int(Bin(v.AsFloat(), width)))
+	return func(dst *RelCovar, v value.Value) *RelCovar {
+		return cat(dst, value.Int(Bin(v.AsFloat(), width)))
 	}
 }
 

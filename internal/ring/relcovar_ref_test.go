@@ -398,12 +398,13 @@ func checkKernel(t *testing.T, m int, data []byte) {
 
 // checkFoldChain folds a chain of AddInto and MulAddInto calls over
 // the operands (a, b, c) and their negations into one owned accumulator
-// seeded from c, so steps bring new keys, cancel earlier ones and grow
-// the accumulator's spare capacity. After every step the accumulator
-// must keep the flat invariants and equal the pure Add(acc, Mul(x, y))
-// chain bit for bit; at the end it must agree with the reference chain,
-// a clone taken mid-chain must be unchanged, and neither the operands
-// nor the reference ones may have moved.
+// carved from a slab and seeded from c, so steps bring new keys, cancel
+// earlier ones, grow the accumulator's spare capacity and outgrow its
+// slot. After every step the accumulator must keep the flat invariants
+// and equal the pure Add(acc, Mul(x, y)) chain bit for bit; at the end
+// it must agree with the reference chain, a clone taken mid-chain must
+// be unchanged, and neither the operands nor the reference ones may
+// have moved.
 func checkFoldChain(t *testing.T, r RelCovarRing, ops [3]*RelCovar, refs [3]*refCovar) {
 	t.Helper()
 	a, b, c := ops[0], ops[1], ops[2]
@@ -429,13 +430,22 @@ func checkFoldChain(t *testing.T, r RelCovarRing, ops [3]*RelCovar, refs [3]*ref
 		{"MulAddInto(-b,a)", nb, a, rnb, ra},
 		{"MulAddInto(-c,c)", nc, c, rnc, rc},
 	}
-	acc, pure, racc := c.Clone(), c, rc.clone()
+	// The accumulator lives in a slab, as a relation's payloads do: Own
+	// seeds it, a step that cancels it hands its slot back, and after
+	// every other step it moves to a new carve and frees its old slot,
+	// so later steps carve, grow into and fold into recycled slots.
+	sb := r.NewSlab()
+	acc, pure, racc := sb.Own(c), c, rc.clone()
 	var mid, mid0 *RelCovar
 	for k, s := range steps {
+		prev := acc
 		if s.y == nil {
 			acc, pure, racc = r.AddInto(acc, s.x), r.Add(pure, s.x), refAddInto(racc, s.rx)
 		} else {
 			acc, pure, racc = r.MulAddInto(acc, s.x, s.y), r.Add(pure, r.Mul(s.x, s.y)), refMulAddInto(racc, s.rx, s.ry)
+		}
+		if acc == nil && prev != nil {
+			sb.Free(prev)
 		}
 		if acc != nil {
 			for i, e := range acc.e {
@@ -449,6 +459,11 @@ func checkFoldChain(t *testing.T, r RelCovarRing, ops [3]*RelCovar, refs [3]*ref
 		}
 		if k == len(steps)/2 {
 			mid, mid0 = acc.Clone(), pure
+		}
+		if k%2 == 1 && acc != nil {
+			next := sb.Own(acc)
+			sb.Free(acc)
+			acc = next
 		}
 	}
 	if d := agrees(acc, racc); d != "" {

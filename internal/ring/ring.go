@@ -31,8 +31,9 @@ type Ring[V any] interface {
 // the paper's g_X: they are applied when their attribute is marginalized
 // in the view tree. dst is a value the caller exclusively owns and gives
 // up, or the ring zero: a lift may write its result into dst's storage
-// and return it (RangedCovar's does, so a relation lifts into a slot of
-// its slab — see Slab), and the others ignore it.
+// and return it (RangedCovar's and RelCovar's do, so a relation lifts
+// into a slot of its slab — see Slab; RelCovar's allocates instead when
+// dst is too small), and the others ignore it.
 type Lift[V any] func(dst V, v value.Value) V
 
 // Ints is the ring Z of tuple multiplicities over int64.

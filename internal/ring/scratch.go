@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/value"
@@ -12,7 +13,8 @@ import (
 // their accumulator fold values in place instead of allocating a fresh
 // result per addition: AddInto folds `acc += v`, and MulAddInto folds
 // `acc += a × b` without materializing the product, the single hottest
-// allocation a join performs on duplicate output tuples.
+// allocation a join performs on duplicate output tuples. NewSlab gives
+// each relation the Slab it keeps the payloads it owns in.
 //
 // Ownership contract (see also the package doc):
 //
@@ -27,7 +29,9 @@ import (
 //     outside state are flagged and excluded). v, a and b are only
 //     read. Owning acc includes its backing storage beyond what it
 //     holds (a slice's capacity past its length), which either may grow
-//     into: a value never shares a backing array with another.
+//     into: a value never shares a backing array with another. When
+//     the result is the ring zero, acc is still the caller's — dead
+//     storage it may hand back to the Slab it came from.
 //
 // The results must be indistinguishable from Add(acc, v) and
 // Add(acc, Mul(a, b)) to any reader; the ring's scratch-contract tests
@@ -41,42 +45,40 @@ type Scratch[V any] interface {
 	// MulAddInto returns acc + a×b, mutating acc when possible. acc must
 	// be exclusively owned by the caller; a and b are never modified.
 	MulAddInto(acc, a, b V) V
+	// NewSlab returns an empty Slab for a new relation; relation.Map
+	// makes its own on first use.
+	NewSlab() Slab[V]
 }
 
-// Slab is the payload storage one relation keeps for a Scratch ring
-// whose payloads are fixed-width per relation (RangedCovar: a view
-// node's lift range is fixed, so every payload of its view is as wide).
-// Each value it returns is carved from it — a recycled slot or the next
-// one of a chunk allocated for many — and is exclusively owned by the
-// relation, which hands it back with Free when it stops storing it: on
-// annihilation, on Reset, or right after use for a scratch value. So a
-// relation whose size is steady allocates no payload in steady state.
-// The results are those of the pure operations, bit for bit.
+// Slab is the payload storage one relation keeps for a Scratch ring.
+// Each value it returns is carved from it — a recycled slot or a new
+// one cut from a chunk allocated for many — and is exclusively owned by
+// the relation, which hands it back with Free when it stops storing
+// it: on annihilation, on Reset, or right after use for a scratch
+// value. So a relation whose size is steady allocates no payload in
+// steady state. Slots are as wide as the payloads they carry:
+// RangedCovar's are fixed-width per relation (a view node's lift range
+// is fixed), RelCovar's come in power-of-two capacity classes. The
+// results are those of the pure operations, bit for bit.
 type Slab[V any] interface {
 	// Own returns a deep copy of v, carved: how a relation seeds an
 	// accumulator from a value it may not mutate.
 	Own(v V) V
 	// Mul returns a×b: Ring.Mul, carved.
 	Mul(a, b V) V
-	// Lift returns l(x) written into a carved slot.
+	// Lift returns l(x), given a carved slot as its dst.
 	Lift(l Lift[V], x value.Value) V
 	// Free returns v to the slab. v must have been carved from it, or
 	// be a value nothing else can reach, and is not used again.
 	Free(v V)
 }
 
-// Slabbed is the optional extension of a Scratch ring whose payloads a
-// relation keeps in a Slab: NewSlab returns an empty one for a new
-// relation. relation.Map makes its slab on first use.
-type Slabbed[V any] interface {
-	NewSlab() Slab[V]
-}
-
 // MulAddInto implements Scratch for the generalized matrix ring: Mul's
 // merge emits the product's coefficients into a stack buffer instead of
-// a value, and they fold into acc like AddInto's addend. Each term is
-// the one Mul computes and each sum is acc + term, so the result is
-// bit-identical to Add(acc, Mul(a, b)).
+// a value — a scratch slot of acc's slab when they outgrow it — and
+// they fold into acc like AddInto's addend. Each term is the one Mul
+// computes and each sum is acc + term, so the result is bit-identical
+// to Add(acc, Mul(a, b)).
 func (r RelCovarRing) MulAddInto(acc, a, b *RelCovar) *RelCovar {
 	if a == nil || b == nil {
 		return acc
@@ -84,8 +86,24 @@ func (r RelCovarRing) MulAddInto(acc, a, b *RelCovar) *RelCovar {
 	if acc == nil {
 		return r.Mul(a, b)
 	}
+	var xbuf [64]coef
 	var buf [128]coef
-	return acc.fold(r.mulInto(buf[:0], a, b))
+	t := r.mulTerms(xbuf[:0], a, b)
+	out, s := buf[:0], acc.slab
+	var tmp *RelCovar
+	if n := t.bound(); n > len(buf) {
+		if s != nil {
+			tmp = s.carve(n)
+			out = tmp.e
+		} else {
+			out = make([]coef, 0, n)
+		}
+	}
+	acc = acc.fold(t.merge(out))
+	if tmp != nil {
+		s.Free(tmp)
+	}
+	return acc
 }
 
 // AddInto implements Scratch for the generalized matrix ring: v's
@@ -130,7 +148,7 @@ func (c *RelCovar) fold(b []coef) *RelCovar {
 	}
 	if missing > 0 {
 		n := len(a)
-		a = slices.Grow(a, missing)[:n+missing]
+		a = c.grow(missing)[:n+missing]
 		// w-i missing keys are left to place: once it is 0, a[:i] and
 		// the rest of b, all present in it, are where they belong.
 		i, j, w := n-1, len(b)-1, n+missing-1
@@ -166,6 +184,22 @@ func (c *RelCovar) fold(b []coef) *RelCovar {
 	}
 	c.e = a
 	return c
+}
+
+// grow returns c's coefficients with room for k more: in their own
+// backing array when it has it, else in a larger one — for a carved c
+// a slot of its slab, which takes the old array back with the slot's
+// header, and otherwise an array grown like append.
+func (c *RelCovar) grow(k int) []coef {
+	n := len(c.e) + k
+	if c.slab == nil || n <= cap(c.e) {
+		return slices.Grow(c.e, k)
+	}
+	o := c.slab.carve(n)
+	o.e = append(o.e, c.e...)
+	c.e, o.e = o.e, c.e
+	c.slab.Free(o)
+	return c.e
 }
 
 // seek returns the first index at or after i whose key is >= k, given
@@ -251,7 +285,7 @@ func (r RangedCovarRing) AddInto(acc, v *RangedCovar) *RangedCovar {
 	return acc
 }
 
-// NewSlab implements Slabbed: ranged payloads are fixed-width per
+// NewSlab implements Scratch: ranged payloads are fixed-width per
 // relation, so a relation keeps them in a rangedSlab.
 func (RangedCovarRing) NewSlab() Slab[*RangedCovar] { return &rangedSlab{} }
 
@@ -340,4 +374,125 @@ func (s *rangedSlab) Free(v *RangedCovar) {
 	if v != nil && cap(v.v) >= s.width {
 		s.free = append(s.free, v)
 	}
+}
+
+// NewSlab implements Scratch: a relation keeps its relational COVAR
+// payloads in a relSlab.
+func (r RelCovarRing) NewSlab() Slab[*RelCovar] { return &relSlab{r: r} }
+
+// relChunkMin and relChunkMax bound the coefficients of one relSlab
+// chunk (16 bytes each), which doubles between them like a chunk of
+// headers; a wider slot is an allocation of its own.
+const (
+	relChunkMin = 64
+	relChunkMax = 8192
+)
+
+// relSlab is RelCovar's Slab. RelCovar payloads vary in width — a
+// view's grow as keys arrive, a lift holds at most three coefficients —
+// so a slot is a header plus a backing array whose capacity is a power
+// of two: the least one holding what the slot is carved for, cut from a
+// chunk of coefficients. Free parks a slot on the free list of its
+// capacity class, and a carve of n coefficients takes a slot of the
+// class of n, so a slot's capacity is under twice the coefficients it
+// was carved for. A carved value records its slab, so an in-place fold
+// that outgrows its slot moves into a larger one (RelCovar.grow). A
+// value of the pure operations the relation came to own is adopted
+// when freed, its capacity trimmed down to a power of two.
+type relSlab struct {
+	r    RelCovarRing
+	hdrs []RelCovar
+	vals []coef
+	free [][]*RelCovar // free[k] holds slots of capacity 1<<k
+	grow int           // headers in the next chunk
+	size int           // coefficients in the next chunk
+}
+
+// carve returns an owned, empty payload whose backing array holds n
+// coefficients.
+func (s *relSlab) carve(n int) *RelCovar {
+	k := bits.Len(uint(max(n, 1) - 1)) // the least k with 1<<k >= n
+	if k < len(s.free) {
+		if f := s.free[k]; len(f) > 0 {
+			c := f[len(f)-1]
+			f[len(f)-1] = nil
+			s.free[k] = f[:len(f)-1]
+			return c
+		}
+	}
+	if len(s.hdrs) == 0 {
+		s.grow = min(max(s.grow*2, slabMin), slabMax)
+		s.hdrs = make([]RelCovar, s.grow)
+	}
+	c := &s.hdrs[0]
+	s.hdrs = s.hdrs[1:]
+	c.m, c.slab = s.r.m, s
+	w := 1 << k
+	if w > relChunkMax {
+		c.e = make([]coef, 0, w)
+		return c
+	}
+	if len(s.vals) < w {
+		s.size = min(max(s.size*2, relChunkMin, w), relChunkMax)
+		s.vals = make([]coef, s.size)
+	}
+	c.e = s.vals[:0:w]
+	s.vals = s.vals[w:]
+	return c
+}
+
+// fit returns c, a carved result, or nil, handing c back, when it holds
+// nothing; a result under half its slot (one whose merge bound or lift
+// width it fell short of) moves to a slot of its own class.
+func (s *relSlab) fit(c *RelCovar) *RelCovar {
+	switch n := len(c.e); {
+	case n == 0:
+		s.Free(c)
+		return nil
+	case 2*n <= cap(c.e):
+		o := s.Own(c)
+		s.Free(c)
+		return o
+	}
+	return c
+}
+
+// Own implements Slab.
+func (s *relSlab) Own(v *RelCovar) *RelCovar {
+	if v == nil {
+		return nil
+	}
+	c := s.carve(len(v.e))
+	c.m, c.e = v.m, append(c.e, v.e...)
+	return c
+}
+
+// Mul implements Slab: Mul's merge into a slot of its upper bound.
+func (s *relSlab) Mul(a, b *RelCovar) *RelCovar {
+	if a == nil || b == nil {
+		return nil
+	}
+	var xbuf [64]coef
+	t := s.r.mulTerms(xbuf[:0], a, b)
+	c := s.carve(t.bound())
+	c.e = t.merge(c.e)
+	return s.fit(c)
+}
+
+// Lift implements Slab: l writes into a slot as wide as a lift gets.
+func (s *relSlab) Lift(l Lift[*RelCovar], x value.Value) *RelCovar {
+	return s.fit(l(s.carve(liftLen), x))
+}
+
+// Free implements Slab.
+func (s *relSlab) Free(v *RelCovar) {
+	if v == nil || cap(v.e) == 0 {
+		return
+	}
+	k := bits.Len(uint(cap(v.e))) - 1
+	v.e, v.slab = v.e[:0:1<<k], s
+	if k >= len(s.free) {
+		s.free = slices.Grow(s.free, k+1-len(s.free))[:k+1]
+	}
+	s.free[k] = append(s.free[k], v)
 }

@@ -178,6 +178,93 @@ func TestSlabContractRangedCovar(t *testing.T) {
 	}
 }
 
+// TestSlabContractRelCovar pins the relational ring's Slab against the
+// pure operations: a carved copy, product and lift — a fresh slot or
+// one freed before — equal Clone, Mul and the lift bit for bit and leave
+// their operands alone; an in-place fold that outgrows its slot moves
+// into a larger one of the slab; a freed slot is handed out again, and
+// never while another value still holds it; and a carved slot holds
+// under twice the coefficients of the value it carries.
+func TestSlabContractRelCovar(t *testing.T) {
+	r := NewRelCovarRing(3)
+	lifts := []Lift[*RelCovar]{r.LiftContinuous(0), r.LiftCategorical(1), r.LiftBinned(2, 0.5)}
+	lift := func(rnd *rand.Rand) (Lift[*RelCovar], value.Value) {
+		return lifts[rnd.Intn(len(lifts))], value.Int(int64(rnd.Intn(4))) // 0 lifts continuous to One
+	}
+	gen := func(rnd *rand.Rand) *RelCovar {
+		var v *RelCovar
+		for rows := 1 + rnd.Intn(3); rows > 0; rows-- {
+			p := r.One()
+			for n := 1 + rnd.Intn(3); n > 0; n-- {
+				l, x := lift(rnd)
+				p = r.Mul(p, l(nil, x))
+			}
+			if rnd.Intn(3) == 0 {
+				p = r.Neg(p)
+			}
+			v = r.Add(v, p)
+		}
+		return v
+	}
+	sb := r.NewSlab()
+	rnd := rand.New(rand.NewSource(31))
+	var held, want []*RelCovar
+	for i := 0; i < 600; i++ {
+		a, b := gen(rnd), gen(rnd)
+		ac, bc := a.Clone(), b.Clone()
+		var got, ref *RelCovar
+		op := rnd.Intn(4)
+		switch op {
+		case 0:
+			got, ref = sb.Mul(a, b), r.Mul(a, b)
+		case 1:
+			got, ref = sb.Own(a), a.Clone()
+		case 2:
+			l, x := lift(rnd)
+			got, ref = sb.Lift(l, x), l(nil, x)
+		default:
+			got, ref = r.AddInto(sb.Own(a), b), r.Add(a, b)
+			if a != nil && got != nil && got.slab != sb {
+				t.Fatalf("round %d: a fold into a carved value left its slab", i)
+			}
+		}
+		if !got.Equal(ref) {
+			t.Fatalf("round %d: carved %v, want %v", i, got, ref)
+		}
+		if !a.Equal(ac) || !b.Equal(bc) {
+			t.Fatalf("round %d: the slab wrote an operand", i)
+		}
+		if got == nil {
+			continue
+		}
+		if n := got.Len(); op < 3 && cap(got.e) >= 2*n {
+			t.Fatalf("round %d: a slot of capacity %d carries %d coefficients", i, cap(got.e), n)
+		}
+		held, want = append(held, got), append(want, ref)
+		if rnd.Intn(2) == 0 {
+			k := rnd.Intn(len(held))
+			sb.Free(held[k])
+			held[k], want[k] = held[len(held)-1], want[len(want)-1]
+			held, want = held[:len(held)-1], want[:len(want)-1]
+		}
+		for k, h := range held {
+			if !h.Equal(want[k]) {
+				t.Fatalf("round %d: a held value changed to %v, want %v: its slot was handed out twice", i, h, want[k])
+			}
+		}
+	}
+
+	sb = r.NewSlab()
+	v := sb.Lift(lifts[1], value.Int(1)) // three coefficients: a 4-wide slot
+	sb.Free(v)
+	if again := sb.Lift(lifts[0], value.Float(2)); again != v {
+		t.Fatal("a freed slot was not handed out again")
+	}
+	if one := sb.Lift(lifts[0], value.Float(0)); cap(one.e) != 1 {
+		t.Fatalf("a lift to One kept a %d-wide slot for its one coefficient", cap(one.e))
+	}
+}
+
 // randRanged draws a payload over [start, start+n): small integers, so
 // sums are exact, or normal reals.
 func randRanged(rnd *rand.Rand, start, n int, real bool) *RangedCovar {

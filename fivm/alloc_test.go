@@ -234,7 +234,7 @@ func TestApplyBatchAllocsCovar(t *testing.T) {
 			find(c)
 		}
 	}
-	for _, r := range eng.(*fivm.CovarEngine).Tree().Roots() {
+	for _, r := range eng.(*fivm.Engine[*ring.RangedCovar]).Tree().Roots() {
 		find(r)
 	}
 	if cat == nil || len(cat.View().IndexDumps()) == 0 {

@@ -134,7 +134,7 @@ func TestFloatEnginePureConstantRejectedEarly(t *testing.T) {
 		t.Fatal("pure-constant aggregate SUM(2) accepted")
 	}
 	// SUM(1) stays valid as a float-ring count.
-	eng := open[*fivm.FloatEngine](t, float("SELECT SUM(1) FROM S"))
+	eng := open[*fivm.Engine[float64]](t, float("SELECT SUM(1) FROM S"))
 	if err := eng.Init(map[string][]value.Tuple{"S": {value.T(1, 2), value.T(3, 4)}}); err != nil {
 		t.Fatal(err)
 	}

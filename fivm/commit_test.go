@@ -8,6 +8,7 @@ import (
 
 	"repro/fivm"
 	"repro/internal/relation"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -43,12 +44,12 @@ func snapshotState(t *testing.T, e fivm.AnyEngine) string {
 	switch x := e.(type) {
 	case *fivm.Analysis:
 		return engineState(x.Engine)
-	case *fivm.CountEngine:
-		return engineState(x.Engine)
-	case *fivm.FloatEngine:
-		return engineState(x.Engine)
-	case *fivm.CovarEngine:
-		return engineState(x.Engine)
+	case *fivm.Engine[int64]:
+		return engineState(x)
+	case *fivm.Engine[float64]:
+		return engineState(x)
+	case *fivm.Engine[*ring.RangedCovar]:
+		return engineState(x)
 	default:
 		t.Fatalf("unknown engine type %T", e)
 		return ""
@@ -99,12 +100,12 @@ func snapshotIndexes(t *testing.T, e fivm.AnyEngine) map[string]map[string]strin
 	switch x := e.(type) {
 	case *fivm.Analysis:
 		return indexStates(t, x.Engine)
-	case *fivm.CountEngine:
-		return indexStates(t, x.Engine)
-	case *fivm.FloatEngine:
-		return indexStates(t, x.Engine)
-	case *fivm.CovarEngine:
-		return indexStates(t, x.Engine)
+	case *fivm.Engine[int64]:
+		return indexStates(t, x)
+	case *fivm.Engine[float64]:
+		return indexStates(t, x)
+	case *fivm.Engine[*ring.RangedCovar]:
+		return indexStates(t, x)
 	default:
 		t.Fatalf("unknown engine type %T", e)
 		return nil

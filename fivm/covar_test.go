@@ -30,16 +30,17 @@ func analysisRef(t *testing.T, rels []fivm.RelationSpec, attrs []string) *fivm.A
 	return open[*fivm.Analysis](t, fivm.Config{Relations: rels, Features: feats})
 }
 
-// sameCovar fails unless every statistic the covar engine hands out in
-// its caller's order equals the reference engine's within a relative
-// 1e-9.
-func sameCovar(t *testing.T, when string, eng *fivm.CovarEngine, ref *fivm.Analysis) {
+// sameCovar fails unless every statistic the covar engine's published
+// model holds in its caller's order equals the reference engine's
+// within a relative 1e-9.
+func sameCovar(t *testing.T, when string, eng *fivm.Engine[*ring.RangedCovar], ref *fivm.Analysis) {
 	t.Helper()
 	want := ref.Payload()
-	got, err := eng.Covar()
-	if want == nil || err != nil {
-		if want != nil || err == nil {
-			t.Fatalf("%s: engine %v (%v), reference %v: one join empty, the other not", when, got, err, want)
+	m := eng.PublishModel(nil).(*fivm.CovarModel)
+	got := m.Payload
+	if want == nil || got == nil {
+		if want != nil || got != nil {
+			t.Fatalf("%s: engine %v, reference %v: one join empty, the other not", when, got, want)
 		}
 		return
 	}
@@ -49,13 +50,13 @@ func sameCovar(t *testing.T, when string, eng *fivm.CovarEngine, ref *fivm.Analy
 	if !near(got.Count(), want.CountScalar()) {
 		t.Fatalf("%s: count %v, reference %v", when, got.Count(), want.CountScalar())
 	}
-	for i, a := range eng.Attrs {
+	for i, a := range m.Attrs {
 		if w := want.Sum(i).Scalar(); !near(got.Sum(i), w) {
 			t.Fatalf("%s: SUM(%s) %v, reference %v", when, a, got.Sum(i), w)
 		}
-		for j := i; j < len(eng.Attrs); j++ {
+		for j := i; j < len(m.Attrs); j++ {
 			if w := want.Prod(i, j).Scalar(); !near(got.Prod(i, j), w) {
-				t.Fatalf("%s: SUM(%s*%s) %v, reference %v", when, a, eng.Attrs[j], got.Prod(i, j), w)
+				t.Fatalf("%s: SUM(%s*%s) %v, reference %v", when, a, m.Attrs[j], got.Prod(i, j), w)
 			}
 		}
 	}
@@ -80,7 +81,7 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 	})
 	rels := relationSpecs(db)
 	attrs := []string{"inventoryunits", "prize", "avghhi", "maxtemp"}
-	eng := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: attrs})
+	eng := open[*fivm.Engine[*ring.RangedCovar]](t, fivm.Config{Relations: rels, Attrs: attrs})
 	ref := analysisRef(t, rels, attrs)
 	data := db.TupleMap()
 	if err := eng.Init(data); err != nil {
@@ -109,18 +110,8 @@ func TestRangedEngineMatchesFullEngine(t *testing.T) {
 		}
 		sameCovar(t, "after bulk", eng, ref)
 	}
-
-	// The published model and Sigma read in the caller's order too.
-	m := eng.PublishModel(nil).(*fivm.CovarModel)
-	if want, _ := eng.Covar(); !m.Payload.Equal(want) || strings.Join(m.Attrs, ",") != strings.Join(attrs, ",") {
-		t.Fatalf("published %v over %v, want %v over %v", m.Payload, m.Attrs, want, attrs)
-	}
-	sigma, err := eng.Sigma()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sigma.Dim() != len(attrs) {
-		t.Errorf("sigma dim = %d", sigma.Dim())
+	if m := eng.PublishModel(nil).(*fivm.CovarModel); strings.Join(m.Attrs, ",") != strings.Join(attrs, ",") {
+		t.Fatalf("published model over %v, want %v", m.Attrs, attrs)
 	}
 }
 
@@ -135,7 +126,7 @@ func TestCovarFavoritaMatchesFullDegree(t *testing.T) {
 	db := dataset.Favorita(dataset.FavoritaConfig{Stores: 4, Items: 20, Dates: 15, SalesRows: 300, Seed: 5})
 	rels := relationSpecs(db)
 	attrs := []string{"transactions", "unit_sales", "oilprice"}
-	eng := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: attrs})
+	eng := open[*fivm.Engine[*ring.RangedCovar]](t, fivm.Config{Relations: rels, Attrs: attrs})
 	ref := analysisRef(t, rels, attrs)
 	wide := 0
 	var walk func(n *view.Node[*ring.RangedCovar])
@@ -254,7 +245,7 @@ func TestRangedEngineErrors(t *testing.T) {
 		{"tuples", kept, "source payload covers attribute range [1,2), this engine's is [0,0)"},
 		{"anchor view", viewed, "anchor view of R payload covers attribute range [1,2), this engine's is [0,1)"},
 	} {
-		eng := open[*fivm.CovarEngine](t, c.cfg)
+		eng := open[*fivm.Engine[*ring.RangedCovar]](t, c.cfg)
 		snap := snapshotOf(t, c.cfg.Relations, rr, codec, rr.Lift(1)(nil, value.Int(3)))
 		if err := eng.ReadSnapshot(bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s snapshot with a payload of the wrong range: err = %v, want %q", c.name, err, c.want)
@@ -270,7 +261,7 @@ func TestRangedEngineErrors(t *testing.T) {
 		"anchor view": {viewed, rr.Lift(0)(nil, value.Int(3))},
 	} {
 		snap := snapshotOf(t, c.cfg.Relations, rr, codec, c.p)
-		if err := open[*fivm.CovarEngine](t, c.cfg).ReadSnapshot(bytes.NewReader(snap)); err != nil {
+		if err := open[*fivm.Engine[*ring.RangedCovar]](t, c.cfg).ReadSnapshot(bytes.NewReader(snap)); err != nil {
 			t.Errorf("%s snapshot: %v", name, err)
 		}
 	}
@@ -284,7 +275,7 @@ func TestRangedEngineErrors(t *testing.T) {
 // degree-free tag the former rangedcovar kind wrote.
 func TestCovarPartialOfAnotherDegreeIsRejected(t *testing.T) {
 	partial := func(attrs ...string) []byte {
-		eng := open[*fivm.CovarEngine](t, fivm.Config{Relations: openRels(), Attrs: attrs})
+		eng := open[*fivm.Engine[*ring.RangedCovar]](t, fivm.Config{Relations: openRels(), Attrs: attrs})
 		if err := eng.Init(toyData()); err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +304,7 @@ func TestCovarPartialOfAnotherDegreeIsRejected(t *testing.T) {
 		{"degree 3 into 2", wide, []string{"B", "D"}, []string{"[m=3]", "[m=2]"}},
 		{"untagged degree 2 into 3", retag(narrow, 2), []string{"B", "C", "D"}, []string{"codec ring.RangedCovarCodec,", "[m=3]"}},
 	} {
-		merger := open[*fivm.CovarEngine](t, fivm.Config{Relations: openRels(), Attrs: c.attrs})
+		merger := open[*fivm.Engine[*ring.RangedCovar]](t, fivm.Config{Relations: openRels(), Attrs: c.attrs})
 		m, err := merger.MergePartials([]io.Reader{bytes.NewReader(c.part)})
 		if err == nil {
 			t.Errorf("%s: merged to %s", c.name, modelJSON(m))

@@ -16,13 +16,14 @@
 //   - Engine[V] is the generic core behind it: a view tree over one
 //     ring plus the shared lifecycle (Init, InitWeighted, Apply,
 //     BuildDelta/ApplyBuilt, ClonePayload, Stats, WriteSnapshot/
-//     ReadSnapshot, PublishModel). Four thin
-//     instantiations add typed accessors, reached by type assertion:
-//     Analysis (generalized COVAR / MI / ridge / Chow-Liu over mixed
-//     features), CountEngine and FloatEngine (SUM aggregates parsed
-//     from a small SQL subset), and CovarEngine (scalar COVAR over
-//     continuous attributes, on the ranged payloads of the paper's
-//     Figure 2d).
+//     ReadSnapshot, PublishModel). Open returns it as is for three
+//     kinds — *Engine[int64] and *Engine[float64] (SUM aggregates
+//     parsed from a small SQL subset) and *Engine[*ring.RangedCovar]
+//     (scalar COVAR over continuous attributes, on the ranged payloads
+//     of the paper's Figure 2d) — and wrapped in *Analysis
+//     (generalized COVAR / MI / ridge / Chow-Liu over mixed features),
+//     which holds the fit state its models share. Each kind is read
+//     through the Model it publishes.
 //
 // # Key invariants
 //
@@ -33,8 +34,8 @@
 //     ClonePayload/Result().Clone()); everything an engine publishes is a
 //     deep copy or a copy-on-write clone that no later update changes.
 //   - Result-access convention: Payload/Result never fail (the empty
-//     join yields the ring zero); typed accessors that derive
-//     structure from the payload (Covar, Sigma, Ridge, MI, a Model's
+//     join yields the ring zero); model readers that derive structure
+//     from the payload (AnalysisModel's Covar and Fit, a Model's
 //     ResultJSON) return a descriptive error on the empty join.
 //   - An Engine is single-writer, and maintenance starts no goroutines
 //     of its own: more cores serve more shards (internal/cluster). Two

@@ -60,18 +60,18 @@ type Model interface {
 // Engine is the generic core every F-IVM workload shares: a view tree
 // over one ring, plus the lifecycle around it — bulk load, incremental
 // maintenance, delta prebuilding, deep-cloned reads, snapshot
-// persistence, and model publishing. Open builds it through one of four
-// thin instantiations (Analysis, CountEngine, FloatEngine, CovarEngine)
-// that add ring-specific typed accessors.
+// persistence, and model publishing. Open returns the count, float and
+// covar kinds as *Engine[int64], *Engine[float64] and
+// *Engine[*ring.RangedCovar], and the analysis kind as *Analysis, which
+// embeds an *Engine[*ring.RelCovar].
 //
 // Result-access convention (uniform across all engines): Payload and
 // Result never fail — an empty join yields the ring's zero (nil for
-// pointer-shaped rings) and an empty result relation. Typed accessors
+// pointer-shaped rings) and an empty result relation. Model readers
 // that must interpret the payload into derived structure
-// (CovarEngine.Covar and Sigma, AnalysisModel.Covar and Fit, a Model's
-// ResultJSON) return a descriptive error on the empty join instead of
-// fabricating zeros; plain enumerations (Tuples) return empty
-// collections.
+// (AnalysisModel.Covar and Fit, a Model's ResultJSON) return a
+// descriptive error on the empty join instead of fabricating zeros;
+// plain enumerations (Tuples) return empty collections.
 //
 // An Engine is not safe for concurrent use, with two deliberate
 // exceptions that the serving layer builds on: BuildDelta and

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/m3"
-	"repro/internal/ml"
 	"repro/internal/query"
 	"repro/internal/ring"
 	"repro/internal/value"
@@ -13,16 +12,10 @@ import (
 	"repro/internal/vo"
 )
 
-// CountEngine maintains a COUNT (SUM(1)) query over a natural join,
-// optionally grouped, using the Z ring. It is the simplest F-IVM
-// instantiation: payloads are tuple multiplicities.
-type CountEngine struct {
-	*Engine[int64]
-	Query *query.Query
-}
-
 // newCountEngine compiles a parsed SUM(1) query (with optional GROUP BY)
-// into a Z-ring view tree.
+// into a Z-ring view tree, an *Engine[int64]: a COUNT over a natural
+// join, the simplest F-IVM instantiation, whose payloads are tuple
+// multiplicities.
 func newCountEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 	if q == nil {
 		return nil, fmt.Errorf("fivm: %s engine needs a Query", KindCount)
@@ -34,23 +27,15 @@ func newCountEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &CountEngine{Query: q}
-	e.Engine = newEngine(Engine[int64]{
+	var e *Engine[int64]
+	e = newEngine(Engine[int64]{
 		kind:    KindCount,
 		tree:    tree,
 		codec:   ring.IntCodec{},
 		info:    m3.RingInfo{Name: "long"},
-		publish: func(Model) Model { return tableModel(e.Engine, func(v int64) float64 { return float64(v) }) },
+		publish: func(Model) Model { return tableModel(e, func(v int64) float64 { return float64(v) }) },
 	})
 	return e, nil
-}
-
-// FloatEngine maintains one SUM aggregate of a product of per-attribute
-// functions over a natural join using the float ring, e.g.
-// SUM(B * sq(C)) or SUM(B * D) GROUP BY A.
-type FloatEngine struct {
-	*Engine[float64]
-	Query *query.Query
 }
 
 // floatFuncs is the registry of factor functions for the float ring.
@@ -61,9 +46,12 @@ var floatFuncs = map[string]ring.Lift[float64]{
 }
 
 // newFloatEngine compiles a parsed single-aggregate query into a
-// float-ring view tree. Each attribute may appear in at most one factor
-// (write SUM(sq(B)) rather than SUM(B * B)); constant factors scale the
-// aggregate. All factors are validated before the view tree is built.
+// float-ring view tree, an *Engine[float64]: one SUM aggregate of a
+// product of per-attribute functions over a natural join, e.g.
+// SUM(B * sq(C)) or SUM(B * D) GROUP BY A. Each attribute may appear
+// in at most one factor (write SUM(sq(B)) rather than SUM(B * B));
+// constant factors scale the aggregate. All factors are validated
+// before the view tree is built.
 func newFloatEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 	if q == nil {
 		return nil, fmt.Errorf("fivm: %s engine needs a Query", KindFloat)
@@ -103,37 +91,28 @@ func newFloatEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &FloatEngine{Query: q}
-	e.Engine = newEngine(Engine[float64]{
+	var e *Engine[float64]
+	e = newEngine(Engine[float64]{
 		kind:    KindFloat,
 		tree:    tree,
 		codec:   ring.FloatCodec{},
 		info:    m3.RingInfo{Name: "double"},
-		publish: func(Model) Model { return tableModel(e.Engine, func(v float64) float64 { return v }) },
+		publish: func(Model) Model { return tableModel(e, func(v float64) float64 { return v }) },
 	})
 	return e, nil
 }
 
-// CovarEngine maintains the scalar degree-m COVAR matrix over
-// all-continuous attributes — the cheaper sibling of Analysis for
-// workloads without categorical features — with the ranged payloads of
-// the paper's Figure 2d, `RingCofactor<double, idx, cnt>`: each view
-// carries aggregates only for the attributes of its own subtree, so
-// leaf views hold degree-1 payloads and only the root holds the full
-// degree. Lift indexes follow the variable order's post-order, the
-// order the tree's products combine subtree payloads, so ranges always
-// meet adjacently; Attrs, Covar, Sigma and the published CovarModel
-// read in the caller's attribute order through one permutation.
-type CovarEngine struct {
-	*Engine[*ring.RangedCovar]
-	// Attrs are the aggregate attributes in the caller's order.
-	Attrs []string
-	// perm[i] is Attrs[i]'s lift index.
-	perm []int
-}
-
-// newCovarEngine builds a scalar COVAR engine over the given continuous
-// attributes of the joined relations.
+// newCovarEngine builds the covar kind, an *Engine[*ring.RangedCovar]:
+// the scalar degree-m COVAR matrix over the given continuous attributes
+// — the cheaper sibling of Analysis for workloads without categorical
+// features — with the ranged payloads of the paper's Figure 2d,
+// `RingCofactor<double, idx, cnt>`: each view carries aggregates only
+// for the attributes of its own subtree, so leaf views hold degree-1
+// payloads and only the root holds the full degree. Lift indexes
+// follow the variable order's post-order, the order the tree's
+// products combine subtree payloads, so ranges always meet adjacently;
+// the published CovarModel reads in cfg.Attrs order through one
+// permutation, perm[i] being Attrs[i]'s lift index.
 func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 	if len(cfg.Attrs) == 0 {
 		return nil, fmt.Errorf("fivm: %s engine needs Attrs", KindCovar)
@@ -180,11 +159,11 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 		return nil, err
 	}
 	attrs := append([]string(nil), cfg.Attrs...)
-	e := &CovarEngine{Attrs: attrs, perm: perm}
 	codec := covarCodec{RangedCovarCodec: ring.RangedCovarCodec{Degree: len(attrs)}, anchors: anchors, what: "source"}
 	result := codec
 	result.want, result.what = liftRange{0, len(attrs)}, "partial result"
-	e.Engine = newEngine(Engine[*ring.RangedCovar]{
+	var e *Engine[*ring.RangedCovar]
+	e = newEngine(Engine[*ring.RangedCovar]{
 		kind:        KindCovar,
 		tree:        tree,
 		codec:       codec,
@@ -199,31 +178,6 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 		},
 	})
 	return e, nil
-}
-
-// Covar returns the compound aggregate in Attrs order, a copy, failing
-// on the empty join per the package's result-access convention. Use
-// Payload for the raw (possibly nil) value in lift order.
-func (e *CovarEngine) Covar() (*ring.RangedCovar, error) {
-	p := e.Payload()
-	if p == nil {
-		return nil, fmt.Errorf("fivm: empty join result")
-	}
-	return p.Widen(e.perm), nil
-}
-
-// Sigma converts the payload into the solver's SigmaMatrix with columns
-// in Attrs order.
-func (e *CovarEngine) Sigma() (*ml.SigmaMatrix, error) {
-	p, err := e.Covar()
-	if err != nil {
-		return nil, err
-	}
-	feats := make([]ml.Feature, len(e.Attrs))
-	for i, a := range e.Attrs {
-		feats[i] = ml.Feature{Name: a, Index: i}
-	}
-	return ml.SigmaFromCovar(p, feats)
 }
 
 // covarCodec is the covar engine's payload codec: the ranged codec bound

@@ -98,7 +98,7 @@ func ExampleOpen() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	count := eng.(*fivm.CountEngine)
+	count := eng.(*fivm.Engine[int64])
 	err = count.Init(map[string][]value.Tuple{
 		"R": {value.T("a1", 1), value.T("a1", 2), value.T("a2", 3)},
 	})
@@ -152,7 +152,7 @@ func ExampleEngine_InitWeighted() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fe := eng.(*fivm.FloatEngine)
+	fe := eng.(*fivm.Engine[float64])
 	if err := fe.InitWeighted(map[string]*relation.Map[float64]{"MA": a, "MB": b, "MC": c}); err != nil {
 		log.Fatal(err)
 	}

@@ -66,12 +66,12 @@ func CommitWithPureAdd(e AnyEngine) error {
 	switch x := e.(type) {
 	case *Analysis:
 		return purify(x.Engine)
-	case *CountEngine:
-		return purify(x.Engine)
-	case *FloatEngine:
-		return purify(x.Engine)
-	case *CovarEngine:
-		return purify(x.Engine)
+	case *Engine[int64]:
+		return purify(x)
+	case *Engine[float64]:
+		return purify(x)
+	case *Engine[*ring.RangedCovar]:
+		return purify(x)
 	}
 	return fmt.Errorf("fivm: unknown engine type %T", e)
 }

@@ -44,7 +44,6 @@ type FeatureSpec struct {
 // AnalysisModel.Fit).
 type Analysis struct {
 	*Engine[*ring.RelCovar]
-	ring      ring.RelCovarRing
 	feats     []ml.Feature
 	label     string
 	binWidths map[string]float64
@@ -124,7 +123,6 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 		ridgeCfg = ml.DefaultRidgeConfig()
 	}
 	a := &Analysis{
-		ring:      rg,
 		feats:     feats,
 		label:     cfg.Label,
 		binWidths: binWidths,
@@ -270,9 +268,3 @@ func fitRidge(sigma *ml.SigmaMatrix, label string, cfg ml.RidgeConfig) (*ml.Ridg
 	}
 	return ml.FitRidge(sigma, cols[0], cfg)
 }
-
-// NewCatalog re-exports query catalog construction for the SQL surface.
-func NewCatalog() *query.Catalog { return query.NewCatalog() }
-
-// Parse re-exports the SQL-subset parser.
-func Parse(c *query.Catalog, src string) (*query.Query, error) { return query.Parse(c, src) }

@@ -10,6 +10,7 @@ import (
 	"repro/fivm"
 	"repro/internal/daemon"
 	"repro/internal/ml"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -268,7 +269,7 @@ func TestAnalysisM3Rendering(t *testing.T) {
 }
 
 func TestCountEngine(t *testing.T) {
-	eng := open[*fivm.CountEngine](t, fivm.Config{Relations: openRels(), Query: "SELECT SUM(1) FROM R NATURAL JOIN S"})
+	eng := open[*fivm.Engine[int64]](t, fivm.Config{Relations: openRels(), Query: "SELECT SUM(1) FROM R NATURAL JOIN S"})
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestCountEngine(t *testing.T) {
 	}
 
 	// Grouped count.
-	engG := open[*fivm.CountEngine](t, fivm.Config{Relations: openRels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"})
+	engG := open[*fivm.Engine[int64]](t, fivm.Config{Relations: openRels(), Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"})
 	if err := engG.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestFloatEngine(t *testing.T) {
 	float := func(query string) fivm.Config {
 		return fivm.Config{Kind: fivm.KindFloat, Relations: openRels(), Query: query}
 	}
-	eng := open[*fivm.FloatEngine](t, float("SELECT SUM(B * D) FROM R NATURAL JOIN S"))
+	eng := open[*fivm.Engine[float64]](t, float("SELECT SUM(B * D) FROM R NATURAL JOIN S"))
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestFloatEngine(t *testing.T) {
 	}
 
 	// sq() factor function.
-	eng2 := open[*fivm.FloatEngine](t, float("SELECT SUM(sq(D)) FROM S"))
+	eng2 := open[*fivm.Engine[float64]](t, float("SELECT SUM(sq(D)) FROM S"))
 	if err := eng2.Init(map[string][]value.Tuple{"S": toyData()["S"]}); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestFloatEngine(t *testing.T) {
 	}
 
 	// Constant scaling folds into a lift.
-	eng3 := open[*fivm.FloatEngine](t, float("SELECT SUM(2 * D) FROM S"))
+	eng3 := open[*fivm.Engine[float64]](t, float("SELECT SUM(2 * D) FROM S"))
 	if err := eng3.Init(map[string][]value.Tuple{"S": toyData()["S"]}); err != nil {
 		t.Fatal(err)
 	}
@@ -334,15 +335,13 @@ func TestFloatEngine(t *testing.T) {
 
 func TestCovarEngineFacade(t *testing.T) {
 	// D before B: the engine's lift order is the tree's post-order (B,
-	// then D), so the statistics it hands out are permuted back.
-	eng := open[*fivm.CovarEngine](t, fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: []string{"D", "B"}})
+	// then D), so the statistics its published model holds are permuted
+	// back.
+	eng := open[*fivm.Engine[*ring.RangedCovar]](t, fivm.Config{Kind: fivm.KindCovar, Relations: openRels(), Attrs: []string{"D", "B"}})
 	if err := eng.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
-	p, err := eng.Covar()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := eng.PublishModel(nil).(*fivm.CovarModel).Payload
 	if p.Count() != 3 || p.Sum(0) != 6 || p.Sum(1) != 4 {
 		t.Errorf("payload = %v", p)
 	}

@@ -283,7 +283,7 @@ func (m *CovarModel) ResultJSON() (any, error) {
 }
 
 // Predict always fails: COVAR engines publish statistics, not a fitted
-// predictor (fit one with ml.FitRidge against Sigma).
+// predictor (an analysis engine with a Label publishes one).
 func (m *CovarModel) Predict(map[string]value.Value) (float64, error) {
 	return 0, fmt.Errorf("fivm: %s engine serves no predictive model", m.EngineKind)
 }

@@ -17,7 +17,7 @@ import (
 // AnyEngine is the kind-independent surface every engine shares — the
 // generic Engine[V] lifecycle with the payload type erased. It is what
 // Open returns and what the serving layer hosts; type-assert to the
-// concrete engine (*Analysis, *CountEngine, ...) for typed accessors.
+// concrete engine (*Analysis, *Engine[int64], ...) for typed reads.
 //
 // Concurrency contract: BuildDelta and CheckUpdate are safe to call
 // concurrently with maintenance (they only read immutable tree
@@ -88,7 +88,7 @@ type Config struct {
 	// Features configures an Analysis engine: the degree-m ring has one
 	// index per feature.
 	Features []FeatureSpec
-	// Attrs configures a CovarEngine's aggregate attributes.
+	// Attrs configures a covar engine's aggregate attributes.
 	Attrs []string
 	// Label optionally names the continuous feature the Analysis'
 	// published AnalysisModel predicts; empty disables ridge fitting in
@@ -185,14 +185,14 @@ func Open(cfg Config) (AnyEngine, error) {
 	}
 	var q *query.Query
 	if cfg.Query != "" {
-		cat := NewCatalog()
+		cat := query.NewCatalog()
 		for _, r := range cfg.Relations {
 			if err := cat.AddRelation(r.Name, r.Attrs...); err != nil {
 				return nil, err
 			}
 		}
 		var err error
-		if q, err = Parse(cat, cfg.Query); err != nil {
+		if q, err = query.Parse(cat, cfg.Query); err != nil {
 			return nil, err
 		}
 	}

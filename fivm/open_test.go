@@ -8,6 +8,7 @@ import (
 	"repro/fivm"
 	"repro/internal/daemon"
 	"repro/internal/ml"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -73,6 +74,41 @@ func TestOpenKindInference(t *testing.T) {
 				t.Fatalf("model kind = %s, want %s", m.Kind(), c.want)
 			}
 		})
+	}
+}
+
+// isA reports whether e's concrete type is E.
+func isA[E fivm.AnyEngine](e fivm.AnyEngine) bool {
+	_, ok := e.(E)
+	return ok
+}
+
+// TestOpenReturnsDocumentedTypes pins, for every kind, the concrete
+// type Open returns: the one callers type-assert to for typed reads.
+func TestOpenReturnsDocumentedTypes(t *testing.T) {
+	cases := map[fivm.Kind]struct {
+		cfg fivm.Config
+		is  func(fivm.AnyEngine) bool
+	}{
+		fivm.KindCount:    {fivm.Config{Query: "SELECT SUM(1) FROM R NATURAL JOIN S"}, isA[*fivm.Engine[int64]]},
+		fivm.KindFloat:    {fivm.Config{Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"}, isA[*fivm.Engine[float64]]},
+		fivm.KindCovar:    {fivm.Config{Attrs: []string{"B", "D"}}, isA[*fivm.Engine[*ring.RangedCovar]]},
+		fivm.KindAnalysis: {fivm.Config{Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "D"}}}, isA[*fivm.Analysis]},
+	}
+	for _, k := range fivm.Kinds() {
+		c, ok := cases[k]
+		if !ok {
+			t.Errorf("kind %s has no documented type here", k)
+			continue
+		}
+		c.cfg.Relations = openRels()
+		eng, err := fivm.Open(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Kind() != k || !c.is(eng) {
+			t.Errorf("%s: Open returned a %s engine of type %T", k, eng.Kind(), eng)
+		}
 	}
 }
 
@@ -272,17 +308,18 @@ func TestWrongArityIsAnError(t *testing.T) {
 // on the empty join); typed interpreters fail with a descriptive error.
 func TestEmptyJoinConvention(t *testing.T) {
 	rels := openRels()
-	cov := open[*fivm.CovarEngine](t, fivm.Config{Relations: rels, Attrs: []string{"B", "D"}})
+	cov := open[*fivm.Engine[*ring.RangedCovar]](t, fivm.Config{Relations: rels, Attrs: []string{"B", "D"}})
 	if p := cov.Payload(); p != nil {
 		t.Fatalf("empty covar payload = %v, want nil (ring zero)", p)
 	}
-	if _, err := cov.Covar(); err == nil {
-		t.Fatal("Covar() on the empty join must fail")
+	m := cov.PublishModel(nil).(*fivm.CovarModel)
+	if m.Payload != nil {
+		t.Fatalf("empty covar model payload = %v, want nil", m.Payload)
 	}
-	if _, err := cov.Sigma(); err == nil {
-		t.Fatal("Sigma() on the empty join must fail")
+	if _, err := m.ResultJSON(); err == nil {
+		t.Fatal("CovarModel.ResultJSON on the empty join must fail")
 	}
-	count := open[*fivm.CountEngine](t, fivm.Config{Relations: rels, Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"})
+	count := open[*fivm.Engine[int64]](t, fivm.Config{Relations: rels, Query: "SELECT A, SUM(1) FROM R NATURAL JOIN S GROUP BY A"})
 	if n := count.Result().Len(); n != 0 {
 		t.Fatalf("empty count result holds %d groups", n)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/fivm"
 	"repro/internal/baseline"
 	"repro/internal/dataset"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -50,7 +51,7 @@ func TestCovarEquivalenceAcrossStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	eng := opened.(*fivm.CovarEngine)
+	eng := opened.(*fivm.Engine[*ring.RangedCovar])
 	flat, err := baseline.NewFlatIVM(bspecs, aggAttrs)
 	if err != nil {
 		t.Fatalf("NewFlatIVM: %v", err)
@@ -73,7 +74,7 @@ func TestCovarEquivalenceAcrossStrategies(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		p, _ := eng.Covar() // nil on the empty join
+		p := eng.PublishModel(nil).(*fivm.CovarModel).Payload // nil on the empty join
 		q := re.Payload()
 		if p == nil || q == nil {
 			if flat.Count() != 0 {
@@ -130,7 +131,7 @@ func TestEquivalenceMultiRelationUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	eng := opened.(*fivm.CovarEngine)
+	eng := opened.(*fivm.Engine[*ring.RangedCovar])
 	re, err := baseline.NewReeval(bspecs, aggAttrs)
 	if err != nil {
 		t.Fatalf("NewReeval: %v", err)
@@ -159,9 +160,9 @@ func TestEquivalenceMultiRelationUpdates(t *testing.T) {
 		if err := re.Apply(bulk); err != nil {
 			t.Fatalf("reeval Apply: %v", err)
 		}
-		p, err := eng.Covar()
-		if err != nil {
-			t.Fatalf("bulk ending %d: %v", j, err)
+		p := eng.PublishModel(nil).(*fivm.CovarModel).Payload
+		if p == nil {
+			t.Fatalf("bulk ending %d: empty join", j)
 		}
 		q := re.Payload()
 		pc, qc := p.Count(), q.Count()

@@ -108,7 +108,7 @@ func (r *Reeval) recompute() error {
 	if err := eng.Init(full); err != nil {
 		return err
 	}
-	r.payload, _ = eng.(*fivm.CovarEngine).Covar() // nil on the empty join
+	r.payload = eng.PublishModel(nil).(*fivm.CovarModel).Payload // nil on the empty join
 	return nil
 }
 

@@ -50,7 +50,7 @@ func Figure1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ce := count.(*fivm.CountEngine)
+	ce := count.(*fivm.Engine[int64])
 	fmt.Fprintln(w, "View tree (variable order) for R(A,B) ⋈ S(A,C,D):")
 	fmt.Fprint(w, count.ViewTree())
 	fmt.Fprintln(w)
@@ -62,11 +62,8 @@ func Figure1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cv := covar.(*fivm.CovarEngine)
-	p, err := cv.Covar()
-	if err != nil {
-		return err
-	}
+	// Its published model reads in Attrs order.
+	p := covar.PublishModel(nil).(*fivm.CovarModel).Payload
 	fmt.Fprintf(w, "COVAR (cont. B,C,D)             -> count=%v  s=[%v %v %v]\n", p.Count(), p.Sum(0), p.Sum(1), p.Sum(2))
 	fmt.Fprintf(w, "                                   Q=[BB=%v BC=%v BD=%v CC=%v CD=%v DD=%v]\n",
 		p.Prod(0, 0), p.Prod(0, 1), p.Prod(0, 2), p.Prod(1, 1), p.Prod(1, 2), p.Prod(2, 2))
@@ -96,20 +93,14 @@ func Figure1(w io.Writer) error {
 		}
 	}
 	fmt.Fprintf(w, "  count   -> %d\n", ce.Payload())
-	np, err := cv.Covar()
-	if err != nil {
-		return err
-	}
+	np := covar.PublishModel(nil).(*fivm.CovarModel).Payload
 	fmt.Fprintf(w, "  COVAR   -> count=%v SUM(B)=%v SUM(B*D)=%v\n", np.Count(), np.Sum(0), np.Prod(0, 2))
 
 	fmt.Fprintln(w, "Deleting it again restores the initial state:")
 	if err := covar.Apply([]view.Update{{Rel: "R", Tuple: value.T("a1", 1), Mult: -1}}); err != nil {
 		return fmt.Errorf("figure 1: deleting δR: %w", err)
 	}
-	rp, err := cv.Covar()
-	if err != nil {
-		return err
-	}
+	rp := covar.PublishModel(nil).(*fivm.CovarModel).Payload
 	fmt.Fprintf(w, "  COVAR   -> count=%v SUM(B)=%v (matches the bulk-loaded state: %v)\n",
 		rp.Count(), rp.Sum(0), rp.Equal(p))
 	return nil

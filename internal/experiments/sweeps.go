@@ -105,7 +105,7 @@ func A1Sharing(sc Scale, m int) ([]Throughput, error) {
 		if err != nil {
 			return err
 		}
-		trees = append(trees, fe.(*fivm.FloatEngine).Tree())
+		trees = append(trees, fe.(*fivm.Engine[float64]).Tree())
 		return nil
 	}
 	if err := addTree("SUM(1)"); err != nil {

@@ -42,8 +42,8 @@ type SigmaMatrix struct {
 	col    []int32
 	val    []float64
 	// layout is the one-hot column layout Cols comes from, and pattern
-	// where each coefficient of the payload landed (both nil when Σ was
-	// built from a scalar payload).
+	// where each coefficient of the payload landed (nil unless the build
+	// was given a prev).
 	layout  *sigmaLayout
 	pattern *sigmaPattern
 }
@@ -169,9 +169,6 @@ func (c Column) Label() string {
 // ColumnLabel returns Cols[i].Label(), rendered once per layout.
 func (m *SigmaMatrix) ColumnLabel(i int) string {
 	l := m.layout
-	if l == nil {
-		return m.Cols[i].Label()
-	}
 	l.labelsOnce.Do(func() {
 		l.labels = make([]string, len(l.cols))
 		for i, c := range l.cols {
@@ -208,27 +205,6 @@ func (m *SigmaMatrix) ColumnsOf(attr string) []int {
 		}
 	}
 	return out
-}
-
-// SigmaFromCovar converts a scalar COVAR payload (all-continuous features)
-// into a SigmaMatrix with dense rows, one column per feature in feats order.
-func SigmaFromCovar(c *ring.RangedCovar, feats []Feature) (*SigmaMatrix, error) {
-	n := len(feats)
-	m := &SigmaMatrix{Count: c.Count(), Cols: make([]Column, n), Sum: make([]float64, n)}
-	upper, rowLen := make([]sigmaEntry, 0, n*(n+1)/2), make([]int, n)
-	for i, f := range feats {
-		if f.Categorical {
-			return nil, fmt.Errorf("ml: feature %s is categorical; use SigmaFromRelCovar", f.Name)
-		}
-		m.Cols[i] = Column{Attr: f.Name}
-		m.Sum[i] = c.Sum(f.Index)
-		for j := i; j < n; j++ {
-			upper = append(upper, sigmaEntry{int32(i), int32(j), c.Prod(f.Index, feats[j].Index)})
-		}
-		rowLen[i] = n
-	}
-	m.scatter(upper, rowLen)
-	return m, nil
 }
 
 // SigmaFromRelCovar converts a generalized (relational-valued) COVAR
@@ -296,7 +272,7 @@ func SigmaFromRelCovar(c *ring.RelCovar, feats []Feature, prev *SigmaMatrix) (*S
 		place = func(d sigmaDst) { dst = append(dst, d) }
 	}
 	columns := func() {
-		if prev != nil && prev.layout != nil && prev.layout.fits(feats, ids) {
+		if prev != nil && prev.layout.fits(feats, ids) {
 			m.layout = prev.layout
 		} else {
 			m.layout = newSigmaLayout(feats, ids)

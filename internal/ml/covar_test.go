@@ -7,46 +7,6 @@ import (
 	"repro/internal/value"
 )
 
-func TestSigmaFromCovar(t *testing.T) {
-	var r ring.RangedCovarRing
-	total := r.Zero()
-	rows := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	for _, row := range rows {
-		p := r.Mul(r.Lift(0)(nil, value.Float(row[0])), r.Lift(1)(nil, value.Float(row[1])))
-		total = r.Add(total, p)
-	}
-	feats := []Feature{{Name: "x", Index: 0}, {Name: "y", Index: 1}}
-	m, err := SigmaFromCovar(total.Widen([]int{0, 1}), feats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Count != 3 {
-		t.Errorf("count = %v", m.Count)
-	}
-	if m.Sum[0] != 6 || m.Sum[1] != 60 {
-		t.Errorf("sums = %v", m.Sum)
-	}
-	if m.At(0, 0) != 14 || m.At(0, 1) != 140 || m.At(1, 1) != 1400 {
-		t.Errorf("products = %v %v %v", m.At(0, 0), m.At(0, 1), m.At(1, 1))
-	}
-	if m.At(0, 1) != m.At(1, 0) {
-		t.Error("matrix not symmetric")
-	}
-	if cols := m.ColumnsOf("y"); len(cols) != 1 || cols[0] != 1 {
-		t.Errorf("ColumnsOf = %v", cols)
-	}
-	if m.Cols[0].Label() != "x" {
-		t.Errorf("Label = %q", m.Cols[0].Label())
-	}
-}
-
-func TestSigmaFromCovarRejectsCategorical(t *testing.T) {
-	one := ring.RangedCovarRing{}.One().Widen([]int{0})
-	if _, err := SigmaFromCovar(one, []Feature{{Name: "c", Categorical: true, Index: 0}}); err == nil {
-		t.Error("categorical feature accepted by scalar extraction")
-	}
-}
-
 func TestSigmaFromRelCovarMixed(t *testing.T) {
 	// Rows of (cat, x, y): categories "a" (twice) and "b" (once).
 	r := ring.NewRelCovarRing(3)
@@ -86,6 +46,9 @@ func TestSigmaFromRelCovarMixed(t *testing.T) {
 	ia, ib := ca[0], ca[1]
 	ix := m.ColumnsOf("x")[0]
 	iy := m.ColumnsOf("y")[0]
+	if m.Cols[ix].IsCat || m.Cols[ix].Label() != "x" {
+		t.Errorf("continuous column = %+v, label %q", m.Cols[ix], m.Cols[ix].Label())
+	}
 
 	if m.Count != 3 {
 		t.Errorf("count = %v", m.Count)

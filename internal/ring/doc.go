@@ -23,8 +23,8 @@
 //     Figure 2d `RingCofactor<double, idx, cnt>` and the covar engine's
 //     ring: each view carries only its own subtree's aggregate indexes
 //     (see "Ranged payloads" below). It is also the one (c, s, Q) type
-//     a covar engine hands out and ml.SigmaFromCovar reads, over the
-//     full range [0, m). The full-degree ring, every payload over
+//     a covar engine's published model holds, over the full range
+//     [0, m). The full-degree ring, every payload over
 //     [0, m), survives only in covar_test.go, as the reference the
 //     ranged and relational rings are checked against.
 //   - Matrix: dense matrices, demonstrating a non-commutative ring

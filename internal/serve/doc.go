@@ -48,8 +48,9 @@
 //     with the engine; its model's fit, run once by whichever of the
 //     fitter and the readers comes first, reads only that copy.
 //   - Updates to one relation are applied in ingest order; updates to
-//     different relations may interleave, which cannot change the
-//     final state (delta application commutes across relations).
+//     different relations may interleave, which leaves the final state
+//     exact for the exact rings and integer-valued float data, equal up
+//     to float rounding otherwise (float sums depend on their order).
 //
 // The pipeline is engine-agnostic: it hosts whatever fivm.Open returns
 // through fivm.AnyEngine, relying only on that interface's concurrency

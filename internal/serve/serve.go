@@ -345,8 +345,9 @@ func (s *Server) Ingest(ups []view.Update) (<-chan struct{}, error) {
 // fully deduplicated batch has deduped == len(ups).
 //
 // Updates to one relation are applied in ingest order; updates to
-// different relations may interleave with other callers', which cannot
-// change the final state (delta application commutes).
+// different relations may interleave with other callers', which leaves
+// the final state exact for the exact rings and integer-valued float
+// data, equal up to float rounding otherwise.
 func (s *Server) IngestBatch(id wal.BatchID, ups []view.Update) (done <-chan struct{}, deduped int, err error) {
 	if len(ups) == 0 {
 		return closedChan, 0, nil

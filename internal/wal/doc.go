@@ -68,8 +68,9 @@
 // final record from a crash mid-append loses only the batch that was
 // never acknowledged — and any later segments are removed. Replay then
 // feeds every surviving batch past the checkpoint's positions to the
-// caller in per-shard sequence order (cross-shard interleaving is free:
-// delta application commutes across relations).
+// caller in per-shard sequence order; the cross-shard order differs from
+// the live one, which leaves the result exact for the exact rings and
+// integer-valued float data, equal up to float rounding otherwise.
 //
 // Torn is not foreign. A checkpoint that passes its CRC, or a segment
 // whose 8-byte magic is whole, but of another format or version fails
@@ -78,7 +79,7 @@
 // skipping or deleting such a file would drop the updates it holds.
 //
 // The recovery invariant, proven by the serving layer's kill-mid-batch
-// tests: after restoring the checkpoint and replaying the log, the
-// engine is bit-identical to a clean engine that applied exactly the
-// acknowledged prefix of the update stream.
+// tests on integer-valued data: after restoring the checkpoint and
+// replaying the log, the engine is bit-identical to a clean engine that
+// applied exactly the acknowledged prefix of the update stream.
 package wal

@@ -385,13 +385,13 @@ type ReplayStats struct {
 }
 
 // Replay feeds every logged batch past the recovered positions to
-// apply, in per-shard sequence order (shards iterate in sorted name
-// order; cross-shard interleaving is immaterial because delta
-// application commutes across relations). Open has already truncated
-// torn tails, so replay reads a clean log; should the files change
-// underneath anyway, a newly-torn record stops that shard's replay at
-// the last intact batch, mirroring Open's tolerance. apply errors abort
-// the replay.
+// apply, in per-shard sequence order, shard by shard in sorted name
+// order. That is not the live order, so the result is exact for the
+// exact rings and integer-valued float data, equal up to float rounding
+// otherwise. Open has already truncated torn tails, so replay reads a
+// clean log; should the files change underneath anyway, a newly-torn
+// record stops that shard's replay at the last intact batch, mirroring
+// Open's tolerance. apply errors abort the replay.
 func (w *WAL) Replay(apply func(rel string, seq uint64, ups []view.Update) error) (ReplayStats, error) {
 	var st ReplayStats
 	for _, rel := range w.shardNames() {

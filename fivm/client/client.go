@@ -75,11 +75,8 @@ type UpdateAck struct {
 	PartialApplied uint64 `json:"partial_applied"`
 }
 
-// Model is a decoded GET /v1/model response: the engine-specific body
-// with the common fields lifted out.
+// Model is a decoded GET /v1/model response.
 type Model struct {
-	Kind    string
-	Version uint64
 	// Body is the full response object, including the kind-specific
 	// result rendering.
 	Body map[string]any
@@ -160,8 +157,7 @@ type ErrorEnvelope struct {
 
 // Health is a decoded GET /v1/healthz response.
 type Health struct {
-	OK   bool `json:"ok"`
-	Body map[string]any
+	OK bool `json:"ok"`
 }
 
 // APIError is a non-2xx response decoded from the v1 error envelope
@@ -308,14 +304,7 @@ func (c *Client) Model(ctx context.Context) (*Model, error) {
 	if err := c.doJSON(ctx, http.MethodGet, "/v1/model", nil, &raw); err != nil {
 		return nil, err
 	}
-	m := &Model{Body: raw}
-	if k, ok := raw["kind"].(string); ok {
-		m.Kind = k
-	}
-	if v, ok := raw["version"].(float64); ok {
-		m.Version = uint64(v)
-	}
-	return m, nil
+	return &Model{Body: raw}, nil
 }
 
 // Predict evaluates the served predictor on one feature vector, one
@@ -376,10 +365,9 @@ func (c *Client) Partial(ctx context.Context) (*Partial, error) {
 }
 
 // Healthz probes liveness. A 503 with a well-formed body is a healthy
-// transport answer about an unhealthy server: it returns OK=false, the
-// decoded body and no error, after one request — health aggregators
-// tell "down" from "unhealthy" by it. Transport failures retry like any
-// GET.
+// transport answer about an unhealthy server: it returns OK=false and
+// no error, after one request — health aggregators tell "down" from
+// "unhealthy" by it. Transport failures retry like any GET.
 func (c *Client) Healthz(ctx context.Context) (*Health, error) {
 	resp, err := c.doID(ctx, http.MethodGet, "/v1/healthz", nil, "", http.StatusServiceUnavailable)
 	if err != nil {
@@ -387,12 +375,9 @@ func (c *Client) Healthz(ctx context.Context) (*Health, error) {
 	}
 	defer resp.Body.Close()
 	var h Health
-	body := map[string]any{}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return nil, fmt.Errorf("fivm: decoding /v1/healthz: %w", err)
 	}
-	h.Body = body
-	h.OK, _ = body["ok"].(bool)
 	return &h, nil
 }
 

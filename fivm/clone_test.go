@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"repro/fivm"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
 
-func cloneFixture(t *testing.T) *fivm.Analysis {
+func cloneFixture(t *testing.T) *fivm.Engine[*ring.RelCovar] {
 	t.Helper()
-	an := open[*fivm.Analysis](t, fivm.Config{
+	an := open[*fivm.Engine[*ring.RelCovar]](t, fivm.Config{
 		Relations: []fivm.RelationSpec{{Name: "R", Attrs: []string{"A", "B"}}},
 		Features:  []fivm.FeatureSpec{{Attr: "A"}, {Attr: "B", Categorical: true}},
 	})

@@ -42,8 +42,8 @@ func engineState[V any](e *fivm.Engine[V]) string {
 func snapshotState(t *testing.T, e fivm.AnyEngine) string {
 	t.Helper()
 	switch x := e.(type) {
-	case *fivm.Analysis:
-		return engineState(x.Engine)
+	case *fivm.Engine[*ring.RelCovar]:
+		return engineState(x)
 	case *fivm.Engine[int64]:
 		return engineState(x)
 	case *fivm.Engine[float64]:
@@ -98,8 +98,8 @@ func indexStates[V any](t *testing.T, e *fivm.Engine[V]) map[string]map[string]s
 func snapshotIndexes(t *testing.T, e fivm.AnyEngine) map[string]map[string]string {
 	t.Helper()
 	switch x := e.(type) {
-	case *fivm.Analysis:
-		return indexStates(t, x.Engine)
+	case *fivm.Engine[*ring.RelCovar]:
+		return indexStates(t, x)
 	case *fivm.Engine[int64]:
 		return indexStates(t, x)
 	case *fivm.Engine[float64]:
@@ -350,12 +350,12 @@ func TestLiftsOfUnseenCategories(t *testing.T) {
 			{Attr: "D", Categorical: true},
 		},
 	}
-	open := func() *fivm.Analysis {
+	open := func() *fivm.Engine[*ring.RelCovar] {
 		e, err := fivm.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.(*fivm.Analysis)
+		return e.(*fivm.Engine[*ring.RelCovar])
 	}
 	var batches [][]view.Update
 	for b := 0; b < 4; b++ {
@@ -374,7 +374,7 @@ func TestLiftsOfUnseenCategories(t *testing.T) {
 		batches = append(batches, ups)
 	}
 	first, late := open(), open()
-	for _, e := range []*fivm.Analysis{first, late} {
+	for _, e := range []*fivm.Engine[*ring.RelCovar]{first, late} {
 		for _, ups := range batches {
 			if err := e.Apply(ups); err != nil {
 				t.Fatal(err)

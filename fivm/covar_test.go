@@ -21,19 +21,19 @@ import (
 // analysis engine over the same relations with attrs as continuous
 // features. Its relational COVAR ring (RelCovar) shares no kernel with
 // the covar engine's ranged one.
-func analysisRef(t *testing.T, rels []fivm.RelationSpec, attrs []string) *fivm.Analysis {
+func analysisRef(t *testing.T, rels []fivm.RelationSpec, attrs []string) *fivm.Engine[*ring.RelCovar] {
 	t.Helper()
 	feats := make([]fivm.FeatureSpec, len(attrs))
 	for i, a := range attrs {
 		feats[i] = fivm.FeatureSpec{Attr: a}
 	}
-	return open[*fivm.Analysis](t, fivm.Config{Relations: rels, Features: feats})
+	return open[*fivm.Engine[*ring.RelCovar]](t, fivm.Config{Relations: rels, Features: feats})
 }
 
 // sameCovar fails unless every statistic the covar engine's published
 // model holds in its caller's order equals the reference engine's
 // within a relative 1e-9.
-func sameCovar(t *testing.T, when string, eng *fivm.Engine[*ring.RangedCovar], ref *fivm.Analysis) {
+func sameCovar(t *testing.T, when string, eng *fivm.Engine[*ring.RangedCovar], ref *fivm.Engine[*ring.RelCovar]) {
 	t.Helper()
 	want := ref.Payload()
 	m := eng.PublishModel(nil).(*fivm.CovarModel)

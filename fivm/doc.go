@@ -16,14 +16,16 @@
 //   - Engine[V] is the generic core behind it: a view tree over one
 //     ring plus the shared lifecycle (Init, InitWeighted, Apply,
 //     BuildDelta/ApplyBuilt, ClonePayload, Stats, WriteSnapshot/
-//     ReadSnapshot, PublishModel). Open returns it as is for three
-//     kinds — *Engine[int64] and *Engine[float64] (SUM aggregates
-//     parsed from a small SQL subset) and *Engine[*ring.RangedCovar]
-//     (scalar COVAR over continuous attributes, on the ranged payloads
-//     of the paper's Figure 2d) — and wrapped in *Analysis
-//     (generalized COVAR / MI / ridge / Chow-Liu over mixed features),
-//     which holds the fit state its models share. Each kind is read
-//     through the Model it publishes.
+//     ReadSnapshot, PublishModel). Open returns it for every kind —
+//     *Engine[int64] and *Engine[float64] (SUM aggregates parsed from
+//     a small SQL subset), *Engine[*ring.RangedCovar] (scalar COVAR
+//     over continuous attributes, on the ranged payloads of the
+//     paper's Figure 2d) and *Engine[*ring.RelCovar] (generalized
+//     COVAR / MI / ridge / Chow-Liu over mixed features). A kind's
+//     builder supplies only the ring and the closures that publish its
+//     Model and admit its updates; the analysis kind's closures also
+//     hold the fit state its models share, which OnFit observes. Each
+//     kind is read through the Model it publishes.
 //
 // # Key invariants
 //
@@ -84,9 +86,8 @@
 //	    Features:  []fivm.FeatureSpec{{Attr: "B"}, {Attr: "C", Categorical: true}},
 //	    Label:     "B",
 //	})
-//	an := eng.(*fivm.Analysis)
-//	an.Init(initialTuples)
-//	an.Apply(updates)          // inserts and deletes
-//	m := an.PublishModel(nil).(*fivm.AnalysisModel)
+//	eng.Init(initialTuples)
+//	eng.Apply(updates)         // inserts and deletes
+//	m := eng.PublishModel(nil).(*fivm.AnalysisModel)
 //	model, sigma, _ := m.Fit() // ridge predicting B, and the Σ it fits
 package fivm

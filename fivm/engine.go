@@ -60,10 +60,11 @@ type Model interface {
 // Engine is the generic core every F-IVM workload shares: a view tree
 // over one ring, plus the lifecycle around it — bulk load, incremental
 // maintenance, delta prebuilding, deep-cloned reads, snapshot
-// persistence, and model publishing. Open returns the count, float and
-// covar kinds as *Engine[int64], *Engine[float64] and
-// *Engine[*ring.RangedCovar], and the analysis kind as *Analysis, which
-// embeds an *Engine[*ring.RelCovar].
+// persistence, and model publishing. Open returns the count, float,
+// covar and analysis kinds as *Engine[int64], *Engine[float64],
+// *Engine[*ring.RangedCovar] and *Engine[*ring.RelCovar]; a kind's
+// builder differs only in the ring, the codec and the closures that
+// publish its Model and admit its updates.
 //
 // Result-access convention (uniform across all engines): Payload and
 // Result never fail — an empty join yields the ring's zero (nil for
@@ -88,10 +89,14 @@ type Engine[V any] struct {
 	// clone deep-copies one payload for ClonePayload.
 	clone func(V) V
 	// info names the ring for the M3/ViewTree renderings.
-	info    m3.RingInfo
-	publish func(prev Model) Model
+	info m3.RingInfo
+	// publish builds the kind's Model of the current result.
+	publish func() Model
 	// admit, when set, is CheckUpdate's check beyond the tree's.
 	admit func(view.Update) error
+	// fits is the fit state the analysis kind's models share (see
+	// OnFit); nil for the other kinds.
+	fits *analysisFits
 }
 
 // newEngine completes e's defaults: a nil resultCodec is codec, and a
@@ -283,11 +288,12 @@ func (e *Engine[V]) PartitionKey(rel string) ([]int, bool) {
 // PublishModel builds an immutable Model of the current result: a copy
 // of the payload or a clone of the result relation, so its cost is
 // independent of what readers derive from it. prev, the previously
-// published model (nil on the first publish), is not read by any engine
-// now: an analysis model's ridge fit runs later, once, on its own
-// payload. It reads live engine state, so a serving layer must call it
-// from its single writer.
-func (e *Engine[V]) PublishModel(prev Model) Model { return e.publish(prev) }
+// published model (nil on the first publish), is ignored: no kind's
+// model depends on another's (an analysis model's ridge fit runs later,
+// once, on its own payload), and the parameter stays only so existing
+// callers compile. It reads live engine state, so a serving layer must
+// call it from its single writer.
+func (e *Engine[V]) PublishModel(prev Model) Model { return e.publish() }
 
 // tableModel snapshots the result relation into a TableModel. The
 // publish-time cost is one shallow clone (relation.Map.Clone flags the

@@ -33,7 +33,7 @@ func newCountEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 		tree:    tree,
 		codec:   ring.IntCodec{},
 		info:    m3.RingInfo{Name: "long"},
-		publish: func(Model) Model { return tableModel(e, func(v int64) float64 { return float64(v) }) },
+		publish: func() Model { return tableModel(e, func(v int64) float64 { return float64(v) }) },
 	})
 	return e, nil
 }
@@ -97,16 +97,16 @@ func newFloatEngine(cfg Config, q *query.Query) (AnyEngine, error) {
 		tree:    tree,
 		codec:   ring.FloatCodec{},
 		info:    m3.RingInfo{Name: "double"},
-		publish: func(Model) Model { return tableModel(e, func(v float64) float64 { return v }) },
+		publish: func() Model { return tableModel(e, func(v float64) float64 { return v }) },
 	})
 	return e, nil
 }
 
 // newCovarEngine builds the covar kind, an *Engine[*ring.RangedCovar]:
 // the scalar degree-m COVAR matrix over the given continuous attributes
-// — the cheaper sibling of Analysis for workloads without categorical
-// features — with the ranged payloads of the paper's Figure 2d,
-// `RingCofactor<double, idx, cnt>`: each view carries aggregates only
+// — the cheaper sibling of the analysis kind for workloads without
+// categorical features — with the ranged payloads of the paper's Figure
+// 2d, `RingCofactor<double, idx, cnt>`: each view carries aggregates only
 // for the attributes of its own subtree, so leaf views hold degree-1
 // payloads and only the root holds the full degree. Lift indexes
 // follow the variable order's post-order, the order the tree's
@@ -170,7 +170,7 @@ func newCovarEngine(cfg Config, _ *query.Query) (AnyEngine, error) {
 		resultCodec: result,
 		clone:       (*ring.RangedCovar).Clone,
 		info:        m3.RingInfo{Name: "RingCofactor<double, idx, cnt>", LiftIndexOf: l.liftIndexOf},
-		publish: func(Model) Model {
+		publish: func() Model {
 			// One copy per publish: the partial permutes it back when read.
 			wide := e.Payload().Widen(perm)
 			inLiftOrder := func() *ring.RangedCovar { return wide.Widen(inv) }

@@ -31,7 +31,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an := eng.(*fivm.Analysis)
+	an := eng.(*fivm.Engine[*ring.RelCovar])
 	err = an.Init(map[string][]value.Tuple{
 		"R": {value.T("a1", 1), value.T("a2", 2)},
 		"S": {value.T("a1", 1, 1), value.T("a1", 2, 3), value.T("a2", 2, 2)},
@@ -70,16 +70,15 @@ func ExampleAnalysisModel_Fit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an := eng.(*fivm.Analysis)
 	// y = 2x exactly.
 	var rows []value.Tuple
 	for i := 0; i < 10; i++ {
 		rows = append(rows, value.T(i, i, 2*i))
 	}
-	if err := an.Init(map[string][]value.Tuple{"T": rows}); err != nil {
+	if err := eng.Init(map[string][]value.Tuple{"T": rows}); err != nil {
 		log.Fatal(err)
 	}
-	model, sigma, err := an.PublishModel(nil).(*fivm.AnalysisModel).Fit()
+	model, sigma, err := eng.PublishModel(nil).(*fivm.AnalysisModel).Fit()
 	if err != nil {
 		log.Fatal(err)
 	}

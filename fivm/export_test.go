@@ -64,8 +64,8 @@ func KindFields() map[Kind]map[string]bool {
 // every delta with the pure ring Add instead of in place.
 func CommitWithPureAdd(e AnyEngine) error {
 	switch x := e.(type) {
-	case *Analysis:
-		return purify(x.Engine)
+	case *Engine[*ring.RelCovar]:
+		return purify(x)
 	case *Engine[int64]:
 		return purify(x)
 	case *Engine[float64]:

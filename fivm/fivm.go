@@ -37,21 +37,6 @@ type FeatureSpec struct {
 	BinWidth    float64
 }
 
-// Analysis maintains the generalized degree-m COVAR payload over the
-// natural join of the configured relations — the flagship instantiation
-// of Engine over the relational-COVAR ring. It is not safe for
-// concurrent use; the fits of the models it publishes are (see
-// AnalysisModel.Fit).
-type Analysis struct {
-	*Engine[*ring.RelCovar]
-	feats     []ml.Feature
-	label     string
-	binWidths map[string]float64
-	fits      *analysisFits
-	// published counts the models published, each one's version.
-	published uint64
-}
-
 // ErrCategoriesFull is the error CheckUpdate wraps when an update
 // carries a category value that the full category dictionary cannot
 // take.
@@ -61,8 +46,13 @@ var ErrCategoriesFull = ring.ErrCategoriesFull
 // values the process-wide category dictionary holds.
 func Categories() int { return ring.Categories() }
 
-// newAnalysis builds the engine: degree-m ring (m = len(Features)),
-// per-feature lifts, variable order, and empty view tree.
+// newAnalysis builds the analysis kind, an *Engine[*ring.RelCovar]:
+// the generalized degree-m COVAR payload (m = len(Features)) over the
+// natural join of the configured relations, with per-feature lifts, a
+// variable order and an empty view tree. Its publish closure and admit
+// check keep the features, label, bin widths and the fit state its
+// models share. The fits of the models it publishes are safe for
+// concurrent use (see AnalysisModel.Fit).
 func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 	m := len(cfg.Features)
 	if m == 0 {
@@ -122,22 +112,43 @@ func newAnalysis(cfg Config, _ *query.Query) (AnyEngine, error) {
 	if ridgeCfg == (ml.RidgeConfig{}) {
 		ridgeCfg = ml.DefaultRidgeConfig()
 	}
-	a := &Analysis{
-		feats:     feats,
-		label:     cfg.Label,
-		binWidths: binWidths,
-		fits:      &analysisFits{label: cfg.Label, cfg: ridgeCfg},
-	}
-	a.Engine = newEngine(Engine[*ring.RelCovar]{
-		kind:    KindAnalysis,
-		tree:    tree,
-		codec:   ring.RelCovarCodec{Ring: rg},
-		clone:   (*ring.RelCovar).Clone,
-		info:    m3.RingInfo{Name: fmt.Sprintf("RingCofactor<double, %d>", m), LiftIndexOf: l.liftIndexOf},
-		publish: a.publishModel,
-		admit:   internCategories(l.rels, l.index, feats, binWidths),
+	fits := &analysisFits{label: cfg.Label, cfg: ridgeCfg}
+	var published uint64 // the models published, each one's version
+	var e *Engine[*ring.RelCovar]
+	e = newEngine(Engine[*ring.RelCovar]{
+		kind:  KindAnalysis,
+		tree:  tree,
+		codec: ring.RelCovarCodec{Ring: rg},
+		clone: (*ring.RelCovar).Clone,
+		info:  m3.RingInfo{Name: fmt.Sprintf("RingCofactor<double, %d>", m), LiftIndexOf: l.liftIndexOf},
+		fits:  fits,
+		// A deep payload clone: the model's ridge fit is not run here
+		// but at most once, by the first caller of its Fit (see
+		// AnalysisModel). Features and BinWidths are copied too,
+		// upholding the model's every-field-is-a-deep-copy contract —
+		// sharing the engine's own slice/map would turn any future
+		// mutation of them into a data race visible in every live
+		// snapshot.
+		publish: func() Model {
+			bw := make(map[string]float64, len(binWidths))
+			for k, v := range binWidths {
+				bw[k] = v
+			}
+			published++
+			am := &AnalysisModel{
+				Label:     fits.label,
+				Payload:   e.ClonePayload(),
+				Features:  append([]ml.Feature(nil), feats...),
+				BinWidths: bw,
+				version:   published,
+				fits:      fits,
+			}
+			am.frozenPartial = e.payloadPartial(func() *ring.RelCovar { return am.Payload })
+			return am
+		},
+		admit: internCategories(l.rels, l.index, feats, binWidths),
 	})
-	return a, nil
+	return e, nil
 }
 
 // internCategories returns the analysis engine's admission check: it
@@ -172,39 +183,23 @@ func internCategories(rels []vo.Rel, index map[string]int, feats []ml.Feature, b
 	}
 }
 
-// publishModel builds the immutable AnalysisModel: a deep payload
-// clone. Its ridge fit is not run here but at most once, by the first
-// caller of the model's Fit (see AnalysisModel).
-func (a *Analysis) publishModel(Model) Model {
-	// Features and BinWidths are copied too, upholding the model's
-	// every-field-is-a-deep-copy contract — sharing the engine's own
-	// slice/map would turn any future mutation of them into a data race
-	// visible in every live snapshot.
-	binWidths := make(map[string]float64, len(a.binWidths))
-	for k, v := range a.binWidths {
-		binWidths[k] = v
+// OnFit registers fn to observe every finished ridge fit of a model
+// eng published, with the time the fit took (Σ and ridge), on the
+// goroutine that ran the fit, once per fitted model, and reports
+// whether eng's models fit a ridge model at all: only an analysis
+// engine with a Label does, and fn is registered only then. Register
+// it before the first publish; a serving layer records its fit metrics
+// through it.
+func OnFit(eng AnyEngine, fn func(*ml.RidgeModel, time.Duration)) bool {
+	e, ok := eng.(*Engine[*ring.RelCovar])
+	if !ok || e.fits.label == "" {
+		return false
 	}
-	a.published++
-	m := &AnalysisModel{
-		Label:     a.label,
-		Payload:   a.ClonePayload(),
-		Features:  append([]ml.Feature(nil), a.feats...),
-		BinWidths: binWidths,
-		version:   a.published,
-		fits:      a.fits,
-	}
-	m.frozenPartial = a.payloadPartial(func() *ring.RelCovar { return m.Payload })
-	return m
+	e.fits.onFit = fn
+	return true
 }
 
-// OnFit registers fn to observe every finished ridge fit of a model
-// this engine published, with the time the fit took (Σ and ridge), on
-// the goroutine that ran the fit, once per fitted model. Register it
-// before the first publish; a serving layer records its fit metrics
-// through it.
-func (a *Analysis) OnFit(fn func(*ml.RidgeModel, time.Duration)) { a.fits.onFit = fn }
-
-// analysisFits is what the models of one Analysis engine share for
+// analysisFits is what the models of one analysis engine share for
 // their fits: the ridge configuration, the observer, and the Σ of the
 // newest version fitted, on which the next Σ is built
 // (ml.SigmaFromRelCovar's prev). A fit reads nothing else of another
@@ -255,10 +250,6 @@ func (f *analysisFits) fit(m *AnalysisModel) ridgeFit {
 	}
 	return r
 }
-
-// Label returns the configured serving label ("" when ridge fitting in
-// published models is disabled).
-func (a *Analysis) Label() string { return a.label }
 
 // fitRidge fits the ridge model predicting label against sigma.
 func fitRidge(sigma *ml.SigmaMatrix, label string, cfg ml.RidgeConfig) (*ml.RidgeModel, error) {

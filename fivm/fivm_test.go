@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/fivm"
 	"repro/internal/daemon"
@@ -47,7 +48,7 @@ func toyData() map[string][]value.Tuple {
 }
 
 func TestAnalysisEndToEnd(t *testing.T) {
-	an := open[*fivm.Analysis](t, toyConfig())
+	an := open[*fivm.Engine[*ring.RelCovar]](t, toyConfig())
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +102,14 @@ func TestAnalysisEndToEnd(t *testing.T) {
 }
 
 // publish publishes an's current state as an AnalysisModel.
-func publish(an *fivm.Analysis) *fivm.AnalysisModel {
+func publish(an *fivm.Engine[*ring.RelCovar]) *fivm.AnalysisModel {
 	return an.PublishModel(nil).(*fivm.AnalysisModel)
 }
 
 func TestAnalysisRidge(t *testing.T) {
 	cfg := toyConfig()
 	cfg.Label = "D"
-	an := open[*fivm.Analysis](t, cfg)
+	an := open[*fivm.Engine[*ring.RelCovar]](t, cfg)
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +124,52 @@ func TestAnalysisRidge(t *testing.T) {
 	cfg.Label = "C"
 	if _, err := fivm.Open(cfg); err == nil {
 		t.Error("categorical label accepted")
+	}
+}
+
+// TestOnFitReportsWhetherModelsFit: OnFit registers an observer only
+// on an analysis engine with a label, says so, and the observer then
+// sees each published model's fit once, however often it is read.
+func TestOnFitReportsWhetherModelsFit(t *testing.T) {
+	noFit := func(*ml.RidgeModel, time.Duration) { t.Error("observer of an engine that fits nothing called") }
+	count := open[fivm.AnyEngine](t, fivm.Config{Relations: toyConfig().Relations, Query: "SELECT SUM(1) FROM R NATURAL JOIN S"})
+	unlabelled := open[fivm.AnyEngine](t, toyConfig())
+	for _, e := range []fivm.AnyEngine{count, unlabelled} {
+		if fivm.OnFit(e, noFit) {
+			t.Errorf("%s engine without a label: OnFit reports that its models fit", e.Kind())
+		}
+	}
+	if err := unlabelled.Init(toyData()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unlabelled.PublishModel(nil).(*fivm.AnalysisModel).Covar(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := toyConfig()
+	cfg.Label = "D"
+	eng := open[fivm.AnyEngine](t, cfg)
+	fits := 0
+	if !fivm.OnFit(eng, func(m *ml.RidgeModel, took time.Duration) {
+		if m == nil || took < 0 {
+			t.Errorf("observed fit %v after %v", m, took)
+		}
+		fits++
+	}) {
+		t.Fatal("labelled analysis engine: OnFit reports that its models do not fit")
+	}
+	if err := eng.Init(toyData()); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 2; v++ {
+		m := eng.PublishModel(nil).(*fivm.AnalysisModel)
+		for r := 0; r < 3; r++ {
+			if _, _, err := m.Fit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fits != v {
+			t.Errorf("after %d models read 3 times each: %d fits observed", v, fits)
+		}
 	}
 }
 
@@ -167,7 +214,7 @@ func TestAnalysisFitIsAFunctionOfThePayload(t *testing.T) {
 }
 
 // readMI reads the MI matrix off the Σ of a model of an.
-func readMI(an *fivm.Analysis) (*ml.MIMatrix, error) {
+func readMI(an *fivm.Engine[*ring.RelCovar]) (*ml.MIMatrix, error) {
 	m := publish(an)
 	sigma, err := m.Covar()
 	if err != nil {
@@ -183,7 +230,7 @@ func TestAnalysisMIAndApps(t *testing.T) {
 		{Attr: "C", Categorical: true},
 		{Attr: "D", Categorical: true},
 	}
-	an := open[*fivm.Analysis](t, cfg)
+	an := open[*fivm.Engine[*ring.RelCovar]](t, cfg)
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +263,7 @@ func TestAnalysisMIAndApps(t *testing.T) {
 }
 
 func TestAnalysisMIRejectsContinuous(t *testing.T) {
-	an := open[*fivm.Analysis](t, toyConfig()) // B and D continuous
+	an := open[*fivm.Engine[*ring.RelCovar]](t, toyConfig()) // B and D continuous
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +302,7 @@ func TestAnalysisOpenErrors(t *testing.T) {
 }
 
 func TestAnalysisM3Rendering(t *testing.T) {
-	an := open[*fivm.Analysis](t, toyConfig())
+	an := open[*fivm.Engine[*ring.RelCovar]](t, toyConfig())
 	vt := an.ViewTree()
 	if !strings.Contains(vt, "V@A[]") {
 		t.Errorf("ViewTree missing root:\n%s", vt)
@@ -357,7 +404,7 @@ func TestCovarEngineFacade(t *testing.T) {
 }
 
 func TestAnalysisSnapshotRoundTrip(t *testing.T) {
-	an := open[*fivm.Analysis](t, toyConfig())
+	an := open[*fivm.Engine[*ring.RelCovar]](t, toyConfig())
 	if err := an.Init(toyData()); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +416,7 @@ func TestAnalysisSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored := open[*fivm.Analysis](t, toyConfig())
+	restored := open[*fivm.Engine[*ring.RelCovar]](t, toyConfig())
 	if err := restored.ReadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/view"
 )
 
-// AnalysisModel is the Model an Analysis engine publishes: a deep clone
+// AnalysisModel is the Model an analysis engine publishes: a deep clone
 // of the generalized COVAR payload and — when a Label is configured —
 // the ridge regression fit against it. Publishing only clones; the fit
 // (Σ and the conjugate gradient) runs at most once per model, on the
@@ -175,7 +175,7 @@ type TableRow struct {
 // Publishing freezes only a shallow clone of the result (the clone's
 // payloads are flagged copy-on-write on both sides, so that is a full
 // snapshot); sorting and decoding into
-// rows happens lazily on the first Rows/Total/ResultJSON call, keeping
+// rows happens lazily on the first Total/Count/ResultJSON call, keeping
 // the serving writer's publish cost independent of rendering. The lazy
 // step is synchronized: concurrent readers are safe.
 type TableModel struct {
@@ -202,12 +202,6 @@ func (m *TableModel) materialize() {
 // Kind identifies the publishing engine.
 func (m *TableModel) Kind() Kind { return m.EngineKind }
 
-// Rows returns the result in deterministic (sorted-key) order.
-func (m *TableModel) Rows() []TableRow {
-	m.materialize()
-	return m.rows
-}
-
 // Total returns the sum of all row values: the join cardinality for
 // count models, the grand aggregate total for float.
 func (m *TableModel) Total() float64 {
@@ -218,7 +212,7 @@ func (m *TableModel) Total() float64 {
 // Count returns Total.
 func (m *TableModel) Count() float64 { return m.Total() }
 
-// ResultJSON renders the rows.
+// ResultJSON renders the rows, in deterministic (sorted-key) order.
 func (m *TableModel) ResultJSON() (any, error) {
 	m.materialize()
 	return map[string]any{

@@ -16,8 +16,8 @@ import (
 
 // AnyEngine is the kind-independent surface every engine shares — the
 // generic Engine[V] lifecycle with the payload type erased. It is what
-// Open returns and what the serving layer hosts; type-assert to the
-// concrete engine (*Analysis, *Engine[int64], ...) for typed reads.
+// Open returns and what the serving layer hosts. Every kind is an
+// *Engine[V] over its ring, read through the Model it publishes.
 //
 // Concurrency contract: BuildDelta and CheckUpdate are safe to call
 // concurrently with maintenance (they only read immutable tree
@@ -43,9 +43,9 @@ type AnyEngine interface {
 	CheckUpdate(u view.Update) error
 	// ApplyBuilt applies a delta from BuildDelta.
 	ApplyBuilt(rel string, d Delta) error
-	// PublishModel builds an immutable model of the current result,
-	// given the previously published one (nil at first), which no
-	// engine reads now; see Engine.PublishModel.
+	// PublishModel builds an immutable model of the current result;
+	// prev, the previously published one, is ignored (see
+	// Engine.PublishModel).
 	PublishModel(prev Model) Model
 	// RelationNames returns the input relation names, sorted.
 	RelationNames() []string
@@ -85,14 +85,14 @@ type Config struct {
 	Query string
 	// Relations declares the input relations of the join.
 	Relations []RelationSpec
-	// Features configures an Analysis engine: the degree-m ring has one
+	// Features configures an analysis engine: the degree-m ring has one
 	// index per feature.
 	Features []FeatureSpec
 	// Attrs configures a covar engine's aggregate attributes.
 	Attrs []string
-	// Label optionally names the continuous feature the Analysis'
-	// published AnalysisModel predicts; empty disables ridge fitting in
-	// published models.
+	// Label optionally names the continuous feature the analysis
+	// engine's published AnalysisModel predicts; empty disables ridge
+	// fitting in published models.
 	Label string
 	// Ridge configures the published model's solver; the zero value
 	// means ml.DefaultRidgeConfig().

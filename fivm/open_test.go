@@ -93,7 +93,7 @@ func TestOpenReturnsDocumentedTypes(t *testing.T) {
 		fivm.KindCount:    {fivm.Config{Query: "SELECT SUM(1) FROM R NATURAL JOIN S"}, isA[*fivm.Engine[int64]]},
 		fivm.KindFloat:    {fivm.Config{Query: "SELECT SUM(B * D) FROM R NATURAL JOIN S"}, isA[*fivm.Engine[float64]]},
 		fivm.KindCovar:    {fivm.Config{Attrs: []string{"B", "D"}}, isA[*fivm.Engine[*ring.RangedCovar]]},
-		fivm.KindAnalysis: {fivm.Config{Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "D"}}}, isA[*fivm.Analysis]},
+		fivm.KindAnalysis: {fivm.Config{Features: []fivm.FeatureSpec{{Attr: "B"}, {Attr: "D"}}}, isA[*fivm.Engine[*ring.RelCovar]]},
 	}
 	for _, k := range fivm.Kinds() {
 		c, ok := cases[k]
@@ -323,7 +323,8 @@ func TestEmptyJoinConvention(t *testing.T) {
 	if n := count.Result().Len(); n != 0 {
 		t.Fatalf("empty count result holds %d groups", n)
 	}
-	if rows := count.PublishModel(nil).(*fivm.TableModel).Rows(); rows == nil || len(rows) != 0 {
+	body, _ := count.PublishModel(nil).ResultJSON()
+	if rows := body.(map[string]any)["rows"].([]fivm.TableRow); rows == nil || len(rows) != 0 {
 		t.Fatalf("empty join must enumerate to an empty row list, got %v", rows)
 	}
 }

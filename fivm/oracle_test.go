@@ -12,6 +12,7 @@ import (
 
 	"repro/fivm"
 	"repro/internal/daemon"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -178,7 +179,7 @@ func TestPresetRelationsKeepNoTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an := open[*fivm.Analysis](t, cfg)
+		an := open[*fivm.Engine[*ring.RelCovar]](t, cfg)
 		names := an.RelationNames()
 		if want := map[string]int{"retailer": 5, "favorita": 6}[db]; len(names) != want {
 			t.Fatalf("%s: %d relations %v, want %d", db, len(names), names, want)

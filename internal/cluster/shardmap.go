@@ -47,9 +47,6 @@ func NewShardMap(n int, anchor string, keyIdx []int) *ShardMap {
 	return &ShardMap{shards: n, anchor: anchor, keyIdx: keyIdx}
 }
 
-// Shards returns the shard count.
-func (m *ShardMap) Shards() int { return m.shards }
-
 // Anchor returns the partitioned relation's name; updates to any other
 // relation broadcast to every shard.
 func (m *ShardMap) Anchor() string { return m.anchor }

@@ -26,8 +26,7 @@ type StreamConfig struct {
 // Stream is a pre-generated update sequence, cut into bulks by the
 // caller (the demo uses bulks of 10K).
 type Stream struct {
-	Relation string
-	Updates  []view.Update
+	Updates []view.Update
 }
 
 // Bulks splits the stream into batches of size n (the last may be
@@ -64,7 +63,7 @@ func NewStream(db *Database, cfg StreamConfig) (*Stream, error) {
 		return nil, fmt.Errorf("dataset: delete ratio %v out of [0,1]", cfg.DeleteRatio)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := &Stream{Relation: cfg.Relation}
+	s := &Stream{}
 
 	var live []value.Tuple // stream-inserted tuples eligible for delete
 	for len(s.Updates) < cfg.Total {

@@ -236,14 +236,13 @@ func E2Compound(sc Scale, deleteRatio float64) (Throughput, int, error) {
 	if err != nil {
 		return Throughput{}, 0, err
 	}
-	an := eng.(*fivm.Analysis)
-	sigma, err := an.PublishModel(nil).(*fivm.AnalysisModel).Covar()
+	sigma, err := eng.PublishModel(nil).(*fivm.AnalysisModel).Covar()
 	if err != nil {
 		return Throughput{}, 0, err
 	}
 	nAggs := 1 + sigma.Dim() + sigma.Dim()*(sigma.Dim()+1)/2
 	ups := s.stream(sc.StreamLen, deleteRatio, 3)
-	r, err := measure("F-IVM (generalized ring)", ups, sc.BatchSize, an.Apply)
+	r, err := measure("F-IVM (generalized ring)", ups, sc.BatchSize, eng.Apply)
 	if err != nil {
 		return Throughput{}, 0, err
 	}

@@ -74,13 +74,13 @@ func Figure1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mp := mixed.(*fivm.Analysis).Payload()
+	mp := mixed.PublishModel(nil).(*fivm.AnalysisModel).Payload
 	fmt.Fprintf(w, "COVAR (cat. C; cont. B,D)       -> s_C=%v  Q_BC=%v\n", mp.Sum(1), mp.Prod(0, 1))
 	mi, err := open("MI", features(true, true, true))
 	if err != nil {
 		return err
 	}
-	ip := mi.(*fivm.Analysis).Payload()
+	ip := mi.PublishModel(nil).(*fivm.AnalysisModel).Payload
 	fmt.Fprintf(w, "MI (cat. B,C,D)                 -> C_B=%v  C_CD=%v\n", ip.Sum(0), ip.Prod(1, 2))
 
 	// Incremental maintenance: the figure's δR = {(a1, b1) -> +1}. The

@@ -54,7 +54,7 @@ type TabBulk struct {
 // evaluates both on it. The COVAR engine's models fit ridge for label;
 // when Open refuses label, the COVAR engine opens without one and
 // labelErr is the refusal.
-func openTabEngines(p daemon.Preset, db *dataset.Database, label string) (mi, cov *fivm.Analysis, labelErr, err error) {
+func openTabEngines(p daemon.Preset, db *dataset.Database, label string) (mi, cov fivm.AnyEngine, labelErr, err error) {
 	var rels []fivm.RelationSpec
 	for _, r := range db.Relations {
 		rels = append(rels, fivm.RelationSpec{Name: r.Name, Attrs: r.Attrs})
@@ -74,7 +74,7 @@ func openTabEngines(p daemon.Preset, db *dataset.Database, label string) (mi, co
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return miEng.(*fivm.Analysis), covEng.(*fivm.Analysis), labelErr, nil
+	return miEng, covEng, labelErr, nil
 }
 
 // tabStream is the update stream every tab run applies: total updates

@@ -11,7 +11,6 @@ import (
 type ChowLiuEdge struct {
 	Parent string
 	Child  string
-	MI     float64
 }
 
 // ChowLiuTree is the optimal tree-shaped Bayesian network over the MI
@@ -81,7 +80,6 @@ func ChowLiu(m *MIMatrix, root string) (*ChowLiuTree, error) {
 		tree.Edges = append(tree.Edges, ChowLiuEdge{
 			Parent: m.Attrs[bestVia[pick]],
 			Child:  m.Attrs[pick],
-			MI:     bestMI[pick],
 		})
 		tree.TotalMI += bestMI[pick]
 		attach(pick)

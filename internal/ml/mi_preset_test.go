@@ -9,11 +9,12 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/ml"
+	"repro/internal/ring"
 )
 
 // openPresetMI opens the named preset's MI engine (its MIFeatures, every
 // continuous attribute binned) over db and evaluates it.
-func openPresetMI(tb testing.TB, p daemon.Preset, db *dataset.Database) *fivm.Analysis {
+func openPresetMI(tb testing.TB, p daemon.Preset, db *dataset.Database) *fivm.Engine[*ring.RelCovar] {
 	tb.Helper()
 	cfg := fivm.Config{Features: p.MIFeatures}
 	for _, r := range db.Relations {
@@ -26,7 +27,7 @@ func openPresetMI(tb testing.TB, p daemon.Preset, db *dataset.Database) *fivm.An
 	if err := eng.Init(db.TupleMap()); err != nil {
 		tb.Fatal(err)
 	}
-	return eng.(*fivm.Analysis)
+	return eng.(*fivm.Engine[*ring.RelCovar])
 }
 
 // TestMIMatchesReferenceOnPresets streams the demo's tab stream (a

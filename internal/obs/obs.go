@@ -4,7 +4,7 @@
 // every registered series in the Prometheus text exposition format
 // (version 0.0.4) — hand-rolled so go.mod stays stdlib-only.
 //
-// Hot-path cost is the design constraint: Counter.Add and
+// Hot-path cost is the design constraint: Counter.Inc and
 // Histogram.Observe are a handful of atomic operations on
 // pre-registered series and allocate nothing (pinned by
 // TestMetricOpsAllocFree), so the maintenance pipeline records
@@ -34,9 +34,6 @@ type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
@@ -83,15 +80,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/value"
@@ -18,8 +17,7 @@ type Relation struct {
 // Catalog maps relation names to schemas. Attribute names are global (natural-join semantics): the same name in two
 // relations is one variable.
 type Catalog struct {
-	rels  map[string]Relation
-	order []string
+	rels map[string]Relation
 }
 
 // NewCatalog returns an empty catalog.
@@ -33,7 +31,6 @@ func (c *Catalog) AddRelation(name string, attrs ...string) error {
 		return fmt.Errorf("query: relation %s already in catalog", name)
 	}
 	c.rels[name] = Relation{Name: name, Schema: value.NewSchema(attrs...)}
-	c.order = append(c.order, name)
 	return nil
 }
 
@@ -41,15 +38,6 @@ func (c *Catalog) AddRelation(name string, attrs ...string) error {
 func (c *Catalog) Relation(name string) (Relation, bool) {
 	r, ok := c.rels[name]
 	return r, ok
-}
-
-// Relations returns all catalog relations in registration order.
-func (c *Catalog) Relations() []Relation {
-	out := make([]Relation, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, c.rels[n])
-	}
-	return out
 }
 
 // Factor is one multiplicand inside SUM(...): either a numeric constant,
@@ -85,20 +73,6 @@ type Aggregate struct {
 	Alias string
 }
 
-// Attrs returns the distinct attributes the aggregate ranges over, in
-// first-appearance order.
-func (a Aggregate) Attrs() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range a.Factors {
-		if f.Attr != "" && !seen[f.Attr] {
-			seen[f.Attr] = true
-			out = append(out, f.Attr)
-		}
-	}
-	return out
-}
-
 // String renders the aggregate, e.g. "SUM(gB(B) * gC(C))".
 func (a Aggregate) String() string {
 	parts := make([]string, len(a.Factors))
@@ -118,23 +92,6 @@ type Query struct {
 	Aggregates []Aggregate
 	Relations  []Relation
 	GroupBy    []string
-}
-
-// Vars returns every variable (attribute) of the query's relations,
-// sorted.
-func (q *Query) Vars() []string {
-	seen := map[string]bool{}
-	for _, r := range q.Relations {
-		for _, a := range r.Schema.Attrs() {
-			seen[a] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // VORels converts the query's relations to the vo package's input form.

@@ -29,10 +29,6 @@ func TestCatalogBasics(t *testing.T) {
 	if _, ok := c.Relation("Z"); ok {
 		t.Error("phantom relation")
 	}
-	rels := c.Relations()
-	if len(rels) != 2 || rels[0].Name != "R" {
-		t.Errorf("Relations order = %v", rels)
-	}
 }
 
 func TestParseSimpleCount(t *testing.T) {
@@ -63,9 +59,8 @@ func TestParsePaperQuery(t *testing.T) {
 	if fs[0].Func != "gB" || fs[0].Attr != "B" {
 		t.Errorf("factor 0 = %v", fs[0])
 	}
-	attrs := q.Aggregates[0].Attrs()
-	if len(attrs) != 3 || attrs[0] != "B" || attrs[2] != "D" {
-		t.Errorf("Attrs = %v", attrs)
+	if fs[2].Attr != "D" {
+		t.Errorf("factor 2 = %v", fs[2])
 	}
 }
 
@@ -171,10 +166,6 @@ func TestQueryString(t *testing.T) {
 func TestQueryVars(t *testing.T) {
 	c := testCatalog(t)
 	q := mustParse(t, c, "SELECT SUM(1) FROM R NATURAL JOIN S")
-	vars := q.Vars()
-	if len(vars) != 4 { // A, B, C, D
-		t.Errorf("Vars = %v", vars)
-	}
 	rels := q.VORels()
 	if len(rels) != 2 || rels[0].Name != "R" {
 		t.Errorf("VORels = %v", rels)

@@ -250,9 +250,6 @@ func NewRelCovarRing(m int) RelCovarRing {
 	return RelCovarRing{m: m}
 }
 
-// Degree returns m.
-func (r RelCovarRing) Degree() int { return r.m }
-
 // Zero returns nil, the additive identity.
 func (r RelCovarRing) Zero() *RelCovar { return nil }
 

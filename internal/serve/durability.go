@@ -100,7 +100,7 @@ func (s *Server) Checkpoint() error {
 	}
 	var cperr error
 	if err := s.Sync(func(m fivm.AnyEngine) {
-		cperr = w.WriteCheckpoint(copyPositions(s.walPos), m.WriteSnapshot)
+		cperr = w.WriteCheckpoint(s.walPos.Clone(), m.WriteSnapshot)
 	}); err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func (s *Server) finalCheckpoint() error {
 	if s.cfg.WAL == nil || s.CrashError() != nil {
 		return nil
 	}
-	return s.cfg.WAL.WriteCheckpoint(copyPositions(s.walPos), s.eng.WriteSnapshot)
+	return s.cfg.WAL.WriteCheckpoint(s.walPos.Clone(), s.eng.WriteSnapshot)
 }
 
 // WALStatus reports the durability subsystem's state; the zero value
@@ -170,13 +170,4 @@ func (s *Server) WALStatus() client.WALStatus {
 		ws.CrashError = err.Error()
 	}
 	return ws
-}
-
-func copyPositions(p wal.Positions) wal.Positions {
-	out := p
-	out.Shards = make(map[string]uint64, len(p.Shards))
-	for k, v := range p.Shards {
-		out.Shards[k] = v
-	}
-	return out
 }

@@ -297,8 +297,7 @@ func New(eng fivm.AnyEngine, cfg Config) (*Server, error) {
 		s.dedup.seedRecovered(cfg.WAL.RecoveredBatchRefs())
 	}
 	s.met = newPipelineMetrics(s) // before publish: publish records its span
-	if an, ok := eng.(*fivm.Analysis); ok && an.Label() != "" {
-		an.OnFit(s.observeFit)
+	if fivm.OnFit(eng, s.observeFit) {
 		s.fitWake, s.fitterDone = make(chan struct{}, 1), make(chan struct{})
 	}
 	s.publish() // version 1: the initial state, before any goroutine runs

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/fivm"
+	"repro/internal/ring"
 	"repro/internal/value"
 	"repro/internal/view"
 )
@@ -15,7 +16,7 @@ import (
 // continuous features A and B (B is the serving label) and categorical
 // feature C. All test data is integer-valued so float sums are exact
 // regardless of batch application order.
-func testAnalysis(t testing.TB) *fivm.Analysis {
+func testAnalysis(t testing.TB) *fivm.Engine[*ring.RelCovar] {
 	t.Helper()
 	an, err := fivm.Open(fivm.Config{
 		Relations: []fivm.RelationSpec{
@@ -32,7 +33,7 @@ func testAnalysis(t testing.TB) *fivm.Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an.(*fivm.Analysis)
+	return an.(*fivm.Engine[*ring.RelCovar])
 }
 
 // seedUpdates returns n R-inserts joined 1:1 against k S rows.

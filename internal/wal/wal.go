@@ -84,7 +84,8 @@ type Positions struct {
 	Batches uint64
 }
 
-func (p Positions) clone() Positions {
+// Clone returns a copy of p that shares no map with it.
+func (p Positions) Clone() Positions {
 	out := p
 	out.Shards = make(map[string]uint64, len(p.Shards))
 	for k, v := range p.Shards {
@@ -175,7 +176,7 @@ func Open(cfg Config) (*WAL, error) {
 	}
 	w.cpAt.Store(time.Now().UnixNano())
 	if w.cp != nil {
-		w.recovered = w.cp.Positions.clone()
+		w.recovered = w.cp.Positions.Clone()
 		w.cpSeqLive.Store(w.cp.Seq)
 		if fi, err := os.Stat(w.cp.Path); err == nil {
 			w.cpAt.Store(fi.ModTime().UnixNano())
@@ -253,7 +254,7 @@ func (w *WAL) Checkpoint() *CheckpointInfo {
 func (w *WAL) RecoveredPositions() Positions {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.recovered.clone()
+	return w.recovered.Clone()
 }
 
 // RecoveredBatchRefs returns the batch IDs Replay found recorded in
